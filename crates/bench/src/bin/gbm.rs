@@ -102,7 +102,7 @@ fn main() {
 
     // The remaining predict paths, for per-path attribution: the original
     // per-tree reference walk (the pre-flattening serving path), the
-    // branchless single-row traversal, and the lane-blocked raw-f32 batch.
+    // padded single-row kernel, and the same kernel over a raw-f32 batch.
     let raw_rows: Vec<Vec<f32>> = (0..rows).map(|i| data.row(i).to_vec()).collect();
     let mut paths = Bench::new("gbm_predict_paths");
     paths.throughput_elems(rows as u64);

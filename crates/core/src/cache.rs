@@ -139,15 +139,16 @@ impl LhrConfig {
     }
 }
 
+/// One cached object, stored inline in the eviction sampler's array so the
+/// sampled candidates are read straight out of it (the size_lru layout),
+/// not through the id map.
 #[derive(Debug, Clone, Copy)]
 struct CachedEntry {
+    id: ObjectId,
     size: u64,
     /// Learned admission probability — the paper's ℒ vector entry.
     prob: f64,
     last_access: Time,
-    /// Index into `dense` (the eviction sampler's id array), fused into
-    /// the entry so eviction maintains one map instead of two.
-    pos: usize,
 }
 
 /// Counters exposed for the §7.4 ablation study (Figure 10) and Figure 9.
@@ -172,8 +173,11 @@ pub struct LhrCache {
     config: LhrConfig,
     display_name: &'static str,
 
-    entries: FastMap<ObjectId, CachedEntry>,
-    dense: Vec<ObjectId>,
+    /// The cached objects in sampler order: admission appends, eviction
+    /// `swap_remove`s.
+    entries: Vec<CachedEntry>,
+    /// Object id → position in `entries`.
+    index: FastMap<ObjectId, usize>,
 
     features: FeatureStore,
     window: WindowTracker,
@@ -182,9 +186,6 @@ pub struct LhrCache {
     /// `features.n_features()` columns, reused window to window so the
     /// steady-state serve path never allocates per request.
     window_rows: Vec<f32>,
-    /// Learned probabilities aligned with the window's requests (threshold
-    /// estimation inputs).
-    window_probs: Vec<f64>,
     /// Labeled samples of recently completed windows, newest last:
     /// `(flat row matrix, labels)` per window.
     labeled_history: std::collections::VecDeque<(Vec<f32>, Vec<f32>)>,
@@ -216,15 +217,14 @@ impl LhrCache {
             features: FeatureStore::new(config.n_irts),
             window: WindowTracker::with_min_requests(target, config.min_window_requests),
             window_rows: Vec::new(),
-            window_probs: Vec::new(),
             labeled_history: std::collections::VecDeque::new(),
             model: None,
             trainer: ShadowTrainer::default(),
             detector: ZipfDetector::new(config.epsilon),
             threshold,
             rng: SmallRng::seed_from_u64(config.seed ^ 0x1117),
-            entries: FastMap::default(),
-            dense: Vec::new(),
+            entries: Vec::new(),
+            index: FastMap::default(),
             evictions: 0,
             stats: LhrStats::default(),
             obs: None,
@@ -275,15 +275,15 @@ impl LhrCache {
     /// Contents whose stored probability fell below δ (the paper's
     /// *eviction candidates*) are preferred when present in the sample.
     fn evict_one(&mut self, now: Time) {
-        debug_assert!(!self.dense.is_empty());
-        let n = self.dense.len();
+        debug_assert!(!self.entries.is_empty());
+        let n = self.entries.len();
         let k = self.config.eviction_sample.min(n).max(1);
         let delta = self.threshold.delta;
-        let mut best_candidate: Option<(f64, ObjectId)> = None;
-        let mut best_any: Option<(f64, ObjectId)> = None;
+        let mut best_candidate: Option<(f64, usize)> = None;
+        let mut best_any: Option<(f64, usize)> = None;
         for _ in 0..k {
-            let id = self.dense[self.rng.gen_range(0..n)];
-            let e = &self.entries[&id];
+            let pos = self.rng.gen_range(0..n);
+            let e = &self.entries[pos];
             let q = match self.config.eviction_rule {
                 EvictionRule::QSizeIrt => {
                     let irt1 = now.saturating_sub(e.last_access).as_secs_f64().max(1e-6);
@@ -292,20 +292,18 @@ impl LhrCache {
                 EvictionRule::MinP => e.prob,
             };
             if e.prob < delta && best_candidate.is_none_or(|(bq, _)| q < bq) {
-                best_candidate = Some((q, id));
+                best_candidate = Some((q, pos));
             }
             if best_any.is_none_or(|(bq, _)| q < bq) {
-                best_any = Some((q, id));
+                best_any = Some((q, pos));
             }
         }
-        let victim = best_candidate.or(best_any).expect("k >= 1").1;
-        let entry = self.entries.remove(&victim).expect("sampled from cache");
-        self.used -= entry.size;
-        let pos = entry.pos;
-        self.dense.swap_remove(pos);
-        if pos < self.dense.len() {
-            let moved = self.dense[pos];
-            self.entries.get_mut(&moved).expect("indexed").pos = pos;
+        let pos = best_candidate.or(best_any).expect("k >= 1").1;
+        let victim = self.entries.swap_remove(pos);
+        self.index.remove(&victim.id).expect("sampled from cache");
+        self.used -= victim.size;
+        if let Some(moved) = self.entries.get(pos) {
+            *self.index.get_mut(&moved.id).expect("indexed") = pos;
         }
         self.evictions += 1;
     }
@@ -314,16 +312,13 @@ impl LhrCache {
         while self.used + req.size > self.capacity {
             self.evict_one(req.ts);
         }
-        self.entries.insert(
-            req.id,
-            CachedEntry {
-                size: req.size,
-                prob,
-                last_access: req.ts,
-                pos: self.dense.len(),
-            },
-        );
-        self.dense.push(req.id);
+        self.index.insert(req.id, self.entries.len());
+        self.entries.push(CachedEntry {
+            id: req.id,
+            size: req.size,
+            prob,
+            last_access: req.ts,
+        });
         self.used += req.size;
     }
 
@@ -452,11 +447,10 @@ impl LhrCache {
             let mut snapshot: Vec<(ObjectId, f64, u64, Time)> = self
                 .entries
                 .iter()
-                .map(|(&id, e)| (id, e.prob, e.size, e.last_access))
+                .map(|e| (e.id, e.prob, e.size, e.last_access))
                 .collect();
-            // Map iteration order is arbitrary (FastMap pins it per
-            // process, but it still depends on insertion history); the
-            // shadow's truncation-at-capacity depends on order, so sort.
+            // The shadow's truncation-at-capacity depends on order; by id
+            // it does not depend on the eviction history.
             snapshot.sort_unstable_by_key(|&(id, ..)| id);
             let old_delta = self.threshold.delta;
             let old_updates = self.threshold.updates;
@@ -479,7 +473,6 @@ impl LhrCache {
             obs.gauge_set("lhr.threshold", self.threshold.delta);
         }
 
-        self.window_probs.clear();
         // Keep feature history for a few windows back (§5.1).
         self.features.prune_before(done.index.saturating_sub(3));
         // Hand buffers back for reuse: the row matrix keeps its capacity,
@@ -594,42 +587,35 @@ impl CachePolicy for LhrCache {
         self.used
     }
     fn contains(&self, id: ObjectId) -> bool {
-        self.entries.contains_key(&id)
+        self.index.contains_key(&id)
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
-        // 1. Features as of this request (IRT₁ = time since previous one),
+        // 1. Window bookkeeping first: the feature store stamps the request
+        //    with the window it falls into *after* this one is counted.
+        let completed = self.window.observe(req);
+        let window_idx = self.window.current_index();
+
+        // 2. Features as of this request (IRT₁ = time since previous one),
         //    rendered in place onto the tail of the window's flat row
         //    matrix — no per-request allocation (the matrix only grows
-        //    while a window is larger than every one before it).
+        //    while a window is larger than every one before it) — and the
+        //    request recorded, in one probe of the object map. The rows
+        //    feed training if this window triggers a retrain.
         let n_feat = self.features.n_features();
         let start = self.window_rows.len();
         self.window_rows.resize(start + n_feat, f32::NAN);
-        if !self
-            .features
-            .row_into(req.id, req.ts, &mut self.window_rows[start..])
-        {
-            // Cold row for a first sighting: size + zero count/age; the
-            // IRT columns stay NaN from the resize fill.
-            let row = &mut self.window_rows[start..];
-            row[0] = (req.size.max(1) as f32).ln();
-            row[1] = 0.0; // ln(1 + 0 prior requests)
-            row[2] = (1e-6f32).ln(); // zero age
-        }
+        let row = &mut self.window_rows[start..];
+        self.features
+            .observe(req.id, req.size, req.ts, window_idx, row);
         let prob = self.predict(&self.window_rows[start..]);
-
-        // 2. Window bookkeeping (the rows feed training if this window
-        //    triggers a retrain).
-        self.window_probs.push(prob);
-        let completed = self.window.observe(req);
-        let window_idx = self.window.current_index();
-        self.features.record(req.id, req.size, req.ts, window_idx);
 
         // 3. Cache decision (§4.1's four cases).
         let delta = self.threshold.delta;
-        let outcome = if let Some(entry) = self.entries.get_mut(&req.id) {
+        let outcome = if let Some(&pos) = self.index.get(&req.id) {
             // Cases (i)/(ii): update ℒ; candidacy (p < δ) is re-derived at
             // eviction time from the stored probability.
+            let entry = &mut self.entries[pos];
             entry.prob = prob;
             entry.last_access = req.ts;
             Outcome::Hit
@@ -658,17 +644,18 @@ impl CachePolicy for LhrCache {
             .model
             .as_ref()
             .map_or(0, |m| m.approx_size_bytes() as u64);
-        let n_feat = self.features.n_features().max(1);
-        let row_bytes = n_feat * 4 + 8;
-        let history_rows: usize = self
+        // Labeled history: the rows plus a 4-byte label each.
+        let history_floats: usize = self
             .labeled_history
             .iter()
-            .map(|(_, labels)| labels.len())
+            .map(|(rows, labels)| rows.len() + labels.len())
             .sum();
+        // Per cached object: a 32-byte entry plus its index slot (key,
+        // position, control byte, table slack).
         self.entries.len() as u64 * 64
             + self.features.overhead_bytes()
             + self.window.overhead_bytes()
-            + ((self.window_rows.len() / n_feat + history_rows) * row_bytes) as u64
+            + ((self.window_rows.len() + history_floats) * 4) as u64
             + model
     }
 }

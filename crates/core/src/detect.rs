@@ -77,7 +77,7 @@ impl ZipfDetector {
     /// changed enough to warrant retraining. The first window always
     /// triggers (there is no model yet).
     pub fn observe(&mut self, window: &WindowData) -> DetectOutcome {
-        let mut counts: Vec<u32> = window.counts.values().copied().collect();
+        let mut counts: Vec<u32> = window.counts.values().map(|&(count, _)| count).collect();
         let (alpha, _) = estimate_zipf_alpha(&mut counts);
         self.windows += 1;
         let changed = match self.prev_alpha {
@@ -114,7 +114,7 @@ mod tests {
     fn window_with_counts(counts: &[u32]) -> WindowData {
         let mut map = FastMap::default();
         for (i, &c) in counts.iter().enumerate() {
-            map.insert(i as u64, c);
+            map.insert(i as u64, (c, 1));
         }
         WindowData {
             index: 0,

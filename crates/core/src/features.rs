@@ -16,23 +16,32 @@
 
 use lhr_trace::{ObjectId, Time};
 use lhr_util::hash::FastMap;
+use std::collections::hash_map::Entry;
 
 /// Number of static features preceding the IRTs.
 pub const N_STATIC: usize = 3;
 
-/// Per-object request history sufficient to produce features.
+/// Per-object request history sufficient to produce features. Everything
+/// a row needs that does not depend on "now" is stored already logged:
+/// `ln(size)` here, the gaps between past requests in the store's ring
+/// arena. A gap's logarithm is taken once, when the request that closes it
+/// is recorded — from the very pair of timestamps a later row would have
+/// subtracted — so a row rendered from the ring is bit-identical to one
+/// rendered from the raw timestamps.
 #[derive(Debug, Clone)]
-pub struct ObjectHistory {
-    /// Object size in bytes.
-    pub size: u64,
+struct ObjectHistory {
+    /// `ln(size in bytes)` as of the first request.
+    ln_size: f32,
+    /// This object's ring in [`FeatureStore::gaps`].
+    ring: u32,
     /// Time of the object's first observed request.
-    pub first_seen: Time,
+    first_seen: Time,
     /// Total requests observed.
-    pub count: u64,
-    /// Recent request timestamps, newest last; at most `irts + 1` retained.
-    times: Vec<Time>,
+    count: u64,
+    /// Time of the most recent request.
+    last: Time,
     /// Window index of the most recent request (for pruning).
-    pub last_window: u64,
+    last_window: u64,
 }
 
 /// Tracks histories for all recently active objects and renders feature
@@ -43,10 +52,13 @@ pub struct FeatureStore {
     /// 10/20/30).
     pub n_irts: usize,
     objects: FastMap<ObjectId, ObjectHistory>,
-    /// History shells reclaimed by [`Self::prune_before`] and reused by
-    /// [`Self::record`], so re-sighting a pruned object in steady state
-    /// does not allocate a fresh `times` vector.
-    spare: Vec<ObjectHistory>,
+    /// Ring arena: `n_irts − 1` floats per object, `ln(IRT₂)` first — the
+    /// logged gaps between its past requests, newest first, `NaN` where the
+    /// history is shorter. A row's IRT₂.. columns are a straight copy.
+    gaps: Vec<f32>,
+    /// Rings reclaimed by [`Self::prune_before`], reused by first sightings
+    /// so steady-state replay does not grow the arena.
+    free: Vec<u32>,
 }
 
 impl FeatureStore {
@@ -56,7 +68,8 @@ impl FeatureStore {
         FeatureStore {
             n_irts,
             objects: FastMap::default(),
-            spare: Vec::new(),
+            gaps: Vec::new(),
+            free: Vec::new(),
         }
     }
 
@@ -65,101 +78,75 @@ impl FeatureStore {
         N_STATIC + self.n_irts
     }
 
-    /// Records a request, updating the object's history.
-    pub fn record(&mut self, id: ObjectId, size: u64, ts: Time, window: u64) {
-        let keep = self.n_irts + 1;
-        let spare = &mut self.spare;
-        let entry = self.objects.entry(id).or_insert_with(|| {
-            // Prefer a shell reclaimed by pruning — its `times` allocation
-            // is already the right capacity.
-            let mut h = spare.pop().unwrap_or_else(|| ObjectHistory {
-                size,
-                first_seen: ts,
-                count: 0,
-                times: Vec::with_capacity(keep),
-                last_window: window,
-            });
-            h.size = size;
-            h.first_seen = ts;
-            h.count = 0;
-            h.times.clear();
-            h.last_window = window;
-            h
-        });
-        entry.count += 1;
-        entry.last_window = window;
-        // Trim *before* pushing: the push then always fits in the
-        // `with_capacity(keep)` allocation, so a warm object's history
-        // never reallocates (the serve path stays allocation-free).
-        if entry.times.len() >= keep {
-            entry.times.remove(0);
-        }
-        entry.times.push(ts);
-    }
-
-    /// Renders the feature row for `id` *as of time `now`*, or `None` if the
-    /// object has never been recorded.
-    pub fn features(&self, id: ObjectId, now: Time) -> Option<Vec<f32>> {
-        let mut row = vec![f32::NAN; self.n_features()];
-        self.row_into(id, now, &mut row).then_some(row)
-    }
-
-    /// In-place form of [`FeatureStore::features`]: fills `out` (which must
-    /// be `n_features()` wide) and returns `true`, or returns `false`
-    /// untouched for a never-recorded object. The serve path calls this
-    /// with a reused buffer so steady-state replay does not allocate.
-    pub fn row_into(&self, id: ObjectId, now: Time, out: &mut [f32]) -> bool {
+    /// Renders the feature row for `id` *as of this request* into `out`
+    /// (which must be `n_features()` wide) and then records the request —
+    /// one probe of the object map for both. A first sighting gets the cold
+    /// row: its size, zero count and age, every IRT missing.
+    pub fn observe(&mut self, id: ObjectId, size: u64, ts: Time, window: u64, out: &mut [f32]) {
         debug_assert_eq!(out.len(), self.n_features());
-        let Some(h) = self.objects.get(&id) else {
-            return false;
-        };
-        out.fill(f32::NAN);
-        out[0] = (h.size.max(1) as f32).ln();
-        out[1] = (h.count as f32).ln_1p();
-        out[2] = ln_secs(now.saturating_sub(h.first_seen));
-        // IRT₁ = now − most recent request; IRT_{j>1} = gaps of history.
-        let times = &h.times;
-        if let Some(&last) = times.last() {
-            out[N_STATIC] = ln_secs(now.saturating_sub(last));
-        }
-        for j in 1..self.n_irts {
-            // IRT_{j+1} spans times[len-j-1] .. times[len-j].
-            if times.len() > j {
-                let a = times[times.len() - j - 1];
-                let b = times[times.len() - j];
-                out[N_STATIC + j] = ln_secs(b.saturating_sub(a));
-            } else {
-                break;
+        let ring_len = self.n_irts - 1;
+        match self.objects.entry(id) {
+            Entry::Occupied(mut e) => {
+                let h = e.get_mut();
+                let ring = &mut self.gaps[h.ring as usize * ring_len..][..ring_len];
+                render(h, ring, ts, out);
+                // The gap this request closes is the IRT₁ just rendered.
+                if ring_len > 0 {
+                    ring.copy_within(..ring_len - 1, 1);
+                    ring[0] = out[N_STATIC];
+                }
+                h.count += 1;
+                h.last = ts;
+                h.last_window = window;
+            }
+            Entry::Vacant(e) => {
+                let ln_size = (size.max(1) as f32).ln();
+                out[0] = ln_size;
+                out[1] = 0.0; // ln(1 + 0 prior requests)
+                out[2] = (1e-6f32).ln(); // zero age
+                out[N_STATIC..].fill(f32::NAN);
+                let ring = self.free.pop().unwrap_or_else(|| {
+                    let fresh = self.gaps.len() / ring_len.max(1);
+                    self.gaps.resize(self.gaps.len() + ring_len, f32::NAN);
+                    fresh as u32
+                });
+                self.gaps[ring as usize * ring_len..][..ring_len].fill(f32::NAN);
+                e.insert(ObjectHistory {
+                    ln_size,
+                    ring,
+                    first_seen: ts,
+                    count: 1,
+                    last: ts,
+                    last_window: window,
+                });
             }
         }
-        true
     }
 
-    /// Per-object history, if tracked.
-    pub fn history(&self, id: ObjectId) -> Option<&ObjectHistory> {
-        self.objects.get(&id)
+    /// Renders the feature row for `id` *as of time `now`* without
+    /// recording anything, or `None` if the object is not tracked.
+    pub fn features(&self, id: ObjectId, now: Time) -> Option<Vec<f32>> {
+        let h = self.objects.get(&id)?;
+        let ring_len = self.n_irts - 1;
+        let mut row = vec![f32::NAN; self.n_features()];
+        render(
+            h,
+            &self.gaps[h.ring as usize * ring_len..][..ring_len],
+            now,
+            &mut row,
+        );
+        Some(row)
     }
 
     /// Drops objects last requested before `horizon_window` (keeps the
     /// store bounded to a few windows of state, mirroring §5.1's "only use
     /// data within the window").
     pub fn prune_before(&mut self, horizon_window: u64) {
-        let spare = &mut self.spare;
+        let free = &mut self.free;
         self.objects.retain(|_, h| {
             let keep = h.last_window >= horizon_window;
             if !keep {
-                // Reclaim the shell (with its `times` allocation) for the
-                // next first-sighting instead of dropping it.
-                spare.push(std::mem::replace(
-                    h,
-                    ObjectHistory {
-                        size: 0,
-                        first_seen: Time::ZERO,
-                        count: 0,
-                        times: Vec::new(),
-                        last_window: 0,
-                    },
-                ));
+                free.push(h.ring);
             }
             keep
         });
@@ -175,10 +162,22 @@ impl FeatureStore {
         self.objects.is_empty()
     }
 
-    /// Approximate metadata footprint in bytes.
+    /// Approximate metadata footprint in bytes: a map entry per tracked
+    /// object (8-byte key, 40-byte history, control byte), the ring arena
+    /// (live and reclaimed rings alike) and the free list.
     pub fn overhead_bytes(&self) -> u64 {
-        ((self.objects.len() + self.spare.len()) * (48 + (self.n_irts + 1) * 8)) as u64
+        (self.objects.len() * 49 + self.gaps.len() * 4 + self.free.len() * 4) as u64
     }
+}
+
+/// Fills `out` with `h`'s row as of `now`: statics, IRT₁ = `now` − most
+/// recent request, then the ring (IRT₂.., already logged).
+fn render(h: &ObjectHistory, ring: &[f32], now: Time, out: &mut [f32]) {
+    out[0] = h.ln_size;
+    out[1] = (h.count as f32).ln_1p();
+    out[2] = ln_secs(now.saturating_sub(h.first_seen));
+    out[N_STATIC] = ln_secs(now.saturating_sub(h.last));
+    out[N_STATIC + 1..].copy_from_slice(ring);
 }
 
 fn ln_secs(t: Time) -> f32 {
@@ -188,11 +187,19 @@ fn ln_secs(t: Time) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lhr_util::prop::{any_u64, range};
+    use lhr_util::{prop_assert_eq, prop_check};
+
+    /// Records a request, discarding the row.
+    fn record(fs: &mut FeatureStore, id: ObjectId, size: u64, ts: Time, window: u64) {
+        let mut row = vec![0.0; fs.n_features()];
+        fs.observe(id, size, ts, window, &mut row);
+    }
 
     #[test]
     fn features_have_expected_width_and_statics() {
         let mut fs = FeatureStore::new(20);
-        fs.record(7, 1 << 20, Time::from_secs(10), 0);
+        record(&mut fs, 7, 1 << 20, Time::from_secs(10), 0);
         let row = fs.features(7, Time::from_secs(15)).expect("recorded");
         assert_eq!(row.len(), 23);
         assert!((row[0] - (1024.0f32 * 1024.0).ln()).abs() < 1e-4);
@@ -203,8 +210,8 @@ mod tests {
     #[test]
     fn irt1_is_time_since_last_request() {
         let mut fs = FeatureStore::new(5);
-        fs.record(1, 100, Time::from_secs(0), 0);
-        fs.record(1, 100, Time::from_secs(4), 0);
+        record(&mut fs, 1, 100, Time::from_secs(0), 0);
+        record(&mut fs, 1, 100, Time::from_secs(4), 0);
         let row = fs.features(1, Time::from_secs(10)).expect("recorded");
         assert!((row[N_STATIC] - 6.0f32.ln()).abs() < 1e-4);
         // IRT₂ = 4 − 0.
@@ -214,12 +221,32 @@ mod tests {
     }
 
     #[test]
-    fn history_is_bounded_to_n_irts_plus_one() {
+    fn observe_renders_the_row_before_recording() {
+        let mut fs = FeatureStore::new(3);
+        let mut row = vec![0.0; fs.n_features()];
+        fs.observe(1, 100, Time::from_secs(2), 0, &mut row);
+        // First sighting: the cold row.
+        assert_eq!(row[0], 100.0f32.ln());
+        assert_eq!(row[1], 0.0);
+        assert_eq!(row[2], (1e-6f32).ln());
+        assert!(row[N_STATIC..].iter().all(|v| v.is_nan()));
+        // The second request sees one prior request, not two.
+        let before = fs.features(1, Time::from_secs(5)).expect("tracked");
+        fs.observe(1, 100, Time::from_secs(5), 0, &mut row);
+        assert_eq!(row[1], 1.0f32.ln_1p());
+        assert_eq!(row[N_STATIC], 3.0f32.ln());
+        assert!(row[N_STATIC + 1].is_nan());
+        let bits = |r: &[f32]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&row), bits(&before), "observe and features disagree");
+    }
+
+    #[test]
+    fn history_is_bounded_to_n_irts() {
         let mut fs = FeatureStore::new(3);
         for t in 0..50 {
-            fs.record(1, 100, Time::from_secs(t), 0);
+            record(&mut fs, 1, 100, Time::from_secs(t), 0);
         }
-        assert_eq!(fs.history(1).expect("tracked").times.len(), 4);
+        assert_eq!(fs.gaps.len(), 2, "one ring of n_irts − 1 gaps");
         let row = fs.features(1, Time::from_secs(50)).expect("tracked");
         // All three IRTs present, each equal to 1 s.
         for j in 0..3 {
@@ -234,22 +261,130 @@ mod tests {
     }
 
     #[test]
-    fn pruning_drops_stale_objects() {
+    fn pruning_drops_stale_objects_and_reuses_their_rings() {
         let mut fs = FeatureStore::new(4);
-        fs.record(1, 100, Time::from_secs(0), 0);
-        fs.record(2, 100, Time::from_secs(1), 5);
+        record(&mut fs, 1, 100, Time::from_secs(0), 0);
+        record(&mut fs, 1, 100, Time::from_secs(1), 0);
+        record(&mut fs, 2, 100, Time::from_secs(1), 5);
         fs.prune_before(3);
         assert!(fs.features(1, Time::from_secs(2)).is_none());
         assert!(fs.features(2, Time::from_secs(2)).is_some());
         assert_eq!(fs.len(), 1);
+        // A new object takes over the reclaimed ring, wiped.
+        let arena = fs.gaps.len();
+        record(&mut fs, 3, 100, Time::from_secs(3), 5);
+        assert_eq!(fs.gaps.len(), arena);
+        let row = fs.features(3, Time::from_secs(4)).expect("tracked");
+        assert!(row[N_STATIC + 1..].iter().all(|v| v.is_nan()));
     }
 
     #[test]
     fn count_accumulates_across_windows() {
         let mut fs = FeatureStore::new(2);
         for w in 0..5u64 {
-            fs.record(1, 100, Time::from_secs(w), w);
+            record(&mut fs, 1, 100, Time::from_secs(w), w);
         }
-        assert_eq!(fs.history(1).expect("tracked").count, 5);
+        let row = fs.features(1, Time::from_secs(5)).expect("tracked");
+        assert_eq!(row[1], 5.0f32.ln_1p());
+    }
+
+    /// The store as it was before gaps were logged at record time: raw
+    /// timestamps per object (newest last, `n_irts + 1` kept), every
+    /// logarithm taken when the row is rendered.
+    struct RawTimestampStore {
+        n_irts: usize,
+        /// id → (size, first seen, count, timestamps, last window).
+        objects: FastMap<ObjectId, (u64, Time, u64, Vec<Time>, u64)>,
+    }
+
+    impl RawTimestampStore {
+        fn row(&self, id: ObjectId, size: u64, now: Time) -> Vec<f32> {
+            let mut out = vec![f32::NAN; N_STATIC + self.n_irts];
+            let Some((size, first_seen, count, times, _)) = self.objects.get(&id) else {
+                out[0] = (size.max(1) as f32).ln();
+                out[1] = 0.0;
+                out[2] = (1e-6f32).ln();
+                return out;
+            };
+            out[0] = ((*size).max(1) as f32).ln();
+            out[1] = (*count as f32).ln_1p();
+            out[2] = ln_secs(now.saturating_sub(*first_seen));
+            if let Some(&last) = times.last() {
+                out[N_STATIC] = ln_secs(now.saturating_sub(last));
+            }
+            for j in 1..self.n_irts {
+                if times.len() > j {
+                    let a = times[times.len() - j - 1];
+                    let b = times[times.len() - j];
+                    out[N_STATIC + j] = ln_secs(b.saturating_sub(a));
+                }
+            }
+            out
+        }
+
+        fn record(&mut self, id: ObjectId, size: u64, ts: Time, window: u64) {
+            let keep = self.n_irts + 1;
+            let e = self
+                .objects
+                .entry(id)
+                .or_insert((size, ts, 0, Vec::new(), window));
+            e.2 += 1;
+            e.4 = window;
+            if e.3.len() >= keep {
+                e.3.remove(0);
+            }
+            e.3.push(ts);
+        }
+    }
+
+    #[test]
+    fn rows_from_logged_gaps_equal_rows_from_raw_timestamps_bitwise() {
+        for n_irts in [1usize, 2, 10, 20, 30] {
+            prop_check!(cases: 24, (len in range(1usize..1_500), objects in range(1u64..40), seed in any_u64()) => {
+                let mut state = seed | 1;
+                let mut next = move || {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    state
+                };
+                let mut fs = FeatureStore::new(n_irts);
+                let mut reference = RawTimestampStore { n_irts, objects: FastMap::default() };
+                let mut row = vec![0.0f32; fs.n_features()];
+                let mut ts = 0u64;
+                for i in 0..len {
+                    // Zero gaps (bursts), sub-microsecond-floor gaps, long
+                    // gaps, and now and then a timestamp that runs backwards.
+                    ts = match next() % 8 {
+                        0 | 1 => ts,
+                        2 => ts + 1,
+                        3 => ts.saturating_sub(next() % 5_000),
+                        _ => ts + next() % 90_000_000,
+                    };
+                    let now = Time::from_micros(ts);
+                    // A skewed population: some objects outgrow the ring,
+                    // some are seen once, some go quiet and get pruned.
+                    let id = (next() % objects).min(next() % objects);
+                    let size = if id % 7 == 0 { 0 } else { (id + 1) * 1_000 + next() % 3 };
+                    let window = i as u64 / 64;
+                    let want = reference.row(id, size, now);
+                    fs.observe(id, size, now, window, &mut row);
+                    reference.record(id, size, now, window);
+                    for (k, (got, want)) in row.iter().zip(&want).enumerate() {
+                        prop_assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "request {} object {} column {}: {} vs {}", i, id, k, got, want
+                        );
+                    }
+                    if i % 64 == 63 {
+                        let horizon = window.saturating_sub(1);
+                        fs.prune_before(horizon);
+                        reference.objects.retain(|_, e| e.4 >= horizon);
+                        prop_assert_eq!(fs.len(), reference.objects.len());
+                    }
+                }
+            });
+        }
     }
 }

@@ -16,7 +16,7 @@ use crate::window::{WindowData, WindowTracker};
 use lhr_sim::bound::{base_metrics, OfflineBound};
 use lhr_sim::SimMetrics;
 use lhr_trace::{ObjectId, Trace};
-use lhr_util::hash::{FastMap, FastSet};
+use lhr_util::hash::FastSet;
 
 /// The HRO bound. `window_multiplier` follows the paper's default of 4×
 /// the cache size in unique bytes.
@@ -39,17 +39,12 @@ impl Default for Hro {
 /// training samples (§5.2.4: HRO's decisions are the supervision signal).
 pub fn hro_top_set(window: &WindowData, capacity: u64) -> FastSet<ObjectId> {
     let span = window.span_secs();
-    let mut sizes: FastMap<ObjectId, u64> = FastMap::default();
-    for &(_, id, size) in &window.requests {
-        sizes.entry(id).or_insert(size);
-    }
     // Sized hazard ζ̃ = (n/T)/s; T is common, so ranking by n/s is
     // equivalent, but we keep the rate for clarity and testability.
     let mut ranked: Vec<(f64, ObjectId, u64)> = window
         .counts
         .iter()
-        .map(|(&id, &count)| {
-            let size = sizes[&id];
+        .map(|(&id, &(count, size))| {
             let rate = count as f64 / span;
             let hazard = rate / size as f64;
             // A zero-size object makes the hazard +inf (rate > 0) or NaN
@@ -243,10 +238,10 @@ mod tests {
         // size 0 *and* a zero count (hazard = 0/0 = NaN). Before the
         // total_cmp fix the sort panicked on the NaN; it must now rank
         // deterministically, with the NaN below every real hazard.
-        let mut counts = FastMap::default();
-        counts.insert(1u64, 4u32);
-        counts.insert(2u64, 3u32);
-        counts.insert(3u64, 0u32);
+        let mut counts = lhr_util::hash::FastMap::default();
+        counts.insert(1u64, (4u32, 100u64));
+        counts.insert(2u64, (3u32, 0u64));
+        counts.insert(3u64, (0u32, 0u64));
         let window = WindowData {
             index: 0,
             requests: vec![

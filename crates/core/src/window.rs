@@ -14,9 +14,10 @@ pub struct WindowData {
     pub index: u64,
     /// The requests, in arrival order: `(timestamp, id, size)`.
     pub requests: Vec<(Time, ObjectId, u64)>,
-    /// Per-content request counts within the window. Iteration order is
-    /// arbitrary — consumers sort before any order-sensitive use.
-    pub counts: FastMap<ObjectId, u32>,
+    /// Per content: its request count within the window and its size as
+    /// of its first request there. Iteration order is arbitrary — consumers
+    /// sort before any order-sensitive use.
+    pub counts: FastMap<ObjectId, (u32, u64)>,
     /// Unique bytes accumulated.
     pub unique_bytes: u64,
     /// First and last timestamps.
@@ -38,7 +39,6 @@ pub struct WindowTracker {
     target_unique_bytes: u64,
     min_requests: usize,
     current: WindowData,
-    sizes: FastMap<ObjectId, u64>,
     /// A recycled window shell (cleared vectors/maps with their capacity
     /// intact) handed back via [`WindowTracker::recycle`]; reused when the
     /// next window opens so steady-state replay does not allocate fresh
@@ -70,7 +70,6 @@ impl WindowTracker {
             target_unique_bytes,
             min_requests,
             current: Self::empty_window(0),
-            sizes: FastMap::default(),
             spare: None,
         }
     }
@@ -133,20 +132,17 @@ impl WindowTracker {
         }
         self.current.span.1 = req.ts;
         self.current.requests.push((req.ts, req.id, req.size));
-        let count = self.current.counts.entry(req.id).or_insert(0);
+        let (count, _) = self.current.counts.entry(req.id).or_insert((0, req.size));
         *count += 1;
         if *count == 1 {
             self.current.unique_bytes += req.size;
-            self.sizes.insert(req.id, req.size);
         }
         if self.current.unique_bytes >= self.target_unique_bytes
             && self.current.requests.len() >= self.effective_min_requests()
         {
             let next_index = self.current.index + 1;
             let next = self.next_window(next_index);
-            let done = std::mem::replace(&mut self.current, next);
-            self.sizes.clear();
-            Some(done)
+            Some(std::mem::replace(&mut self.current, next))
         } else {
             None
         }
@@ -157,10 +153,10 @@ impl WindowTracker {
         self.current
     }
 
-    /// Approximate metadata footprint in bytes.
+    /// Approximate metadata footprint in bytes: 24 per logged request and
+    /// per distinct content (8-byte key, count and size).
     pub fn overhead_bytes(&self) -> u64 {
-        (self.current.requests.len() * 24 + self.current.counts.len() * 16 + self.sizes.len() * 16)
-            as u64
+        ((self.current.requests.len() + self.current.counts.len()) * 24) as u64
     }
 }
 
@@ -182,7 +178,7 @@ mod tests {
         assert_eq!(done.index, 0);
         assert_eq!(done.requests.len(), 4);
         assert_eq!(done.unique_bytes, 300);
-        assert_eq!(done.counts[&1], 2);
+        assert_eq!(done.counts[&1], (2, 100));
         assert_eq!(w.current_index(), 1);
         assert_eq!(w.current_len(), 0);
     }

@@ -1,10 +1,9 @@
 //! Set-at-a-time forest scoring on pre-binned codes — the batched
 //! quantized serving path.
 //!
-//! [`crate::flat::FlatForest`]'s lane-blocked traversal still pays a
-//! dependent load chain per lane per level. This module removes the
-//! per-lane chase entirely by evaluating whole *blocks of 64 rows* as bit
-//! masks:
+//! [`crate::flat::FlatForest`]'s single-row kernel still pays a load
+//! chain per tree per level. For whole datasets this module removes the
+//! chase entirely by evaluating *blocks of 64 rows* as bit masks:
 //!
 //! 1. **Predicate masks.** Every distinct split predicate
 //!    `(feature, threshold, default_left)` in the forest becomes one
@@ -32,9 +31,9 @@
 use crate::dataset::{Binned, MISSING_BIN};
 use crate::tree::Tree;
 
-/// Deepest tree the bitset layout supports (64 leaves). Matches the
-/// default `GbmParams::max_depth`; deeper hand-tuned forests serve from
-/// the lane-blocked raw path instead.
+/// Deepest tree the bitset and padded layouts support (64 leaves). Matches
+/// the default `GbmParams::max_depth`; deeper hand-tuned forests are scored
+/// by the reference walk instead.
 pub(crate) const MAX_DEPTH: u32 = 6;
 
 /// Rows per bit-mask block.

@@ -1,7 +1,8 @@
 //! The gradient-boosting ensemble.
 
+use crate::bitset::BitsetForest;
 use crate::dataset::Dataset;
-use crate::flat::{FlatForest, LANES};
+use crate::flat::FlatForest;
 use crate::parallel;
 use crate::tree::{Tree, TreeScratch};
 
@@ -119,11 +120,14 @@ pub struct Gbm {
     feature_gain: Vec<f64>,
     n_features: usize,
     loss: Loss,
-    /// Serving-path layout, derived from `trees` at construction and on
+    /// Serving layouts, derived from `trees` at construction and on
     /// deserialization — never serialized (see the hand-written
     /// `ToJson`/`FromJson` below, which keep the JSON identical to the
-    /// pre-flattening `impl_json!` output).
-    flat: FlatForest,
+    /// pre-flattening `impl_json!` output). `flat` scores single rows,
+    /// `bitset` whole pre-binned datasets; each is `None` for a forest
+    /// that does not fit it.
+    flat: Option<FlatForest>,
+    bitset: Option<BitsetForest>,
 }
 
 impl lhr_util::json::ToJson for Gbm {
@@ -323,7 +327,8 @@ impl Gbm {
                 out_vals.clear();
                 out_vals.resize(out_rows.len(), 0.0);
                 let out_rows = &out_rows;
-                parallel::for_chunks(&mut out_vals, threads, |start, chunk| {
+                let walk_ns = parallel::WALK_ROW_TREE_NS;
+                parallel::for_chunks(&mut out_vals, threads, walk_ns, |start, chunk| {
                     for (k, v) in chunk.iter_mut().enumerate() {
                         *v = tree.predict(data.row(out_rows[start + k] as usize));
                     }
@@ -386,6 +391,7 @@ impl Gbm {
         loss: Loss,
     ) -> Gbm {
         let flat = FlatForest::build(&trees, n_features);
+        let bitset = BitsetForest::build(&trees, n_features);
         Gbm {
             base_score,
             trees,
@@ -393,13 +399,14 @@ impl Gbm {
             n_features,
             loss,
             flat,
+            bitset,
         }
     }
 
-    /// The flattened serving layout (crate-internal, for tests/benches).
+    /// The serving layouts (crate-internal, for tests).
     #[cfg(test)]
-    pub(crate) fn flat(&self) -> &FlatForest {
-        &self.flat
+    pub(crate) fn layouts(&self) -> (Option<&FlatForest>, Option<&BitsetForest>) {
+        (self.flat.as_ref(), self.bitset.as_ref())
     }
 
     #[inline]
@@ -412,29 +419,32 @@ impl Gbm {
 
     /// Raw (pre-loss-transform) score of one row, tolerating any width:
     /// short rows are padded with NaN (missing), extra columns are ignored.
-    ///
-    /// Deliberately walks the per-tree node arenas, not the flattened
-    /// branchless layout: for a *single* row the branch predictor
-    /// speculates the next level's loads ahead of the compare, while a
-    /// branchless select chain serializes them — the arena walk is ~5x
-    /// faster per row (see the `gbm_predict_paths` bench group). The
-    /// flattened layouts win only where rows are batched.
+    /// Runs the padded single-row kernel; a forest that does not fit it
+    /// (see [`crate::flat`]) takes the reference walk.
     #[inline]
     fn raw_score(&self, row: &[f32]) -> f32 {
-        let walk = |row: &[f32]| {
-            let mut score = self.base_score;
-            for tree in &self.trees {
-                score += tree.predict(row);
-            }
-            score
-        };
-        if row.len() >= self.n_features {
-            walk(row)
-        } else {
-            let mut padded = vec![f32::NAN; self.n_features.max(1)];
-            padded[..row.len()].copy_from_slice(row);
-            walk(&padded)
+        match &self.flat {
+            Some(flat) => flat.score(row, self.base_score),
+            None => self.reference_score(row),
         }
+    }
+
+    /// The reference walk over the original per-tree node arenas.
+    fn reference_score(&self, row: &[f32]) -> f32 {
+        let padded: Vec<f32>;
+        let row = if row.len() >= self.n_features {
+            row
+        } else {
+            let mut p = vec![f32::NAN; self.n_features.max(1)];
+            p[..row.len()].copy_from_slice(row);
+            padded = p;
+            &padded
+        };
+        let mut score = self.base_score;
+        for tree in &self.trees {
+            score += tree.predict(row);
+        }
+        score
     }
 
     /// Predicts the output value for one raw feature row (NaN = missing):
@@ -451,23 +461,10 @@ impl Gbm {
     }
 
     /// Reference prediction walking the original per-tree node arenas —
-    /// the oracle the flattened/quantized serving paths are property-tested
+    /// the oracle the padded and quantized serving paths are property-tested
     /// against. Handles row widths exactly like [`Gbm::predict`].
     pub fn predict_reference(&self, row: &[f32]) -> f32 {
-        let padded: Vec<f32>;
-        let row = if row.len() >= self.n_features {
-            row
-        } else {
-            let mut p = vec![f32::NAN; self.n_features.max(1)];
-            p[..row.len()].copy_from_slice(row);
-            padded = p;
-            &padded
-        };
-        let mut score = self.base_score;
-        for tree in &self.trees {
-            score += tree.predict(row);
-        }
-        self.transform(score)
+        self.transform(self.reference_score(row))
     }
 
     /// [`Gbm::predict`] clamped to `[0, 1]` — the admission-probability
@@ -476,42 +473,30 @@ impl Gbm {
         self.predict(row).clamp(0.0, 1.0) as f64
     }
 
+    /// [`Gbm::predict`] of `n` rows, `row(i)` giving the `i`-th, fanned out
+    /// over `threads` workers (`0` = one per available core).
+    fn predict_rows<'a>(
+        &self,
+        n: usize,
+        threads: usize,
+        row: impl Fn(usize) -> &'a [f32] + Sync,
+    ) -> Vec<f32> {
+        let mut out = vec![0f32; n];
+        let threads = parallel::resolve_threads(threads);
+        let row_ns = self.trees.len() as f64 * parallel::KERNEL_ROW_TREE_NS;
+        parallel::for_chunks(&mut out, threads, row_ns, |start, chunk| {
+            for (o, i) in chunk.iter_mut().zip(start..) {
+                *o = self.transform(self.raw_score(row(i)));
+            }
+        });
+        out
+    }
+
     /// Batched [`Gbm::predict`] over many raw rows, fanned out over
-    /// `threads` workers (`0` = one per available core) and lane-blocked
-    /// through the flattened forest within each worker. Each output equals
+    /// `threads` workers (`0` = one per available core). Each output equals
     /// the per-row [`Gbm::predict`] bit-for-bit for every thread count.
     pub fn predict_batch<R: AsRef<[f32]> + Sync>(&self, rows: &[R], threads: usize) -> Vec<f32> {
-        let mut out = vec![0f32; rows.len()];
-        parallel::for_chunks(
-            &mut out,
-            parallel::resolve_threads(threads),
-            |start, chunk| {
-                let nf = self.n_features;
-                let mut k = 0;
-                while k + LANES <= chunk.len() {
-                    let refs: [&[f32]; LANES] =
-                        std::array::from_fn(|l| rows[start + k + l].as_ref());
-                    if refs.iter().all(|r| r.len() >= nf) {
-                        self.flat
-                            .predict_block(&refs, &mut chunk[k..k + LANES], self.base_score);
-                    } else {
-                        for (l, r) in refs.iter().enumerate() {
-                            chunk[k + l] = self.raw_score(r);
-                        }
-                    }
-                    k += LANES;
-                }
-                for (o, r) in chunk[k..].iter_mut().zip(rows[start + k..].iter()) {
-                    *o = self.raw_score(r.as_ref());
-                }
-                if self.loss == Loss::Logistic {
-                    for o in chunk.iter_mut() {
-                        *o = sigmoid(*o);
-                    }
-                }
-            },
-        );
-        out
+        self.predict_rows(rows.len(), threads, |i| rows[i].as_ref())
     }
 
     /// [`Gbm::predict_batch`] over a dataset's rows — the batched
@@ -524,65 +509,33 @@ impl Gbm {
     /// host has it, the same-result scalar kernel everywhere else. Any row
     /// of any dataset scores bit-identically to [`Gbm::predict`]; datasets
     /// that don't fit the code path (width mismatch, ±inf values, foreign
-    /// bin edges, a deeper-than-layout forest) serve from the lane-blocked
-    /// raw path instead.
+    /// bin edges, a deeper-than-layout forest) are scored row by row.
     pub fn predict_dataset(&self, data: &Dataset, threads: usize) -> Vec<f32> {
         if data.n_rows() == 0 {
             return Vec::new();
         }
         if data.n_features() == self.n_features {
-            if let Some(bitset) = self.flat.bitset() {
+            if let Some(bitset) = &self.bitset {
                 let cache = data.binned_cache();
                 if !cache.has_infinite {
                     if let Some(cuts) = bitset.resolve(&cache.binned) {
                         let mut out = vec![0f32; data.n_rows()];
-                        parallel::for_chunks(
-                            &mut out,
-                            parallel::resolve_threads(threads),
-                            |start, chunk| {
-                                bitset.score_range(
-                                    &cache.binned,
-                                    &cuts,
-                                    self.base_score,
-                                    start,
-                                    chunk,
-                                );
-                                if self.loss == Loss::Logistic {
-                                    for o in chunk.iter_mut() {
-                                        *o = sigmoid(*o);
-                                    }
+                        let threads = parallel::resolve_threads(threads);
+                        let row_ns = self.trees.len() as f64 * parallel::BITSET_ROW_TREE_NS;
+                        parallel::for_chunks(&mut out, threads, row_ns, |start, chunk| {
+                            bitset.score_range(&cache.binned, &cuts, self.base_score, start, chunk);
+                            if self.loss == Loss::Logistic {
+                                for o in chunk.iter_mut() {
+                                    *o = sigmoid(*o);
                                 }
-                            },
-                        );
+                            }
+                        });
                         return out;
                     }
                 }
             }
         }
-        let mut out = vec![0f32; data.n_rows()];
-        let full_width = data.n_features() >= self.n_features;
-        parallel::for_chunks(
-            &mut out,
-            parallel::resolve_threads(threads),
-            |start, chunk| {
-                let mut k = 0;
-                while full_width && k + LANES <= chunk.len() {
-                    let refs: [&[f32]; LANES] = std::array::from_fn(|l| data.row(start + k + l));
-                    self.flat
-                        .predict_block(&refs, &mut chunk[k..k + LANES], self.base_score);
-                    k += LANES;
-                }
-                for (o, i) in chunk[k..].iter_mut().zip(start + k..) {
-                    *o = self.raw_score(data.row(i));
-                }
-                if self.loss == Loss::Logistic {
-                    for o in chunk.iter_mut() {
-                        *o = sigmoid(*o);
-                    }
-                }
-            },
-        );
-        out
+        self.predict_rows(data.n_rows(), threads, |i| data.row(i))
     }
 
     /// Batched admission scoring for the LHR cache: [`Gbm::predict_batch`]

@@ -10,6 +10,13 @@
 
 use crate::booster::GbmParams;
 use crate::dataset::{Binned, MISSING_BIN};
+use crate::parallel;
+
+/// Measured per-cell cost of [`fill_feature_hist`] (one row of one feature)
+/// and per-slot cost of [`scan_feature`] on the 2-vCPU reference host, LHR
+/// shape (18.5 k rows × 23 features); they size the split search's fan-out.
+const HIST_CELL_NS: f64 = 1.5;
+const SCAN_SLOT_NS: f64 = 8.0;
 
 /// A node in the flat tree arena. Leaves have `feature == u32::MAX`.
 /// Crate-visible so `flat::FlatForest` can re-lay fitted trees out for
@@ -438,9 +445,9 @@ impl Tree {
     /// Predicts the tree's contribution for one raw feature row.
     ///
     /// This is the reference traversal (also used during training for
-    /// out-of-sample rows); batched serving goes through the flattened
-    /// forest in `crate::flat`, which is property-tested bit-identical to
-    /// this walk.
+    /// out-of-sample rows); serving goes through the padded forest in
+    /// `crate::flat`, which is property-tested bit-identical to this walk
+    /// and falls back to it for forests it cannot lay out.
     pub fn predict(&self, row: &[f32]) -> f32 {
         let mut node = &self.nodes[0];
         loop {
@@ -530,13 +537,16 @@ fn search_node(
         )
     };
 
-    // Parallelism only pays off when the node has real work; the cutoff
-    // depends on the data alone, never on the thread count.
-    let threads = if (indices.len() * n_features) < 16_384 {
-        1
+    // Fan out only over as many workers as the node's histogram work
+    // amortises: filling costs `HIST_CELL_NS` per row and feature, the
+    // split scan `SCAN_SLOT_NS` per histogram slot.
+    let fill_ns = if build {
+        (indices.len() * n_features) as f64 * HIST_CELL_NS
     } else {
-        ctx.threads.min(n_features).max(1)
+        0.0
     };
+    let scan_ns = ctx.binned.n_slots() as f64 * SCAN_SLOT_NS;
+    let threads = parallel::workers(ctx.threads.min(n_features), fill_ns + scan_ns);
     if threads == 1 {
         for (feature, out) in best.iter_mut().enumerate() {
             let (lo, hi) = (offsets[feature], offsets[feature + 1]);
@@ -572,7 +582,7 @@ fn search_node(
             let run_feature = &run_feature;
             let base = offsets[f0];
             let lo_feature = f0;
-            scope.spawn(move || {
+            let mut share = move || {
                 for (k, out) in b_chunk.iter_mut().enumerate() {
                     let feature = lo_feature + k;
                     let (lo, hi) = (offsets[feature] - base, offsets[feature + 1] - base);
@@ -583,7 +593,13 @@ fn search_node(
                         &mut n_chunk[lo..hi],
                     );
                 }
-            });
+            };
+            // The caller takes the last share itself: one spawn fewer.
+            if t + 1 < threads {
+                scope.spawn(share);
+            } else {
+                share();
+            }
             f0 = f1;
         }
     });

@@ -3,7 +3,7 @@
 # JSON line per bench group, small + medium scales). Groups cover fit,
 # the quantized serving path (gbm_predict_batch — the trajectory group),
 # and the per-path attribution benches (reference walk, single-row,
-# raw blocked batch), plus a gbm_predict_summary line that records
+# raw batch), plus a gbm_predict_summary line that records
 # host_cpus so numbers are always read against the hardware that
 # produced them. Re-run after any change to the lhr-gbm hot path and
 # commit the refreshed file so the perf trajectory stays in history.

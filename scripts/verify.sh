@@ -12,6 +12,12 @@ RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo build --release --offline --workspa
 echo "==> cargo test"
 cargo test -q --offline --workspace
 
+echo "==> root test suite, one test at a time (--test-threads=1)"
+# The suite above ran each binary's tests on parallel threads; running them
+# serially as well makes an order- or parallelism-dependent test (a shared
+# counter, a leaked global) fail here under one of the two schedules.
+cargo test -q --offline -- --test-threads=1
+
 echo "==> cargo test --doc"
 cargo test -q --doc --offline --workspace
 
@@ -87,6 +93,29 @@ cmp "$smoke_dir/nr1.json" "$smoke_dir/nr4.json"
 cmp "$smoke_dir/ne1.jsonl" "$smoke_dir/ne4.jsonl"
 # The run must actually have exercised the shadow path.
 grep -q '"kind":"ModelSwap"' "$smoke_dir/ne1.jsonl"
+
+echo "==> LHR golden smoke (server --policy LHR/N-LHR vs tests/golden, --threads 1 vs 4)"
+# tests/golden/*.json are the stable reports of commit b90e209 — before the
+# LHR serve path was rebuilt — on this very trace (the report embeds the
+# file stem, hence the name). Every cache decision feeds hit ratio, latency
+# percentiles, WAN and coalesced fetches, so they must repeat to the last
+# digit; only peak_mem_gb (the metadata accounting) is masked.
+# tests/lhr_golden.rs holds the library to the same files.
+cargo run --release --offline -p lhr-cli -- generate \
+  --kind syn-one --objects 500 --requests 40000 --seed 11 \
+  --out "$smoke_dir/lhr-golden.bin"
+mask_peak_mem() { sed -E 's/"peak_mem_gb":[^,]*,/"peak_mem_gb":_,/' "$1"; }
+for policy in LHR N-LHR; do
+  golden="tests/golden/$(echo "$policy" | tr '[:upper:]' '[:lower:]')-server.json"
+  for t in 1 4; do
+    cargo run --release --offline -p lhr-cli -- server \
+      --policy "$policy" --capacity 1000000 --shards 2 --threads "$t" \
+      --report "$smoke_dir/golden-$policy-$t.json" \
+      "$smoke_dir/lhr-golden.bin" > /dev/null
+  done
+  cmp "$smoke_dir/golden-$policy-1.json" "$smoke_dir/golden-$policy-4.json"
+  cmp <(mask_peak_mem "$smoke_dir/golden-$policy-1.json") <(mask_peak_mem "$golden")
+done
 
 echo "==> CLI compare --obs smoke (one recording per policy)"
 cargo run --release --offline -p lhr-cli -- compare \

@@ -6,10 +6,12 @@
 //! serve path.
 //!
 //! This file is its own test binary because `#[global_allocator]` is
-//! process-wide; keeping it out of the other integration suites means
-//! their allocation patterns can't pollute the counters (tests here still
-//! share the process, so counters are read as deltas around the measured
-//! loop, single-threaded).
+//! process-wide. The *counter* is per thread: the test harness runs this
+//! file's tests on parallel threads of one process, so a process-wide
+//! counter would charge one test's window-edge allocations to the other's
+//! "zero allocations" delta. Each test reads its own thread's counter as a
+//! delta around its measured loop; allocations made by threads a test
+//! spawns (LHR's scoped fit workers, at window edges) are not its own.
 
 use lhr_repro::core::cache::{LhrCache, LhrConfig};
 use lhr_repro::policies::Lru;
@@ -17,25 +19,36 @@ use lhr_repro::sim::CachePolicy;
 use lhr_repro::trace::synth::{IrmConfig, SizeModel};
 use lhr_repro::trace::Trace;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// Counts every allocator entry point; frees are not counted (a free in
-/// steady state is fine, a fresh allocation is the regression).
+/// Counts every allocator entry point on the calling thread; frees are not
+/// counted (a free in steady state is fine, a fresh allocation is the
+/// regression).
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor, so touching it from
+    // inside the allocator neither allocates nor registers anything.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: the allocator still runs while a thread's locals are
+    // being torn down.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -46,8 +59,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 /// A fixed-population Zipf trace: every measured request re-references an
@@ -99,7 +113,7 @@ fn lhr_steady_state_allocates_only_at_window_boundaries() {
     let trace = fixed_population_trace(11, 3_000, 60_000);
     // Capacity 400 objects against a 3_000-object population: the 4×
     // unique-bytes window target (6.4 MB) is crossed several times per
-    // pass, so the measured pass sees real window edges and retrains.
+    // pass, so the measured pass sees real window edges.
     let mut lhr = LhrCache::new(
         400 * 4_000,
         LhrConfig {
@@ -107,6 +121,10 @@ fn lhr_steady_state_allocates_only_at_window_boundaries() {
             // Inline retrain pins all training allocations to the window
             // edge itself instead of smearing them over a worker thread.
             background_retrain: false,
+            // Retrain at every edge (the popularity never shifts, so the
+            // detection gate would stay shut after the bootstrap): each
+            // window swaps in a newly laid-out forest.
+            detection: false,
             min_window_requests: 2_048,
             ..LhrConfig::default()
         },
@@ -116,11 +134,15 @@ fn lhr_steady_state_allocates_only_at_window_boundaries() {
     for req in trace.iter() {
         lhr.handle(req);
     }
+    let (warm_stats, warm_evictions) = (lhr.stats(), lhr.evictions());
 
     // Measured pass: per-request allocation deltas. The serve path itself
-    // (feature row, prediction, admission, eviction) must be alloc-free;
-    // only a window-edge request may allocate (labeling, training,
-    // threshold refresh).
+    // must be alloc-free: the feature row and the history ring it is
+    // copied from (reclaimed rings of pruned objects are reused by the
+    // re-sighted tail), scoring on the padded forest, admission into and
+    // eviction out of the inline slot array. Only a window-edge request
+    // may allocate (labeling, training and re-laying-out the forest,
+    // threshold refresh, pruning).
     let mut allocating_requests = 0u64;
     let mut clean_requests = 0u64;
     for req in trace.iter() {
@@ -132,6 +154,21 @@ fn lhr_steady_state_allocates_only_at_window_boundaries() {
             clean_requests += 1;
         }
     }
+
+    // The measured pass did all of that, not just hits on a frozen model.
+    let stats = lhr.stats();
+    assert!(
+        stats.windows >= warm_stats.windows + 4,
+        "sanity: the measured pass must cross window edges (and prune)"
+    );
+    assert!(
+        stats.trainings > warm_stats.trainings,
+        "sanity: the measured pass must swap in a freshly laid-out forest"
+    );
+    assert!(
+        lhr.evictions() > warm_evictions,
+        "sanity: the measured pass must churn the slot array"
+    );
 
     // Windows close every >= min_window_requests, so the measured pass
     // crosses at most len / min_window_requests edges (plus slack for the

@@ -1,0 +1,107 @@
+//! Golden stable reports of `server --policy LHR` and `--policy N-LHR`,
+//! recorded on commit `b90e209` — before the LHR serve path was rebuilt
+//! (logged-gap feature rings, inline eviction slots, the padded scoring
+//! kernel) — and held here so that "every admission, eviction and
+//! probability is bit-identical" stays an executable claim.
+//!
+//! The files under `tests/golden/` are the parent's bytes, unedited:
+//!
+//! ```sh
+//! lhr-cache generate --kind syn-one --objects 500 --requests 40000 \
+//!     --seed 11 --out lhr-golden.bin
+//! lhr-cache server --policy LHR   --capacity 1000000 --shards 2 \
+//!     --threads 1 --report tests/golden/lhr-server.json   lhr-golden.bin
+//! lhr-cache server --policy N-LHR --capacity 1000000 --shards 2 \
+//!     --threads 1 --report tests/golden/n-lhr-server.json lhr-golden.bin
+//! ```
+//!
+//! On that trace LHR bootstraps both shards, installs two shadow-trained
+//! models and moves its threshold twice; N-LHR retrains at every window
+//! edge (eleven fits, seven shadow swaps). Hit ratio, latency percentiles,
+//! WAN traffic and coalesced fetches all depend on every cache decision.
+//! Only `peak_mem_gb` is masked: it reports the metadata *accounting*,
+//! which shrinks when per-object state does. `scripts/verify.sh` holds the
+//! CLI itself against the same files.
+
+use lhr_repro::core::cache::{LhrCache, LhrConfig};
+use lhr_repro::proto::{EngineConfig, ServerConfig, ShardedEngine};
+use lhr_repro::sim::shard::RouteConfig;
+use lhr_repro::trace::synth::markov;
+use lhr_repro::trace::{io, Trace};
+
+/// The seed `lhr-cache` gives policies when `--seed` is not passed.
+const CLI_SEED: u64 = 42;
+
+/// What `generate --kind syn-one --objects 500 --requests 40000 --seed 11`
+/// writes, read back the way the CLI reads `lhr-golden.bin`.
+fn golden_trace() -> Trace {
+    let trace = markov::syn_one(500, 40_000, 40_000 / 5, 0.9, 11);
+    let mut file = Vec::new();
+    io::write_binary(&trace, &mut file).expect("write to memory");
+    io::read_binary(file.as_slice(), "lhr-golden").expect("own output parses")
+}
+
+/// `server --policy … --capacity 1000000 --shards 2 --threads N --report`.
+fn server_report(trace: &Trace, config: &LhrConfig, threads: usize) -> String {
+    let engine = ShardedEngine::new(EngineConfig {
+        total_capacity: 1_000_000,
+        n_shards: 2,
+        route: RouteConfig {
+            threads,
+            ..RouteConfig::default()
+        },
+        server: ServerConfig::default(),
+    });
+    engine
+        .replay(trace, |shard, capacity, _obs| {
+            LhrCache::new(capacity, config.for_shard(shard))
+        })
+        .stable_json()
+}
+
+/// The report with the value of `"peak_mem_gb"` masked, and that value.
+fn split_peak_mem(report: &str) -> (String, f64) {
+    let key = "\"peak_mem_gb\":";
+    let start = report.find(key).expect("report has peak_mem_gb") + key.len();
+    let end = start + report[start..].find(',').expect("a field follows");
+    let masked = format!("{}_{}", &report[..start], &report[end..]);
+    (masked, report[start..end].parse().expect("a number"))
+}
+
+fn assert_matches_golden(golden: &str, config: LhrConfig) {
+    let trace = golden_trace();
+    let (golden, golden_peak) = split_peak_mem(golden.trim_end());
+    for threads in [1usize, 2, 8] {
+        let (report, peak) = split_peak_mem(&server_report(&trace, &config, threads));
+        assert_eq!(
+            report, golden,
+            "stable report diverged from the golden at {threads} threads"
+        );
+        assert!(
+            peak <= golden_peak,
+            "peak_mem_gb grew: {peak} > {golden_peak}"
+        );
+    }
+}
+
+#[test]
+fn lhr_server_report_matches_the_parent_golden_at_1_2_8_threads() {
+    assert_matches_golden(
+        include_str!("golden/lhr-server.json"),
+        LhrConfig {
+            seed: CLI_SEED,
+            ..LhrConfig::default()
+        },
+    );
+}
+
+#[test]
+fn n_lhr_server_report_matches_the_parent_golden_at_1_2_8_threads() {
+    assert_matches_golden(
+        include_str!("golden/n-lhr-server.json"),
+        LhrConfig {
+            seed: CLI_SEED,
+            ..LhrConfig::n_lhr()
+        },
+    );
+}

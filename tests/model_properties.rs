@@ -113,8 +113,8 @@ fn messy_rows(cols: usize, n: usize, seed: u64) -> Vec<Vec<f32>> {
 
 #[test]
 fn gbm_flat_and_quantized_paths_match_the_reference_walk() {
-    // The flattened forest (raw and quantized-code traversals, single-row
-    // and lane-blocked, any thread count) must be bit-identical to the
+    // The serving layouts (padded single-row kernel, raw batches of it,
+    // quantized-code blocks, any thread count) must be bit-identical to the
     // original per-tree reference walk — on messy rows included.
     prop_check!(cases: 24, (cols in range(2usize..6), rows in range(30usize..120), seed in any_u64()) => {
         let mut data = build_dataset(cols, rows, seed);
