@@ -109,7 +109,7 @@ USAGE:
                               byte-identical at any thread count
     --shards N                shard the keyspace (and capacity) across N
                               independent policy instances (default 16
-                              when --threads is given)
+                              when --threads is given; at most 4096)
   server/fleet --report PATH writes the stable JSON report (wall-clock
   and thread-count fields zeroed) for determinism diffing.
 
@@ -549,9 +549,15 @@ fn sim_config(args: &Args) -> Result<SimConfig, String> {
     })
 }
 
-/// The threading flags shared by `simulate` and `server`: `--threads N`
-/// (0 = one per core) and `--shards N`. Returns `None` when neither is
-/// given (single-threaded replay).
+/// The most shards `--shards` accepts. Every shard is a full serving path
+/// (policy slice, maps, latency buffers — times `--nodes` in a fleet), so
+/// an unbounded count is an allocation the size of the typo.
+const MAX_SHARDS: usize = 4_096;
+
+/// The threading flags shared by `simulate`, `server` and `fleet`:
+/// `--threads N` (0 = one per core) and `--shards N` (at most
+/// [`MAX_SHARDS`]). Returns `None` when neither is given
+/// (single-threaded replay).
 fn shard_args(args: &Args) -> Result<Option<(usize, usize)>, String> {
     let threads: Option<usize> = args.get_parse("threads")?;
     let shards: Option<usize> = args.get_parse("shards")?;
@@ -559,6 +565,11 @@ fn shard_args(args: &Args) -> Result<Option<(usize, usize)>, String> {
         return Ok(None);
     }
     let shards = shards.unwrap_or(16).max(1);
+    if shards > MAX_SHARDS {
+        return Err(format!(
+            "--shards must be in 1..={MAX_SHARDS}, got {shards}"
+        ));
+    }
     Ok(Some((threads.unwrap_or(1), shards)))
 }
 
@@ -722,6 +733,7 @@ fn cmd_server(args: &Args) -> Result<(), String> {
     let name = args.get("policy").ok_or("--policy is required")?;
     let capacity = parse_size(args.get("capacity").ok_or("--capacity is required")?)?;
     let seed = args.get_parse("seed")?.unwrap_or(42u64);
+    let sharding = shard_args(args)?;
     let obs = obs_from_args(args)?;
     if let Some((o, path)) = &obs {
         start_obs(o, path)?;
@@ -740,13 +752,12 @@ fn cmd_server(args: &Args) -> Result<(), String> {
 
     // `--threads`/`--shards`/`--report` select the sharded engine; its
     // stable report is byte-identical at any thread count.
-    let engine_requested = shard_args(args)?.is_some() || args.get("report").is_some();
-    if engine_requested {
+    if sharding.is_some() || args.get("report").is_some() {
         use lhr_proto::{EngineConfig, ShardedEngine};
         use lhr_sim::shard::RouteConfig;
         registry::build(name, capacity, seed, &trace)
             .ok_or_else(|| format!("unknown policy `{name}`"))?;
-        let (threads, n_shards) = shard_args(args)?.unwrap_or((1, 16));
+        let (threads, n_shards) = sharding.unwrap_or((1, 16));
         let mut engine = ShardedEngine::new(EngineConfig {
             total_capacity: capacity,
             n_shards,
@@ -763,52 +774,47 @@ fn cmd_server(args: &Args) -> Result<(), String> {
             registry::build_for_shard(name, shard_capacity, seed, &trace, shard, shard_obs)
                 .expect("name validated above")
         });
-        let r = &er.report;
-        println!("policy:          {}", r.name);
-        println!(
-            "engine:          {} shards, {} threads, {:.0} req/s",
-            er.n_shards, er.threads, er.requests_per_sec
-        );
-        println!("content hit:     {:.2} %", r.content_hit_pct);
-        println!("mean latency:    {:.1} ms", r.mean_latency_ms);
-        println!("P90 latency:     {:.1} ms", r.p90_latency_ms);
-        println!("P99 latency:     {:.1} ms", r.p99_latency_ms);
-        println!("WAN traffic:     {:.3} Gbps", r.wan_gbps);
-        println!("peak metadata:   {:.2} MB", r.peak_mem_gb * 1e3);
-        if faulted {
-            println!("availability:    {:.2} %", r.availability_pct);
-            println!("errors served:   {}", r.errors_served);
-            println!("stale served:    {}", r.stale_served);
-            println!("retries:         {}", r.retries);
-            println!("coalesced:       {}", r.coalesced_fetches);
-            println!(
-                "breaker:         {} open / {} close",
-                r.breaker_opens, r.breaker_closes
-            );
-        }
-        println!("replay wall:     {:.2} s", r.replay_wall_secs);
+        print_server_report(&er.report, Some(&er), faulted);
         if let Some(path) = args.get("report") {
             let body = er.stable_json();
             std::fs::write(path, &body).map_err(|e| format!("{path}: {e}"))?;
             eprintln!("report: wrote {} bytes to {path}", body.len());
         }
-        if let Some((o, path)) = &obs {
-            finish_obs(o, path)?;
+    } else {
+        let policy =
+            registry::build_with_obs(name, capacity, seed, &trace, obs.as_ref().map(|(o, _)| o))
+                .ok_or_else(|| format!("unknown policy `{name}`"))?;
+        let mut server = CdnServer::new(policy, config);
+        if let Some((o, _)) = &obs {
+            server = server.with_obs(o.clone());
         }
-        return Ok(());
+        print_server_report(&server.replay(&trace), None, faulted);
     }
+    if let Some((o, path)) = &obs {
+        finish_obs(o, path)?;
+    }
+    Ok(())
+}
 
-    let policy =
-        registry::build_with_obs(name, capacity, seed, &trace, obs.as_ref().map(|(o, _)| o))
-            .ok_or_else(|| format!("unknown policy `{name}`"))?;
-    let mut server = CdnServer::new(policy, config);
-    if let Some((o, _)) = &obs {
-        server = server.with_obs(o.clone());
-    }
-    let r = server.replay(&trace);
+/// Prints a serving report, single-server or (with `engine`) sharded. The
+/// engine's busy-time throughput and degraded percentiles are not part of
+/// its output: it prints its shard/thread/rate line instead.
+fn print_server_report(
+    r: &lhr_proto::ServerReport,
+    engine: Option<&lhr_proto::EngineReport>,
+    faulted: bool,
+) {
     println!("policy:          {}", r.name);
+    if let Some(er) = engine {
+        println!(
+            "engine:          {} shards, {} threads, {:.0} req/s",
+            er.n_shards, er.threads, er.requests_per_sec
+        );
+    }
     println!("content hit:     {:.2} %", r.content_hit_pct);
-    println!("throughput:      {:.2} Gbps", r.throughput_gbps);
+    if engine.is_none() {
+        println!("throughput:      {:.2} Gbps", r.throughput_gbps);
+    }
     println!("mean latency:    {:.1} ms", r.mean_latency_ms);
     println!("P90 latency:     {:.1} ms", r.p90_latency_ms);
     println!("P99 latency:     {:.1} ms", r.p99_latency_ms);
@@ -824,16 +830,14 @@ fn cmd_server(args: &Args) -> Result<(), String> {
             "breaker:         {} open / {} close",
             r.breaker_opens, r.breaker_closes
         );
-        println!(
-            "degraded P90/99: {:.1} / {:.1} ms",
-            r.degraded_p90_latency_ms, r.degraded_p99_latency_ms
-        );
+        if engine.is_none() {
+            println!(
+                "degraded P90/99: {:.1} / {:.1} ms",
+                r.degraded_p90_latency_ms, r.degraded_p99_latency_ms
+            );
+        }
     }
     println!("replay wall:     {:.2} s", r.replay_wall_secs);
-    if let Some((o, path)) = &obs {
-        finish_obs(o, path)?;
-    }
-    Ok(())
 }
 
 fn cmd_fleet(args: &Args) -> Result<(), String> {
@@ -850,7 +854,9 @@ fn cmd_fleet(args: &Args) -> Result<(), String> {
     }
     let vnodes: usize = args.get_parse("vnodes")?.unwrap_or(64);
     let shield_capacity = match args.get_parse::<u64>("shield-mb")? {
-        Some(mb) => mb * 1_000_000,
+        Some(mb) => mb
+            .checked_mul(1_000_000)
+            .ok_or_else(|| format!("--shield-mb {mb} does not fit a byte count"))?,
         None => capacity / 4,
     };
     registry::build(name, capacity, seed, &trace)
@@ -884,11 +890,11 @@ fn cmd_fleet(args: &Args) -> Result<(), String> {
         })?;
     }
 
+    let (threads, n_shards) = shard_args(args)?.unwrap_or((1, 8));
     let obs = obs_from_args(args)?;
     if let Some((o, path)) = &obs {
         start_obs(o, path)?;
     }
-    let (threads, n_shards) = shard_args(args)?.unwrap_or((1, 8));
     let mut config = FleetConfig::new(capacity);
     config.n_nodes = n_nodes;
     config.vnodes = vnodes;

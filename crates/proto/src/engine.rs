@@ -29,22 +29,21 @@
 //! Origin-fetch coalescing is per shard: the router partitions requests
 //! by the same `shard_of` hash every sharded component in the workspace
 //! uses, so a shard owns *all* requests for its objects and a miss can
-//! only ever join an in-flight fetch recorded by its own shard. That
-//! makes a plain shard-local map behaviorally identical to a shared
-//! locked table (the engine used a [`crate::FetchTable`] before PR 8) —
-//! minus the lock and second hash on every miss, which profiling put at
-//! ~35% of engine CPU. Deployments where one object can reach multiple
-//! workers still get leader election from [`crate::ConcurrentCache`]'s
-//! embedded [`crate::FetchTable`].
+//! only ever join an in-flight fetch recorded by its own shard. Each
+//! shard's [`CdnServer`] therefore keeps a plain local in-flight map — no
+//! lock, no second hash on a miss.
+//!
+//! A shard is a [`CdnServer`] plus a tally, stepped by the same
+//! `CdnServer::step` the single-threaded replay loops over; the merge and
+//! the report arithmetic are the crate's one of each (DESIGN.md, "Serving
+//! core").
 
-use crate::fault::{CircuitBreaker, FaultPlan};
-use crate::server::{pct2, CdnServer, ServerConfig, ServerReport};
-use lhr_obs::series::{ReqSample, SeriesAcc};
-use lhr_obs::{Event, EventKind, LogHistogram, Obs};
-use lhr_sim::shard::{route, shard_seed, RouteConfig};
+use crate::server::{CdnServer, ServerConfig, ServerReport};
+use crate::tally::{announce, gauge_wall_secs, per_sec, Tally};
+use lhr_obs::Obs;
+use lhr_sim::shard::{route, RouteConfig};
 use lhr_sim::CachePolicy;
-use lhr_trace::{ObjectId, Request, Time, Trace};
-use lhr_util::hash::FastMap;
+use lhr_trace::Trace;
 use lhr_util::json::ToJson;
 use std::time::Instant;
 
@@ -159,175 +158,11 @@ impl EngineReport {
     }
 }
 
-/// One shard's replay state: a full serving path (server, fault plan,
-/// breaker) plus report accumulators, all owned by exactly one worker.
+/// One shard's replay state — a full serving path and its tally — owned
+/// by exactly one worker.
 struct EngineShard<P: CachePolicy> {
     server: CdnServer<P>,
-    plan: FaultPlan,
-    breaker: CircuitBreaker,
-    /// In-flight origin fetches for this shard's objects. Shard-local by
-    /// construction: the router sends every request for an object to the
-    /// same shard, so no other shard can observe or record a fetch here.
-    in_flight: FastMap<ObjectId, (Time, bool)>,
-    retries: u64,
-    compute_ms: f64,
-    latencies: Vec<f64>,
-    degraded_latencies: Vec<f64>,
-    busy_ms: f64,
-    bytes_served: u128,
-    wan_bytes: u128,
-    hits: u64,
-    errors: u64,
-    stale_served: u64,
-    coalesced: u64,
-    measured: u64,
-    seen: u64,
-    peak_meta: u64,
-    obs: Option<Obs>,
-    acc: Option<SeriesAcc>,
-    lat_hist: LogHistogram,
-    last_evictions: u64,
-    last_opens: u64,
-    last_closes: u64,
-}
-
-impl<P: CachePolicy> EngineShard<P> {
-    /// Serves one request of this shard's subsequence; mirrors the
-    /// accounting of [`CdnServer::replay`], including the shard-local
-    /// in-flight map (see the module docs for why local is equivalent to
-    /// shared here).
-    fn step(&mut self, warmup: usize, i: usize, req: &Request) {
-        // Sampling is a pure function of `(object, trace time)`, so the
-        // sampled set — keyed by global request index `i` — is identical no
-        // matter how the requests were sharded.
-        let mut tb = match &self.obs {
-            Some(obs) if i >= warmup => {
-                obs.trace_recorder()
-                    .begin(i as u64, req.id, req.ts.as_micros(), req.size)
-            }
-            _ => None,
-        };
-        let served = self.server.serve(
-            req,
-            &mut self.plan,
-            &mut self.breaker,
-            &mut self.in_flight,
-            &mut self.retries,
-            &mut self.compute_ms,
-            tb.as_mut(),
-        );
-
-        self.seen += 1;
-        if self.seen % 512 == 1 {
-            self.peak_meta = self
-                .peak_meta
-                .max(self.server.policy().metadata_overhead_bytes());
-            self.server.prune_admitted();
-            // Expired in-flight windows (the fetch has landed).
-            self.in_flight
-                .retain(|_, &mut (done_at, _)| req.ts < done_at);
-        }
-
-        let evict_delta = if self.acc.is_some() {
-            let cur = self.server.policy().evictions();
-            let delta = cur.saturating_sub(self.last_evictions);
-            self.last_evictions = cur;
-            delta
-        } else {
-            0
-        };
-        if let Some(obs) = &self.obs {
-            let t = req.ts.as_secs_f64();
-            let opens = self.breaker.opens();
-            if opens > self.last_opens {
-                obs.emit(Event::new(t, EventKind::BreakerOpen).field("opens", opens));
-                self.last_opens = opens;
-            }
-            let closes = self.breaker.closes();
-            if closes > self.last_closes {
-                obs.emit(Event::new(t, EventKind::BreakerClose).field("closes", closes));
-                self.last_closes = closes;
-            }
-        }
-
-        // Warmup is by global trace index, identical at any thread count.
-        if i < warmup {
-            return;
-        }
-        self.measured += 1;
-        self.bytes_served += req.size as u128;
-        self.wan_bytes += served.wan as u128;
-        self.busy_ms += served.service_ms;
-        if served.hit {
-            self.hits += 1;
-        }
-        if served.error {
-            self.errors += 1;
-        }
-        if served.stale {
-            self.stale_served += 1;
-        }
-        if served.coalesced {
-            self.coalesced += 1;
-        }
-        self.latencies.push(served.latency_ms);
-        if served.degraded {
-            self.degraded_latencies.push(served.latency_ms);
-        }
-        if let Some(acc) = self.acc.as_mut() {
-            let t = req.ts.as_secs_f64();
-            acc.on_request(ReqSample {
-                t_micros: req.ts.as_micros(),
-                bytes: req.size,
-                hit: served.hit,
-                admitted: false,
-                bypassed: false,
-                error: served.error,
-                stale: served.stale,
-                coalesced: served.coalesced,
-            });
-            acc.on_evictions(evict_delta);
-            if served.latency_ms.is_finite() && served.latency_ms >= 0.0 {
-                self.lat_hist.record((served.latency_ms * 1e3) as u64);
-            }
-            let obs = self.obs.as_ref().expect("acc implies obs");
-            if served.stale {
-                obs.emit(Event::new(t, EventKind::StaleServe).field("id", req.id));
-            }
-            if served.error {
-                obs.emit(Event::new(t, EventKind::ErrorServe).field("id", req.id));
-            }
-            if served.coalesced {
-                obs.emit(Event::new(t, EventKind::Coalesce).field("id", req.id));
-            }
-            if let Some(tb) = tb.take() {
-                obs.push_trace(tb.finish(served.latency_ms, acc.last_index()));
-            }
-        }
-    }
-
-    /// Final bookkeeping once the shard's subsequence is exhausted: flush
-    /// the shard recorder (windows, counters, histogram) and hand it back
-    /// for the in-order merge.
-    fn finalize(&mut self) -> Option<Obs> {
-        self.peak_meta = self
-            .peak_meta
-            .max(self.server.policy().metadata_overhead_bytes());
-        let obs = self.obs.take()?;
-        if let Some(acc) = self.acc.take() {
-            obs.push_windows(acc.finish());
-        }
-        obs.counter_add("server.requests", self.measured);
-        obs.counter_add("server.hits", self.hits);
-        obs.counter_add("server.errors", self.errors);
-        obs.counter_add("server.stale_served", self.stale_served);
-        obs.counter_add("server.coalesced", self.coalesced);
-        obs.counter_add("server.retries", self.retries);
-        if self.lat_hist.total() > 0 {
-            obs.hist_merge("server.latency_us", &self.lat_hist);
-        }
-        Some(obs)
-    }
+    tally: Tally,
 }
 
 /// The sharded concurrent serving engine: replays a trace through
@@ -395,63 +230,16 @@ impl ShardedEngine {
     ) -> EngineReport {
         let n_shards = self.config.n_shards.max(1);
         let shard_capacity = (self.config.total_capacity / n_shards as u64).max(1);
-
-        if let Some(obs) = &self.obs {
-            for &(start, end) in &self.config.server.faults.outages {
-                obs.emit(Event::new(start, EventKind::OutageStart).field("until_secs", end));
-                obs.emit(Event::new(end, EventKind::OutageEnd));
-            }
-        }
-
-        // Preallocate each shard's latency vector for its expected share of
-        // measured requests (plus slack for skew), so steady-state replay
-        // never reallocates mid-push.
-        let measured_total = trace
-            .len()
-            .saturating_sub(self.config.server.warmup_requests);
-        let per_shard_latency_cap =
-            measured_total / n_shards + measured_total / (n_shards * 4) + 16;
+        let warmup = self.config.server.warmup_requests;
+        let master = self.obs.as_ref();
 
         let shards: Vec<EngineShard<P>> = (0..n_shards)
             .map(|s| {
-                let obs = self
-                    .obs
-                    .as_ref()
-                    .map(|master| Obs::new(master.config().clone()));
-                let mut faults = self.config.server.faults.clone();
-                faults.seed = shard_seed(faults.seed, s);
-                let server_config = ServerConfig {
-                    faults: faults.clone(),
-                    ..self.config.server.clone()
-                };
+                let tally = Tally::shard(master, warmup, trace.len(), n_shards);
+                let policy = build(s, shard_capacity, tally.obs());
                 EngineShard {
-                    server: CdnServer::new(
-                        build(s, shard_capacity, obs.as_ref()),
-                        server_config.clone(),
-                    ),
-                    plan: FaultPlan::new(faults),
-                    breaker: CircuitBreaker::new(server_config.resilience.breaker.clone()),
-                    in_flight: FastMap::default(),
-                    retries: 0,
-                    compute_ms: 0.0,
-                    latencies: Vec::with_capacity(per_shard_latency_cap),
-                    degraded_latencies: Vec::new(),
-                    busy_ms: 0.0,
-                    bytes_served: 0,
-                    wan_bytes: 0,
-                    hits: 0,
-                    errors: 0,
-                    stale_served: 0,
-                    coalesced: 0,
-                    measured: 0,
-                    seen: 0,
-                    peak_meta: 0,
-                    acc: obs.as_ref().map(|o| SeriesAcc::new(o.window())),
-                    obs,
-                    lat_hist: LogHistogram::new(),
-                    last_evictions: 0,
-                    last_opens: 0,
-                    last_closes: 0,
+                    server: CdnServer::new(policy, self.config.server.for_shard(s)),
+                    tally,
                 }
             })
             .collect();
@@ -460,142 +248,39 @@ impl ShardedEngine {
             .first()
             .map(|s| format!("engine({})x{}", s.server.policy().name(), n_shards))
             .unwrap_or_default();
-        if let Some(master) = &self.obs {
-            // Run metadata is final before replay: a streaming sink writes
-            // its meta line when the first (shard-merged) window lands in
-            // `absorb_shards`, and the line must already carry these.
-            master.set_meta("policy", name.as_str());
-            master.set_meta("trace", trace.name.as_str());
+        if let Some(master) = master {
+            announce(master, &name, trace, &self.config.server.faults);
             master.set_meta("shards", n_shards as u64);
         }
 
-        let warmup = self.config.server.warmup_requests;
         let threads = self.config.route.resolve_threads().clamp(1, n_shards);
         let wall_start = Instant::now();
         let mut shards = route(trace, shards, &self.config.route, |state, _s, i, req| {
-            state.step(warmup, i, req)
+            state.server.step(&mut state.tally, i, req)
         });
         let wall_secs = wall_start.elapsed().as_secs_f64();
 
         // Merge in fixed shard order (0..n_shards) on this thread.
-        let mut latencies = Vec::with_capacity(trace.len());
-        let mut degraded_latencies = Vec::new();
-        let mut shard_obs = Vec::new();
-        let mut busy_ms = 0.0f64;
-        let mut compute_ms = 0.0f64;
-        let mut bytes_served = 0u128;
-        let mut wan_bytes = 0u128;
-        let mut hits = 0u64;
-        let mut errors = 0u64;
-        let mut stale_served = 0u64;
-        let mut coalesced = 0u64;
-        let mut retries = 0u64;
-        let mut measured = 0u64;
-        let mut peak_meta = 0u64;
-        let mut breaker_opens = 0u64;
-        let mut breaker_closes = 0u64;
-        let mut per_shard_requests = Vec::with_capacity(n_shards);
         for shard in &mut shards {
-            if let Some(obs) = shard.finalize() {
-                shard_obs.push(obs);
-            }
-            latencies.append(&mut shard.latencies);
-            degraded_latencies.append(&mut shard.degraded_latencies);
-            busy_ms += shard.busy_ms;
-            compute_ms += shard.compute_ms;
-            bytes_served += shard.bytes_served;
-            wan_bytes += shard.wan_bytes;
-            hits += shard.hits;
-            errors += shard.errors;
-            stale_served += shard.stale_served;
-            coalesced += shard.coalesced;
-            retries += shard.retries;
-            measured += shard.measured;
-            peak_meta += shard.peak_meta;
-            breaker_opens += shard.breaker.opens();
-            breaker_closes += shard.breaker.closes();
-            per_shard_requests.push(shard.seen);
+            shard.server.finish(&mut shard.tally);
         }
-        // Selecting the k-th order statistic (see `server::pct2`) yields
-        // exactly the value a full sort would index, at O(n) instead of
-        // O(n log n) — the sort dominated the merge path at engine line
-        // rates, and total_cmp makes the statistic unique, so the
-        // concatenation order stays irrelevant.
-        let (p90_latency_ms, p99_latency_ms) = pct2(&mut latencies);
-        let (degraded_p90_latency_ms, degraded_p99_latency_ms) = pct2(&mut degraded_latencies);
-        let mean = if latencies.is_empty() {
-            0.0
-        } else {
-            latencies.iter().sum::<f64>() / latencies.len() as f64
-        };
-        let duration = trace.duration().as_secs_f64().max(1e-9);
+        let per_shard_requests: Vec<u64> = shards.iter().map(|s| s.tally.seen).collect();
         let (shard_imbalance, suggested_shards) = shard_skew(&per_shard_requests);
-
-        if let Some(master) = &self.obs {
-            master.absorb_shards(&shard_obs);
+        let mut total = Tally::merge(shards.iter_mut().map(|s| &mut s.tally), master, trace.len());
+        if let Some(master) = master {
             // Both are pure functions of the deterministic per-shard
             // request counts, so they are safe in stable exports. The
             // summarizer turns them into the skew hint line.
             master.gauge_set("engine.shard_imbalance", shard_imbalance);
             master.gauge_set("engine.suggested_shards", suggested_shards as f64);
-            master.gauge_set(
-                "server.replay_wall_secs",
-                if master.deterministic() {
-                    0.0
-                } else {
-                    wall_secs
-                },
-            );
+            gauge_wall_secs(master, wall_secs);
         }
 
-        let report = ServerReport {
-            name,
-            trace: trace.name.clone(),
-            content_hit_pct: if measured == 0 {
-                0.0
-            } else {
-                hits as f64 / measured as f64 * 100.0
-            },
-            throughput_gbps: if busy_ms <= 0.0 {
-                0.0
-            } else {
-                bytes_served as f64 * 8.0 / (busy_ms / 1e3) / 1e9
-            },
-            peak_cpu_pct: if busy_ms <= 0.0 {
-                0.0
-            } else {
-                (compute_ms / busy_ms * 100.0).min(100.0)
-            },
-            peak_mem_gb: peak_meta as f64 / 1e9,
-            p90_latency_ms,
-            p99_latency_ms,
-            mean_latency_ms: mean,
-            wan_gbps: wan_bytes as f64 * 8.0 / duration / 1e9,
-            availability_pct: if measured == 0 {
-                100.0
-            } else {
-                (measured - errors) as f64 / measured as f64 * 100.0
-            },
-            errors_served: errors,
-            stale_served,
-            retries,
-            coalesced_fetches: coalesced,
-            breaker_opens,
-            breaker_closes,
-            degraded_p90_latency_ms,
-            degraded_p99_latency_ms,
-            series: Vec::new(),
-            replay_wall_secs: wall_secs,
-        };
         EngineReport {
-            report,
+            report: total.report(name, trace, wall_secs),
             n_shards: n_shards as u64,
             threads: threads as u64,
-            requests_per_sec: if wall_secs > 0.0 {
-                trace.len() as f64 / wall_secs
-            } else {
-                0.0
-            },
+            requests_per_sec: per_sec(trace.len(), wall_secs),
             per_shard_requests,
             shard_imbalance,
             suggested_shards,
@@ -607,6 +292,7 @@ impl ShardedEngine {
 mod tests {
     use super::*;
     use lhr_policies::Lru;
+    use lhr_trace::{Request, Time};
     use lhr_util::json::{FromJson, Json};
 
     fn trace(n: usize, objects: u64, size: u64) -> Trace {

@@ -35,16 +35,16 @@
 //!   [`lhr_sim::shard::shard_seed`], and the merge runs in fixed shard
 //!   order, then fixed node order.
 
-use crate::fault::{keyed_uniform, CircuitBreaker, FaultPlan};
+use crate::fault::keyed_uniform;
 use crate::latency::LatencyModel;
-use crate::server::{kv, pct2, CdnServer, ServeOutcome, ServerConfig};
-use lhr_obs::series::{ReqSample, SeriesAcc};
+use crate::server::{kv, CdnServer, ServeOutcome, ServerConfig};
+use crate::tally::{announce, gauge_wall_secs, per_sec, Tally};
 use lhr_obs::trace::TraceBuilder;
-use lhr_obs::{Event, EventKind, LogHistogram, Obs};
+use lhr_obs::{Event, EventKind, Obs};
 use lhr_policies::Lru;
 use lhr_sim::shard::{route, shard_seed, RouteConfig};
 use lhr_sim::CachePolicy;
-use lhr_trace::{ObjectId, Request, Time, Trace};
+use lhr_trace::{ObjectId, Request, Trace};
 use lhr_util::hash::{FastHasher, FastMap};
 use lhr_util::json::ToJson;
 use std::hash::Hasher;
@@ -487,40 +487,32 @@ struct NodeSlice<P> {
     errors: u64,
 }
 
-/// One shard of the whole fleet: a slice of every node's cache, the
-/// shield slice, the peer-hint table, and the accumulators — all owned
-/// by exactly one worker (see the module docs).
-struct FleetShard<P: CachePolicy> {
-    nodes: Vec<NodeSlice<P>>,
-    shield: CdnServer<Lru>,
-    plan: FaultPlan,
-    breaker: CircuitBreaker,
-    in_flight: FastMap<ObjectId, (Time, bool)>,
-    /// `id → (node that last filled it, publish time)`.
-    hints: FastMap<ObjectId, (u32, f64)>,
-    retries: u64,
-    compute_ms: f64,
-    latencies: Vec<f64>,
-    bytes_served: u128,
+/// What only a fleet counts, over measured requests; summed over shards
+/// in shard order by the merge.
+#[derive(Default)]
+struct FleetCounts {
     bytes_hit: u128,
-    wan_bytes: u128,
     edge_hits: u64,
     peer_hits: u64,
     shield_hits: u64,
     shield_lookups: u64,
-    errors: u64,
     unrouted: u64,
     failovers: u64,
-    stale_served: u64,
-    coalesced: u64,
-    measured: u64,
-    seen: u64,
-    peak_meta: u64,
-    obs: Option<Obs>,
-    acc: Option<SeriesAcc>,
-    lat_hist: LogHistogram,
-    last_opens: u64,
-    last_closes: u64,
+}
+
+/// One shard of the whole fleet: a slice of every node's cache, the
+/// shield slice (a [`CdnServer`], which owns the origin side), the
+/// peer-hint table, and the accumulators — all owned by exactly one
+/// worker (see the module docs). Everything a single cache also counts
+/// lives in the shared [`Tally`], where a *hit* means served from fleet
+/// RAM (edge or peer) and an *error* includes unrouted requests.
+struct FleetShard<P: CachePolicy> {
+    nodes: Vec<NodeSlice<P>>,
+    shield: CdnServer<Lru>,
+    /// `id → (node that last filled it, publish time)`.
+    hints: FastMap<ObjectId, (u32, f64)>,
+    counts: FleetCounts,
+    tally: Tally,
 }
 
 impl<P: CachePolicy> FleetShard<P> {
@@ -552,7 +544,7 @@ impl<P: CachePolicy> FleetShard<P> {
         if self.nodes[n].epoch != epoch {
             self.nodes[n].epoch = epoch;
             if ctx.faults.cold_restart {
-                let fresh = (ctx.build)(n, s, ctx.node_capacity, self.obs.as_ref());
+                let fresh = (ctx.build)(n, s, ctx.node_capacity, self.tally.obs());
                 self.nodes[n].policy = fresh;
             }
         }
@@ -572,20 +564,15 @@ impl<P: CachePolicy> FleetShard<P> {
                 vec![kv("node", n as u64), kv("hit", hit)],
             );
         }
+        let ram_hit = |extra_ms: f64| ServeOutcome {
+            hit: true,
+            ..ServeOutcome::ok(
+                ctx.lat.hit_latency_ms(req.size, 0.0) + extra_ms,
+                ctx.lat.service_ms(req.size, true, 0.0),
+            )
+        };
         if hit {
-            return (
-                ServeOutcome {
-                    latency_ms: ctx.lat.hit_latency_ms(req.size, 0.0),
-                    service_ms: ctx.lat.service_ms(req.size, true, 0.0),
-                    wan: 0,
-                    hit: true,
-                    stale: false,
-                    error: false,
-                    coalesced: false,
-                    degraded: false,
-                },
-                Served::EdgeHit,
-            );
+            return (ram_hit(0.0), Served::EdgeHit);
         }
 
         // Peer hint: a ring peer recently filled this object — fetch it
@@ -608,19 +595,7 @@ impl<P: CachePolicy> FleetShard<P> {
                     );
                 }
                 if usable {
-                    return (
-                        ServeOutcome {
-                            latency_ms: ctx.lat.hit_latency_ms(req.size, 0.0) + ctx.lat.edge_rtt_ms,
-                            service_ms: ctx.lat.service_ms(req.size, true, 0.0),
-                            wan: 0,
-                            hit: true,
-                            stale: false,
-                            error: false,
-                            coalesced: false,
-                            degraded: false,
-                        },
-                        Served::Peer(owner),
-                    );
+                    return (ram_hit(ctx.lat.edge_rtt_ms), Served::Peer(owner));
                 }
                 // Stale hint (expired, peer down, or evicted): drop it
                 // so the next miss doesn't re-probe.
@@ -637,15 +612,7 @@ impl<P: CachePolicy> FleetShard<P> {
             tb.advance(ctx.lat.edge_rtt_ms);
             tb.push("shield_lookup", req.size, vec![kv("node", n as u64)]);
         }
-        let mut so = self.shield.serve(
-            req,
-            &mut self.plan,
-            &mut self.breaker,
-            &mut self.in_flight,
-            &mut self.retries,
-            &mut self.compute_ms,
-            tb,
-        );
+        let mut so = self.shield.serve(req, tb);
         so.latency_ms += ctx.lat.edge_rtt_ms;
         if !so.error {
             // Publish: node `n` now holds the object, so ring peers can
@@ -656,17 +623,15 @@ impl<P: CachePolicy> FleetShard<P> {
     }
 
     /// Serves one request of this shard's subsequence.
-    fn step<B>(&mut self, ctx: &FleetCtx<'_, B>, warmup: usize, s: usize, i: usize, req: &Request)
+    fn step<B>(&mut self, ctx: &FleetCtx<'_, B>, s: usize, i: usize, req: &Request)
     where
         B: Fn(usize, usize, u64, Option<&Obs>) -> P + Sync,
     {
         let t = req.ts.as_secs_f64();
-        self.seen += 1;
-        if self.seen % 512 == 1 {
-            self.peak_meta = self.peak_meta.max(self.meta_bytes());
-            self.shield.prune_admitted();
-            self.in_flight
-                .retain(|_, &mut (done_at, _)| req.ts < done_at);
+        if self.tally.tick() {
+            let meta_bytes = self.meta_bytes();
+            self.tally.sample_meta(meta_bytes);
+            self.shield.housekeep(req.ts);
             let ttl = ctx.hint_ttl_secs;
             self.hints
                 .retain(|_, &mut (_, published)| t - published <= ttl);
@@ -676,171 +641,86 @@ impl<P: CachePolicy> FleetShard<P> {
         // precompiled liveness schedule.
         let primary = ctx.ring.primary(req.id);
         let chosen = ctx.ring.node_for(req.id, |node| !ctx.faults.down(node, t));
+        let failed_over = chosen.filter(|&n| n != primary);
 
-        // Sampling is pure in `(object, trace time)` and keyed on the
-        // global request index, so the sampled set is shard-layout- and
-        // thread-count-invariant.
-        let mut tb = match &self.obs {
-            Some(obs) if i >= warmup => {
-                obs.trace_recorder()
-                    .begin(i as u64, req.id, req.ts.as_micros(), req.size)
-            }
-            _ => None,
-        };
-        if let Some(tb) = tb.as_mut() {
-            if let Some(n) = chosen {
-                if n != primary {
-                    tb.push(
-                        "failover",
-                        0,
-                        vec![kv("from", primary as u64), kv("to", n as u64)],
-                    );
-                }
-            }
+        let mut tb = self.tally.begin_trace(i, req);
+        if let (Some(tb), Some(n)) = (tb.as_mut(), failed_over) {
+            tb.push(
+                "failover",
+                0,
+                vec![kv("from", primary as u64), kv("to", n as u64)],
+            );
         }
 
         let (mut served, kind) = match chosen {
+            // Whole fleet down: the request fails at the client after one
+            // edge round trip.
             None => (
-                // Whole fleet down: the request fails at the client
-                // after one edge round trip.
-                ServeOutcome {
-                    latency_ms: ctx.lat.error_latency_ms(0.0),
-                    service_ms: 0.0,
-                    wan: 0,
-                    hit: false,
-                    stale: false,
-                    error: true,
-                    coalesced: false,
-                    degraded: true,
-                },
+                ServeOutcome::failed(ctx.lat.error_latency_ms(0.0), 0.0),
                 Served::Unrouted,
             ),
             Some(n) => self.serve_at(ctx, s, n, t, req, tb.as_mut()),
         };
-        if chosen.is_some() && chosen != Some(primary) {
-            served.degraded = true;
-        }
-
-        // Breaker flap events are trace-ordered and warmup-independent,
-        // as in the engine.
-        if let Some(obs) = &self.obs {
-            let opens = self.breaker.opens();
-            if opens > self.last_opens {
-                obs.emit(Event::new(t, EventKind::BreakerOpen).field("opens", opens));
-                self.last_opens = opens;
-            }
-            let closes = self.breaker.closes();
-            if closes > self.last_closes {
-                obs.emit(Event::new(t, EventKind::BreakerClose).field("closes", closes));
-                self.last_closes = closes;
-            }
-        }
+        served.degraded |= failed_over.is_some();
+        // The tally's hit is the fleet's: served from fleet RAM. Whether
+        // the shield had the object only feeds the shield hit ratio.
+        let shield_hit = matches!(kind, Served::Shield) && served.hit;
+        served.hit = matches!(kind, Served::EdgeHit | Served::Peer(_));
 
         // Warmup is by global trace index, identical at any thread count.
-        if i < warmup {
-            return;
-        }
-        self.measured += 1;
-        self.bytes_served += req.size as u128;
-        self.wan_bytes += served.wan as u128;
-
-        let fleet_hit = matches!(kind, Served::EdgeHit | Served::Peer(_));
-        if fleet_hit {
-            self.bytes_hit += req.size as u128;
-        }
-        match kind {
-            Served::EdgeHit => {
-                self.edge_hits += 1;
-                if let Some(n) = chosen {
-                    self.nodes[n].hits += 1;
+        if self.tally.measures(i) {
+            let counts = &mut self.counts;
+            if served.hit {
+                counts.bytes_hit += req.size as u128;
+            }
+            match kind {
+                Served::EdgeHit => counts.edge_hits += 1,
+                Served::Peer(peer) => {
+                    counts.peer_hits += 1;
+                    // A peer fill touches neither shield nor origin, so no
+                    // other event of this request can precede this one.
+                    if let Some(obs) = self.tally.obs() {
+                        obs.emit(
+                            Event::new(t, EventKind::PeerHint)
+                                .field("id", req.id)
+                                .field("peer", peer as u64),
+                        );
+                    }
                 }
-            }
-            Served::Peer(_) => self.peer_hits += 1,
-            Served::Shield => {
-                self.shield_lookups += 1;
-                if served.hit {
-                    self.shield_hits += 1;
+                Served::Shield => {
+                    counts.shield_lookups += 1;
+                    counts.shield_hits += shield_hit as u64;
                 }
+                Served::Unrouted => counts.unrouted += 1,
             }
-            Served::Unrouted => self.unrouted += 1,
+            if let Some(n) = chosen {
+                let node = &mut self.nodes[n];
+                node.measured += 1;
+                node.hits += matches!(kind, Served::EdgeHit) as u64;
+                node.errors += served.error as u64;
+            }
+            counts.failovers += failed_over.is_some() as u64;
         }
-        if let Some(n) = chosen {
-            self.nodes[n].measured += 1;
-            if served.error {
-                self.nodes[n].errors += 1;
-                self.errors += 1;
-            }
-            if n != primary {
-                self.failovers += 1;
-            }
-        }
-        if served.stale {
-            self.stale_served += 1;
-        }
-        if served.coalesced {
-            self.coalesced += 1;
-        }
-        self.latencies.push(served.latency_ms);
-
-        if let Some(acc) = self.acc.as_mut() {
-            acc.on_request(ReqSample {
-                t_micros: req.ts.as_micros(),
-                bytes: req.size,
-                hit: fleet_hit,
-                admitted: false,
-                bypassed: false,
-                error: served.error,
-                stale: served.stale,
-                coalesced: served.coalesced,
-            });
-            if served.latency_ms.is_finite() && served.latency_ms >= 0.0 {
-                self.lat_hist.record((served.latency_ms * 1e3) as u64);
-            }
-            let obs = self.obs.as_ref().expect("acc implies obs");
-            if served.stale {
-                obs.emit(Event::new(t, EventKind::StaleServe).field("id", req.id));
-            }
-            if served.error {
-                obs.emit(Event::new(t, EventKind::ErrorServe).field("id", req.id));
-            }
-            if served.coalesced {
-                obs.emit(Event::new(t, EventKind::Coalesce).field("id", req.id));
-            }
-            if let Served::Peer(peer) = kind {
-                obs.emit(
-                    Event::new(t, EventKind::PeerHint)
-                        .field("id", req.id)
-                        .field("peer", peer as u64),
-                );
-            }
-            if let Some(tb) = tb.take() {
-                obs.push_trace(tb.finish(served.latency_ms, acc.last_index()));
-            }
-        }
+        let origin = self.shield.origin_stats();
+        self.tally.record(i, req, &served, tb, origin, || 0);
     }
 
-    /// Flushes the shard recorder (windows, counters, histogram) once the
-    /// shard's subsequence is exhausted.
-    fn finalize(&mut self) -> Option<Obs> {
-        self.peak_meta = self.peak_meta.max(self.meta_bytes());
-        let obs = self.obs.take()?;
-        if let Some(acc) = self.acc.take() {
-            obs.push_windows(acc.finish());
-        }
-        obs.counter_add("fleet.requests", self.measured);
-        obs.counter_add("fleet.edge_hits", self.edge_hits);
-        obs.counter_add("fleet.peer_hits", self.peer_hits);
-        obs.counter_add("fleet.shield_hits", self.shield_hits);
-        obs.counter_add("fleet.errors", self.errors);
-        obs.counter_add("fleet.unrouted", self.unrouted);
-        obs.counter_add("fleet.failovers", self.failovers);
-        obs.counter_add("fleet.stale_served", self.stale_served);
-        obs.counter_add("fleet.coalesced", self.coalesced);
-        obs.counter_add("fleet.retries", self.retries);
-        if self.lat_hist.total() > 0 {
-            obs.hist_merge("fleet.latency_us", &self.lat_hist);
-        }
-        Some(obs)
+    /// Takes the final metadata sample and flushes the shard recorder
+    /// (windows, counters, histogram) once the shard's subsequence is
+    /// exhausted.
+    fn finish(&mut self) {
+        let meta_bytes = self.meta_bytes();
+        self.tally.sample_meta(meta_bytes);
+        let (errors, c) = (self.tally.errors, &self.counts);
+        let Some(obs) = self.tally.finish("fleet.") else {
+            return;
+        };
+        obs.counter_add("fleet.edge_hits", c.edge_hits);
+        obs.counter_add("fleet.peer_hits", c.peer_hits);
+        obs.counter_add("fleet.shield_hits", c.shield_hits);
+        obs.counter_add("fleet.errors", errors - c.unrouted);
+        obs.counter_add("fleet.unrouted", c.unrouted);
+        obs.counter_add("fleet.failovers", c.failovers);
     }
 }
 
@@ -907,44 +787,16 @@ impl FleetEngine {
             (self.config.total_capacity / (n_nodes as u64 * n_shards as u64)).max(1);
         let shield_capacity = self.config.shield_capacity / n_shards as u64;
         let ring = HashRing::new(n_nodes, self.config.vnodes);
-
-        if let Some(obs) = &self.obs {
-            for &(start, end) in &self.config.server.faults.outages {
-                obs.emit(Event::new(start, EventKind::OutageStart).field("until_secs", end));
-                obs.emit(Event::new(end, EventKind::OutageEnd));
-            }
-            for &(node, start, end) in &self.config.node_faults.windows {
-                obs.emit(
-                    Event::new(start, EventKind::NodeDown)
-                        .field("node", node as u64)
-                        .field("until_secs", end),
-                );
-                obs.emit(Event::new(end, EventKind::NodeUp).field("node", node as u64));
-            }
-        }
-
-        let measured_total = trace
-            .len()
-            .saturating_sub(self.config.server.warmup_requests);
-        let per_shard_latency_cap =
-            measured_total / n_shards + measured_total / (n_shards * 4) + 16;
+        let warmup = self.config.server.warmup_requests;
+        let master = self.obs.as_ref();
 
         let shards: Vec<FleetShard<P>> = (0..n_shards)
             .map(|s| {
-                let obs = self
-                    .obs
-                    .as_ref()
-                    .map(|master| Obs::new(master.config().clone()));
-                let mut faults = self.config.server.faults.clone();
-                faults.seed = shard_seed(faults.seed, s);
-                let server_config = ServerConfig {
-                    faults: faults.clone(),
-                    ..self.config.server.clone()
-                };
+                let tally = Tally::shard(master, warmup, trace.len(), n_shards);
                 FleetShard {
                     nodes: (0..n_nodes)
                         .map(|node| NodeSlice {
-                            policy: build(node, s, node_capacity, obs.as_ref()),
+                            policy: build(node, s, node_capacity, tally.obs()),
                             epoch: 0,
                             seen: 0,
                             measured: 0,
@@ -952,34 +804,13 @@ impl FleetEngine {
                             errors: 0,
                         })
                         .collect(),
-                    shield: CdnServer::new(Lru::new(shield_capacity), server_config.clone()),
-                    plan: FaultPlan::new(faults),
-                    breaker: CircuitBreaker::new(server_config.resilience.breaker.clone()),
-                    in_flight: FastMap::default(),
+                    shield: CdnServer::new(
+                        Lru::new(shield_capacity),
+                        self.config.server.for_shard(s),
+                    ),
                     hints: FastMap::default(),
-                    retries: 0,
-                    compute_ms: 0.0,
-                    latencies: Vec::with_capacity(per_shard_latency_cap),
-                    bytes_served: 0,
-                    bytes_hit: 0,
-                    wan_bytes: 0,
-                    edge_hits: 0,
-                    peer_hits: 0,
-                    shield_hits: 0,
-                    shield_lookups: 0,
-                    errors: 0,
-                    unrouted: 0,
-                    failovers: 0,
-                    stale_served: 0,
-                    coalesced: 0,
-                    measured: 0,
-                    seen: 0,
-                    peak_meta: 0,
-                    acc: obs.as_ref().map(|o| SeriesAcc::new(o.window())),
-                    obs,
-                    lat_hist: LogHistogram::new(),
-                    last_opens: 0,
-                    last_closes: 0,
+                    counts: FleetCounts::default(),
+                    tally,
                 }
             })
             .collect();
@@ -989,11 +820,18 @@ impl FleetEngine {
             .and_then(|s| s.nodes.first())
             .map(|slice| format!("fleet({})x{}", slice.policy.name(), n_nodes))
             .unwrap_or_default();
-        if let Some(master) = &self.obs {
-            master.set_meta("policy", name.as_str());
-            master.set_meta("trace", trace.name.as_str());
+        if let Some(master) = master {
+            announce(master, &name, trace, &self.config.server.faults);
             master.set_meta("nodes", n_nodes as u64);
             master.set_meta("shards", n_shards as u64);
+            for &(node, start, end) in &self.config.node_faults.windows {
+                master.emit(
+                    Event::new(start, EventKind::NodeDown)
+                        .field("node", node as u64)
+                        .field("until_secs", end),
+                );
+                master.emit(Event::new(end, EventKind::NodeUp).field("node", node as u64));
+            }
         }
 
         let ctx = FleetCtx {
@@ -1005,60 +843,28 @@ impl FleetEngine {
             node_capacity,
             build: &build,
         };
-        let warmup = self.config.server.warmup_requests;
         let threads = self.config.route.resolve_threads().clamp(1, n_shards);
         let wall_start = Instant::now();
         let mut shards = route(trace, shards, &self.config.route, |state, s, i, req| {
-            state.step(&ctx, warmup, s, i, req)
+            state.step(&ctx, s, i, req)
         });
         let wall_secs = wall_start.elapsed().as_secs_f64();
 
         // Merge in fixed shard order, then fixed node order.
-        let mut latencies = Vec::with_capacity(trace.len());
-        let mut shard_obs = Vec::new();
-        let mut bytes_served = 0u128;
-        let mut bytes_hit = 0u128;
-        let mut wan_bytes = 0u128;
-        let mut edge_hits = 0u64;
-        let mut peer_hits = 0u64;
-        let mut shield_hits = 0u64;
-        let mut shield_lookups = 0u64;
-        let mut errors = 0u64;
-        let mut unrouted = 0u64;
-        let mut failovers = 0u64;
-        let mut stale_served = 0u64;
-        let mut coalesced = 0u64;
-        let mut retries = 0u64;
-        let mut measured = 0u64;
-        let mut peak_meta = 0u64;
-        let mut breaker_opens = 0u64;
-        let mut breaker_closes = 0u64;
+        let mut counts = FleetCounts::default();
         let mut node_seen = vec![0u64; n_nodes];
         let mut node_measured = vec![0u64; n_nodes];
         let mut node_hits = vec![0u64; n_nodes];
         let mut node_errors = vec![0u64; n_nodes];
         for shard in &mut shards {
-            if let Some(obs) = shard.finalize() {
-                shard_obs.push(obs);
-            }
-            latencies.append(&mut shard.latencies);
-            bytes_served += shard.bytes_served;
-            bytes_hit += shard.bytes_hit;
-            wan_bytes += shard.wan_bytes;
-            edge_hits += shard.edge_hits;
-            peer_hits += shard.peer_hits;
-            shield_hits += shard.shield_hits;
-            shield_lookups += shard.shield_lookups;
-            errors += shard.errors;
-            unrouted += shard.unrouted;
-            failovers += shard.failovers;
-            stale_served += shard.stale_served;
-            coalesced += shard.coalesced;
-            retries += shard.retries;
-            measured += shard.measured;
-            peak_meta += shard.peak_meta;
-            breaker_opens += shard.breaker.opens();
-            breaker_closes += shard.breaker.closes();
+            shard.finish();
+            counts.bytes_hit += shard.counts.bytes_hit;
+            counts.edge_hits += shard.counts.edge_hits;
+            counts.peer_hits += shard.counts.peer_hits;
+            counts.shield_hits += shard.counts.shield_hits;
+            counts.shield_lookups += shard.counts.shield_lookups;
+            counts.unrouted += shard.counts.unrouted;
+            counts.failovers += shard.counts.failovers;
             for (node, slice) in shard.nodes.iter().enumerate() {
                 node_seen[node] += slice.seen;
                 node_measured[node] += slice.measured;
@@ -1066,13 +872,9 @@ impl FleetEngine {
                 node_errors[node] += slice.errors;
             }
         }
-        let (p90_latency_ms, p99_latency_ms) = pct2(&mut latencies);
-        let mean = if latencies.is_empty() {
-            0.0
-        } else {
-            latencies.iter().sum::<f64>() / latencies.len() as f64
-        };
-        let duration = trace.duration().as_secs_f64().max(1e-9);
+        let mut total = Tally::merge(shards.iter_mut().map(|s| &mut s.tally), master, trace.len());
+        let served = total.report(name, trace, wall_secs);
+
         let pct = |part: f64, whole: f64| {
             if whole <= 0.0 {
                 0.0
@@ -1080,15 +882,11 @@ impl FleetEngine {
                 part / whole * 100.0
             }
         };
+        let (measured, bytes_served) = (total.measured, total.bytes_served);
         let origin_offload_pct = if bytes_served == 0 {
             100.0
         } else {
-            (1.0 - wan_bytes as f64 / bytes_served as f64) * 100.0
-        };
-        let availability_pct = if measured == 0 {
-            100.0
-        } else {
-            (measured - errors - unrouted) as f64 / measured as f64 * 100.0
+            (1.0 - total.wan_bytes as f64 / bytes_served as f64) * 100.0
         };
         let node_imbalance = crate::engine::shard_skew(&node_seen).0;
         let per_node_hit_pct: Vec<f64> = node_hits
@@ -1097,52 +895,40 @@ impl FleetEngine {
             .map(|(&h, &m)| pct(h as f64, m as f64))
             .collect();
 
-        if let Some(master) = &self.obs {
-            master.absorb_shards(&shard_obs);
+        if let Some(master) = master {
             master.gauge_set("fleet.node_imbalance", node_imbalance);
             master.gauge_set("fleet.origin_offload_pct", origin_offload_pct);
-            master.gauge_set(
-                "server.replay_wall_secs",
-                if master.deterministic() {
-                    0.0
-                } else {
-                    wall_secs
-                },
-            );
+            gauge_wall_secs(master, wall_secs);
         }
 
         FleetReport {
-            name,
-            trace: trace.name.clone(),
+            name: served.name,
+            trace: served.trace,
             n_nodes: n_nodes as u64,
             vnodes: self.config.vnodes.max(1) as u64,
             n_shards: n_shards as u64,
             threads: threads as u64,
-            requests_per_sec: if wall_secs > 0.0 {
-                trace.len() as f64 / wall_secs
-            } else {
-                0.0
-            },
+            requests_per_sec: per_sec(trace.len(), wall_secs),
             requests: measured,
-            edge_hit_pct: pct(edge_hits as f64, measured as f64),
-            byte_hit_pct: pct(bytes_hit as f64, bytes_served as f64),
-            shield_hit_pct: pct(shield_hits as f64, shield_lookups as f64),
-            peer_hits,
+            edge_hit_pct: pct(counts.edge_hits as f64, measured as f64),
+            byte_hit_pct: pct(counts.bytes_hit as f64, bytes_served as f64),
+            shield_hit_pct: pct(counts.shield_hits as f64, counts.shield_lookups as f64),
+            peer_hits: counts.peer_hits,
             origin_offload_pct,
-            availability_pct,
-            errors_served: errors,
-            unrouted,
-            failovers,
-            stale_served,
-            retries,
-            coalesced_fetches: coalesced,
-            breaker_opens,
-            breaker_closes,
-            mean_latency_ms: mean,
-            p90_latency_ms,
-            p99_latency_ms,
-            wan_gbps: wan_bytes as f64 * 8.0 / duration / 1e9,
-            peak_mem_gb: peak_meta as f64 / 1e9,
+            availability_pct: served.availability_pct,
+            errors_served: served.errors_served - counts.unrouted,
+            unrouted: counts.unrouted,
+            failovers: counts.failovers,
+            stale_served: served.stale_served,
+            retries: served.retries,
+            coalesced_fetches: served.coalesced_fetches,
+            breaker_opens: served.breaker_opens,
+            breaker_closes: served.breaker_closes,
+            mean_latency_ms: served.mean_latency_ms,
+            p90_latency_ms: served.p90_latency_ms,
+            p99_latency_ms: served.p99_latency_ms,
+            wan_gbps: served.wan_gbps,
+            peak_mem_gb: served.peak_mem_gb,
             per_node_requests: node_seen,
             per_node_hit_pct,
             per_node_errors: node_errors,
@@ -1155,6 +941,7 @@ impl FleetEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lhr_trace::Time;
     use lhr_util::json::{FromJson, Json};
 
     fn trace(n: usize, objects: u64, size: u64) -> Trace {

@@ -41,16 +41,14 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod concurrent;
 pub mod engine;
 pub mod fault;
 pub mod fleet;
 pub mod latency;
 pub mod presets;
 pub mod server;
-pub mod tiered;
+mod tally;
 
-pub use concurrent::{ConcurrentCache, FetchTable};
 pub use engine::{EngineConfig, EngineReport, ShardedEngine};
 pub use fault::{
     BreakerConfig, BreakerState, CircuitBreaker, FaultConfig, FaultPlan, OriginOutcome,
@@ -59,4 +57,3 @@ pub use fault::{
 pub use fleet::{FleetConfig, FleetEngine, FleetReport, HashRing, NodeFaultConfig};
 pub use latency::LatencyModel;
 pub use server::{CdnServer, ServerConfig, ServerReport};
-pub use tiered::{Tier, TieredCache};

@@ -7,14 +7,14 @@
 //! fetch. With the default [`ServerConfig`] (no injected faults) the path
 //! behaves exactly like the original infallible-origin model.
 
-use crate::fault::FaultConfig;
-use crate::fault::{CircuitBreaker, FaultPlan, OriginOutcome, ResilienceConfig, RetryPolicy};
+use crate::fault::{CircuitBreaker, FaultConfig, FaultPlan, OriginOutcome, ResilienceConfig};
 use crate::latency::{transfer_ms, LatencyModel};
-use lhr_obs::series::{ReqSample, SeriesAcc};
+use crate::tally::{announce, gauge_wall_secs, OriginStats, Tally};
 use lhr_obs::trace::TraceBuilder;
-use lhr_obs::{Event, EventKind, LogHistogram, Obs};
+use lhr_obs::Obs;
+use lhr_sim::shard::shard_seed;
 use lhr_sim::{CachePolicy, Outcome};
-use lhr_trace::{ObjectId, Time, Trace};
+use lhr_trace::{ObjectId, Request, Time, Trace};
 use lhr_util::hash::FastMap;
 use lhr_util::json::{Json, ToJson};
 use std::time::Instant;
@@ -63,6 +63,17 @@ impl Default for ServerConfig {
             resilience: ResilienceConfig::default(),
             deterministic: false,
         }
+    }
+}
+
+impl ServerConfig {
+    /// This configuration for shard `s` of a sharded layer: the same
+    /// serving path, with the fault plan drawing from the shard's own seed
+    /// — [`shard_seed`], a pure function of (base seed, shard index).
+    pub(crate) fn for_shard(&self, s: usize) -> Self {
+        let mut config = self.clone();
+        config.faults.seed = shard_seed(config.faults.seed, s);
+        config
     }
 }
 
@@ -171,152 +182,14 @@ struct FetchResult {
     attempted: bool,
 }
 
-/// Runs one fetch through the breaker and the retry chain. When the
-/// request is sampled (`tb`), each attempt becomes an `origin_fetch` trace
-/// step and a breaker fast-fail a `breaker{state:open}` step; the trace
-/// clock advances by the same error-RTT / timeout / backoff components
-/// that build `delay_ms`.
-fn origin_fetch(
-    lat: &LatencyModel,
-    retry: &RetryPolicy,
-    plan: &mut FaultPlan,
-    breaker: &mut CircuitBreaker,
-    now: Time,
-    retries: &mut u64,
-    mut tb: Option<&mut TraceBuilder>,
-) -> FetchResult {
-    if !breaker.allow(now) {
-        if let Some(tb) = tb.as_deref_mut() {
-            tb.push("breaker", 0, vec![kv("state", "open")]);
-        }
-        return FetchResult {
-            ok: false,
-            delay_ms: 0.0,
-            rate_scale: 1.0,
-            attempted: false,
-        };
-    }
-    let mut delay_ms = 0.0;
-    let mut attempt = 0u32;
-    loop {
-        // (outcome name, Some(rate_scale) on success, ms this attempt cost)
-        let (name, done, step_ms) = match plan.outcome(now) {
-            OriginOutcome::Success => ("success", Some(1.0), 0.0),
-            OriginOutcome::Slow { rate_scale } => ("slow", Some(rate_scale), 0.0),
-            OriginOutcome::Error => ("error", None, lat.origin_rtt_ms),
-            OriginOutcome::Timeout => ("timeout", None, retry.timeout_ms),
-        };
-        delay_ms += step_ms;
-        let give_up = done.is_none() && attempt >= retry.max_retries;
-        let backoff_ms = if done.is_none() && !give_up {
-            retry.backoff_ms(attempt, plan.jitter())
-        } else {
-            0.0
-        };
-        if let Some(tb) = tb.as_deref_mut() {
-            tb.advance(step_ms);
-            let mut detail = vec![kv("attempt", attempt as u64 + 1), kv("outcome", name)];
-            if backoff_ms > 0.0 {
-                detail.push(kv("backoff_ms", backoff_ms));
-            }
-            tb.push("origin_fetch", 0, detail);
-            tb.advance(backoff_ms);
-        }
-        if let Some(rate_scale) = done {
-            breaker.record_success();
-            return FetchResult {
-                ok: true,
-                delay_ms,
-                rate_scale,
-                attempted: true,
-            };
-        }
-        if give_up {
-            breaker.record_failure(now);
-            return FetchResult {
-                ok: false,
-                delay_ms,
-                rate_scale: 1.0,
-                attempted: true,
-            };
-        }
-        delay_ms += backoff_ms;
-        *retries += 1;
-        attempt += 1;
+impl FetchResult {
+    /// Whether a successful fetch was slower than a clean one.
+    fn degraded(&self) -> bool {
+        self.delay_ms > 0.0 || self.rate_scale < 1.0
     }
 }
 
-/// The in-flight fetch window a serving path coalesces misses into:
-/// object → (fetch completion time, fetch succeeded). [`CdnServer::replay`]
-/// uses a request-local [`FastMap`]; the threaded engine shares one
-/// [`crate::FetchTable`] across shards so the same serve code coalesces
-/// against fetches no matter which shard claimed them.
-/// Both latency percentiles via selection instead of a full sort —
-/// identical values (the k-th order statistic is unique under
-/// `total_cmp`), O(n): select p90, then select p99 inside the ≥p90 tail
-/// the first selection partitioned off. NaN latencies (a degenerate
-/// latency model) still order last and degrade the percentile instead of
-/// panicking the whole replay. Shared by the single server, the sharded
-/// engine, and the fleet merge paths.
-pub(crate) fn pct2(values: &mut [f64]) -> (f64, f64) {
-    if values.is_empty() {
-        return (0.0, 0.0);
-    }
-    let n = values.len();
-    let i90 = ((n as f64 * 0.90).ceil() as usize).clamp(1, n) - 1;
-    let i99 = ((n as f64 * 0.99).ceil() as usize).clamp(1, n) - 1;
-    let (_, &mut p90, tail) = values.select_nth_unstable_by(i90, f64::total_cmp);
-    let p99 = if i99 > i90 {
-        *tail.select_nth_unstable_by(i99 - i90 - 1, f64::total_cmp).1
-    } else {
-        p90
-    };
-    (p90, p99)
-}
-
-pub(crate) trait InFlight {
-    /// The in-flight window for `id`, if one exists.
-    fn get(&self, id: ObjectId) -> Option<(Time, bool)>;
-    /// Records that a fetch for `id` lands at `done_at` (`ok` = success).
-    fn set(&mut self, id: ObjectId, done_at: Time, ok: bool);
-    /// Drops the window for `id` (it expired).
-    fn clear(&mut self, id: ObjectId);
-}
-
-impl InFlight for FastMap<ObjectId, (Time, bool)> {
-    fn get(&self, id: ObjectId) -> Option<(Time, bool)> {
-        FastMap::get(self, &id).copied()
-    }
-    fn set(&mut self, id: ObjectId, done_at: Time, ok: bool) {
-        self.insert(id, (done_at, ok));
-    }
-    fn clear(&mut self, id: ObjectId) {
-        self.remove(&id);
-    }
-}
-
-impl InFlight for &crate::FetchTable<(Time, bool)> {
-    fn get(&self, id: ObjectId) -> Option<(Time, bool)> {
-        crate::FetchTable::get(self, id)
-    }
-    fn set(&mut self, id: ObjectId, done_at: Time, ok: bool) {
-        crate::FetchTable::set(self, id, (done_at, ok));
-    }
-    fn clear(&mut self, id: ObjectId) {
-        crate::FetchTable::finish(self, id);
-    }
-}
-
-/// A CDN server wrapping a cache policy.
-pub struct CdnServer<P: CachePolicy> {
-    policy: P,
-    config: ServerConfig,
-    /// Admission time of cached contents (for freshness).
-    admitted_at: FastMap<ObjectId, Time>,
-    obs: Option<Obs>,
-}
-
-/// How one request was ultimately served (bookkeeping for the report).
+/// How one request was ultimately served (what the shard tally records).
 pub(crate) struct ServeOutcome {
     pub(crate) latency_ms: f64,
     pub(crate) service_ms: f64,
@@ -328,13 +201,66 @@ pub(crate) struct ServeOutcome {
     pub(crate) degraded: bool,
 }
 
+impl ServeOutcome {
+    /// A clean successful response: no WAN traffic, every flag clear.
+    pub(crate) fn ok(latency_ms: f64, service_ms: f64) -> Self {
+        ServeOutcome {
+            latency_ms,
+            service_ms,
+            wan: 0,
+            hit: false,
+            stale: false,
+            error: false,
+            coalesced: false,
+            degraded: false,
+        }
+    }
+
+    /// An error response (always degraded).
+    pub(crate) fn failed(latency_ms: f64, service_ms: f64) -> Self {
+        ServeOutcome {
+            error: true,
+            degraded: true,
+            ..ServeOutcome::ok(latency_ms, service_ms)
+        }
+    }
+}
+
+/// A CDN server wrapping a cache policy. It owns the whole serving path:
+/// the policy, the freshness map, and the origin side — fault schedule,
+/// circuit breaker, in-flight fetch windows and their running totals.
+pub struct CdnServer<P: CachePolicy> {
+    policy: P,
+    config: ServerConfig,
+    /// Admission time of cached contents (for freshness).
+    admitted_at: FastMap<ObjectId, Time>,
+    /// The origin's fault schedule, drawn from `config.faults.seed`.
+    plan: FaultPlan,
+    breaker: CircuitBreaker,
+    /// Object → (fetch completion time, fetch succeeded): the in-flight
+    /// windows concurrent misses coalesce into. Sharded layers route every
+    /// request for an object to the same server, so a plain local map sees
+    /// every fetch a miss could join.
+    in_flight: FastMap<ObjectId, (Time, bool)>,
+    /// Origin fetch retries so far, warmup included.
+    retries: u64,
+    /// Wall-clock policy compute so far, ms (zero when deterministic).
+    compute_ms: f64,
+    obs: Option<Obs>,
+}
+
 impl<P: CachePolicy> CdnServer<P> {
     /// Wraps `policy` in a server with the given configuration.
     pub fn new(policy: P, config: ServerConfig) -> Self {
         CdnServer {
             policy,
-            config,
             admitted_at: FastMap::default(),
+            plan: FaultPlan::new(config.faults.clone()),
+            breaker: CircuitBreaker::new(config.resilience.breaker.clone()),
+            in_flight: FastMap::default(),
+            retries: 0,
+            compute_ms: 0.0,
+            config,
             obs: None,
         }
     }
@@ -352,436 +278,275 @@ impl<P: CachePolicy> CdnServer<P> {
         &self.policy
     }
 
-    /// Opportunistic cleanup of freshness entries for evicted contents
-    /// (bounded bookkeeping; called every few hundred requests).
-    pub(crate) fn prune_admitted(&mut self) {
+    /// The origin-side running totals the tally reads after each request.
+    #[inline]
+    pub(crate) fn origin_stats(&self) -> OriginStats {
+        OriginStats {
+            retries: self.retries,
+            compute_ms: self.compute_ms,
+            breaker_opens: self.breaker.opens(),
+            breaker_closes: self.breaker.closes(),
+        }
+    }
+
+    /// Opportunistic cleanup (every few hundred requests): freshness
+    /// entries of evicted contents once the map is large, and in-flight
+    /// windows whose fetch has landed by `now`.
+    pub(crate) fn housekeep(&mut self, now: Time) {
         if self.admitted_at.len() > 4 * 1024 * 1024 {
             let policy = &self.policy;
             self.admitted_at.retain(|&id, _| policy.contains(id));
         }
+        self.in_flight.retain(|_, &mut (done_at, _)| now < done_at);
+    }
+
+    /// The one per-shard step: serves request `i` of the trace through the
+    /// hardened path and records it in `tally`. [`Self::replay`] loops it
+    /// over one tally; the engine runs it once per shard.
+    #[inline]
+    pub(crate) fn step(&mut self, tally: &mut Tally, i: usize, req: &Request) {
+        let mut tb = tally.begin_trace(i, req);
+        let served = self.serve(req, tb.as_mut());
+        if tally.tick() {
+            tally.sample_meta(self.policy.metadata_overhead_bytes());
+            self.housekeep(req.ts);
+        }
+        let origin = self.origin_stats();
+        tally.record(i, req, &served, tb, origin, || self.policy.evictions());
+    }
+
+    /// Takes the final metadata sample and flushes `tally` into its
+    /// recorder, adding the counters only a single cache has.
+    pub(crate) fn finish(&self, tally: &mut Tally) {
+        tally.sample_meta(self.policy.metadata_overhead_bytes());
+        let (hits, errors) = (tally.hits, tally.errors);
+        if let Some(obs) = tally.finish("server.") {
+            obs.counter_add("server.hits", hits);
+            obs.counter_add("server.errors", errors);
+        }
     }
 
     /// Replays `trace` through the serving path, producing the full report.
+    /// Cache contents, freshness and origin-side state (fault draws,
+    /// breaker, retry count) carry over into a further call.
     pub fn replay(&mut self, trace: &Trace) -> ServerReport {
-        let mut latencies: Vec<f64> = Vec::with_capacity(trace.len());
-        let mut degraded_latencies: Vec<f64> = Vec::new();
-        let mut busy_ms = 0.0f64;
-        let mut compute_ms_total = 0.0f64;
-        let mut bytes_served = 0u128;
-        let mut wan_bytes = 0u128;
-        let mut hits = 0u64;
-        let mut errors = 0u64;
-        let mut stale_served = 0u64;
-        let mut coalesced = 0u64;
-        let mut retries = 0u64;
-        let mut measured = 0u64;
-        let mut peak_meta = 0u64;
-        let mut series = Vec::new();
-        let mut plan = FaultPlan::new(self.config.faults.clone());
-        let mut breaker = CircuitBreaker::new(self.config.resilience.breaker.clone());
-        // Object → (fetch completion time, fetch succeeded): the in-flight
-        // window concurrent misses coalesce into.
-        let mut in_flight: FastMap<ObjectId, (Time, bool)> = FastMap::default();
-
-        // Obs state stays local to the loop (no locking per request); the
-        // injected outage schedule is emitted up front so the event stream
-        // explains any availability dip that follows.
         let _replay_span = self.obs.as_ref().map(|o| o.span("server.replay"));
-        let mut acc = self.obs.as_ref().map(|o| SeriesAcc::new(o.window()));
-        let tracer = self.obs.as_ref().map(|o| o.trace_recorder());
-        let mut lat_hist = LogHistogram::new();
-        let mut last_evictions = 0u64;
-        let mut last_opens = 0u64;
-        let mut last_closes = 0u64;
         if let Some(obs) = &self.obs {
-            // Run metadata goes on before the first request: a streaming
-            // sink ([`Obs::stream_to`]) writes its meta line when the first
-            // window closes, and the line must already be final.
-            obs.set_meta("policy", self.policy.name());
-            obs.set_meta("trace", trace.name.as_str());
-            for &(start, end) in &self.config.faults.outages {
-                obs.emit(Event::new(start, EventKind::OutageStart).field("until_secs", end));
-                obs.emit(Event::new(end, EventKind::OutageEnd));
-            }
+            announce(obs, self.policy.name(), trace, &self.config.faults);
         }
+        let mut tally = Tally::new(self.obs.clone(), self.config.warmup_requests, trace.len());
+        let mut series = Vec::new();
         let wall = Instant::now();
-
         for (i, req) in trace.iter().enumerate() {
-            // Sampling is decided before the serve so the builder can ride
-            // along the whole path; warmup requests are never sampled (they
-            // have no metric window to anchor an exemplar to).
-            let mut tb = match &tracer {
-                Some(t) if i >= self.config.warmup_requests => {
-                    t.begin(i as u64, req.id, req.ts.as_micros(), req.size)
-                }
-                _ => None,
-            };
-            let served = self.serve(
-                req,
-                &mut plan,
-                &mut breaker,
-                &mut in_flight,
-                &mut retries,
-                &mut compute_ms_total,
-                tb.as_mut(),
-            );
-
-            if i % 512 == 0 {
-                peak_meta = peak_meta.max(self.policy.metadata_overhead_bytes());
-                // Opportunistic cleanup of freshness entries for evicted
-                // contents and of expired in-flight windows.
-                self.prune_admitted();
-                in_flight.retain(|_, &mut (done_at, _)| req.ts < done_at);
-            }
-
-            let evict_delta = if acc.is_some() {
-                let cur = self.policy.evictions();
-                let delta = cur.saturating_sub(last_evictions);
-                last_evictions = cur;
-                delta
-            } else {
-                0
-            };
-            if let Some(obs) = &self.obs {
-                // Breaker transitions matter during warmup too (the breaker
-                // carries state into the measured interval).
-                let t = req.ts.as_secs_f64();
-                let opens = breaker.opens();
-                if opens > last_opens {
-                    obs.emit(Event::new(t, EventKind::BreakerOpen).field("opens", opens));
-                    last_opens = opens;
-                }
-                let closes = breaker.closes();
-                if closes > last_closes {
-                    obs.emit(Event::new(t, EventKind::BreakerClose).field("closes", closes));
-                    last_closes = closes;
-                }
-            }
-
-            if i < self.config.warmup_requests {
-                continue;
-            }
-            measured += 1;
-            bytes_served += req.size as u128;
-            wan_bytes += served.wan as u128;
-            busy_ms += served.service_ms;
-            if served.hit {
-                hits += 1;
-            }
-            if served.error {
-                errors += 1;
-            }
-            if served.stale {
-                stale_served += 1;
-            }
-            if served.coalesced {
-                coalesced += 1;
-            }
-            latencies.push(served.latency_ms);
-            if served.degraded {
-                degraded_latencies.push(served.latency_ms);
-            }
-            if let Some(acc) = acc.as_mut() {
-                let t = req.ts.as_secs_f64();
-                let closed = acc.on_request(ReqSample {
-                    t_micros: req.ts.as_micros(),
-                    bytes: req.size,
-                    hit: served.hit,
-                    admitted: false,
-                    bypassed: false,
-                    error: served.error,
-                    stale: served.stale,
-                    coalesced: served.coalesced,
-                });
-                acc.on_evictions(evict_delta);
-                if served.latency_ms.is_finite() && served.latency_ms >= 0.0 {
-                    lat_hist.record((served.latency_ms * 1e3) as u64);
-                }
-                let obs = self.obs.as_ref().expect("acc implies obs");
-                if closed {
-                    // Boundary-only: hand finished windows to the recorder
-                    // (and through it to any streaming sink) right away,
-                    // after the eviction credit that may still land on the
-                    // just-closed window.
-                    obs.push_windows(acc.take_done());
-                }
-                if served.stale {
-                    obs.emit(Event::new(t, EventKind::StaleServe).field("id", req.id));
-                }
-                if served.error {
-                    obs.emit(Event::new(t, EventKind::ErrorServe).field("id", req.id));
-                }
-                if served.coalesced {
-                    obs.emit(Event::new(t, EventKind::Coalesce).field("id", req.id));
-                }
-                if let Some(tb) = tb.take() {
-                    obs.push_trace(tb.finish(served.latency_ms, acc.last_index()));
-                }
-            }
+            self.step(&mut tally, i, req);
             if let Some(every) = self.config.series_every {
-                if measured.is_multiple_of(every as u64) {
-                    series.push((measured, hits as f64 / measured as f64));
+                if tally.measures(i) && tally.measured.is_multiple_of(every as u64) {
+                    series.push((tally.measured, tally.hits as f64 / tally.measured as f64));
                 }
             }
         }
-
-        peak_meta = peak_meta.max(self.policy.metadata_overhead_bytes());
-        if let (Some(obs), Some(acc)) = (self.obs.as_ref(), acc) {
-            obs.push_windows(acc.finish());
-            obs.counter_add("server.requests", measured);
-            obs.counter_add("server.hits", hits);
-            obs.counter_add("server.errors", errors);
-            obs.counter_add("server.stale_served", stale_served);
-            obs.counter_add("server.coalesced", coalesced);
-            obs.counter_add("server.retries", retries);
-            if lat_hist.total() > 0 {
-                obs.hist_merge("server.latency_us", &lat_hist);
-            }
-            obs.gauge_set(
-                "server.replay_wall_secs",
-                if obs.deterministic() {
-                    0.0
-                } else {
-                    wall.elapsed().as_secs_f64()
-                },
-            );
+        self.finish(&mut tally);
+        let wall_secs = wall.elapsed().as_secs_f64();
+        if let Some(obs) = &self.obs {
+            gauge_wall_secs(obs, wall_secs);
         }
-        let (p90_latency_ms, p99_latency_ms) = pct2(&mut latencies);
-        let (degraded_p90_latency_ms, degraded_p99_latency_ms) = pct2(&mut degraded_latencies);
-        let mean = if latencies.is_empty() {
-            0.0
-        } else {
-            latencies.iter().sum::<f64>() / latencies.len() as f64
-        };
-        let duration = trace.duration().as_secs_f64().max(1e-9);
-
         ServerReport {
-            name: self.policy.name().to_string(),
-            trace: trace.name.clone(),
-            content_hit_pct: if measured == 0 {
-                0.0
-            } else {
-                hits as f64 / measured as f64 * 100.0
-            },
-            throughput_gbps: if busy_ms <= 0.0 {
-                0.0
-            } else {
-                bytes_served as f64 * 8.0 / (busy_ms / 1e3) / 1e9
-            },
-            peak_cpu_pct: if busy_ms <= 0.0 {
-                0.0
-            } else {
-                (compute_ms_total / busy_ms * 100.0).min(100.0)
-            },
-            peak_mem_gb: peak_meta as f64 / 1e9,
-            p90_latency_ms,
-            p99_latency_ms,
-            mean_latency_ms: mean,
-            wan_gbps: wan_bytes as f64 * 8.0 / duration / 1e9,
-            availability_pct: if measured == 0 {
-                100.0
-            } else {
-                (measured - errors) as f64 / measured as f64 * 100.0
-            },
-            errors_served: errors,
-            stale_served,
-            retries,
-            coalesced_fetches: coalesced,
-            breaker_opens: breaker.opens(),
-            breaker_closes: breaker.closes(),
-            degraded_p90_latency_ms,
-            degraded_p99_latency_ms,
             series,
-            replay_wall_secs: wall.elapsed().as_secs_f64(),
+            ..tally.report(self.policy.name().to_string(), trace, wall_secs)
         }
     }
 
-    /// Runs the policy on `req`, timing the call (zeroed in deterministic
-    /// mode) and accumulating total compute.
-    fn handle_timed(
-        &mut self,
-        req: &lhr_trace::Request,
-        compute_total: &mut f64,
-    ) -> (Outcome, f64) {
+    /// Times one policy call (zeroed in deterministic mode) and adds it to
+    /// the compute total. A `None` from the call (object absent, policy
+    /// not consulted) costs one probe and is not timed.
+    fn timed<T>(&mut self, call: impl FnOnce(&mut P) -> Option<T>) -> Option<(T, f64)> {
         // In deterministic mode the measurement is zeroed anyway, so skip
         // the clock_gettime pair entirely — at engine line rates the vDSO
         // calls alone were ~10% of the serve path.
         let t0 = (!self.config.deterministic).then(Instant::now);
-        let outcome = self.policy.handle(req);
+        let outcome = call(&mut self.policy)?;
         let compute_ms = t0.map_or(0.0, |t0| t0.elapsed().as_secs_f64() * 1e3);
-        *compute_total += compute_ms;
-        (outcome, compute_ms)
-    }
-
-    /// [`CachePolicy::hit_check`] with the same timing contract as
-    /// [`Self::handle_timed`]. A `None` (object absent, policy not
-    /// consulted) costs one probe and is not timed — matching the old
-    /// untimed `contains` pre-check.
-    fn hit_check_timed(
-        &mut self,
-        req: &lhr_trace::Request,
-        compute_total: &mut f64,
-    ) -> Option<(Outcome, f64)> {
-        let t0 = (!self.config.deterministic).then(Instant::now);
-        let outcome = self.policy.hit_check(req)?;
-        let compute_ms = t0.map_or(0.0, |t0| t0.elapsed().as_secs_f64() * 1e3);
-        *compute_total += compute_ms;
+        self.compute_ms += compute_ms;
         Some((outcome, compute_ms))
     }
 
-    /// Serves one request through the hardened path. Generic over the
-    /// in-flight table so the same code runs against [`CdnServer::replay`]'s
-    /// local map and the engine's shared [`crate::FetchTable`].
-    #[allow(clippy::too_many_arguments)]
+    /// Runs the policy on `req`; returns its outcome and compute time.
+    fn handle_timed(&mut self, req: &Request) -> (Outcome, f64) {
+        self.timed(|policy| Some(policy.handle(req)))
+            .expect("handle always answers")
+    }
+
+    /// Runs one fetch through the breaker and the retry chain. When the
+    /// request is sampled (`tb`), each attempt becomes an `origin_fetch`
+    /// trace step and a breaker fast-fail a `breaker{state:open}` step;
+    /// the trace clock advances by the same error-RTT / timeout / backoff
+    /// components that build `delay_ms`.
+    fn origin_fetch(&mut self, now: Time, mut tb: Option<&mut TraceBuilder>) -> FetchResult {
+        if !self.breaker.allow(now) {
+            if let Some(tb) = tb.as_deref_mut() {
+                tb.push("breaker", 0, vec![kv("state", "open")]);
+            }
+            return FetchResult {
+                ok: false,
+                delay_ms: 0.0,
+                rate_scale: 1.0,
+                attempted: false,
+            };
+        }
+        let retry = &self.config.resilience.retry;
+        let mut delay_ms = 0.0;
+        let mut attempt = 0u32;
+        loop {
+            // (outcome name, Some(rate_scale) on success, ms this attempt cost)
+            let (name, done, step_ms) = match self.plan.outcome(now) {
+                OriginOutcome::Success => ("success", Some(1.0), 0.0),
+                OriginOutcome::Slow { rate_scale } => ("slow", Some(rate_scale), 0.0),
+                OriginOutcome::Error => ("error", None, self.config.latency.origin_rtt_ms),
+                OriginOutcome::Timeout => ("timeout", None, retry.timeout_ms),
+            };
+            delay_ms += step_ms;
+            let give_up = done.is_none() && attempt >= retry.max_retries;
+            let backoff_ms = if done.is_none() && !give_up {
+                retry.backoff_ms(attempt, self.plan.jitter())
+            } else {
+                0.0
+            };
+            if let Some(tb) = tb.as_deref_mut() {
+                tb.advance(step_ms);
+                let mut detail = vec![kv("attempt", attempt as u64 + 1), kv("outcome", name)];
+                if backoff_ms > 0.0 {
+                    detail.push(kv("backoff_ms", backoff_ms));
+                }
+                tb.push("origin_fetch", 0, detail);
+                tb.advance(backoff_ms);
+            }
+            if done.is_some() {
+                self.breaker.record_success();
+            } else if give_up {
+                self.breaker.record_failure(now);
+            } else {
+                delay_ms += backoff_ms;
+                self.retries += 1;
+                attempt += 1;
+                continue;
+            }
+            return FetchResult {
+                ok: done.is_some(),
+                delay_ms,
+                rate_scale: done.unwrap_or(1.0),
+                attempted: true,
+            };
+        }
+    }
+
+    /// Serves one request through the hardened path.
+    #[inline]
     pub(crate) fn serve(
         &mut self,
-        req: &lhr_trace::Request,
-        plan: &mut FaultPlan,
-        breaker: &mut CircuitBreaker,
-        in_flight: &mut impl InFlight,
-        retries: &mut u64,
-        compute_total: &mut f64,
+        req: &Request,
         mut tb: Option<&mut TraceBuilder>,
     ) -> ServeOutcome {
-        let lat = self.config.latency.clone();
-        let res = self.config.resilience.clone();
         let now = req.ts;
-
         // Fused present-check + hit processing: one table probe on the hot
         // path instead of `contains` followed by `handle`.
-        if let Some((outcome, compute_ms)) = self.hit_check_timed(req, compute_total) {
-            if outcome.is_hit() {
-                if let Some(tb) = tb.as_deref_mut() {
-                    tb.push("edge_lookup", req.size, vec![kv("hit", true)]);
-                }
-                return self.serve_cached(req, compute_ms, &lat, &res, plan, breaker, retries, tb);
+        let checked = self.timed(|policy| policy.hit_check(req));
+        if let Some(tb) = tb.as_deref_mut() {
+            let hit = matches!(checked, Some((outcome, _)) if outcome.is_hit());
+            tb.push("edge_lookup", req.size, vec![kv("hit", hit)]);
+        }
+        match checked {
+            Some((outcome, compute_ms)) if outcome.is_hit() => {
+                return self.serve_cached(req, compute_ms, tb);
             }
             // Contract violation (the policy reported the object present but
-            // then missed): fall through to the miss path; the policy has
-            // already decided admission, so only the origin side remains.
-            if let Some(tb) = tb.as_deref_mut() {
-                tb.push("edge_lookup", req.size, vec![kv("hit", false)]);
-            }
-            return self.serve_miss_fetch(
-                req, compute_ms, false, &lat, &res, plan, breaker, in_flight, retries, tb,
-            );
-        }
-        if let Some(tb) = tb.as_deref_mut() {
-            tb.push("edge_lookup", req.size, vec![kv("hit", false)]);
+            // then missed): take the miss path; the policy has already
+            // decided admission, so only the origin side remains.
+            Some((_, compute_ms)) => return self.serve_miss_fetch(req, Some(compute_ms), tb),
+            None => {}
         }
 
         // Miss. A fetch for this object may already be in flight.
-        if res.coalesce {
-            if let Some((done_at, ok)) = in_flight.get(req.id) {
-                if now < done_at {
-                    let remaining_ms = (done_at - now).as_secs_f64() * 1e3;
-                    if let Some(tb) = tb.as_deref_mut() {
-                        tb.advance(remaining_ms);
-                        tb.push(
-                            "coalesce",
-                            req.size,
-                            vec![kv("leader", false), kv("ok", ok)],
-                        );
-                    }
-                    if ok {
-                        // Join the leader's fetch: the body arrives when the
-                        // fetch completes, then is served over the edge link.
-                        // The access still informs the policy's admission
-                        // stats, but no second origin fetch happens.
-                        let (outcome, compute_ms) = self.handle_timed(req, compute_total);
-                        if matches!(outcome, Outcome::MissAdmitted | Outcome::Hit) {
-                            self.admitted_at.insert(req.id, now);
-                        }
-                        return ServeOutcome {
-                            latency_ms: remaining_ms + lat.hit_latency_ms(req.size, compute_ms),
-                            service_ms: lat.service_ms(req.size, true, compute_ms),
-                            wan: 0,
-                            hit: false,
-                            stale: false,
-                            error: false,
-                            coalesced: true,
-                            degraded: true,
-                        };
-                    }
-                    // Sharing a fetch that is going to fail: the follower
-                    // learns the failure when the leader does.
-                    return ServeOutcome {
-                        latency_ms: remaining_ms + lat.error_latency_ms(0.0),
-                        service_ms: 0.0,
-                        wan: 0,
-                        hit: false,
-                        stale: false,
-                        error: true,
-                        coalesced: true,
-                        degraded: true,
-                    };
-                }
-                in_flight.clear(req.id);
-            }
+        if !self.config.resilience.coalesce {
+            return self.serve_miss_fetch(req, None, tb);
         }
-
-        self.serve_miss_fetch(
-            req, 0.0, true, &lat, &res, plan, breaker, in_flight, retries, tb,
-        )
+        if let Some(&(done_at, ok)) = self.in_flight.get(&req.id) {
+            if now >= done_at {
+                self.in_flight.remove(&req.id);
+                return self.serve_miss_fetch(req, None, tb);
+            }
+            let remaining_ms = (done_at - now).as_secs_f64() * 1e3;
+            if let Some(tb) = tb.as_deref_mut() {
+                tb.advance(remaining_ms);
+                tb.push(
+                    "coalesce",
+                    req.size,
+                    vec![kv("leader", false), kv("ok", ok)],
+                );
+            }
+            let lat = self.config.latency.clone();
+            let joined = if ok {
+                // Join the leader's fetch: the body arrives when the fetch
+                // completes, then is served over the edge link. The access
+                // still informs the policy's admission stats, but no second
+                // origin fetch happens.
+                let (outcome, compute_ms) = self.handle_timed(req);
+                if matches!(outcome, Outcome::MissAdmitted | Outcome::Hit) {
+                    self.admitted_at.insert(req.id, now);
+                }
+                ServeOutcome {
+                    degraded: true,
+                    ..ServeOutcome::ok(
+                        remaining_ms + lat.hit_latency_ms(req.size, compute_ms),
+                        lat.service_ms(req.size, true, compute_ms),
+                    )
+                }
+            } else {
+                // Sharing a fetch that is going to fail: the follower
+                // learns the failure when the leader does.
+                ServeOutcome::failed(remaining_ms + lat.error_latency_ms(0.0), 0.0)
+            };
+            return ServeOutcome {
+                coalesced: true,
+                ..joined
+            };
+        }
+        self.serve_miss_fetch(req, None, tb)
     }
 
     /// The cached-object path: freshness check, revalidation (synchronous
     /// or stale-while-revalidate), stale-if-error fallback.
-    #[allow(clippy::too_many_arguments)]
     fn serve_cached(
         &mut self,
-        req: &lhr_trace::Request,
+        req: &Request,
         compute_ms: f64,
-        lat: &LatencyModel,
-        res: &ResilienceConfig,
-        plan: &mut FaultPlan,
-        breaker: &mut CircuitBreaker,
-        retries: &mut u64,
         mut tb: Option<&mut TraceBuilder>,
     ) -> ServeOutcome {
-        let fresh_limit = self.config.freshness_secs;
         let now = req.ts;
-        let age_past_fresh = match (fresh_limit, self.admitted_at.get(&req.id)) {
+        let lat = self.config.latency.clone();
+        let hit = |latency_ms: f64| ServeOutcome {
+            hit: true,
+            ..ServeOutcome::ok(latency_ms, lat.service_ms(req.size, true, compute_ms))
+        };
+        let hit_latency_ms = lat.hit_latency_ms(req.size, compute_ms);
+        let age_past_fresh = match (self.config.freshness_secs, self.admitted_at.get(&req.id)) {
             (Some(limit), Some(&admitted)) => {
                 let age = now.saturating_sub(admitted).as_secs_f64();
-                if age > limit {
-                    Some(age - limit)
-                } else {
-                    None
-                }
+                (age > limit).then_some(age - limit)
             }
             _ => None,
         };
-
-        let ok_hit = |latency_ms: f64, service_ms: f64, wan: u64, stale: bool, degraded: bool| {
-            ServeOutcome {
-                latency_ms,
-                service_ms,
-                wan,
-                hit: true,
-                stale,
-                error: false,
-                coalesced: false,
-                degraded,
-            }
-        };
-
         let Some(age_past_fresh) = age_past_fresh else {
             // Fresh hit: the fast path.
-            return ok_hit(
-                lat.hit_latency_ms(req.size, compute_ms),
-                lat.service_ms(req.size, true, compute_ms),
-                0,
-                false,
-                false,
-            );
+            return hit(hit_latency_ms);
         };
 
         // Stale-while-revalidate: serve the expired copy immediately and
         // revalidate off the critical path.
-        if res.stale_while_revalidate_secs > 0.0
-            && age_past_fresh <= res.stale_while_revalidate_secs
-        {
+        let (swr_secs, sie_secs) = (
+            self.config.resilience.stale_while_revalidate_secs,
+            self.config.resilience.stale_if_error_secs,
+        );
+        if swr_secs > 0.0 && age_past_fresh <= swr_secs {
             if let Some(tb) = tb.as_deref_mut() {
                 tb.push(
                     "stale_serve",
@@ -792,167 +557,119 @@ impl<P: CachePolicy> CdnServer<P> {
             // The revalidation is off the user path — its origin_fetch steps
             // still land on the trace (they explain WAN traffic), but the
             // trace clock has already credited the user-visible hit latency.
-            let fetch = origin_fetch(lat, &res.retry, plan, breaker, now, retries, tb);
-            let mut wan = 0u64;
-            if fetch.ok {
-                let changed = !self.revalidation_fresh(req.id, now);
-                self.admitted_at.insert(req.id, now);
-                if changed {
-                    wan = req.size;
-                }
-            }
-            // Background failure leaves the copy stale; a later request
+            // A background failure leaves the copy stale; a later request
             // will retry (or fall back to stale-if-error).
-            return ok_hit(
-                lat.hit_latency_ms(req.size, compute_ms),
-                lat.service_ms(req.size, true, compute_ms),
-                wan,
-                true,
-                true,
-            );
+            let changed = self.origin_fetch(now, tb).ok && !self.revalidated(req.id, now);
+            return ServeOutcome {
+                wan: if changed { req.size } else { 0 },
+                stale: true,
+                degraded: true,
+                ..hit(hit_latency_ms)
+            };
         }
 
         // Synchronous revalidation with the origin.
-        let fetch = origin_fetch(
-            lat,
-            &res.retry,
-            plan,
-            breaker,
-            now,
-            retries,
-            tb.as_deref_mut(),
-        );
+        let fetch = self.origin_fetch(now, tb.as_deref_mut());
         if fetch.ok {
-            let still_fresh = self.revalidation_fresh(req.id, now);
-            self.admitted_at.insert(req.id, now);
-            let degraded = fetch.delay_ms > 0.0 || fetch.rate_scale < 1.0;
-            if still_fresh {
-                return ok_hit(
-                    lat.revalidate_latency_ms(req.size, compute_ms) + fetch.delay_ms,
-                    lat.service_ms(req.size, true, compute_ms),
-                    0,
-                    false,
-                    degraded,
-                );
+            if self.revalidated(req.id, now) {
+                return ServeOutcome {
+                    degraded: fetch.degraded(),
+                    ..hit(lat.revalidate_latency_ms(req.size, compute_ms) + fetch.delay_ms)
+                };
             }
             // Changed at origin: refetch (WAN traffic) and deliver.
-            return ok_hit(
-                lat.miss_latency_scaled_ms(req.size, compute_ms, fetch.rate_scale) + fetch.delay_ms,
-                transfer_ms(req.size, lat.origin_gbps * fetch.rate_scale.max(1e-6)) + compute_ms,
-                req.size,
-                false,
-                degraded,
-            );
+            return ServeOutcome {
+                service_ms: transfer_ms(req.size, lat.origin_gbps * fetch.rate_scale.max(1e-6))
+                    + compute_ms,
+                wan: req.size,
+                degraded: fetch.degraded(),
+                ..hit(
+                    lat.miss_latency_scaled_ms(req.size, compute_ms, fetch.rate_scale)
+                        + fetch.delay_ms,
+                )
+            };
         }
 
         // Revalidation failed: stale-if-error if the copy is still within
         // its stale window, otherwise an error response.
-        if res.stale_if_error_secs > 0.0 && age_past_fresh <= res.stale_if_error_secs {
-            if let Some(tb) = tb.as_deref_mut() {
+        if sie_secs > 0.0 && age_past_fresh <= sie_secs {
+            if let Some(tb) = tb {
                 tb.push("stale_serve", req.size, vec![kv("reason", "if_error")]);
             }
-            return ok_hit(
-                lat.hit_latency_ms(req.size, compute_ms) + fetch.delay_ms,
-                lat.service_ms(req.size, true, compute_ms),
-                0,
-                true,
-                true,
-            );
+            return ServeOutcome {
+                stale: true,
+                degraded: true,
+                ..hit(hit_latency_ms + fetch.delay_ms)
+            };
         }
-        ServeOutcome {
-            latency_ms: lat.error_latency_ms(compute_ms) + fetch.delay_ms,
-            service_ms: compute_ms,
-            wan: 0,
-            hit: false,
-            stale: false,
-            error: true,
-            coalesced: false,
-            degraded: true,
-        }
+        ServeOutcome::failed(
+            lat.error_latency_ms(compute_ms) + fetch.delay_ms,
+            compute_ms,
+        )
     }
 
     /// The miss path: hardened origin fetch, then admission on success.
-    /// `run_policy` is false when the policy already handled the request
-    /// (the contains/handle contract-violation fallback).
-    #[allow(clippy::too_many_arguments)]
+    /// `decided` carries the compute time of a policy call that already
+    /// handled the request (the hit_check contract-violation fallback);
+    /// `None` runs the policy here.
     fn serve_miss_fetch(
         &mut self,
-        req: &lhr_trace::Request,
-        pre_compute_ms: f64,
-        run_policy: bool,
-        lat: &LatencyModel,
-        res: &ResilienceConfig,
-        plan: &mut FaultPlan,
-        breaker: &mut CircuitBreaker,
-        in_flight: &mut impl InFlight,
-        retries: &mut u64,
+        req: &Request,
+        decided: Option<f64>,
         mut tb: Option<&mut TraceBuilder>,
     ) -> ServeOutcome {
         let now = req.ts;
-        let mut compute_total_local = 0.0;
-        let fetch = origin_fetch(
-            lat,
-            &res.retry,
-            plan,
-            breaker,
-            now,
-            retries,
-            tb.as_deref_mut(),
-        );
-        if fetch.ok {
-            let compute_ms = if run_policy {
-                let (outcome, compute_ms) = self.handle_timed(req, &mut compute_total_local);
+        let lat = self.config.latency.clone();
+        let coalesce = self.config.resilience.coalesce;
+        let fetch = self.origin_fetch(now, tb.as_deref_mut());
+        if !fetch.ok {
+            // Fetch failed and there is no cached copy to fall back on.
+            if coalesce && fetch.attempted && fetch.delay_ms > 0.0 {
+                let done_at = now + Time::from_secs_f64(fetch.delay_ms / 1e3);
+                self.in_flight.insert(req.id, (done_at, false));
+            }
+            let pre_compute_ms = decided.unwrap_or(0.0);
+            return ServeOutcome::failed(
+                lat.error_latency_ms(pre_compute_ms) + fetch.delay_ms,
+                pre_compute_ms,
+            );
+        }
+        let compute_ms = match decided {
+            Some(compute_ms) => {
+                self.admitted_at.insert(req.id, now);
+                compute_ms
+            }
+            None => {
+                let (outcome, compute_ms) = self.handle_timed(req);
                 if matches!(outcome, Outcome::MissAdmitted) {
                     self.admitted_at.insert(req.id, now);
                 }
                 compute_ms
-            } else {
-                self.admitted_at.insert(req.id, now);
-                pre_compute_ms
-            };
-            if res.coalesce {
-                let fetch_ms = fetch.delay_ms + lat.origin_fetch_ms(req.size, fetch.rate_scale);
-                in_flight.set(req.id, now + Time::from_secs_f64(fetch_ms / 1e3), true);
-                if let Some(tb) = tb.as_deref_mut() {
-                    tb.push("coalesce", req.size, vec![kv("leader", true)]);
-                }
             }
-            return ServeOutcome {
-                latency_ms: lat.miss_latency_scaled_ms(req.size, compute_ms, fetch.rate_scale)
-                    + fetch.delay_ms,
-                service_ms: transfer_ms(req.size, lat.origin_gbps * fetch.rate_scale.max(1e-6))
-                    + compute_ms,
-                wan: req.size,
-                hit: false,
-                stale: false,
-                error: false,
-                coalesced: false,
-                degraded: fetch.delay_ms > 0.0 || fetch.rate_scale < 1.0,
-            };
-        }
-        // Fetch failed and there is no cached copy to fall back on.
-        if res.coalesce && fetch.attempted && fetch.delay_ms > 0.0 {
-            in_flight.set(
-                req.id,
-                now + Time::from_secs_f64(fetch.delay_ms / 1e3),
-                false,
-            );
+        };
+        if coalesce {
+            let fetch_ms = fetch.delay_ms + lat.origin_fetch_ms(req.size, fetch.rate_scale);
+            let done_at = now + Time::from_secs_f64(fetch_ms / 1e3);
+            self.in_flight.insert(req.id, (done_at, true));
+            if let Some(tb) = tb {
+                tb.push("coalesce", req.size, vec![kv("leader", true)]);
+            }
         }
         ServeOutcome {
-            latency_ms: lat.error_latency_ms(pre_compute_ms) + fetch.delay_ms,
-            service_ms: pre_compute_ms,
-            wan: 0,
-            hit: false,
-            stale: false,
-            error: true,
-            coalesced: false,
-            degraded: true,
+            wan: req.size,
+            degraded: fetch.degraded(),
+            ..ServeOutcome::ok(
+                lat.miss_latency_scaled_ms(req.size, compute_ms, fetch.rate_scale) + fetch.delay_ms,
+                transfer_ms(req.size, lat.origin_gbps * fetch.rate_scale.max(1e-6)) + compute_ms,
+            )
         }
     }
 
-    /// Deterministic per-(object, freshness-epoch) draw of whether a
-    /// revalidation found the content unchanged.
-    fn revalidation_fresh(&self, id: ObjectId, now: Time) -> bool {
+    /// A successful revalidation of `id` at `now`: restarts its freshness
+    /// lifetime and returns whether the content was unchanged — a
+    /// deterministic per-(object, freshness-epoch) draw.
+    fn revalidated(&mut self, id: ObjectId, now: Time) -> bool {
+        self.admitted_at.insert(id, now);
         let epoch =
             (now.as_secs_f64() / self.config.freshness_secs.unwrap_or(f64::INFINITY)) as u64;
         pseudo_uniform(id, epoch) < self.config.revalidate_fresh_prob
@@ -972,8 +689,8 @@ fn pseudo_uniform(id: ObjectId, epoch: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lhr_obs::EventKind;
     use lhr_policies::Lru;
-    use lhr_trace::Request;
 
     fn trace(n: usize, objects: u64, size: u64) -> Trace {
         let mut t = Trace::new("t");

@@ -35,10 +35,8 @@ use std::time::Instant;
 
 /// Maps an object id to its owning shard with a splitmix-style avalanche,
 /// so sequential ids spread across shards. This is the one hash every
-/// sharded component (the engine, [`lhr-proto`'s] `ConcurrentCache` and
-/// `FetchTable`) must agree on.
-///
-/// [`lhr-proto`'s]: https://docs.rs/lhr-proto
+/// sharded component (the sharded simulator here, `lhr-proto`'s engine and
+/// fleet) must agree on.
 #[inline]
 pub fn shard_of(id: ObjectId, n_shards: usize) -> usize {
     let mut x = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);

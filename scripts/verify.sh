@@ -18,6 +18,13 @@ echo "==> root test suite, one test at a time (--test-threads=1)"
 # counter, a leaked global) fail here under one of the two schedules.
 cargo test -q --offline -- --test-threads=1
 
+echo "==> frozen benchmark package builds and tests against the crates"
+# benchmark/ is a package of its own outside the workspace, so nothing above
+# type-checks it; an API break against it must fail here, not in the
+# pipeline that runs BENCHMARK.json.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo test --doc"
 cargo test -q --doc --offline --workspace
 

@@ -9,37 +9,8 @@ use lhr_repro::policies::{
     s4lru, slru, AdaptSize, Arc, BLru, Fifo, Gdsf, Hawkeye, Hyperbolic, Lfo, LfuDa, Lhd, Lrb, Lru,
     LruK, PopCache, RandomEviction, RlCache, TinyLfu, WTinyLfu,
 };
-use lhr_repro::proto::{ConcurrentCache, TieredCache};
 use lhr_repro::sim::{CachePolicy, SimConfig, Simulator};
 use lhr_repro::trace::{Request, Time, Trace};
-
-/// The serving-path composition wrappers (sharded and two-tier), built over
-/// representative inner policies. These are CachePolicy implementations in
-/// their own right and must satisfy the same correctness invariants.
-fn wrapper_policies(capacity: u64) -> Vec<Box<dyn CachePolicy>> {
-    let seed = 99;
-    vec![
-        Box::new(ConcurrentCache::new(capacity, 8, Lru::new)),
-        Box::new(ConcurrentCache::new(capacity, 3, |cap| {
-            TinyLfu::new(cap, 1 << 10)
-        })),
-        Box::new(TieredCache::new(
-            Lru::new(capacity / 10),
-            Lru::new(capacity - capacity / 10),
-        )),
-        Box::new(TieredCache::new(
-            Lru::new(capacity / 10),
-            LhrCache::new(
-                capacity - capacity / 10,
-                LhrConfig {
-                    seed,
-                    min_window_requests: 64,
-                    ..LhrConfig::default()
-                },
-            ),
-        )),
-    ]
-}
 
 fn all_policies(capacity: u64) -> Vec<Box<dyn CachePolicy>> {
     let seed = 99;
@@ -214,84 +185,6 @@ fn adversarial_flip_flop_popularity() {
     }
     let trace = Trace::from_requests("flipflop", reqs);
     assert_survives(&trace, 20_000);
-}
-
-#[test]
-fn wrappers_survive_thrash_loop() {
-    // Cyclic working set 2× the cache: the LRU worst case, now through the
-    // sharded and tiered wrappers.
-    let trace = Trace::from_requests(
-        "loop",
-        (0..10_000u64)
-            .map(|i| Request::new(Time::from_secs(i), i % 20, 10_000))
-            .collect(),
-    );
-    for mut policy in wrapper_policies(100_000) {
-        let result = Simulator::new(SimConfig::default()).run(&mut policy, &trace);
-        assert_eq!(
-            result.metrics.hits + result.metrics.misses(),
-            result.metrics.requests,
-            "{}: accounting broken",
-            result.policy
-        );
-        assert!(
-            policy.used_bytes() <= policy.capacity(),
-            "{}: capacity exceeded",
-            result.policy
-        );
-    }
-}
-
-#[test]
-fn wrappers_survive_identical_timestamp_bursts() {
-    // Whole bursts at one instant, spread across shards and tiers: zero
-    // inter-request times must not divide-by-zero anywhere, and repeated
-    // requests within a burst must hit.
-    let mut reqs = Vec::new();
-    for round in 0..50u64 {
-        for id in 0..40u64 {
-            reqs.push(Request::new(Time::from_secs(round), id, 5_000));
-            reqs.push(Request::new(Time::from_secs(round), id, 5_000));
-        }
-    }
-    let trace = Trace::from_requests("burst", reqs);
-    for mut policy in wrapper_policies(1_000_000) {
-        let name = policy.name().to_string();
-        let result = Simulator::new(SimConfig::default()).run(&mut policy, &trace);
-        assert_eq!(
-            result.metrics.hits + result.metrics.misses(),
-            result.metrics.requests,
-            "{name}: accounting broken"
-        );
-        assert!(policy.used_bytes() <= policy.capacity(), "{name}: overflow");
-        // Every object repeats immediately at the same timestamp; with
-        // room for the full working set at least those repeats must hit.
-        assert!(
-            result.metrics.object_hit_ratio() >= 0.5,
-            "{name}: only {:.1}% hits on immediate same-instant repeats",
-            result.metrics.object_hit_ratio() * 100.0
-        );
-    }
-}
-
-#[test]
-fn wrappers_never_admit_oversized_objects() {
-    let capacity = 80_000u64;
-    let mut reqs = Vec::new();
-    for i in 0..400u64 {
-        // Alternate small cacheable objects with objects larger than any
-        // shard slice / tier.
-        reqs.push(Request::new(Time::from_secs(i), i % 10, 1_000));
-        reqs.push(Request::new(Time::from_secs(i), 1_000 + i % 3, capacity));
-    }
-    let trace = Trace::from_requests("oversized", reqs);
-    for mut policy in wrapper_policies(capacity) {
-        let name = policy.name().to_string();
-        for req in trace.iter() {
-            policy.handle(req);
-            assert!(policy.used_bytes() <= policy.capacity(), "{name} overflow");
-        }
-    }
 }
 
 #[test]

@@ -9,8 +9,7 @@
 use lhr_repro::core::cache::{LhrCache, LhrConfig};
 use lhr_repro::policies::Lru;
 use lhr_repro::proto::{
-    presets, BreakerConfig, CdnServer, ConcurrentCache, FaultConfig, ResilienceConfig, RetryPolicy,
-    ServerConfig, TieredCache,
+    presets, BreakerConfig, CdnServer, FaultConfig, ResilienceConfig, RetryPolicy, ServerConfig,
 };
 use lhr_repro::sim::{CachePolicy, Outcome};
 use lhr_repro::trace::{ObjectId, Request, Time, Trace};
@@ -385,8 +384,8 @@ fn capacity_and_accounting_invariants_under_all_presets() {
     for preset in FaultConfig::preset_names() {
         let config = presets::fault_preset(preset, 9, duration).expect("preset");
 
-        // Each policy wrapper the serving path supports, replayed under
-        // this preset; closures so each gets a fresh instance.
+        // A classic and the learned policy, replayed under this preset;
+        // closures so each gets a fresh instance.
         let checks: Vec<(
             &str,
             Box<dyn FnOnce() -> (u64, u64, lhr_repro::proto::ServerReport)>,
@@ -400,36 +399,6 @@ fn capacity_and_accounting_invariants_under_all_presets() {
                         let mut s = CdnServer::new(Lru::new(capacity), config);
                         let r = s.replay(trace);
                         (s.policy().used_bytes(), s.policy().capacity(), r)
-                    }
-                }),
-            ),
-            (
-                "tiered",
-                Box::new({
-                    let config = config.clone();
-                    let trace = &trace;
-                    move || {
-                        let cache = TieredCache::new(Lru::new(capacity / 10), Lru::new(capacity));
-                        let mut s = CdnServer::new(cache, config);
-                        let r = s.replay(trace);
-                        (s.policy().used_bytes(), s.policy().capacity(), r)
-                    }
-                }),
-            ),
-            (
-                "sharded",
-                Box::new({
-                    let config = config.clone();
-                    let trace = &trace;
-                    move || {
-                        let cache = ConcurrentCache::new(capacity, 8, Lru::new);
-                        let mut s = CdnServer::new(cache, config);
-                        let r = s.replay(trace);
-                        (
-                            CachePolicy::used_bytes(s.policy()),
-                            CachePolicy::capacity(s.policy()),
-                            r,
-                        )
                     }
                 }),
             ),
