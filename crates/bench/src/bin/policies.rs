@@ -1,20 +1,20 @@
 //! Per-policy `handle()` throughput benchmark — the number the hot-path
-//! memory-layout work (fast hashing, fused `ObjectTable`, alloc-free
+//! memory-layout work (fast hashing, the shared cache stores, alloc-free
 //! replay) is judged by:
 //!
 //! ```text
 //! cargo run --release -p lhr-bench --bin policies -- --scale small
 //! ```
 //!
-//! Each policy replays the same fixed-seed IRM trace through a bare
-//! `handle()` loop (no server, no simulator) and reports mean ns per
+//! Every policy of the roster (`lhr_proto::presets::POLICIES`, built with
+//! the CLI's parameters) replays the same fixed-seed IRM trace through a
+//! bare `handle()` loop (no server, no simulator) and reports mean ns per
 //! request. Set `LHR_BENCH_JSON=<path>` to append machine-readable results
 //! plus a `policy_ns_per_op` summary line (the format committed as
-//! `BENCH_policies.json`), with `host_cpus` recorded honestly as in the
-//! other BENCH files.
+//! `BENCH_policies.json`; `scripts/bench_policies.sh` adds the commit),
+//! with `host_cpus` recorded honestly as in the other BENCH files.
 
-use lhr::cache::{LhrCache, LhrConfig};
-use lhr_policies::*;
+use lhr_proto::presets::{self, PolicyParams};
 use lhr_sim::CachePolicy;
 use lhr_trace::synth::{IrmConfig, ProductionScale, SizeModel};
 use lhr_trace::Trace;
@@ -24,7 +24,7 @@ use std::io::Write;
 
 /// Replays the trace through a fresh policy; returns a counter so the
 /// optimizer can't discard the loop.
-fn replay(trace: &Trace, mut policy: Box<dyn CachePolicy>) -> u64 {
+fn replay(trace: &Trace, mut policy: Box<dyn CachePolicy + Send>) -> u64 {
     let mut hits = 0u64;
     for req in trace.iter() {
         if black_box(policy.handle(req)) == lhr_sim::Outcome::Hit {
@@ -51,84 +51,14 @@ fn main() {
         })
         .seed(options.seed)
         .generate();
-    let capacity = 25_000_000u64;
-    let objects = 10_000u64;
-    let window = (trace.duration().as_secs_f64() / 4.0).max(60.0);
-    let horizon = trace.duration().as_secs_f64() / 8.0;
-    let seed = options.seed;
+    // Every roster policy exactly as `lhr-cache --policy NAME` builds it.
+    let params = PolicyParams::for_trace(25_000_000, options.seed, &trace);
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-
-    // Every policy in the crate plus LHR itself, bare `handle()` loop.
-    let policies: Vec<(&str, Box<dyn Fn() -> Box<dyn CachePolicy>>)> = vec![
-        ("LRU", Box::new(move || Box::new(Lru::new(capacity)))),
-        ("FIFO", Box::new(move || Box::new(Fifo::new(capacity)))),
-        (
-            "Random",
-            Box::new(move || Box::new(RandomEviction::new(capacity, seed))),
-        ),
-        ("SLRU", Box::new(move || Box::new(slru(capacity)))),
-        ("S4LRU", Box::new(move || Box::new(s4lru(capacity)))),
-        (
-            "B-LRU",
-            Box::new(move || Box::new(BLru::new(capacity, objects))),
-        ),
-        ("LRU-4", Box::new(move || Box::new(LruK::new(capacity, 4)))),
-        ("LFU-DA", Box::new(move || Box::new(LfuDa::new(capacity)))),
-        ("GDSF", Box::new(move || Box::new(Gdsf::new(capacity)))),
-        ("ARC", Box::new(move || Box::new(Arc::new(capacity)))),
-        (
-            "AdaptSize",
-            Box::new(move || Box::new(AdaptSize::new(capacity, seed))),
-        ),
-        (
-            "TinyLFU",
-            Box::new(move || Box::new(TinyLfu::new(capacity, objects))),
-        ),
-        (
-            "W-TinyLFU",
-            Box::new(move || Box::new(WTinyLfu::new(capacity, objects))),
-        ),
-        (
-            "Hyperbolic",
-            Box::new(move || Box::new(Hyperbolic::new(capacity, seed))),
-        ),
-        ("LHD", Box::new(move || Box::new(Lhd::new(capacity, seed)))),
-        ("LFO", Box::new(move || Box::new(Lfo::new(capacity, 8_192)))),
-        (
-            "PopCache",
-            Box::new(move || Box::new(PopCache::new(capacity, horizon, seed))),
-        ),
-        (
-            "RLCache",
-            Box::new(move || Box::new(RlCache::new(capacity, horizon, seed))),
-        ),
-        (
-            "LRB",
-            Box::new(move || Box::new(Lrb::new(capacity, window, seed))),
-        ),
-        (
-            "Hawkeye",
-            Box::new(move || Box::new(Hawkeye::new(capacity))),
-        ),
-        (
-            "LHR",
-            Box::new(move || {
-                Box::new(LhrCache::new(
-                    capacity,
-                    LhrConfig {
-                        seed,
-                        background_retrain: false,
-                        ..LhrConfig::default()
-                    },
-                ))
-            }),
-        ),
-    ];
 
     let mut group = Bench::new("policy_handle");
     group.throughput_elems(requests as u64);
-    for (name, build) in &policies {
-        group.bench(name.to_string(), || replay(black_box(&trace), build()));
+    for &(name, build) in presets::POLICIES {
+        group.bench(name, || replay(black_box(&trace), build(&params)));
     }
     let results = group.finish();
 

@@ -1,9 +1,8 @@
 //! Shared experiment infrastructure: CLI options, trace construction, the
-//! policy registry, and table formatting.
+//! headline policy line-up, and table formatting.
 
-use lhr::cache::{LhrCache, LhrConfig};
 use lhr_obs::{Obs, ObsConfig};
-use lhr_policies::{AdaptSize, BLru, Hawkeye, LfuDa, Lrb, Lru, LruK};
+use lhr_proto::presets::{self, PolicyParams};
 use lhr_sim::sweep::PolicyFactory;
 use lhr_trace::synth::{production, ProductionScale};
 use lhr_trace::Trace;
@@ -125,7 +124,7 @@ pub fn caffeine_capacity(trace: &Trace) -> u64 {
 
 /// Per-trace memory window for LRB: a quarter of the trace duration.
 pub fn lrb_window_secs(trace: &Trace) -> f64 {
-    (trace.duration().as_secs_f64() / 4.0).max(60.0)
+    PolicyParams::for_trace(0, 0, trace).window_secs
 }
 
 /// Expected distinct objects (sizes B-LRU's Bloom filter and TinyLFU's
@@ -134,48 +133,38 @@ pub fn expected_objects(trace: &Trace) -> u64 {
     (lhr_trace::TraceStats::compute(trace).unique_contents as u64).max(1_024)
 }
 
-/// The paper's seven best-performing SOTAs (§6.2): LRB, Hawkeye, LRU,
-/// LRU-4, LFU-DA, AdaptSize, B-LRU.
-pub fn sota_factories(trace: &Trace, seed: u64) -> Vec<PolicyFactory> {
-    let window = lrb_window_secs(trace);
-    let objects = expected_objects(trace);
-    // LRB retrains per batch of labeled samples; scale the batch with the
-    // trace so reduced-scale runs still exercise the learned path.
-    let lrb_batch = (trace.len() / 16).clamp(1_024, 8_192);
-    vec![
-        PolicyFactory::new("LRU", |c| Box::new(Lru::new(c))),
-        PolicyFactory::new("LRU-4", |c| Box::new(LruK::new(c, 4))),
-        PolicyFactory::new("LFU-DA", |c| Box::new(LfuDa::new(c))),
-        PolicyFactory::new("AdaptSize", move |c| Box::new(AdaptSize::new(c, seed))),
-        PolicyFactory::new("B-LRU", move |c| Box::new(BLru::new(c, objects))),
-        PolicyFactory::new("LRB", move |c| {
-            let mut lrb = Lrb::new(c, window, seed);
-            lrb.train_batch = lrb_batch;
-            Box::new(lrb)
-        }),
-        PolicyFactory::new("Hawkeye", |c| Box::new(Hawkeye::new(c))),
-    ]
-}
+/// The headline comparisons' line-up: LHR (first, as every figure leads
+/// with it) and the paper's seven best-performing SOTAs (§6.2).
+const HEADLINE: [&str; 8] = [
+    "LHR",
+    "LRU",
+    "LRU-4",
+    "LFU-DA",
+    "AdaptSize",
+    "B-LRU",
+    "LRB",
+    "Hawkeye",
+];
 
-/// LHR with the default configuration.
-pub fn lhr_factory(seed: u64) -> PolicyFactory {
-    PolicyFactory::new("LHR", move |c| {
-        Box::new(LhrCache::new(
-            c,
-            LhrConfig {
-                seed,
-                ..LhrConfig::default()
-            },
-        ))
-    })
-}
-
-/// All policies for the headline comparisons: the SOTAs plus LHR (LHR
-/// first, as every figure leads with it).
+/// Factories for the [`HEADLINE`] policies, built from the roster. Two
+/// parameters follow the trace instead of the CLI's constants: the filter
+/// and sketch are sized to its population, and LRB's retraining batch
+/// shrinks with it so reduced-scale runs still exercise the learned path.
 pub fn all_factories(trace: &Trace, seed: u64) -> Vec<PolicyFactory> {
-    let mut factories = vec![lhr_factory(seed)];
-    factories.extend(sota_factories(trace, seed));
-    factories
+    let params = PolicyParams {
+        expected_objects: expected_objects(trace),
+        lrb_train_batch: (trace.len() / 16).clamp(1_024, 8_192),
+        ..PolicyParams::for_trace(0, seed, trace)
+    };
+    HEADLINE
+        .iter()
+        .map(|&name| {
+            let build = presets::policy(name).expect("a roster name");
+            PolicyFactory::new(name, move |capacity| {
+                build(&PolicyParams { capacity, ..params })
+            })
+        })
+        .collect()
 }
 
 /// Renders an aligned text table: `header` then one row per entry.
@@ -224,32 +213,14 @@ mod tests {
     use lhr_sim::CachePolicy;
 
     #[test]
-    fn factories_cover_the_papers_seven_sotas() {
+    fn factories_build_the_headline_line_up_at_the_requested_capacity() {
         let trace = lhr_trace::synth::IrmConfig::new(10, 100).generate();
-        let names: Vec<String> = sota_factories(&trace, 0)
-            .iter()
-            .map(|f| f.name.clone())
-            .collect();
-        assert_eq!(
-            names,
-            vec![
-                "LRU",
-                "LRU-4",
-                "LFU-DA",
-                "AdaptSize",
-                "B-LRU",
-                "LRB",
-                "Hawkeye"
-            ]
-        );
-    }
-
-    #[test]
-    fn factories_build_policies_with_requested_capacity() {
-        let trace = lhr_trace::synth::IrmConfig::new(10, 100).generate();
-        for factory in all_factories(&trace, 0) {
+        let factories = all_factories(&trace, 0);
+        assert_eq!(factories.len(), HEADLINE.len());
+        for (factory, name) in factories.iter().zip(HEADLINE) {
             let policy = (factory.build)(12_345);
-            assert_eq!(policy.capacity(), 12_345, "{}", factory.name);
+            assert_eq!(policy.name(), name);
+            assert_eq!(policy.capacity(), 12_345, "{name}");
         }
     }
 

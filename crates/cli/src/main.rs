@@ -11,10 +11,11 @@
 #![forbid(unsafe_code)]
 
 mod args;
-mod registry;
 
 use args::{parse_size, Args};
 use lhr_obs::{Obs, ObsConfig, ObsWindow};
+use lhr_proto::presets::{self, PolicyCtor, PolicyParams};
+use lhr_sim::shard::shard_seed;
 use lhr_sim::{OfflineBound, SimConfig, Simulator};
 use lhr_trace::stats::one_hit_wonder_ratio;
 use lhr_trace::{io, Trace, TraceStats};
@@ -139,9 +140,19 @@ USAGE:
   Trace-reading commands accept --lossy true to skip malformed CSV lines
   (the skip count is reported on stderr) instead of failing.
   Policies: {}",
-        registry::policy_names().join(", ")
+        presets::policy_names().join(", ")
     );
     ExitCode::FAILURE
+}
+
+/// The roster constructor behind `--policy NAME`.
+fn policy_ctor(name: &str) -> Result<PolicyCtor, String> {
+    presets::policy(name).ok_or_else(|| {
+        format!(
+            "unknown policy `{name}` (try: {})",
+            presets::policy_names().join(", ")
+        )
+    })
 }
 
 /// One-line rendering of a trace parse failure: malformed records point at
@@ -189,6 +200,17 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
     let objects = args.get_parse("objects")?.unwrap_or(10_000usize);
     let requests = args.get_parse("requests")?.unwrap_or(100_000usize);
     let alpha = args.get_parse("alpha")?.unwrap_or(0.9f64);
+    // The generators assert both; a flag must not reach an assert.
+    if objects == 0 {
+        return Err("--objects must be at least 1".into());
+    }
+    if !(alpha.is_finite() && alpha >= 0.0) {
+        return Err(format!(
+            "--alpha must be finite and non-negative, got {alpha}"
+        ));
+    }
+    // Requests per popularity state; zero would never advance the chain.
+    let per_state = (requests / 5).max(1);
 
     use lhr_trace::synth::{markov, production, IrmConfig, ProductionScale, SizeModel};
     let trace = match kind.as_str() {
@@ -205,8 +227,8 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
         "cdn-b" => production::cdn_b(ProductionScale::Small, seed),
         "cdn-c" => production::cdn_c(ProductionScale::Small, seed),
         "wiki" => production::wiki(ProductionScale::Small, seed),
-        "syn-one" => markov::syn_one(objects.min(100_000), requests, requests / 5, alpha, seed),
-        "syn-two" => markov::syn_two(objects.min(100_000), requests, requests / 5, seed),
+        "syn-one" => markov::syn_one(objects.min(100_000), requests, per_state, alpha, seed),
+        "syn-two" => markov::syn_two(objects.min(100_000), requests, per_state, seed),
         other => return Err(format!("unknown trace kind `{other}`")),
     };
     let file = std::fs::File::create(out).map_err(|e| format!("{out}: {e}"))?;
@@ -582,16 +604,11 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     if let Some((o, path)) = &obs {
         start_obs(o, path)?;
     }
-    let unknown = || {
-        format!(
-            "unknown policy `{name}` (try: {})",
-            registry::policy_names().join(", ")
-        )
-    };
+    let build = policy_ctor(name)?;
+    let params = PolicyParams::for_trace(capacity, seed, &trace);
 
     if let Some((threads, n_shards)) = shard_args(args)? {
         use lhr_sim::shard::{RouteConfig, ShardedSimConfig, ShardedSimulator};
-        registry::build(name, capacity, seed, &trace).ok_or_else(unknown)?;
         let mut sim = ShardedSimulator::new(ShardedSimConfig {
             warmup_requests: args.get_parse("warmup")?.unwrap_or(0usize),
             n_shards,
@@ -605,8 +622,7 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
         }
         let shard_capacity = (capacity / n_shards as u64).max(1);
         let result = sim.run(&trace, |shard, shard_obs| {
-            registry::build_for_shard(name, shard_capacity, seed, &trace, shard, shard_obs)
-                .expect("name validated above")
+            build(&params.for_shard(shard_capacity, shard, shard_obs))
         });
         println!(
             "{} @ {:.2} GB on {}: hit {:.2}%  byte-hit {:.2}%  WAN {:.3} Gbps  \
@@ -626,9 +642,10 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
         return Ok(());
     }
 
-    let mut policy =
-        registry::build_with_obs(name, capacity, seed, &trace, obs.as_ref().map(|(o, _)| o))
-            .ok_or_else(unknown)?;
+    let mut policy = build(&PolicyParams {
+        obs: obs.as_ref().map(|(o, _)| o),
+        ..params
+    });
     let mut sim = Simulator::new(sim_config(args)?);
     if let Some((o, _)) = &obs {
         sim = sim.with_obs(o.clone());
@@ -664,16 +681,18 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
         "{:<11} {:>8} {:>9} {:>10} {:>9}",
         "policy", "hit%", "byte-hit%", "WAN(Gbps)", "wall(s)"
     );
-    for name in registry::policy_names() {
+    let params = PolicyParams::for_trace(capacity, seed, &trace);
+    for &(name, build) in presets::POLICIES {
         let obs = obs_config
             .as_ref()
             .map(|(cfg, path)| (Obs::new(cfg.clone()), obs_path_for_policy(path, name)));
         if let Some((o, path)) = &obs {
             start_obs(o, path)?;
         }
-        let mut policy =
-            registry::build_with_obs(name, capacity, seed, &trace, obs.as_ref().map(|(o, _)| o))
-                .expect("registry name");
+        let mut policy = build(&PolicyParams {
+            obs: obs.as_ref().map(|(o, _)| o),
+            ..params
+        });
         let mut sim = Simulator::new(config.clone());
         if let Some((o, _)) = &obs {
             sim = sim.with_obs(o.clone());
@@ -701,6 +720,11 @@ fn cmd_mrc(args: &Args) -> Result<(), String> {
     let stats = TraceStats::compute(&trace);
     let n_points: usize = args.get_parse("points")?.unwrap_or(10);
     let sample: f64 = args.get_parse("sample")?.unwrap_or(1.0);
+    if sample.is_nan() || sample <= 0.0 {
+        return Err(format!(
+            "--sample must be a rate above 0 (1 or more = exact), got {sample}"
+        ));
+    }
     let unique = stats.unique_bytes_requested as u64;
     let capacities: Vec<u64> = (1..=n_points as u64)
         .map(|k| (unique * k / n_points as u64).max(1))
@@ -728,7 +752,7 @@ fn cmd_mrc(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_server(args: &Args) -> Result<(), String> {
-    use lhr_proto::{presets, CdnServer, FaultConfig, ServerConfig};
+    use lhr_proto::{CdnServer, FaultConfig, ServerConfig};
     let trace = load_trace(args)?;
     let name = args.get("policy").ok_or("--policy is required")?;
     let capacity = parse_size(args.get("capacity").ok_or("--capacity is required")?)?;
@@ -749,14 +773,14 @@ fn cmd_server(args: &Args) -> Result<(), String> {
             })?,
         None => ServerConfig::default(),
     };
+    let build = policy_ctor(name)?;
+    let params = PolicyParams::for_trace(capacity, seed, &trace);
 
     // `--threads`/`--shards`/`--report` select the sharded engine; its
     // stable report is byte-identical at any thread count.
     if sharding.is_some() || args.get("report").is_some() {
         use lhr_proto::{EngineConfig, ShardedEngine};
         use lhr_sim::shard::RouteConfig;
-        registry::build(name, capacity, seed, &trace)
-            .ok_or_else(|| format!("unknown policy `{name}`"))?;
         let (threads, n_shards) = sharding.unwrap_or((1, 16));
         let mut engine = ShardedEngine::new(EngineConfig {
             total_capacity: capacity,
@@ -771,8 +795,7 @@ fn cmd_server(args: &Args) -> Result<(), String> {
             engine = engine.with_obs(o.clone());
         }
         let er = engine.replay(&trace, |shard, shard_capacity, shard_obs| {
-            registry::build_for_shard(name, shard_capacity, seed, &trace, shard, shard_obs)
-                .expect("name validated above")
+            build(&params.for_shard(shard_capacity, shard, shard_obs))
         });
         print_server_report(&er.report, Some(&er), faulted);
         if let Some(path) = args.get("report") {
@@ -781,9 +804,10 @@ fn cmd_server(args: &Args) -> Result<(), String> {
             eprintln!("report: wrote {} bytes to {path}", body.len());
         }
     } else {
-        let policy =
-            registry::build_with_obs(name, capacity, seed, &trace, obs.as_ref().map(|(o, _)| o))
-                .ok_or_else(|| format!("unknown policy `{name}`"))?;
+        let policy = build(&PolicyParams {
+            obs: obs.as_ref().map(|(o, _)| o),
+            ..params
+        });
         let mut server = CdnServer::new(policy, config);
         if let Some((o, _)) = &obs {
             server = server.with_obs(o.clone());
@@ -840,10 +864,14 @@ fn print_server_report(
     println!("replay wall:     {:.2} s", r.replay_wall_secs);
 }
 
+/// Upper bound on `--vnodes`: the ring holds `nodes × vnodes` points, and
+/// the keyspace is already balanced to ~1.2 max/mean at 64.
+const MAX_VNODES: usize = 4_096;
+
 fn cmd_fleet(args: &Args) -> Result<(), String> {
     use lhr_proto::fleet::{FleetConfig, FleetEngine, NodeFaultConfig, MAX_NODES};
-    use lhr_proto::{presets, FaultConfig, ServerConfig};
-    use lhr_sim::shard::{shard_seed, RouteConfig};
+    use lhr_proto::{FaultConfig, ServerConfig};
+    use lhr_sim::shard::RouteConfig;
     let trace = load_trace(args)?;
     let name = args.get("policy").ok_or("--policy is required")?;
     let capacity = parse_size(args.get("capacity").ok_or("--capacity is required")?)?;
@@ -853,14 +881,19 @@ fn cmd_fleet(args: &Args) -> Result<(), String> {
         return Err(format!("--nodes must be in 1..={MAX_NODES}, got {n_nodes}"));
     }
     let vnodes: usize = args.get_parse("vnodes")?.unwrap_or(64);
+    if !(1..=MAX_VNODES).contains(&vnodes) {
+        return Err(format!(
+            "--vnodes must be in 1..={MAX_VNODES}, got {vnodes}"
+        ));
+    }
     let shield_capacity = match args.get_parse::<u64>("shield-mb")? {
         Some(mb) => mb
             .checked_mul(1_000_000)
             .ok_or_else(|| format!("--shield-mb {mb} does not fit a byte count"))?,
         None => capacity / 4,
     };
-    registry::build(name, capacity, seed, &trace)
-        .ok_or_else(|| format!("unknown policy `{name}`"))?;
+    let build = policy_ctor(name)?;
+    let params = PolicyParams::for_trace(capacity, seed, &trace);
     let duration = trace.duration().as_secs_f64();
 
     // `--faults` takes a node-level preset; an origin preset is accepted
@@ -919,15 +952,11 @@ fn cmd_fleet(args: &Args) -> Result<(), String> {
     // Per-slice seeds derive as shard_seed(node_seed, shard) with
     // node_seed = shard_seed(seed, node) — the ARCHITECTURE.md clause.
     let r = engine.replay(&trace, |node, shard, slice_capacity, shard_obs| {
-        registry::build_for_shard(
-            name,
-            slice_capacity,
-            shard_seed(seed, node),
-            &trace,
-            shard,
-            shard_obs,
-        )
-        .expect("name validated above")
+        let node_params = PolicyParams {
+            seed: shard_seed(seed, node),
+            ..params
+        };
+        build(&node_params.for_shard(slice_capacity, shard, shard_obs))
     });
 
     println!("fleet:           {}", r.name);

@@ -105,3 +105,123 @@ fn a_shield_size_that_overflows_bytes_is_refused() {
     ]);
     assert_one_line_error(&out, "--shield-mb");
 }
+
+#[test]
+fn generate_refuses_an_empty_population_and_a_meaningless_alpha() {
+    let out_path = std::env::temp_dir().join(format!("lhr-hostile-gen-{}.csv", std::process::id()));
+    let out_path = out_path.to_str().expect("utf-8 temp path");
+    for kind in ["zipf", "syn-one"] {
+        let out = cli(&[
+            "generate",
+            "--kind",
+            kind,
+            "--objects",
+            "0",
+            "--out",
+            out_path,
+        ]);
+        assert_one_line_error(&out, "--objects");
+    }
+    for alpha in ["nan", "inf", "-1"] {
+        let out = cli(&[
+            "generate", "--kind", "zipf", "--alpha", alpha, "--out", out_path,
+        ]);
+        assert_one_line_error(&out, "--alpha");
+    }
+    assert!(
+        !std::path::Path::new(out_path).exists(),
+        "a refused run writes nothing"
+    );
+}
+
+#[test]
+fn generate_syn_traces_shorter_than_their_five_states_terminate() {
+    // `requests / 5` requests per popularity state used to be zero here,
+    // and a chain that never advances never finishes.
+    let path = std::env::temp_dir().join(format!("lhr-hostile-syn-{}.csv", std::process::id()));
+    for kind in ["syn-one", "syn-two"] {
+        for requests in ["0", "3"] {
+            let out = cli(&[
+                "generate",
+                "--kind",
+                kind,
+                "--objects",
+                "10",
+                "--requests",
+                requests,
+                "--out",
+                path.to_str().expect("utf-8 temp path"),
+            ]);
+            assert!(
+                out.status.success(),
+                "{kind} --requests {requests}: {out:?}"
+            );
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(
+                stdout.starts_with(&format!("wrote {requests} requests")),
+                "{stdout}"
+            );
+        }
+    }
+    let _ = std::fs::remove_file(path);
+}
+
+#[test]
+fn mrc_refuses_a_sample_rate_that_is_not_positive() {
+    let trace = TraceFile::generate("mrc");
+    for sample in ["0", "-1", "nan"] {
+        let out = cli(&["mrc", "--sample", sample, trace.path()]);
+        assert_one_line_error(&out, "--sample");
+    }
+}
+
+#[test]
+fn fleet_refuses_a_vnode_count_of_zero_or_beyond_the_bound() {
+    let trace = TraceFile::generate("vnodes");
+    for vnodes in ["0", "100000000"] {
+        let out = cli(&[
+            "fleet",
+            "--policy",
+            "LRU",
+            "--capacity",
+            "1MB",
+            "--vnodes",
+            vnodes,
+            trace.path(),
+        ]);
+        assert_one_line_error(&out, "--vnodes");
+    }
+    // The bound itself is still served.
+    let out = cli(&[
+        "fleet",
+        "--policy",
+        "LRU",
+        "--capacity",
+        "1MB",
+        "--vnodes",
+        "4096",
+        trace.path(),
+    ]);
+    assert!(out.status.success(), "{out:?}");
+}
+
+#[test]
+fn an_unknown_policy_is_refused_with_the_whole_roster_as_the_hint() {
+    let trace = TraceFile::generate("policy");
+    for command in ["simulate", "server", "fleet"] {
+        let out = cli(&[
+            command,
+            "--policy",
+            "NOPE",
+            "--capacity",
+            "1MB",
+            trace.path(),
+        ]);
+        assert_one_line_error(&out, "NOPE");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("RL-Cache") && stderr.contains("PopCache"),
+            "{stderr}"
+        );
+    }
+}

@@ -10,20 +10,16 @@
 //! observable behaviour — the admission size threshold tracks the workload —
 //! without reproducing the closed-form model internals.
 
-use crate::util::{Handle, LruList};
+use crate::util::LruStore;
 use lhr_sim::{CachePolicy, Outcome};
 use lhr_trace::{ObjectId, Request};
-use lhr_util::hash::FastMap;
 use lhr_util::rng::rngs::SmallRng;
 use lhr_util::rng::{Rng, SeedableRng};
 
 /// The AdaptSize policy.
 #[derive(Debug)]
 pub struct AdaptSize {
-    capacity: u64,
-    used: u64,
-    list: LruList<(ObjectId, u64)>,
-    map: FastMap<ObjectId, Handle>,
+    store: LruStore,
     /// Admission scale parameter `c` in bytes.
     c: f64,
     rng: SmallRng,
@@ -36,17 +32,13 @@ pub struct AdaptSize {
     /// adapts before a full interval elapses.
     first_tune_at: usize,
     tunings: u64,
-    evictions: u64,
 }
 
 impl AdaptSize {
     /// An AdaptSize cache of `capacity` bytes with the given RNG seed.
     pub fn new(capacity: u64, seed: u64) -> Self {
         AdaptSize {
-            capacity,
-            used: 0,
-            list: LruList::new(),
-            map: FastMap::default(),
+            store: LruStore::new(capacity),
             // Initial c: the full capacity, so any object that fits is
             // admitted with probability ≥ e^{−1}; tuning shrinks c when
             // size-selective admission pays off (the original system also
@@ -59,21 +51,11 @@ impl AdaptSize {
             tune_every: 8_192,
             first_tune_at: 2_048,
             tunings: 0,
-            evictions: 0,
         }
     }
 
     fn admit_probability(&self, size: u64) -> f64 {
         (-(size as f64) / self.c).exp()
-    }
-
-    fn make_room(&mut self, needed: u64) {
-        while self.used + needed > self.capacity {
-            let (id, size) = self.list.pop_back().expect("full but empty");
-            self.map.remove(&id);
-            self.used -= size;
-            self.evictions += 1;
-        }
     }
 
     /// Shadow-simulates candidate `c` values over the recorded window and
@@ -110,17 +92,14 @@ impl AdaptSize {
     /// comparison against a per-object pseudo-random draw keyed on the id)
     /// so tuning itself is deterministic.
     fn shadow_hit_ratio(&self, c: f64) -> f64 {
-        let mut list: LruList<(ObjectId, u64)> = LruList::new();
-        let mut map: FastMap<ObjectId, Handle> = FastMap::default();
-        let mut used = 0u64;
+        let mut shadow = LruStore::new(self.store.capacity());
         let mut hits = 0usize;
         for &(id, size) in &self.window {
-            if let Some(&h) = map.get(&id) {
-                list.move_to_front(h);
+            if shadow.touch(id) {
                 hits += 1;
                 continue;
             }
-            if size > self.capacity {
+            if size > shadow.capacity() {
                 continue;
             }
             // Deterministic pseudo-draw in [0,1) from the object id.
@@ -128,14 +107,7 @@ impl AdaptSize {
             if draw >= (-(size as f64) / c).exp() {
                 continue;
             }
-            while used + size > self.capacity {
-                let (vid, vsize) = list.pop_back().expect("full but empty");
-                map.remove(&vid);
-                used -= vsize;
-            }
-            let h = list.push_front((id, size));
-            map.insert(id, h);
-            used += size;
+            shadow.insert(id, size);
         }
         hits as f64 / self.window.len() as f64
     }
@@ -166,40 +138,36 @@ impl CachePolicy for AdaptSize {
         "AdaptSize"
     }
     fn capacity(&self) -> u64 {
-        self.capacity
+        self.store.capacity()
     }
     fn used_bytes(&self) -> u64 {
-        self.used
+        self.store.used()
     }
     fn contains(&self, id: ObjectId) -> bool {
-        self.map.contains_key(&id)
+        self.store.contains(id)
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
         self.record(req);
-        if let Some(&handle) = self.map.get(&req.id) {
-            self.list.move_to_front(handle);
+        if self.store.touch(req.id) {
             return Outcome::Hit;
         }
-        if req.size > self.capacity {
+        if req.size > self.store.capacity() {
             return Outcome::MissBypassed;
         }
         if self.rng.gen::<f64>() >= self.admit_probability(req.size) {
             return Outcome::MissBypassed;
         }
-        self.make_room(req.size);
-        let handle = self.list.push_front((req.id, req.size));
-        self.map.insert(req.id, handle);
-        self.used += req.size;
+        self.store.insert(req.id, req.size);
         Outcome::MissAdmitted
     }
 
     fn evictions(&self) -> u64 {
-        self.evictions
+        self.store.evictions()
     }
 
     fn metadata_overhead_bytes(&self) -> u64 {
-        (self.map.len() * 48 + self.window.len() * 16) as u64
+        (self.store.len() * 48 + self.window.len() * 16) as u64
     }
 }
 

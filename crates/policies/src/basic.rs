@@ -1,5 +1,6 @@
 //! FIFO and Random eviction — the classic strawmen (§8).
 
+use crate::util::SampleStore;
 use lhr_sim::{CachePolicy, Outcome};
 use lhr_trace::{ObjectId, Request};
 use lhr_util::hash::FastMap;
@@ -75,40 +76,17 @@ impl CachePolicy for Fifo {
 /// Uniform-random eviction, admit-all. Deterministic given the seed.
 #[derive(Debug)]
 pub struct RandomEviction {
-    capacity: u64,
-    used: u64,
-    /// Dense vector of cached entries for O(1) random removal.
-    entries: Vec<(ObjectId, u64)>,
-    /// id → index into `entries`.
-    index: FastMap<ObjectId, usize>,
+    store: SampleStore<()>,
     rng: SmallRng,
-    evictions: u64,
 }
 
 impl RandomEviction {
     /// An empty cache of `capacity` bytes with the given RNG seed.
     pub fn new(capacity: u64, seed: u64) -> Self {
         RandomEviction {
-            capacity,
-            used: 0,
-            entries: Vec::new(),
-            index: FastMap::default(),
+            store: SampleStore::new(capacity),
             rng: SmallRng::seed_from_u64(seed),
-            evictions: 0,
         }
-    }
-
-    fn evict_one(&mut self) {
-        let victim = self.rng.gen_range(0..self.entries.len());
-        let (id, size) = self.entries.swap_remove(victim);
-        self.index.remove(&id);
-        if victim < self.entries.len() {
-            // Fix the index of the entry swapped into `victim`'s slot.
-            let moved = self.entries[victim].0;
-            self.index.insert(moved, victim);
-        }
-        self.used -= size;
-        self.evictions += 1;
     }
 }
 
@@ -117,37 +95,36 @@ impl CachePolicy for RandomEviction {
         "Random"
     }
     fn capacity(&self) -> u64 {
-        self.capacity
+        self.store.capacity()
     }
     fn used_bytes(&self) -> u64 {
-        self.used
+        self.store.used()
     }
     fn contains(&self, id: ObjectId) -> bool {
-        self.index.contains_key(&id)
+        self.store.contains(id)
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
-        if self.index.contains_key(&req.id) {
+        if self.store.contains(req.id) {
             return Outcome::Hit;
         }
-        if req.size > self.capacity {
+        if req.size > self.store.capacity() {
             return Outcome::MissBypassed;
         }
-        while self.used + req.size > self.capacity {
-            self.evict_one();
+        while !self.store.fits(req.size) {
+            let victim = self.rng.gen_range(0..self.store.len());
+            self.store.evict_at(victim);
         }
-        self.index.insert(req.id, self.entries.len());
-        self.entries.push((req.id, req.size));
-        self.used += req.size;
+        self.store.push(req.id, req.size, ());
         Outcome::MissAdmitted
     }
 
     fn evictions(&self) -> u64 {
-        self.evictions
+        self.store.evictions()
     }
 
     fn metadata_overhead_bytes(&self) -> u64 {
-        self.entries.len() as u64 * 40
+        self.store.len() as u64 * 40
     }
 }
 
@@ -200,18 +177,5 @@ mod tests {
             hits
         };
         assert_eq!(run(1), run(1));
-    }
-
-    #[test]
-    fn random_index_stays_consistent_after_swap_remove() {
-        let mut r = RandomEviction::new(300, 7);
-        for i in 0..50u64 {
-            r.handle(&req(i, i, 100));
-        }
-        // Every cached id must report a hit.
-        for (id, _) in r.entries.clone() {
-            assert!(r.contains(id));
-            assert!(r.handle(&req(100, id, 100)).is_hit());
-        }
     }
 }

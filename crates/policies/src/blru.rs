@@ -3,19 +3,15 @@
 //! one-hit wonders. This is Akamai's "cache on second hit" rule
 //! (Maggs & Sitaraman 2015) realized with a rotating Bloom filter.
 
-use crate::util::{BloomFilter, Handle, LruList, ObjectTable};
+use crate::util::{BloomFilter, LruStore};
 use lhr_sim::{CachePolicy, Outcome};
 use lhr_trace::{ObjectId, Request};
 
 /// The B-LRU policy.
 #[derive(Debug)]
 pub struct BLru {
-    capacity: u64,
-    used: u64,
-    list: LruList<(ObjectId, u64)>,
-    map: ObjectTable<Handle>,
+    store: LruStore,
     seen: BloomFilter,
-    evictions: u64,
 }
 
 impl BLru {
@@ -23,12 +19,8 @@ impl BLru {
     /// filter epoch (≈ distinct objects per filter rotation).
     pub fn new(capacity: u64, expected_objects: u64) -> Self {
         BLru {
-            capacity,
-            used: 0,
-            list: LruList::new(),
-            map: ObjectTable::new(),
+            store: LruStore::new(capacity),
             seen: BloomFilter::new(expected_objects),
-            evictions: 0,
         }
     }
 }
@@ -38,27 +30,24 @@ impl CachePolicy for BLru {
         "B-LRU"
     }
     fn capacity(&self) -> u64 {
-        self.capacity
+        self.store.capacity()
     }
     fn used_bytes(&self) -> u64 {
-        self.used
+        self.store.used()
     }
     fn contains(&self, id: ObjectId) -> bool {
-        self.map.contains_key(id)
+        self.store.contains(id)
     }
 
     fn hit_check(&mut self, req: &Request) -> Option<Outcome> {
-        let &handle = self.map.get(req.id)?;
-        self.list.move_to_front(handle);
-        Some(Outcome::Hit)
+        self.store.touch(req.id).then_some(Outcome::Hit)
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
-        if let Some(&handle) = self.map.get(req.id) {
-            self.list.move_to_front(handle);
+        if self.store.touch(req.id) {
             return Outcome::Hit;
         }
-        if req.size > self.capacity {
+        if req.size > self.store.capacity() {
             return Outcome::MissBypassed;
         }
         if !self.seen.contains(req.id) {
@@ -66,24 +55,16 @@ impl CachePolicy for BLru {
             self.seen.insert(req.id);
             return Outcome::MissBypassed;
         }
-        while self.used + req.size > self.capacity {
-            let (id, size) = self.list.pop_back().expect("full but empty");
-            self.map.remove(id);
-            self.used -= size;
-            self.evictions += 1;
-        }
-        let handle = self.list.push_front((req.id, req.size));
-        self.map.insert(req.id, handle);
-        self.used += req.size;
+        self.store.insert(req.id, req.size);
         Outcome::MissAdmitted
     }
 
     fn evictions(&self) -> u64 {
-        self.evictions
+        self.store.evictions()
     }
 
     fn metadata_overhead_bytes(&self) -> u64 {
-        self.map.len() as u64 * 48 + self.seen.size_bytes()
+        self.store.len() as u64 * 48 + self.seen.size_bytes()
     }
 }
 

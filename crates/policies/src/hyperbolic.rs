@@ -7,9 +7,9 @@
 //! system, eviction samples a handful of candidates and evicts the
 //! smallest-priority one.
 
+use crate::util::sample_store::{SampleStore, Slot};
 use lhr_sim::{CachePolicy, Outcome};
 use lhr_trace::{ObjectId, Request, Time};
-use lhr_util::hash::FastMap;
 use lhr_util::rng::rngs::SmallRng;
 use lhr_util::rng::{Rng, SeedableRng};
 
@@ -19,7 +19,6 @@ const SAMPLE: usize = 64;
 
 #[derive(Debug, Clone, Copy)]
 struct Entry {
-    size: u64,
     admitted: Time,
     hits: u64,
 }
@@ -27,60 +26,45 @@ struct Entry {
 /// The hyperbolic caching policy.
 #[derive(Debug)]
 pub struct Hyperbolic {
-    capacity: u64,
-    used: u64,
-    entries: FastMap<ObjectId, Entry>,
-    dense: Vec<ObjectId>,
-    positions: FastMap<ObjectId, usize>,
+    store: SampleStore<Entry>,
     rng: SmallRng,
-    evictions: u64,
 }
 
 impl Hyperbolic {
     /// An empty hyperbolic cache of `capacity` bytes.
     pub fn new(capacity: u64, seed: u64) -> Self {
         Hyperbolic {
-            capacity,
-            used: 0,
-            entries: FastMap::default(),
-            dense: Vec::new(),
-            positions: FastMap::default(),
+            store: SampleStore::new(capacity),
             rng: SmallRng::seed_from_u64(seed),
-            evictions: 0,
         }
     }
 
-    fn priority(entry: &Entry, now: Time) -> f64 {
-        let age = now.saturating_sub(entry.admitted).as_secs_f64().max(1e-6);
-        entry.hits as f64 / (entry.size as f64 * age)
+    fn priority(slot: &Slot<Entry>, now: Time) -> f64 {
+        let age = now
+            .saturating_sub(slot.entry.admitted)
+            .as_secs_f64()
+            .max(1e-6);
+        slot.entry.hits as f64 / (slot.size as f64 * age)
     }
 
     fn evict_one(&mut self, now: Time) {
-        let n = self.dense.len();
+        let n = self.store.len();
         debug_assert!(n > 0);
-        let mut victim: Option<(f64, ObjectId)> = None;
+        let mut victim: Option<(f64, usize)> = None;
         // Sampling with replacement only pays off above the sample size;
         // below it, scanning everything is both cheaper and exact.
         for i in 0..SAMPLE.min(n) {
-            let id = if n <= SAMPLE {
-                self.dense[i]
+            let pos = if n <= SAMPLE {
+                i
             } else {
-                self.dense[self.rng.gen_range(0..n)]
+                self.rng.gen_range(0..n)
             };
-            let p = Self::priority(&self.entries[&id], now);
+            let p = Self::priority(self.store.slot(pos), now);
             if victim.is_none_or(|(vp, _)| p < vp) {
-                victim = Some((p, id));
+                victim = Some((p, pos));
             }
         }
-        let id = victim.expect("k >= 1").1;
-        let entry = self.entries.remove(&id).expect("sampled");
-        self.used -= entry.size;
-        let pos = self.positions.remove(&id).expect("indexed");
-        self.dense.swap_remove(pos);
-        if pos < self.dense.len() {
-            self.positions.insert(self.dense[pos], pos);
-        }
-        self.evictions += 1;
+        self.store.evict_at(victim.expect("k >= 1").1);
     }
 }
 
@@ -89,46 +73,40 @@ impl CachePolicy for Hyperbolic {
         "Hyperbolic"
     }
     fn capacity(&self) -> u64 {
-        self.capacity
+        self.store.capacity()
     }
     fn used_bytes(&self) -> u64 {
-        self.used
+        self.store.used()
     }
     fn contains(&self, id: ObjectId) -> bool {
-        self.entries.contains_key(&id)
+        self.store.contains(id)
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
-        if let Some(entry) = self.entries.get_mut(&req.id) {
+        if let Some(entry) = self.store.get_mut(req.id) {
             entry.hits += 1;
             return Outcome::Hit;
         }
-        if req.size > self.capacity {
+        if req.size > self.store.capacity() {
             return Outcome::MissBypassed;
         }
-        while self.used + req.size > self.capacity {
+        while !self.store.fits(req.size) {
             self.evict_one(req.ts);
         }
-        self.entries.insert(
-            req.id,
-            Entry {
-                size: req.size,
-                admitted: req.ts,
-                hits: 1,
-            },
-        );
-        self.positions.insert(req.id, self.dense.len());
-        self.dense.push(req.id);
-        self.used += req.size;
+        let entry = Entry {
+            admitted: req.ts,
+            hits: 1,
+        };
+        self.store.push(req.id, req.size, entry);
         Outcome::MissAdmitted
     }
 
     fn evictions(&self) -> u64 {
-        self.evictions
+        self.store.evictions()
     }
 
     fn metadata_overhead_bytes(&self) -> u64 {
-        self.entries.len() as u64 * 64
+        self.store.len() as u64 * 64
     }
 }
 

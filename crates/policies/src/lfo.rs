@@ -11,7 +11,7 @@
 //! original uses boosted trees over features very similar to ours, so this
 //! implementation reuses the workspace GBM.
 
-use crate::util::{Handle, LruList};
+use crate::util::LruStore;
 use lhr_gbm::{Dataset, Gbm, GbmParams};
 use lhr_sim::{CachePolicy, Outcome};
 use lhr_trace::{ObjectId, Request, Time};
@@ -34,17 +34,13 @@ struct History {
 
 /// The LFO policy.
 pub struct Lfo {
-    capacity: u64,
-    used: u64,
-    list: LruList<(ObjectId, u64)>,
-    map: FastMap<ObjectId, Handle>,
+    store: LruStore,
     history: FastMap<ObjectId, History>,
     /// The training window: (features, id, size) per request.
     window: Vec<([f32; N_FEATURES], ObjectId, u64)>,
     window_len: usize,
     model: Option<Gbm>,
     trainings: u64,
-    evictions: u64,
 }
 
 impl Lfo {
@@ -52,16 +48,12 @@ impl Lfo {
     /// requests.
     pub fn new(capacity: u64, window_len: usize) -> Self {
         Lfo {
-            capacity,
-            used: 0,
-            list: LruList::new(),
-            map: FastMap::default(),
+            store: LruStore::new(capacity),
             history: FastMap::default(),
             window: Vec::new(),
             window_len: window_len.max(256),
             model: None,
             trainings: 0,
-            evictions: 0,
         }
     }
 
@@ -150,11 +142,11 @@ impl Lfo {
                 }
                 continue;
             }
-            if size > self.capacity || this_next == u64::MAX {
+            if size > self.store.capacity() || this_next == u64::MAX {
                 continue;
             }
             let mut admitted = true;
-            while used + size > self.capacity {
+            while used + size > self.store.capacity() {
                 let &(victim_next, victim) = by_next.iter().next_back().expect("full");
                 if victim_next <= this_next {
                     admitted = false;
@@ -210,13 +202,13 @@ impl CachePolicy for Lfo {
         "LFO"
     }
     fn capacity(&self) -> u64 {
-        self.capacity
+        self.store.capacity()
     }
     fn used_bytes(&self) -> u64 {
-        self.used
+        self.store.used()
     }
     fn contains(&self, id: ObjectId) -> bool {
-        self.map.contains_key(&id)
+        self.store.contains(id)
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
@@ -227,32 +219,23 @@ impl CachePolicy for Lfo {
             self.retrain();
         }
 
-        if let Some(&handle) = self.map.get(&req.id) {
-            self.list.move_to_front(handle);
+        if self.store.touch(req.id) {
             return Outcome::Hit;
         }
-        if req.size > self.capacity || self.admit_probability(&features) < THRESHOLD {
+        if req.size > self.store.capacity() || self.admit_probability(&features) < THRESHOLD {
             return Outcome::MissBypassed;
         }
-        while self.used + req.size > self.capacity {
-            let (id, size) = self.list.pop_back().expect("full but empty");
-            self.map.remove(&id);
-            self.used -= size;
-            self.evictions += 1;
-        }
-        let handle = self.list.push_front((req.id, req.size));
-        self.map.insert(req.id, handle);
-        self.used += req.size;
+        self.store.insert(req.id, req.size);
         Outcome::MissAdmitted
     }
 
     fn evictions(&self) -> u64 {
-        self.evictions
+        self.store.evictions()
     }
 
     fn metadata_overhead_bytes(&self) -> u64 {
         let model = self.model.as_ref().map_or(0, |m| m.approx_size_bytes()) as u64;
-        self.map.len() as u64 * 48
+        self.store.len() as u64 * 48
             + self.history.len() as u64 * 88
             + self.window.len() as u64 * 40
             + model

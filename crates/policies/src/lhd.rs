@@ -15,9 +15,9 @@
 //!   lowest-density object among a random sample, exactly as LHD's sampled
 //!   eviction does.
 
+use crate::util::SampleStore;
 use lhr_sim::{CachePolicy, Outcome};
 use lhr_trace::{ObjectId, Request, Time};
-use lhr_util::hash::FastMap;
 use lhr_util::rng::rngs::SmallRng;
 use lhr_util::rng::{Rng, SeedableRng};
 
@@ -29,43 +29,28 @@ const SAMPLE: usize = 64;
 /// Halve class counters after this many recorded events.
 const DECAY_EVERY: u64 = 1 << 16;
 
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    size: u64,
-    last_access: Time,
-}
-
 /// The LHD policy.
 #[derive(Debug)]
 pub struct Lhd {
-    capacity: u64,
-    used: u64,
-    entries: FastMap<ObjectId, Entry>,
-    dense: Vec<ObjectId>,
-    positions: FastMap<ObjectId, usize>,
+    /// Cached objects, each with its last access time.
+    store: SampleStore<Time>,
     /// Hits observed at each age class since the last decay.
     hits_at: [f64; AGE_CLASSES],
     /// Lifetime ends (hit or eviction) at each age class.
     ends_at: [f64; AGE_CLASSES],
     events: u64,
     rng: SmallRng,
-    evictions: u64,
 }
 
 impl Lhd {
     /// An empty LHD cache of `capacity` bytes.
     pub fn new(capacity: u64, seed: u64) -> Self {
         Lhd {
-            capacity,
-            used: 0,
-            entries: FastMap::default(),
-            dense: Vec::new(),
-            positions: FastMap::default(),
+            store: SampleStore::new(capacity),
             hits_at: [1.0; AGE_CLASSES], // optimistic prior
             ends_at: [2.0; AGE_CLASSES],
             events: 0,
             rng: SmallRng::seed_from_u64(seed),
-            evictions: 0,
         }
     }
 
@@ -90,41 +75,34 @@ impl Lhd {
         }
     }
 
-    /// Hit density of an entry at `now`: class hit probability over
-    /// (size × expected dwell time of that class).
-    fn density(&self, entry: &Entry, now: Time) -> f64 {
-        let age = now.saturating_sub(entry.last_access);
-        let class = Self::age_class(age);
+    /// Hit density at `now` of `size` bytes last accessed at
+    /// `last_access`: class hit probability over (size × expected dwell
+    /// time of that class).
+    fn density(&self, size: u64, last_access: Time, now: Time) -> f64 {
+        let class = Self::age_class(now.saturating_sub(last_access));
         let p_hit = self.hits_at[class] / self.ends_at[class].max(1e-9);
         // Expected remaining occupancy grows with the age class (2^class µs
         // is the class's time scale).
         let dwell = 2f64.powi(class as i32);
-        p_hit / (entry.size as f64 * dwell)
+        p_hit / (size as f64 * dwell)
     }
 
     fn evict_one(&mut self, now: Time) {
-        let n = self.dense.len();
+        let n = self.store.len();
         debug_assert!(n > 0);
         let k = SAMPLE.min(n);
-        let mut victim: Option<(f64, ObjectId)> = None;
+        let mut victim: Option<(f64, usize)> = None;
         for _ in 0..k {
-            let id = self.dense[self.rng.gen_range(0..n)];
-            let d = self.density(&self.entries[&id], now);
+            let pos = self.rng.gen_range(0..n);
+            let slot = self.store.slot(pos);
+            let d = self.density(slot.size, slot.entry, now);
             if victim.is_none_or(|(vd, _)| d < vd) {
-                victim = Some((d, id));
+                victim = Some((d, pos));
             }
         }
-        let id = victim.expect("k >= 1").1;
-        let entry = self.entries.remove(&id).expect("sampled");
-        self.used -= entry.size;
-        let pos = self.positions.remove(&id).expect("indexed");
-        self.dense.swap_remove(pos);
-        if pos < self.dense.len() {
-            self.positions.insert(self.dense[pos], pos);
-        }
-        let class = Self::age_class(now.saturating_sub(entry.last_access));
+        let last_access = self.store.evict_at(victim.expect("k >= 1").1).entry;
+        let class = Self::age_class(now.saturating_sub(last_access));
         self.record(class, false);
-        self.evictions += 1;
     }
 }
 
@@ -133,47 +111,38 @@ impl CachePolicy for Lhd {
         "LHD"
     }
     fn capacity(&self) -> u64 {
-        self.capacity
+        self.store.capacity()
     }
     fn used_bytes(&self) -> u64 {
-        self.used
+        self.store.used()
     }
     fn contains(&self, id: ObjectId) -> bool {
-        self.entries.contains_key(&id)
+        self.store.contains(id)
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
-        if let Some(&entry) = self.entries.get(&req.id) {
-            let class = Self::age_class(req.ts.saturating_sub(entry.last_access));
+        if let Some(last_access) = self.store.get_mut(req.id) {
+            let class = Self::age_class(req.ts.saturating_sub(*last_access));
+            *last_access = req.ts;
             self.record(class, true);
-            self.entries.get_mut(&req.id).expect("cached").last_access = req.ts;
             return Outcome::Hit;
         }
-        if req.size > self.capacity {
+        if req.size > self.store.capacity() {
             return Outcome::MissBypassed;
         }
-        while self.used + req.size > self.capacity {
+        while !self.store.fits(req.size) {
             self.evict_one(req.ts);
         }
-        self.entries.insert(
-            req.id,
-            Entry {
-                size: req.size,
-                last_access: req.ts,
-            },
-        );
-        self.positions.insert(req.id, self.dense.len());
-        self.dense.push(req.id);
-        self.used += req.size;
+        self.store.push(req.id, req.size, req.ts);
         Outcome::MissAdmitted
     }
 
     fn evictions(&self) -> u64 {
-        self.evictions
+        self.store.evictions()
     }
 
     fn metadata_overhead_bytes(&self) -> u64 {
-        self.entries.len() as u64 * 56 + (AGE_CLASSES * 16) as u64
+        self.store.len() as u64 * 56 + (AGE_CLASSES * 16) as u64
     }
 }
 

@@ -22,6 +22,7 @@
 //! counters are replaced by the access count, and the memory window is a
 //! fixed constructor parameter instead of being auto-tuned.
 
+use crate::util::SampleStore;
 use lhr_gbm::{Dataset, Gbm, GbmParams};
 use lhr_sim::{CachePolicy, Outcome};
 use lhr_trace::{ObjectId, Request, Time};
@@ -81,16 +82,11 @@ fn ln_gap(secs: f32) -> f32 {
 
 /// The LRB policy.
 pub struct Lrb {
-    capacity: u64,
-    used: u64,
     /// Feature state for every object requested within the memory window
     /// (cached or not).
     meta: FastMap<ObjectId, Meta>,
-    /// Cached objects and their sizes.
-    cached: FastMap<ObjectId, u64>,
-    /// Dense id vector of cached objects for O(1) random sampling.
-    dense: Vec<ObjectId>,
-    positions: FastMap<ObjectId, usize>,
+    /// Cached objects; their features live in `meta`.
+    store: SampleStore<()>,
     /// Pending training sample per object: features at its last request.
     pending: FastMap<ObjectId, ([f32; N_FEATURES], Time)>,
     training: Dataset,
@@ -103,7 +99,6 @@ pub struct Lrb {
     /// Retrain once this many labeled samples accumulate.
     pub train_batch: usize,
     rng: SmallRng,
-    evictions: u64,
     trainings: u64,
     /// Wall-clock seconds spent in Gbm::fit (Figure 9's training time).
     pub train_wall_secs: f64,
@@ -121,12 +116,8 @@ impl Lrb {
             *tau = window / 2f64.powi((N_EDCS - 1 - k) as i32);
         }
         Lrb {
-            capacity,
-            used: 0,
             meta: FastMap::default(),
-            cached: FastMap::default(),
-            dense: Vec::new(),
-            positions: FastMap::default(),
+            store: SampleStore::new(capacity),
             pending: FastMap::default(),
             training: Dataset::new(N_FEATURES),
             model: None,
@@ -134,7 +125,6 @@ impl Lrb {
             edc_horizons,
             train_batch: 8_192,
             rng: SmallRng::seed_from_u64(seed),
-            evictions: 0,
             trainings: 0,
             train_wall_secs: 0.0,
         }
@@ -174,10 +164,9 @@ impl Lrb {
         }
         // Metadata of uncached objects leaves the memory window with its
         // last request; cached objects always keep theirs.
-        let cached = &self.cached;
-        self.meta.retain(|id, m| {
-            cached.contains_key(id) || now.saturating_sub(m.last_access) <= boundary
-        });
+        let store = &self.store;
+        self.meta
+            .retain(|&id, m| store.contains(id) || now.saturating_sub(m.last_access) <= boundary);
     }
 
     fn maybe_train(&mut self, now: Time) {
@@ -221,38 +210,26 @@ impl Lrb {
         self.pending.insert(req.id, (snapshot, req.ts));
     }
 
-    /// Picks the eviction victim: the sampled cached object with the
-    /// largest predicted next-request time. Without a model, the sampled
-    /// object with the oldest last access (LRU-flavoured) is chosen.
-    fn pick_victim(&mut self, now: Time) -> ObjectId {
-        debug_assert!(!self.dense.is_empty());
-        let n = self.dense.len();
+    /// Picks the eviction victim's position: the sampled cached object
+    /// with the largest predicted next-request time. Without a model, the
+    /// sampled object with the oldest last access (LRU-flavoured) is chosen.
+    fn pick_victim(&mut self, now: Time) -> usize {
+        debug_assert!(!self.store.is_empty());
+        let n = self.store.len();
         let k = SAMPLE.min(n);
-        let mut best: Option<(f64, ObjectId)> = None;
+        let mut best: Option<(f64, usize)> = None;
         for _ in 0..k {
-            let id = self.dense[self.rng.gen_range(0..n)];
-            let meta = &self.meta[&id];
+            let pos = self.rng.gen_range(0..n);
+            let meta = &self.meta[&self.store.slot(pos).id];
             let score = match &self.model {
                 Some(model) => model.predict(&meta.features(now)) as f64,
                 None => now.saturating_sub(meta.last_access).as_secs_f64(),
             };
             if best.is_none_or(|(s, _)| score > s) {
-                best = Some((score, id));
+                best = Some((score, pos));
             }
         }
         best.expect("k >= 1").1
-    }
-
-    fn evict(&mut self, id: ObjectId) {
-        let size = self.cached.remove(&id).expect("cached");
-        self.used -= size;
-        let pos = self.positions.remove(&id).expect("indexed");
-        self.dense.swap_remove(pos);
-        if pos < self.dense.len() {
-            let moved = self.dense[pos];
-            self.positions.insert(moved, pos);
-        }
-        self.evictions += 1;
     }
 }
 
@@ -261,44 +238,41 @@ impl CachePolicy for Lrb {
         "LRB"
     }
     fn capacity(&self) -> u64 {
-        self.capacity
+        self.store.capacity()
     }
     fn used_bytes(&self) -> u64 {
-        self.used
+        self.store.used()
     }
     fn contains(&self, id: ObjectId) -> bool {
-        self.cached.contains_key(&id)
+        self.store.contains(id)
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
         self.maybe_train(req.ts);
         self.touch_meta(req);
-        if self.cached.contains_key(&req.id) {
+        if self.store.contains(req.id) {
             return Outcome::Hit;
         }
-        if req.size > self.capacity {
+        if req.size > self.store.capacity() {
             return Outcome::MissBypassed;
         }
-        while self.used + req.size > self.capacity {
+        while !self.store.fits(req.size) {
             let victim = self.pick_victim(req.ts);
-            self.evict(victim);
+            self.store.evict_at(victim);
         }
-        self.cached.insert(req.id, req.size);
-        self.positions.insert(req.id, self.dense.len());
-        self.dense.push(req.id);
-        self.used += req.size;
+        self.store.push(req.id, req.size, ());
         Outcome::MissAdmitted
     }
 
     fn evictions(&self) -> u64 {
-        self.evictions
+        self.store.evictions()
     }
 
     fn metadata_overhead_bytes(&self) -> u64 {
         let per_meta = 48 + 16 + N_DELTAS * 4 + N_EDCS * 4;
         let model = self.model.as_ref().map_or(0, |m| m.approx_size_bytes());
         (self.meta.len() * per_meta
-            + self.cached.len() * 40
+            + self.store.len() * 40
             + self.pending.len() * (N_FEATURES * 4 + 24)
             + self.training.n_rows() * (N_FEATURES + 1) * 4
             + model) as u64
@@ -350,7 +324,7 @@ mod tests {
     fn stale_pending_samples_expire_as_beyond_boundary() {
         let mut c = Lrb::new(10_000, 10.0, 4);
         c.handle(&req(0.0, 1, 100));
-        c.evict(1); // uncache so pruning applies to it too
+        c.store.evict_at(0); // uncache so pruning applies to it too
         c.expire_and_prune(Time::from_secs_f64(100.0));
         assert_eq!(c.training.n_rows(), 1);
         assert!((c.training.labels()[0] - 20.0f32.ln()).abs() < 1e-4);

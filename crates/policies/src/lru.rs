@@ -1,39 +1,21 @@
 //! Least Recently Used — the production default the paper says major CDNs
 //! still run (§1), and the baseline policy of Apache Traffic Server.
 
-use crate::util::{Handle, LruList, ObjectTable};
+use crate::util::LruStore;
 use lhr_sim::{CachePolicy, Outcome};
 use lhr_trace::{ObjectId, Request};
 
 /// Classic LRU with admit-all admission.
 #[derive(Debug)]
 pub struct Lru {
-    capacity: u64,
-    used: u64,
-    list: LruList<(ObjectId, u64)>,
-    map: ObjectTable<Handle>,
-    evictions: u64,
+    store: LruStore,
 }
 
 impl Lru {
     /// An empty LRU cache of `capacity` bytes.
     pub fn new(capacity: u64) -> Self {
         Lru {
-            capacity,
-            used: 0,
-            list: LruList::new(),
-            map: ObjectTable::new(),
-            evictions: 0,
-        }
-    }
-
-    /// Evicts from the LRU end until `needed` bytes fit.
-    fn make_room(&mut self, needed: u64) {
-        while self.used + needed > self.capacity {
-            let (id, size) = self.list.pop_back().expect("cache is empty but still full");
-            self.map.remove(id);
-            self.used -= size;
-            self.evictions += 1;
+            store: LruStore::new(capacity),
         }
     }
 }
@@ -44,47 +26,39 @@ impl CachePolicy for Lru {
     }
 
     fn capacity(&self) -> u64 {
-        self.capacity
+        self.store.capacity()
     }
 
     fn used_bytes(&self) -> u64 {
-        self.used
+        self.store.used()
     }
 
     fn contains(&self, id: ObjectId) -> bool {
-        self.map.contains_key(id)
+        self.store.contains(id)
     }
 
     fn hit_check(&mut self, req: &Request) -> Option<Outcome> {
-        // Single probe: the fused table stores the list handle inline, so
-        // a hit is one lookup plus one splice — no second `contains` pass.
-        let &handle = self.map.get(req.id)?;
-        self.list.move_to_front(handle);
-        Some(Outcome::Hit)
+        self.store.touch(req.id).then_some(Outcome::Hit)
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
-        if let Some(&handle) = self.map.get(req.id) {
-            self.list.move_to_front(handle);
+        if self.store.touch(req.id) {
             return Outcome::Hit;
         }
-        if req.size > self.capacity {
+        if req.size > self.store.capacity() {
             return Outcome::MissBypassed;
         }
-        self.make_room(req.size);
-        let handle = self.list.push_front((req.id, req.size));
-        self.map.insert(req.id, handle);
-        self.used += req.size;
+        self.store.insert(req.id, req.size);
         Outcome::MissAdmitted
     }
 
     fn evictions(&self) -> u64 {
-        self.evictions
+        self.store.evictions()
     }
 
     fn metadata_overhead_bytes(&self) -> u64 {
         // handle map entry + list node, ~48 bytes per object.
-        self.map.len() as u64 * 48
+        self.store.len() as u64 * 48
     }
 }
 

@@ -9,7 +9,6 @@
 //! implementations bound the "retained information" the original algorithm
 //! calls for.
 
-use crate::util::ObjectTable;
 use lhr_sim::{CachePolicy, Outcome};
 use lhr_trace::{ObjectId, Request, Time};
 use lhr_util::hash::FastMap;
@@ -34,7 +33,7 @@ pub struct LruK {
     k: usize,
     capacity: u64,
     used: u64,
-    entries: ObjectTable<Entry>,
+    entries: FastMap<ObjectId, Entry>,
     queue: BTreeSet<EvictKey>,
     /// History of objects no longer cached (id → reference times), bounded.
     retained: FastMap<ObjectId, VecDeque<Time>>,
@@ -52,7 +51,7 @@ impl LruK {
             k,
             capacity,
             used: 0,
-            entries: ObjectTable::new(),
+            entries: FastMap::default(),
             queue: BTreeSet::new(),
             retained: FastMap::default(),
             retained_order: VecDeque::new(),
@@ -71,10 +70,13 @@ impl LruK {
         }
     }
 
-    fn touch(&mut self, id: ObjectId, ts: Time) {
-        // One probe: the slot's entry is updated in place.
+    /// The hit path: records a reference to `id` at `ts` if it is cached
+    /// (one probe, the entry updated in place) and says whether it was.
+    fn touch(&mut self, id: ObjectId, ts: Time) -> bool {
         let k = self.k;
-        let entry = self.entries.get_mut(id).expect("cached");
+        let Some(entry) = self.entries.get_mut(&id) else {
+            return false;
+        };
         self.queue.remove(&entry.key);
         entry.history.push_back(ts);
         if entry.history.len() > k {
@@ -83,6 +85,7 @@ impl LruK {
         let key = Self::key_for(k, id, &entry.history);
         entry.key = key;
         self.queue.insert(key);
+        true
     }
 
     fn evict_one(&mut self) {
@@ -93,7 +96,7 @@ impl LruK {
             .expect("queue empty while cache full");
         self.queue.remove(&key);
         let id = key.2;
-        let entry = self.entries.remove(id).expect("queued but not cached");
+        let entry = self.entries.remove(&id).expect("queued but not cached");
         self.used -= entry.size;
         self.evictions += 1;
         self.retain_history(id, entry.history);
@@ -121,12 +124,11 @@ impl CachePolicy for LruK {
         self.used
     }
     fn contains(&self, id: ObjectId) -> bool {
-        self.entries.contains_key(id)
+        self.entries.contains_key(&id)
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
-        if self.entries.contains_key(req.id) {
-            self.touch(req.id, req.ts);
+        if self.touch(req.id, req.ts) {
             return Outcome::Hit;
         }
         if req.size > self.capacity {
@@ -212,7 +214,7 @@ mod tests {
         c.handle(&req(10, 2, 100)); // evicts 3 (single-ref) to make room
         assert!(c.contains(2));
         // Object 2 should now rank as a 2-referenced object.
-        let e = c.entries.get(2).expect("cached");
+        let e = c.entries.get(&2).expect("cached");
         assert_eq!(e.history.len(), 2);
         assert_eq!(e.key.0, 1);
     }

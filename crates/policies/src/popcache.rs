@@ -12,7 +12,7 @@
 //! expensive to keep current and non-robust across workloads — is
 //! reproducible directly against this baseline.
 
-use crate::util::{Handle, LruList};
+use crate::util::SampleStore;
 use lhr_nn::{Activation, Mlp, TrainConfig};
 use lhr_sim::{CachePolicy, Outcome};
 use lhr_trace::{ObjectId, Request, Time};
@@ -65,13 +65,8 @@ impl ObjectState {
 
 /// The popularity-prediction policy.
 pub struct PopCache {
-    capacity: u64,
-    used: u64,
-    list: LruList<(ObjectId, u64)>,
-    map: FastMap<ObjectId, Handle>,
-    /// Dense cached-id vector for deterministic O(1) eviction sampling.
-    dense: Vec<ObjectId>,
-    positions: FastMap<ObjectId, usize>,
+    /// Cached objects; their features live in `states`.
+    store: SampleStore<()>,
     states: FastMap<ObjectId, ObjectState>,
     /// Pending delayed labels: features at the time of the request.
     pending: FastMap<ObjectId, ([f32; N_FEATURES], Time)>,
@@ -79,7 +74,6 @@ pub struct PopCache {
     train: TrainConfig,
     horizon: Time,
     rng: SmallRng,
-    evictions: u64,
     requests: u64,
     /// Online SGD steps taken (observability for tests/benches).
     pub train_steps: u64,
@@ -90,12 +84,7 @@ impl PopCache {
     /// popularity-label window.
     pub fn new(capacity: u64, horizon_secs: f64, seed: u64) -> Self {
         PopCache {
-            capacity,
-            used: 0,
-            list: LruList::new(),
-            map: FastMap::default(),
-            dense: Vec::new(),
-            positions: FastMap::default(),
+            store: SampleStore::new(capacity),
             states: FastMap::default(),
             pending: FastMap::default(),
             net: Mlp::new(
@@ -110,7 +99,6 @@ impl PopCache {
             },
             horizon: Time::from_secs_f64(horizon_secs.max(1.0)),
             rng: SmallRng::seed_from_u64(seed ^ 0x9C),
-            evictions: 0,
             requests: 0,
             train_steps: 0,
         }
@@ -156,27 +144,18 @@ impl PopCache {
 
     fn evict_one(&mut self, now: Time) {
         // Sampled min-popularity eviction.
-        let n = self.dense.len();
+        let n = self.store.len();
         debug_assert!(n > 0);
         let k = SAMPLE.min(n);
-        let mut victim: Option<(f32, ObjectId)> = None;
+        let mut victim: Option<(f32, usize)> = None;
         for _ in 0..k {
-            let id = self.dense[self.rng.gen_range(0..n)];
-            let p = self.predict(id, now);
+            let pos = self.rng.gen_range(0..n);
+            let p = self.predict(self.store.slot(pos).id, now);
             if victim.is_none_or(|(vp, _)| p < vp) {
-                victim = Some((p, id));
+                victim = Some((p, pos));
             }
         }
-        let id = victim.expect("k >= 1").1;
-        let handle = self.map.remove(&id).expect("sampled");
-        let (_, size) = self.list.remove(handle);
-        let pos = self.positions.remove(&id).expect("indexed");
-        self.dense.swap_remove(pos);
-        if pos < self.dense.len() {
-            self.positions.insert(self.dense[pos], pos);
-        }
-        self.used -= size;
-        self.evictions += 1;
+        self.store.evict_at(victim.expect("k >= 1").1);
     }
 }
 
@@ -185,13 +164,13 @@ impl CachePolicy for PopCache {
         "PopCache"
     }
     fn capacity(&self) -> u64 {
-        self.capacity
+        self.store.capacity()
     }
     fn used_bytes(&self) -> u64 {
-        self.used
+        self.store.used()
     }
     fn contains(&self, id: ObjectId) -> bool {
-        self.map.contains_key(&id)
+        self.store.contains(id)
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
@@ -219,30 +198,25 @@ impl CachePolicy for PopCache {
             self.states.retain(|_, s| s.last_seen >= horizon);
         }
 
-        if let Some(&handle) = self.map.get(&req.id) {
-            self.list.move_to_front(handle);
+        if self.store.contains(req.id) {
             return Outcome::Hit;
         }
-        if req.size > self.capacity {
+        if req.size > self.store.capacity() {
             return Outcome::MissBypassed;
         }
-        while self.used + req.size > self.capacity {
+        while !self.store.fits(req.size) {
             self.evict_one(req.ts);
         }
-        let handle = self.list.push_front((req.id, req.size));
-        self.map.insert(req.id, handle);
-        self.positions.insert(req.id, self.dense.len());
-        self.dense.push(req.id);
-        self.used += req.size;
+        self.store.push(req.id, req.size, ());
         Outcome::MissAdmitted
     }
 
     fn evictions(&self) -> u64 {
-        self.evictions
+        self.store.evictions()
     }
 
     fn metadata_overhead_bytes(&self) -> u64 {
-        (self.map.len() * 48
+        (self.store.len() * 48
             + self.states.len() * 72
             + self.pending.len() * (N_FEATURES * 4 + 24)
             + self.net.approx_size_bytes()) as u64

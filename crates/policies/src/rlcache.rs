@@ -20,7 +20,7 @@
 //! design: scores only move when an eviction or re-request reveals the
 //! outcome.
 
-use crate::util::{Handle, LruList};
+use crate::util::LruStore;
 use lhr_sim::{CachePolicy, Outcome};
 use lhr_trace::{ObjectId, Request, Time};
 use lhr_util::hash::FastMap;
@@ -45,10 +45,7 @@ struct ObjectState {
 
 /// The RL-Cache-style policy.
 pub struct RlCache {
-    capacity: u64,
-    used: u64,
-    list: LruList<(ObjectId, u64)>,
-    map: FastMap<ObjectId, Handle>,
+    store: LruStore,
     /// Bucket of the admission decision + whether it has hit since.
     admitted_info: FastMap<ObjectId, (usize, bool)>,
     /// Bypassed objects awaiting a possible regret signal.
@@ -61,7 +58,6 @@ pub struct RlCache {
     /// a lost hit.
     regret_horizon: Time,
     rng: SmallRng,
-    evictions: u64,
 }
 
 impl RlCache {
@@ -69,10 +65,7 @@ impl RlCache {
     /// long a bypass can later be ruled a mistake.
     pub fn new(capacity: u64, regret_horizon_secs: f64, seed: u64) -> Self {
         RlCache {
-            capacity,
-            used: 0,
-            list: LruList::new(),
-            map: FastMap::default(),
+            store: LruStore::new(capacity),
             admitted_info: FastMap::default(),
             bypassed: FastMap::default(),
             seen: FastMap::default(),
@@ -80,7 +73,6 @@ impl RlCache {
             scores: vec![0.5; SIZE_BUCKETS * FREQ_BUCKETS * IRT_BUCKETS],
             regret_horizon: Time::from_secs_f64(regret_horizon_secs.max(1.0)),
             rng: SmallRng::seed_from_u64(seed),
-            evictions: 0,
         }
     }
 
@@ -102,10 +94,7 @@ impl RlCache {
     }
 
     fn evict_one(&mut self) {
-        let (id, size) = self.list.pop_back().expect("full but empty");
-        self.map.remove(&id);
-        self.used -= size;
-        self.evictions += 1;
+        let (id, _) = self.store.evict_lru().expect("full but empty");
         // Delayed reward: was this admission ever useful?
         if let Some((bucket, hit)) = self.admitted_info.remove(&id) {
             self.reward(bucket, if hit { 1.0 } else { -1.0 });
@@ -132,34 +121,32 @@ impl CachePolicy for RlCache {
         "RL-Cache"
     }
     fn capacity(&self) -> u64 {
-        self.capacity
+        self.store.capacity()
     }
     fn used_bytes(&self) -> u64 {
-        self.used
+        self.store.used()
     }
     fn contains(&self, id: ObjectId) -> bool {
-        self.map.contains_key(&id)
+        self.store.contains(id)
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
         let bucket = self.bucket(req);
         // Regret check for earlier bypasses of this object.
         if let Some((bypass_bucket, when)) = self.bypassed.remove(&req.id) {
-            if req.ts.saturating_sub(when) <= self.regret_horizon && !self.map.contains_key(&req.id)
-            {
+            if req.ts.saturating_sub(when) <= self.regret_horizon && !self.store.contains(req.id) {
                 self.reward(bypass_bucket, 1.0); // bypass cost us this miss
             }
         }
         self.note_request(req);
 
-        if let Some(&handle) = self.map.get(&req.id) {
-            self.list.move_to_front(handle);
+        if self.store.touch(req.id) {
             if let Some(info) = self.admitted_info.get_mut(&req.id) {
                 info.1 = true;
             }
             return Outcome::Hit;
         }
-        if req.size > self.capacity {
+        if req.size > self.store.capacity() {
             return Outcome::MissBypassed;
         }
         let admit = if self.rng.gen::<f64>() < EPSILON {
@@ -175,22 +162,22 @@ impl CachePolicy for RlCache {
             }
             return Outcome::MissBypassed;
         }
-        while self.used + req.size > self.capacity {
+        // Victim by victim, not through `insert`'s loop: each eviction
+        // pays out a delayed reward.
+        while !self.store.fits(req.size) {
             self.evict_one();
         }
-        let handle = self.list.push_front((req.id, req.size));
-        self.map.insert(req.id, handle);
+        self.store.insert(req.id, req.size);
         self.admitted_info.insert(req.id, (bucket, false));
-        self.used += req.size;
         Outcome::MissAdmitted
     }
 
     fn evictions(&self) -> u64 {
-        self.evictions
+        self.store.evictions()
     }
 
     fn metadata_overhead_bytes(&self) -> u64 {
-        (self.map.len() * 48
+        (self.store.len() * 48
             + self.admitted_info.len() * 24
             + self.bypassed.len() * 32
             + self.seen.len() * 32

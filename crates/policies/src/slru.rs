@@ -7,9 +7,10 @@
 //! level's overflow cascades down, and level 0's overflow leaves the
 //! cache.
 
-use crate::util::{Handle, LruList, ObjectTable};
+use crate::util::{Handle, LruList};
 use lhr_sim::{CachePolicy, Outcome};
 use lhr_trace::{ObjectId, Request};
+use lhr_util::hash::FastMap;
 
 /// A multi-level segmented LRU; `Slru` and `S4lru` are thin constructors.
 #[derive(Debug)]
@@ -20,7 +21,7 @@ pub struct SegmentedLru {
     level_cap: Vec<u64>,
     levels: Vec<LruList<(ObjectId, u64)>>,
     level_bytes: Vec<u64>,
-    map: ObjectTable<(Handle, usize)>,
+    map: FastMap<ObjectId, (Handle, usize)>,
     evictions: u64,
 }
 
@@ -38,7 +39,7 @@ impl SegmentedLru {
             level_cap,
             levels: (0..n_levels).map(|_| LruList::new()).collect(),
             level_bytes: vec![0; n_levels],
-            map: ObjectTable::new(),
+            map: FastMap::default(),
             evictions: 0,
         }
     }
@@ -60,7 +61,7 @@ impl SegmentedLru {
             let (id, size) = self.levels[level].pop_back().expect("over budget");
             self.level_bytes[level] -= size;
             if level == 0 {
-                self.map.remove(id);
+                self.map.remove(&id);
                 self.evictions += 1;
             } else {
                 let h = self.levels[level - 1].push_front((id, size));
@@ -89,16 +90,17 @@ impl CachePolicy for SegmentedLru {
         self.used()
     }
     fn contains(&self, id: ObjectId) -> bool {
-        self.map.contains_key(id)
+        self.map.contains_key(&id)
     }
 
     fn hit_check(&mut self, req: &Request) -> Option<Outcome> {
-        // Single probe on hit: level + handle come out of the fused table.
-        let &(handle, level) = self.map.get(req.id)?;
+        // Single probe on hit: level + handle come out of the one map.
+        let &(handle, level) = self.map.get(&req.id)?;
         let top = self.levels.len() - 1;
         if level == top {
             self.levels[level].move_to_front(handle);
         } else {
+            // Promote one level.
             let (id, size) = self.levels[level].remove(handle);
             self.level_bytes[level] -= size;
             self.insert_at(level + 1, id, size);
@@ -107,17 +109,8 @@ impl CachePolicy for SegmentedLru {
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
-        if let Some(&(handle, level)) = self.map.get(req.id) {
-            let top = self.levels.len() - 1;
-            if level == top {
-                self.levels[level].move_to_front(handle);
-            } else {
-                // Promote one level.
-                let (id, size) = self.levels[level].remove(handle);
-                self.level_bytes[level] -= size;
-                self.insert_at(level + 1, id, size);
-            }
-            return Outcome::Hit;
+        if let Some(hit) = self.hit_check(req) {
+            return hit;
         }
         // Objects enter at level 0, so anything larger than the level-0
         // budget can never be admitted (each level's budget bounds the
@@ -161,7 +154,7 @@ mod tests {
     fn new_objects_enter_level_zero() {
         let mut c = slru(400);
         c.handle(&req(0, 1, 100));
-        assert_eq!(c.map.get(1).expect("cached").1, 0);
+        assert_eq!(c.map.get(&1).expect("cached").1, 0);
     }
 
     #[test]
@@ -169,13 +162,13 @@ mod tests {
         let mut c = s4lru(800);
         c.handle(&req(0, 1, 100));
         c.handle(&req(1, 1, 100));
-        assert_eq!(c.map.get(1).expect("cached").1, 1);
+        assert_eq!(c.map.get(&1).expect("cached").1, 1);
         c.handle(&req(2, 1, 100));
-        assert_eq!(c.map.get(1).expect("cached").1, 2);
+        assert_eq!(c.map.get(&1).expect("cached").1, 2);
         c.handle(&req(3, 1, 100));
-        assert_eq!(c.map.get(1).expect("cached").1, 3);
+        assert_eq!(c.map.get(&1).expect("cached").1, 3);
         c.handle(&req(4, 1, 100)); // already at top
-        assert_eq!(c.map.get(1).expect("cached").1, 3);
+        assert_eq!(c.map.get(&1).expect("cached").1, 3);
     }
 
     #[test]

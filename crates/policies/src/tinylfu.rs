@@ -12,7 +12,7 @@
 //!
 //! Both are measured in bytes throughout, since CDN objects vary in size.
 
-use crate::util::{CountMinSketch, Handle, LruList};
+use crate::util::{CountMinSketch, Handle, LruList, LruStore};
 use lhr_sim::{CachePolicy, Outcome};
 use lhr_trace::{ObjectId, Request};
 use lhr_util::hash::FastMap;
@@ -20,12 +20,8 @@ use lhr_util::hash::FastMap;
 /// Plain TinyLFU: LRU eviction + frequency admission gate.
 #[derive(Debug)]
 pub struct TinyLfu {
-    capacity: u64,
-    used: u64,
-    list: LruList<(ObjectId, u64)>,
-    map: FastMap<ObjectId, Handle>,
+    store: LruStore,
     sketch: CountMinSketch,
-    evictions: u64,
 }
 
 impl TinyLfu {
@@ -33,12 +29,8 @@ impl TinyLfu {
     /// frequency sketch.
     pub fn new(capacity: u64, expected_objects: u64) -> Self {
         TinyLfu {
-            capacity,
-            used: 0,
-            list: LruList::new(),
-            map: FastMap::default(),
+            store: LruStore::new(capacity),
             sketch: CountMinSketch::new(expected_objects),
-            evictions: 0,
         }
     }
 }
@@ -48,60 +40,48 @@ impl CachePolicy for TinyLfu {
         "TinyLFU"
     }
     fn capacity(&self) -> u64 {
-        self.capacity
+        self.store.capacity()
     }
     fn used_bytes(&self) -> u64 {
-        self.used
+        self.store.used()
     }
     fn contains(&self, id: ObjectId) -> bool {
-        self.map.contains_key(&id)
+        self.store.contains(id)
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
         self.sketch.increment(req.id);
-        if let Some(&handle) = self.map.get(&req.id) {
-            self.list.move_to_front(handle);
+        if self.store.touch(req.id) {
             return Outcome::Hit;
         }
-        if req.size > self.capacity {
+        if req.size > self.store.capacity() {
             return Outcome::MissBypassed;
         }
         // The newcomer must beat every victim it would displace: walk the
         // LRU end without mutating, summing reclaimable bytes, rejecting if
-        // any victim is at least as popular.
+        // any victim is at least as popular. The victims are exactly the
+        // LRU-end prefix `insert` evicts to make room.
         let freq_new = self.sketch.estimate(req.id);
-        let mut reclaimable = self.capacity - self.used;
-        if self.used + req.size > self.capacity {
-            let mut victims: Vec<(ObjectId, u64)> = Vec::new();
-            for &(id, size) in self.list.iter_lru_first() {
-                if reclaimable >= req.size {
-                    break;
-                }
-                if self.sketch.estimate(id) >= freq_new {
-                    return Outcome::MissBypassed;
-                }
-                reclaimable += size;
-                victims.push((id, size));
+        let mut reclaimable = self.store.capacity() - self.store.used();
+        for &(id, size) in self.store.iter_lru_first() {
+            if reclaimable >= req.size {
+                break;
             }
-            for (id, size) in victims {
-                let handle = self.map.remove(&id).expect("victim cached");
-                self.list.remove(handle);
-                self.used -= size;
-                self.evictions += 1;
+            if self.sketch.estimate(id) >= freq_new {
+                return Outcome::MissBypassed;
             }
+            reclaimable += size;
         }
-        let handle = self.list.push_front((req.id, req.size));
-        self.map.insert(req.id, handle);
-        self.used += req.size;
+        self.store.insert(req.id, req.size);
         Outcome::MissAdmitted
     }
 
     fn evictions(&self) -> u64 {
-        self.evictions
+        self.store.evictions()
     }
 
     fn metadata_overhead_bytes(&self) -> u64 {
-        self.map.len() as u64 * 48 + self.sketch.size_bytes()
+        self.store.len() as u64 * 48 + self.sketch.size_bytes()
     }
 }
 

@@ -1,5 +1,6 @@
 //! An arena-backed doubly-linked list with stable handles — the recency
-//! backbone of LRU, SLRU, ARC, AdaptSize, and B-LRU.
+//! backbone of [`super::LruStore`] (the single-list policies) and, used
+//! directly, of the multi-list ones: SLRU, ARC, W-TinyLFU, Hawkeye.
 //!
 //! Front = most recently used, back = least recently used. All operations
 //! are O(1).

@@ -54,11 +54,13 @@ impl MarkovConfig {
     /// Generates the trace.
     ///
     /// # Panics
-    /// Panics if `states` is empty, `state_sequence` is empty, or a sequence
-    /// entry indexes past `states`.
+    /// Panics if `states` is empty, `state_sequence` is empty, a sequence
+    /// entry indexes past `states`, or `requests_per_state` is zero (the
+    /// chain would never advance).
     pub fn generate(&self) -> Trace {
         assert!(!self.states.is_empty(), "need at least one state");
         assert!(!self.state_sequence.is_empty(), "need a state sequence");
+        assert!(self.requests_per_state > 0, "need requests in each state");
         assert!(
             self.state_sequence.iter().all(|&s| s < self.states.len()),
             "state sequence indexes out of range"

@@ -5,11 +5,7 @@
 //! cargo run --release --example compare_policies
 //! ```
 
-use lhr_repro::core::cache::{LhrCache, LhrConfig};
-use lhr_repro::policies::{
-    s4lru, slru, AdaptSize, Arc, BLru, Fifo, Gdsf, Hawkeye, Hyperbolic, Lfo, LfuDa, Lhd, Lrb, Lru,
-    LruK, PopCache, RandomEviction, RlCache, TinyLfu, WTinyLfu,
-};
+use lhr_repro::proto::presets::{self, PolicyParams};
 use lhr_repro::sim::sweep::{run_grid, Cell, PolicyFactory};
 use lhr_repro::sim::SimConfig;
 use lhr_repro::trace::synth::{production, ProductionScale};
@@ -18,42 +14,22 @@ use lhr_repro::trace::TraceStats;
 fn main() {
     let trace = production::cdn_a(ProductionScale::Tiny, 11);
     let unique = TraceStats::compute(&trace).unique_bytes_requested as f64;
-    let window = (trace.duration().as_secs_f64() / 4.0).max(60.0);
-    let seed = 11u64;
 
-    let factories: Vec<PolicyFactory> = vec![
-        PolicyFactory::new("LHR", move |c| {
-            Box::new(LhrCache::new(
-                c,
-                LhrConfig {
-                    seed,
-                    ..LhrConfig::default()
-                },
-            ))
-        }),
-        PolicyFactory::new("LRU", |c| Box::new(Lru::new(c))),
-        PolicyFactory::new("FIFO", |c| Box::new(Fifo::new(c))),
-        PolicyFactory::new("Random", move |c| Box::new(RandomEviction::new(c, seed))),
-        PolicyFactory::new("LRU-4", |c| Box::new(LruK::new(c, 4))),
-        PolicyFactory::new("LFU-DA", |c| Box::new(LfuDa::new(c))),
-        PolicyFactory::new("GDSF", |c| Box::new(Gdsf::new(c))),
-        PolicyFactory::new("ARC", |c| Box::new(Arc::new(c))),
-        PolicyFactory::new("AdaptSize", move |c| Box::new(AdaptSize::new(c, seed))),
-        PolicyFactory::new("B-LRU", |c| Box::new(BLru::new(c, 1 << 16))),
-        PolicyFactory::new("TinyLFU", |c| Box::new(TinyLfu::new(c, 1 << 16))),
-        PolicyFactory::new("W-TinyLFU", |c| Box::new(WTinyLfu::new(c, 1 << 16))),
-        PolicyFactory::new("SLRU", |c| Box::new(slru(c))),
-        PolicyFactory::new("S4LRU", |c| Box::new(s4lru(c))),
-        PolicyFactory::new("Hyperbolic", move |c| Box::new(Hyperbolic::new(c, seed))),
-        PolicyFactory::new("LHD", move |c| Box::new(Lhd::new(c, seed))),
-        PolicyFactory::new("LFO", |c| Box::new(Lfo::new(c, 4_096))),
-        PolicyFactory::new("RL-Cache", move |c| Box::new(RlCache::new(c, window, seed))),
-        PolicyFactory::new("PopCache", move |c| {
-            Box::new(PopCache::new(c, window, seed))
-        }),
-        PolicyFactory::new("LRB", move |c| Box::new(Lrb::new(c, window, seed))),
-        PolicyFactory::new("Hawkeye", |c| Box::new(Hawkeye::new(c))),
-    ];
+    // The whole roster, as `lhr-cache compare` builds it — except that LFO
+    // retrains every 4 096 requests: at the CLI's 8 192 it would train
+    // once on this 9 700-request trace.
+    let params = PolicyParams {
+        lfo_window: 4_096,
+        ..PolicyParams::for_trace(0, 11, &trace)
+    };
+    let factories: Vec<PolicyFactory> = presets::POLICIES
+        .iter()
+        .map(|&(name, build)| {
+            PolicyFactory::new(name, move |capacity| {
+                build(&PolicyParams { capacity, ..params })
+            })
+        })
+        .collect();
 
     // Cache sizes: 2%, 6%, and 12% of the unique bytes.
     let capacities: Vec<u64> = [0.02, 0.06, 0.12]

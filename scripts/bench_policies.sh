@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
-# Records the per-policy handle() cost baseline into BENCH_policies.json
-# (one `policy_ns_per_op` JSON line: mean ns per request for every policy
-# in the crate plus LHR, on the fixed-seed small IRM trace). The summary
-# records `host_cpus` honestly, as in the other BENCH files — the loop is
-# single-threaded, so the figure is per-core cost.
-# Re-run after any change to a policy hot path (hashing, object tables,
-# eviction sampling) and commit the refreshed file.
+# Appends one per-policy handle() cost row to BENCH_policies.json: a
+# `policy_ns_per_op` JSON line (mean ns per request for every roster policy
+# on the fixed-seed small IRM trace) stamped with the commit it measured
+# (`+dirty` when the working tree differs from it) and, by the bench
+# itself, with `host_cpus` — the loop is single-threaded, so the figure is
+# per-core cost. Earlier rows stay: the file is the history.
+# Re-run after any change to a policy hot path (hashing, cache stores,
+# eviction sampling), on the same host as the row you compare against, and
+# commit the file.
 #
 # Usage: scripts/bench_policies.sh [output-file]
 set -euo pipefail
@@ -15,9 +17,16 @@ out="${1:-BENCH_policies.json}"
 
 cargo build --release --offline -p lhr-bench --bin policies
 
-: > "$out"
-echo "==> policies bench, scale=small"
-LHR_BENCH_JSON="$out" \
+commit="$(git rev-parse --short HEAD)"
+git diff --quiet HEAD || commit="$commit+dirty"
+
+run="$(mktemp)"
+trap 'rm -f "$run"' EXIT
+echo "==> policies bench, scale=small, commit $commit"
+LHR_BENCH_JSON="$run" \
   cargo run --release --offline -p lhr-bench --bin policies -- --scale small
 
-echo "wrote $out"
+row='{"group":"policy_ns_per_op",'
+grep -F "$row" "$run" | sed "s/^$row/$row\"commit\":\"$commit\",/" >> "$out"
+
+echo "appended the $commit row to $out"

@@ -4,10 +4,8 @@
 use lhr_repro::bounds::{Belady, BeladySize, InfiniteCap, PfooLower, PfooUpper};
 use lhr_repro::core::cache::{LhrCache, LhrConfig};
 use lhr_repro::core::hazard::Hro;
-use lhr_repro::policies::{
-    s4lru, slru, AdaptSize, Arc, BLru, Fifo, Gdsf, Hawkeye, Hyperbolic, Lfo, LfuDa, Lhd, Lrb, Lru,
-    LruK, PopCache, RandomEviction, RlCache, TinyLfu, WTinyLfu,
-};
+use lhr_repro::policies::{Fifo, LfuDa, Lru};
+use lhr_repro::proto::presets::{self, PolicyParams};
 use lhr_repro::sim::{CachePolicy, OfflineBound, SimConfig, Simulator};
 use lhr_repro::trace::synth::{markov, IrmConfig, SizeModel};
 use lhr_repro::trace::{Request, Time, Trace, TraceStats};
@@ -24,37 +22,19 @@ fn zipf_trace(seed: u64, n_objects: usize, n_requests: usize) -> Trace {
         .generate()
 }
 
+/// The whole roster at the CLI's parameters — except that LFO retrains
+/// every 2 048 requests: the traces here are 8 000–20 000 requests long,
+/// and the bounds must hold for LFO's learned admission, not only for the
+/// admit-all it starts with.
 fn all_policies(capacity: u64, seed: u64, trace: &Trace) -> Vec<Box<dyn CachePolicy>> {
-    let window = (trace.duration().as_secs_f64() / 4.0).max(1.0);
-    vec![
-        Box::new(Lru::new(capacity)),
-        Box::new(Fifo::new(capacity)),
-        Box::new(RandomEviction::new(capacity, seed)),
-        Box::new(LruK::new(capacity, 4)),
-        Box::new(LfuDa::new(capacity)),
-        Box::new(Gdsf::new(capacity)),
-        Box::new(Arc::new(capacity)),
-        Box::new(AdaptSize::new(capacity, seed)),
-        Box::new(BLru::new(capacity, 1 << 14)),
-        Box::new(TinyLfu::new(capacity, 1 << 14)),
-        Box::new(WTinyLfu::new(capacity, 1 << 14)),
-        Box::new(slru(capacity)),
-        Box::new(s4lru(capacity)),
-        Box::new(Hyperbolic::new(capacity, seed)),
-        Box::new(Lhd::new(capacity, seed)),
-        Box::new(Lfo::new(capacity, 2_048)),
-        Box::new(RlCache::new(capacity, window, seed)),
-        Box::new(PopCache::new(capacity, window, seed)),
-        Box::new(Lrb::new(capacity, window, seed)),
-        Box::new(Hawkeye::new(capacity)),
-        Box::new(LhrCache::new(
-            capacity,
-            LhrConfig {
-                seed,
-                ..LhrConfig::default()
-            },
-        )),
-    ]
+    let params = PolicyParams {
+        lfo_window: 2_048,
+        ..PolicyParams::for_trace(capacity, seed, trace)
+    };
+    presets::POLICIES
+        .iter()
+        .map(|&(_, build)| -> Box<dyn CachePolicy> { build(&params) })
+        .collect()
 }
 
 #[test]

@@ -373,14 +373,14 @@ fn obs_windows_partition_the_measured_request_stream() {
     });
 }
 
-/// The fused open-addressing [`ObjectTable`] agrees with a model
-/// `HashMap` under arbitrary interleavings of insert / remove / overwrite
-/// over a small key universe — small on purpose, so remove-then-reinsert
-/// churn constantly recycles tombstones and (at the ⅞ load bound)
-/// triggers the in-place tombstone rehash.
+/// [`SampleStore`] agrees with a model `HashMap` under arbitrary
+/// interleavings of `push` / `get_mut` / `evict_at` over a small key
+/// universe: the evicted slot is the one the model holds, bytes are
+/// conserved, and after every `swap_remove` fix-up each position's id
+/// still indexes back to that position's entry.
 #[test]
-fn object_table_matches_model_hashmap() {
-    use lhr_repro::policies::util::ObjectTable;
+fn sample_store_matches_model_hashmap() {
+    use lhr_repro::policies::util::SampleStore;
     use std::collections::HashMap;
     prop_check!(cases: 64, (ops in range(1usize..2_000), seed in any_u64(), key_space in range(1u64..96)) => {
         let mut state = seed | 1;
@@ -390,42 +390,103 @@ fn object_table_matches_model_hashmap() {
             state ^= state << 17;
             state
         };
-        let mut table: ObjectTable<u64> = ObjectTable::new();
-        let mut model: HashMap<u64, u64> = HashMap::new();
+        let capacity = 40 * key_space;
+        let mut store: SampleStore<u64> = SampleStore::new(capacity);
+        let mut model: HashMap<u64, (u64, u64)> = HashMap::new();
+        let mut evicted = 0u64;
         for step in 0..ops {
-            let key = next() % key_space;
+            let id = next() % key_space;
             match next() % 10 {
-                // Insert-heavy mix keeps the table near its load bound.
+                // Push-heavy mix keeps the store near its byte budget.
                 0..=4 => {
-                    let value = step as u64;
-                    prop_assert_eq!(table.insert(key, value), model.insert(key, value));
+                    let size = next() % 100 + 1;
+                    prop_assert_eq!(store.contains(id), model.contains_key(&id));
+                    let used: u64 = model.values().map(|&(size, _)| size).sum();
+                    prop_assert_eq!(store.fits(size), used + size <= capacity);
+                    if !store.contains(id) && store.fits(size) {
+                        store.push(id, size, step as u64);
+                        model.insert(id, (size, step as u64));
+                    }
                 }
                 5..=7 => {
-                    prop_assert_eq!(table.remove(key), model.remove(&key));
-                }
-                8 => {
-                    prop_assert_eq!(table.get(key).copied(), model.get(&key).copied());
-                    prop_assert_eq!(table.contains_key(key), model.contains_key(&key));
+                    if !store.is_empty() {
+                        let slot = store.evict_at(next() as usize % store.len());
+                        prop_assert_eq!(model.remove(&slot.id), Some((slot.size, slot.entry)));
+                        evicted += 1;
+                    }
                 }
                 _ => {
-                    if let Some(v) = table.get_mut(key) {
-                        *v += 1;
+                    if let Some(entry) = store.get_mut(id) {
+                        *entry += 1;
                     }
-                    if let Some(v) = model.get_mut(&key) {
-                        *v += 1;
+                    if let Some((_, entry)) = model.get_mut(&id) {
+                        *entry += 1;
                     }
+                    prop_assert_eq!(store.get_mut(id).copied(), model.get(&id).map(|&(_, e)| e));
                 }
             }
-            prop_assert_eq!(table.len(), model.len());
+            prop_assert_eq!(store.len(), model.len());
+            prop_assert_eq!(store.used(), model.values().map(|&(size, _)| size).sum::<u64>());
+            prop_assert_eq!(store.evictions(), evicted);
         }
-        // Full contents agree (iteration order is arbitrary: sort first).
-        let mut got: Vec<(u64, u64)> = table.iter().map(|(k, &v)| (k, v)).collect();
-        got.sort_unstable();
-        let mut want: Vec<(u64, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
-        want.sort_unstable();
-        prop_assert_eq!(got, want);
-        for key in 0..key_space {
-            prop_assert_eq!(table.get(key).copied(), model.get(&key).copied());
+        for pos in 0..store.len() {
+            let (id, size, entry) = {
+                let slot = store.slot(pos);
+                (slot.id, slot.size, slot.entry)
+            };
+            prop_assert_eq!(model.get(&id), Some(&(size, entry)));
+            // The index sends the id back to this very position.
+            *store.get_mut(id).expect("indexed") += 1;
+            prop_assert_eq!(store.slot(pos).entry, entry + 1);
+        }
+    });
+}
+
+/// [`LruStore`] agrees with a `Vec`-ordered reference (front = LRU end)
+/// over mixed-size objects under `touch` / `insert` / `evict_lru`: same
+/// hits, same eviction order, same bytes, same eviction count.
+#[test]
+fn lru_store_matches_reference_model() {
+    use lhr_repro::policies::util::LruStore;
+    prop_check!(cases: 64, (ops in range(1usize..600), seed in any_u64(), capacity in range(1u64..400)) => {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut store = LruStore::new(capacity);
+        let mut reference: Vec<(u64, u64)> = Vec::new();
+        let mut evicted = 0u64;
+        for _ in 0..ops {
+            let id = next() % 24;
+            if next() % 8 == 0 {
+                let expected = (!reference.is_empty()).then(|| reference.remove(0));
+                evicted += expected.is_some() as u64;
+                prop_assert_eq!(store.evict_lru(), expected);
+            } else if let Some(pos) = reference.iter().position(|&(x, _)| x == id) {
+                let entry = reference.remove(pos);
+                reference.push(entry);
+                prop_assert!(store.touch(id));
+            } else {
+                prop_assert!(!store.touch(id));
+                let size = (id * 7 + 3) % 60 + 1; // deterministic per id
+                if size <= capacity {
+                    let mut used: u64 = reference.iter().map(|&(_, s)| s).sum();
+                    while used + size > capacity {
+                        used -= reference.remove(0).1;
+                        evicted += 1;
+                    }
+                    reference.push((id, size));
+                    store.insert(id, size);
+                }
+            }
+            prop_assert_eq!(store.iter_lru_first().copied().collect::<Vec<_>>(), reference.clone());
+            prop_assert_eq!(store.used(), reference.iter().map(|&(_, s)| s).sum::<u64>());
+            prop_assert_eq!(store.len(), reference.len());
+            prop_assert_eq!(store.evictions(), evicted);
+            prop_assert!(store.used() <= capacity);
         }
     });
 }
@@ -458,32 +519,27 @@ impl<P: CachePolicy> CachePolicy for DefaultHitCheck<P> {
     }
 }
 
-/// The single-probe `hit_check` overrides (LRU, SLRU/S4LRU, B-LRU) are
+/// Every roster policy's `hit_check` — the single-probe overrides (LRU,
+/// B-LRU, SLRU/S4LRU) and whatever a later policy adds — is
 /// observably identical to the default two-probe path: the full serving
 /// replay — fault injection, coalescing, breaker and all — produces a
 /// byte-identical stable report either way.
 #[test]
 fn hit_check_overrides_match_default_path_byte_identically() {
-    use lhr_repro::policies::{s4lru, slru, BLru};
-    use lhr_repro::proto::{presets, CdnServer};
+    use lhr_repro::proto::presets::{self, PolicyParams};
+    use lhr_repro::proto::CdnServer;
     prop_check!(cases: 12, (len in range(200usize..1_500), seed in any_u64(), cap_factor in range(2u64..24)) => {
         let trace = build_trace(len, seed);
-        let capacity = cap_factor * 50;
-        let builders: Vec<(&str, Box<dyn Fn() -> Box<dyn CachePolicy>>)> = vec![
-            ("LRU", Box::new(move || Box::new(Lru::new(capacity)))),
-            ("SLRU", Box::new(move || Box::new(slru(capacity)))),
-            ("S4LRU", Box::new(move || Box::new(s4lru(capacity)))),
-            ("B-LRU", Box::new(move || Box::new(BLru::new(capacity, 1 << 12)))),
-        ];
+        let params = PolicyParams::for_trace(cap_factor * 50, seed, &trace);
         for preset in ["none", "flaky"] {
             let mut config =
                 presets::fault_preset(preset, 7, trace.duration().as_secs_f64()).unwrap();
             config.deterministic = true;
-            for (name, build) in &builders {
-                let fused = CdnServer::new(build(), config.clone())
+            for &(name, build) in presets::POLICIES {
+                let fused = CdnServer::new(build(&params), config.clone())
                     .replay(&trace)
                     .stable_json();
-                let default = CdnServer::new(Box::new(DefaultHitCheck(build())), config.clone())
+                let default = CdnServer::new(DefaultHitCheck(build(&params)), config.clone())
                     .replay(&trace)
                     .stable_json();
                 prop_assert_eq!(&fused, &default, "{name} under {preset}: fused hit path diverged");
