@@ -225,3 +225,20 @@ fn an_unknown_policy_is_refused_with_the_whole_roster_as_the_hint() {
         );
     }
 }
+
+#[test]
+fn a_binary_header_that_overstates_its_count_is_refused_without_allocating_for_it() {
+    // 2^60 - 1 records overflowed `reserve_exact` (exit 101); 2^44 made the
+    // allocator abort the process (exit 134). Neither file has a payload.
+    for count in [(1u64 << 60) - 1, 1 << 44] {
+        let path =
+            std::env::temp_dir().join(format!("lhr-hostile-{count}-{}.bin", std::process::id()));
+        let mut bytes = b"LHRTRC01".to_vec();
+        bytes.extend_from_slice(&count.to_le_bytes());
+        std::fs::write(&path, bytes).expect("write temp trace");
+        let file = TraceFile(path);
+        let out = cli(&["stats", file.path()]);
+        assert_one_line_error(&out, &format!("header declares {count} records"));
+        assert!(!String::from_utf8_lossy(&out.stderr).contains("panicked"));
+    }
+}

@@ -3,6 +3,8 @@
 //! Timestamps are stored as integer microseconds so that every type in the
 //! workspace is `Ord + Hash` and simulations are bit-for-bit deterministic.
 
+use lhr_util::hash::FastMap;
+use std::collections::hash_map::Entry;
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
@@ -198,7 +200,9 @@ impl Trace {
     /// violation if any: non-monotone timestamp, zero size, or an object
     /// whose size changed mid-trace.
     pub fn validate(&self) -> Result<(), TraceError> {
-        let mut sizes = std::collections::HashMap::new();
+        // Grown on demand: sized by request count it would hold many times
+        // the distinct objects a trace has.
+        let mut sizes: FastMap<ObjectId, u64> = FastMap::default();
         let mut prev_ts = Time::ZERO;
         for (idx, req) in self.requests.iter().enumerate() {
             if req.ts < prev_ts {
@@ -208,14 +212,18 @@ impl Trace {
             if req.size == 0 {
                 return Err(TraceError::ZeroSize { index: idx });
             }
-            match sizes.insert(req.id, req.size) {
-                Some(prev) if prev != req.size => {
+            // One probe; a repeat of a known object writes nothing.
+            match sizes.entry(req.id) {
+                Entry::Occupied(known) if *known.get() != req.size => {
                     return Err(TraceError::SizeChanged {
                         index: idx,
                         id: req.id,
                     })
                 }
-                _ => {}
+                Entry::Occupied(_) => {}
+                Entry::Vacant(new) => {
+                    new.insert(req.size);
+                }
             }
         }
         Ok(())

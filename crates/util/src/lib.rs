@@ -15,8 +15,6 @@
 //!   persistence and experiment reports.
 //! - [`sync`] — panic-robust `Mutex`/`RwLock` wrappers (a `parking_lot`-style
 //!   guard API over `std::sync`) and a re-export of `std::sync::mpsc`.
-//! - [`buf`] — little-endian byte-buffer helpers (`bytes`-style `BytesMut`
-//!   and a `Buf` trait for slices) used by the binary trace format.
 //! - [`hash`] — a fixed-seed FxHash-style hasher with [`hash::FastMap`]/
 //!   [`hash::FastSet`] aliases. Replaces `rustc-hash`/`fxhash` for the
 //!   request hot path, where SipHash + `RandomState` costs throughput and
@@ -41,7 +39,6 @@
 //! ```
 
 pub mod bench;
-pub mod buf;
 pub mod hash;
 pub mod json;
 pub mod prop;

@@ -50,6 +50,32 @@ cargo run --release --offline -p lhr-cli -- server \
   > "$smoke_dir/server.out"
 grep -q "availability:" "$smoke_dir/server.out"
 
+echo "==> ingest smoke (.csv and .bin readers agree; a lying .bin header is refused)"
+# The release build above left the binary; running it directly keeps its
+# own exit code (101 = panic, 134 = abort) visible.
+lhr_cache="${CARGO_TARGET_DIR:-target}/release/lhr-cache"
+for ext in csv bin; do
+  "$lhr_cache" generate --kind zipf --objects 200 --requests 5000 --seed 7 \
+    --out "$smoke_dir/same.$ext" > /dev/null
+  "$lhr_cache" stats "$smoke_dir/same.$ext" > "$smoke_dir/stats.$ext.out"
+done
+# Everything after the name line: the two readers loaded the same trace.
+cmp <(tail -n +2 "$smoke_dir/stats.csv.out") <(tail -n +2 "$smoke_dir/stats.bin.out")
+# A 16-byte file: valid magic, a record count of 2^60 - 1 (once a capacity
+# overflow panic) or 2^44 (once an allocator abort), no payload.
+printf 'LHRTRC01\xff\xff\xff\xff\xff\xff\xff\x0f' > "$smoke_dir/count-2e60.bin"
+printf 'LHRTRC01\x00\x00\x00\x00\x00\x10\x00\x00' > "$smoke_dir/count-2e44.bin"
+for hostile in count-2e60 count-2e44; do
+  code=0
+  "$lhr_cache" stats "$smoke_dir/$hostile.bin" \
+    > /dev/null 2> "$smoke_dir/$hostile.err" || code=$?
+  if [ "$code" -ne 1 ] || grep -q panicked "$smoke_dir/$hostile.err"; then
+    echo "$hostile.bin: exit $code, expected one error line and exit 1:" >&2
+    cat "$smoke_dir/$hostile.err" >&2
+    exit 1
+  fi
+done
+
 echo "==> CLI observability smoke (--obs + obs summarize)"
 cargo run --release --offline -p lhr-cli -- simulate \
   --policy LHR --capacity 1MB --obs "$smoke_dir/obs.jsonl" \

@@ -146,6 +146,23 @@ fn lru_matches_reference_model() {
     });
 }
 
+/// Hands out 1–7 bytes per `read`, so that every line and record the
+/// readers see straddles the edge of what one call delivered.
+struct Dribble<'a> {
+    data: &'a [u8],
+    step: usize,
+}
+
+impl std::io::Read for Dribble<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.step = self.step % 7 + 1;
+        let n = self.step.min(buf.len()).min(self.data.len());
+        buf[..n].copy_from_slice(&self.data[..n]);
+        self.data = &self.data[n..];
+        Ok(n)
+    }
+}
+
 #[test]
 fn csv_roundtrip() {
     prop_check!(cases: 64, (len in range(1usize..200), seed in any_u64()) => {
@@ -154,6 +171,8 @@ fn csv_roundtrip() {
         io::write_csv(&trace, &mut buf).expect("write");
         let back = io::read_csv(&buf[..], "prop").expect("read");
         prop_assert_eq!(back.requests, trace.requests);
+        let dribbled = io::read_csv(Dribble { data: &buf, step: len }, "prop").expect("read");
+        prop_assert_eq!(dribbled.requests, trace.requests);
     });
 }
 
@@ -165,6 +184,8 @@ fn binary_roundtrip() {
         io::write_binary(&trace, &mut buf).expect("write");
         let back = io::read_binary(&buf[..], "prop").expect("read");
         prop_assert_eq!(back.requests, trace.requests);
+        let dribbled = io::read_binary(Dribble { data: &buf, step: len }, "prop").expect("read");
+        prop_assert_eq!(dribbled.requests, trace.requests);
     });
 }
 
@@ -191,6 +212,20 @@ fn garbage_bytes_never_panic_either_reader() {
         // and the lossy reader must account for every non-blank line.
         let _ = io::read_binary(&raw[..], "garbage");
         let _ = io::read_csv(&raw[..], "garbage");
+        // The same soup as the payload behind a valid magic and a record
+        // count that is absurd, random (the soup's own first bytes), or
+        // just off: the reader may neither panic nor hand the allocator
+        // more than the payload backs, and only a count the payload
+        // matches to the byte is a trace.
+        let first_word = raw.first_chunk::<8>().map_or(0, |w| u64::from_le_bytes(*w));
+        let records = raw.len() as u64 / 24;
+        for count in [first_word, 0, records, records + 1, 1 << 44, (1 << 60) - 1, u64::MAX] {
+            let mut framed = b"LHRTRC01".to_vec();
+            framed.extend_from_slice(&count.to_le_bytes());
+            framed.extend_from_slice(&raw);
+            let exact = count.checked_mul(24) == Some(raw.len() as u64);
+            prop_assert_eq!(io::read_binary(&framed[..], "garbage").is_ok(), exact, "count {}", count);
+        }
         if let Ok((trace, skipped)) = io::read_csv_lossy(&raw[..], "garbage") {
             let lines = raw
                 .split(|&b| b == b'\n')
