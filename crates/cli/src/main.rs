@@ -595,6 +595,14 @@ fn shard_args(args: &Args) -> Result<Option<(usize, usize)>, String> {
     Ok(Some((threads.unwrap_or(1), shards)))
 }
 
+/// A sharded replay indexes requests as `u32`: a longer trace is one error
+/// line here, not a panic inside the partition.
+fn check_shardable(trace: &Trace) -> Result<(), String> {
+    lhr_sim::shard::indexable(trace.len())
+        .map(drop)
+        .map_err(|e| e.to_string())
+}
+
 fn cmd_simulate(args: &Args) -> Result<(), String> {
     let trace = load_trace(args)?;
     let name = args.get("policy").ok_or("--policy is required")?;
@@ -609,13 +617,11 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
 
     if let Some((threads, n_shards)) = shard_args(args)? {
         use lhr_sim::shard::{RouteConfig, ShardedSimConfig, ShardedSimulator};
+        check_shardable(&trace)?;
         let mut sim = ShardedSimulator::new(ShardedSimConfig {
             warmup_requests: args.get_parse("warmup")?.unwrap_or(0usize),
             n_shards,
-            route: RouteConfig {
-                threads,
-                ..RouteConfig::default()
-            },
+            route: RouteConfig { threads },
         });
         if let Some((o, _)) = &obs {
             sim = sim.with_obs(o.clone());
@@ -782,13 +788,11 @@ fn cmd_server(args: &Args) -> Result<(), String> {
         use lhr_proto::{EngineConfig, ShardedEngine};
         use lhr_sim::shard::RouteConfig;
         let (threads, n_shards) = sharding.unwrap_or((1, 16));
+        check_shardable(&trace)?;
         let mut engine = ShardedEngine::new(EngineConfig {
             total_capacity: capacity,
             n_shards,
-            route: RouteConfig {
-                threads,
-                ..RouteConfig::default()
-            },
+            route: RouteConfig { threads },
             server: config,
         });
         if let Some((o, _)) = &obs {
@@ -924,6 +928,7 @@ fn cmd_fleet(args: &Args) -> Result<(), String> {
     }
 
     let (threads, n_shards) = shard_args(args)?.unwrap_or((1, 8));
+    check_shardable(&trace)?;
     let obs = obs_from_args(args)?;
     if let Some((o, path)) = &obs {
         start_obs(o, path)?;
@@ -933,10 +938,7 @@ fn cmd_fleet(args: &Args) -> Result<(), String> {
     config.vnodes = vnodes;
     config.shield_capacity = shield_capacity;
     config.n_shards = n_shards;
-    config.route = RouteConfig {
-        threads,
-        ..RouteConfig::default()
-    };
+    config.route = RouteConfig { threads };
     config.server = server;
     config.node_faults = node_faults;
     if let Some(ttl) = args.get_parse("hint-ttl")? {

@@ -1,6 +1,8 @@
 //! Hostile numeric flags: a shard count or shield size that would abort
 //! the process on allocation, or silently wrap, must instead be one
-//! `error:` line on stderr and a nonzero exit.
+//! `error:` line on stderr and a nonzero exit — and a thread or shard count
+//! that is merely absurd (more threads than shards, more shards than
+//! requests) must replay exactly like `--threads 1`.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -88,6 +90,69 @@ fn an_absurd_shard_count_is_refused_by_every_sharded_command() {
         trace.path(),
     ]);
     assert!(out.status.success(), "{out:?}");
+}
+
+#[test]
+fn absurd_thread_and_shard_counts_replay_exactly_like_one_thread() {
+    let trace = TraceFile::generate("threads");
+    let scratch = |tag: &str| {
+        let path =
+            std::env::temp_dir().join(format!("lhr-hostile-{tag}-{}.out", std::process::id()));
+        path.to_str().expect("utf-8 temp path").to_string()
+    };
+    let (report, obs) = (scratch("report"), scratch("obs"));
+    for command in ["simulate", "server", "fleet"] {
+        // 1000 shards for the trace's 500 requests: most shards stay idle.
+        for shards in ["3", "1000"] {
+            // The deterministic obs export, plus the stable report where
+            // the command writes one (`simulate` has no `--report`).
+            let stable = |threads: &str| {
+                let mut args = vec![
+                    command,
+                    "--policy",
+                    "LRU",
+                    "--capacity",
+                    "1MB",
+                    "--shards",
+                    shards,
+                    "--threads",
+                    threads,
+                    "--obs",
+                    &obs,
+                    "--obs-window",
+                    "100r",
+                    "--obs-deterministic",
+                    "true",
+                ];
+                if command != "simulate" {
+                    args.extend(["--report", &report]);
+                }
+                args.push(trace.path());
+                let out = cli(&args);
+                assert!(
+                    out.status.success(),
+                    "{command} --shards {shards} --threads {threads}: {out:?}"
+                );
+                let mut stable = std::fs::read_to_string(&obs).expect("obs export written");
+                if command != "simulate" {
+                    stable += &std::fs::read_to_string(&report).expect("report written");
+                }
+                stable
+            };
+            let baseline = stable("1");
+            assert!(baseline.contains("\"record\":\"window\""), "{baseline}");
+            for threads in ["0", "100000"] {
+                assert_eq!(
+                    stable(threads),
+                    baseline,
+                    "{command} --shards {shards} --threads {threads}"
+                );
+            }
+        }
+    }
+    for path in [report, obs] {
+        let _ = std::fs::remove_file(path);
+    }
 }
 
 #[test]

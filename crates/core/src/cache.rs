@@ -574,23 +574,12 @@ impl LhrCache {
         self.model = Some(installed.model);
         true
     }
-}
 
-impl CachePolicy for LhrCache {
-    fn name(&self) -> &str {
-        self.display_name
-    }
-    fn capacity(&self) -> u64 {
-        self.capacity
-    }
-    fn used_bytes(&self) -> u64 {
-        self.used
-    }
-    fn contains(&self, id: ObjectId) -> bool {
-        self.index.contains_key(&id)
-    }
-
-    fn handle(&mut self, req: &Request) -> Outcome {
+    /// The body of [`CachePolicy::handle`], given where `req.id` sits in
+    /// `entries` (`None`: not cached) — probed by the caller, before
+    /// anything here runs; nothing before the cache decision moves an
+    /// entry.
+    fn handle_at(&mut self, req: &Request, cached: Option<usize>) -> Outcome {
         // 1. Window bookkeeping first: the feature store stamps the request
         //    with the window it falls into *after* this one is counted.
         let completed = self.window.observe(req);
@@ -612,7 +601,7 @@ impl CachePolicy for LhrCache {
 
         // 3. Cache decision (§4.1's four cases).
         let delta = self.threshold.delta;
-        let outcome = if let Some(&pos) = self.index.get(&req.id) {
+        let outcome = if let Some(pos) = cached {
             // Cases (i)/(ii): update ℒ; candidacy (p < δ) is re-derived at
             // eviction time from the stored probability.
             let entry = &mut self.entries[pos];
@@ -633,6 +622,33 @@ impl CachePolicy for LhrCache {
             self.finalize_window(done);
         }
         outcome
+    }
+}
+
+impl CachePolicy for LhrCache {
+    fn name(&self) -> &str {
+        self.display_name
+    }
+    fn capacity(&self) -> u64 {
+        self.capacity
+    }
+    fn used_bytes(&self) -> u64 {
+        self.used
+    }
+    fn contains(&self, id: ObjectId) -> bool {
+        self.index.contains_key(&id)
+    }
+
+    fn handle(&mut self, req: &Request) -> Outcome {
+        let cached = self.index.get(&req.id).copied();
+        self.handle_at(req, cached)
+    }
+
+    /// One probe of `index` per hit: the position found here is handed to
+    /// the shared handle body instead of being looked up again there.
+    fn hit_check(&mut self, req: &Request) -> Option<Outcome> {
+        let pos = *self.index.get(&req.id)?;
+        Some(self.handle_at(req, Some(pos)))
     }
 
     fn evictions(&self) -> u64 {

@@ -3,10 +3,12 @@
 //! [`crate::CdnServer::replay`] is single-threaded: one loop owns the
 //! policy, the freshness map, and the fault machinery. This module scales
 //! that serving path across cores without giving up reproducibility. The
-//! trace is replayed by N worker threads feeding **shards** — each shard an
-//! independent [`CdnServer`] (policy + freshness state + fault plan +
-//! circuit breaker) owning a fixed slice of the keyspace — over bounded
-//! channels, and the per-shard results are merged in fixed shard order.
+//! keyspace is split into **shards** — each shard an independent
+//! [`CdnServer`] (policy + freshness state + fault plan + circuit breaker)
+//! owning a fixed slice of it. The trace is partitioned by shard once
+//! ([`lhr_sim::shard::Partition`]), each shard's requests run start to
+//! finish on whichever of the N worker threads claims the shard, and the
+//! per-shard results are merged in fixed shard order.
 //!
 //! # Determinism contract
 //!
@@ -16,7 +18,7 @@
 //! - the shard count is configuration, never derived from the thread
 //!   count, and objects map to shards with [`lhr_sim::shard::shard_of`];
 //! - each shard's subsequence of the trace is served sequentially in trace
-//!   order by exactly one worker ([`lhr_sim::shard::route`]);
+//!   order by exactly one worker ([`lhr_sim::shard::Partition::run`]);
 //! - per-shard fault plans are seeded with [`lhr_sim::shard::shard_seed`],
 //!   a pure function of (base seed, shard index);
 //! - the merge concatenates and sums in shard order `0..n_shards`, so
@@ -26,7 +28,7 @@
 //!   [`EngineReport::stable_json`] zeroes the fields that legitimately
 //!   depend on the machine (wall time, throughput, thread count).
 //!
-//! Origin-fetch coalescing is per shard: the router partitions requests
+//! Origin-fetch coalescing is per shard: the trace is partitioned
 //! by the same `shard_of` hash every sharded component in the workspace
 //! uses, so a shard owns *all* requests for its objects and a miss can
 //! only ever join an in-flight fetch recorded by its own shard. Each
@@ -41,7 +43,7 @@
 use crate::server::{CdnServer, ServerConfig, ServerReport};
 use crate::tally::{announce, gauge_wall_secs, per_sec, Tally};
 use lhr_obs::Obs;
-use lhr_sim::shard::{route, RouteConfig};
+use lhr_sim::shard::{Partition, RouteConfig};
 use lhr_sim::CachePolicy;
 use lhr_trace::Trace;
 use lhr_util::json::ToJson;
@@ -55,8 +57,7 @@ pub struct EngineConfig {
     /// Fixed shard count — part of the deterministic configuration, never
     /// derived from the thread count.
     pub n_shards: usize,
-    /// Worker threads and channel sizing (`threads = 0` means one per
-    /// available core).
+    /// Worker threads (`threads = 0` means one per available core).
     pub route: RouteConfig,
     /// The per-shard serving-path configuration. `deterministic` is forced
     /// on and `series_every` off: the engine's reports must not depend on
@@ -91,8 +92,8 @@ pub struct EngineReport {
     /// Worker threads that replayed the trace (machine-dependent when
     /// `threads = 0` was configured; zeroed by [`Self::stable_json`]).
     pub threads: u64,
-    /// Replayed requests (including warmup) per wall-clock second — the
-    /// figure `BENCH_engine.json` records; zeroed by [`Self::stable_json`].
+    /// Replayed requests (including warmup) per wall-clock second, the
+    /// partition pass included; zeroed by [`Self::stable_json`].
     pub requests_per_sec: f64,
     /// Requests each shard served (including warmup), in shard order.
     pub per_shard_requests: Vec<u64>,
@@ -187,7 +188,7 @@ struct EngineShard<P: CachePolicy> {
 /// let run = |threads: usize| {
 ///     let config = EngineConfig {
 ///         n_shards: 8,
-///         route: RouteConfig { threads, ..RouteConfig::default() },
+///         route: RouteConfig { threads },
 ///         ..EngineConfig::new(32 << 10)
 ///     };
 ///     ShardedEngine::new(config).replay(&trace, |_shard, capacity, _obs| Lru::new(capacity))
@@ -233,9 +234,14 @@ impl ShardedEngine {
         let warmup = self.config.server.warmup_requests;
         let master = self.obs.as_ref();
 
+        // The partition pass is replay work: it counts towards the wall
+        // time, the policy construction between it and the run does not.
+        let partition_start = Instant::now();
+        let partition = Partition::new(trace, n_shards);
+        let partition_secs = partition_start.elapsed().as_secs_f64();
         let shards: Vec<EngineShard<P>> = (0..n_shards)
             .map(|s| {
-                let tally = Tally::shard(master, warmup, trace.len(), n_shards);
+                let tally = Tally::shard(master, warmup, partition.measured(s, warmup));
                 let policy = build(s, shard_capacity, tally.obs());
                 EngineShard {
                     server: CdnServer::new(policy, self.config.server.for_shard(s)),
@@ -255,10 +261,10 @@ impl ShardedEngine {
 
         let threads = self.config.route.resolve_threads().clamp(1, n_shards);
         let wall_start = Instant::now();
-        let mut shards = route(trace, shards, &self.config.route, |state, _s, i, req| {
+        let mut shards = partition.run(shards, &self.config.route, |state, _s, i, req| {
             state.server.step(&mut state.tally, i, req)
         });
-        let wall_secs = wall_start.elapsed().as_secs_f64();
+        let wall_secs = partition_secs + wall_start.elapsed().as_secs_f64();
 
         // Merge in fixed shard order (0..n_shards) on this thread.
         for shard in &mut shards {
@@ -310,10 +316,7 @@ mod tests {
     fn engine(threads: usize, total_capacity: u64) -> ShardedEngine {
         ShardedEngine::new(EngineConfig {
             n_shards: 8,
-            route: RouteConfig {
-                threads,
-                ..RouteConfig::default()
-            },
+            route: RouteConfig { threads },
             ..EngineConfig::new(total_capacity)
         })
     }

@@ -42,7 +42,7 @@ use crate::tally::{announce, gauge_wall_secs, per_sec, Tally};
 use lhr_obs::trace::TraceBuilder;
 use lhr_obs::{Event, EventKind, Obs};
 use lhr_policies::Lru;
-use lhr_sim::shard::{route, shard_seed, RouteConfig};
+use lhr_sim::shard::{shard_seed, Partition, RouteConfig};
 use lhr_sim::CachePolicy;
 use lhr_trace::{ObjectId, Request, Trace};
 use lhr_util::hash::{FastHasher, FastMap};
@@ -287,7 +287,7 @@ pub struct FleetConfig {
     /// Fixed shard count — part of the deterministic configuration,
     /// never derived from the thread count.
     pub n_shards: usize,
-    /// Worker threads and channel sizing.
+    /// Worker threads.
     pub route: RouteConfig,
     /// The shield's serving path: latency model, freshness, **origin**
     /// faults and resilience. `deterministic` is forced on and
@@ -741,7 +741,7 @@ impl<P: CachePolicy> FleetShard<P> {
 /// let run = |threads: usize| {
 ///     let mut config = FleetConfig::new(64 << 10);
 ///     config.n_shards = 4;
-///     config.route = RouteConfig { threads, ..RouteConfig::default() };
+///     config.route = RouteConfig { threads };
 ///     config.node_faults =
 ///         NodeFaultConfig::preset("node-churn", 7, config.n_nodes, 4_000.0).unwrap();
 ///     FleetEngine::new(config).replay(&trace, |_node, _shard, cap, _obs| Lru::new(cap))
@@ -790,9 +790,13 @@ impl FleetEngine {
         let warmup = self.config.server.warmup_requests;
         let master = self.obs.as_ref();
 
+        // As in the engine: the partition pass counts as replay time.
+        let partition_start = Instant::now();
+        let partition = Partition::new(trace, n_shards);
+        let partition_secs = partition_start.elapsed().as_secs_f64();
         let shards: Vec<FleetShard<P>> = (0..n_shards)
             .map(|s| {
-                let tally = Tally::shard(master, warmup, trace.len(), n_shards);
+                let tally = Tally::shard(master, warmup, partition.measured(s, warmup));
                 FleetShard {
                     nodes: (0..n_nodes)
                         .map(|node| NodeSlice {
@@ -845,10 +849,10 @@ impl FleetEngine {
         };
         let threads = self.config.route.resolve_threads().clamp(1, n_shards);
         let wall_start = Instant::now();
-        let mut shards = route(trace, shards, &self.config.route, |state, s, i, req| {
+        let mut shards = partition.run(shards, &self.config.route, |state, s, i, req| {
             state.step(&ctx, s, i, req)
         });
-        let wall_secs = wall_start.elapsed().as_secs_f64();
+        let wall_secs = partition_secs + wall_start.elapsed().as_secs_f64();
 
         // Merge in fixed shard order, then fixed node order.
         let mut counts = FleetCounts::default();
@@ -959,10 +963,7 @@ mod tests {
     fn config(threads: usize, total_capacity: u64) -> FleetConfig {
         let mut c = FleetConfig::new(total_capacity);
         c.n_shards = 4;
-        c.route = RouteConfig {
-            threads,
-            ..RouteConfig::default()
-        };
+        c.route = RouteConfig { threads };
         c
     }
 

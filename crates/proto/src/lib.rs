@@ -27,10 +27,11 @@
 //! report's availability/degradation counters quantify what survived.
 //!
 //! [`engine::ShardedEngine`] scales the serving path across cores: the
-//! keyspace is hash-sharded over independent servers, N worker threads
-//! replay the trace over bounded channels, and the per-shard results merge
-//! in fixed shard order, so reports and obs exports are byte-identical at
-//! any thread count (the determinism contract in `ARCHITECTURE.md`).
+//! keyspace is hash-sharded over independent servers, the trace is
+//! partitioned by shard once, N worker threads each run whole shards start
+//! to finish, and the per-shard results merge in fixed shard order, so
+//! reports and obs exports are byte-identical at any thread count (the
+//! determinism contract in `ARCHITECTURE.md`).
 //!
 //! [`fleet::FleetEngine`] turns the single cache into a CDN: N edge
 //! nodes on a consistent-hash ring over a shared origin-shield tier,

@@ -133,25 +133,18 @@ impl Tally {
         }
     }
 
-    /// One of `n_shards` tallies of a threaded replay. It records into a
-    /// private recorder built from `master`'s configuration, which
-    /// [`Tally::merge`] absorbs in shard order; its windows merge by index
-    /// there, so they stay put until [`Self::finish`].
-    pub(crate) fn shard(
-        master: Option<&Obs>,
-        warmup: usize,
-        trace_len: usize,
-        n_shards: usize,
-    ) -> Self {
-        // Room for the shard's expected share of measured requests plus
-        // slack for skew, so steady-state replay never reallocates
-        // mid-push.
-        let measured = trace_len.saturating_sub(warmup);
-        let cap = measured / n_shards + measured / (n_shards * 4) + 16;
+    /// One shard's tally of a threaded replay, with room for exactly the
+    /// `measured` requests the partition says the shard will step
+    /// ([`lhr_sim::shard::Partition::measured`]), so the latency vector
+    /// never reallocates mid-replay however skewed the shards are. It
+    /// records into a private recorder built from `master`'s configuration,
+    /// which [`Tally::merge`] absorbs in shard order; its windows merge by
+    /// index there, so they stay put until [`Self::finish`].
+    pub(crate) fn shard(master: Option<&Obs>, warmup: usize, measured: usize) -> Self {
         let private = master.map(|m| Obs::new(m.config().clone()));
         Tally {
             stream: false,
-            ..Tally::new(private, warmup, cap)
+            ..Tally::new(private, warmup, measured)
         }
     }
 
@@ -319,10 +312,10 @@ impl Tally {
         let mut recorders = Vec::new();
         for shard in shards {
             recorders.extend(shard.obs.take());
-            total.latencies.append(&mut shard.latencies);
+            total.latencies.extend(std::mem::take(&mut shard.latencies));
             total
                 .degraded_latencies
-                .append(&mut shard.degraded_latencies);
+                .extend(std::mem::take(&mut shard.degraded_latencies));
             total.seen += shard.seen;
             total.measured += shard.measured;
             total.hits += shard.hits;

@@ -8,8 +8,9 @@
 //!   online cache implements.
 //! - [`engine::Simulator`] — drives a trace through a policy, collecting
 //!   [`metrics::SimMetrics`] and optional hit-ratio time series.
-//! - [`shard`] — the thread-parallel replay driver: key-hash sharding,
-//!   bounded-channel routing to worker-owned shards, and the
+//! - [`shard`] — the thread-parallel replay driver: key-hash sharding, a
+//!   one-pass [`shard::Partition`] of the trace whose shards run start to
+//!   finish on whichever worker claims them, and the
 //!   [`shard::ShardedSimulator`] whose merged reports are byte-identical
 //!   at any thread count.
 //! - [`bound::OfflineBound`] — the interface for (offline or online) upper

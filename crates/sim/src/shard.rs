@@ -1,36 +1,49 @@
-//! Sharded, thread-parallel trace routing.
+//! Sharded, thread-parallel trace replay: partition once, then run each
+//! shard start to finish.
 //!
 //! The single-threaded [`crate::Simulator`] loop is the workspace's scale
-//! ceiling: one core replays one request at a time. This module splits a
-//! trace across **shards** — independent per-key-range policy states — and
-//! replays it with N worker threads feeding those shards over bounded
-//! channels, without giving up determinism:
+//! ceiling: one core replays one request at a time against one policy
+//! state. This module splits a trace across **shards** — independent
+//! per-key-range states — in two steps:
+//!
+//! 1. **Partition.** A counting sort over the trace buckets request
+//!    indices by [`shard_of(id, n_shards)`](shard_of) into a [`Partition`]:
+//!    a `u32` per request, each shard's bucket in trace order. The trace is fully in
+//!    memory before replay starts, so routing is a sort, not a pipeline
+//!    stage. One shard is the degenerate partition — the trace itself, no
+//!    index built.
+//! 2. **Run.** Each shard's bucket is stepped start to finish
+//!    ([`Partition::run`]). On one thread the shards run one after another;
+//!    with more, scoped workers claim *whole shards* off a shared queue
+//!    ([`lhr_util::sync::claim_each`]) until none is left. There is no
+//!    router thread, no channel and no static shard-to-worker assignment.
+//!
+//! Determinism needs nothing beyond what the partition gives:
 //!
 //! - The shard count is fixed and independent of the thread count. An
-//!   object always lands on [`shard_of(id, n_shards)`](shard_of).
-//! - Each shard's subsequence of the trace is processed **sequentially in
-//!   trace order** by exactly one worker (shard `s` is owned by worker
-//!   `s % threads`), so per-shard state evolves identically at any thread
-//!   count.
+//!   object always lands on `shard_of(id, n_shards)`.
+//! - Each shard's subsequence of the trace is stepped **sequentially in
+//!   trace order** by exactly one worker, so per-shard state evolves
+//!   identically at any thread count.
+//! - Shards share nothing, so the order in which *shards* run — and which
+//!   worker runs which — cannot be observed. That is what makes the
+//!   shard-major order free, and it is also where the speed comes from on
+//!   one thread: a shard's tables stay cache-hot for its whole run instead
+//!   of all shards' tables cycling through the cache in arrival order.
 //! - Results are merged on the caller's thread in fixed shard order
 //!   (`0..n_shards`), so floating-point sums associate the same way every
 //!   run.
 //!
 //! Together these make fixed-seed reports and `--obs` exports byte-identical
 //! across thread counts (see `ARCHITECTURE.md`, "Determinism contract").
-//!
-//! Backpressure: the router thread batches request indices per worker and
-//! sends them over [`std::sync::mpsc::sync_channel`] with a bounded queue;
-//! when a worker falls behind, the router blocks instead of buffering the
-//! whole trace.
 
 use crate::metrics::SimMetrics;
 use crate::policy::CachePolicy;
 use crate::SimResult;
 use lhr_obs::series::{SeriesAcc, Totals};
 use lhr_obs::Obs;
-use lhr_trace::{ObjectId, Request, Trace};
-use lhr_util::sync::mpsc;
+use lhr_trace::{ObjectId, Request, Time, Trace};
+use lhr_util::sync::claim_each;
 use std::time::Instant;
 
 /// Maps an object id to its owning shard with a splitmix-style avalanche,
@@ -41,7 +54,13 @@ use std::time::Instant;
 pub fn shard_of(id: ObjectId, n_shards: usize) -> usize {
     let mut x = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     x ^= x >> 32;
-    (x as usize) % n_shards
+    // Same value either way; the mask spares the usual power-of-two shard
+    // counts (the CLI defaults are 16 and 8) a 64-bit division per request.
+    if n_shards.is_power_of_two() {
+        (x as usize) & (n_shards - 1)
+    } else {
+        (x as usize) % n_shards
+    }
 }
 
 /// Derives a per-shard PRNG seed from a base seed: decorrelated across
@@ -56,25 +75,17 @@ pub fn shard_seed(seed: u64, shard: usize) -> u64 {
     x
 }
 
-/// How the router feeds workers.
+/// How many threads run the shards of a [`Partition`].
 #[derive(Debug, Clone)]
 pub struct RouteConfig {
-    /// Worker threads; `0` means one per available core.
+    /// Worker threads; `0` means one per available core. Never more than
+    /// there are shards.
     pub threads: usize,
-    /// Request indices per channel message (amortizes channel overhead).
-    pub batch: usize,
-    /// Bounded channel depth in batches per worker — the backpressure knob:
-    /// at most `batch × queue` requests are in flight to one worker.
-    pub queue: usize,
 }
 
 impl Default for RouteConfig {
     fn default() -> Self {
-        RouteConfig {
-            threads: 1,
-            batch: 1_024,
-            queue: 64,
-        }
+        RouteConfig { threads: 1 }
     }
 }
 
@@ -90,108 +101,171 @@ impl RouteConfig {
     }
 }
 
-/// Routes every request of `trace` to its owning shard's state and applies
-/// `step(state, shard, request_index, request)` there, using the configured
-/// number of worker threads. Returns the shard states in shard order.
+/// A trace with more requests than a multi-shard [`Partition`] can index
+/// (its buckets hold `u32` request indices).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TraceTooLong {
+    /// The offending trace length.
+    pub requests: usize,
+}
+
+impl std::fmt::Display for TraceTooLong {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "trace has {} requests; a sharded replay indexes at most {}",
+            self.requests,
+            u32::MAX
+        )
+    }
+}
+
+impl std::error::Error for TraceTooLong {}
+
+/// The checked `usize → u32` conversion behind the partition's index:
+/// the request count as a `u32`, or [`TraceTooLong`] — never a truncation.
+/// Callers that take traces from outside the program check here first and
+/// report the error; [`Partition::new`] panics on it.
+pub fn indexable(requests: usize) -> Result<u32, TraceTooLong> {
+    u32::try_from(requests).map_err(|_| TraceTooLong { requests })
+}
+
+/// Requests a shard run copies out of the trace at a time (see
+/// [`Partition::run`]).
+const GATHER: usize = 32;
+
+/// Keeps one shard's state off its neighbours' cache lines while workers
+/// step them side by side (128 bytes: x86 prefetches lines in pairs).
+#[repr(align(128))]
+struct CachePadded<S>(S);
+
+/// A trace bucketed by owning shard — built once, before the first step.
 ///
-/// `step` observes each shard's subsequence sequentially in trace order
-/// regardless of the thread count; see the module docs for the full
-/// determinism argument. With one (effective) thread the channels are
-/// skipped entirely and the trace is replayed inline.
+/// Because it exists before any shard state does, it can also say exactly
+/// how many requests each shard will see ([`Self::measured`]), which is what
+/// the serving layers size their per-shard buffers from.
+pub struct Partition<'t> {
+    trace: &'t Trace,
+    /// Shard `s` owns `order[starts[s]..starts[s + 1]]`.
+    starts: Vec<usize>,
+    /// Request indices grouped by shard, each group in trace order. Left
+    /// empty for one shard, whose group is `0..trace.len()`.
+    order: Vec<u32>,
+}
+
+impl<'t> Partition<'t> {
+    /// Buckets `trace` by [`shard_of`] in two passes (count, then place), so
+    /// the index is exactly 4 bytes per request with no growth slack.
+    ///
+    /// # Panics
+    ///
+    /// If `n_shards` is zero, or if there are several shards and the trace
+    /// is [`TraceTooLong`] for a `u32` index (see [`indexable`]).
+    pub fn new(trace: &'t Trace, n_shards: usize) -> Self {
+        assert!(n_shards > 0, "need at least one shard");
+        if n_shards == 1 {
+            return Partition {
+                trace,
+                starts: vec![0, trace.len()],
+                order: Vec::new(),
+            };
+        }
+        let len = indexable(trace.len()).unwrap_or_else(|e| panic!("{e}"));
+        let mut starts = vec![0usize; n_shards + 1];
+        for req in trace.iter() {
+            starts[shard_of(req.id, n_shards) + 1] += 1;
+        }
+        for s in 0..n_shards {
+            starts[s + 1] += starts[s];
+        }
+        let mut next = starts.clone();
+        let mut order = vec![0u32; trace.len()];
+        for (i, req) in (0..len).zip(trace.iter()) {
+            let slot = &mut next[shard_of(req.id, n_shards)];
+            order[*slot] = i;
+            *slot += 1;
+        }
+        Partition {
+            trace,
+            starts,
+            order,
+        }
+    }
+
+    /// The number of shards the trace was split across.
+    pub fn n_shards(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// How many of `shard`'s requests lie at or past global trace index
+    /// `warmup` — exactly the number of measured requests it will step.
+    pub fn measured(&self, shard: usize, warmup: usize) -> usize {
+        if self.n_shards() == 1 {
+            return self.trace.len().saturating_sub(warmup);
+        }
+        let bucket = &self.order[self.starts[shard]..self.starts[shard + 1]];
+        bucket.len() - bucket.partition_point(|&i| (i as usize) < warmup)
+    }
+
+    /// Applies `step(state, shard, request_index, request)` to every
+    /// request on its owning shard's state, using the configured number of
+    /// worker threads, and returns the states in shard order. Consumes the
+    /// partition, so the index is freed before the caller starts merging.
+    ///
+    /// `step` observes each shard's subsequence start to finish in trace
+    /// order regardless of the thread count; see the module docs for the
+    /// full determinism argument. A panic in `step` is re-raised here.
+    pub fn run<S: Send>(
+        self,
+        shards: Vec<S>,
+        config: &RouteConfig,
+        step: impl Fn(&mut S, usize, usize, &Request) + Sync,
+    ) -> Vec<S> {
+        assert_eq!(shards.len(), self.n_shards(), "one state per shard");
+        let requests = &self.trace.requests[..];
+        // Workers claim shards in order, so at any moment they are stepping
+        // *neighbouring* states; without the padding the counters at the end
+        // of one state and the start of the next share a cache line, and
+        // that line bouncing between cores ate the whole two-thread gain.
+        let mut shards: Vec<CachePadded<S>> = shards.into_iter().map(CachePadded).collect();
+        claim_each(&mut shards, config.resolve_threads(), |_, s, state| {
+            let state = &mut state.0;
+            if self.n_shards() == 1 {
+                for (i, req) in requests.iter().enumerate() {
+                    step(state, s, i, req);
+                }
+                return;
+            }
+            // A shard's requests lie scattered through the trace (at 16
+            // shards, about one per cache line) where arrival order streamed
+            // them. Copying a block ahead of stepping it issues those loads
+            // back to back, so their misses overlap each other instead of
+            // each stalling the step that needs it.
+            let mut block = [Request::new(Time::ZERO, 0, 0); GATHER];
+            for indices in self.order[self.starts[s]..self.starts[s + 1]].chunks(GATHER) {
+                for (slot, &i) in block.iter_mut().zip(indices) {
+                    *slot = requests[i as usize];
+                }
+                for (req, &i) in block.iter().zip(indices) {
+                    step(state, s, i as usize, req);
+                }
+            }
+        });
+        shards.into_iter().map(|padded| padded.0).collect()
+    }
+}
+
+/// Routes every request of `trace` to its owning shard's state and applies
+/// `step(state, shard, request_index, request)` there: partitions the trace
+/// across `shards.len()` shards, then runs them ([`Partition::run`]).
+/// Returns the shard states in shard order.
 pub fn route<S: Send>(
     trace: &Trace,
-    mut shards: Vec<S>,
+    shards: Vec<S>,
     config: &RouteConfig,
     step: impl Fn(&mut S, usize, usize, &Request) + Sync,
 ) -> Vec<S> {
-    let n_shards = shards.len();
-    assert!(n_shards > 0, "need at least one shard");
-    let threads = config.resolve_threads().clamp(1, n_shards);
-    if threads == 1 {
-        for (i, req) in trace.iter().enumerate() {
-            let s = shard_of(req.id, n_shards);
-            step(&mut shards[s], s, i, req);
-        }
-        return shards;
-    }
-
-    let batch = config.batch.max(1);
-    let queue = config.queue.max(1);
-    let step = &step;
-    // Static ownership: worker w owns every shard s with s % threads == w,
-    // stored sparsely so workers index states by shard number directly.
-    let mut per_worker: Vec<Vec<Option<S>>> = (0..threads)
-        .map(|_| (0..n_shards).map(|_| None).collect())
-        .collect();
-    for (s, state) in shards.into_iter().enumerate() {
-        per_worker[s % threads][s] = Some(state);
-    }
-
-    let finished: Vec<Vec<Option<S>>> = std::thread::scope(|scope| {
-        let mut senders = Vec::with_capacity(threads);
-        let mut handles = Vec::with_capacity(threads);
-        // Drained batch buffers flow back on a shared return channel, so
-        // steady-state routing recycles instead of allocating: the pool
-        // tops out at roughly `threads × queue` buffers.
-        let (ret_tx, ret_rx) = mpsc::channel::<Vec<u64>>();
-        for mut states in per_worker {
-            let (tx, rx) = mpsc::sync_channel::<Vec<u64>>(queue);
-            senders.push(tx);
-            let ret_tx = ret_tx.clone();
-            handles.push(scope.spawn(move || {
-                for mut indices in rx {
-                    for &i in &indices {
-                        let req = &trace.requests[i as usize];
-                        let s = shard_of(req.id, n_shards);
-                        let state = states[s].as_mut().expect("request routed to unowned shard");
-                        step(state, s, i as usize, req);
-                    }
-                    indices.clear();
-                    // The router may already be past routing — dropped
-                    // receiver just means the buffer is garbage now.
-                    let _ = ret_tx.send(indices);
-                }
-                states
-            }));
-        }
-        drop(ret_tx);
-        let mut buffers: Vec<Vec<u64>> = (0..threads).map(|_| Vec::with_capacity(batch)).collect();
-        for (i, req) in trace.iter().enumerate() {
-            let w = shard_of(req.id, n_shards) % threads;
-            let buf = &mut buffers[w];
-            buf.push(i as u64);
-            if buf.len() >= batch {
-                let fresh = ret_rx
-                    .try_recv()
-                    .unwrap_or_else(|_| Vec::with_capacity(batch));
-                let full = std::mem::replace(buf, fresh);
-                // Blocking send: backpressure when the worker lags.
-                senders[w].send(full).expect("worker hung up");
-            }
-        }
-        for (w, buf) in buffers.into_iter().enumerate() {
-            if !buf.is_empty() {
-                senders[w].send(buf).expect("worker hung up");
-            }
-        }
-        drop(senders);
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
-
-    let mut out: Vec<Option<S>> = (0..n_shards).map(|_| None).collect();
-    for states in finished {
-        for (s, state) in states.into_iter().enumerate() {
-            if let Some(state) = state {
-                out[s] = Some(state);
-            }
-        }
-    }
-    out.into_iter()
-        .map(|s| s.expect("shard state lost in transit"))
-        .collect()
+    Partition::new(trace, shards.len()).run(shards, config, step)
 }
 
 /// Configuration for [`ShardedSimulator`].
@@ -203,7 +277,7 @@ pub struct ShardedSimConfig {
     /// Fixed shard count — part of the deterministic configuration, never
     /// derived from the thread count.
     pub n_shards: usize,
-    /// Router threads and channel sizing.
+    /// Worker threads.
     pub route: RouteConfig,
 }
 
@@ -440,7 +514,6 @@ impl ShardedSimulator {
 mod tests {
     use super::*;
     use crate::policy::Outcome;
-    use lhr_trace::{Request, Time};
     use std::collections::HashSet;
 
     struct Infinite {
@@ -511,28 +584,141 @@ mod tests {
         assert!(!seeds.contains(&42), "shard 0 must not reuse the base seed");
     }
 
-    #[test]
-    fn route_visits_every_request_once_in_shard_order() {
-        let t = trace(10_000, 400);
-        for threads in [1usize, 2, 5, 8] {
-            let shards: Vec<Vec<usize>> = vec![Vec::new(); 7];
-            let cfg = RouteConfig {
-                threads,
-                batch: 64,
-                queue: 4,
-            };
-            let shards = route(&t, shards, &cfg, |seen, s, i, req| {
-                assert_eq!(shard_of(req.id, 7), s);
-                seen.push(i);
-            });
-            let total: usize = shards.iter().map(Vec::len).sum();
-            assert_eq!(total, t.len());
-            for seen in &shards {
-                assert!(
-                    seen.windows(2).all(|w| w[0] < w[1]),
-                    "shard subsequence must stay in trace order (threads={threads})"
+    /// What `route` did, shard by shard: the request indices in the order
+    /// they were stepped.
+    fn stepped(t: &Trace, n_shards: usize, threads: usize) -> Vec<Vec<usize>> {
+        route(
+            t,
+            vec![Vec::new(); n_shards],
+            &RouteConfig { threads },
+            |seen: &mut Vec<usize>, s, i, req| {
+                assert_eq!(
+                    *req, t.requests[i],
+                    "request {i} is not the one at index {i}"
                 );
+                assert_eq!(
+                    shard_of(req.id, n_shards),
+                    s,
+                    "request {i} on a foreign shard"
+                );
+                seen.push(i);
+            },
+        )
+    }
+
+    #[test]
+    fn route_steps_every_index_once_on_its_shard_in_trace_order() {
+        use lhr_util::prop::{any_u64, range};
+        use lhr_util::{prop_assert, prop_assert_eq, prop_check};
+        prop_check!(cases: 24, (len in range(0usize..3_000), objects in range(1u64..400), seed in any_u64()) => {
+            let mut t = Trace::new("prop");
+            let mut state = seed | 1;
+            for i in 0..len {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                t.push(Request::new(Time::from_secs(i as u64), state % objects, 100));
             }
+            for n_shards in [1usize, 2, 5, 16] {
+                for threads in [1usize, 2, 3, 8, 64] {
+                    let shards = stepped(&t, n_shards, threads);
+                    prop_assert_eq!(shards.len(), n_shards);
+                    let mut all: Vec<usize> = shards.iter().flatten().copied().collect();
+                    all.sort_unstable();
+                    prop_assert!(
+                        all.iter().copied().eq(0..len),
+                        "every index exactly once (shards={n_shards}, threads={threads})"
+                    );
+                    for seen in &shards {
+                        prop_assert!(
+                            seen.windows(2).all(|w| w[0] < w[1]),
+                            "shard subsequence out of trace order (shards={n_shards}, threads={threads})"
+                        );
+                    }
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn route_handles_empty_traces_idle_shards_and_spare_threads() {
+        // No request at all: every state comes back untouched, in order.
+        let empty = Trace::new("empty");
+        for n_shards in [1usize, 16] {
+            assert_eq!(stepped(&empty, n_shards, 8), vec![Vec::new(); n_shards]);
+        }
+        // One object: fifteen of sixteen shards receive nothing, and 64
+        // threads find at most 16 shards to claim.
+        let mut one = Trace::new("one-object");
+        for i in 0..100 {
+            one.push(Request::new(Time::from_secs(i), 7, 100));
+        }
+        let shards = stepped(&one, 16, 64);
+        for (s, seen) in shards.iter().enumerate() {
+            if s == shard_of(7, 16) {
+                assert!(seen.iter().copied().eq(0..100));
+            } else {
+                assert!(seen.is_empty());
+            }
+        }
+    }
+
+    #[test]
+    fn partition_counts_each_shards_measured_requests_exactly() {
+        let t = trace(5_000, 300);
+        for n_shards in [1usize, 2, 7, 16] {
+            let partition = Partition::new(&t, n_shards);
+            assert_eq!(partition.n_shards(), n_shards);
+            for warmup in [0usize, 1, 1_234, 4_999, 5_000, 9_999] {
+                for s in 0..n_shards {
+                    let expect = t
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, req)| *i >= warmup && shard_of(req.id, n_shards) == s)
+                        .count();
+                    assert_eq!(partition.measured(s, warmup), expect);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_step_reraises_from_route_and_never_hangs() {
+        let t = trace(4_000, 200);
+        for threads in [1usize, 2, 8] {
+            let caught = std::panic::catch_unwind(|| {
+                route(&t, vec![(); 8], &RouteConfig { threads }, |_, _, i, _| {
+                    if i == 1_000 {
+                        panic!("step {i} failed");
+                    }
+                })
+            });
+            let payload = caught.expect_err("the step's panic must reach route's caller");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some("step 1000 failed"),
+                "threads={threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn index_conversion_is_checked_not_truncating() {
+        assert_eq!(indexable(0), Ok(0));
+        assert_eq!(indexable(u32::MAX as usize), Ok(u32::MAX));
+        #[cfg(target_pointer_width = "64")]
+        {
+            // One past the last index a `u32` holds: `as u32` would wrap
+            // this to 0 and silently replay an empty trace.
+            let requests = u32::MAX as usize + 1;
+            let err = indexable(requests).expect_err("must be refused");
+            assert_eq!(err, TraceTooLong { requests });
+            let line = err.to_string();
+            assert!(
+                line.contains("4294967296 requests") && !line.contains('\n'),
+                "{line}"
+            );
+            assert!(indexable(usize::MAX).is_err());
         }
     }
 
@@ -543,10 +729,7 @@ mod tests {
             let sim = ShardedSimulator::new(ShardedSimConfig {
                 warmup_requests: 1_000,
                 n_shards: 8,
-                route: RouteConfig {
-                    threads,
-                    ..RouteConfig::default()
-                },
+                route: RouteConfig { threads },
             });
             sim.run(&t, |_, _| Infinite {
                 cached: HashSet::new(),

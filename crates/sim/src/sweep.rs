@@ -9,6 +9,7 @@ use crate::engine::{SimConfig, SimResult, Simulator};
 use crate::policy::CachePolicy;
 use lhr_obs::Obs;
 use lhr_trace::Trace;
+use lhr_util::sync::claim_each;
 
 /// A named policy constructor: given a capacity in bytes, builds a fresh
 /// policy instance.
@@ -77,32 +78,15 @@ pub fn run_grid_obs(
             .collect(),
         None => Vec::new(),
     };
-    let next = std::sync::atomic::AtomicUsize::new(0);
+    // Workers claim cells off a shared queue and write each result into
+    // the cell's own slot, so the vector comes back in input order.
     let mut results: Vec<Option<SimResult>> = (0..cells.len()).map(|_| None).collect();
-    // Workers claim cells off a shared counter and send `(index, result)`
-    // back over a channel; the scope's owning thread reorders into the
-    // input-order result vector (no per-slot locks).
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, SimResult)>();
-
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            let wo = worker_obs.get(w);
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some(cell) = cells.get(i) else { break };
-                let _cell_span = wo.map(|o| o.span("sweep.cell"));
-                let factory = &factories[cell.policy];
-                let mut policy = (factory.build)(cell.capacity);
-                let result = Simulator::new(config.clone()).run(&mut policy, cell.trace);
-                tx.send((i, result)).expect("receiver outlives the scope");
-            });
-        }
-        drop(tx); // the iterator below ends once every worker is done
-        for (i, result) in rx {
-            results[i] = Some(result);
-        }
+    claim_each(&mut results, workers, |w, i, slot| {
+        let cell = &cells[i];
+        let _cell_span = worker_obs.get(w).map(|o| o.span("sweep.cell"));
+        let factory = &factories[cell.policy];
+        let mut policy = (factory.build)(cell.capacity);
+        *slot = Some(Simulator::new(config.clone()).run(&mut policy, cell.trace));
     });
 
     if let Some(master) = obs {

@@ -14,7 +14,8 @@
 //!   [`impl_json!`] derive-replacement macro. Replaces `serde` for model
 //!   persistence and experiment reports.
 //! - [`sync`] — panic-robust `Mutex`/`RwLock` wrappers (a `parking_lot`-style
-//!   guard API over `std::sync`) and a re-export of `std::sync::mpsc`.
+//!   guard API over `std::sync`) and [`sync::claim_each`], scoped workers
+//!   claiming work items off one shared queue.
 //! - [`hash`] — a fixed-seed FxHash-style hasher with [`hash::FastMap`]/
 //!   [`hash::FastSet`] aliases. Replaces `rustc-hash`/`fxhash` for the
 //!   request hot path, where SipHash + `RandomState` costs throughput and

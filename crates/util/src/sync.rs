@@ -9,10 +9,10 @@
 //!   matching `parking_lot` semantics. All workspace invariants are
 //!   per-shard and re-established at the start of each operation, so
 //!   observing a value from a panicked critical section is safe here.
-//! - [`mpsc`] — a re-export of `std::sync::mpsc` (what the crossbeam
-//!   channels were used as).
-//! - Scoped threads — use `std::thread::scope` directly (stable since Rust
-//!   1.63); no shim needed.
+//! - [`claim_each`] — scoped workers claiming whole work items off one
+//!   shared queue (what the crossbeam scoped threads and channels were used
+//!   as): the sharded replay claims shards with it, the parameter sweep
+//!   grid cells.
 //!
 //! # Example
 //!
@@ -25,9 +25,6 @@
 //! ```
 
 use std::sync::PoisonError;
-
-/// Re-export of `std::sync::mpsc`: the workspace's channel flavor.
-pub use std::sync::mpsc;
 
 /// A mutual-exclusion lock whose [`lock`](Mutex::lock) never fails.
 #[derive(Debug, Default)]
@@ -108,6 +105,48 @@ impl<T: ?Sized> RwLock<T> {
     }
 }
 
+/// Runs `work(worker, index, item)` exactly once for every item of `items`
+/// on `threads` threads: the caller's (worker 0) and `threads - 1` scoped
+/// ones, never more than there are items. A worker claims the next
+/// unclaimed item, in slice order, whenever it finishes its last — so
+/// *which* worker runs an item is a race, while each item is only ever
+/// touched by the one worker that claimed it. Returns once every item is
+/// done; with one thread nothing is spawned.
+///
+/// # Panics
+///
+/// A panic in `work` is re-raised on the caller's thread, after the other
+/// workers have drained the queue — it never hangs and never detaches a
+/// thread.
+pub fn claim_each<T: Send>(
+    items: &mut [T],
+    threads: usize,
+    work: impl Fn(usize, usize, &mut T) + Sync,
+) {
+    let threads = threads.clamp(1, items.len().max(1));
+    let queue = Mutex::new(items.iter_mut().enumerate());
+    let worker = |w: usize| loop {
+        // The guard is a temporary of this statement: the queue is unlocked
+        // again before `work` runs.
+        let Some((i, item)) = queue.lock().next() else {
+            break;
+        };
+        work(w, i, item);
+    };
+    std::thread::scope(|scope| {
+        let worker = &worker;
+        let spawned: Vec<_> = (1..threads)
+            .map(|w| scope.spawn(move || worker(w)))
+            .collect();
+        worker(0);
+        for handle in spawned {
+            if let Err(panic) = handle.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,5 +206,38 @@ mod tests {
             }
         });
         assert_eq!(*m.lock(), 4000);
+    }
+
+    #[test]
+    fn claim_each_runs_every_item_once_at_any_thread_count() {
+        for threads in [0usize, 1, 2, 3, 8, 64] {
+            let mut items = vec![0u32; 37];
+            let max_worker = std::sync::atomic::AtomicUsize::new(0);
+            claim_each(&mut items, threads, |w, i, item| {
+                max_worker.fetch_max(w, std::sync::atomic::Ordering::Relaxed);
+                *item += i as u32 + 1;
+            });
+            let expect: Vec<u32> = (1..=37).collect();
+            assert_eq!(items, expect, "threads={threads}");
+            assert!(max_worker.into_inner() < threads.clamp(1, 37));
+        }
+        // Nothing to claim: returns without calling `work`.
+        claim_each(&mut [0u8; 0], 4, |_, _, _| unreachable!("no items"));
+    }
+
+    #[test]
+    fn claim_each_reraises_a_worker_panic_with_its_payload() {
+        for threads in [1usize, 2, 8] {
+            let mut items = vec![0u32; 16];
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                claim_each(&mut items, threads, |_, i, _| {
+                    if i == 5 {
+                        panic!("item five");
+                    }
+                });
+            }));
+            let payload = caught.expect_err("the panic must reach the caller");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"item five"));
+        }
     }
 }

@@ -88,23 +88,22 @@ echo "==> obs overhead bench smoke (tiny scale)"
 LHR_BENCH_WARMUP_MS=20 LHR_BENCH_MEASURE_MS=100 \
   cargo run --release --offline -p lhr-bench --bin obs -- --scale tiny
 
-echo "==> threaded-engine determinism smoke (--threads 1 vs 4)"
+echo "==> threaded-engine determinism smoke (--threads 1 2 4)"
 # The determinism contract (ARCHITECTURE.md): stable reports and
 # deterministic --obs exports are byte-identical at any thread count.
-cargo run --release --offline -p lhr-cli -- server \
-  --policy LHR --capacity 1MB --faults flaky --threads 1 \
-  --report "$smoke_dir/r1.json" \
-  --obs "$smoke_dir/e1.jsonl" --obs-window 1000r --obs-deterministic true \
-  "$smoke_dir/t.csv" > /dev/null
-cargo run --release --offline -p lhr-cli -- server \
-  --policy LHR --capacity 1MB --faults flaky --threads 4 \
-  --report "$smoke_dir/r4.json" \
-  --obs "$smoke_dir/e4.jsonl" --obs-window 1000r --obs-deterministic true \
-  "$smoke_dir/t.csv" > /dev/null
-cmp "$smoke_dir/r1.json" "$smoke_dir/r4.json"
-cmp "$smoke_dir/e1.jsonl" "$smoke_dir/e4.jsonl"
+for t in 1 2 4; do
+  cargo run --release --offline -p lhr-cli -- server \
+    --policy LHR --capacity 1MB --faults flaky --threads "$t" \
+    --report "$smoke_dir/r$t.json" \
+    --obs "$smoke_dir/e$t.jsonl" --obs-window 1000r --obs-deterministic true \
+    "$smoke_dir/t.csv" > /dev/null
+done
+for t in 2 4; do
+  cmp "$smoke_dir/r1.json" "$smoke_dir/r$t.json"
+  cmp "$smoke_dir/e1.jsonl" "$smoke_dir/e$t.jsonl"
+done
 
-echo "==> shadow-retrain determinism smoke (N-LHR, --threads 1 vs 4)"
+echo "==> shadow-retrain determinism smoke (N-LHR, --threads 1 2 4)"
 # N-LHR retrains every window, and background_retrain (the default) runs
 # each of those fits on a shadow thread with the model swap pinned to a
 # deterministic later window edge — so this run swaps models repeatedly
@@ -115,19 +114,21 @@ echo "==> shadow-retrain determinism smoke (N-LHR, --threads 1 vs 4)"
 cargo run --release --offline -p lhr-cli -- generate \
   --kind syn-one --objects 500 --requests 40000 --seed 11 \
   --out "$smoke_dir/retrain.csv"
-for t in 1 4; do
+for t in 1 2 4; do
   cargo run --release --offline -p lhr-cli -- server \
     --policy N-LHR --capacity 1MB --shards 2 --threads "$t" \
     --report "$smoke_dir/nr$t.json" \
     --obs "$smoke_dir/ne$t.jsonl" --obs-window 4000r \
     --obs-deterministic true "$smoke_dir/retrain.csv" > /dev/null
 done
-cmp "$smoke_dir/nr1.json" "$smoke_dir/nr4.json"
-cmp "$smoke_dir/ne1.jsonl" "$smoke_dir/ne4.jsonl"
+for t in 2 4; do
+  cmp "$smoke_dir/nr1.json" "$smoke_dir/nr$t.json"
+  cmp "$smoke_dir/ne1.jsonl" "$smoke_dir/ne$t.jsonl"
+done
 # The run must actually have exercised the shadow path.
 grep -q '"kind":"ModelSwap"' "$smoke_dir/ne1.jsonl"
 
-echo "==> LHR golden smoke (server --policy LHR/N-LHR vs tests/golden, --threads 1 vs 4)"
+echo "==> LHR golden smoke (server --policy LHR/N-LHR vs tests/golden, --threads 1 2 4)"
 # tests/golden/*.json are the stable reports of commit b90e209 — before the
 # LHR serve path was rebuilt — on this very trace (the report embeds the
 # file stem, hence the name). Every cache decision feeds hit ratio, latency
@@ -140,13 +141,15 @@ cargo run --release --offline -p lhr-cli -- generate \
 mask_peak_mem() { sed -E 's/"peak_mem_gb":[^,]*,/"peak_mem_gb":_,/' "$1"; }
 for policy in LHR N-LHR; do
   golden="tests/golden/$(echo "$policy" | tr '[:upper:]' '[:lower:]')-server.json"
-  for t in 1 4; do
+  for t in 1 2 4; do
     cargo run --release --offline -p lhr-cli -- server \
       --policy "$policy" --capacity 1000000 --shards 2 --threads "$t" \
       --report "$smoke_dir/golden-$policy-$t.json" \
       "$smoke_dir/lhr-golden.bin" > /dev/null
   done
-  cmp "$smoke_dir/golden-$policy-1.json" "$smoke_dir/golden-$policy-4.json"
+  for t in 2 4; do
+    cmp "$smoke_dir/golden-$policy-1.json" "$smoke_dir/golden-$policy-$t.json"
+  done
   cmp <(mask_peak_mem "$smoke_dir/golden-$policy-1.json") <(mask_peak_mem "$golden")
 done
 
@@ -156,10 +159,6 @@ cargo run --release --offline -p lhr-cli -- compare \
   --obs-deterministic true "$smoke_dir/t.csv" > "$smoke_dir/compare.out"
 grep -q "^LRU" "$smoke_dir/compare.out"
 test -s "$smoke_dir/cmp.lru.jsonl"
-
-echo "==> engine scaling bench smoke (tiny scale)"
-LHR_BENCH_WARMUP_MS=20 LHR_BENCH_MEASURE_MS=100 \
-  cargo run --release --offline -p lhr-bench --bin engine -- --scale tiny
 
 echo "==> per-policy hit-path bench smoke (tiny scale)"
 LHR_BENCH_WARMUP_MS=20 LHR_BENCH_MEASURE_MS=100 \
@@ -178,32 +177,36 @@ cargo run --release --offline -p lhr-cli -- fleet \
 grep -q "availability:" "$smoke_dir/fleet.out"
 grep -q "failovers:" "$smoke_dir/fleet.out"
 
-echo "==> fleet determinism smoke (--threads 1 vs 4 under node-churn)"
+echo "==> fleet determinism smoke (--threads 1 2 4 under node-churn)"
 # The fleet clause of the determinism contract (ARCHITECTURE.md): stable
 # reports and deterministic --obs exports are byte-identical at any
 # thread count, even while nodes leave and rejoin cold.
-for t in 1 4; do
+for t in 1 2 4; do
   cargo run --release --offline -p lhr-cli -- fleet \
     --policy LHR --capacity 1MB --nodes 4 --faults node-churn --threads "$t" \
     --report "$smoke_dir/f$t.json" \
     --obs "$smoke_dir/fo$t.jsonl" --obs-window 1000r --obs-deterministic true \
     "$smoke_dir/t.csv" > /dev/null
 done
-cmp "$smoke_dir/f1.json" "$smoke_dir/f4.json"
-cmp "$smoke_dir/fo1.jsonl" "$smoke_dir/fo4.jsonl"
+for t in 2 4; do
+  cmp "$smoke_dir/f1.json" "$smoke_dir/f$t.json"
+  cmp "$smoke_dir/fo1.jsonl" "$smoke_dir/fo$t.jsonl"
+done
 
-echo "==> trace-determinism smoke (fleet node-brownout, --trace-sample, threads 1 vs 4)"
+echo "==> trace-determinism smoke (fleet node-brownout, --trace-sample, threads 1 2 4)"
 # The seventh clause of the determinism contract (ARCHITECTURE.md):
 # request-path trace sampling, exemplar marks, and SLO events are pure
 # functions of the replayed trace, so traced exports stay byte-identical
 # across thread counts even under node-level faults.
-for t in 1 4; do
+for t in 1 2 4; do
   cargo run --release --offline -p lhr-cli -- fleet \
     --policy LRU --capacity 1MB --nodes 4 --faults node-brownout --threads "$t" \
     --obs "$smoke_dir/tr$t.jsonl" --obs-window 1000r --obs-deterministic true \
     --trace-sample 1/64 "$smoke_dir/t.csv" > /dev/null
 done
-cmp "$smoke_dir/tr1.jsonl" "$smoke_dir/tr4.jsonl"
+for t in 2 4; do
+  cmp "$smoke_dir/tr1.jsonl" "$smoke_dir/tr$t.jsonl"
+done
 grep -q '"record":"trace"' "$smoke_dir/tr1.jsonl"
 cargo run --release --offline -p lhr-cli -- obs trace "$smoke_dir/tr1.jsonl" \
   --slowest 3 > "$smoke_dir/trace.out"
@@ -221,17 +224,15 @@ cargo run --release --offline -p lhr-cli -- obs slo "$smoke_dir/slo.jsonl" \
   > "$smoke_dir/slo.out"
 grep -q "MET" "$smoke_dir/slo.out"
 
-echo "==> fleet scaling bench smoke (tiny scale)"
-LHR_BENCH_WARMUP_MS=20 LHR_BENCH_MEASURE_MS=100 \
-  cargo run --release --offline -p lhr-bench --bin fleet -- --scale tiny
-
-echo "==> bench --obs determinism smoke (fig2, threads 1 vs 4)"
+echo "==> bench --obs determinism smoke (fig2, threads 1 2 4)"
 # Sweep workers record per-cell spans into private shard recorders; the
 # merged deterministic export must not depend on which worker won a cell.
-for t in 1 4; do
+for t in 1 2 4; do
   cargo run --release --offline -q -p lhr-bench --bin fig2 -- \
     --scale tiny --threads "$t" --obs "$smoke_dir/bench-obs$t.jsonl" > /dev/null
 done
-cmp "$smoke_dir/bench-obs1.jsonl" "$smoke_dir/bench-obs4.jsonl"
+for t in 2 4; do
+  cmp "$smoke_dir/bench-obs1.jsonl" "$smoke_dir/bench-obs$t.jsonl"
+done
 
 echo "verify: OK"

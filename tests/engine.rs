@@ -41,10 +41,7 @@ fn run_engine(trace: &Trace, threads: usize, preset: &str) -> (String, String) {
     let config = EngineConfig {
         total_capacity: 2 << 20,
         n_shards: 8,
-        route: RouteConfig {
-            threads,
-            ..RouteConfig::default()
-        },
+        route: RouteConfig { threads },
         server,
     };
     let obs = deterministic_obs();
@@ -57,7 +54,7 @@ fn run_engine(trace: &Trace, threads: usize, preset: &str) -> (String, String) {
 fn engine_report_and_obs_are_byte_identical_across_threads_fault_free() {
     let trace = zipf_trace(3);
     let (report1, obs1) = run_engine(&trace, 1, "none");
-    for threads in [2usize, 8] {
+    for threads in [2usize, 4, 8] {
         let (report, obs) = run_engine(&trace, threads, "none");
         assert_eq!(report1, report, "report differs at {threads} threads");
         assert_eq!(obs1, obs, "obs export differs at {threads} threads");
@@ -73,7 +70,7 @@ fn engine_report_and_obs_are_byte_identical_across_threads_fault_free() {
 fn engine_report_and_obs_are_byte_identical_across_threads_flaky_origin() {
     let trace = zipf_trace(5);
     let (report1, obs1) = run_engine(&trace, 1, "flaky");
-    for threads in [2usize, 8] {
+    for threads in [2usize, 4, 8] {
         let (report, obs) = run_engine(&trace, threads, "flaky");
         assert_eq!(report1, report, "report differs at {threads} threads");
         assert_eq!(obs1, obs, "obs export differs at {threads} threads");
@@ -92,10 +89,7 @@ fn engine_with_learned_policy_is_byte_identical_across_threads() {
         let config = EngineConfig {
             total_capacity: 2 << 20,
             n_shards: 4,
-            route: RouteConfig {
-                threads,
-                ..RouteConfig::default()
-            },
+            route: RouteConfig { threads },
             ..EngineConfig::new(2 << 20)
         };
         ShardedEngine::new(config)
@@ -148,10 +142,7 @@ fn engine_with_background_retraining_is_byte_identical_across_threads() {
         let config = EngineConfig {
             total_capacity: 160_000,
             n_shards: 4,
-            route: RouteConfig {
-                threads,
-                ..RouteConfig::default()
-            },
+            route: RouteConfig { threads },
             ..EngineConfig::new(160_000)
         };
         let obs = deterministic_obs();
@@ -179,7 +170,7 @@ fn engine_with_background_retraining_is_byte_identical_across_threads() {
         "no background model swap happened — the test isn't exercising \
          shadow retraining; events:\n{obs1}"
     );
-    for threads in [2usize, 8] {
+    for threads in [2usize, 4, 8] {
         let (report, obs) = run(threads);
         assert_eq!(report1, report, "report differs at {threads} threads");
         assert_eq!(obs1, obs, "obs export differs at {threads} threads");
@@ -194,16 +185,14 @@ fn sharded_simulator_obs_is_byte_identical_across_threads() {
         let sim = ShardedSimulator::new(ShardedSimConfig {
             warmup_requests: 1_000,
             n_shards: 8,
-            route: RouteConfig {
-                threads,
-                ..RouteConfig::default()
-            },
+            route: RouteConfig { threads },
         })
         .with_obs(obs.clone());
         let result = sim.run(&trace, |_, _| Lru::new(256 << 10));
         (result.stable_json(), obs.to_jsonl())
     };
     let baseline = run(1);
-    assert_eq!(baseline, run(2));
-    assert_eq!(baseline, run(8));
+    for threads in [2usize, 4, 8] {
+        assert_eq!(baseline, run(threads), "differs at {threads} threads");
+    }
 }

@@ -16,6 +16,7 @@ use lhr_repro::policies::Lru;
 use lhr_repro::proto::{
     CdnServer, EngineConfig, FleetConfig, FleetEngine, ServerConfig, ServerReport, ShardedEngine,
 };
+use lhr_repro::sim::shard::RouteConfig;
 use lhr_repro::sim::{CachePolicy, SimConfig, Simulator};
 use lhr_repro::trace::synth::{IrmConfig, SizeModel};
 use lhr_repro::trace::Trace;
@@ -63,9 +64,10 @@ fn server_config(coalesce: bool) -> ServerConfig {
     config
 }
 
-fn engine_report(trace: &Trace, name: &str, config: ServerConfig) -> ServerReport {
+fn engine_report(trace: &Trace, name: &str, config: ServerConfig, threads: usize) -> ServerReport {
     let engine = ShardedEngine::new(EngineConfig {
         n_shards: 1,
+        route: RouteConfig { threads },
         server: config,
         ..EngineConfig::new(CAPACITY)
     });
@@ -114,7 +116,7 @@ fn simulator_server_engine_and_fleet_agree_on_requests_hits_and_wan() {
         for coalesce in [false, true] {
             let config = server_config(coalesce);
             let server = CdnServer::new(policy(name), config.clone()).replay(&trace);
-            let engine = engine_report(&trace, name, config.clone());
+            let engine = engine_report(&trace, name, config.clone(), 1);
             let (fleet_requests, fleet_hit_pct, fleet_wan_gbps) =
                 fleet_figures(&trace, name, config);
             let case = format!("{name}, coalesce {coalesce}");
@@ -153,17 +155,21 @@ fn deterministic_server_is_the_engine_at_one_shard() {
             },
         ] {
             let server = CdnServer::new(policy(name), config.clone()).replay(&trace);
-            let engine = engine_report(&trace, name, config);
-            assert_eq!(engine.name, format!("engine({})x1", server.name));
-            let renamed = ServerReport {
-                name: server.name.clone(),
-                ..engine
-            };
-            assert_eq!(
-                renamed.stable_json(),
-                server.stable_json(),
-                "{name}: server vs engine(shards = 1)"
-            );
+            // One shard is the partition's identity path (the trace itself,
+            // no index), whatever the thread count asked for.
+            for threads in [1usize, 2] {
+                let engine = engine_report(&trace, name, config.clone(), threads);
+                assert_eq!(engine.name, format!("engine({})x1", server.name));
+                let renamed = ServerReport {
+                    name: server.name.clone(),
+                    ..engine
+                };
+                assert_eq!(
+                    renamed.stable_json(),
+                    server.stable_json(),
+                    "{name}: server vs engine(shards = 1, threads = {threads})"
+                );
+            }
         }
     }
 }

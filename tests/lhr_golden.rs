@@ -46,10 +46,7 @@ fn server_report(trace: &Trace, config: &LhrConfig, threads: usize) -> String {
     let engine = ShardedEngine::new(EngineConfig {
         total_capacity: 1_000_000,
         n_shards: 2,
-        route: RouteConfig {
-            threads,
-            ..RouteConfig::default()
-        },
+        route: RouteConfig { threads },
         server: ServerConfig::default(),
     });
     engine

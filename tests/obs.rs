@@ -227,10 +227,7 @@ fn streamed_engine_recording_matches_buffered_across_threads() {
         let config = EngineConfig {
             total_capacity: 2 << 20,
             n_shards: 8,
-            route: RouteConfig {
-                threads,
-                ..RouteConfig::default()
-            },
+            route: RouteConfig { threads },
             ..EngineConfig::new(2 << 20)
         };
         ShardedEngine::new(config)

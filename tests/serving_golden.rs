@@ -19,7 +19,7 @@
 //! `avail` and `hitratio` SLOs, under LRU and LHR: the single server and
 //! the 4-shard engine with a fault-free and a `flaky` origin, the 4-node
 //! shielded fleet with those and with `node-churn` over the flaky origin.
-//! Engine and fleet are asserted at threads 1, 2 and 8. Only `peak_mem_gb`
+//! Engine and fleet are asserted at threads 1, 2, 4 and 8. Only `peak_mem_gb`
 //! is masked, as in `tests/lhr_golden.rs`: it reports metadata
 //! *accounting*, not behaviour.
 
@@ -123,10 +123,7 @@ fn run_engine(trace: &Trace, origin: &str, name: &str, threads: usize) -> Case {
     let engine = ShardedEngine::new(EngineConfig {
         total_capacity: CAPACITY,
         n_shards: 4,
-        route: RouteConfig {
-            threads,
-            ..RouteConfig::default()
-        },
+        route: RouteConfig { threads },
         server: server_config(trace, origin),
     })
     .with_obs(obs.clone());
@@ -232,7 +229,7 @@ fn serving_reports_and_obs_exports_match_the_parent_goldens() {
         };
         let golden_report = mask_peak_mem(read("report.json").trim_end());
         let golden_obs = read("obs.jsonl");
-        let thread_counts: &[usize] = if threaded { &[1, 2, 8] } else { &[1] };
+        let thread_counts: &[usize] = if threaded { &[1, 2, 4, 8] } else { &[1] };
         for &threads in thread_counts {
             let (report, obs) = run(threads);
             assert_eq!(

@@ -46,10 +46,7 @@ fn run_engine(trace: &Trace, threads: usize, preset: &str, capacity: u64) -> Str
     let config = EngineConfig {
         total_capacity: capacity,
         n_shards: 8,
-        route: RouteConfig {
-            threads,
-            ..RouteConfig::default()
-        },
+        route: RouteConfig { threads },
         server,
     };
     let obs = traced_obs();
