@@ -8,7 +8,7 @@
 //! [`crate::Obs::emit`]; events serialize one per JSONL line in emission
 //! order (trace order for all workspace emitters).
 
-use lhr_util::json::{FromJson, Json, JsonError, ToJson};
+use lhr_util::json::{FromJson, Json, JsonError, ObjectWriter, ToJson};
 
 /// The event taxonomy. One variant per discrete occurrence the workspace
 /// instruments; the JSONL encoding is the variant name.
@@ -60,26 +60,68 @@ pub enum EventKind {
     SloRecover,
 }
 
-lhr_util::impl_json!(
-    enum EventKind {
-        Retrain,
-        Detect,
-        ThresholdUpdate,
-        ModelSwap,
-        BreakerOpen,
-        BreakerClose,
-        OutageStart,
-        OutageEnd,
-        StaleServe,
-        ErrorServe,
-        Coalesce,
-        NodeDown,
-        NodeUp,
-        PeerHint,
-        SloBreach,
-        SloRecover,
+impl EventKind {
+    /// Every kind, in declaration order.
+    pub const ALL: [EventKind; 16] = [
+        EventKind::Retrain,
+        EventKind::Detect,
+        EventKind::ThresholdUpdate,
+        EventKind::ModelSwap,
+        EventKind::BreakerOpen,
+        EventKind::BreakerClose,
+        EventKind::OutageStart,
+        EventKind::OutageEnd,
+        EventKind::StaleServe,
+        EventKind::ErrorServe,
+        EventKind::Coalesce,
+        EventKind::NodeDown,
+        EventKind::NodeUp,
+        EventKind::PeerHint,
+        EventKind::SloBreach,
+        EventKind::SloRecover,
+    ];
+
+    /// The variant name — the kind's JSONL spelling.
+    pub fn name(self) -> &'static str {
+        match self {
+            EventKind::Retrain => "Retrain",
+            EventKind::Detect => "Detect",
+            EventKind::ThresholdUpdate => "ThresholdUpdate",
+            EventKind::ModelSwap => "ModelSwap",
+            EventKind::BreakerOpen => "BreakerOpen",
+            EventKind::BreakerClose => "BreakerClose",
+            EventKind::OutageStart => "OutageStart",
+            EventKind::OutageEnd => "OutageEnd",
+            EventKind::StaleServe => "StaleServe",
+            EventKind::ErrorServe => "ErrorServe",
+            EventKind::Coalesce => "Coalesce",
+            EventKind::NodeDown => "NodeDown",
+            EventKind::NodeUp => "NodeUp",
+            EventKind::PeerHint => "PeerHint",
+            EventKind::SloBreach => "SloBreach",
+            EventKind::SloRecover => "SloRecover",
+        }
     }
-);
+}
+
+impl ToJson for EventKind {
+    fn to_json(&self) -> Json {
+        Json::Str(self.name().to_string())
+    }
+}
+
+impl FromJson for EventKind {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        EventKind::ALL
+            .into_iter()
+            .find(|kind| v.as_str() == Some(kind.name()))
+            .ok_or_else(|| {
+                JsonError::new(format!(
+                    "expected one of the EventKind variant names, found {v}"
+                ))
+            })
+    }
+}
 
 /// One typed, trace-timestamped event.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,6 +153,20 @@ impl Event {
     /// Payload field lookup.
     pub fn get(&self, name: &str) -> Option<&Json> {
         self.fields.iter().find(|(k, _)| k == name).map(|(_, v)| v)
+    }
+}
+
+impl Event {
+    /// This event's fields in [`ToJson`] order, for
+    /// [`crate::ObsRecord::write_line`].
+    pub(crate) fn write_fields(&self, w: &mut ObjectWriter<'_>) {
+        w.float("t", self.t);
+        w.string("kind", self.kind.name());
+        let mut fields = ObjectWriter::new(w.key("fields"));
+        for (k, v) in &self.fields {
+            fields.json(k, v);
+        }
+        fields.end();
     }
 }
 
@@ -158,29 +214,14 @@ mod tests {
 
     #[test]
     fn every_kind_roundtrips() {
-        for kind in [
-            EventKind::Retrain,
-            EventKind::Detect,
-            EventKind::ThresholdUpdate,
-            EventKind::ModelSwap,
-            EventKind::BreakerOpen,
-            EventKind::BreakerClose,
-            EventKind::OutageStart,
-            EventKind::OutageEnd,
-            EventKind::StaleServe,
-            EventKind::ErrorServe,
-            EventKind::Coalesce,
-            EventKind::NodeDown,
-            EventKind::NodeUp,
-            EventKind::PeerHint,
-            EventKind::SloBreach,
-            EventKind::SloRecover,
-        ] {
+        for kind in EventKind::ALL {
             let text = kind.to_json().to_string();
+            assert_eq!(text, format!("\"{kind:?}\""), "name is the variant name");
             assert_eq!(
                 EventKind::from_json(&Json::parse(&text).unwrap()).unwrap(),
                 kind
             );
         }
+        assert!(EventKind::from_json(&Json::parse("\"Nope\"").unwrap()).is_err());
     }
 }

@@ -6,7 +6,7 @@
 //! (no locking) and merge it into the shared [`crate::Obs`] registry once
 //! at the end of the run.
 
-use lhr_util::json::{FromJson, Json, JsonError, ToJson};
+use lhr_util::json::{self, FromJson, Json, JsonError, ObjectWriter, ToJson};
 
 /// A log₂-bucketed histogram of `u64` samples.
 #[derive(Debug, Clone, PartialEq)]
@@ -119,12 +119,39 @@ impl LogHistogram {
 
     /// The non-empty buckets as `(floor, count)` pairs.
     pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
+        self.nonzero().collect()
+    }
+
+    fn nonzero(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.buckets
             .iter()
             .enumerate()
             .filter(|(_, &c)| c > 0)
             .map(|(b, &c)| (Self::bucket_floor(b), c))
-            .collect()
+    }
+}
+
+impl LogHistogram {
+    /// This histogram's fields in [`ToJson`] order, for
+    /// [`crate::ObsRecord::write_line`].
+    pub(crate) fn write_fields(&self, w: &mut ObjectWriter<'_>) {
+        w.uint("total", self.total);
+        w.uint128("sum", self.sum);
+        w.uint("min", self.min());
+        w.uint("max", self.max);
+        let out = w.key("buckets");
+        out.push('[');
+        for (i, (floor, count)) in self.nonzero().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push('[');
+            json::write_u64(floor, out);
+            out.push(',');
+            json::write_u64(count, out);
+            out.push(']');
+        }
+        out.push(']');
     }
 }
 

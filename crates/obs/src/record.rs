@@ -20,7 +20,7 @@ use crate::hist::LogHistogram;
 use crate::series::WindowRecord;
 use crate::span::SpanRecord;
 use crate::trace::TraceRecord;
-use lhr_util::json::{FromJson, Json, JsonError, ToJson};
+use lhr_util::json::{FromJson, Json, JsonError, ObjectWriter, ToJson};
 
 /// One line of an obs JSONL stream.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,26 +61,149 @@ pub enum ObsRecord {
 impl ObsRecord {
     /// The value of the `"record"` tag this variant serializes with.
     pub fn tag(&self) -> &'static str {
-        match self {
-            ObsRecord::Meta(_) => "meta",
-            ObsRecord::Window(_) => "window",
-            ObsRecord::Event(_) => "event",
-            ObsRecord::Counter { .. } => "counter",
-            ObsRecord::Gauge { .. } => "gauge",
-            ObsRecord::Hist { .. } => "hist",
-            ObsRecord::Span(_) => "span",
-            ObsRecord::Trace(_) => "trace",
-        }
+        self.as_ref().tag()
+    }
+
+    /// Appends this record's JSONL line (no trailing newline) to `out`:
+    /// byte for byte `self.to_json().to_string()`, written field by field
+    /// instead of through a [`Json`] tree — the export's one serializer.
+    pub fn write_line(&self, out: &mut String) {
+        self.as_ref().write_line(out);
     }
 
     /// Serializes to one JSONL line (no trailing newline).
     pub fn to_line(&self) -> String {
-        self.to_json().to_string()
+        let mut line = String::new();
+        self.write_line(&mut line);
+        line
     }
 
     /// Parses one JSONL line.
     pub fn parse_line(line: &str) -> Result<ObsRecord, JsonError> {
         ObsRecord::from_json(&Json::parse(line)?)
+    }
+
+    fn as_ref(&self) -> RecordRef<'_> {
+        match self {
+            ObsRecord::Meta(fields) => RecordRef::Meta(fields),
+            ObsRecord::Window(w) => RecordRef::Window(w),
+            ObsRecord::Event(e) => RecordRef::Event(e),
+            ObsRecord::Counter { name, value } => RecordRef::Counter {
+                name,
+                value: *value,
+            },
+            ObsRecord::Gauge { name, value } => RecordRef::Gauge {
+                name,
+                value: *value,
+            },
+            ObsRecord::Hist { name, hist } => RecordRef::Hist { name, hist },
+            ObsRecord::Span(s) => RecordRef::Span(s),
+            ObsRecord::Trace(trace) => RecordRef::Trace {
+                trace,
+                exemplar: trace.exemplar,
+            },
+        }
+    }
+}
+
+/// A borrowed [`ObsRecord`]: what the recorder walks its buffers with at
+/// export, so a line is written straight from the buffered window, event
+/// or trace without cloning it into an owned record first.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum RecordRef<'a> {
+    Meta(&'a [(String, Json)]),
+    Window(&'a WindowRecord),
+    Event(&'a Event),
+    Counter {
+        name: &'a str,
+        value: u64,
+    },
+    Gauge {
+        name: &'a str,
+        value: f64,
+    },
+    Hist {
+        name: &'a str,
+        hist: &'a LogHistogram,
+    },
+    Span(&'a SpanRecord),
+    /// `exemplar` overrides the buffered trace's own flag: the marks are
+    /// computed over the complete set at export time.
+    Trace {
+        trace: &'a TraceRecord,
+        exemplar: bool,
+    },
+}
+
+impl RecordRef<'_> {
+    fn tag(&self) -> &'static str {
+        match self {
+            RecordRef::Meta(_) => "meta",
+            RecordRef::Window(_) => "window",
+            RecordRef::Event(_) => "event",
+            RecordRef::Counter { .. } => "counter",
+            RecordRef::Gauge { .. } => "gauge",
+            RecordRef::Hist { .. } => "hist",
+            RecordRef::Span(_) => "span",
+            RecordRef::Trace { .. } => "trace",
+        }
+    }
+
+    /// The line of [`ObsRecord::write_line`]. Each variant writes its
+    /// fields in the order its `ToJson` impl lists them.
+    pub(crate) fn write_line(&self, out: &mut String) {
+        let mut w = ObjectWriter::new(out);
+        w.string("record", self.tag());
+        match *self {
+            RecordRef::Meta(fields) => {
+                for (k, v) in fields {
+                    w.json(k, v);
+                }
+            }
+            RecordRef::Window(window) => window.write_fields(&mut w),
+            RecordRef::Event(e) => e.write_fields(&mut w),
+            RecordRef::Counter { name, value } => {
+                w.string("name", name);
+                w.uint("value", value);
+            }
+            RecordRef::Gauge { name, value } => {
+                w.string("name", name);
+                w.float("value", value);
+            }
+            RecordRef::Hist { name, hist } => {
+                w.string("name", name);
+                hist.write_fields(&mut w);
+            }
+            RecordRef::Span(s) => s.write_fields(&mut w),
+            RecordRef::Trace { trace, exemplar } => trace.write_fields(&mut w, exemplar),
+        }
+        w.end();
+    }
+
+    /// The owned record this borrows from.
+    pub(crate) fn to_record(self) -> ObsRecord {
+        match self {
+            RecordRef::Meta(fields) => ObsRecord::Meta(fields.to_vec()),
+            RecordRef::Window(w) => ObsRecord::Window(w.clone()),
+            RecordRef::Event(e) => ObsRecord::Event(e.clone()),
+            RecordRef::Counter { name, value } => ObsRecord::Counter {
+                name: name.to_string(),
+                value,
+            },
+            RecordRef::Gauge { name, value } => ObsRecord::Gauge {
+                name: name.to_string(),
+                value,
+            },
+            RecordRef::Hist { name, hist } => ObsRecord::Hist {
+                name: name.to_string(),
+                hist: hist.clone(),
+            },
+            RecordRef::Span(s) => ObsRecord::Span(s.clone()),
+            RecordRef::Trace { trace, exemplar } => ObsRecord::Trace(TraceRecord {
+                exemplar,
+                ..trace.clone()
+            }),
+        }
     }
 }
 
@@ -209,12 +332,12 @@ mod tests {
                 latency_ms: 42.5,
                 exemplar: true,
                 steps: vec![crate::trace::TraceStep {
-                    step: "edge_lookup".to_string(),
+                    step: "edge_lookup".into(),
                     dt_ms: 0.0,
                     bytes: 4096,
                     detail: vec![
-                        ("node".to_string(), 1u64.to_json()),
-                        ("hit".to_string(), true.to_json()),
+                        ("node".into(), 1u64.to_json()),
+                        ("hit".into(), true.to_json()),
                     ],
                 }],
             }),

@@ -10,7 +10,7 @@
 
 use crate::event::Event;
 use crate::hist::LogHistogram;
-use crate::record::ObsRecord;
+use crate::record::{ObsRecord, RecordRef};
 use crate::series::{ObsWindow, WindowRecord};
 use crate::slo::{self, SloObjective};
 use crate::span::{SpanRecord, SpanTree};
@@ -67,6 +67,8 @@ impl Default for ObsConfig {
 /// instrumented hot loop never has to handle I/O results.
 struct Sink {
     out: BufWriter<File>,
+    /// The line under construction, reused from record to record.
+    line: String,
     meta_written: bool,
     /// Windows already written (prefix length of `Inner::windows`).
     streamed: usize,
@@ -74,15 +76,21 @@ struct Sink {
 }
 
 impl Sink {
-    fn write_record(&mut self, record: &ObsRecord) {
+    fn write_record(&mut self, record: RecordRef<'_>) {
         if self.error.is_some() {
             return;
         }
-        let mut line = record.to_line();
-        line.push('\n');
-        if let Err(e) = self.out.write_all(line.as_bytes()) {
+        self.line.clear();
+        record.write_line(&mut self.line);
+        self.line.push('\n');
+        if let Err(e) = self.out.write_all(self.line.as_bytes()) {
             self.error = Some(e);
         }
+    }
+
+    fn write_meta(&mut self, config: &ObsConfig, meta: &[(String, Json)]) {
+        self.write_record(RecordRef::Meta(&meta_fields(config, meta)));
+        self.meta_written = true;
     }
 }
 
@@ -116,20 +124,19 @@ impl Inner {
             return;
         }
         if !sink.meta_written {
-            sink.write_record(&meta_record(config, meta));
-            sink.meta_written = true;
+            sink.write_meta(config, meta);
         }
         for w in &windows[sink.streamed..] {
-            sink.write_record(&ObsRecord::Window(w.clone()));
+            sink.write_record(RecordRef::Window(w));
         }
         sink.streamed = windows.len();
     }
 }
 
-/// The leading `meta` line: recorder config first, then caller metadata in
-/// insertion order. Shared by the buffered export and the streaming sink
-/// so the two can never drift.
-fn meta_record(config: &ObsConfig, meta: &[(String, Json)]) -> ObsRecord {
+/// The leading `meta` line's fields: recorder config first, then caller
+/// metadata in insertion order. Shared by the buffered export and the
+/// streaming sink so the two can never drift.
+fn meta_fields(config: &ObsConfig, meta: &[(String, Json)]) -> Vec<(String, Json)> {
     let mut m = vec![
         ("window".to_string(), config.window.to_json()),
         ("deterministic".to_string(), config.deterministic.to_json()),
@@ -142,60 +149,60 @@ fn meta_record(config: &ObsConfig, meta: &[(String, Json)]) -> ObsRecord {
         m.push(("slos".to_string(), joined.join(",").to_json()));
     }
     m.extend(meta.iter().cloned());
-    ObsRecord::Meta(m)
+    m
 }
 
 /// Every section that follows the windows, in the fixed export order:
 /// events (recorded, then SLO verdict events synthesized from the merged
 /// windows), traces (exemplar-marked), counters (plus
 /// `obs.events_dropped` / `obs.traces_dropped`), gauges, histograms,
-/// spans. Shared by [`Obs::records`] and [`Obs::close_stream`]. Taking
-/// the complete `Inner` is what makes the trace/SLO sections pure
-/// functions of the *merged* run — never of the thread count that
-/// produced it.
-fn post_window_records(config: &ObsConfig, inner: &Inner) -> Vec<ObsRecord> {
-    let mut out = Vec::new();
-    out.extend(inner.events.iter().cloned().map(ObsRecord::Event));
+/// spans — each handed to `emit` borrowed from the buffers, never cloned.
+/// Shared by [`export`] and [`Obs::close_stream`]. Taking the complete
+/// `Inner` is what makes the trace/SLO sections pure functions of the
+/// *merged* run — never of the thread count that produced it.
+fn post_window(config: &ObsConfig, inner: &Inner, emit: &mut dyn FnMut(RecordRef<'_>)) {
+    for e in &inner.events {
+        emit(RecordRef::Event(e));
+    }
     if !config.slos.is_empty() {
         let latency = slo::pick_latency_hist(&inner.hists);
         let verdicts = slo::evaluate(&config.slos, &inner.windows, latency);
-        out.extend(slo::events(&verdicts).into_iter().map(ObsRecord::Event));
+        for e in &slo::events(&verdicts) {
+            emit(RecordRef::Event(e));
+        }
     }
-    let mut traces = inner.traces.clone();
-    trace::mark_exemplars(&mut traces);
-    out.extend(traces.into_iter().map(ObsRecord::Trace));
-    for (name, &value) in &inner.counters {
-        out.push(ObsRecord::Counter {
-            name: name.clone(),
-            value,
-        });
+    let marks = trace::exemplar_marks(&inner.traces);
+    for (trace, exemplar) in inner.traces.iter().zip(marks) {
+        emit(RecordRef::Trace { trace, exemplar });
     }
-    if inner.events_dropped > 0 {
-        out.push(ObsRecord::Counter {
-            name: "obs.events_dropped".to_string(),
-            value: inner.events_dropped,
-        });
-    }
-    if inner.traces_dropped > 0 {
-        out.push(ObsRecord::Counter {
-            name: "obs.traces_dropped".to_string(),
-            value: inner.traces_dropped,
-        });
+    let dropped = [
+        ("obs.events_dropped", inner.events_dropped),
+        ("obs.traces_dropped", inner.traces_dropped),
+    ];
+    let counters = inner.counters.iter().map(|(name, &value)| (&**name, value));
+    for (name, value) in counters.chain(dropped.into_iter().filter(|&(_, n)| n > 0)) {
+        emit(RecordRef::Counter { name, value });
     }
     for (name, &value) in &inner.gauges {
-        out.push(ObsRecord::Gauge {
-            name: name.clone(),
-            value,
-        });
+        emit(RecordRef::Gauge { name, value });
     }
     for (name, hist) in &inner.hists {
-        out.push(ObsRecord::Hist {
-            name: name.clone(),
-            hist: hist.clone(),
-        });
+        emit(RecordRef::Hist { name, hist });
     }
-    out.extend(inner.spans.records().into_iter().map(ObsRecord::Span));
-    out
+    for s in &inner.spans.records() {
+        emit(RecordRef::Span(s));
+    }
+}
+
+/// Everything recorded, in the fixed export order: meta, windows, then
+/// [`post_window`]. The one walk behind [`Obs::records`] and
+/// [`Obs::to_jsonl`].
+fn export(config: &ObsConfig, inner: &Inner, emit: &mut dyn FnMut(RecordRef<'_>)) {
+    emit(RecordRef::Meta(&meta_fields(config, &inner.meta)));
+    for w in &inner.windows {
+        emit(RecordRef::Window(w));
+    }
+    post_window(config, inner, emit);
 }
 
 /// The shared observability recorder. Cloning is cheap (one `Arc`); all
@@ -273,6 +280,15 @@ impl Obs {
         }
     }
 
+    /// Makes room for `additional` more sampled traces (never past
+    /// [`ObsConfig::max_events`]), so a replay that knows its sampled share
+    /// up front does not regrow the buffer as it goes.
+    pub fn reserve_traces(&self, additional: usize) {
+        let mut inner = self.inner.lock();
+        let room = self.config.max_events.saturating_sub(inner.traces.len());
+        inner.traces.reserve(additional.min(room));
+    }
+
     /// The configured trace-sampling rate as a [`trace::TraceRecorder`]
     /// for an instrumented replay loop.
     pub fn trace_recorder(&self) -> trace::TraceRecorder {
@@ -325,7 +341,10 @@ impl Obs {
     pub fn stream_to(&self, path: impl AsRef<Path>) -> io::Result<()> {
         let file = File::create(path)?;
         self.inner.lock().sink = Some(Sink {
-            out: BufWriter::new(file),
+            // A traced export runs to megabytes; the default 8 KiB would
+            // make it several hundred writes.
+            out: BufWriter::with_capacity(1 << 16, file),
+            line: String::new(),
             meta_written: false,
             streamed: 0,
             error: None,
@@ -341,17 +360,13 @@ impl Obs {
     pub fn close_stream(&self) -> io::Result<()> {
         let mut inner = self.inner.lock();
         inner.stream_pending(&self.config);
-        let post = post_window_records(&self.config, &inner);
         let Some(mut sink) = inner.sink.take() else {
             return Ok(());
         };
         if !sink.meta_written {
-            sink.write_record(&meta_record(&self.config, &inner.meta));
-            sink.meta_written = true;
+            sink.write_meta(&self.config, &inner.meta);
         }
-        for record in &post {
-            sink.write_record(record);
-        }
+        post_window(&self.config, &inner, &mut |r| sink.write_record(r));
         match sink.error {
             Some(e) => Err(e),
             None => sink.out.flush(),
@@ -374,8 +389,11 @@ impl Obs {
     ///
     /// Shard recorders should be built from this recorder's
     /// [`config`](Obs::config) so windowing and determinism settings agree.
+    /// They are **drained**: windows, events, traces, counters, gauges,
+    /// histograms and metadata move into this recorder rather than being
+    /// copied, so a shard recorder has nothing left to export afterwards.
     pub fn absorb_shards(&self, shards: &[Obs]) {
-        // Copy shard state out first; each shard lock is released before
+        // Take shard state out first; each shard lock is released before
         // the master lock is taken.
         let mut windows_per: Vec<Vec<WindowRecord>> = Vec::with_capacity(shards.len());
         let mut events: Vec<Event> = Vec::new();
@@ -388,22 +406,16 @@ impl Obs {
         let mut metas: Vec<(String, Json)> = Vec::new();
         let mut span_records: Vec<SpanRecord> = Vec::new();
         for shard in shards {
-            let inner = shard.inner.lock();
-            windows_per.push(inner.windows.clone());
-            events.extend(inner.events.iter().cloned());
-            dropped += inner.events_dropped;
-            traces.extend(inner.traces.iter().cloned());
-            traces_dropped += inner.traces_dropped;
-            for (k, &v) in &inner.counters {
-                counters.push((k.clone(), v));
-            }
-            for (k, &v) in &inner.gauges {
-                gauges.push((k.clone(), v));
-            }
-            for (k, h) in &inner.hists {
-                hists.push((k.clone(), h.clone()));
-            }
-            metas.extend(inner.meta.iter().cloned());
+            let mut inner = shard.inner.lock();
+            windows_per.push(std::mem::take(&mut inner.windows));
+            events.append(&mut inner.events);
+            dropped += std::mem::take(&mut inner.events_dropped);
+            traces.append(&mut inner.traces);
+            traces_dropped += std::mem::take(&mut inner.traces_dropped);
+            counters.extend(std::mem::take(&mut inner.counters));
+            gauges.extend(std::mem::take(&mut inner.gauges));
+            hists.extend(std::mem::take(&mut inner.hists));
+            metas.append(&mut inner.meta);
             span_records.extend(inner.spans.records());
         }
         events.sort_by(|a, b| a.t.total_cmp(&b.t));
@@ -484,20 +496,20 @@ impl Obs {
     /// events (recorded then SLO-synthesized), traces, counters, gauges,
     /// histograms, spans.
     pub fn records(&self) -> Vec<ObsRecord> {
-        let inner = self.inner.lock();
-        let mut out = vec![meta_record(&self.config, &inner.meta)];
-        out.extend(inner.windows.iter().cloned().map(ObsRecord::Window));
-        out.extend(post_window_records(&self.config, &inner));
+        let mut out = Vec::new();
+        export(&self.config, &self.inner.lock(), &mut |r| {
+            out.push(r.to_record())
+        });
         out
     }
 
     /// The full JSONL export (one record per line, trailing newline).
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        for r in self.records() {
-            out.push_str(&r.to_line());
+        export(&self.config, &self.inner.lock(), &mut |r| {
+            r.write_line(&mut out);
             out.push('\n');
-        }
+        });
         out
     }
 

@@ -24,15 +24,16 @@
 //!
 //! # Two feeding paths
 //!
-//! - [`SeriesAcc::on_request`] counts every field per request. Use it when
-//!   the loop has no counters of its own (the CDN serving path, whose
-//!   per-request work dwarfs the accounting anyway).
+//! - [`SeriesAcc::on_request`] counts every field per request: the simple
+//!   API for a loop with no counters of its own, and the oracle the delta
+//!   path is property-tested against.
 //! - [`SeriesAcc::observe`] is the delta fast path for loops that already
-//!   maintain cumulative totals (the simulator's `SimMetrics`): per request
-//!   it costs one boundary compare and a timestamp store, and windows are
-//!   materialized at flush time as snapshot deltas via [`Totals`].
+//!   maintain cumulative totals (the simulator's `SimMetrics`, the serving
+//!   core's `Tally`): per request it costs one boundary compare and a
+//!   timestamp store, and windows are materialized at flush time as
+//!   snapshot deltas via [`Totals`].
 
-use lhr_util::json::{FromJson, Json, JsonError, ToJson};
+use lhr_util::json::{FromJson, Json, JsonError, ObjectWriter, ToJson};
 use std::fmt;
 use std::str::FromStr;
 
@@ -162,6 +163,25 @@ lhr_util::impl_json!(struct WindowRecord {
 });
 
 impl WindowRecord {
+    /// The fields listed above, in that order, for
+    /// [`crate::ObsRecord::write_line`].
+    pub(crate) fn write_fields(&self, w: &mut ObjectWriter<'_>) {
+        w.uint("index", self.index);
+        w.uint("start_requests", self.start_requests);
+        w.float("first_secs", self.first_secs);
+        w.float("last_secs", self.last_secs);
+        w.uint("requests", self.requests);
+        w.uint("hits", self.hits);
+        w.uint("misses_admitted", self.misses_admitted);
+        w.uint("misses_bypassed", self.misses_bypassed);
+        w.uint128("bytes_requested", self.bytes_requested);
+        w.uint128("bytes_hit", self.bytes_hit);
+        w.uint("evictions", self.evictions);
+        w.uint("errors", self.errors);
+        w.uint("stale_served", self.stale_served);
+        w.uint("coalesced", self.coalesced);
+    }
+
     /// Object hit ratio within the window.
     pub fn hit_ratio(&self) -> f64 {
         ratio(self.hits, self.requests)
@@ -361,7 +381,7 @@ impl ReqSample {
 
 /// Cumulative measured-request totals, as maintained by an instrumented
 /// loop that already counts them for its own reporting (the simulator's
-/// `SimMetrics`). [`SeriesAcc::observe`] turns snapshots of these into
+/// `SimMetrics`, the serving core's `Tally`). [`SeriesAcc::observe`] turns snapshots of these into
 /// per-window deltas so the obs layer never counts the same request twice.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Totals {
@@ -380,6 +400,12 @@ pub struct Totals {
     /// Lifetime evictions (warmup included — the first snapshot baselines
     /// them away).
     pub evictions: u64,
+    /// Error responses so far.
+    pub errors: u64,
+    /// Requests served from an expired cached copy so far.
+    pub stale_served: u64,
+    /// Misses that joined an in-flight origin fetch so far.
+    pub coalesced: u64,
 }
 
 /// The in-loop accumulator: cheap per-request updates, one [`WindowRecord`]
@@ -536,6 +562,15 @@ impl SeriesAcc {
         closed
     }
 
+    /// Delta path: whether the request just observed completed a
+    /// request-count window, which the next [`observe`](Self::observe) (or
+    /// [`finish_observed`](Self::finish_observed)) will flush — the moment
+    /// [`on_request`](Self::on_request) reports the window closed.
+    #[inline]
+    pub fn fills_window(&self) -> bool {
+        matches!(self.window, ObsWindow::Requests(n) if self.open_len >= n)
+    }
+
     /// Materializes the open window from a snapshot delta, pushes it, and
     /// opens the next window at `t_micros`. Off the per-request path.
     #[cold]
@@ -547,6 +582,9 @@ impl SeriesAcc {
         self.cur.bytes_requested = totals.bytes_requested - self.flushed.bytes_requested;
         self.cur.bytes_hit = totals.bytes_hit - self.flushed.bytes_hit;
         self.cur.evictions = totals.evictions.saturating_sub(self.flushed.evictions);
+        self.cur.errors = totals.errors - self.flushed.errors;
+        self.cur.stale_served = totals.stale_served - self.flushed.stale_served;
+        self.cur.coalesced = totals.coalesced - self.flushed.coalesced;
         self.cur.first_secs = self.first_micros as f64 / 1e6;
         self.cur.last_secs = self.last_micros as f64 / 1e6;
         let next_index = match self.window {

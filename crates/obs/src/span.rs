@@ -13,6 +13,7 @@
 //! workspace instruments (the simulator loop, LHR's window finalization,
 //! GBM's outer fit; GBM's internal worker threads are *inside* one span).
 
+use lhr_util::json::ObjectWriter;
 #[cfg(test)]
 use lhr_util::json::{FromJson, Json, ToJson};
 
@@ -32,6 +33,17 @@ pub struct SpanRecord {
 }
 
 lhr_util::impl_json!(struct SpanRecord { path, count, total_secs, self_secs });
+
+impl SpanRecord {
+    /// The fields listed above, in that order, for
+    /// [`crate::ObsRecord::write_line`].
+    pub(crate) fn write_fields(&self, w: &mut ObjectWriter<'_>) {
+        w.string("path", &self.path);
+        w.uint("count", self.count);
+        w.float("total_secs", self.total_secs);
+        w.float("self_secs", self.self_secs);
+    }
+}
 
 #[derive(Debug)]
 struct Node {

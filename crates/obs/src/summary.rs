@@ -13,7 +13,6 @@ use crate::record::ObsRecord;
 use crate::series::WindowRecord;
 use crate::span::SpanRecord;
 use crate::trace::TraceRecord;
-use lhr_util::json::ToJson;
 use std::fmt::Write as _;
 
 const SPARK: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
@@ -39,13 +38,6 @@ fn sparkline(values: &[f64]) -> String {
         out.push(SPARK[level]);
     }
     out
-}
-
-fn kind_name(kind: EventKind) -> String {
-    match kind.to_json() {
-        lhr_util::json::Json::Str(s) => s,
-        other => other.to_string(),
-    }
 }
 
 fn render_windows(out: &mut String, windows: &[WindowRecord]) {
@@ -95,9 +87,9 @@ fn render_windows(out: &mut String, windows: &[WindowRecord]) {
 fn render_events(out: &mut String, events: &[Event]) {
     let _ = writeln!(out, "events: {}", events.len());
     // Counts per kind, in first-seen order.
-    let mut counts: Vec<(String, u64)> = Vec::new();
+    let mut counts: Vec<(&str, u64)> = Vec::new();
     for e in events {
-        let name = kind_name(e.kind);
+        let name = e.kind.name();
         match counts.iter_mut().find(|(k, _)| *k == name) {
             Some((_, n)) => *n += 1,
             None => counts.push((name, 1)),
@@ -128,7 +120,7 @@ fn render_events(out: &mut String, events: &[Event]) {
                 out,
                 "    t={:<10} {:<16} {}",
                 e.t,
-                kind_name(e.kind),
+                e.kind.name(),
                 fields.join(" ")
             );
         }

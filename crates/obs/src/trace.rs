@@ -25,15 +25,19 @@
 //! story line comes with a concrete request to look at.
 
 use lhr_util::hash::FastHasher;
-use lhr_util::json::{FromJson, Json, JsonError, ToJson};
+use lhr_util::json::{FromJson, Json, JsonError, ObjectWriter, ToJson};
+use std::borrow::Cow;
 use std::hash::Hasher;
 
-/// One step of a sampled request's journey.
+/// One step of a sampled request's journey. Step names and detail keys
+/// are literals at every hook point of the serving path, so a recorded
+/// step borrows them; only a step parsed back from an export owns its
+/// strings.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceStep {
     /// Step name: `edge_lookup`, `failover`, `peer_hint`, `shield_lookup`,
     /// `origin_fetch`, `breaker`, `stale_serve`, `coalesce`.
-    pub step: String,
+    pub step: Cow<'static, str>,
     /// Simulated milliseconds since the request started (trace-time
     /// latency-model deltas, never wall clock).
     pub dt_ms: f64,
@@ -42,32 +46,39 @@ pub struct TraceStep {
     /// Step-specific payload in insertion order, e.g. `{node, hit}` for
     /// `edge_lookup` or `{attempt, outcome, backoff_ms}` for
     /// `origin_fetch`.
-    pub detail: Vec<(String, Json)>,
+    pub detail: Vec<(Cow<'static, str>, Json)>,
 }
 
 impl ToJson for TraceStep {
     fn to_json(&self) -> Json {
+        let detail = self.detail.iter();
         Json::Object(vec![
             ("step".to_string(), self.step.to_json()),
             ("dt_ms".to_string(), self.dt_ms.to_json()),
             ("bytes".to_string(), self.bytes.to_json()),
-            ("detail".to_string(), Json::Object(self.detail.clone())),
+            (
+                "detail".to_string(),
+                Json::Object(detail.map(|(k, v)| (k.to_string(), v.clone())).collect()),
+            ),
         ])
     }
 }
 
 impl FromJson for TraceStep {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let detail = match v.get("detail") {
-            Some(Json::Object(fields)) => fields.clone(),
+        let detail: &[(String, Json)] = match v.get("detail") {
+            Some(Json::Object(fields)) => fields,
             Some(other) => return Err(JsonError::new(format!("bad step detail: {other}"))),
-            None => Vec::new(),
+            None => &[],
         };
         Ok(TraceStep {
-            step: lhr_util::json::field(v, "step")?,
+            step: Cow::Owned(lhr_util::json::field(v, "step")?),
             dt_ms: lhr_util::json::field(v, "dt_ms")?,
             bytes: lhr_util::json::field(v, "bytes")?,
-            detail,
+            detail: detail
+                .iter()
+                .map(|(k, v)| (Cow::Owned(k.clone()), v.clone()))
+                .collect(),
         })
     }
 }
@@ -94,6 +105,40 @@ pub struct TraceRecord {
     pub exemplar: bool,
     /// The ordered step list.
     pub steps: Vec<TraceStep>,
+}
+
+impl TraceRecord {
+    /// This trace's fields in [`ToJson`] order, for
+    /// [`crate::ObsRecord::write_line`]. `exemplar` stands in for the
+    /// record's own flag: the export computes the marks over the complete
+    /// set without touching the buffered traces.
+    pub(crate) fn write_fields(&self, w: &mut ObjectWriter<'_>, exemplar: bool) {
+        w.uint("id", self.id);
+        w.uint("object", self.object);
+        w.float("t", self.t);
+        w.uint("bytes", self.bytes);
+        w.uint("window", self.window);
+        w.float("latency_ms", self.latency_ms);
+        w.boolean("exemplar", exemplar);
+        let out = w.key("steps");
+        out.push('[');
+        for (i, step) in self.steps.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let mut s = ObjectWriter::new(out);
+            s.string("step", &step.step);
+            s.float("dt_ms", step.dt_ms);
+            s.uint("bytes", step.bytes);
+            let mut detail = ObjectWriter::new(s.key("detail"));
+            for (k, v) in &step.detail {
+                detail.json(k, v);
+            }
+            detail.end();
+            s.end();
+        }
+        out.push(']');
+    }
 }
 
 impl ToJson for TraceRecord {
@@ -155,38 +200,71 @@ pub fn parse_sample(raw: &str) -> Result<u64, String> {
         .map_err(|_| format!("bad sample rate `{raw}` (want `1/N`, e.g. `1/64`)"))
 }
 
+/// The hash the sampling decision is taken on: `(object, t_micros)`
+/// through the workspace's fixed-seed [`FastHasher`].
+#[inline]
+fn request_hash(object: u64, t_micros: u64) -> u64 {
+    let mut h = FastHasher::default();
+    h.write_u64(object);
+    h.write_u64(t_micros);
+    h.finish()
+}
+
 /// The pure sampling decision: hash `(object, t_micros)` through the
 /// fixed-seed [`FastHasher`] and keep one residue class out of `every`.
 /// `every == 0` disables sampling; `every == 1` samples everything.
 ///
 /// Both inputs are trace data — the decision cannot depend on thread
 /// count, shard layout, or wall clock, so the sampled set is identical
-/// in every replay of the same trace.
+/// in every replay of the same trace. This is the definition, and the
+/// oracle [`TraceRecorder`]'s divide-free test is held to.
 #[inline]
 pub fn sampled(object: u64, t_micros: u64, every: u64) -> bool {
     match every {
         0 => false,
         1 => true,
-        _ => {
-            let mut h = FastHasher::default();
-            h.write_u64(object);
-            h.write_u64(t_micros);
-            h.finish() % every == 0
-        }
+        _ => request_hash(object, t_micros).is_multiple_of(every),
     }
 }
 
 /// Per-run tracing front-end held by an instrumented replay loop: owns
 /// the sampling rate and mints [`TraceBuilder`]s for sampled requests.
+///
+/// It keeps the sampled set of [`sampled`] without that function's 64-bit
+/// divide per request. Write `every = 2^k · q` with `q` odd: `h` is a
+/// multiple of `q` iff `h · q⁻¹ (mod 2⁶⁴) ≤ ⌊(2⁶⁴−1) / q⌋`, and rotating
+/// that product right by `k` moves the `k` low bits a multiple of `2^k`
+/// must have clear to the top, so one compare against `⌊(2⁶⁴−1) / every⌋`
+/// tests both (Granlund–Montgomery; Lemire et al., "Faster remainder by
+/// direct computation", 2019).
 #[derive(Debug, Clone, Copy)]
 pub struct TraceRecorder {
     every: u64,
+    /// `q⁻¹ mod 2⁶⁴`.
+    odd_inverse: u64,
+    /// `k`.
+    twos: u32,
+    /// `⌊(2⁶⁴−1) / every⌋`.
+    limit: u64,
 }
 
 impl TraceRecorder {
     /// A recorder sampling one request in `every` (0 disables).
     pub fn new(every: u64) -> Self {
-        TraceRecorder { every }
+        let twos = every.trailing_zeros() % 64;
+        let q = every >> twos;
+        // Newton's iteration doubles the correct low bits each round; an
+        // odd q is its own inverse mod 8, so five rounds reach 96 > 64.
+        let mut odd_inverse = q;
+        for _ in 0..5 {
+            odd_inverse = odd_inverse.wrapping_mul(2u64.wrapping_sub(q.wrapping_mul(odd_inverse)));
+        }
+        TraceRecorder {
+            every,
+            odd_inverse,
+            twos,
+            limit: u64::MAX.checked_div(every).unwrap_or(0),
+        }
     }
 
     /// Whether any request can be sampled at all.
@@ -195,11 +273,20 @@ impl TraceRecorder {
         self.every > 0
     }
 
+    /// Whether a request hashing to `h` is kept: `h % every == 0` (never,
+    /// when disabled) without the divide.
+    #[inline]
+    pub fn keeps(&self, h: u64) -> bool {
+        self.every > 0 && h.wrapping_mul(self.odd_inverse).rotate_right(self.twos) <= self.limit
+    }
+
     /// Starts a trace for the request iff `(object, t_micros)` falls in
-    /// the sampled class. `id` is the request's global trace index.
+    /// the sampled class — [`sampled`]'s decision. `id` is the request's
+    /// global trace index.
     #[inline]
     pub fn begin(&self, id: u64, object: u64, t_micros: u64, bytes: u64) -> Option<TraceBuilder> {
-        if sampled(object, t_micros, self.every) {
+        // `enabled` first: a recorder that samples nothing hashes nothing.
+        if self.enabled() && self.keeps(request_hash(object, t_micros)) {
             Some(TraceBuilder::new(id, object, t_micros, bytes))
         } else {
             None
@@ -242,9 +329,9 @@ impl TraceBuilder {
 
     /// Appends a step stamped at the current simulated offset.
     #[inline]
-    pub fn push(&mut self, step: &str, bytes: u64, detail: Vec<(String, Json)>) {
+    pub fn push(&mut self, step: &'static str, bytes: u64, detail: Vec<(Cow<'static, str>, Json)>) {
         self.steps.push(TraceStep {
-            step: step.to_string(),
+            step: Cow::Borrowed(step),
             dt_ms: self.cursor_ms,
             bytes,
             detail,
@@ -267,11 +354,12 @@ impl TraceBuilder {
     }
 }
 
-/// Marks, per metric window, the worst-latency trace as the window's
-/// exemplar (ties break toward the smaller trace id, which comes first
-/// in the id-sorted export). Runs at export time over the complete
-/// merged trace list so the marks are independent of thread count.
-pub fn mark_exemplars(traces: &mut [TraceRecord]) {
+/// Per trace, whether it is its metric window's exemplar: the
+/// worst-latency trace of the window (ties break toward the smaller trace
+/// id, which comes first in the id-sorted export). Computed at export time
+/// over the complete merged trace list so the marks are independent of
+/// thread count.
+pub fn exemplar_marks(traces: &[TraceRecord]) -> Vec<bool> {
     use std::collections::BTreeMap;
     let mut best: BTreeMap<u64, usize> = BTreeMap::new();
     for (i, t) in traces.iter().enumerate() {
@@ -282,11 +370,18 @@ pub fn mark_exemplars(traces: &mut [TraceRecord]) {
             }
         }
     }
-    for t in traces.iter_mut() {
-        t.exemplar = false;
+    let mut marks = vec![false; traces.len()];
+    for i in best.into_values() {
+        marks[i] = true;
     }
-    for (_, i) in best {
-        traces[i].exemplar = true;
+    marks
+}
+
+/// Sets every trace's `exemplar` flag to its [`exemplar_marks`] entry.
+pub fn mark_exemplars(traces: &mut [TraceRecord]) {
+    let marks = exemplar_marks(traces);
+    for (t, mark) in traces.iter_mut().zip(marks) {
+        t.exemplar = mark;
     }
 }
 
@@ -305,22 +400,22 @@ mod tests {
             exemplar: true,
             steps: vec![
                 TraceStep {
-                    step: "edge_lookup".to_string(),
+                    step: "edge_lookup".into(),
                     dt_ms: 0.0,
                     bytes: 1_000_000,
                     detail: vec![
-                        ("node".to_string(), 2u64.to_json()),
-                        ("hit".to_string(), false.to_json()),
+                        ("node".into(), 2u64.to_json()),
+                        ("hit".into(), false.to_json()),
                     ],
                 },
                 TraceStep {
-                    step: "origin_fetch".to_string(),
+                    step: "origin_fetch".into(),
                     dt_ms: 12.5,
                     bytes: 1_000_000,
                     detail: vec![
-                        ("attempt".to_string(), 1u64.to_json()),
-                        ("outcome".to_string(), "timeout".to_json()),
-                        ("backoff_ms".to_string(), 50u64.to_json()),
+                        ("attempt".into(), 1u64.to_json()),
+                        ("outcome".into(), "timeout".to_json()),
+                        ("backoff_ms".into(), 50u64.to_json()),
                     ],
                 },
             ],
@@ -372,11 +467,7 @@ mod tests {
     #[test]
     fn builder_stamps_simulated_offsets() {
         let mut b = TraceBuilder::new(7, 42, 2_500_000, 100);
-        b.push(
-            "edge_lookup",
-            100,
-            vec![("hit".to_string(), false.to_json())],
-        );
+        b.push("edge_lookup", 100, vec![("hit".into(), false.to_json())]);
         b.advance(12.0);
         b.push("origin_fetch", 100, Vec::new());
         b.advance(3.5);

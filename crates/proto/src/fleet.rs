@@ -711,7 +711,7 @@ impl<P: CachePolicy> FleetShard<P> {
     fn finish(&mut self) {
         let meta_bytes = self.meta_bytes();
         self.tally.sample_meta(meta_bytes);
-        let (errors, c) = (self.tally.errors, &self.counts);
+        let (errors, c) = (self.tally.counts.errors, &self.counts);
         let Some(obs) = self.tally.finish("fleet.") else {
             return;
         };
@@ -886,7 +886,7 @@ impl FleetEngine {
                 part / whole * 100.0
             }
         };
-        let (measured, bytes_served) = (total.measured, total.bytes_served);
+        let (measured, bytes_served) = (total.counts.requests, total.counts.bytes_requested);
         let origin_offload_pct = if bytes_served == 0 {
             100.0
         } else {

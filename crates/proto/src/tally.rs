@@ -12,7 +12,7 @@
 
 use crate::fault::FaultConfig;
 use crate::server::{ServeOutcome, ServerReport};
-use lhr_obs::series::{ReqSample, SeriesAcc};
+use lhr_obs::series::{SeriesAcc, Totals};
 use lhr_obs::trace::{TraceBuilder, TraceRecorder};
 use lhr_obs::{Event, EventKind, LogHistogram, Obs};
 use lhr_trace::{Request, Trace};
@@ -37,6 +37,19 @@ fn pct2(values: &mut [f64]) -> (f64, f64) {
         p90
     };
     (p90, p99)
+}
+
+/// Appends `from` to `into` and leaves `from` without a buffer. The first
+/// non-empty vector is adopted as it is — a one-shard merge copies nothing
+/// and never holds two full vectors — and the next one makes room for
+/// `room` samples in all, so a many-shard merge still grows only once.
+fn append(into: &mut Vec<f64>, from: &mut Vec<f64>, room: usize) {
+    if into.is_empty() {
+        *into = std::mem::take(from);
+    } else {
+        into.reserve(room.saturating_sub(into.len()));
+        into.extend(std::mem::take(from));
+    }
 }
 
 /// Stamps the run's identity on the master recorder and emits the injected
@@ -82,6 +95,63 @@ pub(crate) struct OriginStats {
     pub(crate) breaker_closes: u64,
 }
 
+/// What a tally with a recorder attached keeps beside its counters.
+struct Recording {
+    obs: Obs,
+    tracer: TraceRecorder,
+    /// Fed on the delta path: it reads [`Tally::counts`] at window edges
+    /// instead of counting every request a second time.
+    acc: SeriesAcc,
+    /// Hand windows to the recorder as they close instead of at
+    /// [`Tally::finish`].
+    stream: bool,
+}
+
+impl Recording {
+    /// The window index a sampled trace of the request just observed is
+    /// stamped with: the window it was counted in — except that a
+    /// streaming tally stamps the request that *fills* a request-count
+    /// window with the next index. That is the parent commit's behaviour
+    /// (it read the index after handing the filled window to the recorder),
+    /// kept for byte-identical exports; ROADMAP defers fixing it to a PR
+    /// that re-records the goldens.
+    fn stamp_window(&self) -> u64 {
+        self.acc.last_index() + (self.stream && self.acc.fills_window()) as u64
+    }
+
+    // The two event emitters are rare and allocate; kept out of line they
+    // cost the per-request path one branch each.
+
+    /// The breaker transitions between two readings of the origin totals.
+    #[cold]
+    fn breaker_events(&self, req: &Request, was: &OriginStats, now: &OriginStats) {
+        let t = req.ts.as_secs_f64();
+        if now.breaker_opens > was.breaker_opens {
+            let event = Event::new(t, EventKind::BreakerOpen);
+            self.obs.emit(event.field("opens", now.breaker_opens));
+        }
+        if now.breaker_closes > was.breaker_closes {
+            let event = Event::new(t, EventKind::BreakerClose);
+            self.obs.emit(event.field("closes", now.breaker_closes));
+        }
+    }
+
+    /// The stale / error / coalesce events of one degraded request.
+    #[cold]
+    fn serve_events(&self, req: &Request, served: &ServeOutcome) {
+        let t = req.ts.as_secs_f64();
+        for (flag, kind) in [
+            (served.stale, EventKind::StaleServe),
+            (served.error, EventKind::ErrorServe),
+            (served.coalesced, EventKind::Coalesce),
+        ] {
+            if flag {
+                self.obs.emit(Event::new(t, kind).field("id", req.id));
+            }
+        }
+    }
+}
+
 /// One shard's accumulators, owned by exactly one worker — and, after
 /// [`Tally::merge`], the run's totals.
 #[derive(Default)]
@@ -91,13 +161,12 @@ pub(crate) struct Tally {
     warmup: usize,
     /// Requests stepped, warmup included.
     pub(crate) seen: u64,
-    pub(crate) measured: u64,
-    pub(crate) hits: u64,
-    /// Error responses (for the fleet this includes unrouted requests).
-    pub(crate) errors: u64,
-    stale_served: u64,
-    coalesced: u64,
-    pub(crate) bytes_served: u128,
+    /// The measured requests, as the window series reads them: a *hit* is
+    /// whatever the layer passes as one, an *error* includes the fleet's
+    /// unrouted requests, and admission is not tracked. `bytes_hit` and
+    /// `evictions` (the policy's lifetime counter as of the last request)
+    /// are kept only while a recorder is attached.
+    pub(crate) counts: Totals,
     pub(crate) wan_bytes: u128,
     busy_ms: f64,
     latencies: Vec<f64>,
@@ -105,14 +174,9 @@ pub(crate) struct Tally {
     /// Peak sampled metadata bytes (summed over shards once merged).
     peak_meta: u64,
     origin: OriginStats,
-    obs: Option<Obs>,
-    tracer: Option<TraceRecorder>,
-    acc: Option<SeriesAcc>,
-    /// Hand windows to the recorder as they close instead of at
-    /// [`Self::finish`].
-    stream: bool,
-    lat_hist: LogHistogram,
-    last_evictions: u64,
+    rec: Option<Recording>,
+    /// The recorder of a finished tally, until [`Tally::merge`] absorbs it.
+    finished: Option<Obs>,
 }
 
 // The per-request methods below carry `#[inline]`: their callers sit in
@@ -121,14 +185,25 @@ pub(crate) struct Tally {
 impl Tally {
     /// A tally recording straight into `obs`: windows are handed over as
     /// they close, so a streaming sink sees them mid-replay.
+    /// `latency_cap` is the number of measured requests to make room for.
     pub(crate) fn new(obs: Option<Obs>, warmup: usize, latency_cap: usize) -> Self {
+        let rec = obs.map(|obs| {
+            let every = obs.config().trace_sample as usize;
+            if let Some(expected) = latency_cap.checked_div(every) {
+                // The sampled share, with slack for its spread.
+                obs.reserve_traces(expected + expected / 8 + 16);
+            }
+            Recording {
+                tracer: obs.trace_recorder(),
+                acc: SeriesAcc::new(obs.window()),
+                obs,
+                stream: true,
+            }
+        });
         Tally {
             warmup,
             latencies: Vec::with_capacity(latency_cap),
-            tracer: obs.as_ref().map(Obs::trace_recorder),
-            acc: obs.as_ref().map(|o| SeriesAcc::new(o.window())),
-            obs,
-            stream: true,
+            rec,
             ..Tally::default()
         }
     }
@@ -142,16 +217,17 @@ impl Tally {
     /// index there, so they stay put until [`Self::finish`].
     pub(crate) fn shard(master: Option<&Obs>, warmup: usize, measured: usize) -> Self {
         let private = master.map(|m| Obs::new(m.config().clone()));
-        Tally {
-            stream: false,
-            ..Tally::new(private, warmup, measured)
+        let mut tally = Tally::new(private, warmup, measured);
+        if let Some(rec) = &mut tally.rec {
+            rec.stream = false;
         }
+        tally
     }
 
     /// The recorder this tally feeds (what shard policies attach to).
     #[inline]
     pub(crate) fn obs(&self) -> Option<&Obs> {
-        self.obs.as_ref()
+        self.rec.as_ref().map(|rec| &rec.obs)
     }
 
     /// Whether trace index `i` is past the warmup cut.
@@ -181,15 +257,16 @@ impl Tally {
     /// no metric window to anchor an exemplar to).
     #[inline]
     pub(crate) fn begin_trace(&self, i: usize, req: &Request) -> Option<TraceBuilder> {
-        let tracer = self.tracer.filter(|_| self.measures(i))?;
-        tracer.begin(i as u64, req.id, req.ts.as_micros(), req.size)
+        let rec = self.rec.as_ref().filter(|_| self.measures(i))?;
+        rec.tracer
+            .begin(i as u64, req.id, req.ts.as_micros(), req.size)
     }
 
     /// Records how request `i` was served: breaker transitions (warmup
     /// included — the breaker carries state into the measured interval),
-    /// then, past the warmup cut, the counters, the latency samples, the
-    /// window sample and histogram, the stale / error / coalesce events and
-    /// the finished request trace. `evictions` reads the policy's lifetime
+    /// then, past the warmup cut, the window boundary, the counters, the
+    /// latency samples, the stale / error / coalesce events and the
+    /// finished request trace. `evictions` reads the policy's lifetime
     /// eviction counter and is only called when a windowed series is on.
     #[inline]
     pub(crate) fn record(
@@ -201,102 +278,89 @@ impl Tally {
         origin: OriginStats,
         evictions: impl FnOnce() -> u64,
     ) {
-        if let Some(obs) = &self.obs {
-            let t = req.ts.as_secs_f64();
-            let opens = origin.breaker_opens;
-            if opens > self.origin.breaker_opens {
-                obs.emit(Event::new(t, EventKind::BreakerOpen).field("opens", opens));
+        let measures = self.measures(i);
+        if let Some(rec) = &mut self.rec {
+            if origin.breaker_opens > self.origin.breaker_opens
+                || origin.breaker_closes > self.origin.breaker_closes
+            {
+                rec.breaker_events(req, &self.origin, &origin);
             }
-            let closes = origin.breaker_closes;
-            if closes > self.origin.breaker_closes {
-                obs.emit(Event::new(t, EventKind::BreakerClose).field("closes", closes));
+            if measures {
+                // Before `counts` includes the request: a window flushed
+                // here holds exactly the requests before this one. The
+                // policy has already handled this one, though, so that
+                // window ends at the *previous* eviction reading — the one
+                // still in `counts`.
+                let counts = &self.counts;
+                if rec.acc.observe(req.ts.as_micros(), || *counts) && rec.stream {
+                    rec.obs.push_windows(rec.acc.take_done());
+                }
+                self.counts.bytes_hit += served.hit as u128 * req.size as u128;
             }
+            // Read during warmup too, so warmup evictions are baselined
+            // away.
+            self.counts.evictions = evictions();
         }
         self.origin = origin;
-        // Read during warmup too, so warmup evictions are baselined away.
-        let evicted = if self.acc.is_some() {
-            let now = evictions();
-            let delta = now.saturating_sub(self.last_evictions);
-            self.last_evictions = now;
-            delta
-        } else {
-            0
-        };
-        if !self.measures(i) {
+        if !measures {
             return;
         }
 
-        self.measured += 1;
-        self.bytes_served += req.size as u128;
+        let c = &mut self.counts;
+        c.requests += 1;
+        c.bytes_requested += req.size as u128;
+        c.hits += served.hit as u64;
+        c.errors += served.error as u64;
+        c.stale_served += served.stale as u64;
+        c.coalesced += served.coalesced as u64;
         self.wan_bytes += served.wan as u128;
         self.busy_ms += served.service_ms;
-        self.hits += served.hit as u64;
-        self.errors += served.error as u64;
-        self.stale_served += served.stale as u64;
-        self.coalesced += served.coalesced as u64;
         self.latencies.push(served.latency_ms);
         if served.degraded {
             self.degraded_latencies.push(served.latency_ms);
         }
 
-        let (Some(acc), Some(obs)) = (self.acc.as_mut(), self.obs.as_ref()) else {
+        let Some(rec) = &self.rec else {
             return;
         };
-        let closed = acc.on_request(ReqSample {
-            t_micros: req.ts.as_micros(),
-            bytes: req.size,
-            hit: served.hit,
-            admitted: false,
-            bypassed: false,
-            error: served.error,
-            stale: served.stale,
-            coalesced: served.coalesced,
-        });
-        // After the sample: the credit may still land on a window this
-        // request just closed.
-        acc.on_evictions(evicted);
-        if served.latency_ms.is_finite() && served.latency_ms >= 0.0 {
-            self.lat_hist.record((served.latency_ms * 1e3) as u64);
-        }
-        if closed && self.stream {
-            obs.push_windows(acc.take_done());
-        }
-        let t = req.ts.as_secs_f64();
-        for (flag, kind) in [
-            (served.stale, EventKind::StaleServe),
-            (served.error, EventKind::ErrorServe),
-            (served.coalesced, EventKind::Coalesce),
-        ] {
-            if flag {
-                obs.emit(Event::new(t, kind).field("id", req.id));
-            }
+        if served.stale | served.error | served.coalesced {
+            rec.serve_events(req, served);
         }
         if let Some(tb) = tb {
-            obs.push_trace(tb.finish(served.latency_ms, acc.last_index()));
+            rec.obs
+                .push_trace(tb.finish(served.latency_ms, rec.stamp_window()));
         }
     }
 
     /// Once the shard's subsequence is exhausted: flushes the remaining
     /// windows, the shared counters and the latency histogram into the
     /// recorder under `prefix` (`server.` / `fleet.`), and returns the
-    /// recorder so the layer can add the counters only it keeps.
+    /// recorder so the layer can add the counters only it keeps. Call
+    /// before [`Self::report`], which reorders the latency samples.
     pub(crate) fn finish(&mut self, prefix: &str) -> Option<&Obs> {
-        let obs = self.obs.as_ref()?;
-        if let Some(acc) = self.acc.take() {
-            obs.push_windows(acc.finish());
-        }
+        let Recording { obs, acc, .. } = self.rec.take()?;
+        obs.push_windows(acc.finish_observed(self.counts));
         for (name, n) in [
-            ("requests", self.measured),
-            ("stale_served", self.stale_served),
-            ("coalesced", self.coalesced),
+            ("requests", self.counts.requests),
+            ("stale_served", self.counts.stale_served),
+            ("coalesced", self.counts.coalesced),
             ("retries", self.origin.retries),
         ] {
             obs.counter_add(&format!("{prefix}{name}"), n);
         }
-        if self.lat_hist.total() > 0 {
-            obs.hist_merge(&format!("{prefix}latency_us"), &self.lat_hist);
+        // Built here, from the samples the report keeps anyway, instead of
+        // one update per request: the histogram holds integer sums, so the
+        // order of recording cannot show.
+        let mut lat_hist = LogHistogram::new();
+        for &ms in &self.latencies {
+            if ms.is_finite() && ms >= 0.0 {
+                lat_hist.record((ms * 1e3) as u64);
+            }
         }
-        Some(obs)
+        if lat_hist.total() > 0 {
+            obs.hist_merge(&format!("{prefix}latency_us"), &lat_hist);
+        }
+        Some(self.finished.insert(obs))
     }
 
     /// Merges finished shard tallies **in the order given** — callers pass
@@ -308,21 +372,23 @@ impl Tally {
         master: Option<&Obs>,
         latency_cap: usize,
     ) -> Tally {
-        let mut total = Tally::new(None, 0, latency_cap);
+        let mut total = Tally::default();
         let mut recorders = Vec::new();
         for shard in shards {
-            recorders.extend(shard.obs.take());
-            total.latencies.extend(std::mem::take(&mut shard.latencies));
-            total
-                .degraded_latencies
-                .extend(std::mem::take(&mut shard.degraded_latencies));
+            recorders.extend(shard.finished.take());
+            append(&mut total.latencies, &mut shard.latencies, latency_cap);
+            append(
+                &mut total.degraded_latencies,
+                &mut shard.degraded_latencies,
+                0,
+            );
             total.seen += shard.seen;
-            total.measured += shard.measured;
-            total.hits += shard.hits;
-            total.errors += shard.errors;
-            total.stale_served += shard.stale_served;
-            total.coalesced += shard.coalesced;
-            total.bytes_served += shard.bytes_served;
+            total.counts.requests += shard.counts.requests;
+            total.counts.hits += shard.counts.hits;
+            total.counts.errors += shard.counts.errors;
+            total.counts.stale_served += shard.counts.stale_served;
+            total.counts.coalesced += shard.counts.coalesced;
+            total.counts.bytes_requested += shard.counts.bytes_requested;
             total.wan_bytes += shard.wan_bytes;
             total.busy_ms += shard.busy_ms;
             total.peak_meta += shard.peak_meta;
@@ -349,7 +415,8 @@ impl Tally {
         } else {
             self.latencies.iter().sum::<f64>() / self.latencies.len() as f64
         };
-        let (measured, busy_ms) = (self.measured, self.busy_ms);
+        let counts = self.counts;
+        let (measured, busy_ms) = (counts.requests, self.busy_ms);
         let duration = trace.duration().as_secs_f64().max(1e-9);
         ServerReport {
             name,
@@ -357,12 +424,12 @@ impl Tally {
             content_hit_pct: if measured == 0 {
                 0.0
             } else {
-                self.hits as f64 / measured as f64 * 100.0
+                counts.hits as f64 / measured as f64 * 100.0
             },
             throughput_gbps: if busy_ms <= 0.0 {
                 0.0
             } else {
-                self.bytes_served as f64 * 8.0 / (busy_ms / 1e3) / 1e9
+                counts.bytes_requested as f64 * 8.0 / (busy_ms / 1e3) / 1e9
             },
             peak_cpu_pct: if busy_ms <= 0.0 {
                 0.0
@@ -377,12 +444,12 @@ impl Tally {
             availability_pct: if measured == 0 {
                 100.0
             } else {
-                (measured - self.errors) as f64 / measured as f64 * 100.0
+                (measured - counts.errors) as f64 / measured as f64 * 100.0
             },
-            errors_served: self.errors,
-            stale_served: self.stale_served,
+            errors_served: counts.errors,
+            stale_served: counts.stale_served,
             retries: self.origin.retries,
-            coalesced_fetches: self.coalesced,
+            coalesced_fetches: counts.coalesced,
             breaker_opens: self.origin.breaker_opens,
             breaker_closes: self.origin.breaker_closes,
             degraded_p90_latency_ms,
@@ -390,5 +457,59 @@ impl Tally {
             series: Vec::new(),
             replay_wall_secs: wall_secs,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{CdnServer, EngineConfig, ServerConfig, ShardedEngine};
+    use lhr_obs::{Obs, ObsConfig, ObsWindow};
+    use lhr_policies::Lru;
+    use lhr_sim::shard::RouteConfig;
+    use lhr_trace::{Request, Time, Trace};
+
+    /// The window-stamp quirk, pinned so the delta path cannot "fix" it
+    /// unnoticed: with every request traced and five-request windows, a
+    /// streaming single server stamps the request that fills a window with
+    /// the *next* window's index, while an engine shard — same tally, not
+    /// streaming — stamps it with the window it closed. The serving goldens
+    /// sample 1/64 and never catch a window-filling request; this does.
+    /// Making the two agree is a behaviour change that re-records exports
+    /// (ROADMAP, "One replay loop, one report shape").
+    #[test]
+    fn window_stamp_quirk_single_server_next_index_engine_shard_closing_index() {
+        let mut trace = Trace::new("stamps");
+        for i in 0..12u64 {
+            trace.push(Request::new(Time::from_secs(i), i % 3, 1_000));
+        }
+        let recorder = || {
+            Obs::new(ObsConfig {
+                window: ObsWindow::Requests(5),
+                deterministic: true,
+                trace_sample: 1,
+                ..ObsConfig::default()
+            })
+        };
+        let stamps = |obs: &Obs| -> Vec<u64> { obs.traces().iter().map(|t| t.window).collect() };
+
+        let single = recorder();
+        CdnServer::new(Lru::new(1 << 20), ServerConfig::default())
+            .with_obs(single.clone())
+            .replay(&trace);
+        //                          fills window 0 ↓   fills window 1 ↓
+        assert_eq!(stamps(&single), [0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 2, 2]);
+
+        let sharded = recorder();
+        ShardedEngine::new(EngineConfig {
+            n_shards: 1,
+            route: RouteConfig { threads: 1 },
+            ..EngineConfig::new(1 << 20)
+        })
+        .with_obs(sharded.clone())
+        .replay(&trace, |_, capacity, _| Lru::new(capacity));
+        assert_eq!(stamps(&sharded), [0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 2]);
+
+        // Either way the windows themselves hold the same requests.
+        assert_eq!(single.windows(), sharded.windows());
     }
 }

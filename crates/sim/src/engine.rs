@@ -132,6 +132,7 @@ impl Simulator {
                         bytes_requested: metrics.bytes_requested,
                         bytes_hit: metrics.bytes_hit,
                         evictions: policy.evictions(),
+                        ..Totals::default()
                     });
                 }
             }
@@ -199,6 +200,7 @@ impl Simulator {
                 bytes_requested: metrics.bytes_requested,
                 bytes_hit: metrics.bytes_hit,
                 evictions: policy.evictions(),
+                ..Totals::default()
             }));
             obs.counter_add("sim.requests", metrics.requests);
             obs.counter_add("sim.hits", metrics.hits);

@@ -313,6 +313,7 @@ impl<P: CachePolicy> SimShard<P> {
             bytes_requested: self.metrics.bytes_requested,
             bytes_hit: self.metrics.bytes_hit,
             evictions: self.policy.evictions(),
+            ..Totals::default()
         }
     }
 
@@ -475,6 +476,7 @@ impl ShardedSimulator {
                         bytes_requested: shard.metrics.bytes_requested,
                         bytes_hit: shard.metrics.bytes_hit,
                         evictions: shard.policy.evictions(),
+                        ..Totals::default()
                     };
                     obs.push_windows(acc.finish_observed(totals));
                     obs.counter_add("sim.requests", shard.metrics.requests);

@@ -183,30 +183,31 @@ impl Json {
         out
     }
 
-    fn write_compact(&self, out: &mut String) {
+    /// Appends the compact, byte-deterministic serialization to `out` —
+    /// what [`to_string`](Json#method.to_string) returns, without the
+    /// intermediate `String`.
+    pub fn write_to(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::UInt(u) => {
-                out.push_str(itoa_buf(*u).as_str());
-            }
+            Json::Bool(b) => write_bool(*b, out),
+            Json::UInt(u) => write_u64(*u, out),
             Json::Int(i) => {
                 if *i >= 0 {
-                    out.push_str(itoa_buf(*i as u64).as_str());
+                    write_u64(*i as u64, out);
                 } else {
                     out.push('-');
-                    out.push_str(itoa_buf(i.unsigned_abs()).as_str());
+                    write_u64(i.unsigned_abs(), out);
                 }
             }
             Json::Float(f) => write_f64(*f, out),
-            Json::Str(s) => write_escaped(s, out),
+            Json::Str(s) => write_str(s, out),
             Json::Array(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    item.write_compact(out);
+                    item.write_to(out);
                 }
                 out.push(']');
             }
@@ -216,9 +217,9 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_escaped(k, out);
+                    write_str(k, out);
                     out.push(':');
-                    v.write_compact(out);
+                    v.write_to(out);
                 }
                 out.push('}');
             }
@@ -247,7 +248,7 @@ impl Json {
                         out.push_str(",\n");
                     }
                     indent(out, depth + 1);
-                    write_escaped(k, out);
+                    write_str(k, out);
                     out.push_str(": ");
                     v.write_pretty(out, depth + 1);
                 }
@@ -255,7 +256,7 @@ impl Json {
                 indent(out, depth);
                 out.push('}');
             }
-            other => other.write_compact(out),
+            other => other.write_to(out),
         }
     }
 }
@@ -264,7 +265,7 @@ impl fmt::Display for Json {
     /// Compact, byte-deterministic serialization.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut out = String::new();
-        self.write_compact(&mut out);
+        self.write_to(&mut out);
         f.write_str(&out)
     }
 }
@@ -275,8 +276,13 @@ fn indent(out: &mut String, depth: usize) {
     }
 }
 
-/// Stack-allocated decimal formatting for the hot integer path.
-fn itoa_buf(mut v: u64) -> ItoaBuf {
+/// Appends `true` / `false`.
+pub fn write_bool(b: bool, out: &mut String) {
+    out.push_str(if b { "true" } else { "false" });
+}
+
+/// Appends an unsigned integer in decimal (stack-formatted, no allocation).
+pub fn write_u64(mut v: u64, out: &mut String) {
     let mut buf = [0u8; 20];
     let mut i = buf.len();
     loop {
@@ -287,21 +293,21 @@ fn itoa_buf(mut v: u64) -> ItoaBuf {
             break;
         }
     }
-    ItoaBuf { buf, start: i }
+    out.push_str(std::str::from_utf8(&buf[i..]).expect("digits are ascii"));
 }
 
-struct ItoaBuf {
-    buf: [u8; 20],
-    start: usize,
-}
-
-impl ItoaBuf {
-    fn as_str(&self) -> &str {
-        std::str::from_utf8(&self.buf[self.start..]).expect("digits are ascii")
+/// Appends a `u128` the way its [`ToJson`] impl spells it: a number up to
+/// `u64::MAX`, a decimal string beyond.
+pub fn write_u128(v: u128, out: &mut String) {
+    match u64::try_from(v) {
+        Ok(u) => write_u64(u, out),
+        Err(_) => write_str(&v.to_string(), out),
     }
 }
 
-fn write_f64(f: f64, out: &mut String) {
+/// Appends a float: shortest round-trip digits, with the `NaN` /
+/// `Infinity` / `-Infinity` / `-0.0` spellings the parser reads back.
+pub fn write_f64(f: f64, out: &mut String) {
     use fmt::Write;
     if f.is_nan() {
         out.push_str("NaN");
@@ -313,7 +319,7 @@ fn write_f64(f: f64, out: &mut String) {
         // Display would print "-0", which the parser must not normalize to
         // the unsigned integer 0; keep the float spelling.
         out.push_str("-0.0");
-    } else {
+    } else if !write_micros(f, out) {
         // Rust's shortest-roundtrip Display; never exponent notation, never
         // a trailing ".0" — integral floats intentionally re-parse as
         // integer variants (the numeric value is identical).
@@ -321,23 +327,153 @@ fn write_f64(f: f64, out: &mut String) {
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+/// The fast path of [`write_f64`] for a float that is a whole number of
+/// millionths below 10⁹ — every trace timestamp (microseconds / 1e6), every
+/// integral offset and count: appends what `Display` would and returns
+/// true, or appends nothing.
+///
+/// Why the bytes are `Display`'s: the decimal `m / 10⁶` printed here parses
+/// back to `f` (checked below — IEEE division of two exactly held integers
+/// rounds as the parser does), and it has at most 15 significant digits.
+/// Two different decimals that short never share a double, so no shorter
+/// or equally short string round-trips, and `Display` prints the shortest
+/// one, without an exponent.
+fn write_micros(f: f64, out: &mut String) -> bool {
+    let a = f.abs();
+    if a.is_nan() || a >= 1e9 {
+        return false;
+    }
+    let m = (a * 1e6 + 0.5) as u64;
+    if m as f64 / 1e6 != a {
+        return false;
+    }
+    if f < 0.0 {
+        out.push('-');
+    }
+    write_u64(m / 1_000_000, out);
+    let mut frac = m % 1_000_000;
+    if frac != 0 {
+        let mut digits = [b'0'; 6];
+        let mut len = 6;
+        while frac.is_multiple_of(10) {
+            frac /= 10;
+            len -= 1;
+        }
+        for d in digits[..len].iter_mut().rev() {
+            *d = b'0' + (frac % 10) as u8;
+            frac /= 10;
+        }
+        out.push('.');
+        out.push_str(std::str::from_utf8(&digits[..len]).expect("digits are ascii"));
+    }
+    true
+}
+
+/// Appends a quoted, escaped string. Runs free of `"`, `\` and control
+/// characters — whole keys and names, nearly always — are copied in one
+/// piece.
+pub fn write_str(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
+        }
+        // Every byte that needs escaping is ASCII, so `run..i` always
+        // falls on character boundaries.
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
                 use fmt::Write;
-                write!(out, "\\u{:04x}", c as u32).expect("writing to String cannot fail");
+                write!(out, "\\u{b:04x}").expect("writing to String cannot fail");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
+}
+
+/// Streams one compact JSON object into a caller-owned buffer, field by
+/// field, through the same leaf formatters [`Json::write_to`] uses — so a
+/// type that writes its fields in its [`ToJson`] order produces exactly the
+/// bytes of `to_json().to_string()` without building the tree.
+///
+/// ```
+/// use lhr_util::json::ObjectWriter;
+///
+/// let mut line = String::new();
+/// let mut w = ObjectWriter::new(&mut line);
+/// w.string("name", "zipf");
+/// w.float("alpha", 0.9);
+/// w.uint("n", 100);
+/// w.end();
+/// assert_eq!(line, r#"{"name":"zipf","alpha":0.9,"n":100}"#);
+/// ```
+pub struct ObjectWriter<'a> {
+    out: &'a mut String,
+    first: bool,
+}
+
+impl<'a> ObjectWriter<'a> {
+    /// Opens an object at the end of `out`.
+    pub fn new(out: &'a mut String) -> Self {
+        out.push('{');
+        ObjectWriter { out, first: true }
+    }
+
+    /// Writes the separator and `"key":`, and hands back the buffer for a
+    /// value the typed methods below do not cover (a nested object or
+    /// array).
+    pub fn key(&mut self, key: &str) -> &mut String {
+        if !self.first {
+            self.out.push(',');
+        }
+        self.first = false;
+        write_str(key, self.out);
+        self.out.push(':');
+        self.out
+    }
+
+    /// One unsigned-integer field.
+    pub fn uint(&mut self, key: &str, v: u64) {
+        write_u64(v, self.key(key));
+    }
+
+    /// One `u128` field (see [`write_u128`]).
+    pub fn uint128(&mut self, key: &str, v: u128) {
+        write_u128(v, self.key(key));
+    }
+
+    /// One float field.
+    pub fn float(&mut self, key: &str, v: f64) {
+        write_f64(v, self.key(key));
+    }
+
+    /// One boolean field.
+    pub fn boolean(&mut self, key: &str, v: bool) {
+        write_bool(v, self.key(key));
+    }
+
+    /// One string field.
+    pub fn string(&mut self, key: &str, v: &str) {
+        write_str(v, self.key(key));
+    }
+
+    /// One field holding an already-built value.
+    pub fn json(&mut self, key: &str, v: &Json) {
+        v.write_to(self.key(key));
+    }
+
+    /// Closes the object.
+    pub fn end(self) {
+        self.out.push('}');
+    }
 }
 
 struct Parser<'a> {

@@ -84,10 +84,6 @@ cargo run --release --offline -p lhr-cli -- obs summarize "$smoke_dir/obs.jsonl"
   > "$smoke_dir/summary.out"
 grep -q "== obs summary ==" "$smoke_dir/summary.out"
 
-echo "==> obs overhead bench smoke (tiny scale)"
-LHR_BENCH_WARMUP_MS=20 LHR_BENCH_MEASURE_MS=100 \
-  cargo run --release --offline -p lhr-bench --bin obs -- --scale tiny
-
 echo "==> threaded-engine determinism smoke (--threads 1 2 4)"
 # The determinism contract (ARCHITECTURE.md): stable reports and
 # deterministic --obs exports are byte-identical at any thread count.

@@ -185,3 +185,101 @@ fn lhr_steady_state_allocates_only_at_window_boundaries() {
         trace.len()
     );
 }
+
+/// One-shard, one-thread engine replay of `trace` under a fresh LRU, on the
+/// calling thread (worker 0 of one is the caller); returns the allocations
+/// it made.
+fn engine_replay_allocs(trace: &Trace, obs: Option<&lhr_repro::obs::Obs>) -> u64 {
+    use lhr_repro::proto::{EngineConfig, ServerConfig, ShardedEngine};
+    use lhr_repro::sim::shard::RouteConfig;
+    let mut engine = ShardedEngine::new(EngineConfig {
+        total_capacity: 1_000 * 4_000,
+        n_shards: 1,
+        route: RouteConfig { threads: 1 },
+        server: ServerConfig::default(),
+    });
+    if let Some(obs) = obs {
+        engine = engine.with_obs(obs.clone());
+    }
+    let before = allocs();
+    let report = engine.replay(trace, |_, capacity, _| Lru::new(capacity));
+    let delta = allocs() - before;
+    assert!(
+        report.report.content_hit_pct > 0.0,
+        "sanity: the replay hits"
+    );
+    delta
+}
+
+/// The recorder's share of a replay's allocations: none per request. With
+/// tracing off it allocates at window edges only; with 1/64 sampling it adds
+/// a bounded handful per *sampled* request; and the export writes each line
+/// into a reused buffer instead of building a tree per record.
+#[test]
+fn recorder_allocates_per_window_and_per_sampled_trace_not_per_request() {
+    use lhr_repro::obs::{Obs, ObsConfig, ObsRecord, ObsWindow};
+    let trace = fixed_population_trace(13, 4_000, 120_000);
+    let recorder = |trace_sample: u64| {
+        Obs::new(ObsConfig {
+            window: ObsWindow::Requests(1_000),
+            deterministic: true,
+            trace_sample,
+            ..ObsConfig::default()
+        })
+    };
+    let plain = engine_replay_allocs(&trace, None);
+
+    // Windows only: 120 window edges, 120 000 requests.
+    let windowed = recorder(0);
+    let with_windows = engine_replay_allocs(&trace, Some(&windowed));
+    let windows = windowed.windows().len() as u64;
+    assert_eq!(windows, 120);
+    let per_window = with_windows.saturating_sub(plain);
+    assert!(
+        per_window <= 2 * windows + 64,
+        "recorder without tracing allocated {per_window} times over {windows} windows \
+         ({plain} plain, {with_windows} recorded)"
+    );
+
+    // 1/64 sampling: a sampled request costs its steps vector, one detail
+    // vector per step and one string for the origin outcome — at most 6
+    // allocations on this fault-free path (a hit has one step, a miss
+    // three) — plus the trace buffer's one reservation.
+    let traced = recorder(64);
+    let with_traces = engine_replay_allocs(&trace, Some(&traced));
+    let traces = traced.traces().len() as u64;
+    assert!(
+        (1_000..3_000).contains(&traces),
+        "sanity: {traces} sampled of 120 000"
+    );
+    let per_trace = with_traces.saturating_sub(with_windows);
+    assert!(
+        per_trace <= 6 * traces + 64,
+        "1/64 tracing allocated {per_trace} times for {traces} traces"
+    );
+
+    // Export: one growing output string, no per-line or per-field
+    // allocation. (The parent built a `Json` tree per record: some forty
+    // allocations for a three-step trace line.)
+    let before = allocs();
+    let jsonl = traced.to_jsonl();
+    let export = allocs() - before;
+    let lines = jsonl.lines().count() as u64;
+    assert!(lines > traces + windows);
+    assert!(
+        export <= lines / 8,
+        "buffered export allocated {export} times for {lines} lines"
+    );
+    // And a record written into a reused buffer allocates nothing at all.
+    let records = traced.records();
+    let mut line = String::with_capacity(4_096);
+    let before = allocs();
+    for record in &records {
+        line.clear();
+        record.write_line(&mut line);
+    }
+    assert_eq!(allocs() - before, 0, "write_line into a reused buffer");
+    assert!(records
+        .iter()
+        .any(|r| matches!(r, ObsRecord::Trace(t) if t.steps.len() == 3)));
+}

@@ -267,3 +267,63 @@ fn server_report_stable_json_round_trips_byte_identically() {
     let back = ServerReport::from_json(&Json::parse(&text).unwrap()).unwrap();
     assert_eq!(back.to_json().to_string(), text);
 }
+
+/// The `obs-1shard` benchmark workload's shape — default 10 000-request
+/// windows, 1/100 request tracing, both SLOs, one shard, export streamed —
+/// at threads 1, 2 and 8: the streamed file is the buffered export, the
+/// thread count does not show, and every line re-serialises to itself
+/// through both the writer (`to_line`) and the tree (`to_json`), which are
+/// the same bytes by contract.
+#[test]
+fn obs_1shard_shape_streams_its_buffered_export_and_reserialises_line_by_line() {
+    use lhr_repro::proto::{EngineConfig, ShardedEngine};
+    use lhr_repro::sim::shard::RouteConfig;
+    let trace = IrmConfig::new(20_000, 45_000)
+        .zipf_alpha(0.9)
+        .size_model(SizeModel::BoundedPareto {
+            alpha: 1.2,
+            min: 10_000,
+            max: 1_000_000,
+        })
+        .seed(17)
+        .generate();
+    let run = |threads: usize| {
+        let obs = Obs::new(ObsConfig {
+            deterministic: true,
+            trace_sample: lhr_repro::obs::trace::parse_sample("1/100").unwrap(),
+            slos: lhr_repro::obs::slo::parse_objectives("avail:99.9,hitratio:50").unwrap(),
+            ..ObsConfig::default()
+        });
+        let path = stream_path(&format!("obs-1shard-t{threads}"));
+        obs.stream_to(&path).expect("open stream");
+        ShardedEngine::new(EngineConfig {
+            n_shards: 1,
+            route: RouteConfig { threads },
+            ..EngineConfig::new(8 << 20)
+        })
+        .with_obs(obs.clone())
+        .replay(&trace, |_shard, capacity, _obs| Lru::new(capacity));
+        obs.close_stream().expect("close stream");
+        let streamed = std::fs::read_to_string(&path).expect("read streamed file");
+        std::fs::remove_file(&path).ok();
+        assert_eq!(streamed, obs.to_jsonl(), "streamed file == buffered export");
+        streamed
+    };
+    let export = run(1);
+    for threads in [2, 8] {
+        assert_eq!(run(threads), export, "thread count leaks at {threads}");
+    }
+    let mut tags = std::collections::BTreeMap::new();
+    for line in export.lines() {
+        let record = ObsRecord::parse_line(line).expect(line);
+        assert_eq!(record.to_line(), line);
+        assert_eq!(record.to_json().to_string(), line);
+        *tags.entry(record.tag()).or_insert(0u32) += 1;
+    }
+    // 45 000 requests: four full windows and the partial fifth, ≈450
+    // sampled traces, and the hit-ratio objective's verdict event.
+    assert_eq!(tags["window"], 5);
+    assert!((300..600).contains(&tags["trace"]), "{tags:?}");
+    assert!(tags.contains_key("event"), "{tags:?}");
+    assert_eq!(tags["meta"], 1);
+}

@@ -599,13 +599,13 @@ fn trace_records_roundtrip_bitwise() {
                 let names = ["edge_lookup", "failover", "peer_hint", "shield_lookup",
                              "origin_fetch", "breaker", "stale_serve", "coalesce"];
                 TraceStep {
-                    step: names[(r % 8) as usize].to_string(),
+                    step: names[(r % 8) as usize].into(),
                     dt_ms: (r % 4_000) as f64 * 0.25,
                     bytes: r % 1_000_000,
                     detail: vec![
-                        ("attempt".to_string(), (r % 5).to_json()),
-                        ("hit".to_string(), (r % 2 == 0).to_json()),
-                        ("outcome".to_string(), "timeout".to_json()),
+                        ("attempt".into(), (r % 5).to_json()),
+                        ("hit".into(), (r % 2 == 0).to_json()),
+                        ("outcome".into(), "timeout".to_json()),
                     ],
                 }
             })
@@ -670,10 +670,10 @@ fn malformed_trace_lines_never_panic() {
             latency_ms: 1.25,
             exemplar: seed % 2 == 0,
             steps: vec![TraceStep {
-                step: "origin_fetch".to_string(),
+                step: "origin_fetch".into(),
                 dt_ms: 2.5,
                 bytes: seed % 4_096,
-                detail: vec![("outcome".to_string(), lhr_util::json::Json::Str("error".into()))],
+                detail: vec![("outcome".into(), lhr_util::json::Json::Str("error".into()))],
             }],
         };
         let line = ObsRecord::Trace(record).to_line();
@@ -688,5 +688,366 @@ fn malformed_trace_lines_never_panic() {
             let _ = ObsRecord::parse_line(&mangled);
         }
         prop_assert!(true);
+    });
+}
+
+/// Deterministic stream of hostile leaves expanded from one seed: the
+/// floats, integers and strings a serializer is most likely to spell
+/// differently on two code paths.
+struct Hostile(u64);
+
+impl Hostile {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    /// Any float at all when `wild`; otherwise finite and not NaN (records
+    /// compare with `==`, under which NaN differs from itself).
+    fn float(&mut self, wild: bool) -> f64 {
+        let r = self.next();
+        match r % 16 {
+            0 if wild => f64::NAN,
+            1 if wild => f64::INFINITY,
+            2 if wild => f64::NEG_INFINITY,
+            3 => -0.0,
+            4 => 0.0,
+            5 => (r >> 8) as f64 % 1e6,                       // integral
+            6 => -((r >> 8) as f64 % 1e6),                    // negative integral
+            7 => 9_007_199_254_740_993.0,                     // 2^53 + 1 rounds to even
+            8 => (r >> 4) as f64,                             // integral up to 2^60
+            9 => ((r >> 8) % 1_000_000_000_000) as f64 / 1e6, // trace time
+            10 => ((r >> 8) % 100_000_000) as f64 * 5e-6,     // latency model
+            11 => 999_999_999.999_999,
+            12 => 1e-7,
+            13 => f64::from_bits(r) % 1e300, // any bits, tamed if wild is off
+            14 => 5e-324,
+            _ => 1.0 / ((r >> 8) % 1_000 + 3) as f64,
+        }
+        .clamp(
+            if wild { f64::NEG_INFINITY } else { -1e300 },
+            if wild { f64::INFINITY } else { 1e300 },
+        )
+    }
+
+    fn uint(&mut self) -> u64 {
+        let r = self.next();
+        match r % 4 {
+            0 => u64::MAX,
+            1 => r % 3,
+            2 => r >> 32,
+            _ => r,
+        }
+    }
+
+    fn string(&mut self) -> String {
+        let pool = [
+            "",
+            "edge_lookup",
+            "quote\"inside",
+            "back\\slash",
+            "tab\there",
+            "new\nline",
+            "cr\rlf",
+            "bell\u{7}",
+            "nul\u{0}x",
+            "\u{1f}",
+            "del\u{7f}",
+            "héllo",
+            "缓存",
+            "🦀",
+            "\\\"",
+            "{\"record\":\"meta\"}",
+            "a/b",
+            "sim.requests",
+        ];
+        let r = self.next();
+        let mut s = pool[(r % pool.len() as u64) as usize].to_string();
+        if r & 0x100 != 0 {
+            s.push_str(pool[((r >> 16) % pool.len() as u64) as usize]);
+        }
+        s
+    }
+
+    /// A JSON leaf. Integral floats are left out unless `wild`: the writer
+    /// spells them as integers, so they parse back as the integer variant.
+    fn json(&mut self, wild: bool) -> lhr_util::json::Json {
+        use lhr_util::json::Json;
+        let r = self.next();
+        match r % 7 {
+            0 => Json::UInt(self.uint()),
+            1 => Json::Int(-((self.uint() >> 1) as i64) - 1),
+            2 => Json::Bool(r & 8 != 0),
+            3 => Json::Str(self.string()),
+            4 if wild => Json::Float(self.float(true)),
+            4 => Json::Float(0.5 + (r >> 8) as f64 % 1e6),
+            5 => Json::Null,
+            _ => Json::Array(vec![Json::UInt(self.uint()), Json::Str(self.string())]),
+        }
+    }
+}
+
+/// One record of each `ObsRecord` variant, every leaf hostile.
+fn hostile_records(seed: u64, wild: bool) -> Vec<lhr_repro::obs::ObsRecord> {
+    use lhr_repro::obs::trace::{TraceRecord, TraceStep};
+    use lhr_repro::obs::{Event, EventKind, LogHistogram, ObsRecord, SpanRecord, WindowRecord};
+    let mut h = Hostile(seed | 1);
+    let fields = |h: &mut Hostile| -> Vec<(String, lhr_util::json::Json)> {
+        (0..h.next() % 4)
+            .map(|_| (h.string(), h.json(wild)))
+            .collect()
+    };
+    let mut hist = LogHistogram::new();
+    for _ in 0..h.next() % 5 {
+        hist.record(h.uint()); // a few u64::MAX push `sum` past 64 bits
+    }
+    let kind = EventKind::ALL[(h.next() % EventKind::ALL.len() as u64) as usize];
+    let steps = (0..h.next() % 4)
+        .map(|_| TraceStep {
+            step: h.string().into(),
+            dt_ms: h.float(wild),
+            bytes: h.uint(),
+            detail: fields(&mut h)
+                .into_iter()
+                .map(|(k, v)| (k.into(), v))
+                .collect(),
+        })
+        .collect();
+    vec![
+        ObsRecord::Meta(fields(&mut h)),
+        ObsRecord::Window(WindowRecord {
+            index: h.uint(),
+            start_requests: h.uint(),
+            first_secs: h.float(wild),
+            last_secs: h.float(wild),
+            requests: h.uint(),
+            hits: h.uint(),
+            misses_admitted: h.uint(),
+            misses_bypassed: h.uint(),
+            bytes_requested: h.uint() as u128 * h.uint() as u128,
+            bytes_hit: h.uint() as u128,
+            evictions: h.uint(),
+            errors: h.uint(),
+            stale_served: h.uint(),
+            coalesced: h.uint(),
+        }),
+        ObsRecord::Event(Event {
+            t: h.float(wild),
+            kind,
+            fields: fields(&mut h),
+        }),
+        ObsRecord::Counter {
+            name: h.string(),
+            value: h.uint(),
+        },
+        ObsRecord::Gauge {
+            name: h.string(),
+            value: h.float(wild),
+        },
+        ObsRecord::Hist {
+            name: h.string(),
+            hist,
+        },
+        ObsRecord::Span(SpanRecord {
+            path: h.string(),
+            count: h.uint(),
+            total_secs: h.float(wild),
+            self_secs: h.float(wild),
+        }),
+        ObsRecord::Trace(TraceRecord {
+            id: h.uint(),
+            object: h.uint(),
+            t: h.float(wild),
+            bytes: h.uint(),
+            window: h.uint(),
+            latency_ms: h.float(wild),
+            exemplar: h.next() & 1 == 0,
+            steps,
+        }),
+    ]
+}
+
+/// The export's one serializer against its oracle: for every `ObsRecord`
+/// variant, `write_line` — appended to a buffer that already holds text —
+/// produces exactly `to_json().to_string()`, whatever the leaves (NaN, ±∞,
+/// −0.0, integral and sub-microsecond floats, `u64::MAX`, sums past 64 bits,
+/// quotes, backslashes, control and non-ASCII characters in names, step
+/// details and metadata), and the line parses back and re-serialises to
+/// itself.
+#[test]
+fn write_line_is_the_json_tree_spelling_for_every_record_variant() {
+    use lhr_repro::obs::ObsRecord;
+    use lhr_util::json::ToJson;
+    prop_check!(cases: 256, (seed in any_u64()) => {
+        for record in hostile_records(seed, true) {
+            let tree = record.to_json().to_string();
+            let mut line = String::from("prefix\n");
+            record.write_line(&mut line);
+            prop_assert_eq!(&line["prefix\n".len()..], &tree, "{:?}", record);
+            prop_assert_eq!(record.to_line(), tree.clone());
+            let parsed = ObsRecord::parse_line(&tree);
+            prop_assert!(parsed.is_ok(), "{tree}: {parsed:?}");
+            prop_assert_eq!(parsed.unwrap().to_line(), tree);
+        }
+    });
+}
+
+/// With leaves that `==` can compare (no NaN) and that keep their JSON
+/// variant (no integral `Json::Float`), a written line parses back to a
+/// record equal to the one written.
+#[test]
+fn written_lines_parse_back_to_equal_records() {
+    use lhr_repro::obs::ObsRecord;
+    prop_check!(cases: 256, (seed in any_u64()) => {
+        for record in hostile_records(seed, false) {
+            let line = record.to_line();
+            let parsed = ObsRecord::parse_line(&line);
+            prop_assert_eq!(parsed.as_ref(), Ok(&record), "{line}");
+        }
+    });
+}
+
+/// The float writer's integer-arithmetic fast path spells what `Display`
+/// spells — the path is taken for every whole number of millionths below
+/// 10⁹, so the draws concentrate there and on its edges.
+#[test]
+fn float_writer_fast_path_matches_display() {
+    use lhr_util::json::write_f64;
+    let same = |f: f64| {
+        let mut out = String::new();
+        write_f64(f, &mut out);
+        let display = if f == 0.0 && f.is_sign_negative() {
+            "-0.0".to_string()
+        } else {
+            format!("{f}")
+        };
+        (out, display)
+    };
+    for f in [
+        0.0,
+        -0.0,
+        1.0,
+        -1.0,
+        0.000_001,
+        0.000_000_5,
+        0.999_999_5,
+        999_999_999.999_999,
+        1e9,
+        1e9 - 1e-6,
+        123_456.789_012,
+        0.1 + 0.2,
+        1e-7,
+        4_503_599_627.370_496,
+        1e15,
+        2e15,
+    ] {
+        let (out, display) = same(f);
+        assert_eq!(out, display, "{f:e}");
+    }
+    prop_check!(cases: 4096, (r in any_u64(), scale in range(0u64..6)) => {
+        let micros = r % [1_000u64, 1_000_000, 1_000_000_000, 1_000_000_000_000_000, 2_000_000_000_000_000, u64::MAX][scale as usize];
+        let bits = f64::from_bits(r);
+        for f in [micros as f64 / 1e6, -(micros as f64 / 1e6), (micros as f64 / 1e6) * (1.0 + f64::EPSILON),
+                  micros as f64 * 5e-6, micros as f64, if bits.is_finite() { bits } else { 0.5 }] {
+            let (out, display) = same(f);
+            prop_assert_eq!(out, display, "{:e} ({:#x})", f, f.to_bits());
+        }
+    });
+}
+
+/// The recorder's divide-free sampling test is `h % every == 0`, for the
+/// rates the CLI sees and the shapes that stress the trick — powers of two,
+/// odd, even, `u64::MAX`, and `every` just above and below the hash — on
+/// random hashes and on the multiples of `every` (which random hashes
+/// almost never hit once `every` is large) and their neighbours.
+#[test]
+fn divisibility_sampler_matches_the_remainder() {
+    use lhr_repro::obs::trace::{sampled, TraceRecorder};
+    prop_check!(cases: 512, (h in any_u64(), r in any_u64(), k in range(0u32..64)) => {
+        let odd = r | 1;
+        let even = (r | 1) << (k % 8 + 1);
+        for every in [1u64, 2, 3, 64, 100, 1 << k, odd, even, u64::MAX, u64::MAX - 1,
+                      h, h.wrapping_add(1), h / 2 + 1] {
+            if every == 0 {
+                continue;
+            }
+            let recorder = TraceRecorder::new(every);
+            let multiple = (r % (u64::MAX / every).max(1)) * every; // below u64::MAX: no wrap
+            for hash in [h, multiple, multiple.wrapping_add(1), multiple.wrapping_sub(1), 0, u64::MAX] {
+                prop_assert_eq!(recorder.keeps(hash), hash % every == 0, "{} % {}", hash, every);
+            }
+        }
+        // And through the hash: `begin` takes `sampled`'s decision.
+        for every in [0u64, 1, 2, 3, 64, 100] {
+            let recorder = TraceRecorder::new(every);
+            prop_assert_eq!(recorder.begin(0, h, r, 1).is_some(), sampled(h, r, every));
+        }
+        prop_assert!(!TraceRecorder::new(0).keeps(h));
+    });
+}
+
+/// The delta path against its oracle: feeding `observe` snapshots of
+/// running totals — taken *before* a request is counted, with the eviction
+/// counter as of the previous request — yields exactly the windows
+/// `on_request` + `on_evictions` count one request at a time, error, stale
+/// and coalesced counts included, under request and time windows, with
+/// trace-time gaps that skip window indices.
+#[test]
+fn observed_totals_yield_the_windows_counted_per_request() {
+    use lhr_repro::obs::series::{ReqSample, SeriesAcc, Totals};
+    use lhr_repro::obs::ObsWindow;
+    prop_check!(cases: 256, (len in range(0usize..300), seed in any_u64(), n in range(1u64..40), warm_evictions in range(0u64..9)) => {
+        for window in [ObsWindow::Requests(n), ObsWindow::Secs(n as f64 * 0.01)] {
+            let mut h = Hostile(seed | 1);
+            let mut classic = SeriesAcc::new(window);
+            let mut delta = SeriesAcc::new(window);
+            let mut totals = Totals { evictions: warm_evictions, ..Totals::default() };
+            let mut t_micros = h.next() % 1_000_000;
+            for _ in 0..len {
+                let r = h.next();
+                // Mostly dense arrivals, now and then a gap of many windows.
+                t_micros += if r.is_multiple_of(23) { r % 3_000_000 } else { r % 9_000 };
+                let hit = r & 0x100 != 0;
+                let sample = ReqSample {
+                    t_micros,
+                    bytes: r >> 40,
+                    hit,
+                    admitted: !hit && r & 0x200 != 0,
+                    bypassed: !hit && r & 0x200 == 0,
+                    error: r & 0xC00 == 0,
+                    stale: hit && r & 0x3000 == 0,
+                    coalesced: !hit && r & 0xC000 == 0,
+                };
+                let evicted = if hit { 0 } else { (r >> 16) % 4 };
+                // The instrumented loop: the policy has handled the request
+                // (its evictions happened), the loop's counters lag behind.
+                let closed_delta = delta.observe(t_micros, || totals);
+                let closed_classic = classic.on_request(sample);
+                classic.on_evictions(evicted);
+                // A request window fills on its last request and is flushed
+                // by the next; a time window closes on the same request.
+                match window {
+                    ObsWindow::Requests(_) => prop_assert_eq!(closed_classic, delta.fills_window()),
+                    ObsWindow::Secs(_) => prop_assert_eq!(closed_classic, closed_delta),
+                }
+                prop_assert_eq!(
+                    classic.last_index(), delta.last_index(),
+                    "the request is credited to the same window"
+                );
+                totals.requests += 1;
+                totals.hits += sample.hit as u64;
+                totals.misses_admitted += sample.admitted as u64;
+                totals.misses_bypassed += sample.bypassed as u64;
+                totals.bytes_requested += sample.bytes as u128;
+                totals.bytes_hit += sample.hit as u128 * sample.bytes as u128;
+                totals.errors += sample.error as u64;
+                totals.stale_served += sample.stale as u64;
+                totals.coalesced += sample.coalesced as u64;
+                totals.evictions += evicted;
+            }
+            prop_assert_eq!(classic.finish(), delta.finish_observed(totals), "{}", window);
+        }
     });
 }
