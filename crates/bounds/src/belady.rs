@@ -153,7 +153,8 @@ mod tests {
         struct MiniLru {
             cap: u64,
             used: u64,
-            order: Vec<(u64, u64)>,
+            /// (id, size, freshness stamp), LRU first.
+            order: Vec<(u64, u64, Time)>,
         }
         impl CachePolicy for MiniLru {
             fn name(&self) -> &str {
@@ -165,11 +166,17 @@ mod tests {
             fn used_bytes(&self) -> u64 {
                 self.used
             }
-            fn contains(&self, id: u64) -> bool {
-                self.order.iter().any(|&(x, _)| x == id)
+            fn admitted_at(&self, id: u64) -> Option<Time> {
+                let &(.., at) = self.order.iter().find(|e| e.0 == id)?;
+                Some(at)
+            }
+            fn restamp(&mut self, id: u64, at: Time) {
+                if let Some(e) = self.order.iter_mut().find(|e| e.0 == id) {
+                    e.2 = at;
+                }
             }
             fn handle(&mut self, req: &Request) -> lhr_sim::Outcome {
-                if let Some(pos) = self.order.iter().position(|&(x, _)| x == req.id) {
+                if let Some(pos) = self.order.iter().position(|e| e.0 == req.id) {
                     let e = self.order.remove(pos);
                     self.order.push(e);
                     return lhr_sim::Outcome::Hit;
@@ -178,10 +185,10 @@ mod tests {
                     return lhr_sim::Outcome::MissBypassed;
                 }
                 while self.used + req.size > self.cap {
-                    let (_, s) = self.order.remove(0);
+                    let (_, s, _) = self.order.remove(0);
                     self.used -= s;
                 }
-                self.order.push((req.id, req.size));
+                self.order.push((req.id, req.size, req.ts));
                 self.used += req.size;
                 lhr_sim::Outcome::MissAdmitted
             }

@@ -723,6 +723,15 @@ fn cmd_mrc(args: &Args) -> Result<(), String> {
     use lhr_analysis::che::CheModel;
     use lhr_analysis::mrc::{lru_mrc, MrcConfig};
     let trace = load_trace(args)?;
+    if trace.len() < 2 {
+        // A rate is a count over a duration: `CheModel::from_trace`
+        // asserts this, and a curve of one request says nothing.
+        return Err(format!(
+            "{}: mrc needs a trace of at least two requests, this one has {}",
+            args.positional[0],
+            trace.len()
+        ));
+    }
     let stats = TraceStats::compute(&trace);
     let n_points: usize = args.get_parse("points")?.unwrap_or(10);
     let sample: f64 = args.get_parse("sample")?.unwrap_or(1.0);

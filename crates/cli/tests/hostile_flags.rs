@@ -241,6 +241,50 @@ fn mrc_refuses_a_sample_rate_that_is_not_positive() {
 }
 
 #[test]
+fn empty_and_one_request_traces_run_everywhere_except_mrc_which_refuses_them() {
+    // `mrc` used to panic (exit 101) in `CheModel::from_trace`'s "need at
+    // least two requests" assertion; the other commands have nothing to
+    // estimate and report on whatever they are given.
+    for records in [0u64, 1] {
+        let path = std::env::temp_dir().join(format!(
+            "lhr-hostile-{records}req-{}.bin",
+            std::process::id()
+        ));
+        let mut bytes = b"LHRTRC01".to_vec();
+        bytes.extend_from_slice(&records.to_le_bytes());
+        for _ in 0..records {
+            // One record: timestamp (µs), object id, size.
+            for field in [5_000_000u64, 7, 1_000] {
+                bytes.extend_from_slice(&field.to_le_bytes());
+            }
+        }
+        std::fs::write(&path, bytes).expect("write temp trace");
+        let file = TraceFile(path);
+        let policy = ["--policy", "LRU", "--capacity", "1MB"];
+        let runs: [(&str, &[&str]); 6] = [
+            ("stats", &[]),
+            ("simulate", &policy),
+            ("compare", &["--capacity", "1MB"]),
+            ("bound", &["--capacity", "1MB"]),
+            ("server", &policy),
+            ("fleet", &policy),
+        ];
+        for (command, flags) in runs {
+            let out = cli(&[&[command], flags, &[file.path()][..]].concat());
+            assert!(
+                out.status.success(),
+                "{command}, {records} records: {out:?}"
+            );
+        }
+        for flags in [&[][..], &["--sample", "0.5"], &["--points", "0"]] {
+            let out = cli(&[&["mrc"], flags, &[file.path()][..]].concat());
+            assert_one_line_error(&out, "at least two requests");
+            assert!(!String::from_utf8_lossy(&out.stderr).contains("panicked"));
+        }
+    }
+}
+
+#[test]
 fn fleet_refuses_a_vnode_count_of_zero_or_beyond_the_bound() {
     let trace = TraceFile::generate("vnodes");
     for vnodes in ["0", "100000000"] {

@@ -176,8 +176,8 @@ pub struct LhrCache {
     /// The cached objects in sampler order: admission appends, eviction
     /// `swap_remove`s.
     entries: Vec<CachedEntry>,
-    /// Object id → position in `entries`.
-    index: FastMap<ObjectId, usize>,
+    /// Object id → (position in `entries`, freshness stamp).
+    index: FastMap<ObjectId, (usize, Time)>,
 
     features: FeatureStore,
     window: WindowTracker,
@@ -303,7 +303,7 @@ impl LhrCache {
         self.index.remove(&victim.id).expect("sampled from cache");
         self.used -= victim.size;
         if let Some(moved) = self.entries.get(pos) {
-            *self.index.get_mut(&moved.id).expect("indexed") = pos;
+            self.index.get_mut(&moved.id).expect("indexed").0 = pos;
         }
         self.evictions += 1;
     }
@@ -312,7 +312,7 @@ impl LhrCache {
         while self.used + req.size > self.capacity {
             self.evict_one(req.ts);
         }
-        self.index.insert(req.id, self.entries.len());
+        self.index.insert(req.id, (self.entries.len(), req.ts));
         self.entries.push(CachedEntry {
             id: req.id,
             size: req.size,
@@ -635,19 +635,24 @@ impl CachePolicy for LhrCache {
     fn used_bytes(&self) -> u64 {
         self.used
     }
-    fn contains(&self, id: ObjectId) -> bool {
-        self.index.contains_key(&id)
+    fn admitted_at(&self, id: ObjectId) -> Option<Time> {
+        self.index.get(&id).map(|&(_, at)| at)
+    }
+    fn restamp(&mut self, id: ObjectId, at: Time) {
+        if let Some(slot) = self.index.get_mut(&id) {
+            slot.1 = at;
+        }
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
-        let cached = self.index.get(&req.id).copied();
+        let cached = self.index.get(&req.id).map(|&(pos, _)| pos);
         self.handle_at(req, cached)
     }
 
     /// One probe of `index` per hit: the position found here is handed to
     /// the shared handle body instead of being looked up again there.
     fn hit_check(&mut self, req: &Request) -> Option<Outcome> {
-        let pos = *self.index.get(&req.id)?;
+        let &(pos, _) = self.index.get(&req.id)?;
         Some(self.handle_at(req, Some(pos)))
     }
 

@@ -173,7 +173,8 @@ mod tests {
         struct MiniLfu {
             cap: u64,
             used: u64,
-            counts: std::collections::HashMap<u64, (u64, u64)>,
+            /// id → (count, size, freshness stamp).
+            counts: std::collections::HashMap<u64, (u64, u64, lhr_trace::Time)>,
         }
         impl CachePolicy for MiniLfu {
             fn name(&self) -> &str {
@@ -185,8 +186,13 @@ mod tests {
             fn used_bytes(&self) -> u64 {
                 self.used
             }
-            fn contains(&self, id: u64) -> bool {
-                self.counts.contains_key(&id)
+            fn admitted_at(&self, id: u64) -> Option<lhr_trace::Time> {
+                self.counts.get(&id).map(|&(_, _, at)| at)
+            }
+            fn restamp(&mut self, id: u64, at: lhr_trace::Time) {
+                if let Some(e) = self.counts.get_mut(&id) {
+                    e.2 = at;
+                }
             }
             fn handle(&mut self, req: &lhr_trace::Request) -> Outcome {
                 if let Some(e) = self.counts.get_mut(&req.id) {
@@ -197,15 +203,15 @@ mod tests {
                     return Outcome::MissBypassed;
                 }
                 while self.used + req.size > self.cap {
-                    let (&victim, &(_, vsize)) = self
+                    let (&victim, &(_, vsize, _)) = self
                         .counts
                         .iter()
-                        .min_by_key(|(id, (c, _))| (*c, **id))
+                        .min_by_key(|(id, (c, ..))| (*c, **id))
                         .expect("full");
                     self.counts.remove(&victim);
                     self.used -= vsize;
                 }
-                self.counts.insert(req.id, (1, req.size));
+                self.counts.insert(req.id, (1, req.size, req.ts));
                 self.used += req.size;
                 Outcome::MissAdmitted
             }

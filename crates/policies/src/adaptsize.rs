@@ -12,7 +12,7 @@
 
 use crate::util::LruStore;
 use lhr_sim::{CachePolicy, Outcome};
-use lhr_trace::{ObjectId, Request};
+use lhr_trace::{ObjectId, Request, Time};
 use lhr_util::rng::rngs::SmallRng;
 use lhr_util::rng::{Rng, SeedableRng};
 
@@ -107,7 +107,8 @@ impl AdaptSize {
             if draw >= (-(size as f64) / c).exp() {
                 continue;
             }
-            shadow.insert(id, size);
+            // The shadow serves nobody: its stamps are never read.
+            shadow.insert(id, size, Time::ZERO);
         }
         hits as f64 / self.window.len() as f64
     }
@@ -143,8 +144,11 @@ impl CachePolicy for AdaptSize {
     fn used_bytes(&self) -> u64 {
         self.store.used()
     }
-    fn contains(&self, id: ObjectId) -> bool {
-        self.store.contains(id)
+    fn admitted_at(&self, id: ObjectId) -> Option<Time> {
+        self.store.admitted_at(id)
+    }
+    fn restamp(&mut self, id: ObjectId, at: Time) {
+        self.store.restamp(id, at)
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
@@ -158,7 +162,7 @@ impl CachePolicy for AdaptSize {
         if self.rng.gen::<f64>() >= self.admit_probability(req.size) {
             return Outcome::MissBypassed;
         }
-        self.store.insert(req.id, req.size);
+        self.store.insert(req.id, req.size, req.ts);
         Outcome::MissAdmitted
     }
 

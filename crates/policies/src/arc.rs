@@ -7,7 +7,7 @@
 
 use crate::util::{Handle, LruList};
 use lhr_sim::{CachePolicy, Outcome};
-use lhr_trace::{ObjectId, Request};
+use lhr_trace::{ObjectId, Request, Time};
 use lhr_util::hash::FastMap;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,7 +30,8 @@ pub struct Arc {
     t2_bytes: u64,
     b1_bytes: u64,
     b2_bytes: u64,
-    cached: FastMap<ObjectId, (Handle, Location)>,
+    /// id → (list handle, which list, freshness stamp).
+    cached: FastMap<ObjectId, (Handle, Location, Time)>,
     ghost1: FastMap<ObjectId, Handle>,
     ghost2: FastMap<ObjectId, Handle>,
     evictions: u64,
@@ -119,22 +120,28 @@ impl CachePolicy for Arc {
     fn used_bytes(&self) -> u64 {
         self.used()
     }
-    fn contains(&self, id: ObjectId) -> bool {
-        self.cached.contains_key(&id)
+    fn admitted_at(&self, id: ObjectId) -> Option<Time> {
+        self.cached.get(&id).map(|&(_, _, at)| at)
+    }
+    fn restamp(&mut self, id: ObjectId, at: Time) {
+        if let Some(slot) = self.cached.get_mut(&id) {
+            slot.2 = at;
+        }
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
         // Case I: cache hit — promote to T2 MRU.
-        if let Some(&(handle, loc)) = self.cached.get(&req.id) {
-            match loc {
+        // The slot is updated in place, so its stamp rides along.
+        if let Some(slot) = self.cached.get_mut(&req.id) {
+            match slot.1 {
                 Location::T1 => {
-                    let (id, size) = self.t1.remove(handle);
+                    let (id, size) = self.t1.remove(slot.0);
                     self.t1_bytes -= size;
-                    let h = self.t2.push_front((id, size));
+                    slot.0 = self.t2.push_front((id, size));
                     self.t2_bytes += size;
-                    self.cached.insert(id, (h, Location::T2));
+                    slot.1 = Location::T2;
                 }
-                Location::T2 => self.t2.move_to_front(handle),
+                Location::T2 => self.t2.move_to_front(slot.0),
             }
             return Outcome::Hit;
         }
@@ -156,7 +163,7 @@ impl CachePolicy for Arc {
             self.make_room(req.size, false);
             let h = self.t2.push_front((req.id, req.size));
             self.t2_bytes += req.size;
-            self.cached.insert(req.id, (h, Location::T2));
+            self.cached.insert(req.id, (h, Location::T2, req.ts));
             return Outcome::MissAdmitted;
         }
 
@@ -174,7 +181,7 @@ impl CachePolicy for Arc {
             self.make_room(req.size, true);
             let h = self.t2.push_front((req.id, req.size));
             self.t2_bytes += req.size;
-            self.cached.insert(req.id, (h, Location::T2));
+            self.cached.insert(req.id, (h, Location::T2, req.ts));
             return Outcome::MissAdmitted;
         }
 
@@ -198,7 +205,7 @@ impl CachePolicy for Arc {
         self.make_room(req.size, false);
         let h = self.t1.push_front((req.id, req.size));
         self.t1_bytes += req.size;
-        self.cached.insert(req.id, (h, Location::T1));
+        self.cached.insert(req.id, (h, Location::T1, req.ts));
         Outcome::MissAdmitted
     }
 

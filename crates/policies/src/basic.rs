@@ -2,7 +2,7 @@
 
 use crate::util::SampleStore;
 use lhr_sim::{CachePolicy, Outcome};
-use lhr_trace::{ObjectId, Request};
+use lhr_trace::{ObjectId, Request, Time};
 use lhr_util::hash::FastMap;
 use lhr_util::rng::rngs::SmallRng;
 use lhr_util::rng::{Rng, SeedableRng};
@@ -14,7 +14,8 @@ pub struct Fifo {
     capacity: u64,
     used: u64,
     queue: VecDeque<(ObjectId, u64)>,
-    cached: FastMap<ObjectId, u64>,
+    /// Membership: id → freshness stamp (the queue carries the sizes).
+    cached: FastMap<ObjectId, Time>,
     evictions: u64,
 }
 
@@ -41,8 +42,13 @@ impl CachePolicy for Fifo {
     fn used_bytes(&self) -> u64 {
         self.used
     }
-    fn contains(&self, id: ObjectId) -> bool {
-        self.cached.contains_key(&id)
+    fn admitted_at(&self, id: ObjectId) -> Option<Time> {
+        self.cached.get(&id).copied()
+    }
+    fn restamp(&mut self, id: ObjectId, at: Time) {
+        if let Some(stamp) = self.cached.get_mut(&id) {
+            *stamp = at;
+        }
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
@@ -59,7 +65,7 @@ impl CachePolicy for Fifo {
             self.evictions += 1;
         }
         self.queue.push_back((req.id, req.size));
-        self.cached.insert(req.id, req.size);
+        self.cached.insert(req.id, req.ts);
         self.used += req.size;
         Outcome::MissAdmitted
     }
@@ -100,8 +106,11 @@ impl CachePolicy for RandomEviction {
     fn used_bytes(&self) -> u64 {
         self.store.used()
     }
-    fn contains(&self, id: ObjectId) -> bool {
-        self.store.contains(id)
+    fn admitted_at(&self, id: ObjectId) -> Option<Time> {
+        self.store.admitted_at(id)
+    }
+    fn restamp(&mut self, id: ObjectId, at: Time) {
+        self.store.restamp(id, at)
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
@@ -115,7 +124,7 @@ impl CachePolicy for RandomEviction {
             let victim = self.rng.gen_range(0..self.store.len());
             self.store.evict_at(victim);
         }
-        self.store.push(req.id, req.size, ());
+        self.store.push(req.id, req.size, req.ts, ());
         Outcome::MissAdmitted
     }
 

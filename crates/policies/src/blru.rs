@@ -5,7 +5,7 @@
 
 use crate::util::{BloomFilter, LruStore};
 use lhr_sim::{CachePolicy, Outcome};
-use lhr_trace::{ObjectId, Request};
+use lhr_trace::{ObjectId, Request, Time};
 
 /// The B-LRU policy.
 #[derive(Debug)]
@@ -35,8 +35,11 @@ impl CachePolicy for BLru {
     fn used_bytes(&self) -> u64 {
         self.store.used()
     }
-    fn contains(&self, id: ObjectId) -> bool {
-        self.store.contains(id)
+    fn admitted_at(&self, id: ObjectId) -> Option<Time> {
+        self.store.admitted_at(id)
+    }
+    fn restamp(&mut self, id: ObjectId, at: Time) {
+        self.store.restamp(id, at)
     }
 
     fn hit_check(&mut self, req: &Request) -> Option<Outcome> {
@@ -55,7 +58,7 @@ impl CachePolicy for BLru {
             self.seen.insert(req.id);
             return Outcome::MissBypassed;
         }
-        self.store.insert(req.id, req.size);
+        self.store.insert(req.id, req.size, req.ts);
         Outcome::MissAdmitted
     }
 

@@ -8,7 +8,7 @@
 
 use crate::util::OrdF64;
 use lhr_sim::{CachePolicy, Outcome};
-use lhr_trace::{ObjectId, Request};
+use lhr_trace::{ObjectId, Request, Time};
 use lhr_util::hash::FastMap;
 use std::collections::BTreeSet;
 
@@ -17,6 +17,8 @@ struct Entry {
     size: u64,
     freq: u64,
     priority: OrdF64,
+    /// Freshness stamp.
+    admitted: Time,
 }
 
 /// The GDSF policy.
@@ -68,8 +70,13 @@ impl CachePolicy for Gdsf {
     fn used_bytes(&self) -> u64 {
         self.used
     }
-    fn contains(&self, id: ObjectId) -> bool {
-        self.entries.contains_key(&id)
+    fn admitted_at(&self, id: ObjectId) -> Option<Time> {
+        self.entries.get(&id).map(|e| e.admitted)
+    }
+    fn restamp(&mut self, id: ObjectId, at: Time) {
+        if let Some(e) = self.entries.get_mut(&id) {
+            e.admitted = at;
+        }
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
@@ -99,6 +106,7 @@ impl CachePolicy for Gdsf {
                 size: req.size,
                 freq: 1,
                 priority: p,
+                admitted: req.ts,
             },
         );
         self.queue.insert((p, req.id));

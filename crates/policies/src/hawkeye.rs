@@ -19,7 +19,7 @@
 
 use crate::util::{Handle, LruList};
 use lhr_sim::{CachePolicy, Outcome};
-use lhr_trace::{ObjectId, Request};
+use lhr_trace::{ObjectId, Request, Time};
 use lhr_util::hash::FastMap;
 
 /// Requests per OPTgen occupancy slot (coarsening keeps the interval walk
@@ -45,7 +45,8 @@ pub struct Hawkeye {
     used: u64,
     friendly: LruList<(ObjectId, u64)>,
     averse: LruList<(ObjectId, u64)>,
-    map: FastMap<ObjectId, (Handle, ListKind, u64)>,
+    /// id → (list handle, which list, size, freshness stamp).
+    map: FastMap<ObjectId, (Handle, ListKind, u64, Time)>,
     /// 3-bit saturating counters indexed by hashed id; ≥ 0 ⇒ friendly.
     predictor: Vec<i8>,
     /// OPTgen ring: bytes OPT would hold during each slot.
@@ -168,8 +169,13 @@ impl CachePolicy for Hawkeye {
     fn used_bytes(&self) -> u64 {
         self.used
     }
-    fn contains(&self, id: ObjectId) -> bool {
-        self.map.contains_key(&id)
+    fn admitted_at(&self, id: ObjectId) -> Option<Time> {
+        self.map.get(&id).map(|&(.., at)| at)
+    }
+    fn restamp(&mut self, id: ObjectId, at: Time) {
+        if let Some(slot) = self.map.get_mut(&id) {
+            slot.3 = at;
+        }
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
@@ -186,20 +192,19 @@ impl CachePolicy for Hawkeye {
         }
 
         // --- Real cache ---
-        if let Some(&(handle, kind, _)) = self.map.get(&req.id) {
-            let friendly_now = self.is_friendly(req.id);
-            match (kind, friendly_now) {
-                (ListKind::Friendly, true) => self.friendly.move_to_front(handle),
-                (ListKind::Averse, false) => self.averse.move_to_front(handle),
+        let friendly_now = self.is_friendly(req.id);
+        // The slot is updated in place, so its stamp rides along.
+        if let Some(slot) = self.map.get_mut(&req.id) {
+            match (slot.1, friendly_now) {
+                (ListKind::Friendly, true) => self.friendly.move_to_front(slot.0),
+                (ListKind::Averse, false) => self.averse.move_to_front(slot.0),
                 (ListKind::Friendly, false) => {
-                    let (id, size) = self.friendly.remove(handle);
-                    let h = self.averse.push_front((id, size));
-                    self.map.insert(id, (h, ListKind::Averse, size));
+                    let entry = self.friendly.remove(slot.0);
+                    (slot.0, slot.1) = (self.averse.push_front(entry), ListKind::Averse);
                 }
                 (ListKind::Averse, true) => {
-                    let (id, size) = self.averse.remove(handle);
-                    let h = self.friendly.push_front((id, size));
-                    self.map.insert(id, (h, ListKind::Friendly, size));
+                    let entry = self.averse.remove(slot.0);
+                    (slot.0, slot.1) = (self.friendly.push_front(entry), ListKind::Friendly);
                 }
             }
             return Outcome::Hit;
@@ -210,7 +215,7 @@ impl CachePolicy for Hawkeye {
         while self.used + req.size > self.capacity {
             self.evict_one();
         }
-        let kind = if self.is_friendly(req.id) {
+        let kind = if friendly_now {
             ListKind::Friendly
         } else {
             ListKind::Averse
@@ -219,7 +224,7 @@ impl CachePolicy for Hawkeye {
             ListKind::Friendly => self.friendly.push_front((req.id, req.size)),
             ListKind::Averse => self.averse.push_front((req.id, req.size)),
         };
-        self.map.insert(req.id, (handle, kind, req.size));
+        self.map.insert(req.id, (handle, kind, req.size, req.ts));
         self.used += req.size;
         Outcome::MissAdmitted
     }

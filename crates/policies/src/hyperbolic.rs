@@ -78,8 +78,11 @@ impl CachePolicy for Hyperbolic {
     fn used_bytes(&self) -> u64 {
         self.store.used()
     }
-    fn contains(&self, id: ObjectId) -> bool {
-        self.store.contains(id)
+    fn admitted_at(&self, id: ObjectId) -> Option<Time> {
+        self.store.admitted_at(id)
+    }
+    fn restamp(&mut self, id: ObjectId, at: Time) {
+        self.store.restamp(id, at)
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
@@ -97,7 +100,7 @@ impl CachePolicy for Hyperbolic {
             admitted: req.ts,
             hits: 1,
         };
-        self.store.push(req.id, req.size, entry);
+        self.store.push(req.id, req.size, req.ts, entry);
         Outcome::MissAdmitted
     }
 

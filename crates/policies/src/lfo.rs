@@ -207,8 +207,11 @@ impl CachePolicy for Lfo {
     fn used_bytes(&self) -> u64 {
         self.store.used()
     }
-    fn contains(&self, id: ObjectId) -> bool {
-        self.store.contains(id)
+    fn admitted_at(&self, id: ObjectId) -> Option<Time> {
+        self.store.admitted_at(id)
+    }
+    fn restamp(&mut self, id: ObjectId, at: Time) {
+        self.store.restamp(id, at)
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
@@ -225,7 +228,7 @@ impl CachePolicy for Lfo {
         if req.size > self.store.capacity() || self.admit_probability(&features) < THRESHOLD {
             return Outcome::MissBypassed;
         }
-        self.store.insert(req.id, req.size);
+        self.store.insert(req.id, req.size, req.ts);
         Outcome::MissAdmitted
     }
 

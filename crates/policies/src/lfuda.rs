@@ -6,7 +6,7 @@
 //! the most recently evicted object. Eviction removes the smallest `K_i`.
 
 use lhr_sim::{CachePolicy, Outcome};
-use lhr_trace::{ObjectId, Request};
+use lhr_trace::{ObjectId, Request, Time};
 use lhr_util::hash::FastMap;
 use std::collections::BTreeSet;
 
@@ -14,6 +14,8 @@ use std::collections::BTreeSet;
 struct Entry {
     size: u64,
     priority: u64,
+    /// Freshness stamp.
+    admitted: Time,
 }
 
 /// The LFU-DA policy.
@@ -71,8 +73,13 @@ impl CachePolicy for LfuDa {
     fn used_bytes(&self) -> u64 {
         self.used
     }
-    fn contains(&self, id: ObjectId) -> bool {
-        self.entries.contains_key(&id)
+    fn admitted_at(&self, id: ObjectId) -> Option<Time> {
+        self.entries.get(&id).map(|e| e.admitted)
+    }
+    fn restamp(&mut self, id: ObjectId, at: Time) {
+        if let Some(e) = self.entries.get_mut(&id) {
+            e.admitted = at;
+        }
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
@@ -93,6 +100,7 @@ impl CachePolicy for LfuDa {
             Entry {
                 size: req.size,
                 priority,
+                admitted: req.ts,
             },
         );
         self.queue.insert((priority, req.id));

@@ -116,8 +116,11 @@ impl CachePolicy for Lhd {
     fn used_bytes(&self) -> u64 {
         self.store.used()
     }
-    fn contains(&self, id: ObjectId) -> bool {
-        self.store.contains(id)
+    fn admitted_at(&self, id: ObjectId) -> Option<Time> {
+        self.store.admitted_at(id)
+    }
+    fn restamp(&mut self, id: ObjectId, at: Time) {
+        self.store.restamp(id, at)
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
@@ -133,7 +136,7 @@ impl CachePolicy for Lhd {
         while !self.store.fits(req.size) {
             self.evict_one(req.ts);
         }
-        self.store.push(req.id, req.size, req.ts);
+        self.store.push(req.id, req.size, req.ts, req.ts);
         Outcome::MissAdmitted
     }
 

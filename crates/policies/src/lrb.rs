@@ -243,8 +243,11 @@ impl CachePolicy for Lrb {
     fn used_bytes(&self) -> u64 {
         self.store.used()
     }
-    fn contains(&self, id: ObjectId) -> bool {
-        self.store.contains(id)
+    fn admitted_at(&self, id: ObjectId) -> Option<Time> {
+        self.store.admitted_at(id)
+    }
+    fn restamp(&mut self, id: ObjectId, at: Time) {
+        self.store.restamp(id, at)
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
@@ -260,7 +263,7 @@ impl CachePolicy for Lrb {
             let victim = self.pick_victim(req.ts);
             self.store.evict_at(victim);
         }
-        self.store.push(req.id, req.size, ());
+        self.store.push(req.id, req.size, req.ts, ());
         Outcome::MissAdmitted
     }
 

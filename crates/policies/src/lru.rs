@@ -3,7 +3,7 @@
 
 use crate::util::LruStore;
 use lhr_sim::{CachePolicy, Outcome};
-use lhr_trace::{ObjectId, Request};
+use lhr_trace::{ObjectId, Request, Time};
 
 /// Classic LRU with admit-all admission.
 #[derive(Debug)]
@@ -33,8 +33,11 @@ impl CachePolicy for Lru {
         self.store.used()
     }
 
-    fn contains(&self, id: ObjectId) -> bool {
-        self.store.contains(id)
+    fn admitted_at(&self, id: ObjectId) -> Option<Time> {
+        self.store.admitted_at(id)
+    }
+    fn restamp(&mut self, id: ObjectId, at: Time) {
+        self.store.restamp(id, at)
     }
 
     fn hit_check(&mut self, req: &Request) -> Option<Outcome> {
@@ -48,7 +51,7 @@ impl CachePolicy for Lru {
         if req.size > self.store.capacity() {
             return Outcome::MissBypassed;
         }
-        self.store.insert(req.id, req.size);
+        self.store.insert(req.id, req.size, req.ts);
         Outcome::MissAdmitted
     }
 

@@ -24,6 +24,8 @@ struct Entry {
     /// Up to K most recent reference times; front = oldest.
     history: VecDeque<Time>,
     key: EvictKey,
+    /// Freshness stamp.
+    admitted: Time,
 }
 
 /// The LRU-K policy.
@@ -123,8 +125,13 @@ impl CachePolicy for LruK {
     fn used_bytes(&self) -> u64 {
         self.used
     }
-    fn contains(&self, id: ObjectId) -> bool {
-        self.entries.contains_key(&id)
+    fn admitted_at(&self, id: ObjectId) -> Option<Time> {
+        self.entries.get(&id).map(|e| e.admitted)
+    }
+    fn restamp(&mut self, id: ObjectId, at: Time) {
+        if let Some(e) = self.entries.get_mut(&id) {
+            e.admitted = at;
+        }
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
@@ -150,6 +157,7 @@ impl CachePolicy for LruK {
                 size: req.size,
                 history,
                 key,
+                admitted: req.ts,
             },
         );
         self.queue.insert(key);

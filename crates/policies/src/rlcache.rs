@@ -126,8 +126,11 @@ impl CachePolicy for RlCache {
     fn used_bytes(&self) -> u64 {
         self.store.used()
     }
-    fn contains(&self, id: ObjectId) -> bool {
-        self.store.contains(id)
+    fn admitted_at(&self, id: ObjectId) -> Option<Time> {
+        self.store.admitted_at(id)
+    }
+    fn restamp(&mut self, id: ObjectId, at: Time) {
+        self.store.restamp(id, at)
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
@@ -167,7 +170,7 @@ impl CachePolicy for RlCache {
         while !self.store.fits(req.size) {
             self.evict_one();
         }
-        self.store.insert(req.id, req.size);
+        self.store.insert(req.id, req.size, req.ts);
         self.admitted_info.insert(req.id, (bucket, false));
         Outcome::MissAdmitted
     }

@@ -9,7 +9,7 @@
 
 use crate::util::{Handle, LruList};
 use lhr_sim::{CachePolicy, Outcome};
-use lhr_trace::{ObjectId, Request};
+use lhr_trace::{ObjectId, Request, Time};
 use lhr_util::hash::FastMap;
 
 /// A multi-level segmented LRU; `Slru` and `S4lru` are thin constructors.
@@ -21,7 +21,8 @@ pub struct SegmentedLru {
     level_cap: Vec<u64>,
     levels: Vec<LruList<(ObjectId, u64)>>,
     level_bytes: Vec<u64>,
-    map: FastMap<ObjectId, (Handle, usize)>,
+    /// id → (list handle, level, freshness stamp).
+    map: FastMap<ObjectId, (Handle, usize, Time)>,
     evictions: u64,
 }
 
@@ -66,15 +67,19 @@ impl SegmentedLru {
             } else {
                 let h = self.levels[level - 1].push_front((id, size));
                 self.level_bytes[level - 1] += size;
-                self.map.insert(id, (h, level - 1));
+                // A demotion moves the slot; its stamp stays.
+                let slot = self.map.get_mut(&id).expect("listed");
+                (slot.0, slot.1) = (h, level - 1);
             }
         }
     }
 
-    fn insert_at(&mut self, level: usize, id: ObjectId, size: u64) {
+    /// Puts `id`, stamped `admitted`, at the MRU end of `level` — a fresh
+    /// admission at level 0, or a promotion carrying its stamp up.
+    fn insert_at(&mut self, level: usize, id: ObjectId, size: u64, admitted: Time) {
         let h = self.levels[level].push_front((id, size));
         self.level_bytes[level] += size;
-        self.map.insert(id, (h, level));
+        self.map.insert(id, (h, level, admitted));
         self.cascade(level);
     }
 }
@@ -89,13 +94,18 @@ impl CachePolicy for SegmentedLru {
     fn used_bytes(&self) -> u64 {
         self.used()
     }
-    fn contains(&self, id: ObjectId) -> bool {
-        self.map.contains_key(&id)
+    fn admitted_at(&self, id: ObjectId) -> Option<Time> {
+        self.map.get(&id).map(|&(_, _, at)| at)
+    }
+    fn restamp(&mut self, id: ObjectId, at: Time) {
+        if let Some(slot) = self.map.get_mut(&id) {
+            slot.2 = at;
+        }
     }
 
     fn hit_check(&mut self, req: &Request) -> Option<Outcome> {
         // Single probe on hit: level + handle come out of the one map.
-        let &(handle, level) = self.map.get(&req.id)?;
+        let &(handle, level, admitted) = self.map.get(&req.id)?;
         let top = self.levels.len() - 1;
         if level == top {
             self.levels[level].move_to_front(handle);
@@ -103,7 +113,7 @@ impl CachePolicy for SegmentedLru {
             // Promote one level.
             let (id, size) = self.levels[level].remove(handle);
             self.level_bytes[level] -= size;
-            self.insert_at(level + 1, id, size);
+            self.insert_at(level + 1, id, size, admitted);
         }
         Some(Outcome::Hit)
     }
@@ -118,7 +128,7 @@ impl CachePolicy for SegmentedLru {
         if req.size > self.level_cap[0] {
             return Outcome::MissBypassed;
         }
-        self.insert_at(0, req.id, req.size);
+        self.insert_at(0, req.id, req.size, req.ts);
         Outcome::MissAdmitted
     }
 

@@ -14,7 +14,7 @@
 
 use crate::util::{CountMinSketch, Handle, LruList, LruStore};
 use lhr_sim::{CachePolicy, Outcome};
-use lhr_trace::{ObjectId, Request};
+use lhr_trace::{ObjectId, Request, Time};
 use lhr_util::hash::FastMap;
 
 /// Plain TinyLFU: LRU eviction + frequency admission gate.
@@ -45,8 +45,11 @@ impl CachePolicy for TinyLfu {
     fn used_bytes(&self) -> u64 {
         self.store.used()
     }
-    fn contains(&self, id: ObjectId) -> bool {
-        self.store.contains(id)
+    fn admitted_at(&self, id: ObjectId) -> Option<Time> {
+        self.store.admitted_at(id)
+    }
+    fn restamp(&mut self, id: ObjectId, at: Time) {
+        self.store.restamp(id, at)
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
@@ -72,7 +75,7 @@ impl CachePolicy for TinyLfu {
             }
             reclaimable += size;
         }
-        self.store.insert(req.id, req.size);
+        self.store.insert(req.id, req.size, req.ts);
         Outcome::MissAdmitted
     }
 
@@ -105,7 +108,8 @@ pub struct WTinyLfu {
     window_bytes: u64,
     probation_bytes: u64,
     protected_bytes: u64,
-    map: FastMap<ObjectId, (Handle, Segment)>,
+    /// id → (list handle, segment, freshness stamp).
+    map: FastMap<ObjectId, (Handle, Segment, Time)>,
     sketch: CountMinSketch,
     evictions: u64,
 }
@@ -144,9 +148,10 @@ impl WTinyLfu {
     }
 
     /// Offers `candidate` (just evicted from the window, or an oversized
-    /// arrival) to the main region through the TinyLFU gate.
-    fn offer_to_main(&mut self, candidate: (ObjectId, u64)) {
-        let (cid, csize) = candidate;
+    /// arrival) to the main region through the TinyLFU gate, as `(id,
+    /// size, freshness stamp)`: a window evictee that wins keeps its stamp.
+    fn offer_to_main(&mut self, candidate: (ObjectId, u64, Time)) {
+        let (cid, csize, admitted) = candidate;
         if csize > self.main_cap() {
             self.evictions += 1;
             return; // cannot fit at all — drop
@@ -186,11 +191,11 @@ impl WTinyLfu {
         }
         let h = self.probation.push_front((cid, csize));
         self.probation_bytes += csize;
-        self.map.insert(cid, (h, Segment::Probation));
+        self.map.insert(cid, (h, Segment::Probation, admitted));
     }
 
     fn remove_from_main(&mut self, id: ObjectId) {
-        let (handle, seg) = self.map.remove(&id).expect("victim cached");
+        let (handle, seg, _) = self.map.remove(&id).expect("victim cached");
         match seg {
             Segment::Probation => {
                 let (_, size) = self.probation.remove(handle);
@@ -205,20 +210,26 @@ impl WTinyLfu {
     }
 
     /// Promotes a probation hit into protected, demoting protected overflow
-    /// back to probation MRU.
+    /// back to probation MRU. Slots move in place: stamps stay.
     fn promote(&mut self, id: ObjectId, handle: Handle) {
         let (_, size) = self.probation.remove(handle);
         self.probation_bytes -= size;
         let h = self.protected.push_front((id, size));
         self.protected_bytes += size;
-        self.map.insert(id, (h, Segment::Protected));
+        self.relocate(id, h, Segment::Protected);
         while self.protected_bytes > self.protected_cap {
             let (demoted, dsize) = self.protected.pop_back().expect("over cap");
             self.protected_bytes -= dsize;
             let h = self.probation.push_front((demoted, dsize));
             self.probation_bytes += dsize;
-            self.map.insert(demoted, (h, Segment::Probation));
+            self.relocate(demoted, h, Segment::Probation);
         }
+    }
+
+    /// Points the slot of the cached `id` at its new list node.
+    fn relocate(&mut self, id: ObjectId, handle: Handle, seg: Segment) {
+        let slot = self.map.get_mut(&id).expect("cached");
+        (slot.0, slot.1) = (handle, seg);
     }
 }
 
@@ -232,13 +243,18 @@ impl CachePolicy for WTinyLfu {
     fn used_bytes(&self) -> u64 {
         self.window_bytes + self.main_bytes()
     }
-    fn contains(&self, id: ObjectId) -> bool {
-        self.map.contains_key(&id)
+    fn admitted_at(&self, id: ObjectId) -> Option<Time> {
+        self.map.get(&id).map(|&(_, _, at)| at)
+    }
+    fn restamp(&mut self, id: ObjectId, at: Time) {
+        if let Some(slot) = self.map.get_mut(&id) {
+            slot.2 = at;
+        }
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
         self.sketch.increment(req.id);
-        if let Some(&(handle, seg)) = self.map.get(&req.id) {
+        if let Some(&(handle, seg, _)) = self.map.get(&req.id) {
             match seg {
                 Segment::Window => self.window.move_to_front(handle),
                 Segment::Protected => self.protected.move_to_front(handle),
@@ -252,7 +268,7 @@ impl CachePolicy for WTinyLfu {
         if req.size > self.window_cap {
             // Too big for the window: duel straight into main.
             let was_cached = self.map.contains_key(&req.id);
-            self.offer_to_main((req.id, req.size));
+            self.offer_to_main((req.id, req.size, req.ts));
             let admitted = self.map.contains_key(&req.id) != was_cached;
             return if admitted {
                 Outcome::MissAdmitted
@@ -263,13 +279,13 @@ impl CachePolicy for WTinyLfu {
         // Admit into the window unconditionally; window evictees duel.
         while self.window_bytes + req.size > self.window_cap {
             let (vid, vsize) = self.window.pop_back().expect("window over cap");
-            self.map.remove(&vid);
+            let (_, _, admitted) = self.map.remove(&vid).expect("listed");
             self.window_bytes -= vsize;
-            self.offer_to_main((vid, vsize));
+            self.offer_to_main((vid, vsize, admitted));
         }
         let h = self.window.push_front((req.id, req.size));
         self.window_bytes += req.size;
-        self.map.insert(req.id, (h, Segment::Window));
+        self.map.insert(req.id, (h, Segment::Window, req.ts));
         Outcome::MissAdmitted
     }
 

@@ -1,10 +1,10 @@
 //! The sharded concurrent serving engine.
 //!
 //! [`crate::CdnServer::replay`] is single-threaded: one loop owns the
-//! policy, the freshness map, and the fault machinery. This module scales
+//! policy (freshness stamps included) and the fault machinery. This module scales
 //! that serving path across cores without giving up reproducibility. The
 //! keyspace is split into **shards** — each shard an independent
-//! [`CdnServer`] (policy + freshness state + fault plan + circuit breaker)
+//! [`CdnServer`] (policy + fault plan + circuit breaker + in-flight map)
 //! owning a fixed slice of it. The trace is partitioned by shard once
 //! ([`lhr_sim::shard::Partition`]), each shard's requests run start to
 //! finish on whichever of the N worker threads claims the shard, and the

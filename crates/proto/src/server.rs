@@ -94,7 +94,11 @@ pub struct ServerReport {
     pub throughput_gbps: f64,
     /// Peak CPU percent: policy compute time over serving busy time.
     pub peak_cpu_pct: f64,
-    /// Peak memory in GB: policy metadata + server bookkeeping.
+    /// Peak memory in GB: the largest `metadata_overhead_bytes()` the
+    /// policy reported at a sampling tick (and at the end of the replay).
+    /// Policy metadata only — the server's own tables (in-flight windows,
+    /// latency samples) have never been counted — and each policy's
+    /// estimate leaves out the 8-byte freshness stamp in its slot.
     pub peak_mem_gb: f64,
     /// P90 user latency, ms ("normal" replay).
     pub p90_latency_ms: f64,
@@ -228,13 +232,14 @@ impl ServeOutcome {
 }
 
 /// A CDN server wrapping a cache policy. It owns the whole serving path:
-/// the policy, the freshness map, and the origin side — fault schedule,
-/// circuit breaker, in-flight fetch windows and their running totals.
+/// the policy and the origin side — fault schedule, circuit breaker,
+/// in-flight fetch windows and their running totals. Freshness has no
+/// table here: each cached object's admission/revalidation time is the
+/// stamp in the policy's own slot ([`CachePolicy::admitted_at`]), so the
+/// one per-object table the server keeps is `in_flight`.
 pub struct CdnServer<P: CachePolicy> {
     policy: P,
     config: ServerConfig,
-    /// Admission time of cached contents (for freshness).
-    admitted_at: FastMap<ObjectId, Time>,
     /// The origin's fault schedule, drawn from `config.faults.seed`.
     plan: FaultPlan,
     breaker: CircuitBreaker,
@@ -251,11 +256,12 @@ pub struct CdnServer<P: CachePolicy> {
 }
 
 impl<P: CachePolicy> CdnServer<P> {
-    /// Wraps `policy` in a server with the given configuration.
+    /// Wraps `policy` in a server with the given configuration. A policy
+    /// that arrives with objects already cached brings their stamps with
+    /// it: they expire `freshness_secs` after the policy admitted them.
     pub fn new(policy: P, config: ServerConfig) -> Self {
         CdnServer {
             policy,
-            admitted_at: FastMap::default(),
             plan: FaultPlan::new(config.faults.clone()),
             breaker: CircuitBreaker::new(config.resilience.breaker.clone()),
             in_flight: FastMap::default(),
@@ -290,14 +296,9 @@ impl<P: CachePolicy> CdnServer<P> {
         }
     }
 
-    /// Opportunistic cleanup (every few hundred requests): freshness
-    /// entries of evicted contents once the map is large, and in-flight
+    /// Opportunistic cleanup (every few hundred requests): in-flight
     /// windows whose fetch has landed by `now`.
     pub(crate) fn housekeep(&mut self, now: Time) {
-        if self.admitted_at.len() > 4 * 1024 * 1024 {
-            let policy = &self.policy;
-            self.admitted_at.retain(|&id, _| policy.contains(id));
-        }
         self.in_flight.retain(|_, &mut (done_at, _)| now < done_at);
     }
 
@@ -492,8 +493,11 @@ impl<P: CachePolicy> CdnServer<P> {
                 // still informs the policy's admission stats, but no second
                 // origin fetch happens.
                 let (outcome, compute_ms) = self.handle_timed(req);
-                if matches!(outcome, Outcome::MissAdmitted | Outcome::Hit) {
-                    self.admitted_at.insert(req.id, now);
+                // An admission stamped its own slot. Should the policy
+                // answer Hit although `hit_check` found nothing, the copy
+                // it holds counts as fetched now.
+                if outcome.is_hit() {
+                    self.policy.restamp(req.id, now);
                 }
                 ServeOutcome {
                     degraded: true,
@@ -530,13 +534,12 @@ impl<P: CachePolicy> CdnServer<P> {
             ..ServeOutcome::ok(latency_ms, lat.service_ms(req.size, true, compute_ms))
         };
         let hit_latency_ms = lat.hit_latency_ms(req.size, compute_ms);
-        let age_past_fresh = match (self.config.freshness_secs, self.admitted_at.get(&req.id)) {
-            (Some(limit), Some(&admitted)) => {
-                let age = now.saturating_sub(admitted).as_secs_f64();
-                (age > limit).then_some(age - limit)
-            }
-            _ => None,
-        };
+        // The stamp sits in the slot `hit_check` has just touched.
+        let age_past_fresh = self.config.freshness_secs.and_then(|limit| {
+            let admitted = self.policy.admitted_at(req.id)?;
+            let age = now.saturating_sub(admitted).as_secs_f64();
+            (age > limit).then_some(age - limit)
+        });
         let Some(age_past_fresh) = age_past_fresh else {
             // Fresh hit: the fast path.
             return hit(hit_latency_ms);
@@ -636,19 +639,8 @@ impl<P: CachePolicy> CdnServer<P> {
                 pre_compute_ms,
             );
         }
-        let compute_ms = match decided {
-            Some(compute_ms) => {
-                self.admitted_at.insert(req.id, now);
-                compute_ms
-            }
-            None => {
-                let (outcome, compute_ms) = self.handle_timed(req);
-                if matches!(outcome, Outcome::MissAdmitted) {
-                    self.admitted_at.insert(req.id, now);
-                }
-                compute_ms
-            }
-        };
+        // An admission stamps its own slot with `now`.
+        let compute_ms = decided.unwrap_or_else(|| self.handle_timed(req).1);
         if coalesce {
             let fetch_ms = fetch.delay_ms + lat.origin_fetch_ms(req.size, fetch.rate_scale);
             let done_at = now + Time::from_secs_f64(fetch_ms / 1e3);
@@ -671,7 +663,7 @@ impl<P: CachePolicy> CdnServer<P> {
     /// lifetime and returns whether the content was unchanged — a
     /// deterministic per-(object, freshness-epoch) draw.
     fn revalidated(&mut self, id: ObjectId, now: Time) -> bool {
-        self.admitted_at.insert(id, now);
+        self.policy.restamp(id, now);
         let epoch =
             (now.as_secs_f64() / self.config.freshness_secs.unwrap_or(f64::INFINITY)) as u64;
         pseudo_uniform(id, epoch) < self.config.revalidate_fresh_prob
@@ -791,6 +783,44 @@ mod tests {
             "mean {} vs pure hit {}",
             report.mean_latency_ms,
             pure_hit
+        );
+    }
+
+    #[test]
+    fn a_prewarmed_policy_brings_its_own_admission_times() {
+        // The policy admitted object 1 at t = 0, before any server
+        // existed. The server keeps no freshness table of its own, so the
+        // copy ages from that admission (a server-side table, as there
+        // used to be, would have no entry for it and serve it fresh for
+        // ever).
+        let mut lru = Lru::new(10 << 20);
+        assert_eq!(
+            lru.handle(&Request::new(Time::ZERO, 1, 1 << 20)),
+            Outcome::MissAdmitted
+        );
+        let cfg = ServerConfig {
+            freshness_secs: Some(10.0),
+            revalidate_fresh_prob: 1.0,
+            resilience: ResilienceConfig {
+                stale_while_revalidate_secs: 25.0,
+                ..ResilienceConfig::default()
+            },
+            ..ServerConfig::default()
+        };
+        let mut server = CdnServer::new(lru, cfg);
+        let mut t = Trace::new("prewarmed");
+        for secs in [5, 30, 35] {
+            t.push(Request::new(Time::from_secs(secs), 1, 1 << 20));
+        }
+        let report = server.replay(&t);
+        // t = 5: fresh. t = 30: 20 s past freshness, served stale while the
+        // revalidation restamps the slot. t = 35: fresh again.
+        assert!((report.content_hit_pct - 100.0).abs() < 1e-9);
+        assert_eq!(report.stale_served, 1);
+        assert_eq!(
+            server.policy().admitted_at(1),
+            Some(Time::from_secs(30)),
+            "the revalidation restarted the lifetime"
         );
     }
 

@@ -234,18 +234,18 @@ mod tests {
     use super::*;
     use crate::policy::{CachePolicy, Outcome};
     use lhr_trace::{ObjectId, Request, Time};
-    use std::collections::HashSet;
+    use std::collections::hash_map::{Entry, HashMap};
 
     /// Admit-all, never-evict test double with unbounded capacity.
     struct Infinite {
-        cached: HashSet<ObjectId>,
+        cached: HashMap<ObjectId, Time>,
         used: u64,
     }
 
     impl Infinite {
         fn new() -> Self {
             Infinite {
-                cached: HashSet::new(),
+                cached: HashMap::new(),
                 used: 0,
             }
         }
@@ -261,16 +261,22 @@ mod tests {
         fn used_bytes(&self) -> u64 {
             self.used
         }
-        fn contains(&self, id: ObjectId) -> bool {
-            self.cached.contains(&id)
+        fn admitted_at(&self, id: ObjectId) -> Option<Time> {
+            self.cached.get(&id).copied()
+        }
+        fn restamp(&mut self, id: ObjectId, at: Time) {
+            if let Some(stamp) = self.cached.get_mut(&id) {
+                *stamp = at;
+            }
         }
         fn handle(&mut self, req: &Request) -> Outcome {
-            if self.cached.contains(&req.id) {
-                Outcome::Hit
-            } else {
-                self.cached.insert(req.id);
-                self.used += req.size;
-                Outcome::MissAdmitted
+            match self.cached.entry(req.id) {
+                Entry::Occupied(_) => Outcome::Hit,
+                Entry::Vacant(slot) => {
+                    slot.insert(req.ts);
+                    self.used += req.size;
+                    Outcome::MissAdmitted
+                }
             }
         }
         fn metadata_overhead_bytes(&self) -> u64 {

@@ -26,15 +26,19 @@
 //! use lhr_trace::{Request, Trace, Time};
 //!
 //! // A trivially small policy: cache everything, never evict (infinite cap).
-//! struct Infinite { used: u64, cached: std::collections::HashSet<u64> }
+//! // Each cached id maps to its freshness stamp (see `CachePolicy`).
+//! struct Infinite { used: u64, cached: std::collections::HashMap<u64, Time> }
 //! impl CachePolicy for Infinite {
 //!     fn name(&self) -> &str { "infinite" }
 //!     fn capacity(&self) -> u64 { u64::MAX }
 //!     fn used_bytes(&self) -> u64 { self.used }
-//!     fn contains(&self, id: u64) -> bool { self.cached.contains(&id) }
+//!     fn admitted_at(&self, id: u64) -> Option<Time> { self.cached.get(&id).copied() }
+//!     fn restamp(&mut self, id: u64, at: Time) {
+//!         if let Some(stamp) = self.cached.get_mut(&id) { *stamp = at; }
+//!     }
 //!     fn handle(&mut self, req: &Request) -> Outcome {
-//!         if self.cached.contains(&req.id) { return Outcome::Hit; }
-//!         self.cached.insert(req.id);
+//!         if self.cached.contains_key(&req.id) { return Outcome::Hit; }
+//!         self.cached.insert(req.id, req.ts);
 //!         self.used += req.size;
 //!         Outcome::MissAdmitted
 //!     }

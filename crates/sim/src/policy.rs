@@ -1,6 +1,6 @@
 //! The cache policy interface.
 
-use lhr_trace::{ObjectId, Request};
+use lhr_trace::{ObjectId, Request, Time};
 
 /// What a policy did with one request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,6 +32,19 @@ impl Outcome {
 /// - `contains(id)` must agree with what `handle` would report as a hit.
 /// - Policies must be deterministic given their construction parameters
 ///   (randomized policies take an explicit seed).
+/// - **The freshness stamp.** Every cached object carries the time it was
+///   admitted or last revalidated, in the slot the policy keeps for it
+///   anyway. The policy writes it: a `handle` that answers
+///   [`Outcome::MissAdmitted`] stamps the new slot with `req.ts`; a hit
+///   leaves the stamp alone, and so does any internal move (a promotion
+///   between segments, a compaction of the slot array); eviction drops it,
+///   so a later re-admission stamps afresh. The serving layer only reads
+///   it ([`CachePolicy::admitted_at`], for the §6.1 freshness check) and
+///   restarts it after a successful revalidation
+///   ([`CachePolicy::restamp`]). It keeps no table of its own, so a policy
+///   handed to a server already warm brings its own admission times with
+///   it. Both methods are required: "never stale" is a behaviour, not a
+///   default.
 ///
 /// # Example
 ///
@@ -46,14 +59,22 @@ impl Outcome {
 ///
 /// struct Unbounded {
 ///     capacity: u64,
-///     cached: HashMap<ObjectId, u64>,
+///     /// id → (size, freshness stamp).
+///     cached: HashMap<ObjectId, (u64, Time)>,
 /// }
 ///
 /// impl CachePolicy for Unbounded {
 ///     fn name(&self) -> &str { "Unbounded" }
 ///     fn capacity(&self) -> u64 { self.capacity }
-///     fn used_bytes(&self) -> u64 { self.cached.values().sum() }
-///     fn contains(&self, id: ObjectId) -> bool { self.cached.contains_key(&id) }
+///     fn used_bytes(&self) -> u64 { self.cached.values().map(|&(size, _)| size).sum() }
+///     fn admitted_at(&self, id: ObjectId) -> Option<Time> {
+///         self.cached.get(&id).map(|&(_, at)| at)
+///     }
+///     fn restamp(&mut self, id: ObjectId, at: Time) {
+///         if let Some(slot) = self.cached.get_mut(&id) {
+///             slot.1 = at;
+///         }
+///     }
 ///     fn handle(&mut self, req: &Request) -> Outcome {
 ///         if self.cached.contains_key(&req.id) {
 ///             return Outcome::Hit;
@@ -61,16 +82,21 @@ impl Outcome {
 ///         if self.used_bytes() + req.size > self.capacity {
 ///             return Outcome::MissBypassed; // never overflow the contract
 ///         }
-///         self.cached.insert(req.id, req.size);
+///         self.cached.insert(req.id, (req.size, req.ts));
 ///         Outcome::MissAdmitted
 ///     }
 /// }
 ///
 /// let mut policy = Unbounded { capacity: 1_000, cached: HashMap::new() };
-/// let req = Request::new(Time::from_secs(0), 7, 100);
+/// let req = Request::new(Time::from_secs(3), 7, 100);
 /// assert_eq!(policy.handle(&req), Outcome::MissAdmitted);
 /// assert_eq!(policy.handle(&req), Outcome::Hit);
 /// assert!(policy.contains(7));
+/// assert_eq!(policy.admitted_at(7), Some(Time::from_secs(3)));
+/// policy.restamp(7, Time::from_secs(9));
+/// assert_eq!(policy.admitted_at(7), Some(Time::from_secs(9)));
+/// policy.restamp(8, Time::from_secs(9)); // absent: nothing happens
+/// assert!(!policy.contains(8));
 /// ```
 pub trait CachePolicy {
     /// Human-readable policy name, e.g. `"LRU"` or `"LHR"`.
@@ -82,8 +108,20 @@ pub trait CachePolicy {
     /// Bytes currently occupied by cached objects.
     fn used_bytes(&self) -> u64;
 
+    /// When the cached copy of `id` was admitted or last revalidated (the
+    /// freshness stamp of the contract above); `None` when `id` is not
+    /// cached. Recency and every other piece of policy state are untouched.
+    fn admitted_at(&self, id: ObjectId) -> Option<Time>;
+
+    /// Restarts the freshness lifetime of `id`: its stamp becomes `at`.
+    /// Nothing else about the object changes, and an `id` that is not
+    /// cached is neither admitted nor an error.
+    fn restamp(&mut self, id: ObjectId, at: Time);
+
     /// Whether `id` is currently cached.
-    fn contains(&self, id: ObjectId) -> bool;
+    fn contains(&self, id: ObjectId) -> bool {
+        self.admitted_at(id).is_some()
+    }
 
     /// Processes one request and reports what happened.
     fn handle(&mut self, req: &Request) -> Outcome;
@@ -126,6 +164,12 @@ impl<P: CachePolicy + ?Sized> CachePolicy for Box<P> {
     }
     fn used_bytes(&self) -> u64 {
         (**self).used_bytes()
+    }
+    fn admitted_at(&self, id: ObjectId) -> Option<Time> {
+        (**self).admitted_at(id)
+    }
+    fn restamp(&mut self, id: ObjectId, at: Time) {
+        (**self).restamp(id, at)
     }
     fn contains(&self, id: ObjectId) -> bool {
         (**self).contains(id)

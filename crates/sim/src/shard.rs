@@ -516,10 +516,11 @@ impl ShardedSimulator {
 mod tests {
     use super::*;
     use crate::policy::Outcome;
-    use std::collections::HashSet;
+    use std::collections::hash_map::Entry;
+    use std::collections::{HashMap, HashSet};
 
     struct Infinite {
-        cached: HashSet<ObjectId>,
+        cached: HashMap<ObjectId, Time>,
         used: u64,
     }
 
@@ -533,16 +534,22 @@ mod tests {
         fn used_bytes(&self) -> u64 {
             self.used
         }
-        fn contains(&self, id: ObjectId) -> bool {
-            self.cached.contains(&id)
+        fn admitted_at(&self, id: ObjectId) -> Option<Time> {
+            self.cached.get(&id).copied()
+        }
+        fn restamp(&mut self, id: ObjectId, at: Time) {
+            if let Some(stamp) = self.cached.get_mut(&id) {
+                *stamp = at;
+            }
         }
         fn handle(&mut self, req: &Request) -> Outcome {
-            if self.cached.contains(&req.id) {
-                Outcome::Hit
-            } else {
-                self.cached.insert(req.id);
-                self.used += req.size;
-                Outcome::MissAdmitted
+            match self.cached.entry(req.id) {
+                Entry::Occupied(_) => Outcome::Hit,
+                Entry::Vacant(slot) => {
+                    slot.insert(req.ts);
+                    self.used += req.size;
+                    Outcome::MissAdmitted
+                }
             }
         }
     }
@@ -734,7 +741,7 @@ mod tests {
                 route: RouteConfig { threads },
             });
             sim.run(&t, |_, _| Infinite {
-                cached: HashSet::new(),
+                cached: HashMap::new(),
                 used: 0,
             })
             .stable_json()
@@ -750,7 +757,7 @@ mod tests {
         // counts must equal the single-policy simulation exactly.
         let t = trace(5_000, 100);
         let mut single = Infinite {
-            cached: HashSet::new(),
+            cached: HashMap::new(),
             used: 0,
         };
         let expect = crate::Simulator::new(crate::SimConfig::default()).run(&mut single, &t);
@@ -759,7 +766,7 @@ mod tests {
             ..ShardedSimConfig::default()
         })
         .run(&t, |_, _| Infinite {
-            cached: HashSet::new(),
+            cached: HashMap::new(),
             used: 0,
         });
         assert_eq!(got.metrics.hits, expect.metrics.hits);

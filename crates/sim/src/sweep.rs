@@ -126,13 +126,13 @@ mod tests {
     use super::*;
     use crate::policy::Outcome;
     use lhr_trace::{ObjectId, Request, Time};
-    use std::collections::HashSet;
+    use std::collections::HashMap;
 
     /// Cache-everything-until-full policy (no eviction) for sweep tests.
     struct FillOnce {
         capacity: u64,
         used: u64,
-        cached: HashSet<ObjectId>,
+        cached: HashMap<ObjectId, Time>,
     }
 
     impl CachePolicy for FillOnce {
@@ -145,15 +145,20 @@ mod tests {
         fn used_bytes(&self) -> u64 {
             self.used
         }
-        fn contains(&self, id: ObjectId) -> bool {
-            self.cached.contains(&id)
+        fn admitted_at(&self, id: ObjectId) -> Option<Time> {
+            self.cached.get(&id).copied()
+        }
+        fn restamp(&mut self, id: ObjectId, at: Time) {
+            if let Some(stamp) = self.cached.get_mut(&id) {
+                *stamp = at;
+            }
         }
         fn handle(&mut self, req: &Request) -> Outcome {
-            if self.cached.contains(&req.id) {
+            if self.cached.contains_key(&req.id) {
                 return Outcome::Hit;
             }
             if self.used + req.size <= self.capacity {
-                self.cached.insert(req.id);
+                self.cached.insert(req.id, req.ts);
                 self.used += req.size;
                 Outcome::MissAdmitted
             } else {
@@ -175,7 +180,7 @@ mod tests {
             Box::new(FillOnce {
                 capacity,
                 used: 0,
-                cached: HashSet::new(),
+                cached: HashMap::new(),
             })
         })
     }

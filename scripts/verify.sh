@@ -99,6 +99,33 @@ for t in 2 4; do
   cmp "$smoke_dir/e1.jsonl" "$smoke_dir/e$t.jsonl"
 done
 
+echo "==> freshness-stamp determinism smoke (one policy per cache store, --faults recovery, --threads 1 2 4)"
+# The freshness stamp lives in each policy's own slot (CachePolicy's
+# contract), so the determinism contract is per store family: LruStore
+# (LRU), SampleStore (Hyperbolic), and the bespoke tables of ARC,
+# W-TinyLFU and GDSF. The trace spans 1.67 h against the 1 h freshness
+# lifetime and `recovery` puts an outage and a slow-start ramp in the
+# middle of it, so stale serves, revalidations (restamps) and retries all
+# fire — the run is refused below if they did not.
+"$lhr_cache" generate --kind zipf --objects 2000 --requests 600000 --seed 11 \
+  --out "$smoke_dir/fresh.bin" > /dev/null
+for policy in LRU Hyperbolic ARC W-TinyLFU GDSF; do
+  for t in 1 2 4; do
+    "$lhr_cache" server --policy "$policy" --capacity 60MB --faults recovery \
+      --threads "$t" --report "$smoke_dir/fr-$policy-$t.json" \
+      --obs "$smoke_dir/fe-$policy-$t.jsonl" --obs-window 50000r \
+      --obs-deterministic true "$smoke_dir/fresh.bin" > /dev/null
+  done
+  for t in 2 4; do
+    cmp "$smoke_dir/fr-$policy-1.json" "$smoke_dir/fr-$policy-$t.json"
+    cmp "$smoke_dir/fe-$policy-1.jsonl" "$smoke_dir/fe-$policy-$t.jsonl"
+  done
+  if grep -q '"stale_served":0,\|"retries":0,' "$smoke_dir/fr-$policy-1.json"; then
+    echo "$policy: the recovery run served nothing stale or retried nothing" >&2
+    exit 1
+  fi
+done
+
 echo "==> shadow-retrain determinism smoke (N-LHR, --threads 1 2 4)"
 # N-LHR retrains every window, and background_retrain (the default) runs
 # each of those fits on a shadow thread with the model swap pinned to a

@@ -321,9 +321,10 @@ impl CachePolicy for BypassAll {
     fn used_bytes(&self) -> u64 {
         0
     }
-    fn contains(&self, _id: ObjectId) -> bool {
-        false
+    fn admitted_at(&self, _id: ObjectId) -> Option<Time> {
+        None
     }
+    fn restamp(&mut self, _id: ObjectId, _at: Time) {}
     fn handle(&mut self, _req: &Request) -> Outcome {
         Outcome::MissBypassed
     }

@@ -12,7 +12,7 @@ use lhr_repro::core::detect::estimate_zipf_alpha;
 use lhr_repro::policies::util::{BloomFilter, CountMinSketch, LruList};
 use lhr_repro::policies::{Arc, Fifo, Gdsf, LfuDa, Lru, LruK, TinyLfu, WTinyLfu};
 use lhr_repro::sim::{CachePolicy, OfflineBound, SimConfig, Simulator};
-use lhr_repro::trace::{io, Request, Time, Trace};
+use lhr_repro::trace::{io, ObjectId, Request, Time, Trace};
 use lhr_util::prop::{any_u64, range, vec};
 use lhr_util::{prop_assert, prop_assert_eq, prop_check};
 
@@ -409,10 +409,10 @@ fn obs_windows_partition_the_measured_request_stream() {
 }
 
 /// [`SampleStore`] agrees with a model `HashMap` under arbitrary
-/// interleavings of `push` / `get_mut` / `evict_at` over a small key
-/// universe: the evicted slot is the one the model holds, bytes are
-/// conserved, and after every `swap_remove` fix-up each position's id
-/// still indexes back to that position's entry.
+/// interleavings of `push` / `get_mut` / `restamp` / `evict_at` over a
+/// small key universe: the evicted slot is the one the model holds, bytes
+/// are conserved, and after every `swap_remove` fix-up each position's id
+/// still indexes back to that position's entry and its freshness stamp.
 #[test]
 fn sample_store_matches_model_hashmap() {
     use lhr_repro::policies::util::SampleStore;
@@ -427,7 +427,8 @@ fn sample_store_matches_model_hashmap() {
         };
         let capacity = 40 * key_space;
         let mut store: SampleStore<u64> = SampleStore::new(capacity);
-        let mut model: HashMap<u64, (u64, u64)> = HashMap::new();
+        // id → (size, entry, freshness stamp).
+        let mut model: HashMap<u64, (u64, u64, Time)> = HashMap::new();
         let mut evicted = 0u64;
         for step in 0..ops {
             let id = next() % key_space;
@@ -436,40 +437,49 @@ fn sample_store_matches_model_hashmap() {
                 0..=4 => {
                     let size = next() % 100 + 1;
                     prop_assert_eq!(store.contains(id), model.contains_key(&id));
-                    let used: u64 = model.values().map(|&(size, _)| size).sum();
+                    let used: u64 = model.values().map(|&(size, ..)| size).sum();
                     prop_assert_eq!(store.fits(size), used + size <= capacity);
                     if !store.contains(id) && store.fits(size) {
-                        store.push(id, size, step as u64);
-                        model.insert(id, (size, step as u64));
+                        store.push(id, size, Time(step as u64), step as u64);
+                        model.insert(id, (size, step as u64, Time(step as u64)));
                     }
                 }
-                5..=7 => {
+                5..=6 => {
                     if !store.is_empty() {
                         let slot = store.evict_at(next() as usize % store.len());
-                        prop_assert_eq!(model.remove(&slot.id), Some((slot.size, slot.entry)));
+                        let (size, entry, _) = model.remove(&slot.id).expect("the model holds it");
+                        prop_assert_eq!((slot.size, slot.entry), (size, entry));
                         evicted += 1;
+                    }
+                }
+                7 => {
+                    // Present or absent: an absent id is not admitted.
+                    store.restamp(id, Time(step as u64));
+                    if let Some((.., stamp)) = model.get_mut(&id) {
+                        *stamp = Time(step as u64);
                     }
                 }
                 _ => {
                     if let Some(entry) = store.get_mut(id) {
                         *entry += 1;
                     }
-                    if let Some((_, entry)) = model.get_mut(&id) {
+                    if let Some((_, entry, _)) = model.get_mut(&id) {
                         *entry += 1;
                     }
-                    prop_assert_eq!(store.get_mut(id).copied(), model.get(&id).map(|&(_, e)| e));
+                    prop_assert_eq!(store.get_mut(id).copied(), model.get(&id).map(|&(_, e, _)| e));
                 }
             }
             prop_assert_eq!(store.len(), model.len());
-            prop_assert_eq!(store.used(), model.values().map(|&(size, _)| size).sum::<u64>());
+            prop_assert_eq!(store.used(), model.values().map(|&(size, ..)| size).sum::<u64>());
             prop_assert_eq!(store.evictions(), evicted);
+            prop_assert_eq!(store.admitted_at(id), model.get(&id).map(|&(.., stamp)| stamp));
         }
         for pos in 0..store.len() {
             let (id, size, entry) = {
                 let slot = store.slot(pos);
                 (slot.id, slot.size, slot.entry)
             };
-            prop_assert_eq!(model.get(&id), Some(&(size, entry)));
+            prop_assert_eq!(model.get(&id), Some(&(size, entry, store.admitted_at(id).expect("held"))));
             // The index sends the id back to this very position.
             *store.get_mut(id).expect("indexed") += 1;
             prop_assert_eq!(store.slot(pos).entry, entry + 1);
@@ -514,7 +524,7 @@ fn lru_store_matches_reference_model() {
                         evicted += 1;
                     }
                     reference.push((id, size));
-                    store.insert(id, size);
+                    store.insert(id, size, Time::ZERO);
                 }
             }
             prop_assert_eq!(store.iter_lru_first().copied().collect::<Vec<_>>(), reference.clone());
@@ -540,8 +550,11 @@ impl<P: CachePolicy> CachePolicy for DefaultHitCheck<P> {
     fn used_bytes(&self) -> u64 {
         self.0.used_bytes()
     }
-    fn contains(&self, id: lhr_repro::trace::ObjectId) -> bool {
-        self.0.contains(id)
+    fn admitted_at(&self, id: ObjectId) -> Option<Time> {
+        self.0.admitted_at(id)
+    }
+    fn restamp(&mut self, id: ObjectId, at: Time) {
+        self.0.restamp(id, at)
     }
     fn handle(&mut self, req: &Request) -> lhr_repro::sim::Outcome {
         self.0.handle(req)
@@ -578,6 +591,75 @@ fn hit_check_overrides_match_default_path_byte_identically() {
                     .replay(&trace)
                     .stable_json();
                 prop_assert_eq!(&fused, &default, "{name} under {preset}: fused hit path diverged");
+            }
+        }
+    });
+}
+
+/// The freshness-stamp clause of the `CachePolicy` contract, for every
+/// roster policy on every path the serving layer drives it through (bare
+/// `handle`; the policy's own `hit_check`, then `handle` on `None`; the
+/// default `hit_check`). The reference is the table the server kept before
+/// the stamp moved into the policies' slots — written at `req.ts` on every
+/// `MissAdmitted`, overwritten by a revalidation of a cached object, never
+/// pruned: after each step the policy's stamp equals it for every cached
+/// id and is `None` for every other. So eviction then re-admission
+/// re-stamps, a `restamp` of an absent id admits nothing, and random
+/// `restamp`s survive later hits, moves between segments (SLRU levels, ARC
+/// T1→T2, W-TinyLFU window→probation→protected, Hawkeye friendly↔averse)
+/// and the sampled stores' `swap_remove` fix-up. A twin that is never
+/// restamped makes the same decisions: the stamp is read by no policy.
+#[test]
+fn every_roster_policy_keeps_the_stamp_the_server_used_to_keep() {
+    use lhr_repro::proto::presets::{self, PolicyParams};
+    use lhr_util::hash::FastMap;
+    /// Ids `50..IDS` never occur in `build_trace`'s requests.
+    const IDS: u64 = 56;
+    prop_check!(cases: 16, (len in range(100usize..1_200), seed in any_u64(), cap_factor in range(2u64..24)) => {
+        let trace = build_trace(len, seed);
+        let params = PolicyParams::for_trace(cap_factor * 50, seed, &trace);
+        for &(name, build) in presets::POLICIES {
+            for path in ["handle", "hit_check+handle", "default hit_check+handle"] {
+                let mut policy: Box<dyn CachePolicy> = if path.starts_with("default") {
+                    Box::new(DefaultHitCheck(build(&params)))
+                } else {
+                    build(&params)
+                };
+                let mut twin = build(&params);
+                let mut reference: FastMap<ObjectId, Time> = FastMap::default();
+                let mut state = seed | 1;
+                let mut next = move || {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    state
+                };
+                for req in trace.iter() {
+                    let was_cached = policy.contains(req.id);
+                    let outcome = match (path != "handle").then(|| policy.hit_check(req)).flatten() {
+                        Some(outcome) => outcome,
+                        None => policy.handle(req),
+                    };
+                    prop_assert_eq!(outcome.is_hit(), was_cached, "{name} via {path}: contains() lied");
+                    prop_assert_eq!(outcome, twin.handle(req), "{name} via {path}: a restamp moved a decision");
+                    if outcome == lhr_repro::sim::Outcome::MissAdmitted {
+                        reference.insert(req.id, req.ts);
+                    }
+                    if next() % 3 == 0 {
+                        let (id, at) = (next() % IDS, Time(next() % 2_000_000));
+                        let before = (policy.contains(id), policy.used_bytes(), policy.evictions());
+                        policy.restamp(id, at);
+                        prop_assert_eq!((policy.contains(id), policy.used_bytes(), policy.evictions()), before);
+                        if before.0 {
+                            reference.insert(id, at);
+                        }
+                    }
+                    for id in 0..IDS {
+                        let want = policy.contains(id).then(|| reference[&id]);
+                        prop_assert_eq!(policy.admitted_at(id), want, "{name} via {path}: object {id} at {:?}", req.ts);
+                    }
+                }
+                prop_assert_eq!(policy.used_bytes(), twin.used_bytes());
             }
         }
     });
