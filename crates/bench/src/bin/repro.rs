@@ -1,13 +1,21 @@
-//! Runs every table/figure reproduction in sequence and prints the full
-//! report (pipe to a file to archive a run):
+//! Runs the table/figure reproductions — all of them, or the ones
+//! `--only` names — in report order and prints the report (pipe to a file
+//! to archive a run):
 //!
 //! ```text
 //! cargo run -p lhr-bench --release --bin repro -- --scale small
+//! cargo run -p lhr-bench --release --bin repro -- --scale small --only fig8,table2
 //! ```
 fn main() {
-    let options = lhr_bench::harness::Options::from_args();
+    let (options, only) = lhr_bench::harness::Options::from_args_with_only();
     let start = std::time::Instant::now();
-    println!("{}", lhr_bench::experiments::run_all(&options));
+    match lhr_bench::experiments::run(&options, only.as_deref()) {
+        Ok(report) => println!("{report}"),
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }
+    }
     println!(
         "repro complete: scale {:?}, seed {}, {:.1}s wall",
         options.scale,

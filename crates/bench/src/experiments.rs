@@ -962,37 +962,73 @@ pub fn ablation_hro_window(options: &Options) -> String {
 // Helpers reused by tests and the repro binary
 // ---------------------------------------------------------------------------
 
-/// Runs every experiment, returning the concatenated report.
-pub fn run_all(options: &Options) -> String {
+/// One replay and the reports it yields, one per name (`fig7` and `table2`
+/// are two views of one prototype run, and so on).
+type Experiment = (&'static [&'static str], fn(&Options) -> Vec<String>);
+
+fn pair((first, second): (String, String)) -> Vec<String> {
+    vec![first, second]
+}
+
+/// Every experiment under the name `repro --only` knows it by, in report
+/// order.
+const EXPERIMENTS: &[Experiment] = &[
+    (&["table1"], |o| vec![table1(o)]),
+    (&["fig1"], |o| vec![fig1(o)]),
+    (&["fig2"], |o| vec![fig2(o)]),
+    (&["fig5"], |o| vec![fig5(o)]),
+    (&["fig6"], |o| vec![fig6(o)]),
+    (&["fig7", "table2"], |o| pair(prototype_vs_ats(o))),
+    (&["fig8", "fig9"], |o| pair(sota_comparison(o))),
+    (&["table3"], |o| vec![table3(o)]),
+    (&["fig10"], |o| vec![fig10(o)]),
+    (&["fig11"], |o| vec![fig11(o)]),
+    (&["fig12"], |o| vec![fig12(o)]),
+    (&["fig13", "table4"], |o| pair(prototype_vs_caffeine(o))),
+    (&["ablation"], |o| {
+        let studies = [
+            ablation_eviction_rule(o),
+            ablation_loss(o),
+            ablation_hro_window(o),
+            ablation_hro_burstiness(o),
+        ];
+        vec![studies.join("\n")]
+    }),
+];
+
+/// Runs the experiments named in the comma-separated `only` list (all of
+/// them when `None`), returning their reports concatenated in report
+/// order. Only the replays a requested report needs are run. An unknown
+/// name is an error listing the valid ones.
+pub fn run(options: &Options, only: Option<&str>) -> Result<String, String> {
+    let wanted: Option<Vec<&str>> = only.map(|list| list.split(',').map(str::trim).collect());
+    let known = || {
+        EXPERIMENTS
+            .iter()
+            .flat_map(|(names, _)| names.iter().copied())
+    };
+    if let Some(unknown) = wanted.iter().flatten().find(|w| !known().any(|k| k == **w)) {
+        let valid: Vec<&str> = known().collect();
+        return Err(format!(
+            "unknown experiment `{unknown}` (valid: {})",
+            valid.join(", ")
+        ));
+    }
+    let is_wanted = |name: &str| wanted.as_ref().is_none_or(|w| w.contains(&name));
     let _span = options.obs.as_ref().map(|o| o.span("bench.run_all"));
     let mut out = String::new();
-    let mut add = |s: String| {
-        out.push_str(&s);
-        out.push('\n');
-    };
-    add(table1(options));
-    add(fig1(options));
-    add(fig2(options));
-    add(fig5(options));
-    add(fig6(options));
-    let (fig7, table2) = prototype_vs_ats(options);
-    add(fig7);
-    add(table2);
-    let (fig8, fig9) = sota_comparison(options);
-    add(fig8);
-    add(fig9);
-    add(table3(options));
-    add(fig10(options));
-    add(fig11(options));
-    add(fig12(options));
-    let (fig13, table4) = prototype_vs_caffeine(options);
-    add(fig13);
-    add(table4);
-    add(ablation_eviction_rule(options));
-    add(ablation_loss(options));
-    add(ablation_hro_window(options));
-    add(ablation_hro_burstiness(options));
-    out
+    for (names, replay) in EXPERIMENTS {
+        if !names.iter().any(|name| is_wanted(name)) {
+            continue;
+        }
+        for (name, report) in names.iter().zip(replay(options)) {
+            if is_wanted(name) {
+                out.push_str(&report);
+                out.push('\n');
+            }
+        }
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -1025,6 +1061,18 @@ mod tests {
             .and_then(|v| v.parse().ok())
             .expect("accuracy in output");
         assert!(z >= 75.0, "detection accuracy {z}% too low\n{s}");
+    }
+
+    #[test]
+    fn only_selects_reports_by_name_and_refuses_unknown_names() {
+        let options = tiny_options();
+        let both = run(&options, Some("table1, fig12")).unwrap();
+        assert_eq!(both, format!("{}\n{}\n", table1(&options), fig12(&options)));
+        let err = run(&options, Some("fig12,fig99")).unwrap_err();
+        assert!(
+            err.contains("`fig99`") && err.contains("table4") && err.contains("ablation"),
+            "{err}"
+        );
     }
 
     #[test]

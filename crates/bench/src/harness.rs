@@ -43,7 +43,17 @@ impl Options {
     /// `--threads N`, `--obs PATH` from the process arguments. Unknown
     /// arguments abort with a usage message.
     pub fn from_args() -> Options {
+        match Self::from_args_with_only() {
+            (options, None) => options,
+            (_, Some(_)) => usage(),
+        }
+    }
+
+    /// [`Options::from_args`] plus `repro`'s `--only LIST` (returned
+    /// unparsed; `experiments::run` knows the names).
+    pub fn from_args_with_only() -> (Options, Option<String>) {
         let mut options = Options::default();
+        let mut only = None;
         let args: Vec<String> = std::env::args().skip(1).collect();
         let mut i = 0;
         while i < args.len() {
@@ -64,6 +74,7 @@ impl Options {
                 "--seed" => options.seed = value(&mut i).parse().unwrap_or_else(|_| usage()),
                 "--threads" => options.threads = value(&mut i).parse().unwrap_or_else(|_| usage()),
                 "--obs" => options.obs_path = Some(value(&mut i)),
+                "--only" => only = Some(value(&mut i)),
                 _ => usage(),
             }
             i += 1;
@@ -79,7 +90,7 @@ impl Options {
             obs.set_meta("bench.seed", options.seed);
             options.obs = Some(obs);
         }
-        options
+        (options, only)
     }
 }
 
@@ -98,7 +109,8 @@ pub fn write_obs(options: &Options) {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: <bin> [--scale tiny|small|medium|full] [--seed N] [--threads N] [--obs PATH]"
+        "usage: <bin> [--scale tiny|small|medium|full] [--seed N] [--threads N] [--obs PATH]\n\
+         \x20      repro also takes --only NAME[,NAME...] (e.g. fig8,table2; default: everything)"
     );
     std::process::exit(2)
 }

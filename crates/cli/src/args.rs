@@ -36,6 +36,21 @@ impl Args {
         Ok(args)
     }
 
+    /// Refuses any flag outside the `known` lists: a misspelt or
+    /// inapplicable flag is an error of `command`, not a setting it silently
+    /// runs without. With several, the alphabetically first is named.
+    pub fn expect_flags(&self, command: &str, known: &[&[&str]]) -> Result<(), String> {
+        let unknown = self
+            .flags
+            .keys()
+            .filter(|flag| !known.iter().any(|list| list.contains(&flag.as_str())))
+            .min();
+        match unknown {
+            Some(flag) => Err(format!("unknown flag --{flag} for {command}")),
+            None => Ok(()),
+        }
+    }
+
     /// Raw flag value.
     pub fn get(&self, key: &str) -> Option<&String> {
         self.flags.get(key)
@@ -79,7 +94,13 @@ pub fn parse_size(raw: &str) -> Result<u64, String> {
     if value.is_nan() || value <= 0.0 {
         return Err(format!("size must be positive: `{raw}`"));
     }
-    Ok((value * multiplier) as u64)
+    // `as u64` saturates: `inf` and `1e30TB` would both run as u64::MAX
+    // bytes. (`u64::MAX as f64` rounds up to 2^64, the first value out.)
+    let bytes = value * multiplier;
+    if bytes >= u64::MAX as f64 {
+        return Err(format!("size does not fit a byte count: `{raw}`"));
+    }
+    Ok(bytes as u64)
 }
 
 #[cfg(test)]
@@ -120,5 +141,42 @@ mod tests {
         assert!(parse_size("abc").is_err());
         assert!(parse_size("-1GB").is_err());
         assert!(parse_size("0").is_err());
+    }
+
+    #[test]
+    fn sizes_that_do_not_fit_a_byte_count_are_refused_not_saturated() {
+        for raw in ["inf", "infTB", "1e30TB", "1e400", "18446744073709551616"] {
+            let err = parse_size(raw).expect_err(raw);
+            assert!(err.contains("does not fit") && err.contains(raw), "{err}");
+        }
+        assert!(parse_size("-inf").is_err());
+        assert!(parse_size("nan").is_err());
+        // The largest f64 below 2^64 still converts exactly.
+        assert_eq!(
+            parse_size("18446744073709549568").unwrap(),
+            18_446_744_073_709_549_568
+        );
+        assert_eq!(
+            parse_size("16000000TB").unwrap(),
+            16_000_000_000_000_000_000
+        );
+    }
+
+    #[test]
+    fn flags_outside_the_known_lists_are_refused_by_name() {
+        let a = Args::parse(&argv(&["--warmpu", "5", "--capacity", "1GB", "t.csv"])).unwrap();
+        assert!(a
+            .expect_flags("simulate", &[&["capacity"], &["warmpu"]])
+            .is_ok());
+        assert_eq!(
+            a.expect_flags("simulate", &[&["capacity", "warmup"]]),
+            Err("unknown flag --warmpu for simulate".to_string())
+        );
+        // Several unknown flags: the alphabetically first, whatever the
+        // map's iteration order.
+        assert_eq!(
+            a.expect_flags("stats", &[]),
+            Err("unknown flag --capacity for stats".to_string())
+        );
     }
 }

@@ -15,7 +15,7 @@ mod args;
 use args::{parse_size, Args};
 use lhr_obs::{Obs, ObsConfig, ObsWindow};
 use lhr_proto::presets::{self, PolicyCtor, PolicyParams};
-use lhr_sim::shard::shard_seed;
+use lhr_sim::shard::{shard_seed, RouteConfig};
 use lhr_sim::{OfflineBound, SimConfig, Simulator};
 use lhr_trace::stats::one_hit_wonder_ratio;
 use lhr_trace::{io, Trace, TraceStats};
@@ -80,6 +80,7 @@ USAGE:
                                                    outage | recovery
   lhr-cache fleet --policy NAME --capacity SIZE [--nodes N] [--vnodes V]
                   [--shield-mb M] [--faults PRESET] [--origin-faults PRESET]
+                  [--peer-hints BOOL] [--hint-ttl SECS]
                   [--report PATH] PATH             replay across an N-node
                                                    consistent-hash edge fleet
                                                    over an origin shield;
@@ -89,7 +90,12 @@ USAGE:
                                                    or an origin preset; origin
                                                    faults can also be injected
                                                    separately via
-                                                   --origin-faults
+                                                   --origin-faults;
+                                                   --peer-hints false stops
+                                                   nodes advertising their
+                                                   contents to ring neighbours,
+                                                   --hint-ttl bounds how long
+                                                   an advertisement is believed
   lhr-cache obs summarize PATH                     render an --obs recording
                                                    as a text report (series
                                                    sparklines, events, spans,
@@ -139,6 +145,8 @@ USAGE:
   SIZE accepts raw bytes or suffixes KB/MB/GB/TB (powers of 10).
   Trace-reading commands accept --lossy true to skip malformed CSV lines
   (the skip count is reported on stderr) instead of failing.
+  A flag the command does not read is an error, not a silently dropped
+  setting.
   Policies: {}",
         presets::policy_names().join(", ")
     );
@@ -154,6 +162,19 @@ fn policy_ctor(name: &str) -> Result<PolicyCtor, String> {
         )
     })
 }
+
+/// Read by [`load_trace`], so by every trace-reading command.
+const TRACE_FLAGS: &[&str] = &["lossy"];
+/// Read by [`obs_config_from_args`].
+const OBS_FLAGS: &[&str] = &[
+    "obs",
+    "obs-window",
+    "obs-deterministic",
+    "trace-sample",
+    "slo",
+];
+/// Read by [`PolicyRun::open`] itself, on top of the two lists above.
+const RUN_FLAGS: &[&str] = &["policy", "capacity", "seed", "threads", "shards"];
 
 /// One-line rendering of a trace parse failure: malformed records point at
 /// their line (`path:line: reason`), everything else is `path: error`.
@@ -194,6 +215,8 @@ fn path_stem(path: &str) -> String {
 }
 
 fn cmd_generate(args: &Args) -> Result<(), String> {
+    let flags = ["kind", "out", "seed", "objects", "requests", "alpha"];
+    args.expect_flags("generate", &[&flags])?;
     let kind = args.get("kind").ok_or("--kind is required")?;
     let out = args.get("out").ok_or("--out is required")?;
     let seed = args.get_parse("seed")?.unwrap_or(42u64);
@@ -242,6 +265,7 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_stats(args: &Args) -> Result<(), String> {
+    args.expect_flags("stats", &[TRACE_FLAGS])?;
     let trace = load_trace(args)?;
     let s = TraceStats::compute(&trace);
     println!("trace:            {}", s.name);
@@ -367,6 +391,7 @@ fn finish_obs(obs: &Obs, path: &str) -> Result<(), String> {
 fn cmd_obs(args: &Args) -> Result<(), String> {
     match args.positional.first().map(String::as_str) {
         Some("summarize") => {
+            args.expect_flags("obs summarize", &[])?;
             let path = args
                 .positional
                 .get(1)
@@ -428,6 +453,7 @@ fn print_trace_waterfall(t: &lhr_obs::TraceRecord) {
 /// `obs trace EXPORT [--id N | --slowest K]`: renders sampled request
 /// paths. Default shows the per-window exemplars (worst sampled latency).
 fn cmd_obs_trace(args: &Args) -> Result<(), String> {
+    args.expect_flags("obs trace", &[&["id", "slowest"]])?;
     let path = args
         .positional
         .get(1)
@@ -477,6 +503,7 @@ fn cmd_obs_trace(args: &Args) -> Result<(), String> {
 /// was recorded with (the meta line's `slos` key).
 fn cmd_obs_slo(args: &Args) -> Result<(), String> {
     use lhr_obs::ObsRecord;
+    args.expect_flags("obs slo", &[&["objective"]])?;
     let path = args
         .positional
         .get(1)
@@ -595,73 +622,109 @@ fn shard_args(args: &Args) -> Result<Option<(usize, usize)>, String> {
     Ok(Some((threads.unwrap_or(1), shards)))
 }
 
-/// A sharded replay indexes requests as `u32`: a longer trace is one error
-/// line here, not a panic inside the partition.
-fn check_shardable(trace: &Trace) -> Result<(), String> {
-    lhr_sim::shard::indexable(trace.len())
-        .map(drop)
-        .map_err(|e| e.to_string())
+/// What `simulate`, `server` and `fleet` set up the same way before they
+/// replay: the trace, `--policy`, `--capacity`, `--seed`, the sharding
+/// flags, and the `--obs` recorder with its sink already open.
+struct PolicyRun {
+    trace: Trace,
+    capacity: u64,
+    seed: u64,
+    build: PolicyCtor,
+    /// `(threads, shards)` when either flag was given.
+    sharding: Option<(usize, usize)>,
+    obs: Option<(Obs, String)>,
+}
+
+impl PolicyRun {
+    /// Reads the shared flags of `command`, which reads `own_flags` itself;
+    /// any other flag is refused.
+    fn open(args: &Args, command: &str, own_flags: &[&str]) -> Result<Self, String> {
+        args.expect_flags(command, &[RUN_FLAGS, TRACE_FLAGS, OBS_FLAGS, own_flags])?;
+        let trace = load_trace(args)?;
+        let name = args.get("policy").ok_or("--policy is required")?;
+        let capacity = parse_size(args.get("capacity").ok_or("--capacity is required")?)?;
+        let seed = args.get_parse("seed")?.unwrap_or(42u64);
+        let sharding = shard_args(args)?;
+        let build = policy_ctor(name)?;
+        let obs = obs_from_args(args)?;
+        if let Some((o, path)) = &obs {
+            start_obs(o, path)?;
+        }
+        Ok(PolicyRun {
+            trace,
+            capacity,
+            seed,
+            build,
+            sharding,
+            obs,
+        })
+    }
+
+    /// The roster parameters `--policy NAME` runs with, no recorder attached.
+    fn params(&self) -> PolicyParams<'static> {
+        PolicyParams::for_trace(self.capacity, self.seed, &self.trace)
+    }
+
+    fn obs(&self) -> Option<&Obs> {
+        self.obs.as_ref().map(|(o, _)| o)
+    }
+
+    /// A sharded replay indexes requests as `u32`: a longer trace is one
+    /// error line here, not a panic inside the partition.
+    fn check_shardable(&self) -> Result<(), String> {
+        lhr_sim::shard::indexable(self.trace.len())
+            .map(drop)
+            .map_err(|e| e.to_string())
+    }
+
+    /// Completes the `--obs` recording, if there is one.
+    fn close(self) -> Result<(), String> {
+        match &self.obs {
+            Some((o, path)) => finish_obs(o, path),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Writes the stable JSON report where `--report PATH` asks for it.
+fn write_report(args: &Args, stable_json: impl FnOnce() -> String) -> Result<(), String> {
+    let Some(path) = args.get("report") else {
+        return Ok(());
+    };
+    let body = stable_json();
+    std::fs::write(path, &body).map_err(|e| format!("{path}: {e}"))?;
+    eprintln!("report: wrote {} bytes to {path}", body.len());
+    Ok(())
 }
 
 fn cmd_simulate(args: &Args) -> Result<(), String> {
-    let trace = load_trace(args)?;
-    let name = args.get("policy").ok_or("--policy is required")?;
-    let capacity = parse_size(args.get("capacity").ok_or("--capacity is required")?)?;
-    let seed = args.get_parse("seed")?.unwrap_or(42u64);
-    let obs = obs_from_args(args)?;
-    if let Some((o, path)) = &obs {
-        start_obs(o, path)?;
-    }
-    let build = policy_ctor(name)?;
-    let params = PolicyParams::for_trace(capacity, seed, &trace);
-
-    if let Some((threads, n_shards)) = shard_args(args)? {
-        use lhr_sim::shard::{RouteConfig, ShardedSimConfig, ShardedSimulator};
-        check_shardable(&trace)?;
-        let mut sim = ShardedSimulator::new(ShardedSimConfig {
-            warmup_requests: args.get_parse("warmup")?.unwrap_or(0usize),
-            n_shards,
-            route: RouteConfig { threads },
-        });
-        if let Some((o, _)) = &obs {
-            sim = sim.with_obs(o.clone());
-        }
-        let shard_capacity = (capacity / n_shards as u64).max(1);
-        let result = sim.run(&trace, |shard, shard_obs| {
-            build(&params.for_shard(shard_capacity, shard, shard_obs))
-        });
-        println!(
-            "{} @ {:.2} GB on {}: hit {:.2}%  byte-hit {:.2}%  WAN {:.3} Gbps  \
-             evictions {}  wall {:.2}s",
-            result.policy,
-            capacity as f64 / 1e9,
-            result.trace,
-            result.metrics.object_hit_ratio() * 100.0,
-            result.metrics.byte_hit_ratio() * 100.0,
-            result.metrics.wan_gbps(),
-            result.evictions,
-            result.wall_secs,
-        );
-        if let Some((o, path)) = &obs {
-            finish_obs(o, path)?;
-        }
-        return Ok(());
-    }
-
-    let mut policy = build(&PolicyParams {
-        obs: obs.as_ref().map(|(o, _)| o),
-        ..params
-    });
+    let run = PolicyRun::open(args, "simulate", &["warmup"])?;
+    let params = run.params();
     let mut sim = Simulator::new(sim_config(args)?);
-    if let Some((o, _)) = &obs {
+    if let Some(o) = run.obs() {
         sim = sim.with_obs(o.clone());
     }
-    let result = sim.run(&mut policy, &trace);
+    let result = if let Some((threads, n_shards)) = run.sharding {
+        run.check_shardable()?;
+        let shard_capacity = (run.capacity / n_shards as u64).max(1);
+        sim.run_sharded(
+            &run.trace,
+            n_shards,
+            &RouteConfig { threads },
+            |shard, shard_obs| (run.build)(&params.for_shard(shard_capacity, shard, shard_obs)),
+        )
+    } else {
+        let mut policy = (run.build)(&PolicyParams {
+            obs: run.obs(),
+            ..params
+        });
+        sim.run(&mut policy, &run.trace)
+    };
     println!(
         "{} @ {:.2} GB on {}: hit {:.2}%  byte-hit {:.2}%  WAN {:.3} Gbps  \
          evictions {}  wall {:.2}s",
         result.policy,
-        capacity as f64 / 1e9,
+        run.capacity as f64 / 1e9,
         result.trace,
         result.metrics.object_hit_ratio() * 100.0,
         result.metrics.byte_hit_ratio() * 100.0,
@@ -669,13 +732,12 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
         result.evictions,
         result.wall_secs,
     );
-    if let Some((o, path)) = &obs {
-        finish_obs(o, path)?;
-    }
-    Ok(())
+    run.close()
 }
 
 fn cmd_compare(args: &Args) -> Result<(), String> {
+    let flags = ["capacity", "seed", "warmup"];
+    args.expect_flags("compare", &[&flags, TRACE_FLAGS, OBS_FLAGS])?;
     let trace = load_trace(args)?;
     let capacity = parse_size(args.get("capacity").ok_or("--capacity is required")?)?;
     let seed = args.get_parse("seed")?.unwrap_or(42u64);
@@ -722,6 +784,7 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
 fn cmd_mrc(args: &Args) -> Result<(), String> {
     use lhr_analysis::che::CheModel;
     use lhr_analysis::mrc::{lru_mrc, MrcConfig};
+    args.expect_flags("mrc", &[&["points", "sample"], TRACE_FLAGS])?;
     let trace = load_trace(args)?;
     if trace.len() < 2 {
         // A rate is a count over a duration: `CheModel::from_trace`
@@ -768,18 +831,11 @@ fn cmd_mrc(args: &Args) -> Result<(), String> {
 
 fn cmd_server(args: &Args) -> Result<(), String> {
     use lhr_proto::{CdnServer, FaultConfig, ServerConfig};
-    let trace = load_trace(args)?;
-    let name = args.get("policy").ok_or("--policy is required")?;
-    let capacity = parse_size(args.get("capacity").ok_or("--capacity is required")?)?;
-    let seed = args.get_parse("seed")?.unwrap_or(42u64);
-    let sharding = shard_args(args)?;
-    let obs = obs_from_args(args)?;
-    if let Some((o, path)) = &obs {
-        start_obs(o, path)?;
-    }
+    let run = PolicyRun::open(args, "server", &["faults", "report"])?;
+    let trace = &run.trace;
     let faulted = args.get("faults").map(|s| s.as_str()).unwrap_or("none") != "none";
     let config = match args.get("faults") {
-        Some(preset) => presets::fault_preset(preset, seed, trace.duration().as_secs_f64())
+        Some(preset) => presets::fault_preset(preset, run.seed, trace.duration().as_secs_f64())
             .ok_or_else(|| {
                 format!(
                     "unknown fault preset `{preset}` (try: {})",
@@ -788,49 +844,40 @@ fn cmd_server(args: &Args) -> Result<(), String> {
             })?,
         None => ServerConfig::default(),
     };
-    let build = policy_ctor(name)?;
-    let params = PolicyParams::for_trace(capacity, seed, &trace);
+    let params = run.params();
 
     // `--threads`/`--shards`/`--report` select the sharded engine; its
     // stable report is byte-identical at any thread count.
-    if sharding.is_some() || args.get("report").is_some() {
+    if run.sharding.is_some() || args.get("report").is_some() {
         use lhr_proto::{EngineConfig, ShardedEngine};
-        use lhr_sim::shard::RouteConfig;
-        let (threads, n_shards) = sharding.unwrap_or((1, 16));
-        check_shardable(&trace)?;
+        let (threads, n_shards) = run.sharding.unwrap_or((1, 16));
+        run.check_shardable()?;
         let mut engine = ShardedEngine::new(EngineConfig {
-            total_capacity: capacity,
+            total_capacity: run.capacity,
             n_shards,
             route: RouteConfig { threads },
             server: config,
         });
-        if let Some((o, _)) = &obs {
+        if let Some(o) = run.obs() {
             engine = engine.with_obs(o.clone());
         }
-        let er = engine.replay(&trace, |shard, shard_capacity, shard_obs| {
-            build(&params.for_shard(shard_capacity, shard, shard_obs))
+        let er = engine.replay(trace, |shard, shard_capacity, shard_obs| {
+            (run.build)(&params.for_shard(shard_capacity, shard, shard_obs))
         });
         print_server_report(&er.report, Some(&er), faulted);
-        if let Some(path) = args.get("report") {
-            let body = er.stable_json();
-            std::fs::write(path, &body).map_err(|e| format!("{path}: {e}"))?;
-            eprintln!("report: wrote {} bytes to {path}", body.len());
-        }
+        write_report(args, || er.stable_json())?;
     } else {
-        let policy = build(&PolicyParams {
-            obs: obs.as_ref().map(|(o, _)| o),
+        let policy = (run.build)(&PolicyParams {
+            obs: run.obs(),
             ..params
         });
         let mut server = CdnServer::new(policy, config);
-        if let Some((o, _)) = &obs {
+        if let Some(o) = run.obs() {
             server = server.with_obs(o.clone());
         }
-        print_server_report(&server.replay(&trace), None, faulted);
+        print_server_report(&server.replay(trace), None, faulted);
     }
-    if let Some((o, path)) = &obs {
-        finish_obs(o, path)?;
-    }
-    Ok(())
+    run.close()
 }
 
 /// Prints a serving report, single-server or (with `engine`) sharded. The
@@ -884,11 +931,18 @@ const MAX_VNODES: usize = 4_096;
 fn cmd_fleet(args: &Args) -> Result<(), String> {
     use lhr_proto::fleet::{FleetConfig, FleetEngine, NodeFaultConfig, MAX_NODES};
     use lhr_proto::{FaultConfig, ServerConfig};
-    use lhr_sim::shard::RouteConfig;
-    let trace = load_trace(args)?;
-    let name = args.get("policy").ok_or("--policy is required")?;
-    let capacity = parse_size(args.get("capacity").ok_or("--capacity is required")?)?;
-    let seed = args.get_parse("seed")?.unwrap_or(42u64);
+    let own_flags = [
+        "nodes",
+        "vnodes",
+        "shield-mb",
+        "faults",
+        "origin-faults",
+        "hint-ttl",
+        "peer-hints",
+        "report",
+    ];
+    let run = PolicyRun::open(args, "fleet", &own_flags)?;
+    let (trace, capacity, seed) = (&run.trace, run.capacity, run.seed);
     let n_nodes: usize = args.get_parse("nodes")?.unwrap_or(4);
     if !(1..=MAX_NODES).contains(&n_nodes) {
         return Err(format!("--nodes must be in 1..={MAX_NODES}, got {n_nodes}"));
@@ -905,8 +959,7 @@ fn cmd_fleet(args: &Args) -> Result<(), String> {
             .ok_or_else(|| format!("--shield-mb {mb} does not fit a byte count"))?,
         None => capacity / 4,
     };
-    let build = policy_ctor(name)?;
-    let params = PolicyParams::for_trace(capacity, seed, &trace);
+    let params = run.params();
     let duration = trace.duration().as_secs_f64();
 
     // `--faults` takes a node-level preset; an origin preset is accepted
@@ -936,12 +989,8 @@ fn cmd_fleet(args: &Args) -> Result<(), String> {
         })?;
     }
 
-    let (threads, n_shards) = shard_args(args)?.unwrap_or((1, 8));
-    check_shardable(&trace)?;
-    let obs = obs_from_args(args)?;
-    if let Some((o, path)) = &obs {
-        start_obs(o, path)?;
-    }
+    let (threads, n_shards) = run.sharding.unwrap_or((1, 8));
+    run.check_shardable()?;
     let mut config = FleetConfig::new(capacity);
     config.n_nodes = n_nodes;
     config.vnodes = vnodes;
@@ -957,17 +1006,17 @@ fn cmd_fleet(args: &Args) -> Result<(), String> {
         config.peer_hints = peer_hints;
     }
     let mut engine = FleetEngine::new(config);
-    if let Some((o, _)) = &obs {
+    if let Some(o) = run.obs() {
         engine = engine.with_obs(o.clone());
     }
     // Per-slice seeds derive as shard_seed(node_seed, shard) with
     // node_seed = shard_seed(seed, node) — the ARCHITECTURE.md clause.
-    let r = engine.replay(&trace, |node, shard, slice_capacity, shard_obs| {
+    let r = engine.replay(trace, |node, shard, slice_capacity, shard_obs| {
         let node_params = PolicyParams {
             seed: shard_seed(seed, node),
             ..params
         };
-        build(&node_params.for_shard(slice_capacity, shard, shard_obs))
+        (run.build)(&node_params.for_shard(slice_capacity, shard, shard_obs))
     });
 
     println!("fleet:           {}", r.name);
@@ -1008,18 +1057,12 @@ fn cmd_fleet(args: &Args) -> Result<(), String> {
         );
     }
     println!("replay wall:     {:.2} s", r.replay_wall_secs);
-    if let Some(path) = args.get("report") {
-        let body = r.stable_json();
-        std::fs::write(path, &body).map_err(|e| format!("{path}: {e}"))?;
-        eprintln!("report: wrote {} bytes to {path}", body.len());
-    }
-    if let Some((o, path)) = &obs {
-        finish_obs(o, path)?;
-    }
-    Ok(())
+    write_report(args, || r.stable_json())?;
+    run.close()
 }
 
 fn cmd_bound(args: &Args) -> Result<(), String> {
+    args.expect_flags("bound", &[&["capacity"], TRACE_FLAGS, OBS_FLAGS])?;
     let trace = load_trace(args)?;
     let capacity = parse_size(args.get("capacity").ok_or("--capacity is required")?)?;
     // `--obs PATH` wraps every bound so each evaluation records a

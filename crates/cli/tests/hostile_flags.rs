@@ -351,3 +351,161 @@ fn a_binary_header_that_overstates_its_count_is_refused_without_allocating_for_i
         assert!(!String::from_utf8_lossy(&out.stderr).contains("panicked"));
     }
 }
+
+#[test]
+fn a_misspelt_or_inapplicable_flag_is_refused_not_silently_dropped() {
+    // Each of these used to exit 0: `--warmpu` reported the no-warmup hit
+    // ratio, `compare` ran single-threaded whatever `--threads` said, and
+    // `server` / `fleet` never read `--warmup`.
+    let trace = TraceFile::generate("unknown-flag");
+    let policy = ["--policy", "LRU", "--capacity", "1MB"];
+    let cases: [(&str, &[&str], &[&str], &str); 8] = [
+        ("simulate", &policy, &["--warmpu", "5000"], "--warmpu"),
+        ("simulate", &policy, &["--report", "r.json"], "--report"),
+        (
+            "compare",
+            &["--capacity", "1MB"],
+            &["--threads", "8"],
+            "--threads",
+        ),
+        (
+            "compare",
+            &["--capacity", "1MB"],
+            &["--threads", "8", "--shards", "4"],
+            // Several: the alphabetically first is the one named.
+            "--shards",
+        ),
+        ("server", &policy, &["--warmup", "10"], "--warmup"),
+        ("fleet", &policy, &["--warmup", "10"], "--warmup"),
+        ("stats", &[], &["--capacity", "1MB"], "--capacity"),
+        (
+            "bound",
+            &["--capacity", "1MB"],
+            &["--policy", "LRU"],
+            "--policy",
+        ),
+    ];
+    for (command, flags, hostile, named) in cases {
+        let out = cli(&[&[command], flags, hostile, &[trace.path()][..]].concat());
+        assert_one_line_error(&out, &format!("unknown flag {named} for {command}"));
+        assert!(!String::from_utf8_lossy(&out.stderr).contains("panicked"));
+    }
+    let out = cli(&[
+        "generate", "--kind", "zipf", "--out", "x.csv", "--policy", "LRU",
+    ]);
+    assert_one_line_error(&out, "unknown flag --policy for generate");
+    assert!(!std::path::Path::new("x.csv").exists(), "nothing written");
+}
+
+#[test]
+fn every_documented_flag_of_the_replay_commands_is_still_accepted() {
+    // The flag lists are allow-lists: a flag a command reads but does not
+    // list would turn every script that passes it into an error. These are
+    // the benchmark's command lines (`benchmark/src/workload.rs::cli_args`)
+    // plus the flags only `usage()` and verify.sh exercise.
+    let trace = TraceFile::generate("known-flags");
+    let scratch = |tag: &str| {
+        let path =
+            std::env::temp_dir().join(format!("lhr-hostile-known-{tag}-{}", std::process::id()));
+        path.to_str().expect("utf-8 temp path").to_string()
+    };
+    let (report, obs) = (scratch("report.json"), scratch("obs.jsonl"));
+    let policy = ["--policy", "LRU", "--capacity", "1000000", "--seed", "7"];
+    let sharding = ["--threads", "2", "--shards", "4"];
+    let recording = [
+        "--obs",
+        &obs,
+        "--obs-window",
+        "100r",
+        "--obs-deterministic",
+        "true",
+        "--trace-sample",
+        "1/100",
+        "--slo",
+        "avail:99.9,hitratio:50",
+    ];
+    let lossy = ["--lossy", "true"];
+    let reporting = ["--report", report.as_str()];
+    // `fleet` records last: the `obs` actions below read its export.
+    let runs: [(&str, Vec<&[&str]>); 7] = [
+        (
+            "bound",
+            vec![&["--capacity", "1MB"], &lossy, &recording[..2]],
+        ),
+        (
+            "simulate",
+            vec![&policy, &sharding, &recording, &lossy, &["--warmup", "100"]],
+        ),
+        (
+            "server",
+            vec![
+                &policy,
+                &sharding,
+                &recording,
+                &lossy,
+                &["--faults", "flaky"],
+                &reporting,
+            ],
+        ),
+        (
+            "fleet",
+            vec![
+                &policy,
+                &sharding,
+                &recording,
+                &lossy,
+                &["--nodes", "4", "--vnodes", "16", "--shield-mb", "1"],
+                &["--faults", "node-churn", "--origin-faults", "flaky"],
+                &["--hint-ttl", "30", "--peer-hints", "false"],
+                &reporting,
+            ],
+        ),
+        (
+            "compare",
+            vec![
+                &["--capacity", "1MB", "--seed", "7", "--warmup", "100"],
+                &lossy,
+            ],
+        ),
+        ("mrc", vec![&["--points", "4", "--sample", "0.5"], &lossy]),
+        ("stats", vec![&lossy]),
+    ];
+    for (command, flag_sets) in runs {
+        let mut args = vec![command];
+        args.extend(flag_sets.into_iter().flatten());
+        args.push(trace.path());
+        let out = cli(&args);
+        assert!(out.status.success(), "{command}: {out:?}");
+    }
+    for action in [&["trace", "--slowest", "2"][..], &["trace", "--id", "0"]] {
+        // Reads its flags whether or not the export holds that trace.
+        let out = cli(&[&["obs"], action, &[obs.as_str()][..]].concat());
+        assert!(
+            !String::from_utf8_lossy(&out.stderr).contains("unknown flag"),
+            "{out:?}"
+        );
+    }
+    let out = cli(&["obs", "slo", "--objective", "hitratio:1", &obs]);
+    assert!(out.status.success(), "{out:?}");
+    for path in [report, obs] {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
+#[test]
+fn a_capacity_that_does_not_fit_a_byte_count_is_refused_not_saturated() {
+    // Both used to run as an 18446744073.71 GB cache.
+    let trace = TraceFile::generate("capacity");
+    for capacity in ["inf", "1e30TB"] {
+        let out = cli(&[
+            "simulate",
+            "--policy",
+            "LRU",
+            "--capacity",
+            capacity,
+            trace.path(),
+        ]);
+        assert_one_line_error(&out, capacity);
+        assert!(!String::from_utf8_lossy(&out.stderr).contains("panicked"));
+    }
+}

@@ -6,13 +6,17 @@
 //!
 //! - [`policy::CachePolicy`] — the admission + eviction interface every
 //!   online cache implements.
-//! - [`engine::Simulator`] — drives a trace through a policy, collecting
-//!   [`metrics::SimMetrics`] and optional hit-ratio time series.
-//! - [`shard`] — the thread-parallel replay driver: key-hash sharding, a
-//!   one-pass [`shard::Partition`] of the trace whose shards run start to
-//!   finish on whichever worker claims them, and the
-//!   [`shard::ShardedSimulator`] whose merged reports are byte-identical
-//!   at any thread count.
+//! - [`engine::Simulator`] — the one simulator, collecting
+//!   [`metrics::SimMetrics`] and optional hit-ratio time series through two
+//!   entry points that share one per-request step and one finish:
+//!   [`Simulator::run`] drives a trace through a borrowed policy,
+//!   [`Simulator::run_sharded`] through one policy instance per key-hash
+//!   shard, thread-parallel, merged in shard order so results and obs
+//!   exports are byte-identical at any thread count.
+//! - [`shard`] — the thread-parallel replay driver under the latter (and
+//!   under `lhr-proto`'s engine and fleet): key-hash sharding and a one-pass
+//!   [`shard::Partition`] of the trace whose shards run start to finish on
+//!   whichever worker claims them.
 //! - [`bound::OfflineBound`] — the interface for (offline or online) upper
 //!   bounds on OPT, which see the whole trace instead of reacting
 //!   request-by-request.
@@ -67,4 +71,4 @@ pub use bound::OfflineBound;
 pub use engine::{SimConfig, SimResult, Simulator};
 pub use metrics::SimMetrics;
 pub use policy::{CachePolicy, Outcome};
-pub use shard::{RouteConfig, ShardedSimConfig, ShardedSimulator};
+pub use shard::RouteConfig;

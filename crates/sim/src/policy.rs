@@ -188,6 +188,53 @@ impl<P: CachePolicy + ?Sized> CachePolicy for Box<P> {
     }
 }
 
+/// The crate's one test double: admit everything, never evict, unbounded
+/// capacity — oblivious to sharding, so sharded and plain counts agree.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::*;
+    use std::collections::hash_map::{Entry, HashMap};
+
+    #[derive(Default)]
+    pub(crate) struct Infinite {
+        cached: HashMap<ObjectId, Time>,
+        used: u64,
+    }
+
+    impl CachePolicy for Infinite {
+        fn name(&self) -> &str {
+            "infinite"
+        }
+        fn capacity(&self) -> u64 {
+            u64::MAX
+        }
+        fn used_bytes(&self) -> u64 {
+            self.used
+        }
+        fn admitted_at(&self, id: ObjectId) -> Option<Time> {
+            self.cached.get(&id).copied()
+        }
+        fn restamp(&mut self, id: ObjectId, at: Time) {
+            if let Some(stamp) = self.cached.get_mut(&id) {
+                *stamp = at;
+            }
+        }
+        fn handle(&mut self, req: &Request) -> Outcome {
+            match self.cached.entry(req.id) {
+                Entry::Occupied(_) => Outcome::Hit,
+                Entry::Vacant(slot) => {
+                    slot.insert(req.ts);
+                    self.used += req.size;
+                    Outcome::MissAdmitted
+                }
+            }
+        }
+        fn metadata_overhead_bytes(&self) -> u64 {
+            self.cached.len() as u64 * 8
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,17 +1,17 @@
 //! Sharded, thread-parallel trace replay: partition once, then run each
 //! shard start to finish.
 //!
-//! The single-threaded [`crate::Simulator`] loop is the workspace's scale
-//! ceiling: one core replays one request at a time against one policy
-//! state. This module splits a trace across **shards** — independent
-//! per-key-range states — in two steps:
+//! One core stepping one policy state is the scale ceiling of a plain
+//! replay. This module — the driver under [`crate::Simulator::run_sharded`]
+//! and `lhr-proto`'s engine and fleet — splits a trace across **shards**,
+//! independent per-key-range states, in two stages:
 //!
 //! 1. **Partition.** A counting sort over the trace buckets request
 //!    indices by [`shard_of(id, n_shards)`](shard_of) into a [`Partition`]:
-//!    a `u32` per request, each shard's bucket in trace order. The trace is fully in
-//!    memory before replay starts, so routing is a sort, not a pipeline
-//!    stage. One shard is the degenerate partition — the trace itself, no
-//!    index built.
+//!    a `u32` per request, each shard's bucket in trace order. The trace is
+//!    fully in memory before replay starts, so routing is a sort, not a
+//!    pipeline stage. One shard is the degenerate partition — the trace
+//!    itself, no index built.
 //! 2. **Run.** Each shard's bucket is stepped start to finish
 //!    ([`Partition::run`]). On one thread the shards run one after another;
 //!    with more, scoped workers claim *whole shards* off a shared queue
@@ -37,19 +37,13 @@
 //! Together these make fixed-seed reports and `--obs` exports byte-identical
 //! across thread counts (see `ARCHITECTURE.md`, "Determinism contract").
 
-use crate::metrics::SimMetrics;
-use crate::policy::CachePolicy;
-use crate::SimResult;
-use lhr_obs::series::{SeriesAcc, Totals};
-use lhr_obs::Obs;
 use lhr_trace::{ObjectId, Request, Time, Trace};
 use lhr_util::sync::claim_each;
-use std::time::Instant;
 
 /// Maps an object id to its owning shard with a splitmix-style avalanche,
 /// so sequential ids spread across shards. This is the one hash every
-/// sharded component (the sharded simulator here, `lhr-proto`'s engine and
-/// fleet) must agree on.
+/// sharded component (`Simulator::run_sharded` here, `lhr-proto`'s engine
+/// and fleet) must agree on.
 #[inline]
 pub fn shard_of(id: ObjectId, n_shards: usize) -> usize {
     let mut x = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -268,291 +262,10 @@ pub fn route<S: Send>(
     Partition::new(trace, shards.len()).run(shards, config, step)
 }
 
-/// Configuration for [`ShardedSimulator`].
-#[derive(Debug, Clone)]
-pub struct ShardedSimConfig {
-    /// Leading requests (by global trace index) excluded from the metrics;
-    /// the policies still see them.
-    pub warmup_requests: usize,
-    /// Fixed shard count — part of the deterministic configuration, never
-    /// derived from the thread count.
-    pub n_shards: usize,
-    /// Worker threads.
-    pub route: RouteConfig,
-}
-
-impl Default for ShardedSimConfig {
-    fn default() -> Self {
-        ShardedSimConfig {
-            warmup_requests: 0,
-            n_shards: 16,
-            route: RouteConfig::default(),
-        }
-    }
-}
-
-/// Per-shard replay state of the sharded simulator.
-struct SimShard<P> {
-    policy: P,
-    metrics: SimMetrics,
-    obs: Option<Obs>,
-    acc: Option<SeriesAcc>,
-    peak_meta: u64,
-    seen: u64,
-    measured_started: bool,
-    warmup_evictions: u64,
-}
-
-impl<P: CachePolicy> SimShard<P> {
-    fn totals(&self) -> Totals {
-        Totals {
-            requests: self.metrics.requests,
-            hits: self.metrics.hits,
-            misses_admitted: self.metrics.misses_admitted,
-            misses_bypassed: self.metrics.misses_bypassed,
-            bytes_requested: self.metrics.bytes_requested,
-            bytes_hit: self.metrics.bytes_hit,
-            evictions: self.policy.evictions(),
-            ..Totals::default()
-        }
-    }
-
-    fn step(&mut self, warmup: usize, i: usize, req: &Request) {
-        let measured = i >= warmup;
-        if measured {
-            if !self.measured_started {
-                self.measured_started = true;
-                self.warmup_evictions = self.policy.evictions();
-            }
-            if self.acc.is_some() {
-                // Split borrows: snapshot before the policy sees the request
-                // (same ordering as the single-threaded engine).
-                let totals = self.totals();
-                if let Some(acc) = self.acc.as_mut() {
-                    acc.observe(req.ts.as_micros(), || totals);
-                }
-            }
-        }
-        let outcome = self.policy.handle(req);
-        debug_assert!(
-            self.policy.used_bytes() <= self.policy.capacity(),
-            "policy {} overflowed its shard slice",
-            self.policy.name(),
-        );
-        self.seen += 1;
-        if self.seen % 1024 == 1 {
-            self.peak_meta = self.peak_meta.max(self.policy.metadata_overhead_bytes());
-        }
-        if !measured {
-            return;
-        }
-        self.metrics.requests += 1;
-        self.metrics.bytes_requested += req.size as u128;
-        match outcome {
-            crate::policy::Outcome::Hit => {
-                self.metrics.hits += 1;
-                self.metrics.bytes_hit += req.size as u128;
-            }
-            crate::policy::Outcome::MissAdmitted => self.metrics.misses_admitted += 1,
-            crate::policy::Outcome::MissBypassed => self.metrics.misses_bypassed += 1,
-        }
-    }
-}
-
-/// A thread-parallel [`crate::Simulator`]: shards the keyspace across
-/// independent policy instances and replays the trace with N workers, with
-/// reports and obs exports byte-identical at any thread count.
-///
-/// The hit ratio it measures is that of the *sharded* cache (capacity split
-/// evenly, no global eviction ordering), which is also what a concurrent
-/// production deployment measures — not a bit-for-bit reproduction of the
-/// single-policy simulation.
-#[derive(Debug, Clone, Default)]
-pub struct ShardedSimulator {
-    config: ShardedSimConfig,
-    obs: Option<Obs>,
-}
-
-impl ShardedSimulator {
-    /// Creates a sharded simulator with the given configuration.
-    pub fn new(config: ShardedSimConfig) -> Self {
-        ShardedSimulator { config, obs: None }
-    }
-
-    /// Attaches a master observability recorder. Each shard records into a
-    /// private recorder; at the end of the run they are merged into this
-    /// one in fixed shard order.
-    pub fn with_obs(mut self, obs: Obs) -> Self {
-        self.obs = Some(obs);
-        self
-    }
-
-    /// Replays `trace` across shards built by `build(shard_index, obs)` —
-    /// the builder receives the shard's private recorder (present when the
-    /// run is instrumented) so learned policies can attach to it. Returns
-    /// merged metrics for the measured (post-warmup) portion.
-    pub fn run<P: CachePolicy + Send>(
-        &self,
-        trace: &Trace,
-        mut build: impl FnMut(usize, Option<&Obs>) -> P,
-    ) -> SimResult {
-        let n_shards = self.config.n_shards.max(1);
-        let shards: Vec<SimShard<P>> = (0..n_shards)
-            .map(|i| {
-                let obs = self
-                    .obs
-                    .as_ref()
-                    .map(|master| Obs::new(master.config().clone()));
-                SimShard {
-                    policy: build(i, obs.as_ref()),
-                    metrics: SimMetrics::default(),
-                    acc: obs.as_ref().map(|o| SeriesAcc::new(o.window())),
-                    obs,
-                    peak_meta: 0,
-                    seen: 0,
-                    measured_started: false,
-                    warmup_evictions: 0,
-                }
-            })
-            .collect();
-
-        let warmup = self.config.warmup_requests;
-        let wall_start = Instant::now();
-        let mut shards = route(trace, shards, &self.config.route, |state, _s, i, req| {
-            state.step(warmup, i, req)
-        });
-        let wall_secs = wall_start.elapsed().as_secs_f64();
-
-        // Merge in fixed shard order (0..n_shards) on this thread.
-        let mut metrics = SimMetrics::default();
-        let mut peak_meta = 0u64;
-        let mut evictions = 0u64;
-        let mut warmup_evictions = 0u64;
-        for shard in &mut shards {
-            shard.peak_meta = shard.peak_meta.max(shard.policy.metadata_overhead_bytes());
-            metrics.requests += shard.metrics.requests;
-            metrics.hits += shard.metrics.hits;
-            metrics.misses_admitted += shard.metrics.misses_admitted;
-            metrics.misses_bypassed += shard.metrics.misses_bypassed;
-            metrics.bytes_requested += shard.metrics.bytes_requested;
-            metrics.bytes_hit += shard.metrics.bytes_hit;
-            peak_meta += shard.peak_meta;
-            evictions += shard.policy.evictions();
-            warmup_evictions += if shard.measured_started {
-                shard.warmup_evictions
-            } else {
-                shard.policy.evictions()
-            };
-        }
-        let start_ts = trace
-            .requests
-            .get(warmup.min(trace.len().saturating_sub(1)))
-            .map(|r| r.ts);
-        if let (Some(start), Some(last)) = (start_ts, trace.requests.last()) {
-            metrics.duration_secs = last.ts.saturating_sub(start).as_secs_f64();
-        }
-
-        let policy_name = shards
-            .first()
-            .map(|s| format!("sharded({})x{}", s.policy.name(), n_shards))
-            .unwrap_or_default();
-
-        if let Some(master) = &self.obs {
-            // Metadata before the merge: a streaming sink writes its meta
-            // line when the merged windows land in `absorb_shards`.
-            master.set_meta("policy", policy_name.as_str());
-            master.set_meta("trace", trace.name.as_str());
-            master.set_meta("shards", n_shards as u64);
-            // Finalize each shard's recorder, then merge them in shard
-            // order; the merged export carries no trace of the thread count.
-            let mut shard_obs = Vec::with_capacity(shards.len());
-            for shard in &mut shards {
-                if let (Some(obs), Some(acc)) = (shard.obs.take(), shard.acc.take()) {
-                    let totals = Totals {
-                        requests: shard.metrics.requests,
-                        hits: shard.metrics.hits,
-                        misses_admitted: shard.metrics.misses_admitted,
-                        misses_bypassed: shard.metrics.misses_bypassed,
-                        bytes_requested: shard.metrics.bytes_requested,
-                        bytes_hit: shard.metrics.bytes_hit,
-                        evictions: shard.policy.evictions(),
-                        ..Totals::default()
-                    };
-                    obs.push_windows(acc.finish_observed(totals));
-                    obs.counter_add("sim.requests", shard.metrics.requests);
-                    obs.counter_add("sim.hits", shard.metrics.hits);
-                    obs.counter_add("sim.evictions", shard.policy.evictions());
-                    shard_obs.push(obs);
-                }
-            }
-            master.absorb_shards(&shard_obs);
-            if warmup_evictions > 0 {
-                master.counter_add("sim.warmup_evictions", warmup_evictions);
-            }
-            master.gauge_set("sim.peak_metadata_bytes", peak_meta as f64);
-            master.gauge_set(
-                "sim.wall_secs",
-                if master.deterministic() {
-                    0.0
-                } else {
-                    wall_secs
-                },
-            );
-        }
-
-        SimResult {
-            policy: policy_name,
-            trace: trace.name.clone(),
-            metrics,
-            series: Vec::new(),
-            wall_secs,
-            peak_metadata_bytes: peak_meta,
-            evictions,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::Outcome;
-    use std::collections::hash_map::Entry;
-    use std::collections::{HashMap, HashSet};
-
-    struct Infinite {
-        cached: HashMap<ObjectId, Time>,
-        used: u64,
-    }
-
-    impl CachePolicy for Infinite {
-        fn name(&self) -> &str {
-            "infinite"
-        }
-        fn capacity(&self) -> u64 {
-            u64::MAX
-        }
-        fn used_bytes(&self) -> u64 {
-            self.used
-        }
-        fn admitted_at(&self, id: ObjectId) -> Option<Time> {
-            self.cached.get(&id).copied()
-        }
-        fn restamp(&mut self, id: ObjectId, at: Time) {
-            if let Some(stamp) = self.cached.get_mut(&id) {
-                *stamp = at;
-            }
-        }
-        fn handle(&mut self, req: &Request) -> Outcome {
-            match self.cached.entry(req.id) {
-                Entry::Occupied(_) => Outcome::Hit,
-                Entry::Vacant(slot) => {
-                    slot.insert(req.ts);
-                    self.used += req.size;
-                    Outcome::MissAdmitted
-                }
-            }
-        }
-    }
+    use std::collections::HashSet;
 
     fn trace(n: usize, objects: u64) -> Trace {
         let mut t = Trace::new("shard-test");
@@ -729,48 +442,5 @@ mod tests {
             );
             assert!(indexable(usize::MAX).is_err());
         }
-    }
-
-    #[test]
-    fn sharded_run_is_identical_across_thread_counts() {
-        let t = trace(20_000, 500);
-        let run = |threads: usize| {
-            let sim = ShardedSimulator::new(ShardedSimConfig {
-                warmup_requests: 1_000,
-                n_shards: 8,
-                route: RouteConfig { threads },
-            });
-            sim.run(&t, |_, _| Infinite {
-                cached: HashMap::new(),
-                used: 0,
-            })
-            .stable_json()
-        };
-        let baseline = run(1);
-        assert_eq!(baseline, run(2));
-        assert_eq!(baseline, run(8));
-    }
-
-    #[test]
-    fn sharded_metrics_match_unsharded_for_shardable_policy() {
-        // A never-evicting cache is oblivious to sharding: the sharded hit
-        // counts must equal the single-policy simulation exactly.
-        let t = trace(5_000, 100);
-        let mut single = Infinite {
-            cached: HashMap::new(),
-            used: 0,
-        };
-        let expect = crate::Simulator::new(crate::SimConfig::default()).run(&mut single, &t);
-        let got = ShardedSimulator::new(ShardedSimConfig {
-            n_shards: 4,
-            ..ShardedSimConfig::default()
-        })
-        .run(&t, |_, _| Infinite {
-            cached: HashMap::new(),
-            used: 0,
-        });
-        assert_eq!(got.metrics.hits, expect.metrics.hits);
-        assert_eq!(got.metrics.requests, expect.metrics.requests);
-        assert_eq!(got.metrics.bytes_hit, expect.metrics.bytes_hit);
     }
 }

@@ -31,9 +31,10 @@ cargo test -q --doc --offline --workspace
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> gbm bench smoke (tiny scale)"
-LHR_BENCH_WARMUP_MS=20 LHR_BENCH_MEASURE_MS=100 \
-  cargo run --release --offline -p lhr-bench --bin gbm -- --scale tiny
+echo "==> simulator goldens, optimized (Simulator::run / run_sharded vs tests/golden/sim, threads 1 2 8)"
+# The workspace run above held the debug build to the same files; they
+# were recorded by a release build, which is also what the CLI ships.
+cargo test -q --release --offline --test sim_golden
 
 echo "==> chaos suite (fault-injected serving path)"
 cargo test -q --offline --test chaos
@@ -83,6 +84,18 @@ cargo run --release --offline -p lhr-cli -- simulate \
 cargo run --release --offline -p lhr-cli -- obs summarize "$smoke_dir/obs.jsonl" \
   > "$smoke_dir/summary.out"
 grep -q "== obs summary ==" "$smoke_dir/summary.out"
+
+echo "==> sharded-simulator determinism smoke (simulate --shards 8, --threads 1 4)"
+# Same contract one layer down: `simulate` merges its shards in shard
+# order, so the export carries no trace of the thread count.
+for t in 1 4; do
+  cargo run --release --offline -p lhr-cli -- simulate \
+    --policy LHR --capacity 1MB --warmup 500 --shards 8 --threads "$t" \
+    --obs "$smoke_dir/sim$t.jsonl" --obs-window 1000r --obs-deterministic true \
+    "$smoke_dir/t.csv" > /dev/null
+done
+cmp "$smoke_dir/sim1.jsonl" "$smoke_dir/sim4.jsonl"
+grep -q '"shards":8' "$smoke_dir/sim1.jsonl"
 
 echo "==> threaded-engine determinism smoke (--threads 1 2 4)"
 # The determinism contract (ARCHITECTURE.md): stable reports and
@@ -247,11 +260,11 @@ cargo run --release --offline -p lhr-cli -- obs slo "$smoke_dir/slo.jsonl" \
   > "$smoke_dir/slo.out"
 grep -q "MET" "$smoke_dir/slo.out"
 
-echo "==> bench --obs determinism smoke (fig2, threads 1 2 4)"
+echo "==> bench --obs determinism smoke (repro --only fig2, threads 1 2 4)"
 # Sweep workers record per-cell spans into private shard recorders; the
 # merged deterministic export must not depend on which worker won a cell.
 for t in 1 2 4; do
-  cargo run --release --offline -q -p lhr-bench --bin fig2 -- \
+  cargo run --release --offline -q -p lhr-bench --bin repro -- --only fig2 \
     --scale tiny --threads "$t" --obs "$smoke_dir/bench-obs$t.jsonl" > /dev/null
 done
 for t in 2 4; do

@@ -9,7 +9,8 @@ use lhr_repro::core::cache::{LhrCache, LhrConfig};
 use lhr_repro::obs::{Obs, ObsConfig, ObsWindow};
 use lhr_repro::policies::Lru;
 use lhr_repro::proto::{presets, EngineConfig, ShardedEngine};
-use lhr_repro::sim::shard::{RouteConfig, ShardedSimConfig, ShardedSimulator};
+use lhr_repro::sim::shard::RouteConfig;
+use lhr_repro::sim::{SimConfig, Simulator};
 use lhr_repro::trace::synth::{IrmConfig, SizeModel};
 use lhr_repro::trace::Trace;
 
@@ -182,13 +183,14 @@ fn sharded_simulator_obs_is_byte_identical_across_threads() {
     let trace = zipf_trace(13);
     let run = |threads: usize| {
         let obs = deterministic_obs();
-        let sim = ShardedSimulator::new(ShardedSimConfig {
+        let sim = Simulator::new(SimConfig {
             warmup_requests: 1_000,
-            n_shards: 8,
-            route: RouteConfig { threads },
+            series_every: None,
         })
         .with_obs(obs.clone());
-        let result = sim.run(&trace, |_, _| Lru::new(256 << 10));
+        let result = sim.run_sharded(&trace, 8, &RouteConfig { threads }, |_, _| {
+            Lru::new(256 << 10)
+        });
         (result.stable_json(), obs.to_jsonl())
     };
     let baseline = run(1);

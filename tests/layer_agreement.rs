@@ -4,7 +4,8 @@
 //! `FleetEngine(nodes = 1, shards = 1, no shield, no peer hints)` on
 //! measured requests, hits and WAN bytes, for a classic and the learned
 //! policy — and the single-threaded server *is* the engine at one shard,
-//! field for field.
+//! field for field, as the plain simulator run *is* the sharded run at one
+//! shard.
 //!
 //! Counts are compared through the reports' derived floats: every layer
 //! computes `hits / measured × 100` and `wan_bytes × 8 / duration / 1e9`
@@ -12,6 +13,7 @@
 //! integers are.
 
 use lhr_repro::core::cache::{LhrCache, LhrConfig};
+use lhr_repro::obs::{Obs, ObsConfig, ObsWindow};
 use lhr_repro::policies::Lru;
 use lhr_repro::proto::{
     CdnServer, EngineConfig, FleetConfig, FleetEngine, ServerConfig, ServerReport, ShardedEngine,
@@ -170,6 +172,50 @@ fn deterministic_server_is_the_engine_at_one_shard() {
                     "{name}: server vs engine(shards = 1, threads = {threads})"
                 );
             }
+        }
+    }
+}
+
+/// `Simulator::run` and `Simulator::run_sharded` are two front ends of one
+/// step: at one shard they agree on every counter, the eviction count, the
+/// metadata peak (sampled on the shard's own request count, which at one
+/// shard is the global index) and every window record, whatever the thread
+/// count asked for.
+#[test]
+fn sharded_simulator_at_one_shard_is_the_plain_run() {
+    let trace = trace();
+    let sim = |obs: &Obs| {
+        Simulator::new(SimConfig {
+            warmup_requests: WARMUP,
+            series_every: None,
+        })
+        .with_obs(obs.clone())
+    };
+    let recorder = || {
+        Obs::new(ObsConfig {
+            window: ObsWindow::Requests(1_000),
+            deterministic: true,
+            ..ObsConfig::default()
+        })
+    };
+    for name in ["lru", "lhr"] {
+        let plain_obs = recorder();
+        let plain = sim(&plain_obs).run(&mut policy(name), &trace);
+        assert!(plain.evictions > 0, "{name}: the cache is under pressure");
+        assert!(plain_obs.windows().len() > 1, "{name}: several windows");
+        for threads in [1usize, 2] {
+            let obs = recorder();
+            let sharded =
+                sim(&obs).run_sharded(&trace, 1, &RouteConfig { threads }, |_, _| policy(name));
+            let case = format!("{name}, threads {threads}");
+            assert_eq!(sharded.policy, format!("sharded({})x1", plain.policy));
+            assert_eq!(sharded.metrics, plain.metrics, "{case}");
+            assert_eq!(sharded.evictions, plain.evictions, "{case}");
+            assert_eq!(
+                sharded.peak_metadata_bytes, plain.peak_metadata_bytes,
+                "{case}"
+            );
+            assert_eq!(obs.windows(), plain_obs.windows(), "{case}");
         }
     }
 }
