@@ -185,8 +185,12 @@ fn format_parse_error(path: &str, e: io::ParseError) -> String {
     }
 }
 
+fn trace_path(args: &Args) -> Result<&String, String> {
+    Ok(args.positional.first().ok_or("missing trace path")?)
+}
+
 fn load_trace(args: &Args) -> Result<Trace, String> {
-    let path = args.positional.first().ok_or("missing trace path")?;
+    let path = trace_path(args)?;
     let lossy = args.get_parse("lossy")?.unwrap_or(false);
     let trace = if path.ends_with(".bin") {
         let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
@@ -613,8 +617,8 @@ fn shard_args(args: &Args) -> Result<Option<(usize, usize)>, String> {
     if threads.is_none() && shards.is_none() {
         return Ok(None);
     }
-    let shards = shards.unwrap_or(16).max(1);
-    if shards > MAX_SHARDS {
+    let shards = shards.unwrap_or(16);
+    if !(1..=MAX_SHARDS).contains(&shards) {
         return Err(format!(
             "--shards must be in 1..={MAX_SHARDS}, got {shards}"
         ));
@@ -637,16 +641,18 @@ struct PolicyRun {
 
 impl PolicyRun {
     /// Reads the shared flags of `command`, which reads `own_flags` itself;
-    /// any other flag is refused.
+    /// any other flag is refused. Every flag is checked before the trace
+    /// is read, so a misspelt `--policy` costs one line, not a full load.
     fn open(args: &Args, command: &str, own_flags: &[&str]) -> Result<Self, String> {
         args.expect_flags(command, &[RUN_FLAGS, TRACE_FLAGS, OBS_FLAGS, own_flags])?;
-        let trace = load_trace(args)?;
+        trace_path(args)?;
         let name = args.get("policy").ok_or("--policy is required")?;
         let capacity = parse_size(args.get("capacity").ok_or("--capacity is required")?)?;
         let seed = args.get_parse("seed")?.unwrap_or(42u64);
         let sharding = shard_args(args)?;
         let build = policy_ctor(name)?;
         let obs = obs_from_args(args)?;
+        let trace = load_trace(args)?;
         if let Some((o, path)) = &obs {
             start_obs(o, path)?;
         }
@@ -999,7 +1005,14 @@ fn cmd_fleet(args: &Args) -> Result<(), String> {
     config.route = RouteConfig { threads };
     config.server = server;
     config.node_faults = node_faults;
-    if let Some(ttl) = args.get_parse("hint-ttl")? {
+    if let Some(ttl) = args.get_parse::<f64>("hint-ttl")? {
+        // NaN or a negative TTL would refuse every hint while the run still
+        // reports peer hints as on; `inf` (never expire) is legal.
+        if ttl.is_nan() || ttl < 0.0 {
+            return Err(format!(
+                "--hint-ttl must be a number of seconds >= 0, got {ttl}"
+            ));
+        }
         config.hint_ttl_secs = ttl;
     }
     if let Some(peer_hints) = args.get_parse("peer-hints")? {

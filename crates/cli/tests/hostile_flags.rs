@@ -65,18 +65,21 @@ fn assert_one_line_error(out: &Output, flag: &str) {
 #[test]
 fn an_absurd_shard_count_is_refused_by_every_sharded_command() {
     let trace = TraceFile::generate("shards");
-    for command in ["simulate", "server", "fleet"] {
-        let out = cli(&[
-            command,
-            "--policy",
-            "LRU",
-            "--capacity",
-            "1MB",
-            "--shards",
-            "100000000",
-            trace.path(),
-        ]);
-        assert_one_line_error(&out, "--shards");
+    // Zero used to replay on one shard without a word.
+    for shards in ["100000000", "0"] {
+        for command in ["simulate", "server", "fleet"] {
+            let out = cli(&[
+                command,
+                "--policy",
+                "LRU",
+                "--capacity",
+                "1MB",
+                "--shards",
+                shards,
+                trace.path(),
+            ]);
+            assert_one_line_error(&out, &format!("--shards must be in 1..=4096, got {shards}"));
+        }
     }
     // The bound itself is still served.
     let out = cli(&[
@@ -90,6 +93,64 @@ fn an_absurd_shard_count_is_refused_by_every_sharded_command() {
         trace.path(),
     ]);
     assert!(out.status.success(), "{out:?}");
+}
+
+#[test]
+fn a_hint_ttl_that_is_not_a_duration_is_refused() {
+    // `nan` and `-1` both used to run: every hint lookup refused and
+    // dropped, under a report that still said peer hints were on.
+    let trace = TraceFile::generate("hint-ttl");
+    let fleet = |ttl: &str| {
+        cli(&[
+            "fleet",
+            "--policy",
+            "LRU",
+            "--capacity",
+            "1MB",
+            "--hint-ttl",
+            ttl,
+            trace.path(),
+        ])
+    };
+    for ttl in ["nan", "-1", "-inf"] {
+        assert_one_line_error(&fleet(ttl), "--hint-ttl");
+    }
+    // Never expire and expire at once are both durations.
+    for ttl in ["inf", "0"] {
+        let out = fleet(ttl);
+        assert!(out.status.success(), "--hint-ttl {ttl}: {out:?}");
+    }
+}
+
+#[test]
+fn a_bad_flag_is_reported_before_the_trace_is_read() {
+    // The trace does not exist; every shared flag is still checked first,
+    // so the one line names the flag, not the file. With sound flags the
+    // missing file is the error, and without a path that is.
+    let missing = "lhr-hostile-no-such-trace.csv";
+    let policy = ["--policy", "LRU", "--capacity", "1MB"];
+    let cases: [(&[&str], &str); 6] = [
+        (&["--policy", "NOPE", "--capacity", "1MB"], "NOPE"),
+        (&["--policy", "LRU", "--capacity", "banana"], "banana"),
+        (&["--policy", "LRU"], "--capacity is required"),
+        (&[&policy[..], &["--seed", "x"]].concat(), "--seed"),
+        (&[&policy[..], &["--shards", "0"]].concat(), "--shards"),
+        (&[&policy[..], &["--trace-sample", "1/8"]].concat(), "--obs"),
+    ];
+    for command in ["simulate", "server", "fleet"] {
+        for (flags, named) in &cases {
+            let out = cli(&[&[command], *flags, &[missing][..]].concat());
+            assert_one_line_error(&out, named);
+        }
+        assert_one_line_error(
+            &cli(&[&[command], &policy[..], &[missing]].concat()),
+            missing,
+        );
+        assert_one_line_error(
+            &cli(&[&[command][..], &["--policy", "NOPE"]].concat()),
+            "missing trace path",
+        );
+    }
 }
 
 #[test]

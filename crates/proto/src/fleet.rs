@@ -28,12 +28,41 @@
 //! - which node serves a request is a pure function of (object id, trace
 //!   time): the ring is static and node liveness is a precompiled
 //!   schedule of down windows, so routing never depends on thread timing;
+//!   it is evaluated once per request (see *Routing cost* below);
 //! - node-fault presets derive per-node randomness from
 //!   `node_seed = shard_seed(seed, node_index)` — a pure function, the
 //!   `node_seed` derivation documented in `ARCHITECTURE.md`;
 //! - per-shard shield fault plans are seeded with
 //!   [`lhr_sim::shard::shard_seed`], and the merge runs in fixed shard
 //!   order, then fixed node order.
+//!
+//! # Routing cost
+//!
+//! A request is routed by **one** ring lookup: [`HashRing`] hashes the id,
+//! jumps through a 4 096-bucket index to the first ring point at or after
+//! the hash (a forward scan of about one point, where a binary search took
+//! eight steps) and walks clockwise from there, which yields the primary
+//! and the first live successor together. Liveness is not re-derived per
+//! request either: [`NodeFaultConfig`] is compiled once per replay into a
+//! timeline — the sorted window edges, and for every segment between two
+//! edges a down-node bitmask and each node's restart epoch, filled in by
+//! calling [`NodeFaultConfig::down`] and [`NodeFaultConfig::epoch`] at the
+//! segment's lower edge, so those two stay the only definition of
+//! liveness. Each shard keeps a cursor into the timeline and searches it
+//! again only when trace time leaves the cursor's segment.
+//!
+//! # Hint expiry
+//!
+//! Every 512th request of a shard drops the hints older than
+//! [`FleetConfig::hint_ttl_secs`]. The tick is pinned, not amortised: an
+//! expired hint still in the table when its object is next missed is
+//! refused *visibly* (a sampled request trace gains a
+//! `peer_hint{owner, hit:false}` step), so sweeping at any other cadence
+//! changes `--obs` exports (`tests/serving_golden.rs`, `fleet-expiry-*`).
+//! What the sweep no longer does is scan the table: publish times ascend
+//! with the trace, so the expired hints are a prefix of the publish log —
+//! a queue of the request indices that published, the trace itself being
+//! the record of which id and when.
 
 use crate::fault::keyed_uniform;
 use crate::latency::LatencyModel;
@@ -47,6 +76,7 @@ use lhr_sim::CachePolicy;
 use lhr_trace::{ObjectId, Request, Trace};
 use lhr_util::hash::{FastHasher, FastMap};
 use lhr_util::json::ToJson;
+use std::collections::VecDeque;
 use std::hash::Hasher;
 use std::time::Instant;
 
@@ -99,6 +129,9 @@ fn ring_key(id: ObjectId) -> u64 {
     finalize(h.finish())
 }
 
+/// Leading hash bits that index [`HashRing`]'s bucket table.
+const RING_BUCKET_BITS: u32 = 12;
+
 /// A consistent-hash ring: `vnodes` points per node, sorted by hash.
 /// Lookup walks clockwise from the key's hash to the first point; with a
 /// liveness predicate, [`Self::node_for`] keeps walking to ring
@@ -108,6 +141,11 @@ fn ring_key(id: ObjectId) -> u64 {
 pub struct HashRing {
     /// `(point hash, node)` sorted by hash.
     points: Vec<(u64, u16)>,
+    /// `first[b]` is the index of the first point whose hash has leading
+    /// [`RING_BUCKET_BITS`] bits `>= b` (`points.len()` when none has), so
+    /// a lookup starts its scan at most one bucket's worth of points
+    /// before its successor.
+    first: Vec<u32>,
     n_nodes: usize,
 }
 
@@ -127,7 +165,19 @@ impl HashRing {
             }
         }
         points.sort_unstable();
-        HashRing { points, n_nodes }
+        let mut first = Vec::with_capacity(1 << RING_BUCKET_BITS);
+        let mut below = 0;
+        for bucket in 0..1usize << RING_BUCKET_BITS {
+            while below < points.len() && Self::bucket(points[below].0) < bucket {
+                below += 1;
+            }
+            first.push(u32::try_from(below).expect("ring points fit a u32 index"));
+        }
+        HashRing {
+            points,
+            first,
+            n_nodes,
+        }
     }
 
     /// Number of nodes on the ring.
@@ -135,9 +185,18 @@ impl HashRing {
         self.n_nodes
     }
 
-    /// Index of the first ring point at or clockwise-after hash `h`.
+    fn bucket(hash: u64) -> usize {
+        (hash >> (u64::BITS - RING_BUCKET_BITS)) as usize
+    }
+
+    /// Index of the first ring point at or clockwise-after hash `h`: every
+    /// point of an earlier bucket is below `h`, so the scan starts at the
+    /// first point of `h`'s own bucket.
     fn successor(&self, h: u64) -> usize {
-        let i = self.points.partition_point(|&(p, _)| p < h);
+        let mut i = self.first[Self::bucket(h)] as usize;
+        while i < self.points.len() && self.points[i].0 < h {
+            i += 1;
+        }
         if i == self.points.len() {
             0
         } else {
@@ -145,31 +204,42 @@ impl HashRing {
         }
     }
 
+    /// One lookup, both answers: `id`'s primary, and the first node
+    /// clockwise from it (itself included) that `live` accepts.
+    fn route(&self, id: ObjectId, live: impl Fn(usize) -> bool) -> (usize, Option<usize>) {
+        let start = self.successor(ring_key(id));
+        let primary = self.points[start].1 as usize;
+        let mut tried = 0u64;
+        let mut at = start;
+        for _ in 0..self.points.len() {
+            let node = self.points[at].1 as usize;
+            if tried & (1 << node) == 0 {
+                tried |= 1 << node;
+                if live(node) {
+                    return (primary, Some(node));
+                }
+                if tried.count_ones() as usize == self.n_nodes {
+                    break;
+                }
+            }
+            at += 1;
+            if at == self.points.len() {
+                at = 0;
+            }
+        }
+        (primary, None)
+    }
+
     /// The node that owns `id` when every node is live.
     pub fn primary(&self, id: ObjectId) -> usize {
-        self.points[self.successor(ring_key(id))].1 as usize
+        self.route(id, |_| true).0
     }
 
     /// The first *live* node clockwise from `id`'s primary, or `None`
     /// when every node is down. Keys whose primary is live never move —
     /// this is the bounded-rehash property.
     pub fn node_for(&self, id: ObjectId, live: impl Fn(usize) -> bool) -> Option<usize> {
-        let start = self.successor(ring_key(id));
-        let mut tried = 0u64;
-        for k in 0..self.points.len() {
-            let node = self.points[(start + k) % self.points.len()].1 as usize;
-            if tried & (1 << node) != 0 {
-                continue;
-            }
-            tried |= 1 << node;
-            if live(node) {
-                return Some(node);
-            }
-            if tried.count_ones() as usize == self.n_nodes {
-                break;
-            }
-        }
-        None
+        self.route(id, live).1
     }
 }
 
@@ -267,6 +337,116 @@ impl NodeFaultConfig {
             .filter(|&&(n, _, _)| n == node)
             .map(|&(_, start, end)| (end - start).max(0.0))
             .sum()
+    }
+}
+
+/// A [`NodeFaultConfig`] compiled for one replay: between two consecutive
+/// window edges no comparison in [`NodeFaultConfig::down`] or
+/// [`NodeFaultConfig::epoch`] changes its answer, so each such segment
+/// stores those answers once — obtained by calling the two at the
+/// segment's lower edge, never re-derived — and a request reads them
+/// through its shard's [`Segment`] cursor.
+struct Liveness {
+    n_nodes: usize,
+    /// The distinct non-NaN window edges, ascending. Segment `k` holds the
+    /// times with exactly `k` edges at or below them; NaN times (which
+    /// every comparison rejects) get segment `edges.len() + 1`.
+    edges: Vec<f64>,
+    /// Per segment, bit `n` set while node `n` is down.
+    down: Vec<u64>,
+    /// Per segment, every node's restart epoch (`n_nodes` a segment).
+    epochs: Vec<u64>,
+}
+
+/// A shard's position in the [`Liveness`] timeline: the segment the last
+/// request's time fell in, with its bounds and down mask copied out.
+#[derive(Debug, Clone, Copy)]
+struct Segment {
+    index: usize,
+    /// The segment is `lo <= t < hi`; both NaN (so no time is inside)
+    /// before the first request and after a NaN time.
+    lo: f64,
+    hi: f64,
+    down: u64,
+}
+
+impl Segment {
+    /// A cursor that has to search on first use.
+    const COLD: Segment = Segment {
+        index: 0,
+        lo: f64::NAN,
+        hi: f64::NAN,
+        down: 0,
+    };
+}
+
+impl Liveness {
+    fn compile(faults: &NodeFaultConfig, n_nodes: usize) -> Self {
+        let mut edges: Vec<f64> = faults
+            .windows
+            .iter()
+            .flat_map(|&(_, start, end)| [start, end])
+            .filter(|edge| !edge.is_nan())
+            .collect();
+        edges.sort_unstable_by(f64::total_cmp);
+        edges.dedup();
+        let mut timeline = Liveness {
+            n_nodes,
+            down: Vec::with_capacity(edges.len() + 2),
+            epochs: Vec::with_capacity((edges.len() + 2) * n_nodes),
+            edges,
+        };
+        // One representative time per segment: below every edge, each edge
+        // (the lower end of the segment it opens), NaN.
+        let below = std::iter::once(f64::NEG_INFINITY);
+        let nan = std::iter::once(f64::NAN);
+        for t in below.chain(timeline.edges.iter().copied()).chain(nan) {
+            let down = (0..n_nodes)
+                .filter(|&node| faults.down(node, t))
+                .fold(0u64, |mask, node| mask | 1 << node);
+            timeline.down.push(down);
+            timeline
+                .epochs
+                .extend((0..n_nodes).map(|node| faults.epoch(node, t)));
+        }
+        timeline
+    }
+
+    /// Moves `cursor` to the segment holding `t`; a search only when `t`
+    /// has left the segment the cursor is in.
+    #[inline]
+    fn seek(&self, cursor: &mut Segment, t: f64) {
+        if !(t >= cursor.lo && t < cursor.hi) {
+            *cursor = self.search(t);
+        }
+    }
+
+    fn search(&self, t: f64) -> Segment {
+        if t.is_nan() {
+            let index = self.edges.len() + 1;
+            return Segment {
+                index,
+                down: self.down[index],
+                ..Segment::COLD
+            };
+        }
+        let index = self.edges.partition_point(|&edge| edge <= t);
+        Segment {
+            index,
+            lo: if index == 0 {
+                f64::NEG_INFINITY
+            } else {
+                self.edges[index - 1]
+            },
+            hi: self.edges.get(index).copied().unwrap_or(f64::INFINITY),
+            down: self.down[index],
+        }
+    }
+
+    /// `node`'s restart epoch throughout `segment`.
+    #[inline]
+    fn epoch(&self, segment: &Segment, node: usize) -> u64 {
+        self.epochs[segment.index * self.n_nodes + node]
     }
 }
 
@@ -462,7 +642,10 @@ enum Served {
 /// Read-only per-replay context shared by every worker.
 struct FleetCtx<'a, B> {
     ring: &'a HashRing,
-    faults: &'a NodeFaultConfig,
+    liveness: &'a Liveness,
+    cold_restart: bool,
+    /// The trace being replayed: what the hint publish log indexes.
+    requests: &'a [Request],
     lat: LatencyModel,
     hint_ttl_secs: f64,
     peer_hints: bool,
@@ -500,6 +683,69 @@ struct FleetCounts {
     failovers: u64,
 }
 
+/// One shard's peer hints: `id → (node that last filled it, publish
+/// time)`, plus the publish log that lets [`Self::expire`] find the expired
+/// ones without scanning the table.
+struct Hints {
+    table: FastMap<ObjectId, (u32, f64)>,
+    /// Indices of the requests that published, oldest first — the trace
+    /// is the log, `requests[i]` says which id and when. A record whose
+    /// hint has since been republished or dropped is stale and skipped.
+    /// Publish times ascend along it, so the expired hints are a prefix;
+    /// the first publish that runs backwards in time (or does not fit the
+    /// index) drops the log for good and [`Self::expire`] scans instead.
+    log: Option<VecDeque<u32>>,
+}
+
+impl Hints {
+    fn new() -> Self {
+        Hints {
+            table: FastMap::default(),
+            log: Some(VecDeque::new()),
+        }
+    }
+
+    /// Records that `node` filled `requests[i]`'s object at that
+    /// request's time.
+    fn publish(&mut self, requests: &[Request], i: usize, node: u32) {
+        let req = &requests[i];
+        self.table.insert(req.id, (node, req.ts.as_secs_f64()));
+        let Some(log) = &mut self.log else { return };
+        let ascending = log
+            .back()
+            .is_none_or(|&last| requests[last as usize].ts <= req.ts);
+        match u32::try_from(i) {
+            Ok(i) if ascending => log.push_back(i),
+            _ => self.log = None,
+        }
+    }
+
+    /// Drops every hint with `t - published > ttl` — exactly the set
+    /// `retain` would, since `t - published` falls as `published` rises.
+    fn expire(&mut self, requests: &[Request], t: f64, ttl: f64) {
+        let fresh = |published: f64| t - published <= ttl;
+        let Some(log) = &mut self.log else {
+            self.table.retain(|_, &mut (_, published)| fresh(published));
+            return;
+        };
+        while let Some(&i) = log.front() {
+            let req = &requests[i as usize];
+            let published = req.ts.as_secs_f64();
+            if fresh(published) {
+                break;
+            }
+            log.pop_front();
+            if self
+                .table
+                .get(&req.id)
+                .is_some_and(|&(_, at)| at == published)
+            {
+                self.table.remove(&req.id);
+            }
+        }
+    }
+}
+
 /// One shard of the whole fleet: a slice of every node's cache, the
 /// shield slice (a [`CdnServer`], which owns the origin side), the
 /// peer-hint table, and the accumulators — all owned by exactly one
@@ -509,8 +755,9 @@ struct FleetCounts {
 struct FleetShard<P: CachePolicy> {
     nodes: Vec<NodeSlice<P>>,
     shield: CdnServer<Lru>,
-    /// `id → (node that last filled it, publish time)`.
-    hints: FastMap<ObjectId, (u32, f64)>,
+    hints: Hints,
+    /// Where this shard's trace time stands in the liveness timeline.
+    live: Segment,
     counts: FleetCounts,
     tally: Tally,
 }
@@ -531,7 +778,7 @@ impl<P: CachePolicy> FleetShard<P> {
         ctx: &FleetCtx<'_, B>,
         s: usize,
         n: usize,
-        t: f64,
+        i: usize,
         req: &Request,
         mut tb: Option<&mut TraceBuilder>,
     ) -> (ServeOutcome, Served)
@@ -540,10 +787,11 @@ impl<P: CachePolicy> FleetShard<P> {
     {
         // A node that completed a down window since we last routed to it
         // rejoins here; under cold restart its slice is rebuilt empty.
-        let epoch = ctx.faults.epoch(n, t);
+        let t = req.ts.as_secs_f64();
+        let epoch = ctx.liveness.epoch(&self.live, n);
         if self.nodes[n].epoch != epoch {
             self.nodes[n].epoch = epoch;
-            if ctx.faults.cold_restart {
+            if ctx.cold_restart {
                 let fresh = (ctx.build)(n, s, ctx.node_capacity, self.tally.obs());
                 self.nodes[n].policy = fresh;
             }
@@ -578,11 +826,11 @@ impl<P: CachePolicy> FleetShard<P> {
         // Peer hint: a ring peer recently filled this object — fetch it
         // intra-PoP (one extra edge RTT) instead of asking the shield.
         if ctx.peer_hints {
-            if let Some(&(owner, published)) = self.hints.get(&req.id) {
+            if let Some(&(owner, published)) = self.hints.table.get(&req.id) {
                 let owner = owner as usize;
                 let usable = owner != n
                     && t - published <= ctx.hint_ttl_secs
-                    && !ctx.faults.down(owner, t)
+                    && self.live.down & (1 << owner) == 0
                     && self.nodes[owner].policy.contains(req.id);
                 if let Some(tb) = tb.as_deref_mut() {
                     if usable {
@@ -599,7 +847,7 @@ impl<P: CachePolicy> FleetShard<P> {
                 }
                 // Stale hint (expired, peer down, or evicted): drop it
                 // so the next miss doesn't re-probe.
-                self.hints.remove(&req.id);
+                self.hints.table.remove(&req.id);
             }
         }
 
@@ -617,7 +865,7 @@ impl<P: CachePolicy> FleetShard<P> {
         if !so.error {
             // Publish: node `n` now holds the object, so ring peers can
             // shield-fetch from it instead of origin-fetching.
-            self.hints.insert(req.id, (n as u32, t));
+            self.hints.publish(ctx.requests, i, n as u32);
         }
         (so, Served::Shield)
     }
@@ -632,15 +880,16 @@ impl<P: CachePolicy> FleetShard<P> {
             let meta_bytes = self.meta_bytes();
             self.tally.sample_meta(meta_bytes);
             self.shield.housekeep(req.ts);
-            let ttl = ctx.hint_ttl_secs;
-            self.hints
-                .retain(|_, &mut (_, published)| t - published <= ttl);
+            // On this tick and no other: a hint that outlives its TTL in
+            // the table is refused visibly (see the module docs).
+            self.hints.expire(ctx.requests, t, ctx.hint_ttl_secs);
         }
 
-        // Routing is a pure function of (id, trace time): static ring,
-        // precompiled liveness schedule.
-        let primary = ctx.ring.primary(req.id);
-        let chosen = ctx.ring.node_for(req.id, |node| !ctx.faults.down(node, t));
+        // Routing is a pure function of (id, trace time), evaluated once:
+        // one ring lookup against this segment's down mask.
+        ctx.liveness.seek(&mut self.live, t);
+        let down = self.live.down;
+        let (primary, chosen) = ctx.ring.route(req.id, |node| down & (1 << node) == 0);
         let failed_over = chosen.filter(|&n| n != primary);
 
         let mut tb = self.tally.begin_trace(i, req);
@@ -659,7 +908,7 @@ impl<P: CachePolicy> FleetShard<P> {
                 ServeOutcome::failed(ctx.lat.error_latency_ms(0.0), 0.0),
                 Served::Unrouted,
             ),
-            Some(n) => self.serve_at(ctx, s, n, t, req, tb.as_mut()),
+            Some(n) => self.serve_at(ctx, s, n, i, req, tb.as_mut()),
         };
         served.degraded |= failed_over.is_some();
         // The tally's hit is the fleet's: served from fleet RAM. Whether
@@ -812,7 +1061,8 @@ impl FleetEngine {
                         Lru::new(shield_capacity),
                         self.config.server.for_shard(s),
                     ),
-                    hints: FastMap::default(),
+                    hints: Hints::new(),
+                    live: Segment::COLD,
                     counts: FleetCounts::default(),
                     tally,
                 }
@@ -838,9 +1088,12 @@ impl FleetEngine {
             }
         }
 
+        let liveness = Liveness::compile(&self.config.node_faults, n_nodes);
         let ctx = FleetCtx {
             ring: &ring,
-            faults: &self.config.node_faults,
+            liveness: &liveness,
+            cold_restart: self.config.node_faults.cold_restart,
+            requests: &trace.requests,
             lat: self.config.server.latency.clone(),
             hint_ttl_secs: self.config.hint_ttl_secs,
             peer_hints: self.config.peer_hints,
@@ -947,6 +1200,7 @@ mod tests {
     use super::*;
     use lhr_trace::Time;
     use lhr_util::json::{FromJson, Json};
+    use lhr_util::rng::{rngs::StdRng, Rng, SeedableRng};
 
     fn trace(n: usize, objects: u64, size: u64) -> Trace {
         let mut t = Trace::new("fleet-test");
@@ -1022,6 +1276,270 @@ mod tests {
             }
         }
         assert_eq!(ring.node_for(7, |_| false), None, "all-down is unrouted");
+    }
+
+    /// The lookup this module had before the bucket index and the single
+    /// walk: binary search, then `primary` and `node_for` each on their own.
+    fn reference_successor(ring: &HashRing, h: u64) -> usize {
+        let i = ring.points.partition_point(|&(p, _)| p < h);
+        if i == ring.points.len() {
+            0
+        } else {
+            i
+        }
+    }
+
+    fn reference_node_for(ring: &HashRing, id: ObjectId, live: u64) -> Option<usize> {
+        let start = reference_successor(ring, ring_key(id));
+        let mut tried = 0u64;
+        for k in 0..ring.points.len() {
+            let node = ring.points[(start + k) % ring.points.len()].1 as usize;
+            if tried & (1 << node) != 0 {
+                continue;
+            }
+            tried |= 1 << node;
+            if live & (1 << node) != 0 {
+                return Some(node);
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn bucket_index_successor_equals_binary_search() {
+        let mut rng = StdRng::seed_from_u64(20);
+        for n_nodes in [1usize, 2, 5, 64] {
+            for vnodes in [1usize, 64, 4096] {
+                let ring = HashRing::new(n_nodes, vnodes);
+                assert_eq!(ring.points.len(), n_nodes * vnodes);
+                let mut probes = vec![0, 1, u64::MAX - 1, u64::MAX];
+                for &(hash, _) in &ring.points {
+                    probes.extend([hash.wrapping_sub(1), hash, hash.wrapping_add(1)]);
+                }
+                probes.extend((0..4_000).map(|_| rng.gen::<u64>()));
+                for h in probes {
+                    assert_eq!(
+                        ring.successor(h),
+                        reference_successor(&ring, h),
+                        "{n_nodes} nodes x {vnodes} vnodes, hash {h:#x}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_walk_equals_primary_then_node_for() {
+        let mut rng = StdRng::seed_from_u64(21);
+        for (n_nodes, vnodes) in [(1usize, 1usize), (1, 64), (2, 1), (5, 64), (64, 3)] {
+            let ring = HashRing::new(n_nodes, vnodes);
+            let all = u64::MAX >> (64 - n_nodes);
+            for _ in 0..3_000 {
+                let id = rng.gen::<u64>() >> rng.gen_range(0u32..64);
+                // Everything up, everything down, one node up, anything.
+                let live = match rng.gen_range(0u32..6) {
+                    0 => all,
+                    1 => 0,
+                    2 => 1 << rng.gen_range(0..n_nodes),
+                    _ => rng.gen::<u64>() & all,
+                };
+                let primary = ring.points[reference_successor(&ring, ring_key(id))].1 as usize;
+                let chosen = reference_node_for(&ring, id, live);
+                let is_live = |node: usize| live & (1 << node) != 0;
+                assert_eq!(ring.route(id, is_live), (primary, chosen));
+                assert_eq!(ring.primary(id), primary);
+                assert_eq!(ring.node_for(id, is_live), chosen);
+            }
+        }
+    }
+
+    /// Holds the compiled timeline to `down` / `epoch` at every edge of
+    /// `faults`, one ulp either side of each, both infinities and NaN:
+    /// through a cold cursor, and through one cursor dragged across the
+    /// probes forwards, backwards and shuffled.
+    fn assert_timeline_matches(faults: &NodeFaultConfig, n_nodes: usize, rng: &mut StdRng) {
+        let timeline = Liveness::compile(faults, n_nodes);
+        let mut probes = vec![f64::NEG_INFINITY, f64::INFINITY, f64::NAN, 0.0, -0.0];
+        for &(_, start, end) in &faults.windows {
+            for edge in [start, end] {
+                probes.extend([edge.next_down(), edge, edge.next_up()]);
+            }
+        }
+        let check = |cursor: &mut Segment, t: f64| {
+            timeline.seek(cursor, t);
+            for node in 0..n_nodes {
+                assert_eq!(
+                    cursor.down & (1 << node) != 0,
+                    faults.down(node, t),
+                    "down({node}, {t}) under {faults:?}"
+                );
+                assert_eq!(
+                    timeline.epoch(cursor, node),
+                    faults.epoch(node, t),
+                    "epoch({node}, {t}) under {faults:?}"
+                );
+            }
+        };
+        for &t in &probes {
+            let mut cold = Segment::COLD;
+            check(&mut cold, t);
+        }
+        let mut cursor = Segment::COLD;
+        let mut order = probes.clone();
+        order.extend(probes.iter().rev());
+        for _ in 0..3 {
+            rng.shuffle(&mut probes);
+            order.extend(&probes);
+        }
+        for t in order {
+            check(&mut cursor, t);
+        }
+    }
+
+    #[test]
+    fn compiled_timeline_equals_down_and_epoch() {
+        let mut rng = StdRng::seed_from_u64(22);
+        for name in NodeFaultConfig::preset_names() {
+            for (seed, n_nodes, duration) in [(7, 4, 1000.0), (42, 1, 0.0), (3, 64, 86_400.0)] {
+                let faults = NodeFaultConfig::preset(name, seed, n_nodes, duration).unwrap();
+                assert_timeline_matches(&faults, n_nodes, &mut rng);
+            }
+        }
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        let by_hand: [&[(usize, f64, f64)]; 8] = [
+            // Overlapping, nested and touching windows of one node.
+            &[(0, 1.0, 5.0), (0, 3.0, 8.0), (0, 4.0, 4.5), (0, 8.0, 9.0)],
+            // Empty and inverted windows (never down, still count as
+            // completed), and two nodes sharing edges.
+            &[(1, 2.0, 2.0), (1, 6.0, 3.0), (2, 3.0, 6.0), (0, 3.0, 6.0)],
+            // Infinite edges on either side.
+            &[
+                (0, -inf, 2.0),
+                (1, 2.0, inf),
+                (2, -inf, inf),
+                (3, inf, -inf),
+            ],
+            // NaN edges of either sign: the comparison is false.
+            &[(0, nan, 5.0), (1, 1.0, -nan), (2, -nan, nan), (3, 1.0, 5.0)],
+            // A node the fleet does not have (and one past the mask).
+            &[
+                (4, 1.0, 2.0),
+                (64, 0.0, 9.0),
+                (200, 3.0, 4.0),
+                (1, 1.5, 3.5),
+            ],
+            // Signed zeros and subnormal neighbours.
+            &[(0, -0.0, 0.0), (1, 0.0, 5e-324), (2, -5e-324, -0.0)],
+            // The same window twice.
+            &[(3, 1.0, 2.0), (3, 1.0, 2.0)],
+            &[],
+        ];
+        for windows in by_hand {
+            for cold_restart in [false, true] {
+                let faults = NodeFaultConfig {
+                    seed: 1,
+                    windows: windows.to_vec(),
+                    cold_restart,
+                };
+                assert_timeline_matches(&faults, 4, &mut rng);
+            }
+        }
+        // Random schedules over a small grid of times, so edges collide.
+        for _ in 0..200 {
+            let n_nodes = rng.gen_range(1usize..6);
+            let windows = (0..rng.gen_range(0usize..8))
+                .map(|_| {
+                    let mut edge = || match rng.gen_range(0u32..12) {
+                        0 => nan,
+                        1 => inf,
+                        2 => -inf,
+                        _ => rng.gen_range(0u32..8) as f64 * 0.5,
+                    };
+                    let (start, end) = (edge(), edge());
+                    (rng.gen_range(0usize..7), start, end)
+                })
+                .collect();
+            let faults = NodeFaultConfig {
+                seed: 1,
+                windows,
+                cold_restart: false,
+            };
+            assert_timeline_matches(&faults, n_nodes, &mut rng);
+        }
+    }
+
+    #[test]
+    fn hint_log_equals_a_table_scan() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut fell_back = 0;
+        for case in 0..300 {
+            // Most traces ascend; the rest step backwards somewhere, which
+            // must drop the log, not the equivalence.
+            let backwards = case % 3 == 0;
+            let mut micros = 1_000_000u64;
+            let requests: Vec<Request> = (0..rng.gen_range(1usize..400))
+                .map(|_| {
+                    if backwards && rng.gen_bool(0.05) {
+                        micros -= rng.gen_range(0u64..micros.min(400_000) + 1);
+                    } else if rng.gen_bool(0.7) {
+                        micros += rng.gen_range(0u64..300_000);
+                    }
+                    // Few ids, so hints are republished and records go stale.
+                    Request::new(Time::from_micros(micros), rng.gen_range(0u64..12), 1)
+                })
+                .collect();
+            let ttl = match case % 7 {
+                0 => 0.0,
+                1 => f64::INFINITY,
+                2 => f64::NAN,
+                3 => -1.0,
+                _ => rng.gen_range(0.0..3.0),
+            };
+            let mut hints = Hints::new();
+            let mut reference: FastMap<ObjectId, (u32, f64)> = FastMap::default();
+            for (i, req) in requests.iter().enumerate() {
+                let t = req.ts.as_secs_f64();
+                match rng.gen_range(0u32..10) {
+                    // The tick, now and then at a time of its own.
+                    0 | 1 => {
+                        let t = if rng.gen_bool(0.2) {
+                            rng.gen_range(0.0..20.0)
+                        } else {
+                            t
+                        };
+                        hints.expire(&requests, t, ttl);
+                        reference.retain(|_, &mut (_, published)| t - published <= ttl);
+                    }
+                    // A refused lookup drops the hint.
+                    2 | 3 => {
+                        assert_eq!(hints.table.get(&req.id), reference.get(&req.id));
+                        hints.table.remove(&req.id);
+                        reference.remove(&req.id);
+                    }
+                    _ => {
+                        let node = rng.gen_range(0u32..4);
+                        hints.publish(&requests, i, node);
+                        reference.insert(req.id, (node, t));
+                    }
+                }
+                assert_eq!(hints.table, reference, "case {case}, request {i}");
+                if let Some(log) = &hints.log {
+                    assert!(
+                        log.len() <= i + 1 && hints.table.len() <= log.len(),
+                        "every live hint has a record"
+                    );
+                }
+            }
+            assert!(
+                backwards || hints.log.is_some(),
+                "case {case}: an ascending trace keeps its log"
+            );
+            fell_back += hints.log.is_none() as usize;
+        }
+        assert!(
+            fell_back >= 20,
+            "the scan fallback ran in {fell_back} cases"
+        );
     }
 
     #[test]

@@ -213,21 +213,26 @@ cargo run --release --offline -p lhr-cli -- fleet \
 grep -q "availability:" "$smoke_dir/fleet.out"
 grep -q "failovers:" "$smoke_dir/fleet.out"
 
-echo "==> fleet determinism smoke (--threads 1 2 4 under node-churn)"
+echo "==> fleet determinism smoke (--threads 1 2 4 under node-churn, hints expiring)"
 # The fleet clause of the determinism contract (ARCHITECTURE.md): stable
 # reports and deterministic --obs exports are byte-identical at any
-# thread count, even while nodes leave and rejoin cold.
+# thread count, even while nodes leave and rejoin cold. t.csv spans 50 s,
+# so a 2 s hint TTL expires hints throughout; two shards see 2 500 requests
+# each, enough for the 512-request expiry tick to fire; and 1/8 tracing
+# puts the refused hints (`peer_hint`, hit:false) into the compared export.
 for t in 1 2 4; do
   cargo run --release --offline -p lhr-cli -- fleet \
     --policy LHR --capacity 1MB --nodes 4 --faults node-churn --threads "$t" \
+    --shards 2 --hint-ttl 2 \
     --report "$smoke_dir/f$t.json" \
     --obs "$smoke_dir/fo$t.jsonl" --obs-window 1000r --obs-deterministic true \
-    "$smoke_dir/t.csv" > /dev/null
+    --trace-sample 1/8 "$smoke_dir/t.csv" > /dev/null
 done
 for t in 2 4; do
   cmp "$smoke_dir/f1.json" "$smoke_dir/f$t.json"
   cmp "$smoke_dir/fo1.jsonl" "$smoke_dir/fo$t.jsonl"
 done
+grep -q '"step":"peer_hint"[^}]*{[^}]*"hit":false' "$smoke_dir/fo1.jsonl"
 
 echo "==> trace-determinism smoke (fleet node-brownout, --trace-sample, threads 1 2 4)"
 # The seventh clause of the determinism contract (ARCHITECTURE.md):

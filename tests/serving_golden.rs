@@ -22,6 +22,22 @@
 //! Engine and fleet are asserted at threads 1, 2, 4 and 8. Only `peak_mem_gb`
 //! is masked, as in `tests/lhr_golden.rs`: it reports metadata
 //! *accounting*, not behaviour.
+//!
+//! # Hint expiry (`fleet-expiry-*`, recorded on commit `f3d1962`)
+//!
+//! The cases above replay 6 s of trace under the default 3 600 s hint TTL,
+//! so no peer hint in them ever expires — and the *cadence* of the fleet's
+//! expiry sweep is part of the export: an expired hint still in the table
+//! when its object is next missed is refused and shows as a
+//! `peer_hint{owner, hit:false}` step in a sampled trace, one already swept
+//! shows nothing. An amortised sweep ("when the table has doubled" instead
+//! of every 512th request of the shard) passed every case above and
+//! `tests/fleet.rs`, and changed `lhr-cache fleet` exports. The
+//! `fleet-expiry-*` cases are the ones it fails: 50 s of trace (two dozen
+//! sweep ticks a shard), `node-churn` over the `flaky` origin, hint TTLs of
+//! 0.5 s and 2 s, 1/8 request tracing. The test asserts that refused and
+//! accepted `peer_hint` steps both occur in each, so a case cannot silently
+//! stop covering the hint path.
 
 use lhr_repro::core::cache::{LhrCache, LhrConfig};
 use lhr_repro::obs::slo::SloObjective;
@@ -42,8 +58,9 @@ const WARMUP: usize = 1_000;
 const SEED: u64 = 42;
 const POLICIES: [&str; 2] = ["lru", "lhr"];
 
-fn trace() -> Trace {
-    IrmConfig::new(1_000, 6_000)
+/// A fixed-seed Zipf trace at 1 000 requests a second.
+fn irm(requests: usize, seed: u64) -> Trace {
+    IrmConfig::new(1_000, requests)
         .zipf_alpha(0.9)
         .requests_per_sec(1_000.0)
         .size_model(SizeModel::BoundedPareto {
@@ -51,15 +68,25 @@ fn trace() -> Trace {
             min: 1_000,
             max: 100_000,
         })
-        .seed(31)
+        .seed(seed)
         .generate()
 }
 
-fn recorder() -> Obs {
+fn trace() -> Trace {
+    irm(6_000, 31)
+}
+
+/// The expiry cases' trace: the same object population at the same rate,
+/// 50 s long, so hints published early are long expired by the end.
+fn expiry_trace() -> Trace {
+    irm(50_000, 37)
+}
+
+fn recorder(trace_sample: u64) -> Obs {
     Obs::new(ObsConfig {
         window: ObsWindow::Requests(1_000),
         deterministic: true,
-        trace_sample: 64,
+        trace_sample,
         slos: vec![
             SloObjective::Availability(99.9),
             SloObjective::HitRatio(50.0),
@@ -108,7 +135,7 @@ fn server_config(trace: &Trace, origin: &str) -> ServerConfig {
 type Case = (String, String);
 
 fn run_server(trace: &Trace, origin: &str, name: &str) -> Case {
-    let obs = recorder();
+    let obs = recorder(64);
     let config = ServerConfig {
         deterministic: true,
         ..server_config(trace, origin)
@@ -119,7 +146,7 @@ fn run_server(trace: &Trace, origin: &str, name: &str) -> Case {
 }
 
 fn run_engine(trace: &Trace, origin: &str, name: &str, threads: usize) -> Case {
-    let obs = recorder();
+    let obs = recorder(64);
     let engine = ShardedEngine::new(EngineConfig {
         total_capacity: CAPACITY,
         n_shards: 4,
@@ -133,9 +160,21 @@ fn run_engine(trace: &Trace, origin: &str, name: &str, threads: usize) -> Case {
     (report.stable_json(), obs.to_jsonl())
 }
 
-fn run_fleet(trace: &Trace, origin: &str, nodes: &str, name: &str, threads: usize) -> Case {
-    let obs = recorder();
+/// `hint_ttl_secs: None` is the default TTL at 1/64 tracing; `Some` is an
+/// expiry case at 1/8.
+fn run_fleet(
+    trace: &Trace,
+    origin: &str,
+    nodes: &str,
+    name: &str,
+    threads: usize,
+    hint_ttl_secs: Option<f64>,
+) -> Case {
+    let obs = recorder(if hint_ttl_secs.is_some() { 8 } else { 64 });
     let mut config = FleetConfig::new(CAPACITY);
+    if let Some(ttl) = hint_ttl_secs {
+        config.hint_ttl_secs = ttl;
+    }
     config.n_nodes = 4;
     config.n_shards = 4;
     config.route.threads = threads;
@@ -155,10 +194,13 @@ fn run_fleet(trace: &Trace, origin: &str, nodes: &str, name: &str, threads: usiz
     (report.stable_json(), obs.to_jsonl())
 }
 
-/// Every golden case as `(file stem, threads → case)`.
+/// Every golden case as `(file stem, threaded, threads → case)`.
 #[allow(clippy::type_complexity)]
-fn cases(trace: &Trace) -> Vec<(String, bool, Box<dyn Fn(usize) -> Case + '_>)> {
-    let mut out: Vec<(String, bool, Box<dyn Fn(usize) -> Case + '_>)> = Vec::new();
+fn cases<'a>(
+    trace: &'a Trace,
+    expiry: &'a Trace,
+) -> Vec<(String, bool, Box<dyn Fn(usize) -> Case + 'a>)> {
+    let mut out: Vec<(String, bool, Box<dyn Fn(usize) -> Case + 'a>)> = Vec::new();
     for name in POLICIES {
         for origin in ["none", "flaky"] {
             out.push((
@@ -176,7 +218,16 @@ fn cases(trace: &Trace) -> Vec<(String, bool, Box<dyn Fn(usize) -> Case + '_>)> 
             out.push((
                 format!("fleet-{origin}-{nodes}-{name}"),
                 true,
-                Box::new(move |threads| run_fleet(trace, origin, nodes, name, threads)),
+                Box::new(move |threads| run_fleet(trace, origin, nodes, name, threads, None)),
+            ));
+        }
+        for ttl in [0.5, 2.0] {
+            out.push((
+                format!("fleet-expiry-ttl{ttl}-{name}"),
+                true,
+                Box::new(move |threads| {
+                    run_fleet(expiry, "flaky", "node-churn", name, threads, Some(ttl))
+                }),
             ));
         }
     }
@@ -203,15 +254,29 @@ fn mask_peak_mem(text: &str) -> String {
     out
 }
 
+/// How many `peer_hint` steps of sampled traces carry `"hit":<hit>` (the
+/// step's last detail field).
+fn peer_hint_steps(export: &str, hit: bool) -> usize {
+    let flag = format!("\"hit\":{hit}");
+    export
+        .split("{\"step\":\"peer_hint\"")
+        .skip(1)
+        .filter(|rest| {
+            rest.split_once("}}")
+                .is_some_and(|(step, _)| step.ends_with(&flag))
+        })
+        .count()
+}
+
 /// Writes the golden files. Run against the parent tree only (see the
 /// module docs); the committed bytes are never edited by hand.
 #[test]
 #[ignore = "records tests/golden/serving/ — run against the parent commit"]
 fn record() {
-    let trace = trace();
+    let (trace, expiry) = (trace(), expiry_trace());
     let dir = golden_dir();
     std::fs::create_dir_all(&dir).expect("golden dir");
-    for (stem, _, run) in cases(&trace) {
+    for (stem, _, run) in cases(&trace, &expiry) {
         let (report, obs) = run(1);
         std::fs::write(dir.join(format!("{stem}.report.json")), report + "\n").expect("write");
         std::fs::write(dir.join(format!("{stem}.obs.jsonl")), obs).expect("write");
@@ -220,15 +285,23 @@ fn record() {
 
 #[test]
 fn serving_reports_and_obs_exports_match_the_parent_goldens() {
-    let trace = trace();
+    let (trace, expiry) = (trace(), expiry_trace());
     let dir = golden_dir();
-    for (stem, threaded, run) in cases(&trace) {
+    for (stem, threaded, run) in cases(&trace, &expiry) {
         let read = |ext: &str| {
             let path = dir.join(format!("{stem}.{ext}"));
             std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
         };
         let golden_report = mask_peak_mem(read("report.json").trim_end());
         let golden_obs = read("obs.jsonl");
+        if stem.starts_with("fleet-expiry") {
+            for hit in [true, false] {
+                assert!(
+                    peer_hint_steps(&golden_obs, hit) > 0,
+                    "{stem}: no sampled trace has a peer_hint step with hit:{hit}"
+                );
+            }
+        }
         let thread_counts: &[usize] = if threaded { &[1, 2, 4, 8] } else { &[1] };
         for &threads in thread_counts {
             let (report, obs) = run(threads);
