@@ -49,10 +49,8 @@ fn bench_fit() {
     }
 }
 
-/// Row-at-a-time `predict` against `predict_dataset`, the quantized batch
-/// kernel (`gbm::bitset`), over the same rows and model. `benchmark/`
-/// reports `gbm.predict_row_ns` and `gbm.predict_batch_ns_per_row`; this is
-/// the only place the batch kernel on binned codes is timed.
+/// Row-at-a-time `predict` over the training rows. `benchmark/` reports the
+/// same kernel as `gbm.predict_row_ns` and `gbm.predict_batch_ns_per_row`.
 fn bench_predict() {
     let data = synthetic_dataset(8_192, 23, 2);
     let params = GbmParams {
@@ -61,10 +59,6 @@ fn bench_predict() {
         ..GbmParams::default()
     };
     let model = Gbm::fit(&data, &params);
-    let mut group = Bench::new("gbm_predict_dataset");
-    group.throughput_elems(data.n_rows() as u64);
-    group.bench("8192_rows", || model.predict_dataset(black_box(&data), 1));
-    group.finish();
     let mut group = Bench::new("gbm_predict");
     group.throughput_elems(data.n_rows() as u64);
     group.bench("8192_rows", || {

@@ -64,6 +64,8 @@ USAGE:
   lhr-cache generate --kind KIND [--objects N] [--requests N] [--alpha A]
                      [--seed S] --out PATH        synthesize a trace
       KIND: zipf | cdn-a | cdn-b | cdn-c | wiki | syn-one | syn-two
+      (cdn-* and wiki are fixed models: they take none of --objects,
+      --requests, --alpha; syn-two takes no --alpha)
       PATH ending in .bin writes the compact binary format, else CSV
   lhr-cache stats PATH                             Table-1 characteristics
   lhr-cache simulate --policy NAME --capacity SIZE [--warmup N] [--seed S] PATH
@@ -219,9 +221,18 @@ fn path_stem(path: &str) -> String {
 }
 
 fn cmd_generate(args: &Args) -> Result<(), String> {
-    let flags = ["kind", "out", "seed", "objects", "requests", "alpha"];
-    args.expect_flags("generate", &[&flags])?;
     let kind = args.get("kind").ok_or("--kind is required")?;
+    // The shape flags each kind reads: the production models are fixed
+    // populations and syn-two has no Zipf exponent, so a flag one of them
+    // would drop is refused like any other flag the command does not read.
+    let shape: &[&str] = match kind.as_str() {
+        "zipf" | "syn-one" => &["objects", "requests", "alpha"],
+        "syn-two" => &["objects", "requests"],
+        "cdn-a" | "cdn-b" | "cdn-c" | "wiki" => &[],
+        other => return Err(format!("unknown trace kind `{other}`")),
+    };
+    let command = format!("generate --kind {kind}");
+    args.expect_flags(&command, &[&["kind", "out", "seed"], shape])?;
     let out = args.get("out").ok_or("--out is required")?;
     let seed = args.get_parse("seed")?.unwrap_or(42u64);
     let objects = args.get_parse("objects")?.unwrap_or(10_000usize);
@@ -256,7 +267,7 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
         "wiki" => production::wiki(ProductionScale::Small, seed),
         "syn-one" => markov::syn_one(objects.min(100_000), requests, per_state, alpha, seed),
         "syn-two" => markov::syn_two(objects.min(100_000), requests, per_state, seed),
-        other => return Err(format!("unknown trace kind `{other}`")),
+        _ => unreachable!("the kind was matched against the same list above"),
     };
     let file = std::fs::File::create(out).map_err(|e| format!("{out}: {e}"))?;
     if out.ends_with(".bin") {
@@ -803,6 +814,9 @@ fn cmd_mrc(args: &Args) -> Result<(), String> {
     }
     let stats = TraceStats::compute(&trace);
     let n_points: usize = args.get_parse("points")?.unwrap_or(10);
+    if n_points == 0 {
+        return Err("--points must be at least 1".into());
+    }
     let sample: f64 = args.get_parse("sample")?.unwrap_or(1.0);
     if sample.is_nan() || sample <= 0.0 {
         return Err(format!(

@@ -261,6 +261,46 @@ fn generate_refuses_an_empty_population_and_a_meaningless_alpha() {
 }
 
 #[test]
+fn generate_refuses_the_shape_flags_its_kind_does_not_read() {
+    // `--kind wiki --objects 1 --requests 1` used to exit 0 and write the
+    // fixed model's 40 000 requests.
+    let out_path =
+        std::env::temp_dir().join(format!("lhr-hostile-kind-{}.csv", std::process::id()));
+    let out_path = out_path.to_str().expect("utf-8 temp path");
+    let shape = [("--objects", "1"), ("--requests", "1"), ("--alpha", "0.5")];
+    for kind in ["cdn-a", "cdn-b", "cdn-c", "wiki"] {
+        for (flag, value) in shape {
+            let out = cli(&["generate", "--kind", kind, flag, value, "--out", out_path]);
+            assert_one_line_error(
+                &out,
+                &format!("unknown flag {flag} for generate --kind {kind}"),
+            );
+        }
+    }
+    let out = cli(&[
+        "generate", "--kind", "syn-two", "--alpha", "0.5", "--out", out_path,
+    ]);
+    assert_one_line_error(&out, "unknown flag --alpha for generate --kind syn-two");
+    assert!(
+        !std::path::Path::new(out_path).exists(),
+        "a refused run writes nothing"
+    );
+    // What each kind does read is still accepted.
+    for (kind, flags) in [
+        ("syn-two", &["--objects", "10", "--requests", "20"][..]),
+        (
+            "syn-one",
+            &["--objects", "10", "--requests", "20", "--alpha", "0.5"],
+        ),
+    ] {
+        let base = ["generate", "--kind", kind, "--seed", "3", "--out", out_path];
+        let out = cli(&[&base[..], flags].concat());
+        assert!(out.status.success(), "{kind}: {out:?}");
+    }
+    let _ = std::fs::remove_file(out_path);
+}
+
+#[test]
 fn generate_syn_traces_shorter_than_their_five_states_terminate() {
     // `requests / 5` requests per popularity state used to be zero here,
     // and a chain that never advances never finishes.
@@ -293,12 +333,53 @@ fn generate_syn_traces_shorter_than_their_five_states_terminate() {
 }
 
 #[test]
-fn mrc_refuses_a_sample_rate_that_is_not_positive() {
+fn mrc_refuses_a_sample_rate_that_is_not_positive_and_a_curve_of_no_points() {
     let trace = TraceFile::generate("mrc");
     for sample in ["0", "-1", "nan"] {
         let out = cli(&["mrc", "--sample", sample, trace.path()]);
         assert_one_line_error(&out, "--sample");
     }
+    // Used to print the table header alone and exit 0.
+    let out = cli(&["mrc", "--points", "0", trace.path()]);
+    assert_one_line_error(&out, "--points");
+}
+
+#[test]
+fn a_trace_sample_of_one_in_zero_is_refused_like_zero_in_one() {
+    // `1/0` used to mean "off" without saying so; `off` is the spelling.
+    let trace = TraceFile::generate("trace-sample");
+    let obs = std::env::temp_dir().join(format!("lhr-hostile-ts-{}.jsonl", std::process::id()));
+    let obs = obs.to_str().expect("utf-8 temp path");
+    for sample in ["1/0", "0/1"] {
+        let out = cli(&[
+            "server",
+            "--policy",
+            "LRU",
+            "--capacity",
+            "1MB",
+            "--obs",
+            obs,
+            "--trace-sample",
+            sample,
+            trace.path(),
+        ]);
+        assert_one_line_error(&out, sample);
+    }
+    assert!(!std::path::Path::new(obs).exists(), "nothing recorded");
+    let out = cli(&[
+        "server",
+        "--policy",
+        "LRU",
+        "--capacity",
+        "1MB",
+        "--obs",
+        obs,
+        "--trace-sample",
+        "off",
+        trace.path(),
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    let _ = std::fs::remove_file(obs);
 }
 
 #[test]

@@ -1,6 +1,5 @@
 //! The gradient-boosting ensemble.
 
-use crate::bitset::BitsetForest;
 use crate::dataset::Dataset;
 use crate::flat::FlatForest;
 use crate::parallel;
@@ -49,27 +48,12 @@ pub struct GbmParams {
     /// Initial prediction before any tree (squared error ⇒ usually the
     /// label mean; `None` computes the mean from the training labels).
     pub base_score: Option<f32>,
-    /// Row subsampling rate per tree (stochastic gradient boosting); 1.0
-    /// disables.
-    pub subsample: f64,
-    /// Feature subsampling rate per tree (XGBoost's `colsample_bytree`);
-    /// 1.0 disables.
-    pub colsample: f64,
-    /// Fraction of rows held out for validation-based early stopping; 0.0
-    /// disables. With early stopping, boosting halts once the held-out MSE
-    /// fails to improve for [`GbmParams::patience`] consecutive rounds.
-    pub validation_fraction: f64,
-    /// Early-stopping patience (rounds without validation improvement).
-    pub patience: usize,
-    /// PRNG seed for the stochastic options.
-    pub seed: u64,
     /// Training loss.
     pub loss: Loss,
-    /// Worker threads for the split search and the batched prediction
-    /// inside [`Gbm::fit`]; `0` auto-detects
-    /// (`std::thread::available_parallelism`). The fitted model is
-    /// byte-identical for every thread count — see the ordered reduction
-    /// in `tree::search_node`.
+    /// Worker threads for the split search inside [`Gbm::fit`]; `0`
+    /// auto-detects (`std::thread::available_parallelism`). The fitted
+    /// model is byte-identical for every thread count — see the ordered
+    /// reduction in `tree::search_node`.
     pub threads: usize,
 }
 
@@ -81,11 +65,6 @@ lhr_util::impl_json!(struct GbmParams {
     min_child_count,
     min_split_gain,
     base_score,
-    subsample,
-    colsample,
-    validation_fraction,
-    patience,
-    seed,
     loss,
     threads,
 });
@@ -100,11 +79,6 @@ impl Default for GbmParams {
             min_child_count: 8,
             min_split_gain: 1e-6,
             base_score: None,
-            subsample: 1.0,
-            colsample: 1.0,
-            validation_fraction: 0.0,
-            patience: 5,
-            seed: 0,
             loss: Loss::SquaredError,
             threads: 0,
         }
@@ -120,14 +94,12 @@ pub struct Gbm {
     feature_gain: Vec<f64>,
     n_features: usize,
     loss: Loss,
-    /// Serving layouts, derived from `trees` at construction and on
-    /// deserialization — never serialized (see the hand-written
+    /// The padded serving layout, derived from `trees` at construction and
+    /// on deserialization — never serialized (see the hand-written
     /// `ToJson`/`FromJson` below, which keep the JSON identical to the
-    /// pre-flattening `impl_json!` output). `flat` scores single rows,
-    /// `bitset` whole pre-binned datasets; each is `None` for a forest
-    /// that does not fit it.
+    /// pre-flattening `impl_json!` output). `None` for a forest that does
+    /// not fit it (see [`crate::flat`]).
     flat: Option<FlatForest>,
-    bitset: Option<BitsetForest>,
 }
 
 impl lhr_util::json::ToJson for Gbm {
@@ -161,7 +133,7 @@ fn sigmoid(z: f32) -> f32 {
 }
 
 impl Gbm {
-    /// Fits an ensemble to `data` with squared-error loss.
+    /// Fits an ensemble to `data` under `params.loss`.
     ///
     /// # Panics
     /// Panics if `data` is empty.
@@ -175,34 +147,14 @@ impl Gbm {
     ///
     /// # Panics
     /// Panics if `data` is empty.
-    #[allow(clippy::needless_range_loop)] // gradient updates index parallel arrays
     pub fn fit_traced(data: &Dataset, params: &GbmParams, obs: Option<&lhr_obs::Obs>) -> Gbm {
-        use lhr_util::rng::rngs::SmallRng;
-        use lhr_util::rng::{Rng, SeedableRng};
-
         let _fit_span = obs.map(|o| o.span("gbm.fit"));
 
         assert!(!data.is_empty(), "cannot fit on an empty dataset");
-        assert!(
-            params.subsample > 0.0 && params.subsample <= 1.0,
-            "bad subsample"
-        );
-        assert!(
-            params.colsample > 0.0 && params.colsample <= 1.0,
-            "bad colsample"
-        );
-        assert!(
-            (0.0..1.0).contains(&params.validation_fraction),
-            "bad validation_fraction"
-        );
-        // Shared with the batched scoring path: scoring the training set
-        // later reuses this exact binning (cached on the dataset), which
-        // is what makes code-space cut resolution always succeed there.
-        let cache = {
+        let binned = {
             let _bin_span = obs.map(|o| o.span("gbm.bin"));
-            data.binned_cache()
+            data.binned()
         };
-        let binned = &cache.binned;
         debug_assert_eq!(binned.n_rows, data.n_rows());
         let labels = data.labels();
         let mean = (labels.iter().map(|&y| y as f64).sum::<f64>() / labels.len() as f64) as f32;
@@ -214,159 +166,56 @@ impl Gbm {
                 (p / (1.0 - p)).ln()
             }
         });
-        let mut rng = SmallRng::seed_from_u64(params.seed ^ 0x6B8);
-
-        // Validation split: a deterministic hash-free tail split keeps the
-        // train set contiguous (rows are already in arbitrary order for
-        // LHR's use case).
-        let n_valid = if params.validation_fraction > 0.0 && data.n_rows() >= 20 {
-            ((data.n_rows() as f64 * params.validation_fraction) as usize)
-                .clamp(1, data.n_rows() - 1)
-        } else {
-            0
-        };
-        let n_train = data.n_rows() - n_valid;
 
         let threads = parallel::resolve_threads(params.threads);
         let mut scratch = TreeScratch::new();
+        // Running raw scores; each tree adds its leaf values as it grows
+        // (leaf propagation), so no finished tree is ever walked here.
         let mut preds = vec![base_score; data.n_rows()];
-        let mut gradients = vec![0f32; n_train];
+        let mut gradients = vec![0f32; data.n_rows()];
         let mut hessians = match params.loss {
             Loss::SquaredError => None,
-            Loss::Logistic => Some(vec![0f32; n_train]),
+            Loss::Logistic => Some(vec![0f32; data.n_rows()]),
         };
-        // Rows a tree never saw (subsample misses + validation tail) still
-        // need its contribution each round; in-sample rows are updated by
-        // leaf propagation during growth.
-        let mut in_tree: Vec<bool> = Vec::new();
-        let mut out_rows: Vec<u32> = Vec::new();
-        let mut out_vals: Vec<f32> = Vec::new();
         let mut trees: Vec<Tree> = Vec::with_capacity(params.n_trees);
         let mut feature_gain = vec![0f64; data.n_features()];
-        let mut best_valid = f64::INFINITY;
-        let mut best_len = 0usize;
-        let mut stall = 0usize;
 
         for _round in 0..params.n_trees {
             let _round_span = obs.map(|o| o.span("gbm.tree"));
-            match (&params.loss, &mut hessians) {
-                (Loss::SquaredError, _) => {
-                    for i in 0..n_train {
-                        gradients[i] = labels[i] - preds[i];
+            match &mut hessians {
+                None => {
+                    for ((g, &y), &p) in gradients.iter_mut().zip(labels).zip(&preds) {
+                        *g = y - p;
                     }
                 }
-                (Loss::Logistic, Some(h)) => {
-                    for i in 0..n_train {
-                        let p = sigmoid(preds[i]);
-                        gradients[i] = labels[i] - p;
-                        h[i] = (p * (1.0 - p)).max(1e-6);
+                Some(hessians) => {
+                    for (((g, h), &y), &p) in
+                        gradients.iter_mut().zip(hessians).zip(labels).zip(&preds)
+                    {
+                        let p = sigmoid(p);
+                        *g = y - p;
+                        *h = (p * (1.0 - p)).max(1e-6);
                     }
-                }
-                (Loss::Logistic, None) => unreachable!("allocated above"),
-            }
-            // Row subsample for this tree.
-            let root_rows: Vec<u32> = if params.subsample < 1.0 {
-                let sampled: Vec<u32> = (0..n_train as u32)
-                    .filter(|_| rng.gen::<f64>() < params.subsample)
-                    .collect();
-                if sampled.is_empty() {
-                    (0..n_train as u32).collect()
-                } else {
-                    sampled
-                }
-            } else {
-                (0..n_train as u32).collect()
-            };
-            // Feature mask for this tree.
-            let feature_mask: Vec<bool> = if params.colsample < 1.0 {
-                let mask: Vec<bool> = (0..data.n_features())
-                    .map(|_| rng.gen::<f64>() < params.colsample)
-                    .collect();
-                if mask.iter().any(|&m| m) {
-                    mask
-                } else {
-                    vec![true; data.n_features()]
-                }
-            } else {
-                vec![true; data.n_features()]
-            };
-
-            let subsampled = root_rows.len() < n_train;
-            if subsampled {
-                in_tree.clear();
-                in_tree.resize(n_train, false);
-                for &i in &root_rows {
-                    in_tree[i as usize] = true;
                 }
             }
             let tree = Tree::grow_on(
                 binned,
                 &gradients,
                 hessians.as_deref(),
-                root_rows,
-                &feature_mask,
                 params,
                 threads,
                 &mut feature_gain,
                 &mut scratch,
-                Some(&mut preds),
+                &mut preds,
             );
-            if tree.n_nodes() == 1 && trees.is_empty() && params.subsample >= 1.0 {
+            let bare_leaf = tree.n_nodes() == 1;
+            trees.push(tree);
+            if bare_leaf && trees.len() == 1 {
                 // Even the first tree is a bare leaf: labels are (nearly)
                 // constant, further rounds cannot change anything material.
-                trees.push(tree);
-                best_len = trees.len();
                 break;
             }
-            out_rows.clear();
-            if subsampled {
-                out_rows.extend((0..n_train as u32).filter(|&i| !in_tree[i as usize]));
-            }
-            out_rows.extend(n_train as u32..data.n_rows() as u32);
-            if !out_rows.is_empty() {
-                out_vals.clear();
-                out_vals.resize(out_rows.len(), 0.0);
-                let out_rows = &out_rows;
-                let walk_ns = parallel::WALK_ROW_TREE_NS;
-                parallel::for_chunks(&mut out_vals, threads, walk_ns, |start, chunk| {
-                    for (k, v) in chunk.iter_mut().enumerate() {
-                        *v = tree.predict(data.row(out_rows[start + k] as usize));
-                    }
-                });
-                for (&i, &v) in out_rows.iter().zip(&out_vals) {
-                    preds[i as usize] += v;
-                }
-            }
-            trees.push(tree);
-            best_len = trees.len();
-
-            // Early stopping on the held-out tail (MSE in the output
-            // space, which for logistic means after the sigmoid).
-            if n_valid > 0 {
-                let mse: f64 = (n_train..data.n_rows())
-                    .map(|i| {
-                        let y = match params.loss {
-                            Loss::SquaredError => preds[i],
-                            Loss::Logistic => sigmoid(preds[i]),
-                        };
-                        let e = (y - labels[i]) as f64;
-                        e * e
-                    })
-                    .sum::<f64>()
-                    / n_valid as f64;
-                if mse + 1e-12 < best_valid {
-                    best_valid = mse;
-                    best_len = trees.len();
-                    stall = 0;
-                } else {
-                    stall += 1;
-                    if stall >= params.patience {
-                        break;
-                    }
-                }
-            }
         }
-        trees.truncate(best_len.max(1));
         if let Some(o) = obs {
             o.counter_add("gbm.fits", 1);
             o.counter_add("gbm.trees", trees.len() as u64);
@@ -381,7 +230,7 @@ impl Gbm {
         )
     }
 
-    /// Builds the ensemble and derives its flattened serving layout — the
+    /// Builds the ensemble and derives its padded serving layout — the
     /// one construction path shared by `fit` and deserialization.
     fn assemble(
         base_score: f32,
@@ -391,7 +240,6 @@ impl Gbm {
         loss: Loss,
     ) -> Gbm {
         let flat = FlatForest::build(&trees, n_features);
-        let bitset = BitsetForest::build(&trees, n_features);
         Gbm {
             base_score,
             trees,
@@ -399,14 +247,13 @@ impl Gbm {
             n_features,
             loss,
             flat,
-            bitset,
         }
     }
 
-    /// The serving layouts (crate-internal, for tests).
+    /// The padded serving layout (crate-internal, for tests).
     #[cfg(test)]
-    pub(crate) fn layouts(&self) -> (Option<&FlatForest>, Option<&BitsetForest>) {
-        (self.flat.as_ref(), self.bitset.as_ref())
+    pub(crate) fn flat_layout(&self) -> Option<&FlatForest> {
+        self.flat.as_ref()
     }
 
     #[inline]
@@ -461,8 +308,8 @@ impl Gbm {
     }
 
     /// Reference prediction walking the original per-tree node arenas —
-    /// the oracle the padded and quantized serving paths are property-tested
-    /// against. Handles row widths exactly like [`Gbm::predict`].
+    /// the oracle the padded serving path is property-tested against.
+    /// Handles row widths exactly like [`Gbm::predict`].
     pub fn predict_reference(&self, row: &[f32]) -> f32 {
         self.transform(self.reference_score(row))
     }
@@ -499,45 +346,6 @@ impl Gbm {
         self.predict_rows(rows.len(), threads, |i| rows[i].as_ref())
     }
 
-    /// [`Gbm::predict_batch`] over a dataset's rows — the batched
-    /// quantized serving path. When the dataset's width matches the model
-    /// and its cached binning resolves every node threshold to a bin edge
-    /// (always true for the model's own training set), scoring runs
-    /// set-at-a-time on the pre-binned `u8` codes via [`crate::bitset`]:
-    /// 64-row predicate bit masks, reach propagation through padded
-    /// complete trees, and direction-bit leaf lookup — AVX-512 where the
-    /// host has it, the same-result scalar kernel everywhere else. Any row
-    /// of any dataset scores bit-identically to [`Gbm::predict`]; datasets
-    /// that don't fit the code path (width mismatch, ±inf values, foreign
-    /// bin edges, a deeper-than-layout forest) are scored row by row.
-    pub fn predict_dataset(&self, data: &Dataset, threads: usize) -> Vec<f32> {
-        if data.n_rows() == 0 {
-            return Vec::new();
-        }
-        if data.n_features() == self.n_features {
-            if let Some(bitset) = &self.bitset {
-                let cache = data.binned_cache();
-                if !cache.has_infinite {
-                    if let Some(cuts) = bitset.resolve(&cache.binned) {
-                        let mut out = vec![0f32; data.n_rows()];
-                        let threads = parallel::resolve_threads(threads);
-                        let row_ns = self.trees.len() as f64 * parallel::BITSET_ROW_TREE_NS;
-                        parallel::for_chunks(&mut out, threads, row_ns, |start, chunk| {
-                            bitset.score_range(&cache.binned, &cuts, self.base_score, start, chunk);
-                            if self.loss == Loss::Logistic {
-                                for o in chunk.iter_mut() {
-                                    *o = sigmoid(*o);
-                                }
-                            }
-                        });
-                        return out;
-                    }
-                }
-            }
-        }
-        self.predict_rows(data.n_rows(), threads, |i| data.row(i))
-    }
-
     /// Batched admission scoring for the LHR cache: [`Gbm::predict_batch`]
     /// with every output clamped to `[0, 1]`, matching
     /// [`Gbm::predict_probability`] bit-for-bit per row.
@@ -566,7 +374,7 @@ impl Gbm {
     /// Mean squared error of the model on a dataset (batched prediction).
     pub fn mse(&self, data: &Dataset) -> f64 {
         assert!(!data.is_empty());
-        let preds = self.predict_dataset(data, 0);
+        let preds = self.predict_rows(data.n_rows(), 0, |i| data.row(i));
         let sum: f64 = preds
             .iter()
             .zip(data.labels())
@@ -727,37 +535,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn stochastic_boosting_still_fits() {
-        let d = make_linear(2_000);
-        let params = GbmParams {
-            subsample: 0.5,
-            colsample: 0.7,
-            seed: 3,
-            n_trees: 60,
-            ..GbmParams::default()
-        };
-        let model = Gbm::fit(&d, &params);
-        assert!(model.mse(&d) < 5e-3, "mse {}", model.mse(&d));
-    }
-
-    #[test]
-    fn stochastic_boosting_is_deterministic_per_seed() {
-        let d = make_linear(500);
-        let fit = |seed| {
-            let params = GbmParams {
-                subsample: 0.6,
-                colsample: 0.6,
-                seed,
-                ..GbmParams::default()
-            };
-            Gbm::fit(&d, &params).predict(&[0.3, 0.7])
-        };
-        assert_eq!(fit(1), fit(1));
-        // Different seeds should (overwhelmingly) differ.
-        assert_ne!(fit(1), fit(2));
-    }
-
     fn make_messy(n: usize) -> Dataset {
         // Missing values, repeated values, and a nonlinear label — the
         // shape LHR's feature rows actually have.
@@ -782,10 +559,6 @@ mod tests {
         let fit = |threads: usize, loss: Loss| {
             let params = GbmParams {
                 n_trees: 12,
-                subsample: 0.8,
-                colsample: 0.8,
-                validation_fraction: 0.2,
-                seed: 9,
                 loss,
                 threads,
                 ..GbmParams::default()
@@ -812,66 +585,11 @@ mod tests {
         let rows: Vec<Vec<f32>> = (0..d.n_rows()).map(|i| d.row(i).to_vec()).collect();
         for threads in [1, 3, 0] {
             let batch = model.predict_batch(&rows, threads);
-            let dataset = model.predict_dataset(&d, threads);
-            for i in 0..d.n_rows() {
+            for (i, got) in batch.iter().enumerate() {
                 let want = model.predict(d.row(i)).to_bits();
-                assert_eq!(batch[i].to_bits(), want, "batch row {i}");
-                assert_eq!(dataset[i].to_bits(), want, "dataset row {i}");
+                assert_eq!(got.to_bits(), want, "batch row {i}");
             }
         }
-    }
-
-    #[test]
-    fn early_stopping_truncates_on_noise() {
-        // Pure-noise labels: validation MSE cannot improve, so early
-        // stopping must cut the ensemble far below n_trees.
-        let mut d = Dataset::new(1);
-        let mut state = 0x12345u64;
-        for i in 0..2_000 {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            d.push_row(&[(i % 37) as f32], (state % 1_000) as f32 / 1_000.0);
-        }
-        let params = GbmParams {
-            n_trees: 100,
-            validation_fraction: 0.2,
-            patience: 3,
-            ..GbmParams::default()
-        };
-        let model = Gbm::fit(&d, &params);
-        assert!(
-            model.n_trees() < 50,
-            "{} trees on pure noise",
-            model.n_trees()
-        );
-    }
-
-    #[test]
-    fn early_stopping_keeps_useful_trees() {
-        let d = make_linear(2_000);
-        let params = GbmParams {
-            n_trees: 40,
-            validation_fraction: 0.2,
-            patience: 5,
-            ..GbmParams::default()
-        };
-        let model = Gbm::fit(&d, &params);
-        assert!(model.mse(&d) < 5e-3, "mse {}", model.mse(&d));
-        assert!(model.n_trees() >= 5);
-    }
-
-    #[test]
-    #[should_panic]
-    fn bad_subsample_rejected() {
-        let d = make_linear(100);
-        Gbm::fit(
-            &d,
-            &GbmParams {
-                subsample: 0.0,
-                ..GbmParams::default()
-            },
-        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Training data container and quantile binning.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// A dense, row-major training set. Missing feature values are `f32::NAN`.
 #[derive(Debug, Clone, Default)]
@@ -10,9 +10,9 @@ pub struct Dataset {
     features: Vec<f32>,
     /// Regression targets, one per row.
     labels: Vec<f32>,
-    /// Lazily built binning of the current rows, shared between `fit` and
-    /// the batched scoring path; reset by every mutation.
-    cache: OnceLock<Arc<BinnedCache>>,
+    /// Lazily built binning of the current rows, reused by every `fit` of
+    /// them; reset by every mutation.
+    cache: OnceLock<Binned>,
 }
 
 impl lhr_util::json::ToJson for Dataset {
@@ -100,30 +100,11 @@ impl Dataset {
         self.cache = OnceLock::new();
     }
 
-    /// The binning of the current rows, built on first use and shared
-    /// (`Arc`) by every later call until the dataset is mutated. `fit`
-    /// and the batched scoring path both go through here, so a model's
-    /// node thresholds are bin edges of *this exact* [`Binned`] whenever
-    /// it scores its own training set.
-    pub(crate) fn binned_cache(&self) -> Arc<BinnedCache> {
-        Arc::clone(self.cache.get_or_init(|| {
-            Arc::new(BinnedCache {
-                binned: Binned::build(self),
-                has_infinite: self.features.iter().any(|v| v.is_infinite()),
-            })
-        }))
+    /// The binning of the current rows, built on first use and kept until
+    /// the dataset is mutated.
+    pub(crate) fn binned(&self) -> &Binned {
+        self.cache.get_or_init(|| Binned::build(self))
     }
-}
-
-/// [`Binned`] plus the one fact the bitset scoring path needs about the
-/// raw values: whether any is ±inf. [`Binned`] codes every non-finite
-/// value as [`MISSING_BIN`], but at predict time only NaN is "missing"
-/// (±inf routes by ordinary comparison), so code-space scoring is exact
-/// only for datasets without infinities.
-#[derive(Debug)]
-pub(crate) struct BinnedCache {
-    pub binned: Binned,
-    pub has_infinite: bool,
 }
 
 /// Per-feature quantile bin edges plus the prebinned (u8) feature matrix.

@@ -40,14 +40,15 @@
 //! non-finite threshold do not fit; [`FlatForest::build`] returns `None`
 //! and the caller serves from the reference walk.
 //!
-//! The batched quantized path — scoring whole pre-binned datasets
-//! set-at-a-time on `u8` codes — lives in [`crate::bitset`].
-//!
 //! Sums start from the base score and add leaf values in tree order with
 //! `f32` adds — bit-identical to the reference per-row walk.
 
-use crate::bitset::MAX_DEPTH;
 use crate::tree::Tree;
+
+/// Deepest tree the padded layout holds (64 leaves). Matches the default
+/// `GbmParams::max_depth`; deeper hand-tuned forests are scored by the
+/// reference walk instead.
+const MAX_DEPTH: u32 = 6;
 
 /// Widest row the kernel's stack buffer holds.
 pub(crate) const MAX_FEATURES: usize = 32;
@@ -187,7 +188,7 @@ fn descend<const N: usize>(
 }
 
 /// Maximum leaf depth of one tree (0 for a bare-leaf root).
-pub(crate) fn tree_depth(tree: &Tree) -> u32 {
+fn tree_depth(tree: &Tree) -> u32 {
     let mut max = 0u32;
     let mut stack = vec![(0u32, 0u32)];
     while let Some((i, d)) = stack.pop() {
@@ -307,9 +308,10 @@ mod tests {
                 // padding of their own; depth 6 mixes padded and full paths.
                 for max_depth in [1, 3, 6] {
                     let model = fit(&data, loss, max_depth);
-                    let (flat, bitset) = model.layouts();
-                    assert!(flat.is_some(), "{cols} features, depth {max_depth}");
-                    assert!(bitset.is_some());
+                    assert!(
+                        model.flat_layout().is_some(),
+                        "{cols} features, depth {max_depth}"
+                    );
                     let what = format!("{loss:?}, {cols} features, depth {max_depth}");
                     assert_matches_reference(&model, &extreme_rows(&data), &what);
                 }
@@ -327,7 +329,7 @@ mod tests {
         for loss in [Loss::SquaredError, Loss::Logistic] {
             let model = fit(&data, loss, 6);
             assert_eq!(model.n_trees(), 1);
-            assert_eq!(model.layouts().0.expect("fits").depth, 0);
+            assert_eq!(model.flat_layout().expect("fits").depth, 0);
             assert_matches_reference(&model, &extreme_rows(&data), "bare leaf");
         }
         // Bare leaves next to real trees, and more trees than one lane
@@ -342,7 +344,7 @@ mod tests {
             trees.join(",")
         );
         let model = Gbm::from_json_string(&json).expect("well-formed");
-        assert_eq!(model.layouts().0.expect("fits").depth, 1);
+        assert_eq!(model.flat_layout().expect("fits").depth, 1);
         assert_matches_reference(&model, &extreme_rows(&data), "leaves and stumps");
     }
 
@@ -366,13 +368,13 @@ mod tests {
             );
         }
         let deep = fit(&data, Loss::SquaredError, 7);
-        assert!(matches!(deep.layouts(), (None, None)));
+        assert!(deep.flat_layout().is_none());
         assert_matches_reference(&deep, &extreme_rows(&data), "depth 7");
 
         // 33 features.
         let data = messy_data(600, 33);
         let wide = fit(&data, Loss::Logistic, 4);
-        assert!(wide.layouts().0.is_none());
+        assert!(wide.flat_layout().is_none());
         assert_matches_reference(&wide, &extreme_rows(&data), "33 features");
 
         // Hand-written JSON: a split on feature 5 of a 2-feature model
@@ -392,7 +394,7 @@ mod tests {
             Gbm::from_json_string(&json).expect("well-formed")
         };
         let out_of_range = model_with(5, "0.5", false);
-        assert!(matches!(out_of_range.layouts(), (None, None)));
+        assert!(out_of_range.flat_layout().is_none());
         let left_rows = vec![vec![0.0, 9.0], vec![f32::NAN, f32::NAN], vec![1.0]];
         assert_matches_reference(&out_of_range, &left_rows, "out-of-range feature");
         assert_eq!(out_of_range.predict(&[0.0, 9.0]), 0.75);
@@ -401,33 +403,9 @@ mod tests {
         for threshold in ["NaN", "Infinity", "-Infinity"] {
             for default_left in [false, true] {
                 let model = model_with(1, threshold, default_left);
-                assert!(model.layouts().0.is_none(), "threshold {threshold}");
+                assert!(model.flat_layout().is_none(), "threshold {threshold}");
                 assert_matches_reference(&model, &rows, threshold);
             }
-        }
-    }
-
-    #[test]
-    fn bitset_kernel_matches_per_row_predict_on_the_training_set() {
-        // Resolution against the model's own training binning always
-        // succeeds (node thresholds are its bin edges), and block scoring
-        // — AVX-512 superblocks where available, scalar blocks and the
-        // partial tail everywhere — must equal the per-row kernel bitwise.
-        let data = messy_data(800, 3);
-        let model = fit(&data, Loss::SquaredError, 6);
-        let (Some(flat), Some(bitset)) = model.layouts() else {
-            panic!("a depth-6 forest fits both layouts");
-        };
-        let cache = data.binned_cache();
-        assert!(!cache.has_infinite);
-        let cuts = bitset
-            .resolve(&cache.binned)
-            .expect("training thresholds are bin edges");
-        let mut out = vec![0f32; data.n_rows()];
-        bitset.score_range(&cache.binned, &cuts, 0.25, 0, &mut out);
-        for (r, block) in out.iter().enumerate() {
-            let single = flat.score(data.row(r), 0.25);
-            assert_eq!(block.to_bits(), single.to_bits(), "row {r}");
         }
     }
 }

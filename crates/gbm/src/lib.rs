@@ -18,7 +18,12 @@
 //! - native *missing value* handling (`f32::NAN` routes to a learned
 //!   default side per split, as CDN features like "20th inter-request time"
 //!   are frequently absent),
-//! - gain-based feature importance and serde model serialization.
+//! - one scoring kernel — trees padded to complete level order, eight trees
+//!   of a row walked in lockstep — behind [`Gbm::predict`] and its batch
+//!   forms, with the per-tree walk ([`Tree::predict`]) as its fallback and
+//!   test oracle,
+//! - gain-based feature importance and byte-stable JSON model
+//!   serialization.
 //!
 //! # Example
 //!
@@ -36,14 +41,9 @@
 //! assert!(model.predict(&[0.1]) < 0.2);
 //! ```
 
-// `deny`, not `forbid`: the one exception is `bitset::avx512` — the
-// runtime-dispatched SIMD scoring kernel — which opts back in with a
-// module-scoped `#[allow(unsafe_code)]` and keeps its raw loads/stores
-// behind bounds the safe callers have already checked.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bitset;
 mod booster;
 mod dataset;
 mod flat;

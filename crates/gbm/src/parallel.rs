@@ -22,13 +22,10 @@ const SPAWN_NS: f64 = 15_000.0;
 /// and still under half of it when a busy host doubles the spawn.
 const MIN_SHARE_NS: f64 = 4.0 * SPAWN_NS;
 
-/// Measured costs of the loops that fan out, on LHR-shaped data (23
-/// features, 25 depth-6 trees): one row through one tree of the padded
-/// single-row kernel, through one tree of the bitset block kernel, and
-/// through one branchy [`crate::tree::Tree::predict`] walk.
+/// Measured cost of one row through one tree of the padded single-row
+/// kernel, on LHR-shaped data (23 features, 25 depth-6 trees); it sizes
+/// the fan-out of batched scoring.
 pub(crate) const KERNEL_ROW_TREE_NS: f64 = 5.0;
-pub(crate) const BITSET_ROW_TREE_NS: f64 = 1.0;
-pub(crate) const WALK_ROW_TREE_NS: f64 = 20.0;
 
 /// How many of `threads` workers `work_ns` of divisible work amortises: one
 /// per [`MIN_SHARE_NS`]. The estimate is a function of the data's shape

@@ -113,8 +113,8 @@ impl TreeScratch {
     fn acquire(&mut self, binned: &Binned) -> HistBuf {
         match self.pool.pop() {
             Some(mut h) if h.g.len() == binned.n_slots() => {
-                // Masked / constant features are never (re)filled, so their
-                // slots must read as zero for the subtraction trick.
+                // Constant features are never (re)filled, so their slots
+                // must read as zero for the subtraction trick.
                 h.g.fill(0.0);
                 h.h.fill(0.0);
                 h.n.fill(0);
@@ -142,89 +142,50 @@ struct GrowCtx<'a> {
     binned: &'a Binned,
     gradients: &'a [f32],
     hessians: Option<&'a [f32]>,
-    feature_mask: &'a [bool],
     params: &'a GbmParams,
     threads: usize,
 }
 
-impl GrowCtx<'_> {
-    fn hessian_sum(&self, indices: &[u32]) -> f64 {
-        match self.hessians {
-            Some(h) => indices.iter().map(|&i| h[i as usize] as f64).sum(),
-            None => indices.len() as f64,
-        }
-    }
-}
-
 impl Tree {
-    /// Grows a tree on `residuals` (negative gradients of squared error)
-    /// over the binned matrix, scaling leaf values by
-    /// `params.learning_rate`. Also accumulates split gains per feature
-    /// into `gains` (feature-importance bookkeeping).
-    #[cfg(test)]
-    pub(crate) fn grow(
-        binned: &Binned,
-        gradients: &[f32],
-        params: &GbmParams,
-        gains: &mut [f64],
-    ) -> Tree {
-        let indices: Vec<u32> = (0..binned.n_rows as u32).collect();
-        let mask = vec![true; binned.n_features];
-        let mut scratch = TreeScratch::new();
-        Self::grow_on(
-            binned,
-            gradients,
-            None,
-            indices,
-            &mask,
-            params,
-            1,
-            gains,
-            &mut scratch,
-            None,
-        )
-    }
-
-    /// [`Tree::grow`] restricted to `root_rows` (stochastic-boosting row
-    /// subsample) and to the features whose `feature_mask` entry is true.
-    /// `hessians` is `None` for squared error (hessian ≡ 1) and per-sample
-    /// second derivatives otherwise (second-order boosting, XGBoost-style).
+    /// Grows a tree on `gradients` (for squared error, the residuals) over
+    /// every row of the binned matrix, scaling leaf values by
+    /// `params.learning_rate`, and accumulates split gains per feature into
+    /// `gains` (feature-importance bookkeeping). `hessians` is `None` for
+    /// squared error (hessian ≡ 1) and per-sample second derivatives
+    /// otherwise (second-order boosting, XGBoost-style).
     ///
-    /// When `preds` is given, every in-sample row's prediction is updated
-    /// with its leaf value *during* growth (leaf-assignment propagation) —
-    /// an O(n) replacement for the per-round full-tree re-traversal.
-    /// `threads` parallelizes the per-node split search across features;
-    /// the grown tree is byte-identical for every thread count.
+    /// Every row's entry of `preds` is updated with its leaf value *during*
+    /// growth (leaf-assignment propagation) — an O(n) replacement for
+    /// walking the finished tree once per row. `threads` parallelizes the
+    /// per-node split search across features; the grown tree is
+    /// byte-identical for every thread count.
     #[allow(clippy::too_many_arguments)] // one call site, in the booster
     pub(crate) fn grow_on(
         binned: &Binned,
         gradients: &[f32],
         hessians: Option<&[f32]>,
-        mut root_rows: Vec<u32>,
-        feature_mask: &[bool],
         params: &GbmParams,
         threads: usize,
         gains: &mut [f64],
         scratch: &mut TreeScratch,
-        mut preds: Option<&mut [f32]>,
+        preds: &mut [f32],
     ) -> Tree {
-        debug_assert_eq!(feature_mask.len(), binned.n_features);
         let mut tree = Tree { nodes: Vec::new() };
         let ctx = GrowCtx {
             binned,
             gradients,
             hessians,
-            feature_mask,
             params,
             threads: threads.max(1),
         };
         scratch.best.clear();
         scratch.best.resize(binned.n_features, None);
-        let g_sum: f64 = root_rows
-            .iter()
-            .map(|&i| gradients[i as usize] as f64)
-            .sum();
-        let h_sum = ctx.hessian_sum(&root_rows);
+        let mut root_rows: Vec<u32> = (0..binned.n_rows as u32).collect();
+        let g_sum: f64 = gradients.iter().map(|&g| g as f64).sum();
+        let h_sum = match hessians {
+            Some(h) => h.iter().map(|&h| h as f64).sum(),
+            None => binned.n_rows as f64,
+        };
         tree.grow_node(
             &ctx,
             &mut root_rows,
@@ -234,7 +195,7 @@ impl Tree {
             None,
             gains,
             scratch,
-            preds.as_deref_mut(),
+            preds,
         );
         tree
     }
@@ -254,7 +215,7 @@ impl Tree {
         hist_in: Option<HistBuf>,
         gains: &mut [f64],
         scratch: &mut TreeScratch,
-        mut preds: Option<&mut [f32]>,
+        preds: &mut [f32],
     ) -> u32 {
         let params = ctx.params;
         let leaf_value = (g_sum / (h_sum + params.lambda)) as f32 * params.learning_rate;
@@ -404,7 +365,7 @@ impl Tree {
             left_hist,
             gains,
             scratch,
-            preds.as_deref_mut(),
+            preds,
         );
         let right = self.grow_node(
             ctx,
@@ -422,13 +383,11 @@ impl Tree {
         node_id
     }
 
-    /// Appends a leaf and, when `preds` is given, adds the leaf value to
-    /// every member row's running prediction (leaf propagation).
-    fn push_leaf(&mut self, value: f32, indices: &[u32], preds: Option<&mut [f32]>) -> u32 {
-        if let Some(p) = preds {
-            for &i in indices {
-                p[i as usize] += value;
-            }
+    /// Appends a leaf and adds its value to every member row's running
+    /// prediction (leaf propagation).
+    fn push_leaf(&mut self, value: f32, indices: &[u32], preds: &mut [f32]) -> u32 {
+        for &i in indices {
+            preds[i as usize] += value;
         }
         let id = self.nodes.len() as u32;
         self.nodes.push(Node {
@@ -444,10 +403,9 @@ impl Tree {
 
     /// Predicts the tree's contribution for one raw feature row.
     ///
-    /// This is the reference traversal (also used during training for
-    /// out-of-sample rows); serving goes through the padded forest in
-    /// `crate::flat`, which is property-tested bit-identical to this walk
-    /// and falls back to it for forests it cannot lay out.
+    /// This is the reference traversal; serving goes through the padded
+    /// forest in `crate::flat`, which is property-tested bit-identical to
+    /// this walk and falls back to it for forests it cannot lay out.
     pub fn predict(&self, row: &[f32]) -> f32 {
         let mut node = &self.nodes[0];
         loop {
@@ -481,7 +439,7 @@ fn leaf_bound(len: usize, depth: usize, params: &GbmParams) -> bool {
     depth >= params.max_depth || len < 2 * params.min_child_count
 }
 
-/// Builds the node histogram for every unmasked feature and finds each
+/// Builds the node histogram for every feature and finds each
 /// feature's best split, fanning the features out over `ctx.threads`
 /// scoped workers that own disjoint feature ranges (and hence disjoint
 /// histogram slot ranges — plain `split_at_mut`, no locks). With
@@ -508,7 +466,7 @@ fn search_node(
     // scan its bins for the best candidate. Identical arithmetic whatever
     // thread runs it, so the outcome is thread-count independent.
     let run_feature = |feature: usize, fg: &mut [f64], fh: &mut [f64], fn_: &mut [u32]| {
-        if !ctx.feature_mask[feature] || ctx.binned.n_bins(feature) < 2 {
+        if ctx.binned.n_bins(feature) < 2 {
             return None;
         }
         let col = ctx.binned.col(feature);
@@ -605,7 +563,7 @@ fn search_node(
     });
 }
 
-/// Builds the full node histogram (every unmasked feature) by scanning —
+/// Builds the full node histogram (every feature) by scanning —
 /// the subtraction path's "smaller child" build, which needs no split scan.
 fn build_hist(
     ctx: &GrowCtx<'_>,
@@ -616,7 +574,7 @@ fn build_hist(
 ) {
     let offsets = &ctx.binned.slot_offsets;
     for feature in 0..ctx.binned.n_features {
-        if !ctx.feature_mask[feature] || ctx.binned.n_bins(feature) < 2 {
+        if ctx.binned.n_bins(feature) < 2 {
             continue;
         }
         let (lo, hi) = (offsets[feature], offsets[feature + 1]);
@@ -766,9 +724,18 @@ mod tests {
 
     fn grow_on(data: &Dataset, params: &GbmParams) -> Tree {
         let binned = Binned::build(data);
-        let residuals: Vec<f32> = data.labels().to_vec();
         let mut gains = vec![0.0; data.n_features()];
-        Tree::grow(&binned, &residuals, params, &mut gains)
+        let mut preds = vec![0f32; data.n_rows()];
+        Tree::grow_on(
+            &binned,
+            data.labels(),
+            None,
+            params,
+            1,
+            &mut gains,
+            &mut TreeScratch::new(),
+            &mut preds,
+        )
     }
 
     #[test]
@@ -901,9 +868,9 @@ mod tests {
 
     #[test]
     fn leaf_propagation_matches_per_row_predict() {
-        // Growing with `preds` must add exactly `tree.predict(row)` to each
-        // in-sample row — bin thresholds reconstruct the training-time
-        // routing bit-exactly.
+        // Growing must add exactly `tree.predict(row)` to each row's entry
+        // of `preds` — bin thresholds reconstruct the training-time routing
+        // bit-exactly.
         let mut d = Dataset::new(2);
         for i in 0..300 {
             let x0 = if i % 7 == 0 {
@@ -923,13 +890,11 @@ mod tests {
             &binned,
             &residuals,
             None,
-            (0..d.n_rows() as u32).collect(),
-            &vec![true; d.n_features()],
             &params,
             1,
             &mut gains,
             &mut scratch,
-            Some(&mut preds),
+            &mut preds,
         );
         for i in 0..d.n_rows() {
             assert_eq!(

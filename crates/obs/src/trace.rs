@@ -184,20 +184,21 @@ impl FromJson for TraceRecord {
 
 /// Parses the CLI `--trace-sample` syntax: `1/64` (sample one request in
 /// 64) or a bare integer `64` meaning the same. `1/1` traces everything;
-/// `0` and `off` disable tracing.
+/// `off` (or a bare `0`) disables tracing. One request in zero is not a
+/// rate: `1/0` is refused like any other malformed fraction.
 pub fn parse_sample(raw: &str) -> Result<u64, String> {
     let raw = raw.trim();
     if raw.eq_ignore_ascii_case("off") {
         return Ok(0);
     }
-    let denom = match raw.split_once('/') {
-        Some((num, denom)) if num.trim() == "1" => denom.trim(),
-        Some(_) => return Err(format!("bad sample rate `{raw}` (want `1/N`, e.g. `1/64`)")),
-        None => raw,
+    let every = match raw.split_once('/') {
+        Some((num, denom)) if num.trim() == "1" => {
+            denom.trim().parse::<u64>().ok().filter(|&n| n > 0)
+        }
+        Some(_) => None,
+        None => raw.parse::<u64>().ok(),
     };
-    denom
-        .parse::<u64>()
-        .map_err(|_| format!("bad sample rate `{raw}` (want `1/N`, e.g. `1/64`)"))
+    every.ok_or_else(|| format!("bad sample rate `{raw}` (want `1/N`, e.g. `1/64`, or `off`)"))
 }
 
 /// The hash the sampling decision is taken on: `(object, t_micros)`
@@ -459,7 +460,7 @@ mod tests {
         assert_eq!(parse_sample("1/1").unwrap(), 1);
         assert_eq!(parse_sample("0").unwrap(), 0);
         assert_eq!(parse_sample("off").unwrap(), 0);
-        for bad in ["2/64", "1/", "x", "1/x", ""] {
+        for bad in ["2/64", "0/1", "1/0", "1/", "x", "1/x", ""] {
             assert!(parse_sample(bad).is_err(), "{bad}");
         }
     }

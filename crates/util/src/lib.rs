@@ -39,6 +39,8 @@
 //! assert_eq!(again.gen_bool(0.5), coin);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bench;
 pub mod hash;
 pub mod json;

@@ -6,6 +6,20 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "==> no unsafe: every crate root forbids it and the word appears nowhere in the sources"
+# tests/ (alloc.rs installs a counting GlobalAlloc) and the frozen
+# benchmark/ are outside this set.
+for root in crates/*/src/lib.rs crates/*/src/main.rs src/lib.rs; do
+  if ! grep -q '^#!\[forbid(unsafe_code)\]' "$root"; then
+    echo "$root lacks #![forbid(unsafe_code)]" >&2
+    exit 1
+  fi
+done
+if grep -rnw unsafe crates/*/src src; then
+  echo "\`unsafe\` under crates/*/src or src/ (see the lines above)" >&2
+  exit 1
+fi
+
 echo "==> cargo build --release (warnings are errors)"
 RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo build --release --offline --workspace
 

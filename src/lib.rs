@@ -16,6 +16,8 @@
 //! - [`analysis`] — analytic models: Che approximation, miss-ratio curves, working sets
 //! - [`obs`] — deterministic observability: windowed series, event bus, profiling spans
 
+#![forbid(unsafe_code)]
+
 pub use lhr as core;
 pub use lhr_analysis as analysis;
 pub use lhr_bounds as bounds;
