@@ -508,7 +508,9 @@ pub fn table3(options: &Options) -> String {
 // ---------------------------------------------------------------------------
 
 /// Figure 10: hit probability, peak memory, and training time of LHR and
-/// its ablations.
+/// its ablations — the paper's two (D-LHR, N-LHR) and E-LHR, which
+/// re-scores every hit as the paper's Algorithm 1 does (LHR scores at
+/// admission only; `scripts/verify.sh` holds LHR to within 0.5 pp of it).
 pub fn fig10(options: &Options) -> String {
     let _span = options.obs.as_ref().map(|o| o.span("bench.fig10"));
     let traces = production_traces(options);
@@ -520,6 +522,10 @@ pub fn fig10(options: &Options) -> String {
                 LhrConfig {
                     seed: options.seed,
                     ..LhrConfig::default()
+                },
+                LhrConfig {
+                    seed: options.seed,
+                    ..LhrConfig::eager()
                 },
                 LhrConfig {
                     seed: options.seed,
@@ -551,7 +557,7 @@ pub fn fig10(options: &Options) -> String {
         }
     }
     format!(
-        "Figure 10 — LHR vs D-LHR (fixed δ) vs N-LHR (no detection)\n{}",
+        "Figure 10 — LHR vs E-LHR (re-scores hits) vs D-LHR (fixed δ) vs N-LHR (no detection)\n{}",
         format_table(
             &[
                 "trace",
@@ -572,20 +578,29 @@ pub fn fig10(options: &Options) -> String {
 // Figure 11 — responsiveness on Markov-modulated workloads
 // ---------------------------------------------------------------------------
 
-/// Figure 11: hit probability and WAN traffic on "Syn One" and "Syn Two"
-/// (N = 1 000 contents, 1 M requests, r = 200 000 at full scale).
+/// Figure 11's workloads, "Syn One" and "Syn Two" (N = 1 000 contents, 1 M
+/// requests, r = 200 000 at full scale), each with its cache size: a tenth
+/// of its unique bytes.
+fn syn_workloads(options: &Options) -> Vec<(Trace, u64)> {
+    let div = options.scale.divisor();
+    let (n_requests, r) = (1_000_000 / div, 200_000 / div);
+    [
+        markov::syn_one(1_000, n_requests, r, 0.9, options.seed),
+        markov::syn_two(1_000, n_requests, r, options.seed),
+    ]
+    .into_iter()
+    .map(|trace| {
+        let unique = TraceStats::compute(&trace).unique_bytes_requested as u64;
+        (trace, (unique / 10).max(1))
+    })
+    .collect()
+}
+
+/// Figure 11: hit probability and WAN traffic on "Syn One" and "Syn Two".
 pub fn fig11(options: &Options) -> String {
     let _span = options.obs.as_ref().map(|o| o.span("bench.fig11"));
-    let div = options.scale.divisor();
-    let n_requests = 1_000_000 / div;
-    let r = 200_000 / div;
-    let syn_one = markov::syn_one(1_000, n_requests, r, 0.9, options.seed);
-    let syn_two = markov::syn_two(1_000, n_requests, r, options.seed);
-
     let mut rows = Vec::new();
-    for trace in [&syn_one, &syn_two] {
-        let stats = TraceStats::compute(trace);
-        let capacity = (stats.unique_bytes_requested as u64 / 10).max(1);
+    for &(ref trace, capacity) in &syn_workloads(options) {
         let factories = all_factories(trace, options.seed);
         let config = SimConfig {
             warmup_requests: warmup_for(trace),
@@ -830,6 +845,68 @@ pub fn ablation_eviction_rule(options: &Options) -> String {
     )
 }
 
+/// Scoring ablation: LHR consults the model at admission only and renders
+/// feature rows only where they are read; E-LHR is the paper-literal
+/// algorithm (every request renders a row, every hit is re-scored). On the
+/// production-like traces at the default cache size and on Figure 11's two
+/// Markov-modulated workloads: what the refresh is worth in hit ratio, and
+/// what it costs in running time and peak metadata.
+pub fn ablation_rescore_hits(options: &Options) -> String {
+    let _span = options
+        .obs
+        .as_ref()
+        .map(|o| o.span("bench.ablation_rescore_hits"));
+    let mut traces: Vec<(Trace, u64)> = production_traces(options)
+        .into_iter()
+        .map(|trace| {
+            let capacity = default_capacity(&trace, options);
+            (trace, capacity)
+        })
+        .collect();
+    traces.extend(syn_workloads(options));
+    let mut rows = Vec::new();
+    for (trace, capacity) in &traces {
+        let config = SimConfig {
+            warmup_requests: warmup_for(trace),
+            series_every: None,
+        };
+        let results: Vec<_> = [LhrConfig::default(), LhrConfig::eager()]
+            .into_iter()
+            .map(|lhr| {
+                let seed = options.seed;
+                let mut cache = LhrCache::new(*capacity, LhrConfig { seed, ..lhr });
+                Simulator::new(config.clone()).run(&mut cache, trace)
+            })
+            .collect();
+        let hit = |i: usize| results[i].metrics.object_hit_ratio();
+        rows.push(vec![
+            trace.name.clone(),
+            pct(hit(0)),
+            pct(hit(1)),
+            format!("{:+.2}", (hit(0) - hit(1)) * 100.0),
+            format!("{:.2}", results[0].wall_secs / results[1].wall_secs),
+            format!(
+                "{:.2}",
+                results[0].peak_metadata_bytes as f64 / results[1].peak_metadata_bytes as f64
+            ),
+        ]);
+    }
+    format!(
+        "Ablation — LHR scoring: at admission only (LHR) vs every hit re-scored (E-LHR)\n{}",
+        format_table(
+            &[
+                "trace",
+                "LHR hit%",
+                "E-LHR hit%",
+                "Δpp",
+                "run time ×",
+                "peak mem ×"
+            ],
+            &rows
+        )
+    )
+}
+
 /// Loss-function ablation (§5.2.4: the paper reports MSE beat the other
 /// losses it explored): LHR trained with squared error vs logistic loss.
 pub fn ablation_loss(options: &Options) -> String {
@@ -987,6 +1064,7 @@ const EXPERIMENTS: &[Experiment] = &[
     (&["fig13", "table4"], |o| pair(prototype_vs_caffeine(o))),
     (&["ablation"], |o| {
         let studies = [
+            ablation_rescore_hits(o),
             ablation_eviction_rule(o),
             ablation_loss(o),
             ablation_hro_window(o),

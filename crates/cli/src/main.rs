@@ -651,10 +651,16 @@ struct PolicyRun {
 }
 
 impl PolicyRun {
-    /// Reads the shared flags of `command`, which reads `own_flags` itself;
-    /// any other flag is refused. Every flag is checked before the trace
-    /// is read, so a misspelt `--policy` costs one line, not a full load.
-    fn open(args: &Args, command: &str, own_flags: &[&str]) -> Result<Self, String> {
+    /// Reads the shared flags of `command`, which reads `own_flags` itself
+    /// — in `own`, whose result is handed back; any other flag is refused.
+    /// Every flag, shared or own, is checked before the trace is read, so a
+    /// misspelt `--policy` or `--faults` costs one line, not a full load.
+    fn open<T>(
+        args: &Args,
+        command: &str,
+        own_flags: &[&str],
+        own: impl FnOnce() -> Result<T, String>,
+    ) -> Result<(Self, T), String> {
         args.expect_flags(command, &[RUN_FLAGS, TRACE_FLAGS, OBS_FLAGS, own_flags])?;
         trace_path(args)?;
         let name = args.get("policy").ok_or("--policy is required")?;
@@ -663,18 +669,20 @@ impl PolicyRun {
         let sharding = shard_args(args)?;
         let build = policy_ctor(name)?;
         let obs = obs_from_args(args)?;
+        let own = own()?;
         let trace = load_trace(args)?;
         if let Some((o, path)) = &obs {
             start_obs(o, path)?;
         }
-        Ok(PolicyRun {
+        let run = PolicyRun {
             trace,
             capacity,
             seed,
             build,
             sharding,
             obs,
-        })
+        };
+        Ok((run, own))
     }
 
     /// The roster parameters `--policy NAME` runs with, no recorder attached.
@@ -715,9 +723,9 @@ fn write_report(args: &Args, stable_json: impl FnOnce() -> String) -> Result<(),
 }
 
 fn cmd_simulate(args: &Args) -> Result<(), String> {
-    let run = PolicyRun::open(args, "simulate", &["warmup"])?;
+    let (run, config) = PolicyRun::open(args, "simulate", &["warmup"], || sim_config(args))?;
     let params = run.params();
-    let mut sim = Simulator::new(sim_config(args)?);
+    let mut sim = Simulator::new(config);
     if let Some(o) = run.obs() {
         sim = sim.with_obs(o.clone());
     }
@@ -755,13 +763,13 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
 fn cmd_compare(args: &Args) -> Result<(), String> {
     let flags = ["capacity", "seed", "warmup"];
     args.expect_flags("compare", &[&flags, TRACE_FLAGS, OBS_FLAGS])?;
-    let trace = load_trace(args)?;
     let capacity = parse_size(args.get("capacity").ok_or("--capacity is required")?)?;
     let seed = args.get_parse("seed")?.unwrap_or(42u64);
     let config = sim_config(args)?;
     // With `--obs PATH`, every policy gets its own recorder and its own
     // recording file (the policy name is inserted before the extension).
     let obs_config = obs_config_from_args(args)?;
+    let trace = load_trace(args)?;
     println!(
         "{:<11} {:>8} {:>9} {:>10} {:>9}",
         "policy", "hit%", "byte-hit%", "WAN(Gbps)", "wall(s)"
@@ -802,6 +810,16 @@ fn cmd_mrc(args: &Args) -> Result<(), String> {
     use lhr_analysis::che::CheModel;
     use lhr_analysis::mrc::{lru_mrc, MrcConfig};
     args.expect_flags("mrc", &[&["points", "sample"], TRACE_FLAGS])?;
+    let n_points: usize = args.get_parse("points")?.unwrap_or(10);
+    if n_points == 0 {
+        return Err("--points must be at least 1".into());
+    }
+    let sample: f64 = args.get_parse("sample")?.unwrap_or(1.0);
+    if sample.is_nan() || sample <= 0.0 {
+        return Err(format!(
+            "--sample must be a rate above 0 (1 or more = exact), got {sample}"
+        ));
+    }
     let trace = load_trace(args)?;
     if trace.len() < 2 {
         // A rate is a count over a duration: `CheModel::from_trace`
@@ -813,16 +831,6 @@ fn cmd_mrc(args: &Args) -> Result<(), String> {
         ));
     }
     let stats = TraceStats::compute(&trace);
-    let n_points: usize = args.get_parse("points")?.unwrap_or(10);
-    if n_points == 0 {
-        return Err("--points must be at least 1".into());
-    }
-    let sample: f64 = args.get_parse("sample")?.unwrap_or(1.0);
-    if sample.is_nan() || sample <= 0.0 {
-        return Err(format!(
-            "--sample must be a rate above 0 (1 or more = exact), got {sample}"
-        ));
-    }
     let unique = stats.unique_bytes_requested as u64;
     let capacities: Vec<u64> = (1..=n_points as u64)
         .map(|k| (unique * k / n_points as u64).max(1))
@@ -851,17 +859,23 @@ fn cmd_mrc(args: &Args) -> Result<(), String> {
 
 fn cmd_server(args: &Args) -> Result<(), String> {
     use lhr_proto::{CdnServer, FaultConfig, ServerConfig};
-    let run = PolicyRun::open(args, "server", &["faults", "report"])?;
+    let (run, preset) = PolicyRun::open(args, "server", &["faults", "report"], || {
+        let preset = args.get("faults").map(String::as_str);
+        match preset.filter(|p| !FaultConfig::preset_names().contains(p)) {
+            Some(unknown) => Err(format!(
+                "unknown fault preset `{unknown}` (try: {})",
+                FaultConfig::preset_names().join(", ")
+            )),
+            None => Ok(preset),
+        }
+    })?;
     let trace = &run.trace;
-    let faulted = args.get("faults").map(|s| s.as_str()).unwrap_or("none") != "none";
-    let config = match args.get("faults") {
+    let faulted = preset.is_some_and(|p| p != "none");
+    // Only building the preset needs the trace (its windows scale with the
+    // duration); the name was checked before the load.
+    let config = match preset {
         Some(preset) => presets::fault_preset(preset, run.seed, trace.duration().as_secs_f64())
-            .ok_or_else(|| {
-                format!(
-                    "unknown fault preset `{preset}` (try: {})",
-                    FaultConfig::preset_names().join(", ")
-                )
-            })?,
+            .expect("checked against the preset names"),
         None => ServerConfig::default(),
     };
     let params = run.params();
@@ -948,21 +962,24 @@ fn print_server_report(
 /// the keyspace is already balanced to ~1.2 max/mean at 64.
 const MAX_VNODES: usize = 4_096;
 
-fn cmd_fleet(args: &Args) -> Result<(), String> {
-    use lhr_proto::fleet::{FleetConfig, FleetEngine, NodeFaultConfig, MAX_NODES};
-    use lhr_proto::{FaultConfig, ServerConfig};
-    let own_flags = [
-        "nodes",
-        "vnodes",
-        "shield-mb",
-        "faults",
-        "origin-faults",
-        "hint-ttl",
-        "peer-hints",
-        "report",
-    ];
-    let run = PolicyRun::open(args, "fleet", &own_flags)?;
-    let (trace, capacity, seed) = (&run.trace, run.capacity, run.seed);
+/// `fleet`'s own flags, parsed and range-checked; nothing here needs the
+/// trace.
+struct FleetFlags<'a> {
+    n_nodes: usize,
+    vnodes: usize,
+    /// `--shield-mb` in bytes (default: a quarter of `--capacity`).
+    shield_capacity: Option<u64>,
+    /// `--faults`: a node preset or an origin preset, by name.
+    faults: &'a str,
+    /// `--origin-faults`: an origin preset, by name.
+    origin_faults: Option<&'a str>,
+    hint_ttl_secs: Option<f64>,
+    peer_hints: Option<bool>,
+}
+
+fn fleet_flags(args: &Args) -> Result<FleetFlags<'_>, String> {
+    use lhr_proto::fleet::{NodeFaultConfig, MAX_NODES};
+    use lhr_proto::FaultConfig;
     let n_nodes: usize = args.get_parse("nodes")?.unwrap_or(4);
     if !(1..=MAX_NODES).contains(&n_nodes) {
         return Err(format!("--nodes must be in 1..={MAX_NODES}, got {n_nodes}"));
@@ -973,63 +990,98 @@ fn cmd_fleet(args: &Args) -> Result<(), String> {
             "--vnodes must be in 1..={MAX_VNODES}, got {vnodes}"
         ));
     }
-    let shield_capacity = match args.get_parse::<u64>("shield-mb")? {
-        Some(mb) => mb
-            .checked_mul(1_000_000)
-            .ok_or_else(|| format!("--shield-mb {mb} does not fit a byte count"))?,
-        None => capacity / 4,
-    };
+    let shield_capacity = args
+        .get_parse::<u64>("shield-mb")?
+        .map(|mb| {
+            mb.checked_mul(1_000_000)
+                .ok_or_else(|| format!("--shield-mb {mb} does not fit a byte count"))
+        })
+        .transpose()?;
+    let (node_presets, origin_presets) =
+        (NodeFaultConfig::preset_names(), FaultConfig::preset_names());
+    let faults = args.get("faults").map_or("none", String::as_str);
+    if !node_presets.contains(&faults) && !origin_presets.contains(&faults) {
+        return Err(format!(
+            "unknown fault preset `{faults}` (node: {}; origin: {})",
+            node_presets.join(", "),
+            origin_presets.join(", ")
+        ));
+    }
+    let origin_faults = args.get("origin-faults").map(String::as_str);
+    if let Some(preset) = origin_faults.filter(|p| !origin_presets.contains(p)) {
+        return Err(format!(
+            "unknown origin fault preset `{preset}` (try: {})",
+            origin_presets.join(", ")
+        ));
+    }
+    let hint_ttl_secs = args.get_parse::<f64>("hint-ttl")?;
+    // NaN or a negative TTL would refuse every hint while the run still
+    // reports peer hints as on; `inf` (never expire) is legal.
+    if let Some(ttl) = hint_ttl_secs.filter(|ttl| ttl.is_nan() || *ttl < 0.0) {
+        return Err(format!(
+            "--hint-ttl must be a number of seconds >= 0, got {ttl}"
+        ));
+    }
+    Ok(FleetFlags {
+        n_nodes,
+        vnodes,
+        shield_capacity,
+        faults,
+        origin_faults,
+        hint_ttl_secs,
+        peer_hints: args.get_parse("peer-hints")?,
+    })
+}
+
+fn cmd_fleet(args: &Args) -> Result<(), String> {
+    use lhr_proto::fleet::{FleetConfig, FleetEngine, NodeFaultConfig};
+    use lhr_proto::ServerConfig;
+    let own_flags = [
+        "nodes",
+        "vnodes",
+        "shield-mb",
+        "faults",
+        "origin-faults",
+        "hint-ttl",
+        "peer-hints",
+        "report",
+    ];
+    let (run, flags) = PolicyRun::open(args, "fleet", &own_flags, || fleet_flags(args))?;
+    let (trace, capacity, seed) = (&run.trace, run.capacity, run.seed);
     let params = run.params();
     let duration = trace.duration().as_secs_f64();
 
-    // `--faults` takes a node-level preset; an origin preset is accepted
-    // too (routed to the shield's origin). `--origin-faults` composes an
-    // origin preset with node faults.
-    let fault_arg = args.get("faults").map(String::as_str).unwrap_or("none");
+    // Only building the presets needs the trace (their windows scale with
+    // its duration); the names were checked before the load. `--faults`
+    // takes a node-level preset, or an origin preset (routed to the
+    // shield's origin); `--origin-faults` composes an origin preset with
+    // node faults.
+    let origin = |preset| {
+        presets::fault_preset(preset, seed, duration).expect("checked against the preset names")
+    };
     let (node_faults, mut server) =
-        match NodeFaultConfig::preset(fault_arg, seed, n_nodes, duration) {
+        match NodeFaultConfig::preset(flags.faults, seed, flags.n_nodes, duration) {
             Some(node_faults) => (node_faults, ServerConfig::default()),
-            None => {
-                let server = presets::fault_preset(fault_arg, seed, duration).ok_or_else(|| {
-                    format!(
-                        "unknown fault preset `{fault_arg}` (node: {}; origin: {})",
-                        NodeFaultConfig::preset_names().join(", "),
-                        FaultConfig::preset_names().join(", ")
-                    )
-                })?;
-                (NodeFaultConfig::default(), server)
-            }
+            None => (NodeFaultConfig::default(), origin(flags.faults)),
         };
-    if let Some(preset) = args.get("origin-faults") {
-        server = presets::fault_preset(preset, seed, duration).ok_or_else(|| {
-            format!(
-                "unknown origin fault preset `{preset}` (try: {})",
-                FaultConfig::preset_names().join(", ")
-            )
-        })?;
+    if let Some(preset) = flags.origin_faults {
+        server = origin(preset);
     }
 
     let (threads, n_shards) = run.sharding.unwrap_or((1, 8));
     run.check_shardable()?;
     let mut config = FleetConfig::new(capacity);
-    config.n_nodes = n_nodes;
-    config.vnodes = vnodes;
-    config.shield_capacity = shield_capacity;
+    config.n_nodes = flags.n_nodes;
+    config.vnodes = flags.vnodes;
+    config.shield_capacity = flags.shield_capacity.unwrap_or(capacity / 4);
     config.n_shards = n_shards;
     config.route = RouteConfig { threads };
     config.server = server;
     config.node_faults = node_faults;
-    if let Some(ttl) = args.get_parse::<f64>("hint-ttl")? {
-        // NaN or a negative TTL would refuse every hint while the run still
-        // reports peer hints as on; `inf` (never expire) is legal.
-        if ttl.is_nan() || ttl < 0.0 {
-            return Err(format!(
-                "--hint-ttl must be a number of seconds >= 0, got {ttl}"
-            ));
-        }
+    if let Some(ttl) = flags.hint_ttl_secs {
         config.hint_ttl_secs = ttl;
     }
-    if let Some(peer_hints) = args.get_parse("peer-hints")? {
+    if let Some(peer_hints) = flags.peer_hints {
         config.peer_hints = peer_hints;
     }
     let mut engine = FleetEngine::new(config);
@@ -1090,11 +1142,11 @@ fn cmd_fleet(args: &Args) -> Result<(), String> {
 
 fn cmd_bound(args: &Args) -> Result<(), String> {
     args.expect_flags("bound", &[&["capacity"], TRACE_FLAGS, OBS_FLAGS])?;
-    let trace = load_trace(args)?;
     let capacity = parse_size(args.get("capacity").ok_or("--capacity is required")?)?;
     // `--obs PATH` wraps every bound so each evaluation records a
     // profiling span and result counters into one shared export.
     let obs = obs_from_args(args)?;
+    let trace = load_trace(args)?;
     if let Some((o, _)) = &obs {
         o.set_meta("command", "bound");
         o.set_meta("trace", trace.name.as_str());

@@ -154,6 +154,79 @@ fn a_bad_flag_is_reported_before_the_trace_is_read() {
 }
 
 #[test]
+fn a_commands_own_bad_flag_is_reported_before_the_trace_is_read_too() {
+    // As above, for the flags only one command reads: the trace does not
+    // exist, and the one line still names the flag. (A fault preset is
+    // *built* from the trace's duration; its name is judged without it.)
+    let missing = "lhr-hostile-no-such-trace.csv";
+    let policy = ["--policy", "LRU", "--capacity", "1MB"];
+    let cases: [(&str, &[&str], &str); 17] = [
+        (
+            "server",
+            &["--faults", "bogus"],
+            "unknown fault preset `bogus`",
+        ),
+        (
+            "fleet",
+            &["--faults", "bogus"],
+            "unknown fault preset `bogus`",
+        ),
+        (
+            "fleet",
+            &["--origin-faults", "bogus"],
+            "unknown origin fault preset `bogus`",
+        ),
+        // A node preset is not an origin preset.
+        (
+            "fleet",
+            &["--origin-faults", "node-churn"],
+            "unknown origin fault preset `node-churn`",
+        ),
+        ("fleet", &["--nodes", "0"], "--nodes must be in"),
+        ("fleet", &["--vnodes", "0"], "--vnodes must be in"),
+        ("fleet", &["--vnodes", "5000"], "--vnodes must be in"),
+        (
+            "fleet",
+            &["--shield-mb", "99999999999999999"],
+            "--shield-mb",
+        ),
+        ("fleet", &["--hint-ttl", "nan"], "--hint-ttl"),
+        ("fleet", &["--hint-ttl", "-1"], "--hint-ttl"),
+        ("fleet", &["--peer-hints", "x"], "--peer-hints"),
+        ("simulate", &["--warmup", "x"], "--warmup"),
+        ("compare", &["--capacity", "banana"], "banana"),
+        ("compare", &[], "--capacity is required"),
+        ("bound", &["--capacity", "banana"], "banana"),
+        ("mrc", &["--points", "0"], "--points"),
+        ("mrc", &["--sample", "nan"], "--sample"),
+    ];
+    for (command, flags, named) in cases {
+        let shared: &[&str] = match command {
+            "compare" | "bound" | "mrc" => &[],
+            _ => &policy,
+        };
+        let out = cli(&[&[command], shared, flags, &[missing][..]].concat());
+        assert_one_line_error(&out, named);
+    }
+    // With sound flags the missing file is the error.
+    for (command, flags) in [
+        ("server", &["--faults", "flaky"][..]),
+        ("fleet", &["--faults", "flaky", "--origin-faults", "outage"]),
+        ("fleet", &["--faults", "node-churn", "--hint-ttl", "inf"]),
+    ] {
+        let out = cli(&[&[command], &policy[..], flags, &[missing]].concat());
+        assert_one_line_error(&out, missing);
+    }
+    for flags in [
+        &["compare", "--capacity", "1MB"][..],
+        &["bound", "--capacity", "1MB"],
+        &["mrc", "--points", "3"],
+    ] {
+        assert_one_line_error(&cli(&[flags, &[missing]].concat()), missing);
+    }
+}
+
+#[test]
 fn absurd_thread_and_shard_counts_replay_exactly_like_one_thread() {
     let trace = TraceFile::generate("threads");
     let scratch = |tag: &str| {
@@ -418,11 +491,14 @@ fn empty_and_one_request_traces_run_everywhere_except_mrc_which_refuses_them() {
                 "{command}, {records} records: {out:?}"
             );
         }
-        for flags in [&[][..], &["--sample", "0.5"], &["--points", "0"]] {
+        for flags in [&[][..], &["--sample", "0.5"], &["--points", "3"]] {
             let out = cli(&[&["mrc"], flags, &[file.path()][..]].concat());
             assert_one_line_error(&out, "at least two requests");
             assert!(!String::from_utf8_lossy(&out.stderr).contains("panicked"));
         }
+        // A bad flag is judged before the trace is read, so it wins.
+        let out = cli(&["mrc", "--points", "0", file.path()]);
+        assert_one_line_error(&out, "--points");
     }
 }
 

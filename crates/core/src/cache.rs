@@ -72,6 +72,14 @@ pub struct LhrConfig {
     /// keeps sharded replays byte-identical across thread counts; see
     /// DESIGN.md, "Interaction with background retraining".
     pub swap_lag_windows: usize,
+    /// Re-score every hit, as the paper's Algorithm 1 does (E-LHR). When
+    /// false — the default — the model is consulted where its answer is
+    /// read: a cached object keeps the probability it was admitted with,
+    /// and a hit only refreshes `last_access` (the `q` rule's IRT₁) and the
+    /// feature ring. With nothing to score on a hit, a window also renders
+    /// feature rows only where they will be read (DESIGN.md, "LHR hot
+    /// path"); when true every request renders one.
+    pub rescore_hits: bool,
     /// PRNG seed (sampled eviction).
     pub seed: u64,
     /// Display-name override (the ablation presets set this).
@@ -99,6 +107,7 @@ impl Default for LhrConfig {
             min_window_requests: 4_096,
             background_retrain: true,
             swap_lag_windows: 1,
+            rescore_hits: false,
             seed: 0,
             name: None,
         }
@@ -123,6 +132,19 @@ impl LhrConfig {
             fixed_threshold: Some(0.5),
             detection: false,
             name: Some("N-LHR"),
+            ..LhrConfig::default()
+        }
+    }
+
+    /// E-LHR: the paper-literal algorithm — every request renders a
+    /// feature row and every hit is re-scored. What `LHR` ran as before
+    /// admission-only scoring became the default; kept as the ablation row
+    /// that prices that default and as the oracle the pre-existing LHR
+    /// goldens hold.
+    pub fn eager() -> Self {
+        LhrConfig {
+            rescore_hits: true,
+            name: Some("E-LHR"),
             ..LhrConfig::default()
         }
     }
@@ -181,11 +203,20 @@ pub struct LhrCache {
 
     features: FeatureStore,
     window: WindowTracker,
-    /// Feature rows aligned one-to-one with the in-progress window's
-    /// requests (training inputs) — a flat row-major matrix with
+    /// Feature rows of the in-progress window's requests 0, `row_every`,
+    /// 2·`row_every`, … (training inputs, and the threshold estimator's
+    /// when that is all of them) — a flat row-major matrix with
     /// `features.n_features()` columns, reused window to window so the
     /// steady-state serve path never allocates per request.
     window_rows: Vec<f32>,
+    /// Which requests of the in-progress window keep their feature row:
+    /// every `row_every`-th. Fixed when the window opens
+    /// ([`Self::plan_rows`]), so the sample is a function of request
+    /// indices alone, identical at any thread count. It is 1 — a row per
+    /// request — when every hit is re-scored anyway, and when the window's
+    /// edge will read every row; otherwise it is the training stride, and
+    /// the other requests render a row only to be scored (misses).
+    row_every: usize,
     /// Labeled samples of recently completed windows, newest last:
     /// `(flat row matrix, labels)` per window.
     labeled_history: std::collections::VecDeque<(Vec<f32>, Vec<f32>)>,
@@ -217,6 +248,9 @@ impl LhrCache {
             features: FeatureStore::new(config.n_irts),
             window: WindowTracker::with_min_requests(target, config.min_window_requests),
             window_rows: Vec::new(),
+            // The bootstrap window: no model yet, every row trains or is
+            // evaluated at its edge.
+            row_every: 1,
             labeled_history: std::collections::VecDeque::new(),
             model: None,
             trainer: ShadowTrainer::default(),
@@ -268,6 +302,33 @@ impl LhrCache {
             // everything (§5.1: the algorithm executes from the second
             // window onwards).
             None => 1.0,
+        }
+    }
+
+    /// Every how many requests of a window of `len` one is labeled for
+    /// training, so the retained history stays within `max_train_rows`.
+    fn train_stride(&self, len: usize) -> usize {
+        let per_window_cap =
+            (self.config.max_train_rows / self.config.train_window_history.max(1)).max(1);
+        (len / per_window_cap).max(1)
+    }
+
+    /// `row_every` for window `index`, decided as it opens; `prev_len` is
+    /// the length of the window that just closed. Three things make a
+    /// window keep a row per request: hits are re-scored (E-LHR), so each
+    /// request renders one anyway; there is no model yet (the bootstrap
+    /// window has no predecessor to take a stride from, and its edge
+    /// evaluates the threshold); or its edge will evaluate the threshold on
+    /// a fresh model — a shadow-trained one whose swap is pinned to it, or
+    /// any inline retrain when `background_retrain` is off.
+    fn plan_rows(&self, index: u64, prev_len: usize) -> usize {
+        let edge_evaluates_threshold = self.config.fixed_threshold.is_none()
+            && (!self.config.background_retrain
+                || self.trainer.due_window().is_some_and(|due| due <= index));
+        if self.config.rescore_hits || self.model.is_none() || edge_evaluates_threshold {
+            1
+        } else {
+            self.train_stride(prev_len)
         }
     }
 
@@ -360,25 +421,31 @@ impl LhrCache {
         // subsampled so the retained history never exceeds
         // `max_train_rows` rows in total.
         let n_feat = self.features.n_features();
-        debug_assert_eq!(done.requests.len() * n_feat, self.window_rows.len());
+        let n_reqs = done.requests.len();
+        debug_assert_eq!(
+            n_reqs.div_ceil(self.row_every) * n_feat,
+            self.window_rows.len()
+        );
         let label_span = self.obs.as_ref().map(|o| o.span("lhr.label"));
         let top = hro_top_set(&done, self.capacity);
         let mut rows = std::mem::take(&mut self.window_rows);
-        let n_rows = done.requests.len();
-        let per_window_cap =
-            (self.config.max_train_rows / self.config.train_window_history.max(1)).max(1);
-        let stride = (n_rows / per_window_cap).max(1);
-        let mut kept_rows = Vec::with_capacity((n_rows / stride + 1) * n_feat);
-        let mut kept_labels = Vec::with_capacity(n_rows / stride + 1);
-        for (i, (row, &(_, id, _))) in rows
+        // The window kept the rows of requests 0, `row_every`, …; one that
+        // kept them all is thinned here, to its own length's stride.
+        let thin = if self.row_every == 1 {
+            self.train_stride(n_reqs)
+        } else {
+            1
+        };
+        let stride = self.row_every * thin;
+        let mut kept_rows = Vec::with_capacity((n_reqs / stride + 1) * n_feat);
+        let mut kept_labels = Vec::with_capacity(n_reqs / stride + 1);
+        for (row, &(_, id, _)) in rows
             .chunks_exact(n_feat)
-            .zip(done.requests.iter())
-            .enumerate()
+            .step_by(thin)
+            .zip(done.requests.iter().step_by(stride))
         {
-            if i % stride == 0 {
-                kept_labels.push(if top.contains(&id) { 1.0 } else { 0.0 });
-                kept_rows.extend_from_slice(row);
-            }
+            kept_labels.push(if top.contains(&id) { 1.0 } else { 0.0 });
+            kept_rows.extend_from_slice(row);
         }
         self.labeled_history.push_back((kept_rows, kept_labels));
         while self.labeled_history.len() > self.config.train_window_history.max(1) {
@@ -434,6 +501,11 @@ impl LhrCache {
             // copy) and the fresh model's probabilities — batched (and
             // thread-parallel) instead of row-at-a-time.
             let row_refs: Vec<&[f32]> = rows.chunks_exact(n_feat).collect();
+            assert_eq!(
+                row_refs.len(),
+                n_reqs,
+                "a window whose edge evaluates the threshold keeps every row"
+            );
             let probs: Vec<f64> = match &self.model {
                 Some(model) => model.score_admissions(&row_refs, self.config.gbm.threads),
                 None => vec![1.0; row_refs.len()],
@@ -481,6 +553,7 @@ impl LhrCache {
         // above (labeling, scoring, training).
         rows.clear();
         self.window_rows = rows;
+        self.row_every = self.plan_rows(done.index + 1, n_reqs);
         self.window.recycle(done);
     }
 
@@ -582,39 +655,59 @@ impl LhrCache {
     fn handle_at(&mut self, req: &Request, cached: Option<usize>) -> Outcome {
         // 1. Window bookkeeping first: the feature store stamps the request
         //    with the window it falls into *after* this one is counted.
+        let nth = self.window.current_len();
         let completed = self.window.observe(req);
         let window_idx = self.window.current_index();
 
-        // 2. Features as of this request (IRT₁ = time since previous one),
-        //    rendered in place onto the tail of the window's flat row
-        //    matrix — no per-request allocation (the matrix only grows
-        //    while a window is larger than every one before it) — and the
-        //    request recorded, in one probe of the object map. The rows
-        //    feed training if this window triggers a retrain.
-        let n_feat = self.features.n_features();
-        let start = self.window_rows.len();
-        self.window_rows.resize(start + n_feat, f32::NAN);
-        let row = &mut self.window_rows[start..];
-        self.features
-            .observe(req.id, req.size, req.ts, window_idx, row);
-        let prob = self.predict(&self.window_rows[start..]);
+        // 2. The request is recorded in the feature store, and its row — the
+        //    features as of this request (IRT₁ = time since the previous
+        //    one) — is rendered only if it will be read: kept for the
+        //    window's edge (`row_every`), or scored now (a miss; every
+        //    request under `rescore_hits`). A row is rendered in place onto
+        //    the tail of the window's flat row matrix — no per-request
+        //    allocation (the matrix only grows while a window keeps more
+        //    rows than every one before it) — in the one probe of the
+        //    object map that records the request; a scored row the window
+        //    does not keep is dropped again.
+        let keep_row = self.row_every == 1 || nth.is_multiple_of(self.row_every);
+        let score = cached.is_none() || self.config.rescore_hits;
+        let prob = if !keep_row && !score && self.features.record(req.id, req.ts, window_idx) {
+            None
+        } else {
+            // (Also where `record` refused: the object is cached but was
+            // pruned from the store, so this is a first sighting again.)
+            let n_feat = self.features.n_features();
+            let start = self.window_rows.len();
+            self.window_rows.resize(start + n_feat, f32::NAN);
+            let row = &mut self.window_rows[start..];
+            self.features
+                .observe(req.id, req.size, req.ts, window_idx, row);
+            let prob = score.then(|| self.predict(&self.window_rows[start..]));
+            if !keep_row {
+                self.window_rows.truncate(start);
+            }
+            prob
+        };
 
         // 3. Cache decision (§4.1's four cases).
         let delta = self.threshold.delta;
-        let outcome = if let Some(pos) = cached {
-            // Cases (i)/(ii): update ℒ; candidacy (p < δ) is re-derived at
-            // eviction time from the stored probability.
-            let entry = &mut self.entries[pos];
-            entry.prob = prob;
-            entry.last_access = req.ts;
-            Outcome::Hit
-        } else if prob >= delta && req.size <= self.capacity {
+        let outcome = match (cached, prob) {
+            (Some(pos), prob) => {
+                // Cases (i)/(ii): refresh IRT₁, and ℒ when the hit was
+                // re-scored; candidacy (p < δ) is re-derived at eviction
+                // time from the stored probability.
+                let entry = &mut self.entries[pos];
+                entry.prob = prob.unwrap_or(entry.prob);
+                entry.last_access = req.ts;
+                Outcome::Hit
+            }
             // Case (iii): admit.
-            self.admit(req, prob);
-            Outcome::MissAdmitted
-        } else {
+            (None, Some(prob)) if prob >= delta && req.size <= self.capacity => {
+                self.admit(req, prob);
+                Outcome::MissAdmitted
+            }
             // Case (iv): discard.
-            Outcome::MissBypassed
+            (None, _) => Outcome::MissBypassed,
         };
 
         // 4. End-of-window work happens after the request is served.
@@ -922,6 +1015,163 @@ mod tests {
         assert_eq!(run(false), run(false));
         // … and both modes actually learn.
         assert!(run(true).2 >= 1);
+    }
+
+    /// The LHR instances of `tests/lhr_golden.rs` (each shard's stream of
+    /// the trace, half the cache, the shard's seed) and of
+    /// `tests/policy_golden.rs` at its smaller cache: (requests, capacity,
+    /// seed).
+    fn golden_setups() -> Vec<(Trace, u64, u64)> {
+        use lhr_sim::shard::{shard_of, shard_seed};
+        use lhr_trace::synth::markov::{self, MarkovConfig, PopularityState};
+        let state = |reversed| PopularityState {
+            alpha: 0.9,
+            reversed,
+        };
+        let policy_golden = MarkovConfig {
+            name: "policy-golden".into(),
+            n_objects: 2_000,
+            n_requests: 20_000,
+            requests_per_state: 10_000,
+            state_sequence: vec![0, 1],
+            states: vec![state(false), state(true)],
+            requests_per_sec: 50.0,
+            size_model: SizeModel::BoundedPareto {
+                alpha: 1.2,
+                min: 1_000,
+                max: 1_000_000,
+            },
+            seed: 17,
+        }
+        .generate();
+        let lhr_golden = markov::syn_one(500, 40_000, 8_000, 0.9, 11);
+        let mut setups: Vec<_> = (0..2)
+            .map(|shard| {
+                let stream = lhr_golden
+                    .iter()
+                    .filter(|r| shard_of(r.id, 2) == shard)
+                    .copied()
+                    .collect();
+                let name = format!("lhr-golden shard {shard}");
+                (
+                    Trace::from_requests(&name, stream),
+                    500_000,
+                    shard_seed(42, shard),
+                )
+            })
+            .collect();
+        setups.push((policy_golden, 500_000, 42));
+        setups
+    }
+
+    /// What one closed window held just before the request that closed it.
+    struct ClosedWindow {
+        row_every: usize,
+        rows: usize,
+        requests: usize,
+        /// Whether its edge ran the threshold estimator.
+        evaluated: bool,
+    }
+
+    /// Replays `trace`, looking into the cache around every window edge.
+    fn probe(
+        trace: &Trace,
+        capacity: u64,
+        config: LhrConfig,
+    ) -> (LhrStats, f64, Vec<ClosedWindow>) {
+        use lhr_obs::{Obs, ObsConfig, ObsRecord};
+        let obs = Obs::new(ObsConfig {
+            deterministic: true,
+            ..ObsConfig::default()
+        });
+        let evaluations = |obs: &Obs| {
+            let entered = |r: ObsRecord| match r {
+                ObsRecord::Span(s) if s.path == "lhr.threshold" => Some(s.count),
+                _ => None,
+            };
+            obs.records().into_iter().find_map(entered).unwrap_or(0)
+        };
+        let mut cache = LhrCache::new(capacity, config).with_obs(obs.clone());
+        let n_feat = cache.features.n_features();
+        let (mut hits, mut closed, mut evaluated) = (0usize, Vec::new(), 0);
+        for req in trace.iter() {
+            let before = ClosedWindow {
+                row_every: cache.row_every,
+                rows: cache.window_rows.len() / n_feat,
+                requests: cache.window.current_len(),
+                evaluated: false,
+            };
+            let windows = cache.stats.windows;
+            hits += cache.handle(req).is_hit() as usize;
+            if cache.stats.windows > windows {
+                // The estimator runs at window edges only.
+                let so_far = evaluations(&obs);
+                closed.push(ClosedWindow {
+                    evaluated: so_far > evaluated,
+                    ..before
+                });
+                evaluated = so_far;
+            }
+        }
+        (cache.stats(), hits as f64 / trace.len() as f64, closed)
+    }
+
+    #[test]
+    fn lazy_path_keeps_the_learning_loop_of_the_eager_path_and_holds_fewer_rows() {
+        for (trace, capacity, seed) in golden_setups() {
+            let name = &trace.name;
+            let config = |rescore_hits, max_train_rows| LhrConfig {
+                seed,
+                rescore_hits,
+                max_train_rows,
+                ..LhrConfig::default()
+            };
+            // (a) Windows close and retrains trigger on what the trace
+            // holds, not on what the cache decided, so the two paths agree
+            // on both; the hit ratios differ by what refreshing a stored
+            // probability on hits is worth. (Threshold updates depend on the
+            // cache's contents at each evaluation and do differ.)
+            let shipped = LhrConfig::default().max_train_rows;
+            let (lazy, lazy_hit, lazy_windows) = probe(&trace, capacity, config(false, shipped));
+            let (eager, eager_hit, _) = probe(&trace, capacity, config(true, shipped));
+            assert!(lazy.windows >= 3, "{name}: {} windows", lazy.windows);
+            assert_eq!(lazy.windows, eager.windows, "{name}");
+            assert_eq!(lazy.trainings, eager.trainings, "{name}");
+            assert!(
+                (lazy_hit - eager_hit).abs() < 0.005,
+                "{name}: LHR {lazy_hit} vs E-LHR {eager_hit}"
+            );
+            // (b) A window whose edge ran the threshold estimator held one
+            // row per request (and the bootstrap window is one of them).
+            assert!(lazy_windows[0].evaluated, "{name}");
+            for (i, w) in lazy_windows.iter().enumerate().filter(|(_, w)| w.evaluated) {
+                assert_eq!((w.row_every, w.rows), (1, w.requests), "{name} window {i}");
+            }
+
+            // (c) With a training cap these windows exceed, the lazy path
+            // keeps the stride's sample where the eager path keeps a row per
+            // request.
+            let (_, _, lazy_windows) = probe(&trace, capacity, config(false, 1_024));
+            let (_, _, eager_windows) = probe(&trace, capacity, config(true, 1_024));
+            let rows =
+                |windows: &[ClosedWindow]| windows[1..].iter().map(|w| w.rows).sum::<usize>();
+            assert!(
+                rows(&lazy_windows) < rows(&eager_windows),
+                "{name}: {} vs {} rows past the bootstrap window",
+                rows(&lazy_windows),
+                rows(&eager_windows)
+            );
+            for (i, w) in lazy_windows.iter().enumerate() {
+                assert_eq!(
+                    w.rows,
+                    w.requests.div_ceil(w.row_every),
+                    "{name} window {i}"
+                );
+                assert!(!w.evaluated || w.row_every == 1, "{name} window {i}");
+            }
+            assert!(lazy_windows.iter().any(|w| w.row_every > 1), "{name}");
+            assert!(eager_windows.iter().all(|w| w.rows == w.requests), "{name}");
+        }
     }
 
     #[test]

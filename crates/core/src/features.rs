@@ -91,13 +91,7 @@ impl FeatureStore {
                 let ring = &mut self.gaps[h.ring as usize * ring_len..][..ring_len];
                 render(h, ring, ts, out);
                 // The gap this request closes is the IRT₁ just rendered.
-                if ring_len > 0 {
-                    ring.copy_within(..ring_len - 1, 1);
-                    ring[0] = out[N_STATIC];
-                }
-                h.count += 1;
-                h.last = ts;
-                h.last_window = window;
+                push_request(h, ring, out[N_STATIC], ts, window);
             }
             Entry::Vacant(e) => {
                 let ln_size = (size.max(1) as f32).ln();
@@ -121,6 +115,23 @@ impl FeatureStore {
                 });
             }
         }
+    }
+
+    /// Records a request of a tracked object without rendering its row:
+    /// closes the gap since its previous request (one logarithm, the ring
+    /// shift) and advances `count` / `last` / `last_window`, leaving the
+    /// store exactly as [`FeatureStore::observe`] would. Returns `false`,
+    /// and changes nothing, when `id` is not tracked — a first sighting
+    /// needs `observe` (it stores the size).
+    pub fn record(&mut self, id: ObjectId, ts: Time, window: u64) -> bool {
+        let Some(h) = self.objects.get_mut(&id) else {
+            return false;
+        };
+        let ring_len = self.n_irts - 1;
+        let ring = &mut self.gaps[h.ring as usize * ring_len..][..ring_len];
+        let ln_irt1 = ln_secs(ts.saturating_sub(h.last));
+        push_request(h, ring, ln_irt1, ts, window);
+        true
     }
 
     /// Renders the feature row for `id` *as of time `now`* without
@@ -180,6 +191,18 @@ fn render(h: &ObjectHistory, ring: &[f32], now: Time, out: &mut [f32]) {
     out[N_STATIC + 1..].copy_from_slice(ring);
 }
 
+/// Records a request of `h` at `ts`: the gap it closes, `ln_irt1`, becomes
+/// the newest entry of the ring.
+fn push_request(h: &mut ObjectHistory, ring: &mut [f32], ln_irt1: f32, ts: Time, window: u64) {
+    if let Some(last) = ring.len().checked_sub(1) {
+        ring.copy_within(..last, 1);
+        ring[0] = ln_irt1;
+    }
+    h.count += 1;
+    h.last = ts;
+    h.last_window = window;
+}
+
 fn ln_secs(t: Time) -> f32 {
     (t.as_secs_f64().max(1e-6) as f32).ln()
 }
@@ -188,10 +211,10 @@ fn ln_secs(t: Time) -> f32 {
 mod tests {
     use super::*;
     use lhr_util::prop::{any_u64, range};
-    use lhr_util::{prop_assert_eq, prop_check};
+    use lhr_util::{prop_assert, prop_assert_eq, prop_check};
 
-    /// Records a request, discarding the row.
-    fn record(fs: &mut FeatureStore, id: ObjectId, size: u64, ts: Time, window: u64) {
+    /// Records a request through `observe`, discarding the row.
+    fn sight(fs: &mut FeatureStore, id: ObjectId, size: u64, ts: Time, window: u64) {
         let mut row = vec![0.0; fs.n_features()];
         fs.observe(id, size, ts, window, &mut row);
     }
@@ -199,7 +222,7 @@ mod tests {
     #[test]
     fn features_have_expected_width_and_statics() {
         let mut fs = FeatureStore::new(20);
-        record(&mut fs, 7, 1 << 20, Time::from_secs(10), 0);
+        sight(&mut fs, 7, 1 << 20, Time::from_secs(10), 0);
         let row = fs.features(7, Time::from_secs(15)).expect("recorded");
         assert_eq!(row.len(), 23);
         assert!((row[0] - (1024.0f32 * 1024.0).ln()).abs() < 1e-4);
@@ -210,8 +233,8 @@ mod tests {
     #[test]
     fn irt1_is_time_since_last_request() {
         let mut fs = FeatureStore::new(5);
-        record(&mut fs, 1, 100, Time::from_secs(0), 0);
-        record(&mut fs, 1, 100, Time::from_secs(4), 0);
+        sight(&mut fs, 1, 100, Time::from_secs(0), 0);
+        sight(&mut fs, 1, 100, Time::from_secs(4), 0);
         let row = fs.features(1, Time::from_secs(10)).expect("recorded");
         assert!((row[N_STATIC] - 6.0f32.ln()).abs() < 1e-4);
         // IRT₂ = 4 − 0.
@@ -244,7 +267,7 @@ mod tests {
     fn history_is_bounded_to_n_irts() {
         let mut fs = FeatureStore::new(3);
         for t in 0..50 {
-            record(&mut fs, 1, 100, Time::from_secs(t), 0);
+            sight(&mut fs, 1, 100, Time::from_secs(t), 0);
         }
         assert_eq!(fs.gaps.len(), 2, "one ring of n_irts − 1 gaps");
         let row = fs.features(1, Time::from_secs(50)).expect("tracked");
@@ -263,16 +286,16 @@ mod tests {
     #[test]
     fn pruning_drops_stale_objects_and_reuses_their_rings() {
         let mut fs = FeatureStore::new(4);
-        record(&mut fs, 1, 100, Time::from_secs(0), 0);
-        record(&mut fs, 1, 100, Time::from_secs(1), 0);
-        record(&mut fs, 2, 100, Time::from_secs(1), 5);
+        sight(&mut fs, 1, 100, Time::from_secs(0), 0);
+        sight(&mut fs, 1, 100, Time::from_secs(1), 0);
+        sight(&mut fs, 2, 100, Time::from_secs(1), 5);
         fs.prune_before(3);
         assert!(fs.features(1, Time::from_secs(2)).is_none());
         assert!(fs.features(2, Time::from_secs(2)).is_some());
         assert_eq!(fs.len(), 1);
         // A new object takes over the reclaimed ring, wiped.
         let arena = fs.gaps.len();
-        record(&mut fs, 3, 100, Time::from_secs(3), 5);
+        sight(&mut fs, 3, 100, Time::from_secs(3), 5);
         assert_eq!(fs.gaps.len(), arena);
         let row = fs.features(3, Time::from_secs(4)).expect("tracked");
         assert!(row[N_STATIC + 1..].iter().all(|v| v.is_nan()));
@@ -282,7 +305,7 @@ mod tests {
     fn count_accumulates_across_windows() {
         let mut fs = FeatureStore::new(2);
         for w in 0..5u64 {
-            record(&mut fs, 1, 100, Time::from_secs(w), w);
+            sight(&mut fs, 1, 100, Time::from_secs(w), w);
         }
         let row = fs.features(1, Time::from_secs(5)).expect("tracked");
         assert_eq!(row[1], 5.0f32.ln_1p());
@@ -338,7 +361,8 @@ mod tests {
     }
 
     #[test]
-    fn rows_from_logged_gaps_equal_rows_from_raw_timestamps_bitwise() {
+    fn rows_from_logged_gaps_and_from_any_mix_of_record_and_observe_equal_rows_from_raw_timestamps_bitwise(
+    ) {
         for n_irts in [1usize, 2, 10, 20, 30] {
             prop_check!(cases: 24, (len in range(1usize..1_500), objects in range(1u64..40), seed in any_u64()) => {
                 let mut state = seed | 1;
@@ -349,6 +373,11 @@ mod tests {
                     state
                 };
                 let mut fs = FeatureStore::new(n_irts);
+                // A second store that takes `record` for a request whenever
+                // a coin says so and the object is tracked: the state it is
+                // left in must render the same rows.
+                let mut mixed = FeatureStore::new(n_irts);
+                let mut mixed_row = vec![0.0f32; fs.n_features()];
                 let mut reference = RawTimestampStore { n_irts, objects: FastMap::default() };
                 let mut row = vec![0.0f32; fs.n_features()];
                 let mut ts = 0u64;
@@ -369,6 +398,20 @@ mod tests {
                     let window = i as u64 / 64;
                     let want = reference.row(id, size, now);
                     fs.observe(id, size, now, window, &mut row);
+                    let tracked = reference.objects.contains_key(&id);
+                    if next() % 3 != 0 {
+                        let before = mixed.len();
+                        prop_assert_eq!(mixed.record(id, now, window), tracked);
+                        if !tracked {
+                            // Refused, and nothing changed: the object is
+                            // still unknown, the first sighting still cold.
+                            prop_assert_eq!(mixed.len(), before);
+                            prop_assert!(mixed.features(id, now).is_none());
+                            mixed.observe(id, size, now, window, &mut mixed_row);
+                        }
+                    } else {
+                        mixed.observe(id, size, now, window, &mut mixed_row);
+                    }
                     reference.record(id, size, now, window);
                     for (k, (got, want)) in row.iter().zip(&want).enumerate() {
                         prop_assert_eq!(
@@ -377,9 +420,21 @@ mod tests {
                             "request {} object {} column {}: {} vs {}", i, id, k, got, want
                         );
                     }
+                    // The row the next request of this object would get.
+                    let later = Time::from_micros(ts + next() % 1_000);
+                    let bits = |r: Option<Vec<f32>>| {
+                        r.map(|r| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+                    };
+                    prop_assert_eq!(
+                        bits(mixed.features(id, later)),
+                        bits(fs.features(id, later)),
+                        "request {} object {}: record left another state than observe", i, id
+                    );
                     if i % 64 == 63 {
                         let horizon = window.saturating_sub(1);
                         fs.prune_before(horizon);
+                        mixed.prune_before(horizon);
+                        prop_assert_eq!(mixed.len(), fs.len());
                         reference.objects.retain(|_, e| e.4 >= horizon);
                         prop_assert_eq!(fs.len(), reference.objects.len());
                     }

@@ -57,6 +57,12 @@ impl ShadowTrainer {
         self.pending.is_some()
     }
 
+    /// The window at whose edge the in-flight training is installed, if
+    /// one is in flight.
+    pub fn due_window(&self) -> Option<u64> {
+        self.pending.as_ref().map(|p| p.due_window)
+    }
+
     /// Spawns a background fit of `data`, to be installed at the edge of
     /// window `due_window`.
     ///
@@ -147,6 +153,7 @@ mod tests {
         let mut t = ShadowTrainer::default();
         t.spawn(tiny_data(), GbmParams::default(), 5);
         assert!(t.in_flight());
+        assert_eq!(t.due_window(), Some(5));
         assert!(t.take_due(3).is_none(), "not due yet");
         assert!(t.take_due(4).is_none(), "not due yet");
         let installed = t.take_due(5).expect("due at its pinned edge");
@@ -154,6 +161,7 @@ mod tests {
         assert_eq!(installed.rows, 64);
         assert!(installed.model.predict(&[60.0]) > 0.5);
         assert!(!t.in_flight());
+        assert_eq!(t.due_window(), None);
     }
 
     #[test]

@@ -92,6 +92,7 @@ fn lhr(p: &PolicyParams<'_>, config: LhrConfig) -> Box<dyn CachePolicy + Send> {
 /// This is the only table from names to constructors.
 pub const POLICIES: &[(&str, PolicyCtor)] = &[
     ("LHR", |p| lhr(p, LhrConfig::default())),
+    ("E-LHR", |p| lhr(p, LhrConfig::eager())),
     ("D-LHR", |p| lhr(p, LhrConfig::d_lhr())),
     ("N-LHR", |p| lhr(p, LhrConfig::n_lhr())),
     ("LRU", |p| Box::new(Lru::new(p.capacity))),
@@ -207,7 +208,7 @@ mod tests {
         let trace = IrmConfig::new(10, 100).generate();
         let params = PolicyParams::for_trace(10_000, 1, &trace);
         let names = policy_names();
-        assert_eq!(names.len(), 23);
+        assert_eq!(names.len(), 24);
         for (i, name) in names.iter().enumerate() {
             let built = policy(name).unwrap_or_else(|| panic!("{name} is listed but not built"));
             let cache = built(&params);

@@ -153,44 +153,53 @@ for policy in LRU Hyperbolic ARC W-TinyLFU GDSF; do
   fi
 done
 
-echo "==> shadow-retrain determinism smoke (N-LHR, --threads 1 2 4)"
+echo "==> shadow-retrain determinism smoke (N-LHR and E-LHR, --threads 1 2 4)"
 # N-LHR retrains every window, and background_retrain (the default) runs
 # each of those fits on a shadow thread with the model swap pinned to a
 # deterministic later window edge — so this run swaps models repeatedly
 # while trainer threads race the serving threads. Reports and obs
 # exports must still be byte-identical across thread counts. The trace
 # is sized so every shard crosses several retraining windows (the LHR
-# window floor is 4096 requests per shard).
+# window floor is 4096 requests per shard). N-LHR scores at admission and
+# renders rows lazily (the default path); E-LHR is the eager twin — every
+# hit re-scored, every row rendered — with detection-gated retrains.
 cargo run --release --offline -p lhr-cli -- generate \
   --kind syn-one --objects 500 --requests 40000 --seed 11 \
   --out "$smoke_dir/retrain.csv"
-for t in 1 2 4; do
-  cargo run --release --offline -p lhr-cli -- server \
-    --policy N-LHR --capacity 1MB --shards 2 --threads "$t" \
-    --report "$smoke_dir/nr$t.json" \
-    --obs "$smoke_dir/ne$t.jsonl" --obs-window 4000r \
-    --obs-deterministic true "$smoke_dir/retrain.csv" > /dev/null
+for policy in N-LHR E-LHR; do
+  for t in 1 2 4; do
+    cargo run --release --offline -p lhr-cli -- server \
+      --policy "$policy" --capacity 1MB --shards 2 --threads "$t" \
+      --report "$smoke_dir/nr-$policy-$t.json" \
+      --obs "$smoke_dir/ne-$policy-$t.jsonl" --obs-window 4000r \
+      --obs-deterministic true "$smoke_dir/retrain.csv" > /dev/null
+  done
+  for t in 2 4; do
+    cmp "$smoke_dir/nr-$policy-1.json" "$smoke_dir/nr-$policy-$t.json"
+    cmp "$smoke_dir/ne-$policy-1.jsonl" "$smoke_dir/ne-$policy-$t.jsonl"
+  done
+  # The run must actually have exercised the shadow path.
+  grep -q '"kind":"ModelSwap"' "$smoke_dir/ne-$policy-1.jsonl"
 done
-for t in 2 4; do
-  cmp "$smoke_dir/nr1.json" "$smoke_dir/nr$t.json"
-  cmp "$smoke_dir/ne1.jsonl" "$smoke_dir/ne$t.jsonl"
-done
-# The run must actually have exercised the shadow path.
-grep -q '"kind":"ModelSwap"' "$smoke_dir/ne1.jsonl"
 
-echo "==> LHR golden smoke (server --policy LHR/N-LHR vs tests/golden, --threads 1 2 4)"
-# tests/golden/*.json are the stable reports of commit b90e209 — before the
-# LHR serve path was rebuilt — on this very trace (the report embeds the
-# file stem, hence the name). Every cache decision feeds hit ratio, latency
-# percentiles, WAN and coalesced fetches, so they must repeat to the last
-# digit; only peak_mem_gb (the metadata accounting) is masked.
-# tests/lhr_golden.rs holds the library to the same files.
+echo "==> LHR golden smoke (server --policy E-LHR/LHR/N-LHR vs tests/golden, --threads 1 2 4)"
+# tests/golden/lhr-server.json is the stable report of commit b90e209 —
+# before the LHR serve path was rebuilt — on this very trace (the report
+# embeds the file stem, hence the name). Every cache decision feeds hit
+# ratio, latency percentiles, WAN and coalesced fetches, so they must repeat
+# to the last digit; only peak_mem_gb (the metadata accounting) is masked.
+# That commit re-scored every hit, which is `--policy E-LHR` now (the report
+# embeds the policy name too, mapped back below); LHR and N-LHR score at
+# admission only and are held to the lazy twins recorded with that change.
+# tests/lhr_golden.rs holds the library to the same files and, through
+# `LhrConfig::rescore_hits`, to the parent's n-lhr-server.json as well.
 cargo run --release --offline -p lhr-cli -- generate \
   --kind syn-one --objects 500 --requests 40000 --seed 11 \
   --out "$smoke_dir/lhr-golden.bin"
-mask_peak_mem() { sed -E 's/"peak_mem_gb":[^,]*,/"peak_mem_gb":_,/' "$1"; }
-for policy in LHR N-LHR; do
-  golden="tests/golden/$(echo "$policy" | tr '[:upper:]' '[:lower:]')-server.json"
+mask_peak_mem() { sed -E 's/"peak_mem_gb":[^,]*,/"peak_mem_gb":_,/; s/engine\(E-LHR\)/engine(LHR)/' "$1"; }
+for pair in E-LHR:lhr-server LHR:lhr-lazy-server N-LHR:n-lhr-lazy-server; do
+  policy="${pair%%:*}"
+  golden="tests/golden/${pair#*:}.json"
   for t in 1 2 4; do
     cargo run --release --offline -p lhr-cli -- server \
       --policy "$policy" --capacity 1000000 --shards 2 --threads "$t" \
@@ -202,6 +211,29 @@ for policy in LHR N-LHR; do
   done
   cmp <(mask_peak_mem "$smoke_dir/golden-$policy-1.json") <(mask_peak_mem "$golden")
 done
+
+echo "==> paper shape: scoring at admission costs LHR no hit ratio (repro --only fig10 --scale tiny)"
+# The first of the paper-shape assertions ROADMAP item 1 asks `repro --check`
+# for: on every trace and cache size of Figure 10, LHR (scores at admission,
+# renders rows lazily) is at most 0.5 pp under E-LHR (the paper-literal
+# algorithm it replaced as the default).
+cargo run --release --offline -q -p lhr-bench --bin repro -- --only fig10 \
+  --scale tiny > "$smoke_dir/fig10.out"
+awk '
+  $3 == "LHR"   { lhr[$1 " @ " $2 " GB"] = $4 }
+  $3 == "E-LHR" { eager[$1 " @ " $2 " GB"] = $4 }
+  END {
+    for (cell in eager) {
+      cells++
+      if (!(cell in lhr)) { print cell ": no LHR row" > "/dev/stderr"; bad = 1 }
+      else if (lhr[cell] + 0.5 < eager[cell]) {
+        print cell ": LHR " lhr[cell] " % is more than 0.5 pp under E-LHR " eager[cell] " %" > "/dev/stderr"
+        bad = 1
+      }
+    }
+    if (cells == 0) { print "fig10 printed no E-LHR row" > "/dev/stderr"; bad = 1 }
+    exit bad
+  }' "$smoke_dir/fig10.out"
 
 echo "==> CLI compare --obs smoke (one recording per policy)"
 cargo run --release --offline -p lhr-cli -- compare \

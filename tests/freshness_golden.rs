@@ -20,7 +20,14 @@
 //! stale serves, error responses, coalesced fetches, retries, WAN bytes,
 //! the bit pattern of the P99 latency and an FNV-1a hash of the stable
 //! report with `peak_mem_gb` masked (metadata accounting, not behaviour).
+//!
+//! The parent's LHR variants re-scored every hit: `tests/common/mod.rs` has
+//! the roster that holds the parent's lines (`parent_roster`) and the
+//! `*/lazy` lines that follow them (`lazy_roster`).
 
+mod common;
+
+use common::{lazy_roster, parent_roster, Roster};
 use lhr_repro::proto::presets::{self, PolicyParams};
 use lhr_repro::proto::{CdnServer, ServerConfig};
 use lhr_repro::trace::synth::{IrmConfig, SizeModel};
@@ -74,16 +81,17 @@ fn fnv1a(text: &str) -> u64 {
     })
 }
 
-fn render() -> String {
+const HEADER: &str = "policy\torigin\thits\tstale_served\terrors_served\tcoalesced_fetches\tretries\twan_bytes\tp99_latency_bits\tstable_report_fnv1a\n";
+
+/// One line per origin and policy of `roster`.
+fn render(roster: fn(&PolicyParams<'_>) -> Roster) -> String {
     let trace = trace();
     let measured = (trace.len() - WARMUP) as f64;
     let params = PolicyParams::for_trace(CAPACITY, SEED, &trace);
-    let mut out = String::from(
-        "policy\torigin\thits\tstale_served\terrors_served\tcoalesced_fetches\tretries\twan_bytes\tp99_latency_bits\tstable_report_fnv1a\n",
-    );
+    let mut out = String::new();
     for origin in ["none", "flaky"] {
-        for &(name, build) in presets::POLICIES {
-            let mut server = CdnServer::new(build(&params), server_config(&trace, origin));
+        for (name, policy) in roster(&params) {
+            let mut server = CdnServer::new(policy, server_config(&trace, origin));
             let report = server.replay(&trace);
             // The report carries ratios; both counts are whole numbers
             // well inside what the round trip through `f64` preserves.
@@ -115,14 +123,32 @@ fn golden_path() -> PathBuf {
 #[test]
 #[ignore = "records tests/golden/freshness.tsv — run against the parent commit"]
 fn record() {
-    std::fs::write(golden_path(), render()).expect("write golden");
+    std::fs::write(golden_path(), HEADER.to_string() + &render(parent_roster))
+        .expect("write golden");
+}
+
+/// Appends the lazy lines to the golden file (see the module docs).
+#[test]
+#[ignore = "appends the LHR variants' lazy lines to tests/golden/freshness.tsv"]
+fn record_lazy() {
+    use std::io::Write as _;
+    let mut file = std::fs::OpenOptions::new()
+        .append(true)
+        .open(golden_path())
+        .expect("golden file");
+    file.write_all(render(lazy_roster).as_bytes())
+        .expect("append golden");
 }
 
 #[test]
 fn every_roster_policy_serves_the_parent_freshness_decisions() {
     let golden = std::fs::read_to_string(golden_path()).expect("golden file");
-    let got = render();
-    assert_eq!(got.lines().count(), 1 + 2 * 23, "23 policies, 2 origins");
+    let got = HEADER.to_string() + &render(parent_roster) + &render(lazy_roster);
+    assert_eq!(
+        got.lines().count(),
+        1 + 2 * (23 + 3),
+        "the parent's 23 policies and 3 lazy LHR variants, 2 origins"
+    );
     for (got, want) in got.lines().zip(golden.lines()) {
         assert_eq!(got, want);
     }

@@ -22,6 +22,14 @@
 //! Only `peak_mem_gb` is masked: it reports the metadata *accounting*,
 //! which shrinks when per-object state does. `scripts/verify.sh` holds the
 //! CLI itself against the same files.
+//!
+//! The parent re-scored every hit. That is `LhrConfig::rescore_hits` now
+//! (`--policy E-LHR`), so the two parent files are held by the *eager*
+//! configurations; the default — score at admission, rows rendered only
+//! where they are read — makes different decisions by design and has its
+//! own pair, `lhr-lazy-server.json` / `n-lhr-lazy-server.json`, recorded
+//! with the same commands on the commit that introduced it (the ignored
+//! `record_lazy` test writes them).
 
 use lhr_repro::core::cache::{LhrCache, LhrConfig};
 use lhr_repro::proto::{EngineConfig, ServerConfig, ShardedEngine};
@@ -81,24 +89,62 @@ fn assert_matches_golden(golden: &str, config: LhrConfig) {
     }
 }
 
+/// `--policy LHR` (`n_lhr: false`) or `--policy N-LHR`, re-scoring hits as
+/// the parent did (`eager`) or not. The eager LHR keeps the name the
+/// golden report embeds, which `LhrConfig::eager()`'s "E-LHR" would not.
+fn config(n_lhr: bool, eager: bool) -> LhrConfig {
+    LhrConfig {
+        seed: CLI_SEED,
+        rescore_hits: eager,
+        ..if n_lhr {
+            LhrConfig::n_lhr()
+        } else {
+            LhrConfig::default()
+        }
+    }
+}
+
 #[test]
 fn lhr_server_report_matches_the_parent_golden_at_1_2_8_threads() {
-    assert_matches_golden(
-        include_str!("golden/lhr-server.json"),
-        LhrConfig {
-            seed: CLI_SEED,
-            ..LhrConfig::default()
-        },
-    );
+    assert_matches_golden(include_str!("golden/lhr-server.json"), config(false, true));
 }
 
 #[test]
 fn n_lhr_server_report_matches_the_parent_golden_at_1_2_8_threads() {
+    assert_matches_golden(include_str!("golden/n-lhr-server.json"), config(true, true));
+}
+
+#[test]
+fn lazy_lhr_server_report_matches_its_golden_at_1_2_8_threads() {
     assert_matches_golden(
-        include_str!("golden/n-lhr-server.json"),
-        LhrConfig {
-            seed: CLI_SEED,
-            ..LhrConfig::n_lhr()
-        },
+        include_str!("golden/lhr-lazy-server.json"),
+        config(false, false),
     );
+}
+
+#[test]
+fn lazy_n_lhr_server_report_matches_its_golden_at_1_2_8_threads() {
+    assert_matches_golden(
+        include_str!("golden/n-lhr-lazy-server.json"),
+        config(true, false),
+    );
+}
+
+/// Writes the two lazy goldens. For a deliberate change of the default
+/// path's decisions only; the parent files are never re-recorded.
+#[test]
+#[ignore = "records tests/golden/{lhr,n-lhr}-lazy-server.json"]
+fn record_lazy() {
+    let trace = golden_trace();
+    for (file, n_lhr) in [
+        ("lhr-lazy-server.json", false),
+        ("n-lhr-lazy-server.json", true),
+    ] {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/golden")
+            .join(file);
+        // No trailing newline: the bytes `--report` writes.
+        std::fs::write(path, server_report(&trace, &config(n_lhr, false), 1))
+            .expect("write golden");
+    }
 }

@@ -21,8 +21,15 @@
 //! `None`). Each line records hits, bytes hit, admissions, bypasses,
 //! evictions, the final `used_bytes`, the peak `metadata_overhead_bytes`
 //! and an FNV-1a hash of the whole outcome sequence.
+//!
+//! The parent's LHR variants re-scored every hit: `tests/common/mod.rs` has
+//! the roster that holds the parent's lines (`parent_roster`) and the
+//! `*/lazy` lines that follow them (`lazy_roster`).
 
-use lhr_repro::proto::presets::{self, PolicyParams};
+mod common;
+
+use common::{lazy_roster, parent_roster, Roster};
+use lhr_repro::proto::presets::PolicyParams;
 use lhr_repro::sim::{CachePolicy, Outcome};
 use lhr_repro::trace::synth::markov::{MarkovConfig, PopularityState};
 use lhr_repro::trace::synth::SizeModel;
@@ -58,15 +65,6 @@ fn trace() -> Trace {
     .generate()
 }
 
-/// Every roster policy at the CLI's parameters.
-fn roster(capacity: u64, trace: &Trace) -> Vec<(&'static str, Box<dyn CachePolicy>)> {
-    let params = PolicyParams::for_trace(capacity, SEED, trace);
-    presets::POLICIES
-        .iter()
-        .map(|&(name, build)| -> (_, Box<dyn CachePolicy>) { (name, build(&params)) })
-        .collect()
-}
-
 /// One golden line: the policy replayed over `trace`, through `handle`
 /// alone or through the serve-path split.
 fn replay(name: &str, policy: &mut dyn CachePolicy, trace: &Trace, split: bool) -> String {
@@ -98,15 +96,18 @@ fn replay(name: &str, policy: &mut dyn CachePolicy, trace: &Trace, split: bool) 
     )
 }
 
-fn render() -> String {
+const HEADER: &str = "policy\tcapacity\tpath\thits\tbytes_hit\tadmitted\tbypassed\tevictions\tused_bytes\tpeak_metadata_bytes\toutcome_fnv1a\n";
+
+/// One line per capacity, path and policy of `roster`.
+fn render(roster: fn(&PolicyParams<'_>) -> Roster) -> String {
     let trace = trace();
-    let mut out = String::from(
-        "policy\tcapacity\tpath\thits\tbytes_hit\tadmitted\tbypassed\tevictions\tused_bytes\tpeak_metadata_bytes\toutcome_fnv1a\n",
-    );
+    let mut out = String::new();
     for capacity in CAPACITIES {
+        // Every roster policy at the CLI's parameters.
+        let params = PolicyParams::for_trace(capacity, SEED, &trace);
         for split in [false, true] {
-            for (name, mut policy) in roster(capacity, &trace) {
-                write!(out, "{}", replay(name, policy.as_mut(), &trace, split)).expect("string");
+            for (name, mut policy) in roster(&params) {
+                write!(out, "{}", replay(&name, policy.as_mut(), &trace, split)).expect("string");
             }
         }
     }
@@ -122,17 +123,31 @@ fn golden_path() -> PathBuf {
 #[test]
 #[ignore = "records tests/golden/policies.tsv — run against the parent commit"]
 fn record() {
-    std::fs::write(golden_path(), render()).expect("write golden");
+    std::fs::write(golden_path(), HEADER.to_string() + &render(parent_roster))
+        .expect("write golden");
+}
+
+/// Appends the lazy lines to the golden file (see the module docs).
+#[test]
+#[ignore = "appends the LHR variants' lazy lines to tests/golden/policies.tsv"]
+fn record_lazy() {
+    use std::io::Write as _;
+    let mut file = std::fs::OpenOptions::new()
+        .append(true)
+        .open(golden_path())
+        .expect("golden file");
+    file.write_all(render(lazy_roster).as_bytes())
+        .expect("append golden");
 }
 
 #[test]
 fn every_roster_policy_repeats_the_parent_decisions_on_both_paths() {
     let golden = std::fs::read_to_string(golden_path()).expect("golden file");
-    let got = render();
+    let got = HEADER.to_string() + &render(parent_roster) + &render(lazy_roster);
     assert_eq!(
         got.lines().count(),
-        1 + 2 * 2 * 23,
-        "23 policies, 2 capacities, 2 paths"
+        1 + 2 * 2 * (23 + 3),
+        "the parent's 23 policies and 3 lazy LHR variants, 2 capacities, 2 paths"
     );
     for (got, want) in got.lines().zip(golden.lines()) {
         assert_eq!(got, want);

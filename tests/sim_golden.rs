@@ -77,6 +77,8 @@ fn policy(name: &str, capacity: u64, seed: u64, obs: Option<&Obs>) -> Box<dyn Ca
         LhrConfig {
             seed,
             min_window_requests: 64,
+            // The goldens were recorded while LHR re-scored every hit.
+            rescore_hits: true,
             ..LhrConfig::default()
         },
     );
