@@ -108,47 +108,6 @@ impl CheModel {
             .sum();
         hit_rate / self.total_rate
     }
-
-    /// Predicted LRU *byte* hit ratio at `capacity` bytes.
-    pub fn lru_byte_hit_ratio(&self, capacity: u64) -> f64 {
-        let t = self.characteristic_time(capacity);
-        if t.is_infinite() {
-            return 1.0;
-        }
-        let byte_hit: f64 = self
-            .objects
-            .iter()
-            .map(|&(rate, size)| rate * size as f64 * (1.0 - (-rate * t).exp()))
-            .sum();
-        let byte_total: f64 = self
-            .objects
-            .iter()
-            .map(|&(rate, size)| rate * size as f64)
-            .sum();
-        byte_hit / byte_total
-    }
-
-    /// Predicted hit ratio of *ideal LFU* (cache the highest `λ_i/s_i`
-    /// densities first — the IRM optimum for static populations, and the
-    /// quantity HRO's hazard ordering converges to on IRM traces).
-    pub fn lfu_hit_ratio(&self, capacity: u64) -> f64 {
-        let mut by_density: Vec<&(f64, u64)> = self.objects.iter().collect();
-        by_density.sort_unstable_by(|a, b| {
-            (b.0 / b.1 as f64)
-                .partial_cmp(&(a.0 / a.1 as f64))
-                .expect("finite")
-        });
-        let mut used = 0u64;
-        let mut hit_rate = 0.0;
-        for &&(rate, size) in &by_density {
-            if used + size > capacity {
-                continue;
-            }
-            used += size;
-            hit_rate += rate;
-        }
-        hit_rate / self.total_rate
-    }
 }
 
 #[cfg(test)]
@@ -169,7 +128,6 @@ mod tests {
     fn full_capacity_hits_everything() {
         let model = CheModel::new(vec![(1.0, 100), (2.0, 200)]);
         assert_eq!(model.lru_hit_ratio(300), 1.0);
-        assert_eq!(model.lru_byte_hit_ratio(1_000), 1.0);
     }
 
     #[test]
@@ -228,21 +186,6 @@ mod tests {
             (predicted - simulated).abs() < 0.05,
             "Che {predicted:.4} vs sim {simulated:.4}"
         );
-    }
-
-    #[test]
-    fn lfu_dominates_lru_prediction() {
-        let model = CheModel::new(
-            (1..=200)
-                .map(|i| (1.0 / (i as f64).powf(0.8), 50))
-                .collect(),
-        );
-        for capacity in [500u64, 2_000, 5_000] {
-            assert!(
-                model.lfu_hit_ratio(capacity) >= model.lru_hit_ratio(capacity) - 1e-9,
-                "capacity {capacity}"
-            );
-        }
     }
 
     #[test]

@@ -56,19 +56,6 @@ pub struct MissRatioCurve {
 
 lhr_util::impl_json!(struct MissRatioCurve { points, sampled_requests });
 
-impl MissRatioCurve {
-    /// Hit ratio at the closest computed capacity ≤ `capacity` (or the
-    /// smallest point).
-    pub fn hit_ratio_at(&self, capacity: u64) -> f64 {
-        let idx = self.points.partition_point(|&(c, _)| c <= capacity);
-        if idx == 0 {
-            self.points.first().map_or(0.0, |&(_, h)| h)
-        } else {
-            self.points[idx - 1].1
-        }
-    }
-}
-
 /// Fenwick tree over request positions; a 1 at position `p` carries the
 /// size of the object whose most recent access was at `p`.
 struct Fenwick {
@@ -197,8 +184,9 @@ mod tests {
         );
         let curve = lru_mrc(&t, &MrcConfig::exact(vec![10, 29, 30, 100]));
         // Capacity 29 misses the reuse; 30 catches it.
-        assert_eq!(curve.hit_ratio_at(29), 0.0);
-        assert!((curve.hit_ratio_at(30) - 1.0 / 3.0).abs() < 1e-12);
+        assert_eq!(curve.points[1], (29, 0.0));
+        assert_eq!(curve.points[2].0, 30);
+        assert!((curve.points[2].1 - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -237,7 +225,7 @@ mod tests {
                 .run(&mut lru, &trace)
                 .metrics
                 .object_hit_ratio();
-            let analytic = curve.hit_ratio_at(capacity);
+            let analytic = curve.points[0].1;
             assert!(
                 (analytic - simulated).abs() < 0.01,
                 "capacity {capacity}: MRC {analytic:.4} vs sim {simulated:.4}"
@@ -273,19 +261,8 @@ mod tests {
     }
 
     #[test]
-    fn hit_ratio_at_interpolates_downward() {
-        let curve = MissRatioCurve {
-            points: vec![(100, 0.2), (200, 0.5)],
-            sampled_requests: 10,
-        };
-        assert_eq!(curve.hit_ratio_at(50), 0.2);
-        assert_eq!(curve.hit_ratio_at(150), 0.2);
-        assert_eq!(curve.hit_ratio_at(999), 0.5);
-    }
-
-    #[test]
     fn empty_trace() {
         let curve = lru_mrc(&Trace::new("e"), &MrcConfig::exact(vec![100]));
-        assert_eq!(curve.hit_ratio_at(100), 0.0);
+        assert_eq!(curve.points, [(100, 0.0)]);
     }
 }

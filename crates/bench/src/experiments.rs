@@ -665,7 +665,7 @@ pub fn fig12(options: &Options) -> String {
     }
 
     // Windows aligned with segments: one window per segment.
-    let mut detector = ZipfDetector::new(0.05);
+    let mut detector = ZipfDetector::default();
     let mut tracker = WindowTracker::new(u64::MAX);
     let mut verdicts = Vec::new();
     for (i, req) in trace.iter().enumerate() {

@@ -376,10 +376,9 @@ fn obs_path_for_policy(path: &str, policy: &str) -> String {
     }
 }
 
-/// Opens the `--obs` sink before replay. JSONL paths stream: window
-/// records are appended as they close instead of buffering the whole
-/// export. `.csv` paths stay buffered (the CSV needs only the windowed
-/// series, written at the end by [`finish_obs`]).
+/// Opens the `--obs` file before replay, so a path that cannot be written
+/// is refused before the run; [`finish_obs`] writes it. A `.csv` path is
+/// created and written there: the CSV is only the windowed series.
 fn start_obs(obs: &Obs, path: &str) -> Result<(), String> {
     if !path.ends_with(".csv") {
         obs.stream_to(path).map_err(|e| format!("{path}: {e}"))?;
@@ -387,9 +386,8 @@ fn start_obs(obs: &Obs, path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Finishes an `--obs` recording started by [`start_obs`]: closes the
-/// stream (appending the post-window sections — the file is byte-identical
-/// to the buffered export), or writes the windowed CSV.
+/// Finishes an `--obs` recording started by [`start_obs`]: writes the
+/// JSONL export into the open file, or the windowed CSV.
 fn finish_obs(obs: &Obs, path: &str) -> Result<(), String> {
     let bytes = if path.ends_with(".csv") {
         let body = obs.windows_csv();
@@ -806,13 +804,20 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// The most curve points `mrc --points` accepts: the flag is a capacity
+/// list and a table of that length, so an unbounded count is an allocation
+/// and a loop the size of the typo.
+const MAX_MRC_POINTS: usize = 10_000;
+
 fn cmd_mrc(args: &Args) -> Result<(), String> {
     use lhr_analysis::che::CheModel;
     use lhr_analysis::mrc::{lru_mrc, MrcConfig};
     args.expect_flags("mrc", &[&["points", "sample"], TRACE_FLAGS])?;
     let n_points: usize = args.get_parse("points")?.unwrap_or(10);
-    if n_points == 0 {
-        return Err("--points must be at least 1".into());
+    if !(1..=MAX_MRC_POINTS).contains(&n_points) {
+        return Err(format!(
+            "--points must be in 1..={MAX_MRC_POINTS}, got {n_points}"
+        ));
     }
     let sample: f64 = args.get_parse("sample")?.unwrap_or(1.0);
     if sample.is_nan() || sample <= 0.0 {

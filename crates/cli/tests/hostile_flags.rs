@@ -160,7 +160,7 @@ fn a_commands_own_bad_flag_is_reported_before_the_trace_is_read_too() {
     // *built* from the trace's duration; its name is judged without it.)
     let missing = "lhr-hostile-no-such-trace.csv";
     let policy = ["--policy", "LRU", "--capacity", "1MB"];
-    let cases: [(&str, &[&str], &str); 17] = [
+    let cases: [(&str, &[&str], &str); 18] = [
         (
             "server",
             &["--faults", "bogus"],
@@ -198,6 +198,7 @@ fn a_commands_own_bad_flag_is_reported_before_the_trace_is_read_too() {
         ("compare", &[], "--capacity is required"),
         ("bound", &["--capacity", "banana"], "banana"),
         ("mrc", &["--points", "0"], "--points"),
+        ("mrc", &["--points", "100000000"], "--points"),
         ("mrc", &["--sample", "nan"], "--sample"),
     ];
     for (command, flags, named) in cases {
@@ -412,9 +413,12 @@ fn mrc_refuses_a_sample_rate_that_is_not_positive_and_a_curve_of_no_points() {
         let out = cli(&["mrc", "--sample", sample, trace.path()]);
         assert_one_line_error(&out, "--sample");
     }
-    // Used to print the table header alone and exit 0.
-    let out = cli(&["mrc", "--points", "0", trace.path()]);
-    assert_one_line_error(&out, "--points");
+    // Used to print the table header alone and exit 0; a hundred million
+    // points used not to return (a capacity list and a loop that long).
+    for points in ["0", "10001", "100000000"] {
+        let out = cli(&["mrc", "--points", points, trace.path()]);
+        assert_one_line_error(&out, "--points must be in 1..=10000");
+    }
 }
 
 #[test]

@@ -5,13 +5,13 @@ use crate::detect::ZipfDetector;
 use crate::features::FeatureStore;
 use crate::hazard::hro_top_set;
 use crate::retrain::ShadowTrainer;
-use crate::threshold::{ShadowRequest, ThresholdEstimator};
+use crate::threshold::{Scored, ShadowRequest, ThresholdEstimator};
 use crate::window::{WindowData, WindowTracker};
 use lhr_gbm::{Dataset, Gbm, GbmParams};
 use lhr_obs::{Event, EventKind, Obs};
+use lhr_sim::store::SampleStore;
 use lhr_sim::{CachePolicy, Outcome};
 use lhr_trace::{ObjectId, Request, Time};
-use lhr_util::hash::FastMap;
 use lhr_util::rng::rngs::SmallRng;
 use lhr_util::rng::{Rng, SeedableRng};
 
@@ -34,10 +34,6 @@ pub struct LhrConfig {
     /// Number of inter-request-time features (paper default: 20, swept in
     /// Figure 6).
     pub n_irts: usize,
-    /// Detection threshold ε on the window-to-window Zipf-α shift.
-    pub epsilon: f64,
-    /// Threshold-adoption margin β (paper default 0.2%).
-    pub beta: f64,
     /// `Some(δ)` pins the admission threshold (D-LHR uses 0.5); `None`
     /// enables the auto-tuned estimator.
     pub fixed_threshold: Option<f64>,
@@ -61,17 +57,16 @@ pub struct LhrConfig {
     /// produces windows of tens of thousands of requests at the paper's
     /// full scale; this floor keeps reduced-scale windows trainable.
     pub min_window_requests: usize,
-    /// Train retrains on a background thread and swap the model in at a
-    /// later window edge (zero-stall serving). When false, every retrain
-    /// runs inline at the window edge that triggered it (the pre-shadow
-    /// behavior; the bootstrap training is always inline either way).
+    /// Train retrains on a background thread and swap the model in at the
+    /// next window edge (zero-stall serving). Pinning the swap to a window
+    /// *index* — never to wall-clock training completion — is what keeps
+    /// sharded replays byte-identical across thread counts; see DESIGN.md,
+    /// "Interaction with background retraining". When false, every retrain
+    /// runs inline at the window edge that triggered it (the bootstrap
+    /// training is always inline either way). Nothing shipped turns it
+    /// off; it stays because the inline path is what lets `tests/alloc.rs`
+    /// pin LHR's allocations to the window edge on one thread.
     pub background_retrain: bool,
-    /// How many window edges after the triggering window a background-
-    /// trained model is installed (minimum 1). Pinning the swap to a
-    /// window *index* — never to wall-clock training completion — is what
-    /// keeps sharded replays byte-identical across thread counts; see
-    /// DESIGN.md, "Interaction with background retraining".
-    pub swap_lag_windows: usize,
     /// Re-score every hit, as the paper's Algorithm 1 does (E-LHR). When
     /// false — the default — the model is consulted where its answer is
     /// read: a cached object keeps the probability it was admitted with,
@@ -91,8 +86,6 @@ impl Default for LhrConfig {
         LhrConfig {
             window_multiplier: 4.0,
             n_irts: 20,
-            epsilon: 0.05,
-            beta: 0.002,
             fixed_threshold: None,
             detection: true,
             gbm: GbmParams {
@@ -106,7 +99,6 @@ impl Default for LhrConfig {
             train_window_history: 2,
             min_window_requests: 4_096,
             background_retrain: true,
-            swap_lag_windows: 1,
             rescore_hits: false,
             seed: 0,
             name: None,
@@ -161,18 +153,6 @@ impl LhrConfig {
     }
 }
 
-/// One cached object, stored inline in the eviction sampler's array so the
-/// sampled candidates are read straight out of it (the size_lru layout),
-/// not through the id map.
-#[derive(Debug, Clone, Copy)]
-struct CachedEntry {
-    id: ObjectId,
-    size: u64,
-    /// Learned admission probability — the paper's ℒ vector entry.
-    prob: f64,
-    last_access: Time,
-}
-
 /// Counters exposed for the §7.4 ablation study (Figure 10) and Figure 9.
 #[derive(Debug, Clone, Default)]
 pub struct LhrStats {
@@ -190,16 +170,13 @@ pub struct LhrStats {
 
 /// The LHR cache policy.
 pub struct LhrCache {
-    capacity: u64,
-    used: u64,
     config: LhrConfig,
     display_name: &'static str,
 
-    /// The cached objects in sampler order: admission appends, eviction
-    /// `swap_remove`s.
-    entries: Vec<CachedEntry>,
-    /// Object id → (position in `entries`, freshness stamp).
-    index: FastMap<ObjectId, (usize, Time)>,
+    /// The cached objects, each slot carrying what the eviction rule
+    /// scores it by, so the sampled candidates are read straight out of
+    /// the slot array (the size_lru layout), not through the id map.
+    store: SampleStore<Scored>,
 
     features: FeatureStore,
     window: WindowTracker,
@@ -227,7 +204,6 @@ pub struct LhrCache {
     threshold: ThresholdEstimator,
     rng: SmallRng,
 
-    evictions: u64,
     stats: LhrStats,
     obs: Option<Obs>,
 }
@@ -237,13 +213,12 @@ impl LhrCache {
     pub fn new(capacity: u64, config: LhrConfig) -> Self {
         assert!(capacity > 0, "capacity must be positive");
         let target = ((capacity as f64 * config.window_multiplier) as u64).max(1);
-        let mut threshold = ThresholdEstimator::new(config.beta);
+        let mut threshold = ThresholdEstimator::default();
         if let Some(delta) = config.fixed_threshold {
             threshold.delta = delta;
         }
         LhrCache {
-            capacity,
-            used: 0,
+            store: SampleStore::new(capacity),
             display_name: config.name.unwrap_or("LHR"),
             features: FeatureStore::new(config.n_irts),
             window: WindowTracker::with_min_requests(target, config.min_window_requests),
@@ -254,12 +229,9 @@ impl LhrCache {
             labeled_history: std::collections::VecDeque::new(),
             model: None,
             trainer: ShadowTrainer::default(),
-            detector: ZipfDetector::new(config.epsilon),
+            detector: ZipfDetector::default(),
             threshold,
             rng: SmallRng::seed_from_u64(config.seed ^ 0x1117),
-            entries: Vec::new(),
-            index: FastMap::default(),
-            evictions: 0,
             stats: LhrStats::default(),
             obs: None,
             config,
@@ -336,23 +308,20 @@ impl LhrCache {
     /// Contents whose stored probability fell below δ (the paper's
     /// *eviction candidates*) are preferred when present in the sample.
     fn evict_one(&mut self, now: Time) {
-        debug_assert!(!self.entries.is_empty());
-        let n = self.entries.len();
+        debug_assert!(!self.store.is_empty());
+        let n = self.store.len();
         let k = self.config.eviction_sample.min(n).max(1);
         let delta = self.threshold.delta;
         let mut best_candidate: Option<(f64, usize)> = None;
         let mut best_any: Option<(f64, usize)> = None;
         for _ in 0..k {
             let pos = self.rng.gen_range(0..n);
-            let e = &self.entries[pos];
+            let slot = self.store.slot(pos);
             let q = match self.config.eviction_rule {
-                EvictionRule::QSizeIrt => {
-                    let irt1 = now.saturating_sub(e.last_access).as_secs_f64().max(1e-6);
-                    e.prob / (e.size as f64 * irt1)
-                }
-                EvictionRule::MinP => e.prob,
+                EvictionRule::QSizeIrt => slot.entry.q(slot.size, now),
+                EvictionRule::MinP => slot.entry.prob,
             };
-            if e.prob < delta && best_candidate.is_none_or(|(bq, _)| q < bq) {
+            if slot.entry.prob < delta && best_candidate.is_none_or(|(bq, _)| q < bq) {
                 best_candidate = Some((q, pos));
             }
             if best_any.is_none_or(|(bq, _)| q < bq) {
@@ -360,27 +329,18 @@ impl LhrCache {
             }
         }
         let pos = best_candidate.or(best_any).expect("k >= 1").1;
-        let victim = self.entries.swap_remove(pos);
-        self.index.remove(&victim.id).expect("sampled from cache");
-        self.used -= victim.size;
-        if let Some(moved) = self.entries.get(pos) {
-            self.index.get_mut(&moved.id).expect("indexed").0 = pos;
-        }
-        self.evictions += 1;
+        self.store.evict_at(pos);
     }
 
     fn admit(&mut self, req: &Request, prob: f64) {
-        while self.used + req.size > self.capacity {
+        while !self.store.fits(req.size) {
             self.evict_one(req.ts);
         }
-        self.index.insert(req.id, (self.entries.len(), req.ts));
-        self.entries.push(CachedEntry {
-            id: req.id,
-            size: req.size,
+        let scored = Scored {
             prob,
             last_access: req.ts,
-        });
-        self.used += req.size;
+        };
+        self.store.push(req.id, req.size, req.ts, scored);
     }
 
     /// Window finalization: shadow-model install → detection →
@@ -427,7 +387,7 @@ impl LhrCache {
             self.window_rows.len()
         );
         let label_span = self.obs.as_ref().map(|o| o.span("lhr.label"));
-        let top = hro_top_set(&done, self.capacity);
+        let top = hro_top_set(&done, self.store.capacity());
         let mut rows = std::mem::take(&mut self.window_rows);
         // The window kept the rows of requests 0, `row_every`, …; one that
         // kept them all is thinned here, to its own length's stride.
@@ -474,26 +434,21 @@ impl LhrCache {
                             ),
                     );
                 }
-            } else if !self.trainer.in_flight() {
+            } else if let Some(rows) = self.spawn_train(done.index) {
                 // Shadow path: fit on a background thread; the swap is
-                // pinned to a later window edge. Wall time is reported on
-                // the ModelSwap event at install.
-                if let Some(rows) = self.spawn_train(done.index) {
-                    if let Some(obs) = &self.obs {
-                        obs.emit(
-                            Event::new(t_end, EventKind::Retrain)
-                                .field("window", done.index)
-                                .field("rows", rows as u64)
-                                .field("trainings", self.stats.trainings)
-                                .field("wall_secs", 0.0),
-                        );
-                    }
+                // pinned to the next window edge, and the previous fit was
+                // installed at this one, so none is ever in flight here.
+                // Wall time is reported on the ModelSwap event at install.
+                if let Some(obs) = &self.obs {
+                    obs.emit(
+                        Event::new(t_end, EventKind::Retrain)
+                            .field("window", done.index)
+                            .field("rows", rows as u64)
+                            .field("trainings", self.stats.trainings)
+                            .field("wall_secs", 0.0),
+                    );
                 }
             }
-            // else: a training is already in flight (possible only with
-            // swap_lag_windows > 1) — this detection coalesces into it,
-            // deterministically: in-flight-ness depends on window indices
-            // alone, never on training speed.
         }
         if fresh_model && self.config.fixed_threshold.is_none() {
             // The shadow evaluation pairs *every* window request with its
@@ -516,10 +471,11 @@ impl LhrCache {
                 .zip(probs)
                 .map(|(&(ts, id, size), prob)| ShadowRequest { ts, id, size, prob })
                 .collect();
-            let mut snapshot: Vec<(ObjectId, f64, u64, Time)> = self
-                .entries
-                .iter()
-                .map(|e| (e.id, e.prob, e.size, e.last_access))
+            let mut snapshot: Vec<(ObjectId, f64, u64, Time)> = (0..self.store.len())
+                .map(|pos| {
+                    let slot = self.store.slot(pos);
+                    (slot.id, slot.entry.prob, slot.size, slot.entry.last_access)
+                })
                 .collect();
             // The shadow's truncation-at-capacity depends on order; by id
             // it does not depend on the eviction history.
@@ -528,7 +484,8 @@ impl LhrCache {
             let old_updates = self.threshold.updates;
             {
                 let _threshold_span = self.obs.as_ref().map(|o| o.span("lhr.threshold"));
-                self.threshold.update(&shadow, self.capacity, &snapshot);
+                self.threshold
+                    .update(&shadow, self.store.capacity(), &snapshot);
             }
             if let Some(obs) = &self.obs {
                 if self.threshold.updates > old_updates {
@@ -604,13 +561,13 @@ impl LhrCache {
     }
 
     /// Spawns a background training triggered at `window`, pinning its
-    /// swap to the `swap_lag_windows`-th edge after it. Returns the
-    /// training-set size when a fit was actually started.
+    /// swap to the next window edge. Returns the training-set size when a
+    /// fit was actually started.
     fn spawn_train(&mut self, window: u64) -> Option<usize> {
         let data = self.build_train_data()?;
         let rows = data.n_rows();
-        let due = window + self.config.swap_lag_windows.max(1) as u64;
-        self.trainer.spawn(data, self.config.gbm.clone(), due);
+        self.trainer
+            .spawn(data, self.config.gbm.clone(), window + 1);
         self.stats.trainings += 1;
         Some(rows)
     }
@@ -649,7 +606,7 @@ impl LhrCache {
     }
 
     /// The body of [`CachePolicy::handle`], given where `req.id` sits in
-    /// `entries` (`None`: not cached) — probed by the caller, before
+    /// `store` (`None`: not cached) — probed by the caller, before
     /// anything here runs; nothing before the cache decision moves an
     /// entry.
     fn handle_at(&mut self, req: &Request, cached: Option<usize>) -> Outcome {
@@ -696,13 +653,13 @@ impl LhrCache {
                 // Cases (i)/(ii): refresh IRT₁, and ℒ when the hit was
                 // re-scored; candidacy (p < δ) is re-derived at eviction
                 // time from the stored probability.
-                let entry = &mut self.entries[pos];
+                let entry = self.store.entry_mut(pos);
                 entry.prob = prob.unwrap_or(entry.prob);
                 entry.last_access = req.ts;
                 Outcome::Hit
             }
             // Case (iii): admit.
-            (None, Some(prob)) if prob >= delta && req.size <= self.capacity => {
+            (None, Some(prob)) if prob >= delta && req.size <= self.store.capacity() => {
                 self.admit(req, prob);
                 Outcome::MissAdmitted
             }
@@ -723,34 +680,32 @@ impl CachePolicy for LhrCache {
         self.display_name
     }
     fn capacity(&self) -> u64 {
-        self.capacity
+        self.store.capacity()
     }
     fn used_bytes(&self) -> u64 {
-        self.used
+        self.store.used()
     }
     fn admitted_at(&self, id: ObjectId) -> Option<Time> {
-        self.index.get(&id).map(|&(_, at)| at)
+        self.store.admitted_at(id)
     }
     fn restamp(&mut self, id: ObjectId, at: Time) {
-        if let Some(slot) = self.index.get_mut(&id) {
-            slot.1 = at;
-        }
+        self.store.restamp(id, at);
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
-        let cached = self.index.get(&req.id).map(|&(pos, _)| pos);
+        let cached = self.store.position(req.id);
         self.handle_at(req, cached)
     }
 
-    /// One probe of `index` per hit: the position found here is handed to
-    /// the shared handle body instead of being looked up again there.
+    /// One probe of the store per hit: the position found here is handed
+    /// to the shared handle body instead of being looked up again there.
     fn hit_check(&mut self, req: &Request) -> Option<Outcome> {
-        let &(pos, _) = self.index.get(&req.id)?;
+        let pos = self.store.position(req.id)?;
         Some(self.handle_at(req, Some(pos)))
     }
 
     fn evictions(&self) -> u64 {
-        self.evictions
+        self.store.evictions()
     }
 
     fn metadata_overhead_bytes(&self) -> u64 {
@@ -766,7 +721,7 @@ impl CachePolicy for LhrCache {
             .sum();
         // Per cached object: a 32-byte entry plus its index slot (key,
         // position, control byte, table slack).
-        self.entries.len() as u64 * 64
+        self.store.len() as u64 * 64
             + self.features.overhead_bytes()
             + self.window.overhead_bytes()
             + ((self.window_rows.len() + history_floats) * 4) as u64

@@ -49,12 +49,13 @@ pub fn estimate_zipf_alpha(counts: &mut Vec<u32>) -> (f64, f64) {
     (-slope, intercept)
 }
 
+/// Retraining threshold ε on |α_k − α_{k−1}|.
+const EPSILON: f64 = 0.05;
+
 /// The detector: holds the previous window's α and decides when the model
 /// must be retrained.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ZipfDetector {
-    /// Retraining threshold ε on |α_k − α_{k−1}|.
-    pub epsilon: f64,
     prev_alpha: Option<f64>,
     /// Number of windows flagged for retraining.
     pub detections: u64,
@@ -63,16 +64,6 @@ pub struct ZipfDetector {
 }
 
 impl ZipfDetector {
-    /// A detector with threshold `epsilon`.
-    pub fn new(epsilon: f64) -> Self {
-        ZipfDetector {
-            epsilon,
-            prev_alpha: None,
-            detections: 0,
-            windows: 0,
-        }
-    }
-
     /// Estimates α for `window` and reports whether the request pattern
     /// changed enough to warrant retraining. The first window always
     /// triggers (there is no model yet).
@@ -82,7 +73,7 @@ impl ZipfDetector {
         self.windows += 1;
         let changed = match self.prev_alpha {
             None => true,
-            Some(prev) => (alpha - prev).abs() >= self.epsilon,
+            Some(prev) => (alpha - prev).abs() >= EPSILON,
         };
         self.prev_alpha = Some(alpha);
         if changed {
@@ -157,7 +148,7 @@ mod tests {
 
     #[test]
     fn first_window_always_retrains() {
-        let mut d = ZipfDetector::new(0.05);
+        let mut d = ZipfDetector::default();
         let out = d.observe(&window_with_counts(&ideal_counts(100, 0.8, 1e5)));
         assert!(out.retrain);
         assert_eq!(d.detections, 1);
@@ -165,7 +156,7 @@ mod tests {
 
     #[test]
     fn stable_alpha_suppresses_retraining() {
-        let mut d = ZipfDetector::new(0.05);
+        let mut d = ZipfDetector::default();
         let counts = ideal_counts(200, 0.9, 1e5);
         d.observe(&window_with_counts(&counts));
         let out = d.observe(&window_with_counts(&counts));
@@ -175,7 +166,7 @@ mod tests {
 
     #[test]
     fn alpha_shift_triggers_retraining() {
-        let mut d = ZipfDetector::new(0.05);
+        let mut d = ZipfDetector::default();
         d.observe(&window_with_counts(&ideal_counts(200, 0.7, 1e5)));
         let out = d.observe(&window_with_counts(&ideal_counts(200, 1.1, 1e5)));
         assert!(out.retrain, "α 0.7 → 1.1 went undetected");
@@ -201,7 +192,7 @@ mod tests {
             counts.retain(|&c| c > 0);
             counts
         };
-        let mut d = ZipfDetector::new(0.1);
+        let mut d = ZipfDetector::default();
         let alphas = [0.7, 0.7, 1.1, 1.1, 0.7, 1.1, 0.7, 0.7, 1.1];
         let mut correct = 0;
         let mut total = 0;

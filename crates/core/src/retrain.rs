@@ -52,11 +52,6 @@ pub(crate) struct ShadowTrainer {
 }
 
 impl ShadowTrainer {
-    /// Whether a training is in flight (spawned, not yet installed).
-    pub fn in_flight(&self) -> bool {
-        self.pending.is_some()
-    }
-
     /// The window at whose edge the in-flight training is installed, if
     /// one is in flight.
     pub fn due_window(&self) -> Option<u64> {
@@ -67,8 +62,9 @@ impl ShadowTrainer {
     /// window `due_window`.
     ///
     /// # Panics
-    /// Panics (in debug) if a training is already in flight — callers must
-    /// coalesce detections into the pending training instead.
+    /// Panics (in debug) if a training is already in flight: `LhrCache`
+    /// pins every swap to the edge after the one that spawned it, where
+    /// [`Self::take_due`] runs first.
     pub fn spawn(&mut self, data: Dataset, params: GbmParams, due_window: u64) {
         debug_assert!(self.pending.is_none(), "one training in flight at most");
         debug_assert!(!data.is_empty(), "spawned with an empty training set");
@@ -152,7 +148,6 @@ mod tests {
     fn install_waits_for_the_pinned_window() {
         let mut t = ShadowTrainer::default();
         t.spawn(tiny_data(), GbmParams::default(), 5);
-        assert!(t.in_flight());
         assert_eq!(t.due_window(), Some(5));
         assert!(t.take_due(3).is_none(), "not due yet");
         assert!(t.take_due(4).is_none(), "not due yet");
@@ -160,7 +155,6 @@ mod tests {
         assert_eq!(installed.epoch, 1);
         assert_eq!(installed.rows, 64);
         assert!(installed.model.predict(&[60.0]) > 0.5);
-        assert!(!t.in_flight());
         assert_eq!(t.due_window(), None);
     }
 

@@ -5,12 +5,43 @@
 //! simulation* over (half of) the window's requests, using the learned
 //! admission probabilities and LHR's own eviction rule. The best candidate
 //! `δ̂` replaces `δ_k` only when its hit probability improves on `h(δ_k)`
-//! by more than β (default 0.2%), which suppresses jitter.
+//! by more than β (0.2%), which suppresses jitter.
+//!
+//! The shadow cache is a [`SampleStore`] of `Scored` slots — the storage
+//! `LhrCache` itself serves from — so "LHR's own eviction rule" reads the
+//! same `q` off the same slot layout. The two *rules* still differ: the
+//! shadow draws 1 + 16 candidates and takes the smallest `q`; the live
+//! cache draws `eviction_sample` (64) and prefers candidates with `p < δ`.
 
+use lhr_sim::store::SampleStore;
 use lhr_trace::{ObjectId, Time};
-use lhr_util::hash::FastMap;
 use lhr_util::rng::rngs::SmallRng;
 use lhr_util::rng::{Rng, SeedableRng};
+
+/// Threshold-adoption margin β (paper default 0.2%).
+const BETA: f64 = 0.002;
+/// Fraction of the window used for estimation (the paper observes half
+/// suffices).
+const SAMPLE_FRACTION: f64 = 0.5;
+
+/// What LHR's eviction rule scores a cached object by: the policy state of
+/// one slot, in the live cache and in the shadow alike.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Scored {
+    /// Learned admission probability — the paper's ℒ vector entry.
+    pub prob: f64,
+    pub last_access: Time,
+}
+
+impl Scored {
+    /// `q = p / (s · IRT₁)` (§5.2.5) at time `now`, for an object of `size`
+    /// bytes.
+    #[inline]
+    pub fn q(&self, size: u64, now: Time) -> f64 {
+        let irt1 = now.saturating_sub(self.last_access).as_secs_f64().max(1e-6);
+        self.prob / (size as f64 * irt1)
+    }
+}
 
 /// One shadow-simulation input record: a window request annotated with its
 /// learned admission probability.
@@ -31,26 +62,21 @@ pub struct ShadowRequest {
 pub struct ThresholdEstimator {
     /// Current threshold δ.
     pub delta: f64,
-    /// Minimum improvement required to adopt a new threshold.
-    pub beta: f64,
-    /// Fraction of the window used for estimation (the paper observes half
-    /// suffices).
-    pub sample_fraction: f64,
     /// Threshold updates performed.
     pub updates: u64,
 }
 
-impl ThresholdEstimator {
+impl Default for ThresholdEstimator {
     /// An estimator starting from the paper's `δ₀ = 0.5`.
-    pub fn new(beta: f64) -> Self {
+    fn default() -> Self {
         ThresholdEstimator {
             delta: 0.5,
-            beta,
-            sample_fraction: 0.5,
             updates: 0,
         }
     }
+}
 
+impl ThresholdEstimator {
     /// The candidate set `Δ_k` (clamped to [0, 1], deduplicated).
     pub fn candidates(&self) -> Vec<f64> {
         let mut c = vec![
@@ -81,7 +107,7 @@ impl ThresholdEstimator {
         if requests.is_empty() {
             return self.delta;
         }
-        let take = ((requests.len() as f64 * self.sample_fraction) as usize).max(1);
+        let take = ((requests.len() as f64 * SAMPLE_FRACTION) as usize).max(1);
         let sample = &requests[..take.min(requests.len())];
         let current = shadow_hit_ratio_from(sample, capacity, self.delta, initial_cache);
         let mut best = (current, self.delta);
@@ -94,7 +120,7 @@ impl ThresholdEstimator {
                 best = (h, cand);
             }
         }
-        if best.0 > current + self.beta {
+        if best.0 > current + BETA {
             self.delta = best.1;
             self.updates += 1;
         }
@@ -121,60 +147,46 @@ pub fn shadow_hit_ratio_from(
     if requests.is_empty() {
         return 0.0;
     }
-    let mut cached: FastMap<ObjectId, (f64, u64, Time)> = FastMap::default();
-    let mut dense: Vec<ObjectId> = Vec::new();
-    let mut positions: FastMap<ObjectId, usize> = FastMap::default();
-    let mut used = 0u64;
+    let mut cache: SampleStore<Scored> = SampleStore::new(capacity);
     let mut hits = 0usize;
     let mut rng = SmallRng::seed_from_u64(0x5AD0);
-    for &(id, prob, size, last) in initial_cache {
-        if used + size > capacity || cached.contains_key(&id) {
-            continue;
+    for &(id, prob, size, last_access) in initial_cache {
+        if cache.fits(size) && !cache.contains(id) {
+            cache.push(id, size, last_access, Scored { prob, last_access });
         }
-        cached.insert(id, (prob, size, last));
-        positions.insert(id, dense.len());
-        dense.push(id);
-        used += size;
     }
 
     for req in requests {
-        if let Some(entry) = cached.get_mut(&req.id) {
+        let scored = Scored {
+            prob: req.prob,
+            last_access: req.ts,
+        };
+        if let Some(entry) = cache.get_mut(req.id) {
             hits += 1;
-            entry.0 = req.prob;
-            entry.2 = req.ts;
+            *entry = scored;
             continue;
         }
         if req.prob < delta || req.size > capacity {
             continue;
         }
-        while used + req.size > capacity {
-            // Sampled min-q eviction.
-            let k = 16.min(dense.len());
-            debug_assert!(k > 0);
-            let mut victim = dense[rng.gen_range(0..dense.len())];
+        while !cache.fits(req.size) {
+            // Sampled min-q eviction: one draw for the default victim,
+            // then the smallest q of 16 more (fewer in a cache of fewer).
+            let n = cache.len();
+            let mut victim = rng.gen_range(0..n);
             let mut victim_q = f64::INFINITY;
-            for _ in 0..k {
-                let id = dense[rng.gen_range(0..dense.len())];
-                let (p, s, last) = cached[&id];
-                let irt1 = req.ts.saturating_sub(last).as_secs_f64().max(1e-6);
-                let q = p / (s as f64 * irt1);
+            for _ in 0..16.min(n) {
+                let pos = rng.gen_range(0..n);
+                let slot = cache.slot(pos);
+                let q = slot.entry.q(slot.size, req.ts);
                 if q < victim_q {
                     victim_q = q;
-                    victim = id;
+                    victim = pos;
                 }
             }
-            let (_, vsize, _) = cached.remove(&victim).expect("sampled from cache");
-            used -= vsize;
-            let pos = positions.remove(&victim).expect("indexed");
-            dense.swap_remove(pos);
-            if pos < dense.len() {
-                positions.insert(dense[pos], pos);
-            }
+            cache.evict_at(victim);
         }
-        cached.insert(req.id, (req.prob, req.size, req.ts));
-        positions.insert(req.id, dense.len());
-        dense.push(req.id);
-        used += req.size;
+        cache.push(req.id, req.size, req.ts, scored);
     }
     hits as f64 / requests.len() as f64
 }
@@ -197,22 +209,20 @@ mod tests {
 
     #[test]
     fn candidates_match_paper_set() {
-        let e = ThresholdEstimator::new(0.002);
-        assert_eq!(e.candidates(), vec![0.0, 0.4, 0.5, 0.6]);
-        let mut e2 = ThresholdEstimator::new(0.002);
-        e2.delta = 0.0;
-        assert_eq!(e2.candidates(), vec![0.0, 0.1, 0.5]);
-        let mut e3 = ThresholdEstimator::new(0.002);
-        e3.delta = 1.0;
-        assert_eq!(e3.candidates(), vec![0.0, 0.5, 0.9, 1.0]);
+        let at = |delta| ThresholdEstimator { delta, updates: 0 };
+        assert_eq!(at(0.5).candidates(), vec![0.0, 0.4, 0.5, 0.6]);
+        assert_eq!(at(0.0).candidates(), vec![0.0, 0.1, 0.5]);
+        assert_eq!(at(1.0).candidates(), vec![0.0, 0.5, 0.9, 1.0]);
     }
 
     #[test]
     fn nan_delta_survives_candidates_and_update() {
         // A NaN δ (e.g. from a degenerate shadow ratio upstream) must not
         // panic the candidate sort — pre-fix, partial_cmp().unwrap() did.
-        let mut e = ThresholdEstimator::new(0.002);
-        e.delta = f64::NAN;
+        let mut e = ThresholdEstimator {
+            delta: f64::NAN,
+            updates: 0,
+        };
         let c = e.candidates();
         assert!(c.iter().all(|v| v.is_finite()), "clamps scrub NaN: {c:?}");
         assert!(c.contains(&0.0) && c.contains(&0.5));
@@ -254,7 +264,7 @@ mod tests {
             }
         }
         let r = reqs(&specs);
-        let mut e = ThresholdEstimator::new(0.002);
+        let mut e = ThresholdEstimator::default();
         let new_delta = e.update(&r, 1_000, &[]);
         assert!(new_delta < 0.2, "threshold stayed at {new_delta}");
         assert_eq!(e.updates, 1);
@@ -271,7 +281,7 @@ mod tests {
             }
         }
         let r = reqs(&specs);
-        let mut e = ThresholdEstimator::new(0.002);
+        let mut e = ThresholdEstimator::default();
         e.update(&r, 1_000, &[]);
         assert_eq!(e.delta, 0.5);
         assert_eq!(e.updates, 0);
@@ -292,9 +302,139 @@ mod tests {
         assert!((0.0..=1.0).contains(&h));
     }
 
+    /// The shadow as it stood before it moved onto [`SampleStore`]: a map
+    /// of entries, a dense id array to sample from and a position map,
+    /// fixed up by hand.
+    fn three_structure_reference(
+        requests: &[ShadowRequest],
+        capacity: u64,
+        delta: f64,
+        initial_cache: &[(ObjectId, f64, u64, Time)],
+    ) -> f64 {
+        use std::collections::HashMap;
+        if requests.is_empty() {
+            return 0.0;
+        }
+        let mut cached: HashMap<ObjectId, (f64, u64, Time)> = HashMap::new();
+        let mut dense: Vec<ObjectId> = Vec::new();
+        let mut positions: HashMap<ObjectId, usize> = HashMap::new();
+        let mut used = 0u64;
+        let mut hits = 0usize;
+        let mut rng = SmallRng::seed_from_u64(0x5AD0);
+        for &(id, prob, size, last) in initial_cache {
+            if used + size > capacity || cached.contains_key(&id) {
+                continue;
+            }
+            cached.insert(id, (prob, size, last));
+            positions.insert(id, dense.len());
+            dense.push(id);
+            used += size;
+        }
+        for req in requests {
+            if let Some(entry) = cached.get_mut(&req.id) {
+                hits += 1;
+                entry.0 = req.prob;
+                entry.2 = req.ts;
+                continue;
+            }
+            if req.prob < delta || req.size > capacity {
+                continue;
+            }
+            while used + req.size > capacity {
+                let k = 16.min(dense.len());
+                let mut victim = dense[rng.gen_range(0..dense.len())];
+                let mut victim_q = f64::INFINITY;
+                for _ in 0..k {
+                    let id = dense[rng.gen_range(0..dense.len())];
+                    let (p, s, last) = cached[&id];
+                    let irt1 = req.ts.saturating_sub(last).as_secs_f64().max(1e-6);
+                    let q = p / (s as f64 * irt1);
+                    if q < victim_q {
+                        victim_q = q;
+                        victim = id;
+                    }
+                }
+                let (_, vsize, _) = cached.remove(&victim).expect("sampled from cache");
+                used -= vsize;
+                let pos = positions.remove(&victim).expect("indexed");
+                dense.swap_remove(pos);
+                if pos < dense.len() {
+                    positions.insert(dense[pos], pos);
+                }
+            }
+            cached.insert(req.id, (req.prob, req.size, req.ts));
+            positions.insert(req.id, dense.len());
+            dense.push(req.id);
+            used += req.size;
+        }
+        hits as f64 / requests.len() as f64
+    }
+
+    /// Same draws, same push / `swap_remove` order, same `q`: the shadow
+    /// on the shared store repeats the hand-kept one to the bit — over
+    /// caches that evict on most admissions, initial contents with
+    /// duplicates and objects that do not fit, objects larger than the
+    /// cache, equal timestamps (the 1 µs IRT floor) and a one-byte cache.
+    #[test]
+    fn shadow_on_the_store_matches_the_three_structure_shadow_bit_for_bit() {
+        use lhr_util::prop::{any_u64, range};
+        use lhr_util::{prop_assert, prop_assert_eq, prop_check};
+        let evicting = std::cell::Cell::new(0usize);
+        prop_check!(cases: 256, (len in range(1usize..400), seed in any_u64(), objects in range(1u64..60), capacity in range(1u64..400)) => {
+            let mut state = seed | 1;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            // A third of the streams run against a one-byte cache.
+            let capacity = if seed % 3 == 0 { 1 } else { capacity };
+            // A size is a function of the id; one id in seven never fits.
+            let size_of = |id: u64| match (id + seed % 7) % 7 {
+                0 => capacity + 1 + id,
+                _ => 1 + (id * 37 + seed % 11) % capacity.min(90),
+            };
+            let mut ts = 0u64;
+            let requests: Vec<ShadowRequest> = (0..len)
+                .map(|_| {
+                    let id = next() % objects;
+                    ts += next() % 3;
+                    ShadowRequest {
+                        ts: Time(ts * 500_000),
+                        id,
+                        size: size_of(id),
+                        prob: (next() % 101) as f64 / 100.0,
+                    }
+                })
+                .collect();
+            let initial: Vec<(ObjectId, f64, u64, Time)> = (0..next() % 40)
+                .map(|_| {
+                    let id = next() % (objects + 5);
+                    (id, (next() % 101) as f64 / 100.0, size_of(id), Time(next() % 1_000))
+                })
+                .collect();
+            for delta in [0.0, 0.3, 0.5, 0.9, 1.0] {
+                for initial in [&initial[..], &[]] {
+                    let new = shadow_hit_ratio_from(&requests, capacity, delta, initial);
+                    let old = three_structure_reference(&requests, capacity, delta, initial);
+                    prop_assert_eq!(new.to_bits(), old.to_bits(), "δ = {}", delta);
+                    prop_assert!((0.0..=1.0).contains(&new));
+                }
+            }
+            let bytes: u64 = requests.iter().map(|r| r.size).filter(|&s| s <= capacity).sum();
+            evicting.set(evicting.get() + (bytes > 2 * capacity) as usize);
+        });
+        let evicting = evicting.get();
+        assert!(
+            evicting >= 100,
+            "{evicting} of 256 streams overflow their cache"
+        );
+    }
+
     #[test]
     fn empty_window_is_noop() {
-        let mut e = ThresholdEstimator::new(0.002);
+        let mut e = ThresholdEstimator::default();
         assert_eq!(e.update(&[], 100, &[]), 0.5);
     }
 }

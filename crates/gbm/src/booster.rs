@@ -366,11 +366,6 @@ impl Gbm {
         self.n_features
     }
 
-    /// Total split gain per feature — a standard importance measure.
-    pub fn feature_importance(&self) -> &[f64] {
-        &self.feature_gain
-    }
-
     /// Mean squared error of the model on a dataset (batched prediction).
     pub fn mse(&self, data: &Dataset) -> f64 {
         assert!(!data.is_empty());
@@ -487,7 +482,7 @@ mod tests {
             d.push_row(&[x0, x1, x2], if x1 > 6.0 { 1.0 } else { 0.0 });
         }
         let model = Gbm::fit(&d, &GbmParams::default());
-        let imp = model.feature_importance();
+        let imp = &model.feature_gain;
         assert!(imp[1] > 10.0 * imp[0].max(imp[2]), "{imp:?}");
     }
 

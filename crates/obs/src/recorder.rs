@@ -1,6 +1,7 @@
 //! The shared recorder: a cheap-to-clone handle ([`Obs`]) that collects
 //! windows, events, counters, gauges, histograms, and spans, then exports
-//! them as section-ordered JSONL.
+//! them as section-ordered JSONL — in one walk (`export`), whether into a
+//! string, a record list or the file [`Obs::stream_to`] opened.
 //!
 //! The handle is deliberately *not* touched on per-request hot paths —
 //! instrumented loops accumulate locally ([`crate::series::SeriesAcc`],
@@ -60,40 +61,6 @@ impl Default for ObsConfig {
     }
 }
 
-/// A streaming JSONL sink attached by [`Obs::stream_to`]. The meta line is
-/// written lazily — just before the first window record — so run metadata
-/// set any time before the first window closes still lands on it. Write
-/// errors are stashed and surfaced by [`Obs::close_stream`] so the
-/// instrumented hot loop never has to handle I/O results.
-struct Sink {
-    out: BufWriter<File>,
-    /// The line under construction, reused from record to record.
-    line: String,
-    meta_written: bool,
-    /// Windows already written (prefix length of `Inner::windows`).
-    streamed: usize,
-    error: Option<io::Error>,
-}
-
-impl Sink {
-    fn write_record(&mut self, record: RecordRef<'_>) {
-        if self.error.is_some() {
-            return;
-        }
-        self.line.clear();
-        record.write_line(&mut self.line);
-        self.line.push('\n');
-        if let Err(e) = self.out.write_all(self.line.as_bytes()) {
-            self.error = Some(e);
-        }
-    }
-
-    fn write_meta(&mut self, config: &ObsConfig, meta: &[(String, Json)]) {
-        self.write_record(RecordRef::Meta(&meta_fields(config, meta)));
-        self.meta_written = true;
-    }
-}
-
 #[derive(Default)]
 struct Inner {
     meta: Vec<(String, Json)>,
@@ -106,36 +73,13 @@ struct Inner {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
     hists: BTreeMap<String, LogHistogram>,
-    sink: Option<Sink>,
-}
-
-impl Inner {
-    /// Writes any not-yet-streamed windows to the sink, preceded by the
-    /// meta line on first use. No-op without a sink or pending windows.
-    fn stream_pending(&mut self, config: &ObsConfig) {
-        let Inner {
-            sink,
-            meta,
-            windows,
-            ..
-        } = self;
-        let Some(sink) = sink.as_mut() else { return };
-        if sink.streamed == windows.len() {
-            return;
-        }
-        if !sink.meta_written {
-            sink.write_meta(config, meta);
-        }
-        for w in &windows[sink.streamed..] {
-            sink.write_record(RecordRef::Window(w));
-        }
-        sink.streamed = windows.len();
-    }
+    /// The file [`Obs::stream_to`] opened, until [`Obs::close_stream`]
+    /// writes the export into it.
+    sink: Option<BufWriter<File>>,
 }
 
 /// The leading `meta` line's fields: recorder config first, then caller
-/// metadata in insertion order. Shared by the buffered export and the
-/// streaming sink so the two can never drift.
+/// metadata in insertion order.
 fn meta_fields(config: &ObsConfig, meta: &[(String, Json)]) -> Vec<(String, Json)> {
     let mut m = vec![
         ("window".to_string(), config.window.to_json()),
@@ -152,15 +96,20 @@ fn meta_fields(config: &ObsConfig, meta: &[(String, Json)]) -> Vec<(String, Json
     m
 }
 
-/// Every section that follows the windows, in the fixed export order:
-/// events (recorded, then SLO verdict events synthesized from the merged
+/// Everything recorded, in the fixed export order: meta, windows, events
+/// (recorded, then SLO verdict events synthesized from the merged
 /// windows), traces (exemplar-marked), counters (plus
 /// `obs.events_dropped` / `obs.traces_dropped`), gauges, histograms,
 /// spans — each handed to `emit` borrowed from the buffers, never cloned.
-/// Shared by [`export`] and [`Obs::close_stream`]. Taking the complete
-/// `Inner` is what makes the trace/SLO sections pure functions of the
-/// *merged* run — never of the thread count that produced it.
-fn post_window(config: &ObsConfig, inner: &Inner, emit: &mut dyn FnMut(RecordRef<'_>)) {
+/// The one walk behind [`Obs::records`], [`Obs::to_jsonl`] and
+/// [`Obs::close_stream`]. Taking the complete `Inner` is what makes the
+/// trace/SLO sections pure functions of the *merged* run — never of the
+/// thread count that produced it.
+fn export(config: &ObsConfig, inner: &Inner, emit: &mut dyn FnMut(RecordRef<'_>)) {
+    emit(RecordRef::Meta(&meta_fields(config, &inner.meta)));
+    for w in &inner.windows {
+        emit(RecordRef::Window(w));
+    }
     for e in &inner.events {
         emit(RecordRef::Event(e));
     }
@@ -192,17 +141,6 @@ fn post_window(config: &ObsConfig, inner: &Inner, emit: &mut dyn FnMut(RecordRef
     for s in &inner.spans.records() {
         emit(RecordRef::Span(s));
     }
-}
-
-/// Everything recorded, in the fixed export order: meta, windows, then
-/// [`post_window`]. The one walk behind [`Obs::records`] and
-/// [`Obs::to_jsonl`].
-fn export(config: &ObsConfig, inner: &Inner, emit: &mut dyn FnMut(RecordRef<'_>)) {
-    emit(RecordRef::Meta(&meta_fields(config, &inner.meta)));
-    for w in &inner.windows {
-        emit(RecordRef::Window(w));
-    }
-    post_window(config, inner, emit);
 }
 
 /// The shared observability recorder. Cloning is cheap (one `Arc`); all
@@ -324,53 +262,42 @@ impl Obs {
     }
 
     /// Appends completed windows from a [`crate::series::SeriesAcc`].
-    /// When a streaming sink is attached ([`Obs::stream_to`]), each window
-    /// is also written to it immediately.
     pub fn push_windows(&self, windows: Vec<WindowRecord>) {
-        let mut inner = self.inner.lock();
-        inner.windows.extend(windows);
-        inner.stream_pending(&self.config);
+        self.inner.lock().windows.extend(windows);
     }
 
-    /// Starts streaming this recorder's export to `path`. The leading meta
-    /// line is written when the first window arrives — run metadata must be
-    /// final by then — each completed window is appended as it is pushed,
-    /// and [`close_stream`](Obs::close_stream) writes the post-window
-    /// sections. The finished file is byte-identical to
-    /// [`to_jsonl`](Obs::to_jsonl) at close time.
+    /// Opens `path` as the file this recorder's export goes to — now, so a
+    /// path that cannot be written fails before the run instead of after
+    /// it. [`close_stream`](Obs::close_stream) writes the export.
     pub fn stream_to(&self, path: impl AsRef<Path>) -> io::Result<()> {
         let file = File::create(path)?;
-        self.inner.lock().sink = Some(Sink {
-            // A traced export runs to megabytes; the default 8 KiB would
-            // make it several hundred writes.
-            out: BufWriter::with_capacity(1 << 16, file),
-            line: String::new(),
-            meta_written: false,
-            streamed: 0,
-            error: None,
-        });
+        // A traced export runs to megabytes; the default 8 KiB would make
+        // it several hundred writes.
+        self.inner.lock().sink = Some(BufWriter::with_capacity(1 << 16, file));
         Ok(())
     }
 
-    /// Finishes a streaming export: flushes any pending windows (and the
-    /// meta line, for a zero-window run), appends the post-window sections
-    /// in the fixed export order, and detaches the sink. Returns the first
-    /// write error encountered anywhere in the stream. No-op without an
-    /// attached sink.
+    /// Writes the export — [`to_jsonl`](Obs::to_jsonl)'s bytes, one record
+    /// at a time — into the file [`stream_to`](Obs::stream_to) opened, and
+    /// closes it. Returns the first write error. No-op without an open
+    /// file.
     pub fn close_stream(&self) -> io::Result<()> {
         let mut inner = self.inner.lock();
-        inner.stream_pending(&self.config);
-        let Some(mut sink) = inner.sink.take() else {
+        let Some(mut out) = inner.sink.take() else {
             return Ok(());
         };
-        if !sink.meta_written {
-            sink.write_meta(&self.config, &inner.meta);
-        }
-        post_window(&self.config, &inner, &mut |r| sink.write_record(r));
-        match sink.error {
-            Some(e) => Err(e),
-            None => sink.out.flush(),
-        }
+        let mut line = String::new();
+        let mut written = Ok(());
+        export(&self.config, &inner, &mut |r| {
+            if written.is_ok() {
+                line.clear();
+                r.write_line(&mut line);
+                line.push('\n');
+                written = out.write_all(line.as_bytes());
+            }
+        });
+        written?;
+        out.flush()
     }
 
     /// Merges per-shard recorders into this one **in the order given** —
@@ -423,9 +350,6 @@ impl Obs {
         let merged_windows = crate::series::merge_windows(&windows_per);
 
         let mut inner = self.inner.lock();
-        // Metadata upserts first: a streaming sink writes its meta line
-        // when the merged windows land below, and shard metadata must
-        // already be on it.
         for (k, v) in metas {
             match inner.meta.iter_mut().find(|(mk, _)| *mk == k) {
                 Some((_, mv)) => *mv = v,
@@ -433,7 +357,6 @@ impl Obs {
             }
         }
         inner.windows.extend(merged_windows);
-        inner.stream_pending(&self.config);
         for e in events {
             if inner.events.len() < self.config.max_events {
                 inner.events.push(e);
@@ -771,8 +694,8 @@ mod tests {
         std::env::temp_dir().join(format!("lhr-obs-stream-{tag}-{}.jsonl", std::process::id()))
     }
 
-    /// The streaming sink's contract: the file it produces is byte-for-byte
-    /// the buffered export, with windows written incrementally as pushed.
+    /// The sink's contract: the file it produces is byte-for-byte the
+    /// buffered export.
     #[test]
     fn streamed_export_is_byte_identical_to_buffered() {
         let obs = Obs::new(ObsConfig {
@@ -781,8 +704,8 @@ mod tests {
         });
         let path = stream_path("basic");
         obs.stream_to(&path).unwrap();
-        // Metadata set before the first window closes lands on the lazily
-        // written meta line.
+        // Metadata set after the file was opened still lands on the meta
+        // line: nothing is written before the close.
         obs.set_meta("policy", "lru");
         obs.set_meta("trace", "t");
         for i in 0..3u64 {
@@ -817,7 +740,7 @@ mod tests {
     }
 
     /// A run that closes no windows still produces a complete, identical
-    /// export (meta line written at close).
+    /// export.
     #[test]
     fn streamed_export_without_windows_matches() {
         let obs = Obs::new(ObsConfig {
@@ -834,8 +757,7 @@ mod tests {
         assert_eq!(streamed, obs.to_jsonl());
     }
 
-    /// Shard-merged windows stream through [`Obs::absorb_shards`] too, with
-    /// shard metadata applied before the meta line is written.
+    /// Shard-merged windows and shard metadata reach the file too.
     #[test]
     fn streamed_absorb_shards_is_byte_identical() {
         let config = ObsConfig {

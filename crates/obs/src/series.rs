@@ -562,15 +562,6 @@ impl SeriesAcc {
         closed
     }
 
-    /// Delta path: whether the request just observed completed a
-    /// request-count window, which the next [`observe`](Self::observe) (or
-    /// [`finish_observed`](Self::finish_observed)) will flush — the moment
-    /// [`on_request`](Self::on_request) reports the window closed.
-    #[inline]
-    pub fn fills_window(&self) -> bool {
-        matches!(self.window, ObsWindow::Requests(n) if self.open_len >= n)
-    }
-
     /// Materializes the open window from a snapshot delta, pushes it, and
     /// opens the next window at `t_micros`. Off the per-request path.
     #[cold]
@@ -628,11 +619,9 @@ impl SeriesAcc {
         self.cur_open = false;
     }
 
-    /// The window index the most recent request was credited to. Call
-    /// right after [`on_request`](Self::on_request) /
-    /// [`observe`](Self::observe) and before
-    /// [`take_done`](Self::take_done) — request tracing stamps each
-    /// sampled trace with this so exemplars can link back to windows.
+    /// The window index the most recent request was credited to — request
+    /// tracing stamps each sampled trace with this so exemplars can link
+    /// back to windows.
     #[inline]
     pub fn last_index(&self) -> u64 {
         if self.cur_open {
@@ -640,11 +629,6 @@ impl SeriesAcc {
         } else {
             self.done.last().map(|w| w.index).unwrap_or(self.cur.index)
         }
-    }
-
-    /// Completed windows so far (drains the internal buffer).
-    pub fn take_done(&mut self) -> Vec<WindowRecord> {
-        std::mem::take(&mut self.done)
     }
 
     /// Flushes the final partial window (if anything landed in it) and

@@ -1,6 +1,6 @@
 //! FIFO and Random eviction — the classic strawmen (§8).
 
-use crate::util::SampleStore;
+use lhr_sim::store::SampleStore;
 use lhr_sim::{CachePolicy, Outcome};
 use lhr_trace::{ObjectId, Request, Time};
 use lhr_util::hash::FastMap;

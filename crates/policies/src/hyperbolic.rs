@@ -7,7 +7,7 @@
 //! system, eviction samples a handful of candidates and evicts the
 //! smallest-priority one.
 
-use crate::util::sample_store::{SampleStore, Slot};
+use lhr_sim::store::{SampleStore, Slot};
 use lhr_sim::{CachePolicy, Outcome};
 use lhr_trace::{ObjectId, Request, Time};
 use lhr_util::rng::rngs::SmallRng;

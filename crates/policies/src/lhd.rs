@@ -15,7 +15,7 @@
 //!   lowest-density object among a random sample, exactly as LHD's sampled
 //!   eviction does.
 
-use crate::util::SampleStore;
+use lhr_sim::store::SampleStore;
 use lhr_sim::{CachePolicy, Outcome};
 use lhr_trace::{ObjectId, Request, Time};
 use lhr_util::rng::rngs::SmallRng;

@@ -22,8 +22,8 @@
 //! counters are replaced by the access count, and the memory window is a
 //! fixed constructor parameter instead of being auto-tuned.
 
-use crate::util::SampleStore;
 use lhr_gbm::{Dataset, Gbm, GbmParams};
+use lhr_sim::store::SampleStore;
 use lhr_sim::{CachePolicy, Outcome};
 use lhr_trace::{ObjectId, Request, Time};
 use lhr_util::hash::FastMap;

@@ -12,8 +12,8 @@
 //! expensive to keep current and non-robust across workloads — is
 //! reproducible directly against this baseline.
 
-use crate::util::SampleStore;
 use lhr_nn::{Activation, Mlp, TrainConfig};
+use lhr_sim::store::SampleStore;
 use lhr_sim::{CachePolicy, Outcome};
 use lhr_trace::{ObjectId, Request, Time};
 use lhr_util::hash::FastMap;

@@ -5,11 +5,9 @@ pub mod cms;
 pub mod list;
 pub mod lru_store;
 pub mod ordf64;
-pub mod sample_store;
 
 pub use bloom::BloomFilter;
 pub use cms::CountMinSketch;
 pub use list::{Handle, LruList};
 pub use lru_store::LruStore;
 pub use ordf64::OrdF64;
-pub use sample_store::SampleStore;

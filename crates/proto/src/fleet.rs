@@ -328,16 +328,6 @@ impl NodeFaultConfig {
             .filter(|&&(n, _, end)| n == node && t >= end)
             .count() as u64
     }
-
-    /// Total down-seconds scheduled for `node` — the analytic input to
-    /// the availability floor asserted in `tests/fleet.rs`.
-    pub fn down_secs(&self, node: usize) -> f64 {
-        self.windows
-            .iter()
-            .filter(|&&(n, _, _)| n == node)
-            .map(|&(_, start, end)| (end - start).max(0.0))
-            .sum()
-    }
 }
 
 /// A [`NodeFaultConfig`] compiled for one replay: between two consecutive
@@ -1553,7 +1543,6 @@ mod tests {
         assert!(brown.down(2, 400.0) && !brown.down(2, 700.0) && !brown.down(1, 400.0));
         assert_eq!(brown.epoch(2, 400.0), 0);
         assert_eq!(brown.epoch(2, 650.0), 1);
-        assert!((brown.down_secs(2) - 300.0).abs() < 1e-9);
 
         let churn = NodeFaultConfig::preset("node-churn", 9, 4, 1000.0).unwrap();
         assert!(churn.cold_restart);

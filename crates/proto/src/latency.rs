@@ -35,27 +35,18 @@ impl LatencyModel {
         self.edge_rtt_ms + transfer_ms(size, self.edge_gbps) + compute_ms
     }
 
-    /// Latency of a miss: edge RTT + origin RTT + origin fetch + edge
-    /// transfer (fetch and delivery overlap is ignored, matching the
-    /// paper's "the larger the size, the slower the user receives the
-    /// complete content").
-    pub fn miss_latency_ms(&self, size: u64, compute_ms: f64) -> f64 {
-        self.edge_rtt_ms
-            + self.origin_rtt_ms
-            + transfer_ms(size, self.origin_gbps)
-            + transfer_ms(size, self.edge_gbps)
-            + compute_ms
-    }
-
     /// Latency of a revalidation that found the content unchanged: one
     /// origin RTT on top of a hit.
     pub fn revalidate_latency_ms(&self, size: u64, compute_ms: f64) -> f64 {
         self.hit_latency_ms(size, compute_ms) + self.origin_rtt_ms
     }
 
-    /// Miss latency when the origin transfers at `rate_scale` of its
-    /// nominal rate (latency spikes and slow-start epochs; `1.0` is
-    /// [`LatencyModel::miss_latency_ms`]).
+    /// Latency of a miss: edge RTT + origin RTT + origin fetch + edge
+    /// transfer (fetch and delivery overlap is ignored, matching the
+    /// paper's "the larger the size, the slower the user receives the
+    /// complete content"), with the origin transferring at `rate_scale` of
+    /// its nominal rate (latency spikes and slow-start epochs; `1.0` is a
+    /// healthy origin).
     pub fn miss_latency_scaled_ms(&self, size: u64, compute_ms: f64, rate_scale: f64) -> f64 {
         self.edge_rtt_ms
             + self.origin_fetch_ms(size, rate_scale)
@@ -110,7 +101,10 @@ mod tests {
     fn miss_is_slower_than_hit() {
         let m = LatencyModel::default();
         let size = 25_000_000; // ~25 MB, the CDN-A mean
-        assert!(m.miss_latency_ms(size, 0.0) > m.hit_latency_ms(size, 0.0) + m.origin_rtt_ms);
+        assert!(
+            m.miss_latency_scaled_ms(size, 0.0, 1.0)
+                > m.hit_latency_ms(size, 0.0) + m.origin_rtt_ms
+        );
     }
 
     #[test]
@@ -131,9 +125,8 @@ mod tests {
         let m = LatencyModel::default();
         let size = 1 << 20;
         assert!(
-            (m.miss_latency_scaled_ms(size, 0.0, 1.0) - m.miss_latency_ms(size, 0.0)).abs() < 1e-9
+            m.miss_latency_scaled_ms(size, 0.0, 0.1) > m.miss_latency_scaled_ms(size, 0.0, 1.0)
         );
-        assert!(m.miss_latency_scaled_ms(size, 0.0, 0.1) > m.miss_latency_ms(size, 0.0));
         // The in-flight window grows as the origin slows.
         assert!(m.origin_fetch_ms(size, 0.25) > m.origin_fetch_ms(size, 1.0));
         // Error responses cost no transfer.
@@ -148,7 +141,7 @@ mod tests {
         let m = LatencyModel::default();
         let hit = m.hit_latency_ms(25_000_000, 0.0);
         assert!((30.0..60.0).contains(&hit), "hit latency {hit}");
-        let miss = m.miss_latency_ms(25_000_000, 0.0);
+        let miss = m.miss_latency_scaled_ms(25_000_000, 0.0, 1.0);
         assert!((150.0..300.0).contains(&miss), "miss latency {miss}");
     }
 }

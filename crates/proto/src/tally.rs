@@ -8,7 +8,10 @@
 //! next to its fleet-only counters. Counters, latency samples, the windowed
 //! series, the latency histogram and the breaker / stale / error / coalesce
 //! events are therefore bumped and emitted in exactly one place, and the
-//! hit / availability / WAN / percentile arithmetic is done once.
+//! hit / availability / WAN / percentile arithmetic is done once. A tally
+//! has one mode: whichever layer steps it, its windows reach the recorder
+//! at [`Tally::finish`], and a sampled request trace is stamped with the
+//! window the request was counted in.
 
 use crate::fault::FaultConfig;
 use crate::server::{ServeOutcome, ServerReport};
@@ -54,9 +57,7 @@ fn append(into: &mut Vec<f64>, from: &mut Vec<f64>, room: usize) {
 
 /// Stamps the run's identity on the master recorder and emits the injected
 /// origin outage schedule up front, so the event stream explains any
-/// availability dip that follows. Called before the first request: a
-/// streaming sink writes its meta line when the first window lands, and
-/// the line must already be final.
+/// availability dip that follows.
 pub(crate) fn announce(obs: &Obs, policy: &str, trace: &Trace, faults: &FaultConfig) {
     obs.set_meta("policy", policy);
     obs.set_meta("trace", trace.name.as_str());
@@ -100,25 +101,12 @@ struct Recording {
     obs: Obs,
     tracer: TraceRecorder,
     /// Fed on the delta path: it reads [`Tally::counts`] at window edges
-    /// instead of counting every request a second time.
+    /// instead of counting every request a second time. The windows stay
+    /// in it until [`Tally::finish`].
     acc: SeriesAcc,
-    /// Hand windows to the recorder as they close instead of at
-    /// [`Tally::finish`].
-    stream: bool,
 }
 
 impl Recording {
-    /// The window index a sampled trace of the request just observed is
-    /// stamped with: the window it was counted in — except that a
-    /// streaming tally stamps the request that *fills* a request-count
-    /// window with the next index. That is the parent commit's behaviour
-    /// (it read the index after handing the filled window to the recorder),
-    /// kept for byte-identical exports; ROADMAP defers fixing it to a PR
-    /// that re-records the goldens.
-    fn stamp_window(&self) -> u64 {
-        self.acc.last_index() + (self.stream && self.acc.fills_window()) as u64
-    }
-
     // The two event emitters are rare and allocate; kept out of line they
     // cost the per-request path one branch each.
 
@@ -183,9 +171,8 @@ pub(crate) struct Tally {
 // other modules (other codegen units), and left as calls they cost the
 // fleet ≈10 % and the obs-on engine ≈8 % of replay time.
 impl Tally {
-    /// A tally recording straight into `obs`: windows are handed over as
-    /// they close, so a streaming sink sees them mid-replay.
-    /// `latency_cap` is the number of measured requests to make room for.
+    /// A tally recording straight into `obs`, with room for `latency_cap`
+    /// measured requests.
     pub(crate) fn new(obs: Option<Obs>, warmup: usize, latency_cap: usize) -> Self {
         let rec = obs.map(|obs| {
             let every = obs.config().trace_sample as usize;
@@ -197,7 +184,6 @@ impl Tally {
                 tracer: obs.trace_recorder(),
                 acc: SeriesAcc::new(obs.window()),
                 obs,
-                stream: true,
             }
         });
         Tally {
@@ -213,15 +199,10 @@ impl Tally {
     /// ([`lhr_sim::shard::Partition::measured`]), so the latency vector
     /// never reallocates mid-replay however skewed the shards are. It
     /// records into a private recorder built from `master`'s configuration,
-    /// which [`Tally::merge`] absorbs in shard order; its windows merge by
-    /// index there, so they stay put until [`Self::finish`].
+    /// which [`Tally::merge`] absorbs in shard order.
     pub(crate) fn shard(master: Option<&Obs>, warmup: usize, measured: usize) -> Self {
         let private = master.map(|m| Obs::new(m.config().clone()));
-        let mut tally = Tally::new(private, warmup, measured);
-        if let Some(rec) = &mut tally.rec {
-            rec.stream = false;
-        }
-        tally
+        Tally::new(private, warmup, measured)
     }
 
     /// The recorder this tally feeds (what shard policies attach to).
@@ -292,9 +273,7 @@ impl Tally {
                 // window ends at the *previous* eviction reading — the one
                 // still in `counts`.
                 let counts = &self.counts;
-                if rec.acc.observe(req.ts.as_micros(), || *counts) && rec.stream {
-                    rec.obs.push_windows(rec.acc.take_done());
-                }
+                rec.acc.observe(req.ts.as_micros(), || *counts);
                 self.counts.bytes_hit += served.hit as u128 * req.size as u128;
             }
             // Read during warmup too, so warmup evictions are baselined
@@ -328,7 +307,7 @@ impl Tally {
         }
         if let Some(tb) = tb {
             rec.obs
-                .push_trace(tb.finish(served.latency_ms, rec.stamp_window()));
+                .push_trace(tb.finish(served.latency_ms, rec.acc.last_index()));
         }
     }
 
@@ -457,59 +436,5 @@ impl Tally {
             series: Vec::new(),
             replay_wall_secs: wall_secs,
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use crate::{CdnServer, EngineConfig, ServerConfig, ShardedEngine};
-    use lhr_obs::{Obs, ObsConfig, ObsWindow};
-    use lhr_policies::Lru;
-    use lhr_sim::shard::RouteConfig;
-    use lhr_trace::{Request, Time, Trace};
-
-    /// The window-stamp quirk, pinned so the delta path cannot "fix" it
-    /// unnoticed: with every request traced and five-request windows, a
-    /// streaming single server stamps the request that fills a window with
-    /// the *next* window's index, while an engine shard — same tally, not
-    /// streaming — stamps it with the window it closed. The serving goldens
-    /// sample 1/64 and never catch a window-filling request; this does.
-    /// Making the two agree is a behaviour change that re-records exports
-    /// (ROADMAP, "One replay loop, one report shape").
-    #[test]
-    fn window_stamp_quirk_single_server_next_index_engine_shard_closing_index() {
-        let mut trace = Trace::new("stamps");
-        for i in 0..12u64 {
-            trace.push(Request::new(Time::from_secs(i), i % 3, 1_000));
-        }
-        let recorder = || {
-            Obs::new(ObsConfig {
-                window: ObsWindow::Requests(5),
-                deterministic: true,
-                trace_sample: 1,
-                ..ObsConfig::default()
-            })
-        };
-        let stamps = |obs: &Obs| -> Vec<u64> { obs.traces().iter().map(|t| t.window).collect() };
-
-        let single = recorder();
-        CdnServer::new(Lru::new(1 << 20), ServerConfig::default())
-            .with_obs(single.clone())
-            .replay(&trace);
-        //                          fills window 0 ↓   fills window 1 ↓
-        assert_eq!(stamps(&single), [0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 2, 2]);
-
-        let sharded = recorder();
-        ShardedEngine::new(EngineConfig {
-            n_shards: 1,
-            route: RouteConfig { threads: 1 },
-            ..EngineConfig::new(1 << 20)
-        })
-        .with_obs(sharded.clone())
-        .replay(&trace, |_, capacity, _| Lru::new(capacity));
-        assert_eq!(stamps(&sharded), [0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 2]);
-
-        // Either way the windows themselves hold the same requests.
-        assert_eq!(single.windows(), sharded.windows());
     }
 }

@@ -298,9 +298,7 @@ impl Simulator {
     }
 
     /// A result labelled and timed but with nothing counted yet — what
-    /// [`Replay::finish`] adds to. Sets the run's metadata first: a
-    /// streaming sink writes its meta line with the first window record
-    /// that lands (from `finish`, or from the shard merge).
+    /// [`Replay::finish`] adds to — and the run's metadata on the recorder.
     fn start_result(&self, trace: &Trace, policy: &str, wall_secs: f64) -> SimResult {
         if let Some(obs) = &self.obs {
             obs.set_meta("policy", policy);

@@ -17,6 +17,11 @@
 //!   under `lhr-proto`'s engine and fleet): key-hash sharding and a one-pass
 //!   [`shard::Partition`] of the trace whose shards run start to finish on
 //!   whichever worker claims them.
+//! - [`store::SampleStore`] — the byte-bounded slot array every sampling
+//!   policy keeps its objects in (the `lhr-policies` samplers, `LhrCache`
+//!   and its threshold estimator's shadow cache): position index,
+//!   `swap_remove` fix-up, byte accounting and the freshness stamp of
+//!   [`policy::CachePolicy`]'s contract, once.
 //! - [`bound::OfflineBound`] — the interface for (offline or online) upper
 //!   bounds on OPT, which see the whole trace instead of reacting
 //!   request-by-request.
@@ -65,6 +70,7 @@ pub mod engine;
 pub mod metrics;
 pub mod policy;
 pub mod shard;
+pub mod store;
 pub mod sweep;
 
 pub use bound::OfflineBound;

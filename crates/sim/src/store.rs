@@ -1,0 +1,279 @@
+//! A byte-bounded cache store for sampled eviction: every cached object
+//! is one slot of a dense array, so a policy that scores 64 random
+//! candidates reads 64 array slots instead of probing a map 64 times
+//! (SNIPPETS.md snippet 3).
+//!
+//! The store holds the position index, the `swap_remove` fix-up, the byte
+//! accounting, the eviction counter and each object's freshness stamp
+//! ([`crate::CachePolicy`]'s contract, which is why it lives in this crate)
+//! once. The stamp sits in the index value, not in the slot: it is only
+//! ever read by id, and the slots a sampler scans stay as small as the
+//! policy's own state. Everything that samples stands on it: the
+//! `lhr-policies` samplers (Random, Hyperbolic, LHD, LRB, PopCache),
+//! `LhrCache`, and the shadow cache of LHR's threshold estimator. Each
+//! draws positions from its own RNG — `rng.gen_range(0..store.len())` —
+//! scores [`SampleStore::slot`]s by its own rule and hands the loser to
+//! [`SampleStore::evict_at`].
+
+use lhr_trace::{ObjectId, Time};
+use lhr_util::hash::FastMap;
+
+/// One cached object with the policy's per-object state inline.
+#[derive(Debug)]
+pub struct Slot<E> {
+    /// The object.
+    pub id: ObjectId,
+    /// Its size in bytes, counted in [`SampleStore::used`].
+    pub size: u64,
+    /// What the policy scores it by.
+    pub entry: E,
+}
+
+/// A dense array of [`Slot`]s with an id → position index, never holding
+/// more than `capacity` bytes.
+#[derive(Debug)]
+pub struct SampleStore<E> {
+    capacity: u64,
+    used: u64,
+    evictions: u64,
+    slots: Vec<Slot<E>>,
+    /// id → (position in `slots`, freshness stamp).
+    index: FastMap<ObjectId, (u32, Time)>,
+}
+
+impl<E> SampleStore<E> {
+    /// An empty store of `capacity` bytes.
+    pub fn new(capacity: u64) -> Self {
+        SampleStore {
+            capacity,
+            used: 0,
+            evictions: 0,
+            slots: Vec::new(),
+            index: FastMap::default(),
+        }
+    }
+
+    /// The byte budget.
+    pub fn capacity(&self) -> u64 {
+        self.capacity
+    }
+
+    /// Bytes held.
+    pub fn used(&self) -> u64 {
+        self.used
+    }
+
+    /// Objects removed by [`SampleStore::evict_at`].
+    pub fn evictions(&self) -> u64 {
+        self.evictions
+    }
+
+    /// Number of objects held; positions are `0..len()`.
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// True when nothing is held.
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// Whether `id` is held.
+    pub fn contains(&self, id: ObjectId) -> bool {
+        self.index.contains_key(&id)
+    }
+
+    /// The hit path: the policy state of `id`, if it is held.
+    #[inline]
+    pub fn get_mut(&mut self, id: ObjectId) -> Option<&mut E> {
+        let &(pos, _) = self.index.get(&id)?;
+        Some(&mut self.slots[pos as usize].entry)
+    }
+
+    /// Where `id` sits, if it is held — for a caller that probes once and
+    /// then reads or writes the slot by position
+    /// ([`SampleStore::entry_mut`]). Valid until the next
+    /// [`SampleStore::evict_at`].
+    #[inline]
+    pub fn position(&self, id: ObjectId) -> Option<usize> {
+        self.index.get(&id).map(|&(pos, _)| pos as usize)
+    }
+
+    /// The freshness stamp of `id`, if it is held.
+    #[inline]
+    pub fn admitted_at(&self, id: ObjectId) -> Option<Time> {
+        self.index.get(&id).map(|&(_, at)| at)
+    }
+
+    /// Sets the freshness stamp of `id` to `at` if it is held.
+    pub fn restamp(&mut self, id: ObjectId, at: Time) {
+        if let Some(entry) = self.index.get_mut(&id) {
+            entry.1 = at;
+        }
+    }
+
+    /// The object at `pos` (`pos < len()`).
+    #[inline]
+    pub fn slot(&self, pos: usize) -> &Slot<E> {
+        &self.slots[pos]
+    }
+
+    /// The policy state of the object at `pos` (`pos < len()`), writable.
+    #[inline]
+    pub fn entry_mut(&mut self, pos: usize) -> &mut E {
+        &mut self.slots[pos].entry
+    }
+
+    /// Whether `size` more bytes fit without an eviction.
+    pub fn fits(&self, size: u64) -> bool {
+        self.used + size <= self.capacity
+    }
+
+    /// Admits `id` at position `len()`, stamped `at`. `id` must be absent
+    /// and must [`fit`](SampleStore::fits).
+    pub fn push(&mut self, id: ObjectId, size: u64, at: Time, entry: E) {
+        debug_assert!(self.fits(size) && !self.contains(id));
+        let pos = u32::try_from(self.slots.len()).expect("fewer than 2^32 cached objects");
+        self.index.insert(id, (pos, at));
+        self.slots.push(Slot { id, size, entry });
+        self.used += size;
+    }
+
+    /// Evicts the object at `pos`, returning its slot. The last slot
+    /// moves into `pos`, keeping its stamp; every other position is
+    /// unchanged.
+    pub fn evict_at(&mut self, pos: usize) -> Slot<E> {
+        let slot = self.slots.swap_remove(pos);
+        self.index.remove(&slot.id);
+        if let Some(moved) = self.slots.get(pos) {
+            self.index.get_mut(&moved.id).expect("indexed").0 = pos as u32;
+        }
+        self.used -= slot.size;
+        self.evictions += 1;
+        slot
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn evicting_a_middle_slot_moves_the_last_one_into_it() {
+        let mut s: SampleStore<char> = SampleStore::new(1_000);
+        s.push(10, 100, Time::from_secs(10), 'a');
+        s.push(20, 200, Time::from_secs(20), 'b');
+        s.push(30, 300, Time::from_secs(30), 'c');
+        let gone = s.evict_at(0);
+        assert_eq!((gone.id, gone.size, gone.entry), (10, 100, 'a'));
+        assert_eq!(s.slot(0).id, 30);
+        assert_eq!(s.get_mut(30), Some(&mut 'c'));
+        assert_eq!(s.get_mut(20), Some(&mut 'b'));
+        assert_eq!(s.get_mut(10), None);
+        // The moved slot kept its stamp; the evicted one's is gone.
+        assert_eq!(s.admitted_at(30), Some(Time::from_secs(30)));
+        assert_eq!(s.admitted_at(10), None);
+        s.restamp(20, Time::from_secs(99));
+        s.restamp(10, Time::from_secs(99)); // absent: not admitted by it
+        assert_eq!(s.admitted_at(20), Some(Time::from_secs(99)));
+        assert!(!s.contains(10));
+        assert_eq!((s.used(), s.evictions(), s.len()), (500, 1, 2));
+    }
+
+    #[test]
+    fn evicting_the_last_slot_needs_no_fix_up() {
+        let mut s: SampleStore<()> = SampleStore::new(100);
+        s.push(1, 40, Time::from_secs(1), ());
+        s.push(2, 40, Time::from_secs(2), ());
+        assert!(!s.fits(40));
+        s.evict_at(1);
+        assert!(s.contains(1) && !s.contains(2));
+        assert!(s.fits(60) && !s.fits(61));
+        s.evict_at(0);
+        assert!(s.is_empty());
+    }
+
+    /// Three samplers stand on the store, so it is held to the structure
+    /// each of them used to keep by hand: a `Vec` in sampler order (`push`
+    /// appends, eviction `swap_remove`s) and a `HashMap` of stamps. After
+    /// every `push` / `evict_at` / `restamp` / `get_mut` / `entry_mut` of a
+    /// random sequence every position holds the model's slot, `position`
+    /// is the model's index, and the stamp of a slot the fix-up moved is
+    /// the one it was admitted or last restamped with.
+    #[test]
+    fn random_operations_match_a_vec_and_hashmap_model() {
+        use lhr_util::prop::{any_u64, range};
+        use lhr_util::{prop_assert_eq, prop_check};
+        use std::collections::HashMap;
+        prop_check!(cases: 64, (ops in range(1usize..1_500), seed in any_u64(), key_space in range(1u64..64)) => {
+            let mut state = seed | 1;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            let capacity = 40 * key_space;
+            let mut store: SampleStore<u64> = SampleStore::new(capacity);
+            let mut slots: Vec<(ObjectId, u64, u64)> = Vec::new();
+            let mut stamps: HashMap<ObjectId, Time> = HashMap::new();
+            let mut evicted = 0u64;
+            for step in 0..ops as u64 {
+                let id = next() % key_space;
+                let held = slots.iter().position(|&(held, ..)| held == id);
+                prop_assert_eq!(store.position(id), held);
+                match next() % 10 {
+                    // Push-heavy, so the store stays near its byte budget.
+                    0..=4 => {
+                        let size = next() % 100 + 1;
+                        let used: u64 = slots.iter().map(|&(_, size, _)| size).sum();
+                        prop_assert_eq!(store.fits(size), used + size <= capacity);
+                        if held.is_none() && store.fits(size) {
+                            store.push(id, size, Time(step), step);
+                            slots.push((id, size, step));
+                            stamps.insert(id, Time(step));
+                        }
+                    }
+                    5..=6 if !slots.is_empty() => {
+                        let pos = next() as usize % slots.len();
+                        let gone = store.evict_at(pos);
+                        let model = slots.swap_remove(pos);
+                        prop_assert_eq!((gone.id, gone.size, gone.entry), model);
+                        stamps.remove(&gone.id);
+                        evicted += 1;
+                    }
+                    // Present or absent: restamping admits nothing.
+                    7 => {
+                        store.restamp(id, Time(step));
+                        stamps.entry(id).and_modify(|at| *at = Time(step));
+                    }
+                    // The two hit paths: by id, and by a position probed once.
+                    8 => {
+                        if let Some(entry) = store.get_mut(id) {
+                            *entry += 1;
+                        }
+                        if let Some(pos) = held {
+                            slots[pos].2 += 1;
+                        }
+                    }
+                    _ => {
+                        if let Some(pos) = held {
+                            *store.entry_mut(pos) += 7;
+                            slots[pos].2 += 7;
+                        }
+                    }
+                }
+                prop_assert_eq!(store.len(), slots.len());
+                for (pos, &(id, size, entry)) in slots.iter().enumerate() {
+                    let slot = store.slot(pos);
+                    prop_assert_eq!((slot.id, slot.size, slot.entry), (id, size, entry));
+                    prop_assert_eq!(store.position(id), Some(pos));
+                    prop_assert_eq!(store.admitted_at(id), stamps.get(&id).copied());
+                }
+                prop_assert_eq!(store.contains(id), stamps.contains_key(&id));
+                prop_assert_eq!(store.used(), slots.iter().map(|&(_, size, _)| size).sum::<u64>());
+                prop_assert_eq!(store.evictions(), evicted);
+            }
+        });
+    }
+}

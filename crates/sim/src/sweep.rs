@@ -100,27 +100,6 @@ pub fn run_grid_obs(
         .collect()
 }
 
-/// Sweeps one policy over several capacities on one trace — the common
-/// "hit ratio vs cache size" curve.
-pub fn capacity_sweep(
-    factory: &PolicyFactory,
-    trace: &Trace,
-    capacities: &[u64],
-    config: &SimConfig,
-    threads: usize,
-) -> Vec<SimResult> {
-    let factories = std::slice::from_ref(factory);
-    let cells: Vec<Cell<'_>> = capacities
-        .iter()
-        .map(|&capacity| Cell {
-            policy: 0,
-            trace,
-            capacity,
-        })
-        .collect();
-    run_grid(factories, &cells, config, threads)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,18 +165,6 @@ mod tests {
     }
 
     #[test]
-    fn capacity_sweep_is_monotone_for_fill_once() {
-        let t = trace();
-        let results = capacity_sweep(&factory(), &t, &[100, 200, 300], &SimConfig::default(), 2);
-        assert_eq!(results.len(), 3);
-        let ratios: Vec<f64> = results
-            .iter()
-            .map(|r| r.metrics.object_hit_ratio())
-            .collect();
-        assert!(ratios[0] < ratios[1] && ratios[1] < ratios[2], "{ratios:?}");
-    }
-
-    #[test]
     fn grid_preserves_order() {
         let t = trace();
         let factories = vec![factory(), factory()];
@@ -221,7 +188,12 @@ mod tests {
     #[test]
     fn single_thread_works() {
         let t = trace();
-        let results = capacity_sweep(&factory(), &t, &[300], &SimConfig::default(), 1);
+        let cells = [Cell {
+            policy: 0,
+            trace: &t,
+            capacity: 300,
+        }];
+        let results = run_grid(&[factory()], &cells, &SimConfig::default(), 1);
         assert_eq!(results.len(), 1);
     }
 

@@ -13,7 +13,6 @@
 //! - [`io`] — CSV and compact binary trace readers/writers.
 //! - [`stats`] — the Table 1 trace characteristics, popularity
 //!   rank-frequency curves, and inter-request-time distributions (Figure 1).
-//! - [`transform`] — trace sampling, slicing, and composition utilities.
 //! - [`synth`] — synthetic workload generators: independent-reference Zipf,
 //!   Markov-modulated processes ("Syn One" / "Syn Two" from §7.6), and
 //!   production-like traces calibrated to the paper's Table 1.
@@ -39,7 +38,6 @@ pub mod io;
 pub mod request;
 pub mod stats;
 pub mod synth;
-pub mod transform;
 
 pub use request::{ObjectId, Request, Time, Trace};
 pub use stats::TraceStats;

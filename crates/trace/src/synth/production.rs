@@ -57,12 +57,6 @@ impl ProductionScale {
         }
     }
 
-    /// Scales a full-size cache capacity (bytes) to this scale, preserving
-    /// the cache-to-working-set ratio.
-    pub fn cache_bytes(self, full_scale_bytes: u64) -> u64 {
-        (full_scale_bytes / self.divisor() as u64).max(1)
-    }
-
     fn scaled(self, full: usize) -> usize {
         (full / self.divisor()).max(1)
     }
@@ -211,21 +205,6 @@ pub fn all_production(scale: ProductionScale, seed: u64) -> Vec<Trace> {
     ]
 }
 
-/// The paper's per-trace simulator cache sizes for the single-size
-/// experiments (Figures 2 and 7: 512 GB / 1 024 GB / 128 GB / 1 024 GB),
-/// scaled.
-pub fn default_cache_bytes(trace_name: &str, scale: ProductionScale) -> u64 {
-    let gb = 1u64 << 30;
-    let full = match trace_name {
-        "CDN-A" => 512 * gb,
-        "CDN-B" => 1024 * gb,
-        "CDN-C" => 128 * gb,
-        "Wiki" => 1024 * gb,
-        other => panic!("unknown production trace {other}"),
-    };
-    scale.cache_bytes(full)
-}
-
 /// The paper's cache-size-to-unique-bytes ratio for the simulator
 /// experiments (cache GB over Table 1's unique GB): scaling a generated
 /// trace's cache by this ratio preserves the *cache pressure* of the
@@ -312,19 +291,6 @@ mod tests {
         let tiny = cdn_a(ProductionScale::Tiny, 2);
         let small = cdn_a(ProductionScale::Small, 2);
         assert_eq!(tiny.len() * 4, small.len());
-    }
-
-    #[test]
-    fn cache_sizes_scale() {
-        let full = default_cache_bytes("CDN-A", ProductionScale::Full);
-        let tiny = default_cache_bytes("CDN-A", ProductionScale::Tiny);
-        assert_eq!(full / 100, tiny);
-    }
-
-    #[test]
-    #[should_panic]
-    fn unknown_trace_name_panics() {
-        default_cache_bytes("nope", ProductionScale::Full);
     }
 
     #[test]

@@ -102,36 +102,23 @@ impl Hasher for FastHasher {
 pub type FastState = BuildHasherDefault<FastHasher>;
 
 /// `HashMap` with the fast deterministic hasher. Construct with
-/// `FastMap::default()` or [`map_with_capacity`].
+/// `FastMap::default()`.
 pub type FastMap<K, V> = std::collections::HashMap<K, V, FastState>;
 
 /// `HashSet` with the fast deterministic hasher. Construct with
-/// `FastSet::default()` or [`set_with_capacity`].
+/// `FastSet::default()`.
 pub type FastSet<T> = std::collections::HashSet<T, FastState>;
-
-/// A [`FastMap`] pre-sized for `capacity` entries.
-pub fn map_with_capacity<K, V>(capacity: usize) -> FastMap<K, V> {
-    FastMap::with_capacity_and_hasher(capacity, FastState::default())
-}
-
-/// A [`FastSet`] pre-sized for `capacity` entries.
-pub fn set_with_capacity<T>(capacity: usize) -> FastSet<T> {
-    FastSet::with_capacity_and_hasher(capacity, FastState::default())
-}
-
-/// Hashes one `u64` key directly (the standalone form of what
-/// [`FastMap`] does per lookup) — useful for open-addressing tables that
-/// bypass `std::collections` entirely.
-#[inline]
-pub fn hash_u64(key: u64) -> u64 {
-    let mut h = FastHasher::default();
-    h.write_u64(key);
-    h.finish()
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One `u64` key as [`FastMap`] hashes it per lookup.
+    fn hash_u64(key: u64) -> u64 {
+        let mut h = FastHasher::default();
+        h.write_u64(key);
+        h.finish()
+    }
 
     #[test]
     fn deterministic_across_hasher_instances() {
@@ -169,8 +156,8 @@ mod tests {
 
     #[test]
     fn map_and_set_work_with_u64_keys() {
-        let mut m: FastMap<u64, u64> = map_with_capacity(16);
-        let mut s: FastSet<u64> = set_with_capacity(16);
+        let mut m: FastMap<u64, u64> = FastMap::default();
+        let mut s: FastSet<u64> = FastSet::default();
         for i in 0..1_000u64 {
             m.insert(i, i * 2);
             s.insert(i * 3);

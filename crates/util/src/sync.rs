@@ -4,8 +4,8 @@
 //! and `crossbeam` for scoped threads and channels. Under the zero-external-
 //! dependency policy (DESIGN.md) those shrink to:
 //!
-//! - [`Mutex`]/[`RwLock`] — thin wrappers whose guards are acquired without
-//!   a `Result`: a poisoned std lock is recovered instead of propagated,
+//! - [`Mutex`] — a thin wrapper whose guard is acquired without a
+//!   `Result`: a poisoned std lock is recovered instead of propagated,
 //!   matching `parking_lot` semantics. All workspace invariants are
 //!   per-shard and re-established at the start of each operation, so
 //!   observing a value from a panicked critical section is safe here.
@@ -50,53 +50,6 @@ impl<T: ?Sized> Mutex<T> {
     /// panicked holder is recovered, not propagated.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Attempts the lock without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(g) => Some(g),
-            Err(std::sync::TryLockError::Poisoned(e)) => Some(e.into_inner()),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// A reader-writer lock whose guards are acquired without a `Result`.
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
-
-/// Shared-read guard for [`RwLock`].
-pub type RwLockReadGuard<'a, T> = std::sync::RwLockReadGuard<'a, T>;
-/// Exclusive-write guard for [`RwLock`].
-pub type RwLockWriteGuard<'a, T> = std::sync::RwLockWriteGuard<'a, T>;
-
-impl<T> RwLock<T> {
-    /// Wraps a value.
-    pub fn new(value: T) -> Self {
-        RwLock(std::sync::RwLock::new(value))
-    }
-
-    /// Consumes the lock, returning the value (poison recovered).
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires a shared read guard; poisoning is recovered.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.0.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Acquires the exclusive write guard; poisoning is recovered.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.0.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Mutable access without locking (requires exclusive ownership).
@@ -171,26 +124,6 @@ mod tests {
         // parking_lot semantics: the lock is still usable.
         *m.lock() += 1;
         assert_eq!(*m.lock(), 1);
-    }
-
-    #[test]
-    fn try_lock_contends() {
-        let m = Mutex::new(());
-        let g = m.lock();
-        assert!(m.try_lock().is_none());
-        drop(g);
-        assert!(m.try_lock().is_some());
-    }
-
-    #[test]
-    fn rwlock_many_readers() {
-        let l = RwLock::new(5);
-        let a = l.read();
-        let b = l.read();
-        assert_eq!(*a + *b, 10);
-        drop((a, b));
-        *l.write() = 6;
-        assert_eq!(*l.read(), 6);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! `FleetEngine(nodes = 1, shards = 1, no shield, no peer hints)` on
 //! measured requests, hits and WAN bytes, for a classic and the learned
 //! policy — and the single-threaded server *is* the engine at one shard,
-//! field for field, as the plain simulator run *is* the sharded run at one
-//! shard.
+//! field for field and trace stamp for trace stamp, as the plain simulator
+//! run *is* the sharded run at one shard.
 //!
 //! Counts are compared through the reports' derived floats: every layer
 //! computes `hits / measured × 100` and `wan_bytes × 8 / duration / 1e9`
@@ -174,6 +174,46 @@ fn deterministic_server_is_the_engine_at_one_shard() {
             }
         }
     }
+}
+
+/// Both stamp a sampled request trace with the window the request was
+/// counted in. Every measured request traced, five-request windows: the
+/// request that fills a window carries that window's index — not the next
+/// one's — in the single server and in the engine shard alike, and the two
+/// hold equal traces and equal windows.
+#[test]
+fn server_and_one_shard_engine_stamp_traces_with_the_window_they_were_counted_in() {
+    let trace = trace();
+    let recorder = || {
+        Obs::new(ObsConfig {
+            window: ObsWindow::Requests(5),
+            deterministic: true,
+            trace_sample: 1,
+            ..ObsConfig::default()
+        })
+    };
+    let single = recorder();
+    CdnServer::new(policy("lru"), server_config(true))
+        .with_obs(single.clone())
+        .replay(&trace);
+    let sharded = recorder();
+    ShardedEngine::new(EngineConfig {
+        n_shards: 1,
+        route: RouteConfig { threads: 1 },
+        server: server_config(true),
+        ..EngineConfig::new(CAPACITY)
+    })
+    .with_obs(sharded.clone())
+    .replay(&trace, |_, _, _| policy("lru"));
+
+    let traces = single.traces();
+    assert_eq!(traces.len(), trace.len() - WARMUP);
+    for (measured, t) in traces.iter().enumerate() {
+        assert_eq!(t.id, (WARMUP + measured) as u64);
+        assert_eq!(t.window, measured as u64 / 5, "trace {}", t.id);
+    }
+    assert_eq!(sharded.traces(), traces);
+    assert_eq!(sharded.windows(), single.windows());
 }
 
 /// `Simulator::run` and `Simulator::run_sharded` are two front ends of one
