@@ -1,10 +1,8 @@
 //! Bélády's MIN and its size-aware community variant.
 
-use crate::future::{next_use_indices, NEVER};
-use lhr_sim::bound::{base_metrics, OfflineBound};
-use lhr_sim::SimMetrics;
-use lhr_trace::{ObjectId, Trace};
-use std::collections::{BTreeSet, HashMap};
+use lhr_sim::bound::{base_metrics, belady_replay, OfflineBound};
+use lhr_sim::{Outcome, SimMetrics};
+use lhr_trace::Trace;
 
 /// Bélády's MIN (1966): evict the object whose next request is farthest in
 /// the future. Exact OPT when all objects have the same size, in which case
@@ -24,64 +22,21 @@ pub struct Belady;
 #[derive(Debug, Clone, Default)]
 pub struct BeladySize;
 
-/// Shared future-aware simulation. `admission_aware` distinguishes
+/// Tallies [`belady_replay`] over `trace`. `admission_aware` distinguishes
 /// Bélády-Size (true) from plain MIN (false: always admit, evict farthest).
 fn run(trace: &Trace, capacity: u64, admission_aware: bool) -> SimMetrics {
-    let next_use = next_use_indices(trace);
     let mut metrics = base_metrics(trace);
-
-    // Cached objects ordered by next use (descending ⇒ last = farthest).
-    let mut by_next: BTreeSet<(u64, ObjectId)> = BTreeSet::new();
-    let mut cached: HashMap<ObjectId, (u64 /* next */, u64 /* size */)> = HashMap::new();
-    let mut used = 0u64;
-
-    for (i, req) in trace.iter().enumerate() {
-        let this_next = next_use[i];
-        if let Some(&(old_next, size)) = cached.get(&req.id) {
-            // Hit: refresh the next-use key.
-            metrics.hits += 1;
-            metrics.bytes_hit += req.size as u128;
-            by_next.remove(&(old_next, req.id));
-            if this_next == NEVER && admission_aware {
-                // Never needed again: free the space immediately (pure
-                // bookkeeping win allowed to an offline algorithm).
-                cached.remove(&req.id);
-                used -= size;
-            } else {
-                cached.insert(req.id, (this_next, size));
-                by_next.insert((this_next, req.id));
+    let requests = trace.iter().map(|req| (req.id, req.size));
+    let outcomes = belady_replay(requests, capacity, admission_aware);
+    for (req, outcome) in trace.iter().zip(outcomes) {
+        match outcome {
+            Outcome::Hit => {
+                metrics.hits += 1;
+                metrics.bytes_hit += req.size as u128;
             }
-            continue;
+            Outcome::MissAdmitted => metrics.misses_admitted += 1,
+            Outcome::MissBypassed => metrics.misses_bypassed += 1,
         }
-        if req.size > capacity {
-            metrics.misses_bypassed += 1;
-            continue;
-        }
-        if admission_aware && this_next == NEVER {
-            metrics.misses_bypassed += 1;
-            continue;
-        }
-        // Evict farthest-next-use objects until the newcomer fits.
-        let mut admitted = true;
-        while used + req.size > capacity {
-            let &(victim_next, victim) = by_next.iter().next_back().expect("cache full");
-            if admission_aware && victim_next <= this_next {
-                // Every remaining victim is more useful than the newcomer.
-                admitted = false;
-                break;
-            }
-            by_next.remove(&(victim_next, victim));
-            let (_, vsize) = cached.remove(&victim).expect("indexed");
-            used -= vsize;
-        }
-        if !admitted {
-            metrics.misses_bypassed += 1;
-            continue;
-        }
-        cached.insert(req.id, (this_next, req.size));
-        by_next.insert((this_next, req.id));
-        used += req.size;
-        metrics.misses_admitted += 1;
     }
     metrics
 }

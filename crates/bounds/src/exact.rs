@@ -13,8 +13,7 @@
 //! (eviction is free, bypassing is allowed), and a request is a hit iff
 //! the object is cached when it arrives.
 
-use crate::future::{next_use_indices, NEVER};
-use lhr_sim::bound::{base_metrics, OfflineBound};
+use lhr_sim::bound::{base_metrics, next_use_indices, OfflineBound, NEVER};
 use lhr_sim::SimMetrics;
 use lhr_trace::Trace;
 use std::collections::HashMap;
@@ -74,7 +73,7 @@ impl OfflineBound for ExactOpt {
             .map(|&id| trace.iter().find(|r| r.id == id).expect("present").size)
             .collect();
         let requests: Vec<usize> = trace.iter().map(|r| index_of[&r.id]).collect();
-        let next_use = next_use_indices(trace);
+        let next_use = next_use_indices(trace.iter().map(|r| r.id));
 
         // DP over (request index, cache bitmask) → max hits from here on.
         // Masks always satisfy the capacity constraint.

@@ -15,7 +15,6 @@
 
 pub mod belady;
 pub mod exact;
-pub mod future;
 pub mod infinite;
 pub mod observed;
 pub mod pfoo;

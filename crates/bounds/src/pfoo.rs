@@ -14,8 +14,7 @@
 //!   the interval has headroom, producing a feasible (hence achievable)
 //!   schedule.
 
-use crate::future::reuse_intervals;
-use lhr_sim::bound::{base_metrics, OfflineBound};
+use lhr_sim::bound::{base_metrics, next_use_indices, OfflineBound, NEVER};
 use lhr_sim::SimMetrics;
 use lhr_trace::Trace;
 
@@ -27,12 +26,19 @@ pub struct PfooUpper;
 #[derive(Debug, Clone, Default)]
 pub struct PfooLower;
 
-/// Intervals sorted by resource cost, cheapest first.
+/// All reuse intervals of a trace, cheapest first: `(start index, end index,
+/// size, resource cost)` for each consecutive pair of requests to the same
+/// object. Caching the object over `[start, end)` turns request `end` into
+/// a hit.
 fn sorted_intervals(trace: &Trace) -> Vec<(u64, u64, u64, u128)> {
-    let mut intervals: Vec<(u64, u64, u64, u128)> = reuse_intervals(trace)
-        .into_iter()
-        .map(|(start, end, size)| (start, end, size, size as u128 * (end - start) as u128))
-        .collect();
+    let next_use = next_use_indices(trace.iter().map(|req| req.id));
+    let mut intervals = Vec::new();
+    for ((start, req), end) in (0u64..).zip(trace.iter()).zip(next_use) {
+        if end != NEVER {
+            let cost = req.size as u128 * (end - start) as u128;
+            intervals.push((start, end, req.size, cost));
+        }
+    }
     intervals.sort_unstable_by_key(|&(start, end, _, cost)| (cost, start, end));
     intervals
 }
@@ -114,6 +120,21 @@ mod tests {
     use crate::belady::BeladySize;
     use lhr_trace::synth::{IrmConfig, SizeModel};
     use lhr_trace::{Request, Time};
+
+    #[test]
+    fn intervals_cover_every_rerequest_cheapest_first() {
+        // ids: a b a c b a, sizes 10 × id.
+        let requests = [1u64, 2, 1, 3, 2, 1]
+            .iter()
+            .zip(0u64..)
+            .map(|(&id, t)| Request::new(Time::from_secs(t), id, 10 * id));
+        let trace = Trace::from_requests("t", requests.collect());
+        assert_eq!(
+            sorted_intervals(&trace),
+            vec![(0, 2, 10, 20), (2, 5, 10, 30), (1, 4, 20, 60)]
+        );
+        assert!(sorted_intervals(&Trace::new("e")).is_empty());
+    }
 
     fn small_trace() -> Trace {
         // a b a b c c, unit sizes.

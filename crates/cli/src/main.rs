@@ -65,7 +65,8 @@ USAGE:
                      [--seed S] --out PATH        synthesize a trace
       KIND: zipf | cdn-a | cdn-b | cdn-c | wiki | syn-one | syn-two
       (cdn-* and wiki are fixed models: they take none of --objects,
-      --requests, --alpha; syn-two takes no --alpha)
+      --requests, --alpha; syn-two takes no --alpha; at most 10 000 000
+      objects — 100 000 for syn-* — and 100 000 000 requests)
       PATH ending in .bin writes the compact binary format, else CSV
   lhr-cache stats PATH                             Table-1 characteristics
   lhr-cache simulate --policy NAME --capacity SIZE [--warmup N] [--seed S] PATH
@@ -220,6 +221,15 @@ fn path_stem(path: &str) -> String {
         .unwrap_or_else(|| path.to_string())
 }
 
+/// The most objects and requests `generate` accepts. A generator holds one
+/// popularity table entry per object — per object and popularity state for
+/// the Markov-modulated `syn-one` / `syn-two`, hence their lower bound — and
+/// the whole trace in memory, so an unbounded count is an allocation the
+/// size of the typo.
+const MAX_GENERATE_OBJECTS: usize = 10_000_000;
+const MAX_SYN_OBJECTS: usize = 100_000;
+const MAX_GENERATE_REQUESTS: usize = 100_000_000;
+
 fn cmd_generate(args: &Args) -> Result<(), String> {
     let kind = args.get("kind").ok_or("--kind is required")?;
     // The shape flags each kind reads: the production models are fixed
@@ -238,9 +248,23 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
     let objects = args.get_parse("objects")?.unwrap_or(10_000usize);
     let requests = args.get_parse("requests")?.unwrap_or(100_000usize);
     let alpha = args.get_parse("alpha")?.unwrap_or(0.9f64);
-    // The generators assert both; a flag must not reach an assert.
-    if objects == 0 {
-        return Err("--objects must be at least 1".into());
+    // The generators assert a non-empty population and a sane exponent, and
+    // allocate for whatever they are asked: a flag must reach neither an
+    // assert nor the allocator.
+    let max_objects = if kind.starts_with("syn-") {
+        MAX_SYN_OBJECTS
+    } else {
+        MAX_GENERATE_OBJECTS
+    };
+    if !(1..=max_objects).contains(&objects) {
+        return Err(format!(
+            "--objects must be in 1..={max_objects} for --kind {kind}, got {objects}"
+        ));
+    }
+    if requests > MAX_GENERATE_REQUESTS {
+        return Err(format!(
+            "--requests must be at most {MAX_GENERATE_REQUESTS}, got {requests}"
+        ));
     }
     if !(alpha.is_finite() && alpha >= 0.0) {
         return Err(format!(
@@ -265,8 +289,8 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
         "cdn-b" => production::cdn_b(ProductionScale::Small, seed),
         "cdn-c" => production::cdn_c(ProductionScale::Small, seed),
         "wiki" => production::wiki(ProductionScale::Small, seed),
-        "syn-one" => markov::syn_one(objects.min(100_000), requests, per_state, alpha, seed),
-        "syn-two" => markov::syn_two(objects.min(100_000), requests, per_state, seed),
+        "syn-one" => markov::syn_one(objects, requests, per_state, alpha, seed),
+        "syn-two" => markov::syn_two(objects, requests, per_state, seed),
         _ => unreachable!("the kind was matched against the same list above"),
     };
     let file = std::fs::File::create(out).map_err(|e| format!("{out}: {e}"))?;

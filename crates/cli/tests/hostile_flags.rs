@@ -307,20 +307,25 @@ fn a_shield_size_that_overflows_bytes_is_refused() {
 }
 
 #[test]
-fn generate_refuses_an_empty_population_and_a_meaningless_alpha() {
+fn generate_refuses_a_population_or_length_it_cannot_hold_and_a_meaningless_alpha() {
     let out_path = std::env::temp_dir().join(format!("lhr-hostile-gen-{}.csv", std::process::id()));
     let out_path = out_path.to_str().expect("utf-8 temp path");
-    for kind in ["zipf", "syn-one"] {
-        let out = cli(&[
-            "generate",
-            "--kind",
-            kind,
-            "--objects",
-            "0",
-            "--out",
-            out_path,
-        ]);
-        assert_one_line_error(&out, "--objects");
+    // Past the bound the first two panicked (`capacity overflow`) or aborted
+    // in the allocator; syn-one / syn-two silently generated over 100 000
+    // objects whatever the flag said.
+    for (kind, flag, value) in [
+        ("zipf", "--objects", "0"),
+        ("syn-one", "--objects", "0"),
+        ("zipf", "--objects", "18446744073709551615"),
+        ("zipf", "--objects", "4294967296"),
+        ("zipf", "--objects", "10000001"),
+        ("syn-one", "--objects", "100001"),
+        ("syn-two", "--objects", "100001"),
+        ("zipf", "--requests", "1000000000000"),
+        ("syn-two", "--requests", "100000001"),
+    ] {
+        let out = cli(&["generate", "--kind", kind, flag, value, "--out", out_path]);
+        assert_one_line_error(&out, flag);
     }
     for alpha in ["nan", "inf", "-1"] {
         let out = cli(&[

@@ -5,56 +5,36 @@
 //! with ghost lists B1/B2 remembering recently evicted ids. Hits in the
 //! ghosts steer the adaptation target `p` (the byte share of T1).
 
-use crate::util::{Handle, LruList};
+use crate::util::SegmentedStore;
 use lhr_sim::{CachePolicy, Outcome};
 use lhr_trace::{ObjectId, Request, Time};
-use lhr_util::hash::FastMap;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Location {
-    T1,
-    T2,
-}
+/// Segments of `cache`.
+const T1: usize = 0;
+const T2: usize = 1;
+/// Segments of `ghosts`.
+const B1: usize = 0;
+const B2: usize = 1;
 
 /// The ARC policy.
 #[derive(Debug)]
 pub struct Arc {
-    capacity: u64,
     /// Adaptation target: desired byte size of T1.
     p: u64,
-    t1: LruList<(ObjectId, u64)>,
-    t2: LruList<(ObjectId, u64)>,
-    b1: LruList<(ObjectId, u64)>,
-    b2: LruList<(ObjectId, u64)>,
-    t1_bytes: u64,
-    t2_bytes: u64,
-    b1_bytes: u64,
-    b2_bytes: u64,
-    /// id → (list handle, which list, freshness stamp).
-    cached: FastMap<ObjectId, (Handle, Location, Time)>,
-    ghost1: FastMap<ObjectId, Handle>,
-    ghost2: FastMap<ObjectId, Handle>,
-    evictions: u64,
+    /// T1 and T2: what is cached.
+    cache: SegmentedStore,
+    /// B1 and B2: ids and sizes of what T1 and T2 evicted. `replace` trims
+    /// each list to the cache's capacity; the store's own budget is unused.
+    ghosts: SegmentedStore,
 }
 
 impl Arc {
     /// An empty ARC cache of `capacity` bytes.
     pub fn new(capacity: u64) -> Self {
         Arc {
-            capacity,
             p: 0,
-            t1: LruList::new(),
-            t2: LruList::new(),
-            b1: LruList::new(),
-            b2: LruList::new(),
-            t1_bytes: 0,
-            t2_bytes: 0,
-            b1_bytes: 0,
-            b2_bytes: 0,
-            cached: FastMap::default(),
-            ghost1: FastMap::default(),
-            ghost2: FastMap::default(),
-            evictions: 0,
+            cache: SegmentedStore::new(capacity, 2),
+            ghosts: SegmentedStore::new(u64::MAX, 2),
         }
     }
 
@@ -62,49 +42,22 @@ impl Arc {
     /// it in the matching ghost list. `from_b2` biases toward evicting from
     /// T1 on ties, per the original REPLACE.
     fn replace(&mut self, from_b2: bool) {
-        let take_t1 = !self.t1.is_empty()
-            && (self.t1_bytes > self.p
-                || (from_b2 && self.t1_bytes == self.p)
-                || self.t2.is_empty());
-        if take_t1 {
-            let (id, size) = self.t1.pop_back().expect("checked non-empty");
-            self.cached.remove(&id);
-            self.t1_bytes -= size;
-            let h = self.b1.push_front((id, size));
-            self.ghost1.insert(id, h);
-            self.b1_bytes += size;
-        } else {
-            let (id, size) = self.t2.pop_back().expect("T1 and T2 both empty");
-            self.cached.remove(&id);
-            self.t2_bytes -= size;
-            let h = self.b2.push_front((id, size));
-            self.ghost2.insert(id, h);
-            self.b2_bytes += size;
+        let t1_bytes = self.cache.bytes(T1);
+        let take_t1 = self.cache.lru(T1).is_some()
+            && (t1_bytes > self.p
+                || (from_b2 && t1_bytes == self.p)
+                || self.cache.lru(T2).is_none());
+        let (from, ghost) = if take_t1 { (T1, B1) } else { (T2, B2) };
+        let (id, size, _) = self.cache.pop_lru(from).expect("T1 and T2 both empty");
+        self.ghosts.insert(id, size, Time::ZERO, ghost);
+        // Bound the ghost list to `capacity` bytes; the other has not grown.
+        while self.ghosts.bytes(ghost) > self.cache.capacity() {
+            self.ghosts.pop_lru(ghost);
         }
-        self.evictions += 1;
-        self.trim_ghosts();
-    }
-
-    /// Bounds each ghost list to `capacity` bytes.
-    fn trim_ghosts(&mut self) {
-        while self.b1_bytes > self.capacity {
-            let (id, size) = self.b1.pop_back().expect("bytes>0");
-            self.ghost1.remove(&id);
-            self.b1_bytes -= size;
-        }
-        while self.b2_bytes > self.capacity {
-            let (id, size) = self.b2.pop_back().expect("bytes>0");
-            self.ghost2.remove(&id);
-            self.b2_bytes -= size;
-        }
-    }
-
-    fn used(&self) -> u64 {
-        self.t1_bytes + self.t2_bytes
     }
 
     fn make_room(&mut self, size: u64, from_b2: bool) {
-        while self.used() + size > self.capacity {
+        while !self.cache.fits(size) {
             self.replace(from_b2);
         }
     }
@@ -115,106 +68,72 @@ impl CachePolicy for Arc {
         "ARC"
     }
     fn capacity(&self) -> u64 {
-        self.capacity
+        self.cache.capacity()
     }
     fn used_bytes(&self) -> u64 {
-        self.used()
+        self.cache.used()
     }
     fn admitted_at(&self, id: ObjectId) -> Option<Time> {
-        self.cached.get(&id).map(|&(_, _, at)| at)
+        self.cache.admitted_at(id)
     }
     fn restamp(&mut self, id: ObjectId, at: Time) {
-        if let Some(slot) = self.cached.get_mut(&id) {
-            slot.2 = at;
-        }
+        self.cache.restamp(id, at)
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
         // Case I: cache hit — promote to T2 MRU.
-        // The slot is updated in place, so its stamp rides along.
-        if let Some(slot) = self.cached.get_mut(&req.id) {
-            match slot.1 {
-                Location::T1 => {
-                    let (id, size) = self.t1.remove(slot.0);
-                    self.t1_bytes -= size;
-                    slot.0 = self.t2.push_front((id, size));
-                    self.t2_bytes += size;
-                    slot.1 = Location::T2;
-                }
-                Location::T2 => self.t2.move_to_front(slot.0),
-            }
+        if self.cache.move_to(req.id, T2) {
             return Outcome::Hit;
         }
-        if req.size > self.capacity {
+        let capacity = self.cache.capacity();
+        if req.size > capacity {
             return Outcome::MissBypassed;
         }
 
-        // Case II: ghost hit in B1 — favour recency.
-        if let Some(handle) = self.ghost1.remove(&req.id) {
-            let (_, gsize) = self.b1.remove(handle);
-            self.b1_bytes -= gsize;
-            let delta = if self.b1_bytes >= self.b2_bytes {
+        // Cases II and III: ghost hit — in B1 favour recency, in B2
+        // frequency — and readmit straight to T2.
+        if let Some((ghost, ..)) = self.ghosts.remove(req.id) {
+            // Bytes left on the list that was hit, and on the other one.
+            let (here, there) = (self.ghosts.bytes(ghost), self.ghosts.bytes(1 - ghost));
+            let delta = if here >= there {
                 req.size
             } else {
-                req.size
-                    .saturating_mul((self.b2_bytes / self.b1_bytes.max(1)).max(1))
+                req.size.saturating_mul((there / here.max(1)).max(1))
             };
-            self.p = (self.p + delta).min(self.capacity);
-            self.make_room(req.size, false);
-            let h = self.t2.push_front((req.id, req.size));
-            self.t2_bytes += req.size;
-            self.cached.insert(req.id, (h, Location::T2, req.ts));
-            return Outcome::MissAdmitted;
-        }
-
-        // Case III: ghost hit in B2 — favour frequency.
-        if let Some(handle) = self.ghost2.remove(&req.id) {
-            let (_, gsize) = self.b2.remove(handle);
-            self.b2_bytes -= gsize;
-            let delta = if self.b2_bytes >= self.b1_bytes {
-                req.size
+            self.p = if ghost == B1 {
+                (self.p + delta).min(capacity)
             } else {
-                req.size
-                    .saturating_mul((self.b1_bytes / self.b2_bytes.max(1)).max(1))
+                self.p.saturating_sub(delta)
             };
-            self.p = self.p.saturating_sub(delta);
-            self.make_room(req.size, true);
-            let h = self.t2.push_front((req.id, req.size));
-            self.t2_bytes += req.size;
-            self.cached.insert(req.id, (h, Location::T2, req.ts));
+            self.make_room(req.size, ghost == B2);
+            self.cache.insert(req.id, req.size, req.ts, T2);
             return Outcome::MissAdmitted;
         }
 
         // Case IV: brand-new object → T1 MRU.
         // L1 = T1 ∪ B1 at capacity: recycle B1 before replacing.
-        if self.t1_bytes + self.b1_bytes + req.size > self.capacity {
-            while self.b1_bytes > 0 && self.t1_bytes + self.b1_bytes + req.size > self.capacity {
-                let (id, size) = self.b1.pop_back().expect("bytes>0");
-                self.ghost1.remove(&id);
-                self.b1_bytes -= size;
+        let l1 = |arc: &Arc| arc.cache.bytes(T1) + arc.ghosts.bytes(B1) + req.size;
+        let all = |arc: &Arc| arc.cache.used() + arc.ghosts.used() + req.size;
+        if l1(self) > capacity {
+            while self.ghosts.bytes(B1) > 0 && l1(self) > capacity {
+                self.ghosts.pop_lru(B1);
             }
-        } else if self.used() + self.b1_bytes + self.b2_bytes + req.size > 2 * self.capacity {
-            while self.b2_bytes > 0
-                && self.used() + self.b1_bytes + self.b2_bytes + req.size > 2 * self.capacity
-            {
-                let (id, size) = self.b2.pop_back().expect("bytes>0");
-                self.ghost2.remove(&id);
-                self.b2_bytes -= size;
+        } else if all(self) > 2 * capacity {
+            while self.ghosts.bytes(B2) > 0 && all(self) > 2 * capacity {
+                self.ghosts.pop_lru(B2);
             }
         }
         self.make_room(req.size, false);
-        let h = self.t1.push_front((req.id, req.size));
-        self.t1_bytes += req.size;
-        self.cached.insert(req.id, (h, Location::T1, req.ts));
+        self.cache.insert(req.id, req.size, req.ts, T1);
         Outcome::MissAdmitted
     }
 
     fn evictions(&self) -> u64 {
-        self.evictions
+        self.cache.evictions()
     }
 
     fn metadata_overhead_bytes(&self) -> u64 {
-        ((self.cached.len() + self.ghost1.len() + self.ghost2.len()) * 56) as u64
+        ((self.cache.len() + self.ghosts.len()) * 56) as u64
     }
 }
 
@@ -231,11 +150,11 @@ mod tests {
     fn second_access_promotes_to_t2() {
         let mut c = Arc::new(400);
         c.handle(&req(0, 1, 100));
-        assert_eq!(c.cached[&1].1, Location::T1);
+        assert_eq!(c.cache.segment_of(1), Some(T1));
         c.handle(&req(1, 1, 100));
-        assert_eq!(c.cached[&1].1, Location::T2);
-        assert_eq!(c.t1_bytes, 0);
-        assert_eq!(c.t2_bytes, 100);
+        assert_eq!(c.cache.segment_of(1), Some(T2));
+        assert_eq!(c.cache.bytes(T1), 0);
+        assert_eq!(c.cache.bytes(T2), 100);
     }
 
     #[test]
@@ -263,7 +182,7 @@ mod tests {
         assert!(!c.contains(1));
         c.handle(&req(3, 1, 100)); // B1 ghost hit
         assert!(c.contains(1));
-        assert_eq!(c.cached[&1].1, Location::T2);
+        assert_eq!(c.cache.segment_of(1), Some(T2));
     }
 
     #[test]
@@ -281,7 +200,7 @@ mod tests {
         let mut c = Arc::new(500);
         for i in 0..3_000u64 {
             c.handle(&req(i, i % 29, 100));
-            assert!(c.p <= c.capacity);
+            assert!(c.p <= c.capacity());
         }
     }
 

@@ -1,33 +1,24 @@
 //! FIFO and Random eviction — the classic strawmen (§8).
 
+use crate::util::LruStore;
 use lhr_sim::store::SampleStore;
 use lhr_sim::{CachePolicy, Outcome};
 use lhr_trace::{ObjectId, Request, Time};
-use lhr_util::hash::FastMap;
 use lhr_util::rng::rngs::SmallRng;
 use lhr_util::rng::{Rng, SeedableRng};
-use std::collections::VecDeque;
 
-/// First-in first-out eviction, admit-all.
+/// First-in first-out eviction, admit-all: a recency list that no hit
+/// touches is a queue.
 #[derive(Debug)]
 pub struct Fifo {
-    capacity: u64,
-    used: u64,
-    queue: VecDeque<(ObjectId, u64)>,
-    /// Membership: id → freshness stamp (the queue carries the sizes).
-    cached: FastMap<ObjectId, Time>,
-    evictions: u64,
+    store: LruStore,
 }
 
 impl Fifo {
     /// An empty FIFO cache of `capacity` bytes.
     pub fn new(capacity: u64) -> Self {
         Fifo {
-            capacity,
-            used: 0,
-            queue: VecDeque::new(),
-            cached: FastMap::default(),
-            evictions: 0,
+            store: LruStore::new(capacity),
         }
     }
 }
@@ -37,45 +28,35 @@ impl CachePolicy for Fifo {
         "FIFO"
     }
     fn capacity(&self) -> u64 {
-        self.capacity
+        self.store.capacity()
     }
     fn used_bytes(&self) -> u64 {
-        self.used
+        self.store.used()
     }
     fn admitted_at(&self, id: ObjectId) -> Option<Time> {
-        self.cached.get(&id).copied()
+        self.store.admitted_at(id)
     }
     fn restamp(&mut self, id: ObjectId, at: Time) {
-        if let Some(stamp) = self.cached.get_mut(&id) {
-            *stamp = at;
-        }
+        self.store.restamp(id, at)
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
-        if self.cached.contains_key(&req.id) {
+        if self.store.contains(req.id) {
             return Outcome::Hit;
         }
-        if req.size > self.capacity {
+        if req.size > self.store.capacity() {
             return Outcome::MissBypassed;
         }
-        while self.used + req.size > self.capacity {
-            let (id, size) = self.queue.pop_front().expect("non-empty");
-            self.cached.remove(&id);
-            self.used -= size;
-            self.evictions += 1;
-        }
-        self.queue.push_back((req.id, req.size));
-        self.cached.insert(req.id, req.ts);
-        self.used += req.size;
+        self.store.insert(req.id, req.size, req.ts);
         Outcome::MissAdmitted
     }
 
     fn evictions(&self) -> u64 {
-        self.evictions
+        self.store.evictions()
     }
 
     fn metadata_overhead_bytes(&self) -> u64 {
-        self.cached.len() as u64 * 40
+        self.store.len() as u64 * 40
     }
 }
 

@@ -6,58 +6,31 @@
 //! are retained. `L` is the inflation term: the priority of the last
 //! evicted object.
 
-use crate::util::OrdF64;
+use crate::util::{OrdF64, OrderedStore};
 use lhr_sim::{CachePolicy, Outcome};
 use lhr_trace::{ObjectId, Request, Time};
-use lhr_util::hash::FastMap;
-use std::collections::BTreeSet;
-
-#[derive(Debug)]
-struct Entry {
-    size: u64,
-    freq: u64,
-    priority: OrdF64,
-    /// Freshness stamp.
-    admitted: Time,
-}
 
 /// The GDSF policy.
 #[derive(Debug)]
 pub struct Gdsf {
-    capacity: u64,
-    used: u64,
-    entries: FastMap<ObjectId, Entry>,
-    queue: BTreeSet<(OrdF64, ObjectId)>,
+    /// Cached objects by priority `H`, each with its frequency `F`.
+    store: OrderedStore<OrdF64, u64>,
     /// Inflation term `L`.
     inflation: f64,
-    evictions: u64,
 }
 
 impl Gdsf {
     /// An empty GDSF cache of `capacity` bytes.
     pub fn new(capacity: u64) -> Self {
         Gdsf {
-            capacity,
-            used: 0,
-            entries: FastMap::default(),
-            queue: BTreeSet::new(),
+            store: OrderedStore::new(capacity),
             inflation: 0.0,
-            evictions: 0,
         }
     }
+}
 
-    fn priority(&self, freq: u64, size: u64) -> OrdF64 {
-        OrdF64::new(self.inflation + freq as f64 / size as f64)
-    }
-
-    fn evict_one(&mut self) {
-        let &(priority, id) = self.queue.iter().next().expect("cache empty while full");
-        self.queue.remove(&(priority, id));
-        let entry = self.entries.remove(&id).expect("queued");
-        self.used -= entry.size;
-        self.inflation = priority.0;
-        self.evictions += 1;
-    }
+fn priority(inflation: f64, freq: u64, size: u64) -> OrdF64 {
+    OrdF64::new(inflation + freq as f64 / size as f64)
 }
 
 impl CachePolicy for Gdsf {
@@ -65,61 +38,45 @@ impl CachePolicy for Gdsf {
         "GDSF"
     }
     fn capacity(&self) -> u64 {
-        self.capacity
+        self.store.capacity()
     }
     fn used_bytes(&self) -> u64 {
-        self.used
+        self.store.used()
     }
     fn admitted_at(&self, id: ObjectId) -> Option<Time> {
-        self.entries.get(&id).map(|e| e.admitted)
+        self.store.admitted_at(id)
     }
     fn restamp(&mut self, id: ObjectId, at: Time) {
-        if let Some(e) = self.entries.get_mut(&id) {
-            e.admitted = at;
-        }
+        self.store.restamp(id, at)
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
-        if self.entries.contains_key(&req.id) {
-            let freq = {
-                let e = self.entries.get_mut(&req.id).expect("cached");
-                self.queue.remove(&(e.priority, req.id));
-                e.freq += 1;
-                e.freq
-            };
-            let p = self.priority(freq, req.size);
-            let e = self.entries.get_mut(&req.id).expect("cached");
-            e.priority = p;
-            self.queue.insert((p, req.id));
+        let inflation = self.inflation;
+        let hit = self.store.rekey(req.id, |_, freq| {
+            *freq += 1;
+            priority(inflation, *freq, req.size)
+        });
+        if hit {
             return Outcome::Hit;
         }
-        if req.size > self.capacity {
+        if req.size > self.store.capacity() {
             return Outcome::MissBypassed;
         }
-        while self.used + req.size > self.capacity {
-            self.evict_one();
+        while !self.store.fits(req.size) {
+            let (evicted, ..) = self.store.pop_min().expect("over budget yet empty");
+            self.inflation = evicted.0;
         }
-        let p = self.priority(1, req.size);
-        self.entries.insert(
-            req.id,
-            Entry {
-                size: req.size,
-                freq: 1,
-                priority: p,
-                admitted: req.ts,
-            },
-        );
-        self.queue.insert((p, req.id));
-        self.used += req.size;
+        let p = priority(self.inflation, 1, req.size);
+        self.store.insert(req.id, req.size, req.ts, p, 1);
         Outcome::MissAdmitted
     }
 
     fn evictions(&self) -> u64 {
-        self.evictions
+        self.store.evictions()
     }
 
     fn metadata_overhead_bytes(&self) -> u64 {
-        self.entries.len() as u64 * 72
+        self.store.len() as u64 * 72
     }
 }
 

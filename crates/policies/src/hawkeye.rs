@@ -17,7 +17,7 @@
 //! Cache-friendly objects are inserted at MRU of a friendly list;
 //! cache-averse ones go to an averse list that is always evicted first.
 
-use crate::util::{Handle, LruList};
+use crate::util::SegmentedStore;
 use lhr_sim::{CachePolicy, Outcome};
 use lhr_trace::{ObjectId, Request, Time};
 use lhr_util::hash::FastMap;
@@ -32,21 +32,15 @@ const SLOTS: usize = 4_096;
 /// Size of the hashed predictor table.
 const PREDICTOR_SLOTS: usize = 32_768;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ListKind {
-    Friendly,
-    Averse,
-}
+/// The two segments: cache-friendly objects, and the cache-averse ones
+/// that leave first.
+const FRIENDLY: usize = 0;
+const AVERSE: usize = 1;
 
 /// The Hawkeye policy.
 #[derive(Debug)]
 pub struct Hawkeye {
-    capacity: u64,
-    used: u64,
-    friendly: LruList<(ObjectId, u64)>,
-    averse: LruList<(ObjectId, u64)>,
-    /// id → (list handle, which list, size, freshness stamp).
-    map: FastMap<ObjectId, (Handle, ListKind, u64, Time)>,
+    store: SegmentedStore,
     /// 3-bit saturating counters indexed by hashed id; ≥ 0 ⇒ friendly.
     predictor: Vec<i8>,
     /// OPTgen ring: bytes OPT would hold during each slot.
@@ -57,24 +51,18 @@ pub struct Hawkeye {
     clock: u64,
     /// id → absolute slot of its previous request (pruned as it ages out).
     last_seen: FastMap<ObjectId, u64>,
-    evictions: u64,
 }
 
 impl Hawkeye {
     /// A Hawkeye cache of `capacity` bytes.
     pub fn new(capacity: u64) -> Self {
         Hawkeye {
-            capacity,
-            used: 0,
-            friendly: LruList::new(),
-            averse: LruList::new(),
-            map: FastMap::default(),
+            store: SegmentedStore::new(capacity, 2),
             predictor: vec![0i8; PREDICTOR_SLOTS],
             occupancy: vec![0u64; SLOTS],
             first_slot: 0,
             clock: 0,
             last_seen: FastMap::default(),
-            evictions: 0,
         }
     }
 
@@ -128,7 +116,7 @@ impl Hawkeye {
         }
         for s in lo..now_slot {
             let idx = (s % SLOTS as u64) as usize;
-            if self.occupancy[idx] + size > self.capacity {
+            if self.occupancy[idx] + size > self.store.capacity() {
                 return false;
             }
         }
@@ -137,19 +125,6 @@ impl Hawkeye {
             self.occupancy[idx] += size;
         }
         true
-    }
-
-    fn evict_one(&mut self) {
-        let (id, size) = if let Some(victim) = self.averse.pop_back() {
-            victim
-        } else {
-            self.friendly
-                .pop_back()
-                .expect("cache full but both lists empty")
-        };
-        self.map.remove(&id);
-        self.used -= size;
-        self.evictions += 1;
     }
 
     /// Prunes aged-out reuse anchors to bound `last_seen`.
@@ -164,18 +139,16 @@ impl CachePolicy for Hawkeye {
         "Hawkeye"
     }
     fn capacity(&self) -> u64 {
-        self.capacity
+        self.store.capacity()
     }
     fn used_bytes(&self) -> u64 {
-        self.used
+        self.store.used()
     }
     fn admitted_at(&self, id: ObjectId) -> Option<Time> {
-        self.map.get(&id).map(|&(.., at)| at)
+        self.store.admitted_at(id)
     }
     fn restamp(&mut self, id: ObjectId, at: Time) {
-        if let Some(slot) = self.map.get_mut(&id) {
-            slot.3 = at;
-        }
+        self.store.restamp(id, at)
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
@@ -192,49 +165,35 @@ impl CachePolicy for Hawkeye {
         }
 
         // --- Real cache ---
-        let friendly_now = self.is_friendly(req.id);
-        // The slot is updated in place, so its stamp rides along.
-        if let Some(slot) = self.map.get_mut(&req.id) {
-            match (slot.1, friendly_now) {
-                (ListKind::Friendly, true) => self.friendly.move_to_front(slot.0),
-                (ListKind::Averse, false) => self.averse.move_to_front(slot.0),
-                (ListKind::Friendly, false) => {
-                    let entry = self.friendly.remove(slot.0);
-                    (slot.0, slot.1) = (self.averse.push_front(entry), ListKind::Averse);
-                }
-                (ListKind::Averse, true) => {
-                    let entry = self.averse.remove(slot.0);
-                    (slot.0, slot.1) = (self.friendly.push_front(entry), ListKind::Friendly);
-                }
-            }
+        // A hit moves the object to the list the predictor names now.
+        let segment = if self.is_friendly(req.id) {
+            FRIENDLY
+        } else {
+            AVERSE
+        };
+        if self.store.move_to(req.id, segment) {
             return Outcome::Hit;
         }
-        if req.size > self.capacity {
+        if req.size > self.store.capacity() {
             return Outcome::MissBypassed;
         }
-        while self.used + req.size > self.capacity {
-            self.evict_one();
+        while !self.store.fits(req.size) {
+            if self.store.pop_lru(AVERSE).is_none() {
+                self.store
+                    .pop_lru(FRIENDLY)
+                    .expect("cache full but both lists empty");
+            }
         }
-        let kind = if friendly_now {
-            ListKind::Friendly
-        } else {
-            ListKind::Averse
-        };
-        let handle = match kind {
-            ListKind::Friendly => self.friendly.push_front((req.id, req.size)),
-            ListKind::Averse => self.averse.push_front((req.id, req.size)),
-        };
-        self.map.insert(req.id, (handle, kind, req.size, req.ts));
-        self.used += req.size;
+        self.store.insert(req.id, req.size, req.ts, segment);
         Outcome::MissAdmitted
     }
 
     fn evictions(&self) -> u64 {
-        self.evictions
+        self.store.evictions()
     }
 
     fn metadata_overhead_bytes(&self) -> u64 {
-        (self.map.len() * 64
+        (self.store.len() * 64
             + self.last_seen.len() * 16
             + self.predictor.len()
             + self.occupancy.len() * 8) as u64

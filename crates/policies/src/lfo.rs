@@ -13,10 +13,11 @@
 
 use crate::util::LruStore;
 use lhr_gbm::{Dataset, Gbm, GbmParams};
+use lhr_sim::bound::belady_replay;
 use lhr_sim::{CachePolicy, Outcome};
 use lhr_trace::{ObjectId, Request, Time};
 use lhr_util::hash::FastMap;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Feature width: ln(size), ln(1+count), ln(IRT₁..IRT₄).
 const N_FEATURES: usize = 6;
@@ -112,58 +113,11 @@ impl Lfo {
     /// (future-aware within the window) and label each request 1 if OPT
     /// admitted or already cached it.
     fn opt_labels(&self) -> Vec<f32> {
-        // next-use indices within the window
-        let n = self.window.len();
-        let mut next = vec![u64::MAX; n];
-        let mut last_seen: FastMap<ObjectId, u64> = FastMap::default();
-        for i in (0..n).rev() {
-            let id = self.window[i].1;
-            if let Some(&later) = last_seen.get(&id) {
-                next[i] = later;
-            }
-            last_seen.insert(id, i as u64);
-        }
-        let mut by_next: BTreeSet<(u64, ObjectId)> = BTreeSet::new();
-        let mut cached: FastMap<ObjectId, (u64, u64)> = FastMap::default();
-        let mut used = 0u64;
-        let mut labels = vec![0f32; n];
-        for i in 0..n {
-            let (_, id, size) = self.window[i];
-            let this_next = next[i];
-            if let Some(&(old_next, s)) = cached.get(&id) {
-                labels[i] = 1.0;
-                by_next.remove(&(old_next, id));
-                if this_next == u64::MAX {
-                    cached.remove(&id);
-                    used -= s;
-                } else {
-                    cached.insert(id, (this_next, s));
-                    by_next.insert((this_next, id));
-                }
-                continue;
-            }
-            if size > self.store.capacity() || this_next == u64::MAX {
-                continue;
-            }
-            let mut admitted = true;
-            while used + size > self.store.capacity() {
-                let &(victim_next, victim) = by_next.iter().next_back().expect("full");
-                if victim_next <= this_next {
-                    admitted = false;
-                    break;
-                }
-                by_next.remove(&(victim_next, victim));
-                let (_, vs) = cached.remove(&victim).expect("indexed");
-                used -= vs;
-            }
-            if admitted {
-                labels[i] = 1.0;
-                cached.insert(id, (this_next, size));
-                by_next.insert((this_next, id));
-                used += size;
-            }
-        }
-        labels
+        let requests = self.window.iter().map(|&(_, id, size)| (id, size));
+        belady_replay(requests, self.store.capacity(), true)
+            .into_iter()
+            .map(|outcome| f32::from(outcome != Outcome::MissBypassed))
+            .collect()
     }
 
     fn retrain(&mut self) {

@@ -5,61 +5,26 @@
 //! request count while cached and `L` is the "cache age": the priority of
 //! the most recently evicted object. Eviction removes the smallest `K_i`.
 
+use crate::util::OrderedStore;
 use lhr_sim::{CachePolicy, Outcome};
 use lhr_trace::{ObjectId, Request, Time};
-use lhr_util::hash::FastMap;
-use std::collections::BTreeSet;
-
-#[derive(Debug)]
-struct Entry {
-    size: u64,
-    priority: u64,
-    /// Freshness stamp.
-    admitted: Time,
-}
 
 /// The LFU-DA policy.
 #[derive(Debug)]
 pub struct LfuDa {
-    capacity: u64,
-    used: u64,
-    entries: FastMap<ObjectId, Entry>,
-    queue: BTreeSet<(u64, ObjectId)>,
+    /// Cached objects by priority `K`.
+    store: OrderedStore<u64>,
     /// Cache age `L`.
     age: u64,
-    evictions: u64,
 }
 
 impl LfuDa {
     /// An empty LFU-DA cache of `capacity` bytes.
     pub fn new(capacity: u64) -> Self {
         LfuDa {
-            capacity,
-            used: 0,
-            entries: FastMap::default(),
-            queue: BTreeSet::new(),
+            store: OrderedStore::new(capacity),
             age: 0,
-            evictions: 0,
         }
-    }
-
-    fn bump(&mut self, id: ObjectId) {
-        let entry = self.entries.get_mut(&id).expect("cached");
-        self.queue.remove(&(entry.priority, id));
-        // C_i increments by one: K = C + L means the priority grows by 1
-        // relative to its current value (which already embeds the L at
-        // admission time) — the standard incremental formulation.
-        entry.priority += 1;
-        self.queue.insert((entry.priority, id));
-    }
-
-    fn evict_one(&mut self) {
-        let &(priority, id) = self.queue.iter().next().expect("cache empty while full");
-        self.queue.remove(&(priority, id));
-        let entry = self.entries.remove(&id).expect("queued");
-        self.used -= entry.size;
-        self.age = priority;
-        self.evictions += 1;
     }
 }
 
@@ -68,52 +33,43 @@ impl CachePolicy for LfuDa {
         "LFU-DA"
     }
     fn capacity(&self) -> u64 {
-        self.capacity
+        self.store.capacity()
     }
     fn used_bytes(&self) -> u64 {
-        self.used
+        self.store.used()
     }
     fn admitted_at(&self, id: ObjectId) -> Option<Time> {
-        self.entries.get(&id).map(|e| e.admitted)
+        self.store.admitted_at(id)
     }
     fn restamp(&mut self, id: ObjectId, at: Time) {
-        if let Some(e) = self.entries.get_mut(&id) {
-            e.admitted = at;
-        }
+        self.store.restamp(id, at)
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
-        if self.entries.contains_key(&req.id) {
-            self.bump(req.id);
+        // C_i increments by one: K = C + L means the priority grows by 1
+        // relative to its current value (which already embeds the L at
+        // admission time) — the standard incremental formulation.
+        if self.store.rekey(req.id, |priority, _| priority + 1) {
             return Outcome::Hit;
         }
-        if req.size > self.capacity {
+        if req.size > self.store.capacity() {
             return Outcome::MissBypassed;
         }
-        while self.used + req.size > self.capacity {
-            self.evict_one();
+        while !self.store.fits(req.size) {
+            (self.age, ..) = self.store.pop_min().expect("over budget yet empty");
         }
         // New object: C = 1, K = 1 + L.
-        let priority = 1 + self.age;
-        self.entries.insert(
-            req.id,
-            Entry {
-                size: req.size,
-                priority,
-                admitted: req.ts,
-            },
-        );
-        self.queue.insert((priority, req.id));
-        self.used += req.size;
+        self.store
+            .insert(req.id, req.size, req.ts, 1 + self.age, ());
         Outcome::MissAdmitted
     }
 
     fn evictions(&self) -> u64 {
-        self.evictions
+        self.store.evictions()
     }
 
     fn metadata_overhead_bytes(&self) -> u64 {
-        self.entries.len() as u64 * 64
+        self.store.len() as u64 * 64
     }
 }
 

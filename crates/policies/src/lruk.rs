@@ -9,39 +9,30 @@
 //! implementations bound the "retained information" the original algorithm
 //! calls for.
 
+use crate::util::OrderedStore;
 use lhr_sim::{CachePolicy, Outcome};
 use lhr_trace::{ObjectId, Request, Time};
 use lhr_util::hash::FastMap;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Eviction key: uncached-history objects sort before K-referenced ones,
 /// then by the relevant timestamp (older = evicted first).
-type EvictKey = (u8, Time, ObjectId);
+type EvictKey = (u8, Time);
 
-#[derive(Debug)]
-struct Entry {
-    size: u64,
-    /// Up to K most recent reference times; front = oldest.
-    history: VecDeque<Time>,
-    key: EvictKey,
-    /// Freshness stamp.
-    admitted: Time,
-}
+/// Up to K most recent reference times; front = oldest.
+type History = VecDeque<Time>;
 
 /// The LRU-K policy.
 #[derive(Debug)]
 pub struct LruK {
     name: String,
     k: usize,
-    capacity: u64,
-    used: u64,
-    entries: FastMap<ObjectId, Entry>,
-    queue: BTreeSet<EvictKey>,
+    /// Cached objects by eviction key, each with its reference history.
+    store: OrderedStore<EvictKey, History>,
     /// History of objects no longer cached (id → reference times), bounded.
-    retained: FastMap<ObjectId, VecDeque<Time>>,
+    retained: FastMap<ObjectId, History>,
     retained_order: VecDeque<ObjectId>,
     retained_limit: usize,
-    evictions: u64,
 }
 
 impl LruK {
@@ -51,60 +42,30 @@ impl LruK {
         LruK {
             name: format!("LRU-{k}"),
             k,
-            capacity,
-            used: 0,
-            entries: FastMap::default(),
-            queue: BTreeSet::new(),
+            store: OrderedStore::new(capacity),
             retained: FastMap::default(),
             retained_order: VecDeque::new(),
             retained_limit: 65_536,
-            evictions: 0,
         }
     }
 
-    fn key_for(k: usize, id: ObjectId, history: &VecDeque<Time>) -> EvictKey {
-        if history.len() >= k {
+    /// Records a reference at `ts` in `history`, keeps its K most recent
+    /// and returns the key they rank the object by.
+    fn refer(k: usize, history: &mut History, ts: Time) -> EvictKey {
+        history.push_back(ts);
+        while history.len() > k {
+            history.pop_front();
+        }
+        if history.len() == k {
             // K-th most recent reference = front of the deque.
-            (1, *history.front().expect("non-empty"), id)
+            (1, *history.front().expect("non-empty"))
         } else {
             // Fewer than K references: LRU by last (most recent) reference.
-            (0, *history.back().expect("non-empty"), id)
+            (0, ts)
         }
     }
 
-    /// The hit path: records a reference to `id` at `ts` if it is cached
-    /// (one probe, the entry updated in place) and says whether it was.
-    fn touch(&mut self, id: ObjectId, ts: Time) -> bool {
-        let k = self.k;
-        let Some(entry) = self.entries.get_mut(&id) else {
-            return false;
-        };
-        self.queue.remove(&entry.key);
-        entry.history.push_back(ts);
-        if entry.history.len() > k {
-            entry.history.pop_front();
-        }
-        let key = Self::key_for(k, id, &entry.history);
-        entry.key = key;
-        self.queue.insert(key);
-        true
-    }
-
-    fn evict_one(&mut self) {
-        let key = *self
-            .queue
-            .iter()
-            .next()
-            .expect("queue empty while cache full");
-        self.queue.remove(&key);
-        let id = key.2;
-        let entry = self.entries.remove(&id).expect("queued but not cached");
-        self.used -= entry.size;
-        self.evictions += 1;
-        self.retain_history(id, entry.history);
-    }
-
-    fn retain_history(&mut self, id: ObjectId, history: VecDeque<Time>) {
+    fn retain_history(&mut self, id: ObjectId, history: History) {
         if self.retained.insert(id, history).is_none() {
             self.retained_order.push_back(id);
         }
@@ -120,57 +81,46 @@ impl CachePolicy for LruK {
         &self.name
     }
     fn capacity(&self) -> u64 {
-        self.capacity
+        self.store.capacity()
     }
     fn used_bytes(&self) -> u64 {
-        self.used
+        self.store.used()
     }
     fn admitted_at(&self, id: ObjectId) -> Option<Time> {
-        self.entries.get(&id).map(|e| e.admitted)
+        self.store.admitted_at(id)
     }
     fn restamp(&mut self, id: ObjectId, at: Time) {
-        if let Some(e) = self.entries.get_mut(&id) {
-            e.admitted = at;
-        }
+        self.store.restamp(id, at)
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
-        if self.touch(req.id, req.ts) {
+        let k = self.k;
+        if self
+            .store
+            .rekey(req.id, |_, history| Self::refer(k, history, req.ts))
+        {
             return Outcome::Hit;
         }
-        if req.size > self.capacity {
+        if req.size > self.store.capacity() {
             return Outcome::MissBypassed;
         }
-        while self.used + req.size > self.capacity {
-            self.evict_one();
+        while !self.store.fits(req.size) {
+            let (_, id, history) = self.store.pop_min().expect("over budget yet empty");
+            self.retain_history(id, history);
         }
         // Resume any retained history.
         let mut history = self.retained.remove(&req.id).unwrap_or_default();
-        history.push_back(req.ts);
-        while history.len() > self.k {
-            history.pop_front();
-        }
-        let key = Self::key_for(self.k, req.id, &history);
-        self.entries.insert(
-            req.id,
-            Entry {
-                size: req.size,
-                history,
-                key,
-                admitted: req.ts,
-            },
-        );
-        self.queue.insert(key);
-        self.used += req.size;
+        let key = Self::refer(k, &mut history, req.ts);
+        self.store.insert(req.id, req.size, req.ts, key, history);
         Outcome::MissAdmitted
     }
 
     fn evictions(&self) -> u64 {
-        self.evictions
+        self.store.evictions()
     }
 
     fn metadata_overhead_bytes(&self) -> u64 {
-        ((self.entries.len() + self.retained.len()) * (48 + self.k * 8)) as u64
+        ((self.store.len() + self.retained.len()) * (48 + self.k * 8)) as u64
     }
 }
 
@@ -222,9 +172,9 @@ mod tests {
         c.handle(&req(10, 2, 100)); // evicts 3 (single-ref) to make room
         assert!(c.contains(2));
         // Object 2 should now rank as a 2-referenced object.
-        let e = c.entries.get(&2).expect("cached");
-        assert_eq!(e.history.len(), 2);
-        assert_eq!(e.key.0, 1);
+        let (key, history) = c.store.get(2).expect("cached");
+        assert_eq!(history.len(), 2);
+        assert_eq!(key.0, 1);
     }
 
     #[test]

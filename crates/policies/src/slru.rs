@@ -7,80 +7,49 @@
 //! level's overflow cascades down, and level 0's overflow leaves the
 //! cache.
 
-use crate::util::{Handle, LruList};
+use crate::util::SegmentedStore;
 use lhr_sim::{CachePolicy, Outcome};
 use lhr_trace::{ObjectId, Request, Time};
-use lhr_util::hash::FastMap;
 
 /// A multi-level segmented LRU; `Slru` and `S4lru` are thin constructors.
 #[derive(Debug)]
 pub struct SegmentedLru {
     name: String,
-    capacity: u64,
-    /// Per-level byte budgets (equal split).
+    /// Per-level byte budgets: an equal split, summing to the capacity.
     level_cap: Vec<u64>,
-    levels: Vec<LruList<(ObjectId, u64)>>,
-    level_bytes: Vec<u64>,
-    /// id → (list handle, level, freshness stamp).
-    map: FastMap<ObjectId, (Handle, usize, Time)>,
-    evictions: u64,
+    /// One segment per level.
+    store: SegmentedStore,
 }
 
 impl SegmentedLru {
-    /// A segmented LRU with `n_levels` equal segments.
+    /// A segmented LRU with `n_levels` equal segments. A cache of fewer
+    /// bytes than that has one level per byte, so that level 0 — the only
+    /// way in — is never left without a budget.
     pub fn new(name: impl Into<String>, capacity: u64, n_levels: usize) -> Self {
         assert!(n_levels >= 1);
-        let per = (capacity / n_levels as u64).max(1);
-        let mut level_cap = vec![per; n_levels];
+        let n_levels = (n_levels as u64).min(capacity.max(1));
+        let mut level_cap = vec![capacity / n_levels; n_levels as usize];
         // Give the remainder to the highest level.
-        level_cap[n_levels - 1] += capacity - per * n_levels as u64;
+        *level_cap.last_mut().expect("at least one level") += capacity % n_levels;
         SegmentedLru {
             name: name.into(),
-            capacity,
+            store: SegmentedStore::new(capacity, level_cap.len()),
             level_cap,
-            levels: (0..n_levels).map(|_| LruList::new()).collect(),
-            level_bytes: vec![0; n_levels],
-            map: FastMap::default(),
-            evictions: 0,
         }
     }
 
-    fn used(&self) -> u64 {
-        self.level_bytes.iter().sum()
-    }
-
-    /// Cascades overflow from `level` downward; level 0 overflow evicts.
-    fn cascade(&mut self, mut level: usize) {
-        loop {
-            if self.level_bytes[level] <= self.level_cap[level] {
+    /// Cascades overflow from `top` downward; level 0 overflow evicts.
+    fn cascade(&mut self, top: usize) {
+        for level in (0..=top).rev() {
+            while self.store.bytes(level) > self.level_cap[level] {
                 if level == 0 {
-                    return;
+                    self.store.pop_lru(0);
+                } else {
+                    let (id, _) = self.store.lru(level).expect("over budget");
+                    self.store.move_to(id, level - 1);
                 }
-                level -= 1;
-                continue;
-            }
-            let (id, size) = self.levels[level].pop_back().expect("over budget");
-            self.level_bytes[level] -= size;
-            if level == 0 {
-                self.map.remove(&id);
-                self.evictions += 1;
-            } else {
-                let h = self.levels[level - 1].push_front((id, size));
-                self.level_bytes[level - 1] += size;
-                // A demotion moves the slot; its stamp stays.
-                let slot = self.map.get_mut(&id).expect("listed");
-                (slot.0, slot.1) = (h, level - 1);
             }
         }
-    }
-
-    /// Puts `id`, stamped `admitted`, at the MRU end of `level` — a fresh
-    /// admission at level 0, or a promotion carrying its stamp up.
-    fn insert_at(&mut self, level: usize, id: ObjectId, size: u64, admitted: Time) {
-        let h = self.levels[level].push_front((id, size));
-        self.level_bytes[level] += size;
-        self.map.insert(id, (h, level, admitted));
-        self.cascade(level);
     }
 }
 
@@ -89,31 +58,24 @@ impl CachePolicy for SegmentedLru {
         &self.name
     }
     fn capacity(&self) -> u64 {
-        self.capacity
+        self.store.capacity()
     }
     fn used_bytes(&self) -> u64 {
-        self.used()
+        self.store.used()
     }
     fn admitted_at(&self, id: ObjectId) -> Option<Time> {
-        self.map.get(&id).map(|&(_, _, at)| at)
+        self.store.admitted_at(id)
     }
     fn restamp(&mut self, id: ObjectId, at: Time) {
-        if let Some(slot) = self.map.get_mut(&id) {
-            slot.2 = at;
-        }
+        self.store.restamp(id, at)
     }
 
     fn hit_check(&mut self, req: &Request) -> Option<Outcome> {
-        // Single probe on hit: level + handle come out of the one map.
-        let &(handle, level, admitted) = self.map.get(&req.id)?;
-        let top = self.levels.len() - 1;
-        if level == top {
-            self.levels[level].move_to_front(handle);
-        } else {
+        let level = self.store.touch(req.id)?;
+        if level + 1 < self.level_cap.len() {
             // Promote one level.
-            let (id, size) = self.levels[level].remove(handle);
-            self.level_bytes[level] -= size;
-            self.insert_at(level + 1, id, size, admitted);
+            self.store.move_to(req.id, level + 1);
+            self.cascade(level + 1);
         }
         Some(Outcome::Hit)
     }
@@ -128,16 +90,17 @@ impl CachePolicy for SegmentedLru {
         if req.size > self.level_cap[0] {
             return Outcome::MissBypassed;
         }
-        self.insert_at(0, req.id, req.size, req.ts);
+        self.store.insert(req.id, req.size, req.ts, 0);
+        self.cascade(0);
         Outcome::MissAdmitted
     }
 
     fn evictions(&self) -> u64 {
-        self.evictions
+        self.store.evictions()
     }
 
     fn metadata_overhead_bytes(&self) -> u64 {
-        self.map.len() as u64 * 56
+        self.store.len() as u64 * 56
     }
 }
 
@@ -164,7 +127,7 @@ mod tests {
     fn new_objects_enter_level_zero() {
         let mut c = slru(400);
         c.handle(&req(0, 1, 100));
-        assert_eq!(c.map.get(&1).expect("cached").1, 0);
+        assert_eq!(c.store.segment_of(1), Some(0));
     }
 
     #[test]
@@ -172,13 +135,13 @@ mod tests {
         let mut c = s4lru(800);
         c.handle(&req(0, 1, 100));
         c.handle(&req(1, 1, 100));
-        assert_eq!(c.map.get(&1).expect("cached").1, 1);
+        assert_eq!(c.store.segment_of(1), Some(1));
         c.handle(&req(2, 1, 100));
-        assert_eq!(c.map.get(&1).expect("cached").1, 2);
+        assert_eq!(c.store.segment_of(1), Some(2));
         c.handle(&req(3, 1, 100));
-        assert_eq!(c.map.get(&1).expect("cached").1, 3);
+        assert_eq!(c.store.segment_of(1), Some(3));
         c.handle(&req(4, 1, 100)); // already at top
-        assert_eq!(c.map.get(&1).expect("cached").1, 3);
+        assert_eq!(c.store.segment_of(1), Some(3));
     }
 
     #[test]
@@ -216,13 +179,26 @@ mod tests {
             c.handle(&req(2 * i, i % 11, 100));
             c.handle(&req(2 * i + 1, i % 7, 100));
         }
-        for (l, &bytes) in c.level_bytes.iter().enumerate() {
-            assert!(
-                bytes <= c.level_cap[l] || l == 0,
-                "level {l} over budget: {bytes} > {}",
-                c.level_cap[l]
-            );
+        for (l, &cap) in c.level_cap.iter().enumerate() {
+            let bytes = c.store.bytes(l);
+            assert!(bytes <= cap, "level {l} over budget: {bytes} > {cap}");
         }
+    }
+
+    #[test]
+    fn level_budgets_sum_to_the_capacity_however_small() {
+        for capacity in 0..=9u64 {
+            let c = s4lru(capacity);
+            assert_eq!(
+                c.level_cap.iter().sum::<u64>(),
+                capacity,
+                "{:?}",
+                c.level_cap
+            );
+            assert!(capacity == 0 || c.level_cap[0] >= 1, "{:?}", c.level_cap);
+        }
+        assert_eq!(s4lru(10).level_cap, [2, 2, 2, 4]);
+        assert_eq!(s4lru(2).level_cap, slru(2).level_cap);
     }
 
     #[test]

@@ -12,10 +12,9 @@
 //!
 //! Both are measured in bytes throughout, since CDN objects vary in size.
 
-use crate::util::{CountMinSketch, Handle, LruList, LruStore};
+use crate::util::{CountMinSketch, LruStore, SegmentedStore};
 use lhr_sim::{CachePolicy, Outcome};
 use lhr_trace::{ObjectId, Request, Time};
-use lhr_util::hash::FastMap;
 
 /// Plain TinyLFU: LRU eviction + frequency admission gate.
 #[derive(Debug)]
@@ -88,30 +87,18 @@ impl CachePolicy for TinyLfu {
     }
 }
 
-/// Which W-TinyLFU segment an object lives in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Segment {
-    Window,
-    Probation,
-    Protected,
-}
+/// The W-TinyLFU segments.
+const WINDOW: usize = 0;
+const PROBATION: usize = 1;
+const PROTECTED: usize = 2;
 
 /// W-TinyLFU: window + segmented-LRU main with TinyLFU admission between.
 #[derive(Debug)]
 pub struct WTinyLfu {
-    capacity: u64,
     window_cap: u64,
     protected_cap: u64,
-    window: LruList<(ObjectId, u64)>,
-    probation: LruList<(ObjectId, u64)>,
-    protected: LruList<(ObjectId, u64)>,
-    window_bytes: u64,
-    probation_bytes: u64,
-    protected_bytes: u64,
-    /// id → (list handle, segment, freshness stamp).
-    map: FastMap<ObjectId, (Handle, Segment, Time)>,
+    store: SegmentedStore,
     sketch: CountMinSketch,
-    evictions: u64,
 }
 
 impl WTinyLfu {
@@ -124,112 +111,58 @@ impl WTinyLfu {
         let window_cap = (capacity / 20).max(1);
         let main = capacity - window_cap;
         WTinyLfu {
-            capacity,
             window_cap,
             protected_cap: main * 8 / 10,
-            window: LruList::new(),
-            probation: LruList::new(),
-            protected: LruList::new(),
-            window_bytes: 0,
-            probation_bytes: 0,
-            protected_bytes: 0,
-            map: FastMap::default(),
+            store: SegmentedStore::new(capacity, 3),
             sketch: CountMinSketch::new(expected_objects),
-            evictions: 0,
         }
     }
 
-    fn main_bytes(&self) -> u64 {
-        self.probation_bytes + self.protected_bytes
-    }
-
-    fn main_cap(&self) -> u64 {
-        self.capacity - self.window_cap
-    }
-
-    /// Offers `candidate` (just evicted from the window, or an oversized
-    /// arrival) to the main region through the TinyLFU gate, as `(id,
-    /// size, freshness stamp)`: a window evictee that wins keeps its stamp.
-    fn offer_to_main(&mut self, candidate: (ObjectId, u64, Time)) {
-        let (cid, csize, admitted) = candidate;
-        if csize > self.main_cap() {
-            self.evictions += 1;
-            return; // cannot fit at all — drop
-        }
-        let freq_new = self.sketch.estimate(cid);
+    /// Offers `candidate` — in the window, on its way out — to the main
+    /// region through the TinyLFU gate: it moves to probation (stamp and
+    /// all) if it is more popular than every main object that would have
+    /// to go for it, and leaves the cache if not. Says whether it stayed.
+    fn offer_to_main(&mut self, candidate: ObjectId, size: u64) -> bool {
+        let main_cap = self.store.capacity() - self.window_cap;
+        let main_bytes = self.store.bytes(PROBATION) + self.store.bytes(PROTECTED);
         // Collect victims from probation LRU (then protected LRU) until the
         // candidate fits; reject the candidate if any victim is at least as
-        // popular.
-        let mut reclaim = self.main_cap() - self.main_bytes();
+        // popular, or if it cannot fit at all.
+        let freq_new = self.sketch.estimate(candidate);
+        let mut reclaim = main_cap - main_bytes;
         let mut victims: Vec<ObjectId> = Vec::new();
-        if reclaim < csize {
-            let pool: Vec<(ObjectId, u64)> = self
-                .probation
-                .iter_lru_first()
-                .copied()
-                .chain(self.protected.iter_lru_first().copied())
-                .collect();
-            for (vid, vsize) in pool {
-                if reclaim >= csize {
+        if reclaim < size && size <= main_cap {
+            let pool = self
+                .store
+                .iter_lru_first(PROBATION)
+                .chain(self.store.iter_lru_first(PROTECTED));
+            for &(victim, victim_size) in pool {
+                if reclaim >= size || self.sketch.estimate(victim) >= freq_new {
                     break;
                 }
-                if self.sketch.estimate(vid) >= freq_new {
-                    self.evictions += 1;
-                    return; // candidate loses the duel — dropped
-                }
-                reclaim += vsize;
-                victims.push(vid);
-            }
-            if reclaim < csize {
-                self.evictions += 1;
-                return;
+                reclaim += victim_size;
+                victims.push(victim);
             }
         }
-        for vid in victims {
-            self.remove_from_main(vid);
-            self.evictions += 1;
+        if reclaim < size {
+            self.store.remove(candidate);
+            return false;
         }
-        let h = self.probation.push_front((cid, csize));
-        self.probation_bytes += csize;
-        self.map.insert(cid, (h, Segment::Probation, admitted));
-    }
-
-    fn remove_from_main(&mut self, id: ObjectId) {
-        let (handle, seg, _) = self.map.remove(&id).expect("victim cached");
-        match seg {
-            Segment::Probation => {
-                let (_, size) = self.probation.remove(handle);
-                self.probation_bytes -= size;
-            }
-            Segment::Protected => {
-                let (_, size) = self.protected.remove(handle);
-                self.protected_bytes -= size;
-            }
-            Segment::Window => unreachable!("main victim cannot be in window"),
+        for victim in victims {
+            self.store.remove(victim);
         }
+        self.store.move_to(candidate, PROBATION);
+        true
     }
 
     /// Promotes a probation hit into protected, demoting protected overflow
-    /// back to probation MRU. Slots move in place: stamps stay.
-    fn promote(&mut self, id: ObjectId, handle: Handle) {
-        let (_, size) = self.probation.remove(handle);
-        self.probation_bytes -= size;
-        let h = self.protected.push_front((id, size));
-        self.protected_bytes += size;
-        self.relocate(id, h, Segment::Protected);
-        while self.protected_bytes > self.protected_cap {
-            let (demoted, dsize) = self.protected.pop_back().expect("over cap");
-            self.protected_bytes -= dsize;
-            let h = self.probation.push_front((demoted, dsize));
-            self.probation_bytes += dsize;
-            self.relocate(demoted, h, Segment::Probation);
+    /// back to probation MRU.
+    fn promote(&mut self, id: ObjectId) {
+        self.store.move_to(id, PROTECTED);
+        while self.store.bytes(PROTECTED) > self.protected_cap {
+            let (demoted, _) = self.store.lru(PROTECTED).expect("over cap");
+            self.store.move_to(demoted, PROBATION);
         }
-    }
-
-    /// Points the slot of the cached `id` at its new list node.
-    fn relocate(&mut self, id: ObjectId, handle: Handle, seg: Segment) {
-        let slot = self.map.get_mut(&id).expect("cached");
-        (slot.0, slot.1) = (handle, seg);
     }
 }
 
@@ -238,63 +171,51 @@ impl CachePolicy for WTinyLfu {
         "W-TinyLFU"
     }
     fn capacity(&self) -> u64 {
-        self.capacity
+        self.store.capacity()
     }
     fn used_bytes(&self) -> u64 {
-        self.window_bytes + self.main_bytes()
+        self.store.used()
     }
     fn admitted_at(&self, id: ObjectId) -> Option<Time> {
-        self.map.get(&id).map(|&(_, _, at)| at)
+        self.store.admitted_at(id)
     }
     fn restamp(&mut self, id: ObjectId, at: Time) {
-        if let Some(slot) = self.map.get_mut(&id) {
-            slot.2 = at;
-        }
+        self.store.restamp(id, at)
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
         self.sketch.increment(req.id);
-        if let Some(&(handle, seg, _)) = self.map.get(&req.id) {
-            match seg {
-                Segment::Window => self.window.move_to_front(handle),
-                Segment::Protected => self.protected.move_to_front(handle),
-                Segment::Probation => self.promote(req.id, handle),
+        if let Some(segment) = self.store.touch(req.id) {
+            if segment == PROBATION {
+                self.promote(req.id);
             }
             return Outcome::Hit;
         }
-        if req.size > self.capacity {
+        if req.size > self.store.capacity() {
             return Outcome::MissBypassed;
         }
-        if req.size > self.window_cap {
-            // Too big for the window: duel straight into main.
-            let was_cached = self.map.contains_key(&req.id);
-            self.offer_to_main((req.id, req.size, req.ts));
-            let admitted = self.map.contains_key(&req.id) != was_cached;
-            return if admitted {
-                Outcome::MissAdmitted
-            } else {
-                Outcome::MissBypassed
-            };
+        // Everything enters through the window. An arrival that fits there
+        // pushes out what it must, and the evictees duel for a place in
+        // main; one too big to stay passes straight through to the duel.
+        let stays = req.size <= self.window_cap;
+        while stays && self.store.bytes(WINDOW) + req.size > self.window_cap {
+            let (evictee, size) = self.store.lru(WINDOW).expect("window over cap");
+            self.offer_to_main(evictee, size);
         }
-        // Admit into the window unconditionally; window evictees duel.
-        while self.window_bytes + req.size > self.window_cap {
-            let (vid, vsize) = self.window.pop_back().expect("window over cap");
-            let (_, _, admitted) = self.map.remove(&vid).expect("listed");
-            self.window_bytes -= vsize;
-            self.offer_to_main((vid, vsize, admitted));
+        self.store.insert(req.id, req.size, req.ts, WINDOW);
+        if stays || self.offer_to_main(req.id, req.size) {
+            Outcome::MissAdmitted
+        } else {
+            Outcome::MissBypassed
         }
-        let h = self.window.push_front((req.id, req.size));
-        self.window_bytes += req.size;
-        self.map.insert(req.id, (h, Segment::Window, req.ts));
-        Outcome::MissAdmitted
     }
 
     fn evictions(&self) -> u64 {
-        self.evictions
+        self.store.evictions()
     }
 
     fn metadata_overhead_bytes(&self) -> u64 {
-        self.map.len() as u64 * 56 + self.sketch.size_bytes()
+        self.store.len() as u64 * 56 + self.sketch.size_bytes()
     }
 }
 
@@ -340,7 +261,7 @@ mod tests {
         let mut c = WTinyLfu::new(10_000, 1_000);
         let out = c.handle(&req(0, 1, 100));
         assert_eq!(out, Outcome::MissAdmitted);
-        assert_eq!(c.map[&1].1, Segment::Window);
+        assert_eq!(c.store.segment_of(1), Some(WINDOW));
     }
 
     #[test]
@@ -349,9 +270,9 @@ mod tests {
         // Fill window (cap = 500) so object 1 spills into probation.
         c.handle(&req(0, 1, 400));
         c.handle(&req(1, 2, 400)); // evicts 1 from window → probation duel (main empty → admitted)
-        assert_eq!(c.map[&1].1, Segment::Probation);
+        assert_eq!(c.store.segment_of(1), Some(PROBATION));
         c.handle(&req(2, 1, 400));
-        assert_eq!(c.map[&1].1, Segment::Protected);
+        assert_eq!(c.store.segment_of(1), Some(PROTECTED));
     }
 
     #[test]

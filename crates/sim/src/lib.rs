@@ -24,7 +24,8 @@
 //!   [`policy::CachePolicy`]'s contract, once.
 //! - [`bound::OfflineBound`] — the interface for (offline or online) upper
 //!   bounds on OPT, which see the whole trace instead of reacting
-//!   request-by-request.
+//!   request-by-request — and [`bound::belady_replay`], the future-aware
+//!   replay under `lhr-bounds`' Bélády bounds and LFO's training labels.
 //! - [`sweep`] — parallel grids over policies × cache sizes × traces.
 //!
 //! # Example

@@ -20,7 +20,7 @@ if grep -rnw unsafe crates/*/src src; then
   exit 1
 fi
 
-echo "==> kept deleted: one slot-array store, one way for windows to reach the recorder"
+echo "==> kept deleted: one slot-array store, no hand-rolled policy table, one way for windows to reach the recorder"
 # SampleStore (crates/sim/src/store.rs) holds the only swap_remove fix-up:
 # LhrCache and the threshold shadow kept their own until they moved onto
 # it. Everything above a file's first #[cfg(test)] is non-test code.
@@ -28,6 +28,16 @@ for file in crates/core/src/*.rs crates/policies/src/*.rs crates/policies/src/*/
   if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$file" \
       | grep swap_remove; then
     echo "swap_remove outside lhr_sim::store (see the lines above)" >&2
+    exit 1
+  fi
+done
+# A policy stands on one of the four stores (DESIGN.md "Cache stores") and
+# keeps no list or ordered set of its own: the list handles and the
+# BTreeSet are named under util/ only.
+for file in crates/policies/src/*.rs; do
+  if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$file" \
+      | grep -E 'Handle|BTreeSet'; then
+    echo "a list handle or an ordered set in a policy file (see the lines above)" >&2
     exit 1
   fi
 done
@@ -144,16 +154,16 @@ for t in 2 4; do
 done
 
 echo "==> freshness-stamp determinism smoke (one policy per cache store, --faults recovery, --threads 1 2 4)"
-# The freshness stamp lives in each policy's own slot (CachePolicy's
-# contract), so the determinism contract is per store family: LruStore
-# (LRU), SampleStore (Hyperbolic), and the bespoke tables of ARC,
-# W-TinyLFU and GDSF. The trace spans 1.67 h against the 1 h freshness
-# lifetime and `recovery` puts an outage and a slow-start ramp in the
-# middle of it, so stale serves, revalidations (restamps) and retries all
-# fire — the run is refused below if they did not.
+# The freshness stamp lives in the slot a policy's store keeps for the
+# object (CachePolicy's contract), so the determinism contract is per
+# store: LruStore (LRU), SampleStore (Hyperbolic), SegmentedStore
+# (W-TinyLFU), OrderedStore (GDSF). The trace spans 1.67 h against the 1 h
+# freshness lifetime and `recovery` puts an outage and a slow-start ramp in
+# the middle of it, so stale serves, revalidations (restamps) and retries
+# all fire — the run is refused below if they did not.
 "$lhr_cache" generate --kind zipf --objects 2000 --requests 600000 --seed 11 \
   --out "$smoke_dir/fresh.bin" > /dev/null
-for policy in LRU Hyperbolic ARC W-TinyLFU GDSF; do
+for policy in LRU Hyperbolic W-TinyLFU GDSF; do
   for t in 1 2 4; do
     "$lhr_cache" server --policy "$policy" --capacity 60MB --faults recovery \
       --threads "$t" --report "$smoke_dir/fr-$policy-$t.json" \

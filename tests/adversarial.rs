@@ -5,50 +5,34 @@
 //! termination) even where its hit ratio collapses.
 
 use lhr_repro::core::cache::{LhrCache, LhrConfig};
-use lhr_repro::policies::{
-    s4lru, slru, AdaptSize, Arc, BLru, Fifo, Gdsf, Hawkeye, Hyperbolic, Lfo, LfuDa, Lhd, Lrb, Lru,
-    LruK, PopCache, RandomEviction, RlCache, TinyLfu, WTinyLfu,
-};
+use lhr_repro::proto::presets::{PolicyParams, POLICIES};
 use lhr_repro::sim::{CachePolicy, SimConfig, Simulator};
 use lhr_repro::trace::{Request, Time, Trace};
+use lhr_util::rng::rngs::SmallRng;
+use lhr_util::rng::{Rng, SeedableRng};
 
-fn all_policies(capacity: u64) -> Vec<Box<dyn CachePolicy>> {
+/// Every roster row, built as `lhr-cache --policy NAME` builds it for
+/// `trace` — so a new row is covered the day it is listed — and one more
+/// LHR: the roster's keep their 4 096-request window floor, which these
+/// short traces cross once or never, so this one trains every 64 requests.
+fn all_policies(capacity: u64, trace: &Trace) -> Vec<Box<dyn CachePolicy + Send>> {
     let seed = 99;
-    vec![
-        Box::new(Lru::new(capacity)),
-        Box::new(Fifo::new(capacity)),
-        Box::new(RandomEviction::new(capacity, seed)),
-        Box::new(LruK::new(capacity, 4)),
-        Box::new(LfuDa::new(capacity)),
-        Box::new(Gdsf::new(capacity)),
-        Box::new(Arc::new(capacity)),
-        Box::new(AdaptSize::new(capacity, seed)),
-        Box::new(BLru::new(capacity, 1 << 12)),
-        Box::new(TinyLfu::new(capacity, 1 << 12)),
-        Box::new(WTinyLfu::new(capacity, 1 << 12)),
-        Box::new(slru(capacity)),
-        Box::new(s4lru(capacity)),
-        Box::new(Hyperbolic::new(capacity, seed)),
-        Box::new(Lhd::new(capacity, seed)),
-        Box::new(Lfo::new(capacity, 1_024)),
-        Box::new(RlCache::new(capacity, 60.0, seed)),
-        Box::new(PopCache::new(capacity, 60.0, seed)),
-        Box::new(Lrb::new(capacity, 60.0, seed)),
-        Box::new(Hawkeye::new(capacity)),
-        Box::new(LhrCache::new(
-            capacity,
-            LhrConfig {
-                seed,
-                min_window_requests: 64,
-                ..LhrConfig::default()
-            },
-        )),
-    ]
+    let params = PolicyParams::for_trace(capacity, seed, trace);
+    let mut policies: Vec<_> = POLICIES.iter().map(|(_, build)| build(&params)).collect();
+    policies.push(Box::new(LhrCache::new(
+        capacity,
+        LhrConfig {
+            seed,
+            min_window_requests: 64,
+            ..LhrConfig::default()
+        },
+    )));
+    policies
 }
 
 /// Runs a trace through every policy asserting only correctness invariants.
 fn assert_survives(trace: &Trace, capacity: u64) {
-    for mut policy in all_policies(capacity) {
+    for mut policy in all_policies(capacity, trace) {
         let result = Simulator::new(SimConfig::default()).run(&mut policy, trace);
         assert_eq!(
             result.metrics.hits + result.metrics.misses(),
@@ -75,7 +59,7 @@ fn sequential_scan_never_repeats() {
     );
     assert_survives(&trace, 100_000);
     // And nobody may claim a hit.
-    for mut policy in all_policies(100_000) {
+    for mut policy in all_policies(100_000, &trace) {
         let result = Simulator::new(SimConfig::default()).run(&mut policy, &trace);
         assert_eq!(
             result.metrics.hits, 0,
@@ -119,7 +103,7 @@ fn all_requests_same_object() {
             .map(|i| Request::new(Time::from_secs(i), 7, 999))
             .collect(),
     );
-    for mut policy in all_policies(10_000) {
+    for mut policy in all_policies(10_000, &trace) {
         let result = Simulator::new(SimConfig::default()).run(&mut policy, &trace);
         // Admission-controlled policies may bypass the first few sightings,
         // but a single hot object must eventually produce a hit majority.
@@ -144,12 +128,52 @@ fn object_exactly_at_capacity() {
             Request::new(Time::from_secs(3), 2, capacity + 1),
         ],
     );
-    for mut policy in all_policies(capacity) {
+    for mut policy in all_policies(capacity, &trace) {
         let name = policy.name().to_string();
         for req in trace.iter() {
             policy.handle(req);
             assert!(policy.used_bytes() <= capacity, "{name} overflowed");
             assert!(!policy.contains(2), "{name} admitted an oversized object");
+        }
+    }
+}
+
+#[test]
+fn caches_of_a_few_bytes_stay_within_them() {
+    // One-byte objects, 20 ids drawn uniformly, caches of 1 to 8 bytes:
+    // every split of the capacity (levels, segments, a window) is down to
+    // single bytes or to none. No policy can beat `capacity / 20` here by
+    // much, so a row far above LRU is holding more than it admits to.
+    let mut rng = SmallRng::seed_from_u64(99);
+    let requests =
+        (0..4_000u64).map(|i| Request::new(Time::from_secs(i), rng.gen_range(0..20u64), 1));
+    let trace = Trace::from_requests("tiny", requests.collect());
+    for capacity in 1..=8u64 {
+        let mut hits = Vec::new();
+        for mut policy in all_policies(capacity, &trace) {
+            let name = policy.name().to_string();
+            assert_eq!(policy.capacity(), capacity, "{name}");
+            let mut policy_hits = 0u64;
+            for req in trace.iter() {
+                policy_hits += u64::from(policy.handle(req).is_hit());
+                assert!(
+                    policy.used_bytes() <= capacity,
+                    "{name} holds {} of {capacity} bytes",
+                    policy.used_bytes()
+                );
+            }
+            hits.push((name, policy_hits));
+        }
+        let lru = hits
+            .iter()
+            .find(|(name, _)| name == "LRU")
+            .expect("listed")
+            .1;
+        for (name, policy_hits) in hits {
+            assert!(
+                policy_hits <= 3 * lru && lru <= 3 * policy_hits,
+                "{name} at {capacity} bytes: {policy_hits} hits against LRU's {lru}"
+            );
         }
     }
 }
