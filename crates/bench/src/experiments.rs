@@ -1,24 +1,35 @@
-//! One function per paper table/figure. Each returns a printable report;
-//! the `src/bin/*` binaries are thin wrappers, and `repro` runs everything.
+//! The paper's evaluation (§6–7 and the appendix), one report per table or
+//! figure. Each experiment is its parameters and its table over three
+//! runs: [`simulate`] (one `Simulator` run), [`serve`] (one `CdnServer`
+//! replay of a roster policy) and [`grid`] (the headline line-up in
+//! parallel). [`run`] renders the ones `repro --only` names.
 
 use crate::harness::{
-    all_factories, default_capacity, format_table, gb, lrb_window_secs, pct, production_traces,
+    all_factories, caffeine_capacity, default_capacity, format_table, gb, pct, production_traces,
     Options,
 };
-use lhr::cache::{LhrCache, LhrConfig};
+use lhr::cache::{EvictionRule, LhrCache, LhrConfig};
 use lhr::detect::ZipfDetector;
 use lhr::hazard::Hro;
 use lhr::window::WindowTracker;
 use lhr_bounds::{BeladySize, PfooUpper};
-use lhr_policies::{Hawkeye, Lrb, Lru};
-use lhr_proto::presets::{ats_server, caffeine_server, lhr_caffeine_server, lhr_server};
+use lhr_gbm::{GbmParams, Loss};
+use lhr_policies::Lru;
+use lhr_proto::presets::{self, PolicyParams};
 use lhr_proto::{CdnServer, ServerConfig, ServerReport};
 use lhr_sim::bound::OfflineBound;
-use lhr_sim::sweep::{run_grid_obs, Cell};
-use lhr_sim::{CachePolicy, SimConfig, Simulator};
+use lhr_sim::sweep::{run_grid, Cell};
+use lhr_sim::{CachePolicy, SimConfig, SimResult, Simulator};
 use lhr_trace::stats::{ccdf, inter_request_times, one_hit_wonder_ratio, rank_frequency};
-use lhr_trace::synth::{markov, ZipfSampler};
+use lhr_trace::synth::renewal::bursty_trace;
+use lhr_trace::synth::{markov, IrmConfig, SizeModel, ZipfSampler};
 use lhr_trace::{Request, Time, Trace, TraceStats};
+use lhr_util::rng::rngs::StdRng;
+use lhr_util::rng::SeedableRng;
+
+// ---------------------------------------------------------------------------
+// The three runs
+// ---------------------------------------------------------------------------
 
 /// Default warmup: the first fifth of the trace (≈ the first training
 /// windows), excluded from measured hit ratios as in §5.1.
@@ -26,15 +37,111 @@ fn warmup_for(trace: &Trace) -> usize {
     trace.len() / 5
 }
 
+/// One simulator run of `policy` over `trace`, its first `warmup` requests
+/// excluded from the metrics. The policy comes back with the result, so an
+/// LHR caller can read its training stats.
+fn simulate<P: CachePolicy>(mut policy: P, trace: &Trace, warmup: usize) -> (SimResult, P) {
+    let config = SimConfig {
+        warmup_requests: warmup,
+        series_every: None,
+    };
+    let result = Simulator::new(config).run(&mut policy, trace);
+    (result, policy)
+}
+
+/// LHR under `config`, seeded from the options.
+fn lhr(o: &Options, capacity: u64, config: LhrConfig) -> LhrCache {
+    LhrCache::new(
+        capacity,
+        LhrConfig {
+            seed: o.seed,
+            ..config
+        },
+    )
+}
+
+/// One replay of `trace` through a `CdnServer` running the roster policy
+/// `name`, built from `params`.
+fn serve(
+    params: &PolicyParams<'_>,
+    name: &str,
+    trace: &Trace,
+    config: ServerConfig,
+) -> ServerReport {
+    let build = presets::policy(name).expect("a roster name");
+    CdnServer::new(build(params), config).replay(trace)
+}
+
+/// The headline line-up (`harness::all_factories`: LHR, then the seven
+/// best SOTAs) at each of `capacities` over `trace`, its first `warmup`
+/// requests excluded, on the options' threads and recorder: one result
+/// list per capacity, in line-up order.
+fn grid(o: &Options, trace: &Trace, capacities: &[u64], warmup: usize) -> Vec<Vec<SimResult>> {
+    let factories = all_factories(trace, o.seed);
+    let cells: Vec<Cell<'_>> = capacities
+        .iter()
+        .flat_map(|&capacity| {
+            (0..factories.len()).map(move |policy| Cell {
+                policy,
+                trace,
+                capacity,
+            })
+        })
+        .collect();
+    let config = SimConfig {
+        warmup_requests: warmup,
+        series_every: None,
+    };
+    run_grid(&factories, &cells, &config, o.threads, o.obs.as_ref())
+        .chunks(factories.len())
+        .map(<[SimResult]>::to_vec)
+        .collect()
+}
+
+/// LHR's measured hit ratio under each of `configs`, per production-like
+/// trace at its default cache size, the trace's warmup excluded.
+fn lhr_hits(o: &Options, configs: &[LhrConfig]) -> Vec<(String, Vec<f64>)> {
+    production_traces(o)
+        .iter()
+        .map(|trace| {
+            let capacity = default_capacity(trace);
+            let hits = configs
+                .iter()
+                .map(|config| {
+                    hit(&simulate(lhr(o, capacity, config.clone()), trace, warmup_for(trace)).0)
+                })
+                .collect();
+            (trace.name.clone(), hits)
+        })
+        .collect()
+}
+
+fn hit(result: &SimResult) -> f64 {
+    result.metrics.object_hit_ratio()
+}
+
+/// `a − b` in signed percentage points.
+fn delta(a: f64, b: f64) -> String {
+    format!("{:+.2}", (a - b) * 100.0)
+}
+
+/// A report: its title line, then the table.
+fn table(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {
+    format!("{title}\n{}", format_table(header, rows))
+}
+
+/// A row of two runs side by side: both hit ratios and their difference.
+fn versus((trace, hits): (String, Vec<f64>)) -> Vec<String> {
+    vec![trace, pct(hits[0]), pct(hits[1]), delta(hits[0], hits[1])]
+}
+
 // ---------------------------------------------------------------------------
 // Table 1 & Figure 1 — trace characteristics
 // ---------------------------------------------------------------------------
 
 /// Table 1: key characteristics of the (production-like) traces.
-pub fn table1(options: &Options) -> String {
-    let _span = options.obs.as_ref().map(|o| o.span("bench.table1"));
-    let traces = production_traces(options);
-    let rows: Vec<Vec<String>> = traces
+fn table1(o: &Options) -> String {
+    let rows: Vec<Vec<String>> = production_traces(o)
         .iter()
         .map(|t| {
             let s = TraceStats::compute(t);
@@ -52,52 +159,41 @@ pub fn table1(options: &Options) -> String {
             ]
         })
         .collect();
-    format!(
-        "Table 1 (scale: {:?}) — trace characteristics\n{}",
-        options.scale,
-        format_table(
-            &[
-                "trace",
-                "hours",
-                "unique",
-                "reqs(M)",
-                "TB-req",
-                "GB-unique",
-                "GB-active",
-                "meanMB",
-                "maxMB",
-                "1-hit",
-            ],
-            &rows,
-        )
+    table(
+        &format!("Table 1 (scale: {:?}) — trace characteristics", o.scale),
+        &[
+            "trace",
+            "hours",
+            "unique",
+            "reqs(M)",
+            "TB-req",
+            "GB-unique",
+            "GB-active",
+            "meanMB",
+            "maxMB",
+            "1-hit",
+        ],
+        &rows,
     )
 }
 
 /// Figure 1: content popularity (rank-frequency) and inter-request time
 /// CCDF, a few representative points per trace.
-pub fn fig1(options: &Options) -> String {
-    let _span = options.obs.as_ref().map(|o| o.span("bench.fig1"));
-    let traces = production_traces(options);
-    let mut out = String::from("Figure 1 — popularity and inter-request times\n");
-    let mut rows = Vec::new();
-    for t in &traces {
-        let rf = rank_frequency(t);
-        let sample_rank = |r: usize| rf.get(r.saturating_sub(1)).copied().unwrap_or(0);
-        let irts = inter_request_times(t);
-        let points = [1.0, 60.0, 3_600.0];
-        let tail = ccdf(&irts, &points);
-        rows.push(vec![
-            t.name.clone(),
-            sample_rank(1).to_string(),
-            sample_rank(10).to_string(),
-            sample_rank(100).to_string(),
-            sample_rank(1_000).to_string(),
-            format!("{:.3}", tail[0]),
-            format!("{:.3}", tail[1]),
-            format!("{:.3}", tail[2]),
-        ]);
-    }
-    out.push_str(&format_table(
+fn fig1(o: &Options) -> String {
+    let rows: Vec<Vec<String>> = production_traces(o)
+        .iter()
+        .map(|t| {
+            let rf = rank_frequency(t);
+            let at_rank = |r: usize| rf.get(r - 1).copied().unwrap_or(0).to_string();
+            let tail = ccdf(&inter_request_times(t), &[1.0, 60.0, 3_600.0]);
+            let mut row = vec![t.name.clone()];
+            row.extend([1, 10, 100, 1_000].map(at_rank));
+            row.extend(tail.iter().map(|p| format!("{p:.3}")));
+            row
+        })
+        .collect();
+    table(
+        "Figure 1 — popularity and inter-request times",
         &[
             "trace",
             "freq@1",
@@ -109,8 +205,7 @@ pub fn fig1(options: &Options) -> String {
             "P(IRT>1h)",
         ],
         &rows,
-    ));
-    out
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -118,72 +213,42 @@ pub fn fig1(options: &Options) -> String {
 // ---------------------------------------------------------------------------
 
 /// Figure 2: Belady-Size and PFOO (offline bounds), HRO (online bound), the
-/// best-performing SOTA, and LHR, per trace at the default cache size.
-pub fn fig2(options: &Options) -> String {
-    let _span = options.obs.as_ref().map(|o| o.span("bench.fig2"));
-    let traces = production_traces(options);
-    let mut rows = Vec::new();
-    for trace in &traces {
-        let capacity = default_capacity(trace, options);
-        let belady = BeladySize.evaluate(trace, capacity);
-        let pfoo = PfooUpper.evaluate(trace, capacity);
-        let hro = Hro::default().evaluate(trace, capacity);
-
-        let factories = all_factories(trace, options.seed);
-        let cells: Vec<Cell<'_>> = (0..factories.len())
-            .map(|policy| Cell {
-                policy,
-                trace,
-                capacity,
-            })
-            .collect();
-        let config = SimConfig::default();
-        let results = run_grid_obs(
-            &factories,
-            &cells,
-            &config,
-            options.threads,
-            options.obs.as_ref(),
-        );
-        let lhr = &results[0];
-        let best_sota = results[1..]
-            .iter()
-            .max_by(|a, b| {
-                a.metrics
-                    .object_hit_ratio()
-                    .partial_cmp(&b.metrics.object_hit_ratio())
-                    .expect("finite")
-            })
-            .expect("seven SOTAs");
-
-        rows.push(vec![
-            trace.name.clone(),
-            gb(capacity),
-            pct(belady.object_hit_ratio()),
-            pct(pfoo.object_hit_ratio()),
-            pct(hro.object_hit_ratio()),
-            format!(
-                "{} ({})",
-                pct(best_sota.metrics.object_hit_ratio()),
-                best_sota.policy
-            ),
-            pct(lhr.metrics.object_hit_ratio()),
-        ]);
-    }
-    format!(
-        "Figure 2 — hit probability (%) of bounds, best SOTA, and LHR\n{}",
-        format_table(
-            &[
-                "trace",
-                "cacheGB",
-                "Belady-Size",
-                "PFOO-U",
-                "HRO",
-                "best SOTA",
-                "LHR"
-            ],
-            &rows,
-        )
+/// best-performing SOTA, and LHR, per trace at the default cache size. No
+/// warmup: the bounds count every request, so the policies do too.
+fn fig2(o: &Options) -> String {
+    let rows: Vec<Vec<String>> = production_traces(o)
+        .iter()
+        .map(|trace| {
+            let capacity = default_capacity(trace);
+            let results = grid(o, trace, &[capacity], 0).concat();
+            let (lhr, sotas) = results.split_first().expect("LHR leads the line-up");
+            let best = sotas
+                .iter()
+                .max_by(|a, b| hit(a).total_cmp(&hit(b)))
+                .expect("seven SOTAs");
+            vec![
+                trace.name.clone(),
+                gb(capacity),
+                pct(BeladySize.evaluate(trace, capacity).object_hit_ratio()),
+                pct(PfooUpper.evaluate(trace, capacity).object_hit_ratio()),
+                pct(Hro::default().evaluate(trace, capacity).object_hit_ratio()),
+                format!("{} ({})", pct(hit(best)), best.policy),
+                pct(hit(lhr)),
+            ]
+        })
+        .collect();
+    table(
+        "Figure 2 — hit probability (%) of bounds, best SOTA, and LHR",
+        &[
+            "trace",
+            "cacheGB",
+            "Belady-Size",
+            "PFOO-U",
+            "HRO",
+            "best SOTA",
+            "LHR",
+        ],
+        &rows,
     )
 }
 
@@ -192,138 +257,117 @@ pub fn fig2(options: &Options) -> String {
 // ---------------------------------------------------------------------------
 
 /// Figure 5: impact of the sliding-window size (unique bytes = k × cache).
-pub fn fig5(options: &Options) -> String {
-    let _span = options.obs.as_ref().map(|o| o.span("bench.fig5"));
-    let traces = production_traces(options);
-    let multipliers = [1.0, 2.0, 4.0, 8.0];
-    let mut rows = Vec::new();
-    for trace in &traces {
-        let capacity = default_capacity(trace, options);
-        let config = SimConfig {
-            warmup_requests: warmup_for(trace),
-            series_every: None,
-        };
-        let mut row = vec![trace.name.clone()];
-        for &m in &multipliers {
-            let mut cache = LhrCache::new(
-                capacity,
-                LhrConfig {
-                    window_multiplier: m,
-                    seed: options.seed,
-                    ..LhrConfig::default()
-                },
-            );
-            let r = Simulator::new(config.clone()).run(&mut cache, trace);
-            row.push(pct(r.metrics.object_hit_ratio()));
-        }
-        rows.push(row);
-    }
-    format!(
-        "Figure 5 — LHR hit probability (%) vs sliding-window size\n{}",
-        format_table(&["trace", "1x", "2x", "4x", "8x"], &rows)
+fn fig5(o: &Options) -> String {
+    let configs = [1.0, 2.0, 4.0, 8.0].map(|window_multiplier| LhrConfig {
+        window_multiplier,
+        ..LhrConfig::default()
+    });
+    let rows: Vec<Vec<String>> = lhr_hits(o, &configs)
+        .into_iter()
+        .map(|(trace, hits)| {
+            [trace]
+                .into_iter()
+                .chain(hits.into_iter().map(pct))
+                .collect()
+        })
+        .collect();
+    table(
+        "Figure 5 — LHR hit probability (%) vs sliding-window size",
+        &["trace", "1x", "2x", "4x", "8x"],
+        &rows,
     )
 }
 
 /// Figure 6: impact of the feature set — 10/20/30 IRTs (static features
 /// always included), improvement relative to 10 IRTs.
-pub fn fig6(options: &Options) -> String {
-    let _span = options.obs.as_ref().map(|o| o.span("bench.fig6"));
-    let traces = production_traces(options);
-    let irts = [10usize, 20, 30];
-    let mut rows = Vec::new();
-    for trace in &traces {
-        let capacity = default_capacity(trace, options);
-        let config = SimConfig {
-            warmup_requests: warmup_for(trace),
-            series_every: None,
-        };
-        let mut hit = Vec::new();
-        for &k in &irts {
-            let mut cache = LhrCache::new(
-                capacity,
-                LhrConfig {
-                    n_irts: k,
-                    seed: options.seed,
-                    ..LhrConfig::default()
-                },
-            );
-            let r = Simulator::new(config.clone()).run(&mut cache, trace);
-            hit.push(r.metrics.object_hit_ratio());
-        }
-        rows.push(vec![
-            trace.name.clone(),
-            pct(hit[0]),
-            format!("{:+.2}", (hit[1] - hit[0]) * 100.0),
-            format!("{:+.2}", (hit[2] - hit[0]) * 100.0),
-        ]);
-    }
-    format!(
-        "Figure 6 — LHR hit probability vs number of IRT features\n{}",
-        format_table(
-            &["trace", "10 IRTs (%)", "20 IRTs (Δpp)", "30 IRTs (Δpp)"],
-            &rows
-        )
+fn fig6(o: &Options) -> String {
+    let configs = [10, 20, 30].map(|n_irts| LhrConfig {
+        n_irts,
+        ..LhrConfig::default()
+    });
+    let rows: Vec<Vec<String>> = lhr_hits(o, &configs)
+        .into_iter()
+        .map(|(trace, h)| vec![trace, pct(h[0]), delta(h[1], h[0]), delta(h[2], h[0])])
+        .collect();
+    table(
+        "Figure 6 — LHR hit probability vs number of IRT features",
+        &["trace", "10 IRTs (%)", "20 IRTs (Δpp)", "30 IRTs (Δpp)"],
+        &rows,
     )
 }
 
 // ---------------------------------------------------------------------------
-// Figure 7 / Table 2 — LHR prototype vs ATS
+// Figures 7 & 13 / Tables 2 & 4 — the LHR prototypes
 // ---------------------------------------------------------------------------
 
-/// Runs the ATS-vs-LHR prototype comparison once; Figure 7 prints the hit
-/// series, Table 2 the resource rows.
-pub fn prototype_vs_ats(options: &Options) -> (String, String) {
-    let _span = options
-        .obs
-        .as_ref()
-        .map(|o| o.span("bench.prototype_vs_ats"));
-    let traces = production_traces(options);
+/// One prototype comparison: LHR and a baseline on the same serving path.
+struct Prototype {
+    /// Titles of the hit-series figure and of the resource table.
+    figure: &'static str,
+    table: &'static str,
+    /// The baseline server as the paper names it, and its roster policy.
+    server: &'static str,
+    baseline: &'static str,
+    /// Cache size per trace.
+    capacity: fn(&Trace) -> u64,
+    /// Whether cached objects are revalidated with the origin.
+    freshness: bool,
+}
+
+/// Figure 7 / Table 2 (§6.1): the LHR prototype against unmodified Apache
+/// Traffic Server. The paper replaces ATS's lookup structures with LHR;
+/// the baseline keeps ATS's default LRU cache.
+const ATS: Prototype = Prototype {
+    figure: "Figure 7",
+    table: "Table 2",
+    server: "ATS",
+    baseline: "LRU",
+    capacity: default_capacity,
+    freshness: true,
+};
+
+/// Figure 13 / Table 4 (Appendix A.3): LHR in Caffeine against Caffeine's
+/// own policy, W-TinyLFU, at the appendix's smaller caches (64 / 128 / 16 /
+/// 128 GB at full scale). In-memory caches skip origin freshness checks.
+const CAFFEINE: Prototype = Prototype {
+    figure: "Figure 13",
+    table: "Table 4",
+    server: "Caffeine",
+    baseline: "W-TinyLFU",
+    capacity: caffeine_capacity,
+    freshness: false,
+};
+
+/// Runs a prototype comparison once: the figure prints the cumulative hit
+/// ratio at every tenth of the trace, the table the resources.
+fn prototype(o: &Options, p: &Prototype) -> Vec<String> {
     let mut series_rows = Vec::new();
     let mut resource_rows = Vec::new();
-    for trace in &traces {
-        let capacity = default_capacity(trace, options);
-        let server_config = ServerConfig {
+    for trace in &production_traces(o) {
+        let mut config = ServerConfig {
             series_every: Some((trace.len() / 10).max(1)),
             ..ServerConfig::default()
         };
-        let mut ats = ats_server(capacity, server_config.clone());
-        let ats_report = ats.replay(trace);
-        let mut lhr = lhr_server(
-            capacity,
-            LhrConfig {
-                seed: options.seed,
-                ..LhrConfig::default()
-            },
-            server_config,
-        );
-        let lhr_report = lhr.replay(trace);
-
-        let fmt_series = |r: &ServerReport| {
-            r.series
+        if !p.freshness {
+            config.freshness_secs = None;
+        }
+        let params = PolicyParams {
+            // Caffeine's W-TinyLFU sizes its sketches for 2¹⁸ objects; LRU
+            // and LHR read no such size.
+            expected_objects: 1 << 18,
+            ..PolicyParams::for_trace((p.capacity)(trace), o.seed, trace)
+        };
+        for (server, policy) in [("LHR", "LHR"), (p.server, p.baseline)] {
+            let r = serve(&params, policy, trace, config.clone());
+            let series: Vec<String> = r
+                .series
                 .iter()
                 .map(|(_, h)| format!("{:.1}", h * 100.0))
-                .collect::<Vec<_>>()
-                .join(" ")
-        };
-        series_rows.push(vec![
-            trace.name.clone(),
-            "LHR".into(),
-            fmt_series(&lhr_report),
-        ]);
-        series_rows.push(vec![
-            trace.name.clone(),
-            "ATS".into(),
-            fmt_series(&ats_report),
-        ]);
-
-        for r in [&lhr_report, &ats_report] {
+                .collect();
+            series_rows.push(vec![trace.name.clone(), server.into(), series.join(" ")]);
             resource_rows.push(vec![
                 trace.name.clone(),
-                if std::ptr::eq(r, &lhr_report) {
-                    "LHR".into()
-                } else {
-                    "ATS".into()
-                },
+                server.into(),
                 format!("{:.2}", r.throughput_gbps),
                 format!("{:.3}", r.peak_cpu_pct),
                 format!("{:.1}", r.peak_mem_gb * 1e3),
@@ -335,16 +379,17 @@ pub fn prototype_vs_ats(options: &Options) -> (String, String) {
             ]);
         }
     }
-    let fig7 = format!(
-        "Figure 7 — cumulative hit probability (%) over time, LHR vs ATS\n{}",
-        format_table(
-            &["trace", "server", "hit%% at 10%,20%,...,100% of trace"],
-            &series_rows
-        )
-    );
-    let table2 = format!(
-        "Table 2 — resource usage, LHR vs ATS\n{}",
-        format_table(
+    vec![
+        table(
+            &format!(
+                "{} — cumulative hit probability (%) over time, LHR vs {}",
+                p.figure, p.server
+            ),
+            &["trace", "server", "hit% at 10%,20%,...,100% of trace"],
+            &series_rows,
+        ),
+        table(
+            &format!("{} — resource usage, LHR vs {}", p.table, p.server),
             &[
                 "trace",
                 "server",
@@ -358,9 +403,8 @@ pub fn prototype_vs_ats(options: &Options) -> (String, String) {
                 "hit%",
             ],
             &resource_rows,
-        )
-    );
-    (fig7, table2)
+        ),
+    ]
 }
 
 // ---------------------------------------------------------------------------
@@ -368,77 +412,47 @@ pub fn prototype_vs_ats(options: &Options) -> (String, String) {
 // ---------------------------------------------------------------------------
 
 /// Runs the LHR-vs-SOTAs grid once (4 traces × 2 cache sizes × 8 policies);
-/// Figure 8 prints hit/WAN, Figure 9 memory/time.
-pub fn sota_comparison(options: &Options) -> (String, String) {
-    let _span = options
-        .obs
-        .as_ref()
-        .map(|o| o.span("bench.sota_comparison"));
-    let traces = production_traces(options);
+/// Figure 8 prints hit/WAN, Figure 9 memory/time of the learned algorithms
+/// at the default capacity.
+fn sota_comparison(o: &Options) -> Vec<String> {
     let mut fig8_rows = Vec::new();
     let mut fig9_rows = Vec::new();
-    for trace in &traces {
-        let base = default_capacity(trace, options);
+    for trace in &production_traces(o) {
+        let base = default_capacity(trace);
         let capacities = [base / 2, base];
-        let factories = all_factories(trace, options.seed);
-        let config = SimConfig {
-            warmup_requests: warmup_for(trace),
-            series_every: None,
-        };
-        let cells: Vec<Cell<'_>> = capacities
-            .iter()
-            .flat_map(|&capacity| {
-                (0..factories.len()).map(move |policy| Cell {
-                    policy,
-                    trace,
-                    capacity,
-                })
-            })
-            .collect();
-        let results = run_grid_obs(
-            &factories,
-            &cells,
-            &config,
-            options.threads,
-            options.obs.as_ref(),
-        );
-
-        for (cell, result) in cells.iter().zip(results.iter()) {
-            fig8_rows.push(vec![
-                trace.name.clone(),
-                gb(cell.capacity),
-                result.policy.clone(),
-                pct(result.metrics.object_hit_ratio()),
-                format!("{:.3}", result.metrics.wan_gbps()),
-            ]);
-        }
-        // Figure 9 covers the learned algorithms at the default capacity.
-        for result in results.iter().skip(factories.len()) {
-            if ["LHR", "LRB", "Hawkeye"].contains(&result.policy.as_str()) {
-                fig9_rows.push(vec![
+        let results = grid(o, trace, &capacities, warmup_for(trace));
+        for (&capacity, results) in capacities.iter().zip(&results) {
+            for r in results {
+                fig8_rows.push(vec![
                     trace.name.clone(),
-                    result.policy.clone(),
-                    format!("{:.1}", result.peak_metadata_bytes as f64 / 1e6),
-                    format!("{:.2}", result.wall_secs),
+                    gb(capacity),
+                    r.policy.clone(),
+                    pct(hit(r)),
+                    format!("{:.3}", r.metrics.wan_gbps()),
                 ]);
+                if capacity == base && ["LHR", "LRB", "Hawkeye"].contains(&r.policy.as_str()) {
+                    fig9_rows.push(vec![
+                        trace.name.clone(),
+                        r.policy.clone(),
+                        format!("{:.1}", r.peak_metadata_bytes as f64 / 1e6),
+                        format!("{:.2}", r.wall_secs),
+                    ]);
+                }
             }
         }
     }
-    let fig8 = format!(
-        "Figure 8 — hit probability and WAN traffic, LHR vs SOTAs\n{}",
-        format_table(
+    vec![
+        table(
+            "Figure 8 — hit probability and WAN traffic, LHR vs SOTAs",
             &["trace", "cacheGB", "policy", "hit%", "WAN(Gbps)"],
-            &fig8_rows
-        )
-    );
-    let fig9 = format!(
-        "Figure 9 — peak metadata memory and running time (learned algorithms)\n{}",
-        format_table(
+            &fig8_rows,
+        ),
+        table(
+            "Figure 9 — peak metadata memory and running time (learned algorithms)",
             &["trace", "policy", "peakMem(MB)", "runTime(s)"],
-            &fig9_rows
-        )
-    );
-    (fig8, fig9)
+            &fig9_rows,
+        ),
+    ]
 }
 
 // ---------------------------------------------------------------------------
@@ -446,45 +460,17 @@ pub fn sota_comparison(options: &Options) -> (String, String) {
 // ---------------------------------------------------------------------------
 
 /// Table 3: estimated average latency (ms) and throughput (Gbps) on the
-/// §7.3 serving model.
-pub fn table3(options: &Options) -> String {
-    let _span = options.obs.as_ref().map(|o| o.span("bench.table3"));
-    let traces = production_traces(options);
+/// §7.3 serving model, without freshness checks.
+fn table3(o: &Options) -> String {
     let mut rows = Vec::new();
-    for trace in &traces {
-        let capacity = default_capacity(trace, options);
-        let server_config = ServerConfig {
-            freshness_secs: None,
-            ..ServerConfig::default()
-        };
-        let mut reports: Vec<ServerReport> = Vec::new();
-        {
-            let mut s = lhr_server(
-                capacity,
-                LhrConfig {
-                    seed: options.seed,
-                    ..LhrConfig::default()
-                },
-                server_config.clone(),
-            );
-            reports.push(s.replay(trace));
-        }
-        {
-            let mut s = CdnServer::new(Hawkeye::new(capacity), server_config.clone());
-            reports.push(s.replay(trace));
-        }
-        {
-            let mut s = CdnServer::new(
-                Lrb::new(capacity, lrb_window_secs(trace), options.seed),
-                server_config.clone(),
-            );
-            reports.push(s.replay(trace));
-        }
-        {
-            let mut s = CdnServer::new(Lru::new(capacity), server_config.clone());
-            reports.push(s.replay(trace));
-        }
-        for r in &reports {
+    for trace in &production_traces(o) {
+        let params = PolicyParams::for_trace(default_capacity(trace), o.seed, trace);
+        for policy in ["LHR", "Hawkeye", "LRB", "LRU"] {
+            let config = ServerConfig {
+                freshness_secs: None,
+                ..ServerConfig::default()
+            };
+            let r = serve(&params, policy, trace, config);
             rows.push(vec![
                 trace.name.clone(),
                 r.name.clone(),
@@ -494,12 +480,10 @@ pub fn table3(options: &Options) -> String {
             ]);
         }
     }
-    format!(
-        "Table 3 — estimated latency and throughput\n{}",
-        format_table(
-            &["trace", "policy", "latency(ms)", "thrpt(Gbps)", "hit%"],
-            &rows
-        )
+    table(
+        "Table 3 — estimated latency and throughput",
+        &["trace", "policy", "latency(ms)", "thrpt(Gbps)", "hit%"],
+        &rows,
     )
 }
 
@@ -511,44 +495,25 @@ pub fn table3(options: &Options) -> String {
 /// its ablations — the paper's two (D-LHR, N-LHR) and E-LHR, which
 /// re-scores every hit as the paper's Algorithm 1 does (LHR scores at
 /// admission only; `scripts/verify.sh` holds LHR to within 0.5 pp of it).
-pub fn fig10(options: &Options) -> String {
-    let _span = options.obs.as_ref().map(|o| o.span("bench.fig10"));
-    let traces = production_traces(options);
+fn fig10(o: &Options) -> String {
     let mut rows = Vec::new();
-    for trace in &traces {
-        let base = default_capacity(trace, options);
+    for trace in &production_traces(o) {
+        let base = default_capacity(trace);
         for capacity in [base / 2, base] {
             for config in [
-                LhrConfig {
-                    seed: options.seed,
-                    ..LhrConfig::default()
-                },
-                LhrConfig {
-                    seed: options.seed,
-                    ..LhrConfig::eager()
-                },
-                LhrConfig {
-                    seed: options.seed,
-                    ..LhrConfig::d_lhr()
-                },
-                LhrConfig {
-                    seed: options.seed,
-                    ..LhrConfig::n_lhr()
-                },
+                LhrConfig::default(),
+                LhrConfig::eager(),
+                LhrConfig::d_lhr(),
+                LhrConfig::n_lhr(),
             ] {
-                let mut cache = LhrCache::new(capacity, config);
-                let sim_config = SimConfig {
-                    warmup_requests: warmup_for(trace),
-                    series_every: None,
-                };
-                let result = Simulator::new(sim_config).run(&mut cache, trace);
+                let (r, cache) = simulate(lhr(o, capacity, config), trace, warmup_for(trace));
                 let stats = cache.stats();
                 rows.push(vec![
                     trace.name.clone(),
                     gb(capacity),
-                    cache.name().to_string(),
-                    pct(result.metrics.object_hit_ratio()),
-                    format!("{:.1}", result.peak_metadata_bytes as f64 / 1e6),
+                    r.policy.clone(),
+                    pct(hit(&r)),
+                    format!("{:.1}", r.peak_metadata_bytes as f64 / 1e6),
                     format!("{:.2}", stats.train_wall_secs),
                     format!("{}/{}", stats.trainings, stats.windows),
                     format!("{:.2}", stats.final_threshold),
@@ -556,21 +521,19 @@ pub fn fig10(options: &Options) -> String {
             }
         }
     }
-    format!(
-        "Figure 10 — LHR vs E-LHR (re-scores hits) vs D-LHR (fixed δ) vs N-LHR (no detection)\n{}",
-        format_table(
-            &[
-                "trace",
-                "cacheGB",
-                "variant",
-                "hit%",
-                "peakMem(MB)",
-                "trainTime(s)",
-                "trainings",
-                "final δ"
-            ],
-            &rows,
-        )
+    table(
+        "Figure 10 — LHR vs E-LHR (re-scores hits) vs D-LHR (fixed δ) vs N-LHR (no detection)",
+        &[
+            "trace",
+            "cacheGB",
+            "variant",
+            "hit%",
+            "peakMem(MB)",
+            "trainTime(s)",
+            "trainings",
+            "final δ",
+        ],
+        &rows,
     )
 }
 
@@ -581,12 +544,12 @@ pub fn fig10(options: &Options) -> String {
 /// Figure 11's workloads, "Syn One" and "Syn Two" (N = 1 000 contents, 1 M
 /// requests, r = 200 000 at full scale), each with its cache size: a tenth
 /// of its unique bytes.
-fn syn_workloads(options: &Options) -> Vec<(Trace, u64)> {
-    let div = options.scale.divisor();
+fn syn_workloads(o: &Options) -> Vec<(Trace, u64)> {
+    let div = o.scale.divisor();
     let (n_requests, r) = (1_000_000 / div, 200_000 / div);
     [
-        markov::syn_one(1_000, n_requests, r, 0.9, options.seed),
-        markov::syn_two(1_000, n_requests, r, options.seed),
+        markov::syn_one(1_000, n_requests, r, 0.9, o.seed),
+        markov::syn_two(1_000, n_requests, r, o.seed),
     ]
     .into_iter()
     .map(|trace| {
@@ -597,41 +560,22 @@ fn syn_workloads(options: &Options) -> Vec<(Trace, u64)> {
 }
 
 /// Figure 11: hit probability and WAN traffic on "Syn One" and "Syn Two".
-pub fn fig11(options: &Options) -> String {
-    let _span = options.obs.as_ref().map(|o| o.span("bench.fig11"));
+fn fig11(o: &Options) -> String {
     let mut rows = Vec::new();
-    for &(ref trace, capacity) in &syn_workloads(options) {
-        let factories = all_factories(trace, options.seed);
-        let config = SimConfig {
-            warmup_requests: warmup_for(trace),
-            series_every: None,
-        };
-        let cells: Vec<Cell<'_>> = (0..factories.len())
-            .map(|policy| Cell {
-                policy,
-                trace,
-                capacity,
-            })
-            .collect();
-        let results = run_grid_obs(
-            &factories,
-            &cells,
-            &config,
-            options.threads,
-            options.obs.as_ref(),
-        );
-        for result in &results {
+    for (trace, capacity) in &syn_workloads(o) {
+        for r in grid(o, trace, &[*capacity], warmup_for(trace)).concat() {
             rows.push(vec![
                 trace.name.clone(),
-                result.policy.clone(),
-                pct(result.metrics.object_hit_ratio()),
-                format!("{:.3}", result.metrics.wan_gbps()),
+                r.policy.clone(),
+                pct(hit(&r)),
+                format!("{:.3}", r.metrics.wan_gbps()),
             ]);
         }
     }
-    format!(
-        "Figure 11 — responsiveness on Markov-modulated workloads\n{}",
-        format_table(&["workload", "policy", "hit%", "WAN(Gbps)"], &rows)
+    table(
+        "Figure 11 — responsiveness on Markov-modulated workloads",
+        &["workload", "policy", "hit%", "WAN(Gbps)"],
+        &rows,
     )
 }
 
@@ -641,18 +585,14 @@ pub fn fig11(options: &Options) -> String {
 
 /// Figure 12: accuracy of the LSM detection mechanism on a synthetic
 /// workload whose Zipf α shifts between segments.
-pub fn fig12(options: &Options) -> String {
-    let _span = options.obs.as_ref().map(|o| o.span("bench.fig12"));
-    use lhr_util::rng::rngs::StdRng;
-    use lhr_util::rng::SeedableRng;
-
-    let div = options.scale.divisor();
+fn fig12(o: &Options) -> String {
+    let div = o.scale.divisor();
     let n_contents = 10_000 / div.max(1);
     let reqs_per_segment = 100_000 / div.max(1);
     // α schedule: alternating shifts with some repeats (true negatives).
     let alphas = [0.7, 0.7, 1.0, 1.0, 1.0, 0.8, 1.1, 1.1, 0.7, 0.9];
 
-    let mut rng = StdRng::seed_from_u64(options.seed);
+    let mut rng = StdRng::seed_from_u64(o.seed);
     let mut trace = Trace::new("detect");
     let mut now = 0.0f64;
     for &alpha in &alphas {
@@ -696,107 +636,17 @@ pub fn fig12(options: &Options) -> String {
             truly_changed.to_string(),
         ]);
     }
-    format!(
-        "Figure 12 — detection mechanism on synthetic α shifts \
-         (accuracy {}/{} = {:.0}%)\n{}",
-        correct,
-        total,
-        correct as f64 / total.max(1) as f64 * 100.0,
-        format_table(&["segment", "true α", "est α", "flagged", "changed"], &rows)
+    table(
+        &format!(
+            "Figure 12 — detection mechanism on synthetic α shifts \
+             (accuracy {}/{} = {:.0}%)",
+            correct,
+            total,
+            correct as f64 / total.max(1) as f64 * 100.0,
+        ),
+        &["segment", "true α", "est α", "flagged", "changed"],
+        &rows,
     )
-}
-
-// ---------------------------------------------------------------------------
-// Figure 13 / Table 4 — LHR vs Caffeine (Appendix A.3)
-// ---------------------------------------------------------------------------
-
-/// Runs the Caffeine comparison once; Figure 13 prints the series, Table 4
-/// the resources. Caffeine experiments use the appendix's smaller caches
-/// (64 / 128 / 16 / 128 GB at full scale).
-pub fn prototype_vs_caffeine(options: &Options) -> (String, String) {
-    let _span = options
-        .obs
-        .as_ref()
-        .map(|o| o.span("bench.prototype_vs_caffeine"));
-    let traces = production_traces(options);
-    let mut series_rows = Vec::new();
-    let mut resource_rows = Vec::new();
-    for trace in traces.iter() {
-        let capacity = crate::harness::caffeine_capacity(trace);
-        let server_config = ServerConfig {
-            series_every: Some((trace.len() / 10).max(1)),
-            ..ServerConfig::default()
-        };
-        let mut caffeine = caffeine_server(capacity, server_config.clone());
-        let caffeine_report = caffeine.replay(trace);
-        let mut lhr = lhr_caffeine_server(
-            capacity,
-            LhrConfig {
-                seed: options.seed,
-                ..LhrConfig::default()
-            },
-            server_config,
-        );
-        let lhr_report = lhr.replay(trace);
-
-        let fmt_series = |r: &ServerReport| {
-            r.series
-                .iter()
-                .map(|(_, h)| format!("{:.1}", h * 100.0))
-                .collect::<Vec<_>>()
-                .join(" ")
-        };
-        series_rows.push(vec![
-            trace.name.clone(),
-            "LHR".into(),
-            fmt_series(&lhr_report),
-        ]);
-        series_rows.push(vec![
-            trace.name.clone(),
-            "Caffeine".into(),
-            fmt_series(&caffeine_report),
-        ]);
-        for (label, r) in [("LHR", &lhr_report), ("Caffeine", &caffeine_report)] {
-            resource_rows.push(vec![
-                trace.name.clone(),
-                label.into(),
-                format!("{:.2}", r.throughput_gbps),
-                format!("{:.3}", r.peak_cpu_pct),
-                format!("{:.1}", r.peak_mem_gb * 1e3),
-                format!("{:.0}", r.p90_latency_ms),
-                format!("{:.0}", r.p99_latency_ms),
-                format!("{:.0}", r.mean_latency_ms),
-                format!("{:.2}", r.wan_gbps),
-                format!("{:.2}", r.content_hit_pct),
-            ]);
-        }
-    }
-    let fig13 = format!(
-        "Figure 13 — cumulative hit probability (%) over time, LHR vs Caffeine\n{}",
-        format_table(
-            &["trace", "server", "hit%% at 10%,...,100% of trace"],
-            &series_rows
-        )
-    );
-    let table4 = format!(
-        "Table 4 — resource usage, LHR vs Caffeine\n{}",
-        format_table(
-            &[
-                "trace",
-                "server",
-                "thrpt(Gbps)",
-                "cpu%",
-                "mem(MB)",
-                "P90(ms)",
-                "P99(ms)",
-                "mean(ms)",
-                "WAN(Gbps)",
-                "hit%",
-            ],
-            &resource_rows,
-        )
-    );
-    (fig13, table4)
 }
 
 // ---------------------------------------------------------------------------
@@ -805,43 +655,16 @@ pub fn prototype_vs_caffeine(options: &Options) -> (String, String) {
 
 /// Eviction-rule ablation (§5.2.5 discusses both rules): the paper's full
 /// `q = p/(s·IRT₁)` rule vs the straightforward min-`p` rule.
-pub fn ablation_eviction_rule(options: &Options) -> String {
-    let _span = options
-        .obs
-        .as_ref()
-        .map(|o| o.span("bench.ablation_eviction_rule"));
-    use lhr::cache::EvictionRule;
-    let traces = production_traces(options);
-    let mut rows = Vec::new();
-    for trace in &traces {
-        let capacity = default_capacity(trace, options);
-        let config = SimConfig {
-            warmup_requests: warmup_for(trace),
-            series_every: None,
-        };
-        let mut hit = Vec::new();
-        for rule in [EvictionRule::QSizeIrt, EvictionRule::MinP] {
-            let mut cache = LhrCache::new(
-                capacity,
-                LhrConfig {
-                    eviction_rule: rule,
-                    seed: options.seed,
-                    ..LhrConfig::default()
-                },
-            );
-            let r = Simulator::new(config.clone()).run(&mut cache, trace);
-            hit.push(r.metrics.object_hit_ratio());
-        }
-        rows.push(vec![
-            trace.name.clone(),
-            pct(hit[0]),
-            pct(hit[1]),
-            format!("{:+.2}", (hit[0] - hit[1]) * 100.0),
-        ]);
-    }
-    format!(
-        "Ablation — LHR eviction rule: q = p/(s·IRT₁) vs min-p (§5.2.5)\n{}",
-        format_table(&["trace", "q-rule hit%", "min-p hit%", "Δpp"], &rows)
+fn ablation_eviction_rule(o: &Options) -> String {
+    let configs = [EvictionRule::QSizeIrt, EvictionRule::MinP].map(|eviction_rule| LhrConfig {
+        eviction_rule,
+        ..LhrConfig::default()
+    });
+    let rows: Vec<Vec<String>> = lhr_hits(o, &configs).into_iter().map(versus).collect();
+    table(
+        "Ablation — LHR eviction rule: q = p/(s·IRT₁) vs min-p (§5.2.5)",
+        &["trace", "q-rule hit%", "min-p hit%", "Δpp"],
+        &rows,
     )
 }
 
@@ -851,103 +674,60 @@ pub fn ablation_eviction_rule(options: &Options) -> String {
 /// production-like traces at the default cache size and on Figure 11's two
 /// Markov-modulated workloads: what the refresh is worth in hit ratio, and
 /// what it costs in running time and peak metadata.
-pub fn ablation_rescore_hits(options: &Options) -> String {
-    let _span = options
-        .obs
-        .as_ref()
-        .map(|o| o.span("bench.ablation_rescore_hits"));
-    let mut traces: Vec<(Trace, u64)> = production_traces(options)
+fn ablation_rescore_hits(o: &Options) -> String {
+    let mut workloads: Vec<(Trace, u64)> = production_traces(o)
         .into_iter()
         .map(|trace| {
-            let capacity = default_capacity(&trace, options);
+            let capacity = default_capacity(&trace);
             (trace, capacity)
         })
         .collect();
-    traces.extend(syn_workloads(options));
-    let mut rows = Vec::new();
-    for (trace, capacity) in &traces {
-        let config = SimConfig {
-            warmup_requests: warmup_for(trace),
-            series_every: None,
-        };
-        let results: Vec<_> = [LhrConfig::default(), LhrConfig::eager()]
-            .into_iter()
-            .map(|lhr| {
-                let seed = options.seed;
-                let mut cache = LhrCache::new(*capacity, LhrConfig { seed, ..lhr });
-                Simulator::new(config.clone()).run(&mut cache, trace)
-            })
-            .collect();
-        let hit = |i: usize| results[i].metrics.object_hit_ratio();
-        rows.push(vec![
-            trace.name.clone(),
-            pct(hit(0)),
-            pct(hit(1)),
-            format!("{:+.2}", (hit(0) - hit(1)) * 100.0),
-            format!("{:.2}", results[0].wall_secs / results[1].wall_secs),
-            format!(
+    workloads.extend(syn_workloads(o));
+    let rows: Vec<Vec<String>> = workloads
+        .iter()
+        .map(|(trace, capacity)| {
+            let [lazy, eager] = [LhrConfig::default(), LhrConfig::eager()]
+                .map(|config| simulate(lhr(o, *capacity, config), trace, warmup_for(trace)).0);
+            let mut row = versus((trace.name.clone(), vec![hit(&lazy), hit(&eager)]));
+            row.push(format!("{:.2}", lazy.wall_secs / eager.wall_secs));
+            row.push(format!(
                 "{:.2}",
-                results[0].peak_metadata_bytes as f64 / results[1].peak_metadata_bytes as f64
-            ),
-        ]);
-    }
-    format!(
-        "Ablation — LHR scoring: at admission only (LHR) vs every hit re-scored (E-LHR)\n{}",
-        format_table(
-            &[
-                "trace",
-                "LHR hit%",
-                "E-LHR hit%",
-                "Δpp",
-                "run time ×",
-                "peak mem ×"
-            ],
-            &rows
-        )
+                lazy.peak_metadata_bytes as f64 / eager.peak_metadata_bytes as f64
+            ));
+            row
+        })
+        .collect();
+    table(
+        "Ablation — LHR scoring: at admission only (LHR) vs every hit re-scored (E-LHR)",
+        &[
+            "trace",
+            "LHR hit%",
+            "E-LHR hit%",
+            "Δpp",
+            "run time ×",
+            "peak mem ×",
+        ],
+        &rows,
     )
 }
 
 /// Loss-function ablation (§5.2.4: the paper reports MSE beat the other
 /// losses it explored): LHR trained with squared error vs logistic loss.
-pub fn ablation_loss(options: &Options) -> String {
-    let _span = options.obs.as_ref().map(|o| o.span("bench.ablation_loss"));
-    use lhr_gbm::{GbmParams, Loss};
-    let traces = production_traces(options);
-    let mut rows = Vec::new();
-    for trace in &traces {
-        let capacity = default_capacity(trace, options);
-        let config = SimConfig {
-            warmup_requests: warmup_for(trace),
-            series_every: None,
-        };
-        let mut hit = Vec::new();
-        for loss in [Loss::SquaredError, Loss::Logistic] {
-            let mut cache = LhrCache::new(
-                capacity,
-                LhrConfig {
-                    gbm: GbmParams {
-                        n_trees: 25,
-                        max_depth: 6,
-                        loss,
-                        ..GbmParams::default()
-                    },
-                    seed: options.seed,
-                    ..LhrConfig::default()
-                },
-            );
-            let r = Simulator::new(config.clone()).run(&mut cache, trace);
-            hit.push(r.metrics.object_hit_ratio());
-        }
-        rows.push(vec![
-            trace.name.clone(),
-            pct(hit[0]),
-            pct(hit[1]),
-            format!("{:+.2}", (hit[0] - hit[1]) * 100.0),
-        ]);
-    }
-    format!(
-        "Ablation — LHR training loss: squared error (paper) vs logistic (§5.2.4)\n{}",
-        format_table(&["trace", "MSE hit%", "logistic hit%", "Δpp"], &rows)
+fn ablation_loss(o: &Options) -> String {
+    let configs = [Loss::SquaredError, Loss::Logistic].map(|loss| LhrConfig {
+        gbm: GbmParams {
+            n_trees: 25,
+            max_depth: 6,
+            loss,
+            ..GbmParams::default()
+        },
+        ..LhrConfig::default()
+    });
+    let rows: Vec<Vec<String>> = lhr_hits(o, &configs).into_iter().map(versus).collect();
+    table(
+        "Ablation — LHR training loss: squared error (paper) vs logistic (§5.2.4)",
+        &["trace", "MSE hit%", "logistic hit%", "Δpp"],
+        &rows,
     )
 }
 
@@ -956,17 +736,9 @@ pub fn ablation_loss(options: &Options) -> String {
 /// processes test how much tightness it loses (§3.2's "accurate
 /// approximation … under the assumption that the number of requests in
 /// each sliding window is large").
-pub fn ablation_hro_burstiness(options: &Options) -> String {
-    let _span = options
-        .obs
-        .as_ref()
-        .map(|o| o.span("bench.ablation_hro_burstiness"));
-    use lhr_trace::synth::renewal::bursty_trace;
-    use lhr_trace::synth::{IrmConfig, SizeModel};
-
-    let div = options.scale.divisor() as f64;
-    let duration = (4_000.0 / div).max(200.0);
-    let bursty = bursty_trace(2_000, duration, options.seed);
+fn ablation_hro_burstiness(o: &Options) -> String {
+    let duration = (4_000.0 / o.scale.divisor() as f64).max(200.0);
+    let bursty = bursty_trace(2_000, duration, o.seed);
     // A Poisson control with the same population scale.
     let poisson = IrmConfig::new(2_000, bursty.len())
         .name("poisson-control")
@@ -977,91 +749,78 @@ pub fn ablation_hro_burstiness(options: &Options) -> String {
             max: 5_000_000,
         })
         .requests_per_sec(bursty.len() as f64 / duration)
-        .seed(options.seed)
+        .seed(o.seed)
         .generate();
 
-    let mut rows = Vec::new();
-    for trace in [&poisson, &bursty] {
-        let unique = TraceStats::compute(trace).unique_bytes_requested as f64;
-        let capacity = (unique / 10.0) as u64;
-        let hro = Hro::default().evaluate(trace, capacity);
-        let belady = BeladySize.evaluate(trace, capacity);
-        let pfoo = PfooUpper.evaluate(trace, capacity);
-        let mut lru = Lru::new(capacity);
-        let lru_hit = Simulator::new(SimConfig::default())
-            .run(&mut lru, trace)
-            .metrics
-            .object_hit_ratio();
-        rows.push(vec![
-            trace.name.clone(),
-            pct(hro.object_hit_ratio()),
-            pct(belady.object_hit_ratio()),
-            pct(pfoo.object_hit_ratio()),
-            pct(lru_hit),
-        ]);
-    }
-    format!(
-        "Ablation — HRO's Poisson approximation on bursty (hyperexponential) IRTs\n{}",
-        format_table(&["workload", "HRO", "Belady-Size", "PFOO-U", "LRU"], &rows)
+    let rows: Vec<Vec<String>> = [&poisson, &bursty]
+        .into_iter()
+        .map(|trace| {
+            let unique = TraceStats::compute(trace).unique_bytes_requested as f64;
+            let capacity = (unique / 10.0) as u64;
+            // No warmup, like the bounds beside it.
+            let (lru, _) = simulate(Lru::new(capacity), trace, 0);
+            vec![
+                trace.name.clone(),
+                pct(Hro::default().evaluate(trace, capacity).object_hit_ratio()),
+                pct(BeladySize.evaluate(trace, capacity).object_hit_ratio()),
+                pct(PfooUpper.evaluate(trace, capacity).object_hit_ratio()),
+                pct(hit(&lru)),
+            ]
+        })
+        .collect();
+    table(
+        "Ablation — HRO's Poisson approximation on bursty (hyperexponential) IRTs",
+        &["workload", "HRO", "Belady-Size", "PFOO-U", "LRU"],
+        &rows,
     )
 }
 
 /// HRO tightness vs window multiplier: how the online bound's window size
 /// trades estimation quality against adaptivity.
-pub fn ablation_hro_window(options: &Options) -> String {
-    let _span = options
-        .obs
-        .as_ref()
-        .map(|o| o.span("bench.ablation_hro_window"));
-    let traces = production_traces(options);
-    let multipliers = [1.0, 2.0, 4.0, 8.0];
-    let mut rows = Vec::new();
-    for trace in &traces {
-        let capacity = default_capacity(trace, options);
-        let mut row = vec![trace.name.clone()];
-        for &m in &multipliers {
-            let hro = Hro {
-                window_multiplier: m,
-            };
-            row.push(pct(hro.evaluate(trace, capacity).object_hit_ratio()));
-        }
-        let belady = BeladySize.evaluate(trace, capacity);
-        row.push(pct(belady.object_hit_ratio()));
-        rows.push(row);
-    }
-    format!(
-        "Ablation — HRO bound vs window multiplier (Belady-Size for reference)\n{}",
-        format_table(&["trace", "1x", "2x", "4x", "8x", "Belady-Size"], &rows)
+fn ablation_hro_window(o: &Options) -> String {
+    let rows: Vec<Vec<String>> = production_traces(o)
+        .iter()
+        .map(|trace| {
+            let capacity = default_capacity(trace);
+            let mut row = vec![trace.name.clone()];
+            for window_multiplier in [1.0, 2.0, 4.0, 8.0] {
+                let hro = Hro { window_multiplier };
+                row.push(pct(hro.evaluate(trace, capacity).object_hit_ratio()));
+            }
+            row.push(pct(BeladySize.evaluate(trace, capacity).object_hit_ratio()));
+            row
+        })
+        .collect();
+    table(
+        "Ablation — HRO bound vs window multiplier (Belady-Size for reference)",
+        &["trace", "1x", "2x", "4x", "8x", "Belady-Size"],
+        &rows,
     )
 }
 
 // ---------------------------------------------------------------------------
-// Helpers reused by tests and the repro binary
+// The experiment table
 // ---------------------------------------------------------------------------
 
-/// One replay and the reports it yields, one per name (`fig7` and `table2`
-/// are two views of one prototype run, and so on).
+/// The names `repro --only` knows an experiment's reports by, and the run
+/// that yields them, one report per name (`fig7` and `table2` are two views
+/// of one prototype replay, and so on).
 type Experiment = (&'static [&'static str], fn(&Options) -> Vec<String>);
 
-fn pair((first, second): (String, String)) -> Vec<String> {
-    vec![first, second]
-}
-
-/// Every experiment under the name `repro --only` knows it by, in report
-/// order.
+/// Every experiment, in report order.
 const EXPERIMENTS: &[Experiment] = &[
     (&["table1"], |o| vec![table1(o)]),
     (&["fig1"], |o| vec![fig1(o)]),
     (&["fig2"], |o| vec![fig2(o)]),
     (&["fig5"], |o| vec![fig5(o)]),
     (&["fig6"], |o| vec![fig6(o)]),
-    (&["fig7", "table2"], |o| pair(prototype_vs_ats(o))),
-    (&["fig8", "fig9"], |o| pair(sota_comparison(o))),
+    (&["fig7", "table2"], |o| prototype(o, &ATS)),
+    (&["fig8", "fig9"], sota_comparison),
     (&["table3"], |o| vec![table3(o)]),
     (&["fig10"], |o| vec![fig10(o)]),
     (&["fig11"], |o| vec![fig11(o)]),
     (&["fig12"], |o| vec![fig12(o)]),
-    (&["fig13", "table4"], |o| pair(prototype_vs_caffeine(o))),
+    (&["fig13", "table4"], |o| prototype(o, &CAFFEINE)),
     (&["ablation"], |o| {
         let studies = [
             ablation_rescore_hits(o),
@@ -1076,8 +835,9 @@ const EXPERIMENTS: &[Experiment] = &[
 
 /// Runs the experiments named in the comma-separated `only` list (all of
 /// them when `None`), returning their reports concatenated in report
-/// order. Only the replays a requested report needs are run. An unknown
-/// name is an error listing the valid ones.
+/// order. Only the replays a requested report needs are run, each inside a
+/// `bench.NAME` span on the options' recorder. An unknown name is an error
+/// listing the valid ones.
 pub fn run(options: &Options, only: Option<&str>) -> Result<String, String> {
     let wanted: Option<Vec<&str>> = only.map(|list| list.split(',').map(str::trim).collect());
     let known = || {
@@ -1093,12 +853,14 @@ pub fn run(options: &Options, only: Option<&str>) -> Result<String, String> {
         ));
     }
     let is_wanted = |name: &str| wanted.as_ref().is_none_or(|w| w.contains(&name));
-    let _span = options.obs.as_ref().map(|o| o.span("bench.run_all"));
+    let span = |name: &str| options.obs.as_ref().map(|o| o.span(name));
+    let _run_all = span("bench.run_all");
     let mut out = String::new();
     for (names, replay) in EXPERIMENTS {
         if !names.iter().any(|name| is_wanted(name)) {
             continue;
         }
+        let _experiment = span(&format!("bench.{}", names.join("+")));
         for (name, report) in names.iter().zip(replay(options)) {
             if is_wanted(name) {
                 out.push_str(&report);

@@ -1,13 +1,17 @@
-//! Shared experiment infrastructure: CLI options, trace construction, the
-//! headline policy line-up, and table formatting.
+//! Shared experiment infrastructure: `repro`'s options, trace construction,
+//! the headline policy line-up, and table formatting.
 
 use lhr_obs::{Obs, ObsConfig};
 use lhr_proto::presets::{self, PolicyParams};
 use lhr_sim::sweep::PolicyFactory;
 use lhr_trace::synth::{production, ProductionScale};
-use lhr_trace::Trace;
+use lhr_trace::{Trace, TraceStats};
 
-/// Parsed harness options (every experiment binary accepts the same set).
+/// `repro`'s flags.
+pub const USAGE: &str = "usage: repro [--scale tiny|small|medium|full] [--seed N] [--threads N] \
+                         [--obs PATH] [--only NAME[,NAME...]]";
+
+/// Parsed `repro` options.
 #[derive(Debug, Clone)]
 pub struct Options {
     /// Trace scale; defaults to [`ProductionScale::Small`].
@@ -16,12 +20,11 @@ pub struct Options {
     pub seed: u64,
     /// Worker threads for sweeps.
     pub threads: usize,
-    /// Observability recorder, present when `--obs PATH` was given. The
-    /// experiment functions wrap their phases in spans on it; sweeps feed
-    /// it per-worker shard recorders (see `lhr_sim::sweep::run_grid_obs`).
+    /// Observability recorder, present when `--obs PATH` was given, its
+    /// export file already open ([`Obs::stream_to`]; `Obs::close_stream`
+    /// writes it). Every experiment runs inside a span on it; sweeps feed
+    /// it per-worker shard recorders (see `lhr_sim::sweep::run_grid`).
     pub obs: Option<Obs>,
-    /// Where [`write_obs`] exports the JSONL recording.
-    pub obs_path: Option<String>,
 }
 
 impl Default for Options {
@@ -33,53 +36,48 @@ impl Default for Options {
                 .map_or(4, |n| n.get())
                 .min(16),
             obs: None,
-            obs_path: None,
         }
     }
 }
 
 impl Options {
-    /// Parses `--scale {tiny|small|medium|full}`, `--seed N`,
-    /// `--threads N`, `--obs PATH` from the process arguments. Unknown
-    /// arguments abort with a usage message.
-    pub fn from_args() -> Options {
-        match Self::from_args_with_only() {
-            (options, None) => options,
-            (_, Some(_)) => usage(),
-        }
-    }
-
-    /// [`Options::from_args`] plus `repro`'s `--only LIST` (returned
-    /// unparsed; `experiments::run` knows the names).
-    pub fn from_args_with_only() -> (Options, Option<String>) {
+    /// Parses `--scale {tiny|small|medium|full}`, `--seed N`, `--threads N`
+    /// (0: one per core, as `lhr-cache --threads 0`), `--obs PATH` and
+    /// `--only LIST` (returned unparsed; `experiments::run` knows the
+    /// names). `--obs` creates its file here, so a path that cannot be
+    /// written is refused before the first experiment runs.
+    pub fn parse(
+        args: impl IntoIterator<Item = String>,
+    ) -> Result<(Options, Option<String>), String> {
         let mut options = Options::default();
-        let mut only = None;
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            let value = |i: &mut usize| -> String {
-                *i += 1;
-                args.get(*i).unwrap_or_else(|| usage()).clone()
-            };
-            match args[i].as_str() {
+        let (mut only, mut obs_path) = (None, None);
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            let value = args.next().ok_or_else(|| format!("{flag} needs a value"));
+            let number = |v: String| v.parse().map_err(|_| format!("{flag}: not a number: {v}"));
+            match flag.as_str() {
                 "--scale" => {
-                    options.scale = match value(&mut i).as_str() {
+                    options.scale = match value?.as_str() {
                         "tiny" => ProductionScale::Tiny,
                         "small" => ProductionScale::Small,
                         "medium" => ProductionScale::Medium,
                         "full" => ProductionScale::Full,
-                        _ => usage(),
+                        other => return Err(format!("--scale: unknown scale {other}")),
                     }
                 }
-                "--seed" => options.seed = value(&mut i).parse().unwrap_or_else(|_| usage()),
-                "--threads" => options.threads = value(&mut i).parse().unwrap_or_else(|_| usage()),
-                "--obs" => options.obs_path = Some(value(&mut i)),
-                "--only" => only = Some(value(&mut i)),
-                _ => usage(),
+                "--seed" => options.seed = number(value?)?,
+                "--threads" => {
+                    options.threads = match number(value?)? {
+                        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+                        n => n as usize,
+                    }
+                }
+                "--obs" => obs_path = Some(value?),
+                "--only" => only = Some(value?),
+                _ => return Err(format!("unknown flag {flag}")),
             }
-            i += 1;
         }
-        if options.obs_path.is_some() {
+        if let Some(path) = obs_path {
             // Deterministic mode: span counts are recorded but wall-clock
             // readings are zeroed, so a fixed-seed export is byte-identical
             // across runs and thread counts.
@@ -88,31 +86,12 @@ impl Options {
                 ..ObsConfig::default()
             });
             obs.set_meta("bench.seed", options.seed);
+            obs.stream_to(&path)
+                .map_err(|e| format!("--obs {path}: {e}"))?;
             options.obs = Some(obs);
         }
-        (options, only)
+        Ok((options, only))
     }
-}
-
-/// Writes the `--obs` recording (if one was requested) to its path; a
-/// no-op otherwise. Experiment binaries call this once, after printing.
-pub fn write_obs(options: &Options) {
-    let (Some(obs), Some(path)) = (&options.obs, &options.obs_path) else {
-        return;
-    };
-    if let Err(e) = std::fs::write(path, obs.to_jsonl()) {
-        eprintln!("obs export to {path} failed: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("obs export written to {path}");
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: <bin> [--scale tiny|small|medium|full] [--seed N] [--threads N] [--obs PATH]\n\
-         \x20      repro also takes --only NAME[,NAME...] (e.g. fig8,table2; default: everything)"
-    );
-    std::process::exit(2)
 }
 
 /// The four production-like traces at the chosen scale.
@@ -123,26 +102,15 @@ pub fn production_traces(options: &Options) -> Vec<Trace> {
 /// The paper's per-trace default simulator cache size (Figure 2 / 7
 /// setting), scaled by the *cache-to-unique-bytes ratio* so reduced-scale
 /// traces keep the full-scale experiment's cache pressure.
-pub fn default_capacity(trace: &Trace, _options: &Options) -> u64 {
-    let unique = lhr_trace::TraceStats::compute(trace).unique_bytes_requested as f64;
+pub fn default_capacity(trace: &Trace) -> u64 {
+    let unique = TraceStats::compute(trace).unique_bytes_requested as f64;
     ((unique * production::cache_to_unique_ratio(&trace.name)) as u64).max(1)
 }
 
 /// The appendix's Caffeine-experiment cache size, same ratio-based scaling.
 pub fn caffeine_capacity(trace: &Trace) -> u64 {
-    let unique = lhr_trace::TraceStats::compute(trace).unique_bytes_requested as f64;
+    let unique = TraceStats::compute(trace).unique_bytes_requested as f64;
     ((unique * production::caffeine_cache_to_unique_ratio(&trace.name)) as u64).max(1)
-}
-
-/// Per-trace memory window for LRB: a quarter of the trace duration.
-pub fn lrb_window_secs(trace: &Trace) -> f64 {
-    PolicyParams::for_trace(0, 0, trace).window_secs
-}
-
-/// Expected distinct objects (sizes B-LRU's Bloom filter and TinyLFU's
-/// sketch).
-pub fn expected_objects(trace: &Trace) -> u64 {
-    (lhr_trace::TraceStats::compute(trace).unique_contents as u64).max(1_024)
 }
 
 /// The headline comparisons' line-up: LHR (first, as every figure leads
@@ -159,12 +127,13 @@ const HEADLINE: [&str; 8] = [
 ];
 
 /// Factories for the [`HEADLINE`] policies, built from the roster. Two
-/// parameters follow the trace instead of the CLI's constants: the filter
-/// and sketch are sized to its population, and LRB's retraining batch
-/// shrinks with it so reduced-scale runs still exercise the learned path.
+/// parameters follow the trace instead of the CLI's constants: B-LRU's
+/// filter and TinyLFU's sketch are sized to its distinct objects (at least
+/// 1 024), and LRB's retraining batch shrinks with it so reduced-scale runs
+/// still exercise the learned path.
 pub fn all_factories(trace: &Trace, seed: u64) -> Vec<PolicyFactory> {
     let params = PolicyParams {
-        expected_objects: expected_objects(trace),
+        expected_objects: (TraceStats::compute(trace).unique_contents as u64).max(1_024),
         lrb_train_batch: (trace.len() / 16).clamp(1_024, 8_192),
         ..PolicyParams::for_trace(0, seed, trace)
     };
@@ -248,6 +217,56 @@ mod tests {
         let lines: Vec<&str> = t.lines().collect();
         assert_eq!(lines.len(), 4);
         assert!(lines[2].starts_with("a          "));
+    }
+
+    fn parse(args: &[&str]) -> Result<(Options, Option<String>), String> {
+        Options::parse(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn flags_parse_and_only_comes_back_unparsed() {
+        let (options, only) = parse(&["--scale", "tiny", "--seed", "7", "--only", "fig2"]).unwrap();
+        assert_eq!(options.scale, ProductionScale::Tiny);
+        assert_eq!(options.seed, 7);
+        assert!(options.obs.is_none());
+        assert_eq!(only.as_deref(), Some("fig2"));
+    }
+
+    /// `--threads 0` once reached the sweep as zero workers and panicked.
+    #[test]
+    fn zero_threads_means_one_per_core() {
+        let (options, _) = parse(&["--threads", "0"]).unwrap();
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(options.threads, cores);
+        assert_eq!(parse(&["--threads", "3"]).unwrap().0.threads, 3);
+    }
+
+    /// An `--obs` path that cannot be written once failed only after every
+    /// experiment had run.
+    #[test]
+    fn an_unwritable_obs_path_is_refused_at_parse_time() {
+        let path = std::env::temp_dir()
+            .join(format!("lhr-bench-no-such-dir-{}", std::process::id()))
+            .join("x.jsonl");
+        let path = path.to_str().expect("utf-8 temp path");
+        let err = parse(&["--obs", path]).unwrap_err();
+        assert!(err.starts_with("--obs ") && err.contains(path), "{err}");
+    }
+
+    #[test]
+    fn unknown_flags_and_bad_values_are_errors() {
+        for (args, named) in [
+            (
+                &["--threads", "2", "--thread", "2"][..],
+                "unknown flag --thread",
+            ),
+            (&["--seed"], "--seed needs a value"),
+            (&["--seed", "x"], "--seed: not a number"),
+            (&["--scale", "huge"], "--scale: unknown scale huge"),
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(err.contains(named), "{args:?}: {err}");
+        }
     }
 
     #[test]

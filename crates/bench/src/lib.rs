@@ -1,12 +1,12 @@
-//! Experiment harness for the LHR reproduction: one function per paper
+//! Experiment harness for the LHR reproduction: one report per paper
 //! table/figure (in [`experiments`]), shared infrastructure in
-//! [`harness`], and thin binaries in `src/bin/` that print each
-//! experiment's output.
+//! [`harness`], and the `repro` binary that prints them.
 //!
-//! Run everything with:
+//! Run everything, or the reports `--only` names, with:
 //!
 //! ```text
 //! cargo run -p lhr-bench --release --bin repro -- --scale small
+//! cargo run -p lhr-bench --release --bin repro -- --scale small --only fig8,table2
 //! ```
 
 #![forbid(unsafe_code)]

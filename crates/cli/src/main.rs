@@ -578,9 +578,6 @@ fn cmd_obs_slo(args: &Args) -> Result<(), String> {
         }
     };
     let objectives = lhr_obs::slo::parse_objectives(&raw)?;
-    if objectives.is_empty() {
-        return Err("empty objective list".to_string());
-    }
     let verdicts = lhr_obs::slo::evaluate(
         &objectives,
         &windows,

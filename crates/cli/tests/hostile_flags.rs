@@ -129,13 +129,23 @@ fn a_bad_flag_is_reported_before_the_trace_is_read() {
     // missing file is the error, and without a path that is.
     let missing = "lhr-hostile-no-such-trace.csv";
     let policy = ["--policy", "LRU", "--capacity", "1MB"];
-    let cases: [(&[&str], &str); 6] = [
+    // `--slo` with no objective in it once recorded an export without one.
+    let obs = [&policy[..], &["--obs", "lhr-hostile-no-such-export.jsonl"]].concat();
+    let cases: [(&[&str], &str); 8] = [
         (&["--policy", "NOPE", "--capacity", "1MB"], "NOPE"),
         (&["--policy", "LRU", "--capacity", "banana"], "banana"),
         (&["--policy", "LRU"], "--capacity is required"),
         (&[&policy[..], &["--seed", "x"]].concat(), "--seed"),
         (&[&policy[..], &["--shards", "0"]].concat(), "--shards"),
         (&[&policy[..], &["--trace-sample", "1/8"]].concat(), "--obs"),
+        (
+            &[&obs[..], &["--slo", ","]].concat(),
+            "empty objective list",
+        ),
+        (
+            &[&obs[..], &["--slo", " "]].concat(),
+            "empty objective list",
+        ),
     ];
     for command in ["simulate", "server", "fleet"] {
         for (flags, named) in &cases {

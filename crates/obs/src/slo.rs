@@ -269,12 +269,18 @@ pub fn pick_latency_hist(hists: &BTreeMap<String, LogHistogram>) -> Option<&LogH
         .map(|(_, h)| h)
 }
 
-/// Parses a comma-separated objective list (`avail:99.9,p99:250`).
+/// Parses a comma-separated objective list (`avail:99.9,p99:250`). A list
+/// with no objective in it (`,`, blank) is an error.
 pub fn parse_objectives(raw: &str) -> Result<Vec<SloObjective>, String> {
-    raw.split(',')
+    let objectives = raw
+        .split(',')
         .filter(|s| !s.trim().is_empty())
         .map(|s| s.parse())
-        .collect()
+        .collect::<Result<Vec<SloObjective>, String>>()?;
+    if objectives.is_empty() {
+        return Err("empty objective list".to_string());
+    }
+    Ok(objectives)
 }
 
 #[cfg(test)]
@@ -308,6 +314,13 @@ mod tests {
             assert!(bad.parse::<SloObjective>().is_err(), "{bad}");
         }
         assert_eq!(parse_objectives("avail:99.9, p99:250").unwrap().len(), 2);
+        for empty in ["", ",", " ", " , "] {
+            assert_eq!(
+                parse_objectives(empty).unwrap_err(),
+                "empty objective list",
+                "{empty:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Named constructors: the policy roster every front end builds from
-//! ([`POLICIES`]), the paper's three prototype servers, and the fault
-//! presets.
+//! ([`POLICIES`]) and the fault presets.
 
 use crate::fault::{FaultConfig, ResilienceConfig};
-use crate::server::{CdnServer, ServerConfig};
+use crate::server::ServerConfig;
 use lhr::cache::{LhrCache, LhrConfig};
 use lhr_obs::Obs;
 use lhr_policies::{
@@ -150,41 +149,6 @@ pub fn policy(name: &str) -> Option<PolicyCtor> {
         .map(|&(_, build)| build)
 }
 
-/// The unmodified-ATS stand-in: the CDN serving path with ATS's default
-/// LRU cache (§6.1 — the paper replaces ATS's lookup structures with LHR;
-/// the baseline keeps them).
-pub fn ats_server(capacity: u64, config: ServerConfig) -> CdnServer<Lru> {
-    CdnServer::new(Lru::new(capacity), config)
-}
-
-/// The LHR prototype: the same serving path with the LHR cache (§6.1).
-pub fn lhr_server(
-    capacity: u64,
-    lhr_config: LhrConfig,
-    config: ServerConfig,
-) -> CdnServer<LhrCache> {
-    CdnServer::new(LhrCache::new(capacity, lhr_config), config)
-}
-
-/// The Caffeine stand-in (Appendix A.3): an in-memory cache running
-/// W-TinyLFU, Caffeine's policy. In-memory caches skip origin freshness
-/// checks, so the default config disables them.
-pub fn caffeine_server(capacity: u64, mut config: ServerConfig) -> CdnServer<WTinyLfu> {
-    config.freshness_secs = None;
-    CdnServer::new(WTinyLfu::new(capacity, 1 << 18), config)
-}
-
-/// The LHR-in-Caffeine prototype (Appendix A.3): LHR on the in-memory
-/// serving path.
-pub fn lhr_caffeine_server(
-    capacity: u64,
-    lhr_config: LhrConfig,
-    mut config: ServerConfig,
-) -> CdnServer<LhrCache> {
-    config.freshness_secs = None;
-    CdnServer::new(LhrCache::new(capacity, lhr_config), config)
-}
-
 /// A [`ServerConfig`] with the named fault preset (see
 /// [`FaultConfig::preset_names`]) scaled to a trace of `duration_secs`,
 /// and the full graceful-degradation stack enabled
@@ -220,31 +184,6 @@ mod tests {
             assert!(!names[..i].contains(name), "{name} is listed twice");
         }
         assert!(policy("NOPE").is_none());
-    }
-
-    #[test]
-    fn presets_have_expected_policies() {
-        let ats = ats_server(1 << 20, ServerConfig::default());
-        assert_eq!(ats.policy().name(), "LRU");
-        let caffeine = caffeine_server(1 << 20, ServerConfig::default());
-        assert_eq!(caffeine.policy().name(), "W-TinyLFU");
-        let lhr = lhr_server(1 << 20, lhr::LhrConfig::default(), ServerConfig::default());
-        assert_eq!(lhr.policy().name(), "LHR");
-    }
-
-    #[test]
-    fn lhr_prototype_beats_or_matches_nothing_crashes_end_to_end() {
-        let trace = IrmConfig::new(200, 5_000)
-            .zipf_alpha(1.0)
-            .seed(1)
-            .generate();
-        let mut ats = ats_server(20 << 20, ServerConfig::default());
-        let ats_report = ats.replay(&trace);
-        let mut lhr = lhr_server(20 << 20, lhr::LhrConfig::default(), ServerConfig::default());
-        let lhr_report = lhr.replay(&trace);
-        assert!(ats_report.content_hit_pct >= 0.0);
-        assert!(lhr_report.content_hit_pct >= 0.0);
-        assert!(lhr_report.mean_latency_ms > 0.0);
     }
 
     #[test]

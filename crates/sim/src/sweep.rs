@@ -46,24 +46,16 @@ pub struct Cell<'a> {
 
 /// Runs every `(policy, trace, capacity)` combination, in parallel across
 /// `threads` workers, preserving input order in the result vector.
+///
+/// With a recorder, each worker gets a private shard recorder (the
+/// [`crate::shard`] pattern — a `SpanTree` assumes one thread per recorder)
+/// and wraps every cell it claims in a `sweep.cell` span; the shards are
+/// absorbed into `obs` in worker order once the scope ends. All workers
+/// share the single span path, so the merged span count is exactly
+/// `cells.len()` and — in deterministic mode — the export is
+/// byte-identical at any thread count even though *which* worker ran a
+/// given cell is a race.
 pub fn run_grid(
-    factories: &[PolicyFactory],
-    cells: &[Cell<'_>],
-    config: &SimConfig,
-    threads: usize,
-) -> Vec<SimResult> {
-    run_grid_obs(factories, cells, config, threads, None)
-}
-
-/// [`run_grid`] with an optional observability recorder. Each worker gets a
-/// private shard recorder (the [`crate::shard`] pattern — a `SpanTree`
-/// assumes one thread per recorder) and wraps every cell it claims in a
-/// `sweep.cell` span; the shards are absorbed into `obs` in worker order
-/// once the scope ends. All workers share the single span path, so the
-/// merged span count is exactly `cells.len()` and — in deterministic mode —
-/// the export is byte-identical at any thread count even though *which*
-/// worker ran a given cell is a race.
-pub fn run_grid_obs(
     factories: &[PolicyFactory],
     cells: &[Cell<'_>],
     config: &SimConfig,
@@ -180,7 +172,7 @@ mod tests {
                 capacity: 300,
             },
         ];
-        let results = run_grid(&factories, &cells, &SimConfig::default(), 4);
+        let results = run_grid(&factories, &cells, &SimConfig::default(), 4, None);
         assert_eq!(results.len(), 2);
         assert!(results[0].metrics.object_hit_ratio() < results[1].metrics.object_hit_ratio());
     }
@@ -193,13 +185,13 @@ mod tests {
             trace: &t,
             capacity: 300,
         }];
-        let results = run_grid(&[factory()], &cells, &SimConfig::default(), 1);
+        let results = run_grid(&[factory()], &cells, &SimConfig::default(), 1, None);
         assert_eq!(results.len(), 1);
     }
 
     #[test]
     fn empty_cells_is_fine() {
-        let results = run_grid(&[], &[], &SimConfig::default(), 2);
+        let results = run_grid(&[], &[], &SimConfig::default(), 2, None);
         assert!(results.is_empty());
     }
 
@@ -223,7 +215,7 @@ mod tests {
         };
         let export = |threads: usize| {
             let obs = Obs::new(config.clone());
-            run_grid_obs(
+            run_grid(
                 &factories,
                 &cells,
                 &SimConfig::default(),

@@ -51,7 +51,7 @@ fn main() {
         warmup_requests: trace.len() / 5,
         series_every: None,
     };
-    let results = run_grid(&factories, &cells, &config, 8);
+    let results = run_grid(&factories, &cells, &config, 8, None);
 
     println!(
         "{:<10} {:>12} {:>12} {:>12}",

@@ -239,14 +239,29 @@ for pair in E-LHR:lhr-server LHR:lhr-lazy-server N-LHR:n-lhr-lazy-server; do
   cmp <(mask_peak_mem "$smoke_dir/golden-$policy-1.json") <(mask_peak_mem "$golden")
 done
 
-echo "==> paper shape: scoring at admission costs LHR no hit ratio (repro --only fig10 --scale tiny)"
+echo "==> every paper report renders (repro --scale tiny --threads 2)"
+# The whole evaluation, once: each of the names `repro --only` knows must
+# have printed its report, under its title.
+"${CARGO_TARGET_DIR:-target}/release/repro" --scale tiny --threads 2 > "$smoke_dir/repro.out"
+for name in table1 fig1 fig2 fig5 fig6 fig7 table2 fig8 fig9 table3 fig10 fig11 \
+    fig12 fig13 table4 ablation; do
+  title="$(sed -E 's/^fig/Figure /; s/^table/Table /; s/^ablation/Ablation/' <<< "$name")"
+  if ! grep -q "^$title " "$smoke_dir/repro.out"; then
+    echo "repro printed no \`$title\` report (--only $name)" >&2
+    exit 1
+  fi
+done
+
+echo "==> paper shape: scoring at admission costs LHR no hit ratio (Figure 10 of the run above)"
 # The first of the paper-shape assertions ROADMAP item 1 asks `repro --check`
 # for: on every trace and cache size of Figure 10, LHR (scores at admission,
 # renders rows lazily) is at most 0.5 pp under E-LHR (the paper-literal
-# algorithm it replaced as the default).
-cargo run --release --offline -q -p lhr-bench --bin repro -- --only fig10 \
-  --scale tiny > "$smoke_dir/fig10.out"
+# algorithm it replaced as the default). Only Figure 10's rows are read:
+# Figure 8 prints LHR rows of the same shape.
 awk '
+  /^Figure 10 / { fig10 = 1; next }
+  fig10 && /^$/ { fig10 = 0 }
+  !fig10        { next }
   $3 == "LHR"   { lhr[$1 " @ " $2 " GB"] = $4 }
   $3 == "E-LHR" { eager[$1 " @ " $2 " GB"] = $4 }
   END {
@@ -260,7 +275,7 @@ awk '
     }
     if (cells == 0) { print "fig10 printed no E-LHR row" > "/dev/stderr"; bad = 1 }
     exit bad
-  }' "$smoke_dir/fig10.out"
+  }' "$smoke_dir/repro.out"
 
 echo "==> CLI compare --obs smoke (one recording per policy)"
 cargo run --release --offline -p lhr-cli -- compare \
