@@ -145,7 +145,6 @@ mod tests {
             let mut lru = lhr_policies::Lru::new(capacity);
             let cfg = SimConfig {
                 warmup_requests: 20_000,
-                series_every: None,
             };
             let simulated = Simulator::new(cfg)
                 .run(&mut lru, &trace)
@@ -176,7 +175,6 @@ mod tests {
         let mut lru = lhr_policies::Lru::new(capacity);
         let cfg = SimConfig {
             warmup_requests: 16_000,
-            series_every: None,
         };
         let simulated = Simulator::new(cfg)
             .run(&mut lru, &trace)

@@ -14,6 +14,7 @@ use lhr::hazard::Hro;
 use lhr::window::WindowTracker;
 use lhr_bounds::{BeladySize, PfooUpper};
 use lhr_gbm::{GbmParams, Loss};
+use lhr_obs::{Obs, ObsConfig, ObsWindow, WindowRecord};
 use lhr_policies::Lru;
 use lhr_proto::presets::{self, PolicyParams};
 use lhr_proto::{CdnServer, ServerConfig, ServerReport};
@@ -43,7 +44,6 @@ fn warmup_for(trace: &Trace) -> usize {
 fn simulate<P: CachePolicy>(mut policy: P, trace: &Trace, warmup: usize) -> (SimResult, P) {
     let config = SimConfig {
         warmup_requests: warmup,
-        series_every: None,
     };
     let result = Simulator::new(config).run(&mut policy, trace);
     (result, policy)
@@ -61,15 +61,21 @@ fn lhr(o: &Options, capacity: u64, config: LhrConfig) -> LhrCache {
 }
 
 /// One replay of `trace` through a `CdnServer` running the roster policy
-/// `name`, built from `params`.
+/// `name`, built from `params`, recording into `obs` when given.
 fn serve(
     params: &PolicyParams<'_>,
     name: &str,
     trace: &Trace,
     config: ServerConfig,
+    obs: Option<Obs>,
 ) -> ServerReport {
     let build = presets::policy(name).expect("a roster name");
-    CdnServer::new(build(params), config).replay(trace)
+    let server = CdnServer::new(build(params), config);
+    match obs {
+        Some(obs) => server.with_obs(obs),
+        None => server,
+    }
+    .replay(trace)
 }
 
 /// The headline line-up (`harness::all_factories`: LHR, then the seven
@@ -90,7 +96,6 @@ fn grid(o: &Options, trace: &Trace, capacities: &[u64], warmup: usize) -> Vec<Ve
         .collect();
     let config = SimConfig {
         warmup_requests: warmup,
-        series_every: None,
     };
     run_grid(&factories, &cells, &config, o.threads, o.obs.as_ref())
         .chunks(factories.len())
@@ -338,19 +343,32 @@ const CAFFEINE: Prototype = Prototype {
     freshness: false,
 };
 
+/// The cumulative hit ratio at the end of each full window of `windows`
+/// (request windows of `every` requests: only the last can be partial).
+fn cumulative_hit_ratios(windows: &[WindowRecord], every: u64) -> Vec<f64> {
+    let (mut hits, mut requests) = (0, 0);
+    windows
+        .iter()
+        .take_while(|w| w.requests == every)
+        .map(|w| {
+            (hits, requests) = (hits + w.hits, requests + w.requests);
+            hits as f64 / requests as f64
+        })
+        .collect()
+}
+
 /// Runs a prototype comparison once: the figure prints the cumulative hit
-/// ratio at every tenth of the trace, the table the resources.
+/// ratio at every tenth of the trace, read off the replay's window series,
+/// the table the resources.
 fn prototype(o: &Options, p: &Prototype) -> Vec<String> {
     let mut series_rows = Vec::new();
     let mut resource_rows = Vec::new();
     for trace in &production_traces(o) {
-        let mut config = ServerConfig {
-            series_every: Some((trace.len() / 10).max(1)),
-            ..ServerConfig::default()
-        };
+        let mut config = ServerConfig::default();
         if !p.freshness {
             config.freshness_secs = None;
         }
+        let every = (trace.len() as u64 / 10).max(1);
         let params = PolicyParams {
             // Caffeine's W-TinyLFU sizes its sketches for 2¹⁸ objects; LRU
             // and LHR read no such size.
@@ -358,11 +376,14 @@ fn prototype(o: &Options, p: &Prototype) -> Vec<String> {
             ..PolicyParams::for_trace((p.capacity)(trace), o.seed, trace)
         };
         for (server, policy) in [("LHR", "LHR"), (p.server, p.baseline)] {
-            let r = serve(&params, policy, trace, config.clone());
-            let series: Vec<String> = r
-                .series
+            let obs = Obs::new(ObsConfig {
+                window: ObsWindow::Requests(every),
+                ..ObsConfig::default()
+            });
+            let r = serve(&params, policy, trace, config.clone(), Some(obs.clone()));
+            let series: Vec<String> = cumulative_hit_ratios(&obs.windows(), every)
                 .iter()
-                .map(|(_, h)| format!("{:.1}", h * 100.0))
+                .map(|h| format!("{:.1}", h * 100.0))
                 .collect();
             series_rows.push(vec![trace.name.clone(), server.into(), series.join(" ")]);
             resource_rows.push(vec![
@@ -470,7 +491,7 @@ fn table3(o: &Options) -> String {
                 freshness_secs: None,
                 ..ServerConfig::default()
             };
-            let r = serve(&params, policy, trace, config);
+            let r = serve(&params, policy, trace, config, None);
             rows.push(vec![
                 trace.name.clone(),
                 r.name.clone(),

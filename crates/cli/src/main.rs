@@ -628,7 +628,6 @@ fn cmd_obs_slo(args: &Args) -> Result<(), String> {
 fn sim_config(args: &Args) -> Result<SimConfig, String> {
     Ok(SimConfig {
         warmup_requests: args.get_parse("warmup")?.unwrap_or(0usize),
-        series_every: None,
     })
 }
 

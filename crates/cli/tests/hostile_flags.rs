@@ -170,7 +170,7 @@ fn a_commands_own_bad_flag_is_reported_before_the_trace_is_read_too() {
     // *built* from the trace's duration; its name is judged without it.)
     let missing = "lhr-hostile-no-such-trace.csv";
     let policy = ["--policy", "LRU", "--capacity", "1MB"];
-    let cases: [(&str, &[&str], &str); 18] = [
+    let cases: [(&str, &[&str], &str); 21] = [
         (
             "server",
             &["--faults", "bogus"],
@@ -180,6 +180,22 @@ fn a_commands_own_bad_flag_is_reported_before_the_trace_is_read_too() {
             "fleet",
             &["--faults", "bogus"],
             "unknown fault preset `bogus`",
+        ),
+        // Preset names match exactly, in every check and in the builders.
+        (
+            "server",
+            &["--faults", "FLAKY"],
+            "unknown fault preset `FLAKY`",
+        ),
+        (
+            "fleet",
+            &["--faults", "FLAKY"],
+            "unknown fault preset `FLAKY`",
+        ),
+        (
+            "fleet",
+            &["--origin-faults", "FLAKY"],
+            "unknown origin fault preset `FLAKY`",
         ),
         (
             "fleet",

@@ -797,7 +797,6 @@ mod tests {
         let capacity = 100_000; // fits the 6-object hot set (120 KB > cap ⇒ 5 of 6)
         let cfg = SimConfig {
             warmup_requests: 7_000,
-            series_every: None,
         };
         let mut lhr = LhrCache::new(capacity, LhrConfig::default());
         let lhr_result = Simulator::new(cfg.clone()).run(&mut lhr, &trace);

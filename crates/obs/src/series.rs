@@ -24,14 +24,14 @@
 //!
 //! # Two feeding paths
 //!
+//! - [`SeriesAcc::observe`] is the delta path every replay loop takes,
+//!   through `lhr_sim::ledger::Ledger` — the one running [`Totals`] the
+//!   simulator and the serving core both count into: per request it costs
+//!   one boundary compare and a timestamp store, and windows are
+//!   materialized at flush time as snapshot deltas.
 //! - [`SeriesAcc::on_request`] counts every field per request: the simple
 //!   API for a loop with no counters of its own, and the oracle the delta
 //!   path is property-tested against.
-//! - [`SeriesAcc::observe`] is the delta fast path for loops that already
-//!   maintain cumulative totals (the simulator's `SimMetrics`, the serving
-//!   core's `Tally`): per request it costs one boundary compare and a
-//!   timestamp store, and windows are materialized at flush time as
-//!   snapshot deltas via [`Totals`].
 
 use lhr_util::json::{FromJson, Json, JsonError, ObjectWriter, ToJson};
 use std::fmt;
@@ -379,10 +379,11 @@ impl ReqSample {
     }
 }
 
-/// Cumulative measured-request totals, as maintained by an instrumented
-/// loop that already counts them for its own reporting (the simulator's
-/// `SimMetrics`, the serving core's `Tally`). [`SeriesAcc::observe`] turns snapshots of these into
-/// per-window deltas so the obs layer never counts the same request twice.
+/// Cumulative measured-request totals: the one running counter struct of
+/// a replay (`lhr_sim::ledger::Ledger` keeps it for the simulator and the
+/// serving core alike). [`SeriesAcc::observe`] turns snapshots of these
+/// into per-window deltas so the obs layer never counts the same request
+/// twice.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Totals {
     /// Measured requests so far.
@@ -406,6 +407,22 @@ pub struct Totals {
     pub stale_served: u64,
     /// Misses that joined an in-flight origin fetch so far.
     pub coalesced: u64,
+}
+
+/// Field-wise sum: how shard totals merge.
+impl std::ops::AddAssign<&Totals> for Totals {
+    fn add_assign(&mut self, other: &Totals) {
+        self.requests += other.requests;
+        self.hits += other.hits;
+        self.misses_admitted += other.misses_admitted;
+        self.misses_bypassed += other.misses_bypassed;
+        self.bytes_requested += other.bytes_requested;
+        self.bytes_hit += other.bytes_hit;
+        self.evictions += other.evictions;
+        self.errors += other.errors;
+        self.stale_served += other.stale_served;
+        self.coalesced += other.coalesced;
+    }
 }
 
 /// The in-loop accumulator: cheap per-request updates, one [`WindowRecord`]
@@ -452,8 +469,8 @@ impl SeriesAcc {
     }
 
     /// Records one request. Returns whether a window was closed by this
-    /// call, so the instrumented loop can do boundary-only work (sampling
-    /// the policy's eviction counter) off the per-request path.
+    /// call (what the delta path's property test checks its snapshots
+    /// against).
     ///
     /// The counter updates are branchless on the flag fields — this runs
     /// once per simulated request and the hit/miss pattern is exactly the
@@ -524,8 +541,7 @@ impl SeriesAcc {
     /// caller's own counters (and the policy's eviction counter) include
     /// that request. `snapshot` lazily captures the caller's running
     /// [`Totals`]; it is only invoked when this request starts a new window,
-    /// plus once on the first call to baseline warmup-era counts. Returns
-    /// whether a window was flushed.
+    /// plus once on the first call to baseline warmup-era counts.
     ///
     /// Window boundaries match [`on_request`](Self::on_request). Because the
     /// snapshot excludes the current request, a flushed window's delta
@@ -533,7 +549,7 @@ impl SeriesAcc {
     /// open — for time windows this is *more* precise than the boundary
     /// sampling available to the per-request path.
     #[inline]
-    pub fn observe(&mut self, t_micros: u64, snapshot: impl FnOnce() -> Totals) -> bool {
+    pub fn observe(&mut self, t_micros: u64, snapshot: impl FnOnce() -> Totals) {
         if !self.cur_open {
             self.flushed = snapshot();
             self.cur.start_requests = self.flushed.requests;
@@ -542,7 +558,7 @@ impl SeriesAcc {
             self.last_micros = t_micros;
             self.cur_open = true;
             self.open_len = 1;
-            return false;
+            return;
         }
         let closed = match self.window {
             ObsWindow::Requests(n) => self.open_len >= n,
@@ -559,7 +575,6 @@ impl SeriesAcc {
         }
         self.open_len += 1;
         self.last_micros = t_micros;
-        closed
     }
 
     /// Materializes the open window from a snapshot delta, pushes it, and
@@ -762,10 +777,7 @@ mod tests {
         acc.observe(1_000_000, || t);
         t.requests = 2;
         t.evictions = 10;
-        assert!(
-            acc.observe(2_000_000, || t),
-            "third request closes window 0"
-        );
+        acc.observe(2_000_000, || t); // the third request closes window 0
         t.requests = 3;
         t.evictions = 10;
         let windows = acc.finish_observed(t);

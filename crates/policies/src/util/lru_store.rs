@@ -1,6 +1,7 @@
 //! One byte-bounded LRU list with its membership map — the cache store
-//! under every single-list policy (LRU, B-LRU, AdaptSize, TinyLFU, LFO,
-//! RL-Cache), which differ only in what they admit.
+//! under every single-list policy (LRU, FIFO, B-LRU, AdaptSize, TinyLFU,
+//! LFO, RL-Cache), which differ only in what they admit and, for FIFO,
+//! in never touching a hit.
 //!
 //! The store holds the LRU-end eviction loop, the byte accounting and the
 //! eviction counter once; a policy on top of it keeps its admission rule

@@ -43,6 +43,7 @@
 use crate::server::{CdnServer, ServerConfig, ServerReport};
 use crate::tally::{announce, gauge_wall_secs, per_sec, Tally};
 use lhr_obs::Obs;
+use lhr_sim::ledger::Ledger;
 use lhr_sim::shard::{Partition, RouteConfig};
 use lhr_sim::CachePolicy;
 use lhr_trace::Trace;
@@ -60,9 +61,7 @@ pub struct EngineConfig {
     /// Worker threads (`threads = 0` means one per available core).
     pub route: RouteConfig,
     /// The per-shard serving-path configuration. `deterministic` is forced
-    /// on and `series_every` off: the engine's reports must not depend on
-    /// wall clocks, and windowed series go through the obs layer, where
-    /// they merge deterministically.
+    /// on: the engine's reports must not depend on wall clocks.
     pub server: ServerConfig,
 }
 
@@ -83,9 +82,8 @@ impl EngineConfig {
 /// engine-level figures (shard/thread counts, throughput).
 #[derive(Debug, Clone)]
 pub struct EngineReport {
-    /// The merged serving-path report. `series` is always empty (use the
-    /// obs layer for windowed series) and `replay_wall_secs` is the wall
-    /// time of the whole threaded replay.
+    /// The merged serving-path report; `replay_wall_secs` is the wall time
+    /// of the whole threaded replay.
     pub report: ServerReport,
     /// Shards the keyspace was split across.
     pub n_shards: u64,
@@ -203,11 +201,10 @@ pub struct ShardedEngine {
 }
 
 impl ShardedEngine {
-    /// Creates an engine; `deterministic` is forced on and per-request
-    /// series off (see [`EngineConfig::server`]).
+    /// Creates an engine; `deterministic` is forced on (see
+    /// [`EngineConfig::server`]).
     pub fn new(mut config: EngineConfig) -> Self {
         config.server.deterministic = true;
-        config.server.series_every = None;
         ShardedEngine { config, obs: None }
     }
 
@@ -241,8 +238,9 @@ impl ShardedEngine {
         let partition_secs = partition_start.elapsed().as_secs_f64();
         let shards: Vec<EngineShard<P>> = (0..n_shards)
             .map(|s| {
-                let tally = Tally::shard(master, warmup, partition.measured(s, warmup));
-                let policy = build(s, shard_capacity, tally.obs());
+                let ledger = Ledger::shard(master, warmup);
+                let policy = build(s, shard_capacity, ledger.obs());
+                let tally = Tally::new(ledger, partition.measured(s, warmup));
                 EngineShard {
                     server: CdnServer::new(policy, self.config.server.for_shard(s)),
                     tally,
@@ -270,7 +268,7 @@ impl ShardedEngine {
         for shard in &mut shards {
             shard.server.finish(&mut shard.tally);
         }
-        let per_shard_requests: Vec<u64> = shards.iter().map(|s| s.tally.seen).collect();
+        let per_shard_requests: Vec<u64> = shards.iter().map(|s| s.tally.ledger.seen()).collect();
         let (shard_imbalance, suggested_shards) = shard_skew(&per_shard_requests);
         let mut total = Tally::merge(shards.iter_mut().map(|s| &mut s.tally), master, trace.len());
         if let Some(master) = master {

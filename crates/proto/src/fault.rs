@@ -113,7 +113,7 @@ impl FaultConfig {
     ///   background flakiness.
     pub fn preset(name: &str, seed: u64, duration_secs: f64) -> Option<FaultConfig> {
         let d = duration_secs.max(0.0);
-        Some(match name.to_ascii_lowercase().as_str() {
+        Some(match name {
             "none" => FaultConfig {
                 seed,
                 ..FaultConfig::default()
@@ -631,7 +631,8 @@ mod tests {
         for name in FaultConfig::preset_names() {
             assert!(FaultConfig::preset(name, 1, 100.0).is_some(), "{name}");
         }
-        assert!(FaultConfig::preset("FLAKY", 1, 100.0).is_some());
+        // Names match exactly, as every CLI check does.
+        assert!(FaultConfig::preset("FLAKY", 1, 100.0).is_none());
         assert!(FaultConfig::preset("nope", 1, 100.0).is_none());
     }
 }

@@ -71,6 +71,7 @@ use crate::tally::{announce, gauge_wall_secs, per_sec, Tally};
 use lhr_obs::trace::TraceBuilder;
 use lhr_obs::{Event, EventKind, Obs};
 use lhr_policies::Lru;
+use lhr_sim::ledger::Ledger;
 use lhr_sim::shard::{shard_seed, Partition, RouteConfig};
 use lhr_sim::CachePolicy;
 use lhr_trace::{ObjectId, Request, Trace};
@@ -460,8 +461,8 @@ pub struct FleetConfig {
     /// Worker threads.
     pub route: RouteConfig,
     /// The shield's serving path: latency model, freshness, **origin**
-    /// faults and resilience. `deterministic` is forced on and
-    /// `series_every` off, as in the engine.
+    /// faults and resilience. `deterministic` is forced on, as in the
+    /// engine.
     pub server: ServerConfig,
     /// Node-level down/up schedule.
     pub node_faults: NodeFaultConfig,
@@ -664,7 +665,6 @@ struct NodeSlice<P> {
 /// in shard order by the merge.
 #[derive(Default)]
 struct FleetCounts {
-    bytes_hit: u128,
     edge_hits: u64,
     peer_hits: u64,
     shield_hits: u64,
@@ -782,7 +782,7 @@ impl<P: CachePolicy> FleetShard<P> {
         if self.nodes[n].epoch != epoch {
             self.nodes[n].epoch = epoch;
             if ctx.cold_restart {
-                let fresh = (ctx.build)(n, s, ctx.node_capacity, self.tally.obs());
+                let fresh = (ctx.build)(n, s, ctx.node_capacity, self.tally.ledger.obs());
                 self.nodes[n].policy = fresh;
             }
         }
@@ -868,7 +868,7 @@ impl<P: CachePolicy> FleetShard<P> {
         let t = req.ts.as_secs_f64();
         if self.tally.tick() {
             let meta_bytes = self.meta_bytes();
-            self.tally.sample_meta(meta_bytes);
+            self.tally.ledger.sample_meta(meta_bytes);
             self.shield.housekeep(req.ts);
             // On this tick and no other: a hint that outlives its TTL in
             // the table is refused visibly (see the module docs).
@@ -882,7 +882,8 @@ impl<P: CachePolicy> FleetShard<P> {
         let (primary, chosen) = ctx.ring.route(req.id, |node| down & (1 << node) == 0);
         let failed_over = chosen.filter(|&n| n != primary);
 
-        let mut tb = self.tally.begin_trace(i, req);
+        // A fleet reads no eviction counter: its windows count none.
+        let mut tb = self.tally.begin(i, req, || 0);
         if let (Some(tb), Some(n)) = (tb.as_mut(), failed_over) {
             tb.push(
                 "failover",
@@ -907,18 +908,15 @@ impl<P: CachePolicy> FleetShard<P> {
         served.hit = matches!(kind, Served::EdgeHit | Served::Peer(_));
 
         // Warmup is by global trace index, identical at any thread count.
-        if self.tally.measures(i) {
+        if self.tally.ledger.measures(i) {
             let counts = &mut self.counts;
-            if served.hit {
-                counts.bytes_hit += req.size as u128;
-            }
             match kind {
                 Served::EdgeHit => counts.edge_hits += 1,
                 Served::Peer(peer) => {
                     counts.peer_hits += 1;
                     // A peer fill touches neither shield nor origin, so no
                     // other event of this request can precede this one.
-                    if let Some(obs) = self.tally.obs() {
+                    if let Some(obs) = self.tally.ledger.obs() {
                         obs.emit(
                             Event::new(t, EventKind::PeerHint)
                                 .field("id", req.id)
@@ -941,7 +939,7 @@ impl<P: CachePolicy> FleetShard<P> {
             counts.failovers += failed_over.is_some() as u64;
         }
         let origin = self.shield.origin_stats();
-        self.tally.record(i, req, &served, tb, origin, || 0);
+        self.tally.record(i, req, &served, tb, origin);
     }
 
     /// Takes the final metadata sample and flushes the shard recorder
@@ -949,9 +947,9 @@ impl<P: CachePolicy> FleetShard<P> {
     /// exhausted.
     fn finish(&mut self) {
         let meta_bytes = self.meta_bytes();
-        self.tally.sample_meta(meta_bytes);
-        let (errors, c) = (self.tally.counts.errors, &self.counts);
-        let Some(obs) = self.tally.finish("fleet.") else {
+        self.tally.ledger.sample_meta(meta_bytes);
+        let (errors, c) = (self.tally.ledger.totals().errors, &self.counts);
+        let Some(obs) = self.tally.finish("fleet.", 0) else {
             return;
         };
         obs.counter_add("fleet.edge_hits", c.edge_hits);
@@ -995,11 +993,10 @@ pub struct FleetEngine {
 }
 
 impl FleetEngine {
-    /// Creates a fleet engine; the shield's `deterministic` is forced on
-    /// and per-request series off, as in [`crate::ShardedEngine`].
+    /// Creates a fleet engine; the shield's `deterministic` is forced on,
+    /// as in [`crate::ShardedEngine`].
     pub fn new(mut config: FleetConfig) -> Self {
         config.server.deterministic = true;
-        config.server.series_every = None;
         FleetEngine { config, obs: None }
     }
 
@@ -1035,11 +1032,11 @@ impl FleetEngine {
         let partition_secs = partition_start.elapsed().as_secs_f64();
         let shards: Vec<FleetShard<P>> = (0..n_shards)
             .map(|s| {
-                let tally = Tally::shard(master, warmup, partition.measured(s, warmup));
+                let ledger = Ledger::shard(master, warmup);
                 FleetShard {
                     nodes: (0..n_nodes)
                         .map(|node| NodeSlice {
-                            policy: build(node, s, node_capacity, tally.obs()),
+                            policy: build(node, s, node_capacity, ledger.obs()),
                             epoch: 0,
                             seen: 0,
                             measured: 0,
@@ -1054,7 +1051,7 @@ impl FleetEngine {
                     hints: Hints::new(),
                     live: Segment::COLD,
                     counts: FleetCounts::default(),
-                    tally,
+                    tally: Tally::new(ledger, partition.measured(s, warmup)),
                 }
             })
             .collect();
@@ -1105,7 +1102,6 @@ impl FleetEngine {
         let mut node_errors = vec![0u64; n_nodes];
         for shard in &mut shards {
             shard.finish();
-            counts.bytes_hit += shard.counts.bytes_hit;
             counts.edge_hits += shard.counts.edge_hits;
             counts.peer_hits += shard.counts.peer_hits;
             counts.shield_hits += shard.counts.shield_hits;
@@ -1129,7 +1125,8 @@ impl FleetEngine {
                 part / whole * 100.0
             }
         };
-        let (measured, bytes_served) = (total.counts.requests, total.counts.bytes_requested);
+        let totals = total.ledger.totals();
+        let (measured, bytes_served) = (totals.requests, totals.bytes_requested);
         let origin_offload_pct = if bytes_served == 0 {
             100.0
         } else {
@@ -1158,7 +1155,7 @@ impl FleetEngine {
             requests_per_sec: per_sec(trace.len(), wall_secs),
             requests: measured,
             edge_hit_pct: pct(counts.edge_hits as f64, measured as f64),
-            byte_hit_pct: pct(counts.bytes_hit as f64, bytes_served as f64),
+            byte_hit_pct: pct(totals.bytes_hit as f64, bytes_served as f64),
             shield_hit_pct: pct(counts.shield_hits as f64, counts.shield_lookups as f64),
             peer_hits: counts.peer_hits,
             origin_offload_pct,

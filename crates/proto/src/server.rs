@@ -12,6 +12,7 @@ use crate::latency::{transfer_ms, LatencyModel};
 use crate::tally::{announce, gauge_wall_secs, OriginStats, Tally};
 use lhr_obs::trace::TraceBuilder;
 use lhr_obs::Obs;
+use lhr_sim::ledger::Ledger;
 use lhr_sim::shard::shard_seed;
 use lhr_sim::{CachePolicy, Outcome};
 use lhr_trace::{ObjectId, Request, Time, Trace};
@@ -39,9 +40,6 @@ pub struct ServerConfig {
     pub revalidate_fresh_prob: f64,
     /// Leading requests excluded from the report (cache warmup).
     pub warmup_requests: usize,
-    /// Record a hit-ratio series point every this many requests (Figures 7
-    /// and 13); `None` disables.
-    pub series_every: Option<usize>,
     /// The injected origin fault schedule (default: infallible origin).
     pub faults: FaultConfig,
     /// Retry / circuit-breaker / stale-serving / coalescing settings.
@@ -59,7 +57,6 @@ impl Default for ServerConfig {
             freshness_secs: Some(3_600.0),
             revalidate_fresh_prob: 0.9,
             warmup_requests: 0,
-            series_every: None,
             faults: FaultConfig::default(),
             resilience: ResilienceConfig::default(),
             deterministic: false,
@@ -131,8 +128,6 @@ pub struct ServerReport {
     pub degraded_p90_latency_ms: f64,
     /// P99 latency over degraded requests only, ms.
     pub degraded_p99_latency_ms: f64,
-    /// Hit-ratio time series (cumulative), if requested.
-    pub series: Vec<(u64, f64)>,
     /// Wall-clock seconds the replay took (simulation cost, not modeled
     /// time).
     pub replay_wall_secs: f64,
@@ -158,7 +153,6 @@ lhr_util::impl_json!(struct ServerReport {
     breaker_closes,
     degraded_p90_latency_ms,
     degraded_p99_latency_ms,
-    series,
     replay_wall_secs,
 });
 
@@ -307,24 +301,27 @@ impl<P: CachePolicy> CdnServer<P> {
     /// over one tally; the engine runs it once per shard.
     #[inline]
     pub(crate) fn step(&mut self, tally: &mut Tally, i: usize, req: &Request) {
-        let mut tb = tally.begin_trace(i, req);
+        let mut tb = tally.begin(i, req, || self.policy.evictions());
         let served = self.serve(req, tb.as_mut());
         if tally.tick() {
-            tally.sample_meta(self.policy.metadata_overhead_bytes());
+            tally
+                .ledger
+                .sample_meta(self.policy.metadata_overhead_bytes());
             self.housekeep(req.ts);
         }
-        let origin = self.origin_stats();
-        tally.record(i, req, &served, tb, origin, || self.policy.evictions());
+        tally.record(i, req, &served, tb, self.origin_stats());
     }
 
     /// Takes the final metadata sample and flushes `tally` into its
     /// recorder, adding the counters only a single cache has.
     pub(crate) fn finish(&self, tally: &mut Tally) {
-        tally.sample_meta(self.policy.metadata_overhead_bytes());
-        let (hits, errors) = (tally.counts.hits, tally.counts.errors);
-        if let Some(obs) = tally.finish("server.") {
-            obs.counter_add("server.hits", hits);
-            obs.counter_add("server.errors", errors);
+        tally
+            .ledger
+            .sample_meta(self.policy.metadata_overhead_bytes());
+        let counts = *tally.ledger.totals();
+        if let Some(obs) = tally.finish("server.", self.policy.evictions()) {
+            obs.counter_add("server.hits", counts.hits);
+            obs.counter_add("server.errors", counts.errors);
         }
     }
 
@@ -336,27 +333,18 @@ impl<P: CachePolicy> CdnServer<P> {
         if let Some(obs) = &self.obs {
             announce(obs, self.policy.name(), trace, &self.config.faults);
         }
-        let mut tally = Tally::new(self.obs.clone(), self.config.warmup_requests, trace.len());
-        let mut series = Vec::new();
+        let ledger = Ledger::new(self.config.warmup_requests, self.obs.clone());
+        let mut tally = Tally::new(ledger, trace.len());
         let wall = Instant::now();
         for (i, req) in trace.iter().enumerate() {
             self.step(&mut tally, i, req);
-            if let Some(every) = self.config.series_every {
-                let c = &tally.counts;
-                if tally.measures(i) && c.requests.is_multiple_of(every as u64) {
-                    series.push((c.requests, c.hits as f64 / c.requests as f64));
-                }
-            }
         }
         self.finish(&mut tally);
         let wall_secs = wall.elapsed().as_secs_f64();
         if let Some(obs) = &self.obs {
             gauge_wall_secs(obs, wall_secs);
         }
-        ServerReport {
-            series,
-            ..tally.report(self.policy.name().to_string(), trace, wall_secs)
-        }
+        tally.report(self.policy.name().to_string(), trace, wall_secs)
     }
 
     /// Times one policy call (zeroed in deterministic mode) and adds it to
@@ -856,19 +844,6 @@ mod tests {
         let mut server = CdnServer::new(Lru::new(10 << 20), cfg);
         let report = server.replay(&trace(10, 2, 1 << 20));
         assert!((report.content_hit_pct - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn series_is_recorded() {
-        let cfg = ServerConfig {
-            series_every: Some(10),
-            freshness_secs: None,
-            ..ServerConfig::default()
-        };
-        let mut server = CdnServer::new(Lru::new(10 << 20), cfg);
-        let report = server.replay(&trace(100, 2, 1 << 20));
-        assert_eq!(report.series.len(), 10);
-        assert!(report.series.last().expect("non-empty").1 > 0.9);
     }
 
     #[test]

@@ -8,16 +8,18 @@
 //! next to its fleet-only counters. Counters, latency samples, the windowed
 //! series, the latency histogram and the breaker / stale / error / coalesce
 //! events are therefore bumped and emitted in exactly one place, and the
-//! hit / availability / WAN / percentile arithmetic is done once. A tally
-//! has one mode: whichever layer steps it, its windows reach the recorder
-//! at [`Tally::finish`], and a sampled request trace is stamped with the
+//! hit / availability / WAN / percentile arithmetic is done once. The warmup
+//! cut, the running totals and the window series are the tally's
+//! [`Ledger`] — the one the simulator counts through too — so whichever
+//! layer steps a tally, its windows reach the recorder at
+//! [`Tally::finish`], and a sampled request trace is stamped with the
 //! window the request was counted in.
 
 use crate::fault::FaultConfig;
 use crate::server::{ServeOutcome, ServerReport};
-use lhr_obs::series::{SeriesAcc, Totals};
 use lhr_obs::trace::{TraceBuilder, TraceRecorder};
 use lhr_obs::{Event, EventKind, LogHistogram, Obs};
+use lhr_sim::ledger::Ledger;
 use lhr_trace::{Request, Trace};
 
 /// Both latency percentiles via selection instead of a full sort —
@@ -96,46 +98,31 @@ pub(crate) struct OriginStats {
     pub(crate) breaker_closes: u64,
 }
 
-/// What a tally with a recorder attached keeps beside its counters.
-struct Recording {
-    obs: Obs,
-    tracer: TraceRecorder,
-    /// Fed on the delta path: it reads [`Tally::counts`] at window edges
-    /// instead of counting every request a second time. The windows stay
-    /// in it until [`Tally::finish`].
-    acc: SeriesAcc,
+/// The breaker transitions between two readings of the origin totals. The
+/// two event emitters are rare and allocate; kept out of line they cost
+/// the per-request path one branch each.
+#[cold]
+fn breaker_events(obs: &Obs, req: &Request, was: &OriginStats, now: &OriginStats) {
+    let t = req.ts.as_secs_f64();
+    if now.breaker_opens > was.breaker_opens {
+        obs.emit(Event::new(t, EventKind::BreakerOpen).field("opens", now.breaker_opens));
+    }
+    if now.breaker_closes > was.breaker_closes {
+        obs.emit(Event::new(t, EventKind::BreakerClose).field("closes", now.breaker_closes));
+    }
 }
 
-impl Recording {
-    // The two event emitters are rare and allocate; kept out of line they
-    // cost the per-request path one branch each.
-
-    /// The breaker transitions between two readings of the origin totals.
-    #[cold]
-    fn breaker_events(&self, req: &Request, was: &OriginStats, now: &OriginStats) {
-        let t = req.ts.as_secs_f64();
-        if now.breaker_opens > was.breaker_opens {
-            let event = Event::new(t, EventKind::BreakerOpen);
-            self.obs.emit(event.field("opens", now.breaker_opens));
-        }
-        if now.breaker_closes > was.breaker_closes {
-            let event = Event::new(t, EventKind::BreakerClose);
-            self.obs.emit(event.field("closes", now.breaker_closes));
-        }
-    }
-
-    /// The stale / error / coalesce events of one degraded request.
-    #[cold]
-    fn serve_events(&self, req: &Request, served: &ServeOutcome) {
-        let t = req.ts.as_secs_f64();
-        for (flag, kind) in [
-            (served.stale, EventKind::StaleServe),
-            (served.error, EventKind::ErrorServe),
-            (served.coalesced, EventKind::Coalesce),
-        ] {
-            if flag {
-                self.obs.emit(Event::new(t, kind).field("id", req.id));
-            }
+/// The stale / error / coalesce events of one degraded request.
+#[cold]
+fn serve_events(obs: &Obs, req: &Request, served: &ServeOutcome) {
+    let t = req.ts.as_secs_f64();
+    for (flag, kind) in [
+        (served.stale, EventKind::StaleServe),
+        (served.error, EventKind::ErrorServe),
+        (served.coalesced, EventKind::Coalesce),
+    ] {
+        if flag {
+            obs.emit(Event::new(t, kind).field("id", req.id));
         }
     }
 }
@@ -144,111 +131,78 @@ impl Recording {
 /// [`Tally::merge`], the run's totals.
 #[derive(Default)]
 pub(crate) struct Tally {
-    /// Leading requests (by global trace index) excluded from everything
-    /// below except `seen`, `peak_meta` and `origin`.
-    warmup: usize,
-    /// Requests stepped, warmup included.
-    pub(crate) seen: u64,
-    /// The measured requests, as the window series reads them: a *hit* is
-    /// whatever the layer passes as one, an *error* includes the fleet's
-    /// unrouted requests, and admission is not tracked. `bytes_hit` and
-    /// `evictions` (the policy's lifetime counter as of the last request)
-    /// are kept only while a recorder is attached.
-    pub(crate) counts: Totals,
+    /// The warmup cut, the measured requests (as the window series reads
+    /// them: a *hit* is whatever the layer passes as one, an *error*
+    /// includes the fleet's unrouted requests, and admission is not
+    /// tracked), the metadata peak and the recorder.
+    pub(crate) ledger: Ledger,
     pub(crate) wan_bytes: u128,
     busy_ms: f64,
     latencies: Vec<f64>,
     degraded_latencies: Vec<f64>,
-    /// Peak sampled metadata bytes (summed over shards once merged).
-    peak_meta: u64,
     origin: OriginStats,
-    rec: Option<Recording>,
-    /// The recorder of a finished tally, until [`Tally::merge`] absorbs it.
-    finished: Option<Obs>,
+    /// The request-trace sampler, while a recorder is attached.
+    tracer: Option<TraceRecorder>,
 }
 
 // The per-request methods below carry `#[inline]`: their callers sit in
 // other modules (other codegen units), and left as calls they cost the
 // fleet ≈10 % and the obs-on engine ≈8 % of replay time.
 impl Tally {
-    /// A tally recording straight into `obs`, with room for `latency_cap`
-    /// measured requests.
-    pub(crate) fn new(obs: Option<Obs>, warmup: usize, latency_cap: usize) -> Self {
-        let rec = obs.map(|obs| {
+    /// A tally counting into `ledger` — one recording straight into the
+    /// caller's recorder ([`Ledger::new`]) or a shard's
+    /// ([`Ledger::shard`]) — with room for `latency_cap` measured requests:
+    /// a shard passes exactly the count the partition says it will step
+    /// ([`lhr_sim::shard::Partition::measured`]), so the latency vector
+    /// never reallocates mid-replay however skewed the shards are.
+    pub(crate) fn new(ledger: Ledger, latency_cap: usize) -> Self {
+        let tracer = ledger.obs().map(|obs| {
             let every = obs.config().trace_sample as usize;
             if let Some(expected) = latency_cap.checked_div(every) {
                 // The sampled share, with slack for its spread.
                 obs.reserve_traces(expected + expected / 8 + 16);
             }
-            Recording {
-                tracer: obs.trace_recorder(),
-                acc: SeriesAcc::new(obs.window()),
-                obs,
-            }
+            obs.trace_recorder()
         });
         Tally {
-            warmup,
+            ledger,
             latencies: Vec::with_capacity(latency_cap),
-            rec,
+            tracer,
             ..Tally::default()
         }
-    }
-
-    /// One shard's tally of a threaded replay, with room for exactly the
-    /// `measured` requests the partition says the shard will step
-    /// ([`lhr_sim::shard::Partition::measured`]), so the latency vector
-    /// never reallocates mid-replay however skewed the shards are. It
-    /// records into a private recorder built from `master`'s configuration,
-    /// which [`Tally::merge`] absorbs in shard order.
-    pub(crate) fn shard(master: Option<&Obs>, warmup: usize, measured: usize) -> Self {
-        let private = master.map(|m| Obs::new(m.config().clone()));
-        Tally::new(private, warmup, measured)
-    }
-
-    /// The recorder this tally feeds (what shard policies attach to).
-    #[inline]
-    pub(crate) fn obs(&self) -> Option<&Obs> {
-        self.rec.as_ref().map(|rec| &rec.obs)
-    }
-
-    /// Whether trace index `i` is past the warmup cut.
-    #[inline]
-    pub(crate) fn measures(&self, i: usize) -> bool {
-        i >= self.warmup
     }
 
     /// Counts one stepped request; true every 512th (starting with the
     /// first), when the caller samples metadata and prunes its maps.
     #[inline]
     pub(crate) fn tick(&mut self) -> bool {
-        self.seen += 1;
-        self.seen % 512 == 1
+        self.ledger.tick(512)
     }
 
-    /// Folds one metadata-overhead sample into the peak.
+    /// Opens request `i` before the policy sees it: shows the window
+    /// series the request ([`Ledger::observe`]; `evictions` reads the
+    /// policy's lifetime eviction counter) and starts a request trace if
+    /// the request is sampled. Sampling is a pure function of `(object,
+    /// trace time)` and the id is the global request index, so the sampled
+    /// set is identical no matter how the requests were sharded. Warmup
+    /// requests are never sampled (they have no metric window to anchor an
+    /// exemplar to).
     #[inline]
-    pub(crate) fn sample_meta(&mut self, bytes: u64) {
-        self.peak_meta = self.peak_meta.max(bytes);
-    }
-
-    /// Starts a request trace if request `i` is sampled. Sampling is a
-    /// pure function of `(object, trace time)` and the id is the global
-    /// request index, so the sampled set is identical no matter how the
-    /// requests were sharded. Warmup requests are never sampled (they have
-    /// no metric window to anchor an exemplar to).
-    #[inline]
-    pub(crate) fn begin_trace(&self, i: usize, req: &Request) -> Option<TraceBuilder> {
-        let rec = self.rec.as_ref().filter(|_| self.measures(i))?;
-        rec.tracer
-            .begin(i as u64, req.id, req.ts.as_micros(), req.size)
+    pub(crate) fn begin(
+        &mut self,
+        i: usize,
+        req: &Request,
+        evictions: impl FnOnce() -> u64,
+    ) -> Option<TraceBuilder> {
+        self.ledger.observe(i, req, evictions);
+        let tracer = self.tracer.as_ref().filter(|_| self.ledger.measures(i))?;
+        tracer.begin(i as u64, req.id, req.ts.as_micros(), req.size)
     }
 
     /// Records how request `i` was served: breaker transitions (warmup
     /// included — the breaker carries state into the measured interval),
-    /// then, past the warmup cut, the window boundary, the counters, the
-    /// latency samples, the stale / error / coalesce events and the
-    /// finished request trace. `evictions` reads the policy's lifetime
-    /// eviction counter and is only called when a windowed series is on.
+    /// then, past the warmup cut, the counters, the latency samples, the
+    /// stale / error / coalesce events and the finished request trace.
     #[inline]
     pub(crate) fn record(
         &mut self,
@@ -257,38 +211,20 @@ impl Tally {
         served: &ServeOutcome,
         tb: Option<TraceBuilder>,
         origin: OriginStats,
-        evictions: impl FnOnce() -> u64,
     ) {
-        let measures = self.measures(i);
-        if let Some(rec) = &mut self.rec {
+        if let Some(obs) = self.ledger.obs() {
             if origin.breaker_opens > self.origin.breaker_opens
                 || origin.breaker_closes > self.origin.breaker_closes
             {
-                rec.breaker_events(req, &self.origin, &origin);
+                breaker_events(obs, req, &self.origin, &origin);
             }
-            if measures {
-                // Before `counts` includes the request: a window flushed
-                // here holds exactly the requests before this one. The
-                // policy has already handled this one, though, so that
-                // window ends at the *previous* eviction reading — the one
-                // still in `counts`.
-                let counts = &self.counts;
-                rec.acc.observe(req.ts.as_micros(), || *counts);
-                self.counts.bytes_hit += served.hit as u128 * req.size as u128;
-            }
-            // Read during warmup too, so warmup evictions are baselined
-            // away.
-            self.counts.evictions = evictions();
         }
         self.origin = origin;
-        if !measures {
+        if !self.ledger.measures(i) {
             return;
         }
 
-        let c = &mut self.counts;
-        c.requests += 1;
-        c.bytes_requested += req.size as u128;
-        c.hits += served.hit as u64;
+        let c = self.ledger.count(req.size, served.hit);
         c.errors += served.error as u64;
         c.stale_served += served.stale as u64;
         c.coalesced += served.coalesced as u64;
@@ -299,30 +235,31 @@ impl Tally {
             self.degraded_latencies.push(served.latency_ms);
         }
 
-        let Some(rec) = &self.rec else {
+        let Some(obs) = self.ledger.obs() else {
             return;
         };
         if served.stale | served.error | served.coalesced {
-            rec.serve_events(req, served);
+            serve_events(obs, req, served);
         }
         if let Some(tb) = tb {
-            rec.obs
-                .push_trace(tb.finish(served.latency_ms, rec.acc.last_index()));
+            obs.push_trace(tb.finish(served.latency_ms, self.ledger.window_index()));
         }
     }
 
     /// Once the shard's subsequence is exhausted: flushes the remaining
-    /// windows, the shared counters and the latency histogram into the
+    /// windows ([`Ledger::finish`], with the policy's lifetime
+    /// `evictions`), the shared counters and the latency histogram into the
     /// recorder under `prefix` (`server.` / `fleet.`), and returns the
     /// recorder so the layer can add the counters only it keeps. Call
     /// before [`Self::report`], which reorders the latency samples.
-    pub(crate) fn finish(&mut self, prefix: &str) -> Option<&Obs> {
-        let Recording { obs, acc, .. } = self.rec.take()?;
-        obs.push_windows(acc.finish_observed(self.counts));
+    pub(crate) fn finish(&mut self, prefix: &str, evictions: u64) -> Option<&Obs> {
+        self.ledger.finish(evictions);
+        let obs = self.ledger.obs()?;
+        let counts = self.ledger.totals();
         for (name, n) in [
-            ("requests", self.counts.requests),
-            ("stale_served", self.counts.stale_served),
-            ("coalesced", self.counts.coalesced),
+            ("requests", counts.requests),
+            ("stale_served", counts.stale_served),
+            ("coalesced", counts.coalesced),
             ("retries", self.origin.retries),
         ] {
             obs.counter_add(&format!("{prefix}{name}"), n);
@@ -339,53 +276,43 @@ impl Tally {
         if lat_hist.total() > 0 {
             obs.hist_merge(&format!("{prefix}latency_us"), &lat_hist);
         }
-        Some(self.finished.insert(obs))
+        Some(obs)
     }
 
     /// Merges finished shard tallies **in the order given** — callers pass
     /// fixed shard order, so latency concatenation and float sums
-    /// associate identically at any thread count — and absorbs their
-    /// private recorders into `master` in the same order.
+    /// associate identically at any thread count — and their ledgers
+    /// ([`Ledger::merge`]), which absorb the shard recorders into `master`
+    /// in the same order.
     pub(crate) fn merge<'a>(
         shards: impl Iterator<Item = &'a mut Tally>,
         master: Option<&Obs>,
         latency_cap: usize,
     ) -> Tally {
         let mut total = Tally::default();
-        let mut recorders = Vec::new();
+        let mut ledgers = Vec::new();
         for shard in shards {
-            recorders.extend(shard.finished.take());
             append(&mut total.latencies, &mut shard.latencies, latency_cap);
             append(
                 &mut total.degraded_latencies,
                 &mut shard.degraded_latencies,
                 0,
             );
-            total.seen += shard.seen;
-            total.counts.requests += shard.counts.requests;
-            total.counts.hits += shard.counts.hits;
-            total.counts.errors += shard.counts.errors;
-            total.counts.stale_served += shard.counts.stale_served;
-            total.counts.coalesced += shard.counts.coalesced;
-            total.counts.bytes_requested += shard.counts.bytes_requested;
             total.wan_bytes += shard.wan_bytes;
             total.busy_ms += shard.busy_ms;
-            total.peak_meta += shard.peak_meta;
             total.origin.retries += shard.origin.retries;
             total.origin.compute_ms += shard.origin.compute_ms;
             total.origin.breaker_opens += shard.origin.breaker_opens;
             total.origin.breaker_closes += shard.origin.breaker_closes;
+            ledgers.push(&mut shard.ledger);
         }
-        if let Some(master) = master {
-            master.absorb_shards(&recorders);
-        }
+        total.ledger = Ledger::merge(ledgers, master);
         total
     }
 
-    /// The report of these totals (one shard's, or a merge's). `series` is
-    /// left empty. Percentiles select in place, and the mean sums the
-    /// vector in the order selection left it — both pure functions of the
-    /// shard-order concatenation.
+    /// The report of these totals (one shard's, or a merge's). Percentiles
+    /// select in place, and the mean sums the vector in the order selection
+    /// left it — both pure functions of the shard-order concatenation.
     pub(crate) fn report(&mut self, name: String, trace: &Trace, wall_secs: f64) -> ServerReport {
         let (p90_latency_ms, p99_latency_ms) = pct2(&mut self.latencies);
         let (degraded_p90_latency_ms, degraded_p99_latency_ms) = pct2(&mut self.degraded_latencies);
@@ -394,7 +321,7 @@ impl Tally {
         } else {
             self.latencies.iter().sum::<f64>() / self.latencies.len() as f64
         };
-        let counts = self.counts;
+        let counts = self.ledger.totals();
         let (measured, busy_ms) = (counts.requests, self.busy_ms);
         let duration = trace.duration().as_secs_f64().max(1e-9);
         ServerReport {
@@ -415,7 +342,7 @@ impl Tally {
             } else {
                 (self.origin.compute_ms / busy_ms * 100.0).min(100.0)
             },
-            peak_mem_gb: self.peak_meta as f64 / 1e9,
+            peak_mem_gb: self.ledger.peak_meta() as f64 / 1e9,
             p90_latency_ms,
             p99_latency_ms,
             mean_latency_ms,
@@ -433,7 +360,6 @@ impl Tally {
             breaker_closes: self.origin.breaker_closes,
             degraded_p90_latency_ms,
             degraded_p99_latency_ms,
-            series: Vec::new(),
             replay_wall_secs: wall_secs,
         }
     }

@@ -1,11 +1,11 @@
-//! The simulation driver: one per-request step and one finish ([`Replay`])
-//! behind two entry points, [`Simulator::run`] over one borrowed policy and
-//! [`Simulator::run_sharded`] over one owned policy per shard.
+//! The simulation driver: one per-request step and one finish over a
+//! [`Ledger`] behind two entry points, [`Simulator::run`] over one borrowed
+//! policy and [`Simulator::run_sharded`] over one owned policy per shard.
 
-use crate::metrics::{SeriesPoint, SimMetrics};
+use crate::ledger::Ledger;
+use crate::metrics::SimMetrics;
 use crate::policy::{CachePolicy, Outcome};
 use crate::shard::{self, RouteConfig};
-use lhr_obs::series::{SeriesAcc, Totals};
 use lhr_obs::Obs;
 use lhr_trace::{Request, Trace};
 use std::time::Instant;
@@ -17,12 +17,9 @@ pub struct SimConfig {
     /// still sees them (they warm the cache and, for learned policies, the
     /// first training window).
     pub warmup_requests: usize,
-    /// When `Some(k)`, a [`SeriesPoint`] is recorded every `k` measured
-    /// requests (Figures 7 / 13).
-    pub series_every: Option<usize>,
 }
 
-lhr_util::impl_json!(struct SimConfig { warmup_requests, series_every });
+lhr_util::impl_json!(struct SimConfig { warmup_requests });
 
 /// Everything a simulation run produces.
 #[derive(Debug, Clone, Default)]
@@ -33,8 +30,6 @@ pub struct SimResult {
     pub trace: String,
     /// Aggregated counters (measured interval only).
     pub metrics: SimMetrics,
-    /// Hit-ratio time series, if requested.
-    pub series: Vec<SeriesPoint>,
     /// Wall-clock running time of the simulation in seconds (policy compute
     /// cost — the Figure 9 "running time" metric). This is the only
     /// wall-clock quantity in the engine and never feeds back into policy
@@ -51,7 +46,6 @@ lhr_util::impl_json!(struct SimResult {
     policy,
     trace,
     metrics,
-    series,
     wall_secs,
     peak_metadata_bytes,
     evictions,
@@ -69,122 +63,45 @@ impl SimResult {
     }
 }
 
-/// The cumulative totals the window series takes its deltas from.
-fn totals(metrics: &SimMetrics, evictions: u64) -> Totals {
-    Totals {
-        requests: metrics.requests,
-        hits: metrics.hits,
-        misses_admitted: metrics.misses_admitted,
-        misses_bypassed: metrics.misses_bypassed,
-        bytes_requested: metrics.bytes_requested,
-        bytes_hit: metrics.bytes_hit,
-        evictions,
-        ..Totals::default()
+/// The one per-request step: request `i` of the trace (measured iff past
+/// the ledger's warmup cut) goes to `policy` and into `ledger`. The policy
+/// is borrowed, so the plain run steps a borrowed `dyn` policy while a
+/// shard owns its `(policy, ledger)` pair.
+#[inline]
+fn step<P: CachePolicy + ?Sized>(ledger: &mut Ledger, policy: &mut P, i: usize, req: &Request) {
+    ledger.observe(i, req, || policy.evictions());
+    let outcome = policy.handle(req);
+    debug_assert!(
+        policy.used_bytes() <= policy.capacity(),
+        "policy {} overflowed: used {} > capacity {}",
+        policy.name(),
+        policy.used_bytes(),
+        policy.capacity()
+    );
+    if ledger.tick(1024) {
+        ledger.sample_meta(policy.metadata_overhead_bytes());
+    }
+    if ledger.measures(i) {
+        let totals = ledger.count(req.size, outcome.is_hit());
+        totals.misses_admitted += (outcome == Outcome::MissAdmitted) as u64;
+        totals.misses_bypassed += (outcome == Outcome::MissBypassed) as u64;
     }
 }
 
-/// The replay state of one policy instance — the whole run's, or one
-/// shard's — holding everything *except* the policy: [`Replay::step`]
-/// borrows that, so the plain run steps a borrowed `dyn` policy while a
-/// shard owns its `(policy, replay)` pair.
-#[derive(Default)]
-struct Replay {
-    /// Leading requests, by global trace index, that are not measured.
-    warmup: usize,
-    metrics: SimMetrics,
-    /// The window series, and where this instance records: the attached
-    /// recorder, or a shard's private one.
-    recording: Option<(SeriesAcc, Obs)>,
-    peak_meta: u64,
-    /// Requests stepped so far, warmup included.
-    seen: u64,
-    /// The policy's eviction count when its first measured request arrived
-    /// (tracked only while recording).
-    warmup_evictions: Option<u64>,
-}
-
-impl Replay {
-    fn new(warmup: usize, obs: Option<Obs>) -> Self {
-        Replay {
-            warmup,
-            recording: obs.map(|o| (SeriesAcc::new(o.window()), o)),
-            ..Replay::default()
-        }
-    }
-
-    /// The one per-request step: request `i` of the trace (measured iff
-    /// `i >= warmup`) goes to `policy` and into the counters.
-    #[inline]
-    fn step<P: CachePolicy + ?Sized>(&mut self, policy: &mut P, i: usize, req: &Request) {
-        let measured = i >= self.warmup;
-        if let (true, Some((acc, _))) = (measured, self.recording.as_mut()) {
-            if self.warmup_evictions.is_none() {
-                self.warmup_evictions = Some(policy.evictions());
-            }
-            // Observed before `metrics` and the policy see the request, so
-            // each flushed window's delta covers exactly the requests and
-            // evictions it contained. The counters are already kept in
-            // `metrics`, so a request costs the series one boundary compare;
-            // the snapshot — whose eviction-counter read through the trait
-            // object costs more than the rest of the instrumentation — is
-            // only taken at window edges.
-            let metrics = &self.metrics;
-            acc.observe(req.ts.as_micros(), || totals(metrics, policy.evictions()));
-        }
-        let outcome = policy.handle(req);
-        debug_assert!(
-            policy.used_bytes() <= policy.capacity(),
-            "policy {} overflowed: used {} > capacity {}",
-            policy.name(),
-            policy.used_bytes(),
-            policy.capacity()
-        );
-        if self.seen.is_multiple_of(1024) {
-            self.peak_meta = self.peak_meta.max(policy.metadata_overhead_bytes());
-        }
-        self.seen += 1;
-        if !measured {
-            return;
-        }
-        self.metrics.requests += 1;
-        self.metrics.bytes_requested += req.size as u128;
-        match outcome {
-            Outcome::Hit => {
-                self.metrics.hits += 1;
-                self.metrics.bytes_hit += req.size as u128;
-            }
-            Outcome::MissAdmitted => self.metrics.misses_admitted += 1,
-            Outcome::MissBypassed => self.metrics.misses_bypassed += 1,
-        }
-    }
-
-    /// Closes the run of `policy`: flushes the window series and run
-    /// counters into this instance's recorder (handed back for the merge),
-    /// takes the last metadata sample, and *adds* the outcome to `result` —
-    /// shards finish in shard order, so sums associate the same way at any
-    /// thread count, and `peak_metadata_bytes` is the sum of per-shard
-    /// peaks, which need not have coincided.
-    fn finish<P: CachePolicy + ?Sized>(self, policy: &P, result: &mut SimResult) -> Option<Obs> {
-        let evictions = policy.evictions();
-        result.metrics.requests += self.metrics.requests;
-        result.metrics.hits += self.metrics.hits;
-        result.metrics.misses_admitted += self.metrics.misses_admitted;
-        result.metrics.misses_bypassed += self.metrics.misses_bypassed;
-        result.metrics.bytes_requested += self.metrics.bytes_requested;
-        result.metrics.bytes_hit += self.metrics.bytes_hit;
-        result.peak_metadata_bytes += self.peak_meta.max(policy.metadata_overhead_bytes());
-        result.evictions += evictions;
-        let (acc, obs) = self.recording?;
-        obs.push_windows(acc.finish_observed(totals(&self.metrics, evictions)));
-        obs.counter_add("sim.requests", self.metrics.requests);
-        obs.counter_add("sim.hits", self.metrics.hits);
-        obs.counter_add("sim.evictions", evictions);
-        // With no measured request, everything was warmup.
-        let warmup_evictions = self.warmup_evictions.unwrap_or(evictions);
-        if warmup_evictions > 0 {
-            obs.counter_add("sim.warmup_evictions", warmup_evictions);
-        }
-        Some(obs)
+/// Closes the run of `policy`: takes the last metadata sample and flushes
+/// the window series and run counters into the ledger's recorder.
+fn finish<P: CachePolicy + ?Sized>(ledger: &mut Ledger, policy: &P) {
+    ledger.sample_meta(policy.metadata_overhead_bytes());
+    ledger.finish(policy.evictions());
+    let Some(obs) = ledger.obs() else {
+        return;
+    };
+    let totals = ledger.totals();
+    obs.counter_add("sim.requests", totals.requests);
+    obs.counter_add("sim.hits", totals.hits);
+    obs.counter_add("sim.evictions", totals.evictions);
+    if ledger.warmup_evictions() > 0 {
+        obs.counter_add("sim.warmup_evictions", ledger.warmup_evictions());
     }
 }
 
@@ -213,35 +130,14 @@ impl Simulator {
     /// (post-warmup) portion.
     pub fn run<P: CachePolicy + ?Sized>(&self, policy: &mut P, trace: &Trace) -> SimResult {
         let _run_span = self.obs.as_ref().map(|o| o.span("sim.run"));
-        let warmup = self.config.warmup_requests;
-        let mut replay = Replay::new(warmup, self.obs.clone());
-        let mut series = Vec::new();
-        // Hits and measured requests as of the last series point.
-        let (mut point_hits, mut point_requests) = (0u64, 0u64);
-
+        let mut ledger = Ledger::new(self.config.warmup_requests, self.obs.clone());
         let wall_start = Instant::now();
         for (i, req) in trace.iter().enumerate() {
-            replay.step(policy, i, req);
-            if let Some(every) = self.config.series_every {
-                let m = &replay.metrics;
-                let bucket = m.requests - point_requests;
-                if i >= warmup && bucket as usize >= every {
-                    series.push(SeriesPoint {
-                        requests: m.requests,
-                        time_secs: req.ts.as_secs_f64(),
-                        cumulative_hit_ratio: m.object_hit_ratio(),
-                        window_hit_ratio: (m.hits - point_hits) as f64 / bucket as f64,
-                    });
-                    (point_hits, point_requests) = (m.hits, m.requests);
-                }
-            }
+            step(&mut ledger, policy, i, req);
         }
         let wall_secs = wall_start.elapsed().as_secs_f64();
-
-        let mut result = self.start_result(trace, policy.name(), wall_secs);
-        result.series = series;
-        replay.finish(policy, &mut result);
-        self.close(result)
+        finish(&mut ledger, policy);
+        self.result(trace, policy.name(), wall_secs, &ledger)
     }
 
     /// Runs `trace` thread-parallel across `n_shards` independent policy
@@ -257,7 +153,7 @@ impl Simulator {
     /// builder splits the capacity; there is no global eviction order),
     /// which is also what a concurrent production deployment measures — at
     /// one shard it is [`run`](Self::run)'s, counter for counter. The
-    /// result is labelled `sharded(P)xN` and carries no `series`.
+    /// result is labelled `sharded(P)xN`.
     pub fn run_sharded<P: CachePolicy + Send>(
         &self,
         trace: &Trace,
@@ -266,40 +162,40 @@ impl Simulator {
         mut build: impl FnMut(usize, Option<&Obs>) -> P,
     ) -> SimResult {
         let n_shards = n_shards.max(1);
-        let warmup = self.config.warmup_requests;
-        let shards: Vec<(P, Replay)> = (0..n_shards)
+        let master = self.obs.as_ref();
+        let shards: Vec<(P, Ledger)> = (0..n_shards)
             .map(|s| {
-                let obs = self.obs.as_ref().map(|m| Obs::new(m.config().clone()));
-                (build(s, obs.as_ref()), Replay::new(warmup, obs))
+                let ledger = Ledger::shard(master, self.config.warmup_requests);
+                (build(s, ledger.obs()), ledger)
             })
             .collect();
 
         let wall_start = Instant::now();
-        let shards = shard::route(trace, shards, route, |(policy, replay), _s, i, req| {
-            replay.step(policy, i, req)
+        let mut shards = shard::route(trace, shards, route, |(policy, ledger), _s, i, req| {
+            step(ledger, policy, i, req)
         });
         let wall_secs = wall_start.elapsed().as_secs_f64();
 
+        // Finish, then merge, in fixed shard order on this thread: the
+        // merged export carries no trace of the thread count. (Shard
+        // recorders carry no metadata, so the master's stays in the order
+        // set below.)
+        for (policy, ledger) in &mut shards {
+            finish(ledger, policy);
+        }
         let name = format!("sharded({})x{n_shards}", shards[0].0.name());
-        let mut result = self.start_result(trace, &name, wall_secs);
-        if let Some(master) = &self.obs {
+        let total = Ledger::merge(shards.iter_mut().map(|(_, ledger)| ledger), master);
+        let result = self.result(trace, &name, wall_secs, &total);
+        if let Some(master) = master {
             master.set_meta("shards", n_shards as u64);
         }
-        // Finish, then merge, in fixed shard order on this thread: the
-        // merged export carries no trace of the thread count.
-        let shard_obs: Vec<Obs> = shards
-            .into_iter()
-            .filter_map(|(policy, replay)| replay.finish(&policy, &mut result))
-            .collect();
-        if let Some(master) = &self.obs {
-            master.absorb_shards(&shard_obs);
-        }
-        self.close(result)
+        result
     }
 
-    /// A result labelled and timed but with nothing counted yet — what
-    /// [`Replay::finish`] adds to — and the run's metadata on the recorder.
-    fn start_result(&self, trace: &Trace, policy: &str, wall_secs: f64) -> SimResult {
+    /// The result of a finished (or merged) `ledger`, and the run's
+    /// identity, wall time and summed peak on the recorder.
+    fn result(&self, trace: &Trace, policy: &str, wall_secs: f64, ledger: &Ledger) -> SimResult {
+        let peak_metadata_bytes = ledger.peak_meta();
         if let Some(obs) = &self.obs {
             obs.set_meta("policy", policy);
             obs.set_meta("trace", trace.name.as_str());
@@ -307,28 +203,32 @@ impl Simulator {
             // contract so fixed-seed exports stay byte-identical.
             let wall = if obs.deterministic() { 0.0 } else { wall_secs };
             obs.gauge_set("sim.wall_secs", wall);
+            obs.gauge_set("sim.peak_metadata_bytes", peak_metadata_bytes as f64);
         }
-        let mut result = SimResult {
+        // From the first measured request; a warmup past the end of the
+        // trace clamps to the last one, a zero-length interval.
+        let duration_secs = trace.requests.last().map_or(0.0, |last| {
+            let start = trace.requests[self.config.warmup_requests.min(trace.len() - 1)];
+            last.ts.saturating_sub(start.ts).as_secs_f64()
+        });
+        let t = ledger.totals();
+        SimResult {
             policy: policy.to_string(),
             trace: trace.name.clone(),
+            metrics: SimMetrics {
+                requests: t.requests,
+                hits: t.hits,
+                misses_admitted: t.misses_admitted,
+                misses_bypassed: t.misses_bypassed,
+                bytes_requested: t.bytes_requested,
+                bytes_hit: t.bytes_hit,
+                errors: 0,
+                duration_secs,
+            },
             wall_secs,
-            ..SimResult::default()
-        };
-        if let Some(last) = trace.requests.last() {
-            // From the first measured request; a warmup past the end of the
-            // trace clamps to the last one, a zero-length interval.
-            let start = trace.requests[self.config.warmup_requests.min(trace.len() - 1)];
-            result.metrics.duration_secs = last.ts.saturating_sub(start.ts).as_secs_f64();
+            peak_metadata_bytes,
+            evictions: t.evictions,
         }
-        result
-    }
-
-    /// Records the summed peak of a finished `result`.
-    fn close(&self, result: SimResult) -> SimResult {
-        if let Some(obs) = &self.obs {
-            obs.gauge_set("sim.peak_metadata_bytes", result.peak_metadata_bytes as f64);
-        }
-        result
     }
 }
 
@@ -360,10 +260,7 @@ mod tests {
     #[test]
     fn warmup_excludes_leading_requests() {
         let mut p = Infinite::default();
-        let cfg = SimConfig {
-            warmup_requests: 2,
-            series_every: None,
-        };
+        let cfg = SimConfig { warmup_requests: 2 };
         let r = Simulator::new(cfg).run(&mut p, &abab_trace(10));
         // Both objects enter during warmup; all 8 measured requests hit.
         assert_eq!(r.metrics.requests, 8);
@@ -372,26 +269,9 @@ mod tests {
     }
 
     #[test]
-    fn series_buckets_are_emitted() {
-        let mut p = Infinite::default();
-        let cfg = SimConfig {
-            warmup_requests: 0,
-            series_every: Some(5),
-        };
-        let r = Simulator::new(cfg).run(&mut p, &abab_trace(20));
-        assert_eq!(r.series.len(), 4);
-        // Hit ratio climbs to 1 as the two objects get cached.
-        assert!(r.series[3].cumulative_hit_ratio > r.series[0].window_hit_ratio - 1e-12);
-        assert_eq!(r.series.last().unwrap().requests, 20);
-    }
-
-    #[test]
     fn duration_covers_measured_interval() {
         let mut p = Infinite::default();
-        let cfg = SimConfig {
-            warmup_requests: 4,
-            series_every: None,
-        };
+        let cfg = SimConfig { warmup_requests: 4 };
         let r = Simulator::new(cfg).run(&mut p, &abab_trace(10));
         // Measured interval runs from t=4s to t=9s.
         assert!((r.metrics.duration_secs - 5.0).abs() < 1e-9);
@@ -421,10 +301,7 @@ mod tests {
             ..ObsConfig::default()
         });
         let mut p = Infinite::default();
-        let cfg = SimConfig {
-            warmup_requests: 2,
-            series_every: None,
-        };
+        let cfg = SimConfig { warmup_requests: 2 };
         let r = Simulator::new(cfg)
             .with_obs(obs.clone())
             .run(&mut p, &abab_trace(10));
@@ -449,7 +326,6 @@ mod tests {
         let mut p = Infinite::default();
         let cfg = SimConfig {
             warmup_requests: 100,
-            series_every: None,
         };
         let r = Simulator::new(cfg).run(&mut p, &abab_trace(10));
         assert_eq!(r.metrics.requests, 0);
@@ -472,7 +348,6 @@ mod tests {
         let t = strided_trace(20_000, 500);
         let sim = Simulator::new(SimConfig {
             warmup_requests: 1_000,
-            series_every: None,
         });
         let run = |threads: usize| {
             sim.run_sharded(&t, 8, &RouteConfig { threads }, |_, _| Infinite::default())

@@ -7,12 +7,15 @@
 //! - [`policy::CachePolicy`] — the admission + eviction interface every
 //!   online cache implements.
 //! - [`engine::Simulator`] — the one simulator, collecting
-//!   [`metrics::SimMetrics`] and optional hit-ratio time series through two
-//!   entry points that share one per-request step and one finish:
-//!   [`Simulator::run`] drives a trace through a borrowed policy,
-//!   [`Simulator::run_sharded`] through one policy instance per key-hash
-//!   shard, thread-parallel, merged in shard order so results and obs
-//!   exports are byte-identical at any thread count.
+//!   [`metrics::SimMetrics`] (and, with a recorder attached, the obs window
+//!   series) through two entry points that share one per-request step and
+//!   one finish: [`Simulator::run`] drives a trace through a borrowed
+//!   policy, [`Simulator::run_sharded`] through one policy instance per
+//!   key-hash shard, thread-parallel, merged in shard order so results and
+//!   obs exports are byte-identical at any thread count.
+//! - [`ledger::Ledger`] — the one running count under both the simulator
+//!   and `lhr-proto`'s serving layers: warmup cut, `lhr_obs::series::Totals`,
+//!   the window series fed from them, and the shard-order merge.
 //! - [`shard`] — the thread-parallel replay driver under the latter (and
 //!   under `lhr-proto`'s engine and fleet): key-hash sharding and a one-pass
 //!   [`shard::Partition`] of the trace whose shards run start to finish on
@@ -68,6 +71,7 @@
 
 pub mod bound;
 pub mod engine;
+pub mod ledger;
 pub mod metrics;
 pub mod policy;
 pub mod shard;

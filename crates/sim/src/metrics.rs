@@ -86,22 +86,6 @@ impl SimMetrics {
     }
 }
 
-/// One point of a hit-probability time series (Figures 7 and 13): the
-/// cumulative object hit ratio after `requests` measured requests.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SeriesPoint {
-    /// Number of measured requests so far.
-    pub requests: u64,
-    /// Trace time at the bucket boundary, seconds.
-    pub time_secs: f64,
-    /// Cumulative object hit ratio up to this point.
-    pub cumulative_hit_ratio: f64,
-    /// Hit ratio within this bucket alone.
-    pub window_hit_ratio: f64,
-}
-
-lhr_util::impl_json!(struct SeriesPoint { requests, time_secs, cumulative_hit_ratio, window_hit_ratio });
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -71,7 +71,6 @@ fn main() {
     //    budget.
     let config = SimConfig {
         warmup_requests: trace.len() / 5,
-        series_every: None,
     };
     let mut lru = Lru::new(capacity);
     let lru_hit = Simulator::new(config.clone())

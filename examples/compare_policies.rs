@@ -49,7 +49,6 @@ fn main() {
         .collect();
     let config = SimConfig {
         warmup_requests: trace.len() / 5,
-        series_every: None,
     };
     let results = run_grid(&factories, &cells, &config, 8, None);
 

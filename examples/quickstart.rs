@@ -39,7 +39,6 @@ fn main() {
     // 3. Replay through LHR and LRU; skip the first fifth as warmup.
     let sim = Simulator::new(SimConfig {
         warmup_requests: trace.len() / 5,
-        series_every: None,
     });
 
     let mut lhr = LhrCache::new(capacity, LhrConfig::default());

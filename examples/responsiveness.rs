@@ -8,6 +8,7 @@
 //! ```
 
 use lhr_repro::core::cache::{LhrCache, LhrConfig};
+use lhr_repro::obs::{Obs, ObsConfig, ObsWindow};
 use lhr_repro::policies::{Lru, LruK};
 use lhr_repro::sim::{CachePolicy, SimConfig, Simulator};
 use lhr_repro::trace::synth::markov;
@@ -25,22 +26,25 @@ fn main() {
         capacity as f64 / 1e9
     );
 
-    let sim = Simulator::new(SimConfig {
-        warmup_requests: 0,
-        series_every: Some(r / 4), // 4 points per phase
-    });
-
+    let every = r as u64 / 4; // 4 windows per phase
     let policies: Vec<Box<dyn CachePolicy>> = vec![
         Box::new(LhrCache::new(capacity, LhrConfig::default())),
         Box::new(Lru::new(capacity)),
         Box::new(LruK::new(capacity, 4)),
     ];
     for mut policy in policies {
-        let result = sim.run(&mut policy, &trace);
-        let series: Vec<String> = result
-            .series
+        let obs = Obs::new(ObsConfig {
+            window: ObsWindow::Requests(every),
+            ..ObsConfig::default()
+        });
+        let result = Simulator::new(SimConfig::default())
+            .with_obs(obs.clone())
+            .run(&mut policy, &trace);
+        let series: Vec<String> = obs
+            .windows()
             .iter()
-            .map(|p| format!("{:4.1}", p.window_hit_ratio * 100.0))
+            .filter(|w| w.requests == every)
+            .map(|w| format!("{:4.1}", w.hit_ratio() * 100.0))
             .collect();
         println!(
             "{:>6} overall {:5.2}% | windowed hit%: {}",

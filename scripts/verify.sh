@@ -277,6 +277,38 @@ awk '
     exit bad
   }' "$smoke_dir/repro.out"
 
+echo "==> paper shape: the hit series end where the report does (Figures 7 / 13 against Tables 2 / 4 of the run above)"
+# Figures 7 and 13 read the cumulative hit ratio off the replay's obs
+# window series, one window per tenth of the trace; Tables 2 and 4 print
+# the same replay's report. Every figure row must have exactly 10 points,
+# and its 10th must be within 0.2 pp of the table's `hit%` for that trace
+# and server, so the series cannot drift from the report unnoticed.
+awk '
+  /^Figure 7 /  { sec = "fig";   pair = 7;  next }
+  /^Table 2 /   { sec = "table"; pair = 7;  next }
+  /^Figure 13 / { sec = "fig";   pair = 13; next }
+  /^Table 4 /   { sec = "table"; pair = 13; next }
+  /^$/          { sec = "" }
+  sec == "" || $1 == "trace" || /^-/ { next }
+  sec == "fig" {
+    row = "Figure " pair ": " $1 " " $2
+    if (NF - 2 != 10) { print row ": " NF - 2 " points, want 10" > "/dev/stderr"; bad = 1 }
+    last[row] = $NF
+  }
+  sec == "table" { hit["Figure " pair ": " $1 " " $2] = $NF }
+  END {
+    for (row in last) {
+      rows++
+      if (!(row in hit)) { print row ": no table row" > "/dev/stderr"; bad = 1 }
+      else if (last[row] - hit[row] > 0.2 || hit[row] - last[row] > 0.2) {
+        print row ": 10th point " last[row] " % is more than 0.2 pp from hit% " hit[row] > "/dev/stderr"
+        bad = 1
+      }
+    }
+    if (rows != 16) { print rows + 0 " Figure 7/13 rows, want 16" > "/dev/stderr"; bad = 1 }
+    exit bad
+  }' "$smoke_dir/repro.out"
+
 echo "==> CLI compare --obs smoke (one recording per policy)"
 cargo run --release --offline -p lhr-cli -- compare \
   --capacity 1MB --obs "$smoke_dir/cmp.jsonl" --obs-window 1000r \

@@ -1,4 +1,6 @@
-//! Shared by `policy_golden` and `freshness_golden`: the roster as the
+//! Shared by the golden tests: the one mask for the peak-memory field of a
+//! stable report (`serving_golden`, `freshness_golden`, `lhr_golden`), and
+//! — for `policy_golden` and `freshness_golden` — the roster as the
 //! commits that recorded their golden files ran it, and the three LHR
 //! variants as the roster builds them today.
 //!
@@ -10,6 +12,9 @@
 //! follow as `LHR/lazy`, `D-LHR/lazy` and `N-LHR/lazy` lines, which each
 //! test's ignored `record_lazy` appended on the commit that introduced
 //! that default.
+
+// Each test binary uses a subset of these.
+#![allow(dead_code)]
 
 use lhr_repro::core::cache::{LhrCache, LhrConfig};
 use lhr_repro::proto::presets::{self, PolicyParams};
@@ -60,4 +65,15 @@ pub fn lazy_roster(params: &PolicyParams<'_>) -> Roster {
             (format!("{name}/lazy"), build(params))
         })
         .collect()
+}
+
+/// One stable `report` with the value of its `"peak_mem_gb"` masked, and
+/// that value. The field reports metadata *accounting*, not behaviour: it
+/// shrinks when per-object state does.
+pub fn mask_peak_mem(report: &str) -> (String, f64) {
+    let key = "\"peak_mem_gb\":";
+    let start = report.find(key).expect("the report has peak_mem_gb") + key.len();
+    let end = start + report[start..].find([',', '}']).expect("a value ends");
+    let masked = format!("{}_{}", &report[..start], &report[end..]);
+    (masked, report[start..end].parse().expect("a number"))
 }

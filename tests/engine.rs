@@ -185,7 +185,6 @@ fn sharded_simulator_obs_is_byte_identical_across_threads() {
         let obs = deterministic_obs();
         let sim = Simulator::new(SimConfig {
             warmup_requests: 1_000,
-            series_every: None,
         })
         .with_obs(obs.clone());
         let result = sim.run_sharded(&trace, 8, &RouteConfig { threads }, |_, _| {

@@ -133,7 +133,6 @@ fn lhr_beats_classic_baselines_on_skewed_workload() {
     let capacity = (trace.total_bytes() / 200) as u64;
     let config = SimConfig {
         warmup_requests: trace.len() / 5,
-        series_every: None,
     };
     let run = |mut p: Box<dyn CachePolicy>| {
         Simulator::new(config.clone())
@@ -160,10 +159,7 @@ fn lhr_adapts_to_popularity_inversion_better_than_lru() {
     let trace = markov::syn_one(500, 4 * r, r, 0.9, 6);
     let unique = TraceStats::compute(&trace).unique_bytes_requested;
     let capacity = (unique / 10) as u64;
-    let config = SimConfig {
-        warmup_requests: r,
-        series_every: None,
-    };
+    let config = SimConfig { warmup_requests: r };
     let mut lhr = LhrCache::new(
         capacity,
         LhrConfig {

@@ -105,7 +105,6 @@ fn simulator_server_engine_and_fleet_agree_on_requests_hits_and_wan() {
     for name in ["lru", "lhr"] {
         let sim = Simulator::new(SimConfig {
             warmup_requests: WARMUP,
-            series_every: None,
         })
         .run(&mut policy(name), &trace)
         .metrics;
@@ -227,7 +226,6 @@ fn sharded_simulator_at_one_shard_is_the_plain_run() {
     let sim = |obs: &Obs| {
         Simulator::new(SimConfig {
             warmup_requests: WARMUP,
-            series_every: None,
         })
         .with_obs(obs.clone())
     };

@@ -1075,7 +1075,8 @@ fn divisibility_sampler_matches_the_remainder() {
 /// counter as of the previous request — yields exactly the windows
 /// `on_request` + `on_evictions` count one request at a time, error, stale
 /// and coalesced counts included, under request and time windows, with
-/// trace-time gaps that skip window indices.
+/// trace-time gaps that skip window indices; and `observe` takes a snapshot
+/// only on its first request and where the oracle reports a window closed.
 #[test]
 fn observed_totals_yield_the_windows_counted_per_request() {
     use lhr_repro::obs::series::{ReqSample, SeriesAcc, Totals};
@@ -1087,7 +1088,8 @@ fn observed_totals_yield_the_windows_counted_per_request() {
             let mut delta = SeriesAcc::new(window);
             let mut totals = Totals { evictions: warm_evictions, ..Totals::default() };
             let mut t_micros = h.next() % 1_000_000;
-            for _ in 0..len {
+            let mut closed_before = false;
+            for n_seen in 0..len {
                 let r = h.next();
                 // Mostly dense arrivals, now and then a gap of many windows.
                 t_micros += if r.is_multiple_of(23) { r % 3_000_000 } else { r % 9_000 };
@@ -1105,15 +1107,22 @@ fn observed_totals_yield_the_windows_counted_per_request() {
                 let evicted = if hit { 0 } else { (r >> 16) % 4 };
                 // The instrumented loop: the policy has handled the request
                 // (its evictions happened), the loop's counters lag behind.
-                let closed_delta = delta.observe(t_micros, || totals);
-                let closed_classic = classic.on_request(sample);
+                let mut snapped = false;
+                delta.observe(t_micros, || {
+                    snapped = true;
+                    totals
+                });
+                let closed = classic.on_request(sample);
                 classic.on_evictions(evicted);
                 // A time window closes on the same request in both; a
                 // request window fills on its last request and the delta
                 // path flushes it on the next.
-                if let ObsWindow::Secs(_) = window {
-                    prop_assert_eq!(closed_classic, closed_delta);
-                }
+                let flushed = match window {
+                    ObsWindow::Secs(_) => closed,
+                    ObsWindow::Requests(_) => closed_before,
+                };
+                prop_assert_eq!(snapped, n_seen == 0 || flushed);
+                closed_before = closed;
                 prop_assert_eq!(
                     classic.last_index(), delta.last_index(),
                     "the request is credited to the same window"
