@@ -54,8 +54,6 @@ pub struct MissRatioCurve {
     pub sampled_requests: u64,
 }
 
-lhr_util::impl_json!(struct MissRatioCurve { points, sampled_requests });
-
 /// Fenwick tree over request positions; a 1 at position `p` carries the
 /// size of the object whose most recent access was at `p`.
 struct Fenwick {

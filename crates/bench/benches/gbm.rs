@@ -1,8 +1,8 @@
 //! Training and prediction cost of the gradient-boosting model — the
 //! dominant term in LHR's retraining time (§7.4).
 //!
-//! Run with `cargo bench --bench gbm`; see `lhr_util::bench` for the
-//! harness knobs (`LHR_BENCH_MEASURE_MS`, `LHR_BENCH_JSON`, …).
+//! Run with `cargo bench -p lhr-bench --bench gbm`; see `lhr_util::bench`
+//! for the harness knobs (`LHR_BENCH_WARMUP_MS`, `LHR_BENCH_MEASURE_MS`).
 
 use lhr_gbm::{Dataset, Gbm, GbmParams};
 use lhr_util::bench::{black_box, Bench};

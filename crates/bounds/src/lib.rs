@@ -16,11 +16,9 @@
 pub mod belady;
 pub mod exact;
 pub mod infinite;
-pub mod observed;
 pub mod pfoo;
 
 pub use belady::{Belady, BeladySize};
 pub use exact::ExactOpt;
 pub use infinite::InfiniteCap;
-pub use observed::ObservedBound;
 pub use pfoo::{PfooLower, PfooUpper};

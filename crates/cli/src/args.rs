@@ -100,6 +100,10 @@ pub fn parse_size(raw: &str) -> Result<u64, String> {
     if bytes >= u64::MAX as f64 {
         return Err(format!("size does not fit a byte count: `{raw}`"));
     }
+    // The cast truncates: `0.5` or `0.0001KB` would be a 0-byte cache.
+    if bytes < 1.0 {
+        return Err(format!("size is under one byte: `{raw}`"));
+    }
     Ok(bytes as u64)
 }
 
@@ -141,6 +145,12 @@ mod tests {
         assert!(parse_size("abc").is_err());
         assert!(parse_size("-1GB").is_err());
         assert!(parse_size("0").is_err());
+        for raw in ["0.5", "0.999", "0.0001KB", "1e-7MB"] {
+            let err = parse_size(raw).expect_err(raw);
+            assert!(err.contains("under one byte") && err.contains(raw), "{err}");
+        }
+        assert_eq!(parse_size("1.5").unwrap(), 1);
+        assert_eq!(parse_size("0.001KB").unwrap(), 1);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 mod args;
 
 use args::{parse_size, Args};
-use lhr_obs::{Obs, ObsConfig, ObsWindow};
+use lhr_obs::{Export, Obs, ObsConfig, ObsWindow};
 use lhr_proto::presets::{self, PolicyCtor, PolicyParams};
 use lhr_sim::shard::{shard_seed, RouteConfig};
 use lhr_sim::{OfflineBound, SimConfig, Simulator};
@@ -433,8 +433,7 @@ fn cmd_obs(args: &Args) -> Result<(), String> {
                 .positional
                 .get(1)
                 .ok_or("obs summarize expects a recording path")?;
-            let jsonl = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            let report = lhr_obs::summary::summarize(&jsonl).map_err(|e| format!("{path}: {e}"))?;
+            let report = lhr_obs::summary::summarize(&Export::read(path)?);
             print!("{report}");
             if !report.ends_with('\n') {
                 println!();
@@ -448,19 +447,6 @@ fn cmd_obs(args: &Args) -> Result<(), String> {
         )),
         None => Err("obs expects an action: summarize | trace | slo PATH".to_string()),
     }
-}
-
-/// Parses every line of an `--obs` JSONL export back into records.
-fn read_obs_export(path: &str) -> Result<Vec<lhr_obs::ObsRecord>, String> {
-    let jsonl = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    jsonl
-        .lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty())
-        .map(|(i, l)| {
-            lhr_obs::ObsRecord::parse_line(l).map_err(|e| format!("{path}:{}: {e}", i + 1))
-        })
-        .collect()
 }
 
 /// Renders one sampled trace as a step waterfall.
@@ -495,14 +481,7 @@ fn cmd_obs_trace(args: &Args) -> Result<(), String> {
         .positional
         .get(1)
         .ok_or("obs trace expects a recording path")?;
-    let records = read_obs_export(path)?;
-    let traces: Vec<lhr_obs::TraceRecord> = records
-        .into_iter()
-        .filter_map(|r| match r {
-            lhr_obs::ObsRecord::Trace(t) => Some(t),
-            _ => None,
-        })
-        .collect();
+    let traces = Export::read(path)?.traces;
     if traces.is_empty() {
         return Err(format!(
             "{path}: no sampled traces (was the run recorded with --trace-sample?)"
@@ -539,36 +518,15 @@ fn cmd_obs_trace(args: &Args) -> Result<(), String> {
 /// over the export's window series. Defaults to the objectives the run
 /// was recorded with (the meta line's `slos` key).
 fn cmd_obs_slo(args: &Args) -> Result<(), String> {
-    use lhr_obs::ObsRecord;
     args.expect_flags("obs slo", &[&["objective"]])?;
     let path = args
         .positional
         .get(1)
         .ok_or("obs slo expects a recording path")?;
-    let records = read_obs_export(path)?;
-    let mut windows = Vec::new();
-    let mut hists: std::collections::BTreeMap<String, lhr_obs::LogHistogram> = Default::default();
-    let mut recorded_slos: Option<String> = None;
-    for r in records {
-        match r {
-            ObsRecord::Window(w) => windows.push(w),
-            ObsRecord::Hist { name, hist } => {
-                hists.insert(name, hist);
-            }
-            ObsRecord::Meta(fields) => {
-                for (k, v) in fields {
-                    if k == "slos" {
-                        if let lhr_util::json::Json::Str(s) = v {
-                            recorded_slos = Some(s);
-                        }
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    let raw = match (args.get("objective"), recorded_slos) {
-        (Some(flag), _) => flag.clone(),
+    let export = Export::read(path)?;
+    let recorded = export.meta_value("slos").and_then(|v| v.as_str());
+    let raw = match (args.get("objective"), recorded) {
+        (Some(flag), _) => flag.as_str(),
         (None, Some(meta)) => meta,
         (None, None) => {
             return Err(format!(
@@ -577,12 +535,9 @@ fn cmd_obs_slo(args: &Args) -> Result<(), String> {
             ))
         }
     };
-    let objectives = lhr_obs::slo::parse_objectives(&raw)?;
-    let verdicts = lhr_obs::slo::evaluate(
-        &objectives,
-        &windows,
-        lhr_obs::slo::pick_latency_hist(&hists),
-    );
+    let objectives = lhr_obs::slo::parse_objectives(raw)?;
+    let latency = lhr_obs::slo::pick_latency_hist(&export.hists);
+    let verdicts = lhr_obs::slo::evaluate(&objectives, &export.windows, latency);
     let mut breached = false;
     println!(
         "{:<16} {:>9} {:>12} {:>10}  breached windows",
@@ -1168,8 +1123,9 @@ fn cmd_fleet(args: &Args) -> Result<(), String> {
 fn cmd_bound(args: &Args) -> Result<(), String> {
     args.expect_flags("bound", &[&["capacity"], TRACE_FLAGS, OBS_FLAGS])?;
     let capacity = parse_size(args.get("capacity").ok_or("--capacity is required")?)?;
-    // `--obs PATH` wraps every bound so each evaluation records a
-    // profiling span and result counters into one shared export.
+    // With `--obs PATH` each evaluation records a `bound.evaluate/<name>`
+    // span, `bound.<name>.{requests,hits}` counters and a
+    // `bound.<name>.hit_ratio` gauge into one export.
     let obs = obs_from_args(args)?;
     let trace = load_trace(args)?;
     if let Some((o, _)) = &obs {
@@ -1187,14 +1143,21 @@ fn cmd_bound(args: &Args) -> Result<(), String> {
     ];
     println!("{:<12} {:>8} {:>10}", "bound", "hit%", "byte-hit%");
     for bound in bounds {
-        let bound = match &obs {
-            Some((o, _)) => lhr_bounds::ObservedBound::boxed(bound, o.clone()),
-            None => bound,
+        let name = bound.name();
+        let m = {
+            let _span = obs
+                .as_ref()
+                .map(|(o, _)| o.span(&format!("bound.evaluate/{name}")));
+            bound.evaluate(&trace, capacity)
         };
-        let m = bound.evaluate(&trace, capacity);
+        if let Some((o, _)) = &obs {
+            o.counter_add(&format!("bound.{name}.requests"), m.requests);
+            o.counter_add(&format!("bound.{name}.hits"), m.hits);
+            o.gauge_set(&format!("bound.{name}.hit_ratio"), m.object_hit_ratio());
+        }
         println!(
             "{:<12} {:>8.2} {:>10.2}",
-            bound.name(),
+            name,
             m.object_hit_ratio() * 100.0,
             m.byte_hit_ratio() * 100.0
         );

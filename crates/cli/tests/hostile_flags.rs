@@ -762,3 +762,24 @@ fn a_capacity_that_does_not_fit_a_byte_count_is_refused_not_saturated() {
         assert!(!String::from_utf8_lossy(&out.stderr).contains("panicked"));
     }
 }
+
+#[test]
+fn a_capacity_under_one_byte_is_refused_by_every_command_that_sizes_a_cache() {
+    // It truncated to 0 bytes: LHR's constructor panicked (exit 101) under
+    // `simulate` and `compare`, and LRU ran a 0-byte cache under `server`
+    // and `fleet` without a word.
+    let trace = TraceFile::generate("under-a-byte");
+    let rows: [(&str, &[&str], &str); 5] = [
+        ("simulate", &["--policy", "LHR"], "0.5"),
+        ("compare", &[], "0.4"),
+        ("server", &["--policy", "LRU"], "0.5"),
+        ("fleet", &["--policy", "LRU"], "0.9"),
+        ("bound", &[], "0.0001KB"),
+    ];
+    for (command, flags, capacity) in rows {
+        let sized = ["--capacity", capacity];
+        let out = cli(&[&[command], flags, &sized, &[trace.path()]].concat());
+        assert_one_line_error(&out, &format!("size is under one byte: `{capacity}`"));
+        assert!(!String::from_utf8_lossy(&out.stderr).contains("panicked"));
+    }
+}

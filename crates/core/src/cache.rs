@@ -57,16 +57,6 @@ pub struct LhrConfig {
     /// produces windows of tens of thousands of requests at the paper's
     /// full scale; this floor keeps reduced-scale windows trainable.
     pub min_window_requests: usize,
-    /// Train retrains on a background thread and swap the model in at the
-    /// next window edge (zero-stall serving). Pinning the swap to a window
-    /// *index* — never to wall-clock training completion — is what keeps
-    /// sharded replays byte-identical across thread counts; see DESIGN.md,
-    /// "Interaction with background retraining". When false, every retrain
-    /// runs inline at the window edge that triggered it (the bootstrap
-    /// training is always inline either way). Nothing shipped turns it
-    /// off; it stays because the inline path is what lets `tests/alloc.rs`
-    /// pin LHR's allocations to the window edge on one thread.
-    pub background_retrain: bool,
     /// Re-score every hit, as the paper's Algorithm 1 does (E-LHR). When
     /// false — the default — the model is consulted where its answer is
     /// read: a cached object keeps the probability it was admitted with,
@@ -98,7 +88,6 @@ impl Default for LhrConfig {
             max_train_rows: 32_768,
             train_window_history: 2,
             min_window_requests: 4_096,
-            background_retrain: true,
             rescore_hits: false,
             seed: 0,
             name: None,
@@ -291,12 +280,10 @@ impl LhrCache {
     /// request renders one anyway; there is no model yet (the bootstrap
     /// window has no predecessor to take a stride from, and its edge
     /// evaluates the threshold); or its edge will evaluate the threshold on
-    /// a fresh model — a shadow-trained one whose swap is pinned to it, or
-    /// any inline retrain when `background_retrain` is off.
+    /// a fresh model — a shadow-trained one whose swap is pinned to it.
     fn plan_rows(&self, index: u64, prev_len: usize) -> usize {
         let edge_evaluates_threshold = self.config.fixed_threshold.is_none()
-            && (!self.config.background_retrain
-                || self.trainer.due_window().is_some_and(|due| due <= index));
+            && self.trainer.due_window().is_some_and(|due| due <= index);
         if self.config.rescore_hits || self.model.is_none() || edge_evaluates_threshold {
             1
         } else {
@@ -417,9 +404,9 @@ impl LhrCache {
         // threshold evaluation on this window's rows.
         let mut fresh_model = installed;
         if retrain {
-            if self.model.is_none() || !self.config.background_retrain {
-                // Bootstrap (and the synchronous opt-out): train inline at
-                // this edge — LHR cannot serve its second window unscored.
+            if self.model.is_none() {
+                // Bootstrap: train inline at this edge — LHR cannot serve
+                // its second window unscored.
                 let trained = self.train();
                 fresh_model |= trained.is_some();
                 if let (Some(obs), Some((rows, wall_secs))) = (self.obs.as_ref(), trained) {
@@ -546,9 +533,8 @@ impl LhrCache {
         Some(data)
     }
 
-    /// Trains the admission model inline (bootstrap, or with background
-    /// retraining disabled). Returns `(rows_trained, wall_secs)` when a
-    /// model was actually fit.
+    /// Trains the bootstrap admission model inline. Returns
+    /// `(rows_trained, wall_secs)` when a model was actually fit.
     fn train(&mut self) -> Option<(usize, f64)> {
         let data = self.build_train_data()?;
         let n_rows = data.n_rows();
@@ -947,28 +933,6 @@ mod tests {
         }
         // The serving thread still accounts every background fit.
         assert_eq!(stats.trainings, stats.windows);
-    }
-
-    #[test]
-    fn background_and_inline_retraining_are_both_deterministic() {
-        let trace = zipf_trace(10);
-        let run = |background: bool| {
-            let mut cache = LhrCache::new(
-                150_000,
-                LhrConfig {
-                    background_retrain: background,
-                    ..LhrConfig::default()
-                },
-            );
-            let r = Simulator::new(SimConfig::default()).run(&mut cache, &trace);
-            (r.metrics.hits, r.metrics.bytes_hit, cache.stats().trainings)
-        };
-        // Each mode reproduces itself exactly (the background path's swap
-        // timing is pinned to window indices, not training wall-clock) …
-        assert_eq!(run(true), run(true));
-        assert_eq!(run(false), run(false));
-        // … and both modes actually learn.
-        assert!(run(true).2 >= 1);
     }
 
     /// The LHR instances of `tests/lhr_golden.rs` (each shard's stream of

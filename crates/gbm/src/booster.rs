@@ -57,18 +57,6 @@ pub struct GbmParams {
     pub threads: usize,
 }
 
-lhr_util::impl_json!(struct GbmParams {
-    n_trees,
-    max_depth,
-    learning_rate,
-    lambda,
-    min_child_count,
-    min_split_gain,
-    base_score,
-    loss,
-    threads,
-});
-
 impl Default for GbmParams {
     fn default() -> Self {
         GbmParams {
@@ -503,7 +491,6 @@ mod tests {
         use lhr_util::json::{FromJson, ToJson};
         fn assert_json<T: ToJson + FromJson>() {}
         assert_json::<Gbm>();
-        assert_json::<GbmParams>();
     }
 
     #[test]

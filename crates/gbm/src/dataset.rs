@@ -15,28 +15,6 @@ pub struct Dataset {
     cache: OnceLock<Binned>,
 }
 
-impl lhr_util::json::ToJson for Dataset {
-    fn to_json(&self) -> lhr_util::json::Json {
-        lhr_util::json::Json::Object(vec![
-            ("n_features".to_string(), self.n_features.to_json()),
-            ("features".to_string(), self.features.to_json()),
-            ("labels".to_string(), self.labels.to_json()),
-        ])
-    }
-}
-
-impl lhr_util::json::FromJson for Dataset {
-    fn from_json(v: &lhr_util::json::Json) -> Result<Self, lhr_util::json::JsonError> {
-        use lhr_util::json::field;
-        Ok(Dataset {
-            n_features: field(v, "n_features")?,
-            features: field(v, "features")?,
-            labels: field(v, "labels")?,
-            cache: OnceLock::new(),
-        })
-    }
-}
-
 impl Dataset {
     /// An empty dataset whose rows will have `n_features` columns.
     pub fn new(n_features: usize) -> Self {

@@ -9,8 +9,7 @@
 //! - dense layers with ReLU / sigmoid / identity activations,
 //! - mean-squared-error and logistic losses,
 //! - minibatch SGD with momentum and Adam,
-//! - deterministic Xavier initialization from a seed,
-//! - serde-serializable models.
+//! - deterministic Xavier initialization from a seed.
 //!
 //! Correctness is guarded by analytic-vs-numerical gradient checks in the
 //! test suite.

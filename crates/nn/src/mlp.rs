@@ -14,14 +14,6 @@ pub enum Activation {
     Identity,
 }
 
-lhr_util::impl_json!(
-    enum Activation {
-        Relu,
-        Sigmoid,
-        Identity,
-    }
-);
-
 impl Activation {
     fn apply(self, x: f32) -> f32 {
         match self {
@@ -55,14 +47,12 @@ struct Dense {
     weights: Vec<f32>,
     bias: Vec<f32>,
     activation: Activation,
-    // Adam moments (training state, serialized so training can resume).
+    // Adam moments (training state).
     m_w: Vec<f32>,
     v_w: Vec<f32>,
     m_b: Vec<f32>,
     v_b: Vec<f32>,
 }
-
-lhr_util::impl_json!(struct Dense { inputs, outputs, weights, bias, activation, m_w, v_w, m_b, v_b });
 
 impl Dense {
     fn new(inputs: usize, outputs: usize, activation: Activation, rng: &mut SmallRng) -> Self {
@@ -127,8 +117,6 @@ pub struct Mlp {
     /// Adam step counter.
     t: u64,
 }
-
-lhr_util::impl_json!(struct Mlp { layers, t });
 
 impl Mlp {
     /// A network with the given layer sizes (`[in, h1, …, out]`), hidden
@@ -446,13 +434,6 @@ mod tests {
                 .sum::<f32>()
         };
         assert!(build(0.1) < build(0.0), "decay did not shrink weights");
-    }
-
-    #[test]
-    fn model_is_serializable() {
-        use lhr_util::json::{FromJson, ToJson};
-        fn assert_json<T: ToJson + FromJson>() {}
-        assert_json::<Mlp>();
     }
 
     #[test]

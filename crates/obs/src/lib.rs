@@ -33,7 +33,10 @@
 //!   with fast/slow multi-window burn rules, emitting deterministic
 //!   breach/recovery events.
 //! - [`record`] — the JSONL line model tying it all together, parseable
-//!   back for offline analysis (`lhr-cache obs summarize`).
+//!   back for offline analysis.
+//! - [`export`] — the one reader of an export file: [`Export`], its
+//!   sections parsed once, which `lhr-cache obs summarize | trace | slo`
+//!   all read.
 //! - [`summary`] — the text report renderer (sparklines, event taxonomy,
 //!   span tree) behind the `obs summarize` CLI subcommand.
 //!
@@ -74,6 +77,7 @@
 #![warn(missing_docs)]
 
 pub mod event;
+pub mod export;
 pub mod hist;
 pub mod record;
 mod recorder;
@@ -84,6 +88,7 @@ pub mod summary;
 pub mod trace;
 
 pub use event::{Event, EventKind};
+pub use export::Export;
 pub use hist::LogHistogram;
 pub use record::ObsRecord;
 pub use recorder::{Obs, ObsConfig};

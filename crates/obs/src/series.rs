@@ -33,7 +33,7 @@
 //!   API for a loop with no counters of its own, and the oracle the delta
 //!   path is property-tested against.
 
-use lhr_util::json::{FromJson, Json, JsonError, ObjectWriter, ToJson};
+use lhr_util::json::{Json, ObjectWriter, ToJson};
 use std::fmt;
 use std::str::FromStr;
 
@@ -58,20 +58,6 @@ impl ToJson for ObsWindow {
             ObsWindow::Requests(n) => Json::Object(vec![("requests".to_string(), n.to_json())]),
             ObsWindow::Secs(s) => Json::Object(vec![("secs".to_string(), s.to_json())]),
         }
-    }
-}
-
-impl FromJson for ObsWindow {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        if let Some(n) = v.get("requests") {
-            return Ok(ObsWindow::Requests(u64::from_json(n)?));
-        }
-        if let Some(s) = v.get("secs") {
-            return Ok(ObsWindow::Secs(f64::from_json(s)?));
-        }
-        Err(JsonError::new(format!(
-            "expected {{\"requests\":n}} or {{\"secs\":s}}, found {v}"
-        )))
     }
 }
 
@@ -664,6 +650,7 @@ impl SeriesAcc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lhr_util::json::FromJson;
 
     #[test]
     fn request_windows_are_half_open_and_flush_partial() {

@@ -1,5 +1,5 @@
-//! Offline rendering of an obs JSONL stream into a human-readable text
-//! report — the engine behind `lhr-cache obs summarize`.
+//! Offline rendering of a parsed obs export ([`Export`]) into a
+//! human-readable text report — the engine behind `lhr-cache obs summarize`.
 //!
 //! The report shows run metadata, aggregate ratios, a sparkline of the
 //! per-window hit ratio (and availability when any errors occurred), event
@@ -8,8 +8,8 @@
 //! histogram registries.
 
 use crate::event::{Event, EventKind};
+use crate::export::Export;
 use crate::hist::LogHistogram;
-use crate::record::ObsRecord;
 use crate::series::WindowRecord;
 use crate::span::SpanRecord;
 use crate::trace::TraceRecord;
@@ -224,88 +224,62 @@ fn render_skew_hint(out: &mut String, gauges: &[(String, f64)]) {
     }
 }
 
-/// Parses an obs JSONL stream and renders the text report. Returns an error
-/// string naming the first malformed line.
-pub fn summarize(jsonl: &str) -> Result<String, String> {
-    let mut meta: Vec<(String, String)> = Vec::new();
-    let mut windows: Vec<WindowRecord> = Vec::new();
-    let mut events: Vec<Event> = Vec::new();
-    let mut counters: Vec<(String, u64)> = Vec::new();
-    let mut gauges: Vec<(String, f64)> = Vec::new();
-    let mut hists: Vec<(String, LogHistogram)> = Vec::new();
-    let mut spans: Vec<SpanRecord> = Vec::new();
-    let mut traces: Vec<TraceRecord> = Vec::new();
-    let mut tracing_enabled = false;
-    for (i, line) in jsonl.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let record = ObsRecord::parse_line(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        match record {
-            ObsRecord::Meta(fields) => {
-                tracing_enabled |= fields.iter().any(|(k, _)| k == "trace_sample");
-                meta.extend(fields.into_iter().map(|(k, v)| (k, v.to_string())))
-            }
-            ObsRecord::Window(w) => windows.push(w),
-            ObsRecord::Event(e) => events.push(e),
-            ObsRecord::Counter { name, value } => counters.push((name, value)),
-            ObsRecord::Gauge { name, value } => gauges.push((name, value)),
-            ObsRecord::Hist { name, hist } => hists.push((name, hist)),
-            ObsRecord::Span(s) => spans.push(s),
-            ObsRecord::Trace(t) => traces.push(t),
-        }
-    }
-
+/// Renders the text report of a parsed export.
+pub fn summarize(export: &Export) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "== obs summary ==");
-    if !meta.is_empty() {
-        let rendered: Vec<String> = meta.iter().map(|(k, v)| format!("{k}={v}")).collect();
+    if !export.meta.is_empty() {
+        let rendered: Vec<String> = export
+            .meta
+            .iter()
+            .map(|(k, v)| format!("{k}={v}"))
+            .collect();
         let _ = writeln!(out, "meta: {}", rendered.join(" "));
     }
     // Degenerate exports (a crashed run, a meta-only stream, a recorder
     // that never completed a window) say so explicitly rather than
     // rendering an empty report that reads like truncated output.
-    if windows.is_empty() {
+    if export.windows.is_empty() {
         let _ = writeln!(out, "windows: none (no completed metric windows)");
     } else {
-        render_windows(&mut out, &windows);
+        render_windows(&mut out, &export.windows);
     }
-    if events.is_empty() {
+    if export.events.is_empty() {
         let _ = writeln!(out, "events: none");
     } else {
-        render_events(&mut out, &events);
+        render_events(&mut out, &export.events);
     }
     // Only say "traces: none" when tracing was actually on for the run
     // (the meta line carries `trace_sample`) — an untraced export just
     // omits the section, a degenerate traced one says so explicitly.
-    if !traces.is_empty() {
-        render_traces(&mut out, &windows, &traces);
-    } else if tracing_enabled {
+    if !export.traces.is_empty() {
+        render_traces(&mut out, &export.windows, &export.traces);
+    } else if export.meta_value("trace_sample").is_some() {
         let _ = writeln!(out, "traces: none (sampling enabled, nothing sampled)");
     }
-    if !counters.is_empty() {
+    if !export.counters.is_empty() {
         let _ = writeln!(out, "counters:");
-        for (name, value) in &counters {
+        for (name, value) in &export.counters {
             let _ = writeln!(out, "  {name:<24} {value}");
         }
     }
-    if !gauges.is_empty() {
+    if !export.gauges.is_empty() {
         let _ = writeln!(out, "gauges:");
-        for (name, value) in &gauges {
+        for (name, value) in &export.gauges {
             let _ = writeln!(out, "  {name:<24} {value}");
         }
     }
-    render_skew_hint(&mut out, &gauges);
-    if !hists.is_empty() {
+    render_skew_hint(&mut out, &export.gauges);
+    if !export.hists.is_empty() {
         let _ = writeln!(out, "histograms:");
-        for (name, h) in &hists {
+        for (name, h) in &export.hists {
             render_hist(&mut out, name, h);
         }
     }
-    if !spans.is_empty() {
-        render_spans(&mut out, &spans);
+    if !export.spans.is_empty() {
+        render_spans(&mut out, &export.spans);
     }
-    Ok(out)
+    out
 }
 
 #[cfg(test)]
@@ -313,6 +287,11 @@ mod tests {
     use super::*;
     use crate::recorder::{Obs, ObsConfig};
     use crate::series::{ObsWindow, ReqSample, SeriesAcc};
+
+    /// `obs`'s export, written and read back as `obs summarize` reads it.
+    fn parsed(obs: &Obs) -> Export {
+        Export::parse(&obs.to_jsonl(), "test").unwrap()
+    }
 
     #[test]
     fn sparkline_scales_and_downsamples() {
@@ -350,7 +329,7 @@ mod tests {
         {
             let _g = obs.span("sim.run");
         }
-        let report = summarize(&obs.to_jsonl()).unwrap();
+        let report = summarize(&parsed(&obs));
         for needle in [
             "== obs summary ==",
             "policy=\"lhr\"",
@@ -373,7 +352,7 @@ mod tests {
         let skewed = Obs::new(ObsConfig::default());
         skewed.gauge_set("engine.shard_imbalance", 3.4);
         skewed.gauge_set("engine.suggested_shards", 64.0);
-        let report = summarize(&skewed.to_jsonl()).unwrap();
+        let report = summarize(&parsed(&skewed));
         assert!(
             report.contains("hint: hottest shard served 3.40× the mean — consider --shards 64"),
             "{report}"
@@ -382,14 +361,13 @@ mod tests {
         let even = Obs::new(ObsConfig::default());
         even.gauge_set("engine.shard_imbalance", 1.01);
         even.gauge_set("engine.suggested_shards", 16.0);
-        let report = summarize(&even.to_jsonl()).unwrap();
+        let report = summarize(&parsed(&even));
         assert!(!report.contains("hint:"), "{report}");
     }
 
     #[test]
-    fn summarize_rejects_garbage() {
-        assert!(summarize("{\"record\":\"window\"").is_err());
-        assert!(summarize("").unwrap().contains("obs summary"));
+    fn summarize_renders_an_empty_export() {
+        assert!(summarize(&Export::default()).contains("obs summary"));
     }
 
     #[test]
@@ -406,7 +384,7 @@ mod tests {
     fn summarize_handles_meta_only_export() {
         let obs = Obs::new(ObsConfig::default());
         obs.set_meta("policy", "lru");
-        let report = summarize(&obs.to_jsonl()).unwrap();
+        let report = summarize(&parsed(&obs));
         assert!(report.contains("policy=\"lru\""), "{report}");
         assert!(
             report.contains("windows: none (no completed metric windows)"),
@@ -429,7 +407,7 @@ mod tests {
             acc.on_request(ReqSample::hit(i, 100));
         }
         obs.push_windows(acc.finish());
-        let report = summarize(&obs.to_jsonl()).unwrap();
+        let report = summarize(&parsed(&obs));
         assert!(
             report.contains("windows: 1 (4 measured requests)"),
             "{report}"
@@ -446,8 +424,10 @@ mod tests {
             index: 0,
             ..WindowRecord::default()
         };
-        let jsonl = format!("{}\n", ObsRecord::Window(zero).to_line());
-        let report = summarize(&jsonl).unwrap();
+        let report = summarize(&Export {
+            windows: vec![zero],
+            ..Export::default()
+        });
         assert!(
             report.contains("windows: 1 (0 measured requests)"),
             "{report}"
@@ -474,7 +454,7 @@ mod tests {
             obs.push_trace(b.finish(1.0 + i as f64, w));
         }
         obs.push_windows(acc.finish());
-        let report = summarize(&obs.to_jsonl()).unwrap();
+        let report = summarize(&parsed(&obs));
         assert!(report.contains("traces: 4 sampled"), "{report}");
         // Worst latency in window 0 is trace 1 (2.0 ms), in window 1 trace 3.
         assert!(report.contains("exemplar trace 1 (2.0 ms"), "{report}");
@@ -489,14 +469,14 @@ mod tests {
             trace_sample: 1_000_000,
             ..ObsConfig::default()
         });
-        let report = summarize(&traced.to_jsonl()).unwrap();
+        let report = summarize(&parsed(&traced));
         assert!(
             report.contains("traces: none (sampling enabled, nothing sampled)"),
             "{report}"
         );
 
         let untraced = Obs::new(ObsConfig::default());
-        let report = summarize(&untraced.to_jsonl()).unwrap();
+        let report = summarize(&parsed(&untraced));
         assert!(!report.contains("traces"), "{report}");
     }
 }

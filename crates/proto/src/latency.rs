@@ -15,8 +15,6 @@ pub struct LatencyModel {
     pub origin_gbps: f64,
 }
 
-lhr_util::impl_json!(struct LatencyModel { edge_rtt_ms, origin_rtt_ms, edge_gbps, origin_gbps });
-
 impl Default for LatencyModel {
     fn default() -> Self {
         LatencyModel {

@@ -24,19 +24,6 @@ pub trait OfflineBound {
     fn evaluate(&self, trace: &Trace, capacity: u64) -> SimMetrics;
 }
 
-/// Boxed bounds delegate, so heterogenous bound tables (`Vec<Box<dyn
-/// OfflineBound>>`) can be wrapped by adapters that are themselves
-/// generic over an `OfflineBound` (e.g. `lhr_bounds`' observed wrapper).
-impl OfflineBound for Box<dyn OfflineBound> {
-    fn name(&self) -> &str {
-        self.as_ref().name()
-    }
-
-    fn evaluate(&self, trace: &Trace, capacity: u64) -> SimMetrics {
-        self.as_ref().evaluate(trace, capacity)
-    }
-}
-
 /// Helper shared by bound implementations: fills the request/byte totals and
 /// duration of `metrics` from `trace`, leaving hit counters to the caller.
 pub fn base_metrics(trace: &Trace) -> SimMetrics {

@@ -19,8 +19,6 @@ pub struct SimConfig {
     pub warmup_requests: usize,
 }
 
-lhr_util::impl_json!(struct SimConfig { warmup_requests });
-
 /// Everything a simulation run produces.
 #[derive(Debug, Clone, Default)]
 pub struct SimResult {

@@ -18,8 +18,6 @@ use std::ops::{Add, AddAssign, Sub};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Time(pub u64);
 
-lhr_util::impl_json!(newtype Time);
-
 impl Time {
     /// The origin of trace time.
     pub const ZERO: Time = Time(0);
@@ -113,8 +111,6 @@ pub struct Request {
     pub size: u64,
 }
 
-lhr_util::impl_json!(struct Request { ts, id, size });
-
 impl Request {
     /// Convenience constructor.
     pub fn new(ts: Time, id: ObjectId, size: u64) -> Self {
@@ -137,8 +133,6 @@ pub struct Trace {
     /// The requests, in arrival order.
     pub requests: Vec<Request>,
 }
-
-lhr_util::impl_json!(struct Trace { name, requests });
 
 impl Trace {
     /// Creates an empty trace with the given name.

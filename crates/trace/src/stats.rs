@@ -31,18 +31,6 @@ pub struct TraceStats {
     pub max_content_size: u64,
 }
 
-lhr_util::impl_json!(struct TraceStats {
-    name,
-    duration_hours,
-    unique_contents,
-    total_requests,
-    total_bytes_requested,
-    unique_bytes_requested,
-    peak_active_bytes,
-    mean_content_size,
-    max_content_size,
-});
-
 impl TraceStats {
     /// Computes all Table 1 statistics in a single pass (plus one sort for
     /// active bytes).

@@ -37,15 +37,6 @@ pub enum ProductionScale {
     Tiny,
 }
 
-lhr_util::impl_json!(
-    enum ProductionScale {
-        Full,
-        Medium,
-        Small,
-        Tiny,
-    }
-);
-
 impl ProductionScale {
     /// Divisor applied to request and object counts.
     pub fn divisor(self) -> usize {

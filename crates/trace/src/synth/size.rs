@@ -52,13 +52,6 @@ pub enum SizeModel {
     },
 }
 
-lhr_util::impl_json!(enum SizeModel {
-    Fixed { bytes },
-    LogNormal { median, sigma },
-    BoundedPareto { alpha, min, max },
-    BimodalLogNormal { p_small, small_median, small_sigma, large_median, large_sigma },
-});
-
 impl SizeModel {
     /// Size in bytes for `id` under this model, deterministic in
     /// `(seed, id)`.

@@ -8,12 +8,11 @@
 //! 1. **warms up** for [`Bench::warmup_ms`] milliseconds (JIT-free Rust
 //!    still needs cache/branch-predictor warmup and lazy allocs),
 //! 2. runs timed batches until [`Bench::measure_ms`] of samples exist,
-//! 3. reports min / mean / max ns per iteration, plus throughput when
-//!    [`Bench::throughput_elems`] was set.
+//! 3. prints one line of min / mean / max ns per iteration, plus throughput
+//!    when [`Bench::throughput_elems`] was set.
 //!
-//! Set `LHR_BENCH_JSON=<path>` to also append one machine-readable JSON
-//! line per group (via [`crate::json`]) — the format the experiment scripts
-//! consume.
+//! [`Bench::finish`] hands the results back to the caller; nothing is
+//! written to disk.
 //!
 //! Timings are wall-clock: pin the process and quiesce the machine for
 //! stable numbers. Unlike criterion there is no statistical outlier
@@ -33,7 +32,6 @@
 //! assert!(results[0].mean_ns > 0.0);
 //! ```
 
-use crate::json::{Json, ToJson};
 use std::time::Instant;
 
 pub use std::hint::black_box;
@@ -59,22 +57,6 @@ impl BenchResult {
     /// Throughput in elements/second, when an element count was declared.
     pub fn elems_per_sec(&self) -> Option<f64> {
         self.elems_per_iter.map(|n| n as f64 * 1e9 / self.mean_ns)
-    }
-}
-
-impl ToJson for BenchResult {
-    fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("name".to_string(), self.name.to_json()),
-            ("iters".to_string(), self.iters.to_json()),
-            ("min_ns".to_string(), self.min_ns.to_json()),
-            ("mean_ns".to_string(), self.mean_ns.to_json()),
-            ("max_ns".to_string(), self.max_ns.to_json()),
-        ];
-        if let Some(n) = self.elems_per_iter {
-            fields.push(("elems_per_iter".to_string(), n.to_json()));
-        }
-        Json::Object(fields)
     }
 }
 
@@ -180,30 +162,10 @@ impl Bench {
         self
     }
 
-    /// Finishes the group: optionally appends a JSON line to
-    /// `LHR_BENCH_JSON`, then returns the collected results.
+    /// Finishes the group, returning the collected results.
     pub fn finish(self) -> Vec<BenchResult> {
-        if let Ok(path) = std::env::var("LHR_BENCH_JSON") {
-            let record = Json::Object(vec![
-                ("group".to_string(), self.group.to_json()),
-                ("results".to_string(), self.results.to_json()),
-            ]);
-            let line = format!("{record}\n");
-            if let Err(e) = append_to(&path, &line) {
-                eprintln!("warning: could not write {path}: {e}");
-            }
-        }
         self.results
     }
-}
-
-fn append_to(path: &str, text: &str) -> std::io::Result<()> {
-    use std::io::Write;
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)?;
-    f.write_all(text.as_bytes())
 }
 
 #[cfg(test)]
@@ -221,20 +183,5 @@ mod tests {
         assert!(r.iters > 0);
         assert!(r.min_ns <= r.mean_ns && r.mean_ns <= r.max_ns * 1.01);
         assert!(r.elems_per_sec().unwrap() > 0.0);
-    }
-
-    #[test]
-    fn result_json_shape() {
-        let r = BenchResult {
-            name: "x".into(),
-            iters: 10,
-            min_ns: 1.0,
-            mean_ns: 2.0,
-            max_ns: 3.0,
-            elems_per_iter: Some(5),
-        };
-        let v = r.to_json();
-        assert_eq!(v.get("name").unwrap().as_str().unwrap(), "x");
-        assert_eq!(v.get("elems_per_iter").unwrap(), &Json::UInt(5));
     }
 }

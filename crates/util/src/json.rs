@@ -1,11 +1,17 @@
 //! A small, deterministic JSON layer: value model, parser, writer, and the
 //! [`ToJson`]/[`FromJson`] traits that replace `serde` in this workspace.
 //!
+//! JSON is written for the four reports' `stable_json`, the GBM model and
+//! the `--obs` export records (streamed through [`ObjectWriter`]; meta,
+//! event and trace-step values are [`Json`] trees), and read back only for
+//! `--obs` exports and GBM models. A type implements the traits only when
+//! one of those paths writes or reads it.
+//!
 //! # Supported subset (and superset)
 //!
 //! The parser accepts standard JSON (RFC 8259): objects, arrays, strings
 //! with `\uXXXX` escapes, numbers, `true`/`false`/`null`. Two deliberate
-//! extensions make the layer total over the types we persist:
+//! extensions make the layer total over those types:
 //!
 //! - The literals `NaN`, `Infinity`, and `-Infinity` are accepted and
 //!   emitted for non-finite floats (GBM split thresholds can be NaN).
@@ -145,14 +151,6 @@ impl Json {
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// Array element access; `None` on non-arrays or out of range.
-    pub fn at(&self, index: usize) -> Option<&Json> {
-        match self {
-            Json::Array(items) => items.get(index),
             _ => None,
         }
     }
@@ -911,25 +909,6 @@ impl<A: FromJson, B: FromJson> FromJson for (A, B) {
     }
 }
 
-impl<A: ToJson, B: ToJson, C: ToJson> ToJson for (A, B, C) {
-    fn to_json(&self) -> Json {
-        Json::Array(vec![self.0.to_json(), self.1.to_json(), self.2.to_json()])
-    }
-}
-
-impl<A: FromJson, B: FromJson, C: FromJson> FromJson for (A, B, C) {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v {
-            Json::Array(items) if items.len() == 3 => Ok((
-                A::from_json(&items[0])?,
-                B::from_json(&items[1])?,
-                C::from_json(&items[2])?,
-            )),
-            other => Err(expected("3-element array", other)),
-        }
-    }
-}
-
 impl ToJson for Json {
     fn to_json(&self) -> Json {
         self.clone()
@@ -945,16 +924,12 @@ impl FromJson for Json {
 /// Implements [`ToJson`] + [`FromJson`] for a struct or enum — the
 /// replacement for `#[derive(Serialize, Deserialize)]`.
 ///
-/// Three shapes are supported:
+/// Two shapes are supported:
 ///
 /// - `impl_json!(struct Name { field_a, field_b })` — named-field structs,
 ///   serialized as an object in declaration order;
-/// - `impl_json!(newtype Name)` — one-field tuple structs, serialized as
-///   the bare inner value;
 /// - `impl_json!(enum Name { A, B })` — unit-variant enums, serialized as
-///   the variant-name string;
-/// - `impl_json!(enum Name { A { x }, B { y, z } })` — struct-variant
-///   enums, serialized externally tagged: `{"A":{"x":…}}`.
+///   the variant-name string.
 ///
 /// The macro must be invoked where the type's fields are visible (same
 /// module for private fields).
@@ -986,18 +961,6 @@ macro_rules! impl_json {
             }
         }
     };
-    (newtype $name:ident) => {
-        impl $crate::json::ToJson for $name {
-            fn to_json(&self) -> $crate::json::Json {
-                $crate::json::ToJson::to_json(&self.0)
-            }
-        }
-        impl $crate::json::FromJson for $name {
-            fn from_json(v: &$crate::json::Json) -> Result<Self, $crate::json::JsonError> {
-                Ok($name($crate::json::FromJson::from_json(v)?))
-            }
-        }
-    };
     (enum $name:ident { $($variant:ident),+ $(,)? }) => {
         impl $crate::json::ToJson for $name {
             fn to_json(&self) -> $crate::json::Json {
@@ -1017,36 +980,6 @@ macro_rules! impl_json {
                         other
                     ))),
                 }
-            }
-        }
-    };
-    (enum $name:ident { $($variant:ident { $($f:ident),+ $(,)? }),+ $(,)? }) => {
-        impl $crate::json::ToJson for $name {
-            fn to_json(&self) -> $crate::json::Json {
-                match self {
-                    $($name::$variant { $($f),+ } => $crate::json::Json::Object(vec![(
-                        stringify!($variant).to_string(),
-                        $crate::json::Json::Object(vec![
-                            $((stringify!($f).to_string(), $crate::json::ToJson::to_json($f)),)+
-                        ]),
-                    )]),)+
-                }
-            }
-        }
-        impl $crate::json::FromJson for $name {
-            fn from_json(v: &$crate::json::Json) -> Result<Self, $crate::json::JsonError> {
-                $(
-                    if let Some(inner) = v.get(stringify!($variant)) {
-                        return Ok($name::$variant {
-                            $($f: $crate::json::field(inner, stringify!($f))?,)+
-                        });
-                    }
-                )+
-                Err($crate::json::JsonError::new(format!(
-                    "expected a {} variant tag, found {}",
-                    stringify!($name),
-                    v
-                )))
             }
         }
     };
@@ -1150,7 +1083,10 @@ mod tests {
     #[test]
     fn whitespace_and_escapes_parse() {
         let v = Json::parse(" { \"k\" : [ 1 , \"\\u0041\\n\" ] } ").unwrap();
-        assert_eq!(v.get("k").unwrap().at(1).unwrap().as_str().unwrap(), "A\n");
+        let Some(Json::Array(items)) = v.get("k") else {
+            panic!("`k` is not an array: {v}");
+        };
+        assert_eq!(items[1].as_str().unwrap(), "A\n");
     }
 
     #[test]
@@ -1222,13 +1158,6 @@ mod tests {
         }
     );
 
-    #[derive(Debug, PartialEq)]
-    enum Shape {
-        Circle { radius: f64 },
-        Rect { w: f64, h: f64 },
-    }
-    impl_json!(enum Shape { Circle { radius }, Rect { w, h } });
-
     #[test]
     fn macro_struct_roundtrip() {
         let o = Outer {
@@ -1254,13 +1183,6 @@ mod tests {
         for t in [Tag::Alpha, Tag::Beta] {
             let text = t.to_json().to_string();
             assert_eq!(Tag::from_json(&Json::parse(&text).unwrap()).unwrap(), t);
-        }
-        for s in [
-            Shape::Circle { radius: 1.5 },
-            Shape::Rect { w: 2.0, h: 3.0 },
-        ] {
-            let text = s.to_json().to_string();
-            assert_eq!(Shape::from_json(&Json::parse(&text).unwrap()).unwrap(), s);
         }
         assert!(Tag::from_json(&Json::parse(r#""Gamma""#).unwrap()).is_err());
     }

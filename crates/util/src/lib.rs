@@ -11,8 +11,8 @@
 //!   bit-reproducible request stream.
 //! - [`json`] — a small JSON value model, recursive-descent parser, and
 //!   writer, plus [`json::ToJson`]/[`json::FromJson`] traits and the
-//!   [`impl_json!`] derive-replacement macro. Replaces `serde` for model
-//!   persistence and experiment reports.
+//!   [`impl_json!`] derive-replacement macro. Replaces `serde` for the GBM
+//!   model, the reports and the `--obs` exports.
 //! - [`sync`] — panic-robust `Mutex`/`RwLock` wrappers (a `parking_lot`-style
 //!   guard API over `std::sync`) and [`sync::claim_each`], scoped workers
 //!   claiming work items off one shared queue.

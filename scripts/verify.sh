@@ -46,6 +46,14 @@ if grep -rnE 'stream_pending|take_done|fills_window|stamp_window' crates; then
   echo "a name of the deleted streaming hand-over under crates/ (see the lines above)" >&2
   exit 1
 fi
+# The bench JSON sink, the observed-bound wrapper, the inline-retrain knob
+# and the newtype shape of impl_json! (whole words: the background-retrain
+# tests keep their names).
+if grep -rnwE 'LHR_BENCH_JSON|ObservedBound|background_retrain|impl_json!\(newtype' \
+    crates src tests examples; then
+  echo "a deleted name is back (see the lines above)" >&2
+  exit 1
+fi
 
 echo "==> cargo build --release (warnings are errors)"
 RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo build --release --offline --workspace
@@ -62,9 +70,10 @@ cargo test -q --offline -- --test-threads=1
 echo "==> frozen benchmark package builds and tests against the crates"
 # benchmark/ is a package of its own outside the workspace, so nothing above
 # type-checks it; an API break against it must fail here, not in the
-# pipeline that runs BENCHMARK.json.
-cargo build --release --offline --manifest-path benchmark/Cargo.toml
-cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+# pipeline that runs BENCHMARK.json. --locked: a dependency change in a
+# crate it builds must fail here, not silently rewrite its Cargo.lock.
+cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
+cargo test -q --release --offline --locked --manifest-path benchmark/Cargo.toml
 
 echo "==> cargo test --doc"
 cargo test -q --doc --offline --workspace
@@ -181,8 +190,8 @@ for policy in LRU Hyperbolic W-TinyLFU GDSF; do
 done
 
 echo "==> shadow-retrain determinism smoke (N-LHR and E-LHR, --threads 1 2 4)"
-# N-LHR retrains every window, and background_retrain (the default) runs
-# each of those fits on a shadow thread with the model swap pinned to a
+# N-LHR retrains every window, and LHR runs each of those fits after the
+# bootstrap on a shadow thread with the model swap pinned to a
 # deterministic later window edge — so this run swaps models repeatedly
 # while trainer threads race the serving threads. Reports and obs
 # exports must still be byte-identical across thread counts. The trace

@@ -118,9 +118,6 @@ fn lhr_steady_state_allocates_only_at_window_boundaries() {
         400 * 4_000,
         LhrConfig {
             seed: 11,
-            // Inline retrain pins all training allocations to the window
-            // edge itself instead of smearing them over a worker thread.
-            background_retrain: false,
             // Retrain at every edge (the popularity never shifts, so the
             // detection gate would stay shut after the bootstrap): each
             // window swaps in a newly laid-out forest.

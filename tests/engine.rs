@@ -153,7 +153,6 @@ fn engine_with_background_retraining_is_byte_identical_across_threads() {
             // edges: bootstrap inline, then detection-gated background
             // spawns with installs one edge later.
             min_window_requests: 2_048,
-            background_retrain: true,
             ..LhrConfig::default()
         };
         let report = engine.replay(&trace, |shard, capacity, obs| {

@@ -4,7 +4,7 @@
 //! byte-identical JSON round-trips for every exported record shape.
 
 use lhr_repro::core::cache::{LhrCache, LhrConfig};
-use lhr_repro::obs::{EventKind, Obs, ObsConfig, ObsRecord, ObsWindow};
+use lhr_repro::obs::{EventKind, Export, Obs, ObsConfig, ObsRecord, ObsWindow};
 use lhr_repro::policies::Lru;
 use lhr_repro::proto::{presets, CdnServer};
 use lhr_repro::sim::{CachePolicy, SimConfig, SimMetrics, Simulator};
@@ -175,6 +175,68 @@ fn every_obs_jsonl_line_round_trips_byte_identically() {
     ] {
         assert!(tags_seen.contains(tag), "no `{tag}` record exercised");
     }
+}
+
+/// The export reader against every committed export: each golden
+/// `.obs.jsonl` reads into its sections through [`Export::read`], and its
+/// records, rewritten section by section with `write_line`, are the file's
+/// bytes — so no record is lost, moved to another section or reordered.
+#[test]
+fn every_golden_export_reads_into_sections_that_rewrite_to_its_bytes() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let mut files = 0;
+    for dir in ["serving", "sim"] {
+        for entry in std::fs::read_dir(root.join(dir)).expect("golden dir") {
+            let path = entry.expect("dir entry").path();
+            let path = path.to_str().expect("utf-8 path");
+            if !path.ends_with(".obs.jsonl") {
+                continue;
+            }
+            files += 1;
+            let export = Export::read(path).expect(path);
+            let mut out = String::new();
+            let mut write = |record: ObsRecord| {
+                record.write_line(&mut out);
+                out.push('\n');
+            };
+            write(ObsRecord::Meta(export.meta));
+            export
+                .windows
+                .into_iter()
+                .map(ObsRecord::Window)
+                .for_each(&mut write);
+            export
+                .events
+                .into_iter()
+                .map(ObsRecord::Event)
+                .for_each(&mut write);
+            export
+                .traces
+                .into_iter()
+                .map(ObsRecord::Trace)
+                .for_each(&mut write);
+            for (name, value) in export.counters {
+                write(ObsRecord::Counter { name, value });
+            }
+            for (name, value) in export.gauges {
+                write(ObsRecord::Gauge { name, value });
+            }
+            for (name, hist) in export.hists {
+                write(ObsRecord::Hist { name, hist });
+            }
+            export
+                .spans
+                .into_iter()
+                .map(ObsRecord::Span)
+                .for_each(&mut write);
+            let file = std::fs::read_to_string(path).expect(path);
+            assert!(
+                out == file,
+                "{path}: the sections do not rewrite to the file"
+            );
+        }
+    }
+    assert_eq!(files, 46, "golden exports found");
 }
 
 fn stream_path(tag: &str) -> std::path::PathBuf {
