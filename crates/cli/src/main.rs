@@ -476,7 +476,13 @@ fn print_trace_waterfall(t: &lhr_obs::TraceRecord) {
 /// `obs trace EXPORT [--id N | --slowest K]`: renders sampled request
 /// paths. Default shows the per-window exemplars (worst sampled latency).
 fn cmd_obs_trace(args: &Args) -> Result<(), String> {
+    // Every flag is judged before the export is read.
     args.expect_flags("obs trace", &[&["id", "slowest"]])?;
+    let id = args.get_parse::<u64>("id")?;
+    let slowest = args.get_parse::<usize>("slowest")?;
+    if id.is_some() && slowest.is_some() {
+        return Err("obs trace takes --id or --slowest, not both".to_string());
+    }
     let path = args
         .positional
         .get(1)
@@ -487,7 +493,7 @@ fn cmd_obs_trace(args: &Args) -> Result<(), String> {
             "{path}: no sampled traces (was the run recorded with --trace-sample?)"
         ));
     }
-    if let Some(id) = args.get_parse::<u64>("id")? {
+    if let Some(id) = id {
         let t = traces
             .iter()
             .find(|t| t.id == id)
@@ -495,7 +501,7 @@ fn cmd_obs_trace(args: &Args) -> Result<(), String> {
         print_trace_waterfall(t);
         return Ok(());
     }
-    let picked: Vec<&lhr_obs::TraceRecord> = if let Some(k) = args.get_parse::<usize>("slowest")? {
+    let picked: Vec<&lhr_obs::TraceRecord> = if let Some(k) = slowest {
         let mut by_latency: Vec<&lhr_obs::TraceRecord> = traces.iter().collect();
         // Worst first; ties break toward the smaller id so the listing is
         // stable across reruns.

@@ -254,6 +254,35 @@ fn a_commands_own_bad_flag_is_reported_before_the_trace_is_read_too() {
 }
 
 #[test]
+fn obs_trace_judges_its_flags_before_the_export_and_refuses_both_picks_at_once() {
+    // `--id abc` reported the export's problem instead — a missing file, or
+    // one recorded without traces — and `--id 5 --slowest 3` silently ran
+    // as `--id 5`.
+    let trace = TraceFile::generate("obs-trace");
+    let untraced =
+        std::env::temp_dir().join(format!("lhr-hostile-untraced-{}.jsonl", std::process::id()));
+    let untraced = untraced.to_str().expect("utf-8 temp path");
+    let out = cli(&[
+        "server",
+        "--policy",
+        "LRU",
+        "--capacity",
+        "1MB",
+        "--obs",
+        untraced,
+        trace.path(),
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    for export in ["lhr-hostile-no-such-export.jsonl", untraced] {
+        let out = cli(&["obs", "trace", "--id", "abc", export]);
+        assert_one_line_error(&out, "--id abc");
+        let out = cli(&["obs", "trace", "--id", "5", "--slowest", "3", export]);
+        assert_one_line_error(&out, "--id or --slowest, not both");
+    }
+    let _ = std::fs::remove_file(untraced);
+}
+
+#[test]
 fn absurd_thread_and_shard_counts_replay_exactly_like_one_thread() {
     let trace = TraceFile::generate("threads");
     let scratch = |tag: &str| {

@@ -438,16 +438,18 @@ impl LhrCache {
             }
         }
         if fresh_model && self.config.fixed_threshold.is_none() {
-            // The shadow evaluation pairs *every* window request with its
-            // feature row (the full `rows`, not the subsampled training
-            // copy) and the fresh model's probabilities — batched (and
+            // The shadow evaluation pairs each request of the estimator's
+            // sample — the window's leading requests — with its feature row
+            // (from the full `rows`, not the subsampled training copy) and
+            // the fresh model's probability, scored in one batch (and
             // thread-parallel) instead of row-at-a-time.
-            let row_refs: Vec<&[f32]> = rows.chunks_exact(n_feat).collect();
             assert_eq!(
-                row_refs.len(),
-                n_reqs,
+                rows.len(),
+                n_reqs * n_feat,
                 "a window whose edge evaluates the threshold keeps every row"
             );
+            let sample = ThresholdEstimator::sample_len(n_reqs);
+            let row_refs: Vec<&[f32]> = rows.chunks_exact(n_feat).take(sample).collect();
             let probs: Vec<f64> = match &self.model {
                 Some(model) => model.score_admissions(&row_refs, self.config.gbm.threads),
                 None => vec![1.0; row_refs.len()],

@@ -14,8 +14,14 @@
 //! are both fixed by window index. Wall-clock only decides whether the
 //! serving thread waits at the edge (it normally doesn't — training has a
 //! full window of slack), i.e. it can affect latency but never results.
+//!
+//! A trainer dropped with a fit in flight — its cache's run ended before
+//! the pinned edge, so no edge will ever install that model — cancels the
+//! fit instead of waiting for it: the fit gives up at its next boosting
+//! round and publishes nothing.
 
 use lhr_gbm::{Dataset, Gbm, GbmParams};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
@@ -28,6 +34,8 @@ struct PendingTrain {
     /// Training-set size, reported on the `ModelSwap` event.
     rows: usize,
     slot: TrainedSlot,
+    /// Set when nothing will install the model: the fit stops early.
+    cancel: Arc<AtomicBool>,
     handle: Option<JoinHandle<()>>,
 }
 
@@ -69,24 +77,27 @@ impl ShadowTrainer {
         debug_assert!(self.pending.is_none(), "one training in flight at most");
         debug_assert!(!data.is_empty(), "spawned with an empty training set");
         let slot: TrainedSlot = Arc::new(Mutex::new(None));
+        let cancel = Arc::new(AtomicBool::new(false));
         let rows = data.n_rows();
         let handle = {
-            let slot = Arc::clone(&slot);
+            let (slot, cancel) = (Arc::clone(&slot), Arc::clone(&cancel));
             std::thread::spawn(move || {
                 let t0 = std::time::Instant::now();
                 // No obs recorder here: span nesting is serving-thread
                 // state, and a concurrent emitter would make the span tree
                 // depend on scheduling. The install site accounts for the
                 // fit on the serving thread instead.
-                let model = Gbm::fit(&data, &params);
-                *slot.lock().expect("trainer slot poisoned") =
-                    Some((model, t0.elapsed().as_secs_f64()));
+                if let Some(model) = Gbm::fit_unless(&data, &params, &cancel) {
+                    *slot.lock().expect("trainer slot poisoned") =
+                        Some((model, t0.elapsed().as_secs_f64()));
+                }
             })
         };
         self.pending = Some(PendingTrain {
             due_window,
             rows,
             slot,
+            cancel,
             handle: Some(handle),
         });
     }
@@ -123,8 +134,11 @@ impl ShadowTrainer {
 
 impl Drop for ShadowTrainer {
     fn drop(&mut self) {
-        // A run can end mid-training; don't leak the thread past the cache.
+        // A run can end mid-training, and then no edge will install the
+        // model: stop the fit at its next round rather than finish it, and
+        // don't leak the thread past the cache.
         if let Some(mut p) = self.pending.take() {
+            p.cancel.store(true, Ordering::Relaxed);
             if let Some(handle) = p.handle.take() {
                 let _ = handle.join();
             }
@@ -174,5 +188,45 @@ mod tests {
         let mut t = ShadowTrainer::default();
         t.spawn(tiny_data(), GbmParams::default(), 99);
         drop(t); // must not leak or deadlock
+    }
+
+    /// A fit of this many trees over this many rows runs for minutes: only
+    /// a cancelled one ends within a test.
+    fn large_fit() -> (Dataset, GbmParams) {
+        let mut d = Dataset::new(4);
+        for i in 0..20_000u32 {
+            let x = [(i % 97) as f32, (i % 89) as f32, (i % 83) as f32, i as f32];
+            d.push_row(&x, ((i * 7) % 13) as f32 / 13.0);
+        }
+        let params = GbmParams {
+            n_trees: 50_000,
+            min_split_gain: 0.0,
+            threads: 1,
+            ..GbmParams::default()
+        };
+        (d, params)
+    }
+
+    #[test]
+    fn dropping_with_a_large_fit_in_flight_abandons_it_unpublished() {
+        let (data, params) = large_fit();
+        let mut t = ShadowTrainer::default();
+        t.spawn(data, params, 7);
+        let slot = Arc::clone(&t.pending.as_ref().expect("in flight").slot);
+        drop(t);
+        assert!(
+            slot.lock().expect("trainer slot").is_none(),
+            "an abandoned fit publishes no model"
+        );
+    }
+
+    #[test]
+    fn a_fit_whose_edge_arrives_installs_the_model_a_plain_fit_makes() {
+        let (data, params) = (tiny_data(), GbmParams::default());
+        let expect = Gbm::fit(&data, &params).to_json_string();
+        let mut t = ShadowTrainer::default();
+        t.spawn(data, params, 3);
+        let installed = t.take_due(3).expect("due at its pinned edge");
+        assert_eq!(installed.model.to_json_string(), expect);
     }
 }

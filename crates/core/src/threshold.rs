@@ -93,22 +93,31 @@ impl ThresholdEstimator {
         c
     }
 
-    /// Evaluates the candidates on the window and updates `delta` per the
+    /// How many of a window's `requests` the estimator evaluates: the
+    /// leading [`SAMPLE_FRACTION`] of them, at least one of a non-empty
+    /// window. The caller scores and passes to [`Self::update`] only
+    /// those.
+    pub fn sample_len(requests: usize) -> usize {
+        ((requests as f64 * SAMPLE_FRACTION) as usize)
+            .max(1)
+            .min(requests)
+    }
+
+    /// Evaluates the candidates on `sample` — a window's leading
+    /// [`Self::sample_len`] requests — and updates `delta` per the
     /// adoption rule. `initial_cache` seeds each shadow run with the real
     /// cache's current contents so candidate thresholds are judged on the
     /// state they would actually inherit. Returns the (possibly unchanged)
     /// threshold.
     pub fn update(
         &mut self,
-        requests: &[ShadowRequest],
+        sample: &[ShadowRequest],
         capacity: u64,
         initial_cache: &[(ObjectId, f64, u64, Time)],
     ) -> f64 {
-        if requests.is_empty() {
+        if sample.is_empty() {
             return self.delta;
         }
-        let take = ((requests.len() as f64 * SAMPLE_FRACTION) as usize).max(1);
-        let sample = &requests[..take.min(requests.len())];
         let current = shadow_hit_ratio_from(sample, capacity, self.delta, initial_cache);
         let mut best = (current, self.delta);
         for cand in self.candidates() {
@@ -430,6 +439,13 @@ mod tests {
             evicting >= 100,
             "{evicting} of 256 streams overflow their cache"
         );
+    }
+
+    #[test]
+    fn the_sample_is_the_leading_half_and_never_empty_for_a_window() {
+        let len = ThresholdEstimator::sample_len;
+        assert_eq!([len(0), len(1), len(2), len(3)], [0, 1, 1, 1]);
+        assert_eq!([len(95_247), len(73_939)], [47_623, 36_969]);
     }
 
     #[test]

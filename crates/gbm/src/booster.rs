@@ -4,6 +4,7 @@ use crate::dataset::Dataset;
 use crate::flat::FlatForest;
 use crate::parallel;
 use crate::tree::{Tree, TreeScratch};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Training loss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,6 +137,28 @@ impl Gbm {
     /// # Panics
     /// Panics if `data` is empty.
     pub fn fit_traced(data: &Dataset, params: &GbmParams, obs: Option<&lhr_obs::Obs>) -> Gbm {
+        Gbm::boost(data, params, obs, None).expect("an uncancellable fit completes")
+    }
+
+    /// Like [`Gbm::fit`], but gives up once `cancel` is set: the flag is
+    /// read before every boosting round, and a fit that sees it returns
+    /// `None`. A fit that never sees it returns exactly [`Gbm::fit`]'s
+    /// model.
+    ///
+    /// # Panics
+    /// Panics if `data` is empty.
+    pub fn fit_unless(data: &Dataset, params: &GbmParams, cancel: &AtomicBool) -> Option<Gbm> {
+        Gbm::boost(data, params, None, Some(cancel))
+    }
+
+    /// The one boosting loop behind every `fit`.
+    fn boost(
+        data: &Dataset,
+        params: &GbmParams,
+        obs: Option<&lhr_obs::Obs>,
+        cancel: Option<&AtomicBool>,
+    ) -> Option<Gbm> {
+        let cancelled = || cancel.is_some_and(|c| c.load(Ordering::Relaxed));
         let _fit_span = obs.map(|o| o.span("gbm.fit"));
 
         assert!(!data.is_empty(), "cannot fit on an empty dataset");
@@ -169,6 +192,9 @@ impl Gbm {
         let mut feature_gain = vec![0f64; data.n_features()];
 
         for _round in 0..params.n_trees {
+            if cancelled() {
+                return None;
+            }
             let _round_span = obs.map(|o| o.span("gbm.tree"));
             match &mut hessians {
                 None => {
@@ -209,13 +235,13 @@ impl Gbm {
             o.counter_add("gbm.trees", trees.len() as u64);
         }
 
-        Gbm::assemble(
+        Some(Gbm::assemble(
             base_score,
             trees,
             feature_gain,
             data.n_features(),
             params.loss,
-        )
+        ))
     }
 
     /// Builds the ensemble and derives its padded serving layout — the
@@ -552,6 +578,21 @@ mod tests {
             assert_eq!(one, fit(2, loss), "{loss:?}: threads=2 diverged");
             assert_eq!(one, fit(8, loss), "{loss:?}: threads=8 diverged");
         }
+    }
+
+    #[test]
+    fn a_cancelled_fit_gives_up_and_an_uncancelled_one_is_fit() {
+        let d = make_messy(1_000);
+        let params = GbmParams {
+            n_trees: 12,
+            ..GbmParams::default()
+        };
+        assert!(Gbm::fit_unless(&d, &params, &AtomicBool::new(true)).is_none());
+        let kept = Gbm::fit_unless(&d, &params, &AtomicBool::new(false)).expect("never cancelled");
+        assert_eq!(
+            kept.to_json_string(),
+            Gbm::fit(&d, &params).to_json_string()
+        );
     }
 
     #[test]

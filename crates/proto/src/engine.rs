@@ -221,56 +221,63 @@ impl ShardedEngine {
     /// the shard's capacity slice and private recorder so learned policies
     /// can attach to it (derive per-shard seeds with
     /// [`lhr_sim::shard::shard_seed`]).
+    ///
+    /// A shard's serving path — policy, fault plan, breaker, in-flight map
+    /// — is built on the worker that claims the shard and dropped there
+    /// right after the shard's last request; only its tally waits for the
+    /// merge. So the builder must be `Fn + Sync`, and at most
+    /// `route.threads` policies are alive at once.
     pub fn replay<P: CachePolicy + Send>(
         &self,
         trace: &Trace,
-        mut build: impl FnMut(usize, u64, Option<&Obs>) -> P,
+        build: impl Fn(usize, u64, Option<&Obs>) -> P + Sync,
     ) -> EngineReport {
         let n_shards = self.config.n_shards.max(1);
         let shard_capacity = (self.config.total_capacity / n_shards as u64).max(1);
         let warmup = self.config.server.warmup_requests;
         let master = self.obs.as_ref();
 
-        // The partition pass is replay work: it counts towards the wall
-        // time, the policy construction between it and the run does not.
-        let partition_start = Instant::now();
+        // The partition pass is replay work, and so is building each shard
+        // when a worker claims it: both count towards the wall time.
+        let wall_start = Instant::now();
         let partition = Partition::new(trace, n_shards);
-        let partition_secs = partition_start.elapsed().as_secs_f64();
-        let shards: Vec<EngineShard<P>> = (0..n_shards)
-            .map(|s| {
+        let measured: Vec<usize> = (0..n_shards)
+            .map(|s| partition.measured(s, warmup))
+            .collect();
+        // What a finished shard keeps: its tally and its policy's name.
+        let mut shards: Vec<(Tally, String)> = partition.run(
+            &self.config.route,
+            |s| {
                 let ledger = Ledger::shard(master, warmup);
                 let policy = build(s, shard_capacity, ledger.obs());
-                let tally = Tally::new(ledger, partition.measured(s, warmup));
                 EngineShard {
                     server: CdnServer::new(policy, self.config.server.for_shard(s)),
-                    tally,
+                    tally: Tally::new(ledger, measured[s]),
                 }
-            })
-            .collect();
+            },
+            |state, _s, i, req| state.server.step(&mut state.tally, i, req),
+            |_s, mut state| {
+                state.server.finish(&mut state.tally);
+                (state.tally, state.server.policy().name().to_string())
+            },
+        );
+        let wall_secs = wall_start.elapsed().as_secs_f64();
+        let threads = self.config.route.resolve_threads().clamp(1, n_shards);
 
-        let name = shards
-            .first()
-            .map(|s| format!("engine({})x{}", s.server.policy().name(), n_shards))
-            .unwrap_or_default();
+        // The name is known once shard 0's policy has been built. Nothing
+        // reaches the master recorder during the run (shards record
+        // privately), so what is stamped here still precedes every shard's
+        // records.
+        let name = format!("engine({})x{}", shards[0].1, n_shards);
         if let Some(master) = master {
             announce(master, &name, trace, &self.config.server.faults);
             master.set_meta("shards", n_shards as u64);
         }
 
-        let threads = self.config.route.resolve_threads().clamp(1, n_shards);
-        let wall_start = Instant::now();
-        let mut shards = partition.run(shards, &self.config.route, |state, _s, i, req| {
-            state.server.step(&mut state.tally, i, req)
-        });
-        let wall_secs = partition_secs + wall_start.elapsed().as_secs_f64();
-
         // Merge in fixed shard order (0..n_shards) on this thread.
-        for shard in &mut shards {
-            shard.server.finish(&mut shard.tally);
-        }
-        let per_shard_requests: Vec<u64> = shards.iter().map(|s| s.tally.ledger.seen()).collect();
+        let per_shard_requests: Vec<u64> = shards.iter().map(|(t, _)| t.ledger.seen()).collect();
         let (shard_imbalance, suggested_shards) = shard_skew(&per_shard_requests);
-        let mut total = Tally::merge(shards.iter_mut().map(|s| &mut s.tally), master, trace.len());
+        let mut total = Tally::merge(shards.iter_mut().map(|(t, _)| t), master, trace.len());
         if let Some(master) = master {
             // Both are pure functions of the deterministic per-shard
             // request counts, so they are safe in stable exports. The

@@ -651,6 +651,13 @@ struct NodeSlice<P> {
     /// Restart epoch last observed for this node (cold-restart flushes
     /// fire on change).
     epoch: u64,
+    counts: NodeCounts,
+}
+
+/// One node's accounting within one shard; summed over shards in shard
+/// order by the merge.
+#[derive(Default, Clone, Copy)]
+struct NodeCounts {
     /// Requests routed here, including warmup.
     seen: u64,
     /// Measured requests routed here.
@@ -752,6 +759,15 @@ struct FleetShard<P: CachePolicy> {
     tally: Tally,
 }
 
+/// What the merge keeps of a finished [`FleetShard`]: its counters, and
+/// the name its node policies go by.
+struct FinishedShard {
+    tally: Tally,
+    counts: FleetCounts,
+    nodes: Vec<NodeCounts>,
+    policy: String,
+}
+
 impl<P: CachePolicy> FleetShard<P> {
     fn meta_bytes(&self) -> u64 {
         self.nodes
@@ -786,7 +802,7 @@ impl<P: CachePolicy> FleetShard<P> {
                 self.nodes[n].policy = fresh;
             }
         }
-        self.nodes[n].seen += 1;
+        self.nodes[n].counts.seen += 1;
 
         // Fused present-check + hit processing; on a miss, `handle`
         // makes the admission decision regardless of where the fill
@@ -931,7 +947,7 @@ impl<P: CachePolicy> FleetShard<P> {
                 Served::Unrouted => counts.unrouted += 1,
             }
             if let Some(n) = chosen {
-                let node = &mut self.nodes[n];
+                let node = &mut self.nodes[n].counts;
                 node.measured += 1;
                 node.hits += matches!(kind, Served::EdgeHit) as u64;
                 node.errors += served.error as u64;
@@ -942,22 +958,28 @@ impl<P: CachePolicy> FleetShard<P> {
         self.tally.record(i, req, &served, tb, origin);
     }
 
-    /// Takes the final metadata sample and flushes the shard recorder
-    /// (windows, counters, histogram) once the shard's subsequence is
-    /// exhausted.
-    fn finish(&mut self) {
+    /// Once the shard's subsequence is exhausted: takes the final metadata
+    /// sample, flushes the shard recorder (windows, counters, histogram)
+    /// and keeps only what the merge reads — the node slices, the shield
+    /// and the hints are dropped here.
+    fn finish(mut self) -> FinishedShard {
         let meta_bytes = self.meta_bytes();
         self.tally.ledger.sample_meta(meta_bytes);
         let (errors, c) = (self.tally.ledger.totals().errors, &self.counts);
-        let Some(obs) = self.tally.finish("fleet.", 0) else {
-            return;
-        };
-        obs.counter_add("fleet.edge_hits", c.edge_hits);
-        obs.counter_add("fleet.peer_hits", c.peer_hits);
-        obs.counter_add("fleet.shield_hits", c.shield_hits);
-        obs.counter_add("fleet.errors", errors - c.unrouted);
-        obs.counter_add("fleet.unrouted", c.unrouted);
-        obs.counter_add("fleet.failovers", c.failovers);
+        if let Some(obs) = self.tally.finish("fleet.", 0) {
+            obs.counter_add("fleet.edge_hits", c.edge_hits);
+            obs.counter_add("fleet.peer_hits", c.peer_hits);
+            obs.counter_add("fleet.shield_hits", c.shield_hits);
+            obs.counter_add("fleet.errors", errors - c.unrouted);
+            obs.counter_add("fleet.unrouted", c.unrouted);
+            obs.counter_add("fleet.failovers", c.failovers);
+        }
+        FinishedShard {
+            policy: self.nodes[0].policy.name().to_string(),
+            nodes: self.nodes.iter().map(|slice| slice.counts).collect(),
+            counts: self.counts,
+            tally: self.tally,
+        }
     }
 }
 
@@ -1009,9 +1031,13 @@ impl FleetEngine {
 
     /// Replays `trace` across the fleet. `build(node, shard, capacity,
     /// shard_obs)` constructs one node's cache slice for one shard; it
-    /// must be `Fn + Sync` because churn presets rebuild slices
-    /// mid-replay from worker threads (derive per-slice seeds as
-    /// `shard_seed(shard_seed(base, node), shard)`).
+    /// must be `Fn + Sync` because slices are built on the worker that
+    /// claims their shard, and churn presets rebuild them mid-replay
+    /// (derive per-slice seeds as `shard_seed(shard_seed(base, node),
+    /// shard)`). A shard's node slices, shield slice and hints are dropped
+    /// on that worker right after the shard's last request, so at most
+    /// `route.threads × n_nodes` slices are alive at once (plus one being
+    /// rebuilt per worker).
     pub fn replay<P, B>(&self, trace: &Trace, build: B) -> FleetReport
     where
         P: CachePolicy + Send,
@@ -1025,23 +1051,36 @@ impl FleetEngine {
         let ring = HashRing::new(n_nodes, self.config.vnodes);
         let warmup = self.config.server.warmup_requests;
         let master = self.obs.as_ref();
+        let liveness = Liveness::compile(&self.config.node_faults, n_nodes);
+        let ctx = FleetCtx {
+            ring: &ring,
+            liveness: &liveness,
+            cold_restart: self.config.node_faults.cold_restart,
+            requests: &trace.requests,
+            lat: self.config.server.latency.clone(),
+            hint_ttl_secs: self.config.hint_ttl_secs,
+            peer_hints: self.config.peer_hints,
+            node_capacity,
+            build: &build,
+        };
 
-        // As in the engine: the partition pass counts as replay time.
-        let partition_start = Instant::now();
+        // As in the engine: the partition pass and building each shard
+        // count as replay time.
+        let wall_start = Instant::now();
         let partition = Partition::new(trace, n_shards);
-        let partition_secs = partition_start.elapsed().as_secs_f64();
-        let shards: Vec<FleetShard<P>> = (0..n_shards)
-            .map(|s| {
+        let measured: Vec<usize> = (0..n_shards)
+            .map(|s| partition.measured(s, warmup))
+            .collect();
+        let mut shards: Vec<FinishedShard> = partition.run(
+            &self.config.route,
+            |s| {
                 let ledger = Ledger::shard(master, warmup);
                 FleetShard {
                     nodes: (0..n_nodes)
                         .map(|node| NodeSlice {
                             policy: build(node, s, node_capacity, ledger.obs()),
                             epoch: 0,
-                            seen: 0,
-                            measured: 0,
-                            hits: 0,
-                            errors: 0,
+                            counts: NodeCounts::default(),
                         })
                         .collect(),
                     shield: CdnServer::new(
@@ -1051,16 +1090,18 @@ impl FleetEngine {
                     hints: Hints::new(),
                     live: Segment::COLD,
                     counts: FleetCounts::default(),
-                    tally: Tally::new(ledger, partition.measured(s, warmup)),
+                    tally: Tally::new(ledger, measured[s]),
                 }
-            })
-            .collect();
+            },
+            |state, s, i, req| state.step(&ctx, s, i, req),
+            |_s, state| state.finish(),
+        );
+        let wall_secs = wall_start.elapsed().as_secs_f64();
+        let threads = self.config.route.resolve_threads().clamp(1, n_shards);
 
-        let name = shards
-            .first()
-            .and_then(|s| s.nodes.first())
-            .map(|slice| format!("fleet({})x{}", slice.policy.name(), n_nodes))
-            .unwrap_or_default();
+        // As in the engine: stamped once shard 0's slices have a name, and
+        // still ahead of every shard's records.
+        let name = format!("fleet({})x{}", shards[0].policy, n_nodes);
         if let Some(master) = master {
             announce(master, &name, trace, &self.config.server.faults);
             master.set_meta("nodes", n_nodes as u64);
@@ -1075,33 +1116,13 @@ impl FleetEngine {
             }
         }
 
-        let liveness = Liveness::compile(&self.config.node_faults, n_nodes);
-        let ctx = FleetCtx {
-            ring: &ring,
-            liveness: &liveness,
-            cold_restart: self.config.node_faults.cold_restart,
-            requests: &trace.requests,
-            lat: self.config.server.latency.clone(),
-            hint_ttl_secs: self.config.hint_ttl_secs,
-            peer_hints: self.config.peer_hints,
-            node_capacity,
-            build: &build,
-        };
-        let threads = self.config.route.resolve_threads().clamp(1, n_shards);
-        let wall_start = Instant::now();
-        let mut shards = partition.run(shards, &self.config.route, |state, s, i, req| {
-            state.step(&ctx, s, i, req)
-        });
-        let wall_secs = partition_secs + wall_start.elapsed().as_secs_f64();
-
         // Merge in fixed shard order, then fixed node order.
         let mut counts = FleetCounts::default();
         let mut node_seen = vec![0u64; n_nodes];
         let mut node_measured = vec![0u64; n_nodes];
         let mut node_hits = vec![0u64; n_nodes];
         let mut node_errors = vec![0u64; n_nodes];
-        for shard in &mut shards {
-            shard.finish();
+        for shard in &shards {
             counts.edge_hits += shard.counts.edge_hits;
             counts.peer_hits += shard.counts.peer_hits;
             counts.shield_hits += shard.counts.shield_hits;

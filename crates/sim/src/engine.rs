@@ -5,7 +5,7 @@
 use crate::ledger::Ledger;
 use crate::metrics::SimMetrics;
 use crate::policy::{CachePolicy, Outcome};
-use crate::shard::{self, RouteConfig};
+use crate::shard::{Partition, RouteConfig};
 use lhr_obs::Obs;
 use lhr_trace::{Request, Trace};
 use std::time::Instant;
@@ -147,6 +147,11 @@ impl Simulator {
     /// results and obs exports are byte-identical at any `route.threads`
     /// (see [`crate::shard`]).
     ///
+    /// A shard's policy is built on the worker that claims the shard, just
+    /// before its first request, and dropped right after its last, once the
+    /// ledger has its final sample — so the builder must be `Fn + Sync`,
+    /// and at most `route.threads` policies are alive at once.
+    ///
     /// The hit ratio it measures is that of the *sharded* cache (the
     /// builder splits the capacity; there is no global eviction order),
     /// which is also what a concurrent production deployment measures — at
@@ -157,32 +162,33 @@ impl Simulator {
         trace: &Trace,
         n_shards: usize,
         route: &RouteConfig,
-        mut build: impl FnMut(usize, Option<&Obs>) -> P,
+        build: impl Fn(usize, Option<&Obs>) -> P + Sync,
     ) -> SimResult {
         let n_shards = n_shards.max(1);
         let master = self.obs.as_ref();
-        let shards: Vec<(P, Ledger)> = (0..n_shards)
-            .map(|s| {
-                let ledger = Ledger::shard(master, self.config.warmup_requests);
-                (build(s, ledger.obs()), ledger)
-            })
-            .collect();
+        let warmup = self.config.warmup_requests;
 
         let wall_start = Instant::now();
-        let mut shards = shard::route(trace, shards, route, |(policy, ledger), _s, i, req| {
-            step(ledger, policy, i, req)
-        });
+        // What a finished shard keeps: its ledger and its policy's name.
+        let mut shards: Vec<(Ledger, String)> = Partition::new(trace, n_shards).run(
+            route,
+            |s| {
+                let ledger = Ledger::shard(master, warmup);
+                (build(s, ledger.obs()), ledger)
+            },
+            |(policy, ledger), _s, i, req| step(ledger, policy, i, req),
+            |_s, (policy, mut ledger)| {
+                finish(&mut ledger, &policy);
+                (ledger, policy.name().to_string())
+            },
+        );
         let wall_secs = wall_start.elapsed().as_secs_f64();
 
-        // Finish, then merge, in fixed shard order on this thread: the
-        // merged export carries no trace of the thread count. (Shard
-        // recorders carry no metadata, so the master's stays in the order
-        // set below.)
-        for (policy, ledger) in &mut shards {
-            finish(ledger, policy);
-        }
-        let name = format!("sharded({})x{n_shards}", shards[0].0.name());
-        let total = Ledger::merge(shards.iter_mut().map(|(_, ledger)| ledger), master);
+        // Merge in fixed shard order on this thread: the merged export
+        // carries no trace of the thread count. (Shard recorders carry no
+        // metadata, so the master's stays in the order set below.)
+        let name = format!("sharded({})x{n_shards}", shards[0].1);
+        let total = Ledger::merge(shards.iter_mut().map(|(ledger, _)| ledger), master);
         let result = self.result(trace, &name, wall_secs, &total);
         if let Some(master) = master {
             master.set_meta("shards", n_shards as u64);

@@ -18,6 +18,13 @@
 //!    ([`lhr_util::sync::claim_each`]) until none is left. There is no
 //!    router thread, no channel and no static shard-to-worker assignment.
 //!
+//! **A shard's state lives exactly as long as its run.** The worker that
+//! claims a shard builds its state, steps it, and consumes it into what the
+//! caller merges, in that order and with nothing in between; so however many
+//! shards there are, at most one state per worker is alive at any moment.
+//! Policies, serving paths and fleet slices are dropped there, on the worker,
+//! and only the merge's inputs wait for the other shards.
+//!
 //! Determinism needs nothing beyond what the partition gives:
 //!
 //! - The shard count is fixed and independent of the thread count. An
@@ -38,7 +45,7 @@
 //! across thread counts (see `ARCHITECTURE.md`, "Determinism contract").
 
 use lhr_trace::{ObjectId, Request, Time, Trace};
-use lhr_util::sync::claim_each;
+use lhr_util::sync::{claim_each, Mutex};
 
 /// Maps an object id to its owning shard with a splitmix-style avalanche,
 /// so sequential ids spread across shards. This is the one hash every
@@ -128,11 +135,6 @@ pub fn indexable(requests: usize) -> Result<u32, TraceTooLong> {
 /// [`Partition::run`]).
 const GATHER: usize = 32;
 
-/// Keeps one shard's state off its neighbours' cache lines while workers
-/// step them side by side (128 bytes: x86 prefetches lines in pairs).
-#[repr(align(128))]
-struct CachePadded<S>(S);
-
 /// A trace bucketed by owning shard — built once, before the first step.
 ///
 /// Because it exists before any shard state does, it can also say exactly
@@ -201,65 +203,75 @@ impl<'t> Partition<'t> {
         bucket.len() - bucket.partition_point(|&i| (i as usize) < warmup)
     }
 
-    /// Applies `step(state, shard, request_index, request)` to every
-    /// request on its owning shard's state, using the configured number of
-    /// worker threads, and returns the states in shard order. Consumes the
-    /// partition, so the index is freed before the caller starts merging.
+    /// Runs every shard start to finish on the configured number of worker
+    /// threads and returns what `finish` kept of each, in shard order.
+    /// Consumes the partition, so the index is freed before the caller
+    /// starts merging.
     ///
-    /// `step` observes each shard's subsequence start to finish in trace
-    /// order regardless of the thread count; see the module docs for the
-    /// full determinism argument. A panic in `step` is re-raised here.
-    pub fn run<S: Send>(
+    /// The worker that claims shard `s` calls `start(s)` for its state,
+    /// `step(state, s, request_index, request)` for each of its requests in
+    /// trace order, and `finish(s, state)` right after the last one — so a
+    /// state never leaves its worker, and at most one per worker is alive
+    /// at any moment (the module docs). `finish` sees each shard's state
+    /// exactly as `step` left it at any thread count; see the module docs
+    /// for the full determinism argument. A panic in any of the three is
+    /// re-raised here.
+    pub fn run<S, R: Send>(
         self,
-        shards: Vec<S>,
         config: &RouteConfig,
+        start: impl Fn(usize) -> S + Sync,
         step: impl Fn(&mut S, usize, usize, &Request) + Sync,
-    ) -> Vec<S> {
-        assert_eq!(shards.len(), self.n_shards(), "one state per shard");
+        finish: impl Fn(usize, S) -> R + Sync,
+    ) -> Vec<R> {
         let requests = &self.trace.requests[..];
-        // Workers claim shards in order, so at any moment they are stepping
-        // *neighbouring* states; without the padding the counters at the end
-        // of one state and the start of the next share a cache line, and
-        // that line bouncing between cores ate the whole two-thread gain.
-        let mut shards: Vec<CachePadded<S>> = shards.into_iter().map(CachePadded).collect();
-        claim_each(&mut shards, config.resolve_threads(), |_, s, state| {
-            let state = &mut state.0;
+        let mut done: Vec<Option<R>> = (0..self.n_shards()).map(|_| None).collect();
+        claim_each(&mut done, config.resolve_threads(), |_, s, slot| {
+            let mut state = start(s);
             if self.n_shards() == 1 {
                 for (i, req) in requests.iter().enumerate() {
-                    step(state, s, i, req);
+                    step(&mut state, s, i, req);
                 }
-                return;
+            } else {
+                // A shard's requests lie scattered through the trace (at 16
+                // shards, about one per cache line) where arrival order
+                // streamed them. Copying a block ahead of stepping it issues
+                // those loads back to back, so their misses overlap each
+                // other instead of each stalling the step that needs it.
+                let mut block = [Request::new(Time::ZERO, 0, 0); GATHER];
+                for indices in self.order[self.starts[s]..self.starts[s + 1]].chunks(GATHER) {
+                    for (slot, &i) in block.iter_mut().zip(indices) {
+                        *slot = requests[i as usize];
+                    }
+                    for (req, &i) in block.iter().zip(indices) {
+                        step(&mut state, s, i as usize, req);
+                    }
+                }
             }
-            // A shard's requests lie scattered through the trace (at 16
-            // shards, about one per cache line) where arrival order streamed
-            // them. Copying a block ahead of stepping it issues those loads
-            // back to back, so their misses overlap each other instead of
-            // each stalling the step that needs it.
-            let mut block = [Request::new(Time::ZERO, 0, 0); GATHER];
-            for indices in self.order[self.starts[s]..self.starts[s + 1]].chunks(GATHER) {
-                for (slot, &i) in block.iter_mut().zip(indices) {
-                    *slot = requests[i as usize];
-                }
-                for (req, &i) in block.iter().zip(indices) {
-                    step(state, s, i as usize, req);
-                }
-            }
+            *slot = Some(finish(s, state));
         });
-        shards.into_iter().map(|padded| padded.0).collect()
+        done.into_iter()
+            .map(|kept| kept.expect("every shard is claimed once"))
+            .collect()
     }
 }
 
 /// Routes every request of `trace` to its owning shard's state and applies
 /// `step(state, shard, request_index, request)` there: partitions the trace
-/// across `shards.len()` shards, then runs them ([`Partition::run`]).
-/// Returns the shard states in shard order.
+/// across `shards.len()` shards, then runs them ([`Partition::run`]) over
+/// the states given. Returns the shard states in shard order.
 pub fn route<S: Send>(
     trace: &Trace,
     shards: Vec<S>,
     config: &RouteConfig,
     step: impl Fn(&mut S, usize, usize, &Request) + Sync,
 ) -> Vec<S> {
-    Partition::new(trace, shards.len()).run(shards, config, step)
+    let states: Vec<Mutex<Option<S>>> = shards.into_iter().map(|s| Mutex::new(Some(s))).collect();
+    Partition::new(trace, states.len()).run(
+        config,
+        |s| states[s].lock().take().expect("each shard starts once"),
+        step,
+        |_, state| state,
+    )
 }
 
 #[cfg(test)]
@@ -382,6 +394,31 @@ mod tests {
             } else {
                 assert!(seen.is_empty());
             }
+        }
+    }
+
+    #[test]
+    fn run_keeps_at_most_one_live_state_per_worker_and_returns_in_shard_order() {
+        use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+        let t = trace(4_000, 200);
+        for threads in [1usize, 2, 3, 8] {
+            let (live, most) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let kept = Partition::new(&t, 16).run(
+                &RouteConfig { threads },
+                |_| {
+                    most.fetch_max(live.fetch_add(1, SeqCst) + 1, SeqCst);
+                    Vec::new()
+                },
+                |seen: &mut Vec<usize>, _, i, _| seen.push(i),
+                |s, seen| {
+                    live.fetch_sub(1, SeqCst);
+                    (s, seen.len())
+                },
+            );
+            assert_eq!(live.into_inner(), 0, "threads={threads}");
+            assert!(most.into_inner() <= threads, "threads={threads}");
+            assert!(kept.iter().map(|&(s, _)| s).eq(0..16), "{kept:?}");
+            assert_eq!(kept.iter().map(|&(_, n)| n).sum::<usize>(), 4_000);
         }
     }
 

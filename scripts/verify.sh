@@ -7,7 +7,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "==> no unsafe: every crate root forbids it and the word appears nowhere in the sources"
-# tests/ (alloc.rs installs a counting GlobalAlloc) and the frozen
+# tests/ (alloc.rs and peak_heap.rs install counting GlobalAllocs) and the frozen
 # benchmark/ are outside this set.
 for root in crates/*/src/lib.rs crates/*/src/main.rs src/lib.rs; do
   if ! grep -q '^#!\[forbid(unsafe_code)\]' "$root"; then
@@ -81,10 +81,12 @@ cargo test -q --doc --offline --workspace
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> simulator goldens and layer agreement, optimized (Simulator::run / run_sharded vs tests/golden/sim, threads 1 2 8)"
+echo "==> simulator goldens, layer agreement and the heap gate, optimized (Simulator::run / run_sharded vs tests/golden/sim, threads 1 2 8; 16 shards peak no higher than 2)"
 # The workspace run above held the debug build to the same files; they
 # were recorded by a release build, which is also what the CLI ships.
-cargo test -q --release --offline --test sim_golden --test layer_agreement
+# peak_heap: a shard's state ends with its last request, so at one thread
+# the heap's high-water mark does not grow with the shard count.
+cargo test -q --release --offline --test sim_golden --test layer_agreement --test peak_heap
 
 echo "==> chaos suite (fault-injected serving path)"
 cargo test -q --offline --test chaos

@@ -1,0 +1,112 @@
+//! The memory gate of the sharded replay: a shard's state lives only from
+//! its first request to its last, so at one thread a replay holds one
+//! shard's policy at a time, and splitting the same trace and cache across
+//! more shards must not raise the heap's high-water mark.
+//!
+//! This file is its own test binary because `#[global_allocator]` is
+//! process-wide, and it holds a single test: the high-water mark counts
+//! every thread's bytes, so nothing else may allocate while it measures.
+
+use lhr_repro::core::cache::{LhrCache, LhrConfig};
+use lhr_repro::proto::{EngineConfig, ServerConfig, ShardedEngine};
+use lhr_repro::sim::shard::{shard_seed, RouteConfig};
+use lhr_repro::trace::synth::markov;
+use lhr_repro::trace::Trace;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+
+/// Tracks the bytes currently allocated, process-wide, and their
+/// high-water mark.
+struct Tracking;
+
+static CURRENT: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+fn grew(bytes: usize) {
+    let now = CURRENT.fetch_add(bytes, Relaxed) + bytes;
+    PEAK.fetch_max(now, Relaxed);
+}
+
+unsafe impl GlobalAlloc for Tracking {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let ptr = System.alloc(layout);
+        if !ptr.is_null() {
+            grew(layout.size());
+        }
+        ptr
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let ptr = System.alloc_zeroed(layout);
+        if !ptr.is_null() {
+            grew(layout.size());
+        }
+        ptr
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let moved = System.realloc(ptr, layout, new_size);
+        if !moved.is_null() {
+            CURRENT.fetch_sub(layout.size(), Relaxed);
+            grew(new_size);
+        }
+        moved
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+        CURRENT.fetch_sub(layout.size(), Relaxed);
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Tracking = Tracking;
+
+/// The most bytes `f` had allocated at once, beyond what was allocated
+/// when it started.
+fn high_water(f: impl FnOnce()) -> usize {
+    let base = CURRENT.load(Relaxed);
+    PEAK.store(base, Relaxed);
+    f();
+    PEAK.load(Relaxed) - base
+}
+
+/// `lhr-cache server --policy LHR --threads 1 --shards N` on `trace`.
+fn lhr_replay(trace: &Trace, capacity: u64, n_shards: usize) {
+    let engine = ShardedEngine::new(EngineConfig {
+        total_capacity: capacity,
+        n_shards,
+        route: RouteConfig { threads: 1 },
+        server: ServerConfig::default(),
+    });
+    let report = engine.replay(trace, |shard, capacity, _| {
+        LhrCache::new(
+            capacity,
+            LhrConfig {
+                seed: shard_seed(42, shard),
+                ..LhrConfig::default()
+            },
+        )
+    });
+    assert!(
+        report.report.content_hit_pct > 0.0,
+        "sanity: the replay hits"
+    );
+}
+
+#[test]
+fn more_shards_of_one_trace_do_not_raise_the_heap_high_water_mark() {
+    // Long enough that each of 16 shards closes a few learning windows:
+    // were every shard's state kept until the merge, 16 shards would peak
+    // near twice as high as 2 (≈ 24 MB against 12 MB); dropped after each
+    // shard's last request, they peak about a third as high (≈ 3 MB
+    // against 8 MB).
+    let trace = markov::syn_one(12_000, 100_000, 20_000, 0.9, 11);
+    let capacity = 50_000_000;
+    let two = high_water(|| lhr_replay(&trace, capacity, 2));
+    let sixteen = high_water(|| lhr_replay(&trace, capacity, 16));
+    // The fits of a window edge run on gbm's worker threads, each with its
+    // own scratch: a little of the mark is theirs, whatever the shard count.
+    let slack = 1 << 20;
+    assert!(
+        sixteen <= two + slack,
+        "16 shards peaked at {sixteen} B, 2 shards at {two} B"
+    );
+}
