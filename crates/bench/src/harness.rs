@@ -1,11 +1,10 @@
 //! Shared experiment infrastructure: `repro`'s options, trace construction,
-//! the headline policy line-up, and table formatting.
+//! and the typed tables every experiment returns.
 
 use lhr_obs::{Obs, ObsConfig};
-use lhr_proto::presets::{self, PolicyParams};
-use lhr_sim::sweep::PolicyFactory;
 use lhr_trace::synth::{production, ProductionScale};
 use lhr_trace::{Trace, TraceStats};
+use std::fmt;
 
 /// `repro`'s flags.
 pub const USAGE: &str = "usage: repro [--scale tiny|small|medium|full] [--seed N] [--threads N] \
@@ -18,12 +17,12 @@ pub struct Options {
     pub scale: ProductionScale,
     /// Base PRNG seed.
     pub seed: u64,
-    /// Worker threads for sweeps.
+    /// Worker threads for the headline grid.
     pub threads: usize,
     /// Observability recorder, present when `--obs PATH` was given, its
     /// export file already open ([`Obs::stream_to`]; `Obs::close_stream`
-    /// writes it). Every experiment runs inside a span on it; sweeps feed
-    /// it per-worker shard recorders (see `lhr_sim::sweep::run_grid`).
+    /// writes it). Every experiment runs inside a span on it; the headline
+    /// grid feeds it per-worker shard recorders (`experiments::grid`).
     pub obs: Option<Obs>,
 }
 
@@ -113,39 +112,98 @@ pub fn caffeine_capacity(trace: &Trace) -> u64 {
     ((unique * production::caffeine_cache_to_unique_ratio(&trace.name)) as u64).max(1)
 }
 
-/// The headline comparisons' line-up: LHR (first, as every figure leads
-/// with it) and the paper's seven best-performing SOTAs (§6.2).
-const HEADLINE: [&str; 8] = [
-    "LHR",
-    "LRU",
-    "LRU-4",
-    "LFU-DA",
-    "AdaptSize",
-    "B-LRU",
-    "LRB",
-    "Hawkeye",
-];
+/// One cell of a report table: the value it holds and how it prints.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Cell {
+    /// Text, printed as it is.
+    Text(String),
+    /// A number, printed with this many decimals.
+    Num(f64, usize),
+    /// A difference, printed with this many decimals and its sign: `+0.25`.
+    Delta(f64, usize),
+    /// A number with a note after it: `57.39 (LRU-4)`.
+    Noted(f64, usize, String),
+    /// Numbers printed with this many decimals each, space-separated.
+    Series(Vec<f64>, usize),
+}
 
-/// Factories for the [`HEADLINE`] policies, built from the roster. Two
-/// parameters follow the trace instead of the CLI's constants: B-LRU's
-/// filter and TinyLFU's sketch are sized to its distinct objects (at least
-/// 1 024), and LRB's retraining batch shrinks with it so reduced-scale runs
-/// still exercise the learned path.
-pub fn all_factories(trace: &Trace, seed: u64) -> Vec<PolicyFactory> {
-    let params = PolicyParams {
-        expected_objects: (TraceStats::compute(trace).unique_contents as u64).max(1_024),
-        lrb_train_batch: (trace.len() / 16).clamp(1_024, 8_192),
-        ..PolicyParams::for_trace(0, seed, trace)
-    };
-    HEADLINE
-        .iter()
-        .map(|&name| {
-            let build = presets::policy(name).expect("a roster name");
-            PolicyFactory::new(name, move |capacity| {
-                build(&PolicyParams { capacity, ..params })
-            })
-        })
-        .collect()
+impl Cell {
+    /// A text cell.
+    pub fn text(text: impl Into<String>) -> Cell {
+        Cell::Text(text.into())
+    }
+
+    /// The number the cell prints, if it prints one.
+    pub fn value(&self) -> Option<f64> {
+        match *self {
+            Cell::Num(v, _) | Cell::Delta(v, _) | Cell::Noted(v, _, _) => Some(v),
+            Cell::Text(_) | Cell::Series(..) => None,
+        }
+    }
+}
+
+impl fmt::Display for Cell {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Cell::Text(text) => f.write_str(text),
+            Cell::Num(v, digits) => write!(f, "{v:.*}", *digits),
+            Cell::Delta(v, digits) => write!(f, "{v:+.*}", *digits),
+            Cell::Noted(v, digits, note) => write!(f, "{v:.*} ({note})", *digits),
+            Cell::Series(values, digits) => {
+                for (i, v) in values.iter().enumerate() {
+                    let sep = if i == 0 { "" } else { " " };
+                    write!(f, "{sep}{v:.*}", *digits)?;
+                }
+                Ok(())
+            }
+        }
+    }
+}
+
+/// One report: a title line over a table of typed rows. Experiments return
+/// tables; `experiments::run` prints them through [`format_table`].
+#[derive(Debug, Clone)]
+pub struct Table {
+    /// The line printed above the table.
+    pub title: String,
+    /// Column names.
+    pub header: Vec<&'static str>,
+    /// The rows, one cell per column.
+    pub rows: Vec<Vec<Cell>>,
+}
+
+impl Table {
+    /// A table titled `title` with columns `header`.
+    pub fn new(title: impl Into<String>, header: &[&'static str], rows: Vec<Vec<Cell>>) -> Table {
+        Table {
+            title: title.into(),
+            header: header.to_vec(),
+            rows,
+        }
+    }
+
+    /// The index of the column named `name`.
+    ///
+    /// # Panics
+    ///
+    /// If the table has no such column.
+    pub fn column(&self, name: &str) -> usize {
+        self.header
+            .iter()
+            .position(|h| *h == name)
+            .unwrap_or_else(|| panic!("no column `{name}` in `{}`", self.title))
+    }
+}
+
+impl fmt::Display for Table {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let rows: Vec<Vec<String>> = self
+            .rows
+            .iter()
+            .map(|row| row.iter().map(Cell::to_string).collect())
+            .collect();
+        write!(f, "{}\n{}", self.title, format_table(&self.header, &rows))
+    }
 }
 
 /// Renders an aligned text table: `header` then one row per entry.
@@ -178,32 +236,19 @@ pub fn format_table(header: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Formats a byte count as GB with one decimal.
-pub fn gb(bytes: u64) -> String {
-    format!("{:.1}", bytes as f64 / 1e9)
+/// A byte count in GB, printed with one decimal.
+pub fn gb(bytes: u64) -> Cell {
+    Cell::Num(bytes as f64 / 1e9, 1)
 }
 
-/// Formats a ratio as a percentage with two decimals.
-pub fn pct(ratio: f64) -> String {
-    format!("{:.2}", ratio * 100.0)
+/// A ratio as a percentage, printed with two decimals.
+pub fn pct(ratio: f64) -> Cell {
+    Cell::Num(ratio * 100.0, 2)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lhr_sim::CachePolicy;
-
-    #[test]
-    fn factories_build_the_headline_line_up_at_the_requested_capacity() {
-        let trace = lhr_trace::synth::IrmConfig::new(10, 100).generate();
-        let factories = all_factories(&trace, 0);
-        assert_eq!(factories.len(), HEADLINE.len());
-        for (factory, name) in factories.iter().zip(HEADLINE) {
-            let policy = (factory.build)(12_345);
-            assert_eq!(policy.name(), name);
-            assert_eq!(policy.capacity(), 12_345, "{name}");
-        }
-    }
 
     #[test]
     fn table_is_aligned() {
@@ -270,8 +315,19 @@ mod tests {
     }
 
     #[test]
-    fn helpers_format() {
-        assert_eq!(gb(1_500_000_000), "1.5");
-        assert_eq!(pct(0.12345), "12.35");
+    fn cells_print_their_value_at_their_precision() {
+        assert_eq!(gb(1_500_000_000).to_string(), "1.5");
+        assert_eq!(pct(0.12345).to_string(), "12.35");
+        assert_eq!(pct(0.5).value(), Some(50.0));
+        assert_eq!(Cell::Num(12_345.0, 0).to_string(), "12345");
+        assert_eq!(Cell::Delta(0.0, 2).to_string(), "+0.00");
+        assert_eq!(Cell::Delta(-0.256, 2).to_string(), "-0.26");
+        assert_eq!(
+            Cell::Noted(57.391, 2, "LRU-4".into()).to_string(),
+            "57.39 (LRU-4)"
+        );
+        assert_eq!(Cell::Series(vec![1.0, 2.26], 1).to_string(), "1.0 2.3");
+        assert_eq!(Cell::Series(vec![], 1).to_string(), "");
+        assert_eq!(Cell::text("LHR").value(), None);
     }
 }

@@ -484,10 +484,11 @@ fn mrc_refuses_a_sample_rate_that_is_not_positive_and_a_curve_of_no_points() {
 #[test]
 fn a_trace_sample_of_one_in_zero_is_refused_like_zero_in_one() {
     // `1/0` used to mean "off" without saying so; `off` is the spelling.
+    // The rest are regression rows: one in N, with N a positive u64.
     let trace = TraceFile::generate("trace-sample");
     let obs = std::env::temp_dir().join(format!("lhr-hostile-ts-{}.jsonl", std::process::id()));
     let obs = obs.to_str().expect("utf-8 temp path");
-    for sample in ["1/0", "0/1"] {
+    for sample in ["1/0", "0/1", "2/4", "1/-3", "1/18446744073709551616"] {
         let out = cli(&[
             "server",
             "--policy",
@@ -516,6 +517,75 @@ fn a_trace_sample_of_one_in_zero_is_refused_like_zero_in_one() {
         trace.path(),
     ]);
     assert!(out.status.success(), "{out:?}");
+    let _ = std::fs::remove_file(obs);
+}
+
+#[test]
+fn a_bad_obs_window_or_objective_is_one_error_line() {
+    // Regression rows: a window that is not a positive request count or a
+    // finite positive duration, and an objective that is not `avail:PCT`,
+    // `hitratio:PCT` or `p99:MS` with a finite value in range.
+    let trace = TraceFile::generate("obs-specs");
+    let obs = std::env::temp_dir().join(format!("lhr-hostile-specs-{}.jsonl", std::process::id()));
+    let obs = obs.to_str().expect("utf-8 temp path");
+    let simulate = |flag: &str, value: &str| {
+        cli(&[
+            "simulate",
+            "--policy",
+            "LRU",
+            "--capacity",
+            "1MB",
+            "--obs",
+            obs,
+            flag,
+            value,
+            trace.path(),
+        ])
+    };
+    for window in [
+        "0",
+        "0r",
+        "-5s",
+        "nan s",
+        "1e400s",
+        "18446744073709551616",
+        "5x",
+    ] {
+        assert_one_line_error(&simulate("--obs-window", window), "--obs-window");
+    }
+    let objectives = [
+        "avail:",
+        "avail:abc",
+        "avail:101",
+        "avail:nan",
+        "hitratio:150",
+        "p99:-5",
+        "p99:inf",
+        "bogus:5",
+        ":",
+        "avail:99.9:3",
+    ];
+    for objective in objectives {
+        let named = format!("bad objective `{objective}`");
+        assert_one_line_error(&simulate("--slo", objective), &named);
+    }
+    assert!(!std::path::Path::new(obs).exists(), "nothing recorded");
+    // `obs slo --objective` shares the parser; it reads the export first.
+    let out = cli(&[
+        "server",
+        "--policy",
+        "LRU",
+        "--capacity",
+        "1MB",
+        "--obs",
+        obs,
+        trace.path(),
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    for objective in objectives {
+        let out = cli(&["obs", "slo", obs, "--objective", objective]);
+        assert_one_line_error(&out, &format!("bad objective `{objective}`"));
+    }
     let _ = std::fs::remove_file(obs);
 }
 

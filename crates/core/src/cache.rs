@@ -129,17 +129,6 @@ impl LhrConfig {
             ..LhrConfig::default()
         }
     }
-
-    /// The same configuration for shard `shard` of a sharded replay: only
-    /// the seed changes, derived with [`lhr_sim::shard::shard_seed`] so
-    /// shards' sampled evictions are decorrelated yet independent of the
-    /// thread count that replays them.
-    pub fn for_shard(&self, shard: usize) -> Self {
-        LhrConfig {
-            seed: lhr_sim::shard::shard_seed(self.seed, shard),
-            ..self.clone()
-        }
-    }
 }
 
 /// Counters exposed for the §7.4 ablation study (Figure 10) and Figure 9.

@@ -65,7 +65,7 @@
 //! the record of which id and when.
 
 use crate::fault::keyed_uniform;
-use crate::latency::LatencyModel;
+use crate::latency::{self, EDGE_RTT_MS};
 use crate::server::{kv, CdnServer, ServeOutcome, ServerConfig};
 use crate::tally::{announce, gauge_wall_secs, per_sec, Tally};
 use lhr_obs::trace::TraceBuilder;
@@ -637,7 +637,6 @@ struct FleetCtx<'a, B> {
     cold_restart: bool,
     /// The trace being replayed: what the hint publish log indexes.
     requests: &'a [Request],
-    lat: LatencyModel,
     hint_ttl_secs: f64,
     peer_hints: bool,
     node_capacity: u64,
@@ -821,8 +820,8 @@ impl<P: CachePolicy> FleetShard<P> {
         let ram_hit = |extra_ms: f64| ServeOutcome {
             hit: true,
             ..ServeOutcome::ok(
-                ctx.lat.hit_latency_ms(req.size, 0.0) + extra_ms,
-                ctx.lat.service_ms(req.size, true, 0.0),
+                latency::hit_latency_ms(req.size, 0.0) + extra_ms,
+                latency::service_ms(req.size, true, 0.0),
             )
         };
         if hit {
@@ -840,7 +839,7 @@ impl<P: CachePolicy> FleetShard<P> {
                     && self.nodes[owner].policy.contains(req.id);
                 if let Some(tb) = tb.as_deref_mut() {
                     if usable {
-                        tb.advance(ctx.lat.edge_rtt_ms);
+                        tb.advance(EDGE_RTT_MS);
                     }
                     tb.push(
                         "peer_hint",
@@ -849,7 +848,7 @@ impl<P: CachePolicy> FleetShard<P> {
                     );
                 }
                 if usable {
-                    return (ram_hit(ctx.lat.edge_rtt_ms), Served::Peer(owner));
+                    return (ram_hit(EDGE_RTT_MS), Served::Peer(owner));
                 }
                 // Stale hint (expired, peer down, or evicted): drop it
                 // so the next miss doesn't re-probe.
@@ -863,11 +862,11 @@ impl<P: CachePolicy> FleetShard<P> {
         // `edge_lookup` step that follows carries the shield-cache hit
         // flag for this `shield_lookup` hop.
         if let Some(tb) = tb.as_deref_mut() {
-            tb.advance(ctx.lat.edge_rtt_ms);
+            tb.advance(EDGE_RTT_MS);
             tb.push("shield_lookup", req.size, vec![kv("node", n as u64)]);
         }
         let mut so = self.shield.serve(req, tb);
-        so.latency_ms += ctx.lat.edge_rtt_ms;
+        so.latency_ms += EDGE_RTT_MS;
         if !so.error {
             // Publish: node `n` now holds the object, so ring peers can
             // shield-fetch from it instead of origin-fetching.
@@ -912,7 +911,7 @@ impl<P: CachePolicy> FleetShard<P> {
             // Whole fleet down: the request fails at the client after one
             // edge round trip.
             None => (
-                ServeOutcome::failed(ctx.lat.error_latency_ms(0.0), 0.0),
+                ServeOutcome::failed(latency::error_latency_ms(0.0), 0.0),
                 Served::Unrouted,
             ),
             Some(n) => self.serve_at(ctx, s, n, i, req, tb.as_mut()),
@@ -1057,7 +1056,6 @@ impl FleetEngine {
             liveness: &liveness,
             cold_restart: self.config.node_faults.cold_restart,
             requests: &trace.requests,
-            lat: self.config.server.latency.clone(),
             hint_ttl_secs: self.config.hint_ttl_secs,
             peer_hints: self.config.peer_hints,
             node_capacity,

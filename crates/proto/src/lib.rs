@@ -56,5 +56,4 @@ pub use fault::{
     ResilienceConfig, RetryPolicy,
 };
 pub use fleet::{FleetConfig, FleetEngine, FleetReport, HashRing, NodeFaultConfig};
-pub use latency::LatencyModel;
 pub use server::{CdnServer, ServerConfig, ServerReport};

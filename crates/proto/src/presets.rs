@@ -56,8 +56,8 @@ impl PolicyParams<'_> {
 
     /// The same parameters for shard `shard` of a sharded replay: its
     /// capacity slice, its recorder, and a seed derived with
-    /// [`lhr_sim::shard::shard_seed`] (as `LhrConfig::for_shard` does), so
-    /// shards are decorrelated yet independent of the thread count.
+    /// [`lhr_sim::shard::shard_seed`], so shards are decorrelated yet
+    /// independent of the thread count.
     pub fn for_shard<'o>(
         &self,
         capacity: u64,

@@ -8,7 +8,7 @@
 //! behaves exactly like the original infallible-origin model.
 
 use crate::fault::{CircuitBreaker, FaultConfig, FaultPlan, OriginOutcome, ResilienceConfig};
-use crate::latency::{transfer_ms, LatencyModel};
+use crate::latency::{self, transfer_ms, ORIGIN_GBPS, ORIGIN_RTT_MS};
 use crate::tally::{announce, gauge_wall_secs, OriginStats, Tally};
 use lhr_obs::trace::TraceBuilder;
 use lhr_obs::Obs;
@@ -30,8 +30,6 @@ pub(crate) fn kv(key: &'static str, value: impl ToJson) -> (Cow<'static, str>, J
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// The latency/throughput model.
-    pub latency: LatencyModel,
     /// Content freshness lifetime in seconds (ATS §6.1 step 2); `None`
     /// disables freshness checks (the Caffeine in-memory setting).
     pub freshness_secs: Option<f64>,
@@ -53,7 +51,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            latency: LatencyModel::default(),
             freshness_secs: Some(3_600.0),
             revalidate_fresh_prob: 0.9,
             warmup_requests: 0,
@@ -392,7 +389,7 @@ impl<P: CachePolicy> CdnServer<P> {
             let (name, done, step_ms) = match self.plan.outcome(now) {
                 OriginOutcome::Success => ("success", Some(1.0), 0.0),
                 OriginOutcome::Slow { rate_scale } => ("slow", Some(rate_scale), 0.0),
-                OriginOutcome::Error => ("error", None, self.config.latency.origin_rtt_ms),
+                OriginOutcome::Error => ("error", None, ORIGIN_RTT_MS),
                 OriginOutcome::Timeout => ("timeout", None, retry.timeout_ms),
             };
             delay_ms += step_ms;
@@ -474,7 +471,6 @@ impl<P: CachePolicy> CdnServer<P> {
                     vec![kv("leader", false), kv("ok", ok)],
                 );
             }
-            let lat = self.config.latency.clone();
             let joined = if ok {
                 // Join the leader's fetch: the body arrives when the fetch
                 // completes, then is served over the edge link. The access
@@ -490,14 +486,14 @@ impl<P: CachePolicy> CdnServer<P> {
                 ServeOutcome {
                     degraded: true,
                     ..ServeOutcome::ok(
-                        remaining_ms + lat.hit_latency_ms(req.size, compute_ms),
-                        lat.service_ms(req.size, true, compute_ms),
+                        remaining_ms + latency::hit_latency_ms(req.size, compute_ms),
+                        latency::service_ms(req.size, true, compute_ms),
                     )
                 }
             } else {
                 // Sharing a fetch that is going to fail: the follower
                 // learns the failure when the leader does.
-                ServeOutcome::failed(remaining_ms + lat.error_latency_ms(0.0), 0.0)
+                ServeOutcome::failed(remaining_ms + latency::error_latency_ms(0.0), 0.0)
             };
             return ServeOutcome {
                 coalesced: true,
@@ -516,12 +512,11 @@ impl<P: CachePolicy> CdnServer<P> {
         mut tb: Option<&mut TraceBuilder>,
     ) -> ServeOutcome {
         let now = req.ts;
-        let lat = self.config.latency.clone();
         let hit = |latency_ms: f64| ServeOutcome {
             hit: true,
-            ..ServeOutcome::ok(latency_ms, lat.service_ms(req.size, true, compute_ms))
+            ..ServeOutcome::ok(latency_ms, latency::service_ms(req.size, true, compute_ms))
         };
-        let hit_latency_ms = lat.hit_latency_ms(req.size, compute_ms);
+        let hit_latency_ms = latency::hit_latency_ms(req.size, compute_ms);
         // The stamp sits in the slot `hit_check` has just touched.
         let age_past_fresh = self.config.freshness_secs.and_then(|limit| {
             let admitted = self.policy.admitted_at(req.id)?;
@@ -567,17 +562,17 @@ impl<P: CachePolicy> CdnServer<P> {
             if self.revalidated(req.id, now) {
                 return ServeOutcome {
                     degraded: fetch.degraded(),
-                    ..hit(lat.revalidate_latency_ms(req.size, compute_ms) + fetch.delay_ms)
+                    ..hit(latency::revalidate_latency_ms(req.size, compute_ms) + fetch.delay_ms)
                 };
             }
             // Changed at origin: refetch (WAN traffic) and deliver.
             return ServeOutcome {
-                service_ms: transfer_ms(req.size, lat.origin_gbps * fetch.rate_scale.max(1e-6))
+                service_ms: transfer_ms(req.size, ORIGIN_GBPS * fetch.rate_scale.max(1e-6))
                     + compute_ms,
                 wan: req.size,
                 degraded: fetch.degraded(),
                 ..hit(
-                    lat.miss_latency_scaled_ms(req.size, compute_ms, fetch.rate_scale)
+                    latency::miss_latency_scaled_ms(req.size, compute_ms, fetch.rate_scale)
                         + fetch.delay_ms,
                 )
             };
@@ -596,7 +591,7 @@ impl<P: CachePolicy> CdnServer<P> {
             };
         }
         ServeOutcome::failed(
-            lat.error_latency_ms(compute_ms) + fetch.delay_ms,
+            latency::error_latency_ms(compute_ms) + fetch.delay_ms,
             compute_ms,
         )
     }
@@ -612,7 +607,6 @@ impl<P: CachePolicy> CdnServer<P> {
         mut tb: Option<&mut TraceBuilder>,
     ) -> ServeOutcome {
         let now = req.ts;
-        let lat = self.config.latency.clone();
         let coalesce = self.config.resilience.coalesce;
         let fetch = self.origin_fetch(now, tb.as_deref_mut());
         if !fetch.ok {
@@ -623,14 +617,14 @@ impl<P: CachePolicy> CdnServer<P> {
             }
             let pre_compute_ms = decided.unwrap_or(0.0);
             return ServeOutcome::failed(
-                lat.error_latency_ms(pre_compute_ms) + fetch.delay_ms,
+                latency::error_latency_ms(pre_compute_ms) + fetch.delay_ms,
                 pre_compute_ms,
             );
         }
         // An admission stamps its own slot with `now`.
         let compute_ms = decided.unwrap_or_else(|| self.handle_timed(req).1);
         if coalesce {
-            let fetch_ms = fetch.delay_ms + lat.origin_fetch_ms(req.size, fetch.rate_scale);
+            let fetch_ms = fetch.delay_ms + latency::origin_fetch_ms(req.size, fetch.rate_scale);
             let done_at = now + Time::from_secs_f64(fetch_ms / 1e3);
             self.in_flight.insert(req.id, (done_at, true));
             if let Some(tb) = tb {
@@ -641,8 +635,9 @@ impl<P: CachePolicy> CdnServer<P> {
             wan: req.size,
             degraded: fetch.degraded(),
             ..ServeOutcome::ok(
-                lat.miss_latency_scaled_ms(req.size, compute_ms, fetch.rate_scale) + fetch.delay_ms,
-                transfer_ms(req.size, lat.origin_gbps * fetch.rate_scale.max(1e-6)) + compute_ms,
+                latency::miss_latency_scaled_ms(req.size, compute_ms, fetch.rate_scale)
+                    + fetch.delay_ms,
+                transfer_ms(req.size, ORIGIN_GBPS * fetch.rate_scale.max(1e-6)) + compute_ms,
             )
         }
     }
@@ -732,23 +727,6 @@ mod tests {
     }
 
     #[test]
-    fn nan_latency_degrades_percentile_instead_of_panicking() {
-        // A degenerate latency model producing NaN (0/0-style rates) must
-        // not panic the replay; NaNs sort last via total_cmp.
-        let cfg = ServerConfig {
-            latency: LatencyModel {
-                edge_rtt_ms: f64::NAN,
-                ..LatencyModel::default()
-            },
-            freshness_secs: None,
-            ..ServerConfig::default()
-        };
-        let mut server = CdnServer::new(Lru::new(10 << 20), cfg);
-        let report = server.replay(&trace(50, 2, 1 << 20));
-        assert!(report.p99_latency_ms.is_nan());
-    }
-
-    #[test]
     fn stale_contents_revalidate() {
         // Freshness 10 s; object re-requested every 30 s → always stale.
         let mut t = Trace::new("stale");
@@ -764,10 +742,10 @@ mod tests {
         let report = server.replay(&t);
         // All hits, but every one pays the revalidation RTT: mean latency
         // exceeds the pure-hit latency by about one origin RTT.
-        let pure_hit = LatencyModel::default().hit_latency_ms(1 << 20, 0.0);
+        let pure_hit = latency::hit_latency_ms(1 << 20, 0.0);
         assert!(report.content_hit_pct > 90.0);
         assert!(
-            report.mean_latency_ms > pure_hit + 0.9 * LatencyModel::default().origin_rtt_ms,
+            report.mean_latency_ms > pure_hit + 0.9 * ORIGIN_RTT_MS,
             "mean {} vs pure hit {}",
             report.mean_latency_ms,
             pure_hit
@@ -867,11 +845,11 @@ mod tests {
         let report = server.replay(&t);
         // Stale serves are hits at hit latency — no revalidation RTT on the
         // user path (compare `stale_contents_revalidate` above).
-        let pure_hit = LatencyModel::default().hit_latency_ms(1 << 20, 0.0);
+        let pure_hit = latency::hit_latency_ms(1 << 20, 0.0);
         assert_eq!(report.stale_served, 19);
         assert!(report.content_hit_pct > 90.0);
         assert!(
-            report.mean_latency_ms < pure_hit + 0.5 * LatencyModel::default().origin_rtt_ms,
+            report.mean_latency_ms < pure_hit + 0.5 * ORIGIN_RTT_MS,
             "mean {}",
             report.mean_latency_ms
         );

@@ -364,3 +364,20 @@ impl Tally {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn nan_latency_degrades_percentile_instead_of_panicking() {
+        // NaN latencies (0/0-style rates) must not panic the replay's
+        // percentiles: they sort last under total_cmp.
+        let mut latencies: Vec<f64> = (0..50).map(f64::from).collect();
+        latencies[7] = f64::NAN;
+        let (p90, p99) = pct2(&mut latencies);
+        assert_eq!(p90, 45.0);
+        assert!(p99.is_nan());
+        assert_eq!(pct2(&mut []), (0.0, 0.0));
+    }
+}

@@ -29,7 +29,6 @@
 //!   bounds on OPT, which see the whole trace instead of reacting
 //!   request-by-request — and [`bound::belady_replay`], the future-aware
 //!   replay under `lhr-bounds`' Bélády bounds and LFO's training labels.
-//! - [`sweep`] — parallel grids over policies × cache sizes × traces.
 //!
 //! # Example
 //!
@@ -76,7 +75,6 @@ pub mod metrics;
 pub mod policy;
 pub mod shard;
 pub mod store;
-pub mod sweep;
 
 pub use bound::OfflineBound;
 pub use engine::{SimConfig, SimResult, Simulator};

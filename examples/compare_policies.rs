@@ -6,8 +6,7 @@
 //! ```
 
 use lhr_repro::proto::presets::{self, PolicyParams};
-use lhr_repro::sim::sweep::{run_grid, Cell, PolicyFactory};
-use lhr_repro::sim::SimConfig;
+use lhr_repro::sim::{SimConfig, Simulator};
 use lhr_repro::trace::synth::{production, ProductionScale};
 use lhr_repro::trace::TraceStats;
 
@@ -22,35 +21,15 @@ fn main() {
         lfo_window: 4_096,
         ..PolicyParams::for_trace(0, 11, &trace)
     };
-    let factories: Vec<PolicyFactory> = presets::POLICIES
-        .iter()
-        .map(|&(name, build)| {
-            PolicyFactory::new(name, move |capacity| {
-                build(&PolicyParams { capacity, ..params })
-            })
-        })
-        .collect();
 
     // Cache sizes: 2%, 6%, and 12% of the unique bytes.
     let capacities: Vec<u64> = [0.02, 0.06, 0.12]
         .iter()
         .map(|f| (unique * f) as u64)
         .collect();
-    let trace_ref = &trace;
-    let cells: Vec<Cell<'_>> = capacities
-        .iter()
-        .flat_map(|&capacity| {
-            (0..factories.len()).map(move |policy| Cell {
-                policy,
-                trace: trace_ref,
-                capacity,
-            })
-        })
-        .collect();
-    let config = SimConfig {
+    let simulator = Simulator::new(SimConfig {
         warmup_requests: trace.len() / 5,
-    };
-    let results = run_grid(&factories, &cells, &config, 8, None);
+    });
 
     println!(
         "{:<10} {:>12} {:>12} {:>12}",
@@ -59,16 +38,18 @@ fn main() {
         format!("{:.1}GB", capacities[1] as f64 / 1e9),
         format!("{:.1}GB", capacities[2] as f64 / 1e9)
     );
-    for (i, factory) in factories.iter().enumerate() {
-        let hits: Vec<String> = (0..capacities.len())
-            .map(|c| {
-                let r = &results[c * factories.len() + i];
+    for &(name, build) in presets::POLICIES {
+        let hits: Vec<String> = capacities
+            .iter()
+            .map(|&capacity| {
+                let mut policy = build(&PolicyParams { capacity, ..params });
+                let r = simulator.run(&mut policy, &trace);
                 format!("{:6.2}%", r.metrics.object_hit_ratio() * 100.0)
             })
             .collect();
         println!(
             "{:<10} {:>12} {:>12} {:>12}",
-            factory.name, hits[0], hits[1], hits[2]
+            name, hits[0], hits[1], hits[2]
         );
     }
 }

@@ -49,7 +49,9 @@ fi
 # The bench JSON sink, the observed-bound wrapper, the inline-retrain knob
 # and the newtype shape of impl_json! (whole words: the background-retrain
 # tests keep their names).
-if grep -rnwE 'LHR_BENCH_JSON|ObservedBound|background_retrain|impl_json!\(newtype' \
+# The second policy-constructor layer (the roster builds every policy) and
+# the configurable latency model (its four numbers are constants).
+if grep -rnwE 'LHR_BENCH_JSON|ObservedBound|background_retrain|impl_json!\(newtype|PolicyFactory|all_factories|run_grid|LatencyModel' \
     crates src tests examples; then
   echo "a deleted name is back (see the lines above)" >&2
   exit 1
@@ -57,6 +59,8 @@ fi
 
 echo "==> cargo build --release (warnings are errors)"
 RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo build --release --offline --workspace
+# Nothing else compiles the four microbench targets.
+RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo build --release --offline -p lhr-bench --benches
 
 echo "==> cargo test"
 cargo test -q --offline --workspace
@@ -87,9 +91,6 @@ echo "==> simulator goldens, layer agreement and the heap gate, optimized (Simul
 # peak_heap: a shard's state ends with its last request, so at one thread
 # the heap's high-water mark does not grow with the shard count.
 cargo test -q --release --offline --test sim_golden --test layer_agreement --test peak_heap
-
-echo "==> chaos suite (fault-injected serving path)"
-cargo test -q --offline --test chaos
 
 echo "==> CLI fault-preset smoke (--faults flaky)"
 smoke_dir="$(mktemp -d)"
@@ -252,7 +253,9 @@ done
 
 echo "==> every paper report renders (repro --scale tiny --threads 2)"
 # The whole evaluation, once: each of the names `repro --only` knows must
-# have printed its report, under its title.
+# have printed its report, under its title. The paper-shape checks (Figures
+# 2, 7 / 13, 10 and 12) are tests over the experiments' typed rows
+# (crates/bench/src/experiments.rs), run by `cargo test --workspace` above.
 "${CARGO_TARGET_DIR:-target}/release/repro" --scale tiny --threads 2 > "$smoke_dir/repro.out"
 for name in table1 fig1 fig2 fig5 fig6 fig7 table2 fig8 fig9 table3 fig10 fig11 \
     fig12 fig13 table4 ablation; do
@@ -263,75 +266,12 @@ for name in table1 fig1 fig2 fig5 fig6 fig7 table2 fig8 fig9 table3 fig10 fig11 
   fi
 done
 
-echo "==> paper shape: scoring at admission costs LHR no hit ratio (Figure 10 of the run above)"
-# The first of the paper-shape assertions ROADMAP item 1 asks `repro --check`
-# for: on every trace and cache size of Figure 10, LHR (scores at admission,
-# renders rows lazily) is at most 0.5 pp under E-LHR (the paper-literal
-# algorithm it replaced as the default). Only Figure 10's rows are read:
-# Figure 8 prints LHR rows of the same shape.
-awk '
-  /^Figure 10 / { fig10 = 1; next }
-  fig10 && /^$/ { fig10 = 0 }
-  !fig10        { next }
-  $3 == "LHR"   { lhr[$1 " @ " $2 " GB"] = $4 }
-  $3 == "E-LHR" { eager[$1 " @ " $2 " GB"] = $4 }
-  END {
-    for (cell in eager) {
-      cells++
-      if (!(cell in lhr)) { print cell ": no LHR row" > "/dev/stderr"; bad = 1 }
-      else if (lhr[cell] + 0.5 < eager[cell]) {
-        print cell ": LHR " lhr[cell] " % is more than 0.5 pp under E-LHR " eager[cell] " %" > "/dev/stderr"
-        bad = 1
-      }
-    }
-    if (cells == 0) { print "fig10 printed no E-LHR row" > "/dev/stderr"; bad = 1 }
-    exit bad
-  }' "$smoke_dir/repro.out"
-
-echo "==> paper shape: the hit series end where the report does (Figures 7 / 13 against Tables 2 / 4 of the run above)"
-# Figures 7 and 13 read the cumulative hit ratio off the replay's obs
-# window series, one window per tenth of the trace; Tables 2 and 4 print
-# the same replay's report. Every figure row must have exactly 10 points,
-# and its 10th must be within 0.2 pp of the table's `hit%` for that trace
-# and server, so the series cannot drift from the report unnoticed.
-awk '
-  /^Figure 7 /  { sec = "fig";   pair = 7;  next }
-  /^Table 2 /   { sec = "table"; pair = 7;  next }
-  /^Figure 13 / { sec = "fig";   pair = 13; next }
-  /^Table 4 /   { sec = "table"; pair = 13; next }
-  /^$/          { sec = "" }
-  sec == "" || $1 == "trace" || /^-/ { next }
-  sec == "fig" {
-    row = "Figure " pair ": " $1 " " $2
-    if (NF - 2 != 10) { print row ": " NF - 2 " points, want 10" > "/dev/stderr"; bad = 1 }
-    last[row] = $NF
-  }
-  sec == "table" { hit["Figure " pair ": " $1 " " $2] = $NF }
-  END {
-    for (row in last) {
-      rows++
-      if (!(row in hit)) { print row ": no table row" > "/dev/stderr"; bad = 1 }
-      else if (last[row] - hit[row] > 0.2 || hit[row] - last[row] > 0.2) {
-        print row ": 10th point " last[row] " % is more than 0.2 pp from hit% " hit[row] > "/dev/stderr"
-        bad = 1
-      }
-    }
-    if (rows != 16) { print rows + 0 " Figure 7/13 rows, want 16" > "/dev/stderr"; bad = 1 }
-    exit bad
-  }' "$smoke_dir/repro.out"
-
 echo "==> CLI compare --obs smoke (one recording per policy)"
 cargo run --release --offline -p lhr-cli -- compare \
   --capacity 1MB --obs "$smoke_dir/cmp.jsonl" --obs-window 1000r \
   --obs-deterministic true "$smoke_dir/t.csv" > "$smoke_dir/compare.out"
 grep -q "^LRU" "$smoke_dir/compare.out"
 test -s "$smoke_dir/cmp.lru.jsonl"
-
-echo "==> two-process determinism test (fixed-seed hashing across OS processes)"
-cargo test -q --offline --test process_determinism
-
-echo "==> fleet chaos suite (node churn, availability floor, bounded rehash)"
-cargo test -q --offline --test fleet
 
 echo "==> CLI fleet smoke (--faults node-brownout)"
 cargo run --release --offline -p lhr-cli -- fleet \
@@ -393,7 +333,7 @@ cargo run --release --offline -p lhr-cli -- obs slo "$smoke_dir/slo.jsonl" \
 grep -q "MET" "$smoke_dir/slo.out"
 
 echo "==> bench --obs determinism smoke (repro --only fig2, threads 1 2 4)"
-# Sweep workers record per-cell spans into private shard recorders; the
+# Grid workers record per-cell spans into private shard recorders; the
 # merged deterministic export must not depend on which worker won a cell.
 for t in 1 2 4; do
   cargo run --release --offline -q -p lhr-bench --bin repro -- --only fig2 \

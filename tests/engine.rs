@@ -9,7 +9,7 @@ use lhr_repro::core::cache::{LhrCache, LhrConfig};
 use lhr_repro::obs::{Obs, ObsConfig, ObsWindow};
 use lhr_repro::policies::Lru;
 use lhr_repro::proto::{presets, EngineConfig, ShardedEngine};
-use lhr_repro::sim::shard::RouteConfig;
+use lhr_repro::sim::shard::{shard_seed, RouteConfig};
 use lhr_repro::sim::{SimConfig, Simulator};
 use lhr_repro::trace::synth::{IrmConfig, SizeModel};
 use lhr_repro::trace::Trace;
@@ -95,7 +95,14 @@ fn engine_with_learned_policy_is_byte_identical_across_threads() {
         };
         ShardedEngine::new(config)
             .replay(&trace, |shard, capacity, _obs| {
-                LhrCache::new(capacity, LhrConfig::default().for_shard(shard))
+                let seed = shard_seed(LhrConfig::default().seed, shard);
+                LhrCache::new(
+                    capacity,
+                    LhrConfig {
+                        seed,
+                        ..LhrConfig::default()
+                    },
+                )
             })
             .stable_json()
     };
@@ -156,7 +163,14 @@ fn engine_with_background_retraining_is_byte_identical_across_threads() {
             ..LhrConfig::default()
         };
         let report = engine.replay(&trace, |shard, capacity, obs| {
-            let cache = LhrCache::new(capacity, lhr.for_shard(shard));
+            let seed = shard_seed(lhr.seed, shard);
+            let cache = LhrCache::new(
+                capacity,
+                LhrConfig {
+                    seed,
+                    ..lhr.clone()
+                },
+            );
             match obs {
                 Some(o) => cache.with_obs(o.clone()),
                 None => cache,

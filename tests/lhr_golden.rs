@@ -40,7 +40,7 @@ mod common;
 use common::mask_peak_mem;
 use lhr_repro::core::cache::{LhrCache, LhrConfig};
 use lhr_repro::proto::{EngineConfig, ServerConfig, ShardedEngine};
-use lhr_repro::sim::shard::RouteConfig;
+use lhr_repro::sim::shard::{shard_seed, RouteConfig};
 use lhr_repro::trace::synth::markov;
 use lhr_repro::trace::{io, Trace};
 
@@ -66,7 +66,14 @@ fn server_report(trace: &Trace, config: &LhrConfig, threads: usize) -> String {
     });
     engine
         .replay(trace, |shard, capacity, _obs| {
-            LhrCache::new(capacity, config.for_shard(shard))
+            let seed = shard_seed(config.seed, shard);
+            LhrCache::new(
+                capacity,
+                LhrConfig {
+                    seed,
+                    ..config.clone()
+                },
+            )
         })
         .stable_json()
 }
