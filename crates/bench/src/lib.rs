@@ -13,3 +13,4 @@
 
 pub mod experiments;
 pub mod harness;
+pub mod lhr_shape;

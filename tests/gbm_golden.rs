@@ -19,7 +19,14 @@
 //! constant, mostly NaN or partly ±inf, and the constant-label short
 //! circuit. Each is asserted at `threads` 1, 2 and 8; the 23-column cases
 //! have enough rows that the split search really fans out.
+//!
+//! `lhr-bootstrap` was added later, recorded the same way on commit
+//! `d1b9c83`: the shape of LHR's bootstrap training sets
+//! (`lhr_bench::lhr_shape` — 19 k rows, nested missingness from ≈ 24 % to
+//! ≈ 59 %, ≈ 89 % positive labels, every column saturating the bins), where
+//! the `messy` cases put only ≈ 10 % of values in the missing slot.
 
+use lhr_bench::lhr_shape;
 use lhr_repro::gbm::{Dataset, Gbm, GbmParams, Loss};
 use std::path::PathBuf;
 
@@ -127,6 +134,11 @@ fn cases() -> Vec<(&'static str, Dataset, GbmParams)> {
             },
         ),
         ("constant-labels", constant_labels(), GbmParams::default()),
+        (
+            "lhr-bootstrap",
+            lhr_shape::dataset(lhr_shape::BOOTSTRAP_ROWS, 16),
+            shaped(25, 6, Loss::SquaredError),
+        ),
     ]
 }
 
