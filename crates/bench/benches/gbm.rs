@@ -4,6 +4,7 @@
 //! Run with `cargo bench -p lhr-bench --bench gbm`; see `lhr_util::bench`
 //! for the harness knobs (`LHR_BENCH_WARMUP_MS`, `LHR_BENCH_MEASURE_MS`).
 
+use lhr_bench::lhr_shape;
 use lhr_gbm::{Dataset, Gbm, GbmParams};
 use lhr_util::bench::{black_box, Bench};
 use lhr_util::rng::rngs::StdRng;
@@ -49,6 +50,29 @@ fn bench_fit() {
     }
 }
 
+/// Fits of LHR's bootstrap training set shape (`lhr_bench::lhr_shape`:
+/// nested missingness, 89 % positive labels, every column saturating the
+/// bins) with LHR's parameters, on one thread and on one per core. Each
+/// fit starts from an unfitted copy, so it bins the data as a bootstrap
+/// fit does (the groups above bin once and time the trees alone).
+fn bench_fit_lhr_shape() {
+    let data = lhr_shape::dataset(lhr_shape::BOOTSTRAP_ROWS, 16);
+    let mut group = Bench::new("lhr_shape");
+    group.throughput_elems(data.n_rows() as u64);
+    for threads in [1, 0] {
+        group.bench(format!("fit_threads_{threads}"), || {
+            let params = GbmParams {
+                n_trees: 25,
+                max_depth: 6,
+                threads,
+                ..GbmParams::default()
+            };
+            Gbm::fit(&black_box(data.clone()), &params)
+        });
+    }
+    group.finish();
+}
+
 /// Row-at-a-time `predict` over the training rows. `benchmark/` reports the
 /// same kernel as `gbm.predict_row_ns` and `gbm.predict_batch_ns_per_row`.
 fn bench_predict() {
@@ -73,5 +97,6 @@ fn bench_predict() {
 
 fn main() {
     bench_fit();
+    bench_fit_lhr_shape();
     bench_predict();
 }
