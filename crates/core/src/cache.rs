@@ -431,12 +431,14 @@ impl LhrCache {
             // sample — the window's leading requests — with its feature row
             // (from the full `rows`, not the subsampled training copy) and
             // the fresh model's probability, scored in one batch (and
-            // thread-parallel) instead of row-at-a-time.
+            // thread-parallel) instead of row-at-a-time. The span covers
+            // the whole evaluation: scoring, the snapshot and the shadows.
             assert_eq!(
                 rows.len(),
                 n_reqs * n_feat,
                 "a window whose edge evaluates the threshold keeps every row"
             );
+            let threshold_span = self.obs.as_ref().map(|o| o.span("lhr.threshold"));
             let sample = ThresholdEstimator::sample_len(n_reqs);
             let row_refs: Vec<&[f32]> = rows.chunks_exact(n_feat).take(sample).collect();
             let probs: Vec<f64> = match &self.model {
@@ -460,11 +462,13 @@ impl LhrCache {
             snapshot.sort_unstable_by_key(|&(id, ..)| id);
             let old_delta = self.threshold.delta;
             let old_updates = self.threshold.updates;
-            {
-                let _threshold_span = self.obs.as_ref().map(|o| o.span("lhr.threshold"));
-                self.threshold
-                    .update(&shadow, self.store.capacity(), &snapshot);
-            }
+            self.threshold.update(
+                &shadow,
+                self.store.capacity(),
+                &snapshot,
+                self.config.gbm.threads,
+            );
+            drop(threshold_span);
             if let Some(obs) = &self.obs {
                 if self.threshold.updates > old_updates {
                     obs.emit(

@@ -53,6 +53,26 @@ impl<E> SampleStore<E> {
         }
     }
 
+    /// An empty store of `capacity` bytes with room for `objects` objects
+    /// before it allocates — so a store handed to another thread can be
+    /// allocated by the thread that hands it over.
+    pub fn with_room(capacity: u64, objects: usize) -> Self {
+        SampleStore {
+            slots: Vec::with_capacity(objects),
+            index: FastMap::with_capacity_and_hasher(objects, Default::default()),
+            ..SampleStore::new(capacity)
+        }
+    }
+
+    /// Empties the store (bytes held and evictions too), keeping its
+    /// allocations.
+    pub fn clear(&mut self) {
+        self.used = 0;
+        self.evictions = 0;
+        self.slots.clear();
+        self.index.clear();
+    }
+
     /// The byte budget.
     pub fn capacity(&self) -> u64 {
         self.capacity
