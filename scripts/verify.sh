@@ -85,12 +85,13 @@ cargo test -q --doc --offline --workspace
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> simulator goldens, layer agreement and the heap gate, optimized (Simulator::run / run_sharded vs tests/golden/sim, threads 1 2 8; 16 shards peak no higher than 2)"
+echo "==> simulator, GBM and LHR goldens, layer agreement and the heap gate, optimized (Simulator::run / run_sharded vs tests/golden/sim, Gbm::fit vs tests/golden/gbm, LhrCache vs tests/golden/lhr-*.json, threads 1 2 8; 16 shards peak no higher than 2)"
 # The workspace run above held the debug build to the same files; they
 # were recorded by a release build, which is also what the CLI ships.
 # peak_heap: a shard's state ends with its last request, so at one thread
 # the heap's high-water mark does not grow with the shard count.
-cargo test -q --release --offline --test sim_golden --test layer_agreement --test peak_heap
+cargo test -q --release --offline --test sim_golden --test layer_agreement --test peak_heap \
+  --test gbm_golden --test lhr_golden
 
 echo "==> CLI fault-preset smoke (--faults flaky)"
 smoke_dir="$(mktemp -d)"
