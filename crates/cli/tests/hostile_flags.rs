@@ -882,3 +882,84 @@ fn a_capacity_under_one_byte_is_refused_by_every_command_that_sizes_a_cache() {
         assert!(!String::from_utf8_lossy(&out.stderr).contains("panicked"));
     }
 }
+
+/// A CSV trace of `lines` lines, `ts,id,size` with 1 000 objects of fixed
+/// sizes and rising timestamps, after `edit` has had its way with them.
+fn csv_trace(tag: &str, lines: u64, edit: impl Fn(u64, String) -> String) -> TraceFile {
+    let text: String = (1..=lines)
+        .map(|line| {
+            let id = line % 1_000;
+            edit(
+                line,
+                format!("{},{id},{}", 1_000_000 + 10 * line, 1_000 + id),
+            ) + "\n"
+        })
+        .collect();
+    let path = std::env::temp_dir().join(format!("lhr-hostile-{tag}-{}.csv", std::process::id()));
+    std::fs::write(&path, text).expect("write temp trace");
+    TraceFile(path)
+}
+
+#[test]
+fn a_backwards_timestamp_deep_in_a_large_csv_is_reported_at_its_line() {
+    // ≈ 17 bytes a line, so line 31 800 starts ≈ 530 kB in: the third
+    // chunk, whether the reader cuts 192 KiB or 256 KiB ones.
+    let file = csv_trace("backwards", 60_000, |line, text| match line {
+        31_800 => "5,800,1800".to_string(),
+        _ => text,
+    });
+    let out = cli(&["stats", file.path()]);
+    assert_one_line_error(
+        &out,
+        &format!("{}:31800: timestamp goes backwards", file.path()),
+    );
+    // Lossy, it is one skipped line.
+    let out = cli(&["stats", "--lossy", "true", file.path()]);
+    assert!(out.status.success(), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        stderr.trim_end(),
+        format!("warning: {}: skipped 1 malformed line(s)", file.path())
+    );
+}
+
+#[test]
+fn a_malformed_line_after_a_size_change_is_the_error_reported() {
+    // The reader stops at the malformed line before validation sees the
+    // earlier size change; read lossily, the size change is the error.
+    let file = csv_trace("size-then-malformed", 60_000, |line, text| match line {
+        20_000 => "1200000,0,7".to_string(),
+        45_000 => "x,y,z".to_string(),
+        _ => text,
+    });
+    let out = cli(&["stats", file.path()]);
+    assert_one_line_error(
+        &out,
+        &format!(
+            "{}:45000: bad `timestamp`: invalid digit found in string",
+            file.path()
+        ),
+    );
+    let out = cli(&[
+        "server",
+        "--policy",
+        "LRU",
+        "--capacity",
+        "1MB",
+        "--lossy",
+        "true",
+        file.path(),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert_eq!(
+        stderr.lines().last(),
+        Some(
+            format!(
+                "error: {}: invalid trace: object 0 changed size at request 19999",
+                file.path()
+            )
+            .as_str()
+        )
+    );
+}

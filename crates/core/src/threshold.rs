@@ -132,7 +132,7 @@ impl ThresholdEstimator {
             .map(|cand| (cand, 0.0))
             .collect();
         let threads = match threads {
-            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            0 => lhr_util::sync::cores(),
             n => n,
         }
         .min(runs.len());

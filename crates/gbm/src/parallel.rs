@@ -5,7 +5,7 @@
 /// core", anything else is taken literally.
 pub(crate) fn resolve_threads(threads: usize) -> usize {
     if threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
+        lhr_util::sync::cores()
     } else {
         threads
     }

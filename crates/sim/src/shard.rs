@@ -95,7 +95,7 @@ impl RouteConfig {
     /// cores when `threads == 0`.
     pub fn resolve_threads(&self) -> usize {
         if self.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
+            lhr_util::sync::cores()
         } else {
             self.threads
         }

@@ -13,6 +13,7 @@
 //!   shared queue (what the crossbeam scoped threads and channels were used
 //!   as): the sharded replay claims shards with it, the parameter sweep
 //!   grid cells.
+//! - [`cores`] — the worker count a `threads: 0` knob resolves to.
 //!
 //! # Example
 //!
@@ -56,6 +57,12 @@ impl<T: ?Sized> Mutex<T> {
     pub fn get_mut(&mut self) -> &mut T {
         self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
+}
+
+/// The cores this process may run on (`std::thread::available_parallelism`),
+/// or 1 when that cannot be told: what every `threads: 0` knob resolves to.
+pub fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Runs `work(worker, index, item)` exactly once for every item of `items`

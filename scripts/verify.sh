@@ -7,7 +7,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "==> no unsafe: every crate root forbids it and the word appears nowhere in the sources"
-# tests/ (alloc.rs and peak_heap.rs install counting GlobalAllocs) and the frozen
+# tests/ (alloc.rs, peak_heap.rs and ingest_heap.rs install counting GlobalAllocs) and the frozen
 # benchmark/ are outside this set.
 for root in crates/*/src/lib.rs crates/*/src/main.rs src/lib.rs; do
   if ! grep -q '^#!\[forbid(unsafe_code)\]' "$root"; then
@@ -85,13 +85,15 @@ cargo test -q --doc --offline --workspace
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> simulator, GBM and LHR goldens, layer agreement and the heap gate, optimized (Simulator::run / run_sharded vs tests/golden/sim, Gbm::fit vs tests/golden/gbm, LhrCache vs tests/golden/lhr-*.json, threads 1 2 8; 16 shards peak no higher than 2)"
+echo "==> simulator, GBM and LHR goldens, layer agreement and the heap gate, optimized (Simulator::run / run_sharded vs tests/golden/sim, Gbm::fit vs tests/golden/gbm, LhrCache vs tests/golden/lhr-*.json, threads 1 2 8; 16 shards peak no higher than 2; a CSV load holds ≤ 2 MiB beside its requests)"
 # The workspace run above held the debug build to the same files; they
 # were recorded by a release build, which is also what the CLI ships.
 # peak_heap: a shard's state ends with its last request, so at one thread
 # the heap's high-water mark does not grow with the shard count.
+# ingest_heap: the parallel CSV reader keeps a bounded number of chunks in
+# flight.
 cargo test -q --release --offline --test sim_golden --test layer_agreement --test peak_heap \
-  --test gbm_golden --test lhr_golden
+  --test gbm_golden --test lhr_golden --test ingest_heap
 
 echo "==> CLI fault-preset smoke (--faults flaky)"
 smoke_dir="$(mktemp -d)"
@@ -109,8 +111,10 @@ echo "==> ingest smoke (.csv and .bin readers agree; a lying .bin header is refu
 # The release build above left the binary; running it directly keeps its
 # own exit code (101 = panic, 134 = abort) visible.
 lhr_cache="${CARGO_TARGET_DIR:-target}/release/lhr-cache"
+# 200 000 requests (≈ 4 MB of CSV) are many chunks: the .csv side runs the
+# parallel reader across its seams.
 for ext in csv bin; do
-  "$lhr_cache" generate --kind zipf --objects 200 --requests 5000 --seed 7 \
+  "$lhr_cache" generate --kind zipf --objects 200 --requests 200000 --seed 7 \
     --out "$smoke_dir/same.$ext" > /dev/null
   "$lhr_cache" stats "$smoke_dir/same.$ext" > "$smoke_dir/stats.$ext.out"
 done
