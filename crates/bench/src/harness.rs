@@ -4,6 +4,7 @@
 use lhr_obs::{Obs, ObsConfig};
 use lhr_trace::synth::{production, ProductionScale};
 use lhr_trace::{Trace, TraceStats};
+use lhr_util::sync::resolve_threads;
 use std::fmt;
 
 /// `repro`'s flags.
@@ -31,9 +32,7 @@ impl Default for Options {
         Options {
             scale: ProductionScale::Small,
             seed: 42,
-            threads: std::thread::available_parallelism()
-                .map_or(4, |n| n.get())
-                .min(16),
+            threads: resolve_threads(0),
             obs: None,
         }
     }
@@ -65,12 +64,7 @@ impl Options {
                     }
                 }
                 "--seed" => options.seed = number(value?)?,
-                "--threads" => {
-                    options.threads = match number(value?)? {
-                        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-                        n => n as usize,
-                    }
-                }
+                "--threads" => options.threads = resolve_threads(number(value?)? as usize),
                 "--obs" => obs_path = Some(value?),
                 "--only" => only = Some(value?),
                 _ => return Err(format!("unknown flag {flag}")),
@@ -277,12 +271,15 @@ mod tests {
         assert_eq!(only.as_deref(), Some("fig2"));
     }
 
-    /// `--threads 0` once reached the sweep as zero workers and panicked.
+    /// `--threads 0` once reached the sweep as zero workers and panicked,
+    /// and the default once ran `min(cores, 16)` — 4 where the cores could
+    /// not be told — while `--threads 0` ran one per core.
     #[test]
     fn zero_threads_means_one_per_core() {
         let (options, _) = parse(&["--threads", "0"]).unwrap();
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        assert_eq!(options.threads, cores);
+        assert_eq!(options.threads, lhr_util::sync::cores());
+        assert_eq!(parse(&[]).unwrap().0.threads, options.threads);
+        assert_eq!(Options::default().threads, options.threads);
         assert_eq!(parse(&["--threads", "3"]).unwrap().0.threads, 3);
     }
 

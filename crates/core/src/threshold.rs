@@ -17,7 +17,7 @@ use lhr_sim::store::SampleStore;
 use lhr_trace::{ObjectId, Time};
 use lhr_util::rng::rngs::SmallRng;
 use lhr_util::rng::{Rng, SeedableRng};
-use lhr_util::sync::{claim_each, Mutex};
+use lhr_util::sync::{claim_each, resolve_threads, Mutex};
 
 /// Threshold-adoption margin β (paper default 0.2%).
 const BETA: f64 = 0.002;
@@ -131,11 +131,7 @@ impl ThresholdEstimator {
             .chain(self.candidates().into_iter().filter(|&c| !is_current(c)))
             .map(|cand| (cand, 0.0))
             .collect();
-        let threads = match threads {
-            0 => lhr_util::sync::cores(),
-            n => n,
-        }
-        .min(runs.len());
+        let threads = resolve_threads(threads).min(runs.len());
         // One shadow cache per worker, allocated here: a worker thread that
         // allocated its own would keep the memory in its own heap for the
         // rest of the run. A shadow fills the same capacity as the cache

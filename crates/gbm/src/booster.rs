@@ -2,9 +2,14 @@
 
 use crate::dataset::Dataset;
 use crate::flat::FlatForest;
-use crate::parallel;
 use crate::tree::{Grower, Tree};
+use lhr_util::sync::{claim_each, crew, resolve_threads};
 use std::sync::atomic::{AtomicBool, Ordering};
+
+/// Measured cost of one row through one tree of the padded single-row
+/// kernel, on LHR-shaped data (23 features, 25 depth-6 trees); it sizes
+/// the fan-out of batched scoring.
+const KERNEL_ROW_TREE_NS: f64 = 5.0;
 
 /// Training loss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,10 +56,10 @@ pub struct GbmParams {
     pub base_score: Option<f32>,
     /// Training loss.
     pub loss: Loss,
-    /// Worker threads for tree growth inside [`Gbm::fit`];
-    /// `0` auto-detects (`std::thread::available_parallelism`). The
-    /// fitted model is byte-identical for every thread count — see
-    /// `tree::Grower`.
+    /// Worker threads for tree growth inside [`Gbm::fit`]; `0` means one
+    /// per core (`lhr_util::sync::cores`). A fit uses as many of them as
+    /// its data pays for, and the fitted model is byte-identical for every
+    /// thread count — see `tree::Grower`.
     pub threads: usize,
 }
 
@@ -189,11 +194,15 @@ impl Gbm {
         let mut trees: Vec<Tree> = Vec::with_capacity(params.n_trees);
         let mut feature_gain = vec![0f64; data.n_features()];
 
-        let threads = parallel::resolve_threads(params.threads);
-        // The grower's helper threads live for this scope: a cancelled fit
-        // returns out of it, dropping the grower, and they end with it.
-        let finished = std::thread::scope(|scope| {
-            let mut grower = Grower::new(scope, binned, params, hessians.is_some(), threads);
+        let mut grower = Grower::new(
+            binned,
+            params,
+            hessians.is_some(),
+            resolve_threads(params.threads),
+        );
+        // The grower's helpers live for this call: a cancelled fit returns
+        // out of it, closing the crew, and they end with it.
+        let finished = crew(grower.helpers, grower.shard_work(), |crew| {
             for _round in 0..params.n_trees {
                 if cancelled() {
                     return false;
@@ -216,6 +225,7 @@ impl Gbm {
                     }
                 }
                 let tree = grower.grow(
+                    crew,
                     &gradients,
                     hessians.as_deref(),
                     &mut feature_gain,
@@ -348,10 +358,14 @@ impl Gbm {
         row: impl Fn(usize) -> &'a [f32] + Sync,
     ) -> Vec<f32> {
         let mut out = vec![0f32; n];
-        let threads = parallel::resolve_threads(threads);
-        let row_ns = self.trees.len() as f64 * parallel::KERNEL_ROW_TREE_NS;
-        parallel::for_chunks(&mut out, threads, row_ns, |start, chunk| {
-            for (o, i) in chunk.iter_mut().zip(start..) {
+        let row_ns = self.trees.len() as f64 * KERNEL_ROW_TREE_NS;
+        let workers = crate::workers(resolve_threads(threads).min(n), n as f64 * row_ns);
+        // One contiguous chunk a worker; every row is scored on its own, so
+        // the chunking never shows in the output.
+        let rows_each = n.div_ceil(workers).max(1);
+        let mut chunks: Vec<&mut [f32]> = out.chunks_mut(rows_each).collect();
+        claim_each(&mut chunks, workers, |_, k, chunk| {
+            for (o, i) in chunk.iter_mut().zip(k * rows_each..) {
                 *o = self.transform(self.raw_score(row(i)));
             }
         });
@@ -611,13 +625,23 @@ mod tests {
             },
         );
         let rows: Vec<Vec<f32>> = (0..d.n_rows()).map(|i| d.row(i).to_vec()).collect();
-        for threads in [1, 3, 0] {
-            let batch = model.predict_batch(&rows, threads);
-            for (i, got) in batch.iter().enumerate() {
-                let want = model.predict(d.row(i)).to_bits();
-                assert_eq!(got.to_bits(), want, "batch row {i}");
+        // Every thread allowed really scores a chunk, down to one row each.
+        crate::ALWAYS_FAN_OUT.set(true);
+        for n in [0, 1, 5, rows.len()] {
+            for threads in [1, 2, 3, 7, 0] {
+                let batch = model.predict_batch(&rows[..n], threads);
+                assert_eq!(batch.len(), n);
+                for (i, got) in batch.iter().enumerate() {
+                    let want = model.predict(d.row(i)).to_bits();
+                    assert_eq!(
+                        got.to_bits(),
+                        want,
+                        "batch row {i} of {n}, threads {threads}"
+                    );
+                }
             }
         }
+        crate::ALWAYS_FAN_OUT.set(false);
     }
 
     #[test]

@@ -48,7 +48,6 @@
 mod booster;
 mod dataset;
 mod flat;
-mod parallel;
 #[cfg(test)]
 mod reference;
 mod tree;
@@ -56,3 +55,19 @@ mod tree;
 pub use booster::{Gbm, GbmParams, Loss};
 pub use dataset::Dataset;
 pub use tree::Tree;
+
+/// [`lhr_util::sync::workers`], the workers `work_ns` of work pays for —
+/// which tests can make grant every thread allowed ([`ALWAYS_FAN_OUT`]).
+fn workers(threads: usize, work_ns: f64) -> usize {
+    #[cfg(test)]
+    if ALWAYS_FAN_OUT.get() {
+        return threads.max(1);
+    }
+    lhr_util::sync::workers(threads, work_ns)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Set by tests that must see every fan-out happen on small inputs.
+    static ALWAYS_FAN_OUT: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}

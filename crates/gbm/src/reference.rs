@@ -420,7 +420,7 @@ fn scan(
 
 mod tests {
     use super::*;
-    use crate::parallel::ALWAYS_FAN_OUT;
+    use crate::ALWAYS_FAN_OUT;
     use lhr_util::prop::{any_u64, range};
     use lhr_util::{prop_assert_eq, prop_check};
 

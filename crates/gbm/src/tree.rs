@@ -6,17 +6,16 @@
 //! smaller child, derive the sibling as `parent − child`), and several
 //! features filled per pass over a node's rows. The tree grows one depth
 //! level at a time over feature-group shards, which this thread and the
-//! fit's helper threads take per level; each node's split is the one a
+//! fit's helper crew run per level; each node's split is the one a
 //! sequential scan would pick, and the finished levels are laid out in
 //! depth-first preorder — so the grown tree is byte-identical for any
 //! thread count, and to the depth-first grower `crate::reference` keeps.
 
 use crate::booster::GbmParams;
 use crate::dataset::{Binned, MISSING_BIN};
-use crate::parallel;
+use lhr_util::sync::Crew;
 use std::ops::Range;
-use std::sync::mpsc::{self, Sender};
-use std::sync::{Arc, Mutex, RwLock, TryLockError};
+use std::sync::Arc;
 
 /// Measured per-cell cost of [`fill_group`] (one row of one feature) and
 /// per-slot cost of [`scan_feature`] on the 2-vCPU reference host, LHR
@@ -151,10 +150,8 @@ struct Job {
 }
 
 /// What a level's workers read. The grower rewrites it between levels,
-/// while no worker holds it.
-struct Level {
-    /// Counts the levels the fit has searched, this one included.
-    generation: u64,
+/// once every shard is back.
+pub(crate) struct Level {
     /// The rows in growth order: every node owns a contiguous range,
     /// partitioned in place into its children's.
     rows: Vec<u32>,
@@ -175,14 +172,13 @@ struct Level {
 /// every node across levels (a sibling is derived in the parent's
 /// histogram it still holds). Whichever worker runs the shard at a level
 /// computes the same: histograms never depend on who ran them.
-struct Shard {
+pub(crate) struct Shard {
     features: Range<usize>,
     /// `binned.slot_offsets[features.start]` and the group's slot count.
     base: usize,
     slots: usize,
-    /// The [`Level::generation`] last run, and each of its nodes' best
-    /// split among this shard's features.
-    generation: u64,
+    /// Each node's best split among this shard's features at the level
+    /// last run.
     best: Vec<Best>,
     /// This level's histograms by node, and spare ones.
     live: Vec<Option<HistBuf>>,
@@ -196,7 +192,6 @@ impl Shard {
             base,
             slots: binned.slot_offsets[features.end] - base,
             features,
-            generation: 0,
             best: Vec::new(),
             live: Vec::new(),
             pool: Vec::new(),
@@ -270,7 +265,6 @@ impl Shard {
                 }
             }
         }
-        self.generation = level.generation;
     }
 
     /// The best split of `node` among this shard's features.
@@ -301,83 +295,53 @@ impl Shard {
     }
 }
 
-/// Only the grower writes the level, and it never panics while it does.
-const UNPOISONED: &str = "the level lock is never poisoned";
-
-/// What the grower shares with its helper threads: the level, which the
-/// grower rewrites between levels under the write lock, and the shards,
-/// each run by whichever worker locks it first.
-struct Shared {
-    level: RwLock<Level>,
-    shards: Vec<Mutex<Shard>>,
-}
-
-impl Shared {
-    /// Runs, in `order`, every shard not yet run at level `generation`
-    /// that no other worker is running. Returns at once if the level has
-    /// moved on: a helper woken late finds nothing left to do.
-    fn work(&self, ctx: FitCtx<'_>, generation: u64, order: impl Iterator<Item = usize>) {
-        let level = self.level.read().expect(UNPOISONED);
-        if level.generation != generation {
-            return;
-        }
-        for k in order {
-            let mut shard = match self.shards[k].try_lock() {
-                Ok(shard) => shard,
-                Err(TryLockError::WouldBlock) => continue,
-                Err(TryLockError::Poisoned(_)) => panic!("a growth worker panicked"),
-            };
-            if shard.generation != generation {
-                shard.run(ctx, &level);
-            }
-        }
-    }
-}
+/// A shard on its way through the fit's crew, with the level to run it at.
+pub(crate) type ShardRun = (Arc<Level>, Shard);
 
 /// Grows the trees of one fit. The features are shared out in groups of
-/// [`FILL_GROUP`] ([`Shard`]s). Per level, this thread runs the shards
-/// front to back and up to `threads − 1` helper threads — spawned once per
-/// fit and woken per level through a channel — run them back to front,
-/// each taking whichever shards are still free, so a helper that wakes
-/// late costs nothing but the shards it did not take. The grower then
-/// merges the shards' best splits in feature order, partitions the rows
-/// and lays out the next level. The fitted model is byte-identical for
-/// every thread count.
+/// [`FILL_GROUP`] ([`Shard`]s), which the grower owns between levels. Per
+/// level it submits every shard to the fit's [`Crew`] — its helpers,
+/// spawned once per fit, and this thread run them, each taking whichever
+/// shard is queued first — and takes them back in feature order, merging
+/// their best splits; then it partitions the rows and lays out the next
+/// level. The fitted model is byte-identical for every thread count.
 pub(crate) struct Grower<'a> {
     ctx: FitCtx<'a>,
-    shared: Arc<Shared>,
-    /// Each helper's wake-up channel: the level generation to run.
-    helpers: Vec<Sender<u64>>,
+    level: Arc<Level>,
+    shards: Vec<Shard>,
+    /// Helper threads the data's size pays for: the fit's crew's.
+    pub(crate) helpers: usize,
     /// Stable-partition side buffer.
     part: Vec<u32>,
 }
 
 impl<'a> Grower<'a> {
-    /// A grower over `binned`, spawning its helpers (if the data's size
-    /// amortises any) in `scope`: they end when the grower is dropped.
-    pub(crate) fn new<'scope>(
-        scope: &'scope std::thread::Scope<'scope, 'a>,
+    /// A grower over `binned`, on up to `threads` threads.
+    pub(crate) fn new(
         binned: &'a Binned,
         params: &'a GbmParams,
         has_h: bool,
         threads: usize,
     ) -> Grower<'a> {
-        let ctx = FitCtx {
-            binned,
-            params,
-            has_h,
-        };
         let n_features = binned.n_features;
-        let shards: Vec<Mutex<Shard>> = (0..n_features)
+        let shards: Vec<Shard> = (0..n_features)
             .step_by(FILL_GROUP)
-            .map(|f| {
-                let features = f..(f + FILL_GROUP).min(n_features);
-                Mutex::new(Shard::new(binned, features))
-            })
+            .map(|f| Shard::new(binned, f..(f + FILL_GROUP).min(n_features)))
             .collect();
-        let shared = Arc::new(Shared {
-            level: RwLock::new(Level {
-                generation: 0,
+        // A level's work is about the root's — a fill over every row and a
+        // split search: as many workers as it amortises, at most one per
+        // shard.
+        let active = (0..n_features).filter(|&f| binned.n_bins(f) >= 2).count();
+        let root_ns =
+            (binned.n_rows * active) as f64 * HIST_CELL_NS + binned.n_slots() as f64 * SCAN_SLOT_NS;
+        let workers = crate::workers(threads.min(shards.len()), root_ns);
+        Grower {
+            ctx: FitCtx {
+                binned,
+                params,
+                has_h,
+            },
+            level: Arc::new(Level {
                 rows: Vec::new(),
                 ordered_g: Vec::new(),
                 ordered_h: Vec::new(),
@@ -386,59 +350,31 @@ impl<'a> Grower<'a> {
                 last: false,
             }),
             shards,
-        });
-        // A level's work is about the root's — a fill over every row and a
-        // split search: as many workers as it amortises, at most one per
-        // shard.
-        let active = (0..n_features).filter(|&f| binned.n_bins(f) >= 2).count();
-        let root_ns =
-            (binned.n_rows * active) as f64 * HIST_CELL_NS + binned.n_slots() as f64 * SCAN_SLOT_NS;
-        let workers = parallel::workers(threads.min(shared.shards.len()), root_ns);
-        let helpers = (1..workers)
-            .map(|_| {
-                let (wake, woken) = mpsc::channel::<u64>();
-                let shared = Arc::clone(&shared);
-                scope.spawn(move || {
-                    let n = shared.shards.len();
-                    while let Ok(generation) = woken.recv() {
-                        shared.work(ctx, generation, (0..n).rev());
-                    }
-                });
-                wake
-            })
-            .collect();
-        Grower {
-            ctx,
-            shared,
-            helpers,
+            helpers: workers - 1,
             part: Vec::new(),
         }
     }
 
+    /// What the fit's crew does with a shard: runs it at its level.
+    pub(crate) fn shard_work(&self) -> impl Fn(usize, &mut ShardRun) + Sync + 'a {
+        let ctx = self.ctx;
+        move |_, (level, shard)| shard.run(ctx, level)
+    }
+
     /// Every node's best split at the current level.
-    fn search(&mut self) -> Vec<Best> {
-        let (generation, n_nodes, idle) = {
-            let level = self.shared.level.read().expect(UNPOISONED);
-            (level.generation, level.nodes.len(), level.jobs.is_empty())
-        };
-        let mut best = vec![None; n_nodes];
-        if idle {
+    fn search(&mut self, crew: &mut Crew<'_, ShardRun>) -> Vec<Best> {
+        let mut best = vec![None; self.level.nodes.len()];
+        if self.level.jobs.is_empty() {
             return best;
         }
-        for wake in &self.helpers {
-            wake.send(generation)
-                .expect("a growth helper outlives its grower");
+        for shard in self.shards.drain(..) {
+            crew.submit((Arc::clone(&self.level), shard));
         }
-        let n = self.shared.shards.len();
-        self.shared.work(self.ctx, generation, 0..n);
-        // Every shard is now run or being run: wait on each in turn and
-        // merge in feature order.
-        for shard in &self.shared.shards {
-            let shard = shard.lock().expect("a growth helper panicked");
-            debug_assert_eq!(shard.generation, generation);
+        while let Some((_, shard)) = crew.next_done() {
             for (best, &found) in best.iter_mut().zip(&shard.best) {
                 prefer(best, found);
             }
+            self.shards.push(shard);
         }
         best
     }
@@ -455,6 +391,7 @@ impl<'a> Grower<'a> {
     /// once per row.
     pub(crate) fn grow(
         &mut self,
+        crew: &mut Crew<'_, ShardRun>,
         gradients: &[f32],
         hessians: Option<&[f32]>,
         gains: &mut [f64],
@@ -467,8 +404,7 @@ impl<'a> Grower<'a> {
             Some(h) => h.iter().map(|&h| h as f64).sum(),
             None => n_rows as f64,
         };
-        let mut level = self.shared.level.write().expect(UNPOISONED);
-        level.generation += 1;
+        let level = unshared(&mut self.level);
         level.rows.clear();
         level.rows.extend(0..n_rows as u32);
         level.ordered_g.clear();
@@ -493,13 +429,11 @@ impl<'a> Grower<'a> {
                 sibling: None,
             });
         }
-        drop(level);
 
         let mut levels: Vec<Vec<Grown>> = Vec::new();
         for depth in 1.. {
-            let best = self.search();
-            let mut guard = self.shared.level.write().expect(UNPOISONED);
-            let level = &mut *guard;
+            let best = self.search(crew);
+            let level = unshared(&mut self.level);
             let part = &mut self.part;
             let mut next: Vec<LevelNode> = Vec::new();
             let mut jobs: Vec<Job> = Vec::new();
@@ -577,17 +511,21 @@ impl<'a> Grower<'a> {
                     }
                 }
             }
-            level.generation += 1;
             level.nodes = next;
             level.jobs = jobs;
             level.last = depth + 1 >= params.max_depth;
         }
 
         let mut tree = Tree { nodes: Vec::new() };
-        let level = self.shared.level.read().expect(UNPOISONED);
-        tree.lay_out(&levels, 0, 0, binned, &level.rows, gains, preds);
+        tree.lay_out(&levels, 0, 0, binned, &self.level.rows, gains, preds);
         tree
     }
+}
+
+/// The level, to rewrite between levels: every shard is back from the
+/// crew, so the grower holds the only reference.
+fn unshared(level: &mut Arc<Level>) -> &mut Level {
+    Arc::get_mut(level).expect("every shard is back from the crew")
 }
 
 /// A node of a finished level, kept until the tree is laid out.
@@ -887,13 +825,9 @@ mod tests {
         let binned = Binned::build(data);
         let mut gains = vec![0.0; data.n_features()];
         let mut preds = vec![0f32; data.n_rows()];
-        let tree = std::thread::scope(|scope| {
-            Grower::new(scope, &binned, params, false, 1).grow(
-                data.labels(),
-                None,
-                &mut gains,
-                &mut preds,
-            )
+        let mut grower = Grower::new(&binned, params, false, 1);
+        let tree = lhr_util::sync::crew(0, grower.shard_work(), |crew| {
+            grower.grow(crew, data.labels(), None, &mut gains, &mut preds)
         });
         (tree, preds)
     }

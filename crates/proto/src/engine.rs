@@ -48,6 +48,7 @@ use lhr_sim::shard::{Partition, RouteConfig};
 use lhr_sim::CachePolicy;
 use lhr_trace::Trace;
 use lhr_util::json::ToJson;
+use lhr_util::sync::resolve_threads;
 use std::time::Instant;
 
 /// Configuration of the sharded serving engine.
@@ -262,7 +263,7 @@ impl ShardedEngine {
             },
         );
         let wall_secs = wall_start.elapsed().as_secs_f64();
-        let threads = self.config.route.resolve_threads().clamp(1, n_shards);
+        let threads = resolve_threads(self.config.route.threads).clamp(1, n_shards);
 
         // The name is known once shard 0's policy has been built. Nothing
         // reaches the master recorder during the run (shards record

@@ -77,6 +77,7 @@ use lhr_sim::CachePolicy;
 use lhr_trace::{ObjectId, Request, Trace};
 use lhr_util::hash::{FastHasher, FastMap};
 use lhr_util::json::ToJson;
+use lhr_util::sync::resolve_threads;
 use std::collections::VecDeque;
 use std::hash::Hasher;
 use std::time::Instant;
@@ -1095,7 +1096,7 @@ impl FleetEngine {
             |_s, state| state.finish(),
         );
         let wall_secs = wall_start.elapsed().as_secs_f64();
-        let threads = self.config.route.resolve_threads().clamp(1, n_shards);
+        let threads = resolve_threads(self.config.route.threads).clamp(1, n_shards);
 
         // As in the engine: stamped once shard 0's slices have a name, and
         // still ahead of every shard's records.

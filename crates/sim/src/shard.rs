@@ -45,7 +45,7 @@
 //! across thread counts (see `ARCHITECTURE.md`, "Determinism contract").
 
 use lhr_trace::{ObjectId, Request, Time, Trace};
-use lhr_util::sync::{claim_each, Mutex};
+use lhr_util::sync::{claim_each, resolve_threads, Mutex};
 
 /// Maps an object id to its owning shard with a splitmix-style avalanche,
 /// so sequential ids spread across shards. This is the one hash every
@@ -87,18 +87,6 @@ pub struct RouteConfig {
 impl Default for RouteConfig {
     fn default() -> Self {
         RouteConfig { threads: 1 }
-    }
-}
-
-impl RouteConfig {
-    /// The effective worker count: `threads`, or the number of available
-    /// cores when `threads == 0`.
-    pub fn resolve_threads(&self) -> usize {
-        if self.threads == 0 {
-            lhr_util::sync::cores()
-        } else {
-            self.threads
-        }
     }
 }
 
@@ -225,7 +213,7 @@ impl<'t> Partition<'t> {
     ) -> Vec<R> {
         let requests = &self.trace.requests[..];
         let mut done: Vec<Option<R>> = (0..self.n_shards()).map(|_| None).collect();
-        claim_each(&mut done, config.resolve_threads(), |_, s, slot| {
+        claim_each(&mut done, resolve_threads(config.threads), |_, s, slot| {
             let mut state = start(s);
             if self.n_shards() == 1 {
                 for (i, req) in requests.iter().enumerate() {

@@ -18,12 +18,10 @@
 //! and merged in file order; a seam rule keeps the result that of one pass.
 
 use crate::request::{Request, Time, Trace};
-use lhr_util::sync::{cores, Mutex, MutexGuard};
-use std::collections::VecDeque;
+use lhr_util::sync::{cores, crew};
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::path::Path;
-use std::sync::{Condvar, PoisonError};
 
 /// Magic bytes identifying the binary trace format.
 const MAGIC: &[u8; 8] = b"LHRTRC01";
@@ -423,8 +421,6 @@ const MAX_READ_THREADS: usize = 8;
 /// made of it from a fresh [`CsvState`] (line 0, `prev_ts` 0).
 #[derive(Default)]
 struct Chunk {
-    /// Its place in the file among the chunks [`fan_out`] handed out.
-    seq: usize,
     /// The lines are `text[..len]`; the buffer is recycled.
     text: Vec<u8>,
     len: usize,
@@ -450,74 +446,10 @@ impl Chunk {
     }
 }
 
-/// The chunks between the calling thread and its helpers.
-struct Pipe {
-    /// Read and not yet claimed, in file order.
-    queue: VecDeque<Chunk>,
-    /// Parsed and not yet merged: chunk `seq` waits at `seq % done.len()`.
-    done: Vec<Option<Chunk>>,
-    /// Set when the calling thread is finished, or a helper died: helpers
-    /// leave, and the calling thread stops waiting.
-    closed: bool,
-}
-
-struct Shared {
-    pipe: Mutex<Pipe>,
-    /// Signalled when a chunk is queued or the pipe closes.
-    queued: Condvar,
-    /// Signalled when a chunk is parsed or the pipe closes.
-    parsed: Condvar,
-}
-
-impl Shared {
-    fn finish(&self, chunk: Chunk) {
-        let mut pipe = self.pipe.lock();
-        let slot = chunk.seq % pipe.done.len();
-        pipe.done[slot] = Some(chunk);
-        drop(pipe);
-        self.parsed.notify_one();
-    }
-}
-
-/// Closes the pipe when dropped — on return, on an error and in a panic
-/// alike — so no thread is left waiting on one that is gone.
-struct CloseOnDrop<'a>(&'a Shared);
-
-impl Drop for CloseOnDrop<'_> {
-    fn drop(&mut self) {
-        self.0.pipe.lock().closed = true;
-        self.0.queued.notify_all();
-        self.0.parsed.notify_all();
-    }
-}
-
-fn wait<'a>(cv: &Condvar, pipe: MutexGuard<'a, Pipe>) -> MutexGuard<'a, Pipe> {
-    cv.wait(pipe).unwrap_or_else(PoisonError::into_inner)
-}
-
-/// A helper of [`fan_out`]: parses queued chunks until the pipe closes.
-fn helper(shared: &Shared, lossy: bool) {
-    let _close = CloseOnDrop(shared);
-    loop {
-        let mut pipe = shared.pipe.lock();
-        let mut chunk = loop {
-            if pipe.closed {
-                return;
-            }
-            if let Some(chunk) = pipe.queue.pop_front() {
-                break chunk;
-            }
-            pipe = wait(&shared.queued, pipe);
-        };
-        drop(pipe);
-        chunk.parse(lossy);
-        shared.finish(chunk);
-    }
-}
-
 /// Reads and parses the rest of the input on `threads` threads: the calling
-/// thread reads chunks, helpers claim and parse them, and the calling
-/// thread merges them in file order ([`CsvState::merge`]), parsing a queued
+/// thread reads chunks and submits them to a [`crew`] of `threads - 1`
+/// helpers, which parse them, and merges them in file order
+/// ([`CsvState::merge`]) as the crew hands them back — parsing a queued
 /// chunk itself whenever it would otherwise wait. Every buffer is allocated
 /// here and recycled, at most [`IN_FLIGHT_PER_THREAD`] chunks a thread; an
 /// input with nothing left spawns nothing. `(requests, bytes)` of the first
@@ -532,72 +464,39 @@ fn fan_out<R: Read>(
     let slots = IN_FLIGHT_PER_THREAD * threads;
     // Requests a chunk is expected to hold, with an eighth to spare.
     let per_chunk = (requests.saturating_mul(lines.chunk) / bytes.max(1)).saturating_mul(9) / 8;
-    let mut first = Chunk {
+    let mut chunk = Chunk {
         text,
         ..Chunk::default()
     };
-    first.len = lines.next(&mut first.text);
-    if first.len == 0 {
+    chunk.len = lines.next(&mut chunk.text);
+    if chunk.len == 0 {
         return Ok(());
     }
-    let shared = Shared {
-        pipe: Mutex::new(Pipe {
-            queue: VecDeque::with_capacity(slots),
-            done: (0..slots).map(|_| None).collect(),
-            closed: false,
-        }),
-        queued: Condvar::new(),
-        parsed: Condvar::new(),
-    };
     let lossy = state.lossy;
-    first.requests.reserve(per_chunk);
-    shared.pipe.lock().queue.push_back(first);
-    let mut spare: Vec<Chunk> = Vec::new();
-    // Chunks handed out and chunks merged.
-    let (mut read, mut merged) = (1, 0);
-    std::thread::scope(|scope| {
-        let _close = CloseOnDrop(&shared);
-        for _ in 1..threads {
-            scope.spawn(|| helper(&shared, lossy));
-        }
-        loop {
+    crew(
+        threads - 1,
+        |_, chunk: &mut Chunk| chunk.parse(lossy),
+        |crew| {
+            let mut spare: Vec<Chunk> = Vec::new();
             loop {
-                let Some(mut chunk) = shared.pipe.lock().done[merged % slots].take() else {
-                    break;
-                };
-                state.merge(&mut chunk)?;
-                merged += 1;
-                spare.push(chunk);
-            }
-            if read - merged < slots && lines.end.is_none() {
-                let mut chunk = spare.pop().unwrap_or_default();
-                chunk.len = lines.next(&mut chunk.text);
                 if chunk.len > 0 {
-                    chunk.seq = read;
-                    read += 1;
                     chunk.requests.clear();
                     chunk.requests.reserve(per_chunk);
-                    shared.pipe.lock().queue.push_back(chunk);
-                    shared.queued.notify_one();
-                } else {
-                    spare.push(chunk);
+                    crew.submit(std::mem::take(&mut chunk));
                 }
-                continue;
+                if crew.in_flight() < slots && lines.end.is_none() {
+                    chunk = spare.pop().unwrap_or_default();
+                    chunk.len = lines.next(&mut chunk.text);
+                } else {
+                    let Some(mut done) = crew.next_done() else {
+                        return Ok(());
+                    };
+                    state.merge(&mut done)?;
+                    spare.push(done);
+                }
             }
-            if merged == read {
-                return Ok(());
-            }
-            let mut pipe = shared.pipe.lock();
-            if let Some(mut chunk) = pipe.queue.pop_front() {
-                drop(pipe);
-                chunk.parse(lossy);
-                shared.finish(chunk);
-            } else if pipe.done[merged % slots].is_none() {
-                assert!(!pipe.closed, "a CSV parsing helper panicked");
-                drop(wait(&shared.parsed, pipe));
-            }
-        }
-    })
+        },
+    )
 }
 
 /// Reads a CSV/whitespace trace from any reader.

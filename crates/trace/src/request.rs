@@ -4,7 +4,7 @@
 //! workspace is `Ord + Hash` and simulations are bit-for-bit deterministic.
 
 use lhr_util::hash::FastMap;
-use lhr_util::sync::{claim_each, cores};
+use lhr_util::sync::{claim_each, cores, workers};
 use std::collections::hash_map::Entry;
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
@@ -195,9 +195,10 @@ impl Trace {
     /// violation if any: non-monotone timestamp, zero size, or an object
     /// whose size changed mid-trace. At an index with more than one, the
     /// first of those three is reported. The work is split over the cores
-    /// the process may use once the trace is long enough to pay for it.
+    /// the process may use, as many as it pays for
+    /// ([`lhr_util::sync::workers`]).
     pub fn validate(&self) -> Result<(), TraceError> {
-        self.validate_on(cores().min(self.len() / VALIDATE_MIN_SHARE).max(1))
+        self.validate_on(workers(cores(), self.len() as f64 * VALIDATE_REQUEST_NS))
     }
 
     /// [`Trace::validate`] on `workers` workers. Worker `w` checks order
@@ -287,10 +288,9 @@ impl Trace {
     }
 }
 
-/// Requests a [`Trace::validate`] worker must have to itself: at the
-/// 20–35 ns a request one worker takes on trace A, 1.3–2.3 ms of work,
-/// against ≈ 45 µs to spawn it.
-const VALIDATE_MIN_SHARE: usize = 1 << 16;
+/// What a request costs [`Trace::validate`] on one worker: 20–35 ns on
+/// trace A. It sizes the fan-out: a second worker from ≈ 14 k requests.
+const VALIDATE_REQUEST_NS: f64 = 25.0;
 
 /// The class of `classes` that checks `id`'s sizes. Its own multiplier, so
 /// a class does not fix the low bits of the `FastMap` hash it is probed by.

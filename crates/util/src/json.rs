@@ -777,32 +777,28 @@ macro_rules! json_uint {
     )+};
 }
 
-json_uint!(u8, u16, u32, u64, usize);
+json_uint!(u32, u64, usize);
 
-macro_rules! json_int {
-    ($($t:ty),+) => {$(
-        impl ToJson for $t {
-            fn to_json(&self) -> Json {
-                let i = *self as i64;
-                if i >= 0 { Json::UInt(i as u64) } else { Json::Int(i) }
-            }
+impl ToJson for i64 {
+    fn to_json(&self) -> Json {
+        match u64::try_from(*self) {
+            Ok(u) => Json::UInt(u),
+            Err(_) => Json::Int(*self),
         }
-        impl FromJson for $t {
-            fn from_json(v: &Json) -> Result<Self, JsonError> {
-                let i = match *v {
-                    Json::Int(i) => i,
-                    Json::UInt(u) => i64::try_from(u)
-                        .map_err(|_| JsonError::new(format!("{u} out of range for i64")))?,
-                    ref other => return Err(expected("integer", other)),
-                };
-                <$t>::try_from(i)
-                    .map_err(|_| JsonError::new(format!("{i} out of range for {}", stringify!($t))))
-            }
-        }
-    )+};
+    }
 }
 
-json_int!(i8, i16, i32, i64, isize);
+impl FromJson for i64 {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        match *v {
+            Json::Int(i) => Ok(i),
+            Json::UInt(u) => {
+                i64::try_from(u).map_err(|_| JsonError::new(format!("{u} out of range for i64")))
+            }
+            ref other => Err(expected("integer", other)),
+        }
+    }
+}
 
 impl ToJson for u128 {
     /// Values above `u64::MAX` are written as decimal strings (JSON numbers
@@ -883,12 +879,6 @@ impl<T: FromJson> FromJson for Vec<T> {
             Json::Array(items) => items.iter().map(T::from_json).collect(),
             other => Err(expected("array", other)),
         }
-    }
-}
-
-impl<T: ToJson> ToJson for [T] {
-    fn to_json(&self) -> Json {
-        Json::Array(self.iter().map(ToJson::to_json).collect())
     }
 }
 

@@ -13,9 +13,11 @@
 //!   writer, plus [`json::ToJson`]/[`json::FromJson`] traits and the
 //!   [`impl_json!`] derive-replacement macro. Replaces `serde` for the GBM
 //!   model, the reports and the `--obs` exports.
-//! - [`sync`] — panic-robust `Mutex`/`RwLock` wrappers (a `parking_lot`-style
-//!   guard API over `std::sync`) and [`sync::claim_each`], scoped workers
-//!   claiming work items off one shared queue.
+//! - [`sync`] — a panic-robust `Mutex` wrapper (a `parking_lot`-style
+//!   guard API over `std::sync`) and the workspace's two fan-out
+//!   primitives: [`sync::claim_each`], scoped workers claiming work items
+//!   off one shared queue, and [`sync::crew`], helpers spawned once that
+//!   hand submitted items back in order.
 //! - [`hash`] — a fixed-seed FxHash-style hasher with [`hash::FastMap`]/
 //!   [`hash::FastSet`] aliases. Replaces `rustc-hash`/`fxhash` for the
 //!   request hot path, where SipHash + `RandomState` costs throughput and

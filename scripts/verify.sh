@@ -20,7 +20,7 @@ if grep -rnw unsafe crates/*/src src; then
   exit 1
 fi
 
-echo "==> kept deleted: one slot-array store, no hand-rolled policy table, one way for windows to reach the recorder"
+echo "==> kept deleted: one slot-array store, no hand-rolled policy table, one way for windows to reach the recorder, one helper crew"
 # SampleStore (crates/sim/src/store.rs) holds the only swap_remove fix-up:
 # LhrCache and the threshold shadow kept their own until they moved onto
 # it. Everything above a file's first #[cfg(test)] is non-test code.
@@ -56,6 +56,28 @@ if grep -rnwE 'LHR_BENCH_JSON|ObservedBound|background_retrain|impl_json!\(newty
   echo "a deleted name is back (see the lines above)" >&2
   exit 1
 fi
+# The helper pools `lhr_util::sync::crew` replaced (the CSV reader's pipe,
+# the GBM grower's wake channels and level lock), gbm's own fan-out module
+# and the second spawn-cost rule.
+if grep -rnwE 'CloseOnDrop|UNPOISONED|VALIDATE_MIN_SHARE' crates src tests examples \
+    || grep -rn 'mod parallel' crates/gbm; then
+  echo "a name of the deleted helper pools is back (see the lines above)" >&2
+  exit 1
+fi
+# Threads are spawned, woken and counted in lhr_util::sync alone (claim_each,
+# crew, cores). The one other thread is the background trainer's in
+# core/src/retrain.rs, which outlives any call.
+for file in $(find crates/*/src -name '*.rs' ! -path crates/util/src/sync.rs | sort); do
+  pattern='thread::scope|thread::spawn|Condvar|mpsc|available_parallelism'
+  if [ "$file" = crates/core/src/retrain.rs ]; then
+    pattern='thread::scope|Condvar|mpsc|available_parallelism'
+  fi
+  if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$file" \
+      | grep -E "$pattern"; then
+    echo "a thread primitive outside lhr_util::sync (see the lines above)" >&2
+    exit 1
+  fi
+done
 
 echo "==> cargo build --release (warnings are errors)"
 RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo build --release --offline --workspace
