@@ -19,6 +19,7 @@ use lhr_sim::shard::{shard_seed, RouteConfig};
 use lhr_sim::{OfflineBound, SimConfig, Simulator};
 use lhr_trace::stats::one_hit_wonder_ratio;
 use lhr_trace::{io, Trace, TraceStats};
+use std::io::Write;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -34,24 +35,58 @@ fn main() -> ExitCode {
             return usage();
         }
     };
+    // Every command prints through this one lock: a write that fails
+    // stops the command (`Stop`), where `println!` would panic.
+    let mut out = std::io::stdout().lock();
     let result = match command.as_str() {
-        "generate" => cmd_generate(&args),
-        "stats" => cmd_stats(&args),
-        "simulate" => cmd_simulate(&args),
-        "compare" => cmd_compare(&args),
-        "bound" => cmd_bound(&args),
-        "mrc" => cmd_mrc(&args),
-        "server" => cmd_server(&args),
-        "fleet" => cmd_fleet(&args),
-        "obs" => cmd_obs(&args),
+        "generate" => cmd_generate(&args, &mut out),
+        "stats" => cmd_stats(&args, &mut out),
+        "simulate" => cmd_simulate(&args, &mut out),
+        "compare" => cmd_compare(&args, &mut out),
+        "bound" => cmd_bound(&args, &mut out),
+        "mrc" => cmd_mrc(&args, &mut out),
+        "server" => cmd_server(&args, &mut out),
+        "fleet" => cmd_fleet(&args, &mut out),
+        "obs" => cmd_obs(&args, &mut out),
         "--help" | "-h" | "help" => return usage(),
-        other => Err(format!("unknown command `{other}`")),
+        other => Err(format!("unknown command `{other}`").into()),
     };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+    match result.and_then(|()| Ok(out.flush()?)) {
+        Ok(()) | Err(Stop::Closed) => ExitCode::SUCCESS,
+        Err(Stop::Error(e)) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+/// Why a command stopped before its end.
+enum Stop {
+    /// Whoever read its stdout closed it (`lhr-cache stats t.bin | head
+    /// -3`): no one is left to print for, so it ends quietly, exit 0.
+    Closed,
+    /// One `error: …` line on stderr, exit 1.
+    Error(String),
+}
+
+impl From<String> for Stop {
+    fn from(e: String) -> Self {
+        Stop::Error(e)
+    }
+}
+
+impl From<&str> for Stop {
+    fn from(e: &str) -> Self {
+        Stop::Error(e.to_string())
+    }
+}
+
+/// A failed write to stdout.
+impl From<std::io::Error> for Stop {
+    fn from(e: std::io::Error) -> Self {
+        match e.kind() {
+            std::io::ErrorKind::BrokenPipe => Stop::Closed,
+            _ => Stop::Error(format!("writing to stdout: {e}")),
         }
     }
 }
@@ -230,7 +265,7 @@ const MAX_GENERATE_OBJECTS: usize = 10_000_000;
 const MAX_SYN_OBJECTS: usize = 100_000;
 const MAX_GENERATE_REQUESTS: usize = 100_000_000;
 
-fn cmd_generate(args: &Args) -> Result<(), String> {
+fn cmd_generate(args: &Args, out: &mut impl Write) -> Result<(), Stop> {
     let kind = args.get("kind").ok_or("--kind is required")?;
     // The shape flags each kind reads: the production models are fixed
     // populations and syn-two has no Zipf exponent, so a flag one of them
@@ -239,11 +274,11 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
         "zipf" | "syn-one" => &["objects", "requests", "alpha"],
         "syn-two" => &["objects", "requests"],
         "cdn-a" | "cdn-b" | "cdn-c" | "wiki" => &[],
-        other => return Err(format!("unknown trace kind `{other}`")),
+        other => return Err(format!("unknown trace kind `{other}`").into()),
     };
     let command = format!("generate --kind {kind}");
     args.expect_flags(&command, &[&["kind", "out", "seed"], shape])?;
-    let out = args.get("out").ok_or("--out is required")?;
+    let path = args.get("out").ok_or("--out is required")?;
     let seed = args.get_parse("seed")?.unwrap_or(42u64);
     let objects = args.get_parse("objects")?.unwrap_or(10_000usize);
     let requests = args.get_parse("requests")?.unwrap_or(100_000usize);
@@ -259,17 +294,16 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
     if !(1..=max_objects).contains(&objects) {
         return Err(format!(
             "--objects must be in 1..={max_objects} for --kind {kind}, got {objects}"
-        ));
+        )
+        .into());
     }
     if requests > MAX_GENERATE_REQUESTS {
-        return Err(format!(
-            "--requests must be at most {MAX_GENERATE_REQUESTS}, got {requests}"
-        ));
+        return Err(
+            format!("--requests must be at most {MAX_GENERATE_REQUESTS}, got {requests}").into(),
+        );
     }
     if !(alpha.is_finite() && alpha >= 0.0) {
-        return Err(format!(
-            "--alpha must be finite and non-negative, got {alpha}"
-        ));
+        return Err(format!("--alpha must be finite and non-negative, got {alpha}").into());
     }
     // Requests per popularity state; zero would never advance the chain.
     let per_state = (requests / 5).max(1);
@@ -293,45 +327,50 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
         "syn-two" => markov::syn_two(objects, requests, per_state, seed),
         _ => unreachable!("the kind was matched against the same list above"),
     };
-    let file = std::fs::File::create(out).map_err(|e| format!("{out}: {e}"))?;
-    if out.ends_with(".bin") {
-        io::write_binary(&trace, file).map_err(|e| format!("{out}: {e}"))?;
+    let file = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
+    if path.ends_with(".bin") {
+        io::write_binary(&trace, file).map_err(|e| format!("{path}: {e}"))?;
     } else {
-        io::write_csv(&trace, file).map_err(|e| format!("{out}: {e}"))?;
+        io::write_csv(&trace, file).map_err(|e| format!("{path}: {e}"))?;
     }
-    println!("wrote {} requests to {out}", trace.len());
+    writeln!(out, "wrote {} requests to {path}", trace.len())?;
     Ok(())
 }
 
-fn cmd_stats(args: &Args) -> Result<(), String> {
+fn cmd_stats(args: &Args, out: &mut impl Write) -> Result<(), Stop> {
     args.expect_flags("stats", &[TRACE_FLAGS])?;
     let trace = load_trace(args)?;
     let s = TraceStats::compute(&trace);
-    println!("trace:            {}", s.name);
-    println!("requests:         {}", s.total_requests);
-    println!("unique contents:  {}", s.unique_contents);
-    println!("duration:         {:.2} h", s.duration_hours);
-    println!(
+    writeln!(out, "trace:            {}", s.name)?;
+    writeln!(out, "requests:         {}", s.total_requests)?;
+    writeln!(out, "unique contents:  {}", s.unique_contents)?;
+    writeln!(out, "duration:         {:.2} h", s.duration_hours)?;
+    writeln!(
+        out,
         "total bytes:      {:.3} TB",
         s.total_bytes_requested as f64 / 1e12
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "unique bytes:     {:.1} GB",
         s.unique_bytes_requested as f64 / 1e9
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "peak active:      {:.1} GB",
         s.peak_active_bytes as f64 / 1e9
-    );
-    println!("mean size:        {:.2} MB", s.mean_content_size / 1e6);
-    println!(
+    )?;
+    writeln!(out, "mean size:        {:.2} MB", s.mean_content_size / 1e6)?;
+    writeln!(
+        out,
         "max size:         {:.1} MB",
         s.max_content_size as f64 / 1e6
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "one-hit wonders:  {:.1} %",
         one_hit_wonder_ratio(&trace) * 100.0
-    );
+    )?;
     Ok(())
 }
 
@@ -425,7 +464,7 @@ fn finish_obs(obs: &Obs, path: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_obs(args: &Args) -> Result<(), String> {
+fn cmd_obs(args: &Args, out: &mut impl Write) -> Result<(), Stop> {
     match args.positional.first().map(String::as_str) {
         Some("summarize") => {
             args.expect_flags("obs summarize", &[])?;
@@ -434,24 +473,25 @@ fn cmd_obs(args: &Args) -> Result<(), String> {
                 .get(1)
                 .ok_or("obs summarize expects a recording path")?;
             let report = lhr_obs::summary::summarize(&Export::read(path)?);
-            print!("{report}");
+            write!(out, "{report}")?;
             if !report.ends_with('\n') {
-                println!();
+                writeln!(out)?;
             }
             Ok(())
         }
-        Some("trace") => cmd_obs_trace(args),
-        Some("slo") => cmd_obs_slo(args),
-        Some(other) => Err(format!(
-            "unknown obs action `{other}` (try: summarize, trace, slo)"
-        )),
-        None => Err("obs expects an action: summarize | trace | slo PATH".to_string()),
+        Some("trace") => cmd_obs_trace(args, out),
+        Some("slo") => cmd_obs_slo(args, out),
+        Some(other) => {
+            Err(format!("unknown obs action `{other}` (try: summarize, trace, slo)").into())
+        }
+        None => Err("obs expects an action: summarize | trace | slo PATH".into()),
     }
 }
 
 /// Renders one sampled trace as a step waterfall.
-fn print_trace_waterfall(t: &lhr_obs::TraceRecord) {
-    println!(
+fn print_trace_waterfall(out: &mut impl Write, t: &lhr_obs::TraceRecord) -> std::io::Result<()> {
+    writeln!(
+        out,
         "trace {} object {} t={:.3}s {} B window {} latency {:.3} ms{}",
         t.id,
         t.object,
@@ -460,28 +500,30 @@ fn print_trace_waterfall(t: &lhr_obs::TraceRecord) {
         t.window,
         t.latency_ms,
         if t.exemplar { " [exemplar]" } else { "" }
-    );
+    )?;
     for s in &t.steps {
         let detail: Vec<String> = s.detail.iter().map(|(k, v)| format!("{k}={v}")).collect();
-        println!(
+        writeln!(
+            out,
             "  +{:>10.3} ms  {:<14} {:>12} B  {}",
             s.dt_ms,
             s.step,
             s.bytes,
             detail.join(" ")
-        );
+        )?;
     }
+    Ok(())
 }
 
 /// `obs trace EXPORT [--id N | --slowest K]`: renders sampled request
 /// paths. Default shows the per-window exemplars (worst sampled latency).
-fn cmd_obs_trace(args: &Args) -> Result<(), String> {
+fn cmd_obs_trace(args: &Args, out: &mut impl Write) -> Result<(), Stop> {
     // Every flag is judged before the export is read.
     args.expect_flags("obs trace", &[&["id", "slowest"]])?;
     let id = args.get_parse::<u64>("id")?;
     let slowest = args.get_parse::<usize>("slowest")?;
     if id.is_some() && slowest.is_some() {
-        return Err("obs trace takes --id or --slowest, not both".to_string());
+        return Err("obs trace takes --id or --slowest, not both".into());
     }
     let path = args
         .positional
@@ -491,14 +533,15 @@ fn cmd_obs_trace(args: &Args) -> Result<(), String> {
     if traces.is_empty() {
         return Err(format!(
             "{path}: no sampled traces (was the run recorded with --trace-sample?)"
-        ));
+        )
+        .into());
     }
     if let Some(id) = id {
         let t = traces
             .iter()
             .find(|t| t.id == id)
             .ok_or_else(|| format!("{path}: no sampled trace with id {id}"))?;
-        print_trace_waterfall(t);
+        print_trace_waterfall(out, t)?;
         return Ok(());
     }
     let picked: Vec<&lhr_obs::TraceRecord> = if let Some(k) = slowest {
@@ -510,12 +553,12 @@ fn cmd_obs_trace(args: &Args) -> Result<(), String> {
     } else {
         traces.iter().filter(|t| t.exemplar).collect()
     };
-    println!("{} sampled trace(s) in {path}", traces.len());
+    writeln!(out, "{} sampled trace(s) in {path}", traces.len())?;
     for (i, t) in picked.iter().enumerate() {
         if i > 0 {
-            println!();
+            writeln!(out)?;
         }
-        print_trace_waterfall(t);
+        print_trace_waterfall(out, t)?;
     }
     Ok(())
 }
@@ -523,7 +566,7 @@ fn cmd_obs_trace(args: &Args) -> Result<(), String> {
 /// `obs slo EXPORT [--objective LIST]`: evaluates burn-rate objectives
 /// over the export's window series. Defaults to the objectives the run
 /// was recorded with (the meta line's `slos` key).
-fn cmd_obs_slo(args: &Args) -> Result<(), String> {
+fn cmd_obs_slo(args: &Args, out: &mut impl Write) -> Result<(), Stop> {
     args.expect_flags("obs slo", &[&["objective"]])?;
     let path = args
         .positional
@@ -538,17 +581,19 @@ fn cmd_obs_slo(args: &Args) -> Result<(), String> {
             return Err(format!(
                 "{path}: no objectives — pass --objective (e.g. avail:99.9,p99:250) \
                  or record the run with --slo"
-            ))
+            )
+            .into())
         }
     };
     let objectives = lhr_obs::slo::parse_objectives(raw)?;
     let latency = lhr_obs::slo::pick_latency_hist(&export.hists);
     let verdicts = lhr_obs::slo::evaluate(&objectives, &export.windows, latency);
     let mut breached = false;
-    println!(
+    writeln!(
+        out,
         "{:<16} {:>9} {:>12} {:>10}  breached windows",
         "objective", "verdict", "observed", "events"
-    );
+    )?;
     for v in &verdicts {
         breached |= !v.met;
         let shown: Vec<String> = v
@@ -565,23 +610,24 @@ fn cmd_obs_slo(args: &Args) -> Result<(), String> {
         if tail.is_empty() {
             tail.push('-');
         }
-        println!(
+        writeln!(
+            out,
             "{:<16} {:>9} {:>12.4} {:>10}  {}",
             v.objective.to_string(),
             if v.met { "MET" } else { "BREACHED" },
             v.observed,
             v.events.len(),
             tail
-        );
+        )?;
     }
     for v in &verdicts {
         for e in &v.events {
             let fields: Vec<String> = e.fields.iter().map(|(k, v)| format!("{k}={v}")).collect();
-            println!("  t={:<12} {:?} {}", e.t, e.kind, fields.join(" "));
+            writeln!(out, "  t={:<12} {:?} {}", e.t, e.kind, fields.join(" "))?;
         }
     }
     if breached {
-        return Err("one or more objectives breached".to_string());
+        return Err("one or more objectives breached".into());
     }
     Ok(())
 }
@@ -701,7 +747,7 @@ fn write_report(args: &Args, stable_json: impl FnOnce() -> String) -> Result<(),
     Ok(())
 }
 
-fn cmd_simulate(args: &Args) -> Result<(), String> {
+fn cmd_simulate(args: &Args, out: &mut impl Write) -> Result<(), Stop> {
     let (run, config) = PolicyRun::open(args, "simulate", &["warmup"], || sim_config(args))?;
     let params = run.params();
     let mut sim = Simulator::new(config);
@@ -724,7 +770,8 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
         });
         sim.run(&mut policy, &run.trace)
     };
-    println!(
+    writeln!(
+        out,
         "{} @ {:.2} GB on {}: hit {:.2}%  byte-hit {:.2}%  WAN {:.3} Gbps  \
          evictions {}  wall {:.2}s",
         result.policy,
@@ -735,11 +782,11 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
         result.metrics.wan_gbps(),
         result.evictions,
         result.wall_secs,
-    );
-    run.close()
+    )?;
+    Ok(run.close()?)
 }
 
-fn cmd_compare(args: &Args) -> Result<(), String> {
+fn cmd_compare(args: &Args, out: &mut impl Write) -> Result<(), Stop> {
     let flags = ["capacity", "seed", "warmup"];
     args.expect_flags("compare", &[&flags, TRACE_FLAGS, OBS_FLAGS])?;
     let capacity = parse_size(args.get("capacity").ok_or("--capacity is required")?)?;
@@ -749,10 +796,11 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
     // recording file (the policy name is inserted before the extension).
     let obs_config = obs_config_from_args(args)?;
     let trace = load_trace(args)?;
-    println!(
+    writeln!(
+        out,
         "{:<11} {:>8} {:>9} {:>10} {:>9}",
         "policy", "hit%", "byte-hit%", "WAN(Gbps)", "wall(s)"
-    );
+    )?;
     let params = PolicyParams::for_trace(capacity, seed, &trace);
     for &(name, build) in presets::POLICIES {
         let obs = obs_config
@@ -770,14 +818,15 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
             sim = sim.with_obs(o.clone());
         }
         let result = sim.run(&mut policy, &trace);
-        println!(
+        writeln!(
+            out,
             "{:<11} {:>8.2} {:>9.2} {:>10.3} {:>9.2}",
             result.policy,
             result.metrics.object_hit_ratio() * 100.0,
             result.metrics.byte_hit_ratio() * 100.0,
             result.metrics.wan_gbps(),
             result.wall_secs,
-        );
+        )?;
         if let Some((o, path)) = &obs {
             finish_obs(o, path)?;
         }
@@ -790,21 +839,19 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
 /// and a loop the size of the typo.
 const MAX_MRC_POINTS: usize = 10_000;
 
-fn cmd_mrc(args: &Args) -> Result<(), String> {
+fn cmd_mrc(args: &Args, out: &mut impl Write) -> Result<(), Stop> {
     use lhr_analysis::che::CheModel;
     use lhr_analysis::mrc::{lru_mrc, MrcConfig};
     args.expect_flags("mrc", &[&["points", "sample"], TRACE_FLAGS])?;
     let n_points: usize = args.get_parse("points")?.unwrap_or(10);
     if !(1..=MAX_MRC_POINTS).contains(&n_points) {
-        return Err(format!(
-            "--points must be in 1..={MAX_MRC_POINTS}, got {n_points}"
-        ));
+        return Err(format!("--points must be in 1..={MAX_MRC_POINTS}, got {n_points}").into());
     }
     let sample: f64 = args.get_parse("sample")?.unwrap_or(1.0);
     if sample.is_nan() || sample <= 0.0 {
-        return Err(format!(
-            "--sample must be a rate above 0 (1 or more = exact), got {sample}"
-        ));
+        return Err(
+            format!("--sample must be a rate above 0 (1 or more = exact), got {sample}").into(),
+        );
     }
     let trace = load_trace(args)?;
     if trace.len() < 2 {
@@ -814,7 +861,8 @@ fn cmd_mrc(args: &Args) -> Result<(), String> {
             "{}: mrc needs a trace of at least two requests, this one has {}",
             args.positional[0],
             trace.len()
-        ));
+        )
+        .into());
     }
     let stats = TraceStats::compute(&trace);
     let unique = stats.unique_bytes_requested as u64;
@@ -828,22 +876,24 @@ fn cmd_mrc(args: &Args) -> Result<(), String> {
     };
     let curve = lru_mrc(&trace, &config);
     let che = CheModel::from_trace(&trace);
-    println!(
+    writeln!(
+        out,
         "{:<14} {:>12} {:>10}",
         "capacity(GB)", "LRU hit%", "Che hit%"
-    );
+    )?;
     for &(capacity, hit) in &curve.points {
-        println!(
+        writeln!(
+            out,
             "{:<14.3} {:>12.2} {:>10.2}",
             capacity as f64 / 1e9,
             hit * 100.0,
             che.lru_hit_ratio(capacity) * 100.0
-        );
+        )?;
     }
     Ok(())
 }
 
-fn cmd_server(args: &Args) -> Result<(), String> {
+fn cmd_server(args: &Args, out: &mut impl Write) -> Result<(), Stop> {
     use lhr_proto::{CdnServer, FaultConfig, ServerConfig};
     let (run, preset) = PolicyRun::open(args, "server", &["faults", "report"], || {
         let preset = args.get("faults").map(String::as_str);
@@ -884,7 +934,7 @@ fn cmd_server(args: &Args) -> Result<(), String> {
         let er = engine.replay(trace, |shard, shard_capacity, shard_obs| {
             (run.build)(&params.for_shard(shard_capacity, shard, shard_obs))
         });
-        print_server_report(&er.report, Some(&er), faulted);
+        print_server_report(out, &er.report, Some(&er), faulted)?;
         write_report(args, || er.stable_json())?;
     } else {
         let policy = (run.build)(&PolicyParams {
@@ -895,53 +945,57 @@ fn cmd_server(args: &Args) -> Result<(), String> {
         if let Some(o) = run.obs() {
             server = server.with_obs(o.clone());
         }
-        print_server_report(&server.replay(trace), None, faulted);
+        print_server_report(out, &server.replay(trace), None, faulted)?;
     }
-    run.close()
+    Ok(run.close()?)
 }
 
 /// Prints a serving report, single-server or (with `engine`) sharded. The
 /// engine's busy-time throughput and degraded percentiles are not part of
 /// its output: it prints its shard/thread/rate line instead.
 fn print_server_report(
+    out: &mut impl Write,
     r: &lhr_proto::ServerReport,
     engine: Option<&lhr_proto::EngineReport>,
     faulted: bool,
-) {
-    println!("policy:          {}", r.name);
+) -> std::io::Result<()> {
+    writeln!(out, "policy:          {}", r.name)?;
     if let Some(er) = engine {
-        println!(
+        writeln!(
+            out,
             "engine:          {} shards, {} threads, {:.0} req/s",
             er.n_shards, er.threads, er.requests_per_sec
-        );
+        )?;
     }
-    println!("content hit:     {:.2} %", r.content_hit_pct);
+    writeln!(out, "content hit:     {:.2} %", r.content_hit_pct)?;
     if engine.is_none() {
-        println!("throughput:      {:.2} Gbps", r.throughput_gbps);
+        writeln!(out, "throughput:      {:.2} Gbps", r.throughput_gbps)?;
     }
-    println!("mean latency:    {:.1} ms", r.mean_latency_ms);
-    println!("P90 latency:     {:.1} ms", r.p90_latency_ms);
-    println!("P99 latency:     {:.1} ms", r.p99_latency_ms);
-    println!("WAN traffic:     {:.3} Gbps", r.wan_gbps);
-    println!("peak metadata:   {:.2} MB", r.peak_mem_gb * 1e3);
+    writeln!(out, "mean latency:    {:.1} ms", r.mean_latency_ms)?;
+    writeln!(out, "P90 latency:     {:.1} ms", r.p90_latency_ms)?;
+    writeln!(out, "P99 latency:     {:.1} ms", r.p99_latency_ms)?;
+    writeln!(out, "WAN traffic:     {:.3} Gbps", r.wan_gbps)?;
+    writeln!(out, "peak metadata:   {:.2} MB", r.peak_mem_gb * 1e3)?;
     if faulted {
-        println!("availability:    {:.2} %", r.availability_pct);
-        println!("errors served:   {}", r.errors_served);
-        println!("stale served:    {}", r.stale_served);
-        println!("retries:         {}", r.retries);
-        println!("coalesced:       {}", r.coalesced_fetches);
-        println!(
+        writeln!(out, "availability:    {:.2} %", r.availability_pct)?;
+        writeln!(out, "errors served:   {}", r.errors_served)?;
+        writeln!(out, "stale served:    {}", r.stale_served)?;
+        writeln!(out, "retries:         {}", r.retries)?;
+        writeln!(out, "coalesced:       {}", r.coalesced_fetches)?;
+        writeln!(
+            out,
             "breaker:         {} open / {} close",
             r.breaker_opens, r.breaker_closes
-        );
+        )?;
         if engine.is_none() {
-            println!(
+            writeln!(
+                out,
                 "degraded P90/99: {:.1} / {:.1} ms",
                 r.degraded_p90_latency_ms, r.degraded_p99_latency_ms
-            );
+            )?;
         }
     }
-    println!("replay wall:     {:.2} s", r.replay_wall_secs);
+    writeln!(out, "replay wall:     {:.2} s", r.replay_wall_secs)
 }
 
 /// Upper bound on `--vnodes`: the ring holds `nodes × vnodes` points, and
@@ -1019,7 +1073,7 @@ fn fleet_flags(args: &Args) -> Result<FleetFlags<'_>, String> {
     })
 }
 
-fn cmd_fleet(args: &Args) -> Result<(), String> {
+fn cmd_fleet(args: &Args, out: &mut impl Write) -> Result<(), Stop> {
     use lhr_proto::fleet::{FleetConfig, FleetEngine, NodeFaultConfig};
     use lhr_proto::ServerConfig;
     let own_flags = [
@@ -1084,49 +1138,55 @@ fn cmd_fleet(args: &Args) -> Result<(), String> {
         (run.build)(&node_params.for_shard(slice_capacity, shard, shard_obs))
     });
 
-    println!("fleet:           {}", r.name);
-    println!(
+    writeln!(out, "fleet:           {}", r.name)?;
+    writeln!(
+        out,
         "topology:        {} nodes x {} vnodes, {} shards, {} threads, {:.0} req/s",
         r.n_nodes, r.vnodes, r.n_shards, r.threads, r.requests_per_sec
-    );
-    println!("edge hit:        {:.2} %", r.edge_hit_pct);
-    println!("byte hit:        {:.2} %", r.byte_hit_pct);
-    println!("shield hit:      {:.2} %", r.shield_hit_pct);
-    println!("peer hits:       {}", r.peer_hits);
-    println!("origin offload:  {:.2} %", r.origin_offload_pct);
-    println!("availability:    {:.2} %", r.availability_pct);
-    println!(
+    )?;
+    writeln!(out, "edge hit:        {:.2} %", r.edge_hit_pct)?;
+    writeln!(out, "byte hit:        {:.2} %", r.byte_hit_pct)?;
+    writeln!(out, "shield hit:      {:.2} %", r.shield_hit_pct)?;
+    writeln!(out, "peer hits:       {}", r.peer_hits)?;
+    writeln!(out, "origin offload:  {:.2} %", r.origin_offload_pct)?;
+    writeln!(out, "availability:    {:.2} %", r.availability_pct)?;
+    writeln!(
+        out,
         "errors served:   {} (+{} unrouted)",
         r.errors_served, r.unrouted
-    );
-    println!("failovers:       {}", r.failovers);
-    println!(
+    )?;
+    writeln!(out, "failovers:       {}", r.failovers)?;
+    writeln!(
+        out,
         "stale served:    {}  retries: {}  coalesced: {}",
         r.stale_served, r.retries, r.coalesced_fetches
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "breaker:         {} open / {} close",
         r.breaker_opens, r.breaker_closes
-    );
-    println!("mean latency:    {:.1} ms", r.mean_latency_ms);
-    println!(
+    )?;
+    writeln!(out, "mean latency:    {:.1} ms", r.mean_latency_ms)?;
+    writeln!(
+        out,
         "P90/P99 latency: {:.1} / {:.1} ms",
         r.p90_latency_ms, r.p99_latency_ms
-    );
-    println!("WAN traffic:     {:.3} Gbps", r.wan_gbps);
-    println!("node imbalance:  {:.2}", r.node_imbalance);
+    )?;
+    writeln!(out, "WAN traffic:     {:.3} Gbps", r.wan_gbps)?;
+    writeln!(out, "node imbalance:  {:.2}", r.node_imbalance)?;
     for node in 0..r.per_node_requests.len() {
-        println!(
+        writeln!(
+            out,
             "  node {node}:        {} reqs, {:.2} % hit, {} errors",
             r.per_node_requests[node], r.per_node_hit_pct[node], r.per_node_errors[node]
-        );
+        )?;
     }
-    println!("replay wall:     {:.2} s", r.replay_wall_secs);
+    writeln!(out, "replay wall:     {:.2} s", r.replay_wall_secs)?;
     write_report(args, || r.stable_json())?;
-    run.close()
+    Ok(run.close()?)
 }
 
-fn cmd_bound(args: &Args) -> Result<(), String> {
+fn cmd_bound(args: &Args, out: &mut impl Write) -> Result<(), Stop> {
     args.expect_flags("bound", &[&["capacity"], TRACE_FLAGS, OBS_FLAGS])?;
     let capacity = parse_size(args.get("capacity").ok_or("--capacity is required")?)?;
     // With `--obs PATH` each evaluation records a `bound.evaluate/<name>`
@@ -1147,7 +1207,7 @@ fn cmd_bound(args: &Args) -> Result<(), String> {
         Box::new(lhr_bounds::PfooLower),
         Box::<lhr::Hro>::default(),
     ];
-    println!("{:<12} {:>8} {:>10}", "bound", "hit%", "byte-hit%");
+    writeln!(out, "{:<12} {:>8} {:>10}", "bound", "hit%", "byte-hit%")?;
     for bound in bounds {
         let name = bound.name();
         let m = {
@@ -1161,12 +1221,13 @@ fn cmd_bound(args: &Args) -> Result<(), String> {
             o.counter_add(&format!("bound.{name}.hits"), m.hits);
             o.gauge_set(&format!("bound.{name}.hit_ratio"), m.object_hit_ratio());
         }
-        println!(
+        writeln!(
+            out,
             "{:<12} {:>8.2} {:>10.2}",
             name,
             m.object_hit_ratio() * 100.0,
             m.byte_hit_ratio() * 100.0
-        );
+        )?;
     }
     if let Some((o, path)) = &obs {
         let jsonl = o.to_jsonl();

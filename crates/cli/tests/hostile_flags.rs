@@ -5,7 +5,7 @@
 //! requests) must replay exactly like `--threads 1`.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn cli(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_lhr-cache"))
@@ -962,4 +962,46 @@ fn a_malformed_line_after_a_size_change_is_the_error_reported() {
             .as_str()
         )
     );
+}
+
+#[test]
+fn a_command_whose_stdout_is_closed_stops_quietly_and_a_failed_write_is_one_error_line() {
+    let file = TraceFile::generate("closed-stdout");
+    let commands: [&[&str]; 2] = [
+        &["stats", file.path()],
+        &[
+            "server",
+            "--policy",
+            "LRU",
+            "--capacity",
+            "1MB",
+            file.path(),
+        ],
+    ];
+    for args in commands {
+        // The reader goes away before the command writes its first line
+        // (`lhr-cache stats t.bin | head -0`).
+        let mut child = Command::new(env!("CARGO_BIN_EXE_lhr-cache"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn lhr-cache");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("wait for lhr-cache");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(stderr.is_empty(), "{args:?}: {stderr}");
+
+        // Any other failed write is a real error: a full device.
+        let Ok(full) = std::fs::File::create("/dev/full") else {
+            continue;
+        };
+        let out = Command::new(env!("CARGO_BIN_EXE_lhr-cache"))
+            .args(args)
+            .stdout(full)
+            .output()
+            .expect("spawn lhr-cache");
+        assert_one_line_error(&out, "error: writing to stdout: No space left on device");
+    }
 }

@@ -4,7 +4,6 @@
 use crate::detect::ZipfDetector;
 use crate::features::FeatureStore;
 use crate::hazard::hro_top_set;
-use crate::retrain::ShadowTrainer;
 use crate::threshold::{Scored, ShadowRequest, ThresholdEstimator};
 use crate::window::{WindowData, WindowTracker};
 use lhr_gbm::{Dataset, Gbm, GbmParams};
@@ -176,8 +175,12 @@ pub struct LhrCache {
     /// `(flat row matrix, labels)` per window.
     labeled_history: std::collections::VecDeque<(Vec<f32>, Vec<f32>)>,
     model: Option<Gbm>,
-    /// Background (shadow) trainer; swaps land at pinned window edges.
-    trainer: ShadowTrainer,
+    /// A retraining scheduled at one window edge and fit at a later one:
+    /// `(due window, training set)`. The first edge at or past the due
+    /// window fits the set and installs the model (`install_due_model`).
+    pending: Option<(u64, Dataset)>,
+    /// Retrained models installed so far (the `ModelSwap` epoch).
+    epoch: u64,
     detector: ZipfDetector,
     threshold: ThresholdEstimator,
     rng: SmallRng,
@@ -206,7 +209,8 @@ impl LhrCache {
             row_every: 1,
             labeled_history: std::collections::VecDeque::new(),
             model: None,
-            trainer: ShadowTrainer::default(),
+            pending: None,
+            epoch: 0,
             detector: ZipfDetector::default(),
             threshold,
             rng: SmallRng::seed_from_u64(config.seed ^ 0x1117),
@@ -269,10 +273,10 @@ impl LhrCache {
     /// request renders one anyway; there is no model yet (the bootstrap
     /// window has no predecessor to take a stride from, and its edge
     /// evaluates the threshold); or its edge will evaluate the threshold on
-    /// a fresh model — a shadow-trained one whose swap is pinned to it.
+    /// a fresh model — a retrained one whose install is pinned to it.
     fn plan_rows(&self, index: u64, prev_len: usize) -> usize {
         let edge_evaluates_threshold = self.config.fixed_threshold.is_none()
-            && self.trainer.due_window().is_some_and(|due| due <= index);
+            && self.pending.as_ref().is_some_and(|&(due, _)| due <= index);
         if self.config.rescore_hits || self.model.is_none() || edge_evaluates_threshold {
             1
         } else {
@@ -319,9 +323,9 @@ impl LhrCache {
         self.store.push(req.id, req.size, req.ts, scored);
     }
 
-    /// Window finalization: shadow-model install → detection →
-    /// (re)training → threshold update (Algorithm 1, with retraining moved
-    /// off the serving path).
+    /// Window finalization: due-model install → detection → (re)training
+    /// → threshold update (Algorithm 1, with a retraining's fit deferred to
+    /// the next window edge).
     fn finalize_window(&mut self, done: WindowData) {
         self.stats.windows += 1;
         let t_end = done
@@ -329,7 +333,7 @@ impl LhrCache {
             .last()
             .map(|&(ts, _, _)| ts.as_secs_f64())
             .unwrap_or(0.0);
-        // A background-trained model whose swap was pinned to this edge
+        // A retraining whose install was pinned to this edge is fit and
         // activates before anything else looks at the window.
         let installed = self.install_due_model(done.index, t_end);
         let detection = {
@@ -410,11 +414,11 @@ impl LhrCache {
                             ),
                     );
                 }
-            } else if let Some(rows) = self.spawn_train(done.index) {
-                // Shadow path: fit on a background thread; the swap is
-                // pinned to the next window edge, and the previous fit was
-                // installed at this one, so none is ever in flight here.
-                // Wall time is reported on the ModelSwap event at install.
+            } else if let Some(rows) = self.schedule_train(done.index) {
+                // Retraining: the set is fit and installed at the next
+                // window edge, and the previous one was installed at this
+                // one, so none is ever pending here. Wall time is reported
+                // on the ModelSwap event at install.
                 if let Some(obs) = &self.obs {
                     obs.emit(
                         Event::new(t_end, EventKind::Retrain)
@@ -541,48 +545,51 @@ impl LhrCache {
         Some((n_rows, wall_secs))
     }
 
-    /// Spawns a background training triggered at `window`, pinning its
-    /// swap to the next window edge. Returns the training-set size when a
-    /// fit was actually started.
-    fn spawn_train(&mut self, window: u64) -> Option<usize> {
+    /// Schedules a retraining triggered at `window`: its training set is
+    /// fit and installed at the next window edge, so which window's data
+    /// trains a model and which edge activates it are both fixed by window
+    /// index. Returns the training-set size when there was a set to fit.
+    fn schedule_train(&mut self, window: u64) -> Option<usize> {
+        debug_assert!(self.pending.is_none(), "one retraining pending at most");
         let data = self.build_train_data()?;
         let rows = data.n_rows();
-        self.trainer
-            .spawn(data, self.config.gbm.clone(), window + 1);
+        self.pending = Some((window + 1, data));
         self.stats.trainings += 1;
         Some(rows)
     }
 
-    /// Installs the pending shadow model if its pinned window edge has
-    /// arrived: atomically swaps it into the serving path, accounts the
-    /// background fit's counters on this (serving) thread, and emits a
-    /// `ModelSwap` event. Returns whether a swap happened.
+    /// At the edge of window `window`: if the pending training set is due
+    /// (`window` at or past its due window), fits it, swaps the model into
+    /// the serving path and emits a `ModelSwap` event. Returns whether a
+    /// swap happened. A run that ends before the due edge never fits the
+    /// set.
     fn install_due_model(&mut self, window: u64, t_end: f64) -> bool {
-        let Some(installed) = self.trainer.take_due(window) else {
+        let Some((_, data)) = self.pending.take_if(|&mut (due, _)| window >= due) else {
             return false;
         };
-        self.stats.train_wall_secs += installed.wall_secs;
+        // Unlike the bootstrap's, this fit records no spans: the export's
+        // span tree holds the bootstrap fit alone, and the counters below
+        // account for this one.
+        let t0 = std::time::Instant::now();
+        let model = Gbm::fit(&data, &self.config.gbm);
+        let wall_secs = t0.elapsed().as_secs_f64();
+        self.stats.train_wall_secs += wall_secs;
+        self.epoch += 1;
         if let Some(obs) = &self.obs {
-            // The background fit ran without a recorder (span nesting is
-            // serving-thread state); account it here instead.
             obs.counter_add("gbm.fits", 1);
-            obs.counter_add("gbm.trees", installed.model.n_trees() as u64);
+            obs.counter_add("gbm.trees", model.n_trees() as u64);
             obs.emit(
                 Event::new(t_end, EventKind::ModelSwap)
                     .field("window", window)
-                    .field("rows", installed.rows as u64)
-                    .field("epoch", installed.epoch)
+                    .field("rows", data.n_rows() as u64)
+                    .field("epoch", self.epoch)
                     .field(
                         "wall_secs",
-                        if obs.deterministic() {
-                            0.0
-                        } else {
-                            installed.wall_secs
-                        },
+                        if obs.deterministic() { 0.0 } else { wall_secs },
                     ),
             );
         }
-        self.model = Some(installed.model);
+        self.model = Some(model);
         true
     }
 
@@ -888,33 +895,55 @@ mod tests {
     }
 
     #[test]
-    fn background_retraining_swaps_at_pinned_window_edges() {
-        use lhr_obs::{Obs, ObsConfig};
+    fn retraining_installs_at_the_pinned_window_edge() {
+        use lhr_obs::{Obs, ObsConfig, ObsRecord};
         let trace = zipf_trace(9);
         let obs = Obs::new(ObsConfig {
             deterministic: true,
             ..ObsConfig::default()
         });
         let mut cache = LhrCache::new(120_000, LhrConfig::n_lhr()).with_obs(obs.clone());
-        Simulator::new(SimConfig::default())
-            .with_obs(obs.clone())
-            .run(&mut cache, &trace);
+        // The model a plain `Gbm::fit` makes of the set scheduled at the
+        // last edge, and that edge's window.
+        let mut scheduled: Option<(u64, String)> = None;
+        let mut installs = 0;
+        for req in trace.iter() {
+            let windows = cache.stats.windows;
+            cache.handle(req);
+            if cache.stats.windows == windows {
+                continue;
+            }
+            let edge = windows; // the index of the window that just closed
+            if edge == 0 {
+                assert!(cache.pending.is_none(), "the bootstrap fits inline");
+                continue;
+            }
+            if let Some((w, expect)) = scheduled.take() {
+                // (a) The set scheduled at w is what is serving from w + 1.
+                assert_eq!(edge, w + 1);
+                let model = cache.model.as_ref().expect("installed");
+                assert_eq!(model.to_json_string(), expect, "window {edge}");
+                installs += 1;
+            }
+            let (due, data) = cache
+                .pending
+                .as_ref()
+                .expect("N-LHR schedules at every edge; the set waits for the next");
+            assert_eq!(*due, edge + 1, "pinned to the next edge");
+            scheduled = Some((edge, Gbm::fit(data, &cache.config.gbm).to_json_string()));
+        }
         let stats = cache.stats();
-        assert!(
-            stats.windows >= 3,
-            "need several windows: {}",
-            stats.windows
-        );
+        assert!(installs >= 2, "need several installs: {installs}");
         let events = obs.events();
         let swaps: Vec<_> = events
             .iter()
             .filter(|e| e.kind == EventKind::ModelSwap)
             .collect();
-        // N-LHR spawns at every edge; every spawn except the last installs
-        // one window later (the final one is still in flight at run end).
-        assert_eq!(swaps.len() as u64, stats.windows.saturating_sub(2));
+        // N-LHR schedules at every edge; every set except the last installs
+        // one window later.
+        assert_eq!(swaps.len() as u64, stats.windows - 2);
         for (k, swap) in swaps.iter().enumerate() {
-            // Spawned at window w ≥ 1, installed at w + 1 ⇒ the k-th swap
+            // Scheduled at window w ≥ 1, installed at w + 1 ⇒ the k-th swap
             // lands exactly at window k + 2.
             assert_eq!(
                 swap.get("window").and_then(|v| v.as_f64()),
@@ -926,8 +955,33 @@ mod tests {
             );
             assert_eq!(swap.get("wall_secs").and_then(|v| v.as_f64()), Some(0.0));
         }
-        // The serving thread still accounts every background fit.
+        // (c) The run ended with the last set pending: it counts as a
+        // training but was never fit — `gbm.fits` holds the bootstrap and
+        // the swaps alone.
         assert_eq!(stats.trainings, stats.windows);
+        let fits = obs.records().into_iter().find_map(|r| match r {
+            ObsRecord::Counter { name, value } if name == "gbm.fits" => Some(value),
+            _ => None,
+        });
+        assert_eq!(fits, Some(1 + swaps.len() as u64));
+
+        // (b) The set is not due at the edge that scheduled it, and any
+        // edge at or past the due one installs it — a window index that
+        // jumps past the pinned edge included — advancing the epoch.
+        let (due, _) = *cache.pending.as_ref().expect("pending at run end");
+        assert!(!cache.install_due_model(due - 1, 0.0));
+        assert!(cache.install_due_model(due + 5, 0.0));
+        assert!(cache.pending.is_none());
+        let swap = obs.events().pop().expect("a ModelSwap");
+        assert_eq!(swap.kind, EventKind::ModelSwap);
+        assert_eq!(
+            swap.get("window").and_then(|v| v.as_f64()),
+            Some((due + 5) as f64)
+        );
+        assert_eq!(
+            swap.get("epoch").and_then(|v| v.as_f64()),
+            Some((swaps.len() + 1) as f64)
+        );
     }
 
     /// The LHR instances of `tests/lhr_golden.rs` (each shard's stream of

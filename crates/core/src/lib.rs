@@ -40,7 +40,6 @@ pub mod cache;
 pub mod detect;
 pub mod features;
 pub mod hazard;
-mod retrain;
 pub mod threshold;
 pub mod window;
 

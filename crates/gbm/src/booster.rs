@@ -4,7 +4,6 @@ use crate::dataset::Dataset;
 use crate::flat::FlatForest;
 use crate::tree::{Grower, Tree};
 use lhr_util::sync::{claim_each, crew, resolve_threads};
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Measured cost of one row through one tree of the padded single-row
 /// kernel, on LHR-shaped data (23 features, 25 depth-6 trees); it sizes
@@ -142,28 +141,6 @@ impl Gbm {
     /// # Panics
     /// Panics if `data` is empty.
     pub fn fit_traced(data: &Dataset, params: &GbmParams, obs: Option<&lhr_obs::Obs>) -> Gbm {
-        Gbm::boost(data, params, obs, None).expect("an uncancellable fit completes")
-    }
-
-    /// Like [`Gbm::fit`], but gives up once `cancel` is set: the flag is
-    /// read before every boosting round, and a fit that sees it returns
-    /// `None`. A fit that never sees it returns exactly [`Gbm::fit`]'s
-    /// model.
-    ///
-    /// # Panics
-    /// Panics if `data` is empty.
-    pub fn fit_unless(data: &Dataset, params: &GbmParams, cancel: &AtomicBool) -> Option<Gbm> {
-        Gbm::boost(data, params, None, Some(cancel))
-    }
-
-    /// The one boosting loop behind every `fit`.
-    fn boost(
-        data: &Dataset,
-        params: &GbmParams,
-        obs: Option<&lhr_obs::Obs>,
-        cancel: Option<&AtomicBool>,
-    ) -> Option<Gbm> {
-        let cancelled = || cancel.is_some_and(|c| c.load(Ordering::Relaxed));
         let _fit_span = obs.map(|o| o.span("gbm.fit"));
 
         assert!(!data.is_empty(), "cannot fit on an empty dataset");
@@ -200,13 +177,9 @@ impl Gbm {
             hessians.is_some(),
             resolve_threads(params.threads),
         );
-        // The grower's helpers live for this call: a cancelled fit returns
-        // out of it, closing the crew, and they end with it.
-        let finished = crew(grower.helpers, grower.shard_work(), |crew| {
+        // The grower's helpers live for this call and end with it.
+        crew(grower.helpers, grower.shard_work(), |crew| {
             for _round in 0..params.n_trees {
-                if cancelled() {
-                    return false;
-                }
                 let _round_span = obs.map(|o| o.span("gbm.tree"));
                 match &mut hessians {
                     None => {
@@ -240,23 +213,19 @@ impl Gbm {
                     break;
                 }
             }
-            true
         });
-        if !finished {
-            return None;
-        }
         if let Some(o) = obs {
             o.counter_add("gbm.fits", 1);
             o.counter_add("gbm.trees", trees.len() as u64);
         }
 
-        Some(Gbm::assemble(
+        Gbm::assemble(
             base_score,
             trees,
             feature_gain,
             data.n_features(),
             params.loss,
-        ))
+        )
     }
 
     /// Builds the ensemble and derives its padded serving layout — the
@@ -597,21 +566,6 @@ mod tests {
             assert_eq!(one, fit(2, loss), "{loss:?}: threads=2 diverged");
             assert_eq!(one, fit(8, loss), "{loss:?}: threads=8 diverged");
         }
-    }
-
-    #[test]
-    fn a_cancelled_fit_gives_up_and_an_uncancelled_one_is_fit() {
-        let d = make_messy(1_000);
-        let params = GbmParams {
-            n_trees: 12,
-            ..GbmParams::default()
-        };
-        assert!(Gbm::fit_unless(&d, &params, &AtomicBool::new(true)).is_none());
-        let kept = Gbm::fit_unless(&d, &params, &AtomicBool::new(false)).expect("never cancelled");
-        assert_eq!(
-            kept.to_json_string(),
-            Gbm::fit(&d, &params).to_json_string()
-        );
     }
 
     #[test]

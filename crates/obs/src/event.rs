@@ -23,9 +23,10 @@ pub enum EventKind {
     /// The δ-threshold estimator adopted a new admission threshold
     /// (fields: `window`, `old`, `new`).
     ThresholdUpdate,
-    /// A background-trained (shadow) admission model was atomically
-    /// installed at a window edge (fields: `window`, `rows`, `epoch`,
-    /// `wall_secs` — zeroed in deterministic mode).
+    /// A retrained admission model was installed at a window edge: the
+    /// training set scheduled at the edge before, fit at this one on the
+    /// serving thread (fields: `window`, `rows`, `epoch`, `wall_secs` —
+    /// zeroed in deterministic mode).
     ModelSwap,
     /// The circuit breaker tripped open (fields: `opens`).
     BreakerOpen,

@@ -200,10 +200,10 @@ fn render_hist(out: &mut String, name: &str, h: &LogHistogram) {
     );
 }
 
-/// A hottest-shard/mean ratio above this renders the skew hint. Kept in
-/// sync with `lhr_proto::engine::SKEW_HINT_THRESHOLD` (obs can't depend on
-/// proto — the dependency points the other way).
-const SKEW_HINT_THRESHOLD: f64 = 1.25;
+/// A hottest-shard load above this multiple of the mean counts as skewed:
+/// the engine's shard-count hint (`lhr_proto::engine::shard_skew`) and
+/// its rendering here both use it.
+pub const SKEW_HINT_THRESHOLD: f64 = 1.25;
 
 /// One-line `--shards` hint when the engine's exported gauges say the
 /// keyspace is skewed (see `lhr_proto::engine::shard_skew`).

@@ -6,6 +6,8 @@
 //! threshold the filters swap and the new current is cleared. This bounds
 //! both memory and the window over which "seen before" is remembered.
 
+use lhr_util::hash::splitmix64;
+
 /// Double-buffered Bloom filter over `u64` keys.
 #[derive(Debug, Clone)]
 pub struct BloomFilter {
@@ -39,8 +41,8 @@ impl BloomFilter {
     #[inline]
     fn positions(&self, key: u64) -> impl Iterator<Item = u64> + '_ {
         // Kirsch–Mitzenmacher double hashing from one 128-bit-ish mix.
-        let h1 = splitmix(key);
-        let h2 = splitmix(h1 ^ 0x9E37_79B9_7F4A_7C15) | 1;
+        let h1 = splitmix64(key);
+        let h2 = splitmix64(h1 ^ 0x9E37_79B9_7F4A_7C15) | 1;
         let mask = self.n_bits - 1;
         (0..self.n_hashes as u64).map(move |i| (h1.wrapping_add(i.wrapping_mul(h2))) & mask)
     }
@@ -83,14 +85,6 @@ impl BloomFilter {
     pub fn size_bytes(&self) -> u64 {
         (self.bits[0].len() + self.bits[1].len()) as u64 * 8
     }
-}
-
-#[inline]
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

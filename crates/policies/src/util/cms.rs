@@ -7,6 +7,8 @@
 //! popularity. Counters saturate at 15 (4-bit semantics, stored in u8 for
 //! simplicity).
 
+use lhr_util::hash::splitmix64;
+
 /// The sketch.
 #[derive(Debug, Clone)]
 pub struct CountMinSketch {
@@ -36,7 +38,7 @@ impl CountMinSketch {
 
     #[inline]
     fn index(&self, row: usize, key: u64) -> usize {
-        let h = splitmix(key ^ (row as u64).wrapping_mul(0xA076_1D64_78BD_642F));
+        let h = splitmix64(key ^ (row as u64).wrapping_mul(0xA076_1D64_78BD_642F));
         row * self.width as usize + (h & (self.width - 1)) as usize
     }
 
@@ -78,14 +80,6 @@ impl CountMinSketch {
     pub fn size_bytes(&self) -> u64 {
         self.counters.len() as u64
     }
-}
-
-#[inline]
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

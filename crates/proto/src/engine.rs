@@ -42,6 +42,7 @@
 
 use crate::server::{CdnServer, ServerConfig, ServerReport};
 use crate::tally::{announce, gauge_wall_secs, per_sec, Tally};
+use lhr_obs::summary::SKEW_HINT_THRESHOLD;
 use lhr_obs::Obs;
 use lhr_sim::ledger::Ledger;
 use lhr_sim::shard::{Partition, RouteConfig};
@@ -114,10 +115,6 @@ lhr_util::impl_json!(struct EngineReport {
     shard_imbalance,
     suggested_shards,
 });
-
-/// A hottest-shard load above this multiple of the mean counts as skewed
-/// and triggers the shard-count hint.
-pub const SKEW_HINT_THRESHOLD: f64 = 1.25;
 
 /// Derives `(imbalance, suggested_shards)` from a per-shard request
 /// histogram. Imbalance is `max / mean`. When it exceeds

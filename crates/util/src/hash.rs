@@ -109,6 +109,17 @@ pub type FastMap<K, V> = std::collections::HashMap<K, V, FastState>;
 /// `FastSet::default()`.
 pub type FastSet<T> = std::collections::HashSet<T, FastState>;
 
+/// SplitMix64 (Steele, Lea & Flood 2014) of `x`: a golden-ratio Weyl step,
+/// then a full-avalanche mix. The sketches' hash of an object id, and the
+/// output of [`crate::rng::SplitMix64`] at state `x`.
+#[inline]
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,6 +152,14 @@ mod tests {
         // 0x9E37_79B9_7F4A_7C15 * K mod 2^64 (hash starts at 0, so the
         // first word reduces to a bare multiply).
         assert_eq!(hash_u64(0x9E37_79B9_7F4A_7C15), 10594965232939764281);
+    }
+
+    #[test]
+    fn splitmix64_is_the_reference_mix() {
+        // The published first outputs of SplitMix64 seeded with 0 and 1.
+        assert_eq!(splitmix64(0), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(splitmix64(0x9E37_79B9_7F4A_7C15), 0x6E78_9E6A_A1B9_65F4);
+        assert_eq!(splitmix64(1), 0x910A_2DEC_8902_5CC1);
     }
 
     #[test]

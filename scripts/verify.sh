@@ -20,7 +20,7 @@ if grep -rnw unsafe crates/*/src src; then
   exit 1
 fi
 
-echo "==> kept deleted: one slot-array store, no hand-rolled policy table, one way for windows to reach the recorder, one helper crew"
+echo "==> kept deleted: one slot-array store, no hand-rolled policy table, one way for windows to reach the recorder, one helper crew, one way to retrain"
 # SampleStore (crates/sim/src/store.rs) holds the only swap_remove fix-up:
 # LhrCache and the threshold shadow kept their own until they moved onto
 # it. Everything above a file's first #[cfg(test)] is non-test code.
@@ -64,16 +64,17 @@ if grep -rnwE 'CloseOnDrop|UNPOISONED|VALIDATE_MIN_SHARE' crates src tests examp
   echo "a name of the deleted helper pools is back (see the lines above)" >&2
   exit 1
 fi
+# LHR's background trainer and the cancellable fit it ran: a retraining is
+# fit on the serving thread at the window edge it is pinned to.
+if grep -rnwE 'ShadowTrainer|fit_unless' crates src tests examples; then
+  echo "a name of the deleted background trainer is back (see the lines above)" >&2
+  exit 1
+fi
 # Threads are spawned, woken and counted in lhr_util::sync alone (claim_each,
-# crew, cores). The one other thread is the background trainer's in
-# core/src/retrain.rs, which outlives any call.
+# crew, cores).
 for file in $(find crates/*/src -name '*.rs' ! -path crates/util/src/sync.rs | sort); do
-  pattern='thread::scope|thread::spawn|Condvar|mpsc|available_parallelism'
-  if [ "$file" = crates/core/src/retrain.rs ]; then
-    pattern='thread::scope|Condvar|mpsc|available_parallelism'
-  fi
   if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$file" \
-      | grep -E "$pattern"; then
+      | grep -E 'thread::scope|thread::spawn|Condvar|mpsc|available_parallelism'; then
     echo "a thread primitive outside lhr_util::sync (see the lines above)" >&2
     exit 1
   fi
@@ -122,8 +123,9 @@ smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
 cargo run --release --offline -p lhr-cli -- generate \
   --kind zipf --objects 200 --requests 5000 --seed 7 --out "$smoke_dir/t.csv"
-# Capture instead of piping into `grep -q`: grep would exit at the first
-# match and the CLI's line-buffered stdout then panics on EPIPE.
+# Capture instead of piping into `grep -q`: grep exits at the first match,
+# and the CLI then stops at its next line (quietly, exit 0) instead of
+# finishing the run.
 cargo run --release --offline -p lhr-cli -- server \
   --policy LRU --capacity 50MB --faults flaky "$smoke_dir/t.csv" \
   > "$smoke_dir/server.out"
@@ -219,16 +221,16 @@ for policy in LRU Hyperbolic W-TinyLFU GDSF; do
   fi
 done
 
-echo "==> shadow-retrain determinism smoke (N-LHR and E-LHR, --threads 1 2 4)"
-# N-LHR retrains every window, and LHR runs each of those fits after the
-# bootstrap on a shadow thread with the model swap pinned to a
-# deterministic later window edge — so this run swaps models repeatedly
-# while trainer threads race the serving threads. Reports and obs
-# exports must still be byte-identical across thread counts. The trace
-# is sized so every shard crosses several retraining windows (the LHR
-# window floor is 4096 requests per shard). N-LHR scores at admission and
-# renders rows lazily (the default path); E-LHR is the eager twin — every
-# hit re-scored, every row rendered — with detection-gated retrains.
+echo "==> retrain determinism smoke (N-LHR and E-LHR, --threads 1 2 4)"
+# N-LHR retrains every window, and LHR fits each retraining after the
+# bootstrap at the next window edge, where it swaps the model in — so
+# this run swaps models repeatedly while shards run on parallel workers.
+# Reports and obs exports must still be byte-identical across thread
+# counts. The trace is sized so every shard crosses several retraining
+# windows (the LHR window floor is 4096 requests per shard). N-LHR scores
+# at admission and renders rows lazily (the default path); E-LHR is the
+# eager twin — every hit re-scored, every row rendered — with
+# detection-gated retrains.
 cargo run --release --offline -p lhr-cli -- generate \
   --kind syn-one --objects 500 --requests 40000 --seed 11 \
   --out "$smoke_dir/retrain.csv"
@@ -244,7 +246,7 @@ for policy in N-LHR E-LHR; do
     cmp "$smoke_dir/nr-$policy-1.json" "$smoke_dir/nr-$policy-$t.json"
     cmp "$smoke_dir/ne-$policy-1.jsonl" "$smoke_dir/ne-$policy-$t.jsonl"
   done
-  # The run must actually have exercised the shadow path.
+  # The run must actually have swapped a retrained model in.
   grep -q '"kind":"ModelSwap"' "$smoke_dir/ne-$policy-1.jsonl"
 done
 

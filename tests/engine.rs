@@ -110,8 +110,8 @@ fn engine_with_learned_policy_is_byte_identical_across_threads() {
 }
 
 /// Two IRM halves with very different Zipf exponents over one object
-/// population — the α shift makes every shard's detector fire, so the
-/// background shadow trainer actually spawns and swaps mid-replay.
+/// population — the α shift makes every shard's detector fire, so a
+/// retraining is actually fit and swapped in mid-replay.
 fn shifting_alpha_trace() -> Trace {
     use lhr_repro::trace::{Request, Time};
     let half = |alpha: f64, seed: u64| {

@@ -19,9 +19,9 @@
 //! these bytes, and from nothing else, when the report types lost that
 //! field (the obs window series is the one hit-ratio time series).
 //!
-//! On that trace LHR bootstraps both shards, installs two shadow-trained
-//! models and moves its threshold twice; N-LHR retrains at every window
-//! edge (eleven fits, seven shadow swaps). Hit ratio, latency percentiles,
+//! On that trace LHR bootstraps both shards, installs two retrained models
+//! and moves its threshold twice; N-LHR retrains at every window edge
+//! (eleven trainings, seven swaps). Hit ratio, latency percentiles,
 //! WAN traffic and coalesced fetches all depend on every cache decision.
 //! Only `peak_mem_gb` is masked: it reports the metadata *accounting*,
 //! which shrinks when per-object state does. `scripts/verify.sh` holds the

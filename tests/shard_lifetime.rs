@@ -103,8 +103,8 @@ impl<P: CachePolicy> CachePolicy for Counted<'_, P> {
 }
 
 /// N-LHR with windows short enough that every shard retrains several
-/// times, so each shard ends with a background fit in flight that its
-/// drop abandons.
+/// times, so each shard ends with a retraining scheduled that no edge
+/// fits.
 fn n_lhr(capacity: u64, shard: usize) -> LhrCache {
     LhrCache::new(
         capacity,
@@ -188,7 +188,7 @@ fn the_engine_keeps_at_most_one_serving_path_per_thread() {
         assert_eq!(counted, plain, "threads={threads}");
         assert!(
             plain[1].1.contains("\"kind\":\"ModelSwap\""),
-            "sanity: LHR shards swapped in background fits"
+            "sanity: LHR shards swapped in retrained models"
         );
         for live in [lru_live, lhr_live] {
             let most = live.most_after_all_dropped();
