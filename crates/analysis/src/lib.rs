@@ -9,17 +9,12 @@
 //!   exact, via byte-weighted reuse distances (a Mattson stack analysis
 //!   with a Fenwick tree), and approximate via SHARDS-style spatial
 //!   hash sampling for large traces.
-//! - [`workingset`] — working-set-size profiles (unique bytes touched per
-//!   time window), the quantity behind the paper's "active bytes" sizing
-//!   argument.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod che;
 pub mod mrc;
-pub mod workingset;
 
 pub use che::CheModel;
 pub use mrc::{MissRatioCurve, MrcConfig};
-pub use workingset::working_set_profile;

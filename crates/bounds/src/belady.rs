@@ -62,6 +62,7 @@ impl OfflineBound for BeladySize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lhr_sim::store::{CacheStore, SampleStore};
     use lhr_sim::{CachePolicy, SimConfig, Simulator};
     use lhr_trace::{Request, Time};
 
@@ -106,51 +107,41 @@ mod tests {
     /// not the other way around).
     fn lhr_policies_test_lru(capacity: u64) -> impl CachePolicy {
         struct MiniLru {
-            cap: u64,
-            used: u64,
-            /// (id, size, freshness stamp), LRU first.
-            order: Vec<(u64, u64, Time)>,
+            store: SampleStore<()>,
+            /// Held ids, LRU first.
+            order: Vec<u64>,
         }
         impl CachePolicy for MiniLru {
             fn name(&self) -> &str {
                 "mini-lru"
             }
-            fn capacity(&self) -> u64 {
-                self.cap
+            fn store(&self) -> &dyn CacheStore {
+                &self.store
             }
-            fn used_bytes(&self) -> u64 {
-                self.used
-            }
-            fn admitted_at(&self, id: u64) -> Option<Time> {
-                let &(.., at) = self.order.iter().find(|e| e.0 == id)?;
-                Some(at)
-            }
-            fn restamp(&mut self, id: u64, at: Time) {
-                if let Some(e) = self.order.iter_mut().find(|e| e.0 == id) {
-                    e.2 = at;
-                }
+            fn store_mut(&mut self) -> &mut dyn CacheStore {
+                &mut self.store
             }
             fn handle(&mut self, req: &Request) -> lhr_sim::Outcome {
-                if let Some(pos) = self.order.iter().position(|e| e.0 == req.id) {
-                    let e = self.order.remove(pos);
-                    self.order.push(e);
+                if let Some(pos) = self.order.iter().position(|&id| id == req.id) {
+                    let id = self.order.remove(pos);
+                    self.order.push(id);
                     return lhr_sim::Outcome::Hit;
                 }
-                if req.size > self.cap {
+                if req.size > self.store.capacity() {
                     return lhr_sim::Outcome::MissBypassed;
                 }
-                while self.used + req.size > self.cap {
-                    let (_, s, _) = self.order.remove(0);
-                    self.used -= s;
+                while !self.store.fits(req.size) {
+                    let victim = self.order.remove(0);
+                    let pos = self.store.position(victim).expect("held");
+                    self.store.evict_at(pos);
                 }
-                self.order.push((req.id, req.size, req.ts));
-                self.used += req.size;
+                self.order.push(req.id);
+                self.store.push(req.id, req.size, req.ts, ());
                 lhr_sim::Outcome::MissAdmitted
             }
         }
         MiniLru {
-            cap: capacity,
-            used: 0,
+            store: SampleStore::new(capacity),
             order: Vec::new(),
         }
     }

@@ -9,7 +9,7 @@ use crate::window::{WindowData, WindowTracker};
 use lhr_gbm::{Dataset, Gbm, GbmParams};
 use lhr_obs::{Event, EventKind, Obs};
 use lhr_sim::store::SampleStore;
-use lhr_sim::{CachePolicy, Outcome};
+use lhr_sim::{CachePolicy, CacheStore, Outcome};
 use lhr_trace::{ObjectId, Request, Time};
 use lhr_util::rng::rngs::SmallRng;
 use lhr_util::rng::{Rng, SeedableRng};
@@ -667,17 +667,11 @@ impl CachePolicy for LhrCache {
     fn name(&self) -> &str {
         self.display_name
     }
-    fn capacity(&self) -> u64 {
-        self.store.capacity()
+    fn store(&self) -> &dyn CacheStore {
+        &self.store
     }
-    fn used_bytes(&self) -> u64 {
-        self.store.used()
-    }
-    fn admitted_at(&self, id: ObjectId) -> Option<Time> {
-        self.store.admitted_at(id)
-    }
-    fn restamp(&mut self, id: ObjectId, at: Time) {
-        self.store.restamp(id, at);
+    fn store_mut(&mut self) -> &mut dyn CacheStore {
+        &mut self.store
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
@@ -690,10 +684,6 @@ impl CachePolicy for LhrCache {
     fn hit_check(&mut self, req: &Request) -> Option<Outcome> {
         let pos = self.store.position(req.id)?;
         Some(self.handle_at(req, Some(pos)))
-    }
-
-    fn evictions(&self) -> u64 {
-        self.store.evictions()
     }
 
     fn metadata_overhead_bytes(&self) -> u64 {

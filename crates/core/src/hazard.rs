@@ -166,53 +166,43 @@ mod tests {
 
     #[test]
     fn hro_dominates_every_feasible_policy_on_irm() {
+        use lhr_sim::store::{CacheStore, SampleStore};
         use lhr_sim::{CachePolicy, Outcome, SimConfig, Simulator};
         use lhr_trace::synth::{IrmConfig, SizeModel};
 
         // A simple feasible LFU baseline to dominate.
         struct MiniLfu {
-            cap: u64,
-            used: u64,
-            /// id → (count, size, freshness stamp).
-            counts: std::collections::HashMap<u64, (u64, u64, lhr_trace::Time)>,
+            /// Each slot's entry is its request count.
+            store: SampleStore<u64>,
         }
         impl CachePolicy for MiniLfu {
             fn name(&self) -> &str {
                 "mini-lfu"
             }
-            fn capacity(&self) -> u64 {
-                self.cap
+            fn store(&self) -> &dyn CacheStore {
+                &self.store
             }
-            fn used_bytes(&self) -> u64 {
-                self.used
-            }
-            fn admitted_at(&self, id: u64) -> Option<lhr_trace::Time> {
-                self.counts.get(&id).map(|&(_, _, at)| at)
-            }
-            fn restamp(&mut self, id: u64, at: lhr_trace::Time) {
-                if let Some(e) = self.counts.get_mut(&id) {
-                    e.2 = at;
-                }
+            fn store_mut(&mut self) -> &mut dyn CacheStore {
+                &mut self.store
             }
             fn handle(&mut self, req: &lhr_trace::Request) -> Outcome {
-                if let Some(e) = self.counts.get_mut(&req.id) {
-                    e.0 += 1;
+                if let Some(count) = self.store.get_mut(req.id) {
+                    *count += 1;
                     return Outcome::Hit;
                 }
-                if req.size > self.cap {
+                if req.size > self.store.capacity() {
                     return Outcome::MissBypassed;
                 }
-                while self.used + req.size > self.cap {
-                    let (&victim, &(_, vsize, _)) = self
-                        .counts
-                        .iter()
-                        .min_by_key(|(id, (c, ..))| (*c, **id))
+                while !self.store.fits(req.size) {
+                    let victim = (0..self.store.len())
+                        .min_by_key(|&pos| {
+                            let slot = self.store.slot(pos);
+                            (slot.entry, slot.id)
+                        })
                         .expect("full");
-                    self.counts.remove(&victim);
-                    self.used -= vsize;
+                    self.store.evict_at(victim);
                 }
-                self.counts.insert(req.id, (1, req.size, req.ts));
-                self.used += req.size;
+                self.store.push(req.id, req.size, req.ts, 1);
                 Outcome::MissAdmitted
             }
         }
@@ -225,9 +215,7 @@ mod tests {
         let capacity = 50_000u64;
         let hro = Hro::default().evaluate(&trace, capacity);
         let mut lfu = MiniLfu {
-            cap: capacity,
-            used: 0,
-            counts: Default::default(),
+            store: SampleStore::new(capacity),
         };
         let lfu_result = Simulator::new(SimConfig::default()).run(&mut lfu, &trace);
         assert!(

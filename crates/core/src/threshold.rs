@@ -13,7 +13,7 @@
 //! shadow draws 1 + 16 candidates and takes the smallest `q`; the live
 //! cache draws `eviction_sample` (64) and prefers candidates with `p < δ`.
 
-use lhr_sim::store::SampleStore;
+use lhr_sim::store::{CacheStore, SampleStore};
 use lhr_trace::{ObjectId, Time};
 use lhr_util::rng::rngs::SmallRng;
 use lhr_util::rng::{Rng, SeedableRng};

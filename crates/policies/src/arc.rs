@@ -6,8 +6,8 @@
 //! ghosts steer the adaptation target `p` (the byte share of T1).
 
 use crate::util::SegmentedStore;
-use lhr_sim::{CachePolicy, Outcome};
-use lhr_trace::{ObjectId, Request, Time};
+use lhr_sim::{CachePolicy, CacheStore, Outcome};
+use lhr_trace::{Request, Time};
 
 /// Segments of `cache`.
 const T1: usize = 0;
@@ -67,17 +67,11 @@ impl CachePolicy for Arc {
     fn name(&self) -> &str {
         "ARC"
     }
-    fn capacity(&self) -> u64 {
-        self.cache.capacity()
+    fn store(&self) -> &dyn CacheStore {
+        &self.cache
     }
-    fn used_bytes(&self) -> u64 {
-        self.cache.used()
-    }
-    fn admitted_at(&self, id: ObjectId) -> Option<Time> {
-        self.cache.admitted_at(id)
-    }
-    fn restamp(&mut self, id: ObjectId, at: Time) {
-        self.cache.restamp(id, at)
+    fn store_mut(&mut self) -> &mut dyn CacheStore {
+        &mut self.cache
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
@@ -128,10 +122,6 @@ impl CachePolicy for Arc {
         Outcome::MissAdmitted
     }
 
-    fn evictions(&self) -> u64 {
-        self.cache.evictions()
-    }
-
     fn metadata_overhead_bytes(&self) -> u64 {
         ((self.cache.len() + self.ghosts.len()) * 56) as u64
     }
@@ -140,7 +130,7 @@ impl CachePolicy for Arc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lhr_trace::Time;
+    use lhr_trace::{ObjectId, Time};
 
     fn req(t: u64, id: ObjectId, size: u64) -> Request {
         Request::new(Time::from_secs(t), id, size)

@@ -2,8 +2,8 @@
 
 use crate::util::LruStore;
 use lhr_sim::store::SampleStore;
-use lhr_sim::{CachePolicy, Outcome};
-use lhr_trace::{ObjectId, Request, Time};
+use lhr_sim::{CachePolicy, CacheStore, Outcome};
+use lhr_trace::Request;
 use lhr_util::rng::rngs::SmallRng;
 use lhr_util::rng::{Rng, SeedableRng};
 
@@ -27,17 +27,11 @@ impl CachePolicy for Fifo {
     fn name(&self) -> &str {
         "FIFO"
     }
-    fn capacity(&self) -> u64 {
-        self.store.capacity()
+    fn store(&self) -> &dyn CacheStore {
+        &self.store
     }
-    fn used_bytes(&self) -> u64 {
-        self.store.used()
-    }
-    fn admitted_at(&self, id: ObjectId) -> Option<Time> {
-        self.store.admitted_at(id)
-    }
-    fn restamp(&mut self, id: ObjectId, at: Time) {
-        self.store.restamp(id, at)
+    fn store_mut(&mut self) -> &mut dyn CacheStore {
+        &mut self.store
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
@@ -49,10 +43,6 @@ impl CachePolicy for Fifo {
         }
         self.store.insert(req.id, req.size, req.ts);
         Outcome::MissAdmitted
-    }
-
-    fn evictions(&self) -> u64 {
-        self.store.evictions()
     }
 
     fn metadata_overhead_bytes(&self) -> u64 {
@@ -81,17 +71,11 @@ impl CachePolicy for RandomEviction {
     fn name(&self) -> &str {
         "Random"
     }
-    fn capacity(&self) -> u64 {
-        self.store.capacity()
+    fn store(&self) -> &dyn CacheStore {
+        &self.store
     }
-    fn used_bytes(&self) -> u64 {
-        self.store.used()
-    }
-    fn admitted_at(&self, id: ObjectId) -> Option<Time> {
-        self.store.admitted_at(id)
-    }
-    fn restamp(&mut self, id: ObjectId, at: Time) {
-        self.store.restamp(id, at)
+    fn store_mut(&mut self) -> &mut dyn CacheStore {
+        &mut self.store
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
@@ -109,10 +93,6 @@ impl CachePolicy for RandomEviction {
         Outcome::MissAdmitted
     }
 
-    fn evictions(&self) -> u64 {
-        self.store.evictions()
-    }
-
     fn metadata_overhead_bytes(&self) -> u64 {
         self.store.len() as u64 * 40
     }
@@ -121,7 +101,7 @@ impl CachePolicy for RandomEviction {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lhr_trace::Time;
+    use lhr_trace::{ObjectId, Time};
 
     fn req(t: u64, id: ObjectId, size: u64) -> Request {
         Request::new(Time::from_secs(t), id, size)

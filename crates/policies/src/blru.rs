@@ -4,8 +4,8 @@
 //! (Maggs & Sitaraman 2015) realized with a rotating Bloom filter.
 
 use crate::util::{BloomFilter, LruStore};
-use lhr_sim::{CachePolicy, Outcome};
-use lhr_trace::{ObjectId, Request, Time};
+use lhr_sim::{CachePolicy, CacheStore, Outcome};
+use lhr_trace::Request;
 
 /// The B-LRU policy.
 #[derive(Debug)]
@@ -29,17 +29,11 @@ impl CachePolicy for BLru {
     fn name(&self) -> &str {
         "B-LRU"
     }
-    fn capacity(&self) -> u64 {
-        self.store.capacity()
+    fn store(&self) -> &dyn CacheStore {
+        &self.store
     }
-    fn used_bytes(&self) -> u64 {
-        self.store.used()
-    }
-    fn admitted_at(&self, id: ObjectId) -> Option<Time> {
-        self.store.admitted_at(id)
-    }
-    fn restamp(&mut self, id: ObjectId, at: Time) {
-        self.store.restamp(id, at)
+    fn store_mut(&mut self) -> &mut dyn CacheStore {
+        &mut self.store
     }
 
     fn hit_check(&mut self, req: &Request) -> Option<Outcome> {
@@ -62,10 +56,6 @@ impl CachePolicy for BLru {
         Outcome::MissAdmitted
     }
 
-    fn evictions(&self) -> u64 {
-        self.store.evictions()
-    }
-
     fn metadata_overhead_bytes(&self) -> u64 {
         self.store.len() as u64 * 48 + self.seen.size_bytes()
     }
@@ -74,7 +64,7 @@ impl CachePolicy for BLru {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lhr_trace::Time;
+    use lhr_trace::{ObjectId, Time};
 
     fn req(t: u64, id: ObjectId, size: u64) -> Request {
         Request::new(Time::from_secs(t), id, size)

@@ -7,8 +7,8 @@
 //! evicted object.
 
 use crate::util::{OrdF64, OrderedStore};
-use lhr_sim::{CachePolicy, Outcome};
-use lhr_trace::{ObjectId, Request, Time};
+use lhr_sim::{CachePolicy, CacheStore, Outcome};
+use lhr_trace::Request;
 
 /// The GDSF policy.
 #[derive(Debug)]
@@ -37,17 +37,11 @@ impl CachePolicy for Gdsf {
     fn name(&self) -> &str {
         "GDSF"
     }
-    fn capacity(&self) -> u64 {
-        self.store.capacity()
+    fn store(&self) -> &dyn CacheStore {
+        &self.store
     }
-    fn used_bytes(&self) -> u64 {
-        self.store.used()
-    }
-    fn admitted_at(&self, id: ObjectId) -> Option<Time> {
-        self.store.admitted_at(id)
-    }
-    fn restamp(&mut self, id: ObjectId, at: Time) {
-        self.store.restamp(id, at)
+    fn store_mut(&mut self) -> &mut dyn CacheStore {
+        &mut self.store
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
@@ -71,10 +65,6 @@ impl CachePolicy for Gdsf {
         Outcome::MissAdmitted
     }
 
-    fn evictions(&self) -> u64 {
-        self.store.evictions()
-    }
-
     fn metadata_overhead_bytes(&self) -> u64 {
         self.store.len() as u64 * 72
     }
@@ -83,7 +73,7 @@ impl CachePolicy for Gdsf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lhr_trace::Time;
+    use lhr_trace::{ObjectId, Time};
 
     fn req(t: u64, id: ObjectId, size: u64) -> Request {
         Request::new(Time::from_secs(t), id, size)

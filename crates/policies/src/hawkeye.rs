@@ -18,8 +18,8 @@
 //! cache-averse ones go to an averse list that is always evicted first.
 
 use crate::util::SegmentedStore;
-use lhr_sim::{CachePolicy, Outcome};
-use lhr_trace::{ObjectId, Request, Time};
+use lhr_sim::{CachePolicy, CacheStore, Outcome};
+use lhr_trace::{ObjectId, Request};
 use lhr_util::hash::FastMap;
 
 /// Requests per OPTgen occupancy slot (coarsening keeps the interval walk
@@ -138,17 +138,11 @@ impl CachePolicy for Hawkeye {
     fn name(&self) -> &str {
         "Hawkeye"
     }
-    fn capacity(&self) -> u64 {
-        self.store.capacity()
+    fn store(&self) -> &dyn CacheStore {
+        &self.store
     }
-    fn used_bytes(&self) -> u64 {
-        self.store.used()
-    }
-    fn admitted_at(&self, id: ObjectId) -> Option<Time> {
-        self.store.admitted_at(id)
-    }
-    fn restamp(&mut self, id: ObjectId, at: Time) {
-        self.store.restamp(id, at)
+    fn store_mut(&mut self) -> &mut dyn CacheStore {
+        &mut self.store
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
@@ -186,10 +180,6 @@ impl CachePolicy for Hawkeye {
         }
         self.store.insert(req.id, req.size, req.ts, segment);
         Outcome::MissAdmitted
-    }
-
-    fn evictions(&self) -> u64 {
-        self.store.evictions()
     }
 
     fn metadata_overhead_bytes(&self) -> u64 {

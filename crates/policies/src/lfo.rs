@@ -14,7 +14,7 @@
 use crate::util::LruStore;
 use lhr_gbm::{Dataset, Gbm, GbmParams};
 use lhr_sim::bound::belady_replay;
-use lhr_sim::{CachePolicy, Outcome};
+use lhr_sim::{CachePolicy, CacheStore, Outcome};
 use lhr_trace::{ObjectId, Request, Time};
 use lhr_util::hash::FastMap;
 use std::collections::VecDeque;
@@ -155,17 +155,11 @@ impl CachePolicy for Lfo {
     fn name(&self) -> &str {
         "LFO"
     }
-    fn capacity(&self) -> u64 {
-        self.store.capacity()
+    fn store(&self) -> &dyn CacheStore {
+        &self.store
     }
-    fn used_bytes(&self) -> u64 {
-        self.store.used()
-    }
-    fn admitted_at(&self, id: ObjectId) -> Option<Time> {
-        self.store.admitted_at(id)
-    }
-    fn restamp(&mut self, id: ObjectId, at: Time) {
-        self.store.restamp(id, at)
+    fn store_mut(&mut self) -> &mut dyn CacheStore {
+        &mut self.store
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
@@ -184,10 +178,6 @@ impl CachePolicy for Lfo {
         }
         self.store.insert(req.id, req.size, req.ts);
         Outcome::MissAdmitted
-    }
-
-    fn evictions(&self) -> u64 {
-        self.store.evictions()
     }
 
     fn metadata_overhead_bytes(&self) -> u64 {

@@ -6,8 +6,8 @@
 //! the most recently evicted object. Eviction removes the smallest `K_i`.
 
 use crate::util::OrderedStore;
-use lhr_sim::{CachePolicy, Outcome};
-use lhr_trace::{ObjectId, Request, Time};
+use lhr_sim::{CachePolicy, CacheStore, Outcome};
+use lhr_trace::Request;
 
 /// The LFU-DA policy.
 #[derive(Debug)]
@@ -32,17 +32,11 @@ impl CachePolicy for LfuDa {
     fn name(&self) -> &str {
         "LFU-DA"
     }
-    fn capacity(&self) -> u64 {
-        self.store.capacity()
+    fn store(&self) -> &dyn CacheStore {
+        &self.store
     }
-    fn used_bytes(&self) -> u64 {
-        self.store.used()
-    }
-    fn admitted_at(&self, id: ObjectId) -> Option<Time> {
-        self.store.admitted_at(id)
-    }
-    fn restamp(&mut self, id: ObjectId, at: Time) {
-        self.store.restamp(id, at)
+    fn store_mut(&mut self) -> &mut dyn CacheStore {
+        &mut self.store
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
@@ -64,10 +58,6 @@ impl CachePolicy for LfuDa {
         Outcome::MissAdmitted
     }
 
-    fn evictions(&self) -> u64 {
-        self.store.evictions()
-    }
-
     fn metadata_overhead_bytes(&self) -> u64 {
         self.store.len() as u64 * 64
     }
@@ -76,7 +66,7 @@ impl CachePolicy for LfuDa {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lhr_trace::Time;
+    use lhr_trace::{ObjectId, Time};
 
     fn req(t: u64, id: ObjectId, size: u64) -> Request {
         Request::new(Time::from_secs(t), id, size)

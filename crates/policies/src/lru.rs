@@ -2,8 +2,8 @@
 //! still run (§1), and the baseline policy of Apache Traffic Server.
 
 use crate::util::LruStore;
-use lhr_sim::{CachePolicy, Outcome};
-use lhr_trace::{ObjectId, Request, Time};
+use lhr_sim::{CachePolicy, CacheStore, Outcome};
+use lhr_trace::Request;
 
 /// Classic LRU with admit-all admission.
 #[derive(Debug)]
@@ -24,20 +24,11 @@ impl CachePolicy for Lru {
     fn name(&self) -> &str {
         "LRU"
     }
-
-    fn capacity(&self) -> u64 {
-        self.store.capacity()
+    fn store(&self) -> &dyn CacheStore {
+        &self.store
     }
-
-    fn used_bytes(&self) -> u64 {
-        self.store.used()
-    }
-
-    fn admitted_at(&self, id: ObjectId) -> Option<Time> {
-        self.store.admitted_at(id)
-    }
-    fn restamp(&mut self, id: ObjectId, at: Time) {
-        self.store.restamp(id, at)
+    fn store_mut(&mut self) -> &mut dyn CacheStore {
+        &mut self.store
     }
 
     fn hit_check(&mut self, req: &Request) -> Option<Outcome> {
@@ -55,10 +46,6 @@ impl CachePolicy for Lru {
         Outcome::MissAdmitted
     }
 
-    fn evictions(&self) -> u64 {
-        self.store.evictions()
-    }
-
     fn metadata_overhead_bytes(&self) -> u64 {
         // handle map entry + list node, ~48 bytes per object.
         self.store.len() as u64 * 48
@@ -68,7 +55,7 @@ impl CachePolicy for Lru {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lhr_trace::Time;
+    use lhr_trace::{ObjectId, Time};
 
     fn req(t: u64, id: ObjectId, size: u64) -> Request {
         Request::new(Time::from_secs(t), id, size)
@@ -116,6 +103,19 @@ mod tests {
         lru.handle(&req(3, 3, 100)); // evicts 2, not 1
         assert!(lru.contains(1));
         assert!(!lru.contains(2));
+    }
+
+    /// Three objects of 9·10¹⁸ bytes in a 1.8·10¹⁹-byte cache: the third
+    /// evicts the first (`used + size` would wrap past `u64::MAX`).
+    #[test]
+    fn a_capacity_above_half_of_u64_max_still_evicts() {
+        let size = 9_000_000_000_000_000_000;
+        let mut lru = Lru::new(2 * size);
+        for id in 1..=3 {
+            assert_eq!(lru.handle(&req(id, id, size)), Outcome::MissAdmitted);
+        }
+        assert!(!lru.contains(1) && lru.contains(2) && lru.contains(3));
+        assert_eq!((lru.used_bytes(), lru.evictions()), (2 * size, 1));
     }
 
     #[test]

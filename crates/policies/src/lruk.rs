@@ -10,7 +10,7 @@
 //! calls for.
 
 use crate::util::OrderedStore;
-use lhr_sim::{CachePolicy, Outcome};
+use lhr_sim::{CachePolicy, CacheStore, Outcome};
 use lhr_trace::{ObjectId, Request, Time};
 use lhr_util::hash::FastMap;
 use std::collections::VecDeque;
@@ -80,17 +80,11 @@ impl CachePolicy for LruK {
     fn name(&self) -> &str {
         &self.name
     }
-    fn capacity(&self) -> u64 {
-        self.store.capacity()
+    fn store(&self) -> &dyn CacheStore {
+        &self.store
     }
-    fn used_bytes(&self) -> u64 {
-        self.store.used()
-    }
-    fn admitted_at(&self, id: ObjectId) -> Option<Time> {
-        self.store.admitted_at(id)
-    }
-    fn restamp(&mut self, id: ObjectId, at: Time) {
-        self.store.restamp(id, at)
+    fn store_mut(&mut self) -> &mut dyn CacheStore {
+        &mut self.store
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
@@ -113,10 +107,6 @@ impl CachePolicy for LruK {
         let key = Self::refer(k, &mut history, req.ts);
         self.store.insert(req.id, req.size, req.ts, key, history);
         Outcome::MissAdmitted
-    }
-
-    fn evictions(&self) -> u64 {
-        self.store.evictions()
     }
 
     fn metadata_overhead_bytes(&self) -> u64 {

@@ -14,7 +14,7 @@
 
 use lhr_nn::{Activation, Mlp, TrainConfig};
 use lhr_sim::store::SampleStore;
-use lhr_sim::{CachePolicy, Outcome};
+use lhr_sim::{CachePolicy, CacheStore, Outcome};
 use lhr_trace::{ObjectId, Request, Time};
 use lhr_util::hash::FastMap;
 use lhr_util::rng::rngs::SmallRng;
@@ -163,17 +163,11 @@ impl CachePolicy for PopCache {
     fn name(&self) -> &str {
         "PopCache"
     }
-    fn capacity(&self) -> u64 {
-        self.store.capacity()
+    fn store(&self) -> &dyn CacheStore {
+        &self.store
     }
-    fn used_bytes(&self) -> u64 {
-        self.store.used()
-    }
-    fn admitted_at(&self, id: ObjectId) -> Option<Time> {
-        self.store.admitted_at(id)
-    }
-    fn restamp(&mut self, id: ObjectId, at: Time) {
-        self.store.restamp(id, at)
+    fn store_mut(&mut self) -> &mut dyn CacheStore {
+        &mut self.store
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
@@ -212,10 +206,6 @@ impl CachePolicy for PopCache {
         }
         self.store.push(req.id, req.size, req.ts, ());
         Outcome::MissAdmitted
-    }
-
-    fn evictions(&self) -> u64 {
-        self.store.evictions()
     }
 
     fn metadata_overhead_bytes(&self) -> u64 {

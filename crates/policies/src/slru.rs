@@ -8,8 +8,8 @@
 //! cache.
 
 use crate::util::SegmentedStore;
-use lhr_sim::{CachePolicy, Outcome};
-use lhr_trace::{ObjectId, Request, Time};
+use lhr_sim::{CachePolicy, CacheStore, Outcome};
+use lhr_trace::Request;
 
 /// A multi-level segmented LRU; `Slru` and `S4lru` are thin constructors.
 #[derive(Debug)]
@@ -57,17 +57,11 @@ impl CachePolicy for SegmentedLru {
     fn name(&self) -> &str {
         &self.name
     }
-    fn capacity(&self) -> u64 {
-        self.store.capacity()
+    fn store(&self) -> &dyn CacheStore {
+        &self.store
     }
-    fn used_bytes(&self) -> u64 {
-        self.store.used()
-    }
-    fn admitted_at(&self, id: ObjectId) -> Option<Time> {
-        self.store.admitted_at(id)
-    }
-    fn restamp(&mut self, id: ObjectId, at: Time) {
-        self.store.restamp(id, at)
+    fn store_mut(&mut self) -> &mut dyn CacheStore {
+        &mut self.store
     }
 
     fn hit_check(&mut self, req: &Request) -> Option<Outcome> {
@@ -95,10 +89,6 @@ impl CachePolicy for SegmentedLru {
         Outcome::MissAdmitted
     }
 
-    fn evictions(&self) -> u64 {
-        self.store.evictions()
-    }
-
     fn metadata_overhead_bytes(&self) -> u64 {
         self.store.len() as u64 * 56
     }
@@ -117,7 +107,7 @@ pub fn s4lru(capacity: u64) -> SegmentedLru {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lhr_trace::Time;
+    use lhr_trace::{ObjectId, Time};
 
     fn req(t: u64, id: ObjectId, size: u64) -> Request {
         Request::new(Time::from_secs(t), id, size)

@@ -13,8 +13,8 @@
 //! Both are measured in bytes throughout, since CDN objects vary in size.
 
 use crate::util::{CountMinSketch, LruStore, SegmentedStore};
-use lhr_sim::{CachePolicy, Outcome};
-use lhr_trace::{ObjectId, Request, Time};
+use lhr_sim::{CachePolicy, CacheStore, Outcome};
+use lhr_trace::{ObjectId, Request};
 
 /// Plain TinyLFU: LRU eviction + frequency admission gate.
 #[derive(Debug)]
@@ -38,17 +38,11 @@ impl CachePolicy for TinyLfu {
     fn name(&self) -> &str {
         "TinyLFU"
     }
-    fn capacity(&self) -> u64 {
-        self.store.capacity()
+    fn store(&self) -> &dyn CacheStore {
+        &self.store
     }
-    fn used_bytes(&self) -> u64 {
-        self.store.used()
-    }
-    fn admitted_at(&self, id: ObjectId) -> Option<Time> {
-        self.store.admitted_at(id)
-    }
-    fn restamp(&mut self, id: ObjectId, at: Time) {
-        self.store.restamp(id, at)
+    fn store_mut(&mut self) -> &mut dyn CacheStore {
+        &mut self.store
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
@@ -76,10 +70,6 @@ impl CachePolicy for TinyLfu {
         }
         self.store.insert(req.id, req.size, req.ts);
         Outcome::MissAdmitted
-    }
-
-    fn evictions(&self) -> u64 {
-        self.store.evictions()
     }
 
     fn metadata_overhead_bytes(&self) -> u64 {
@@ -170,17 +160,11 @@ impl CachePolicy for WTinyLfu {
     fn name(&self) -> &str {
         "W-TinyLFU"
     }
-    fn capacity(&self) -> u64 {
-        self.store.capacity()
+    fn store(&self) -> &dyn CacheStore {
+        &self.store
     }
-    fn used_bytes(&self) -> u64 {
-        self.store.used()
-    }
-    fn admitted_at(&self, id: ObjectId) -> Option<Time> {
-        self.store.admitted_at(id)
-    }
-    fn restamp(&mut self, id: ObjectId, at: Time) {
-        self.store.restamp(id, at)
+    fn store_mut(&mut self) -> &mut dyn CacheStore {
+        &mut self.store
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
@@ -208,10 +192,6 @@ impl CachePolicy for WTinyLfu {
         } else {
             Outcome::MissBypassed
         }
-    }
-
-    fn evictions(&self) -> u64 {
-        self.store.evictions()
     }
 
     fn metadata_overhead_bytes(&self) -> u64 {

@@ -7,11 +7,12 @@
 //! eviction counter once; a policy on top of it keeps its admission rule
 //! and nothing else. Membership is a [`FastMap`] from id to list handle,
 //! so a hit is one probe plus one splice ([`LruStore::touch`]). The map
-//! value also carries the object's freshness stamp (`CachePolicy`'s
+//! value also carries the object's freshness stamp (`CacheStore`'s
 //! contract): the serving layer reads it right after the hit's probe of
 //! the same entry.
 
 use super::{Handle, LruList};
+use lhr_sim::CacheStore;
 use lhr_trace::{ObjectId, Time};
 use lhr_util::hash::FastMap;
 
@@ -36,22 +37,6 @@ impl LruStore {
             list: LruList::new(),
             map: FastMap::default(),
         }
-    }
-
-    /// The byte budget.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    /// Bytes held.
-    pub fn used(&self) -> u64 {
-        self.used
-    }
-
-    /// Objects evicted so far, by [`LruStore::evict_lru`] or by
-    /// [`LruStore::insert`] making room.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
     }
 
     /// Number of objects held.
@@ -82,25 +67,6 @@ impl LruStore {
         }
     }
 
-    /// The freshness stamp of `id`, if it is held; recency is untouched.
-    #[inline]
-    pub fn admitted_at(&self, id: ObjectId) -> Option<Time> {
-        self.map.get(&id).map(|&(_, at)| at)
-    }
-
-    /// Sets the freshness stamp of `id` to `at` if it is held; recency is
-    /// untouched.
-    pub fn restamp(&mut self, id: ObjectId, at: Time) {
-        if let Some(entry) = self.map.get_mut(&id) {
-            entry.1 = at;
-        }
-    }
-
-    /// Whether `size` more bytes fit without an eviction.
-    pub fn fits(&self, size: u64) -> bool {
-        self.used + size <= self.capacity
-    }
-
     /// Admits `id` at the MRU end, stamped `at`, first evicting from the
     /// LRU end until `size` bytes fit. `id` must be absent and `size` at
     /// most the capacity.
@@ -126,6 +92,29 @@ impl LruStore {
     /// `(id, size)` from the LRU end to the MRU end — eviction order.
     pub fn iter_lru_first(&self) -> impl Iterator<Item = &(ObjectId, u64)> {
         self.list.iter_lru_first()
+    }
+}
+
+impl CacheStore for LruStore {
+    fn capacity(&self) -> u64 {
+        self.capacity
+    }
+    fn used(&self) -> u64 {
+        self.used
+    }
+    /// Objects evicted so far, by [`LruStore::evict_lru`] or by
+    /// [`LruStore::insert`] making room.
+    fn evictions(&self) -> u64 {
+        self.evictions
+    }
+    #[inline]
+    fn admitted_at(&self, id: ObjectId) -> Option<Time> {
+        self.map.get(&id).map(|&(_, at)| at)
+    }
+    fn restamp(&mut self, id: ObjectId, at: Time) {
+        if let Some(entry) = self.map.get_mut(&id) {
+            entry.1 = at;
+        }
     }
 }
 

@@ -4,11 +4,12 @@
 //!
 //! The store holds the ordered set, the membership map, the byte
 //! accounting, the eviction counter and each object's freshness stamp
-//! (`CachePolicy`'s contract) once. The set is a `BTreeSet<(K, ObjectId)>`,
+//! (`CacheStore`'s contract) once. The set is a `BTreeSet<(K, ObjectId)>`,
 //! so equal keys evict in id order. A policy keeps what it ranks by — its
 //! formula, its inflation term, and per-object state `V` that rides in
 //! the slot (GDSF's frequency, LRU-K's reference history).
 
+use lhr_sim::CacheStore;
 use lhr_trace::{ObjectId, Time};
 use lhr_util::hash::FastMap;
 use std::collections::BTreeSet;
@@ -45,21 +46,6 @@ impl<K: Ord + Copy, V> OrderedStore<K, V> {
         }
     }
 
-    /// The byte budget.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    /// Bytes held.
-    pub fn used(&self) -> u64 {
-        self.used
-    }
-
-    /// Objects removed by [`OrderedStore::pop_min`].
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
     /// Number of objects held.
     pub fn len(&self) -> usize {
         self.slots.len()
@@ -73,25 +59,6 @@ impl<K: Ord + Copy, V> OrderedStore<K, V> {
     /// The key and policy state of `id`, if it is held.
     pub fn get(&self, id: ObjectId) -> Option<(K, &V)> {
         self.slots.get(&id).map(|slot| (slot.key, &slot.value))
-    }
-
-    /// The freshness stamp of `id`, if it is held.
-    #[inline]
-    pub fn admitted_at(&self, id: ObjectId) -> Option<Time> {
-        self.slots.get(&id).map(|slot| slot.at)
-    }
-
-    /// Sets the freshness stamp of `id` to `at` if it is held; its place
-    /// in the order is untouched.
-    pub fn restamp(&mut self, id: ObjectId, at: Time) {
-        if let Some(slot) = self.slots.get_mut(&id) {
-            slot.at = at;
-        }
-    }
-
-    /// Whether `size` more bytes fit without an eviction.
-    pub fn fits(&self, size: u64) -> bool {
-        self.used + size <= self.capacity
     }
 
     /// The hit path: if `id` is held, moves it to the key `rule` makes of
@@ -108,7 +75,7 @@ impl<K: Ord + Copy, V> OrderedStore<K, V> {
     }
 
     /// Admits `id` under `key`, stamped `at`. `id` must be absent and must
-    /// [`fit`](OrderedStore::fits).
+    /// [`fit`](CacheStore::fits).
     pub fn insert(&mut self, id: ObjectId, size: u64, at: Time, key: K, value: V) {
         debug_assert!(self.fits(size) && !self.slots.contains_key(&id));
         self.queue.insert((key, id));
@@ -130,6 +97,29 @@ impl<K: Ord + Copy, V> OrderedStore<K, V> {
         self.used -= slot.size;
         self.evictions += 1;
         Some((key, id, slot.value))
+    }
+}
+
+impl<K, V> CacheStore for OrderedStore<K, V> {
+    fn capacity(&self) -> u64 {
+        self.capacity
+    }
+    fn used(&self) -> u64 {
+        self.used
+    }
+    /// Objects removed by [`OrderedStore::pop_min`].
+    fn evictions(&self) -> u64 {
+        self.evictions
+    }
+    #[inline]
+    fn admitted_at(&self, id: ObjectId) -> Option<Time> {
+        self.slots.get(&id).map(|slot| slot.at)
+    }
+    /// Its place in the order is untouched.
+    fn restamp(&mut self, id: ObjectId, at: Time) {
+        if let Some(slot) = self.slots.get_mut(&id) {
+            slot.at = at;
+        }
     }
 }
 

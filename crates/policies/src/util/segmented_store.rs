@@ -5,12 +5,13 @@
 //!
 //! The store holds the lists, the map from id to list node and segment,
 //! the per-segment byte counts, the eviction counter and each object's
-//! freshness stamp (`CachePolicy`'s contract) once. The stamp sits in the
+//! freshness stamp (`CacheStore`'s contract) once. The stamp sits in the
 //! map value, so moving an object between segments cannot lose it. A
 //! policy keeps the segment budgets and decides what moves where and what
 //! leaves; the store never evicts on its own.
 
 use super::{Handle, LruList};
+use lhr_sim::CacheStore;
 use lhr_trace::{ObjectId, Time};
 use lhr_util::hash::FastMap;
 
@@ -45,25 +46,9 @@ impl SegmentedStore {
         }
     }
 
-    /// The byte budget of all segments together.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    /// Bytes held in all segments together.
-    pub fn used(&self) -> u64 {
-        self.used
-    }
-
     /// Bytes held in `segment`.
     pub fn bytes(&self, segment: usize) -> u64 {
         self.segments[segment].bytes
-    }
-
-    /// Objects removed by [`SegmentedStore::pop_lru`] and
-    /// [`SegmentedStore::remove`].
-    pub fn evictions(&self) -> u64 {
-        self.evictions
     }
 
     /// Number of objects held.
@@ -79,25 +64,6 @@ impl SegmentedStore {
     /// The segment `id` is in, if it is held; recency is untouched.
     pub fn segment_of(&self, id: ObjectId) -> Option<usize> {
         self.map.get(&id).map(|&(_, segment, _)| segment)
-    }
-
-    /// The freshness stamp of `id`, if it is held; recency is untouched.
-    #[inline]
-    pub fn admitted_at(&self, id: ObjectId) -> Option<Time> {
-        self.map.get(&id).map(|&(_, _, at)| at)
-    }
-
-    /// Sets the freshness stamp of `id` to `at` if it is held; recency is
-    /// untouched.
-    pub fn restamp(&mut self, id: ObjectId, at: Time) {
-        if let Some(slot) = self.map.get_mut(&id) {
-            slot.2 = at;
-        }
-    }
-
-    /// Whether `size` more bytes fit in the store without an eviction.
-    pub fn fits(&self, size: u64) -> bool {
-        self.used + size <= self.capacity
     }
 
     /// A hit that stays where it is: moves `id` to the MRU end of its
@@ -169,6 +135,31 @@ impl SegmentedStore {
         self.used -= size;
         self.evictions += 1;
         Some((segment, size, at))
+    }
+}
+
+impl CacheStore for SegmentedStore {
+    /// The byte budget of all segments together.
+    fn capacity(&self) -> u64 {
+        self.capacity
+    }
+    /// Bytes held in all segments together.
+    fn used(&self) -> u64 {
+        self.used
+    }
+    /// Objects removed by [`SegmentedStore::pop_lru`] and
+    /// [`SegmentedStore::remove`].
+    fn evictions(&self) -> u64 {
+        self.evictions
+    }
+    #[inline]
+    fn admitted_at(&self, id: ObjectId) -> Option<Time> {
+        self.map.get(&id).map(|&(_, _, at)| at)
+    }
+    fn restamp(&mut self, id: ObjectId, at: Time) {
+        if let Some(slot) = self.map.get_mut(&id) {
+            slot.2 = at;
+        }
     }
 }
 

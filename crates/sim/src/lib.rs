@@ -5,7 +5,8 @@
 //! simulator builds on):
 //!
 //! - [`policy::CachePolicy`] — the admission + eviction interface every
-//!   online cache implements.
+//!   online cache implements: a name, a [`store::CacheStore`] and a
+//!   `handle`.
 //! - [`engine::Simulator`] — the one simulator, collecting
 //!   [`metrics::SimMetrics`] (and, with a recorder attached, the obs window
 //!   series) through two entry points that share one per-request step and
@@ -20,11 +21,13 @@
 //!   under `lhr-proto`'s engine and fleet): key-hash sharding and a one-pass
 //!   [`shard::Partition`] of the trace whose shards run start to finish on
 //!   whichever worker claims them.
-//! - [`store::SampleStore`] — the byte-bounded slot array every sampling
-//!   policy keeps its objects in (the `lhr-policies` samplers, `LhrCache`
-//!   and its threshold estimator's shadow cache): position index,
-//!   `swap_remove` fix-up, byte accounting and the freshness stamp of
-//!   [`policy::CachePolicy`]'s contract, once.
+//! - [`store::CacheStore`] — the contract of the store a policy keeps
+//!   its objects in: capacity, bytes held, evictions and the freshness
+//!   stamp, with the one `fits` rule. [`store::SampleStore`] is the
+//!   byte-bounded slot array every sampling policy stands on (the
+//!   `lhr-policies` samplers, `LhrCache` and its threshold estimator's
+//!   shadow cache): position index, `swap_remove` fix-up, byte accounting
+//!   and the freshness stamp, once.
 //! - [`bound::OfflineBound`] — the interface for (offline or online) upper
 //!   bounds on OPT, which see the whole trace instead of reacting
 //!   request-by-request — and [`bound::belady_replay`], the future-aware
@@ -35,23 +38,20 @@
 //! ```
 //! use lhr_sim::engine::{SimConfig, Simulator};
 //! use lhr_sim::policy::{CachePolicy, Outcome};
+//! use lhr_sim::store::{CacheStore, SampleStore};
 //! use lhr_trace::{Request, Trace, Time};
 //!
-//! // A trivially small policy: cache everything, never evict (infinite cap).
-//! // Each cached id maps to its freshness stamp (see `CachePolicy`).
-//! struct Infinite { used: u64, cached: std::collections::HashMap<u64, Time> }
+//! // A trivially small policy: cache everything, never evict (infinite
+//! // cap). A policy is a name, a store and a `handle`; the store keeps the
+//! // bytes, the evictions and each object's freshness stamp.
+//! struct Infinite { store: SampleStore<()> }
 //! impl CachePolicy for Infinite {
 //!     fn name(&self) -> &str { "infinite" }
-//!     fn capacity(&self) -> u64 { u64::MAX }
-//!     fn used_bytes(&self) -> u64 { self.used }
-//!     fn admitted_at(&self, id: u64) -> Option<Time> { self.cached.get(&id).copied() }
-//!     fn restamp(&mut self, id: u64, at: Time) {
-//!         if let Some(stamp) = self.cached.get_mut(&id) { *stamp = at; }
-//!     }
+//!     fn store(&self) -> &dyn CacheStore { &self.store }
+//!     fn store_mut(&mut self) -> &mut dyn CacheStore { &mut self.store }
 //!     fn handle(&mut self, req: &Request) -> Outcome {
-//!         if self.cached.contains_key(&req.id) { return Outcome::Hit; }
-//!         self.cached.insert(req.id, req.ts);
-//!         self.used += req.size;
+//!         if self.store.contains(req.id) { return Outcome::Hit; }
+//!         self.store.push(req.id, req.size, req.ts, ());
 //!         Outcome::MissAdmitted
 //!     }
 //! }
@@ -60,7 +60,7 @@
 //!     Request::new(Time::from_secs(0), 1, 100),
 //!     Request::new(Time::from_secs(1), 1, 100),
 //! ]);
-//! let mut policy = Infinite { used: 0, cached: Default::default() };
+//! let mut policy = Infinite { store: SampleStore::new(u64::MAX) };
 //! let result = Simulator::new(SimConfig::default()).run(&mut policy, &trace);
 //! assert_eq!(result.metrics.hits, 1);
 //! ```
@@ -81,3 +81,4 @@ pub use engine::{SimConfig, SimResult, Simulator};
 pub use metrics::SimMetrics;
 pub use policy::{CachePolicy, Outcome};
 pub use shard::RouteConfig;
+pub use store::CacheStore;

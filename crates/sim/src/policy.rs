@@ -1,5 +1,6 @@
 //! The cache policy interface.
 
+use crate::store::CacheStore;
 use lhr_trace::{ObjectId, Request, Time};
 
 /// What a policy did with one request.
@@ -24,74 +25,60 @@ impl Outcome {
 /// An online caching policy: decides admission and eviction request by
 /// request, with no knowledge of the future.
 ///
+/// A policy is a rule on a [`CacheStore`]: it names the store it keeps its
+/// objects in ([`CachePolicy::store`] / [`CachePolicy::store_mut`]) and
+/// implements `handle`; its byte accounting, eviction count and freshness
+/// stamps are the store's.
+///
 /// # Contract
 ///
 /// - `handle` must keep `used_bytes() ≤ capacity()` at all times (the
 ///   simulator asserts this in debug builds after every request).
 /// - An object larger than the capacity must never be admitted.
 /// - `contains(id)` must agree with what `handle` would report as a hit.
+/// - `handle` keeps the freshness stamps of [`CacheStore`]'s contract: an
+///   answer of [`Outcome::MissAdmitted`] admits `req.id` stamped `req.ts`.
 /// - Policies must be deterministic given their construction parameters
 ///   (randomized policies take an explicit seed).
-/// - **The freshness stamp.** Every cached object carries the time it was
-///   admitted or last revalidated, in the slot the policy keeps for it
-///   anyway. The policy writes it: a `handle` that answers
-///   [`Outcome::MissAdmitted`] stamps the new slot with `req.ts`; a hit
-///   leaves the stamp alone, and so does any internal move (a promotion
-///   between segments, a compaction of the slot array); eviction drops it,
-///   so a later re-admission stamps afresh. The serving layer only reads
-///   it ([`CachePolicy::admitted_at`], for the §6.1 freshness check) and
-///   restarts it after a successful revalidation
-///   ([`CachePolicy::restamp`]). It keeps no table of its own, so a policy
-///   handed to a server already warm brings its own admission times with
-///   it. Both methods are required: "never stale" is a behaviour, not a
-///   default.
 ///
 /// # Example
 ///
-/// A minimal admit-all policy that evicts nothing and therefore only works
-/// while everything fits (real policies evict inside `handle` to maintain
-/// the capacity contract):
+/// A minimal admit-all policy over a
+/// [`SampleStore`](crate::store::SampleStore) that evicts nothing and
+/// bypasses what does not fit (real policies evict inside `handle` to make
+/// room):
 ///
 /// ```
+/// use lhr_sim::store::{CacheStore, SampleStore};
 /// use lhr_sim::{CachePolicy, Outcome};
-/// use lhr_trace::{ObjectId, Request, Time};
-/// use std::collections::HashMap;
+/// use lhr_trace::{Request, Time};
 ///
 /// struct Unbounded {
-///     capacity: u64,
-///     /// id → (size, freshness stamp).
-///     cached: HashMap<ObjectId, (u64, Time)>,
+///     store: SampleStore<()>,
 /// }
 ///
 /// impl CachePolicy for Unbounded {
 ///     fn name(&self) -> &str { "Unbounded" }
-///     fn capacity(&self) -> u64 { self.capacity }
-///     fn used_bytes(&self) -> u64 { self.cached.values().map(|&(size, _)| size).sum() }
-///     fn admitted_at(&self, id: ObjectId) -> Option<Time> {
-///         self.cached.get(&id).map(|&(_, at)| at)
-///     }
-///     fn restamp(&mut self, id: ObjectId, at: Time) {
-///         if let Some(slot) = self.cached.get_mut(&id) {
-///             slot.1 = at;
-///         }
-///     }
+///     fn store(&self) -> &dyn CacheStore { &self.store }
+///     fn store_mut(&mut self) -> &mut dyn CacheStore { &mut self.store }
 ///     fn handle(&mut self, req: &Request) -> Outcome {
-///         if self.cached.contains_key(&req.id) {
+///         if self.store.contains(req.id) {
 ///             return Outcome::Hit;
 ///         }
-///         if self.used_bytes() + req.size > self.capacity {
+///         if !self.store.fits(req.size) {
 ///             return Outcome::MissBypassed; // never overflow the contract
 ///         }
-///         self.cached.insert(req.id, (req.size, req.ts));
+///         self.store.push(req.id, req.size, req.ts, ());
 ///         Outcome::MissAdmitted
 ///     }
 /// }
 ///
-/// let mut policy = Unbounded { capacity: 1_000, cached: HashMap::new() };
+/// let mut policy = Unbounded { store: SampleStore::new(1_000) };
 /// let req = Request::new(Time::from_secs(3), 7, 100);
 /// assert_eq!(policy.handle(&req), Outcome::MissAdmitted);
 /// assert_eq!(policy.handle(&req), Outcome::Hit);
 /// assert!(policy.contains(7));
+/// assert_eq!(policy.used_bytes(), 100);
 /// assert_eq!(policy.admitted_at(7), Some(Time::from_secs(3)));
 /// policy.restamp(7, Time::from_secs(9));
 /// assert_eq!(policy.admitted_at(7), Some(Time::from_secs(9)));
@@ -102,29 +89,45 @@ pub trait CachePolicy {
     /// Human-readable policy name, e.g. `"LRU"` or `"LHR"`.
     fn name(&self) -> &str;
 
+    /// The store the policy keeps its objects in.
+    fn store(&self) -> &dyn CacheStore;
+
+    /// The store, writable (for [`CachePolicy::restamp`]).
+    fn store_mut(&mut self) -> &mut dyn CacheStore;
+
+    /// Processes one request and reports what happened.
+    fn handle(&mut self, req: &Request) -> Outcome;
+
     /// Total cache capacity in bytes.
-    fn capacity(&self) -> u64;
+    fn capacity(&self) -> u64 {
+        self.store().capacity()
+    }
 
     /// Bytes currently occupied by cached objects.
-    fn used_bytes(&self) -> u64;
+    fn used_bytes(&self) -> u64 {
+        self.store().used()
+    }
 
-    /// When the cached copy of `id` was admitted or last revalidated (the
-    /// freshness stamp of the contract above); `None` when `id` is not
-    /// cached. Recency and every other piece of policy state are untouched.
-    fn admitted_at(&self, id: ObjectId) -> Option<Time>;
+    /// Number of evictions performed so far.
+    fn evictions(&self) -> u64 {
+        self.store().evictions()
+    }
 
-    /// Restarts the freshness lifetime of `id`: its stamp becomes `at`.
-    /// Nothing else about the object changes, and an `id` that is not
-    /// cached is neither admitted nor an error.
-    fn restamp(&mut self, id: ObjectId, at: Time);
+    /// The freshness stamp of `id` ([`CacheStore::admitted_at`]); `None`
+    /// when `id` is not cached.
+    fn admitted_at(&self, id: ObjectId) -> Option<Time> {
+        self.store().admitted_at(id)
+    }
+
+    /// Restarts the freshness lifetime of `id` ([`CacheStore::restamp`]).
+    fn restamp(&mut self, id: ObjectId, at: Time) {
+        self.store_mut().restamp(id, at)
+    }
 
     /// Whether `id` is currently cached.
     fn contains(&self, id: ObjectId) -> bool {
         self.admitted_at(id).is_some()
     }
-
-    /// Processes one request and reports what happened.
-    fn handle(&mut self, req: &Request) -> Outcome;
 
     /// Fused `contains` + `handle` for the cached case: if `req.id` is
     /// present, processes the request and returns its outcome; if absent,
@@ -140,11 +143,6 @@ pub trait CachePolicy {
         self.contains(req.id).then(|| self.handle(req))
     }
 
-    /// Number of evictions performed so far (optional statistic).
-    fn evictions(&self) -> u64 {
-        0
-    }
-
     /// Approximate bytes of metadata the policy maintains beyond the cached
     /// payloads (Figure 9's "peak memory" accounting). Defaults to zero for
     /// policies whose metadata is negligible.
@@ -154,16 +152,32 @@ pub trait CachePolicy {
 }
 
 /// Blanket impl so `Box<dyn CachePolicy>` is itself a policy; lets drivers
-/// hold heterogeneous policies uniformly.
+/// hold heterogeneous policies uniformly. It forwards every method, not
+/// only the required ones: the boxed policy's own `admitted_at` (its
+/// provided body, compiled for its type) reads its store directly, so a
+/// hit through the box pays one virtual call, not one for the method and
+/// another for the store.
 impl<P: CachePolicy + ?Sized> CachePolicy for Box<P> {
     fn name(&self) -> &str {
         (**self).name()
+    }
+    fn store(&self) -> &dyn CacheStore {
+        (**self).store()
+    }
+    fn store_mut(&mut self) -> &mut dyn CacheStore {
+        (**self).store_mut()
+    }
+    fn handle(&mut self, req: &Request) -> Outcome {
+        (**self).handle(req)
     }
     fn capacity(&self) -> u64 {
         (**self).capacity()
     }
     fn used_bytes(&self) -> u64 {
         (**self).used_bytes()
+    }
+    fn evictions(&self) -> u64 {
+        (**self).evictions()
     }
     fn admitted_at(&self, id: ObjectId) -> Option<Time> {
         (**self).admitted_at(id)
@@ -174,14 +188,8 @@ impl<P: CachePolicy + ?Sized> CachePolicy for Box<P> {
     fn contains(&self, id: ObjectId) -> bool {
         (**self).contains(id)
     }
-    fn handle(&mut self, req: &Request) -> Outcome {
-        (**self).handle(req)
-    }
     fn hit_check(&mut self, req: &Request) -> Option<Outcome> {
         (**self).hit_check(req)
-    }
-    fn evictions(&self) -> u64 {
-        (**self).evictions()
     }
     fn metadata_overhead_bytes(&self) -> u64 {
         (**self).metadata_overhead_bytes()
@@ -193,44 +201,39 @@ impl<P: CachePolicy + ?Sized> CachePolicy for Box<P> {
 #[cfg(test)]
 pub(crate) mod testing {
     use super::*;
-    use std::collections::hash_map::{Entry, HashMap};
+    use crate::store::SampleStore;
 
-    #[derive(Default)]
     pub(crate) struct Infinite {
-        cached: HashMap<ObjectId, Time>,
-        used: u64,
+        store: SampleStore<()>,
+    }
+
+    impl Default for Infinite {
+        fn default() -> Self {
+            Infinite {
+                store: SampleStore::new(u64::MAX),
+            }
+        }
     }
 
     impl CachePolicy for Infinite {
         fn name(&self) -> &str {
             "infinite"
         }
-        fn capacity(&self) -> u64 {
-            u64::MAX
+        fn store(&self) -> &dyn CacheStore {
+            &self.store
         }
-        fn used_bytes(&self) -> u64 {
-            self.used
-        }
-        fn admitted_at(&self, id: ObjectId) -> Option<Time> {
-            self.cached.get(&id).copied()
-        }
-        fn restamp(&mut self, id: ObjectId, at: Time) {
-            if let Some(stamp) = self.cached.get_mut(&id) {
-                *stamp = at;
-            }
+        fn store_mut(&mut self) -> &mut dyn CacheStore {
+            &mut self.store
         }
         fn handle(&mut self, req: &Request) -> Outcome {
-            match self.cached.entry(req.id) {
-                Entry::Occupied(_) => Outcome::Hit,
-                Entry::Vacant(slot) => {
-                    slot.insert(req.ts);
-                    self.used += req.size;
-                    Outcome::MissAdmitted
-                }
+            if self.store.contains(req.id) {
+                return Outcome::Hit;
             }
+            self.store.push(req.id, req.size, req.ts, ());
+            Outcome::MissAdmitted
         }
         fn metadata_overhead_bytes(&self) -> u64 {
-            self.cached.len() as u64 * 8
+            self.store.len() as u64 * 8
         }
     }
 }

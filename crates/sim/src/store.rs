@@ -1,22 +1,73 @@
-//! A byte-bounded cache store for sampled eviction: every cached object
-//! is one slot of a dense array, so a policy that scores 64 random
-//! candidates reads 64 array slots instead of probing a map 64 times
-//! (SNIPPETS.md snippet 3).
+//! The cache-store contract every policy stands on, and the byte-bounded
+//! store for sampled eviction.
 //!
-//! The store holds the position index, the `swap_remove` fix-up, the byte
-//! accounting, the eviction counter and each object's freshness stamp
-//! ([`crate::CachePolicy`]'s contract, which is why it lives in this crate)
-//! once. The stamp sits in the index value, not in the slot: it is only
-//! ever read by id, and the slots a sampler scans stay as small as the
-//! policy's own state. Everything that samples stands on it: the
-//! `lhr-policies` samplers (Random, Hyperbolic, LHD, LRB, PopCache),
-//! `LhrCache`, and the shadow cache of LHR's threshold estimator. Each
-//! draws positions from its own RNG — `rng.gen_range(0..store.len())` —
-//! scores [`SampleStore::slot`]s by its own rule and hands the loser to
-//! [`SampleStore::evict_at`].
+//! [`CacheStore`] is what a cache holds whatever its shape: a byte budget,
+//! the bytes held, an eviction count and each object's freshness stamp.
+//! [`crate::CachePolicy`] reads its accounting and freshness methods from
+//! the store a policy names, so a policy is a name, a store and a
+//! `handle`.
+//!
+//! [`SampleStore`] is the dense-array store: every cached object is one
+//! slot, so a policy that scores 64 random candidates reads 64 array slots
+//! instead of probing a map 64 times (SNIPPETS.md snippet 3). It holds the
+//! position index, the `swap_remove` fix-up, the byte accounting, the
+//! eviction counter and each object's freshness stamp once. The stamp sits
+//! in the index value, not in the slot: it is only ever read by id, and
+//! the slots a sampler scans stay as small as the policy's own state.
+//! Everything that samples stands on it: the `lhr-policies` samplers
+//! (Random, Hyperbolic, LHD, LRB, PopCache), `LhrCache`, and the shadow
+//! cache of LHR's threshold estimator. Each draws positions from its own
+//! RNG — `rng.gen_range(0..store.len())` — scores [`SampleStore::slot`]s
+//! by its own rule and hands the loser to [`SampleStore::evict_at`].
 
 use lhr_trace::{ObjectId, Time};
 use lhr_util::hash::FastMap;
+
+/// A byte-bounded set of cached objects, each carrying its freshness
+/// stamp — the part of a cache every policy has, whatever it ranks by.
+///
+/// # Contract
+///
+/// - `used() ≤ capacity()` at all times.
+/// - **The freshness stamp.** Every held object carries the time it was
+///   admitted or last revalidated, in the slot the store keeps for it
+///   anyway. Admission writes it (a policy's `handle` that answers
+///   [`crate::Outcome::MissAdmitted`] admits the object stamped with
+///   `req.ts`); a hit leaves it alone, and so does any internal move (a
+///   promotion between segments, a rekey, a compaction of the slot
+///   array); eviction drops it, so a later re-admission stamps afresh.
+///   The serving layer only reads it ([`CacheStore::admitted_at`], for
+///   the §6.1 freshness check) and restarts it after a successful
+///   revalidation ([`CacheStore::restamp`]). It keeps no table of its
+///   own, so a policy handed to a server already warm brings its own
+///   admission times with it.
+pub trait CacheStore {
+    /// The byte budget.
+    fn capacity(&self) -> u64;
+
+    /// Bytes held.
+    fn used(&self) -> u64;
+
+    /// Objects evicted so far.
+    fn evictions(&self) -> u64;
+
+    /// When the held copy of `id` was admitted or last revalidated (the
+    /// freshness stamp of the contract above); `None` when `id` is not
+    /// held. Every other piece of state, recency included, is untouched.
+    fn admitted_at(&self, id: ObjectId) -> Option<Time>;
+
+    /// Restarts the freshness lifetime of `id`: its stamp becomes `at`.
+    /// Nothing else about the object changes, and an `id` that is not held
+    /// is neither admitted nor an error.
+    fn restamp(&mut self, id: ObjectId, at: Time);
+
+    /// Whether `size` more bytes fit without an eviction. `used()` never
+    /// exceeds `capacity()`, so the subtraction cannot wrap.
+    #[inline]
+    fn fits(&self, size: u64) -> bool {
+        size <= self.capacity() - self.used()
+    }
+}
 
 /// One cached object with the policy's per-object state inline.
 #[derive(Debug)]
@@ -73,21 +124,6 @@ impl<E> SampleStore<E> {
         self.index.clear();
     }
 
-    /// The byte budget.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    /// Bytes held.
-    pub fn used(&self) -> u64 {
-        self.used
-    }
-
-    /// Objects removed by [`SampleStore::evict_at`].
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
     /// Number of objects held; positions are `0..len()`.
     pub fn len(&self) -> usize {
         self.slots.len()
@@ -119,19 +155,6 @@ impl<E> SampleStore<E> {
         self.index.get(&id).map(|&(pos, _)| pos as usize)
     }
 
-    /// The freshness stamp of `id`, if it is held.
-    #[inline]
-    pub fn admitted_at(&self, id: ObjectId) -> Option<Time> {
-        self.index.get(&id).map(|&(_, at)| at)
-    }
-
-    /// Sets the freshness stamp of `id` to `at` if it is held.
-    pub fn restamp(&mut self, id: ObjectId, at: Time) {
-        if let Some(entry) = self.index.get_mut(&id) {
-            entry.1 = at;
-        }
-    }
-
     /// The object at `pos` (`pos < len()`).
     #[inline]
     pub fn slot(&self, pos: usize) -> &Slot<E> {
@@ -144,13 +167,8 @@ impl<E> SampleStore<E> {
         &mut self.slots[pos].entry
     }
 
-    /// Whether `size` more bytes fit without an eviction.
-    pub fn fits(&self, size: u64) -> bool {
-        self.used + size <= self.capacity
-    }
-
     /// Admits `id` at position `len()`, stamped `at`. `id` must be absent
-    /// and must [`fit`](SampleStore::fits).
+    /// and must [`fit`](CacheStore::fits).
     pub fn push(&mut self, id: ObjectId, size: u64, at: Time, entry: E) {
         debug_assert!(self.fits(size) && !self.contains(id));
         let pos = u32::try_from(self.slots.len()).expect("fewer than 2^32 cached objects");
@@ -171,6 +189,28 @@ impl<E> SampleStore<E> {
         self.used -= slot.size;
         self.evictions += 1;
         slot
+    }
+}
+
+impl<E> CacheStore for SampleStore<E> {
+    fn capacity(&self) -> u64 {
+        self.capacity
+    }
+    fn used(&self) -> u64 {
+        self.used
+    }
+    /// Objects removed by [`SampleStore::evict_at`].
+    fn evictions(&self) -> u64 {
+        self.evictions
+    }
+    #[inline]
+    fn admitted_at(&self, id: ObjectId) -> Option<Time> {
+        self.index.get(&id).map(|&(_, at)| at)
+    }
+    fn restamp(&mut self, id: ObjectId, at: Time) {
+        if let Some(entry) = self.index.get_mut(&id) {
+            entry.1 = at;
+        }
     }
 }
 
@@ -211,6 +251,20 @@ mod tests {
         assert!(s.fits(60) && !s.fits(61));
         s.evict_at(0);
         assert!(s.is_empty());
+    }
+
+    /// `fits` at a capacity above `u64::MAX / 2`, where `used + size`
+    /// wraps: two objects of half the capacity fill it, and a third does
+    /// not fit.
+    #[test]
+    fn fits_does_not_wrap_above_half_of_u64_max() {
+        let half = 9_000_000_000_000_000_000;
+        let mut s: SampleStore<()> = SampleStore::new(2 * half);
+        s.push(1, half, Time::ZERO, ());
+        assert!(s.fits(half));
+        s.push(2, half, Time::ZERO, ());
+        assert!(!s.fits(half) && !s.fits(1) && s.fits(0));
+        assert_eq!(s.used(), s.capacity());
     }
 
     /// Three samplers stand on the store, so it is held to the structure

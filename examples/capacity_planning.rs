@@ -1,8 +1,8 @@
 //! Capacity planning with the analysis toolkit: given a workload, how big
-//! must the cache be for a target hit ratio? Combines the working-set
-//! profile, the exact LRU miss-ratio curve, and the Che approximation —
-//! then sanity-checks the answer against an actual simulation and shows
-//! how much less capacity LHR needs for the same hit ratio.
+//! must the cache be for a target hit ratio? Combines the exact LRU
+//! miss-ratio curve and the Che approximation — then sanity-checks the
+//! answer against an actual simulation and shows how much less capacity
+//! LHR needs for the same hit ratio.
 //!
 //! ```text
 //! cargo run --release --example capacity_planning
@@ -10,7 +10,6 @@
 
 use lhr_repro::analysis::che::CheModel;
 use lhr_repro::analysis::mrc::{lru_mrc, MrcConfig};
-use lhr_repro::analysis::workingset::peak_working_set_bytes;
 use lhr_repro::core::cache::{LhrCache, LhrConfig};
 use lhr_repro::policies::Lru;
 use lhr_repro::sim::{SimConfig, Simulator};
@@ -27,11 +26,7 @@ fn main() {
         stats.unique_bytes_requested as f64 / 1e9
     );
 
-    // 1. Working set: how much is "hot" over an hour?
-    let hour_ws = peak_working_set_bytes(&trace, 3_600.0);
-    println!("peak 1-hour working set: {:.2} GB", hour_ws as f64 / 1e9);
-
-    // 2. Miss-ratio curve: hit ratio at each capacity, one pass.
+    // 1. Miss-ratio curve: hit ratio at each capacity, one pass.
     let unique = stats.unique_bytes_requested as u64;
     let capacities: Vec<u64> = (1..=12).map(|k| unique * k / 24).collect();
     let curve = lru_mrc(&trace, &MrcConfig::exact(capacities.clone()));
@@ -67,7 +62,7 @@ fn main() {
         capacity as f64 / 1e9
     );
 
-    // 3. Verify by simulation, and compare what LHR does with the same
+    // 2. Verify by simulation, and compare what LHR does with the same
     //    budget.
     let config = SimConfig {
         warmup_requests: trace.len() / 5,

@@ -20,7 +20,7 @@ if grep -rnw unsafe crates/*/src src; then
   exit 1
 fi
 
-echo "==> kept deleted: one slot-array store, no hand-rolled policy table, one way for windows to reach the recorder, one helper crew, one way to retrain"
+echo "==> kept deleted: one slot-array store, one store contract, no hand-rolled policy table, one way for windows to reach the recorder, one helper crew, one way to retrain"
 # SampleStore (crates/sim/src/store.rs) holds the only swap_remove fix-up:
 # LhrCache and the threshold shadow kept their own until they moved onto
 # it. Everything above a file's first #[cfg(test)] is non-test code.
@@ -41,6 +41,16 @@ for file in crates/policies/src/*.rs; do
     exit 1
   fi
 done
+# A policy's byte accounting and freshness stamps are its store's
+# (lhr_sim::CacheStore): CachePolicy reads them through `store()`, so no
+# policy file defines its own forwards.
+for file in crates/policies/src/*.rs crates/core/src/*.rs; do
+  if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$file" \
+      | grep -E 'fn (used_bytes|admitted_at|restamp)\b'; then
+    echo "a policy forwards its store's accounting or stamps (see the lines above)" >&2
+    exit 1
+  fi
+done
 # The serving tally's streaming mode and what existed only for it.
 if grep -rnE 'stream_pending|take_done|fills_window|stamp_window' crates; then
   echo "a name of the deleted streaming hand-over under crates/ (see the lines above)" >&2
@@ -49,9 +59,10 @@ fi
 # The bench JSON sink, the observed-bound wrapper, the inline-retrain knob
 # and the newtype shape of impl_json! (whole words: the background-retrain
 # tests keep their names).
-# The second policy-constructor layer (the roster builds every policy) and
-# the configurable latency model (its four numbers are constants).
-if grep -rnwE 'LHR_BENCH_JSON|ObservedBound|background_retrain|impl_json!\(newtype|PolicyFactory|all_factories|run_grid|LatencyModel' \
+# The second policy-constructor layer (the roster builds every policy),
+# the configurable latency model (its four numbers are constants) and the
+# working-set profile (the miss-ratio curve sizes a cache).
+if grep -rnwE 'LHR_BENCH_JSON|ObservedBound|background_retrain|impl_json!\(newtype|PolicyFactory|all_factories|run_grid|LatencyModel|working_set_profile|peak_working_set_bytes|WorkingSetPoint' \
     crates src tests examples; then
   echo "a deleted name is back (see the lines above)" >&2
   exit 1
@@ -196,7 +207,7 @@ done
 
 echo "==> freshness-stamp determinism smoke (one policy per cache store, --faults recovery, --threads 1 2 4)"
 # The freshness stamp lives in the slot a policy's store keeps for the
-# object (CachePolicy's contract), so the determinism contract is per
+# object (CacheStore's contract), so the determinism contract is per
 # store: LruStore (LRU), SampleStore (Hyperbolic), SegmentedStore
 # (W-TinyLFU), OrderedStore (GDSF). The trace spans 1.67 h against the 1 h
 # freshness lifetime and `recovery` puts an outage and a slow-start ramp in

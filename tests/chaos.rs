@@ -11,8 +11,9 @@ use lhr_repro::policies::Lru;
 use lhr_repro::proto::{
     presets, BreakerConfig, CdnServer, FaultConfig, ResilienceConfig, RetryPolicy, ServerConfig,
 };
-use lhr_repro::sim::{CachePolicy, Outcome};
-use lhr_repro::trace::{ObjectId, Request, Time, Trace};
+use lhr_repro::sim::store::SampleStore;
+use lhr_repro::sim::{CachePolicy, CacheStore, Outcome};
+use lhr_repro::trace::{Request, Time, Trace};
 
 const MB: u64 = 1 << 20;
 
@@ -309,30 +310,23 @@ fn brownout_inflates_degraded_latency_percentiles() {
 /// A policy that never caches: every request is a bypassed miss, which
 /// keeps the coalescing window — not the cache — responsible for saving
 /// origin fetches.
-struct BypassAll;
+struct BypassAll {
+    /// Zero bytes: holds nothing.
+    store: SampleStore<()>,
+}
 
 impl CachePolicy for BypassAll {
     fn name(&self) -> &str {
         "BypassAll"
     }
-    fn capacity(&self) -> u64 {
-        0
+    fn store(&self) -> &dyn CacheStore {
+        &self.store
     }
-    fn used_bytes(&self) -> u64 {
-        0
+    fn store_mut(&mut self) -> &mut dyn CacheStore {
+        &mut self.store
     }
-    fn admitted_at(&self, _id: ObjectId) -> Option<Time> {
-        None
-    }
-    fn restamp(&mut self, _id: ObjectId, _at: Time) {}
     fn handle(&mut self, _req: &Request) -> Outcome {
         Outcome::MissBypassed
-    }
-    fn evictions(&self) -> u64 {
-        0
-    }
-    fn metadata_overhead_bytes(&self) -> u64 {
-        0
     }
 }
 
@@ -357,7 +351,12 @@ fn coalescing_collapses_a_burst_of_misses_into_one_fetch() {
             },
             ..ServerConfig::default()
         };
-        let mut server = CdnServer::new(BypassAll, config);
+        let mut server = CdnServer::new(
+            BypassAll {
+                store: SampleStore::new(0),
+            },
+            config,
+        );
         server.replay(&trace)
     };
     let on = run(true);

@@ -11,7 +11,7 @@ use lhr_repro::core::cache::{LhrCache, LhrConfig};
 use lhr_repro::core::detect::estimate_zipf_alpha;
 use lhr_repro::policies::util::{BloomFilter, CountMinSketch, LruList};
 use lhr_repro::policies::{Arc, Fifo, Gdsf, LfuDa, Lru, LruK, TinyLfu, WTinyLfu};
-use lhr_repro::sim::{CachePolicy, OfflineBound, SimConfig, Simulator};
+use lhr_repro::sim::{CachePolicy, CacheStore, OfflineBound, SimConfig, Simulator};
 use lhr_repro::trace::{io, ObjectId, Request, Time, Trace};
 use lhr_util::prop::{any_u64, range, vec};
 use lhr_util::{prop_assert, prop_assert_eq, prop_check};
@@ -544,23 +544,14 @@ impl<P: CachePolicy> CachePolicy for DefaultHitCheck<P> {
     fn name(&self) -> &str {
         self.0.name()
     }
-    fn capacity(&self) -> u64 {
-        self.0.capacity()
+    fn store(&self) -> &dyn CacheStore {
+        self.0.store()
     }
-    fn used_bytes(&self) -> u64 {
-        self.0.used_bytes()
-    }
-    fn admitted_at(&self, id: ObjectId) -> Option<Time> {
-        self.0.admitted_at(id)
-    }
-    fn restamp(&mut self, id: ObjectId, at: Time) {
-        self.0.restamp(id, at)
+    fn store_mut(&mut self) -> &mut dyn CacheStore {
+        self.0.store_mut()
     }
     fn handle(&mut self, req: &Request) -> lhr_repro::sim::Outcome {
         self.0.handle(req)
-    }
-    fn evictions(&self) -> u64 {
-        self.0.evictions()
     }
     fn metadata_overhead_bytes(&self) -> u64 {
         self.0.metadata_overhead_bytes()
@@ -663,6 +654,60 @@ fn every_roster_policy_keeps_the_stamp_the_server_used_to_keep() {
             }
         }
     });
+}
+
+/// A metamorphic relation over the whole roster: a policy reads time only
+/// as differences (inter-arrival gaps, ages, windows), so shifting every
+/// timestamp of a trace by the same amount changes no decision. Every
+/// `presets::POLICIES` row replays a variable-size Zipf trace long enough
+/// for LHR's bootstrap training and its first retraining, then the same
+/// trace shifted by 1 s, 1 h and 10⁶ s; hits, bytes hit, admitted misses
+/// and evictions must all be equal.
+#[test]
+fn every_roster_policy_is_invariant_under_a_time_shift() {
+    use lhr_repro::proto::presets::{self, PolicyParams};
+    use lhr_repro::trace::synth::{IrmConfig, SizeModel};
+    let trace = IrmConfig::new(400, 13_000)
+        .zipf_alpha(0.9)
+        .size_model(SizeModel::LogNormal {
+            median: 2_000,
+            sigma: 1.0,
+        })
+        .seed(17)
+        .generate();
+    let shift = |by: Time| {
+        let requests = trace
+            .iter()
+            .map(|req| Request {
+                ts: req.ts + by,
+                ..*req
+            })
+            .collect();
+        Trace::from_requests("shifted", requests)
+    };
+    let params = PolicyParams::for_trace(100_000, 5, &trace);
+    let run = |trace: &Trace, name: &str, build: presets::PolicyCtor| {
+        let mut policy = build(&params);
+        let result = Simulator::new(SimConfig::default()).run(&mut policy, trace);
+        let m = result.metrics;
+        assert!(
+            m.hits > 0 && result.evictions > 0,
+            "{name}: the trace exercises nothing"
+        );
+        (m.hits, m.bytes_hit, m.misses_admitted, result.evictions)
+    };
+    let shifts = [
+        Time::from_secs(1),
+        Time::from_secs(3_600),
+        Time::from_secs(1_000_000),
+    ];
+    let shifted: Vec<Trace> = shifts.iter().map(|&by| shift(by)).collect();
+    for &(name, build) in presets::POLICIES {
+        let want = run(&trace, name, build);
+        for (by, trace) in shifts.iter().zip(&shifted) {
+            assert_eq!(run(trace, name, build), want, "{name} shifted by {by:?}");
+        }
+    }
 }
 
 /// A synthesized [`TraceRecord`] survives the JSONL tagged-line format

@@ -11,9 +11,9 @@ use lhr_repro::proto::{
     presets, EngineConfig, FleetConfig, FleetEngine, NodeFaultConfig, ShardedEngine,
 };
 use lhr_repro::sim::shard::{shard_seed, RouteConfig};
-use lhr_repro::sim::{CachePolicy, Outcome, SimConfig, Simulator};
+use lhr_repro::sim::{CachePolicy, CacheStore, Outcome, SimConfig, Simulator};
 use lhr_repro::trace::synth::{IrmConfig, SizeModel};
-use lhr_repro::trace::{ObjectId, Request, Time, Trace};
+use lhr_repro::trace::{ObjectId, Request, Trace};
 use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 
 const SHARDS: usize = 8;
@@ -73,17 +73,11 @@ impl<P: CachePolicy> CachePolicy for Counted<'_, P> {
     fn name(&self) -> &str {
         self.inner.name()
     }
-    fn capacity(&self) -> u64 {
-        self.inner.capacity()
+    fn store(&self) -> &dyn CacheStore {
+        self.inner.store()
     }
-    fn used_bytes(&self) -> u64 {
-        self.inner.used_bytes()
-    }
-    fn admitted_at(&self, id: ObjectId) -> Option<Time> {
-        self.inner.admitted_at(id)
-    }
-    fn restamp(&mut self, id: ObjectId, at: Time) {
-        self.inner.restamp(id, at)
+    fn store_mut(&mut self) -> &mut dyn CacheStore {
+        self.inner.store_mut()
     }
     fn contains(&self, id: ObjectId) -> bool {
         self.inner.contains(id)
@@ -93,9 +87,6 @@ impl<P: CachePolicy> CachePolicy for Counted<'_, P> {
     }
     fn hit_check(&mut self, req: &Request) -> Option<Outcome> {
         self.inner.hit_check(req)
-    }
-    fn evictions(&self) -> u64 {
-        self.inner.evictions()
     }
     fn metadata_overhead_bytes(&self) -> u64 {
         self.inner.metadata_overhead_bytes()
