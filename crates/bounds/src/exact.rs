@@ -155,7 +155,7 @@ impl OfflineBound for ExactOpt {
                     // Admission: iterate subsets of mask to keep.
                     let mut keep = mask;
                     loop {
-                        if total_size(keep) + sizes[obj] <= capacity {
+                        if sizes[obj] <= capacity - total_size(keep) {
                             let v = solve(
                                 i + 1,
                                 keep | bit,

@@ -101,7 +101,7 @@ impl OfflineBound for PfooLower {
             }
             let b0 = (start / gran) as usize;
             let b1 = ((end - 1) / gran) as usize;
-            if occupancy[b0..=b1].iter().all(|&o| o + size <= capacity) {
+            if occupancy[b0..=b1].iter().all(|&o| size <= capacity - o) {
                 for o in &mut occupancy[b0..=b1] {
                     *o += size;
                 }

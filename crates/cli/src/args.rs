@@ -74,6 +74,11 @@ impl Args {
 /// Parses a byte size: raw integer or `KB`/`MB`/`GB`/`TB` suffix (powers of
 /// 10, case-insensitive, optional fractional part like `1.5GB`).
 pub fn parse_size(raw: &str) -> Result<u64, String> {
+    // A plain integer is read as written: all 64 bits of a byte count,
+    // where an f64 holds 53.
+    if let Ok(bytes @ 1..) = raw.trim().parse::<u64>() {
+        return Ok(bytes);
+    }
     let lower = raw.trim().to_ascii_lowercase();
     let (digits, multiplier) = if let Some(d) = lower.strip_suffix("tb") {
         (d, 1e12)
@@ -170,6 +175,10 @@ mod tests {
             parse_size("16000000TB").unwrap(),
             16_000_000_000_000_000_000
         );
+        // A plain integer converts exactly, past 2^53 and up to u64::MAX.
+        assert_eq!(parse_size("9007199254740993").unwrap(), (1 << 53) + 1);
+        assert_eq!(parse_size("18446744073709551614").unwrap(), u64::MAX - 1);
+        assert_eq!(parse_size("18446744073709551615").unwrap(), u64::MAX);
     }
 
     #[test]

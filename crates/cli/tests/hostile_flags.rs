@@ -1,8 +1,9 @@
 //! Hostile numeric flags: a shard count or shield size that would abort
 //! the process on allocation, or silently wrap, must instead be one
-//! `error:` line on stderr and a nonzero exit — and a thread or shard count
+//! `error:` line on stderr and a nonzero exit — a thread or shard count
 //! that is merely absurd (more threads than shards, more shards than
-//! requests) must replay exactly like `--threads 1`.
+//! requests) must replay exactly like `--threads 1` — and a capacity of
+//! `u64::MAX − 1` bytes must run.
 
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
@@ -881,6 +882,41 @@ fn a_capacity_under_one_byte_is_refused_by_every_command_that_sizes_a_cache() {
         assert_one_line_error(&out, &format!("size is under one byte: `{capacity}`"));
         assert!(!String::from_utf8_lossy(&out.stderr).contains("panicked"));
     }
+}
+
+#[test]
+fn a_capacity_of_u64_max_minus_one_runs_every_store_without_a_panic() {
+    // 50 objects of 2^59 to 2^62 bytes in a cache of u64::MAX − 1 bytes:
+    // a sum of byte counts here passes u64::MAX unless it subtracts,
+    // saturates or widens — LHR's window, ARC's ghost balance, W-TinyLFU's
+    // protected share, SLRU's level 0, the Bélády and PFOO-L bounds. In the
+    // debug profile of `cargo test` a wrap panics.
+    let trace = csv_trace("near-u64-max", 2_000, |line, _| {
+        let id = line % 50;
+        format!("{},{id},{}", 1_000_000 + 10 * line, (id % 8 + 1) << 59)
+    });
+    let capacity = "18446744073709551614";
+    for policy in ["LHR", "ARC", "W-TinyLFU", "SLRU"] {
+        let out = cli(&[
+            "simulate",
+            "--policy",
+            policy,
+            "--capacity",
+            capacity,
+            trace.path(),
+        ]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{policy}: {out:?}");
+        assert!(stdout.starts_with(&format!("{policy} @ ")), "{stdout}");
+        assert!(!String::from_utf8_lossy(&out.stderr).contains("panicked"));
+    }
+    let out = cli(&["bound", "--capacity", capacity, trace.path()]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{out:?}");
+    for bound in ["Belady ", "Belady-Size ", "PFOO-L ", "HRO "] {
+        assert!(stdout.lines().any(|l| l.starts_with(bound)), "{stdout}");
+    }
+    assert!(!String::from_utf8_lossy(&out.stderr).contains("panicked"));
 }
 
 /// A CSV trace of `lines` lines, `ts,id,size` with 1 000 objects of fixed

@@ -70,7 +70,7 @@ pub fn hro_top_set(window: &WindowData, capacity: u64) -> FastSet<ObjectId> {
         // Fractional relaxation: the content straddling the boundary is
         // included whole.
         top.insert(id);
-        filled += size;
+        filled = filled.saturating_add(size);
     }
     top
 }

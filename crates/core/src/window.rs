@@ -18,7 +18,7 @@ pub struct WindowData {
     /// of its first request there. Iteration order is arbitrary — consumers
     /// sort before any order-sensitive use.
     pub counts: FastMap<ObjectId, (u32, u64)>,
-    /// Unique bytes accumulated.
+    /// Unique bytes accumulated, saturating at `u64::MAX`.
     pub unique_bytes: u64,
     /// First and last timestamps.
     pub span: (Time, Time),
@@ -135,7 +135,9 @@ impl WindowTracker {
         let (count, _) = self.current.counts.entry(req.id).or_insert((0, req.size));
         *count += 1;
         if *count == 1 {
-            self.current.unique_bytes += req.size;
+            // Saturates where a sum would wrap: the target is a u64 too, so
+            // the window closes all the same.
+            self.current.unique_bytes = self.current.unique_bytes.saturating_add(req.size);
         }
         if self.current.unique_bytes >= self.target_unique_bytes
             && self.current.requests.len() >= self.effective_min_requests()

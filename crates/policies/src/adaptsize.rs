@@ -10,7 +10,7 @@
 //! observable behaviour — the admission size threshold tracks the workload —
 //! without reproducing the closed-form model internals.
 
-use crate::util::LruStore;
+use crate::util::SegmentedStore;
 use lhr_sim::{CachePolicy, CacheStore, Outcome};
 use lhr_trace::{ObjectId, Request, Time};
 use lhr_util::rng::rngs::SmallRng;
@@ -19,7 +19,7 @@ use lhr_util::rng::{Rng, SeedableRng};
 /// The AdaptSize policy.
 #[derive(Debug)]
 pub struct AdaptSize {
-    store: LruStore,
+    store: SegmentedStore,
     /// Admission scale parameter `c` in bytes.
     c: f64,
     rng: SmallRng,
@@ -38,7 +38,7 @@ impl AdaptSize {
     /// An AdaptSize cache of `capacity` bytes with the given RNG seed.
     pub fn new(capacity: u64, seed: u64) -> Self {
         AdaptSize {
-            store: LruStore::new(capacity),
+            store: SegmentedStore::new(capacity, 1),
             // Initial c: the full capacity, so any object that fits is
             // admitted with probability ≥ e^{−1}; tuning shrinks c when
             // size-selective admission pays off (the original system also
@@ -92,10 +92,10 @@ impl AdaptSize {
     /// comparison against a per-object pseudo-random draw keyed on the id)
     /// so tuning itself is deterministic.
     fn shadow_hit_ratio(&self, c: f64) -> f64 {
-        let mut shadow = LruStore::new(self.store.capacity());
+        let mut shadow = SegmentedStore::new(self.store.capacity(), 1);
         let mut hits = 0usize;
         for &(id, size) in &self.window {
-            if shadow.touch(id) {
+            if shadow.touch(id).is_some() {
                 hits += 1;
                 continue;
             }
@@ -108,7 +108,7 @@ impl AdaptSize {
                 continue;
             }
             // The shadow serves nobody: its stamps are never read.
-            shadow.insert(id, size, Time::ZERO);
+            shadow.admit(id, size, Time::ZERO, 0);
         }
         hits as f64 / self.window.len() as f64
     }
@@ -147,7 +147,7 @@ impl CachePolicy for AdaptSize {
 
     fn handle(&mut self, req: &Request) -> Outcome {
         self.record(req);
-        if self.store.touch(req.id) {
+        if self.store.touch(req.id).is_some() {
             return Outcome::Hit;
         }
         if req.size > self.store.capacity() {
@@ -156,7 +156,7 @@ impl CachePolicy for AdaptSize {
         if self.rng.gen::<f64>() >= self.admit_probability(req.size) {
             return Outcome::MissBypassed;
         }
-        self.store.insert(req.id, req.size, req.ts);
+        self.store.admit(req.id, req.size, req.ts, 0);
         Outcome::MissAdmitted
     }
 

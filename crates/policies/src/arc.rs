@@ -24,7 +24,8 @@ pub struct Arc {
     /// T1 and T2: what is cached.
     cache: SegmentedStore,
     /// B1 and B2: ids and sizes of what T1 and T2 evicted. `replace` trims
-    /// each list to the cache's capacity; the store's own budget is unused.
+    /// each list to the cache's capacity; the store's own budget,
+    /// `u64::MAX`, binds only past 2⁶³ bytes of capacity.
     ghosts: SegmentedStore,
 }
 
@@ -49,11 +50,17 @@ impl Arc {
                 || self.cache.lru(T2).is_none());
         let (from, ghost) = if take_t1 { (T1, B1) } else { (T2, B2) };
         let (id, size, _) = self.cache.pop_lru(from).expect("T1 and T2 both empty");
-        self.ghosts.insert(id, size, Time::ZERO, ghost);
-        // Bound the ghost list to `capacity` bytes; the other has not grown.
-        while self.ghosts.bytes(ghost) > self.cache.capacity() {
+        // Bound the ghost list to `capacity` bytes, the newcomer included;
+        // the other has not grown.
+        while size > self.cache.capacity() - self.ghosts.bytes(ghost) {
             self.ghosts.pop_lru(ghost);
         }
+        // Past 2⁶³ bytes of capacity the two lists together can outgrow
+        // even the ghost store's `u64::MAX`; the other one makes way.
+        while !self.ghosts.fits(size) {
+            self.ghosts.pop_lru(1 - ghost);
+        }
+        self.ghosts.insert(id, size, Time::ZERO, ghost);
     }
 
     fn make_room(&mut self, size: u64, from_b2: bool) {
@@ -95,7 +102,7 @@ impl CachePolicy for Arc {
                 req.size.saturating_mul((there / here.max(1)).max(1))
             };
             self.p = if ghost == B1 {
-                (self.p + delta).min(capacity)
+                self.p.saturating_add(delta).min(capacity)
             } else {
                 self.p.saturating_sub(delta)
             };
@@ -105,9 +112,12 @@ impl CachePolicy for Arc {
         }
 
         // Case IV: brand-new object → T1 MRU.
-        // L1 = T1 ∪ B1 at capacity: recycle B1 before replacing.
-        let l1 = |arc: &Arc| arc.cache.bytes(T1) + arc.ghosts.bytes(B1) + req.size;
-        let all = |arc: &Arc| arc.cache.used() + arc.ghosts.used() + req.size;
+        // L1 = T1 ∪ B1 at capacity: recycle B1 before replacing. The sums
+        // reach past `u64::MAX` at capacities above 2⁶².
+        let sum = |bytes: [u64; 3]| bytes.into_iter().map(u128::from).sum::<u128>();
+        let l1 = |arc: &Arc| sum([arc.cache.bytes(T1), arc.ghosts.bytes(B1), req.size]);
+        let all = |arc: &Arc| sum([arc.cache.used(), arc.ghosts.used(), req.size]);
+        let capacity = u128::from(capacity);
         if l1(self) > capacity {
             while self.ghosts.bytes(B1) > 0 && l1(self) > capacity {
                 self.ghosts.pop_lru(B1);

@@ -1,6 +1,6 @@
 //! FIFO and Random eviction — the classic strawmen (§8).
 
-use crate::util::LruStore;
+use crate::util::SegmentedStore;
 use lhr_sim::store::SampleStore;
 use lhr_sim::{CachePolicy, CacheStore, Outcome};
 use lhr_trace::Request;
@@ -11,14 +11,14 @@ use lhr_util::rng::{Rng, SeedableRng};
 /// touches is a queue.
 #[derive(Debug)]
 pub struct Fifo {
-    store: LruStore,
+    store: SegmentedStore,
 }
 
 impl Fifo {
     /// An empty FIFO cache of `capacity` bytes.
     pub fn new(capacity: u64) -> Self {
         Fifo {
-            store: LruStore::new(capacity),
+            store: SegmentedStore::new(capacity, 1),
         }
     }
 }
@@ -35,13 +35,13 @@ impl CachePolicy for Fifo {
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
-        if self.store.contains(req.id) {
+        if self.store.segment_of(req.id).is_some() {
             return Outcome::Hit;
         }
         if req.size > self.store.capacity() {
             return Outcome::MissBypassed;
         }
-        self.store.insert(req.id, req.size, req.ts);
+        self.store.admit(req.id, req.size, req.ts, 0);
         Outcome::MissAdmitted
     }
 

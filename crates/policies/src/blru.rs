@@ -3,14 +3,14 @@
 //! one-hit wonders. This is Akamai's "cache on second hit" rule
 //! (Maggs & Sitaraman 2015) realized with a rotating Bloom filter.
 
-use crate::util::{BloomFilter, LruStore};
+use crate::util::{BloomFilter, SegmentedStore};
 use lhr_sim::{CachePolicy, CacheStore, Outcome};
 use lhr_trace::Request;
 
 /// The B-LRU policy.
 #[derive(Debug)]
 pub struct BLru {
-    store: LruStore,
+    store: SegmentedStore,
     seen: BloomFilter,
 }
 
@@ -19,7 +19,7 @@ impl BLru {
     /// filter epoch (≈ distinct objects per filter rotation).
     pub fn new(capacity: u64, expected_objects: u64) -> Self {
         BLru {
-            store: LruStore::new(capacity),
+            store: SegmentedStore::new(capacity, 1),
             seen: BloomFilter::new(expected_objects),
         }
     }
@@ -37,11 +37,11 @@ impl CachePolicy for BLru {
     }
 
     fn hit_check(&mut self, req: &Request) -> Option<Outcome> {
-        self.store.touch(req.id).then_some(Outcome::Hit)
+        self.store.touch(req.id).map(|_| Outcome::Hit)
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
-        if self.store.touch(req.id) {
+        if self.store.touch(req.id).is_some() {
             return Outcome::Hit;
         }
         if req.size > self.store.capacity() {
@@ -52,7 +52,7 @@ impl CachePolicy for BLru {
             self.seen.insert(req.id);
             return Outcome::MissBypassed;
         }
-        self.store.insert(req.id, req.size, req.ts);
+        self.store.admit(req.id, req.size, req.ts, 0);
         Outcome::MissAdmitted
     }
 

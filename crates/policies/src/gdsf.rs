@@ -6,7 +6,8 @@
 //! are retained. `L` is the inflation term: the priority of the last
 //! evicted object.
 
-use crate::util::{OrdF64, OrderedStore};
+use crate::util::OrdF64;
+use lhr_sim::store::OrderedStore;
 use lhr_sim::{CachePolicy, CacheStore, Outcome};
 use lhr_trace::Request;
 

@@ -116,7 +116,7 @@ impl Hawkeye {
         }
         for s in lo..now_slot {
             let idx = (s % SLOTS as u64) as usize;
-            if self.occupancy[idx] + size > self.store.capacity() {
+            if size > self.store.capacity() - self.occupancy[idx] {
                 return false;
             }
         }

@@ -11,7 +11,7 @@
 //! original uses boosted trees over features very similar to ours, so this
 //! implementation reuses the workspace GBM.
 
-use crate::util::LruStore;
+use crate::util::SegmentedStore;
 use lhr_gbm::{Dataset, Gbm, GbmParams};
 use lhr_sim::bound::belady_replay;
 use lhr_sim::{CachePolicy, CacheStore, Outcome};
@@ -35,7 +35,7 @@ struct History {
 
 /// The LFO policy.
 pub struct Lfo {
-    store: LruStore,
+    store: SegmentedStore,
     history: FastMap<ObjectId, History>,
     /// The training window: (features, id, size) per request.
     window: Vec<([f32; N_FEATURES], ObjectId, u64)>,
@@ -49,7 +49,7 @@ impl Lfo {
     /// requests.
     pub fn new(capacity: u64, window_len: usize) -> Self {
         Lfo {
-            store: LruStore::new(capacity),
+            store: SegmentedStore::new(capacity, 1),
             history: FastMap::default(),
             window: Vec::new(),
             window_len: window_len.max(256),
@@ -170,13 +170,13 @@ impl CachePolicy for Lfo {
             self.retrain();
         }
 
-        if self.store.touch(req.id) {
+        if self.store.touch(req.id).is_some() {
             return Outcome::Hit;
         }
         if req.size > self.store.capacity() || self.admit_probability(&features) < THRESHOLD {
             return Outcome::MissBypassed;
         }
-        self.store.insert(req.id, req.size, req.ts);
+        self.store.admit(req.id, req.size, req.ts, 0);
         Outcome::MissAdmitted
     }
 

@@ -5,7 +5,7 @@
 //! request count while cached and `L` is the "cache age": the priority of
 //! the most recently evicted object. Eviction removes the smallest `K_i`.
 
-use crate::util::OrderedStore;
+use lhr_sim::store::OrderedStore;
 use lhr_sim::{CachePolicy, CacheStore, Outcome};
 use lhr_trace::Request;
 

@@ -7,10 +7,11 @@
 //! Every policy implements [`lhr_sim::CachePolicy`] and obeys its contract:
 //! capacity is never exceeded, objects larger than the cache are never
 //! admitted, and behaviour is deterministic given construction parameters.
-//! Each is a rule on one of four cache stores — [`util::LruStore`],
-//! [`util::OrderedStore`], [`util::SegmentedStore`] and
-//! [`lhr_sim::store::SampleStore`], every one a [`lhr_sim::CacheStore`] —
-//! so a policy is its name, its store and its `handle`.
+//! Each is a rule on one of three cache stores — [`util::SegmentedStore`]
+//! (one segment for the LRU family), [`lhr_sim::store::OrderedStore`] and
+//! [`lhr_sim::store::SampleStore`], every one a [`lhr_sim::CacheStore`]
+//! whose insert cannot pass its capacity — so a policy is its name, its
+//! store and its `handle`.
 //!
 //! # Example
 //!

@@ -1,21 +1,21 @@
 //! Least Recently Used — the production default the paper says major CDNs
 //! still run (§1), and the baseline policy of Apache Traffic Server.
 
-use crate::util::LruStore;
+use crate::util::SegmentedStore;
 use lhr_sim::{CachePolicy, CacheStore, Outcome};
 use lhr_trace::Request;
 
 /// Classic LRU with admit-all admission.
 #[derive(Debug)]
 pub struct Lru {
-    store: LruStore,
+    store: SegmentedStore,
 }
 
 impl Lru {
     /// An empty LRU cache of `capacity` bytes.
     pub fn new(capacity: u64) -> Self {
         Lru {
-            store: LruStore::new(capacity),
+            store: SegmentedStore::new(capacity, 1),
         }
     }
 }
@@ -32,17 +32,17 @@ impl CachePolicy for Lru {
     }
 
     fn hit_check(&mut self, req: &Request) -> Option<Outcome> {
-        self.store.touch(req.id).then_some(Outcome::Hit)
+        self.store.touch(req.id).map(|_| Outcome::Hit)
     }
 
     fn handle(&mut self, req: &Request) -> Outcome {
-        if self.store.touch(req.id) {
+        if self.store.touch(req.id).is_some() {
             return Outcome::Hit;
         }
         if req.size > self.store.capacity() {
             return Outcome::MissBypassed;
         }
-        self.store.insert(req.id, req.size, req.ts);
+        self.store.admit(req.id, req.size, req.ts, 0);
         Outcome::MissAdmitted
     }
 

@@ -9,7 +9,7 @@
 //! implementations bound the "retained information" the original algorithm
 //! calls for.
 
-use crate::util::OrderedStore;
+use lhr_sim::store::OrderedStore;
 use lhr_sim::{CachePolicy, CacheStore, Outcome};
 use lhr_trace::{ObjectId, Request, Time};
 use lhr_util::hash::FastMap;

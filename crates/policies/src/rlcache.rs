@@ -20,7 +20,7 @@
 //! design: scores only move when an eviction or re-request reveals the
 //! outcome.
 
-use crate::util::LruStore;
+use crate::util::SegmentedStore;
 use lhr_sim::{CachePolicy, CacheStore, Outcome};
 use lhr_trace::{ObjectId, Request, Time};
 use lhr_util::hash::FastMap;
@@ -45,7 +45,7 @@ struct ObjectState {
 
 /// The RL-Cache-style policy.
 pub struct RlCache {
-    store: LruStore,
+    store: SegmentedStore,
     /// Bucket of the admission decision + whether it has hit since.
     admitted_info: FastMap<ObjectId, (usize, bool)>,
     /// Bypassed objects awaiting a possible regret signal.
@@ -65,7 +65,7 @@ impl RlCache {
     /// long a bypass can later be ruled a mistake.
     pub fn new(capacity: u64, regret_horizon_secs: f64, seed: u64) -> Self {
         RlCache {
-            store: LruStore::new(capacity),
+            store: SegmentedStore::new(capacity, 1),
             admitted_info: FastMap::default(),
             bypassed: FastMap::default(),
             seen: FastMap::default(),
@@ -94,7 +94,7 @@ impl RlCache {
     }
 
     fn evict_one(&mut self) {
-        let (id, _) = self.store.evict_lru().expect("full but empty");
+        let (id, ..) = self.store.pop_lru(0).expect("full but empty");
         // Delayed reward: was this admission ever useful?
         if let Some((bucket, hit)) = self.admitted_info.remove(&id) {
             self.reward(bucket, if hit { 1.0 } else { -1.0 });
@@ -131,13 +131,15 @@ impl CachePolicy for RlCache {
         let bucket = self.bucket(req);
         // Regret check for earlier bypasses of this object.
         if let Some((bypass_bucket, when)) = self.bypassed.remove(&req.id) {
-            if req.ts.saturating_sub(when) <= self.regret_horizon && !self.store.contains(req.id) {
+            if req.ts.saturating_sub(when) <= self.regret_horizon
+                && self.store.segment_of(req.id).is_none()
+            {
                 self.reward(bypass_bucket, 1.0); // bypass cost us this miss
             }
         }
         self.note_request(req);
 
-        if self.store.touch(req.id) {
+        if self.store.touch(req.id).is_some() {
             if let Some(info) = self.admitted_info.get_mut(&req.id) {
                 info.1 = true;
             }
@@ -159,12 +161,12 @@ impl CachePolicy for RlCache {
             }
             return Outcome::MissBypassed;
         }
-        // Victim by victim, not through `insert`'s loop: each eviction
+        // Victim by victim, not through `admit`'s loop: each eviction
         // pays out a delayed reward.
         while !self.store.fits(req.size) {
             self.evict_one();
         }
-        self.store.insert(req.id, req.size, req.ts);
+        self.store.insert(req.id, req.size, req.ts, 0);
         self.admitted_info.insert(req.id, (bucket, false));
         Outcome::MissAdmitted
     }

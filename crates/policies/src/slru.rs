@@ -84,8 +84,11 @@ impl CachePolicy for SegmentedLru {
         if req.size > self.level_cap[0] {
             return Outcome::MissBypassed;
         }
+        // Level 0's overflow leaves the cache, from its LRU end.
+        while req.size > self.level_cap[0] - self.store.bytes(0) {
+            self.store.pop_lru(0);
+        }
         self.store.insert(req.id, req.size, req.ts, 0);
-        self.cascade(0);
         Outcome::MissAdmitted
     }
 

@@ -12,14 +12,14 @@
 //!
 //! Both are measured in bytes throughout, since CDN objects vary in size.
 
-use crate::util::{CountMinSketch, LruStore, SegmentedStore};
+use crate::util::{CountMinSketch, SegmentedStore};
 use lhr_sim::{CachePolicy, CacheStore, Outcome};
 use lhr_trace::{ObjectId, Request};
 
 /// Plain TinyLFU: LRU eviction + frequency admission gate.
 #[derive(Debug)]
 pub struct TinyLfu {
-    store: LruStore,
+    store: SegmentedStore,
     sketch: CountMinSketch,
 }
 
@@ -28,7 +28,7 @@ impl TinyLfu {
     /// frequency sketch.
     pub fn new(capacity: u64, expected_objects: u64) -> Self {
         TinyLfu {
-            store: LruStore::new(capacity),
+            store: SegmentedStore::new(capacity, 1),
             sketch: CountMinSketch::new(expected_objects),
         }
     }
@@ -47,7 +47,7 @@ impl CachePolicy for TinyLfu {
 
     fn handle(&mut self, req: &Request) -> Outcome {
         self.sketch.increment(req.id);
-        if self.store.touch(req.id) {
+        if self.store.touch(req.id).is_some() {
             return Outcome::Hit;
         }
         if req.size > self.store.capacity() {
@@ -56,10 +56,10 @@ impl CachePolicy for TinyLfu {
         // The newcomer must beat every victim it would displace: walk the
         // LRU end without mutating, summing reclaimable bytes, rejecting if
         // any victim is at least as popular. The victims are exactly the
-        // LRU-end prefix `insert` evicts to make room.
+        // LRU-end prefix `admit` evicts to make room.
         let freq_new = self.sketch.estimate(req.id);
         let mut reclaimable = self.store.capacity() - self.store.used();
-        for &(id, size) in self.store.iter_lru_first() {
+        for &(id, size) in self.store.iter_lru_first(0) {
             if reclaimable >= req.size {
                 break;
             }
@@ -68,7 +68,7 @@ impl CachePolicy for TinyLfu {
             }
             reclaimable += size;
         }
-        self.store.insert(req.id, req.size, req.ts);
+        self.store.admit(req.id, req.size, req.ts, 0);
         Outcome::MissAdmitted
     }
 
@@ -89,6 +89,8 @@ pub struct WTinyLfu {
     protected_cap: u64,
     store: SegmentedStore,
     sketch: CountMinSketch,
+    /// Arrivals too big for the window that lost the duel for main.
+    refused: u64,
 }
 
 impl WTinyLfu {
@@ -102,25 +104,25 @@ impl WTinyLfu {
         let main = capacity - window_cap;
         WTinyLfu {
             window_cap,
-            protected_cap: main * 8 / 10,
+            // 80 % in u128: `main * 8` passes `u64::MAX` above 2⁶¹ bytes.
+            protected_cap: (u128::from(main) * 8 / 10) as u64,
             store: SegmentedStore::new(capacity, 3),
             sketch: CountMinSketch::new(expected_objects),
+            refused: 0,
         }
     }
 
-    /// Offers `candidate` — in the window, on its way out — to the main
-    /// region through the TinyLFU gate: it moves to probation (stamp and
-    /// all) if it is more popular than every main object that would have
-    /// to go for it, and leaves the cache if not. Says whether it stayed.
-    fn offer_to_main(&mut self, candidate: ObjectId, size: u64) -> bool {
+    /// The TinyLFU gate in front of the main region. If `candidate` is
+    /// more popular than every main object that has to go for it to fit
+    /// there — from probation's LRU end, then protected's — they go, and
+    /// it says so; if one is at least as popular, or it cannot fit at all,
+    /// nothing moves.
+    fn duel(&mut self, candidate: ObjectId, size: u64) -> bool {
         let main_cap = self.store.capacity() - self.window_cap;
         let main_bytes = self.store.bytes(PROBATION) + self.store.bytes(PROTECTED);
-        // Collect victims from probation LRU (then protected LRU) until the
-        // candidate fits; reject the candidate if any victim is at least as
-        // popular, or if it cannot fit at all.
         let freq_new = self.sketch.estimate(candidate);
         let mut reclaim = main_cap - main_bytes;
-        let mut victims: Vec<ObjectId> = Vec::new();
+        let mut victims = 0;
         if reclaim < size && size <= main_cap {
             let pool = self
                 .store
@@ -131,17 +133,17 @@ impl WTinyLfu {
                     break;
                 }
                 reclaim += victim_size;
-                victims.push(victim);
+                victims += 1;
             }
         }
         if reclaim < size {
-            self.store.remove(candidate);
             return false;
         }
-        for victim in victims {
-            self.store.remove(victim);
+        for _ in 0..victims {
+            if self.store.pop_lru(PROBATION).is_none() {
+                self.store.pop_lru(PROTECTED);
+            }
         }
-        self.store.move_to(candidate, PROBATION);
         true
     }
 
@@ -180,18 +182,34 @@ impl CachePolicy for WTinyLfu {
         }
         // Everything enters through the window. An arrival that fits there
         // pushes out what it must, and the evictees duel for a place in
-        // main; one too big to stay passes straight through to the duel.
-        let stays = req.size <= self.window_cap;
-        while stays && self.store.bytes(WINDOW) + req.size > self.window_cap {
-            let (evictee, size) = self.store.lru(WINDOW).expect("window over cap");
-            self.offer_to_main(evictee, size);
+        // main.
+        if req.size <= self.window_cap {
+            while self.store.bytes(WINDOW) + req.size > self.window_cap {
+                // A winner moves to probation, stamp and all.
+                let (evictee, size) = self.store.lru(WINDOW).expect("window over cap");
+                if self.duel(evictee, size) {
+                    self.store.move_to(evictee, PROBATION);
+                } else {
+                    self.store.remove(evictee);
+                }
+            }
+            self.store.insert(req.id, req.size, req.ts, WINDOW);
+            return Outcome::MissAdmitted;
         }
-        self.store.insert(req.id, req.size, req.ts, WINDOW);
-        if stays || self.offer_to_main(req.id, req.size) {
+        // One too big to stay passes straight through to the duel.
+        if self.duel(req.id, req.size) {
+            self.store.insert(req.id, req.size, req.ts, PROBATION);
             Outcome::MissAdmitted
         } else {
+            self.refused += 1;
             Outcome::MissBypassed
         }
+    }
+
+    /// The store's evictions, and each refused pass-through: it counts as
+    /// evicted from the window it passed through.
+    fn evictions(&self) -> u64 {
+        self.store.evictions() + self.refused
     }
 
     fn metadata_overhead_bytes(&self) -> u64 {

@@ -1,7 +1,7 @@
 //! An arena-backed doubly-linked list with stable handles — the recency
-//! backbone of the two list stores: [`super::LruStore`] (the single-list
-//! policies) and [`super::SegmentedStore`] (the multi-list ones: SLRU, ARC,
-//! W-TinyLFU, Hawkeye). No policy uses it directly.
+//! backbone of [`super::SegmentedStore`], one list per segment (one for
+//! the single-list policies such as LRU; several for SLRU, ARC, W-TinyLFU
+//! and Hawkeye). No policy uses it directly.
 //!
 //! Front = most recently used, back = least recently used. All operations
 //! are O(1).

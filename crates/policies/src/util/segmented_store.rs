@@ -1,14 +1,20 @@
-//! Several recency lists over one membership map — the cache store under
-//! every policy that sorts its objects into segments and keeps each in
-//! LRU order: SLRU / S4LRU (levels), ARC (T1, T2 and the two ghost lists),
-//! W-TinyLFU (window, probation, protected), Hawkeye (friendly, averse).
+//! Recency lists over one membership map — the cache store under every
+//! list policy. One segment is plain LRU order: LRU, FIFO, B-LRU,
+//! AdaptSize (and its tuning shadows), TinyLFU, LFO and RL-Cache, which
+//! differ only in what they admit and, for FIFO, in never touching a hit.
+//! Several segments sort objects into classes, each kept in LRU order:
+//! SLRU / S4LRU (levels), ARC (T1, T2 and the two ghost lists), W-TinyLFU
+//! (window, probation, protected), Hawkeye (friendly, averse).
 //!
 //! The store holds the lists, the map from id to list node and segment,
 //! the per-segment byte counts, the eviction counter and each object's
 //! freshness stamp (`CacheStore`'s contract) once. The stamp sits in the
-//! map value, so moving an object between segments cannot lose it. A
-//! policy keeps the segment budgets and decides what moves where and what
-//! leaves; the store never evicts on its own.
+//! map value, so moving an object between segments cannot lose it, and
+//! the serving layer reads it right after a hit's probe of the same
+//! entry. [`SegmentedStore::admit`] makes room from the LRU end of the
+//! segment it admits to; a policy with a rule of its own — segment
+//! budgets, a victim order across segments — evicts first and then
+//! [`insert`](SegmentedStore::insert)s, which never passes the capacity.
 
 use super::{Handle, LruList};
 use lhr_sim::CacheStore;
@@ -22,16 +28,17 @@ struct Segment {
     bytes: u64,
 }
 
-/// `(id, size)` in one of `n` recency-ordered segments, `capacity` bytes
-/// in all.
+/// `(id, size)` in one of `n` recency-ordered segments, never more than
+/// `capacity` bytes in all.
 #[derive(Debug)]
 pub struct SegmentedStore {
     capacity: u64,
     used: u64,
     evictions: u64,
     segments: Vec<Segment>,
-    /// id → (list node, segment, freshness stamp).
-    map: FastMap<ObjectId, (Handle, usize, Time)>,
+    /// id → (list node, segment, freshness stamp): 16 bytes, the segment
+    /// packed beside the `u32` node handle.
+    map: FastMap<ObjectId, (Handle, u32, Time)>,
 }
 
 impl SegmentedStore {
@@ -63,7 +70,7 @@ impl SegmentedStore {
 
     /// The segment `id` is in, if it is held; recency is untouched.
     pub fn segment_of(&self, id: ObjectId) -> Option<usize> {
-        self.map.get(&id).map(|&(_, segment, _)| segment)
+        self.map.get(&id).map(|&(_, segment, _)| segment as usize)
     }
 
     /// A hit that stays where it is: moves `id` to the MRU end of its
@@ -71,8 +78,8 @@ impl SegmentedStore {
     #[inline]
     pub fn touch(&mut self, id: ObjectId) -> Option<usize> {
         let &(handle, segment, _) = self.map.get(&id)?;
-        self.segments[segment].list.move_to_front(handle);
-        Some(segment)
+        self.segments[segment as usize].list.move_to_front(handle);
+        Some(segment as usize)
     }
 
     /// Moves `id` to the MRU end of `segment` — from another segment or
@@ -83,7 +90,7 @@ impl SegmentedStore {
         let Some(slot) = self.map.get_mut(&id) else {
             return false;
         };
-        let from = slot.1;
+        let from = slot.1 as usize;
         if from == segment {
             self.segments[segment].list.move_to_front(slot.0);
         } else {
@@ -91,19 +98,36 @@ impl SegmentedStore {
             self.segments[from].bytes -= entry.1;
             let to = &mut self.segments[segment];
             to.bytes += entry.1;
-            (slot.0, slot.1) = (to.list.push_front(entry), segment);
+            (slot.0, slot.1) = (to.list.push_front(entry), segment as u32);
         }
         true
     }
 
+    /// Admits `id` at the MRU end of `segment`, stamped `at`, first
+    /// evicting from the LRU end of that segment until `size` bytes fit.
+    /// `id` must be absent, and the segment must hold enough to make room.
+    ///
+    /// Out of line, so that the hit path of a caller (`Lru::handle`) does
+    /// not pay for the eviction loop's registers.
+    #[inline(never)]
+    pub fn admit(&mut self, id: ObjectId, size: u64, at: Time, segment: usize) {
+        while !self.fits(size) {
+            self.pop_lru(segment)
+                .expect("over budget yet the segment is empty");
+        }
+        self.insert(id, size, at, segment);
+    }
+
     /// Admits `id` at the MRU end of `segment`, stamped `at`. `id` must be
-    /// absent; making room first is the policy's business.
+    /// absent and must [`fit`](CacheStore::fits): a policy that chooses its
+    /// own victims evicts them first.
+    #[inline]
     pub fn insert(&mut self, id: ObjectId, size: u64, at: Time, segment: usize) {
-        debug_assert!(!self.map.contains_key(&id));
+        debug_assert!(self.fits(size) && !self.map.contains_key(&id));
         let to = &mut self.segments[segment];
         let handle = to.list.push_front((id, size));
         to.bytes += size;
-        self.map.insert(id, (handle, segment, at));
+        self.map.insert(id, (handle, segment as u32, at));
         self.used += size;
     }
 
@@ -119,9 +143,14 @@ impl SegmentedStore {
 
     /// Evicts the object at the LRU end of `segment`, returning its id,
     /// size and stamp.
+    #[inline]
     pub fn pop_lru(&mut self, segment: usize) -> Option<(ObjectId, u64, Time)> {
-        let (id, _) = self.lru(segment)?;
-        let (_, size, at) = self.remove(id).expect("listed");
+        let from = &mut self.segments[segment];
+        let (id, size) = from.list.pop_back()?;
+        from.bytes -= size;
+        let (_, _, at) = self.map.remove(&id).expect("listed");
+        self.used -= size;
+        self.evictions += 1;
         Some((id, size, at))
     }
 
@@ -129,12 +158,12 @@ impl SegmentedStore {
     /// stamp.
     pub fn remove(&mut self, id: ObjectId) -> Option<(usize, u64, Time)> {
         let (handle, segment, at) = self.map.remove(&id)?;
-        let from = &mut self.segments[segment];
+        let from = &mut self.segments[segment as usize];
         let (_, size) = from.list.remove(handle);
         from.bytes -= size;
         self.used -= size;
         self.evictions += 1;
-        Some((segment, size, at))
+        Some((segment as usize, size, at))
     }
 }
 
@@ -147,8 +176,9 @@ impl CacheStore for SegmentedStore {
     fn used(&self) -> u64 {
         self.used
     }
-    /// Objects removed by [`SegmentedStore::pop_lru`] and
-    /// [`SegmentedStore::remove`].
+    /// Objects removed by [`SegmentedStore::pop_lru`],
+    /// [`SegmentedStore::remove`] and [`SegmentedStore::admit`] making
+    /// room.
     fn evictions(&self) -> u64 {
         self.evictions
     }
@@ -200,9 +230,48 @@ mod tests {
         assert_eq!((s.used(), s.evictions(), s.is_empty()), (0, 2, true));
     }
 
+    #[test]
+    fn admit_evicts_from_the_lru_end_of_its_own_segment_until_it_fits() {
+        let mut s = SegmentedStore::new(400, 2);
+        s.insert(9, 100, Time::ZERO, 1);
+        s.admit(1, 100, Time::ZERO, 0);
+        s.admit(2, 100, Time::ZERO, 0);
+        s.admit(3, 100, Time::ZERO, 0);
+        assert_eq!(s.touch(1), Some(0)); // LRU order of segment 0: 2, 3, 1
+        s.admit(4, 150, Time::ZERO, 0); // evicts 2 and 3, not 9
+        assert_eq!(
+            s.iter_lru_first(0).copied().collect::<Vec<_>>(),
+            [(1, 100), (4, 150)]
+        );
+        assert_eq!(s.segment_of(9), Some(1));
+        assert_eq!((s.used(), s.evictions(), s.len()), (350, 2, 3));
+    }
+
+    /// One segment is an LRU list, and an entry's stamp lives and dies with
+    /// it: a touch keeps it, eviction drops it, re-admission stamps afresh.
+    #[test]
+    fn one_segment_keeps_the_stamp_with_the_entry() {
+        let mut s = SegmentedStore::new(200, 1);
+        s.admit(1, 100, Time::from_secs(5), 0);
+        s.admit(2, 100, Time::from_secs(6), 0);
+        assert_eq!(s.touch(1), Some(0));
+        assert_eq!(s.touch(3), None);
+        assert_eq!(s.admitted_at(1), Some(Time::from_secs(5)));
+        s.restamp(1, Time::from_secs(9));
+        s.restamp(3, Time::from_secs(9)); // absent: not admitted by it
+        assert_eq!(s.admitted_at(1), Some(Time::from_secs(9)));
+        assert_eq!((s.admitted_at(3), s.len()), (None, 2));
+        s.admit(3, 100, Time::from_secs(10), 0); // evicts 2
+        assert_eq!(s.admitted_at(2), None);
+        s.admit(2, 100, Time::from_secs(11), 0); // evicts 1; 2 stamped afresh
+        assert_eq!(s.admitted_at(2), Some(Time::from_secs(11)));
+        assert_eq!(s.admitted_at(1), None);
+        assert_eq!(s.evictions(), 2);
+    }
+
     /// The store against a `Vec` per segment (LRU first) plus a `HashMap`
-    /// of stamps, under a random mix of inserts, touches, moves, pops,
-    /// removals and restamps.
+    /// of stamps, under a random mix of inserts, admits, touches, moves,
+    /// pops, removals and restamps.
     #[test]
     fn random_operations_match_a_vec_and_hashmap_model() {
         use lhr_util::prop::{any_u64, range};
@@ -231,12 +300,29 @@ mod tests {
                 prop_assert_eq!(store.segment_of(id), held.map(|(segment, _)| segment));
                 match next() % 10 {
                     // Insert-heavy, so the store stays near its byte budget.
-                    0..=3 => {
+                    0..=1 => {
                         let size = next() % 100 + 1;
                         let used: u64 = model.iter().flatten().map(|&(_, size)| size).sum();
                         prop_assert_eq!(store.fits(size), used + size <= capacity);
                         if held.is_none() && store.fits(size) {
                             store.insert(id, size, Time(step), segment);
+                            model[segment].push((id, size));
+                            stamps.insert(id, Time(step));
+                        }
+                    }
+                    // An admit makes room from its own segment's LRU end.
+                    2..=3 => {
+                        let size = next() % 100 + 1;
+                        let mut used: u64 = model.iter().flatten().map(|&(_, size)| size).sum();
+                        let own: u64 = model[segment].iter().map(|&(_, size)| size).sum();
+                        if held.is_none() && used - own + size <= capacity {
+                            store.admit(id, size, Time(step), segment);
+                            while used + size > capacity {
+                                let (gone, bytes) = model[segment].remove(0);
+                                stamps.remove(&gone);
+                                used -= bytes;
+                                evicted += 1;
+                            }
                             model[segment].push((id, size));
                             stamps.insert(id, Time(step));
                         }

@@ -9,9 +9,10 @@
 
 use crate::metrics::SimMetrics;
 use crate::policy::Outcome;
-use lhr_trace::{ObjectId, Trace};
+use crate::store::{CacheStore, OrderedStore};
+use lhr_trace::{ObjectId, Time, Trace};
 use lhr_util::hash::FastMap;
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
 
 /// An upper bound on the optimal hit probability for a given cache size.
 pub trait OfflineBound {
@@ -69,43 +70,35 @@ where
     I: DoubleEndedIterator<Item = (ObjectId, u64)> + ExactSizeIterator + Clone,
 {
     let next_use = next_use_indices(requests.clone().map(|(id, _)| id));
-    // Cached objects ordered by next use (last = farthest).
-    let mut by_next: BTreeSet<(u64, ObjectId)> = BTreeSet::new();
-    let mut cached: FastMap<ObjectId, (u64 /* next */, u64 /* size */)> = FastMap::default();
-    let mut used = 0u64;
+    // Cached objects, the one requested farthest ahead (then the largest
+    // id) at the minimum. Its stamps are never read.
+    let mut cache: OrderedStore<Reverse<(u64, ObjectId)>> = OrderedStore::new(capacity);
 
     let replay = |((id, size), this_next): ((ObjectId, u64), u64)| {
-        if let Some(&(old_next, cached_size)) = cached.get(&id) {
-            // Hit: refresh the next-use key.
-            by_next.remove(&(old_next, id));
-            if this_next == NEVER && admission_aware {
-                // Never needed again: free the space immediately (pure
-                // bookkeeping win allowed to an offline algorithm).
-                cached.remove(&id);
-                used -= cached_size;
-            } else {
-                cached.insert(id, (this_next, cached_size));
-                by_next.insert((this_next, id));
-            }
+        let key = Reverse((this_next, id));
+        // Hit: refresh the next-use key — or, never needed again, free the
+        // space at once (a bookkeeping win allowed to an offline algorithm).
+        let hit = if admission_aware && this_next == NEVER {
+            cache.remove(id).is_some()
+        } else {
+            cache.rekey(id, |_, _| key)
+        };
+        if hit {
             return Outcome::Hit;
         }
         if size > capacity || (admission_aware && this_next == NEVER) {
             return Outcome::MissBypassed;
         }
         // Evict farthest-next-use objects until the newcomer fits.
-        while used + size > capacity {
-            let &(victim_next, victim) = by_next.iter().next_back().expect("cache full");
+        while !cache.fits(size) {
+            let (Reverse((victim_next, _)), _) = cache.peek_min().expect("cache full");
             if admission_aware && victim_next <= this_next {
                 // Every remaining victim is more useful than the newcomer.
                 return Outcome::MissBypassed;
             }
-            by_next.remove(&(victim_next, victim));
-            let (_, victim_size) = cached.remove(&victim).expect("indexed");
-            used -= victim_size;
+            cache.pop_min();
         }
-        cached.insert(id, (this_next, size));
-        by_next.insert((this_next, id));
-        used += size;
+        cache.insert(id, size, Time::ZERO, key, ());
         Outcome::MissAdmitted
     };
     requests.zip(next_use).map(replay).collect()

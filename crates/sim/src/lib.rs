@@ -27,7 +27,9 @@
 //!   byte-bounded slot array every sampling policy stands on (the
 //!   `lhr-policies` samplers, `LhrCache` and its threshold estimator's
 //!   shadow cache): position index, `swap_remove` fix-up, byte accounting
-//!   and the freshness stamp, once.
+//!   and the freshness stamp, once. [`store::OrderedStore`] evicts the
+//!   minimum of a key its owner computes (GDSF, LFU-DA, LRU-K and the
+//!   Bélády replay).
 //! - [`bound::OfflineBound`] — the interface for (offline or online) upper
 //!   bounds on OPT, which see the whole trace instead of reacting
 //!   request-by-request — and [`bound::belady_replay`], the future-aware

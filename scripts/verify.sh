@@ -20,7 +20,7 @@ if grep -rnw unsafe crates/*/src src; then
   exit 1
 fi
 
-echo "==> kept deleted: one slot-array store, one store contract, no hand-rolled policy table, one way for windows to reach the recorder, one helper crew, one way to retrain"
+echo "==> kept deleted: three cache stores, one store contract, no hand-rolled policy table, one way for windows to reach the recorder, one helper crew, one way to retrain"
 # SampleStore (crates/sim/src/store.rs) holds the only swap_remove fix-up:
 # LhrCache and the threshold shadow kept their own until they moved onto
 # it. Everything above a file's first #[cfg(test)] is non-test code.
@@ -31,13 +31,15 @@ for file in crates/core/src/*.rs crates/policies/src/*.rs crates/policies/src/*/
     exit 1
   fi
 done
-# A policy stands on one of the four stores (DESIGN.md "Cache stores") and
-# keeps no list or ordered set of its own: the list handles and the
-# BTreeSet are named under util/ only.
-for file in crates/policies/src/*.rs; do
+# Every byte-bounded cache — a policy, LHR, a bound — stands on one of the
+# three stores (DESIGN.md "Cache stores") and keeps no list or ordered set
+# of its own: the list handles and the BTreeSet are named (whole words) in
+# lhr_sim::store and lhr_policies::util only.
+for file in $(find crates/*/src -name '*.rs' ! -path crates/sim/src/store.rs \
+    ! -path 'crates/policies/src/util/*' | sort); do
   if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$file" \
-      | grep -E 'Handle|BTreeSet'; then
-    echo "a list handle or an ordered set in a policy file (see the lines above)" >&2
+      | grep -wE 'Handle|BTreeSet'; then
+    echo "a list handle or an ordered set outside the cache stores (see the lines above)" >&2
     exit 1
   fi
 done
@@ -60,9 +62,10 @@ fi
 # and the newtype shape of impl_json! (whole words: the background-retrain
 # tests keep their names).
 # The second policy-constructor layer (the roster builds every policy),
-# the configurable latency model (its four numbers are constants) and the
-# working-set profile (the miss-ratio curve sizes a cache).
-if grep -rnwE 'LHR_BENCH_JSON|ObservedBound|background_retrain|impl_json!\(newtype|PolicyFactory|all_factories|run_grid|LatencyModel|working_set_profile|peak_working_set_bytes|WorkingSetPoint' \
+# the configurable latency model (its four numbers are constants), the
+# working-set profile (the miss-ratio curve sizes a cache) and the
+# single-list store (a one-segment SegmentedStore).
+if grep -rnwE 'LHR_BENCH_JSON|ObservedBound|background_retrain|impl_json!\(newtype|PolicyFactory|all_factories|run_grid|LatencyModel|working_set_profile|peak_working_set_bytes|WorkingSetPoint|LruStore' \
     crates src tests examples; then
   echo "a deleted name is back (see the lines above)" >&2
   exit 1
@@ -205,11 +208,11 @@ for t in 2 4; do
   cmp "$smoke_dir/e1.jsonl" "$smoke_dir/e$t.jsonl"
 done
 
-echo "==> freshness-stamp determinism smoke (one policy per cache store, --faults recovery, --threads 1 2 4)"
+echo "==> freshness-stamp determinism smoke (one policy per cache store shape, --faults recovery, --threads 1 2 4)"
 # The freshness stamp lives in the slot a policy's store keeps for the
 # object (CacheStore's contract), so the determinism contract is per
-# store: LruStore (LRU), SampleStore (Hyperbolic), SegmentedStore
-# (W-TinyLFU), OrderedStore (GDSF). The trace spans 1.67 h against the 1 h
+# store: SegmentedStore with one segment (LRU) and with three (W-TinyLFU),
+# SampleStore (Hyperbolic), OrderedStore (GDSF). The trace spans 1.67 h against the 1 h
 # freshness lifetime and `recovery` puts an outage and a slow-start ramp in
 # the middle of it, so stale serves, revalidations (restamps) and retries
 # all fire — the run is refused below if they did not.

@@ -1,8 +1,8 @@
 //! Counting-allocator proof of the alloc-free steady state (PR 8
 //! acceptance): after a warm first pass, LRU replay performs **zero**
 //! heap allocations per request — including eviction churn, under which
-//! `LruStore`'s list recycles its nodes and its `FastMap` reclaims
-//! tombstones by rehashing in place — and LHR allocates only at
+//! the one-segment `SegmentedStore`'s list recycles its nodes and its
+//! `FastMap` reclaims tombstones by rehashing in place — and LHR allocates only at
 //! retrain/window boundaries, never on the per-request serve path.
 //!
 //! This file is its own test binary because `#[global_allocator]` is

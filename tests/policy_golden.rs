@@ -1,8 +1,9 @@
 //! Golden cache decisions of every roster policy, recorded on commit
 //! `3b85f6d` — before the policies' hand-written open-addressing table was
-//! deleted and eleven of them moved onto the two shared cache stores
-//! (`LruStore`, `SampleStore`) — so that "the stores changed no decision"
-//! is an executable claim.
+//! deleted and eleven of them moved onto the two shared cache stores of
+//! the day (a single-list LRU store, since folded into `SegmentedStore`,
+//! and `SampleStore`) — so that "the stores changed no decision" is an
+//! executable claim.
 //!
 //! `tests/golden/policies.tsv` holds the parent's bytes, unedited, written
 //! by the ignored `record` test below run against the untouched parent

@@ -487,12 +487,13 @@ fn sample_store_matches_model_hashmap() {
     });
 }
 
-/// [`LruStore`] agrees with a `Vec`-ordered reference (front = LRU end)
-/// over mixed-size objects under `touch` / `insert` / `evict_lru`: same
-/// hits, same eviction order, same bytes, same eviction count.
+/// A one-segment [`SegmentedStore`] — the LRU store — agrees with a
+/// `Vec`-ordered reference (front = LRU end) over mixed-size objects under
+/// `touch` / `admit` / `pop_lru`: same hits, same eviction order, same
+/// bytes, same eviction count.
 #[test]
 fn lru_store_matches_reference_model() {
-    use lhr_repro::policies::util::LruStore;
+    use lhr_repro::policies::util::SegmentedStore;
     prop_check!(cases: 64, (ops in range(1usize..600), seed in any_u64(), capacity in range(1u64..400)) => {
         let mut state = seed | 1;
         let mut next = move || {
@@ -501,7 +502,7 @@ fn lru_store_matches_reference_model() {
             state ^= state << 17;
             state
         };
-        let mut store = LruStore::new(capacity);
+        let mut store = SegmentedStore::new(capacity, 1);
         let mut reference: Vec<(u64, u64)> = Vec::new();
         let mut evicted = 0u64;
         for _ in 0..ops {
@@ -509,13 +510,13 @@ fn lru_store_matches_reference_model() {
             if next() % 8 == 0 {
                 let expected = (!reference.is_empty()).then(|| reference.remove(0));
                 evicted += expected.is_some() as u64;
-                prop_assert_eq!(store.evict_lru(), expected);
+                prop_assert_eq!(store.pop_lru(0).map(|(id, size, _)| (id, size)), expected);
             } else if let Some(pos) = reference.iter().position(|&(x, _)| x == id) {
                 let entry = reference.remove(pos);
                 reference.push(entry);
-                prop_assert!(store.touch(id));
+                prop_assert_eq!(store.touch(id), Some(0));
             } else {
-                prop_assert!(!store.touch(id));
+                prop_assert_eq!(store.touch(id), None);
                 let size = (id * 7 + 3) % 60 + 1; // deterministic per id
                 if size <= capacity {
                     let mut used: u64 = reference.iter().map(|&(_, s)| s).sum();
@@ -524,10 +525,10 @@ fn lru_store_matches_reference_model() {
                         evicted += 1;
                     }
                     reference.push((id, size));
-                    store.insert(id, size, Time::ZERO);
+                    store.admit(id, size, Time::ZERO, 0);
                 }
             }
-            prop_assert_eq!(store.iter_lru_first().copied().collect::<Vec<_>>(), reference.clone());
+            prop_assert_eq!(store.iter_lru_first(0).copied().collect::<Vec<_>>(), reference.clone());
             prop_assert_eq!(store.used(), reference.iter().map(|&(_, s)| s).sum::<u64>());
             prop_assert_eq!(store.len(), reference.len());
             prop_assert_eq!(store.evictions(), evicted);
@@ -708,6 +709,76 @@ fn every_roster_policy_is_invariant_under_a_time_shift() {
             assert_eq!(run(trace, name, build), want, "{name} shifted by {by:?}");
         }
     }
+}
+
+/// Byte counts near `u64::MAX`: every `presets::POLICIES` row, every
+/// `lhr_bounds` bound and HRO replay a 13 000-request Zipf trace whose
+/// objects are 1/16 to 1/2 of the capacity, at 2⁶² bytes and at
+/// `u64::MAX − 1`. No sum of byte counts may wrap: nothing panics (in a
+/// debug build an overflow does, and so does the simulator's per-request
+/// `used ≤ capacity` assertion), and every request is counted once, as a
+/// hit or a miss. `ExactOpt` is exponential, so it gets the first 25
+/// requests.
+#[test]
+fn every_policy_and_bound_runs_at_byte_counts_near_u64_max() {
+    use lhr_repro::bounds::{BeladySize, ExactOpt, PfooLower};
+    use lhr_repro::core::Hro;
+    use lhr_repro::proto::presets::{self, PolicyParams};
+    use lhr_repro::sim::SimMetrics;
+    use lhr_repro::trace::synth::IrmConfig;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let shape = IrmConfig::new(400, 13_000)
+        .zipf_alpha(0.9)
+        .seed(17)
+        .generate();
+    let mut failures = Vec::new();
+    for capacity in [1u64 << 62, u64::MAX - 1] {
+        let sized = |requests: &[Request]| {
+            let requests = requests.iter().map(|req| Request {
+                size: (req.id % 8 + 1) * (capacity / 16),
+                ..*req
+            });
+            Trace::from_requests("near-u64-max", requests.collect())
+        };
+        let trace = sized(&shape.requests);
+        let mut check = |name: &str, run: &mut dyn FnMut() -> SimMetrics| match catch_unwind(
+            AssertUnwindSafe(run),
+        ) {
+            Ok(m) if m.hits + m.misses() == m.requests => {}
+            Ok(m) => failures.push(format!(
+                "{name} at {capacity}: {} hits + {} misses of {} requests",
+                m.hits,
+                m.misses(),
+                m.requests
+            )),
+            Err(_) => failures.push(format!("{name} at {capacity}: panicked")),
+        };
+        let params = PolicyParams::for_trace(capacity, 5, &trace);
+        for &(name, build) in presets::POLICIES {
+            check(name, &mut || {
+                let mut policy = build(&params);
+                Simulator::new(SimConfig::default())
+                    .run(&mut policy, &trace)
+                    .metrics
+            });
+        }
+        let bounds: [Box<dyn OfflineBound>; 6] = [
+            Box::new(Belady),
+            Box::new(BeladySize),
+            Box::new(InfiniteCap),
+            Box::new(PfooUpper),
+            Box::new(PfooLower),
+            Box::new(Hro::default()),
+        ];
+        for bound in &bounds {
+            check(bound.name(), &mut || bound.evaluate(&trace, capacity));
+        }
+        let prefix = sized(&shape.requests[..25]);
+        check("ExactOPT", &mut || {
+            ExactOpt::default().evaluate(&prefix, capacity)
+        });
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
 
 /// A synthesized [`TraceRecord`] survives the JSONL tagged-line format
