@@ -4,7 +4,7 @@
 //! Run with `cargo bench --bench hazard`.
 
 use lhr::hazard::{hro_top_set, Hro};
-use lhr::window::WindowTracker;
+use lhr::window::WindowData;
 use lhr_sim::OfflineBound;
 use lhr_trace::synth::{IrmConfig, SizeModel};
 use lhr_util::bench::{black_box, Bench};
@@ -35,15 +35,14 @@ fn bench_top_set() {
         .zipf_alpha(1.0)
         .seed(4)
         .generate();
-    let mut tracker = WindowTracker::new(u64::MAX);
-    for req in trace.iter() {
-        tracker.observe(req);
-    }
-    let window = tracker.into_partial();
+    let window = WindowData::from_requests(0, &trace.requests);
+    let objects = window.objects();
     let capacity = (trace.total_bytes() / 20) as u64;
     let mut group = Bench::new("hro_top_set");
-    group.throughput_elems(window.counts.len() as u64);
-    group.bench("5000_contents", || hro_top_set(&window, capacity));
+    group.throughput_elems(objects.len() as u64);
+    group.bench("5000_contents", || {
+        hro_top_set(&objects, window.span_secs(), capacity)
+    });
     group.finish();
 }
 

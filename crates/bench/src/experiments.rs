@@ -12,7 +12,7 @@ use crate::harness::{
 use lhr::cache::{EvictionRule, LhrCache, LhrConfig};
 use lhr::detect::ZipfDetector;
 use lhr::hazard::Hro;
-use lhr::window::WindowTracker;
+use lhr::window::WindowData;
 use lhr_bounds::{BeladySize, PfooUpper};
 use lhr_gbm::{GbmParams, Loss};
 use lhr_obs::{Obs, ObsConfig, ObsWindow, WindowRecord};
@@ -678,16 +678,14 @@ fn fig12(o: &Options) -> Table {
 
     // Windows aligned with segments: one window per segment.
     let mut detector = ZipfDetector::default();
-    let mut tracker = WindowTracker::new(u64::MAX);
-    let mut verdicts = Vec::new();
-    for (i, req) in trace.iter().enumerate() {
-        tracker.observe(req);
-        if (i + 1) % reqs_per_segment == 0 {
-            let window =
-                std::mem::replace(&mut tracker, WindowTracker::new(u64::MAX)).into_partial();
-            verdicts.push(detector.observe(&window));
-        }
-    }
+    let verdicts: Vec<_> = trace
+        .requests
+        .chunks(reqs_per_segment)
+        .enumerate()
+        .map(|(i, segment)| {
+            detector.observe(&WindowData::from_requests(i as u64, segment).objects())
+        })
+        .collect();
 
     let mut correct = 0;
     let mut total = 0;

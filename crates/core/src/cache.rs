@@ -328,17 +328,17 @@ impl LhrCache {
     /// the next window edge).
     fn finalize_window(&mut self, done: WindowData) {
         self.stats.windows += 1;
-        let t_end = done
-            .requests
-            .last()
-            .map(|&(ts, _, _)| ts.as_secs_f64())
-            .unwrap_or(0.0);
+        let closer = *done.requests.last().expect("a window closes on a request");
+        // The closing request counts as the next window's for pruning.
+        self.features.mark_closing(closer.id);
+        let t_end = closer.ts.as_secs_f64();
         // A retraining whose install was pinned to this edge is fit and
         // activates before anything else looks at the window.
         let installed = self.install_due_model(done.index, t_end);
+        let objects = done.objects();
         let detection = {
             let _detect_span = self.obs.as_ref().map(|o| o.span("lhr.detect"));
-            self.detector.observe(&done)
+            self.detector.observe(&objects)
         };
         if let Some(obs) = &self.obs {
             obs.counter_add("lhr.windows", 1);
@@ -367,7 +367,7 @@ impl LhrCache {
             self.window_rows.len()
         );
         let label_span = self.obs.as_ref().map(|o| o.span("lhr.label"));
-        let top = hro_top_set(&done, self.store.capacity());
+        let top = hro_top_set(&objects, done.span_secs(), self.store.capacity());
         let mut rows = std::mem::take(&mut self.window_rows);
         // The window kept the rows of requests 0, `row_every`, …; one that
         // kept them all is thinned here, to its own length's stride.
@@ -379,12 +379,12 @@ impl LhrCache {
         let stride = self.row_every * thin;
         let mut kept_rows = Vec::with_capacity((n_reqs / stride + 1) * n_feat);
         let mut kept_labels = Vec::with_capacity(n_reqs / stride + 1);
-        for (row, &(_, id, _)) in rows
+        for (row, req) in rows
             .chunks_exact(n_feat)
             .step_by(thin)
             .zip(done.requests.iter().step_by(stride))
         {
-            kept_labels.push(if top.contains(&id) { 1.0 } else { 0.0 });
+            kept_labels.push(if top.contains(&req.id) { 1.0 } else { 0.0 });
             kept_rows.extend_from_slice(row);
         }
         self.labeled_history.push_back((kept_rows, kept_labels));
@@ -453,7 +453,7 @@ impl LhrCache {
                 .requests
                 .iter()
                 .zip(probs)
-                .map(|(&(ts, id, size), prob)| ShadowRequest { ts, id, size, prob })
+                .map(|(&Request { ts, id, size }, prob)| ShadowRequest { ts, id, size, prob })
                 .collect();
             let mut snapshot: Vec<(ObjectId, f64, u64, Time)> = (0..self.store.len())
                 .map(|pos| {
@@ -598,13 +598,7 @@ impl LhrCache {
     /// anything here runs; nothing before the cache decision moves an
     /// entry.
     fn handle_at(&mut self, req: &Request, cached: Option<usize>) -> Outcome {
-        // 1. Window bookkeeping first: the feature store stamps the request
-        //    with the window it falls into *after* this one is counted.
-        let nth = self.window.current_len();
-        let completed = self.window.observe(req);
-        let window_idx = self.window.current_index();
-
-        // 2. The request is recorded in the feature store, and its row — the
+        // 1. The request is recorded in the feature store, and its row — the
         //    features as of this request (IRT₁ = time since the previous
         //    one) — is rendered only if it will be read: kept for the
         //    window's edge (`row_every`), or scored now (a miss; every
@@ -612,27 +606,29 @@ impl LhrCache {
         //    the tail of the window's flat row matrix — no per-request
         //    allocation (the matrix only grows while a window keeps more
         //    rows than every one before it) — in the one probe of the
-        //    object map that records the request; a scored row the window
-        //    does not keep is dropped again.
+        //    object map that records the request and reads its window
+        //    stamp; a scored row the window does not keep is dropped again.
+        let nth = self.window.current_len();
+        let window_idx = self.window.current_index();
         let keep_row = self.row_every == 1 || nth.is_multiple_of(self.row_every);
         let score = cached.is_none() || self.config.rescore_hits;
-        let prob = if !keep_row && !score && self.features.record(req.id, req.ts, window_idx) {
-            None
-        } else {
-            // (Also where `record` refused: the object is cached but was
-            // pruned from the store, so this is a first sighting again.)
-            let n_feat = self.features.n_features();
-            let start = self.window_rows.len();
-            self.window_rows.resize(start + n_feat, f32::NAN);
-            let row = &mut self.window_rows[start..];
-            self.features
-                .observe(req.id, req.size, req.ts, window_idx, row);
-            let prob = score.then(|| self.predict(&self.window_rows[start..]));
-            if !keep_row {
-                self.window_rows.truncate(start);
-            }
-            prob
-        };
+        let render = keep_row || score;
+        let start = self.window_rows.len();
+        if render {
+            self.window_rows
+                .resize(start + self.features.n_features(), f32::NAN);
+        }
+        let row = render.then(|| &mut self.window_rows[start..]);
+        let first = self
+            .features
+            .observe(req.id, req.size, req.ts, window_idx, row);
+        let prob = score.then(|| self.predict(&self.window_rows[start..]));
+        if render && !keep_row {
+            self.window_rows.truncate(start);
+        }
+
+        // 2. Window bookkeeping: the stamp said if the object is new to it.
+        let completed = self.window.observe(req, first);
 
         // 3. Cache decision (§4.1's four cases).
         let delta = self.threshold.delta;

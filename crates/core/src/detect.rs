@@ -2,7 +2,7 @@
 //! of the window's Zipf exponent α; the learning model is retrained only
 //! when α shifts by at least ε between consecutive windows.
 
-use crate::window::WindowData;
+use crate::window::WindowObject;
 
 /// Least-squares fit of `log p_i = log A − α log i` over a window's
 /// rank-frequency data. Returns `(alpha, log_a)`; `alpha` is the estimated
@@ -57,32 +57,21 @@ const EPSILON: f64 = 0.05;
 #[derive(Debug, Clone, Default)]
 pub struct ZipfDetector {
     prev_alpha: Option<f64>,
-    /// Number of windows flagged for retraining.
-    pub detections: u64,
-    /// Number of windows examined.
-    pub windows: u64,
 }
 
 impl ZipfDetector {
-    /// Estimates α for `window` and reports whether the request pattern
-    /// changed enough to warrant retraining. The first window always
-    /// triggers (there is no model yet).
-    pub fn observe(&mut self, window: &WindowData) -> DetectOutcome {
-        let mut counts: Vec<u32> = window.counts.values().map(|&(count, _)| count).collect();
+    /// Estimates α from a window's request counts (its
+    /// [`crate::window::WindowData::objects`]) and reports whether the
+    /// request pattern changed enough to warrant retraining. The first
+    /// window always triggers (there is no model yet).
+    pub fn observe(&mut self, objects: &[WindowObject]) -> DetectOutcome {
+        let mut counts: Vec<u32> = objects.iter().map(|o| o.count).collect();
         let (alpha, _) = estimate_zipf_alpha(&mut counts);
-        self.windows += 1;
-        let changed = match self.prev_alpha {
-            None => true,
-            Some(prev) => (alpha - prev).abs() >= EPSILON,
-        };
-        self.prev_alpha = Some(alpha);
-        if changed {
-            self.detections += 1;
-        }
-        DetectOutcome {
-            alpha,
-            retrain: changed,
-        }
+        let retrain = self
+            .prev_alpha
+            .replace(alpha)
+            .is_none_or(|prev| (alpha - prev).abs() >= EPSILON);
+        DetectOutcome { alpha, retrain }
     }
 }
 
@@ -99,21 +88,17 @@ pub struct DetectOutcome {
 mod tests {
     use super::*;
     use lhr_trace::synth::zipf::zipf_pmf;
-    use lhr_trace::Time;
-    use lhr_util::hash::FastMap;
 
-    fn window_with_counts(counts: &[u32]) -> WindowData {
-        let mut map = FastMap::default();
-        for (i, &c) in counts.iter().enumerate() {
-            map.insert(i as u64, (c, 1));
-        }
-        WindowData {
-            index: 0,
-            requests: Vec::new(),
-            counts: map,
-            unique_bytes: 0,
-            span: (Time::ZERO, Time::from_secs(1)),
-        }
+    fn table_with_counts(counts: &[u32]) -> Vec<WindowObject> {
+        counts
+            .iter()
+            .enumerate()
+            .map(|(i, &count)| WindowObject {
+                id: i as u64,
+                count,
+                size: 1,
+            })
+            .collect()
     }
 
     /// Ideal Zipf counts for n contents and R requests.
@@ -149,26 +134,24 @@ mod tests {
     #[test]
     fn first_window_always_retrains() {
         let mut d = ZipfDetector::default();
-        let out = d.observe(&window_with_counts(&ideal_counts(100, 0.8, 1e5)));
+        let out = d.observe(&table_with_counts(&ideal_counts(100, 0.8, 1e5)));
         assert!(out.retrain);
-        assert_eq!(d.detections, 1);
     }
 
     #[test]
     fn stable_alpha_suppresses_retraining() {
         let mut d = ZipfDetector::default();
         let counts = ideal_counts(200, 0.9, 1e5);
-        d.observe(&window_with_counts(&counts));
-        let out = d.observe(&window_with_counts(&counts));
+        d.observe(&table_with_counts(&counts));
+        let out = d.observe(&table_with_counts(&counts));
         assert!(!out.retrain, "identical window triggered retraining");
-        assert_eq!(d.detections, 1);
     }
 
     #[test]
     fn alpha_shift_triggers_retraining() {
         let mut d = ZipfDetector::default();
-        d.observe(&window_with_counts(&ideal_counts(200, 0.7, 1e5)));
-        let out = d.observe(&window_with_counts(&ideal_counts(200, 1.1, 1e5)));
+        d.observe(&table_with_counts(&ideal_counts(200, 0.7, 1e5)));
+        let out = d.observe(&table_with_counts(&ideal_counts(200, 1.1, 1e5)));
         assert!(out.retrain, "α 0.7 → 1.1 went undetected");
         assert!((out.alpha - 1.1).abs() < 0.1);
     }
@@ -198,7 +181,7 @@ mod tests {
         let mut total = 0;
         let mut prev: Option<f64> = None;
         for &a in &alphas {
-            let out = d.observe(&window_with_counts(&sample_counts(a, &mut rng)));
+            let out = d.observe(&table_with_counts(&sample_counts(a, &mut rng)));
             if let Some(p) = prev {
                 let truly_changed = (a - p).abs() > 1e-9;
                 total += 1;

@@ -40,8 +40,12 @@ struct ObjectHistory {
     count: u64,
     /// Time of the most recent request.
     last: Time,
-    /// Window index of the most recent request (for pruning).
-    last_window: u64,
+    /// The window stamp of the most recent request: twice its window
+    /// index, plus one if it closed that window
+    /// ([`FeatureStore::mark_closing`]). The next request is the object's
+    /// first in window `w` unless `stamp / 2 == w`; pruning counts a
+    /// closing request as seen in the next window, `stamp.div_ceil(2)`.
+    stamp: u64,
 }
 
 /// Tracks histories for all recently active objects and renders feature
@@ -78,27 +82,54 @@ impl FeatureStore {
         N_STATIC + self.n_irts
     }
 
-    /// Renders the feature row for `id` *as of this request* into `out`
-    /// (which must be `n_features()` wide) and then records the request —
-    /// one probe of the object map for both. A first sighting gets the cold
-    /// row: its size, zero count and age, every IRT missing.
-    pub fn observe(&mut self, id: ObjectId, size: u64, ts: Time, window: u64, out: &mut [f32]) {
-        debug_assert_eq!(out.len(), self.n_features());
+    /// Records a request of `id` in window `window` and returns whether it
+    /// is the object's first request in that window. Given a `row` (which
+    /// must be `n_features()` wide), it first renders there the feature row
+    /// *as of this request*, in the same probe of the object map; without
+    /// one it only closes the gap since the previous request (one
+    /// logarithm, the ring shift) and leaves the store exactly as a
+    /// rendering call would. A first sighting gets the cold row: its size,
+    /// zero count and age, every IRT missing.
+    pub fn observe(
+        &mut self,
+        id: ObjectId,
+        size: u64,
+        ts: Time,
+        window: u64,
+        row: Option<&mut [f32]>,
+    ) -> bool {
+        debug_assert!(row.as_ref().is_none_or(|r| r.len() == self.n_features()));
         let ring_len = self.n_irts - 1;
         match self.objects.entry(id) {
             Entry::Occupied(mut e) => {
                 let h = e.get_mut();
                 let ring = &mut self.gaps[h.ring as usize * ring_len..][..ring_len];
-                render(h, ring, ts, out);
-                // The gap this request closes is the IRT₁ just rendered.
-                push_request(h, ring, out[N_STATIC], ts, window);
+                // The gap this request closes is the row's IRT₁.
+                let ln_irt1 = match row {
+                    Some(out) => {
+                        render(h, ring, ts, out);
+                        out[N_STATIC]
+                    }
+                    None => ln_secs(ts.saturating_sub(h.last)),
+                };
+                let first = h.stamp / 2 != window;
+                if let Some(last) = ring_len.checked_sub(1) {
+                    ring.copy_within(..last, 1);
+                    ring[0] = ln_irt1;
+                }
+                h.count += 1;
+                h.last = ts;
+                h.stamp = 2 * window;
+                first
             }
             Entry::Vacant(e) => {
                 let ln_size = (size.max(1) as f32).ln();
-                out[0] = ln_size;
-                out[1] = 0.0; // ln(1 + 0 prior requests)
-                out[2] = (1e-6f32).ln(); // zero age
-                out[N_STATIC..].fill(f32::NAN);
+                if let Some(out) = row {
+                    out[0] = ln_size;
+                    out[1] = 0.0; // ln(1 + 0 prior requests)
+                    out[2] = (1e-6f32).ln(); // zero age
+                    out[N_STATIC..].fill(f32::NAN);
+                }
                 let ring = self.free.pop().unwrap_or_else(|| {
                     let fresh = self.gaps.len() / ring_len.max(1);
                     self.gaps.resize(self.gaps.len() + ring_len, f32::NAN);
@@ -111,66 +142,34 @@ impl FeatureStore {
                     first_seen: ts,
                     count: 1,
                     last: ts,
-                    last_window: window,
+                    stamp: 2 * window,
                 });
+                true
             }
         }
     }
 
-    /// Records a request of a tracked object without rendering its row:
-    /// closes the gap since its previous request (one logarithm, the ring
-    /// shift) and advances `count` / `last` / `last_window`, leaving the
-    /// store exactly as [`FeatureStore::observe`] would. Returns `false`,
-    /// and changes nothing, when `id` is not tracked — a first sighting
-    /// needs `observe` (it stores the size).
-    pub fn record(&mut self, id: ObjectId, ts: Time, window: u64) -> bool {
-        let Some(h) = self.objects.get_mut(&id) else {
-            return false;
-        };
-        let ring_len = self.n_irts - 1;
-        let ring = &mut self.gaps[h.ring as usize * ring_len..][..ring_len];
-        let ln_irt1 = ln_secs(ts.saturating_sub(h.last));
-        push_request(h, ring, ln_irt1, ts, window);
-        true
+    /// Marks `id`'s latest request as the one that closed its window, which
+    /// pruning counts as the next window's. No-op for an untracked object.
+    pub fn mark_closing(&mut self, id: ObjectId) {
+        if let Some(h) = self.objects.get_mut(&id) {
+            h.stamp |= 1;
+        }
     }
 
-    /// Renders the feature row for `id` *as of time `now`* without
-    /// recording anything, or `None` if the object is not tracked.
-    pub fn features(&self, id: ObjectId, now: Time) -> Option<Vec<f32>> {
-        let h = self.objects.get(&id)?;
-        let ring_len = self.n_irts - 1;
-        let mut row = vec![f32::NAN; self.n_features()];
-        render(
-            h,
-            &self.gaps[h.ring as usize * ring_len..][..ring_len],
-            now,
-            &mut row,
-        );
-        Some(row)
-    }
-
-    /// Drops objects last requested before `horizon_window` (keeps the
-    /// store bounded to a few windows of state, mirroring §5.1's "only use
-    /// data within the window").
+    /// Drops objects last requested before `horizon_window`, a window's
+    /// closing request counting as the next window's (keeps the store
+    /// bounded to a few windows of state, mirroring §5.1's "only use data
+    /// within the window").
     pub fn prune_before(&mut self, horizon_window: u64) {
         let free = &mut self.free;
         self.objects.retain(|_, h| {
-            let keep = h.last_window >= horizon_window;
+            let keep = h.stamp.div_ceil(2) >= horizon_window;
             if !keep {
                 free.push(h.ring);
             }
             keep
         });
-    }
-
-    /// Number of tracked objects.
-    pub fn len(&self) -> usize {
-        self.objects.len()
-    }
-
-    /// True when no objects are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.objects.is_empty()
     }
 
     /// Approximate metadata footprint in bytes: a map entry per tracked
@@ -191,18 +190,6 @@ fn render(h: &ObjectHistory, ring: &[f32], now: Time, out: &mut [f32]) {
     out[N_STATIC + 1..].copy_from_slice(ring);
 }
 
-/// Records a request of `h` at `ts`: the gap it closes, `ln_irt1`, becomes
-/// the newest entry of the ring.
-fn push_request(h: &mut ObjectHistory, ring: &mut [f32], ln_irt1: f32, ts: Time, window: u64) {
-    if let Some(last) = ring.len().checked_sub(1) {
-        ring.copy_within(..last, 1);
-        ring[0] = ln_irt1;
-    }
-    h.count += 1;
-    h.last = ts;
-    h.last_window = window;
-}
-
 fn ln_secs(t: Time) -> f32 {
     (t.as_secs_f64().max(1e-6) as f32).ln()
 }
@@ -211,12 +198,34 @@ fn ln_secs(t: Time) -> f32 {
 mod tests {
     use super::*;
     use lhr_util::prop::{any_u64, range};
-    use lhr_util::{prop_assert, prop_assert_eq, prop_check};
+    use lhr_util::{prop_assert_eq, prop_check};
 
-    /// Records a request through `observe`, discarding the row.
+    /// What only tests read of the store.
+    impl FeatureStore {
+        /// Renders the feature row for `id` *as of time `now`* without
+        /// recording anything, or `None` if the object is not tracked.
+        fn features(&self, id: ObjectId, now: Time) -> Option<Vec<f32>> {
+            let h = self.objects.get(&id)?;
+            let ring_len = self.n_irts - 1;
+            let mut row = vec![f32::NAN; self.n_features()];
+            render(
+                h,
+                &self.gaps[h.ring as usize * ring_len..][..ring_len],
+                now,
+                &mut row,
+            );
+            Some(row)
+        }
+
+        /// Number of tracked objects.
+        pub(crate) fn len(&self) -> usize {
+            self.objects.len()
+        }
+    }
+
+    /// Records a request without rendering its row.
     fn sight(fs: &mut FeatureStore, id: ObjectId, size: u64, ts: Time, window: u64) {
-        let mut row = vec![0.0; fs.n_features()];
-        fs.observe(id, size, ts, window, &mut row);
+        fs.observe(id, size, ts, window, None);
     }
 
     #[test]
@@ -228,6 +237,13 @@ mod tests {
         assert!((row[0] - (1024.0f32 * 1024.0).ln()).abs() < 1e-4);
         assert!((row[1] - 1.0f32.ln_1p()).abs() < 1e-6);
         assert!((row[2] - 5.0f32.ln()).abs() < 1e-4); // age = 5 s
+    }
+
+    #[test]
+    fn a_history_is_40_bytes() {
+        // `overhead_bytes` counts 49 bytes per tracked object: the 8-byte
+        // key, this and a control byte.
+        assert_eq!(std::mem::size_of::<ObjectHistory>(), 40);
     }
 
     #[test]
@@ -247,7 +263,7 @@ mod tests {
     fn observe_renders_the_row_before_recording() {
         let mut fs = FeatureStore::new(3);
         let mut row = vec![0.0; fs.n_features()];
-        fs.observe(1, 100, Time::from_secs(2), 0, &mut row);
+        assert!(fs.observe(1, 100, Time::from_secs(2), 0, Some(&mut row)));
         // First sighting: the cold row.
         assert_eq!(row[0], 100.0f32.ln());
         assert_eq!(row[1], 0.0);
@@ -255,7 +271,7 @@ mod tests {
         assert!(row[N_STATIC..].iter().all(|v| v.is_nan()));
         // The second request sees one prior request, not two.
         let before = fs.features(1, Time::from_secs(5)).expect("tracked");
-        fs.observe(1, 100, Time::from_secs(5), 0, &mut row);
+        assert!(!fs.observe(1, 100, Time::from_secs(5), 0, Some(&mut row)));
         assert_eq!(row[1], 1.0f32.ln_1p());
         assert_eq!(row[N_STATIC], 3.0f32.ln());
         assert!(row[N_STATIC + 1].is_nan());
@@ -299,6 +315,13 @@ mod tests {
         assert_eq!(fs.gaps.len(), arena);
         let row = fs.features(3, Time::from_secs(4)).expect("tracked");
         assert!(row[N_STATIC + 1..].iter().all(|v| v.is_nan()));
+        // A window's closing request counts as the next window's.
+        sight(&mut fs, 4, 100, Time::from_secs(5), 6);
+        sight(&mut fs, 5, 100, Time::from_secs(5), 6);
+        fs.mark_closing(4);
+        fs.prune_before(7);
+        assert!(fs.features(4, Time::from_secs(6)).is_some());
+        assert!(fs.features(5, Time::from_secs(6)).is_none());
     }
 
     #[test]
@@ -361,8 +384,7 @@ mod tests {
     }
 
     #[test]
-    fn rows_from_logged_gaps_and_from_any_mix_of_record_and_observe_equal_rows_from_raw_timestamps_bitwise(
-    ) {
+    fn rows_from_logged_gaps_with_or_without_rendering_equal_rows_from_raw_timestamps_bitwise() {
         for n_irts in [1usize, 2, 10, 20, 30] {
             prop_check!(cases: 24, (len in range(1usize..1_500), objects in range(1u64..40), seed in any_u64()) => {
                 let mut state = seed | 1;
@@ -373,9 +395,9 @@ mod tests {
                     state
                 };
                 let mut fs = FeatureStore::new(n_irts);
-                // A second store that takes `record` for a request whenever
-                // a coin says so and the object is tracked: the state it is
-                // left in must render the same rows.
+                // A second store that renders a row for a request only when
+                // a coin says so: the state it is left in must render the
+                // same rows.
                 let mut mixed = FeatureStore::new(n_irts);
                 let mut mixed_row = vec![0.0f32; fs.n_features()];
                 let mut reference = RawTimestampStore { n_irts, objects: FastMap::default() };
@@ -397,21 +419,11 @@ mod tests {
                     let size = if id % 7 == 0 { 0 } else { (id + 1) * 1_000 + next() % 3 };
                     let window = i as u64 / 64;
                     let want = reference.row(id, size, now);
-                    fs.observe(id, size, now, window, &mut row);
-                    let tracked = reference.objects.contains_key(&id);
-                    if next() % 3 != 0 {
-                        let before = mixed.len();
-                        prop_assert_eq!(mixed.record(id, now, window), tracked);
-                        if !tracked {
-                            // Refused, and nothing changed: the object is
-                            // still unknown, the first sighting still cold.
-                            prop_assert_eq!(mixed.len(), before);
-                            prop_assert!(mixed.features(id, now).is_none());
-                            mixed.observe(id, size, now, window, &mut mixed_row);
-                        }
-                    } else {
-                        mixed.observe(id, size, now, window, &mut mixed_row);
-                    }
+                    let first = fs.observe(id, size, now, window, Some(&mut row));
+                    let tracked_here = reference.objects.get(&id).is_some_and(|e| e.4 == window);
+                    prop_assert_eq!(first, !tracked_here, "request {} object {}", i, id);
+                    let out = (next() % 3 == 0).then_some(&mut mixed_row[..]);
+                    prop_assert_eq!(mixed.observe(id, size, now, window, out), first);
                     reference.record(id, size, now, window);
                     for (k, (got, want)) in row.iter().zip(&want).enumerate() {
                         prop_assert_eq!(
@@ -428,7 +440,7 @@ mod tests {
                     prop_assert_eq!(
                         bits(mixed.features(id, later)),
                         bits(fs.features(id, later)),
-                        "request {} object {}: record left another state than observe", i, id
+                        "request {} object {}: not rendering left another state", i, id
                     );
                     if i % 64 == 63 {
                         let horizon = window.saturating_sub(1);

@@ -11,12 +11,15 @@
 //! except a content's first-ever appearance in the trace (a compulsory
 //! miss even for an oracle without future knowledge — HRO is
 //! *non-anticipative*).
+//! A window's counts and sizes are derived from its request log
+//! ([`WindowData::objects`]); [`Hro::evaluate`] classifies each window at
+//! its edge and recycles it, so it holds one window at a time.
 
-use crate::window::{WindowData, WindowTracker};
+use crate::window::{WindowData, WindowObject, WindowTracker};
 use lhr_sim::bound::{base_metrics, OfflineBound};
 use lhr_sim::SimMetrics;
 use lhr_trace::{ObjectId, Trace};
-use lhr_util::hash::FastSet;
+use lhr_util::hash::{FastMap, FastSet};
 
 /// The HRO bound. `window_multiplier` follows the paper's default of 4×
 /// the cache size in unique bytes.
@@ -35,22 +38,22 @@ impl Default for Hro {
 }
 
 /// Per-window HRO decisions: the set of contents whose requests the bound
-/// classifies as hits. Reused by [`crate::cache::LhrCache`] to label its
-/// training samples (§5.2.4: HRO's decisions are the supervision signal).
-pub fn hro_top_set(window: &WindowData, capacity: u64) -> FastSet<ObjectId> {
-    let span = window.span_secs();
+/// classifies as hits, from the window's [`WindowData::objects`] and
+/// [`WindowData::span_secs`]. Reused by [`crate::cache::LhrCache`] to label
+/// its training samples (§5.2.4: HRO's decisions are the supervision
+/// signal).
+pub fn hro_top_set(objects: &[WindowObject], span_secs: f64, capacity: u64) -> FastSet<ObjectId> {
     // Sized hazard ζ̃ = (n/T)/s; T is common, so ranking by n/s is
     // equivalent, but we keep the rate for clarity and testability.
-    let mut ranked: Vec<(f64, ObjectId, u64)> = window
-        .counts
+    let mut ranked: Vec<(f64, ObjectId, u64)> = objects
         .iter()
-        .map(|(&id, &(count, size))| {
-            let rate = count as f64 / span;
-            let hazard = rate / size as f64;
+        .map(|o| {
+            let rate = o.count as f64 / span_secs;
+            let hazard = rate / o.size as f64;
             // A zero-size object makes the hazard +inf (rate > 0) or NaN
             // (0/0). Pin NaN below every real hazard — rates are never
             // negative — so the ranking is total and deterministic.
-            (if hazard.is_nan() { -1.0 } else { hazard }, id, size)
+            (if hazard.is_nan() { -1.0 } else { hazard }, o.id, o.size)
         })
         .collect();
     // Descending hazard; ties broken by id for determinism. total_cmp
@@ -82,37 +85,44 @@ impl OfflineBound for Hro {
 
     fn evaluate(&self, trace: &Trace, capacity: u64) -> SimMetrics {
         let mut metrics = base_metrics(trace);
-        if trace.is_empty() {
-            return metrics;
-        }
         let target = ((capacity as f64 * self.window_multiplier) as u64).max(1);
         let mut tracker = WindowTracker::new(target);
-        let mut ever_seen: FastSet<ObjectId> = FastSet::default();
-        let mut windows: Vec<WindowData> = Vec::new();
+        // The window of each object's latest request; absent before its
+        // first request ever.
+        let mut seen: FastMap<ObjectId, u64> = FastMap::default();
+        // Where in the open window the first-ever requests sit.
+        let mut first_ever: Vec<usize> = Vec::new();
         for req in trace.iter() {
-            if let Some(done) = tracker.observe(req) {
-                windows.push(done);
+            let window = tracker.current_index();
+            let last = seen.insert(req.id, window);
+            if last.is_none() {
+                first_ever.push(tracker.current_len());
+            }
+            if let Some(done) = tracker.observe(req, last != Some(window)) {
+                classify(&done, &first_ever, capacity, &mut metrics);
+                first_ever.clear();
+                tracker.recycle(done);
             }
         }
         // The trailing partial window still contains requests to classify.
-        let partial = tracker.into_partial();
-        if !partial.requests.is_empty() {
-            windows.push(partial);
-        }
-
-        for window in &windows {
-            let top = hro_top_set(window, capacity);
-            for &(_, id, size) in &window.requests {
-                let first_ever = ever_seen.insert(id);
-                if !first_ever && top.contains(&id) {
-                    metrics.hits += 1;
-                    metrics.bytes_hit += size as u128;
-                } else {
-                    metrics.misses_admitted += 1;
-                }
-            }
-        }
+        classify(&tracker.into_partial(), &first_ever, capacity, &mut metrics);
         metrics
+    }
+}
+
+/// Counts `window`'s requests into `metrics`: a hit for a top-set content,
+/// except at the positions `first_ever` lists (ascending), which are
+/// compulsory misses.
+fn classify(window: &WindowData, first_ever: &[usize], capacity: u64, metrics: &mut SimMetrics) {
+    let top = hro_top_set(&window.objects(), window.span_secs(), capacity);
+    let mut first_ever = first_ever.iter().peekable();
+    for (at, req) in window.requests.iter().enumerate() {
+        if first_ever.next_if_eq(&&at).is_none() && top.contains(&req.id) {
+            metrics.hits += 1;
+            metrics.bytes_hit += req.size as u128;
+        } else {
+            metrics.misses_admitted += 1;
+        }
     }
 }
 
@@ -144,14 +154,10 @@ mod tests {
             entries.push((t, 3, 10_000));
         }
         let trace = trace_of(&entries);
-        let mut tracker = WindowTracker::new(u64::MAX);
-        for r in trace.iter() {
-            tracker.observe(r);
-        }
-        let window = tracker.into_partial();
+        let window = WindowData::from_requests(0, &trace.requests);
         // Capacity 150: content 1 (hazard 10/100) beats 2 (1/100) and
         // 3 (5/10000).
-        let top = hro_top_set(&window, 150);
+        let top = hro_top_set(&window.objects(), window.span_secs(), 150);
         assert!(top.contains(&1));
         assert!(!top.contains(&3));
     }
@@ -232,23 +238,24 @@ mod tests {
         // size 0 *and* a zero count (hazard = 0/0 = NaN). Before the
         // total_cmp fix the sort panicked on the NaN; it must now rank
         // deterministically, with the NaN below every real hazard.
-        let mut counts = lhr_util::hash::FastMap::default();
-        counts.insert(1u64, (4u32, 100u64));
-        counts.insert(2u64, (3u32, 0u64));
-        counts.insert(3u64, (0u32, 0u64));
-        let window = WindowData {
-            index: 0,
-            requests: vec![
-                (Time::from_secs(0), 1, 100),
-                (Time::from_secs(1), 2, 0),
-                (Time::from_secs(2), 3, 0),
-                (Time::from_secs(9), 1, 100),
-            ],
-            counts,
-            unique_bytes: 100,
-            span: (Time::from_secs(0), Time::from_secs(9)),
-        };
-        let top = hro_top_set(&window, 150);
+        let objects = [
+            WindowObject {
+                id: 1,
+                count: 4,
+                size: 100,
+            },
+            WindowObject {
+                id: 2,
+                count: 3,
+                size: 0,
+            },
+            WindowObject {
+                id: 3,
+                count: 0,
+                size: 0,
+            },
+        ];
+        let top = hro_top_set(&objects, 9.0, 150);
         // The +inf hazard and the real hazard both fit; the NaN-ranked
         // content sorts last but capacity (100 of 150 used, size 0) still
         // admits it — what matters is that nothing panicked and the

@@ -20,7 +20,7 @@ if grep -rnw unsafe crates/*/src src; then
   exit 1
 fi
 
-echo "==> kept deleted: three cache stores, one store contract, no hand-rolled policy table, one way for windows to reach the recorder, one helper crew, one way to retrain"
+echo "==> kept deleted: three cache stores, one store contract, no hand-rolled policy table, one way for windows to reach the recorder, one helper crew, one way to retrain, no per-window object map"
 # SampleStore (crates/sim/src/store.rs) holds the only swap_remove fix-up:
 # LhrCache and the threshold shadow kept their own until they moved onto
 # it. Everything above a file's first #[cfg(test)] is non-test code.
@@ -82,6 +82,13 @@ fi
 # fit on the serving thread at the window edge it is pinned to.
 if grep -rnwE 'ShadowTrainer|fit_unless' crates src tests examples; then
   echo "a name of the deleted background trainer is back (see the lines above)" >&2
+  exit 1
+fi
+# A window is its request log: the caller says whether a request is its
+# object's first in the window, so the tracker keeps no per-object map.
+if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' crates/core/src/window.rs \
+    | grep -wE 'FastMap|FastSet'; then
+  echo "a per-object map in lhr::window (see the lines above)" >&2
   exit 1
 fi
 # Threads are spawned, woken and counted in lhr_util::sync alone (claim_each,

@@ -1,16 +1,20 @@
-//! The memory gate of the sharded replay: a shard's state lives only from
-//! its first request to its last, so at one thread a replay holds one
-//! shard's policy at a time, and splitting the same trace and cache across
-//! more shards must not raise the heap's high-water mark.
+//! The memory gates of the sharded replay and of the HRO bound. A shard's
+//! state lives only from its first request to its last, so at one thread a
+//! replay holds one shard's policy at a time, and splitting the same trace
+//! and cache across more shards must not raise the heap's high-water mark.
+//! HRO classifies each window at its edge and drops it, so a longer trace
+//! over the same objects must not raise the bound's mark either.
 //!
 //! This file is its own test binary because `#[global_allocator]` is
 //! process-wide, and it holds a single test: the high-water mark counts
 //! every thread's bytes, so nothing else may allocate while it measures.
 
 use lhr_repro::core::cache::{LhrCache, LhrConfig};
+use lhr_repro::core::Hro;
 use lhr_repro::proto::{EngineConfig, ServerConfig, ShardedEngine};
 use lhr_repro::sim::shard::{shard_seed, RouteConfig};
-use lhr_repro::trace::synth::markov;
+use lhr_repro::sim::OfflineBound;
+use lhr_repro::trace::synth::{markov, IrmConfig, SizeModel};
 use lhr_repro::trace::Trace;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -108,5 +112,26 @@ fn more_shards_of_one_trace_do_not_raise_the_heap_high_water_mark() {
     assert!(
         sixteen <= two + slack,
         "16 shards peaked at {sixteen} B, 2 shards at {two} B"
+    );
+
+    // The HRO bound, run after the replays so that nothing else allocates
+    // while it measures. Every one of 500 objects shows up in both traces,
+    // and a window holds ≈ 200 of them: were every window kept until the
+    // end, 8× the requests would peak near 8× as high.
+    let hro_peak = |requests| {
+        let trace = IrmConfig::new(500, requests)
+            .zipf_alpha(0.8)
+            .size_model(SizeModel::Fixed { bytes: 1_000 })
+            .seed(5)
+            .generate();
+        high_water(|| {
+            Hro::default().evaluate(&trace, 50_000);
+        })
+    };
+    let short = hro_peak(20_000);
+    let long = hro_peak(160_000);
+    assert!(
+        long < 2 * short,
+        "HRO peaked at {long} B over 160 000 requests, {short} B over 20 000"
     );
 }
