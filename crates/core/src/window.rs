@@ -10,6 +10,12 @@
 //! trace — so the tracker holds no per-object state. What the window's
 //! consumers read per object (HRO's top set, the Zipf detector) is derived
 //! from the log once, at the edge: [`WindowData::objects`].
+//!
+//! The tracker holds one log. The request that closes a window hands it
+//! out whole and leaves the next window an empty one; once the edge has
+//! read the closed window, [`WindowTracker::recycle`] reopens the next
+//! window on its cleared buffer. So a replay keeps one log's capacity, not
+//! a second one parked beside it for the next edge.
 
 use lhr_trace::{ObjectId, Request, Time};
 
@@ -86,10 +92,6 @@ pub struct WindowTracker {
     /// Distinct objects of the in-progress window (its first-in-window
     /// requests so far).
     objects: usize,
-    /// A recycled log (cleared, its capacity intact) handed back via
-    /// [`WindowTracker::recycle`]; the next window opens on it, so
-    /// steady-state replay does not allocate a fresh log every window.
-    spare: Vec<Request>,
 }
 
 impl WindowTracker {
@@ -118,16 +120,21 @@ impl WindowTracker {
             current: WindowData::from_requests(0, &[]),
             unique_bytes: 0,
             objects: 0,
-            spare: Vec::new(),
         }
     }
 
     /// Returns a finished window's log for reuse. The consumer of a
-    /// completed [`WindowData`] calls this once it has extracted what it
-    /// needs; the next window opens on the cleared log.
+    /// completed [`WindowData`] calls this once it has read what it needs,
+    /// before the next request: the window opened by `done`'s closing
+    /// request has logged nothing yet, so it takes over `done`'s cleared
+    /// buffer, capacity and all, and steady-state replay does not allocate
+    /// a log every window. Should the open window have logged requests
+    /// already, `done`'s buffer is dropped instead.
     pub fn recycle(&mut self, mut done: WindowData) {
-        done.requests.clear();
-        self.spare = done.requests;
+        if self.current.requests.is_empty() {
+            done.requests.clear();
+            self.current.requests = done.requests;
+        }
     }
 
     /// Number of requests in the in-progress window.
@@ -159,7 +166,7 @@ impl WindowTracker {
             (self.unique_bytes, self.objects) = (0, 0);
             let next = WindowData {
                 index: self.current.index + 1,
-                requests: std::mem::take(&mut self.spare),
+                requests: Vec::new(),
             };
             Some(std::mem::replace(&mut self.current, next))
         } else {
@@ -283,6 +290,36 @@ mod tests {
         let done = w.observe(req(0, 1, 150)).expect("closed");
         assert!(done.span_secs() > 0.0);
         assert!(WindowData::from_requests(0, &[]).span_secs() > 0.0);
+    }
+
+    #[test]
+    fn the_tracker_holds_one_log_and_reopens_it_on_each_closed_window() {
+        // Three objects of 100 bytes close a window, so the buffer window 0
+        // grows holds every later window without growing again.
+        let mut w = Flagged::new(300);
+        let mut recycled: Option<*const Request> = None;
+        for index in 0..5u64 {
+            for id in 0..2 {
+                assert!(w.observe(req(3 * index + id, id, 100)).is_none());
+            }
+            let done = w.observe(req(3 * index + 2, 2, 100)).expect("closed");
+            assert_eq!((done.index, done.requests.len()), (index, 3));
+            if let Some(buffer) = recycled {
+                assert_eq!(done.requests.as_ptr(), buffer, "window {index}'s log");
+            }
+            // The closer left the next window an empty log that holds no
+            // buffer: the closed window's is the only one.
+            assert_eq!(w.tracker.current.requests.capacity(), 0);
+            recycled = Some(done.requests.as_ptr());
+            w.tracker.recycle(done);
+            assert_eq!(w.tracker.current.requests.as_ptr(), recycled.unwrap());
+            assert_eq!(w.tracker.current_len(), 0);
+        }
+        // A window that logged before the recycle keeps its own log.
+        let done = w.observe(req(15, 9, 300)).expect("closed");
+        w.observe(req(16, 8, 1));
+        w.tracker.recycle(done);
+        assert_eq!(w.tracker.current.requests, [req(16, 8, 1)]);
     }
 
     /// The tracker as it was before the window became its request log: a

@@ -348,14 +348,18 @@ impl Gbm {
         self.predict_rows(rows.len(), threads, |i| rows[i].as_ref())
     }
 
-    /// Batched admission scoring for the LHR cache: [`Gbm::predict_batch`]
-    /// with every output clamped to `[0, 1]`, matching
-    /// [`Gbm::predict_probability`] bit-for-bit per row.
-    pub fn score_admissions<R: AsRef<[f32]> + Sync>(&self, rows: &[R], threads: usize) -> Vec<f64> {
-        self.predict_batch(rows, threads)
-            .into_iter()
-            .map(|p| p.clamp(0.0, 1.0) as f64)
-            .collect()
+    /// Batched admission scoring for the LHR cache, read straight off a
+    /// flat row-major matrix of `width`-float rows (a trailing partial row
+    /// is ignored): [`Gbm::predict_batch`] with every output clamped to
+    /// `[0, 1]`, matching [`Gbm::predict_probability`] bit-for-bit per row.
+    pub fn score_admissions(&self, rows: &[f32], width: usize, threads: usize) -> Vec<f64> {
+        assert!(width > 0, "a row has at least one column");
+        self.predict_rows(rows.len() / width, threads, |i| {
+            &rows[i * width..(i + 1) * width]
+        })
+        .into_iter()
+        .map(|p| p.clamp(0.0, 1.0) as f64)
+        .collect()
     }
 
     /// Number of trees in the ensemble.
@@ -758,8 +762,10 @@ mod tests {
             },
         );
         let rows: Vec<Vec<f32>> = (0..200).map(|i| d.row(i).to_vec()).collect();
+        let flat = rows.concat();
         for threads in [1, 3, 0] {
-            let scores = model.score_admissions(&rows, threads);
+            let scores = model.score_admissions(&flat, d.n_features(), threads);
+            assert_eq!(scores.len(), rows.len());
             for (i, row) in rows.iter().enumerate() {
                 assert!((0.0..=1.0).contains(&scores[i]));
                 assert_eq!(

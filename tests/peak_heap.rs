@@ -3,17 +3,21 @@
 //! replay holds one shard's policy at a time, and splitting the same trace
 //! and cache across more shards must not raise the heap's high-water mark.
 //! HRO classifies each window at its edge and drops it, so a longer trace
-//! over the same objects must not raise the bound's mark either.
+//! over the same objects must not raise the bound's mark either. An LHR
+//! window's row matrix and request log live only while its edge reads
+//! them, so the windows after the bootstrap one peak well under it.
 //!
 //! This file is its own test binary because `#[global_allocator]` is
 //! process-wide, and it holds a single test: the high-water mark counts
 //! every thread's bytes, so nothing else may allocate while it measures.
 
 use lhr_repro::core::cache::{LhrCache, LhrConfig};
+use lhr_repro::core::features::FeatureStore;
 use lhr_repro::core::Hro;
+use lhr_repro::gbm::GbmParams;
 use lhr_repro::proto::{EngineConfig, ServerConfig, ShardedEngine};
 use lhr_repro::sim::shard::{shard_seed, RouteConfig};
-use lhr_repro::sim::OfflineBound;
+use lhr_repro::sim::{CachePolicy, OfflineBound};
 use lhr_repro::trace::synth::{markov, IrmConfig, SizeModel};
 use lhr_repro::trace::Trace;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -133,5 +137,58 @@ fn more_shards_of_one_trace_do_not_raise_the_heap_high_water_mark() {
     assert!(
         long < 2 * short,
         "HRO peaked at {long} B over 160 000 requests, {short} B over 20 000"
+    );
+
+    // LHR's window buffers. The bootstrap window keeps a feature row per
+    // request, for its edge to label, train on and score; a later window
+    // keeps every `row_every`-th. Once an edge has read its rows the matrix
+    // gives back what the next window does not use, and the tracker keeps
+    // one request log, not a second parked beside it for the next edge: the
+    // later windows peak lower than the bootstrap window by at least half
+    // that window's matrix. Five thousand objects are nearly all seen in
+    // the bootstrap window, so the cache and the feature history hold about
+    // as much after it as at its edge; the popularity never turns within
+    // the trace, so the model is never retrained (a window whose edge
+    // evaluates a retrained model keeps every row again); and a training
+    // set of 2 048 rows keeps the labeled history small beside the matrix.
+    let trace = markov::syn_one(5_000, 400_000, 400_000, 0.9, 3);
+    let config = LhrConfig::default();
+    let n_features = FeatureStore::new(config.n_irts).n_features();
+    let mut lhr = LhrCache::new(
+        30_000_000,
+        LhrConfig {
+            gbm: GbmParams {
+                threads: 1,
+                ..config.gbm.clone()
+            },
+            max_train_rows: 2_048,
+            ..config
+        },
+    );
+    let base = CURRENT.load(Relaxed);
+    PEAK.store(base, Relaxed);
+    let mut requests = trace.iter();
+    let mut bootstrap_len = 0;
+    for req in requests.by_ref() {
+        lhr.handle(req);
+        bootstrap_len += 1;
+        if lhr.stats().windows == 1 {
+            break;
+        }
+    }
+    let bootstrap = PEAK.load(Relaxed) - base;
+    PEAK.store(CURRENT.load(Relaxed), Relaxed);
+    for req in requests {
+        lhr.handle(req);
+    }
+    let later = PEAK.load(Relaxed) - base;
+    let stats = lhr.stats();
+    assert!(stats.windows >= 6, "{} windows closed", stats.windows);
+    assert_eq!(stats.trainings, 1, "the bootstrap model is never retrained");
+    let matrix = bootstrap_len * n_features * 4;
+    assert!(
+        later + matrix / 2 <= bootstrap,
+        "after the bootstrap edge LHR peaked at {later} B, over it at {bootstrap} B \
+         (its {bootstrap_len}-row matrix: {matrix} B)"
     );
 }
