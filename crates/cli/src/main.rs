@@ -748,7 +748,7 @@ fn write_report(args: &Args, stable_json: impl FnOnce() -> String) -> Result<(),
 }
 
 fn cmd_simulate(args: &Args, out: &mut impl Write) -> Result<(), Stop> {
-    let (run, config) = PolicyRun::open(args, "simulate", &["warmup"], || sim_config(args))?;
+    let (mut run, config) = PolicyRun::open(args, "simulate", &["warmup"], || sim_config(args))?;
     let params = run.params();
     let mut sim = Simulator::new(config);
     if let Some(o) = run.obs() {
@@ -757,8 +757,9 @@ fn cmd_simulate(args: &Args, out: &mut impl Write) -> Result<(), Stop> {
     let result = if let Some((threads, n_shards)) = run.sharding {
         run.check_shardable()?;
         let shard_capacity = (run.capacity / n_shards as u64).max(1);
+        // Handed over by value: the replay frees it as the shards step past it.
         sim.run_sharded(
-            &run.trace,
+            std::mem::take(&mut run.trace),
             n_shards,
             &RouteConfig { threads },
             |shard, shard_obs| (run.build)(&params.for_shard(shard_capacity, shard, shard_obs)),
@@ -895,7 +896,7 @@ fn cmd_mrc(args: &Args, out: &mut impl Write) -> Result<(), Stop> {
 
 fn cmd_server(args: &Args, out: &mut impl Write) -> Result<(), Stop> {
     use lhr_proto::{CdnServer, FaultConfig, ServerConfig};
-    let (run, preset) = PolicyRun::open(args, "server", &["faults", "report"], || {
+    let (mut run, preset) = PolicyRun::open(args, "server", &["faults", "report"], || {
         let preset = args.get("faults").map(String::as_str);
         match preset.filter(|p| !FaultConfig::preset_names().contains(p)) {
             Some(unknown) => Err(format!(
@@ -905,12 +906,11 @@ fn cmd_server(args: &Args, out: &mut impl Write) -> Result<(), Stop> {
             None => Ok(preset),
         }
     })?;
-    let trace = &run.trace;
     let faulted = preset.is_some_and(|p| p != "none");
     // Only building the preset needs the trace (its windows scale with the
     // duration); the name was checked before the load.
     let config = match preset {
-        Some(preset) => presets::fault_preset(preset, run.seed, trace.duration().as_secs_f64())
+        Some(preset) => presets::fault_preset(preset, run.seed, run.trace.duration().as_secs_f64())
             .expect("checked against the preset names"),
         None => ServerConfig::default(),
     };
@@ -931,6 +931,8 @@ fn cmd_server(args: &Args, out: &mut impl Write) -> Result<(), Stop> {
         if let Some(o) = run.obs() {
             engine = engine.with_obs(o.clone());
         }
+        // Handed over by value: the replay frees it as the shards step past it.
+        let trace = std::mem::take(&mut run.trace);
         let er = engine.replay(trace, |shard, shard_capacity, shard_obs| {
             (run.build)(&params.for_shard(shard_capacity, shard, shard_obs))
         });
@@ -945,7 +947,7 @@ fn cmd_server(args: &Args, out: &mut impl Write) -> Result<(), Stop> {
         if let Some(o) = run.obs() {
             server = server.with_obs(o.clone());
         }
-        print_server_report(out, &server.replay(trace), None, faulted)?;
+        print_server_report(out, &server.replay(&run.trace), None, faulted)?;
     }
     Ok(run.close()?)
 }
@@ -1086,10 +1088,10 @@ fn cmd_fleet(args: &Args, out: &mut impl Write) -> Result<(), Stop> {
         "peer-hints",
         "report",
     ];
-    let (run, flags) = PolicyRun::open(args, "fleet", &own_flags, || fleet_flags(args))?;
-    let (trace, capacity, seed) = (&run.trace, run.capacity, run.seed);
+    let (mut run, flags) = PolicyRun::open(args, "fleet", &own_flags, || fleet_flags(args))?;
+    let (capacity, seed) = (run.capacity, run.seed);
     let params = run.params();
-    let duration = trace.duration().as_secs_f64();
+    let duration = run.trace.duration().as_secs_f64();
 
     // Only building the presets needs the trace (their windows scale with
     // its duration); the names were checked before the load. `--faults`
@@ -1130,6 +1132,8 @@ fn cmd_fleet(args: &Args, out: &mut impl Write) -> Result<(), Stop> {
     }
     // Per-slice seeds derive as shard_seed(node_seed, shard) with
     // node_seed = shard_seed(seed, node) — the ARCHITECTURE.md clause.
+    // Handed over by value: the replay frees it as the shards step past it.
+    let trace = std::mem::take(&mut run.trace);
     let r = engine.replay(trace, |node, shard, slice_capacity, shard_obs| {
         let node_params = PolicyParams {
             seed: shard_seed(seed, node),

@@ -638,6 +638,66 @@ fn empty_and_one_request_traces_run_everywhere_except_mrc_which_refuses_them() {
 }
 
 #[test]
+fn a_one_request_trace_writes_the_same_reports_through_every_sharded_replay() {
+    // The sharded replays consume the trace they load: a single request
+    // leaves one shard of one (or fifteen of sixteen) with nothing to step,
+    // and the report must read as it did when the trace was kept whole.
+    // The directory keeps the file stem, which the reports name, fixed.
+    let dir = std::env::temp_dir().join(format!("lhr-hostile-one-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let mut bytes = b"LHRTRC01".to_vec();
+    bytes.extend_from_slice(&1u64.to_le_bytes());
+    for field in [5_000_000u64, 7, 1_000] {
+        bytes.extend_from_slice(&field.to_le_bytes());
+    }
+    let file = TraceFile(dir.join("one.bin"));
+    std::fs::write(&file.0, bytes).expect("write temp trace");
+    let report = dir.join("report.json");
+    let report = report.to_str().expect("utf-8 temp path");
+    let engine = |shards: u64, per_shard: &str| {
+        format!(
+            r#"{{"report":{{"name":"engine(LRU)x{shards}","trace":"one","content_hit_pct":0,"throughput_gbps":2,"peak_cpu_pct":0,"peak_mem_gb":0.000000048,"p90_latency_ms":70.005,"p99_latency_ms":70.005,"mean_latency_ms":70.005,"wan_gbps":7999.999999999999,"availability_pct":100,"errors_served":0,"stale_served":0,"retries":0,"coalesced_fetches":0,"breaker_opens":0,"breaker_closes":0,"degraded_p90_latency_ms":0,"degraded_p99_latency_ms":0,"replay_wall_secs":0}},"n_shards":{shards},"threads":0,"requests_per_sec":0,"per_shard_requests":[{per_shard}],"shard_imbalance":{shards},"suggested_shards":{}}}"#,
+            if shards == 1 { 1 } else { 8 * shards }
+        )
+    };
+    let fleet = r#"{"name":"fleet(LRU)x4","trace":"one","n_nodes":4,"vnodes":64,"n_shards":8,"threads":0,"requests_per_sec":0,"requests":1,"edge_hit_pct":0,"byte_hit_pct":0,"shield_hit_pct":0,"peer_hits":0,"origin_offload_pct":0,"availability_pct":100,"errors_served":0,"unrouted":0,"failovers":0,"stale_served":0,"retries":0,"coalesced_fetches":0,"breaker_opens":0,"breaker_closes":0,"mean_latency_ms":80.005,"p90_latency_ms":80.005,"p99_latency_ms":80.005,"wan_gbps":7999.999999999999,"peak_mem_gb":0.000000096,"per_node_requests":[0,0,1,0],"per_node_hit_pct":[0,0,0,0],"per_node_errors":[0,0,0,0],"node_imbalance":4,"replay_wall_secs":0}"#;
+    let policy = ["--policy", "LRU", "--capacity", "1MB"];
+    let runs = [
+        ("server", "1", engine(1, "1")),
+        (
+            "server",
+            "16",
+            engine(16, "0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0"),
+        ),
+        ("fleet", "8", fleet.to_string()),
+    ];
+    for (command, shards, expect) in runs {
+        let _ = std::fs::remove_file(report);
+        let out = cli(&[
+            &[command],
+            &policy[..],
+            &["--shards", shards, "--report", report, file.path()],
+        ]
+        .concat());
+        assert!(out.status.success(), "{command} --shards {shards}: {out:?}");
+        let written = std::fs::read_to_string(report).expect("report written");
+        assert_eq!(written, expect, "{command} --shards {shards}");
+    }
+    let out = cli(&[&["simulate"], &policy[..], &["--shards", "16", file.path()]].concat());
+    assert!(out.status.success(), "simulate --shards 16: {out:?}");
+    let line = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        line.starts_with(
+            "sharded(LRU)x16 @ 0.00 GB on one: hit 0.00%  byte-hit 0.00%  \
+             WAN 0.000 Gbps  evictions 0  wall "
+        ),
+        "{line}"
+    );
+    drop(file);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn fleet_refuses_a_vnode_count_of_zero_or_beyond_the_bound() {
     let trace = TraceFile::generate("vnodes");
     for vnodes in ["0", "100000000"] {

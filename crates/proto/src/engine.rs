@@ -50,6 +50,7 @@ use lhr_sim::CachePolicy;
 use lhr_trace::Trace;
 use lhr_util::json::ToJson;
 use lhr_util::sync::resolve_threads;
+use std::borrow::Cow;
 use std::time::Instant;
 
 /// Configuration of the sharded serving engine.
@@ -225,20 +226,26 @@ impl ShardedEngine {
     /// right after the shard's last request; only its tally waits for the
     /// merge. So the builder must be `Fn + Sync`, and at most
     /// `route.threads` policies are alive at once.
-    pub fn replay<P: CachePolicy + Send>(
+    ///
+    /// A trace handed over by value is consumed: each shard's requests are
+    /// freed as its run steps past them ([`Partition`]), so the trace is
+    /// gone by the merge. A borrowed one is cloned first.
+    pub fn replay<'t, P: CachePolicy + Send>(
         &self,
-        trace: &Trace,
+        trace: impl Into<Cow<'t, Trace>>,
         build: impl Fn(usize, u64, Option<&Obs>) -> P + Sync,
     ) -> EngineReport {
         let n_shards = self.config.n_shards.max(1);
         let shard_capacity = (self.config.total_capacity / n_shards as u64).max(1);
         let warmup = self.config.server.warmup_requests;
         let master = self.obs.as_ref();
+        let trace = trace.into().into_owned();
+        let (len, duration) = (trace.len(), trace.duration());
 
         // The partition pass is replay work, and so is building each shard
         // when a worker claims it: both count towards the wall time.
         let wall_start = Instant::now();
-        let partition = Partition::new(trace, n_shards);
+        let partition = Partition::new(trace.requests, n_shards);
         let measured: Vec<usize> = (0..n_shards)
             .map(|s| partition.measured(s, warmup))
             .collect();
@@ -268,14 +275,14 @@ impl ShardedEngine {
         // records.
         let name = format!("engine({})x{}", shards[0].1, n_shards);
         if let Some(master) = master {
-            announce(master, &name, trace, &self.config.server.faults);
+            announce(master, &name, &trace.name, &self.config.server.faults);
             master.set_meta("shards", n_shards as u64);
         }
 
         // Merge in fixed shard order (0..n_shards) on this thread.
         let per_shard_requests: Vec<u64> = shards.iter().map(|(t, _)| t.ledger.seen()).collect();
         let (shard_imbalance, suggested_shards) = shard_skew(&per_shard_requests);
-        let mut total = Tally::merge(shards.iter_mut().map(|(t, _)| t), master, trace.len());
+        let mut total = Tally::merge(shards.iter_mut().map(|(t, _)| t), master, len);
         if let Some(master) = master {
             // Both are pure functions of the deterministic per-shard
             // request counts, so they are safe in stable exports. The
@@ -286,10 +293,10 @@ impl ShardedEngine {
         }
 
         EngineReport {
-            report: total.report(name, trace, wall_secs),
+            report: total.report(name, &trace.name, duration, wall_secs),
             n_shards: n_shards as u64,
             threads: threads as u64,
-            requests_per_sec: per_sec(trace.len(), wall_secs),
+            requests_per_sec: per_sec(len, wall_secs),
             per_shard_requests,
             shard_imbalance,
             suggested_shards,

@@ -61,8 +61,9 @@
 //! changes `--obs` exports (`tests/serving_golden.rs`, `fleet-expiry-*`).
 //! What the sweep no longer does is scan the table: publish times ascend
 //! with the trace, so the expired hints are a prefix of the publish log —
-//! a queue of the request indices that published, the trace itself being
-//! the record of which id and when.
+//! a queue of `(id, publish time)` records. The log keeps its own records
+//! because the replay consumes its trace: a shard's requests are freed as
+//! it steps past them ([`Partition`]).
 
 use crate::fault::keyed_uniform;
 use crate::latency::{self, EDGE_RTT_MS};
@@ -74,10 +75,11 @@ use lhr_policies::Lru;
 use lhr_sim::ledger::Ledger;
 use lhr_sim::shard::{shard_seed, Partition, RouteConfig};
 use lhr_sim::CachePolicy;
-use lhr_trace::{ObjectId, Request, Trace};
+use lhr_trace::{ObjectId, Request, Time, Trace};
 use lhr_util::hash::{FastHasher, FastMap};
 use lhr_util::json::ToJson;
 use lhr_util::sync::resolve_threads;
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::hash::Hasher;
 use std::time::Instant;
@@ -636,8 +638,6 @@ struct FleetCtx<'a, B> {
     ring: &'a HashRing,
     liveness: &'a Liveness,
     cold_restart: bool,
-    /// The trace being replayed: what the hint publish log indexes.
-    requests: &'a [Request],
     hint_ttl_secs: f64,
     peer_hints: bool,
     node_capacity: u64,
@@ -685,13 +685,12 @@ struct FleetCounts {
 /// ones without scanning the table.
 struct Hints {
     table: FastMap<ObjectId, (u32, f64)>,
-    /// Indices of the requests that published, oldest first — the trace
-    /// is the log, `requests[i]` says which id and when. A record whose
+    /// `(id, publish time)` of every publish, oldest first. A record whose
     /// hint has since been republished or dropped is stale and skipped.
     /// Publish times ascend along it, so the expired hints are a prefix;
-    /// the first publish that runs backwards in time (or does not fit the
-    /// index) drops the log for good and [`Self::expire`] scans instead.
-    log: Option<VecDeque<u32>>,
+    /// the first publish that runs backwards in time drops the log for good
+    /// and [`Self::expire`] scans instead.
+    log: Option<VecDeque<(ObjectId, Time)>>,
 }
 
 impl Hints {
@@ -702,42 +701,33 @@ impl Hints {
         }
     }
 
-    /// Records that `node` filled `requests[i]`'s object at that
-    /// request's time.
-    fn publish(&mut self, requests: &[Request], i: usize, node: u32) {
-        let req = &requests[i];
+    /// Records that `node` filled `req`'s object at that request's time.
+    fn publish(&mut self, req: &Request, node: u32) {
         self.table.insert(req.id, (node, req.ts.as_secs_f64()));
         let Some(log) = &mut self.log else { return };
-        let ascending = log
-            .back()
-            .is_none_or(|&last| requests[last as usize].ts <= req.ts);
-        match u32::try_from(i) {
-            Ok(i) if ascending => log.push_back(i),
-            _ => self.log = None,
+        if log.back().is_none_or(|&(_, last)| last <= req.ts) {
+            log.push_back((req.id, req.ts));
+        } else {
+            self.log = None;
         }
     }
 
     /// Drops every hint with `t - published > ttl` — exactly the set
     /// `retain` would, since `t - published` falls as `published` rises.
-    fn expire(&mut self, requests: &[Request], t: f64, ttl: f64) {
+    fn expire(&mut self, t: f64, ttl: f64) {
         let fresh = |published: f64| t - published <= ttl;
         let Some(log) = &mut self.log else {
             self.table.retain(|_, &mut (_, published)| fresh(published));
             return;
         };
-        while let Some(&i) = log.front() {
-            let req = &requests[i as usize];
-            let published = req.ts.as_secs_f64();
+        while let Some(&(id, ts)) = log.front() {
+            let published = ts.as_secs_f64();
             if fresh(published) {
                 break;
             }
             log.pop_front();
-            if self
-                .table
-                .get(&req.id)
-                .is_some_and(|&(_, at)| at == published)
-            {
-                self.table.remove(&req.id);
+            if self.table.get(&id).is_some_and(|&(_, at)| at == published) {
+                self.table.remove(&id);
             }
         }
     }
@@ -784,7 +774,6 @@ impl<P: CachePolicy> FleetShard<P> {
         ctx: &FleetCtx<'_, B>,
         s: usize,
         n: usize,
-        i: usize,
         req: &Request,
         mut tb: Option<&mut TraceBuilder>,
     ) -> (ServeOutcome, Served)
@@ -871,7 +860,7 @@ impl<P: CachePolicy> FleetShard<P> {
         if !so.error {
             // Publish: node `n` now holds the object, so ring peers can
             // shield-fetch from it instead of origin-fetching.
-            self.hints.publish(ctx.requests, i, n as u32);
+            self.hints.publish(req, n as u32);
         }
         (so, Served::Shield)
     }
@@ -888,7 +877,7 @@ impl<P: CachePolicy> FleetShard<P> {
             self.shield.housekeep(req.ts);
             // On this tick and no other: a hint that outlives its TTL in
             // the table is refused visibly (see the module docs).
-            self.hints.expire(ctx.requests, t, ctx.hint_ttl_secs);
+            self.hints.expire(t, ctx.hint_ttl_secs);
         }
 
         // Routing is a pure function of (id, trace time), evaluated once:
@@ -915,7 +904,7 @@ impl<P: CachePolicy> FleetShard<P> {
                 ServeOutcome::failed(latency::error_latency_ms(0.0), 0.0),
                 Served::Unrouted,
             ),
-            Some(n) => self.serve_at(ctx, s, n, i, req, tb.as_mut()),
+            Some(n) => self.serve_at(ctx, s, n, req, tb.as_mut()),
         };
         served.degraded |= failed_over.is_some();
         // The tally's hit is the fleet's: served from fleet RAM. Whether
@@ -1038,11 +1027,17 @@ impl FleetEngine {
     /// on that worker right after the shard's last request, so at most
     /// `route.threads × n_nodes` slices are alive at once (plus one being
     /// rebuilt per worker).
-    pub fn replay<P, B>(&self, trace: &Trace, build: B) -> FleetReport
+    ///
+    /// A trace handed over by value is consumed: each shard's requests are
+    /// freed as its run steps past them ([`Partition`]). A borrowed one is
+    /// cloned first.
+    pub fn replay<'t, P, B>(&self, trace: impl Into<Cow<'t, Trace>>, build: B) -> FleetReport
     where
         P: CachePolicy + Send,
         B: Fn(usize, usize, u64, Option<&Obs>) -> P + Sync,
     {
+        let trace = trace.into().into_owned();
+        let (len, duration) = (trace.len(), trace.duration());
         let n_shards = self.config.n_shards.max(1);
         let n_nodes = self.config.n_nodes.clamp(1, MAX_NODES);
         let node_capacity =
@@ -1056,7 +1051,6 @@ impl FleetEngine {
             ring: &ring,
             liveness: &liveness,
             cold_restart: self.config.node_faults.cold_restart,
-            requests: &trace.requests,
             hint_ttl_secs: self.config.hint_ttl_secs,
             peer_hints: self.config.peer_hints,
             node_capacity,
@@ -1066,7 +1060,7 @@ impl FleetEngine {
         // As in the engine: the partition pass and building each shard
         // count as replay time.
         let wall_start = Instant::now();
-        let partition = Partition::new(trace, n_shards);
+        let partition = Partition::new(trace.requests, n_shards);
         let measured: Vec<usize> = (0..n_shards)
             .map(|s| partition.measured(s, warmup))
             .collect();
@@ -1102,7 +1096,7 @@ impl FleetEngine {
         // still ahead of every shard's records.
         let name = format!("fleet({})x{}", shards[0].policy, n_nodes);
         if let Some(master) = master {
-            announce(master, &name, trace, &self.config.server.faults);
+            announce(master, &name, &trace.name, &self.config.server.faults);
             master.set_meta("nodes", n_nodes as u64);
             master.set_meta("shards", n_shards as u64);
             for &(node, start, end) in &self.config.node_faults.windows {
@@ -1135,8 +1129,8 @@ impl FleetEngine {
                 node_errors[node] += slice.errors;
             }
         }
-        let mut total = Tally::merge(shards.iter_mut().map(|s| &mut s.tally), master, trace.len());
-        let served = total.report(name, trace, wall_secs);
+        let mut total = Tally::merge(shards.iter_mut().map(|s| &mut s.tally), master, len);
+        let served = total.report(name, &trace.name, duration, wall_secs);
 
         let pct = |part: f64, whole: f64| {
             if whole <= 0.0 {
@@ -1172,7 +1166,7 @@ impl FleetEngine {
             vnodes: self.config.vnodes.max(1) as u64,
             n_shards: n_shards as u64,
             threads: threads as u64,
-            requests_per_sec: per_sec(trace.len(), wall_secs),
+            requests_per_sec: per_sec(len, wall_secs),
             requests: measured,
             edge_hit_pct: pct(counts.edge_hits as f64, measured as f64),
             byte_hit_pct: pct(totals.bytes_hit as f64, bytes_served as f64),
@@ -1514,7 +1508,7 @@ mod tests {
                         } else {
                             t
                         };
-                        hints.expire(&requests, t, ttl);
+                        hints.expire(t, ttl);
                         reference.retain(|_, &mut (_, published)| t - published <= ttl);
                     }
                     // A refused lookup drops the hint.
@@ -1525,7 +1519,7 @@ mod tests {
                     }
                     _ => {
                         let node = rng.gen_range(0u32..4);
-                        hints.publish(&requests, i, node);
+                        hints.publish(req, node);
                         reference.insert(req.id, (node, t));
                     }
                 }

@@ -328,7 +328,7 @@ impl<P: CachePolicy> CdnServer<P> {
     pub fn replay(&mut self, trace: &Trace) -> ServerReport {
         let _replay_span = self.obs.as_ref().map(|o| o.span("server.replay"));
         if let Some(obs) = &self.obs {
-            announce(obs, self.policy.name(), trace, &self.config.faults);
+            announce(obs, self.policy.name(), &trace.name, &self.config.faults);
         }
         let ledger = Ledger::new(self.config.warmup_requests, self.obs.clone());
         let mut tally = Tally::new(ledger, trace.len());
@@ -341,7 +341,8 @@ impl<P: CachePolicy> CdnServer<P> {
         if let Some(obs) = &self.obs {
             gauge_wall_secs(obs, wall_secs);
         }
-        tally.report(self.policy.name().to_string(), trace, wall_secs)
+        let name = self.policy.name().to_string();
+        tally.report(name, &trace.name, trace.duration(), wall_secs)
     }
 
     /// Times one policy call (zeroed in deterministic mode) and adds it to

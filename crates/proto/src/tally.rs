@@ -20,7 +20,7 @@ use crate::server::{ServeOutcome, ServerReport};
 use lhr_obs::trace::{TraceBuilder, TraceRecorder};
 use lhr_obs::{Event, EventKind, LogHistogram, Obs};
 use lhr_sim::ledger::Ledger;
-use lhr_trace::{Request, Trace};
+use lhr_trace::{Request, Time};
 
 /// Both latency percentiles via selection instead of a full sort —
 /// identical values (the k-th order statistic is unique under
@@ -60,9 +60,9 @@ fn append(into: &mut Vec<f64>, from: &mut Vec<f64>, room: usize) {
 /// Stamps the run's identity on the master recorder and emits the injected
 /// origin outage schedule up front, so the event stream explains any
 /// availability dip that follows.
-pub(crate) fn announce(obs: &Obs, policy: &str, trace: &Trace, faults: &FaultConfig) {
+pub(crate) fn announce(obs: &Obs, policy: &str, trace: &str, faults: &FaultConfig) {
     obs.set_meta("policy", policy);
-    obs.set_meta("trace", trace.name.as_str());
+    obs.set_meta("trace", trace);
     for &(start, end) in &faults.outages {
         obs.emit(Event::new(start, EventKind::OutageStart).field("until_secs", end));
         obs.emit(Event::new(end, EventKind::OutageEnd));
@@ -310,10 +310,17 @@ impl Tally {
         total
     }
 
-    /// The report of these totals (one shard's, or a merge's). Percentiles
-    /// select in place, and the mean sums the vector in the order selection
-    /// left it — both pure functions of the shard-order concatenation.
-    pub(crate) fn report(&mut self, name: String, trace: &Trace, wall_secs: f64) -> ServerReport {
+    /// The report of these totals (one shard's, or a merge's) over the
+    /// trace named `trace`, which spans `duration`. Percentiles select in
+    /// place, and the mean sums the vector in the order selection left it —
+    /// both pure functions of the shard-order concatenation.
+    pub(crate) fn report(
+        &mut self,
+        name: String,
+        trace: &str,
+        duration: Time,
+        wall_secs: f64,
+    ) -> ServerReport {
         let (p90_latency_ms, p99_latency_ms) = pct2(&mut self.latencies);
         let (degraded_p90_latency_ms, degraded_p99_latency_ms) = pct2(&mut self.degraded_latencies);
         let mean_latency_ms = if self.latencies.is_empty() {
@@ -323,10 +330,10 @@ impl Tally {
         };
         let counts = self.ledger.totals();
         let (measured, busy_ms) = (counts.requests, self.busy_ms);
-        let duration = trace.duration().as_secs_f64().max(1e-9);
+        let duration = duration.as_secs_f64().max(1e-9);
         ServerReport {
             name,
-            trace: trace.name.clone(),
+            trace: trace.to_string(),
             content_hit_pct: if measured == 0 {
                 0.0
             } else {

@@ -8,6 +8,7 @@ use crate::policy::{CachePolicy, Outcome};
 use crate::shard::{Partition, RouteConfig};
 use lhr_obs::Obs;
 use lhr_trace::{Request, Trace};
+use std::borrow::Cow;
 use std::time::Instant;
 
 /// Simulator configuration.
@@ -135,7 +136,8 @@ impl Simulator {
         }
         let wall_secs = wall_start.elapsed().as_secs_f64();
         finish(&mut ledger, policy);
-        self.result(trace, policy.name(), wall_secs, &ledger)
+        let span = self.measured_secs(&trace.requests);
+        self.result(&trace.name, span, policy.name(), wall_secs, &ledger)
     }
 
     /// Runs `trace` thread-parallel across `n_shards` independent policy
@@ -157,9 +159,13 @@ impl Simulator {
     /// which is also what a concurrent production deployment measures — at
     /// one shard it is [`run`](Self::run)'s, counter for counter. The
     /// result is labelled `sharded(P)xN`.
-    pub fn run_sharded<P: CachePolicy + Send>(
+    ///
+    /// A trace handed over by value is consumed: each shard's requests are
+    /// freed as its run steps past them (see [`crate::shard`]). A borrowed
+    /// one is cloned first.
+    pub fn run_sharded<'t, P: CachePolicy + Send>(
         &self,
-        trace: &Trace,
+        trace: impl Into<Cow<'t, Trace>>,
         n_shards: usize,
         route: &RouteConfig,
         build: impl Fn(usize, Option<&Obs>) -> P + Sync,
@@ -167,10 +173,15 @@ impl Simulator {
         let n_shards = n_shards.max(1);
         let master = self.obs.as_ref();
         let warmup = self.config.warmup_requests;
+        let Trace {
+            name: trace_name,
+            requests,
+        } = trace.into().into_owned();
+        let span = self.measured_secs(&requests);
 
         let wall_start = Instant::now();
         // What a finished shard keeps: its ledger and its policy's name.
-        let mut shards: Vec<(Ledger, String)> = Partition::new(trace, n_shards).run(
+        let mut shards: Vec<(Ledger, String)> = Partition::new(requests, n_shards).run(
             route,
             |s| {
                 let ledger = Ledger::shard(master, warmup);
@@ -189,36 +200,48 @@ impl Simulator {
         // metadata, so the master's stays in the order set below.)
         let name = format!("sharded({})x{n_shards}", shards[0].1);
         let total = Ledger::merge(shards.iter_mut().map(|(ledger, _)| ledger), master);
-        let result = self.result(trace, &name, wall_secs, &total);
+        let result = self.result(&trace_name, span, &name, wall_secs, &total);
         if let Some(master) = master {
             master.set_meta("shards", n_shards as u64);
         }
         result
     }
 
-    /// The result of a finished (or merged) `ledger`, and the run's
+    /// Trace time from the first measured request to the last; a warmup
+    /// past the end of the trace clamps to the last request, a zero-length
+    /// interval.
+    fn measured_secs(&self, requests: &[Request]) -> f64 {
+        requests.last().map_or(0.0, |last| {
+            let start = requests[self.config.warmup_requests.min(requests.len() - 1)];
+            last.ts.saturating_sub(start.ts).as_secs_f64()
+        })
+    }
+
+    /// The result of a finished (or merged) `ledger` over the trace named
+    /// `trace`, whose measured part spans `duration_secs`, and the run's
     /// identity, wall time and summed peak on the recorder.
-    fn result(&self, trace: &Trace, policy: &str, wall_secs: f64, ledger: &Ledger) -> SimResult {
+    fn result(
+        &self,
+        trace: &str,
+        duration_secs: f64,
+        policy: &str,
+        wall_secs: f64,
+        ledger: &Ledger,
+    ) -> SimResult {
         let peak_metadata_bytes = ledger.peak_meta();
         if let Some(obs) = &self.obs {
             obs.set_meta("policy", policy);
-            obs.set_meta("trace", trace.name.as_str());
+            obs.set_meta("trace", trace);
             // The one wall-clock quantity; zeroed under the determinism
             // contract so fixed-seed exports stay byte-identical.
             let wall = if obs.deterministic() { 0.0 } else { wall_secs };
             obs.gauge_set("sim.wall_secs", wall);
             obs.gauge_set("sim.peak_metadata_bytes", peak_metadata_bytes as f64);
         }
-        // From the first measured request; a warmup past the end of the
-        // trace clamps to the last one, a zero-length interval.
-        let duration_secs = trace.requests.last().map_or(0.0, |last| {
-            let start = trace.requests[self.config.warmup_requests.min(trace.len() - 1)];
-            last.ts.saturating_sub(start.ts).as_secs_f64()
-        });
         let t = ledger.totals();
         SimResult {
             policy: policy.to_string(),
-            trace: trace.name.clone(),
+            trace: trace.to_string(),
             metrics: SimMetrics {
                 requests: t.requests,
                 hits: t.hits,

@@ -18,9 +18,10 @@
 //!   and `lhr-proto`'s serving layers: warmup cut, `lhr_obs::series::Totals`,
 //!   the window series fed from them, and the shard-order merge.
 //! - [`shard`] — the thread-parallel replay driver under the latter (and
-//!   under `lhr-proto`'s engine and fleet): key-hash sharding and a one-pass
-//!   [`shard::Partition`] of the trace whose shards run start to finish on
-//!   whichever worker claims them.
+//!   under `lhr-proto`'s engine and fleet): key-hash sharding and an
+//!   in-place [`shard::Partition`] of the trace whose shards run start to
+//!   finish on whichever worker claims them, giving the trace back as they
+//!   step past it.
 //! - [`store::CacheStore`] — the contract of the store a policy keeps
 //!   its objects in: capacity, bytes held, evictions and the freshness
 //!   stamp, with the one `fits` rule. [`store::SampleStore`] is the

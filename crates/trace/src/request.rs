@@ -5,6 +5,7 @@
 
 use lhr_util::hash::FastMap;
 use lhr_util::sync::{claim_each, cores, workers};
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
@@ -303,6 +304,21 @@ impl<'a> IntoIterator for &'a Trace {
     type IntoIter = std::slice::Iter<'a, Request>;
     fn into_iter(self) -> Self::IntoIter {
         self.requests.iter()
+    }
+}
+
+/// A replay that consumes its trace takes `impl Into<Cow<'_, Trace>>`: a
+/// trace handed over by value is moved in and freed as it is stepped past,
+/// a borrowed one is cloned at the call.
+impl From<Trace> for Cow<'_, Trace> {
+    fn from(trace: Trace) -> Self {
+        Cow::Owned(trace)
+    }
+}
+
+impl<'a> From<&'a Trace> for Cow<'a, Trace> {
+    fn from(trace: &'a Trace) -> Self {
+        Cow::Borrowed(trace)
     }
 }
 

@@ -20,7 +20,7 @@ if grep -rnw unsafe crates/*/src src; then
   exit 1
 fi
 
-echo "==> kept deleted: three cache stores, one store contract, no hand-rolled policy table, one way for windows to reach the recorder, one helper crew, one way to retrain, no per-window object map, one window log"
+echo "==> kept deleted: three cache stores, one store contract, no hand-rolled policy table, one way for windows to reach the recorder, one helper crew, one way to retrain, no per-window object map, one window log, no scattered partition order"
 # SampleStore (crates/sim/src/store.rs) holds the only swap_remove fix-up:
 # LhrCache and the threshold shadow kept their own until they moved onto
 # it. Everything above a file's first #[cfg(test)] is non-test code.
@@ -98,6 +98,14 @@ if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' crates/
   echo "a spare log in lhr::window (see the lines above)" >&2
   exit 1
 fi
+# The partition regroups the trace in place, each shard's requests one
+# contiguous run, so no request-order index is walked and no block is
+# gathered out of a scattered trace.
+if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' crates/sim/src/shard.rs \
+    | grep -E '\bGATHER\b|\border:'; then
+  echo "the scattered partition order in lhr_sim::shard (see the lines above)" >&2
+  exit 1
+fi
 # Threads are spawned, woken and counted in lhr_util::sync alone (claim_each,
 # crew, cores).
 for file in $(find crates/*/src -name '*.rs' ! -path crates/util/src/sync.rs | sort); do
@@ -136,13 +144,15 @@ cargo test -q --doc --offline --workspace
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> simulator, GBM and LHR goldens, layer agreement and the heap gate, optimized (Simulator::run / run_sharded vs tests/golden/sim, Gbm::fit vs tests/golden/gbm, LhrCache vs tests/golden/lhr-*.json, threads 1 2 8; 16 shards peak no higher than 2; LHR's later windows peak under its bootstrap window by half that window's row matrix; a CSV load holds ≤ 2 MiB beside its requests)"
+echo "==> simulator, GBM and LHR goldens, layer agreement and the heap gate, optimized (Simulator::run / run_sharded vs tests/golden/sim, Gbm::fit vs tests/golden/gbm, LhrCache vs tests/golden/lhr-*.json, threads 1 2 8; 16 shards peak no higher than 2; LHR's later windows peak under its bootstrap window by half that window's row matrix; a 16-shard replay of an owned trace peaks under 5 B a request + 256 KiB above it; a CSV load holds ≤ 2 MiB beside its requests)"
 # The workspace run above held the debug build to the same files; they
 # were recorded by a release build, which is also what the CLI ships.
 # peak_heap: a shard's state ends with its last request, so at one thread
 # the heap's high-water mark does not grow with the shard count; and an LHR
 # window's row matrix and request log live only while its edge reads them,
-# so the windows after the bootstrap one peak well under it.
+# so the windows after the bootstrap one peak well under it; and a replay
+# frees the trace it is handed as its shards step past it, so it peaks at
+# about the partition's u32 index above the trace.
 # ingest_heap: the parallel CSV reader keeps a bounded number of chunks in
 # flight.
 cargo test -q --release --offline --test sim_golden --test layer_agreement --test peak_heap \

@@ -5,7 +5,9 @@
 //! HRO classifies each window at its edge and drops it, so a longer trace
 //! over the same objects must not raise the bound's mark either. An LHR
 //! window's row matrix and request log live only while its edge reads
-//! them, so the windows after the bootstrap one peak well under it.
+//! them, so the windows after the bootstrap one peak well under it. A
+//! replay handed its trace by value frees the trace as it steps past it,
+//! so it peaks at little more than the partition's index.
 //!
 //! This file is its own test binary because `#[global_allocator]` is
 //! process-wide, and it holds a single test: the high-water mark counts
@@ -15,6 +17,7 @@ use lhr_repro::core::cache::{LhrCache, LhrConfig};
 use lhr_repro::core::features::FeatureStore;
 use lhr_repro::core::Hro;
 use lhr_repro::gbm::GbmParams;
+use lhr_repro::policies::Lru;
 use lhr_repro::proto::{EngineConfig, ServerConfig, ShardedEngine};
 use lhr_repro::sim::shard::{shard_seed, RouteConfig};
 use lhr_repro::sim::{CachePolicy, OfflineBound};
@@ -99,8 +102,46 @@ fn lhr_replay(trace: &Trace, capacity: u64, n_shards: usize) {
     );
 }
 
+/// `lhr-cache server --policy LRU --threads 1 --shards 16` on `trace`,
+/// handed over by value as the CLI hands it.
+fn lru_replay(trace: Trace, capacity: u64) {
+    let engine = ShardedEngine::new(EngineConfig {
+        total_capacity: capacity,
+        n_shards: 16,
+        route: RouteConfig { threads: 1 },
+        server: ServerConfig::default(),
+    });
+    let report = engine.replay(trace, |_, capacity, _| Lru::new(capacity));
+    assert!(
+        report.report.content_hit_pct > 0.0,
+        "sanity: the replay hits"
+    );
+}
+
 #[test]
 fn more_shards_of_one_trace_do_not_raise_the_heap_high_water_mark() {
+    // A replay consumes the trace it is handed: the partition regroups it
+    // in place beside a `u32` index, and the shards give it back block by
+    // block as they step past it, so the latency samples and the merge
+    // reuse its room. Above the heap it started with, trace included, the
+    // replay peaks at the 4 B index plus the first shard's state: 5.5 B a
+    // request here, under a bound of 6.3. The partition that indexed a
+    // borrowed trace and kept it whole until the replay returned peaked at
+    // the merge, where the shard latency vectors sit beside the merged
+    // copy: 15.2 B a request.
+    let requests = 200_000;
+    let trace = IrmConfig::new(20_000, requests)
+        .zipf_alpha(0.9)
+        .size_model(SizeModel::Fixed { bytes: 1_000 })
+        .seed(9)
+        .generate();
+    let replay = high_water(|| lru_replay(trace, 1_000_000_000));
+    let bound = 5 * requests + (256 << 10);
+    assert!(
+        replay <= bound,
+        "the replay of an owned trace peaked at {replay} B above it, over {bound} B"
+    );
+
     // Long enough that each of 16 shards closes a few learning windows:
     // were every shard's state kept until the merge, 16 shards would peak
     // near twice as high as 2 (≈ 24 MB against 12 MB); dropped after each
