@@ -4,13 +4,13 @@
 use crate::detect::ZipfDetector;
 use crate::features::FeatureStore;
 use crate::hazard::hro_top_set;
-use crate::threshold::{Scored, ShadowRequest, ThresholdEstimator};
+use crate::threshold::{Scored, ThresholdEstimator};
 use crate::window::{WindowData, WindowTracker};
 use lhr_gbm::{Dataset, Gbm, GbmParams};
 use lhr_obs::{Event, EventKind, Obs};
 use lhr_sim::store::SampleStore;
 use lhr_sim::{CachePolicy, CacheStore, Outcome};
-use lhr_trace::{ObjectId, Request, Time};
+use lhr_trace::{Request, Time};
 use lhr_util::rng::rngs::SmallRng;
 use lhr_util::rng::{Rng, SeedableRng};
 
@@ -401,50 +401,43 @@ impl LhrCache {
         // threshold evaluation on this window's rows.
         let mut fresh_model = installed;
         if retrain {
-            if self.model.is_none() {
+            let trained = if self.model.is_none() {
                 // Bootstrap: train inline at this edge — LHR cannot serve
                 // its second window unscored.
                 let trained = self.train();
                 fresh_model |= trained.is_some();
-                if let (Some(obs), Some((rows, wall_secs))) = (self.obs.as_ref(), trained) {
-                    obs.emit(
-                        Event::new(t_end, EventKind::Retrain)
-                            .field("window", done.index)
-                            .field("rows", rows as u64)
-                            .field("trainings", self.stats.trainings)
-                            .field(
-                                "wall_secs",
-                                if obs.deterministic() { 0.0 } else { wall_secs },
-                            ),
-                    );
-                }
-            } else if let Some(rows) = self.schedule_train(done.index) {
+                trained
+            } else {
                 // Retraining: the set is fit and installed at the next
                 // window edge, and the previous one was installed at this
                 // one, so none is ever pending here. Wall time is reported
                 // on the ModelSwap event at install.
-                if let Some(obs) = &self.obs {
-                    obs.emit(
-                        Event::new(t_end, EventKind::Retrain)
-                            .field("window", done.index)
-                            .field("rows", rows as u64)
-                            .field("trainings", self.stats.trainings)
-                            .field("wall_secs", 0.0),
-                    );
-                }
+                self.schedule_train(done.index).map(|rows| (rows, 0.0))
+            };
+            if let (Some(obs), Some((rows, wall_secs))) = (self.obs.as_ref(), trained) {
+                obs.emit(
+                    Event::new(t_end, EventKind::Retrain)
+                        .field("window", done.index)
+                        .field("rows", rows as u64)
+                        .field("trainings", self.stats.trainings)
+                        .field(
+                            "wall_secs",
+                            if obs.deterministic() { 0.0 } else { wall_secs },
+                        ),
+                );
             }
         }
         // The next window's stride is fixed now: the model and any pending
         // retraining are what they will be when it opens.
         let next_every = self.plan_rows(done.index + 1, n_reqs);
         let evaluate = fresh_model && self.config.fixed_threshold.is_none();
-        // The shadow evaluation pairs each request of the estimator's
-        // sample — the window's leading requests — with its feature row
-        // (from the full `rows`, not the subsampled training copy) and the
-        // fresh model's probability, scored in one batch (and
+        // The shadow evaluation reads each request of the estimator's
+        // sample — the window's leading requests — beside the fresh
+        // model's probability for its feature row (from the full `rows`,
+        // not the subsampled training copy), scored in one batch (and
         // thread-parallel) straight off the flat matrix instead of
-        // row-at-a-time. The span covers the whole evaluation: scoring,
-        // the snapshot and the shadows.
+        // row-at-a-time. The span covers the whole evaluation: scoring and
+        // the shadows.
         let threshold_span = match (evaluate, &self.obs) {
             (true, Some(obs)) => Some(obs.span("lhr.threshold")),
             _ => None,
@@ -456,14 +449,8 @@ impl LhrCache {
                 "a window whose edge evaluates the threshold keeps every row"
             );
             let sample = ThresholdEstimator::sample_len(n_reqs);
-            match &self.model {
-                Some(model) => model.score_admissions(
-                    &rows[..sample * n_feat],
-                    n_feat,
-                    self.config.gbm.threads,
-                ),
-                None => vec![1.0; sample],
-            }
+            let model = self.model.as_ref().expect("a fresh model is installed");
+            model.score_admissions(&rows[..sample * n_feat], n_feat, self.config.gbm.threads)
         });
         // Nothing reads the rows past this point, so the matrix goes back
         // to the next window at the size that window needs: its kept rows
@@ -484,27 +471,12 @@ impl LhrCache {
         self.window_rows = rows;
         self.row_every = next_every;
         if let Some(probs) = probs {
-            let shadow: Vec<ShadowRequest> = done
-                .requests
-                .iter()
-                .zip(probs)
-                .map(|(&Request { ts, id, size }, prob)| ShadowRequest { ts, id, size, prob })
-                .collect();
-            let mut snapshot: Vec<(ObjectId, f64, u64, Time)> = (0..self.store.len())
-                .map(|pos| {
-                    let slot = self.store.slot(pos);
-                    (slot.id, slot.entry.prob, slot.size, slot.entry.last_access)
-                })
-                .collect();
-            // The shadow's truncation-at-capacity depends on order; by id
-            // it does not depend on the eviction history.
-            snapshot.sort_unstable_by_key(|&(id, ..)| id);
             let old_delta = self.threshold.delta;
             let old_updates = self.threshold.updates;
             self.threshold.update(
-                &shadow,
-                self.store.capacity(),
-                &snapshot,
+                &done.requests[..probs.len()],
+                &probs,
+                &self.store,
                 self.config.gbm.threads,
             );
             drop(threshold_span);

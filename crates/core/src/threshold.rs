@@ -7,14 +7,21 @@
 //! `δ̂` replaces `δ_k` only when its hit probability improves on `h(δ_k)`
 //! by more than β (0.2%), which suppresses jitter.
 //!
-//! The shadow cache is a [`SampleStore`] of `Scored` slots — the storage
-//! `LhrCache` itself serves from — so "LHR's own eviction rule" reads the
-//! same `q` off the same slot layout. The two *rules* still differ: the
-//! shadow draws 1 + 16 candidates and takes the smallest `q`; the live
-//! cache draws `eviction_sample` (64) and prefers candidates with `p < δ`.
+//! A shadow reads what `LhrCache` already holds at the window edge: the
+//! window's leading requests, the fresh model's probability for each, and
+//! the live [`SampleStore`] of `Scored` slots the cache serves from. Each
+//! shadow is a store of the same kind, seeded with copies of the live
+//! slots in id order. The order is decided here, in
+//! [`ThresholdEstimator::update`]: a slot's position steers the shadow's
+//! sampled evictions, and by id it does not depend on the order the live
+//! cache's own evictions left its slots in. "LHR's own eviction rule"
+//! reads the same `q` off the same slot layout. The two *rules* still
+//! differ: the shadow draws 1 + 16 candidates and takes the smallest `q`;
+//! the live cache draws `eviction_sample` (64) and prefers candidates with
+//! `p < δ`.
 
-use lhr_sim::store::{CacheStore, SampleStore};
-use lhr_trace::{ObjectId, Time};
+use lhr_sim::store::{CacheStore, SampleStore, Slot};
+use lhr_trace::{Request, Time};
 use lhr_util::rng::rngs::SmallRng;
 use lhr_util::rng::{Rng, SeedableRng};
 use lhr_util::sync::{claim_each, resolve_threads, Mutex};
@@ -42,20 +49,6 @@ impl Scored {
         let irt1 = now.saturating_sub(self.last_access).as_secs_f64().max(1e-6);
         self.prob / (size as f64 * irt1)
     }
-}
-
-/// One shadow-simulation input record: a window request annotated with its
-/// learned admission probability.
-#[derive(Debug, Clone, Copy)]
-pub struct ShadowRequest {
-    /// Request timestamp.
-    pub ts: Time,
-    /// Object id.
-    pub id: ObjectId,
-    /// Object size in bytes.
-    pub size: u64,
-    /// Learned admission probability `p_i` at this request.
-    pub prob: f64,
 }
 
 /// The estimator state.
@@ -104,23 +97,25 @@ impl ThresholdEstimator {
             .min(requests)
     }
 
-    /// Evaluates the candidates on `sample` — a window's leading
-    /// [`Self::sample_len`] requests — and updates `delta` per the
-    /// adoption rule. `initial_cache` seeds each shadow run with the real
-    /// cache's current contents so candidate thresholds are judged on the
-    /// state they would actually inherit. The shadow runs are independent
-    /// and run concurrently on up to `threads` threads (`0` = one per
-    /// core); the current threshold's and then each candidate's are read
-    /// in that order, so the outcome does not depend on `threads`. Returns
-    /// the (possibly unchanged) threshold.
-    pub fn update(
+    /// Evaluates the candidates on `requests` — a window's leading
+    /// [`Self::sample_len`] requests, `probs[i]` the learned admission
+    /// probability of `requests[i]` — and updates `delta` per the adoption
+    /// rule. Each shadow run starts from `live`'s contents, in id order,
+    /// so candidate thresholds are judged on the state they would actually
+    /// inherit. The shadow runs are independent and run concurrently on up
+    /// to `threads` threads (`0` = one per core); the current threshold's
+    /// and then each candidate's are read in that order, so the outcome
+    /// does not depend on `threads`. Returns the (possibly unchanged)
+    /// threshold.
+    pub(crate) fn update(
         &mut self,
-        sample: &[ShadowRequest],
-        capacity: u64,
-        initial_cache: &[(ObjectId, f64, u64, Time)],
+        requests: &[Request],
+        probs: &[f64],
+        live: &SampleStore<Scored>,
         threads: usize,
     ) -> f64 {
-        if sample.is_empty() {
+        debug_assert_eq!(requests.len(), probs.len());
+        if requests.is_empty() {
             return self.delta;
         }
         // (threshold, its shadow hit ratio): the current one first, then
@@ -132,17 +127,17 @@ impl ThresholdEstimator {
             .map(|cand| (cand, 0.0))
             .collect();
         let threads = resolve_threads(threads).min(runs.len());
+        let seed = in_id_order(live);
         // One shadow cache per worker, allocated here: a worker thread that
         // allocated its own would keep the memory in its own heap for the
         // rest of the run. A shadow fills the same capacity as the cache
         // it starts from, so it holds about as many objects.
-        let room = initial_cache.len();
         let caches: Vec<Mutex<SampleStore<Scored>>> = (0..threads)
-            .map(|_| Mutex::new(SampleStore::with_room(capacity, room)))
+            .map(|_| Mutex::new(SampleStore::with_room(live.capacity(), seed.len())))
             .collect();
         claim_each(&mut runs, threads, |worker, _, (cand, hit_ratio)| {
             let mut cache = caches[worker].lock();
-            *hit_ratio = shadow_in(&mut cache, sample, *cand, initial_cache);
+            *hit_ratio = shadow_in(&mut cache, requests, probs, *cand, &seed);
         });
         let current = runs[0].1;
         let mut best = (current, delta);
@@ -159,54 +154,38 @@ impl ThresholdEstimator {
     }
 }
 
-/// [`shadow_hit_ratio_from`] starting from an empty cache.
-pub fn shadow_hit_ratio(requests: &[ShadowRequest], capacity: u64, delta: f64) -> f64 {
-    shadow_hit_ratio_from(requests, capacity, delta, &[])
+/// `live`'s slots by ascending id: the order a shadow is seeded in.
+fn in_id_order(live: &SampleStore<Scored>) -> Vec<&Slot<Scored>> {
+    let mut slots: Vec<&Slot<Scored>> = (0..live.len()).map(|pos| live.slot(pos)).collect();
+    slots.sort_unstable_by_key(|slot| slot.id);
+    slots
 }
 
 /// Shadow-simulates LHR's admission (p ≥ δ) and eviction
-/// (min `q = p / (s · IRT₁)`, sampled) over the requests, starting from
-/// `initial_cache` (`(id, prob, size, last access)` tuples, truncated to
-/// capacity), returning the object hit ratio. Deterministic: the eviction
-/// sampler is re-seeded per call.
-pub fn shadow_hit_ratio_from(
-    requests: &[ShadowRequest],
-    capacity: u64,
-    delta: f64,
-    initial_cache: &[(ObjectId, f64, u64, Time)],
-) -> f64 {
-    shadow_in(
-        &mut SampleStore::new(capacity),
-        requests,
-        delta,
-        initial_cache,
-    )
-}
-
-/// [`shadow_hit_ratio_from`] on `cache` (emptied first, and of its
-/// capacity), reusing its allocations.
+/// (min `q = p / (s · IRT₁)`, sampled) over the non-empty `requests`, each
+/// beside its probability in `probs`, on `cache` (emptied first, reusing
+/// its allocations) seeded with copies of the `seed` slots — a live
+/// store's, which fit its capacity and hold each id once. Returns the
+/// object hit ratio. Deterministic: the eviction sampler is re-seeded per
+/// call.
 fn shadow_in(
     cache: &mut SampleStore<Scored>,
-    requests: &[ShadowRequest],
+    requests: &[Request],
+    probs: &[f64],
     delta: f64,
-    initial_cache: &[(ObjectId, f64, u64, Time)],
+    seed: &[&Slot<Scored>],
 ) -> f64 {
-    if requests.is_empty() {
-        return 0.0;
-    }
     cache.clear();
     let capacity = cache.capacity();
     let mut hits = 0usize;
     let mut rng = SmallRng::seed_from_u64(0x5AD0);
-    for &(id, prob, size, last_access) in initial_cache {
-        if cache.fits(size) && !cache.contains(id) {
-            cache.push(id, size, last_access, Scored { prob, last_access });
-        }
+    for slot in seed {
+        cache.push(slot.id, slot.size, slot.entry.last_access, slot.entry);
     }
 
-    for req in requests {
+    for (req, &prob) in requests.iter().zip(probs) {
         let scored = Scored {
-            prob: req.prob,
+            prob,
             last_access: req.ts,
         };
         if let Some(entry) = cache.get_mut(req.id) {
@@ -214,7 +193,7 @@ fn shadow_in(
             *entry = scored;
             continue;
         }
-        if req.prob < delta || req.size > capacity {
+        if prob < delta || req.size > capacity {
             continue;
         }
         while !cache.fits(req.size) {
@@ -242,17 +221,22 @@ fn shadow_in(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lhr_trace::ObjectId;
 
-    fn reqs(specs: &[(u64, u64, u64, f64)]) -> Vec<ShadowRequest> {
+    /// `(ts secs, id, size, prob)` specs as requests and their
+    /// probabilities.
+    fn reqs(specs: &[(u64, u64, u64, f64)]) -> (Vec<Request>, Vec<f64>) {
         specs
             .iter()
-            .map(|&(t, id, size, prob)| ShadowRequest {
-                ts: Time::from_secs(t),
-                id,
-                size,
-                prob,
-            })
-            .collect()
+            .map(|&(t, id, size, prob)| (Request::new(Time::from_secs(t), id, size), prob))
+            .unzip()
+    }
+
+    /// One shadow run from `live`, as [`ThresholdEstimator::update`] runs
+    /// each candidate's.
+    fn shadow(requests: &[Request], probs: &[f64], live: &SampleStore<Scored>, delta: f64) -> f64 {
+        let mut cache = SampleStore::new(live.capacity());
+        shadow_in(&mut cache, requests, probs, delta, &in_id_order(live))
     }
 
     #[test]
@@ -276,28 +260,29 @@ mod tests {
         assert!(c.contains(&0.0) && c.contains(&0.5));
         assert!(c.windows(2).all(|w| w[0] < w[1]), "sorted: {c:?}");
         // The full update path also carries the NaN through comparisons.
-        let r = reqs(&[(0, 1, 10, 1.0), (1, 1, 10, 1.0)]);
-        let out = e.update(&r, 100, &[], 2);
+        let (r, p) = reqs(&[(0, 1, 10, 1.0), (1, 1, 10, 1.0)]);
+        let out = e.update(&r, &p, &SampleStore::new(100), 2);
         assert!(out.is_nan() || (0.0..=1.0).contains(&out));
     }
 
     #[test]
     fn shadow_counts_hits() {
         // Two objects alternating, everything admitted, plenty of room.
-        let r = reqs(&[
+        let (r, p) = reqs(&[
             (0, 1, 10, 1.0),
             (1, 2, 10, 1.0),
             (2, 1, 10, 1.0),
             (3, 2, 10, 1.0),
         ]);
-        assert!((shadow_hit_ratio(&r, 100, 0.5) - 0.5).abs() < 1e-9);
+        assert!((shadow(&r, &p, &SampleStore::new(100), 0.5) - 0.5).abs() < 1e-9);
     }
 
     #[test]
     fn high_threshold_blocks_admission() {
-        let r = reqs(&[(0, 1, 10, 0.3), (1, 1, 10, 0.3), (2, 1, 10, 0.3)]);
-        assert_eq!(shadow_hit_ratio(&r, 100, 0.5), 0.0);
-        assert!((shadow_hit_ratio(&r, 100, 0.0) - 2.0 / 3.0).abs() < 1e-9);
+        let (r, p) = reqs(&[(0, 1, 10, 0.3), (1, 1, 10, 0.3), (2, 1, 10, 0.3)]);
+        let empty = SampleStore::new(100);
+        assert_eq!(shadow(&r, &p, &empty, 0.5), 0.0);
+        assert!((shadow(&r, &p, &empty, 0.0) - 2.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]
@@ -311,9 +296,9 @@ mod tests {
                 specs.push((round * 5 + id, id, 10, 0.2));
             }
         }
-        let r = reqs(&specs);
+        let (r, p) = reqs(&specs);
         let mut e = ThresholdEstimator::default();
-        let new_delta = e.update(&r, 1_000, &[], 2);
+        let new_delta = e.update(&r, &p, &SampleStore::new(1_000), 2);
         assert!(new_delta < 0.2, "threshold stayed at {new_delta}");
         assert_eq!(e.updates, 1);
     }
@@ -328,9 +313,9 @@ mod tests {
                 specs.push((round * 3 + id, id, 10, 0.9));
             }
         }
-        let r = reqs(&specs);
+        let (r, p) = reqs(&specs);
         let mut e = ThresholdEstimator::default();
-        e.update(&r, 1_000, &[], 2);
+        e.update(&r, &p, &SampleStore::new(1_000), 2);
         assert_eq!(e.delta, 0.5);
         assert_eq!(e.updates, 0);
     }
@@ -344,17 +329,31 @@ mod tests {
         for i in 0..30u64 {
             specs.push((i, i % 10, 60, 1.0));
         }
-        let r = reqs(&specs);
+        let (r, p) = reqs(&specs);
         // Just ensure it terminates and produces a sane ratio.
-        let h = shadow_hit_ratio(&r, 100, 0.0);
+        let h = shadow(&r, &p, &SampleStore::new(100), 0.0);
         assert!((0.0..=1.0).contains(&h));
+    }
+
+    /// The seed a shadow started from while it took a snapshot of the live
+    /// cache: `(id, prob, size, last access)` per slot, sorted by id.
+    fn snapshot(live: &SampleStore<Scored>) -> Vec<(ObjectId, f64, u64, Time)> {
+        let mut snapshot: Vec<_> = (0..live.len())
+            .map(|pos| {
+                let slot = live.slot(pos);
+                (slot.id, slot.entry.prob, slot.size, slot.entry.last_access)
+            })
+            .collect();
+        snapshot.sort_unstable_by_key(|&(id, ..)| id);
+        snapshot
     }
 
     /// The shadow as it stood before it moved onto [`SampleStore`]: a map
     /// of entries, a dense id array to sample from and a position map,
-    /// fixed up by hand.
+    /// fixed up by hand, seeded from a [`snapshot`].
     fn three_structure_reference(
-        requests: &[ShadowRequest],
+        requests: &[Request],
+        probs: &[f64],
         capacity: u64,
         delta: f64,
         initial_cache: &[(ObjectId, f64, u64, Time)],
@@ -378,14 +377,14 @@ mod tests {
             dense.push(id);
             used += size;
         }
-        for req in requests {
+        for (req, &prob) in requests.iter().zip(probs) {
             if let Some(entry) = cached.get_mut(&req.id) {
                 hits += 1;
-                entry.0 = req.prob;
+                entry.0 = prob;
                 entry.2 = req.ts;
                 continue;
             }
-            if req.prob < delta || req.size > capacity {
+            if prob < delta || req.size > capacity {
                 continue;
             }
             while used + req.size > capacity {
@@ -410,7 +409,7 @@ mod tests {
                     positions.insert(dense[pos], pos);
                 }
             }
-            cached.insert(req.id, (req.prob, req.size, req.ts));
+            cached.insert(req.id, (prob, req.size, req.ts));
             positions.insert(req.id, dense.len());
             dense.push(req.id);
             used += req.size;
@@ -419,21 +418,23 @@ mod tests {
     }
 
     /// Same draws, same push / `swap_remove` order, same `q`: the shadow
-    /// on the shared store repeats the hand-kept one to the bit — over
-    /// caches that evict on most admissions, initial contents with
-    /// duplicates and objects that do not fit, objects larger than the
-    /// cache, equal timestamps (the 1 µs IRT floor) and a one-byte cache.
+    /// seeded from a live store repeats the hand-kept one seeded from the
+    /// store's id-sorted snapshot, to the bit — over caches that evict on
+    /// most admissions, live stores filled in random id order, objects
+    /// larger than the cache, equal timestamps (the 1 µs IRT floor) and a
+    /// one-byte cache.
     #[test]
     fn shadow_on_the_store_matches_the_three_structure_shadow_bit_for_bit() {
         use lhr_util::prop::{any_u64, range};
         use lhr_util::{prop_assert, prop_assert_eq, prop_check};
         let evicting = std::cell::Cell::new(0usize);
         prop_check!(cases: 256, (len in range(1usize..400), seed in any_u64(), objects in range(1u64..60), capacity in range(1u64..400)) => {
-            let (requests, initial, capacity) = random_stream(len, seed, objects, capacity);
+            let (requests, probs, live) = random_stream(len, seed, objects, capacity);
+            let capacity = live.capacity();
             for delta in [0.0, 0.3, 0.5, 0.9, 1.0] {
-                for initial in [&initial[..], &[]] {
-                    let new = shadow_hit_ratio_from(&requests, capacity, delta, initial);
-                    let old = three_structure_reference(&requests, capacity, delta, initial);
+                for live in [&live, &SampleStore::new(capacity)] {
+                    let new = shadow(&requests, &probs, live, delta);
+                    let old = three_structure_reference(&requests, &probs, capacity, delta, &snapshot(live));
                     prop_assert_eq!(new.to_bits(), old.to_bits(), "δ = {}", delta);
                     prop_assert!((0.0..=1.0).contains(&new));
                 }
@@ -448,17 +449,17 @@ mod tests {
         );
     }
 
-    /// A random shadow input: `len` requests over `objects` ids and an
-    /// initial cache, against `capacity` — a one-byte cache for a third of
-    /// the seeds. A size is a function of the id; one id in seven never
-    /// fits. Returns the requests, the initial cache and the capacity.
-    #[allow(clippy::type_complexity)]
+    /// A random shadow input: `len` requests over `objects` ids, their
+    /// probabilities, and a live store of `capacity` bytes — a one-byte
+    /// store for a third of the seeds — filled as a live cache would be:
+    /// random ids pushed in random order where they fit and are not held
+    /// yet. A size is a function of the id; one id in seven never fits.
     fn random_stream(
         len: usize,
         seed: u64,
         objects: u64,
         capacity: u64,
-    ) -> (Vec<ShadowRequest>, Vec<(ObjectId, f64, u64, Time)>, u64) {
+    ) -> (Vec<Request>, Vec<f64>, SampleStore<Scored>) {
         let mut state = seed | 1;
         let mut next = move || {
             state ^= state << 13;
@@ -472,50 +473,44 @@ mod tests {
             _ => 1 + (id * 37 + seed % 11) % capacity.min(90),
         };
         let mut ts = 0u64;
-        let requests: Vec<ShadowRequest> = (0..len)
+        let (requests, probs) = (0..len)
             .map(|_| {
                 let id = next() % objects;
                 ts += next() % 3;
-                ShadowRequest {
-                    ts: Time(ts * 500_000),
-                    id,
-                    size: size_of(id),
-                    prob: (next() % 101) as f64 / 100.0,
-                }
+                let prob = (next() % 101) as f64 / 100.0;
+                (Request::new(Time(ts * 500_000), id, size_of(id)), prob)
             })
-            .collect();
-        let initial: Vec<(ObjectId, f64, u64, Time)> = (0..next() % 40)
-            .map(|_| {
-                let id = next() % (objects + 5);
-                (
-                    id,
-                    (next() % 101) as f64 / 100.0,
-                    size_of(id),
-                    Time(next() % 1_000),
-                )
-            })
-            .collect();
-        (requests, initial, capacity)
+            .unzip();
+        let mut live = SampleStore::new(capacity);
+        for _ in 0..next() % 40 {
+            let id = next() % (objects + 5);
+            let prob = (next() % 101) as f64 / 100.0;
+            let last_access = Time(next() % 1_000);
+            if live.fits(size_of(id)) && !live.contains(id) {
+                live.push(id, size_of(id), last_access, Scored { prob, last_access });
+            }
+        }
+        (requests, probs, live)
     }
 
     /// `update` as it ran before its shadows ran concurrently: the current
     /// threshold's shadow, then each other candidate's, one at a time.
     fn sequential_update(
         e: &mut ThresholdEstimator,
-        sample: &[ShadowRequest],
-        capacity: u64,
-        initial_cache: &[(ObjectId, f64, u64, Time)],
+        requests: &[Request],
+        probs: &[f64],
+        live: &SampleStore<Scored>,
     ) -> f64 {
-        if sample.is_empty() {
+        if requests.is_empty() {
             return e.delta;
         }
-        let current = shadow_hit_ratio_from(sample, capacity, e.delta, initial_cache);
+        let current = shadow(requests, probs, live, e.delta);
         let mut best = (current, e.delta);
         for cand in e.candidates() {
             if (cand - e.delta).abs() < 1e-12 {
                 continue;
             }
-            let h = shadow_hit_ratio_from(sample, capacity, cand, initial_cache);
+            let h = shadow(requests, probs, live, cand);
             if h > best.0 {
                 best = (h, cand);
             }
@@ -528,7 +523,7 @@ mod tests {
     }
 
     /// The concurrent shadows pick what the sequential ones picked, at any
-    /// thread count — over random streams, initial caches and thresholds
+    /// thread count — over random streams, live stores and thresholds
     /// (NaN and the clamped ends among them).
     #[test]
     fn update_matches_the_sequential_update_at_every_thread_count() {
@@ -536,15 +531,15 @@ mod tests {
         use lhr_util::{prop_assert_eq, prop_check};
         let moved = std::cell::Cell::new(0usize);
         prop_check!(cases: 96, (len in range(1usize..300), seed in any_u64(), objects in range(1u64..40), capacity in range(1u64..300)) => {
-            let (requests, initial, capacity) = random_stream(len, seed, objects, capacity);
+            let (requests, probs, live) = random_stream(len, seed, objects, capacity);
             for delta in [0.0, 0.05, 0.3, 0.5, 0.62, 0.95, 1.0, f64::NAN] {
-                for initial in [&initial[..], &[]] {
+                for live in [&live, &SampleStore::new(live.capacity())] {
                     let mut reference = ThresholdEstimator { delta, updates: 3 };
-                    let expect = sequential_update(&mut reference, &requests, capacity, initial);
+                    let expect = sequential_update(&mut reference, &requests, &probs, live);
                     moved.set(moved.get() + (reference.updates > 3) as usize);
                     for threads in [1, 2, 4] {
                         let mut e = ThresholdEstimator { delta, updates: 3 };
-                        let got = e.update(&requests, capacity, initial, threads);
+                        let got = e.update(&requests, &probs, live, threads);
                         prop_assert_eq!(got.to_bits(), expect.to_bits(), "δ = {}, threads = {}", delta, threads);
                         prop_assert_eq!(e.delta.to_bits(), reference.delta.to_bits(), "δ = {}", delta);
                         prop_assert_eq!(e.updates, reference.updates, "δ = {}, threads = {}", delta, threads);
@@ -569,6 +564,6 @@ mod tests {
     #[test]
     fn empty_window_is_noop() {
         let mut e = ThresholdEstimator::default();
-        assert_eq!(e.update(&[], 100, &[], 2), 0.5);
+        assert_eq!(e.update(&[], &[], &SampleStore::new(100), 2), 0.5);
     }
 }

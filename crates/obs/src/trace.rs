@@ -21,7 +21,7 @@
 //!
 //! *Exemplars* connect traces back to the windowed series: at export
 //! time the worst-latency sampled trace of each metric window is marked
-//! `"exemplar":true` (see [`mark_exemplars`]), so a spike in a window's
+//! `"exemplar":true` (see [`exemplar_marks`]), so a spike in a window's
 //! story line comes with a concrete request to look at.
 
 use lhr_util::hash::FastHasher;
@@ -101,7 +101,8 @@ pub struct TraceRecord {
     /// Total simulated latency of the request, milliseconds.
     pub latency_ms: f64,
     /// Whether this is the worst-latency sampled trace of its window
-    /// (set at export time by [`mark_exemplars`]).
+    /// (the export writes it from [`exemplar_marks`]; a recorded trace holds
+    /// `false`).
     pub exemplar: bool,
     /// The ordered step list.
     pub steps: Vec<TraceStep>,
@@ -378,14 +379,6 @@ pub fn exemplar_marks(traces: &[TraceRecord]) -> Vec<bool> {
     marks
 }
 
-/// Sets every trace's `exemplar` flag to its [`exemplar_marks`] entry.
-pub fn mark_exemplars(traces: &mut [TraceRecord]) {
-    let marks = exemplar_marks(traces);
-    for (t, mark) in traces.iter_mut().zip(marks) {
-        t.exemplar = mark;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -490,15 +483,13 @@ mod tests {
             latency_ms,
             ..sample_trace()
         };
-        let mut traces = vec![
+        let traces = vec![
             mk(1, 0, 10.0),
             mk(2, 0, 50.0),
             mk(3, 0, 50.0), // tie: id 2 keeps the mark
             mk(4, 1, 5.0),
         ];
-        mark_exemplars(&mut traces);
-        let marked: Vec<u64> = traces.iter().filter(|t| t.exemplar).map(|t| t.id).collect();
-        assert_eq!(marked, vec![2, 4]);
+        assert_eq!(exemplar_marks(&traces), vec![false, true, false, true]);
     }
 
     #[test]

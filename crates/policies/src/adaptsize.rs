@@ -73,12 +73,12 @@ impl AdaptSize {
             self.c * 4.0,
             self.c * 8.0,
         ];
-        let mut best = (self.shadow_hit_ratio(self.c), self.c);
+        let mut best = (self.hit_ratio_at(self.c), self.c);
         for &cand in &candidates {
             if cand < 1.0 || cand == self.c {
                 continue;
             }
-            let ratio = self.shadow_hit_ratio(cand);
+            let ratio = self.hit_ratio_at(cand);
             if ratio > best.0 {
                 best = (ratio, cand);
             }
@@ -91,7 +91,7 @@ impl AdaptSize {
     /// ≥ 0.5 … replaced by expected-value thresholding via probability
     /// comparison against a per-object pseudo-random draw keyed on the id)
     /// so tuning itself is deterministic.
-    fn shadow_hit_ratio(&self, c: f64) -> f64 {
+    fn hit_ratio_at(&self, c: f64) -> f64 {
         let mut shadow = SegmentedStore::new(self.store.capacity(), 1);
         let mut hits = 0usize;
         for &(id, size) in &self.window {

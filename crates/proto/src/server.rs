@@ -14,7 +14,7 @@ use lhr_obs::trace::TraceBuilder;
 use lhr_obs::Obs;
 use lhr_sim::ledger::Ledger;
 use lhr_sim::shard::shard_seed;
-use lhr_sim::{CachePolicy, Outcome};
+use lhr_sim::CachePolicy;
 use lhr_trace::{ObjectId, Request, Time, Trace};
 use lhr_util::hash::FastMap;
 use lhr_util::json::{Json, ToJson};
@@ -359,10 +359,12 @@ impl<P: CachePolicy> CdnServer<P> {
         Some((outcome, compute_ms))
     }
 
-    /// Runs the policy on `req`; returns its outcome and compute time.
-    fn handle_timed(&mut self, req: &Request) -> (Outcome, f64) {
+    /// Runs the policy on a missed `req` — its admission decision, which
+    /// the policy keeps — and returns the compute time.
+    fn handle_timed(&mut self, req: &Request) -> f64 {
         self.timed(|policy| Some(policy.handle(req)))
             .expect("handle always answers")
+            .1
     }
 
     /// Runs one fetch through the breaker and the retry chain. When the
@@ -440,28 +442,23 @@ impl<P: CachePolicy> CdnServer<P> {
         // path instead of `contains` followed by `handle`.
         let checked = self.timed(|policy| policy.hit_check(req));
         if let Some(tb) = tb.as_deref_mut() {
-            let hit = matches!(checked, Some((outcome, _)) if outcome.is_hit());
-            tb.push("edge_lookup", req.size, vec![kv("hit", hit)]);
+            tb.push("edge_lookup", req.size, vec![kv("hit", checked.is_some())]);
         }
-        match checked {
-            Some((outcome, compute_ms)) if outcome.is_hit() => {
-                return self.serve_cached(req, compute_ms, tb);
-            }
-            // Contract violation (the policy reported the object present but
-            // then missed): take the miss path; the policy has already
-            // decided admission, so only the origin side remains.
-            Some((_, compute_ms)) => return self.serve_miss_fetch(req, Some(compute_ms), tb),
-            None => {}
+        if let Some((outcome, compute_ms)) = checked {
+            // The `hit_check` contract: `Some` for a cached id only, and
+            // then a hit.
+            debug_assert!(outcome.is_hit(), "hit_check answered {outcome:?}");
+            return self.serve_cached(req, compute_ms, tb);
         }
 
         // Miss. A fetch for this object may already be in flight.
         if !self.config.resilience.coalesce {
-            return self.serve_miss_fetch(req, None, tb);
+            return self.serve_miss_fetch(req, tb);
         }
         if let Some(&(done_at, ok)) = self.in_flight.get(&req.id) {
             if now >= done_at {
                 self.in_flight.remove(&req.id);
-                return self.serve_miss_fetch(req, None, tb);
+                return self.serve_miss_fetch(req, tb);
             }
             let remaining_ms = (done_at - now).as_secs_f64() * 1e3;
             if let Some(tb) = tb.as_deref_mut() {
@@ -476,14 +473,8 @@ impl<P: CachePolicy> CdnServer<P> {
                 // Join the leader's fetch: the body arrives when the fetch
                 // completes, then is served over the edge link. The access
                 // still informs the policy's admission stats, but no second
-                // origin fetch happens.
-                let (outcome, compute_ms) = self.handle_timed(req);
-                // An admission stamped its own slot. Should the policy
-                // answer Hit although `hit_check` found nothing, the copy
-                // it holds counts as fetched now.
-                if outcome.is_hit() {
-                    self.policy.restamp(req.id, now);
-                }
+                // origin fetch happens. An admission stamps its own slot.
+                let compute_ms = self.handle_timed(req);
                 ServeOutcome {
                     degraded: true,
                     ..ServeOutcome::ok(
@@ -501,7 +492,7 @@ impl<P: CachePolicy> CdnServer<P> {
                 ..joined
             };
         }
-        self.serve_miss_fetch(req, None, tb)
+        self.serve_miss_fetch(req, tb)
     }
 
     /// The cached-object path: freshness check, revalidation (synchronous
@@ -598,13 +589,9 @@ impl<P: CachePolicy> CdnServer<P> {
     }
 
     /// The miss path: hardened origin fetch, then admission on success.
-    /// `decided` carries the compute time of a policy call that already
-    /// handled the request (the hit_check contract-violation fallback);
-    /// `None` runs the policy here.
     fn serve_miss_fetch(
         &mut self,
         req: &Request,
-        decided: Option<f64>,
         mut tb: Option<&mut TraceBuilder>,
     ) -> ServeOutcome {
         let now = req.ts;
@@ -616,14 +603,10 @@ impl<P: CachePolicy> CdnServer<P> {
                 let done_at = now + Time::from_secs_f64(fetch.delay_ms / 1e3);
                 self.in_flight.insert(req.id, (done_at, false));
             }
-            let pre_compute_ms = decided.unwrap_or(0.0);
-            return ServeOutcome::failed(
-                latency::error_latency_ms(pre_compute_ms) + fetch.delay_ms,
-                pre_compute_ms,
-            );
+            return ServeOutcome::failed(latency::error_latency_ms(0.0) + fetch.delay_ms, 0.0);
         }
         // An admission stamps its own slot with `now`.
-        let compute_ms = decided.unwrap_or_else(|| self.handle_timed(req).1);
+        let compute_ms = self.handle_timed(req);
         if coalesce {
             let fetch_ms = fetch.delay_ms + latency::origin_fetch_ms(req.size, fetch.rate_scale);
             let done_at = now + Time::from_secs_f64(fetch_ms / 1e3);
@@ -669,6 +652,7 @@ mod tests {
     use super::*;
     use lhr_obs::EventKind;
     use lhr_policies::Lru;
+    use lhr_sim::Outcome;
 
     fn trace(n: usize, objects: u64, size: u64) -> Trace {
         let mut t = Trace::new("t");

@@ -7,8 +7,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "==> no unsafe: every crate root forbids it and the word appears nowhere in the sources"
-# tests/ (alloc.rs, peak_heap.rs and ingest_heap.rs install counting GlobalAllocs) and the frozen
-# benchmark/ are outside this set.
+# tests/ (alloc.rs installs a counting GlobalAlloc; peak_heap.rs and ingest_heap.rs install
+# the one in tests/common/heap.rs) and the frozen benchmark/ are outside this set.
 for root in crates/*/src/lib.rs crates/*/src/main.rs src/lib.rs; do
   if ! grep -q '^#!\[forbid(unsafe_code)\]' "$root"; then
     echo "$root lacks #![forbid(unsafe_code)]" >&2
@@ -20,7 +20,7 @@ if grep -rnw unsafe crates/*/src src; then
   exit 1
 fi
 
-echo "==> kept deleted: three cache stores, one store contract, no hand-rolled policy table, one way for windows to reach the recorder, one helper crew, one way to retrain, no per-window object map, one window log, no scattered partition order"
+echo "==> kept deleted: three cache stores, one store contract, no hand-rolled policy table, one way for windows to reach the recorder, one helper crew, one way to retrain, no per-window object map, one window log, no scattered partition order, no shadow copies, one serve-path contract"
 # SampleStore (crates/sim/src/store.rs) holds the only swap_remove fix-up:
 # LhrCache and the threshold shadow kept their own until they moved onto
 # it. Everything above a file's first #[cfg(test)] is non-test code.
@@ -104,6 +104,21 @@ fi
 if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' crates/sim/src/shard.rs \
     | grep -E '\bGATHER\b|\border:'; then
   echo "the scattered partition order in lhr_sim::shard (see the lines above)" >&2
+  exit 1
+fi
+# LHR's threshold shadows read the window's requests, their probabilities
+# and the live store as LHR holds them: no per-request shadow record and
+# no shadow entry point beside ThresholdEstimator::update. The export
+# marks exemplars through exemplar_marks alone.
+if grep -rnE 'ShadowRequest|shadow_hit_ratio|mark_exemplars' crates; then
+  echo "a name of the deleted shadow copies or exemplar setter is back (see the lines above)" >&2
+  exit 1
+fi
+# The serve path trusts the hit_check contract (Some only for a cached id,
+# and then a Hit), so the miss path takes no compute time decided before it.
+if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' crates/proto/src/server.rs \
+    | grep -E '\bdecided *:'; then
+  echo "a decided-admission parameter in lhr_proto::server (see the lines above)" >&2
   exit 1
 fi
 # Threads are spawned, woken and counted in lhr_util::sync alone (claim_each,

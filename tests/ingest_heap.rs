@@ -4,66 +4,20 @@
 //!
 //! This file is its own test binary because `#[global_allocator]` is
 //! process-wide, and it holds a single test: the high-water mark counts
-//! every thread's bytes, so nothing else may allocate while it measures.
+//! every thread's bytes, so nothing else may allocate while it measures
+//! (`common/heap.rs` has the counting allocator).
 
 use lhr_repro::trace::io;
 use lhr_repro::trace::synth::{IrmConfig, SizeModel};
 use lhr_repro::trace::Request;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
-/// Tracks the bytes currently allocated, process-wide, and their
-/// high-water mark.
-struct Tracking;
-
-static CURRENT: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grew(bytes: usize) {
-    let now = CURRENT.fetch_add(bytes, Relaxed) + bytes;
-    PEAK.fetch_max(now, Relaxed);
-}
-
-unsafe impl GlobalAlloc for Tracking {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let ptr = System.alloc(layout);
-        if !ptr.is_null() {
-            grew(layout.size());
-        }
-        ptr
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let ptr = System.alloc_zeroed(layout);
-        if !ptr.is_null() {
-            grew(layout.size());
-        }
-        ptr
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let moved = System.realloc(ptr, layout, new_size);
-        if !moved.is_null() {
-            CURRENT.fetch_sub(layout.size(), Relaxed);
-            grew(new_size);
-        }
-        moved
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-        CURRENT.fetch_sub(layout.size(), Relaxed);
-    }
-}
+#[path = "common/heap.rs"]
+mod heap;
 
 #[global_allocator]
-static GLOBAL: Tracking = Tracking;
+static GLOBAL: heap::Tracking = heap::Tracking;
 
-/// The most bytes `f` had allocated at once, beyond what was allocated
-/// when it started.
-fn high_water(f: impl FnOnce()) -> usize {
-    let base = CURRENT.load(Relaxed);
-    PEAK.store(base, Relaxed);
-    f();
-    PEAK.load(Relaxed) - base
-}
+use heap::high_water;
 
 #[test]
 fn reading_a_csv_trace_holds_at_most_2_mib_beyond_its_requests() {

@@ -11,7 +11,8 @@
 //!
 //! This file is its own test binary because `#[global_allocator]` is
 //! process-wide, and it holds a single test: the high-water mark counts
-//! every thread's bytes, so nothing else may allocate while it measures.
+//! every thread's bytes, so nothing else may allocate while it measures
+//! (`common/heap.rs` has the counting allocator).
 
 use lhr_repro::core::cache::{LhrCache, LhrConfig};
 use lhr_repro::core::features::FeatureStore;
@@ -23,61 +24,14 @@ use lhr_repro::sim::shard::{shard_seed, RouteConfig};
 use lhr_repro::sim::{CachePolicy, OfflineBound};
 use lhr_repro::trace::synth::{markov, IrmConfig, SizeModel};
 use lhr_repro::trace::Trace;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
-/// Tracks the bytes currently allocated, process-wide, and their
-/// high-water mark.
-struct Tracking;
-
-static CURRENT: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grew(bytes: usize) {
-    let now = CURRENT.fetch_add(bytes, Relaxed) + bytes;
-    PEAK.fetch_max(now, Relaxed);
-}
-
-unsafe impl GlobalAlloc for Tracking {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let ptr = System.alloc(layout);
-        if !ptr.is_null() {
-            grew(layout.size());
-        }
-        ptr
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let ptr = System.alloc_zeroed(layout);
-        if !ptr.is_null() {
-            grew(layout.size());
-        }
-        ptr
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let moved = System.realloc(ptr, layout, new_size);
-        if !moved.is_null() {
-            CURRENT.fetch_sub(layout.size(), Relaxed);
-            grew(new_size);
-        }
-        moved
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-        CURRENT.fetch_sub(layout.size(), Relaxed);
-    }
-}
+#[path = "common/heap.rs"]
+mod heap;
 
 #[global_allocator]
-static GLOBAL: Tracking = Tracking;
+static GLOBAL: heap::Tracking = heap::Tracking;
 
-/// The most bytes `f` had allocated at once, beyond what was allocated
-/// when it started.
-fn high_water(f: impl FnOnce()) -> usize {
-    let base = CURRENT.load(Relaxed);
-    PEAK.store(base, Relaxed);
-    f();
-    PEAK.load(Relaxed) - base
-}
+use heap::high_water;
 
 /// `lhr-cache server --policy LHR --threads 1 --shards N` on `trace`.
 fn lhr_replay(trace: &Trace, capacity: u64, n_shards: usize) {
@@ -206,8 +160,7 @@ fn more_shards_of_one_trace_do_not_raise_the_heap_high_water_mark() {
             ..config
         },
     );
-    let base = CURRENT.load(Relaxed);
-    PEAK.store(base, Relaxed);
+    let base = heap::reset_peak();
     let mut requests = trace.iter();
     let mut bootstrap_len = 0;
     for req in requests.by_ref() {
@@ -217,12 +170,12 @@ fn more_shards_of_one_trace_do_not_raise_the_heap_high_water_mark() {
             break;
         }
     }
-    let bootstrap = PEAK.load(Relaxed) - base;
-    PEAK.store(CURRENT.load(Relaxed), Relaxed);
+    let bootstrap = heap::peak_above(base);
+    heap::reset_peak();
     for req in requests {
         lhr.handle(req);
     }
-    let later = PEAK.load(Relaxed) - base;
+    let later = heap::peak_above(base);
     let stats = lhr.stats();
     assert!(stats.windows >= 6, "{} windows closed", stats.windows);
     assert_eq!(stats.trainings, 1, "the bootstrap model is never retrained");

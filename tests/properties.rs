@@ -601,6 +601,8 @@ fn hit_check_overrides_match_default_path_byte_identically() {
 /// T1→T2, W-TinyLFU window→probation→protected, Hawkeye friendly↔averse)
 /// and the sampled stores' `swap_remove` fix-up. A twin that is never
 /// restamped makes the same decisions: the stamp is read by no policy.
+/// And `hit_check` answers `Some` exactly for a cached id, with a `Hit`:
+/// the contract `CdnServer`'s serve path relies on.
 #[test]
 fn every_roster_policy_keeps_the_stamp_the_server_used_to_keep() {
     use lhr_repro::proto::presets::{self, PolicyParams};
@@ -628,7 +630,12 @@ fn every_roster_policy_keeps_the_stamp_the_server_used_to_keep() {
                 };
                 for req in trace.iter() {
                     let was_cached = policy.contains(req.id);
-                    let outcome = match (path != "handle").then(|| policy.hit_check(req)).flatten() {
+                    let checked = (path != "handle").then(|| policy.hit_check(req));
+                    if let Some(checked) = checked {
+                        prop_assert_eq!(checked.is_some(), was_cached, "{name} via {path}: hit_check answered for the wrong ids");
+                        prop_assert!(checked.is_none_or(|outcome| outcome.is_hit()), "{name} via {path}: hit_check answered {:?}", checked);
+                    }
+                    let outcome = match checked.flatten() {
                         Some(outcome) => outcome,
                         None => policy.handle(req),
                     };
