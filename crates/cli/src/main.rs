@@ -178,7 +178,8 @@ USAGE:
     --slo LIST                declare burn-rate objectives evaluated at
                               export, e.g. avail:99.9,hitratio:80,p99:250;
                               breaches become SloBreach/SloRecover events
-  bound also accepts --obs PATH (per-bound evaluation spans + counters).
+  bound also accepts --obs PATH (per-bound evaluation spans + counters;
+  a JSONL export only — it records no window series to write as .csv).
 
   SIZE accepts raw bytes or suffixes KB/MB/GB/TB (powers of 10).
   Trace-reading commands accept --lossy true to skip malformed CSV lines
@@ -327,7 +328,7 @@ fn cmd_generate(args: &Args, out: &mut impl Write) -> Result<(), Stop> {
         "syn-two" => markov::syn_two(objects, requests, per_state, seed),
         _ => unreachable!("the kind was matched against the same list above"),
     };
-    let file = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
+    let file = create(path)?;
     if path.ends_with(".bin") {
         io::write_binary(&trace, file).map_err(|e| format!("{path}: {e}"))?;
     } else {
@@ -664,7 +665,8 @@ fn shard_args(args: &Args) -> Result<Option<(usize, usize)>, String> {
 
 /// What `simulate`, `server` and `fleet` set up the same way before they
 /// replay: the trace, `--policy`, `--capacity`, `--seed`, the sharding
-/// flags, and the `--obs` recorder with its sink already open.
+/// flags, the `--obs` recorder with its sink already open, and the
+/// `--report` file, created.
 struct PolicyRun {
     trace: Trace,
     capacity: u64,
@@ -673,6 +675,7 @@ struct PolicyRun {
     /// `(threads, shards)` when either flag was given.
     sharding: Option<(usize, usize)>,
     obs: Option<(Obs, String)>,
+    report: Option<(std::fs::File, String)>,
 }
 
 impl PolicyRun {
@@ -696,9 +699,15 @@ impl PolicyRun {
         let obs = obs_from_args(args)?;
         let own = own()?;
         let trace = load_trace(args)?;
+        // Every output path is opened before the replay, so one that
+        // cannot be written fails before the run instead of after it.
         if let Some((o, path)) = &obs {
             start_obs(o, path)?;
         }
+        let report = match args.get("report") {
+            Some(path) => Some((create(path)?, path.clone())),
+            None => None,
+        };
         let run = PolicyRun {
             trace,
             capacity,
@@ -706,6 +715,7 @@ impl PolicyRun {
             build,
             sharding,
             obs,
+            report,
         };
         Ok((run, own))
     }
@@ -727,6 +737,19 @@ impl PolicyRun {
             .map_err(|e| e.to_string())
     }
 
+    /// Writes the stable JSON report into the `--report` file, if there
+    /// is one.
+    fn write_report(&mut self, stable_json: impl FnOnce() -> String) -> Result<(), String> {
+        let Some((file, path)) = &mut self.report else {
+            return Ok(());
+        };
+        let body = stable_json();
+        file.write_all(body.as_bytes())
+            .map_err(|e| format!("{path}: {e}"))?;
+        eprintln!("report: wrote {} bytes to {path}", body.len());
+        Ok(())
+    }
+
     /// Completes the `--obs` recording, if there is one.
     fn close(self) -> Result<(), String> {
         match &self.obs {
@@ -736,15 +759,9 @@ impl PolicyRun {
     }
 }
 
-/// Writes the stable JSON report where `--report PATH` asks for it.
-fn write_report(args: &Args, stable_json: impl FnOnce() -> String) -> Result<(), String> {
-    let Some(path) = args.get("report") else {
-        return Ok(());
-    };
-    let body = stable_json();
-    std::fs::write(path, &body).map_err(|e| format!("{path}: {e}"))?;
-    eprintln!("report: wrote {} bytes to {path}", body.len());
-    Ok(())
+/// Creates (or truncates) the output file at `path`.
+fn create(path: &str) -> Result<std::fs::File, String> {
+    std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))
 }
 
 fn cmd_simulate(args: &Args, out: &mut impl Write) -> Result<(), Stop> {
@@ -918,7 +935,7 @@ fn cmd_server(args: &Args, out: &mut impl Write) -> Result<(), Stop> {
 
     // `--threads`/`--shards`/`--report` select the sharded engine; its
     // stable report is byte-identical at any thread count.
-    if run.sharding.is_some() || args.get("report").is_some() {
+    if run.sharding.is_some() || run.report.is_some() {
         use lhr_proto::{EngineConfig, ShardedEngine};
         let (threads, n_shards) = run.sharding.unwrap_or((1, 16));
         run.check_shardable()?;
@@ -937,7 +954,7 @@ fn cmd_server(args: &Args, out: &mut impl Write) -> Result<(), Stop> {
             (run.build)(&params.for_shard(shard_capacity, shard, shard_obs))
         });
         print_server_report(out, &er.report, Some(&er), faulted)?;
-        write_report(args, || er.stable_json())?;
+        run.write_report(|| er.stable_json())?;
     } else {
         let policy = (run.build)(&PolicyParams {
             obs: run.obs(),
@@ -1186,7 +1203,7 @@ fn cmd_fleet(args: &Args, out: &mut impl Write) -> Result<(), Stop> {
         )?;
     }
     writeln!(out, "replay wall:     {:.2} s", r.replay_wall_secs)?;
-    write_report(args, || r.stable_json())?;
+    run.write_report(|| r.stable_json())?;
     Ok(run.close()?)
 }
 
@@ -1197,8 +1214,12 @@ fn cmd_bound(args: &Args, out: &mut impl Write) -> Result<(), Stop> {
     // span, `bound.<name>.{requests,hits}` counters and a
     // `bound.<name>.hit_ratio` gauge into one export.
     let obs = obs_from_args(args)?;
+    if obs.as_ref().is_some_and(|(_, path)| path.ends_with(".csv")) {
+        return Err("bound records no window series: --obs takes a JSONL path, not .csv".into());
+    }
     let trace = load_trace(args)?;
-    if let Some((o, _)) = &obs {
+    if let Some((o, path)) = &obs {
+        start_obs(o, path)?;
         o.set_meta("command", "bound");
         o.set_meta("trace", trace.name.as_str());
         o.set_meta("capacity", capacity);
@@ -1234,9 +1255,7 @@ fn cmd_bound(args: &Args, out: &mut impl Write) -> Result<(), Stop> {
         )?;
     }
     if let Some((o, path)) = &obs {
-        let jsonl = o.to_jsonl();
-        std::fs::write(path, &jsonl).map_err(|e| format!("{path}: {e}"))?;
-        eprintln!("obs: wrote {} bytes to {path}", jsonl.len());
+        finish_obs(o, path)?;
     }
     Ok(())
 }

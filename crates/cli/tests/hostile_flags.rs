@@ -96,6 +96,48 @@ fn an_absurd_shard_count_is_refused_by_every_sharded_command() {
     assert!(out.status.success(), "{out:?}");
 }
 
+/// Every output path is opened before the replay: a `--report` or
+/// `bound --obs` path that cannot be created is one error line with no
+/// report or bound row printed, and `bound`, which records no window
+/// series, refuses a `.csv` export without creating it.
+#[test]
+fn an_output_path_that_cannot_be_written_is_refused_before_the_run() {
+    let trace = TraceFile::generate("outputs");
+    let dir = std::env::temp_dir().join(format!("lhr-hostile-no-such-dir-{}", std::process::id()));
+    let unwritable = |name: &str| {
+        dir.join(name)
+            .to_str()
+            .expect("utf-8 temp path")
+            .to_string()
+    };
+    let report = unwritable("r.json");
+    for command in ["server", "fleet"] {
+        let out = cli(&[
+            command,
+            "--policy",
+            "LRU",
+            "--capacity",
+            "1MB",
+            "--report",
+            &report,
+            trace.path(),
+        ]);
+        assert_one_line_error(&out, &report);
+    }
+    let obs = unwritable("o.jsonl");
+    let out = cli(&["bound", "--capacity", "1MB", "--obs", &obs, trace.path()]);
+    assert_one_line_error(&out, &obs);
+
+    let csv = std::env::temp_dir().join(format!("lhr-hostile-bound-{}.csv", std::process::id()));
+    let csv = csv.to_str().expect("utf-8 temp path");
+    let out = cli(&["bound", "--capacity", "1MB", "--obs", csv, trace.path()]);
+    assert_one_line_error(&out, "--obs");
+    assert!(
+        !std::path::Path::new(csv).exists(),
+        "a refused export is not created"
+    );
+}
+
 #[test]
 fn a_hint_ttl_that_is_not_a_duration_is_refused() {
     // `nan` and `-1` both used to run: every hint lookup refused and

@@ -180,9 +180,9 @@ pub struct LhrCache {
     labeled_history: std::collections::VecDeque<(Vec<f32>, Vec<f32>)>,
     model: Option<Gbm>,
     /// A retraining scheduled at one window edge and fit at a later one:
-    /// `(due window, training set)`. The first edge at or past the due
-    /// window fits the set and installs the model (`install_due_model`).
-    pending: Option<(u64, Dataset)>,
+    /// its due window. The first edge at or past it builds the set from
+    /// the history, fits it and installs the model (`install_due_model`).
+    pending: Option<u64>,
     /// Retrained models installed so far (the `ModelSwap` epoch).
     epoch: u64,
     detector: ZipfDetector,
@@ -279,8 +279,8 @@ impl LhrCache {
     /// evaluates the threshold); or its edge will evaluate the threshold on
     /// a fresh model — a retrained one whose install is pinned to it.
     fn plan_rows(&self, index: u64, prev_len: usize) -> usize {
-        let edge_evaluates_threshold = self.config.fixed_threshold.is_none()
-            && self.pending.as_ref().is_some_and(|&(due, _)| due <= index);
+        let edge_evaluates_threshold =
+            self.config.fixed_threshold.is_none() && self.pending.is_some_and(|due| due <= index);
         if self.config.rescore_hits || self.model.is_none() || edge_evaluates_threshold {
             1
         } else {
@@ -509,15 +509,7 @@ impl LhrCache {
     /// labeled rows exist yet.
     fn build_train_data(&self) -> Option<Dataset> {
         let n_feat = self.features.n_features();
-        let total: usize = self
-            .labeled_history
-            .iter()
-            .map(|(_, labels)| labels.len())
-            .sum();
-        if total == 0 {
-            return None;
-        }
-        let stride = (total / self.config.max_train_rows.max(1)).max(1);
+        let (total, stride) = self.history_rows()?;
         let mut data = Dataset::new(n_feat);
         data.reserve(total / stride + 1);
         let mut i = 0usize;
@@ -529,10 +521,14 @@ impl LhrCache {
                 i += 1;
             }
         }
-        if data.is_empty() {
-            return None;
-        }
         Some(data)
+    }
+
+    /// The labeled rows held and the stride that keeps a training set of
+    /// them within `max_train_rows`; `None` when there are none.
+    fn history_rows(&self) -> Option<(usize, usize)> {
+        let total: usize = self.labeled_history.iter().map(|(_, l)| l.len()).sum();
+        (total > 0).then(|| (total, (total / self.config.max_train_rows.max(1)).max(1)))
     }
 
     /// Trains the bootstrap admission model inline. Returns
@@ -551,25 +547,27 @@ impl LhrCache {
     /// Schedules a retraining triggered at `window`: its training set is
     /// fit and installed at the next window edge, so which window's data
     /// trains a model and which edge activates it are both fixed by window
-    /// index. Returns the training-set size when there was a set to fit.
+    /// index. Returns the training-set size when there is a set to fit.
     fn schedule_train(&mut self, window: u64) -> Option<usize> {
         debug_assert!(self.pending.is_none(), "one retraining pending at most");
-        let data = self.build_train_data()?;
-        let rows = data.n_rows();
-        self.pending = Some((window + 1, data));
+        let (total, stride) = self.history_rows()?;
+        self.pending = Some(window + 1);
         self.stats.trainings += 1;
-        Some(rows)
+        Some(total.div_ceil(stride))
     }
 
-    /// At the edge of window `window`: if the pending training set is due
-    /// (`window` at or past its due window), fits it, swaps the model into
-    /// the serving path and emits a `ModelSwap` event. Returns whether a
-    /// swap happened. A run that ends before the due edge never fits the
-    /// set.
+    /// At the edge of window `window`: if the pending retraining is due
+    /// (`window` at or past its due window), builds its set — from the
+    /// history it was scheduled on, as no edge labels a window before this
+    /// runs — fits it, swaps the model into the serving path and emits a
+    /// `ModelSwap` event. Returns whether a swap happened.
     fn install_due_model(&mut self, window: u64, t_end: f64) -> bool {
-        let Some((_, data)) = self.pending.take_if(|&mut (due, _)| window >= due) else {
+        if self.pending.take_if(|due| window >= *due).is_none() {
             return false;
-        };
+        }
+        let data = self
+            .build_train_data()
+            .expect("a retraining is scheduled on a non-empty history");
         // Unlike the bootstrap's, this fit records no spans: the export's
         // span tree holds the bootstrap fit alone, and the counters below
         // account for this one.
@@ -914,12 +912,12 @@ mod tests {
                 assert_eq!(model.to_json_string(), expect, "window {edge}");
                 installs += 1;
             }
-            let (due, data) = cache
+            let due = cache
                 .pending
-                .as_ref()
                 .expect("N-LHR schedules at every edge; the set waits for the next");
-            assert_eq!(*due, edge + 1, "pinned to the next edge");
-            scheduled = Some((edge, Gbm::fit(data, &cache.config.gbm).to_json_string()));
+            assert_eq!(due, edge + 1, "pinned to the next edge");
+            let data = cache.build_train_data().expect("a non-empty history");
+            scheduled = Some((edge, Gbm::fit(&data, &cache.config.gbm).to_json_string()));
         }
         let stats = cache.stats();
         assert!(installs >= 2, "need several installs: {installs}");
@@ -943,6 +941,16 @@ mod tests {
                 Some((k + 1) as f64)
             );
             assert_eq!(swap.get("wall_secs").and_then(|v| v.as_f64()), Some(0.0));
+            // The Retrain event at the scheduling edge counted the rows the
+            // install built and fit.
+            let retrain = events
+                .iter()
+                .find(|e| {
+                    e.kind == EventKind::Retrain
+                        && e.get("window").and_then(|v| v.as_f64()) == Some((k + 1) as f64)
+                })
+                .expect("a Retrain at the scheduling edge");
+            assert_eq!(retrain.get("rows"), swap.get("rows"));
         }
         // (c) The run ended with the last set pending: it counts as a
         // training but was never fit — `gbm.fits` holds the bootstrap and
@@ -957,7 +965,7 @@ mod tests {
         // (b) The set is not due at the edge that scheduled it, and any
         // edge at or past the due one installs it — a window index that
         // jumps past the pinned edge included — advancing the epoch.
-        let (due, _) = *cache.pending.as_ref().expect("pending at run end");
+        let due = cache.pending.expect("pending at run end");
         assert!(!cache.install_due_model(due - 1, 0.0));
         assert!(cache.install_due_model(due + 5, 0.0));
         assert!(cache.pending.is_none());

@@ -105,12 +105,6 @@ impl EventKind {
     }
 }
 
-impl ToJson for EventKind {
-    fn to_json(&self) -> Json {
-        Json::Str(self.name().to_string())
-    }
-}
-
 impl FromJson for EventKind {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         EventKind::ALL
@@ -158,7 +152,7 @@ impl Event {
 }
 
 impl Event {
-    /// This event's fields in [`ToJson`] order, for
+    /// This event's fields in export order, for
     /// [`crate::ObsRecord::write_line`].
     pub(crate) fn write_fields(&self, w: &mut ObjectWriter<'_>) {
         w.float("t", self.t);
@@ -168,16 +162,6 @@ impl Event {
             fields.json(k, v);
         }
         fields.end();
-    }
-}
-
-impl ToJson for Event {
-    fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("t".to_string(), self.t.to_json()),
-            ("kind".to_string(), self.kind.to_json()),
-            ("fields".to_string(), Json::Object(self.fields.clone())),
-        ])
     }
 }
 
@@ -201,25 +185,31 @@ mod tests {
     use super::*;
 
     #[test]
-    fn event_json_roundtrip_is_byte_identical() {
+    fn event_line_roundtrip_is_byte_identical() {
         let e = Event::new(12.5, EventKind::Retrain)
             .field("window", 3u64)
             .field("rows", 4096u64)
             .field("wall_secs", 0.25f64);
-        let text = e.to_json().to_string();
-        let back = Event::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, e);
-        assert_eq!(back.to_json().to_string(), text);
+        let record = crate::ObsRecord::Event(e);
+        let line = record.to_line();
+        assert_eq!(
+            line,
+            r#"{"record":"event","t":12.5,"kind":"Retrain","fields":{"window":3,"rows":4096,"wall_secs":0.25}}"#
+        );
+        let back = crate::ObsRecord::parse_line(&line).unwrap();
+        assert_eq!(back, record);
+        let crate::ObsRecord::Event(back) = back else {
+            unreachable!("an event line parses to an event")
+        };
         assert_eq!(back.get("rows").unwrap().as_f64().unwrap(), 4096.0);
     }
 
     #[test]
     fn every_kind_roundtrips() {
         for kind in EventKind::ALL {
-            let text = kind.to_json().to_string();
-            assert_eq!(text, format!("\"{kind:?}\""), "name is the variant name");
+            assert_eq!(kind.name(), format!("{kind:?}"), "name is the variant name");
             assert_eq!(
-                EventKind::from_json(&Json::parse(&text).unwrap()).unwrap(),
+                EventKind::from_json(&Json::Str(kind.name().to_string())).unwrap(),
                 kind
             );
         }

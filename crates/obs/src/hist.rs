@@ -6,7 +6,7 @@
 //! (no locking) and merge it into the shared [`crate::Obs`] registry once
 //! at the end of the run.
 
-use lhr_util::json::{self, FromJson, Json, JsonError, ObjectWriter, ToJson};
+use lhr_util::json::{self, FromJson, Json, JsonError, ObjectWriter};
 
 /// A log₂-bucketed histogram of `u64` samples.
 #[derive(Debug, Clone, PartialEq)]
@@ -117,11 +117,6 @@ impl LogHistogram {
         Self::bucket_floor(64)
     }
 
-    /// The non-empty buckets as `(floor, count)` pairs.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.nonzero().collect()
-    }
-
     fn nonzero(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.buckets
             .iter()
@@ -132,7 +127,7 @@ impl LogHistogram {
 }
 
 impl LogHistogram {
-    /// This histogram's fields in [`ToJson`] order, for
+    /// This histogram's fields in export order, for
     /// [`crate::ObsRecord::write_line`].
     pub(crate) fn write_fields(&self, w: &mut ObjectWriter<'_>) {
         w.uint("total", self.total);
@@ -152,18 +147,6 @@ impl LogHistogram {
             out.push(']');
         }
         out.push(']');
-    }
-}
-
-impl ToJson for LogHistogram {
-    fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("total".to_string(), self.total.to_json()),
-            ("sum".to_string(), self.sum.to_json()),
-            ("min".to_string(), self.min().to_json()),
-            ("max".to_string(), self.max.to_json()),
-            ("buckets".to_string(), self.nonzero_buckets().to_json()),
-        ])
     }
 }
 
@@ -234,19 +217,21 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip() {
+    fn line_roundtrip() {
         let mut h = LogHistogram::new();
         for v in [0u64, 5, 5, 900, u64::MAX] {
             h.record(v);
         }
-        let text = h.to_json().to_string();
-        let back = LogHistogram::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, h);
-        assert_eq!(back.to_json().to_string(), text);
-        // Empty histogram survives too.
-        let e = LogHistogram::new();
-        let back =
-            LogHistogram::from_json(&Json::parse(&e.to_json().to_string()).unwrap()).unwrap();
-        assert_eq!(back, e);
+        // The empty histogram survives too.
+        for hist in [h, LogHistogram::new()] {
+            let record = crate::ObsRecord::Hist {
+                name: "h".to_string(),
+                hist,
+            };
+            let line = record.to_line();
+            let back = crate::ObsRecord::parse_line(&line).unwrap();
+            assert_eq!(back, record);
+            assert_eq!(back.to_line(), line);
+        }
     }
 }

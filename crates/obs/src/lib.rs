@@ -53,7 +53,7 @@
 //!
 //! ```
 //! use lhr_obs::{Obs, ObsConfig, ObsWindow};
-//! use lhr_obs::series::{ReqSample, SeriesAcc};
+//! use lhr_obs::series::{SeriesAcc, Totals};
 //!
 //! let obs = Obs::new(ObsConfig {
 //!     window: ObsWindow::Requests(2),
@@ -61,14 +61,14 @@
 //!     ..ObsConfig::default()
 //! });
 //! let mut acc = SeriesAcc::new(obs.window());
+//! let mut totals = Totals::default();
 //! for i in 0..5u64 {
-//!     acc.on_request(if i % 2 == 0 {
-//!         ReqSample::hit(i, 100)
-//!     } else {
-//!         ReqSample::miss_admitted(i, 100)
-//!     });
+//!     // Each request is shown to the series before it is counted.
+//!     acc.observe(i, || totals);
+//!     totals.requests += 1;
+//!     totals.hits += (i % 2 == 0) as u64;
 //! }
-//! obs.push_windows(acc.finish());
+//! obs.push_windows(acc.finish(totals));
 //! let jsonl = obs.to_jsonl();
 //! assert_eq!(jsonl.lines().count(), 1 + 3); // meta + 2 full windows + 1 partial
 //! ```

@@ -20,7 +20,7 @@ use crate::hist::LogHistogram;
 use crate::series::WindowRecord;
 use crate::span::SpanRecord;
 use crate::trace::TraceRecord;
-use lhr_util::json::{FromJson, Json, JsonError, ObjectWriter, ToJson};
+use lhr_util::json::{FromJson, Json, JsonError, ObjectWriter};
 
 /// One line of an obs JSONL stream.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,9 +64,10 @@ impl ObsRecord {
         self.as_ref().tag()
     }
 
-    /// Appends this record's JSONL line (no trailing newline) to `out`:
-    /// byte for byte `self.to_json().to_string()`, written field by field
-    /// instead of through a [`Json`] tree — the export's one serializer.
+    /// Appends this record's JSONL line (no trailing newline) to `out`,
+    /// written field by field through [`ObjectWriter`] — the export's one
+    /// serializer. The line is the canonical spelling:
+    /// `Json::parse(line)?.to_string()` is the line itself.
     pub fn write_line(&self, out: &mut String) {
         self.as_ref().write_line(out);
     }
@@ -150,7 +151,8 @@ impl RecordRef<'_> {
     }
 
     /// The line of [`ObsRecord::write_line`]. Each variant writes its
-    /// fields in the order its `ToJson` impl lists them.
+    /// fields in the fixed order of the module docs (the serving goldens
+    /// under `tests/golden/serving/` pin it).
     pub(crate) fn write_line(&self, out: &mut String) {
         let mut w = ObjectWriter::new(out);
         w.string("record", self.tag());
@@ -207,45 +209,6 @@ impl RecordRef<'_> {
     }
 }
 
-/// Prepends the `"record"` tag to a payload object's fields.
-fn tagged(tag: &str, payload: Json) -> Json {
-    let mut fields = vec![("record".to_string(), Json::Str(tag.to_string()))];
-    match payload {
-        Json::Object(rest) => fields.extend(rest),
-        other => fields.push(("value".to_string(), other)),
-    }
-    Json::Object(fields)
-}
-
-impl ToJson for ObsRecord {
-    fn to_json(&self) -> Json {
-        let payload = match self {
-            ObsRecord::Meta(fields) => Json::Object(fields.clone()),
-            ObsRecord::Window(w) => w.to_json(),
-            ObsRecord::Event(e) => e.to_json(),
-            ObsRecord::Counter { name, value } => Json::Object(vec![
-                ("name".to_string(), name.to_json()),
-                ("value".to_string(), value.to_json()),
-            ]),
-            ObsRecord::Gauge { name, value } => Json::Object(vec![
-                ("name".to_string(), name.to_json()),
-                ("value".to_string(), value.to_json()),
-            ]),
-            ObsRecord::Hist { name, hist } => {
-                let mut fields = vec![("name".to_string(), name.to_json())];
-                match hist.to_json() {
-                    Json::Object(rest) => fields.extend(rest),
-                    _ => unreachable!("histograms serialize as objects"),
-                }
-                Json::Object(fields)
-            }
-            ObsRecord::Span(s) => s.to_json(),
-            ObsRecord::Trace(t) => t.to_json(),
-        };
-        tagged(self.tag(), payload)
-    }
-}
-
 impl FromJson for ObsRecord {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         let tag: String = lhr_util::json::field(v, "record")?;
@@ -288,6 +251,7 @@ impl FromJson for ObsRecord {
 mod tests {
     use super::*;
     use crate::event::EventKind;
+    use lhr_util::json::ToJson;
 
     #[test]
     fn every_variant_roundtrips_byte_identically() {

@@ -22,16 +22,15 @@
 //! making the gap visible without flooding the output. The final partial
 //! window is always flushed by [`SeriesAcc::finish`].
 //!
-//! # Two feeding paths
+//! # Feeding
 //!
-//! - [`SeriesAcc::observe`] is the delta path every replay loop takes,
-//!   through `lhr_sim::ledger::Ledger` — the one running [`Totals`] the
-//!   simulator and the serving core both count into: per request it costs
-//!   one boundary compare and a timestamp store, and windows are
-//!   materialized at flush time as snapshot deltas.
-//! - [`SeriesAcc::on_request`] counts every field per request: the simple
-//!   API for a loop with no counters of its own, and the oracle the delta
-//!   path is property-tested against.
+//! Every replay loop feeds the series through `lhr_sim::ledger::Ledger` —
+//! the one running [`Totals`] the simulator and the serving core both
+//! count into. [`SeriesAcc::observe`] sees each measured request before
+//! the caller counts it: per request it costs one boundary compare and a
+//! timestamp store, and a window is materialized at its edge as the delta
+//! between two snapshots of the totals. A new per-window series is one
+//! [`Totals`] field and one [`WindowRecord`] field.
 
 use lhr_util::json::{Json, ObjectWriter, ToJson};
 use std::fmt;
@@ -298,73 +297,6 @@ fn ratio(num: u64, den: u64) -> f64 {
     }
 }
 
-/// One request as the series sees it. Build with one of the constructors,
-/// then override flags (`stale`, `coalesced`, …) as needed.
-#[derive(Debug, Clone, Copy)]
-pub struct ReqSample {
-    /// Trace time in microseconds (the trace clock's native unit — keeping
-    /// the hot path integer-only is part of the < 5 % overhead budget;
-    /// conversion to seconds happens once per window flush).
-    pub t_micros: u64,
-    /// Object size in bytes.
-    pub bytes: u64,
-    /// Served from cache (fresh or stale).
-    pub hit: bool,
-    /// Miss admitted into the cache.
-    pub admitted: bool,
-    /// Miss bypassed by admission control.
-    pub bypassed: bool,
-    /// Error response (origin unreachable, no fallback).
-    pub error: bool,
-    /// Served from an expired cached copy.
-    pub stale: bool,
-    /// Joined an in-flight origin fetch.
-    pub coalesced: bool,
-}
-
-impl ReqSample {
-    /// A cache hit.
-    #[inline]
-    pub fn hit(t_micros: u64, bytes: u64) -> Self {
-        ReqSample {
-            t_micros,
-            bytes,
-            hit: true,
-            admitted: false,
-            bypassed: false,
-            error: false,
-            stale: false,
-            coalesced: false,
-        }
-    }
-
-    /// A miss that was admitted.
-    #[inline]
-    pub fn miss_admitted(t_micros: u64, bytes: u64) -> Self {
-        ReqSample {
-            admitted: true,
-            ..ReqSample::hit(t_micros, bytes)
-        }
-        .with_hit(false)
-    }
-
-    /// A miss that was bypassed.
-    #[inline]
-    pub fn miss_bypassed(t_micros: u64, bytes: u64) -> Self {
-        ReqSample {
-            bypassed: true,
-            ..ReqSample::hit(t_micros, bytes)
-        }
-        .with_hit(false)
-    }
-
-    #[inline]
-    fn with_hit(mut self, hit: bool) -> Self {
-        self.hit = hit;
-        self
-    }
-}
-
 /// Cumulative measured-request totals: the one running counter struct of
 /// a replay (`lhr_sim::ledger::Ledger` keeps it for the simulator and the
 /// serving core alike). [`SeriesAcc::observe`] turns snapshots of these
@@ -411,23 +343,22 @@ impl std::ops::AddAssign<&Totals> for Totals {
     }
 }
 
-/// The in-loop accumulator: cheap per-request updates, one [`WindowRecord`]
-/// per completed window.
+/// The in-loop accumulator: one boundary check per request, one
+/// [`WindowRecord`] per completed window.
 #[derive(Debug, Clone)]
 pub struct SeriesAcc {
     window: ObsWindow,
     /// Time-window length in integer microseconds (0 for request windows).
     window_micros: u64,
     /// Trace time anchoring time-based windows (first measured request).
-    anchor_micros: Option<u64>,
+    anchor_micros: u64,
     cur: WindowRecord,
     /// Timestamps of the open window, converted to seconds only at flush.
     first_micros: u64,
     last_micros: u64,
     cur_open: bool,
-    total_requests: u64,
-    /// Delta path only: requests observed in the open window, and the
-    /// caller's totals as of the last flush.
+    /// Requests observed in the open window, and the caller's totals as of
+    /// its opening.
     open_len: u64,
     flushed: Totals,
     done: Vec<WindowRecord>,
@@ -442,104 +373,30 @@ impl SeriesAcc {
                 ObsWindow::Secs(w) => (w * 1e6).round().max(1.0) as u64,
                 ObsWindow::Requests(_) => 0,
             },
-            anchor_micros: None,
+            anchor_micros: 0,
             cur: WindowRecord::default(),
             first_micros: 0,
             last_micros: 0,
             cur_open: false,
-            total_requests: 0,
             open_len: 0,
             flushed: Totals::default(),
             done: Vec::new(),
         }
     }
 
-    /// Records one request. Returns whether a window was closed by this
-    /// call (what the delta path's property test checks its snapshots
-    /// against).
-    ///
-    /// The counter updates are branchless on the flag fields — this runs
-    /// once per simulated request and the hit/miss pattern is exactly the
-    /// branch the predictor cannot learn.
-    #[inline]
-    pub fn on_request(&mut self, s: ReqSample) -> bool {
-        let mut closed = false;
-        if let ObsWindow::Secs(_) = self.window {
-            let anchor = *self.anchor_micros.get_or_insert(s.t_micros);
-            if self.cur_open {
-                // Half-open: t on the boundary belongs to the next window.
-                let end =
-                    anchor.saturating_add((self.cur.index + 1).saturating_mul(self.window_micros));
-                if s.t_micros >= end {
-                    let next = ((s.t_micros - anchor) / self.window_micros).max(self.cur.index + 1);
-                    self.flush(next);
-                    closed = true;
-                }
-            } else {
-                self.cur.index = (s.t_micros - anchor) / self.window_micros;
-            }
-        }
-        if !self.cur_open {
-            self.cur.start_requests = self.total_requests;
-            self.first_micros = s.t_micros;
-            self.cur_open = true;
-        }
-        self.last_micros = s.t_micros;
-        self.cur.requests += 1;
-        self.cur.bytes_requested += s.bytes as u128;
-        self.total_requests += 1;
-        let hit = s.hit as u64;
-        self.cur.hits += hit;
-        self.cur.bytes_hit += hit as u128 * s.bytes as u128;
-        self.cur.misses_admitted += s.admitted as u64;
-        self.cur.misses_bypassed += s.bypassed as u64;
-        self.cur.errors += s.error as u64;
-        self.cur.stale_served += s.stale as u64;
-        self.cur.coalesced += s.coalesced as u64;
-        if let ObsWindow::Requests(n) = self.window {
-            if self.cur.requests >= n {
-                self.flush(self.cur.index + 1);
-                closed = true;
-            }
-        }
-        closed
-    }
-
-    /// Credits `n` evictions to the open window (call with the delta of the
-    /// policy's eviction counter). When the triggering request itself just
-    /// closed a request-count window, the evictions belong to that window,
-    /// not the unopened next one.
-    #[inline]
-    pub fn on_evictions(&mut self, n: u64) {
-        if n == 0 {
-            return;
-        }
-        if !self.cur_open {
-            if let Some(last) = self.done.last_mut() {
-                last.evictions += n;
-                return;
-            }
-        }
-        self.cur.evictions += n;
-    }
-
-    /// Delta fast path: call once per measured request, **before** the
-    /// caller's own counters (and the policy's eviction counter) include
-    /// that request. `snapshot` lazily captures the caller's running
-    /// [`Totals`]; it is only invoked when this request starts a new window,
-    /// plus once on the first call to baseline warmup-era counts.
-    ///
-    /// Window boundaries match [`on_request`](Self::on_request). Because the
-    /// snapshot excludes the current request, a flushed window's delta
-    /// covers exactly the requests and evictions that happened while it was
-    /// open — for time windows this is *more* precise than the boundary
-    /// sampling available to the per-request path.
+    /// Call once per measured request, **before** the caller's own
+    /// counters (and the policy's eviction counter) include that request.
+    /// `snapshot` lazily captures the caller's running [`Totals`]; it is
+    /// only invoked when this request starts a new window, plus once on the
+    /// first call to baseline warmup-era counts. Because the snapshot
+    /// excludes the current request, a flushed window's delta covers
+    /// exactly the requests and evictions that happened while it was open.
     #[inline]
     pub fn observe(&mut self, t_micros: u64, snapshot: impl FnOnce() -> Totals) {
         if !self.cur_open {
             self.flushed = snapshot();
             self.cur.start_requests = self.flushed.requests;
-            self.anchor_micros = Some(t_micros);
+            self.anchor_micros = t_micros;
             self.first_micros = t_micros;
             self.last_micros = t_micros;
             self.cur_open = true;
@@ -548,16 +405,16 @@ impl SeriesAcc {
         }
         let closed = match self.window {
             ObsWindow::Requests(n) => self.open_len >= n,
+            // Half-open: t on the boundary belongs to the next window.
             ObsWindow::Secs(_) => {
-                // Half-open: t on the boundary belongs to the next window.
-                let anchor = self.anchor_micros.unwrap_or(t_micros);
                 t_micros
-                    >= anchor
+                    >= self
+                        .anchor_micros
                         .saturating_add((self.cur.index + 1).saturating_mul(self.window_micros))
             }
         };
         if closed {
-            self.flush_delta(t_micros, snapshot());
+            self.flush(t_micros, snapshot());
         }
         self.open_len += 1;
         self.last_micros = t_micros;
@@ -566,7 +423,7 @@ impl SeriesAcc {
     /// Materializes the open window from a snapshot delta, pushes it, and
     /// opens the next window at `t_micros`. Off the per-request path.
     #[cold]
-    fn flush_delta(&mut self, t_micros: u64, totals: Totals) {
+    fn flush(&mut self, t_micros: u64, totals: Totals) {
         self.cur.requests = totals.requests - self.flushed.requests;
         self.cur.hits = totals.hits - self.flushed.hits;
         self.cur.misses_admitted = totals.misses_admitted - self.flushed.misses_admitted;
@@ -577,13 +434,13 @@ impl SeriesAcc {
         self.cur.errors = totals.errors - self.flushed.errors;
         self.cur.stale_served = totals.stale_served - self.flushed.stale_served;
         self.cur.coalesced = totals.coalesced - self.flushed.coalesced;
+        // Same formula as `Time::as_secs_f64`, applied once per window.
         self.cur.first_secs = self.first_micros as f64 / 1e6;
         self.cur.last_secs = self.last_micros as f64 / 1e6;
         let next_index = match self.window {
             ObsWindow::Requests(_) => self.cur.index + 1,
             ObsWindow::Secs(_) => {
-                let anchor = self.anchor_micros.unwrap_or(t_micros);
-                ((t_micros - anchor) / self.window_micros).max(self.cur.index + 1)
+                ((t_micros - self.anchor_micros) / self.window_micros).max(self.cur.index + 1)
             }
         };
         let done = std::mem::take(&mut self.cur);
@@ -595,53 +452,19 @@ impl SeriesAcc {
         self.flushed = totals;
     }
 
-    /// Flushes the final partial window from the caller's final totals and
-    /// returns every record — the [`observe`](Self::observe) counterpart of
-    /// [`finish`](Self::finish).
-    pub fn finish_observed(mut self, totals: Totals) -> Vec<WindowRecord> {
-        if !self.cur_open {
-            return self.done;
-        }
-        let requests = totals.requests - self.flushed.requests;
-        let evictions = totals.evictions.saturating_sub(self.flushed.evictions);
-        if requests > 0 || evictions > 0 {
-            self.flush_delta(self.last_micros, totals);
-        }
-        self.done
-    }
-
-    fn flush(&mut self, next_index: u64) {
-        // Same formula as `Time::as_secs_f64`, applied once per window.
-        self.cur.first_secs = self.first_micros as f64 / 1e6;
-        self.cur.last_secs = self.last_micros as f64 / 1e6;
-        let done = std::mem::take(&mut self.cur);
-        self.done.push(done);
-        self.cur.index = next_index;
-        self.cur_open = false;
-    }
-
     /// The window index the most recent request was credited to — request
     /// tracing stamps each sampled trace with this so exemplars can link
     /// back to windows.
     #[inline]
     pub fn last_index(&self) -> u64 {
-        if self.cur_open {
-            self.cur.index
-        } else {
-            self.done.last().map(|w| w.index).unwrap_or(self.cur.index)
-        }
+        self.cur.index
     }
 
-    /// Flushes the final partial window (if anything landed in it) and
-    /// returns every remaining record.
-    pub fn finish(mut self) -> Vec<WindowRecord> {
-        if self.cur.requests > 0 || self.cur.evictions > 0 {
-            if self.cur_open {
-                self.cur.first_secs = self.first_micros as f64 / 1e6;
-                self.cur.last_secs = self.last_micros as f64 / 1e6;
-            }
-            let last = std::mem::take(&mut self.cur);
-            self.done.push(last);
+    /// Flushes the open window from the caller's final totals (evictions:
+    /// the policy's lifetime count) and returns every record.
+    pub fn finish(mut self, totals: Totals) -> Vec<WindowRecord> {
+        if self.cur_open {
+            self.flush(self.last_micros, totals);
         }
         self.done
     }
@@ -652,18 +475,54 @@ mod tests {
     use super::*;
     use lhr_util::json::FromJson;
 
+    /// Feeds a [`SeriesAcc`] the way `lhr_sim::ledger::Ledger` does: each
+    /// request is observed first, then counted into the running totals.
+    struct Feed {
+        acc: SeriesAcc,
+        totals: Totals,
+    }
+
+    impl Feed {
+        fn new(window: ObsWindow) -> Self {
+            Feed {
+                acc: SeriesAcc::new(window),
+                totals: Totals::default(),
+            }
+        }
+
+        /// One measured request (a miss is admitted); the totals are handed
+        /// back for the evictions it caused.
+        fn request(&mut self, t_micros: u64, bytes: u64, hit: bool) -> &mut Totals {
+            let totals = self.totals;
+            self.acc.observe(t_micros, || totals);
+            let t = &mut self.totals;
+            t.requests += 1;
+            t.hits += hit as u64;
+            t.misses_admitted += !hit as u64;
+            t.bytes_requested += bytes as u128;
+            t.bytes_hit += hit as u128 * bytes as u128;
+            t
+        }
+
+        fn finish(self) -> Vec<WindowRecord> {
+            self.acc.finish(self.totals)
+        }
+    }
+
     #[test]
     fn request_windows_are_half_open_and_flush_partial() {
-        let mut acc = SeriesAcc::new(ObsWindow::Requests(3));
+        let mut feed = Feed::new(ObsWindow::Requests(3));
         for i in 0..7u64 {
-            acc.on_request(ReqSample::hit(i * 1_000_000, 10));
+            feed.request(i * 1_000_000, 10, true);
         }
-        let windows = acc.finish();
+        let windows = feed.finish();
         assert_eq!(windows.len(), 3);
         assert_eq!(windows[0].requests, 3);
         assert_eq!(windows[0].start_requests, 0);
         assert_eq!(windows[1].requests, 3);
         assert_eq!(windows[1].start_requests, 3);
+        assert_eq!(windows[1].first_secs, 3.0);
+        assert_eq!(windows[1].last_secs, 5.0);
         assert_eq!(windows[2].requests, 1, "partial window must flush");
         assert_eq!(windows[2].start_requests, 6);
         assert_eq!(windows.iter().map(|w| w.hits).sum::<u64>(), 7);
@@ -671,12 +530,14 @@ mod tests {
 
     #[test]
     fn time_windows_half_open_boundary() {
-        let mut acc = SeriesAcc::new(ObsWindow::Secs(10.0));
-        acc.on_request(ReqSample::hit(0, 1));
-        acc.on_request(ReqSample::hit(9_999_000, 1));
+        let mut feed = Feed::new(ObsWindow::Secs(10.0));
+        feed.request(0, 1, true);
+        feed.request(9_999_000, 1, true);
+        assert_eq!(feed.acc.last_index(), 0);
         // Exactly on the boundary: opens window 1.
-        acc.on_request(ReqSample::hit(10_000_000, 1));
-        let windows = acc.finish();
+        feed.request(10_000_000, 1, true);
+        assert_eq!(feed.acc.last_index(), 1);
+        let windows = feed.finish();
         assert_eq!(windows.len(), 2);
         assert_eq!(windows[0].requests, 2);
         assert_eq!(windows[1].index, 1);
@@ -685,10 +546,11 @@ mod tests {
 
     #[test]
     fn time_window_gaps_skip_indices() {
-        let mut acc = SeriesAcc::new(ObsWindow::Secs(1.0));
-        acc.on_request(ReqSample::hit(100_000_000, 1));
-        acc.on_request(ReqSample::hit(105_500_000, 1));
-        let windows = acc.finish();
+        let mut feed = Feed::new(ObsWindow::Secs(1.0));
+        feed.request(100_000_000, 1, true);
+        feed.request(105_500_000, 1, true);
+        assert_eq!(feed.acc.last_index(), 5, "the open window's index");
+        let windows = feed.finish();
         assert_eq!(windows.len(), 2);
         assert_eq!(windows[0].index, 0);
         assert_eq!(windows[1].index, 5, "gap must show as an index jump");
@@ -696,16 +558,17 @@ mod tests {
 
     #[test]
     fn derived_ratios() {
-        let mut acc = SeriesAcc::new(ObsWindow::Requests(8));
-        acc.on_request(ReqSample::hit(0, 100));
-        acc.on_request(ReqSample::miss_admitted(1_000_000, 300));
-        acc.on_request(ReqSample::miss_bypassed(2_000_000, 100));
-        acc.on_request(ReqSample {
-            error: true,
-            ..ReqSample::miss_bypassed(3_000_000, 100)
-        });
-        acc.on_evictions(2);
-        let w = &acc.finish()[0];
+        let w = WindowRecord {
+            requests: 4,
+            hits: 1,
+            misses_admitted: 1,
+            misses_bypassed: 2,
+            bytes_requested: 600,
+            bytes_hit: 100,
+            evictions: 2,
+            errors: 1,
+            ..WindowRecord::default()
+        };
         assert!((w.hit_ratio() - 0.25).abs() < 1e-12);
         assert!((w.byte_hit_ratio() - 100.0 / 600.0).abs() < 1e-12);
         assert!((w.admission_rate() - 1.0 / 3.0).abs() < 1e-12);
@@ -715,40 +578,20 @@ mod tests {
 
     #[test]
     fn evictions_after_a_window_filling_request_credit_that_window() {
-        let mut acc = SeriesAcc::new(ObsWindow::Requests(2));
-        acc.on_request(ReqSample::hit(0, 1));
-        acc.on_request(ReqSample::miss_admitted(1_000_000, 1)); // fills window 0
-        acc.on_evictions(3); // triggered by the filling request
-        let windows = acc.finish();
+        let mut feed = Feed::new(ObsWindow::Requests(2));
+        feed.request(0, 1, true);
+        feed.request(1_000_000, 1, false).evictions += 3; // fills window 0
+        let windows = feed.finish();
         assert_eq!(windows.len(), 1, "no phantom eviction-only window");
         assert_eq!(windows[0].evictions, 3);
-    }
 
-    #[test]
-    fn observe_delta_path_matches_on_request() {
-        for window in [ObsWindow::Requests(3), ObsWindow::Secs(2.0)] {
-            let mut classic = SeriesAcc::new(window);
-            let mut delta = SeriesAcc::new(window);
-            let mut totals = Totals::default();
-            for i in 0..25u64 {
-                let t = i * 700_000;
-                let hit = i % 3 != 0;
-                let bytes = 100 + i;
-                // The delta path observes before the caller counts.
-                delta.observe(t, || totals);
-                classic.on_request(if hit {
-                    ReqSample::hit(t, bytes)
-                } else {
-                    ReqSample::miss_admitted(t, bytes)
-                });
-                totals.requests += 1;
-                totals.hits += hit as u64;
-                totals.misses_admitted += !hit as u64;
-                totals.bytes_requested += bytes as u128;
-                totals.bytes_hit += hit as u128 * bytes as u128;
-            }
-            assert_eq!(classic.finish(), delta.finish_observed(totals), "{window}");
-        }
+        let mut feed = Feed::new(ObsWindow::Requests(2));
+        feed.request(0, 1, true);
+        feed.request(1_000_000, 1, false).evictions += 3;
+        feed.request(2_000_000, 1, false).evictions += 1; // opens window 1
+        let windows = feed.finish();
+        assert_eq!(windows[0].evictions, 3);
+        assert_eq!(windows[1].evictions, 1);
     }
 
     #[test]
@@ -767,7 +610,7 @@ mod tests {
         acc.observe(2_000_000, || t); // the third request closes window 0
         t.requests = 3;
         t.evictions = 10;
-        let windows = acc.finish_observed(t);
+        let windows = acc.finish(t);
         assert_eq!(windows.len(), 2);
         assert_eq!(windows[0].requests, 2);
         assert_eq!(windows[0].evictions, 3, "warmup evictions baselined away");
@@ -778,7 +621,9 @@ mod tests {
 
     #[test]
     fn empty_accumulator_finishes_empty() {
-        assert!(SeriesAcc::new(ObsWindow::default()).finish().is_empty());
+        let acc = SeriesAcc::new(ObsWindow::default());
+        assert_eq!(acc.last_index(), 0);
+        assert!(acc.finish(Totals::default()).is_empty());
         let w = WindowRecord::default();
         assert_eq!(w.availability(), 1.0);
         assert_eq!(w.hit_ratio(), 0.0);
@@ -869,11 +714,11 @@ mod tests {
 
     #[test]
     fn merge_windows_of_one_shard_is_identity_up_to_start_requests() {
-        let mut acc = SeriesAcc::new(ObsWindow::Requests(3));
+        let mut feed = Feed::new(ObsWindow::Requests(3));
         for i in 0..7u64 {
-            acc.on_request(ReqSample::hit(i * 1_000_000, 10));
+            feed.request(i * 1_000_000, 10, true);
         }
-        let windows = acc.finish();
+        let windows = feed.finish();
         assert_eq!(merge_windows(&[windows.clone()]), windows);
     }
 

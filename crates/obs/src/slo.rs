@@ -286,7 +286,6 @@ pub fn parse_objectives(raw: &str) -> Result<Vec<SloObjective>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lhr_util::json::ToJson;
 
     fn window(index: u64, requests: u64, errors: u64, hits: u64) -> WindowRecord {
         WindowRecord {
@@ -414,8 +413,9 @@ mod tests {
         let a = evaluate(&objectives, &windows, None);
         let b = evaluate(&objectives, &windows, None);
         assert_eq!(a, b);
-        let ea: Vec<String> = events(&a).iter().map(|e| e.to_json().to_string()).collect();
-        let eb: Vec<String> = events(&b).iter().map(|e| e.to_json().to_string()).collect();
+        let line = |e: &Event| crate::ObsRecord::Event(e.clone()).to_line();
+        let ea: Vec<String> = events(&a).iter().map(line).collect();
+        let eb: Vec<String> = events(&b).iter().map(line).collect();
         assert_eq!(ea, eb);
     }
 

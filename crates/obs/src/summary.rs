@@ -286,7 +286,26 @@ pub fn summarize(export: &Export) -> String {
 mod tests {
     use super::*;
     use crate::recorder::{Obs, ObsConfig};
-    use crate::series::{ObsWindow, ReqSample, SeriesAcc};
+    use crate::series::ObsWindow;
+
+    /// `n` consecutive windows of `len` requests of 100 bytes, `hits` of
+    /// them hits and the rest admitted misses.
+    fn windows(n: u64, len: u64, hits: u64) -> Vec<WindowRecord> {
+        (0..n)
+            .map(|k| WindowRecord {
+                index: k,
+                start_requests: k * len,
+                first_secs: (k * len) as f64 * 1e-6,
+                last_secs: ((k + 1) * len - 1) as f64 * 1e-6,
+                requests: len,
+                hits,
+                misses_admitted: len - hits,
+                bytes_requested: len as u128 * 100,
+                bytes_hit: hits as u128 * 100,
+                ..WindowRecord::default()
+            })
+            .collect()
+    }
 
     /// `obs`'s export, written and read back as `obs summarize` reads it.
     fn parsed(obs: &Obs) -> Export {
@@ -309,16 +328,7 @@ mod tests {
             ..ObsConfig::default()
         });
         obs.set_meta("policy", "lhr");
-        let mut acc = SeriesAcc::new(obs.window());
-        for i in 0..6u64 {
-            let s = if i % 2 == 0 {
-                ReqSample::hit(i, 100)
-            } else {
-                ReqSample::miss_admitted(i, 100)
-            };
-            acc.on_request(s);
-        }
-        obs.push_windows(acc.finish());
+        obs.push_windows(windows(3, 2, 1));
         obs.emit(crate::Event::new(2.0, EventKind::Detect).field("alpha", 0.9f64));
         obs.emit(crate::Event::new(2.0, EventKind::Retrain).field("rows", 128u64));
         obs.counter_add("sim.requests", 6);
@@ -402,11 +412,7 @@ mod tests {
             deterministic: true,
             ..ObsConfig::default()
         });
-        let mut acc = SeriesAcc::new(obs.window());
-        for i in 0..4u64 {
-            acc.on_request(ReqSample::hit(i, 100));
-        }
-        obs.push_windows(acc.finish());
+        obs.push_windows(windows(1, 4, 4));
         let report = summarize(&parsed(&obs));
         assert!(
             report.contains("windows: 1 (4 measured requests)"),
@@ -446,14 +452,11 @@ mod tests {
             trace_sample: 1,
             ..ObsConfig::default()
         });
-        let mut acc = SeriesAcc::new(obs.window());
         for i in 0..4u64 {
-            acc.on_request(ReqSample::hit(i, 100));
-            let w = acc.last_index();
-            let b = crate::trace::TraceBuilder::new(i, i * 10, (i as u64) * 1_000_000, 100);
-            obs.push_trace(b.finish(1.0 + i as f64, w));
+            let b = crate::trace::TraceBuilder::new(i, i * 10, i * 1_000_000, 100);
+            obs.push_trace(b.finish(1.0 + i as f64, i / 2));
         }
-        obs.push_windows(acc.finish());
+        obs.push_windows(windows(2, 2, 2));
         let report = summarize(&parsed(&obs));
         assert!(report.contains("traces: 4 sampled"), "{report}");
         // Worst latency in window 0 is trace 1 (2.0 ms), in window 1 trace 3.

@@ -25,7 +25,7 @@
 //! story line comes with a concrete request to look at.
 
 use lhr_util::hash::FastHasher;
-use lhr_util::json::{FromJson, Json, JsonError, ObjectWriter, ToJson};
+use lhr_util::json::{FromJson, Json, JsonError, ObjectWriter};
 use std::borrow::Cow;
 use std::hash::Hasher;
 
@@ -47,21 +47,6 @@ pub struct TraceStep {
     /// `edge_lookup` or `{attempt, outcome, backoff_ms}` for
     /// `origin_fetch`.
     pub detail: Vec<(Cow<'static, str>, Json)>,
-}
-
-impl ToJson for TraceStep {
-    fn to_json(&self) -> Json {
-        let detail = self.detail.iter();
-        Json::Object(vec![
-            ("step".to_string(), self.step.to_json()),
-            ("dt_ms".to_string(), self.dt_ms.to_json()),
-            ("bytes".to_string(), self.bytes.to_json()),
-            (
-                "detail".to_string(),
-                Json::Object(detail.map(|(k, v)| (k.to_string(), v.clone())).collect()),
-            ),
-        ])
-    }
 }
 
 impl FromJson for TraceStep {
@@ -109,7 +94,7 @@ pub struct TraceRecord {
 }
 
 impl TraceRecord {
-    /// This trace's fields in [`ToJson`] order, for
+    /// This trace's fields in export order, for
     /// [`crate::ObsRecord::write_line`]. `exemplar` stands in for the
     /// record's own flag: the export computes the marks over the complete
     /// set without touching the buffered traces.
@@ -139,24 +124,6 @@ impl TraceRecord {
             s.end();
         }
         out.push(']');
-    }
-}
-
-impl ToJson for TraceRecord {
-    fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("id".to_string(), self.id.to_json()),
-            ("object".to_string(), self.object.to_json()),
-            ("t".to_string(), self.t.to_json()),
-            ("bytes".to_string(), self.bytes.to_json()),
-            ("window".to_string(), self.window.to_json()),
-            ("latency_ms".to_string(), self.latency_ms.to_json()),
-            ("exemplar".to_string(), self.exemplar.to_json()),
-            (
-                "steps".to_string(),
-                Json::Array(self.steps.iter().map(|s| s.to_json()).collect()),
-            ),
-        ])
     }
 }
 
@@ -382,6 +349,7 @@ pub fn exemplar_marks(traces: &[TraceRecord]) -> Vec<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lhr_util::json::ToJson;
 
     fn sample_trace() -> TraceRecord {
         TraceRecord {
@@ -418,11 +386,11 @@ mod tests {
 
     #[test]
     fn trace_record_roundtrips_byte_identically() {
-        let t = sample_trace();
-        let text = t.to_json().to_string();
-        let back = TraceRecord::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, t);
-        assert_eq!(back.to_json().to_string(), text);
+        let record = crate::ObsRecord::Trace(sample_trace());
+        let line = record.to_line();
+        let back = crate::ObsRecord::parse_line(&line).unwrap();
+        assert_eq!(back, record);
+        assert_eq!(back.to_line(), line);
     }
 
     #[test]

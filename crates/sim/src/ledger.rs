@@ -128,7 +128,7 @@ impl Ledger {
             self.warmup_evictions = evictions;
         }
         if let (Some(acc), Some(obs)) = (self.series.take(), &self.obs) {
-            obs.push_windows(acc.finish_observed(self.totals));
+            obs.push_windows(acc.finish(self.totals));
         }
     }
 

@@ -2,10 +2,12 @@
 //! [`ToJson`]/[`FromJson`] traits that replace `serde` in this workspace.
 //!
 //! JSON is written for the four reports' `stable_json`, the GBM model and
-//! the `--obs` export records (streamed through [`ObjectWriter`]; meta,
-//! event and trace-step values are [`Json`] trees), and read back only for
-//! `--obs` exports and GBM models. A type implements the traits only when
-//! one of those paths writes or reads it.
+//! the `--obs` export records, and read back only for `--obs` exports and
+//! GBM models. An export record is streamed through [`ObjectWriter`] alone
+//! (meta, event and trace-step values are [`Json`] trees), so a record type
+//! implements [`FromJson`] for the reader and [`ToJson`] only when another
+//! path writes it. A type implements the traits only when one of those
+//! paths writes or reads it.
 //!
 //! # Supported subset (and superset)
 //!

@@ -20,7 +20,7 @@ if grep -rnw unsafe crates/*/src src; then
   exit 1
 fi
 
-echo "==> kept deleted: three cache stores, one store contract, no hand-rolled policy table, one way for windows to reach the recorder, one helper crew, one way to retrain, no per-window object map, one window log, no scattered partition order, no shadow copies, one serve-path contract"
+echo "==> kept deleted: three cache stores, one store contract, no hand-rolled policy table, one way for windows to reach the recorder, one helper crew, one way to retrain, no per-window object map, one window log, no scattered partition order, no shadow copies, one serve-path contract, one window accumulator, one record serializer, no held training set"
 # SampleStore (crates/sim/src/store.rs) holds the only swap_remove fix-up:
 # LhrCache and the threshold shadow kept their own until they moved onto
 # it. Everything above a file's first #[cfg(test)] is non-test code.
@@ -59,8 +59,8 @@ if grep -rnE 'stream_pending|take_done|fills_window|stamp_window' crates; then
   exit 1
 fi
 # The bench JSON sink, the observed-bound wrapper, the inline-retrain knob
-# and the newtype shape of impl_json! (whole words: the background-retrain
-# tests keep their names).
+# and the newtype shape of impl_json! (whole words, so a longer identifier
+# that contains one is not refused).
 # The second policy-constructor layer (the roster builds every policy),
 # the configurable latency model (its four numbers are constants), the
 # working-set profile (the miss-ratio curve sizes a cache) and the
@@ -119,6 +119,27 @@ fi
 if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' crates/proto/src/server.rs \
     | grep -E '\bdecided *:'; then
   echo "a decided-admission parameter in lhr_proto::server (see the lines above)" >&2
+  exit 1
+fi
+# The window series has one feeding path, SeriesAcc::observe (through
+# lhr_sim::ledger::Ledger): the per-request path and its sample type are
+# gone.
+if grep -rnwE 'ReqSample|on_request|on_evictions|finish_observed' crates src tests examples; then
+  echo "a name of the deleted per-request window path is back (see the lines above)" >&2
+  exit 1
+fi
+# An export record is written by ObsRecord::write_line alone: no Json-tree
+# writer for a record type, and no tag helper for one.
+if grep -rnE 'impl ToJson for (ObsRecord|Event|EventKind|TraceRecord|TraceStep|LogHistogram)\b|fn tagged\b' \
+    crates src tests examples; then
+  echo "a Json-tree writer of an export record is back (see the lines above)" >&2
+  exit 1
+fi
+# A scheduled LHR retraining holds its due window only: the edge that
+# installs it builds the training set from the labeled history.
+if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' crates/core/src/cache.rs \
+    | grep -E 'pending:.*Dataset'; then
+  echo "a training set held in LhrCache::pending (see the lines above)" >&2
   exit 1
 fi
 # Threads are spawned, woken and counted in lhr_util::sync alone (claim_each,

@@ -140,11 +140,12 @@ fn shifting_alpha_trace() -> Trace {
 }
 
 #[test]
-fn engine_with_background_retraining_is_byte_identical_across_threads() {
-    // The zero-stall retraining contract: shadow models train on
-    // background threads, yet because installs are pinned to window
-    // *indices* (never wall-clock completion), the stable report and the
-    // obs export stay byte-identical at any thread count.
+fn engine_with_pinned_retraining_is_byte_identical_across_threads() {
+    // The retraining contract: a retraining is scheduled at one window
+    // edge and fit and installed on the serving thread at the next — pinned
+    // to window *indices*, never wall-clock — so while shards swap models
+    // on parallel workers, the stable report and the obs export stay
+    // byte-identical at any thread count.
     let trace = shifting_alpha_trace();
     let run = |threads: usize| {
         let config = EngineConfig {
@@ -157,8 +158,8 @@ fn engine_with_background_retraining_is_byte_identical_across_threads() {
         let engine = ShardedEngine::new(config).with_obs(obs.clone());
         let lhr = LhrConfig {
             // Small per-shard windows so each shard sees several window
-            // edges: bootstrap inline, then detection-gated background
-            // spawns with installs one edge later.
+            // edges: bootstrap inline, then detection-gated retrainings
+            // installed one edge after they are scheduled.
             min_window_requests: 2_048,
             ..LhrConfig::default()
         };
@@ -181,8 +182,8 @@ fn engine_with_background_retraining_is_byte_identical_across_threads() {
     let (report1, obs1) = run(1);
     assert!(
         obs1.contains("\"kind\":\"ModelSwap\""),
-        "no background model swap happened — the test isn't exercising \
-         shadow retraining; events:\n{obs1}"
+        "no model swap happened — the test isn't exercising \
+         retraining; events:\n{obs1}"
     );
     for threads in [2usize, 4, 8] {
         let (report, obs) = run(threads);

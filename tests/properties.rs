@@ -1074,27 +1074,31 @@ fn hostile_records(seed: u64, wild: bool) -> Vec<lhr_repro::obs::ObsRecord> {
     ]
 }
 
-/// The export's one serializer against its oracle: for every `ObsRecord`
-/// variant, `write_line` — appended to a buffer that already holds text —
-/// produces exactly `to_json().to_string()`, whatever the leaves (NaN, ±∞,
-/// −0.0, integral and sub-microsecond floats, `u64::MAX`, sums past 64 bits,
-/// quotes, backslashes, control and non-ASCII characters in names, step
-/// details and metadata), and the line parses back and re-serialises to
-/// itself.
+/// The export's one serializer writes the canonical spelling of every
+/// `ObsRecord` variant: whatever the leaves (NaN, ±∞, −0.0, integral and
+/// sub-microsecond floats, `u64::MAX`, sums past 64 bits, quotes,
+/// backslashes, control and non-ASCII characters in names, step details and
+/// metadata), the line `write_line` appends to a buffer that already holds
+/// text is the one the JSON layer's own writer spells for the parsed value,
+/// and it parses back to a record that writes the same line. (With leaves
+/// `==` can compare, the next test holds the parsed record equal to the
+/// written one; the serving goldens pin the field order.)
 #[test]
-fn write_line_is_the_json_tree_spelling_for_every_record_variant() {
+fn write_line_is_the_canonical_spelling_for_every_record_variant() {
     use lhr_repro::obs::ObsRecord;
-    use lhr_util::json::ToJson;
+    use lhr_util::json::Json;
     prop_check!(cases: 256, (seed in any_u64()) => {
         for record in hostile_records(seed, true) {
-            let tree = record.to_json().to_string();
             let mut line = String::from("prefix\n");
             record.write_line(&mut line);
-            prop_assert_eq!(&line["prefix\n".len()..], &tree, "{:?}", record);
-            prop_assert_eq!(record.to_line(), tree.clone());
-            let parsed = ObsRecord::parse_line(&tree);
-            prop_assert!(parsed.is_ok(), "{tree}: {parsed:?}");
-            prop_assert_eq!(parsed.unwrap().to_line(), tree);
+            let line = &line["prefix\n".len()..];
+            prop_assert_eq!(record.to_line(), line);
+            let tree = Json::parse(line);
+            prop_assert!(tree.is_ok(), "{line}: {tree:?}");
+            prop_assert_eq!(tree.unwrap().to_string(), line, "{:?}", record);
+            let parsed = ObsRecord::parse_line(line);
+            prop_assert!(parsed.is_ok(), "{line}: {parsed:?}");
+            prop_assert_eq!(parsed.unwrap().to_line(), line);
         }
     });
 }
@@ -1193,75 +1197,222 @@ fn divisibility_sampler_matches_the_remainder() {
     });
 }
 
-/// The delta path against its oracle: feeding `observe` snapshots of
-/// running totals — taken *before* a request is counted, with the eviction
-/// counter as of the previous request — yields exactly the windows
-/// `on_request` + `on_evictions` count one request at a time, error, stale
-/// and coalesced counts included, under request and time windows, with
-/// trace-time gaps that skip window indices; and `observe` takes a snapshot
-/// only on its first request and where the oracle reports a window closed.
-#[test]
-fn observed_totals_yield_the_windows_counted_per_request() {
-    use lhr_repro::obs::series::{ReqSample, SeriesAcc, Totals};
-    use lhr_repro::obs::ObsWindow;
-    prop_check!(cases: 256, (len in range(0usize..300), seed in any_u64(), n in range(1u64..40), warm_evictions in range(0u64..9)) => {
-        for window in [ObsWindow::Requests(n), ObsWindow::Secs(n as f64 * 0.01)] {
-            let mut h = Hostile(seed | 1);
-            let mut classic = SeriesAcc::new(window);
-            let mut delta = SeriesAcc::new(window);
-            let mut totals = Totals { evictions: warm_evictions, ..Totals::default() };
-            let mut t_micros = h.next() % 1_000_000;
-            let mut closed_before = false;
-            for n_seen in 0..len {
-                let r = h.next();
-                // Mostly dense arrivals, now and then a gap of many windows.
-                t_micros += if r.is_multiple_of(23) { r % 3_000_000 } else { r % 9_000 };
-                let hit = r & 0x100 != 0;
-                let sample = ReqSample {
-                    t_micros,
-                    bytes: r >> 40,
-                    hit,
-                    admitted: !hit && r & 0x200 != 0,
-                    bypassed: !hit && r & 0x200 == 0,
-                    error: r & 0xC00 == 0,
-                    stale: hit && r & 0x3000 == 0,
-                    coalesced: !hit && r & 0xC000 == 0,
+/// One generated request of a window-series stream: its trace time, its
+/// bytes, its six outcome flags and the evictions it causes.
+#[derive(Debug, Clone, Copy)]
+struct StreamStep {
+    t_micros: u64,
+    bytes: u64,
+    hit: bool,
+    admitted: bool,
+    bypassed: bool,
+    error: bool,
+    stale: bool,
+    coalesced: bool,
+    evicted: u64,
+}
+
+/// `len` steps from `seed`: mostly dense arrivals on a 1 ms grid (so
+/// requests land exactly on window edges, and several share a timestamp),
+/// now and then a gap of many windows.
+fn window_stream(len: usize, seed: u64) -> Vec<StreamStep> {
+    let mut h = Hostile(seed | 1);
+    let mut t_micros = h.next() % 1_000 * 1_000;
+    (0..len)
+        .map(|_| {
+            let r = h.next();
+            t_micros += 1_000
+                * if r.is_multiple_of(23) {
+                    r % 3_000
+                } else {
+                    r % 9
                 };
-                let evicted = if hit { 0 } else { (r >> 16) % 4 };
-                // The instrumented loop: the policy has handled the request
-                // (its evictions happened), the loop's counters lag behind.
-                let mut snapped = false;
-                delta.observe(t_micros, || {
-                    snapped = true;
-                    totals
-                });
-                let closed = classic.on_request(sample);
-                classic.on_evictions(evicted);
-                // A time window closes on the same request in both; a
-                // request window fills on its last request and the delta
-                // path flushes it on the next.
-                let flushed = match window {
-                    ObsWindow::Secs(_) => closed,
-                    ObsWindow::Requests(_) => closed_before,
-                };
-                prop_assert_eq!(snapped, n_seen == 0 || flushed);
-                closed_before = closed;
-                prop_assert_eq!(
-                    classic.last_index(), delta.last_index(),
-                    "the request is credited to the same window"
-                );
-                totals.requests += 1;
-                totals.hits += sample.hit as u64;
-                totals.misses_admitted += sample.admitted as u64;
-                totals.misses_bypassed += sample.bypassed as u64;
-                totals.bytes_requested += sample.bytes as u128;
-                totals.bytes_hit += sample.hit as u128 * sample.bytes as u128;
-                totals.errors += sample.error as u64;
-                totals.stale_served += sample.stale as u64;
-                totals.coalesced += sample.coalesced as u64;
-                totals.evictions += evicted;
+            let hit = r & 0x100 != 0;
+            StreamStep {
+                t_micros,
+                bytes: r >> 40,
+                hit,
+                admitted: !hit && r & 0x200 != 0,
+                bypassed: !hit && r & 0x200 == 0,
+                error: r & 0xC00 == 0,
+                stale: hit && r & 0x3000 == 0,
+                coalesced: !hit && r & 0xC000 == 0,
+                evicted: if hit { 0 } else { (r >> 16) % 4 },
             }
-            prop_assert_eq!(classic.finish(), delta.finish_observed(totals), "{}", window);
+        })
+        .collect()
+}
+
+/// The window series of the measured steps `steps[warmup..]`, computed
+/// straight from the window rule: `Requests(n)` cuts consecutive runs of
+/// `n` requests; `Secs(w)` puts a request in window ⌊(t − t₀)/w⌋, t₀ the
+/// first measured request's time, and skips empty indices. A window's
+/// evictions are the eviction counter's value at the next window's first
+/// request less its value at the window's own first (the last window runs
+/// to the lifetime count) — the counter moves during warmup too.
+fn windows_by_rule(
+    window: lhr_repro::obs::ObsWindow,
+    steps: &[StreamStep],
+    warmup: usize,
+) -> Vec<lhr_repro::obs::WindowRecord> {
+    use lhr_repro::obs::{ObsWindow, WindowRecord};
+    // The counter just before step i, and the lifetime count at the end.
+    let before: Vec<u64> = steps
+        .iter()
+        .scan(0, |c, s| {
+            let at = *c;
+            *c += s.evicted;
+            Some(at)
+        })
+        .collect();
+    let lifetime: u64 = steps.iter().map(|s| s.evicted).sum();
+    let measured = &steps[warmup.min(steps.len())..];
+    let index_of = |j: usize| match window {
+        ObsWindow::Requests(n) => j as u64 / n,
+        ObsWindow::Secs(w) => {
+            (measured[j].t_micros - measured[0].t_micros) / (w * 1e6).round() as u64
+        }
+    };
+    let mut out: Vec<WindowRecord> = Vec::new();
+    let mut j = 0;
+    while j < measured.len() {
+        let index = index_of(j);
+        let end = (j..measured.len())
+            .find(|&k| index_of(k) != index)
+            .unwrap_or(measured.len());
+        let group = &measured[j..end];
+        let count = |f: fn(&StreamStep) -> bool| group.iter().filter(|s| f(s)).count() as u64;
+        let next_count = before.get(warmup + end).copied().unwrap_or(lifetime);
+        out.push(WindowRecord {
+            index,
+            start_requests: j as u64,
+            first_secs: group[0].t_micros as f64 / 1e6,
+            last_secs: group[group.len() - 1].t_micros as f64 / 1e6,
+            requests: group.len() as u64,
+            hits: count(|s| s.hit),
+            misses_admitted: count(|s| s.admitted),
+            misses_bypassed: count(|s| s.bypassed),
+            bytes_requested: group.iter().map(|s| s.bytes as u128).sum(),
+            bytes_hit: group
+                .iter()
+                .filter(|s| s.hit)
+                .map(|s| s.bytes as u128)
+                .sum(),
+            evictions: next_count - before[warmup + j],
+            errors: count(|s| s.error),
+            stale_served: count(|s| s.stale),
+            coalesced: count(|s| s.coalesced),
+        });
+        j = end;
+    }
+    out
+}
+
+/// A policy that plays back a [`StreamStep`] script: each request gets the
+/// scripted outcome, and the eviction counter moves by the scripted amount.
+struct Scripted {
+    script: Vec<StreamStep>,
+    next: usize,
+    evictions: u64,
+    store: lhr_repro::sim::store::SampleStore<()>,
+}
+
+impl CachePolicy for Scripted {
+    fn name(&self) -> &str {
+        "Scripted"
+    }
+    fn store(&self) -> &dyn CacheStore {
+        &self.store
+    }
+    fn store_mut(&mut self) -> &mut dyn CacheStore {
+        &mut self.store
+    }
+    fn handle(&mut self, _req: &Request) -> lhr_repro::sim::Outcome {
+        use lhr_repro::sim::Outcome;
+        let step = self.script[self.next];
+        self.next += 1;
+        self.evictions += step.evicted;
+        match (step.hit, step.admitted) {
+            (true, _) => Outcome::Hit,
+            (false, true) => Outcome::MissAdmitted,
+            (false, false) => Outcome::MissBypassed,
+        }
+    }
+    fn evictions(&self) -> u64 {
+        self.evictions
+    }
+}
+
+/// The window series is the measured request stream cut by the window
+/// rule ([`windows_by_rule`]), under request and time windows, with trace
+/// gaps that skip indices, requests exactly on window edges and an eviction
+/// counter that moves during warmup. Held twice: a `SeriesAcc` driven the
+/// way `Ledger` drives it (each request observed before it is counted, the
+/// snapshot reading the live eviction counter, `finish` the lifetime
+/// count), with all six flags, the open window's index checked per request
+/// and one snapshot taken per window; and `Simulator::run` with a recorder over a policy that plays
+/// the stream back (the simulator counts no errors, stale serves or
+/// coalesced misses).
+#[test]
+fn windows_are_the_measured_stream_cut_by_the_window_rule() {
+    use lhr_repro::obs::series::{SeriesAcc, Totals};
+    use lhr_repro::obs::{Obs, ObsConfig, ObsWindow};
+    prop_check!(cases: 256, (len in range(0usize..300), seed in any_u64(), n in range(1u64..40), warmup in range(0usize..20)) => {
+        let steps = window_stream(len, seed);
+        for window in [ObsWindow::Requests(n), ObsWindow::Secs(n as f64 * 0.01)] {
+            let expected = windows_by_rule(window, &steps, warmup);
+
+            let mut acc = SeriesAcc::new(window);
+            let mut totals = Totals::default();
+            let (mut counter, mut snapshots) = (0u64, 0usize);
+            for (i, s) in steps.iter().enumerate() {
+                if i >= warmup {
+                    acc.observe(s.t_micros, || {
+                        snapshots += 1;
+                        Totals { evictions: counter, ..totals }
+                    });
+                    let open = expected
+                        .iter()
+                        .rfind(|w| w.start_requests <= (i - warmup) as u64)
+                        .map(|w| w.index);
+                    prop_assert_eq!(Some(acc.last_index()), open, "request {}", i);
+                    totals.requests += 1;
+                    totals.hits += s.hit as u64;
+                    totals.misses_admitted += s.admitted as u64;
+                    totals.misses_bypassed += s.bypassed as u64;
+                    totals.bytes_requested += s.bytes as u128;
+                    totals.bytes_hit += s.hit as u128 * s.bytes as u128;
+                    totals.errors += s.error as u64;
+                    totals.stale_served += s.stale as u64;
+                    totals.coalesced += s.coalesced as u64;
+                }
+                counter += s.evicted;
+            }
+            let series = acc.finish(Totals { evictions: counter, ..totals });
+            prop_assert_eq!(&series, &expected, "{}", window);
+            prop_assert_eq!(snapshots, expected.len(), "one snapshot per window opened");
+
+            let script: Vec<StreamStep> = steps
+                .iter()
+                .map(|s| StreamStep { error: false, stale: false, coalesced: false, ..*s })
+                .collect();
+            let trace = Trace::from_requests(
+                "stream",
+                steps.iter().enumerate().map(|(i, s)| {
+                    Request::new(Time::from_micros(s.t_micros), i as ObjectId, s.bytes)
+                }).collect(),
+            );
+            let obs = Obs::new(ObsConfig { window, ..ObsConfig::default() });
+            let mut policy = Scripted {
+                script: script.clone(),
+                next: 0,
+                evictions: 0,
+                store: lhr_repro::sim::store::SampleStore::new(0),
+            };
+            Simulator::new(SimConfig { warmup_requests: warmup })
+                .with_obs(obs.clone())
+                .run(&mut policy, &trace);
+            prop_assert_eq!(obs.windows(), windows_by_rule(window, &script, warmup), "{}", window);
         }
     });
 }
