@@ -31,7 +31,8 @@ pub struct LhrConfig {
     /// bytes (paper default: 4×, swept in Figure 5).
     pub window_multiplier: f64,
     /// Number of inter-request-time features (paper default: 20, swept in
-    /// Figure 6).
+    /// Figure 6). A row is these and three static features, and the model
+    /// reads at most [`lhr_gbm::MAX_FEATURES`] columns, so at most 61.
     pub n_irts: usize,
     /// `Some(δ)` pins the admission threshold (D-LHR uses 0.5); `None`
     /// enables the auto-tuned estimator.
@@ -197,6 +198,13 @@ impl LhrCache {
     /// A fresh LHR cache of `capacity` bytes.
     pub fn new(capacity: u64, config: LhrConfig) -> Self {
         assert!(capacity > 0, "capacity must be positive");
+        let features = FeatureStore::new(config.n_irts);
+        assert!(
+            features.n_features() <= lhr_gbm::MAX_FEATURES,
+            "{} IRT features make rows wider than the model's {} columns",
+            config.n_irts,
+            lhr_gbm::MAX_FEATURES
+        );
         let target = ((capacity as f64 * config.window_multiplier) as u64).max(1);
         let mut threshold = ThresholdEstimator::default();
         if let Some(delta) = config.fixed_threshold {
@@ -205,7 +213,7 @@ impl LhrCache {
         LhrCache {
             store: SampleStore::new(capacity),
             display_name: config.name.unwrap_or("LHR"),
-            features: FeatureStore::new(config.n_irts),
+            features,
             window: WindowTracker::with_min_requests(target, config.min_window_requests),
             window_rows: Vec::new(),
             // The bootstrap window: no model yet, every row trains or is
@@ -736,6 +744,17 @@ mod tests {
             "{}",
             result.metrics.object_hit_ratio()
         );
+    }
+
+    #[test]
+    fn rows_as_wide_as_the_model_reads_are_accepted_and_wider_refused() {
+        let config = |n_irts| LhrConfig {
+            n_irts,
+            ..LhrConfig::default()
+        };
+        LhrCache::new(1_000, config(61));
+        let wider = std::panic::catch_unwind(|| LhrCache::new(1_000, config(62)));
+        assert!(wider.is_err(), "62 IRTs make 65 columns");
     }
 
     #[test]

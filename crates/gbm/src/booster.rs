@@ -1,7 +1,7 @@
 //! The gradient-boosting ensemble.
 
 use crate::dataset::Dataset;
-use crate::flat::FlatForest;
+use crate::flat::{FlatForest, MAX_DEPTH, MAX_FEATURES};
 use crate::tree::{Grower, Tree};
 use lhr_util::sync::{claim_each, crew, resolve_threads};
 
@@ -40,7 +40,8 @@ lhr_util::impl_json!(
 pub struct GbmParams {
     /// Number of boosting rounds (trees).
     pub n_trees: usize,
-    /// Maximum tree depth.
+    /// Maximum tree depth, `1..=6`: 6 is the deepest tree the scoring
+    /// kernel lays out, and [`Gbm::fit`] refuses a deeper one.
     pub max_depth: usize,
     /// Shrinkage applied to each tree's contribution.
     pub learning_rate: f32,
@@ -90,9 +91,9 @@ pub struct Gbm {
     /// The padded serving layout, derived from `trees` at construction and
     /// on deserialization — never serialized (see the hand-written
     /// `ToJson`/`FromJson` below, which keep the JSON identical to the
-    /// pre-flattening `impl_json!` output). `None` for a forest that does
-    /// not fit it (see [`crate::flat`]).
-    flat: Option<FlatForest>,
+    /// pre-flattening `impl_json!` output). Every forest fits it: fit and
+    /// load refuse one that would not (see [`crate::flat`]).
+    flat: FlatForest,
 }
 
 impl lhr_util::json::ToJson for Gbm {
@@ -108,13 +109,18 @@ impl lhr_util::json::ToJson for Gbm {
 }
 
 impl lhr_util::json::FromJson for Gbm {
+    /// Refuses, naming the tree and node, a forest the scoring kernel
+    /// cannot lay out (`FlatForest::check`).
     fn from_json(v: &lhr_util::json::Json) -> Result<Self, lhr_util::json::JsonError> {
-        use lhr_util::json::field;
+        use lhr_util::json::{field, JsonError};
+        let trees: Vec<Tree> = field(v, "trees")?;
+        let n_features = field(v, "n_features")?;
+        FlatForest::check(&trees, n_features).map_err(JsonError::new)?;
         Ok(Gbm::assemble(
             field(v, "base_score")?,
-            field(v, "trees")?,
+            trees,
             field(v, "feature_gain")?,
-            field(v, "n_features")?,
+            n_features,
             field(v, "loss")?,
         ))
     }
@@ -129,7 +135,8 @@ impl Gbm {
     /// Fits an ensemble to `data` under `params.loss`.
     ///
     /// # Panics
-    /// Panics if `data` is empty.
+    /// Panics if `data` is empty, has more than [`crate::MAX_FEATURES`]
+    /// columns, or `params.max_depth` is over 6.
     pub fn fit(data: &Dataset, params: &GbmParams) -> Gbm {
         Gbm::fit_traced(data, params, None)
     }
@@ -139,11 +146,21 @@ impl Gbm {
     /// aggregated `gbm.tree` per boosting round.
     ///
     /// # Panics
-    /// Panics if `data` is empty.
+    /// As [`Gbm::fit`].
     pub fn fit_traced(data: &Dataset, params: &GbmParams, obs: Option<&lhr_obs::Obs>) -> Gbm {
         let _fit_span = obs.map(|o| o.span("gbm.fit"));
 
         assert!(!data.is_empty(), "cannot fit on an empty dataset");
+        assert!(
+            params.max_depth <= MAX_DEPTH,
+            "max_depth {} is over the scoring kernel's {MAX_DEPTH}",
+            params.max_depth
+        );
+        assert!(
+            data.n_features() <= MAX_FEATURES,
+            "{} features are more than the scoring kernel's {MAX_FEATURES}",
+            data.n_features()
+        );
         let binned = {
             let _bin_span = obs.map(|o| o.span("gbm.bin"));
             data.binned()
@@ -250,8 +267,8 @@ impl Gbm {
 
     /// The padded serving layout (crate-internal, for tests).
     #[cfg(test)]
-    pub(crate) fn flat_layout(&self) -> Option<&FlatForest> {
-        self.flat.as_ref()
+    pub(crate) fn flat_layout(&self) -> &FlatForest {
+        &self.flat
     }
 
     #[inline]
@@ -264,32 +281,10 @@ impl Gbm {
 
     /// Raw (pre-loss-transform) score of one row, tolerating any width:
     /// short rows are padded with NaN (missing), extra columns are ignored.
-    /// Runs the padded single-row kernel; a forest that does not fit it
-    /// (see [`crate::flat`]) takes the reference walk.
+    /// Runs the padded single-row kernel (see [`crate::flat`]).
     #[inline]
     fn raw_score(&self, row: &[f32]) -> f32 {
-        match &self.flat {
-            Some(flat) => flat.score(row, self.base_score),
-            None => self.reference_score(row),
-        }
-    }
-
-    /// The reference walk over the original per-tree node arenas.
-    fn reference_score(&self, row: &[f32]) -> f32 {
-        let padded: Vec<f32>;
-        let row = if row.len() >= self.n_features {
-            row
-        } else {
-            let mut p = vec![f32::NAN; self.n_features.max(1)];
-            p[..row.len()].copy_from_slice(row);
-            padded = p;
-            &padded
-        };
-        let mut score = self.base_score;
-        for tree in &self.trees {
-            score += tree.predict(row);
-        }
-        score
+        self.flat.score(row, self.base_score)
     }
 
     /// Predicts the output value for one raw feature row (NaN = missing):
@@ -309,7 +304,20 @@ impl Gbm {
     /// the oracle the padded serving path is property-tested against.
     /// Handles row widths exactly like [`Gbm::predict`].
     pub fn predict_reference(&self, row: &[f32]) -> f32 {
-        self.transform(self.reference_score(row))
+        let padded: Vec<f32>;
+        let row = if row.len() >= self.n_features {
+            row
+        } else {
+            let mut p = vec![f32::NAN; self.n_features.max(1)];
+            p[..row.len()].copy_from_slice(row);
+            padded = p;
+            &padded
+        };
+        let mut score = self.base_score;
+        for tree in &self.trees {
+            score += tree.predict(row);
+        }
+        self.transform(score)
     }
 
     /// [`Gbm::predict`] clamped to `[0, 1]` — the admission-probability
@@ -404,7 +412,12 @@ impl Gbm {
         self.to_json().to_string()
     }
 
-    /// Loads a model previously produced by [`Gbm::to_json_string`].
+    /// Loads a model previously produced by [`Gbm::to_json_string`]. A
+    /// document that is not one — malformed JSON, a missing field, or a
+    /// forest the scoring kernel cannot lay out (a split on a column at or past
+    /// `n_features` or [`crate::MAX_FEATURES`], a non-finite threshold, a
+    /// child that is not a later node of its tree, a tree deeper than
+    /// 6) — is an error naming what is wrong.
     pub fn from_json_string(text: &str) -> Result<Gbm, lhr_util::json::JsonError> {
         use lhr_util::json::{FromJson, Json};
         Gbm::from_json(&Json::parse(text)?)
@@ -675,6 +688,24 @@ mod tests {
     #[should_panic]
     fn empty_dataset_panics() {
         Gbm::fit(&Dataset::new(1), &GbmParams::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "max_depth 7 is over the scoring kernel's 6")]
+    fn fit_refuses_trees_deeper_than_the_kernel_lays_out() {
+        let params = GbmParams {
+            max_depth: 7,
+            ..GbmParams::default()
+        };
+        Gbm::fit(&make_linear(100), &params);
+    }
+
+    #[test]
+    #[should_panic(expected = "65 features are more than the scoring kernel's 64")]
+    fn fit_refuses_rows_wider_than_the_kernel_reads() {
+        let mut d = Dataset::new(65);
+        d.push_row(&[1.0; 65], 0.5);
+        Gbm::fit(&d, &GbmParams::default());
     }
 
     #[test]

@@ -34,25 +34,28 @@
 //! - **No bounds checks, no allocation.** Column and node indices are
 //!   reduced modulo the fixed array sizes, which the layout never exceeds.
 //!
-//! Forests deeper than [`MAX_DEPTH`], wider than [`MAX_FEATURES`], or —
-//! possible only in hand-written model JSON, bin edges being finite values
-//! of the training data — with an out-of-range feature index or a
-//! non-finite threshold do not fit; [`FlatForest::build`] returns `None`
-//! and the caller serves from the reference walk.
+//! Every forest a [`crate::Gbm`] holds fits this layout: `Gbm::fit`
+//! refuses a `max_depth` over [`MAX_DEPTH`] and rows wider than
+//! [`MAX_FEATURES`], and `Gbm::from_json` refuses, through
+//! [`FlatForest::check`], any forest the layout cannot hold — bin edges
+//! are finite values of the training data, so only hand-written model JSON
+//! has a non-finite threshold, a split on a column the model does not
+//! read, or a child that is not a later node of its tree. The per-tree
+//! walk ([`Tree::predict`]) is the oracle this kernel is tested against,
+//! not a second serving path.
 //!
 //! Sums start from the base score and add leaf values in tree order with
 //! `f32` adds — bit-identical to the reference per-row walk.
 
 use crate::tree::Tree;
 
-/// Deepest tree the padded layout holds (64 leaves). Matches the default
-/// `GbmParams::max_depth`; deeper hand-tuned forests are scored by the
-/// reference walk instead.
-const MAX_DEPTH: u32 = 6;
+/// Deepest tree a [`crate::Gbm`] holds: the padded layout's 64 leaves,
+/// and `GbmParams::max_depth`'s default and largest value.
+pub(crate) const MAX_DEPTH: usize = 6;
 
-/// Widest row the kernel's stack buffer holds: LRB's 44 columns fit. A
-/// power of two, so a column index reduces with a mask.
-pub(crate) const MAX_FEATURES: usize = 64;
+/// Widest row a [`crate::Gbm`] reads: the kernel's stack buffer (LRB's 44
+/// columns fit). A power of two, so a column index reduces with a mask.
+pub const MAX_FEATURES: usize = 64;
 
 /// Trees of one row advanced together.
 const LANES: usize = 8;
@@ -92,21 +95,65 @@ pub(crate) struct FlatForest {
 }
 
 impl FlatForest {
-    /// Lays out `trees` (arena layout, root at local index 0), or `None`
-    /// when the forest does not fit the kernel (see the module docs).
-    pub(crate) fn build(trees: &[Tree], n_features: usize) -> Option<FlatForest> {
-        let depth = trees.iter().map(tree_depth).max().unwrap_or(0);
-        // Against a non-finite threshold the ±inf a missing value reads
-        // would not compare the way the reference routes a NaN.
-        let fits = |t: &Tree| {
-            t.nodes.iter().all(|n| {
-                n.feature == u32::MAX
-                    || ((n.feature as usize) < n_features && n.threshold.is_finite())
-            })
-        };
-        if depth > MAX_DEPTH || n_features > MAX_FEATURES || !trees.iter().all(fits) {
-            return None;
+    /// Why `trees` of an `n_features`-column model do not fit the layout,
+    /// naming the tree and node at fault: a split on a column at or past
+    /// `n_features` or [`MAX_FEATURES`], a non-finite threshold (the ±inf a
+    /// missing value reads would not compare the way the walk routes a
+    /// NaN), a child that is not a later node of the tree (so no walk can
+    /// loop), or a split at depth [`MAX_DEPTH`]; then a tree without nodes
+    /// or more than [`MAX_FEATURES`] columns.
+    pub(crate) fn check(trees: &[Tree], n_features: usize) -> Result<(), String> {
+        let columns = n_features.min(MAX_FEATURES);
+        for (t, tree) in trees.iter().enumerate() {
+            let len = tree.nodes.len();
+            if len == 0 {
+                return Err(format!("tree {t} has no nodes"));
+            }
+            // Depth of each node the root reaches. A child comes after its
+            // parent, so a node's depth is final before its own turn.
+            let mut depth: Vec<Option<usize>> = vec![None; len];
+            depth[0] = Some(0);
+            for (i, n) in tree.nodes.iter().enumerate() {
+                if n.feature == u32::MAX {
+                    continue;
+                }
+                let fault = |why: String| Err(format!("tree {t} node {i} {why}"));
+                if n.feature as usize >= columns {
+                    let f = n.feature;
+                    return fault(format!(
+                        "splits on feature {f}, not one of its {columns} columns"
+                    ));
+                }
+                if !n.threshold.is_finite() {
+                    return fault(format!("has the non-finite threshold {}", n.threshold));
+                }
+                let (left, right) = (n.left as usize, n.right as usize);
+                if let Some(c) = [left, right].into_iter().find(|&c| c <= i || c >= len) {
+                    return fault(format!("has child {c}, not a later node of the {len}"));
+                }
+                if let Some(d) = depth[i] {
+                    if d >= MAX_DEPTH {
+                        return fault(format!("splits at depth {d}; trees end at {MAX_DEPTH}"));
+                    }
+                    for c in [left, right] {
+                        depth[c] = depth[c].max(Some(d + 1));
+                    }
+                }
+            }
         }
+        if n_features > MAX_FEATURES {
+            return Err(format!(
+                "{n_features} features, more than the {MAX_FEATURES} a model may read"
+            ));
+        }
+        Ok(())
+    }
+
+    /// Lays out `trees` (arena layout, root at local index 0), a forest
+    /// [`FlatForest::check`] accepts — as it does every fitted one.
+    pub(crate) fn build(trees: &[Tree], n_features: usize) -> FlatForest {
+        debug_assert_eq!(FlatForest::check(trees, n_features), Ok(()));
+        let depth = trees.iter().map(tree_depth).max().unwrap_or(0);
         let mut padded = vec![[ALWAYS_LEFT; SLOTS]; trees.len()];
         let mut stack = Vec::new();
         for (tree, slots) in trees.iter().zip(&mut padded) {
@@ -127,11 +174,11 @@ impl FlatForest {
                 }
             }
         }
-        Some(FlatForest {
+        FlatForest {
             n_features,
             depth,
             trees: padded,
-        })
+        }
     }
 
     /// Raw score (pre-loss-transform) of one row of any width: columns
@@ -323,7 +370,7 @@ mod tests {
                 for max_depth in [1, 3, 6] {
                     let model = fit(&data, loss, max_depth);
                     assert!(
-                        model.flat_layout().is_some(),
+                        model.flat_layout().depth as usize <= max_depth,
                         "{cols} features, depth {max_depth}"
                     );
                     let what = format!("{loss:?}, {cols} features, depth {max_depth}");
@@ -343,7 +390,7 @@ mod tests {
         for loss in [Loss::SquaredError, Loss::Logistic] {
             let model = fit(&data, loss, 6);
             assert_eq!(model.n_trees(), 1);
-            assert_eq!(model.flat_layout().expect("fits").depth, 0);
+            assert_eq!(model.flat_layout().depth, 0);
             assert_matches_reference(&model, &extreme_rows(&data), "bare leaf");
         }
         // Bare leaves next to real trees, and more trees than one lane
@@ -358,68 +405,131 @@ mod tests {
             trees.join(",")
         );
         let model = Gbm::from_json_string(&json).expect("well-formed");
-        assert_eq!(model.flat_layout().expect("fits").depth, 1);
+        assert_eq!(model.flat_layout().depth, 1);
         assert_matches_reference(&model, &extreme_rows(&data), "leaves and stumps");
     }
 
-    #[test]
-    fn forests_the_layout_cannot_hold_take_the_reference_walk() {
-        // Depth 7: noise labels keep every node worth splitting.
-        let mut data = Dataset::new(3);
-        let mut state = 0x2545_F491_4F6C_DD1Du64;
-        for i in 0..4_000 {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            let x0 = if i % 11 == 0 {
-                f32::NAN
-            } else {
-                (state % 997) as f32
-            };
-            data.push_row(
-                &[x0, (state >> 20) as f32 % 89.0, (i % 5) as f32],
-                (state >> 40) as f32 % 2.0,
-            );
+    /// A one-tree model over `n_features` columns whose nodes are `nodes`
+    /// (JSON objects), or a leaf where a node is `None`.
+    fn model_json(n_features: usize, nodes: &[Option<(u32, &str, u32, u32)>]) -> String {
+        let nodes: Vec<String> = nodes
+            .iter()
+            .map(|node| match *node {
+                Some((feature, threshold, left, right)) => format!(
+                    r#"{{"feature":{feature},"threshold":{threshold},"left":{left},"right":{right},"default_left":true,"value":0}}"#
+                ),
+                None => r#"{"feature":4294967295,"threshold":0,"left":0,"right":0,"default_left":false,"value":0.25}"#.to_string(),
+            })
+            .collect();
+        format!(
+            r#"{{"base_score":0.5,"trees":[{{"nodes":[{}]}}],"feature_gain":[],"n_features":{n_features},"loss":"SquaredError"}}"#,
+            nodes.join(",")
+        )
+    }
+
+    /// A chain of `depth` splits on `feature`, each with a leaf on its left:
+    /// a tree of depth `depth`.
+    fn chain(depth: u32, feature: u32) -> Vec<Option<(u32, &'static str, u32, u32)>> {
+        let mut nodes = Vec::new();
+        for d in 0..depth {
+            nodes.push(Some((feature, "0.5", 2 * d + 1, 2 * d + 2)));
+            nodes.push(None);
         }
-        let deep = fit(&data, Loss::SquaredError, 7);
-        assert!(deep.flat_layout().is_none());
-        assert_matches_reference(&deep, &extreme_rows(&data), "depth 7");
+        nodes.push(None);
+        nodes
+    }
 
-        // 65 features.
-        let data = messy_data(600, 65);
-        let wide = fit(&data, Loss::Logistic, 4);
-        assert!(wide.flat_layout().is_none());
-        assert_matches_reference(&wide, &extreme_rows(&data), "65 features");
+    #[test]
+    fn models_the_layout_cannot_hold_are_refused_naming_tree_and_node() {
+        let stump = |threshold: &'static str| vec![Some((1, threshold, 1, 2)), None, None];
+        let hostile: Vec<(&str, String, &str)> = vec![
+            (
+                "a child index out of range",
+                model_json(2, &[Some((0, "1", 1, 7)), None, None]),
+                "tree 0 node 0 has child 7",
+            ),
+            (
+                "a root whose left child is itself",
+                model_json(2, &[Some((0, "1", 0, 1)), None]),
+                "tree 0 node 0 has child 0",
+            ),
+            (
+                "a child before its parent",
+                model_json(2, &[Some((0, "1", 1, 2)), None, Some((1, "2", 1, 3)), None]),
+                "tree 0 node 2 has child 1",
+            ),
+            (
+                "a split on feature 5 of a 2-feature model",
+                model_json(
+                    2,
+                    &[
+                        Some((0, "1", 1, 2)),
+                        None,
+                        Some((5, "0.5", 3, 4)),
+                        None,
+                        None,
+                    ],
+                ),
+                "tree 0 node 2 splits on feature 5",
+            ),
+            (
+                "depth 7",
+                model_json(2, &chain(7, 0)),
+                "tree 0 node 12 splits at depth 6",
+            ),
+            (
+                "65 columns",
+                model_json(
+                    65,
+                    &[
+                        Some((3, "1", 1, 2)),
+                        None,
+                        Some((64, "0", 3, 4)),
+                        None,
+                        None,
+                    ],
+                ),
+                "tree 0 node 2 splits on feature 64",
+            ),
+            (
+                "65 columns, none split on",
+                model_json(65, &stump("1")),
+                "65 features",
+            ),
+            (
+                "a NaN threshold",
+                model_json(2, &stump("NaN")),
+                "tree 0 node 0 has the non-finite threshold NaN",
+            ),
+            (
+                "a +inf threshold",
+                model_json(2, &stump("Infinity")),
+                "tree 0 node 0 has the non-finite threshold inf",
+            ),
+            (
+                "a -inf threshold",
+                model_json(2, &stump("-Infinity")),
+                "tree 0 node 0 has the non-finite threshold -inf",
+            ),
+            (
+                "a tree without nodes",
+                model_json(2, &[]),
+                "tree 0 has no nodes",
+            ),
+        ];
+        for (what, json, names) in &hostile {
+            let error = Gbm::from_json_string(json).expect_err(what);
+            assert!(error.msg.contains(names), "{what}: {:?}", error.msg);
+        }
 
-        // Hand-written JSON: a split on feature 5 of a 2-feature model
-        // (reached only by rows with x0 > 1), and non-finite thresholds.
-        let leaf = |v: f32| {
-            format!(
-                r#"{{"feature":4294967295,"threshold":0,"left":0,"right":0,"default_left":false,"value":{v}}}"#
-            )
-        };
-        let model_with = |feature: u32, threshold: &str, default_left: bool| {
-            let json = format!(
-                r#"{{"base_score":0.5,"trees":[{{"nodes":[{{"feature":0,"threshold":1,"left":1,"right":2,"default_left":true,"value":0}},{},{{"feature":{feature},"threshold":{threshold},"left":3,"right":4,"default_left":{default_left},"value":0}},{},{}]}}],"feature_gain":[0,0],"n_features":2,"loss":"SquaredError"}}"#,
-                leaf(0.25),
-                leaf(-1.0),
-                leaf(2.0)
-            );
-            Gbm::from_json_string(&json).expect("well-formed")
-        };
-        let out_of_range = model_with(5, "0.5", false);
-        assert!(out_of_range.flat_layout().is_none());
-        let left_rows = vec![vec![0.0, 9.0], vec![f32::NAN, f32::NAN], vec![1.0]];
-        assert_matches_reference(&out_of_range, &left_rows, "out-of-range feature");
-        assert_eq!(out_of_range.predict(&[0.0, 9.0]), 0.75);
-
-        let rows = extreme_rows(&messy_data(20, 2));
-        for threshold in ["NaN", "Infinity", "-Infinity"] {
-            for default_left in [false, true] {
-                let model = model_with(1, threshold, default_left);
-                assert!(model.flat_layout().is_none(), "threshold {threshold}");
-                assert_matches_reference(&model, &rows, threshold);
-            }
+        // The limits themselves load, and score as the walk does.
+        let rows = extreme_rows(&messy_data(40, 2));
+        for json in [
+            model_json(2, &chain(6, 1)),
+            model_json(64, &[Some((63, "1", 1, 2)), None, None]),
+        ] {
+            let model = Gbm::from_json_string(&json).expect("fits the layout");
+            assert_matches_reference(&model, &rows, &json);
         }
     }
 }

@@ -21,8 +21,10 @@
 //!   are frequently absent),
 //! - one scoring kernel — trees padded to complete level order, eight trees
 //!   of a row walked in lockstep — behind [`Gbm::predict`] and its batch
-//!   forms, with the per-tree walk ([`Tree::predict`]) as its fallback and
-//!   test oracle,
+//!   forms, for every model: fitting refuses trees deeper than
+//!   6 and rows wider than [`MAX_FEATURES`], and loading
+//!   refuses a forest the kernel cannot lay out; the per-tree walk
+//!   ([`Tree::predict`], [`Gbm::predict_reference`]) is its test oracle,
 //! - gain-based feature importance and byte-stable JSON model
 //!   serialization.
 //!
@@ -54,6 +56,7 @@ mod tree;
 
 pub use booster::{Gbm, GbmParams, Loss};
 pub use dataset::Dataset;
+pub use flat::MAX_FEATURES;
 pub use tree::Tree;
 
 /// [`lhr_util::sync::workers`], the workers `work_ns` of work pays for —

@@ -482,7 +482,7 @@ mod tests {
         let mut next = xorshift(seed ^ 0x9E37_79B9);
         GbmParams {
             n_trees: 1 + (next() % 6) as usize,
-            max_depth: 1 + (next() % 7) as usize,
+            max_depth: 1 + (next() % 6) as usize,
             learning_rate: [0.3, 1.0, 0.05][(next() % 3) as usize],
             lambda: [1.0, 0.0, 0.25][(next() % 3) as usize],
             min_child_count: 1 + (next() % 10) as usize,

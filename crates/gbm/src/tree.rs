@@ -608,9 +608,10 @@ impl Tree {
 
     /// Predicts the tree's contribution for one raw feature row.
     ///
-    /// This is the reference traversal; serving goes through the padded
-    /// forest in `crate::flat`, which is property-tested bit-identical to
-    /// this walk and falls back to it for forests it cannot lay out.
+    /// This is the reference traversal, the oracle the padded forest in
+    /// `crate::flat` is property-tested bit-identical to; a [`crate::Gbm`]
+    /// serves through that forest alone. `row` must be as wide as the
+    /// columns the tree splits on.
     pub fn predict(&self, row: &[f32]) -> f32 {
         let mut node = &self.nodes[0];
         loop {

@@ -59,9 +59,10 @@
 //! refused *visibly* (a sampled request trace gains a
 //! `peer_hint{owner, hit:false}` step), so sweeping at any other cadence
 //! changes `--obs` exports (`tests/serving_golden.rs`, `fleet-expiry-*`).
-//! What the sweep no longer does is scan the table: publish times ascend
-//! with the trace, so the expired hints are a prefix of the publish log —
-//! a queue of `(id, publish time)` records. The log keeps its own records
+//! What the sweep does not do is scan the table: publish times ascend
+//! with the trace (a [`Trace`] never runs backwards), so the expired hints
+//! are a prefix of the publish log — a queue of `(id, publish time)`
+//! records — and the sweep reads that log alone. The log keeps its own records
 //! because the replay consumes its trace: a shard's requests are freed as
 //! it steps past them ([`Partition`]).
 
@@ -343,8 +344,9 @@ impl NodeFaultConfig {
 struct Liveness {
     n_nodes: usize,
     /// The distinct non-NaN window edges, ascending. Segment `k` holds the
-    /// times with exactly `k` edges at or below them; NaN times (which
-    /// every comparison rejects) get segment `edges.len() + 1`.
+    /// times with exactly `k` edges at or below them. A request's time is
+    /// never NaN (trace time is whole microseconds), so no segment is kept
+    /// for one.
     edges: Vec<f64>,
     /// Per segment, bit `n` set while node `n` is down.
     down: Vec<u64>,
@@ -358,7 +360,7 @@ struct Liveness {
 struct Segment {
     index: usize,
     /// The segment is `lo <= t < hi`; both NaN (so no time is inside)
-    /// before the first request and after a NaN time.
+    /// before the first request.
     lo: f64,
     hi: f64,
     down: u64,
@@ -386,15 +388,14 @@ impl Liveness {
         edges.dedup();
         let mut timeline = Liveness {
             n_nodes,
-            down: Vec::with_capacity(edges.len() + 2),
-            epochs: Vec::with_capacity((edges.len() + 2) * n_nodes),
+            down: Vec::with_capacity(edges.len() + 1),
+            epochs: Vec::with_capacity((edges.len() + 1) * n_nodes),
             edges,
         };
-        // One representative time per segment: below every edge, each edge
-        // (the lower end of the segment it opens), NaN.
+        // One representative time per segment: below every edge, then each
+        // edge (the lower end of the segment it opens).
         let below = std::iter::once(f64::NEG_INFINITY);
-        let nan = std::iter::once(f64::NAN);
-        for t in below.chain(timeline.edges.iter().copied()).chain(nan) {
+        for t in below.chain(timeline.edges.iter().copied()) {
             let down = (0..n_nodes)
                 .filter(|&node| faults.down(node, t))
                 .fold(0u64, |mask, node| mask | 1 << node);
@@ -416,14 +417,6 @@ impl Liveness {
     }
 
     fn search(&self, t: f64) -> Segment {
-        if t.is_nan() {
-            let index = self.edges.len() + 1;
-            return Segment {
-                index,
-                down: self.down[index],
-                ..Segment::COLD
-            };
-        }
         let index = self.edges.partition_point(|&edge| edge <= t);
         Segment {
             index,
@@ -687,45 +680,38 @@ struct Hints {
     table: FastMap<ObjectId, (u32, f64)>,
     /// `(id, publish time)` of every publish, oldest first. A record whose
     /// hint has since been republished or dropped is stale and skipped.
-    /// Publish times ascend along it, so the expired hints are a prefix;
-    /// the first publish that runs backwards in time drops the log for good
-    /// and [`Self::expire`] scans instead.
-    log: Option<VecDeque<(ObjectId, Time)>>,
+    /// A shard publishes at its requests' times, which ascend (a [`Trace`]
+    /// never runs backwards: every reader and generator keeps it so, and
+    /// `Trace::validate` checks it), so the expired hints are a prefix.
+    log: VecDeque<(ObjectId, Time)>,
 }
 
 impl Hints {
     fn new() -> Self {
         Hints {
             table: FastMap::default(),
-            log: Some(VecDeque::new()),
+            log: VecDeque::new(),
         }
     }
 
-    /// Records that `node` filled `req`'s object at that request's time.
+    /// Records that `node` filled `req`'s object at that request's time,
+    /// no earlier than the last publish.
     fn publish(&mut self, req: &Request, node: u32) {
+        debug_assert!(self.log.back().is_none_or(|&(_, last)| last <= req.ts));
         self.table.insert(req.id, (node, req.ts.as_secs_f64()));
-        let Some(log) = &mut self.log else { return };
-        if log.back().is_none_or(|&(_, last)| last <= req.ts) {
-            log.push_back((req.id, req.ts));
-        } else {
-            self.log = None;
-        }
+        self.log.push_back((req.id, req.ts));
     }
 
-    /// Drops every hint with `t - published > ttl` — exactly the set
-    /// `retain` would, since `t - published` falls as `published` rises.
+    /// Drops every hint with `t - published > ttl` — exactly the set a
+    /// scan of the table would, since `t - published` falls as `published`
+    /// rises along the log.
     fn expire(&mut self, t: f64, ttl: f64) {
-        let fresh = |published: f64| t - published <= ttl;
-        let Some(log) = &mut self.log else {
-            self.table.retain(|_, &mut (_, published)| fresh(published));
-            return;
-        };
-        while let Some(&(id, ts)) = log.front() {
+        while let Some(&(id, ts)) = self.log.front() {
             let published = ts.as_secs_f64();
-            if fresh(published) {
+            if t - published <= ttl {
                 break;
             }
-            log.pop_front();
+            self.log.pop_front();
             if self.table.get(&id).is_some_and(|&(_, at)| at == published) {
                 self.table.remove(&id);
             }
@@ -1355,14 +1341,14 @@ mod tests {
     }
 
     /// Holds the compiled timeline to `down` / `epoch` at every edge of
-    /// `faults`, one ulp either side of each, both infinities and NaN:
-    /// through a cold cursor, and through one cursor dragged across the
-    /// probes forwards, backwards and shuffled.
+    /// `faults`, one ulp either side of each, and both infinities: through
+    /// a cold cursor, and through one cursor dragged across the probes
+    /// forwards, backwards and shuffled.
     fn assert_timeline_matches(faults: &NodeFaultConfig, n_nodes: usize, rng: &mut StdRng) {
         let timeline = Liveness::compile(faults, n_nodes);
-        let mut probes = vec![f64::NEG_INFINITY, f64::INFINITY, f64::NAN, 0.0, -0.0];
+        let mut probes = vec![f64::NEG_INFINITY, f64::INFINITY, 0.0, -0.0];
         for &(_, start, end) in &faults.windows {
-            for edge in [start, end] {
+            for edge in [start, end].into_iter().filter(|edge| !edge.is_nan()) {
                 probes.extend([edge.next_down(), edge, edge.next_up()]);
             }
         }
@@ -1472,17 +1458,11 @@ mod tests {
     #[test]
     fn hint_log_equals_a_table_scan() {
         let mut rng = StdRng::seed_from_u64(23);
-        let mut fell_back = 0;
         for case in 0..300 {
-            // Most traces ascend; the rest step backwards somewhere, which
-            // must drop the log, not the equivalence.
-            let backwards = case % 3 == 0;
             let mut micros = 1_000_000u64;
             let requests: Vec<Request> = (0..rng.gen_range(1usize..400))
                 .map(|_| {
-                    if backwards && rng.gen_bool(0.05) {
-                        micros -= rng.gen_range(0u64..micros.min(400_000) + 1);
-                    } else if rng.gen_bool(0.7) {
+                    if rng.gen_bool(0.7) {
                         micros += rng.gen_range(0u64..300_000);
                     }
                     // Few ids, so hints are republished and records go stale.
@@ -1524,23 +1504,12 @@ mod tests {
                     }
                 }
                 assert_eq!(hints.table, reference, "case {case}, request {i}");
-                if let Some(log) = &hints.log {
-                    assert!(
-                        log.len() <= i + 1 && hints.table.len() <= log.len(),
-                        "every live hint has a record"
-                    );
-                }
+                assert!(
+                    hints.log.len() <= i + 1 && hints.table.len() <= hints.log.len(),
+                    "every live hint has a record"
+                );
             }
-            assert!(
-                backwards || hints.log.is_some(),
-                "case {case}: an ascending trace keeps its log"
-            );
-            fell_back += hints.log.is_none() as usize;
         }
-        assert!(
-            fell_back >= 20,
-            "the scan fallback ran in {fell_back} cases"
-        );
     }
 
     #[test]

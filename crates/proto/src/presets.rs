@@ -28,8 +28,6 @@ pub struct PolicyParams<'a> {
     /// LRB's memory window, and the horizon over which RL-Cache regrets a
     /// bypass and PopCache labels a re-request, in seconds.
     pub window_secs: f64,
-    /// Requests between LFO retrainings.
-    pub lfo_window: usize,
     /// Labeled samples between LRB retrainings.
     pub lrb_train_batch: usize,
     /// Recorder the LHR variants report their windows, trainings and
@@ -39,16 +37,14 @@ pub struct PolicyParams<'a> {
 
 impl PolicyParams<'_> {
     /// The CLI's parameters for replaying `trace`: 2¹⁶ expected objects, a
-    /// quarter of the trace (at least a minute) as the window, LFO
-    /// retraining every 8 192 requests and LRB every 8 192 labels, no
-    /// recorder.
+    /// quarter of the trace (at least a minute) as the window, LRB
+    /// retraining every 8 192 labels, no recorder.
     pub fn for_trace(capacity: u64, seed: u64, trace: &Trace) -> Self {
         PolicyParams {
             capacity,
             seed,
             expected_objects: 1 << 16,
             window_secs: (trace.duration().as_secs_f64() / 4.0).max(60.0),
-            lfo_window: 8_192,
             lrb_train_batch: 8_192,
             obs: None,
         }
@@ -121,7 +117,8 @@ pub const POLICIES: &[(&str, PolicyCtor)] = &[
         Box::new(Hyperbolic::new(p.capacity, p.seed))
     }),
     ("LHD", |p| Box::new(Lhd::new(p.capacity, p.seed))),
-    ("LFO", |p| Box::new(Lfo::new(p.capacity, p.lfo_window))),
+    // Retraining every 8 192 requests.
+    ("LFO", |p| Box::new(Lfo::new(p.capacity, 8_192))),
     ("RL-Cache", |p| {
         Box::new(RlCache::new(p.capacity, p.window_secs, p.seed))
     }),

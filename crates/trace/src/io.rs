@@ -354,8 +354,9 @@ fn read_csv_inner<R: Read>(
 }
 
 /// [`read_csv_inner`] at a given chunk size and thread count. The calling
-/// thread parses the first chunk itself, then, at more than one thread,
-/// hands the rest to [`fan_out`].
+/// thread parses the first chunk itself, then hands the rest to
+/// [`fan_out`] — on one thread a crew of no helpers, where the caller
+/// parses every chunk.
 fn read_csv_chunked<R: Read>(
     reader: R,
     name: impl Into<String>,
@@ -365,10 +366,7 @@ fn read_csv_chunked<R: Read>(
     threads: usize,
 ) -> Result<(Trace, usize), ParseError> {
     let threads = threads.clamp(1, MAX_READ_THREADS);
-    let chunk = match threads {
-        1 => chunk,
-        _ => chunk.min(IN_FLIGHT_TEXT / (IN_FLIGHT_PER_THREAD * threads)),
-    };
+    let chunk = chunk.min(IN_FLIGHT_TEXT / (IN_FLIGHT_PER_THREAD * threads));
     let mut lines = Lines::new(reader, chunk);
     let mut state = CsvState::new(Vec::new(), lossy);
     let mut text = Vec::new();
@@ -383,17 +381,7 @@ fn read_csv_chunked<R: Read>(
             .requests
             .try_reserve_exact(usize::try_from(more).unwrap_or(usize::MAX));
     }
-    if threads > 1 {
-        fan_out(&mut lines, &mut state, text, threads, (seen, len))?;
-    } else {
-        loop {
-            let len = lines.next(&mut text);
-            if len == 0 {
-                break;
-            }
-            state.terminated_lines(&text[..len])?;
-        }
-    }
+    fan_out(&mut lines, &mut state, text, threads, (seen, len))?;
     if let Some(Err(e)) = lines.end.take() {
         return Err(e.into());
     }
@@ -407,10 +395,10 @@ fn read_csv_chunked<R: Read>(
 /// Chunks in flight — read and not yet merged — per thread of the reader.
 const IN_FLIGHT_PER_THREAD: usize = 2;
 
-/// Bytes of text in flight at most, whatever the core count: at more than
-/// one thread a chunk is this shared out over the chunks in flight (128 KiB
-/// each at two threads), so what a load holds beside the requests it
-/// returns stays near twice this (`tests/ingest_heap.rs`).
+/// Bytes of text in flight at most, whatever the core count: a chunk is
+/// this shared out over the chunks in flight (256 KiB each on one thread,
+/// 128 KiB at two), so what a load holds beside the requests it returns
+/// stays near twice this (`tests/ingest_heap.rs`).
 const IN_FLIGHT_TEXT: usize = 2 * CSV_CHUNK;
 
 /// The most threads the reader uses. One thread reads every chunk and

@@ -265,14 +265,9 @@ impl Trace {
                 None
             }
         };
-        if classes == 1 {
-            return self
-                .iter()
-                .enumerate()
-                .find_map(|(index, req)| check(index, req));
-        }
         // 64 requests at a time: the class test fills a mask without a
-        // branch (a coin flip at two classes), and the loop walks its bits.
+        // branch (a coin flip at two classes), and the loop walks its bits;
+        // one class takes every bit.
         for (block, reqs) in self.requests.chunks(64).enumerate() {
             let mut mine = reqs.iter().enumerate().fold(0u64, |mask, (k, req)| {
                 mask | u64::from(size_class(req.id, classes) == class) << k

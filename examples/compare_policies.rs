@@ -5,6 +5,7 @@
 //! cargo run --release --example compare_policies
 //! ```
 
+use lhr_repro::policies::Lfo;
 use lhr_repro::proto::presets::{self, PolicyParams};
 use lhr_repro::sim::{SimConfig, Simulator};
 use lhr_repro::trace::synth::{production, ProductionScale};
@@ -17,10 +18,7 @@ fn main() {
     // The whole roster, as `lhr-cache compare` builds it — except that LFO
     // retrains every 4 096 requests: at the CLI's 8 192 it would train
     // once on this 9 700-request trace.
-    let params = PolicyParams {
-        lfo_window: 4_096,
-        ..PolicyParams::for_trace(0, 11, &trace)
-    };
+    let params = PolicyParams::for_trace(0, 11, &trace);
 
     // Cache sizes: 2%, 6%, and 12% of the unique bytes.
     let capacities: Vec<u64> = [0.02, 0.06, 0.12]
@@ -42,7 +40,10 @@ fn main() {
         let hits: Vec<String> = capacities
             .iter()
             .map(|&capacity| {
-                let mut policy = build(&PolicyParams { capacity, ..params });
+                let mut policy = match name {
+                    "LFO" => Box::new(Lfo::new(capacity, 4_096)),
+                    _ => build(&PolicyParams { capacity, ..params }),
+                };
                 let r = simulator.run(&mut policy, &trace);
                 format!("{:6.2}%", r.metrics.object_hit_ratio() * 100.0)
             })

@@ -20,7 +20,7 @@ if grep -rnw unsafe crates/*/src src; then
   exit 1
 fi
 
-echo "==> kept deleted: three cache stores, one store contract, no hand-rolled policy table, one way for windows to reach the recorder, one helper crew, one way to retrain, no per-window object map, one window log, no scattered partition order, no shadow copies, one serve-path contract, one window accumulator, one record serializer, no held training set"
+echo "==> kept deleted: three cache stores, one store contract, no hand-rolled policy table, one way for windows to reach the recorder, one helper crew, one way to retrain, no per-window object map, one window log, no scattered partition order, no shadow copies, one serve-path contract, one window accumulator, one record serializer, no held training set, one GBM scoring path, one CSV read path, one size-check loop, one hint-expiry path, no NaN-time segment"
 # SampleStore (crates/sim/src/store.rs) holds the only swap_remove fix-up:
 # LhrCache and the threshold shadow kept their own until they moved onto
 # it. Everything above a file's first #[cfg(test)] is non-test code.
@@ -140,6 +140,33 @@ fi
 if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' crates/core/src/cache.rs \
     | grep -E 'pending:.*Dataset'; then
   echo "a training set held in LhrCache::pending (see the lines above)" >&2
+  exit 1
+fi
+# A Gbm always holds its padded layout: fit and load refuse a forest the
+# kernel cannot lay out, so no model falls back to the per-tree walk.
+if grep -rn 'Option<FlatForest>' crates/gbm/src; then
+  echo "an optional GBM scoring layout (see the lines above)" >&2
+  exit 1
+fi
+# The CSV reader goes through fan_out at any core count (a crew of no
+# helpers on one core), and Trace::validate's size check walks the class
+# mask at one class too.
+if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' crates/trace/src/io.rs \
+    | grep -E 'threads > 1'; then
+  echo "a second CSV read path in lhr_trace::io (see the lines above)" >&2
+  exit 1
+fi
+if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' crates/trace/src/request.rs \
+    | grep -E 'classes == 1'; then
+  echo "a one-class shortcut in Trace::validate (see the lines above)" >&2
+  exit 1
+fi
+# Trace time ascends and is never NaN: the fleet's hint expiry reads its
+# publish log alone (never dropped, no table scan), and the liveness
+# timeline keeps no segment for a NaN time.
+if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' crates/proto/src/fleet.rs \
+    | grep -E 'log = None|\.retain\(|if t\.is_nan\(\)'; then
+  echo "a second hint-expiry path or a NaN-time segment in lhr_proto::fleet (see the lines above)" >&2
   exit 1
 fi
 # Threads are spawned, woken and counted in lhr_util::sync alone (claim_each,

@@ -4,7 +4,7 @@
 use lhr_repro::bounds::{Belady, BeladySize, InfiniteCap, PfooLower, PfooUpper};
 use lhr_repro::core::cache::{LhrCache, LhrConfig};
 use lhr_repro::core::hazard::Hro;
-use lhr_repro::policies::{Fifo, LfuDa, Lru};
+use lhr_repro::policies::{Fifo, Lfo, LfuDa, Lru};
 use lhr_repro::proto::presets::{self, PolicyParams};
 use lhr_repro::sim::{CachePolicy, OfflineBound, SimConfig, Simulator};
 use lhr_repro::trace::synth::{markov, IrmConfig, SizeModel};
@@ -27,13 +27,15 @@ fn zipf_trace(seed: u64, n_objects: usize, n_requests: usize) -> Trace {
 /// and the bounds must hold for LFO's learned admission, not only for the
 /// admit-all it starts with.
 fn all_policies(capacity: u64, seed: u64, trace: &Trace) -> Vec<Box<dyn CachePolicy>> {
-    let params = PolicyParams {
-        lfo_window: 2_048,
-        ..PolicyParams::for_trace(capacity, seed, trace)
-    };
+    let params = PolicyParams::for_trace(capacity, seed, trace);
     presets::POLICIES
         .iter()
-        .map(|&(_, build)| -> Box<dyn CachePolicy> { build(&params) })
+        .map(|&(name, build)| -> Box<dyn CachePolicy> {
+            match name {
+                "LFO" => Box::new(Lfo::new(capacity, 2_048)),
+                _ => build(&params),
+            }
+        })
         .collect()
 }
 

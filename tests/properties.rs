@@ -108,6 +108,39 @@ fn infinite_cap_dominates_all() {
     });
 }
 
+/// `ExactOpt` is the offline optimum in the policies' own model (a hit iff
+/// cached on arrival, admission only on a miss, bypass and eviction free),
+/// so no roster policy — online, learned or not — hits more than it, and
+/// the PFOO upper bound hits no less. Tiny traces (≤ 25 requests over ≤ 64
+/// objects, the oracle's limits), with equal and with per-object sizes.
+#[test]
+fn every_roster_policy_is_dominated_by_exact_opt_and_it_by_pfoo_upper() {
+    use lhr_repro::bounds::ExactOpt;
+    use lhr_repro::proto::presets::{self, PolicyParams};
+    prop_check!(cases: 64, (ids in vec(range(0u64..64), 1..26), units in range(1u64..12), seed in any_u64()) => {
+        for variable in [false, true] {
+            let requests = ids.iter().enumerate().map(|(i, &id)| {
+                let size = if variable { (id % 5 + 1) * 1_000 } else { 1_000 };
+                Request::new(Time::from_secs(i as u64), id, size)
+            });
+            let trace = Trace::from_requests("tiny", requests.collect());
+            let capacity = units * 1_000;
+            let optimum = ExactOpt::default().evaluate(&trace, capacity).hits;
+            let upper = PfooUpper.evaluate(&trace, capacity).hits;
+            prop_assert!(optimum <= upper, "ExactOpt {} > PFOO-U {} (variable {})", optimum, upper, variable);
+            let params = PolicyParams::for_trace(capacity, seed, &trace);
+            for &(name, build) in presets::POLICIES {
+                let mut policy = build(&params);
+                let hits = Simulator::new(SimConfig::default()).run(&mut policy, &trace).metrics.hits;
+                prop_assert!(
+                    hits <= optimum,
+                    "{} hits {} > ExactOpt {} (variable {})", name, hits, optimum, variable
+                );
+            }
+        }
+    });
+}
+
 #[test]
 fn belady_dominates_lru_on_equal_sizes() {
     prop_check!(cases: 64, (ids in vec(range(0u64..30), 1..300), capacity in range(1u64..20)) => {
